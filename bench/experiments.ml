@@ -3,7 +3,7 @@
    the core primitives.  `bench/main.ml` is the CLI over this library;
    the golden-artefact regression test (test/test_artefacts.ml) calls
    the same entries in-process through {!capture} and pins their
-   output by SHA-256.
+   output by stdlib Digest.
 
    Experiment ids: table1 fig3 fig4a fig4b custody phases backpressure
    protocols resilience popularity ablation-detour ablation-ac micro.

@@ -3,8 +3,8 @@
     Each entry regenerates one table/figure of the paper (or a
     repository ablation) on stdout.  `bench/main.exe` is the CLI; the
     golden-artefact regression test runs the same closures in-process
-    via {!capture} and pins the output bytes by SHA-256
-    (test/golden/artefacts.sha256). *)
+    via {!capture} and pins the output bytes by their stdlib [Digest]
+    (test/golden/artefacts.digest). *)
 
 val all : (string * (unit -> unit)) list
 (** Experiment id -> runner, in canonical order. *)

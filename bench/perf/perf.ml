@@ -21,8 +21,7 @@
      flow-table entry (bytes_per_flow) and the process peak RSS, then
      releases every flow and fails hard if any table entry leaks.
 
-   Writes BENCH_core.json (schema `inrpp-bench-core/v4`: v3 plus
-   bytes_per_flow and peak_rss_bytes per benchmark row) so future PRs
+   Writes BENCH_core.json (schema `inrpp-bench-core/v4`) so future PRs
    can compare against the recorded trajectory.  `--trials N` sets the best-of-N trial count,
    `--domains D` spreads the trials over D domains (per-trial
    allocation is read inside the owning domain, so the gate is sound
@@ -32,17 +31,9 @@
    allocating more than 2x its baseline minor-words/event fails the
    run, wall-clock numbers are advisory only (CI machines are too
    noisy to gate on time).  `--check FILE` applies the same schema +
-   allocation gate to an existing JSON file; v2 files (written before
-   the parallel harness) are still accepted. *)
+   allocation gate to an existing v4 JSON file. *)
 
 let schema_version = "inrpp-bench-core/v4"
-
-(* pre-memory-benchmark files: same shape minus bytes_per_flow /
-   peak_rss_bytes per row *)
-let schema_v3 = "inrpp-bench-core/v3"
-
-(* pre-parallel-harness files: v3 minus domains/trials/host_cores *)
-let schema_v2 = "inrpp-bench-core/v2"
 
 (* every run seeds the stdlib RNG explicitly (and reports the seed in
    the JSON) so any randomized consumer — now or added later — cannot
@@ -468,12 +459,10 @@ let report ~smoke ~trials ~domains outcomes =
    Wall clock: advisory only — events/sec below the recorded floor
    prints a warning but never fails (CI timing is too noisy). *)
 
-let benchmark_fields_v3 =
-  [ "name"; "events"; "wall_s"; "events_per_sec"; "chunks_delivered";
-    "chunks_per_sec"; "minor_words_per_event" ]
-
 let benchmark_fields =
-  benchmark_fields_v3 @ [ "bytes_per_flow"; "peak_rss_bytes" ]
+  [ "name"; "events"; "wall_s"; "events_per_sec"; "chunks_delivered";
+    "chunks_per_sec"; "minor_words_per_event"; "bytes_per_flow";
+    "peak_rss_bytes" ]
 
 (* (name, minor_words_per_event, events_per_sec, bytes_per_flow) *)
 let gate ~smoke results =
@@ -540,24 +529,17 @@ let check_file path =
   match Obs.Json.parse text with
   | Error e -> fail ("not valid JSON: " ^ e)
   | Ok j ->
-    let version =
-      match Obs.Json.member "schema" j with
-      | Some (Obs.Json.Str s)
-        when s = schema_version || s = schema_v3 || s = schema_v2 ->
-        s
-      | Some (Obs.Json.Str s) ->
-        fail
-          ("schema is " ^ s ^ ", want " ^ schema_version ^ " (or " ^ schema_v3
-         ^ " / " ^ schema_v2 ^ ")")
-      | _ -> fail "missing string field: schema"
-    in
-    if version <> schema_v2 then
-      List.iter
-        (fun f ->
-          match Obs.Json.member f j with
-          | Some (Obs.Json.Num _) -> ()
-          | _ -> fail ("missing numeric field: " ^ f))
-        [ "trials"; "domains"; "host_cores" ];
+    (match Obs.Json.member "schema" j with
+    | Some (Obs.Json.Str s) when s = schema_version -> ()
+    | Some (Obs.Json.Str s) ->
+      fail ("schema is " ^ s ^ ", want " ^ schema_version)
+    | _ -> fail "missing string field: schema");
+    List.iter
+      (fun f ->
+        match Obs.Json.member f j with
+        | Some (Obs.Json.Num _) -> ()
+        | _ -> fail ("missing numeric field: " ^ f))
+      [ "trials"; "domains"; "host_cores" ];
     let smoke =
       match Obs.Json.member "smoke" j with
       | Some (Obs.Json.Bool b) -> b
@@ -575,10 +557,6 @@ let check_file path =
           | _ -> fail ("baseline missing numeric field: " ^ k))
         baseline
     | _ -> fail "missing object field: baseline");
-    let row_fields =
-      if version = schema_version then benchmark_fields
-      else benchmark_fields_v3
-    in
     let results =
       match Obs.Json.member "benchmarks" j with
       | Some (Obs.Json.List (_ :: _ as bs)) ->
@@ -590,7 +568,7 @@ let check_file path =
                 | Some (Obs.Json.Num _) when field <> "name" -> ()
                 | Some (Obs.Json.Str _) when field = "name" -> ()
                 | _ -> fail ("benchmark entry missing field: " ^ field))
-              row_fields;
+              benchmark_fields;
             let str f =
               match Obs.Json.member f b with
               | Some (Obs.Json.Str s) -> s
@@ -601,19 +579,14 @@ let check_file path =
               | Some (Obs.Json.Num x) -> x
               | _ -> fail ("benchmark entry missing field: " ^ f)
             in
-            let bpf =
-              match Obs.Json.member "bytes_per_flow" b with
-              | Some (Obs.Json.Num x) -> x
-              | _ -> 0.
-            in
             ( str "name",
               num "minor_words_per_event",
               num "events_per_sec",
-              bpf ))
+              num "bytes_per_flow" ))
           bs
       | _ -> fail "missing non-empty list field: benchmarks"
     in
-    Printf.printf "%s: schema ok (%s)\n" path version;
+    Printf.printf "%s: schema ok (%s)\n" path schema_version;
     gate ~smoke results;
     exit 0
 

@@ -1,32 +1,13 @@
 type verdict = { equal : bool; detail : string }
 
-let fast_vs_legacy ~seed =
-  let fast = Scenario.run ~seed () in
-  let legacy = Scenario.run ~legacy:true ~seed () in
-  if Scenario.equal_outcome fast legacy then
-    {
-      equal = true;
-      detail =
-        Printf.sprintf
-          "seed %d: %d deliveries, %d drops, %.0f bits — fast = legacy" seed
-          (List.length fast.Scenario.deliveries)
-          fast.Scenario.drops fast.Scenario.tx_bits;
-    }
-  else
-    {
-      equal = false;
-      detail =
-        Printf.sprintf "seed %d: %s" seed (Scenario.diff_outcomes fast legacy);
-    }
-
 (* Eager vs lazy scheduling through the five-level tie order
    (time, epoch, parent, stamp, seq).  An eager scheduler pushes
    events the moment they become known, receiving consecutive default
    stamps; a lazy scheduler pushes the same events later and out of
    order, but carries the stamp each event {e would} have received
    (captured via [next_stamp] in real code).  With the keys fixed, the
-   pop order must be identical — this is the contract the loss-free
-   interface fast path depends on. *)
+   pop order must be identical — this is the contract the interface's
+   lazy transmitter depends on. *)
 let queue_tie_order ~seed =
   let rng = Sim.Rng.create (Int64.of_int (0x71E00 + seed)) in
   let k = 150 + Sim.Rng.int rng 101 in

@@ -1,25 +1,19 @@
 (** Differential equivalence harness.
 
-    Replays seed-derived random scenarios through two implementations
+    Replays seed-derived random inputs through two implementations
     that must be observationally identical and reports the first
-    divergence.  These generalise PR 2's ad-hoc "fast = legacy" and
-    tie-order tests into scenario-generic fuzzers; the test suite
-    sweeps them over ≥ 50 seeds. *)
+    divergence; the test suite sweeps them over ≥ 50 seeds.  {!sweep}
+    also serves protocol-level differentials built in the tests. *)
 
 type verdict = { equal : bool; detail : string }
-
-val fast_vs_legacy : seed:int -> verdict
-(** One {!Scenario} run through the loss-free interface fast path vs
-    the legacy two-event transmit path ([~loss] with probability 0).
-    Every observable — delivery order and timestamps, drops, wire
-    losses, transmitted bits — must match exactly. *)
 
 val queue_tie_order : seed:int -> verdict
 (** Random event sets with forced collisions on every tie level pushed
     eagerly (default stamps) and lazily (shuffled insertion with
     explicit [~stamp]); the five-level tie order
     [(time, epoch, parent, stamp, seq)] must produce the same pop
-    sequence. *)
+    sequence — the contract the interface's lazy transmitter relies
+    on. *)
 
 val sweep : ?domains:int -> seeds:int list -> (seed:int -> verdict) -> verdict
 (** Run a differential over many seeds; equal iff every seed is.

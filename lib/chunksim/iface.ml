@@ -6,24 +6,19 @@ type queue =
   | Q_fifo of Fifo.t
   | Q_drr of Rr_queue.t
 
-(* Two transmitter implementations share this record.
-
-   Fast path (no wire loss): the transmitter is a [next_free_at]
-   virtual clock.  Popping a packet advances the clock by its
-   serialisation time and schedules its arrival — one pre-allocated
-   engine event per packet, no per-packet closure.  Pops that fall due
-   while no event touches the interface are performed lazily ("catch
-   up") by the next send, delivery or state read, with the start time
-   taken from the virtual clock, so queue occupancy, DRR service
-   order, delivery timestamps and utilisation are exactly those of an
-   eager transmitter.  Transmission statistics accrue the same way:
-   at most one popped packet's completion lies in the future at any
-   instant, so a single pending record is settled lazily.
-
-   Slow path (wire loss configured): the original two-event scheme —
-   a serialisation-complete event that rolls the loss dice, then a
-   propagation event per surviving packet — because the loss decision
-   must happen at completion time in RNG order. *)
+(* The transmitter is a [next_free_at] virtual clock.  Popping a
+   packet advances the clock by its serialisation time and schedules
+   its arrival — one pre-allocated engine event per packet, no
+   per-packet closure.  Pops that fall due while no event touches the
+   interface are performed lazily ("catch up") by the next send,
+   delivery or state read, with the start time taken from the virtual
+   clock, so queue occupancy, DRR service order, delivery timestamps
+   and utilisation are exactly those of an eager transmitter.
+   Transmission statistics accrue the same way: at most one popped
+   packet's completion lies in the future at any instant, so a single
+   pending record is settled lazily.  Wire loss is decided in the
+   arrival event; arrivals are FIFO, so the interface's loss stream is
+   drawn in transmission order. *)
 type t = {
   eng : Sim.Engine.t;
   l : Topology.Link.t;
@@ -32,7 +27,6 @@ type t = {
   prop_delay : float;
   deliver : Packet.t -> unit;
   loss : (float * Sim.Rng.t) option;
-  (* fast path *)
   mutable next_free_at : float;  (* virtual clock: busy until this time *)
   mutable chain_stamp : int;     (* scheduling stamp of the send that
                                     began the current busy period *)
@@ -41,13 +35,10 @@ type t = {
   mutable inflight_tx : float;   (* un-settled tx seconds … *)
   mutable inflight_bits : float; (* … and bits of the newest popped packet *)
   mutable inflight_pending : bool;
-  (* slow path *)
-  mutable is_busy : bool;
   (* fault state: a downed interface refuses admission, stops popping
      its queue, and destroys whatever was already on the wire *)
   mutable up : bool;
   mutable kill_wire : int;       (* in-flight packets to destroy on arrival *)
-  mutable slow_inflight : int;   (* slow path: propagations scheduled, not arrived *)
   mutable fault_tap : Packet.t -> unit;
   (* span tracing: called with (serialisation start, packet) when a
      transmission begins; [None] costs one match per pop *)
@@ -77,9 +68,6 @@ let q_push t (p : Packet.t) =
   match t.q with
   | Q_fifo f -> Fifo.push f p
   | Q_drr d -> Rr_queue.push d ~class_id:(Packet.flow p) p
-
-(* ------------------------------------------------------------------ *)
-(* Fast path *)
 
 (* accrue the newest popped packet once its completion time passes *)
 let settle t ~now =
@@ -152,85 +140,43 @@ let on_arrival t =
     t.fault_drops_acc <- t.fault_drops_acc + 1;
     t.fault_tap p
   end
-  else t.deliver p
+  else
+    match t.loss with
+    | Some (prob, rng) when Sim.Rng.float rng 1. < prob ->
+      t.wire_loss_acc <- t.wire_loss_acc + 1
+    | Some _ | None -> t.deliver p
 
-let send_fast t p =
-  let now = Sim.Engine.now t.eng in
-  catch_up t ~now;
-  match q_push t p with
-  | `Dropped -> `Dropped
-  | `Queued ->
-    (* Start transmitting right away only if the transmitter is truly
-       idle (its last completion event has run — [inflight_pending]
-       false covers the exact-tie case).  If a completion is pending
-       at this very instant but ordered after the current event, the
-       eager scheme would pop inside that later completion event;
-       leaving the pop to a later catch-up reproduces both the pop's
-       candidate set and the queue occupancy seen by any event ordered
-       in between. *)
-    if t.next_free_at < now || (t.next_free_at = now && not t.inflight_pending)
-    then begin
-      match q_pop t with
-      | Some head ->
-        t.next_free_at <- now;
-        (* a busy period begins here: arrivals scheduled lazily for
-           its later packets tie-break as if pushed now *)
-        t.chain_stamp <- Sim.Engine.stamp t.eng;
-        start_tx t head
-      | None -> ()
-    end;
-    `Queued
+(* Is the transmitter truly idle — its last completion event has run?
+   [inflight_pending] covers the exact-tie case: if a completion is
+   pending at this very instant but ordered after the current event,
+   the eager scheme would pop inside that later completion event, so
+   leaving the pop to a later catch-up reproduces both the pop's
+   candidate set and the queue occupancy seen by any event ordered in
+   between. *)
+let idle t ~now =
+  t.next_free_at < now || (t.next_free_at = now && not t.inflight_pending)
 
-(* ------------------------------------------------------------------ *)
-(* Slow path: wire loss configured (the pre-overhaul two-event
-   scheme, kept verbatim so the loss dice roll at completion time) *)
-
-let rec kick t =
-  if (not t.is_busy) && t.up then begin
+(* begin a busy period at [now] if the transmitter is idle: arrivals
+   scheduled lazily for its later packets tie-break as if pushed now *)
+let start_busy_period t ~now =
+  if idle t ~now then
     match q_pop t with
+    | Some head ->
+      t.next_free_at <- now;
+      t.chain_stamp <- Sim.Engine.stamp t.eng;
+      start_tx t head
     | None -> ()
-    | Some p ->
-      t.is_busy <- true;
-      (match t.span_tap with
-      | Some f -> f (Sim.Engine.now t.eng) p
-      | None -> ());
-      let tx_time = p.Packet.size /. t.effective_rate in
-      ignore
-        (Sim.Engine.schedule t.eng ~delay:tx_time (fun () ->
-             Sim.Engine.profile_mark t.eng t.prof_kind;
-             t.is_busy <- false;
-             t.busy_accum <- t.busy_accum +. tx_time;
-             t.tx_bits_acc <- t.tx_bits_acc +. p.Packet.size;
-             t.tx_packets_acc <- t.tx_packets_acc + 1;
-             if not t.up then begin
-               (* link went down mid-serialisation: the frame dies on
-                  the cut wire (no loss dice, no propagation) *)
-               t.fault_drops_acc <- t.fault_drops_acc + 1;
-               t.fault_tap p
-             end
-             else begin
-               let lost =
-                 match t.loss with
-                 | Some (prob, rng) when Sim.Rng.float rng 1. < prob ->
-                   t.wire_loss_acc <- t.wire_loss_acc + 1;
-                   true
-                 | Some _ | None -> false
-               in
-               if not lost then begin
-                 t.slow_inflight <- t.slow_inflight + 1;
-                 ignore
-                   (Sim.Engine.schedule t.eng ~delay:t.prop_delay (fun () ->
-                        Sim.Engine.profile_mark t.eng t.prof_kind;
-                        t.slow_inflight <- t.slow_inflight - 1;
-                        if t.kill_wire > 0 then begin
-                          t.kill_wire <- t.kill_wire - 1;
-                          t.fault_drops_acc <- t.fault_drops_acc + 1;
-                          t.fault_tap p
-                        end
-                        else t.deliver p))
-               end;
-               kick t
-             end))
+
+let send t p =
+  if not t.up then `Dropped (* admission refusal while down *)
+  else begin
+    let now = Sim.Engine.now t.eng in
+    catch_up t ~now;
+    match q_push t p with
+    | `Dropped -> `Dropped
+    | `Queued ->
+      start_busy_period t ~now;
+      `Queued
   end
 
 (* ------------------------------------------------------------------ *)
@@ -264,10 +210,8 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
       inflight_tx = 0.;
       inflight_bits = 0.;
       inflight_pending = false;
-      is_busy = false;
       up = true;
       kill_wire = 0;
-      slow_inflight = 0;
       fault_tap = (fun _ -> ());
       span_tap = None;
       prof_kind = 0;
@@ -281,24 +225,10 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
   t.arrive <- (fun () -> on_arrival t);
   t
 
-let send t p =
-  if not t.up then `Dropped (* admission refusal while down *)
-  else
-    match t.loss with
-    | None -> send_fast t p
-    | Some _ -> begin
-      match q_push t p with
-      | `Dropped -> `Dropped
-      | `Queued ->
-        kick t;
-        `Queued
-    end
-
 (* Reads catch the virtual transmitter up first, so observed queue
-   occupancy, busy state and statistics are those of the eager
-   two-event scheme at the same instant. *)
-let sync t =
-  if t.loss = None then catch_up t ~now:(Sim.Engine.now t.eng)
+   occupancy, busy state and statistics are those of an eager
+   transmitter at the same instant. *)
+let sync t = catch_up t ~now:(Sim.Engine.now t.eng)
 
 let queue_occupancy t =
   sync t;
@@ -312,14 +242,8 @@ let queue_capacity t =
   | Q_drr d -> Rr_queue.capacity d
 
 let busy t =
-  match t.loss with
-  | None ->
-    sync t;
-    let now = Sim.Engine.now t.eng in
-    (* at an exact tie the transmitter is still busy iff its
-       completion event has not run yet (inflight still pending) *)
-    t.next_free_at > now || (t.next_free_at = now && t.inflight_pending)
-  | Some _ -> t.is_busy
+  sync t;
+  not (idle t ~now:(Sim.Engine.now t.eng))
 
 let utilisation t ~now =
   sync t;
@@ -358,7 +282,7 @@ let set_down ?(policy = `Drop_queued) t =
     sync t;
     t.up <- false;
     (* everything already on the wire dies at its arrival instant *)
-    t.kill_wire <- t.kill_wire + Queue.length t.wire + t.slow_inflight;
+    t.kill_wire <- t.kill_wire + Queue.length t.wire;
     match policy with
     | `Hold_queued -> ()
     | `Drop_queued ->
@@ -377,22 +301,11 @@ let set_up t =
   if not t.up then begin
     t.up <- true;
     let now = Sim.Engine.now t.eng in
-    match t.loss with
-    | Some _ -> kick t
-    | None ->
-      (* The virtual transmitter may have gone idle during the outage;
-         restart the busy period for any held packets.  Do not catch up
-         with the stale clock first — pops while down were refused, so
-         popping at [next_free_at] now would schedule arrivals in the
-         past. *)
-      settle t ~now;
-      if t.next_free_at < now || (t.next_free_at = now && not t.inflight_pending)
-      then begin
-        match q_pop t with
-        | Some head ->
-          t.next_free_at <- now;
-          t.chain_stamp <- Sim.Engine.stamp t.eng;
-          start_tx t head
-        | None -> ()
-      end
+    (* The virtual transmitter may have gone idle during the outage;
+       restart the busy period for any held packets.  Do not catch up
+       with the stale clock first — pops while down were refused, so
+       popping at [next_free_at] now would schedule arrivals in the
+       past. *)
+    settle t ~now;
+    start_busy_period t ~now
   end

@@ -3,7 +3,15 @@
     Owns a bounded FIFO; transmits at link rate; delivers each packet
     to the far node after the propagation delay.  Forwarding speed can
     be derated below nominal capacity (the paper's §3.3 footnote about
-    not operating at full capacity) via [speed_factor]. *)
+    not operating at full capacity) via [speed_factor].
+
+    The transmitter is a virtual clock: each transmitted packet costs
+    exactly one engine event, its arrival at the far end.  Queue pops
+    fall due lazily and are caught up by the next send, arrival or
+    state read, so every observable — delivery order and times, queue
+    occupancy, statistics — is that of an eager transmitter with a
+    serialisation-complete event per packet.  Wire loss and outage
+    kills are both decided in the arrival event. *)
 
 type t
 
@@ -20,8 +28,11 @@ val create :
 (** [queue_bits] defaults to 64 chunks of 10 kB (≈ 5.1 Mbit);
     [speed_factor] in (0, 1], default 1; [discipline] defaults to
     FIFO.  [loss] injects random wire loss: each transmitted packet is
-    discarded with the given probability (failure-injection tests);
-    default none.
+    discarded at its arrival instant with the given probability
+    (failure-injection tests); default none.  The stream is drawn once
+    per arrival that an outage did not already kill, in transmission
+    order, so it should belong to this interface alone.  A lost packet
+    still counts in {!tx_bits}, {!tx_packets} and {!utilisation}.
     @raise Invalid_argument on a non-positive queue, factor outside
     (0, 1] or loss probability outside [0, 1). *)
 
@@ -79,9 +90,9 @@ val set_fault_tap : t -> (Packet.t -> unit) -> unit
 
 val set_span_tap : t -> (float -> Packet.t -> unit) option -> unit
 (** Span tracing: [f start p] fires when [p]'s serialisation begins,
-    with the serialisation start time (which, on the lazy loss-free
-    path, may lie before the engine's current time — the pop is
-    performed lazily at the virtual transmitter's clock).  Default
+    with the serialisation start time (which may lie before the
+    engine's current time — the pop is performed lazily at the virtual
+    transmitter's clock).  Default
     [None]; the disabled cost is one match per transmitted packet. *)
 
 val set_profile_kind : t -> int -> unit

@@ -19,15 +19,8 @@ let silent ~from:_ (_ : Packet.t) = ()
 
 let create ?queue_bits ?speed_factor ?discipline ?loss_rate
     ?(loss_seed = 0xbadL) eng g =
-  (* an explicit rate — even 0 — selects the legacy two-event transmit
-     path; probability 0 never actually loses, which is exactly what
-     the differential harness uses to pit the loss-free fast path
-     against the legacy scheme on identical traffic *)
-  let loss =
-    match loss_rate with
-    | Some p -> Some (p, Sim.Rng.create loss_seed)
-    | None -> None
-  in
+  (* one loss stream per interface, split in link-id order *)
+  let loss_rng = Sim.Rng.create loss_seed in
   let handlers = Array.make (Graph.node_count g) silent in
   let t =
     {
@@ -43,6 +36,7 @@ let create ?queue_bits ?speed_factor ?discipline ?loss_rate
      the indirection through the record lets handlers be installed after
      interface construction *)
   let make_iface (l : Link.t) =
+    let loss = Option.map (fun p -> (p, Sim.Rng.split loss_rng)) loss_rate in
     Iface.create ?queue_bits ?speed_factor ?discipline ?loss eng l
       ~deliver:(fun p ->
         t.handlers.(l.Link.dst) ~from:(Some l) p)

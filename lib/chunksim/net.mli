@@ -18,10 +18,9 @@ val create :
   Sim.Engine.t -> Topology.Graph.t -> t
 (** Interface parameters are uniform; see {!Iface.create}.
     [loss_rate]/[loss_seed] inject seeded random wire loss on every
-    link (default none).  Passing an explicit rate — even [0.] —
-    selects the interfaces' legacy two-event transmit path; rate 0
-    never actually loses, which the differential harness exploits to
-    compare the loss-free fast path against the legacy scheme. *)
+    link (default none).  Each interface draws from its own stream,
+    split from [loss_seed] in link-id order, so one link's loss
+    decisions do not depend on traffic elsewhere. *)
 
 val graph : t -> Topology.Graph.t
 val engine : t -> Sim.Engine.t

@@ -19,7 +19,6 @@ type t = {
   speed_factor : float;
   drr_scheduler : bool;
   icn_caching : bool;
-  flow_store : [ `Soa | `Legacy ];
   pitless : bool;
   flow_teardown : bool;
 }
@@ -46,7 +45,6 @@ let default =
     speed_factor = 1.;
     drr_scheduler = false;
     icn_caching = false;
-    flow_store = `Soa;
     pitless = false;
     flow_teardown = false;
   }

@@ -63,13 +63,6 @@ type t = {
       answer later requests for the same content locally.  Off by
       default: the paper's experiments concern the custody role of
       storage; the [icn-cache] bench shows the two roles composing. *)
-  flow_store : [ `Soa | `Legacy ];
-  (** per-flow forwarding-state layout in the routers (see
-      {!Flow_table}): [`Soa] (default) is the compacted
-      struct-of-arrays table with free-list recycling, [`Legacy] the
-      PR-5 record-per-flow layout kept as the differential-testing
-      reference.  Behaviourally identical — the 50-seed sweep pins
-      byte-identical results. *)
   pitless : bool;
   (** PIT-less forwarding ablation ("Living in a PIT-less World",
       PAPERS.md): routers keep {e no} per-flow state.  Forwarding

@@ -1,8 +1,12 @@
-(* Two layouts behind one slot interface — see the .mli for the
-   contract.  The SoA arrays grow by doubling and never shrink; a
-   released slot is threaded onto a free list through [so_flow_of]
-   (live slots hold the flow id >= 0, free slots hold [-2 - next] so
-   the encoding never collides with a flow id). *)
+(* Struct-of-arrays slot table — see the .mli for the contract.  The
+   arrays grow by doubling and never shrink; a released slot is
+   threaded onto a free list through [flow_of] (live slots hold the
+   flow id >= 0, free slots hold [-2 - next] so the encoding never
+   collides with a flow id). *)
+
+type route =
+  | Primary
+  | Via of int
 
 (* flag bits, one byte per slot *)
 let f_bp_local = 1
@@ -11,353 +15,167 @@ let f_detour_override = 4
 let f_bp_outage = 8
 let f_failed_over = 16
 
-type 'hot soa = {
-  so_gap : float;
-  so_slots : (int, int) Hashtbl.t; (* flow -> slot; owns iteration order *)
-  mutable so_flow_of : int array;  (* slot -> flow, or free-list thread *)
-  mutable so_content : int array;
-  mutable so_data_link : int array; (* link id, -1 = none *)
-  mutable so_req_link : int array;
-  mutable so_flags : Bytes.t;
-  mutable so_fl_last : float array; (* unboxed; nan = no flowlet pin yet *)
-  mutable so_fl_route : int array;  (* -1 = Primary, else Via node id *)
-  mutable so_hots : 'hot option array;
-  mutable so_next : int;           (* first never-used slot *)
-  mutable so_free : int;           (* free-list head, -1 = empty *)
-  mutable so_peak : int;
-  mutable so_recycled : int;
+type 'hot t = {
+  gap : float;
+  slots : (int, int) Hashtbl.t;    (* flow -> slot; owns iteration order *)
+  mutable flow_of : int array;     (* slot -> flow, or free-list thread *)
+  mutable content : int array;
+  mutable data_link : int array;   (* link id, -1 = none *)
+  mutable req_link : int array;
+  mutable flags : Bytes.t;
+  mutable fl_last : float array;   (* unboxed; nan = no flowlet pin yet *)
+  mutable fl_route : int array;    (* -1 = Primary, else Via node id *)
+  mutable hots : 'hot option array;
+  mutable next : int;              (* first never-used slot *)
+  mutable free : int;              (* free-list head, -1 = empty *)
+  mutable peak : int;
+  mutable recycled : int;
 }
 
-(* the PR-5 record layout, kept verbatim as the differential reference
-   (hot lives inside the record; the flowlet table is separate and
-   keyed by flow id = slot) *)
-type 'hot lentry = {
-  le_content : int;
-  mutable le_data_link : int;
-  mutable le_req_link : int;
-  mutable le_bp_local : bool;
-  mutable le_bp_forwarded : bool;
-  mutable le_detour_override : bool;
-  mutable le_bp_outage : bool;
-  mutable le_failed_over : bool;
-  mutable le_hot : 'hot option;
-}
-
-type 'hot legacy = {
-  lg_flows : (int, 'hot lentry) Hashtbl.t;
-  mutable lg_arr : 'hot lentry option array;
-  lg_flowlets : Flowlet.t;
-  mutable lg_peak : int;
-  mutable lg_recycled : int;
-}
-
-type 'hot t =
-  | Soa of 'hot soa
-  | Legacy of 'hot legacy
-
-let create ~store ~gap () =
+let create ~gap () =
   if gap < 0. then invalid_arg "Flow_table.create: gap < 0";
-  match store with
-  | `Soa ->
-    Soa
-      {
-        so_gap = gap;
-        so_slots = Hashtbl.create 16;
-        so_flow_of = [||];
-        so_content = [||];
-        so_data_link = [||];
-        so_req_link = [||];
-        so_flags = Bytes.empty;
-        so_fl_last = [||];
-        so_fl_route = [||];
-        so_hots = [||];
-        so_next = 0;
-        so_free = -1;
-        so_peak = 0;
-        so_recycled = 0;
-      }
-  | `Legacy ->
-    Legacy
-      {
-        lg_flows = Hashtbl.create 16;
-        lg_arr = [||];
-        lg_flowlets = Flowlet.create ~gap;
-        lg_peak = 0;
-        lg_recycled = 0;
-      }
+  {
+    gap;
+    slots = Hashtbl.create 16;
+    flow_of = [||];
+    content = [||];
+    data_link = [||];
+    req_link = [||];
+    flags = Bytes.empty;
+    fl_last = [||];
+    fl_route = [||];
+    hots = [||];
+    next = 0;
+    free = -1;
+    peak = 0;
+    recycled = 0;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* SoA internals *)
-
-let soa_grow s =
-  let n = Array.length s.so_flow_of in
+let grow t =
+  let n = Array.length t.flow_of in
   let m = max 16 (2 * n) in
   let grow_i a = Array.append a (Array.make (m - n) (-1)) in
-  s.so_flow_of <- grow_i s.so_flow_of;
-  s.so_content <- grow_i s.so_content;
-  s.so_data_link <- grow_i s.so_data_link;
-  s.so_req_link <- grow_i s.so_req_link;
-  s.so_fl_route <- grow_i s.so_fl_route;
+  t.flow_of <- grow_i t.flow_of;
+  t.content <- grow_i t.content;
+  t.data_link <- grow_i t.data_link;
+  t.req_link <- grow_i t.req_link;
+  t.fl_route <- grow_i t.fl_route;
   let fl = Array.make m Float.nan in
-  Array.blit s.so_fl_last 0 fl 0 n;
-  s.so_fl_last <- fl;
+  Array.blit t.fl_last 0 fl 0 n;
+  t.fl_last <- fl;
   let fb = Bytes.make m '\000' in
-  Bytes.blit s.so_flags 0 fb 0 n;
-  s.so_flags <- fb;
+  Bytes.blit t.flags 0 fb 0 n;
+  t.flags <- fb;
   let hb = Array.make m None in
-  Array.blit s.so_hots 0 hb 0 n;
-  s.so_hots <- hb
+  Array.blit t.hots 0 hb 0 n;
+  t.hots <- hb
 
-let soa_alloc s =
-  if s.so_free >= 0 then begin
-    let slot = s.so_free in
-    s.so_free <- -2 - s.so_flow_of.(slot);
+let alloc t =
+  if t.free >= 0 then begin
+    let slot = t.free in
+    t.free <- -2 - t.flow_of.(slot);
     slot
   end
   else begin
-    if s.so_next >= Array.length s.so_flow_of then soa_grow s;
-    let slot = s.so_next in
-    s.so_next <- s.so_next + 1;
+    if t.next >= Array.length t.flow_of then grow t;
+    let slot = t.next in
+    t.next <- t.next + 1;
     slot
   end
 
-let soa_flag s slot bit = Char.code (Bytes.unsafe_get s.so_flags slot) land bit <> 0
+let flag t slot bit = Char.code (Bytes.unsafe_get t.flags slot) land bit <> 0
 
-let soa_set_flag s slot bit v =
-  let cur = Char.code (Bytes.unsafe_get s.so_flags slot) in
+let set_flag t slot bit v =
+  let cur = Char.code (Bytes.unsafe_get t.flags slot) in
   let next = if v then cur lor bit else cur land lnot bit in
-  Bytes.unsafe_set s.so_flags slot (Char.unsafe_chr next)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy internals *)
-
-let lentry lg slot =
-  match lg.lg_arr.(slot) with
-  | Some e -> e
-  | None -> invalid_arg "Flow_table: dead legacy slot"
-
-let legacy_capacity lg flow =
-  let n = Array.length lg.lg_arr in
-  if flow >= n then begin
-    let m = ref (max 16 (2 * n)) in
-    while flow >= !m do
-      m := 2 * !m
-    done;
-    let arr = Array.make !m None in
-    Array.blit lg.lg_arr 0 arr 0 n;
-    lg.lg_arr <- arr
-  end
-
-(* ------------------------------------------------------------------ *)
+  Bytes.unsafe_set t.flags slot (Char.unsafe_chr next)
 
 let find t flow =
-  match t with
-  | Soa s -> begin
-    match Hashtbl.find s.so_slots flow with
-    | slot -> slot
-    | exception Not_found -> -1
-  end
-  | Legacy lg ->
-    if flow >= 0 && flow < Array.length lg.lg_arr && lg.lg_arr.(flow) <> None
-    then flow
-    else -1
+  match Hashtbl.find t.slots flow with
+  | slot -> slot
+  | exception Not_found -> -1
 
 let install t ~flow ~content ~data_link ~req_link =
   if flow < 0 then invalid_arg "Flow_table.install: flow < 0";
-  match t with
-  | Soa s ->
-    let slot =
-      match Hashtbl.find_opt s.so_slots flow with
-      | Some slot -> slot (* reinstall: keep the slot and the flowlet pin *)
-      | None ->
-        let slot = soa_alloc s in
-        Hashtbl.replace s.so_slots flow slot;
-        s.so_flow_of.(slot) <- flow;
-        s.so_fl_last.(slot) <- Float.nan;
-        s.so_fl_route.(slot) <- -1;
-        let live = Hashtbl.length s.so_slots in
-        if live > s.so_peak then s.so_peak <- live;
-        slot
-    in
-    s.so_content.(slot) <- content;
-    s.so_data_link.(slot) <- data_link;
-    s.so_req_link.(slot) <- req_link;
-    Bytes.unsafe_set s.so_flags slot '\000';
-    s.so_hots.(slot) <- None;
-    slot
-  | Legacy lg ->
-    let entry =
-      {
-        le_content = content;
-        le_data_link = data_link;
-        le_req_link = req_link;
-        le_bp_local = false;
-        le_bp_forwarded = false;
-        le_detour_override = false;
-        le_bp_outage = false;
-        le_failed_over = false;
-        le_hot = None;
-      }
-    in
-    Hashtbl.replace lg.lg_flows flow entry;
-    legacy_capacity lg flow;
-    lg.lg_arr.(flow) <- Some entry;
-    let live = Hashtbl.length lg.lg_flows in
-    if live > lg.lg_peak then lg.lg_peak <- live;
-    flow
+  let slot =
+    match Hashtbl.find_opt t.slots flow with
+    | Some slot -> slot (* reinstall: keep the slot and the flowlet pin *)
+    | None ->
+      let slot = alloc t in
+      Hashtbl.replace t.slots flow slot;
+      t.flow_of.(slot) <- flow;
+      t.fl_last.(slot) <- Float.nan;
+      t.fl_route.(slot) <- -1;
+      let live = Hashtbl.length t.slots in
+      if live > t.peak then t.peak <- live;
+      slot
+  in
+  t.content.(slot) <- content;
+  t.data_link.(slot) <- data_link;
+  t.req_link.(slot) <- req_link;
+  Bytes.unsafe_set t.flags slot '\000';
+  t.hots.(slot) <- None;
+  slot
 
 let release t ~flow =
-  match t with
-  | Soa s -> begin
-    match Hashtbl.find_opt s.so_slots flow with
-    | None -> ()
-    | Some slot ->
-      Hashtbl.remove s.so_slots flow;
-      s.so_hots.(slot) <- None;
-      s.so_flow_of.(slot) <- -2 - s.so_free;
-      s.so_free <- slot;
-      s.so_recycled <- s.so_recycled + 1
-  end
-  | Legacy lg ->
-    if flow >= 0 && flow < Array.length lg.lg_arr && lg.lg_arr.(flow) <> None
-    then begin
-      Hashtbl.remove lg.lg_flows flow;
-      lg.lg_arr.(flow) <- None;
-      Flowlet.forget lg.lg_flowlets ~flow;
-      lg.lg_recycled <- lg.lg_recycled + 1
-    end
+  match Hashtbl.find_opt t.slots flow with
+  | None -> ()
+  | Some slot ->
+    Hashtbl.remove t.slots flow;
+    t.hots.(slot) <- None;
+    t.flow_of.(slot) <- -2 - t.free;
+    t.free <- slot;
+    t.recycled <- t.recycled + 1
 
-let flow_of t slot =
-  match t with Soa s -> s.so_flow_of.(slot) | Legacy _ -> slot
-
-let content t slot =
-  match t with
-  | Soa s -> s.so_content.(slot)
-  | Legacy lg -> (lentry lg slot).le_content
-
-let data_link t slot =
-  match t with
-  | Soa s -> s.so_data_link.(slot)
-  | Legacy lg -> (lentry lg slot).le_data_link
-
-let req_link t slot =
-  match t with
-  | Soa s -> s.so_req_link.(slot)
-  | Legacy lg -> (lentry lg slot).le_req_link
+let flow_of t slot = t.flow_of.(slot)
+let content t slot = t.content.(slot)
+let data_link t slot = t.data_link.(slot)
+let req_link t slot = t.req_link.(slot)
 
 let set_links t slot ~data_link ~req_link =
-  match t with
-  | Soa s ->
-    s.so_data_link.(slot) <- data_link;
-    s.so_req_link.(slot) <- req_link
-  | Legacy lg ->
-    let e = lentry lg slot in
-    e.le_data_link <- data_link;
-    e.le_req_link <- req_link
+  t.data_link.(slot) <- data_link;
+  t.req_link.(slot) <- req_link
 
-let bp_local t slot =
-  match t with
-  | Soa s -> soa_flag s slot f_bp_local
-  | Legacy lg -> (lentry lg slot).le_bp_local
+let bp_local t slot = flag t slot f_bp_local
+let set_bp_local t slot v = set_flag t slot f_bp_local v
+let bp_forwarded t slot = flag t slot f_bp_forwarded
+let set_bp_forwarded t slot v = set_flag t slot f_bp_forwarded v
+let detour_override t slot = flag t slot f_detour_override
+let set_detour_override t slot v = set_flag t slot f_detour_override v
+let bp_outage t slot = flag t slot f_bp_outage
+let set_bp_outage t slot v = set_flag t slot f_bp_outage v
+let failed_over t slot = flag t slot f_failed_over
+let set_failed_over t slot v = set_flag t slot f_failed_over v
 
-let set_bp_local t slot v =
-  match t with
-  | Soa s -> soa_set_flag s slot f_bp_local v
-  | Legacy lg -> (lentry lg slot).le_bp_local <- v
-
-let bp_forwarded t slot =
-  match t with
-  | Soa s -> soa_flag s slot f_bp_forwarded
-  | Legacy lg -> (lentry lg slot).le_bp_forwarded
-
-let set_bp_forwarded t slot v =
-  match t with
-  | Soa s -> soa_set_flag s slot f_bp_forwarded v
-  | Legacy lg -> (lentry lg slot).le_bp_forwarded <- v
-
-let detour_override t slot =
-  match t with
-  | Soa s -> soa_flag s slot f_detour_override
-  | Legacy lg -> (lentry lg slot).le_detour_override
-
-let set_detour_override t slot v =
-  match t with
-  | Soa s -> soa_set_flag s slot f_detour_override v
-  | Legacy lg -> (lentry lg slot).le_detour_override <- v
-
-let bp_outage t slot =
-  match t with
-  | Soa s -> soa_flag s slot f_bp_outage
-  | Legacy lg -> (lentry lg slot).le_bp_outage
-
-let set_bp_outage t slot v =
-  match t with
-  | Soa s -> soa_set_flag s slot f_bp_outage v
-  | Legacy lg -> (lentry lg slot).le_bp_outage <- v
-
-let failed_over t slot =
-  match t with
-  | Soa s -> soa_flag s slot f_failed_over
-  | Legacy lg -> (lentry lg slot).le_failed_over
-
-let set_failed_over t slot v =
-  match t with
-  | Soa s -> soa_set_flag s slot f_failed_over v
-  | Legacy lg -> (lentry lg slot).le_failed_over <- v
-
-let hot t slot =
-  match t with
-  | Soa s -> s.so_hots.(slot)
-  | Legacy lg -> (lentry lg slot).le_hot
-
-let set_hot t slot h =
-  match t with
-  | Soa s -> s.so_hots.(slot) <- h
-  | Legacy lg -> (lentry lg slot).le_hot <- h
+let hot t slot = t.hots.(slot)
+let set_hot t slot h = t.hots.(slot) <- h
 
 let flowlet_choose t slot ~now ~preferred =
-  match t with
-  | Soa s ->
-    let encode = function Flowlet.Primary -> -1 | Flowlet.Via v -> v in
-    let decode v = if v < 0 then Flowlet.Primary else Flowlet.Via v in
-    let last = s.so_fl_last.(slot) in
-    if Float.is_nan last then begin
-      s.so_fl_route.(slot) <- encode preferred;
-      s.so_fl_last.(slot) <- now;
-      preferred
-    end
-    else begin
-      if now -. last > s.so_gap then s.so_fl_route.(slot) <- encode preferred;
-      s.so_fl_last.(slot) <- now;
-      decode s.so_fl_route.(slot)
-    end
-  | Legacy lg -> Flowlet.choose lg.lg_flowlets ~flow:slot ~now ~preferred
+  let encode = function Primary -> -1 | Via v -> v in
+  let decode v = if v < 0 then Primary else Via v in
+  let last = t.fl_last.(slot) in
+  if Float.is_nan last then begin
+    t.fl_route.(slot) <- encode preferred;
+    t.fl_last.(slot) <- now;
+    preferred
+  end
+  else begin
+    if now -. last > t.gap then t.fl_route.(slot) <- encode preferred;
+    t.fl_last.(slot) <- now;
+    decode t.fl_route.(slot)
+  end
 
-let iter t f =
-  match t with
-  | Soa s -> Hashtbl.iter f s.so_slots
-  | Legacy lg -> Hashtbl.iter (fun flow _ -> f flow flow) lg.lg_flows
+let iter t f = Hashtbl.iter f t.slots
 
-let live t =
-  match t with
-  | Soa s -> Hashtbl.length s.so_slots
-  | Legacy lg -> Hashtbl.length lg.lg_flows
+let live t = Hashtbl.length t.slots
 
-let peak t = match t with Soa s -> s.so_peak | Legacy lg -> lg.lg_peak
+let peak t = t.peak
 
-let recycled t =
-  match t with Soa s -> s.so_recycled | Legacy lg -> lg.lg_recycled
+let recycled t = t.recycled
 
 let approx_bytes t =
-  match t with
-  | Soa s ->
-    let cap = Array.length s.so_flow_of in
-    (* five int arrays + one float array + the hot pointer array at 8
-       bytes a slot, one flag byte, plus ~3 words per live hashtable
-       binding and the bucket array *)
-    (cap * ((7 * 8) + 1)) + (live t * 24) + (cap * 4) + 128
-  | Legacy lg ->
-    let cap = Array.length lg.lg_arr in
-    (* per flow: a 10-word entry record, ~3 words of hashtable binding,
-       a flowlet entry (record + binding), and the dense mirror slot *)
-    (cap * 8) + (live t * (80 + 24 + 48)) + 128
+  let cap = Array.length t.flow_of in
+  (* five int arrays + one float array + the hot pointer array at 8
+     bytes a slot, one flag byte, plus ~3 words per live hashtable
+     binding and the bucket array *)
+  (cap * ((7 * 8) + 1)) + (live t * 24) + (cap * 4) + 128

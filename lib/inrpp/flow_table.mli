@@ -3,32 +3,33 @@
     The router keeps one entry per flow crossing it: next hops for
     data and requests, five back-pressure/fail-over flags, the flowlet
     pin and a per-(flow, link) hot cache.  This module owns that state
-    behind a slot-indexed interface with two interchangeable layouts:
+    as an int-indexed struct-of-arrays: packed int fields for identity
+    and next hops (link {e ids}, [-1] = none), a one-byte flag
+    bitfield per slot, unboxed float timestamps for the flowlet clock,
+    and free-list recycling of released slots.  Steady-state cost is a
+    few dozen bytes per flow, measured and frozen by the [flows_1m]
+    benchmark.
 
-    - [`Soa] (default): int-indexed struct-of-arrays — packed int
-      fields for identity and next hops (link {e ids}, [-1] = none), a
-      one-byte flag bitfield per slot, unboxed float timestamps for
-      the flowlet clock, and free-list recycling of released slots.
-      Steady-state cost is a few dozen bytes per flow, measured and
-      frozen by the [flows_1m] benchmark.
-    - [`Legacy]: the PR-5 record-per-flow layout (hashtable of mutable
-      records plus a dense mirror array indexed by flow id), kept as
-      the differential-testing reference.
-
-    Both layouts drive iteration off a stdlib [Hashtbl] fed the same
-    key sequence, so {!iter} order — observable through the drain and
-    fault loops — is identical between them.  The 50-seed
-    SoA-vs-legacy sweep in [test/test_validation.ml] pins this.
+    Iteration is driven off a stdlib [Hashtbl] from flow id to slot,
+    so {!iter} order — observable through the drain and fault loops —
+    is that of a stdlib [Hashtbl] fed the same key sequence.
 
     Next hops are stored as link ids rather than [Link.t] to keep a
     slot at two words; resolve through [Topology.Graph.link] (O(1),
     returns the canonical physical link). *)
 
+(** Flowlet pinning (Sinha et al., cited by the paper for detour
+    granularity): a flow's packets within one burst stay on one route
+    to avoid reordering. *)
+type route =
+  | Primary
+  | Via of int  (** detour through this first-hop node *)
+
 type 'hot t
 (** ['hot] is the router's per-(flow, link) hot-cache record; the
-    table stores it opaquely so the layouts stay reusable. *)
+    table stores it opaquely. *)
 
-val create : store:[ `Soa | `Legacy ] -> gap:float -> unit -> 'hot t
+val create : gap:float -> unit -> 'hot t
 (** [gap] is the flowlet idle gap (see {!flowlet_choose}).
     @raise Invalid_argument if [gap < 0]. *)
 
@@ -39,8 +40,7 @@ val install :
   'hot t -> flow:int -> content:int -> data_link:int -> req_link:int -> int
 (** Install (or reinstall) a flow; returns its slot.  A reinstall
     keeps the slot and the flowlet pin but resets links, flags and the
-    hot cache — exactly the legacy [Hashtbl.replace] semantics, where
-    the separate flowlet table survived reinstalls.
+    hot cache.
     @raise Invalid_argument if [flow < 0]. *)
 
 val release : 'hot t -> flow:int -> unit
@@ -75,15 +75,15 @@ val set_failed_over : 'hot t -> int -> bool -> unit
 val hot : 'hot t -> int -> 'hot option
 val set_hot : 'hot t -> int -> 'hot option -> unit
 
-val flowlet_choose :
-  'hot t -> int -> now:float -> preferred:Flowlet.route -> Flowlet.route
-(** Per-slot flowlet pinning with {!Flowlet.choose} semantics: the
-    first call pins [preferred]; later calls return the pin, replacing
-    it with [preferred] only after an idle gap longer than [gap]. *)
+val flowlet_choose : 'hot t -> int -> now:float -> preferred:route -> route
+(** Per-slot flowlet pinning: the first call pins [preferred]; later
+    calls return the pin, replacing it with [preferred] only after an
+    idle gap longer than [gap].  Every call updates the slot's
+    last-packet time. *)
 
 val iter : 'hot t -> (int -> int -> unit) -> unit
-(** [iter t f] calls [f flow slot] for every live entry, in the
-    layout-independent hashtable order (see module doc). *)
+(** [iter t f] calls [f flow slot] for every live entry, in stdlib
+    hashtable order (see module doc). *)
 
 val live : _ t -> int
 (** Installed entries right now. *)
@@ -96,7 +96,6 @@ val recycled : _ t -> int
 
 val approx_bytes : _ t -> int
 (** Estimated retained heap for the per-flow state (arrays at current
-    capacity plus hashtable overhead; the legacy layout counts its
-    records).  An accounting estimate for gauges and reports — the
+    capacity plus hashtable overhead).  An accounting estimate for gauges and reports — the
     frozen bytes/flow figure comes from the [flows_1m] benchmark's
     live-words measurement, not from this. *)

@@ -71,9 +71,8 @@ type t = {
   link_state : Topology.Link_state.t option;
   trace : Trace.t option;
   (* per-flow forwarding state: next hops as link ids, flag bitfield,
-     flowlet pin and hot cache, slot-indexed with free-list recycling
-     (struct-of-arrays by default, the record layout as the
-     differential reference — see Flow_table) *)
+     flowlet pin and hot cache, struct-of-arrays slots with free-list
+     recycling (see Flow_table) *)
   ft : hot Ft.t;
   store : Cache.t;
   custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
@@ -99,8 +98,7 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
     detours;
     link_state;
     trace;
-    ft =
-      Ft.create ~store:cfg.Config.flow_store ~gap:cfg.Config.flowlet_gap ();
+    ft = Ft.create ~gap:cfg.Config.flowlet_gap ();
     store =
       Cache.create ~high_water:cfg.Config.cache_high_water
         ~low_water:cfg.Config.cache_low_water
@@ -569,18 +567,18 @@ let try_detour t slot flow (l : Link.t) (p : Packet.t) =
     let first = dk.dk_cands.(fi) in
     let pinned =
       Ft.flowlet_choose t.ft slot ~now:(now t)
-        ~preferred:(Flowlet.Via first.dc_via)
+        ~preferred:(Ft.Via first.dc_via)
     in
     let chosen =
       match pinned with
-      | Flowlet.Via via ->
+      | Ft.Via via ->
         if via = first.dc_via then first
         else begin
           let vi = usable_with_via t dk via in
           if vi >= 0 then dk.dk_cands.(vi)
           else first (* pinned detour filled up; re-route *)
         end
-      | Flowlet.Primary -> first
+      | Ft.Primary -> first
     in
     match send_detour t flow chosen p with
     | `Queued -> () (* the detour copy went out; [p] is dead *)
@@ -636,7 +634,7 @@ let forward_primary_path t slot flow (p : Packet.t) =
         if Iface.queue_occupancy h.h_iface < h.h_limit then begin
           ignore
             (Ft.flowlet_choose t.ft slot ~now:(now t)
-               ~preferred:Flowlet.Primary);
+               ~preferred:Ft.Primary);
           forward_on_primary t slot flow l p
         end
         else try_detour t slot flow l p

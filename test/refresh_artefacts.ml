@@ -1,4 +1,4 @@
-(* Regenerate test/golden/artefacts.sha256.
+(* Regenerate test/golden/artefacts.digest.
 
    Usage (from the repo root):
 
@@ -18,7 +18,7 @@ let artefacts =
 let () =
   let path =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
-    else "test/golden/artefacts.sha256"
+    else "test/golden/artefacts.digest"
   in
   let oc = open_out path in
   List.iter
@@ -28,7 +28,7 @@ let () =
         | Some f -> f
         | None -> failwith ("unknown experiment id " ^ id)
       in
-      let digest = Check.Sha256.hex_digest (Experiments.capture run) in
+      let digest = Digest.to_hex (Digest.string (Experiments.capture run)) in
       Printf.fprintf oc "%s  %s\n" digest id;
       Printf.printf "%s  %s\n%!" digest id)
     artefacts;

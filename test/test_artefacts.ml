@@ -1,8 +1,9 @@
 (* Golden-artefact regression: every paper-facing output of
-   bench/main.exe is pinned by SHA-256.  Each test regenerates one
+   bench/main.exe is pinned by its stdlib Digest (the same digests
+   bench/suite/expected.ml checks).  Each test regenerates one
    artefact in-process (via Experiments.capture, which reproduces the
    CLI byte stream exactly) and compares against the digest stored in
-   test/golden/artefacts.sha256.
+   test/golden/artefacts.digest.
 
    If an output changed on purpose, refresh the golden file with
 
@@ -13,8 +14,8 @@
 (* `dune runtest` runs the action in _build/default/test; `dune exec`
    keeps the invoking cwd (the repo root) *)
 let golden_path =
-  if Sys.file_exists "golden/artefacts.sha256" then "golden/artefacts.sha256"
-  else "test/golden/artefacts.sha256"
+  if Sys.file_exists "golden/artefacts.digest" then "golden/artefacts.digest"
+  else "test/golden/artefacts.digest"
 
 let golden =
   lazy
@@ -23,12 +24,12 @@ let golden =
        match input_line ic with
        | line ->
          let acc =
-           (* "<64 hex chars>  <id>" *)
+           (* "<32 hex chars>  <id>" *)
            match String.index_opt line ' ' with
-           | Some i when i = 64 ->
-             let digest = String.sub line 0 64 in
+           | Some 32 ->
+             let digest = String.sub line 0 32 in
              let id =
-               String.trim (String.sub line 64 (String.length line - 64))
+               String.trim (String.sub line 32 (String.length line - 32))
              in
              (id, digest) :: acc
            | _ -> acc
@@ -52,7 +53,7 @@ let check_artefact id () =
     | None -> Alcotest.failf "unknown experiment id %s" id
   in
   let out = Experiments.capture run in
-  let actual = Check.Sha256.hex_digest out in
+  let actual = Digest.to_hex (Digest.string out) in
   if not (String.equal actual expected) then
     Alcotest.failf
       "artefact %s changed (%d bytes printed)@.  golden  %s@.  actual  %s@.If \

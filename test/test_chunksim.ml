@@ -320,27 +320,31 @@ let test_iface_wire_loss () =
     true
     (lost > 60 && lost < 140)
 
-(* the loss-free fast path costs exactly one engine event per
-   transmitted packet (the overhaul's core invariant) *)
+(* the transmitter costs exactly one engine event per transmitted
+   packet (the overhaul's core invariant), lossy or not *)
 let test_iface_one_event_per_packet () =
-  let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.002 2 [ (0, 1) ] in
-  let l = Option.get (Topology.Graph.find_link g 0 1) in
-  let delivered = ref 0 in
-  let iface =
-    Chunksim.Iface.create ~queue_bits:1e9 eng l ~deliver:(fun _ ->
-        incr delivered)
-  in
-  let n = 50 in
-  for i = 0 to n - 1 do
-    ignore (Chunksim.Iface.send iface (P.data ~flow:0 ~idx:i ~born:0. 1e4))
-  done;
-  Sim.Engine.run eng;
-  Alcotest.(check int) "all delivered" n !delivered;
-  Alcotest.(check int) "one event per packet" n
-    (Sim.Engine.events_handled eng)
+  List.iter
+    (fun loss ->
+      let eng = Sim.Engine.create () in
+      let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.002 2 [ (0, 1) ] in
+      let l = Option.get (Topology.Graph.find_link g 0 1) in
+      let delivered = ref 0 in
+      let iface =
+        Chunksim.Iface.create ?loss ~queue_bits:1e9 eng l ~deliver:(fun _ ->
+            incr delivered)
+      in
+      let n = 50 in
+      for i = 0 to n - 1 do
+        ignore (Chunksim.Iface.send iface (P.data ~flow:0 ~idx:i ~born:0. 1e4))
+      done;
+      Sim.Engine.run eng;
+      Alcotest.(check int) "all delivered or lost" n
+        (!delivered + Chunksim.Iface.wire_losses iface);
+      Alcotest.(check int) "one event per packet" n
+        (Sim.Engine.events_handled eng))
+    [ None; Some (0.3, Sim.Rng.create 5L) ]
 
-(* per-packet allocation on the loss-free path is bounded: no
+(* per-packet allocation in the transmitter is bounded: no
    per-packet closures, no tuples on pop (style of test_obs.ml) *)
 let test_iface_alloc_budget () =
   match Sys.backend_type with
@@ -369,61 +373,137 @@ let test_iface_alloc_budget () =
       (Printf.sprintf "allocation per packet (%.1f minor words)" per_packet)
       true (per_packet <= 64.)
 
-(* The fast path must be observationally identical to the legacy
-   two-event transmitter, which [~loss] still uses — probability 0
-   keeps the dice harmless while forcing that path.  Same bursts,
-   mid-run arrivals and overflows through both; delivery times must
-   match to the last bit. *)
-let iface_delivery_trace ~discipline ~legacy () =
+(* An eager two-event reference transmitter: a serialisation-complete
+   event pops the next packet and schedules an arrival, which kills,
+   loses or delivers.  The interface's lazy one-event transmitter must
+   match it bit for bit. *)
+let eager_reference ~discipline ~loss eng (l : Topology.Link.t) ~deliver =
+  let push, pop, drops =
+    match discipline with
+    | Chunksim.Iface.Fifo_discipline ->
+      let q = Chunksim.Fifo.create ~capacity:6e4 in
+      ( Chunksim.Fifo.push q,
+        (fun () -> Chunksim.Fifo.pop q),
+        fun () -> Chunksim.Fifo.total_dropped q )
+    | Chunksim.Iface.Drr quantum ->
+      let q = Chunksim.Rr_queue.create ~quantum ~capacity:6e4 () in
+      ( (fun p -> Chunksim.Rr_queue.push q ~class_id:(P.flow p) p),
+        (fun () -> Chunksim.Rr_queue.pop q),
+        fun () -> Chunksim.Rr_queue.total_dropped q )
+  in
+  let busy = ref false and up = ref true and on_wire = ref 0 and kill = ref 0 in
+  let tx_bits = ref 0. and losses = ref 0 and faults = ref 0 in
+  let arrive p () =
+    decr on_wire;
+    if !kill > 0 then (decr kill; incr faults)
+    else
+      match loss with
+      | Some (prob, rng) when Sim.Rng.float rng 1. < prob -> incr losses
+      | Some _ | None -> deliver p
+  in
+  let rec kick () =
+    if (not !busy) && !up then
+      match pop () with
+      | None -> ()
+      | Some p ->
+        busy := true;
+        incr on_wire;
+        let tx = p.P.size /. l.Topology.Link.capacity in
+        ignore
+          (Sim.Engine.schedule eng ~delay:tx (fun () ->
+               busy := false;
+               tx_bits := !tx_bits +. p.P.size;
+               ignore (Sim.Engine.schedule eng ~delay:l.Topology.Link.delay (arrive p));
+               kick ()))
+  in
+  let send p =
+    if not !up then `Dropped
+    else match push p with `Dropped -> `Dropped | `Queued -> kick (); `Queued
+  in
+  let set_down policy =
+    if !up then begin
+      up := false;
+      kill := !kill + !on_wire;
+      if policy = `Drop_queued then
+        while pop () <> None do incr faults done
+    end
+  in
+  let set_up () = if not !up then (up := true; kick ()) in
+  (send, set_down, set_up, fun () -> (drops (), !losses, !faults, !tx_bits))
+
+(* bursts that overflow the 6e4-bit queue, mid-run arrivals while busy
+   and after idling, and optionally two outages mid-burst (held queue,
+   then flushed queue) *)
+let iface_delivery_trace ~discipline ~loss ~outage ~reference () =
   let eng = Sim.Engine.create () in
   let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.003 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let idx p = match p.P.header with P.Data { idx; _ } -> idx | _ -> -1 in
   let trace = ref [] in
-  let loss = if legacy then Some (0., Sim.Rng.create 1L) else None in
-  let iface =
-    Chunksim.Iface.create ?loss ~queue_bits:6e4 ~discipline eng l
-      ~deliver:(fun p ->
-        trace :=
-          Printf.sprintf "%.17g f%d i%d" (Sim.Engine.now eng) (P.flow p)
-            (idx p)
-          :: !trace)
+  let deliver p =
+    trace :=
+      Printf.sprintf "%.17g f%d i%d" (Sim.Engine.now eng) (P.flow p) (idx p)
+      :: !trace
   in
-  let send flow idx bits =
-    ignore (Chunksim.Iface.send iface (P.data ~flow ~idx ~born:0. bits))
+  let loss = Option.map (fun prob -> (prob, Sim.Rng.create 7L)) loss in
+  let send, set_down, set_up, stats =
+    if reference then eager_reference ~discipline ~loss eng l ~deliver
+    else
+      let i =
+        Chunksim.Iface.create ?loss ~queue_bits:6e4 ~discipline eng l ~deliver
+      in
+      ( Chunksim.Iface.send i,
+        (fun policy -> Chunksim.Iface.set_down ~policy i),
+        (fun () -> Chunksim.Iface.set_up i),
+        fun () ->
+          Chunksim.Iface.
+            (drops i, wire_losses i, fault_drops i, tx_bits i) )
   in
-  (* initial bursts, varied sizes, enough to overflow the 6e4-bit queue *)
+  let send flow idx bits = ignore (send (P.data ~flow ~idx ~born:0. bits)) in
+  let at time f = ignore (Sim.Engine.schedule eng ~delay:time f) in
   for i = 0 to 9 do
     send 0 i (float_of_int (4_000 + (i * 700)));
     send 1 i 8_000.
   done;
-  (* mid-run arrivals: while the transmitter is busy and after it idles *)
   for i = 10 to 14 do
-    let d = 0.05 *. float_of_int i in
-    ignore (Sim.Engine.schedule eng ~delay:d (fun () -> send (i mod 2) i 5_000.))
+    at (0.05 *. float_of_int i) (fun () -> send (i mod 2) i 5_000.)
   done;
-  ignore (Sim.Engine.schedule eng ~delay:2. (fun () -> send 0 99 1_000.));
+  at 2. (fun () -> send 0 99 1_000.);
+  if outage then begin
+    at 0.021 (fun () -> set_down `Hold_queued);
+    at 0.043 set_up;
+    at 0.061 (fun () -> set_down `Drop_queued);
+    at 0.52 set_up
+  end;
   Sim.Engine.run eng;
-  (List.rev !trace, Chunksim.Iface.drops iface, Chunksim.Iface.tx_bits iface)
+  (List.rev !trace, stats ())
 
-let check_fast_legacy_equiv discipline =
-  let fast_trace, fast_drops, fast_bits =
-    iface_delivery_trace ~discipline ~legacy:false ()
-  in
-  let legacy_trace, legacy_drops, legacy_bits =
-    iface_delivery_trace ~discipline ~legacy:true ()
-  in
-  Alcotest.(check (list string)) "delivery order and times" legacy_trace
-    fast_trace;
-  Alcotest.(check int) "drops" legacy_drops fast_drops;
-  Alcotest.(check (float 0.)) "tx bits" legacy_bits fast_bits;
-  Alcotest.(check bool) "queue overflowed in scenario" true (fast_drops > 0)
+let check_matches_reference ?(outage = false) discipline =
+  List.iter
+    (fun loss ->
+      let run reference =
+        iface_delivery_trace ~discipline ~loss ~outage ~reference ()
+      in
+      let trace, (drops, losses, faults, bits) = run false in
+      let rtrace, (rdrops, rlosses, rfaults, rbits) = run true in
+      Alcotest.(check (list string)) "delivery order and times" rtrace trace;
+      Alcotest.(check int) "drops" rdrops drops;
+      Alcotest.(check int) "wire losses" rlosses losses;
+      Alcotest.(check int) "fault drops" rfaults faults;
+      Alcotest.(check (float 0.)) "tx bits" rbits bits;
+      Alcotest.(check bool) "queue overflowed" true (outage || drops > 0);
+      Alcotest.(check bool) "loss and outages exercised" true
+        ((loss = None || losses > 0) && ((not outage) || faults > 0)))
+    [ None; Some 0.3 ]
 
-let test_iface_fast_legacy_equiv_fifo () =
-  check_fast_legacy_equiv Chunksim.Iface.Fifo_discipline
+let test_iface_reference_fifo () =
+  check_matches_reference Chunksim.Iface.Fifo_discipline
 
-let test_iface_fast_legacy_equiv_drr () =
-  check_fast_legacy_equiv (Chunksim.Iface.Drr 4_000.)
+let test_iface_reference_drr () =
+  check_matches_reference (Chunksim.Iface.Drr 4_000.)
+
+let test_iface_reference_outage () =
+  check_matches_reference ~outage:true Chunksim.Iface.Fifo_discipline
 
 let test_net_delivery_and_handlers () =
   let eng = Sim.Engine.create () in
@@ -707,10 +787,12 @@ let () =
           Alcotest.test_case "one event per packet" `Quick
             test_iface_one_event_per_packet;
           Alcotest.test_case "allocation budget" `Quick test_iface_alloc_budget;
-          Alcotest.test_case "fast = legacy (FIFO)" `Quick
-            test_iface_fast_legacy_equiv_fifo;
-          Alcotest.test_case "fast = legacy (DRR)" `Quick
-            test_iface_fast_legacy_equiv_drr;
+          Alcotest.test_case "matches eager reference (FIFO)" `Quick
+            test_iface_reference_fifo;
+          Alcotest.test_case "matches eager reference (DRR)" `Quick
+            test_iface_reference_drr;
+          Alcotest.test_case "matches eager reference (outage)" `Quick
+            test_iface_reference_outage;
         ] );
       ( "rr_queue",
         [

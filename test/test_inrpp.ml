@@ -1,5 +1,5 @@
-(* Tests for the INRPP protocol: config, session bookkeeping, the
-   rate estimator (eq. 1), the phase machine, flowlets, detour tables,
+(* Tests for the INRPP protocol: config, the flow table, session
+   bookkeeping, the rate estimator (eq. 1), the phase machine, detour tables,
    and full protocol runs exercising push/detour/back-pressure. *)
 
 let check_close msg tolerance expected actual =
@@ -33,14 +33,12 @@ let test_config_chunk_tx_time () =
     (Inrpp.Config.chunk_tx_time Inrpp.Config.default ~rate:10e6)
 
 (* ------------------------------------------------------------------ *)
-(* Flow table: both layouts through the same op sequences *)
+(* Flow table *)
 
 module Ft = Inrpp.Flow_table
 
-(* the tests are generic over the layout; the registry instantiates
-   them for [`Soa] and [`Legacy] so a divergence names the layout *)
-let ft_install_release store () =
-  let t : unit Ft.t = Ft.create ~store ~gap:0.5 () in
+let ft_install_release () =
+  let t : unit Ft.t = Ft.create ~gap:0.5 () in
   Alcotest.(check int) "empty find" (-1) (Ft.find t 7);
   Alcotest.(check int) "empty live" 0 (Ft.live t);
   let s = Ft.install t ~flow:7 ~content:42 ~data_link:3 ~req_link:(-1) in
@@ -62,8 +60,8 @@ let ft_install_release store () =
   Alcotest.(check int) "double release no-ops" 1 (Ft.recycled t);
   Alcotest.(check bool) "bytes accounted" true (Ft.approx_bytes t > 0)
 
-let ft_slot_recycling store () =
-  let t : unit Ft.t = Ft.create ~store ~gap:0.5 () in
+let ft_slot_recycling () =
+  let t : unit Ft.t = Ft.create ~gap:0.5 () in
   let slots =
     List.init 8 (fun f ->
         Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
@@ -71,27 +69,22 @@ let ft_slot_recycling store () =
   Alcotest.(check int) "peak 8" 8 (Ft.peak t);
   List.iter (fun f -> Ft.release t ~flow:f) [ 2; 5 ];
   let s9 = Ft.install t ~flow:99 ~content:99 ~data_link:(-1) ~req_link:(-1) in
-  (match store with
-  | `Soa ->
-    (* the SoA free list hands a released slot to the new flow *)
-    Alcotest.(check bool) "freed slot reused" true
-      (List.mem s9 [ List.nth slots 2; List.nth slots 5 ])
-  | `Legacy ->
-    (* legacy slots are flow ids; releases leave holes *)
-    Alcotest.(check int) "legacy slot is the flow id" 99 s9);
+  (* the free list hands a released slot to the new flow *)
+  Alcotest.(check bool) "freed slot reused" true
+    (List.mem s9 [ List.nth slots 2; List.nth slots 5 ]);
   Alcotest.(check int) "peak unchanged by reuse" 8 (Ft.peak t);
   Alcotest.(check int) "live" 7 (Ft.live t)
 
-let ft_reinstall_semantics store () =
-  let t : int Ft.t = Ft.create ~store ~gap:0.5 () in
+let ft_reinstall_semantics () =
+  let t : int Ft.t = Ft.create ~gap:0.5 () in
   let s = Ft.install t ~flow:3 ~content:1 ~data_link:4 ~req_link:4 in
   Ft.set_bp_local t s true;
   Ft.set_failed_over t s true;
   Ft.set_hot t s (Some 99);
   (* pin the flowlet, then reinstall: slot and pin survive, links,
-     flags and hot cache reset (legacy Hashtbl.replace semantics) *)
-  let pinned = Ft.flowlet_choose t s ~now:1.0 ~preferred:(Inrpp.Flowlet.Via 2) in
-  Alcotest.(check bool) "pin taken" true (pinned = Inrpp.Flowlet.Via 2);
+     flags and hot cache reset *)
+  let pinned = Ft.flowlet_choose t s ~now:1.0 ~preferred:(Ft.Via 2) in
+  Alcotest.(check bool) "pin taken" true (pinned = Ft.Via 2);
   let s' = Ft.install t ~flow:3 ~content:8 ~data_link:(-1) ~req_link:(-1) in
   Alcotest.(check int) "reinstall keeps slot" s s';
   Alcotest.(check int) "content reset" 8 (Ft.content t s');
@@ -99,22 +92,22 @@ let ft_reinstall_semantics store () =
   Alcotest.(check bool) "failover flag reset" false (Ft.failed_over t s');
   Alcotest.(check bool) "hot cache reset" true (Ft.hot t s' = None);
   Alcotest.(check bool) "flowlet pin survives (within gap)" true
-    (Ft.flowlet_choose t s' ~now:1.1 ~preferred:Inrpp.Flowlet.Primary
-    = Inrpp.Flowlet.Via 2);
+    (Ft.flowlet_choose t s' ~now:1.1 ~preferred:Ft.Primary
+    = Ft.Via 2);
   Alcotest.(check int) "reinstall is not a release" 0 (Ft.recycled t)
 
-let ft_flags_roundtrip store () =
-  let t : unit Ft.t = Ft.create ~store ~gap:0.5 () in
+let ft_flags =
+  [
+    ("bp_local", Ft.bp_local, Ft.set_bp_local);
+    ("bp_forwarded", Ft.bp_forwarded, Ft.set_bp_forwarded);
+    ("detour_override", Ft.detour_override, Ft.set_detour_override);
+    ("bp_outage", Ft.bp_outage, Ft.set_bp_outage);
+    ("failed_over", Ft.failed_over, Ft.set_failed_over);
+  ]
+
+let ft_flags_roundtrip () =
+  let t : unit Ft.t = Ft.create ~gap:0.5 () in
   let s = Ft.install t ~flow:0 ~content:0 ~data_link:(-1) ~req_link:(-1) in
-  let flags =
-    [
-      ("bp_local", Ft.bp_local, Ft.set_bp_local);
-      ("bp_forwarded", Ft.bp_forwarded, Ft.set_bp_forwarded);
-      ("detour_override", Ft.detour_override, Ft.set_detour_override);
-      ("bp_outage", Ft.bp_outage, Ft.set_bp_outage);
-      ("failed_over", Ft.failed_over, Ft.set_failed_over);
-    ]
-  in
   List.iter
     (fun (name, get, set) ->
       Alcotest.(check bool) (name ^ " starts clear") false (get t s);
@@ -125,39 +118,111 @@ let ft_flags_roundtrip store () =
         (fun (n2, g2, _) ->
           if n2 <> name then
             Alcotest.(check bool) (name ^ " leaves " ^ n2) false (g2 t s))
-        flags;
+        ft_flags;
       set t s false;
       Alcotest.(check bool) (name ^ " clears") false (get t s))
-    flags
-
-(* iter order is observable (drain and fault loops); both layouts must
-   produce the same order for the same install/release history *)
-let test_ft_iter_order_parity () =
-  let history t =
-    for f = 0 to 19 do
-      ignore (Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
-    done;
-    List.iter (fun f -> Ft.release t ~flow:f) [ 3; 11; 4 ];
-    for f = 20 to 24 do
-      ignore (Ft.install t ~flow:f ~content:f ~data_link:(-1) ~req_link:(-1))
-    done;
-    let order = ref [] in
-    Ft.iter t (fun flow _ -> order := flow :: !order);
-    List.rev !order
-  in
-  let soa : unit Ft.t = Ft.create ~store:`Soa ~gap:0.5 () in
-  let legacy : unit Ft.t = Ft.create ~store:`Legacy ~gap:0.5 () in
-  Alcotest.(check (list int))
-    "iteration order identical across layouts" (history legacy) (history soa)
+    ft_flags
 
 let test_ft_invalid_args () =
   Alcotest.check_raises "negative gap"
     (Invalid_argument "Flow_table.create: gap < 0") (fun () ->
-      ignore (Ft.create ~store:`Soa ~gap:(-1.) () : unit Ft.t));
-  let t : unit Ft.t = Ft.create ~store:`Soa ~gap:0.5 () in
+      ignore (Ft.create ~gap:(-1.) () : unit Ft.t));
+  let t : unit Ft.t = Ft.create ~gap:0.5 () in
   Alcotest.check_raises "negative flow"
     (Invalid_argument "Flow_table.install: flow < 0") (fun () ->
       ignore (Ft.install t ~flow:(-1) ~content:0 ~data_link:0 ~req_link:0))
+
+(* The table against a plain Hashtbl-of-records model.  The model
+   table is created at the table's initial size and fed the same keys,
+   so its iteration order is the one {!Ft.iter} must reproduce. *)
+type ft_model = {
+  m_content : int;
+  mutable m_links : int * int;
+  m_flags : bool array; (* in [ft_flags] order *)
+  mutable m_hot : int option;
+  mutable m_pin : (Ft.route * float) option; (* route, last packet *)
+}
+
+let prop_flow_table_model =
+  QCheck.Test.make ~name:"flow table agrees with a model" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 120)
+        (quad (int_range 0 5) (int_range 0 9) (int_range (-1) 4) bool))
+    (fun ops ->
+      let gap = 0.5 in
+      let t : int Ft.t = Ft.create ~gap () in
+      let m : (int, ft_model) Hashtbl.t = Hashtbl.create 16 in
+      let now = ref 0. and peak = ref 0 and recycled = ref 0 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let flags = Array.of_list ft_flags in
+      let step (op, flow, a, b) =
+        match (op, Hashtbl.find_opt m flow) with
+        | 0, prev ->
+          (* (re)install: the flowlet pin survives, everything else resets *)
+          ignore (Ft.install t ~flow ~content:a ~data_link:a ~req_link:(-a));
+          Hashtbl.replace m flow
+            {
+              m_content = a;
+              m_links = (a, -a);
+              m_flags = Array.make (Array.length flags) false;
+              m_hot = None;
+              m_pin = Option.bind prev (fun e -> e.m_pin);
+            };
+          peak := max !peak (Hashtbl.length m)
+        | 1, prev ->
+          Ft.release t ~flow;
+          if prev <> None then incr recycled;
+          Hashtbl.remove m flow
+        | 2, Some e ->
+          let i = (a + 1) mod Array.length flags in
+          let _, _, set = flags.(i) in
+          set t (Ft.find t flow) b;
+          e.m_flags.(i) <- b
+        | 3, Some e ->
+          let h = if b then Some a else None in
+          Ft.set_hot t (Ft.find t flow) h;
+          e.m_hot <- h
+        | 4, Some e ->
+          Ft.set_links t (Ft.find t flow) ~data_link:a ~req_link:flow;
+          e.m_links <- (a, flow)
+        | _, Some e ->
+          (* [b] steps past the flowlet gap, otherwise stays within it *)
+          (now := !now +. if b then gap +. 0.25 else gap /. 4.);
+          let preferred = if a < 0 then Ft.Primary else Ft.Via a in
+          let pinned =
+            match e.m_pin with
+            | Some (r, last) when !now -. last <= gap -> r
+            | Some _ | None -> preferred
+          in
+          e.m_pin <- Some (pinned, !now);
+          expect (Ft.flowlet_choose t (Ft.find t flow) ~now:!now ~preferred = pinned)
+        | _, None -> ()
+      in
+      List.iter
+        (fun op ->
+          step op;
+          let order = ref [] in
+          Ft.iter t (fun flow _ -> order := flow :: !order);
+          expect (!order = Hashtbl.fold (fun flow _ acc -> flow :: acc) m []);
+          for flow = 0 to 9 do
+            let s = Ft.find t flow in
+            match Hashtbl.find_opt m flow with
+            | None -> expect (s = -1)
+            | Some e ->
+              expect
+                (s >= 0 && Ft.flow_of t s = flow
+                && Ft.content t s = e.m_content
+                && (Ft.data_link t s, Ft.req_link t s) = e.m_links
+                && Ft.hot t s = e.m_hot);
+              Array.iteri (fun i (_, get, _) -> expect (get t s = e.m_flags.(i))) flags
+          done;
+          expect
+            (Ft.live t = Hashtbl.length m
+            && Ft.peak t = !peak && Ft.recycled t = !recycled))
+        ops;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Session *)
@@ -287,21 +352,6 @@ let test_phase_bp_recovery () =
   Alcotest.(check bool) "stays in bp" true (still = Inrpp.Phase.Backpressure);
   let back = upd p ~ratio:0.5 ~detour:false ~pressure:false ~drained:true in
   Alcotest.(check bool) "recovers to push" true (back = Inrpp.Phase.Push_data)
-
-(* ------------------------------------------------------------------ *)
-(* Flowlet *)
-
-let test_flowlet_pinning () =
-  let f = Inrpp.Flowlet.create ~gap:0.1 in
-  let r1 = Inrpp.Flowlet.choose f ~flow:1 ~now:0. ~preferred:(Inrpp.Flowlet.Via 5) in
-  Alcotest.(check bool) "first pick" true (r1 = Inrpp.Flowlet.Via 5);
-  (* within the gap, preference changes are ignored *)
-  let r2 = Inrpp.Flowlet.choose f ~flow:1 ~now:0.05 ~preferred:Inrpp.Flowlet.Primary in
-  Alcotest.(check bool) "pinned" true (r2 = Inrpp.Flowlet.Via 5);
-  (* after an idle gap the flow re-pins *)
-  let r3 = Inrpp.Flowlet.choose f ~flow:1 ~now:0.3 ~preferred:Inrpp.Flowlet.Primary in
-  Alcotest.(check bool) "re-pinned" true (r3 = Inrpp.Flowlet.Primary);
-  Alcotest.(check int) "one flow tracked" 1 (Inrpp.Flowlet.active_flows f)
 
 (* ------------------------------------------------------------------ *)
 (* Detour table *)
@@ -910,24 +960,14 @@ let () =
           Alcotest.test_case "chunk tx time" `Quick test_config_chunk_tx_time;
         ] );
       ( "flow table",
-        (List.concat_map
-           (fun (lname, store) ->
-             [
-               Alcotest.test_case (lname ^ ": install/release") `Quick
-                 (ft_install_release store);
-               Alcotest.test_case (lname ^ ": slot recycling") `Quick
-                 (ft_slot_recycling store);
-               Alcotest.test_case (lname ^ ": reinstall semantics") `Quick
-                 (ft_reinstall_semantics store);
-               Alcotest.test_case (lname ^ ": flag bits") `Quick
-                 (ft_flags_roundtrip store);
-             ])
-           [ ("soa", `Soa); ("legacy", `Legacy) ]
-        @ [
-            Alcotest.test_case "iter order parity" `Quick
-              test_ft_iter_order_parity;
-            Alcotest.test_case "invalid args" `Quick test_ft_invalid_args;
-          ]) );
+        [
+          Alcotest.test_case "soa: install/release" `Quick ft_install_release;
+          Alcotest.test_case "soa: slot recycling" `Quick ft_slot_recycling;
+          Alcotest.test_case "soa: reinstall semantics" `Quick
+            ft_reinstall_semantics;
+          Alcotest.test_case "soa: flag bits" `Quick ft_flags_roundtrip;
+          Alcotest.test_case "invalid args" `Quick test_ft_invalid_args;
+        ] );
       ( "session",
         [
           Alcotest.test_case "in order" `Quick test_session_in_order;
@@ -949,7 +989,6 @@ let () =
           Alcotest.test_case "pressure escalation" `Quick test_phase_detour_to_bp_on_pressure;
           Alcotest.test_case "bp recovery" `Quick test_phase_bp_recovery;
         ] );
-      ("flowlet", [ Alcotest.test_case "pinning" `Quick test_flowlet_pinning ]);
       ( "detour table",
         [
           Alcotest.test_case "fig3 candidates" `Quick test_detour_table_candidates;
@@ -996,5 +1035,6 @@ let () =
             prop_protocol_completes_on_random_lines;
             prop_shares_are_a_distribution;
             prop_estimator_converges_under_stationary_mix;
+            prop_flow_table_model;
           ] );
     ]

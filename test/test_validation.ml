@@ -1,27 +1,10 @@
-(* Validation subsystem tests: the SHA-256 primitive behind the golden
-   artefacts, the runtime invariant checkers (fed synthetic violating
-   traces so we know they actually fire), the differential equivalence
-   harness swept over many seeds, and end-to-end protocol runs under
-   [?check]. *)
+(* Validation subsystem tests: the runtime invariant checkers (fed
+   synthetic violating traces so we know they actually fire), the
+   differential equivalence harness swept over many seeds, and
+   end-to-end protocol runs under [?check]. *)
 
 module Inv = Check.Invariant
 module Trace = Chunksim.Trace
-
-(* ------------------------------------------------------------------ *)
-(* SHA-256 *)
-
-let test_sha256_vectors () =
-  let check_vec msg expect =
-    Alcotest.(check string) ("sha256 " ^ string_of_int (String.length msg))
-      expect
-      (Check.Sha256.hex_digest msg)
-  in
-  check_vec ""
-    "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
-  check_vec "abc"
-    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
-  check_vec (String.make 1000 'a')
-    "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"
 
 (* ------------------------------------------------------------------ *)
 (* Collector basics *)
@@ -210,79 +193,14 @@ let check_sweep name differential =
   if not v.Check.Differential.equal then
     Alcotest.failf "%s diverged: %s" name v.Check.Differential.detail
 
-let test_differential_fast_vs_legacy () =
-  check_sweep "fast vs legacy" Check.Differential.fast_vs_legacy
-
 let test_differential_queue_tie_order () =
   check_sweep "eager vs lazy tie order" Check.Differential.queue_tie_order
 
-let test_scenarios_exercise_contention () =
-  (* the differential is vacuous if no scenario ever stresses the
-     queues; check the seed family produces drops somewhere *)
-  let total_drops =
-    List.fold_left
-      (fun acc seed -> acc + (Check.Scenario.run ~seed ()).Check.Scenario.drops)
-      0 (seeds 10)
-  in
-  Alcotest.(check bool) "some scenario drops" true (total_drops > 0)
-
 (* ------------------------------------------------------------------ *)
-(* Protocol-level differential and [?check] integration *)
+(* Protocol runs under the invariant checkers: PIT-less forwarding
+   over 50 seeds, then named scenarios *)
 
 let bulk = { Inrpp.Config.default with Inrpp.Config.anticipation = 512 }
-
-let check_flow_equal i (a : Inrpp.Protocol.flow_result)
-    (b : Inrpp.Protocol.flow_result) =
-  Alcotest.(check (option (float 0.)))
-    (Printf.sprintf "flow %d fct" i)
-    a.Inrpp.Protocol.fct b.Inrpp.Protocol.fct;
-  Alcotest.(check int)
-    (Printf.sprintf "flow %d chunks" i)
-    a.Inrpp.Protocol.chunks_received b.Inrpp.Protocol.chunks_received;
-  Alcotest.(check int)
-    (Printf.sprintf "flow %d requests" i)
-    a.Inrpp.Protocol.requests_sent b.Inrpp.Protocol.requests_sent
-
-let test_protocol_fast_vs_legacy () =
-  (* same protocol run through the loss-free fast path and through the
-     legacy transmit path (loss injection with probability zero); all
-     protocol observables must agree.  engine_events legitimately
-     differs (1 vs 2 events per packet) and is not compared. *)
-  let run loss_rate =
-    let g = Topology.Builders.fig3 () in
-    Inrpp.Protocol.run ~cfg:bulk ?loss_rate g
-      [
-        Inrpp.Protocol.flow_spec ~src:0 ~dst:3 150;
-        Inrpp.Protocol.flow_spec ~src:0 ~dst:3 ~start:0.2 100;
-      ]
-  in
-  let fast = run None and legacy = run (Some 0.) in
-  let i field f =
-    Alcotest.(check int) field (f fast) (f legacy)
-  in
-  Array.iteri
-    (fun idx a ->
-      check_flow_equal idx a legacy.Inrpp.Protocol.flows.(idx))
-    fast.Inrpp.Protocol.flows;
-  i "completed" (fun r -> r.Inrpp.Protocol.completed);
-  i "drops" (fun r -> r.Inrpp.Protocol.total_drops);
-  i "forwarded" (fun r -> r.Inrpp.Protocol.forwarded_data);
-  i "detoured" (fun r -> r.Inrpp.Protocol.detoured);
-  i "custody stored" (fun r -> r.Inrpp.Protocol.custody_stored);
-  i "custody released" (fun r -> r.Inrpp.Protocol.custody_released);
-  i "bp engages" (fun r -> r.Inrpp.Protocol.bp_engages);
-  i "bp releases" (fun r -> r.Inrpp.Protocol.bp_releases);
-  i "cache hits" (fun r -> r.Inrpp.Protocol.cache_hits);
-  i "phase transitions" (fun r -> r.Inrpp.Protocol.phase_transitions);
-  Alcotest.(check (float 0.))
-    "goodput" fast.Inrpp.Protocol.goodput legacy.Inrpp.Protocol.goodput;
-  Alcotest.(check bool) "event counts differ across paths" true
-    (fast.Inrpp.Protocol.engine_events
-    < legacy.Inrpp.Protocol.engine_events)
-
-(* ------------------------------------------------------------------ *)
-(* SoA vs legacy flow store (50-seed differential), and PIT-less
-   forwarding under the invariant checkers *)
 
 (* seed-varied multi-flow scenario: even seeds run fig3 (detours in
    play), odd seeds a 5x-overloaded bottleneck line (custody, BP, and
@@ -309,58 +227,6 @@ let seeded_scenario seed =
           (30 + Sim.Rng.int rng 90))
   in
   (g, specs)
-
-(* every protocol observable, flattened to a string so "byte-identical"
-   is literal.  flow_table_bytes is layout-dependent by design (the
-   legacy layout counts its records) and is excluded. *)
-let result_fingerprint (r : Inrpp.Protocol.result) =
-  let flows =
-    Array.to_list r.Inrpp.Protocol.flows
-    |> List.map (fun (f : Inrpp.Protocol.flow_result) ->
-           Printf.sprintf "(fct=%s rx=%d dup=%d req=%d)"
-             (match f.Inrpp.Protocol.fct with
-             | Some t -> Printf.sprintf "%.9f" t
-             | None -> "-")
-             f.Inrpp.Protocol.chunks_received f.Inrpp.Protocol.duplicates
-             f.Inrpp.Protocol.requests_sent)
-    |> String.concat " "
-  in
-  Printf.sprintf
-    "done=%d t=%.9f drops=%d fwd=%d det=%d cust=%d/%d bp=%d/%d hits=%d \
-     ph=%d peak=%.3f util=%.9f gp=%.9f ev=%d live=%d fpeak=%d rec=%d %s"
-    r.Inrpp.Protocol.completed r.Inrpp.Protocol.sim_time
-    r.Inrpp.Protocol.total_drops r.Inrpp.Protocol.forwarded_data
-    r.Inrpp.Protocol.detoured r.Inrpp.Protocol.custody_stored
-    r.Inrpp.Protocol.custody_released r.Inrpp.Protocol.bp_engages
-    r.Inrpp.Protocol.bp_releases r.Inrpp.Protocol.cache_hits
-    r.Inrpp.Protocol.phase_transitions r.Inrpp.Protocol.peak_custody_bits
-    r.Inrpp.Protocol.mean_utilisation r.Inrpp.Protocol.goodput
-    r.Inrpp.Protocol.engine_events r.Inrpp.Protocol.flow_entries_live
-    r.Inrpp.Protocol.flow_entries_peak r.Inrpp.Protocol.flow_entries_recycled
-    flows
-
-let soa_vs_legacy ~seed =
-  let g, specs = seeded_scenario seed in
-  let run store =
-    Inrpp.Protocol.run
-      ~cfg:{ bulk with Inrpp.Config.flow_store = store }
-      ~horizon:120. g specs
-  in
-  let a = result_fingerprint (run `Soa)
-  and b = result_fingerprint (run `Legacy) in
-  if String.equal a b then
-    {
-      Check.Differential.equal = true;
-      detail = Printf.sprintf "seed %d: soa = legacy (%s)" seed a;
-    }
-  else
-    {
-      Check.Differential.equal = false;
-      detail = Printf.sprintf "seed %d:\n  soa    %s\n  legacy %s" seed a b;
-    }
-
-let test_differential_soa_vs_legacy () =
-  check_sweep "soa vs legacy flow store" soa_vs_legacy
 
 (* PIT-less runs keep no router flow state: conservation and the
    custody ledger must still balance (drops degrade the aggregate
@@ -439,8 +305,6 @@ let test_check_clean_lossy () =
 let () =
   Alcotest.run "validation"
     [
-      ( "sha256",
-        [ Alcotest.test_case "known vectors" `Quick test_sha256_vectors ] );
       ( "collector",
         [
           Alcotest.test_case "basics" `Quick test_collector_basics;
@@ -480,21 +344,13 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "fast vs legacy x50" `Quick
-            test_differential_fast_vs_legacy;
           Alcotest.test_case "queue tie order x50" `Quick
             test_differential_queue_tie_order;
-          Alcotest.test_case "scenarios drop" `Quick
-            test_scenarios_exercise_contention;
-          Alcotest.test_case "soa vs legacy flow store x50" `Quick
-            test_differential_soa_vs_legacy;
           Alcotest.test_case "pitless conservation x50" `Quick
             test_differential_pitless_checked;
         ] );
       ( "protocol",
         [
-          Alcotest.test_case "fast vs legacy" `Quick
-            test_protocol_fast_vs_legacy;
           Alcotest.test_case "check clean fig3" `Quick test_check_clean_fig3;
           Alcotest.test_case "check clean backpressure" `Quick
             test_check_clean_backpressure;
