@@ -192,20 +192,20 @@ let take_custody t ~flow =
       if Queue.is_empty q then Hashtbl.remove t.custody flow;
       Some (idx, bits))
 
+(* queues leave the table as they empty, so a found queue has a head *)
 let peek_custody t ~flow =
-  match Hashtbl.find_opt t.custody flow with
-  | None -> None
-  | Some q -> Queue.peek_opt q
+  match Hashtbl.find t.custody flow with
+  | q -> fst (Queue.peek q)
+  | exception Not_found -> -1
 
 let commit_custody t ~flow =
-  match Hashtbl.find_opt t.custody flow with
-  | None -> invalid_arg "Cache.commit_custody: flow holds no custody"
-  | Some q ->
-    (match Queue.take_opt q with
-    | None -> invalid_arg "Cache.commit_custody: flow holds no custody"
-    | Some (_, bits) ->
-      t.custody_bits <- t.custody_bits -. bits;
-      if Queue.is_empty q then Hashtbl.remove t.custody flow)
+  match Hashtbl.find t.custody flow with
+  | exception Not_found ->
+    invalid_arg "Cache.commit_custody: flow holds no custody"
+  | q ->
+    let _, bits = Queue.take q in
+    t.custody_bits <- t.custody_bits -. bits;
+    if Queue.is_empty q then Hashtbl.remove t.custody flow
 
 let custody_backlog t ~flow =
   match Hashtbl.find_opt t.custody flow with
@@ -217,9 +217,23 @@ let custody_is_empty t = Hashtbl.length t.custody = 0
 let above_high t = t.custody_bits >= t.high
 let below_low t = t.custody_bits <= t.low
 
-let flows_in_custody t =
-  Hashtbl.fold (fun flow _ acc -> flow :: acc) t.custody []
-  |> List.sort Int.compare
+let swap (a : int array) i j = let x = a.(i) in a.(i) <- a.(j); a.(j) <- x
+
+(* max-heap sift-down over a.(0..n-1): with it [custody_flows] heapsorts
+   in place, O(n log n) whatever the number of flows, allocating nothing *)
+let rec sift a i n =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+  if c < n && a.(c) > a.(i) then (swap a i c; sift a c n)
+
+let custody_flows t buf =
+  let n = Hashtbl.length t.custody in
+  if Array.length !buf < n then buf := Array.make (2 * n) 0;
+  let a = !buf in
+  ignore (Hashtbl.fold (fun flow _ i -> a.(i) <- flow; i + 1) t.custody 0);
+  for i = (n / 2) - 1 downto 0 do sift a i n done;
+  for e = n - 1 downto 1 do swap a 0 e; sift a 0 e done;
+  n
 
 (* ------------------------------------------------------------------ *)
 (* Popularity *)

@@ -90,10 +90,11 @@ val put_custody :
 val take_custody : t -> flow:int -> (int * float) option
 (** Oldest held chunk of the flow, removed: [(idx, bits)]. *)
 
-val peek_custody : t -> flow:int -> (int * float) option
-(** Oldest held chunk of the flow, {e not} removed.  Pair with
-    {!commit_custody} to keep an in-flight handoff charged against the
-    store budget until it is known to succeed. *)
+val peek_custody : t -> flow:int -> int
+(** Index of the flow's oldest held chunk, {e not} removed; [-1] when
+    the flow holds none.  Pair with {!commit_custody} to keep an
+    in-flight handoff charged against the store budget until it is
+    known to succeed.  Allocates nothing. *)
 
 val commit_custody : t -> flow:int -> unit
 (** Removes the chunk {!peek_custody} returned, releasing its budget.
@@ -115,8 +116,10 @@ val custody_is_empty : t -> bool
 
 val above_high : t -> bool
 val below_low : t -> bool
-val flows_in_custody : t -> int list
-(** Flows with at least one held chunk, ascending. *)
+val custody_flows : t -> int array ref -> int
+(** [custody_flows t buf] writes the flows holding custody into [!buf],
+    ascending, and returns their number.  [!buf] is replaced only when
+    too short, so a caller keeping [buf] snapshots without allocating. *)
 
 (** {1 Popularity (LRU) region} *)
 

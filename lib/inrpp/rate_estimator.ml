@@ -44,6 +44,8 @@ let tick t =
   t.interval_bits <- 0.;
   t.ticks <- t.ticks +. 1.
 
+let idle t = t.interval_bits = 0.
+
 let anticipated_rate t = t.ra
 
 let ratio t = t.ra /. t.capacity

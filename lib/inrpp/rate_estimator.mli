@@ -30,6 +30,11 @@ val tick : t -> unit
 (** Close the current interval: fold its demand into the EWMA and
     reset the counters.  Call every [ti] seconds. *)
 
+val idle : t -> bool
+(** No bits were noted in the current interval, so the next {!tick}
+    only decays r_a.  Returns no float, so a caller in another module
+    can ask without boxing one. *)
+
 val anticipated_rate : t -> float
 (** Smoothed r_a, bps. *)
 

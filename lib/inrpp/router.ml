@@ -24,43 +24,47 @@ type counters = {
 
 (* A detour candidate with everything the per-packet usability scan
    needs resolved ahead of time: hop interfaces, their admission
-   limits, and (lazily) the first hop's estimator.  The static
-   conditions — depth bound, every hop up — are folded into cache
-   membership; only queue room is re-checked per scan, so the scan
-   allocates nothing. *)
+   limits, and the first hop's port.  The static conditions — depth
+   bound, every hop up — are folded into cache membership; only queue
+   room is re-checked per scan, so the scan allocates nothing. *)
 type dcand = {
   dc_first : Link.t;
   dc_via : Topology.Node.id;       (* first hop's dst: the flowlet pin *)
   dc_rest : Topology.Node.id list; (* source route after the first hop *)
   dc_ifaces : Iface.t array;       (* every hop, candidate order *)
   dc_limits : float array;         (* threshold * capacity per hop *)
-  mutable dc_est : Rate_estimator.t option;
+  dc_port : port;                  (* first hop's control state *)
 }
 
-(* Per-link candidate cache, invalidated by generation: every
-   link-state flip and every crash bumps [ls_gen], so a stale
-   generation means the static filter must be recomputed.  Between
-   bumps, up-ness cannot change (all transitions go through
-   [on_link_down]/[on_link_up]). *)
-type dcache = {
+(* Control state of one outgoing interface, one per out-link, built at
+   [create].  The estimator appears on first use and the phase on the
+   estimator's first tick (or the first packet forwarded), the instants
+   the sampler's [estimator_links]/[iface_phase] probes observe; [crash]
+   clears both in place.  The detour candidates are cached by
+   generation: every link-state flip and every crash bumps [ls_gen], so
+   a stale [dk_gen] means the static filter must be recomputed.
+   Between bumps, up-ness cannot change (all transitions go through
+   [on_link_down]/[on_link_up]).  [blocked] marks a port a drain found
+   with no exit (primary down or full, no usable detour) for the rest of
+   that drain: mid-drain, queues only fill and neither link state nor
+   neighbour pressure moves. *)
+and port = {
+  p_link : Link.t;
+  mutable est : Rate_estimator.t option;
+  mutable phase : Phase.t option;
   mutable dk_gen : int;
   mutable dk_cands : dcand array;
+  mutable blocked : int;           (* [drains] value when found exitless *)
 }
 
 (* Hot-path state resolved once per (flow, data link) instead of per
-   packet: interface handle, queue-admission limit, and lazy
-   phase/estimator references.  Dropped whenever the flow's link
-   changes (reroute) or control state dies (crash); the lazy fields
-   resolve through the same [phase]/[estimator] functions as before,
-   so creation instants — observable through the sampler's
-   [estimator_links] probe set — are unchanged. *)
+   packet: interface handle, queue-admission limit and port.  Dropped
+   whenever the flow's link changes (reroute). *)
 type hot = {
   h_link : Link.t;
   h_iface : Iface.t;
   h_limit : float;                 (* threshold * capacity of h_iface *)
-  mutable h_phase : Phase.t option;
-  mutable h_est : Rate_estimator.t option;
-  mutable h_dcache : dcache option;
+  h_port : port;
 }
 
 type t = {
@@ -76,11 +80,11 @@ type t = {
   ft : hot Ft.t;
   store : Cache.t;
   custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
-  estimators : (int, Rate_estimator.t) Hashtbl.t;
-  phases : (int, Phase.t) Hashtbl.t;
-  dcaches : (int, dcache) Hashtbl.t;
+  ports : port array;             (* one per out-link, ascending link id *)
+  drain_flows : int array ref;    (* custody snapshot, reused per drain *)
+  mutable drains : int;           (* drains that found custody, see port *)
   c : counters;
-  mutable ls_gen : int;           (* link-state generation, see dcache *)
+  mutable ls_gen : int;           (* link-state generation, see port *)
   mutable bp_locals : int;        (* entries with bp_local = true *)
   mutable local_producer : (Packet.t -> unit) option;
   mutable local_consumer : (Packet.t -> unit) option;
@@ -105,9 +109,16 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
         ?policy:(Option.bind overload (fun ov -> Overload.Config.policy ov))
         ~capacity:cfg.Config.cache_bits ();
     custody_packets = Hashtbl.create 64;
-    estimators = Hashtbl.create 8;
-    phases = Hashtbl.create 8;
-    dcaches = Hashtbl.create 8;
+    ports =
+      Topology.Graph.out_links (Net.graph net) node
+      |> List.sort (fun (a : Link.t) (b : Link.t) ->
+             Int.compare a.Link.id b.Link.id)
+      |> List.map (fun l ->
+             { p_link = l; est = None; phase = None; dk_gen = -1;
+               dk_cands = [||]; blocked = -1 })
+      |> Array.of_list;
+    drain_flows = ref [||];
+    drains = 0;
     c =
       {
         forwarded_data = 0;
@@ -140,11 +151,6 @@ let now t = Sim.Engine.now (Net.engine t.net)
    returns the same physical Link.t the adjacency lists hold, so the
    hot cache's [h_link == l] identity check keeps working *)
 let link_of t id = Topology.Graph.link (Net.graph t.net) id
-
-let record t e =
-  match t.trace with
-  | Some tr -> Trace.record tr ~time:(now t) e
-  | None -> ()
 
 (* Dropped events carry a formatted packet string; build it only when
    a trace is actually attached (bench runs drop packets too). *)
@@ -181,28 +187,46 @@ let record_evacuated t ~flow ~idx =
       (Trace.Custody_evacuated { node = t.node_id; flow; idx })
   | Some _ | None -> ()
 
-let estimator t (l : Link.t) =
-  match Hashtbl.find t.estimators l.Link.id with
-  | e -> e
-  | exception Not_found ->
+(* link id -> port: a binary search over the id-sorted ports, so the
+   map costs no memory beyond the ports themselves *)
+let rec port_search ports id lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let k = ports.(mid).p_link.Link.id in
+    if k = id then mid
+    else if k < id then port_search ports id (mid + 1) hi
+    else port_search ports id lo mid
+
+let port_index t id = port_search t.ports id 0 (Array.length t.ports)
+
+let port_of t (l : Link.t) =
+  let i = port_index t l.Link.id in
+  if i < 0 then invalid_arg "Router: link does not leave this node";
+  t.ports.(i)
+
+let estimator t p =
+  match p.est with
+  | Some e -> e
+  | None ->
     let e =
       Rate_estimator.create ~ti:t.cfg.Config.ti
         ~alpha:t.cfg.Config.estimator_alpha
-        ~capacity:(l.Link.capacity *. t.cfg.Config.speed_factor)
+        ~capacity:(p.p_link.Link.capacity *. t.cfg.Config.speed_factor)
     in
-    Hashtbl.add t.estimators l.Link.id e;
+    p.est <- Some e;
     e
 
-let phase t (l : Link.t) =
-  match Hashtbl.find t.phases l.Link.id with
-  | p -> p
-  | exception Not_found ->
-    let p =
+let phase t p =
+  match p.phase with
+  | Some ph -> ph
+  | None ->
+    let ph =
       Phase.create ~engage:t.cfg.Config.engage_ratio
         ~release:t.cfg.Config.release_ratio
     in
-    Hashtbl.add t.phases l.Link.id p;
-    p
+    p.phase <- Some ph;
+    ph
 
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
@@ -262,69 +286,62 @@ let build_cands t (l : Link.t) =
            dc_rest = cand.Detour_table.rest;
            dc_ifaces = ifaces;
            dc_limits = limits;
-           dc_est = None;
+           dc_port = port_of t cand.Detour_table.first_link;
          })
        usable)
 
-let refresh_dcache t (l : Link.t) dk =
-  if dk.dk_gen <> t.ls_gen then begin
-    dk.dk_cands <- build_cands t l;
-    dk.dk_gen <- t.ls_gen
-  end
-
-let dcache_of t (l : Link.t) =
-  let dk =
-    match Hashtbl.find t.dcaches l.Link.id with
-    | dk -> dk
-    | exception Not_found ->
-      let dk = { dk_gen = t.ls_gen - 1; dk_cands = [||] } in
-      Hashtbl.add t.dcaches l.Link.id dk;
-      dk
-  in
-  refresh_dcache t l dk;
-  dk
+let cands t p =
+  if p.dk_gen <> t.ls_gen then begin
+    p.dk_cands <- build_cands t p.p_link;
+    p.dk_gen <- t.ls_gen
+  end;
+  p.dk_cands
 
 (* Detour refusal into pressured neighbours: with overload control on,
    a candidate whose first hop lands on a neighbour already above the
    configured custody-occupancy fraction is unusable — deflecting load
    into a store that is itself shedding only spreads the collapse.
    The pressure function is installed by the protocol layer (it owns
-   the router array); queue room is still checked first so the counter
-   only counts candidates refused {e solely} because of pressure. *)
-let cand_pressure_ok t (c : dcand) =
+   the router array). *)
+let pressure_ok t (c : dcand) =
   match t.overload, t.neighbor_pressure with
   | Some ov, Some pressure_of
     when ov.Overload.Config.neighbor_pressure < infinity ->
-    if pressure_of c.dc_via >= ov.Overload.Config.neighbor_pressure then begin
-      t.c.detours_refused <- t.c.detours_refused + 1;
-      false
-    end
-    else true
+    pressure_of c.dc_via < ov.Overload.Config.neighbor_pressure
   | (Some _ | None), _ -> true
 
-let cand_ok t (c : dcand) =
-  let n = Array.length c.dc_ifaces in
-  let rec ok i =
-    i >= n
-    || (Iface.queue_occupancy c.dc_ifaces.(i) < c.dc_limits.(i) && ok (i + 1))
-  in
-  ok 0 && cand_pressure_ok t c
+let rec room_from (c : dcand) i =
+  i >= Array.length c.dc_ifaces
+  || Iface.queue_occupancy c.dc_ifaces.(i) < c.dc_limits.(i)
+     && room_from c (i + 1)
 
-let first_usable t dk =
-  let n = Array.length dk.dk_cands in
-  let rec go i =
-    if i >= n then -1 else if cand_ok t dk.dk_cands.(i) then i else go (i + 1)
-  in
-  go 0
+(* The scans are top-level recursions, not local closures, so a scan
+   allocates nothing.  [usable_from] returns the first candidate with
+   queue room on every hop and an unpressured first neighbour; -1 when
+   there is none, -2 when there is none but neighbour pressure alone
+   turned one away. *)
+let rec usable_from t cs i refused =
+  if i >= Array.length cs then if refused then -2 else -1
+  else if not (room_from cs.(i) 0) then usable_from t cs (i + 1) refused
+  else if pressure_ok t cs.(i) then i
+  else usable_from t cs (i + 1) true
 
-let usable_with_via t dk via =
-  let n = Array.length dk.dk_cands in
-  let rec go i =
-    if i >= n then -1
-    else if dk.dk_cands.(i).dc_via = via && cand_ok t dk.dk_cands.(i) then i
-    else go (i + 1)
-  in
-  go 0
+let rec via_from t cs via i =
+  if i >= Array.length cs then -1
+  else if cs.(i).dc_via = via && room_from cs.(i) 0 && pressure_ok t cs.(i)
+  then i
+  else via_from t cs via (i + 1)
+
+(* A probe: counts nothing, so ticks and fault handling can look *)
+let first_usable t p = usable_from t (cands t p) 0 false
+
+(* A real chunk asking for a detour now (a forwarded chunk, or one
+   drain round's evacuation attempt): when neighbour pressure alone
+   denies it one, that is one refusal *)
+let detour_for t p =
+  let i = first_usable t p in
+  if i = -2 then t.c.detours_refused <- t.c.detours_refused + 1;
+  i
 
 (* ------------------------------------------------------------------ *)
 (* Per-flow hot state *)
@@ -339,44 +356,11 @@ let hot_of t slot (l : Link.t) =
         h_link = l;
         h_iface = i;
         h_limit = t.cfg.Config.detour_queue_threshold *. Iface.queue_capacity i;
-        h_phase = None;
-        h_est = None;
-        h_dcache = None;
+        h_port = port_of t l;
       }
     in
     Ft.set_hot t.ft slot (Some h);
     h
-
-let hot_phase t h =
-  match h.h_phase with
-  | Some p -> p
-  | None ->
-    let p = phase t h.h_link in
-    h.h_phase <- Some p;
-    p
-
-let hot_est t h =
-  match h.h_est with
-  | Some e -> e
-  | None ->
-    let e = estimator t h.h_link in
-    h.h_est <- Some e;
-    e
-
-let hot_dcache t h =
-  match h.h_dcache with
-  | Some dk ->
-    refresh_dcache t h.h_link dk;
-    dk
-  | None ->
-    let dk = dcache_of t h.h_link in
-    h.h_dcache <- Some dk;
-    dk
-
-let slot_dcache t slot (l : Link.t) =
-  match Ft.hot t.ft slot with
-  | Some h when h.h_link == l -> hot_dcache t h
-  | Some _ | None -> dcache_of t l
 
 (* ------------------------------------------------------------------ *)
 (* Back-pressure signalling *)
@@ -385,7 +369,11 @@ let signal_upstream t slot ~flow ~engage =
   let pkt = Packet.backpressure ~flow ~engage in
   if engage then t.c.bp_engages <- t.c.bp_engages + 1
   else t.c.bp_releases <- t.c.bp_releases + 1;
-  record t (Trace.Bp_signal { node = t.node_id; flow; engage });
+  (match t.trace with
+  | Some tr ->
+    Trace.record tr ~time:(now t)
+      (Trace.Bp_signal { node = t.node_id; flow; engage })
+  | None -> ());
   let rl = Ft.req_link t.ft slot in
   if rl >= 0 then ignore (Net.send t.net ~via:(link_of t rl) pkt)
   else begin
@@ -494,7 +482,11 @@ let custody t slot flow (p : Packet.t) =
       | `Stored ->
         Hashtbl.replace t.custody_packets key p;
         t.c.custody_stored <- t.c.custody_stored + 1;
-        record t (Trace.Cached { node = t.node_id; flow; idx });
+        (match t.trace with
+        | Some tr ->
+          Trace.record tr ~time:(now t)
+            (Trace.Cached { node = t.node_id; flow; idx })
+        | None -> ());
         (* back-pressure engages at the high watermark, not on the first
            stored chunk — small excursions are what the store is for *)
         if Cache.above_high t.store || early_bp t then
@@ -534,20 +526,15 @@ let send_detour t flow (c : dcand) (p : Packet.t) =
       }
     | Packet.Request _ | Packet.Backpressure _ -> p
   in
-  let est =
-    match c.dc_est with
-    | Some e -> e
-    | None ->
-      let e = estimator t c.dc_first in
-      c.dc_est <- Some e;
-      e
-  in
-  Rate_estimator.note_transit est ~bits:p.Packet.size;
+  Rate_estimator.note_transit (estimator t c.dc_port) ~bits:p.Packet.size;
   match Net.send t.net ~via:c.dc_first p' with
   | `Queued ->
     t.c.detoured <- t.c.detoured + 1;
-    record t
-      (Trace.Detoured { node = t.node_id; flow; idx; via = c.dc_via });
+    (match t.trace with
+    | Some tr ->
+      Trace.record tr ~time:(now t)
+        (Trace.Detoured { node = t.node_id; flow; idx; via = c.dc_via })
+    | None -> ());
     record_enqueued t ~link:c.dc_first.Link.id p';
     `Queued
   | `Dropped ->
@@ -560,11 +547,11 @@ let send_detour t flow (c : dcand) (p : Packet.t) =
    detour's admission fails under the candidate check (a race with new
    arrivals, or an interface that just went down). *)
 let try_detour t slot flow (l : Link.t) (p : Packet.t) =
-  let dk = slot_dcache t slot l in
-  let fi = first_usable t dk in
+  let pt = port_of t l in
+  let fi = detour_for t pt in
   if fi < 0 then custody t slot flow p
   else begin
-    let first = dk.dk_cands.(fi) in
+    let first = pt.dk_cands.(fi) in
     let pinned =
       Ft.flowlet_choose t.ft slot ~now:(now t)
         ~preferred:(Ft.Via first.dc_via)
@@ -574,8 +561,8 @@ let try_detour t slot flow (l : Link.t) (p : Packet.t) =
       | Ft.Via via ->
         if via = first.dc_via then first
         else begin
-          let vi = usable_with_via t dk via in
-          if vi >= 0 then dk.dk_cands.(vi)
+          let vi = via_from t pt.dk_cands via 0 in
+          if vi >= 0 then pt.dk_cands.(vi)
           else first (* pinned detour filled up; re-route *)
         end
       | Ft.Primary -> first
@@ -622,7 +609,7 @@ let forward_primary_path t slot flow (p : Packet.t) =
          custody is the fallback when no detour survives *)
       try_detour t slot flow l p
     else
-      let ph = Phase.current (hot_phase t h) in
+      let ph = Phase.current (phase t h.h_port) in
       let effective =
         if Ft.detour_override t.ft slot && ph = Phase.Push_data then
           Phase.Detour
@@ -655,7 +642,8 @@ let handle_data t (p : Packet.t) =
         let p' =
           { p with Packet.header = Packet.Data { d with detour_route = rest } }
         in
-        Rate_estimator.note_transit (estimator t l) ~bits:p.Packet.size;
+        Rate_estimator.note_transit (estimator t (port_of t l))
+          ~bits:p.Packet.size;
         (match Net.send t.net ~via:l p' with
         | `Queued ->
           t.c.forwarded_data <- t.c.forwarded_data + 1;
@@ -718,7 +706,11 @@ let handle_request t (p : Packet.t) =
       && Cache.lookup_popular t.store ~flow:(Ft.content t.ft slot) ~idx:nc
     then begin
       t.c.cache_hits <- t.c.cache_hits + 1;
-      record t (Trace.Cache_hit { node = t.node_id; flow; idx = nc });
+      (match t.trace with
+      | Some tr ->
+        Trace.record tr ~time:(now t)
+          (Trace.Cache_hit { node = t.node_id; flow; idx = nc })
+      | None -> ());
       let data =
         Packet.data ~flow ~idx:nc ~born:(now t) t.cfg.Config.chunk_bits
       in
@@ -730,7 +722,7 @@ let handle_request t (p : Packet.t) =
       let dl = Ft.data_link t.ft slot in
       if dl >= 0 then
         Rate_estimator.note_request
-          (hot_est t (hot_of t slot (link_of t dl)))
+          (estimator t (hot_of t slot (link_of t dl)).h_port)
           ~expected_bits:t.cfg.Config.chunk_bits;
       let rl = Ft.req_link t.ft slot in
       if rl >= 0 then ignore (Net.send t.net ~via:(link_of t rl) p)
@@ -754,7 +746,7 @@ let handle_backpressure t (p : Packet.t) =
          notification towards the sender *)
       let can_absorb =
         let dl = Ft.data_link t.ft slot in
-        dl >= 0 && first_usable t (slot_dcache t slot (link_of t dl)) >= 0
+        dl >= 0 && first_usable t (port_of t (link_of t dl)) >= 0
       in
       if can_absorb then Ft.set_detour_override t.ft slot true
       else begin
@@ -816,26 +808,127 @@ let release_flow t ~flow =
 (* ------------------------------------------------------------------ *)
 (* Periodic work *)
 
+(* One interface's full step: close the interval, then run the phase
+   machine.  The detour probe runs only where [Phase.update] reads it:
+   in detour, in back-pressure, and in push-data at or above engage. *)
+let tick_port t p est =
+  Rate_estimator.tick est;
+  let ph = phase t p in
+  let before = Phase.current ph in
+  let ratio = Rate_estimator.ratio est in
+  let after =
+    Phase.update ph ~ratio
+      ~detour_usable:
+        ((before <> Phase.Push_data || ratio >= t.cfg.Config.engage_ratio)
+        && first_usable t p >= 0)
+      ~custody_pressure:(Cache.above_high t.store)
+      ~custody_drained:(Cache.below_low t.store)
+  in
+  if before <> after then
+    match t.trace with
+    | Some tr ->
+      Trace.record tr ~time:(now t)
+        (Trace.Phase_change
+           {
+             node = t.node_id;
+             link = p.p_link.Link.id;
+             phase = Phase.to_string after;
+           })
+    | None -> ()
+
+(* An interface in push-data that noted no bits this interval only
+   decays.  Push-data after any update means ratio < engage, and a
+   zero-bit interval multiplies r_a by 1 - alpha, so [Phase.update]
+   would return push-data without reading the probe.  This path calls
+   nothing that returns a float, so it allocates nothing. *)
 let tick t =
-  if t.crashed then ()
-  else
-    Hashtbl.iter
-      (fun link_id est ->
-        Rate_estimator.tick est;
-        let l = Topology.Graph.link (Net.graph t.net) link_id in
-        let ph = phase t l in
-        let before = Phase.current ph in
-        let after =
-          Phase.update ph ~ratio:(Rate_estimator.ratio est)
-            ~detour_usable:(first_usable t (dcache_of t l) >= 0)
-            ~custody_pressure:(Cache.above_high t.store)
-            ~custody_drained:(Cache.below_low t.store)
-        in
-        if before <> after then
-          record t
-            (Trace.Phase_change
-               { node = t.node_id; link = link_id; phase = Phase.to_string after }))
-      t.estimators
+  if not t.crashed then
+    for i = 0 to Array.length t.ports - 1 do
+      let p = t.ports.(i) in
+      match p.est, p.phase with
+      | None, _ -> ()
+      | Some est, Some ph
+        when Rate_estimator.idle est && Phase.current ph = Phase.Push_data ->
+        Rate_estimator.tick est
+      | Some est, (Some _ | None) -> tick_port t p est
+    done
+
+(* Hand [flow]'s oldest custody chunk to its primary interface, or to a
+   detour when the primary is down or full; [false] when nothing left
+   the store.  Peek-then-commit: the chunk stays charged against the
+   store budget until the handoff is known to have succeeded, so
+   nothing can be admitted into the gap a failed evacuation would
+   open. *)
+let release_one t flow =
+  let slot = Ft.find t.ft flow in
+  let dl = if slot < 0 then -1 else Ft.data_link t.ft slot in
+  if dl < 0 then false
+  else begin
+    let l = link_of t dl in
+    let h = hot_of t slot l in
+    let pt = h.h_port in
+    let idx =
+      if pt.blocked = t.drains then -1 else Cache.peek_custody t.store ~flow
+    in
+    if idx < 0 then false
+    else begin
+      let primary =
+        link_is_up t l && Iface.queue_occupancy h.h_iface < h.h_limit
+      in
+      (* the exit: the primary, else this detour candidate *)
+      let ci = if primary then 0 else detour_for t pt in
+      if ci = -1 then pt.blocked <- t.drains;
+      if ci < 0 then false
+      else begin
+        t.c.custody_released <- t.c.custody_released + 1;
+        (match t.trace with
+        | Some tr ->
+          Trace.record tr ~time:(now t)
+            (Trace.Custody_released { node = t.node_id; flow; idx })
+        | None -> ());
+        let key = Chunk_key.pack ~flow ~idx in
+        match Hashtbl.find t.custody_packets key with
+        | exception Not_found ->
+          (* store entry without a payload cannot be handed off;
+             discharge it so drain cannot spin on the flow *)
+          Cache.commit_custody t.store ~flow;
+          true
+        | p ->
+          let sent =
+            if primary then begin
+              match Net.send t.net ~via:l p with
+              | `Queued ->
+                t.c.forwarded_data <- t.c.forwarded_data + 1;
+                record_enqueued t ~link:l.Link.id p;
+                true
+              | `Dropped -> false
+            end
+            else begin
+              match send_detour t flow pt.dk_cands.(ci) p with
+              | `Queued ->
+                (* custody left this node sideways, not down the primary:
+                   the recovery path's evacuation signal *)
+                record_evacuated t ~flow ~idx;
+                true
+              | `Dropped -> false
+            end
+          in
+          if sent then begin
+            Cache.commit_custody t.store ~flow;
+            Hashtbl.remove t.custody_packets key;
+            true
+          end
+          else begin
+            (* raced with new arrivals, or the interface just went down:
+               the chunk never left custody, so undo the release
+               accounting and stop draining this flow for the round —
+               never leak, never double-admit *)
+            t.c.custody_released <- t.c.custody_released - 1;
+            false
+          end
+      end
+    end
+  end
 
 let drain t =
   if t.crashed then ()
@@ -844,95 +937,15 @@ let drain t =
        share the recovered bandwidth round-robin (the paper's scheduler
        multiplexes flows in round-robin fashion) *)
     if not (Cache.custody_is_empty t.store) then begin
-      let release_one flow =
-        let slot = Ft.find t.ft flow in
-        if slot < 0 then false
-        else begin
-          let dl = Ft.data_link t.ft slot in
-          if dl < 0 then false
-          else begin
-            let l = link_of t dl in
-            let h = hot_of t slot l in
-            let out =
-              if
-                link_is_up t l
-                && Iface.queue_occupancy h.h_iface < h.h_limit
-              then `Primary
-              else begin
-                let dk = hot_dcache t h in
-                let fi = first_usable t dk in
-                if fi >= 0 then `Detour dk.dk_cands.(fi) else `None
-              end
-            in
-            match out with
-            | `None -> false
-            | (`Primary | `Detour _) as out -> begin
-              (* peek-then-commit: the chunk stays charged against the
-                 store budget until the handoff is known to have
-                 succeeded, so nothing can be admitted into the
-                 transient gap a failed evacuation used to open (the
-                 old take-then-re-put also double-counted
-                 [custody_stored] and could lose the chunk outright if
-                 the re-put found the store full) *)
-              match Cache.peek_custody t.store ~flow with
-              | None -> false
-              | Some (idx, _bits) -> begin
-                t.c.custody_released <- t.c.custody_released + 1;
-                record t
-                  (Trace.Custody_released { node = t.node_id; flow; idx });
-                let key = Chunk_key.pack ~flow ~idx in
-                match Hashtbl.find t.custody_packets key with
-                | exception Not_found ->
-                  (* store entry without a payload cannot be handed off;
-                     discharge it so drain cannot spin on the flow *)
-                  Cache.commit_custody t.store ~flow;
-                  true
-                | p ->
-                  let sent =
-                    match out with
-                    | `Primary -> begin
-                      match Net.send t.net ~via:l p with
-                      | `Queued ->
-                        t.c.forwarded_data <- t.c.forwarded_data + 1;
-                        record_enqueued t ~link:l.Link.id p;
-                        true
-                      | `Dropped -> false
-                    end
-                    | `Detour cand -> begin
-                      match send_detour t flow cand p with
-                      | `Queued ->
-                        (* custody left this node sideways, not down the
-                           primary: the recovery path's evacuation
-                           signal *)
-                        record_evacuated t ~flow ~idx;
-                        true
-                      | `Dropped -> false
-                    end
-                  in
-                  if sent then begin
-                    Cache.commit_custody t.store ~flow;
-                    Hashtbl.remove t.custody_packets key;
-                    true
-                  end
-                  else begin
-                    (* raced with new arrivals, or the interface just
-                       went down: the chunk never left custody, so undo
-                       the release accounting and stop draining this
-                       flow for the round — never leak, never
-                       double-admit *)
-                    t.c.custody_released <- t.c.custody_released - 1;
-                    false
-                  end
-              end
-            end
-          end
-        end
-      in
-      let flows = Cache.flows_in_custody t.store in
+      t.drains <- t.drains + 1;
+      let n = Cache.custody_flows t.store t.drain_flows in
+      let flows = !(t.drain_flows) in
       let progress = ref true in
       while !progress do
         progress := false;
-        List.iter (fun flow -> if release_one flow then progress := true) flows
+        for i = 0 to n - 1 do
+          if release_one t flows.(i) then progress := true
+        done
       done
     end;
     (* release upstream pressure once the store has drained enough *)
@@ -959,7 +972,7 @@ let on_link_down t _link_id =
         if dl >= 0 then begin
           let l = link_of t dl in
           if not (link_is_up t l) then
-            if first_usable t (slot_dcache t slot l) >= 0 then begin
+            if first_usable t (port_of t l) >= 0 then begin
               if not (Ft.failed_over t.ft slot) then begin
                 Ft.set_failed_over t.ft slot true;
                 t.c.failovers <- t.c.failovers + 1
@@ -982,7 +995,7 @@ let on_link_up t _link_id =
             if Ft.bp_outage t.ft slot then
               release_local t slot ~flow ~which:`Outage
           end
-          else if first_usable t (slot_dcache t slot l) >= 0 then begin
+          else if first_usable t (port_of t l) >= 0 then begin
             (* primary still down but a detour came back *)
             if Ft.bp_outage t.ft slot then
               release_local t slot ~flow ~which:`Outage;
@@ -999,19 +1012,16 @@ let crash t ~policy =
   if t.crashed then []
   else begin
     t.crashed <- true;
-    (* control state is volatile under every policy; hot caches hold
-       references into the estimator/phase tables being reset, so they
-       die with it *)
+    (* control state is volatile under every policy; hot caches point
+       at the ports, whose estimators and phases are cleared in place *)
     Ft.iter t.ft (fun _ slot ->
         Ft.set_bp_local t.ft slot false;
         Ft.set_bp_forwarded t.ft slot false;
         Ft.set_detour_override t.ft slot false;
         Ft.set_bp_outage t.ft slot false;
-        Ft.set_failed_over t.ft slot false;
-        Ft.set_hot t.ft slot None);
+        Ft.set_failed_over t.ft slot false);
     t.bp_locals <- 0;
-    Hashtbl.reset t.estimators;
-    Hashtbl.reset t.phases;
+    Array.iter (fun p -> p.est <- None; p.phase <- None) t.ports;
     t.ls_gen <- t.ls_gen + 1;
     match policy with
     | `Preserve -> []
@@ -1022,15 +1032,13 @@ let crash t ~policy =
         |> List.map (fun k -> (Chunk_key.flow k, Chunk_key.idx k))
       in
       (* empty the store's custody region coherently with the table *)
-      List.iter
-        (fun flow ->
-          let rec strip () =
-            match Cache.take_custody t.store ~flow with
-            | Some _ -> strip ()
-            | None -> ()
-          in
-          strip ())
-        (Cache.flows_in_custody t.store);
+      let n = Cache.custody_flows t.store t.drain_flows in
+      for i = 0 to n - 1 do
+        let flow = !(t.drain_flows).(i) in
+        while Cache.peek_custody t.store ~flow >= 0 do
+          Cache.commit_custody t.store ~flow
+        done
+      done;
       Hashtbl.reset t.custody_packets;
       t.c.custody_wiped <- t.c.custody_wiped + List.length wiped;
       wiped
@@ -1040,19 +1048,25 @@ let restart t = t.crashed <- false
 
 let is_crashed t = t.crashed
 
+let port_opt t link_id =
+  let i = port_index t link_id in
+  if i < 0 then None else Some t.ports.(i)
+
 let phase_of_link t link_id =
-  Option.map Phase.current (Hashtbl.find_opt t.phases link_id)
+  Option.bind (port_opt t link_id) (fun p -> Option.map Phase.current p.phase)
 
 let anticipated_rate_of_link t link_id =
-  Option.map Rate_estimator.anticipated_rate
-    (Hashtbl.find_opt t.estimators link_id)
+  Option.bind (port_opt t link_id) (fun p ->
+      Option.map Rate_estimator.anticipated_rate p.est)
 
 let ratio_of_link t link_id =
-  Option.map Rate_estimator.ratio (Hashtbl.find_opt t.estimators link_id)
+  Option.bind (port_opt t link_id) (fun p ->
+      Option.map Rate_estimator.ratio p.est)
 
 let estimator_links t =
-  List.sort Int.compare
-    (Hashtbl.fold (fun link_id _ acc -> link_id :: acc) t.estimators [])
+  Array.fold_right
+    (fun p acc -> if Option.is_some p.est then p.p_link.Link.id :: acc else acc)
+    t.ports []
 
 let bp_active_flows t =
   let n = ref 0 in
@@ -1071,4 +1085,7 @@ let node t = t.node_id
 let custody_packet_count t = Hashtbl.length t.custody_packets
 
 let phase_transitions t =
-  Hashtbl.fold (fun _ p acc -> acc + Phase.transitions p) t.phases 0
+  Array.fold_left
+    (fun acc p ->
+      match p.phase with Some ph -> acc + Phase.transitions ph | None -> acc)
+    0 t.ports

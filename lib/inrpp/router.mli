@@ -27,7 +27,9 @@ type counters = {
   mutable failovers : int;      (* flows moved onto detours by an outage *)
   mutable custody_wiped : int;  (* custody chunks lost to crashes *)
   mutable shed : int;           (* admissions refused by overload control *)
-  mutable detours_refused : int;(* detour candidates refused: neighbour pressure *)
+  mutable detours_refused : int;
+  (* pressure-refused detour requests: one per chunk sent to custody, one
+     per drain round failing to evacuate a held chunk; probes count none *)
 }
 
 val create :
@@ -90,15 +92,20 @@ val originate_data : t -> Chunksim.Packet.t -> unit
     own phase/detour/custody logic. *)
 
 val tick : t -> unit
-(** Close an estimator interval and update every interface phase.
-    Schedule every [cfg.ti]. *)
+(** Close an estimator interval and update every interface phase, in
+    ascending link-id order.  Schedule every [cfg.ti].  An interface
+    that noted no bits this interval and is in push-data only decays
+    its estimator (its phase cannot change), allocating nothing; the
+    detour probe runs only where the phase machine reads it. *)
 
 val drain : t -> unit
-(** Move custody chunks onto primary interfaces with queue room and
-    release back-pressure when the store empties below the low
-    watermark.  Schedule a few times per [cfg.ti].  A drain target
-    that refuses admission (full or down) puts the chunk back into
-    custody — chunks are never leaked.  No-op while crashed. *)
+(** Move custody chunks onto primary interfaces with queue room (or
+    onto detours when the primary is down or full) and release
+    back-pressure when the store empties below the low watermark.
+    Schedule a few times per [cfg.ti].  Flows are served one chunk per
+    round in ascending flow id.  A drain target that refuses admission
+    (full or down) leaves the chunk in custody — chunks are never
+    leaked.  No-op while crashed. *)
 
 (** {1 Fault recovery} *)
 
@@ -125,7 +132,9 @@ val is_crashed : t -> bool
 
 val phase_of_link : t -> int -> Phase.phase option
 (** Current phase of the interface for the given link id; [None] when
-    the link does not leave this node or carried no data yet. *)
+    the link does not leave this node, or its interface has neither
+    forwarded a chunk nor been ticked with a live estimator since
+    creation or the last {!crash}. *)
 
 val anticipated_rate_of_link : t -> int -> float option
 (** Smoothed r_a of the interface's estimator, bps; [None] as for

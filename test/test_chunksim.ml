@@ -750,6 +750,30 @@ let prop_custody_per_flow_fifo =
       done;
       !ok && Array.for_all2 ( = ) expect counters)
 
+(* The drain's snapshot: exactly the flows holding custody, ascending,
+   whatever order the table yields them in, and into one buffer that is
+   only replaced when it is too short *)
+let prop_custody_flows_sorted =
+  QCheck.Test.make ~name:"custody_flows lists holders ascending" ~count:200
+    QCheck.(pair (list (int_range 0 500)) (list (int_range 0 500)))
+    (fun (puts, takes) ->
+      let c = Chunksim.Cache.create ~capacity:1e9 () in
+      List.iter
+        (fun flow ->
+          ignore (Chunksim.Cache.put_custody c ~flow ~idx:0 ~bits:1.))
+        puts;
+      List.iter (fun flow -> ignore (Chunksim.Cache.take_custody c ~flow)) takes;
+      let buf = ref [||] in
+      let n = Chunksim.Cache.custody_flows c buf in
+      let first = !buf in
+      let m = Chunksim.Cache.custody_flows c buf in
+      let expect =
+        List.sort_uniq Int.compare puts
+        |> List.filter (fun flow -> Chunksim.Cache.custody_backlog c ~flow > 0)
+      in
+      n = m && !buf == first
+      && Array.to_list (Array.sub !buf 0 n) = expect)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "chunksim"
@@ -820,5 +844,6 @@ let () =
             prop_rr_work_conserving;
             prop_rr_two_class_fairness;
             prop_custody_per_flow_fifo;
+            prop_custody_flows_sorted;
           ] );
     ]

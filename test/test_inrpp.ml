@@ -429,6 +429,363 @@ let test_router_handler_alloc_budget () =
       true (per_chunk <= 100.)
 
 (* ------------------------------------------------------------------ *)
+(* Periodic sweeps: ticks and drains *)
+
+module R = Inrpp.Router
+
+let chunk = Inrpp.Config.default.Inrpp.Config.chunk_bits
+
+(* fig3's node 1 with one flow on the 2 Mbps bottleneck 1->3.  Its
+   detours run via node 2 (one hop) and via node 0 (two hops);
+   [pressure] is the neighbour custody-occupancy oracle, refused at
+   0.5 and above *)
+let fig3_router pressure =
+  let g = Topology.Builders.fig3 () in
+  let eng = Sim.Engine.create () in
+  let net = Chunksim.Net.create ~queue_bits:1e12 eng g in
+  let link_state = Topology.Link_state.create g in
+  let overload =
+    { Overload.Config.default with Overload.Config.neighbor_pressure = 0.5 }
+  in
+  let r =
+    R.create ~cfg:Inrpp.Config.default ~net ~node:1
+      ~detours:(Inrpp.Detour_table.create g) ~link_state ~overload ()
+  in
+  R.set_neighbor_pressure r (fun n -> pressure.(n));
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  R.install_flow r ~flow:0 ~data_link:(Some (link 1 3))
+    ~req_link:(Some (link 1 0)) ();
+  (r, link_state, (link 1 3).Topology.Link.id)
+
+let request r nc =
+  R.handler r ~from:None (Chunksim.Packet.request ~flow:0 ~nc ~ack:0 ~ac:nc)
+
+(* A probe (tick, back-pressure absorb check, link flip) counts no
+   refusal.  A chunk denied every detour by neighbour pressure counts
+   exactly one, however many candidates pressure turned away, and a
+   held chunk counts one more for every drain round that fails to
+   evacuate it. *)
+let test_router_refusals_count_requests () =
+  (* node 2 pressured: the first candidate is refused, the second stays
+     usable, so the interface can sit in detour *)
+  let pressure = [| 0.; 0.; 1.; 0. |] in
+  let r, ls, bottleneck = fig3_router pressure in
+  let refused () = (R.counters r).R.detours_refused in
+  for k = 0 to 20 do
+    for i = 0 to 9 do
+      request r ((10 * k) + i)
+    done;
+    R.tick r;
+    Alcotest.(check bool)
+      (Printf.sprintf "held in detour at tick %d" k)
+      true
+      (R.phase_of_link r bottleneck = Some Inrpp.Phase.Detour)
+  done;
+  Alcotest.(check int) "21 detour ticks refuse nothing" 0 (refused ());
+  pressure.(0) <- 1.;
+  Topology.Link_state.set ls bottleneck ~up:false;
+  R.on_link_down r bottleneck;
+  Alcotest.(check int) "a link flip refuses nothing" 0 (refused ());
+  R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
+  Alcotest.(check int) "one chunk refused both detours" 1 (refused ());
+  Alcotest.(check int) "and went into custody" 1
+    (R.counters r).R.custody_stored;
+  R.drain r;
+  Alcotest.(check int) "its evacuation attempt is one more" 2 (refused ());
+  (* flow 1 on 1->0: its detours run via node 2 (pressured) and via
+     node 3 (first hop 1->3 down), so with 1->0 down its chunks are
+     refused into custody *)
+  let l10 =
+    (* fig3 is deterministic: link ids match the router's graph *)
+    Option.get (Topology.Graph.find_link (Topology.Builders.fig3 ()) 1 0)
+  in
+  R.install_flow r ~flow:1 ~data_link:(Some l10) ~req_link:None ();
+  Topology.Link_state.set ls l10.Topology.Link.id ~up:false;
+  R.on_link_down r l10.Topology.Link.id;
+  Alcotest.(check int) "the flip's drain re-attempts flow 0's chunk" 3
+    (refused ());
+  for idx = 0 to 2 do
+    R.originate_data r (Chunksim.Packet.data ~flow:1 ~idx ~born:0. chunk)
+  done;
+  Alcotest.(check int) "three more chunks refused" 6 (refused ());
+  (* back up: flow 1 releases one chunk per round for three rounds and
+     the fourth finds nothing, so flow 0's held chunk is refused four
+     times in that one drain *)
+  Topology.Link_state.set ls l10.Topology.Link.id ~up:true;
+  R.on_link_up r l10.Topology.Link.id;
+  Alcotest.(check int) "flow 1 drained" 3 (R.counters r).R.custody_released;
+  Alcotest.(check int) "one refusal per round" 10 (refused ());
+  R.drain r;
+  Alcotest.(check int) "and one per later drain" 11 (refused ())
+
+(* A drain skips a port it found exitless for the rest of that drain.
+   Six flows over two ports of fig3's node 1, behind eight-chunk
+   queues, so ports run out of exits part-way through drains and
+   neighbour pressure refuses some candidates (node 0 for the first
+   five drains).  Every release, with the link it left on, and the
+   counters after each drain are pinned; a drain that re-checks every
+   port every round gives the same values. *)
+let test_router_drain_skip_exact () =
+  let g = Topology.Builders.fig3 () in
+  let eng = Sim.Engine.create () in
+  let net = Chunksim.Net.create ~queue_bits:(8. *. chunk) eng g in
+  List.iter (fun n -> Chunksim.Net.set_handler net n (fun ~from:_ _ -> ()))
+    [ 0; 2; 3 ];
+  let pressure = [| 0.; 0.; 0.; 0. |] in
+  let overload =
+    { Overload.Config.default with Overload.Config.neighbor_pressure = 0.5 }
+  in
+  let tr = Chunksim.Trace.create () in
+  Chunksim.Trace.set_lifecycle tr true;
+  let r =
+    R.create ~cfg:Inrpp.Config.default ~net ~node:1
+      ~detours:(Inrpp.Detour_table.create g)
+      ~link_state:(Topology.Link_state.create g) ~overload ~trace:tr ()
+  in
+  R.set_neighbor_pressure r (fun n -> pressure.(n));
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  for f = 0 to 5 do
+    R.install_flow r ~flow:f
+      ~data_link:(Some (if f < 3 then link 1 3 else link 1 2))
+      ~req_link:None ()
+  done;
+  for idx = 0 to 9 do
+    for f = 0 to 5 do
+      R.originate_data r (Chunksim.Packet.data ~flow:f ~idx ~born:0. chunk)
+    done
+  done;
+  pressure.(0) <- 1.;
+  let log = Buffer.create 256 in
+  Chunksim.Trace.on_record tr (fun _ -> function
+    | Chunksim.Trace.Custody_released { flow; idx; _ } ->
+      Printf.bprintf log " %d.%d" flow idx
+    | Chunksim.Trace.Enqueued { link; _ } -> Printf.bprintf log ">%d" link
+    | _ -> ());
+  let steps =
+    List.init 8 (fun k ->
+        Sim.Engine.run ~until:(0.02 *. float_of_int (k + 1)) eng;
+        if k = 4 then pressure.(0) <- 0.;
+        R.drain r;
+        let c = R.counters r in
+        Printf.sprintf "%d/%d" c.R.custody_released c.R.detours_refused)
+  in
+  Alcotest.(check (list string)) "released/refused after each drain"
+    [ "0/6"; "0/12"; "0/18"; "1/29"; "7/29"; "10/29"; "13/29"; "17/29" ]
+    steps;
+  Alcotest.(check string) "flow.idx>link of every release"
+    " 0.4>8 0.5>8 1.4>1 2.4>1 3.4>1 4.4>1 5.3>1 0.6>8 1.5>1 2.5>1 0.7>8 \
+     1.6>1 2.6>1 0.8>8 1.7>1 2.7>1 3.5>1"
+    (Buffer.contents log)
+
+(* The router's tick against the per-interface step it replaced:
+   Rate_estimator.tick, then Phase.update fed an eagerly probed
+   detour_usable.  Idle intervals, request and transit bursts and
+   detour-usability flips are applied to both; r_a (bit for bit), the
+   phase and the transition count must agree after every step.  The
+   router exposes no interval count, but a skipped tick leaves r_a
+   undecayed, so r_a pins it. *)
+let prop_tick_matches_full_step =
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun k -> `Requests k) (int_bound 6));
+          (2, map (fun k -> `Transits k) (int_range 1 3));
+          (3, return `Idle);
+          (1, return `Flip);
+        ])
+  in
+  let show = function
+    | `Requests k -> Printf.sprintf "R%d" k
+    | `Transits k -> Printf.sprintf "T%d" k
+    | `Idle -> "I"
+    | `Flip -> "F"
+  in
+  QCheck.Test.make ~name:"router tick equals the full per-interface step"
+    ~count:200
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map show l))
+       QCheck.Gen.(list_size (int_range 1 60) step))
+    (fun steps ->
+      let cfg = Inrpp.Config.default in
+      let pressure = Array.make 4 0. in
+      let r, _, bottleneck = fig3_router pressure in
+      let est =
+        Inrpp.Rate_estimator.create ~ti:cfg.Inrpp.Config.ti
+          ~alpha:cfg.Inrpp.Config.estimator_alpha
+          ~capacity:(2e6 *. cfg.Inrpp.Config.speed_factor)
+      in
+      let ph =
+        Inrpp.Phase.create ~engage:cfg.Inrpp.Config.engage_ratio
+          ~release:cfg.Inrpp.Config.release_ratio
+      in
+      let nc = ref 0 in
+      let requests k =
+        for _ = 1 to k do
+          request r !nc;
+          incr nc;
+          Inrpp.Rate_estimator.note_request est ~expected_bits:chunk
+        done
+      in
+      requests 1;
+      List.for_all
+        (fun s ->
+          (match s with
+          | `Requests k -> requests k
+          | `Transits k ->
+            for _ = 1 to k do
+              R.handler r ~from:None
+                (Chunksim.Packet.data ~detour_route:[ 3 ] ~flow:0 ~idx:0
+                   ~born:0. chunk);
+              Inrpp.Rate_estimator.note_transit est ~bits:chunk
+            done
+          | `Idle -> ()
+          | `Flip ->
+            let p = if pressure.(0) > 0. then 0. else 1. in
+            pressure.(0) <- p;
+            pressure.(2) <- p);
+          R.tick r;
+          Inrpp.Rate_estimator.tick est;
+          ignore
+            (Inrpp.Phase.update ph
+               ~ratio:(Inrpp.Rate_estimator.ratio est)
+               ~detour_usable:(pressure.(0) = 0.)
+               ~custody_pressure:false ~custody_drained:true);
+          (match R.anticipated_rate_of_link r bottleneck with
+          | Some ra ->
+            Int64.equal (Int64.bits_of_float ra)
+              (Int64.bits_of_float (Inrpp.Rate_estimator.anticipated_rate est))
+          | None -> false)
+          && R.phase_of_link r bottleneck = Some (Inrpp.Phase.current ph)
+          && R.phase_transitions r = Inrpp.Phase.transitions ph)
+        steps)
+
+(* Estimators appear on first use and phases on the first tick (or the
+   first forwarded chunk); a crash clears both.  The sampler's probes
+   observe these instants, so they are pinned step by step. *)
+let test_router_port_creation () =
+  let g = Topology.Builders.line ~capacity:1e9 3 in
+  let eng = Sim.Engine.create () in
+  let net = Chunksim.Net.create ~queue_bits:1e12 eng g in
+  let r =
+    R.create ~cfg:Inrpp.Config.default ~net ~node:1
+      ~detours:(Inrpp.Detour_table.create g) ()
+  in
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  let down = (link 1 2).Topology.Link.id and up = (link 1 0).Topology.Link.id in
+  R.install_flow r ~flow:0 ~data_link:(Some (link 1 2))
+    ~req_link:(Some (link 1 0)) ();
+  let expect msg links phase =
+    Alcotest.(check (list int)) (msg ^ ": estimator links") links
+      (R.estimator_links r);
+    Alcotest.(check (option string)) (msg ^ ": data-link phase") phase
+      (Option.map Inrpp.Phase.to_string (R.phase_of_link r down));
+    Alcotest.(check (option string)) (msg ^ ": request-link phase") None
+      (Option.map Inrpp.Phase.to_string (R.phase_of_link r up))
+  in
+  expect "fresh" [] None;
+  Alcotest.(check (option string)) "a link into the node has no phase" None
+    (Option.map Inrpp.Phase.to_string
+       (R.phase_of_link r (link 0 1).Topology.Link.id));
+  R.tick r;
+  expect "tick with no estimator" [] None;
+  request r 0;
+  expect "after the first request" [ down ] None;
+  R.tick r;
+  expect "after the first tick" [ down ] (Some "push-data");
+  ignore (R.crash r ~policy:`Preserve);
+  expect "crashed" [] None;
+  R.tick r;
+  R.restart r;
+  expect "restarted" [] None;
+  R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
+  expect "a forwarded chunk" [] (Some "push-data");
+  R.tick r;
+  expect "tick after the chunk" [] (Some "push-data");
+  request r 1;
+  expect "request after restart" [ down ] (Some "push-data")
+
+(* After warm-up every EBONE interface is idle in push-data, and a tick
+   sweep allocates nothing.  A drain allocates a bounded amount per
+   chunk it releases. *)
+let test_router_sweep_alloc_budget () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let cfg = Inrpp.Config.default in
+    let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
+    let eng = Sim.Engine.create () in
+    let net =
+      Chunksim.Net.create ~queue_bits:cfg.Inrpp.Config.queue_bits eng g
+    in
+    let detours = Inrpp.Detour_table.create g in
+    let routers =
+      Array.init (Topology.Graph.node_count g) (fun node ->
+          R.create ~cfg ~net ~node ~detours ())
+    in
+    (* one request per out-link gives every interface an estimator *)
+    let flow = ref 0 in
+    Array.iteri
+      (fun node r ->
+        List.iter
+          (fun l ->
+            R.install_flow r ~flow:!flow ~data_link:(Some l) ~req_link:None ();
+            R.handler r ~from:None
+              (Chunksim.Packet.request ~flow:!flow ~nc:0 ~ack:0 ~ac:0);
+            incr flow)
+          (Topology.Graph.out_links g node))
+      routers;
+    for _ = 1 to 50 do
+      Array.iter R.tick routers
+    done;
+    Alcotest.(check bool) "every interface back in push-data" true
+      (Array.for_all
+         (fun r ->
+           List.for_all
+             (fun id -> R.phase_of_link r id = Some Inrpp.Phase.Push_data)
+             (R.estimator_links r))
+         routers);
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      Array.iter R.tick routers
+    done;
+    Alcotest.(check (float 0.)) "idle sweeps allocate nothing" 0.
+      (Gc.minor_words () -. before);
+    (* drain: eight flows parked in custody behind a four-chunk queue *)
+    let g = Topology.Builders.line ~capacity:1e9 3 in
+    let eng = Sim.Engine.create () in
+    let net = Chunksim.Net.create ~queue_bits:(4. *. chunk) eng g in
+    let r =
+      R.create ~cfg ~net ~node:0 ~detours:(Inrpp.Detour_table.create g) ()
+    in
+    Chunksim.Net.set_handler net 1 (fun ~from:_ _ -> ());
+    let l = Topology.Graph.find_link g 0 1 in
+    for f = 0 to 7 do
+      R.install_flow r ~flow:f ~data_link:l ~req_link:None ()
+    done;
+    for idx = 0 to 29 do
+      for f = 0 to 7 do
+        R.originate_data r (Chunksim.Packet.data ~flow:f ~idx ~born:0. chunk)
+      done
+    done;
+    let stored = (R.counters r).R.custody_stored in
+    Alcotest.(check bool) "custody holds a backlog" true (stored > 200);
+    let words = ref 0. in
+    while not (Chunksim.Cache.custody_is_empty (R.cache r)) do
+      Sim.Engine.run eng;
+      let before = Gc.minor_words () in
+      R.drain r;
+      words := !words +. (Gc.minor_words () -. before)
+    done;
+    let per_chunk = !words /. float_of_int (R.counters r).R.custody_released in
+    Alcotest.(check int) "every chunk released" stored
+      (R.counters r).R.custody_released;
+    Alcotest.(check bool)
+      (Printf.sprintf "drain allocation per released chunk (%.1f minor words)"
+         per_chunk)
+      true (per_chunk <= 32.)
+
+(* ------------------------------------------------------------------ *)
 (* Sender / Receiver unit behaviour *)
 
 let test_sender_paced_push () =
@@ -998,6 +1355,17 @@ let () =
         [
           Alcotest.test_case "handler alloc budget" `Quick
             test_router_handler_alloc_budget;
+          Alcotest.test_case "sweep alloc budget" `Quick
+            test_router_sweep_alloc_budget;
+        ] );
+      ( "sweeps",
+        [
+          Alcotest.test_case "refusals count requests, not probes" `Quick
+            test_router_refusals_count_requests;
+          Alcotest.test_case "drain skips exitless ports exactly" `Quick
+            test_router_drain_skip_exact;
+          Alcotest.test_case "port creation instants" `Quick
+            test_router_port_creation;
         ] );
       ( "endpoints",
         [
@@ -1036,5 +1404,6 @@ let () =
             prop_shares_are_a_distribution;
             prop_estimator_converges_under_stationary_mix;
             prop_flow_table_model;
+            prop_tick_matches_full_step;
           ] );
     ]
