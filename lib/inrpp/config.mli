@@ -79,8 +79,8 @@ type t = {
       (including nodes added by route reconvergence during an outage).
       Off by default — with teardown on, late duplicate chunks of a
       completed flow are dropped at the first stateful router instead
-      of riding to the consumer, which perturbs drop counters; the
-      millions-of-flows runs and the leak regression tests switch it
+      of riding to the consumer, which perturbs drop counters.  Only
+      the two teardown leak tests in [test/test_fault.ml] switch it
       on. *)
 }
 
@@ -89,8 +89,8 @@ val default : t
     off by default — the fault experiments enable ×2 capped at ×32),
     T_i = 40 ms, α = 0.3, engage 0.95 / release 0.75, 1-hop detours
     (+1 recursion), 20 ms flowlets, queue threshold 0.5, 4 MB cache
-    (0.7/0.3 watermarks), 64-chunk queues, full speed, SoA flow
-    store, stateful forwarding, no teardown. *)
+    (0.7/0.3 watermarks), 64-chunk queues, full speed, stateful
+    forwarding, no teardown. *)
 
 val validate : t -> (t, string) result
 (** All range checks; returns the config unchanged when valid. *)

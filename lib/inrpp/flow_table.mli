@@ -7,8 +7,8 @@
     and next hops (link {e ids}, [-1] = none), a one-byte flag
     bitfield per slot, unboxed float timestamps for the flowlet clock,
     and free-list recycling of released slots.  Steady-state cost is a
-    few dozen bytes per flow, measured and frozen by the [flows_1m]
-    benchmark.
+    few dozen bytes per flow, measured and frozen by the flow-state
+    gate in [test/test_inrpp.ml].
 
     Iteration is driven off a stdlib [Hashtbl] from flow id to slot,
     so {!iter} order — observable through the drain and fault loops —
@@ -96,6 +96,6 @@ val recycled : _ t -> int
 
 val approx_bytes : _ t -> int
 (** Estimated retained heap for the per-flow state (arrays at current
-    capacity plus hashtable overhead).  An accounting estimate for gauges and reports — the
-    frozen bytes/flow figure comes from the [flows_1m] benchmark's
-    live-words measurement, not from this. *)
+    capacity plus hashtable overhead).  An accounting estimate for
+    gauges and reports — the frozen bytes/flow figure comes from the
+    flow-state gate's live-words measurement, not from this. *)

@@ -59,8 +59,9 @@ type result = {
   (** custody admissions refused by overload control (threshold
       shedding + policy rejections); 0 without [?overload] *)
   detours_refused : int;
-  (** detour candidates refused because the neighbour was pressured;
-      0 without [?overload] *)
+  (** pressure-refused detour requests: one per chunk sent to custody
+      and one per drain round that fails to evacuate a held chunk;
+      probes count none.  0 without [?overload] *)
   collapse_episodes : int;
   (** collapse episodes the watchdog declared; 0 without a watchdog *)
   collapse_recovery_time : float option;

@@ -63,7 +63,8 @@ let make_specs g ~nflows ~seed =
   List.rev !specs
 
 type scale_result = {
-  outcome : Harness.outcome;
+  events : int;
+  summary : Obs.Json.t; (* NDJSON line: events, wall, chunks, minor words *)
   sampler_ticks : int;
   result : Inrpp.Protocol.result;
   check : Check.Invariant.t;
@@ -75,22 +76,18 @@ let run_scale ~label ~nflows ~sinks =
   let specs = make_specs g ~nflows ~seed:97 in
   let chk = Check.Invariant.create () in
   let obs = Obs.Observer.create ~sinks () in
-  let result = ref None in
-  let outcome =
-    Harness.measure label (fun () ->
-        let r =
-          Inrpp.Protocol.run ~cfg ~horizon:600. ~obs ~check:chk g specs
-        in
-        result := Some r;
-        let received =
-          Array.fold_left
-            (fun acc (f : Inrpp.Protocol.flow_result) ->
-              acc + f.Inrpp.Protocol.chunks_received)
-            0 r.Inrpp.Protocol.flows
-        in
-        (r.Inrpp.Protocol.engine_events, received))
+  Gc.compact ();
+  let minor0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let r = Inrpp.Protocol.run ~cfg ~horizon:600. ~obs ~check:chk g specs in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let minor_words = Gc.minor_words () -. minor0 in
+  let events = r.Inrpp.Protocol.engine_events in
+  let chunks =
+    Array.fold_left
+      (fun acc (f : Inrpp.Protocol.flow_result) ->
+        acc + f.Inrpp.Protocol.chunks_received)
+      0 r.Inrpp.Protocol.flows
   in
-  let r = Option.get !result in
   (* one sampler tick appends one point to every tracked series *)
   let sampler_ticks =
     List.fold_left
@@ -108,11 +105,22 @@ let run_scale ~label ~nflows ~sinks =
   Printf.printf
     "%-6s %4d flows  %9d events  %7.3fs wall  %6d ticks  sim %.2fs  \
      custody %d  bp %d/%d  drops %d\n%!"
-    label nflows outcome.Harness.events outcome.Harness.wall_s sampler_ticks
+    label nflows events wall_s sampler_ticks
     r.Inrpp.Protocol.sim_time r.Inrpp.Protocol.custody_stored
     r.Inrpp.Protocol.bp_engages r.Inrpp.Protocol.bp_releases
     r.Inrpp.Protocol.total_drops;
-  { outcome; sampler_ticks; result = r; check = chk; obs }
+  let num x = Obs.Json.Num x in
+  let summary =
+    Obs.Json.Obj
+      [
+        ("name", Obs.Json.Str label);
+        ("events", num (float_of_int events));
+        ("wall_s", num wall_s);
+        ("chunks_delivered", num (float_of_int chunks));
+        ("minor_words_per_event", num (minor_words /. float_of_int events));
+      ]
+  in
+  { events; summary; sampler_ticks; result = r; check = chk; obs }
 
 (* the full sampled series set for an ISP-zoo soak runs to gigabytes
    of NDJSON (every interface times every phase times ~7k ticks), so
@@ -128,9 +136,8 @@ let write_ndjson path small large =
     Obs.Json.to_buffer buf j;
     Buffer.add_char buf '\n'
   in
-  List.iter
-    (fun s -> line (Harness.outcome_json s.outcome))
-    [ small; large ];
+  line small.summary;
+  line large.summary;
   Obs.Export.snapshot_to_ndjson buf (Obs.Observer.snapshot large.obs);
   List.iter
     (fun s ->
@@ -356,9 +363,7 @@ let soak () =
      multiplies the event count far faster than the run lengthens, so
      the tick growth must stay well under the event growth. *)
   let ratio a b = float_of_int a /. float_of_int b in
-  let event_ratio =
-    ratio large.outcome.Harness.events small.outcome.Harness.events
-  in
+  let event_ratio = ratio large.events small.events in
   let tick_ratio = ratio large.sampler_ticks small.sampler_ticks in
   Printf.printf "event ratio %.2f, sampler tick ratio %.2f\n%!" event_ratio
     tick_ratio;

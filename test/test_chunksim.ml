@@ -344,8 +344,9 @@ let test_iface_one_event_per_packet () =
         (Sim.Engine.events_handled eng))
     [ None; Some (0.3, Sim.Rng.create 5L) ]
 
-(* per-packet allocation in the transmitter is bounded: no
-   per-packet closures, no tuples on pop (style of test_obs.ml) *)
+(* per-packet allocation in the transmitter is gated: no per-packet
+   closures, no tuples on pop.  The figure is bit-deterministic and
+   frozen with 1.25x headroom. *)
 let test_iface_alloc_budget () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
@@ -369,9 +370,10 @@ let test_iface_alloc_budget () =
     done;
     Sim.Engine.run eng;
     let per_packet = (Gc.minor_words () -. before) /. float_of_int rounds in
-    Alcotest.(check bool)
-      (Printf.sprintf "allocation per packet (%.1f minor words)" per_packet)
-      true (per_packet <= 64.)
+    let frozen = 45.0 in
+    if per_packet > 1.25 *. frozen then
+      Alcotest.failf "%.1f minor words/packet, frozen %.1f, bound %.1f"
+        per_packet frozen (1.25 *. frozen)
 
 (* An eager two-event reference transmitter: a serialisation-complete
    event pops the next packet and schedules an arrival, which kills,

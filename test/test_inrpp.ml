@@ -381,14 +381,21 @@ let test_detour_table_none_on_line () =
     (Inrpp.Detour_table.has_detour t l)
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path allocation budget *)
+(* Hot-path allocation and flow-state gates *)
+
+(* Allocation and flow-state gates: each figure is bit-deterministic at
+   fixed inputs and frozen here; a run above 1.25x the frozen figure
+   fails with the measured one. *)
+let gate what figure frozen =
+  if figure > 1.25 *. frozen then
+    Alcotest.failf "%.1f %s, frozen %.1f, bound %.1f" figure what frozen
+      (1.25 *. frozen)
 
 (* The protocol hot path is allocation-free past the packet itself:
    flow lookup is a dense-array read, phase/estimator/queue-limit are
    resolved once per flow, and push-data forwarding builds no
-   closures.  Pin it with a per-forwarded-chunk minor-word ceiling —
-   router, interface and engine included (style of the iface budget
-   test in test_chunksim.ml). *)
+   closures.  Gate its minor words per forwarded chunk, router,
+   interface and engine included. *)
 let test_router_handler_alloc_budget () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
@@ -423,10 +430,113 @@ let test_router_handler_alloc_budget () =
       Sim.Engine.run eng
     done;
     let per_chunk = (Gc.minor_words () -. before) /. float_of_int rounds in
-    Alcotest.(check bool)
-      (Printf.sprintf "allocation per forwarded chunk (%.1f minor words)"
-         per_chunk)
-      true (per_chunk <= 100.)
+    gate "minor words/chunk" per_chunk 47.0
+
+let ebone = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone
+
+(* Protocol allocation gate: eight bulk flows across EBONE, run without
+   and with the overload layer.  1000 chunks a flow keep the packet
+   path, not set-up, the bulk of the per-event quotient. *)
+let test_protocol_alloc_gate () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let n = Topology.Graph.node_count ebone in
+    let specs =
+      List.init 8 (fun i ->
+          Inrpp.Protocol.flow_spec ~src:(i * 3 mod n)
+            ~dst:((i + (n / 2)) mod n) 1000)
+    in
+    let cfg = { Inrpp.Config.default with Inrpp.Config.anticipation = 512 } in
+    List.iter
+      (fun (what, overload, frozen) ->
+        let before = Gc.minor_words () in
+        let r = Inrpp.Protocol.run ~cfg ?overload ~horizon:600. ebone specs in
+        let per_event =
+          (Gc.minor_words () -. before)
+          /. float_of_int r.Inrpp.Protocol.engine_events
+        in
+        Alcotest.(check int) (what ^ ": every flow completes") 8
+          r.Inrpp.Protocol.completed;
+        gate (what ^ " minor words/event") per_event frozen)
+      [ ("plain", None, 44.6); ("overload", Some Overload.Config.default, 54.9) ]
+
+(* Flow-state gate: 20k workload flows installed along their shortest
+   paths on the EBONE routers, then released.  Bytes per entry is the
+   compacted live-heap delta over the installs; the route plans are
+   built before the window.  Every entry must be live after the ramp,
+   none after release, and every release must recycle its slot. *)
+let test_flow_state_gate () =
+  let flows = 20_000 and n = Topology.Graph.node_count ebone in
+  let cfg = Inrpp.Config.default in
+  let net =
+    Chunksim.Net.create ~queue_bits:cfg.Inrpp.Config.queue_bits
+      (Sim.Engine.create ()) ebone
+  in
+  let detours = Inrpp.Detour_table.create ~max_intermediate:2 ebone in
+  let routers =
+    Array.init n (fun node -> Inrpp.Router.create ~cfg ~net ~node ~detours ())
+  in
+  let w =
+    {
+      Workload.Gen.default with
+      Workload.Gen.seed = 42L;
+      horizon = 3600.;
+      max_requests = flows;
+      rate = float_of_int flows;
+    }
+  in
+  (* per flow: each path node with its data and request next hops *)
+  let trees = Array.init n (Topology.Dijkstra.run ebone) in
+  let plan (r : Workload.Request.t) =
+    let path =
+      Topology.Dijkstra.path_to trees.(r.Workload.Request.src)
+        r.Workload.Request.dst
+      |> Option.get
+    in
+    let nodes = Array.of_list path.Topology.Path.nodes in
+    let links = Array.of_list path.Topology.Path.links in
+    Array.mapi
+      (fun k node ->
+        ( node,
+          (if k < Array.length links then Some links.(k) else None),
+          if k > 0 then Topology.Graph.find_link ebone node nodes.(k - 1)
+          else None ))
+      nodes
+  in
+  let plans = Array.of_seq (Seq.map plan (Workload.Gen.requests_seq w ebone)) in
+  Alcotest.(check int) "workload draws every flow" flows (Array.length plans);
+  let entries = Array.fold_left (fun acc p -> acc + Array.length p) 0 plans in
+  let total f = Array.fold_left (fun acc r -> acc + f r) 0 routers in
+  Gc.compact ();
+  let live0 = (Gc.stat ()).Gc.live_words and minor0 = Gc.minor_words () in
+  Array.iteri
+    (fun flow p ->
+      Array.iter
+        (fun (node, data_link, req_link) ->
+          Inrpp.Router.install_flow routers.(node) ~flow ~data_link
+            ~req_link ())
+        p)
+    plans;
+  let minor = Gc.minor_words () -. minor0 in
+  Gc.compact ();
+  let live1 = (Gc.stat ()).Gc.live_words in
+  Alcotest.(check int) "live after ramp" entries
+    (total Inrpp.Router.flow_entries_live);
+  Array.iteri
+    (fun flow p ->
+      Array.iter
+        (fun (node, _, _) -> Inrpp.Router.release_flow routers.(node) ~flow)
+        p)
+    plans;
+  Alcotest.(check int) "live after release" 0
+    (total Inrpp.Router.flow_entries_live);
+  Alcotest.(check int) "recycled" entries
+    (total Inrpp.Router.flow_entries_recycled);
+  let per_entry = float_of_int entries in
+  gate "bytes/entry" (float_of_int (live1 - live0) *. 8. /. per_entry) 121.7;
+  if Sys.backend_type = Sys.Native then
+    gate "minor words/entry" (minor /. per_entry) 16.5
 
 (* ------------------------------------------------------------------ *)
 (* Periodic sweeps: ticks and drains *)
@@ -1357,6 +1467,9 @@ let () =
             test_router_handler_alloc_budget;
           Alcotest.test_case "sweep alloc budget" `Quick
             test_router_sweep_alloc_budget;
+          Alcotest.test_case "protocol alloc gate" `Quick
+            test_protocol_alloc_gate;
+          Alcotest.test_case "flow-state gate" `Quick test_flow_state_gate;
         ] );
       ( "sweeps",
         [

@@ -405,6 +405,39 @@ let test_engine_max_events () =
   Sim.Engine.run ~max_events:100 e;
   Alcotest.(check int) "bounded" 100 (Sim.Engine.events_handled e)
 
+(* Engine churn allocation gate: 64 self-rescheduling timers, each tick
+   also replacing a far-future event, so the heap carries a cancelled
+   entry per timer.  Minor words per event are bit-deterministic at
+   fixed inputs; the figure is frozen with 1.25x headroom. *)
+let test_engine_churn_alloc () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let before = Gc.minor_words () in
+    let e = Sim.Engine.create () in
+    let remaining = ref 20_000 and noop () = () in
+    let doomed = Array.make 64 None in
+    for i = 0 to 63 do
+      let delay = 1e-3 +. (float_of_int i *. 1e-6) in
+      let rec tick () =
+        if !remaining > 0 then begin
+          decr remaining;
+          Option.iter Sim.Engine.cancel doomed.(i);
+          doomed.(i) <- Some (Sim.Engine.schedule e ~delay:1e6 noop);
+          ignore (Sim.Engine.schedule e ~delay tick)
+        end
+      in
+      ignore (Sim.Engine.schedule e ~delay:(float_of_int (i + 1) *. 1e-5) tick)
+    done;
+    Sim.Engine.run ~until:1e5 e;
+    let events = Sim.Engine.events_handled e in
+    let per_event = (Gc.minor_words () -. before) /. float_of_int events in
+    Alcotest.(check int) "events" 20_064 events;
+    let frozen = 38.1 in
+    if per_event > 1.25 *. frozen then
+      Alcotest.failf "%.1f minor words/event, frozen %.1f, bound %.1f"
+        per_event frozen (1.25 *. frozen)
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -623,6 +656,8 @@ let () =
           Alcotest.test_case "max events guard" `Quick test_engine_max_events;
           Alcotest.test_case "step" `Quick test_engine_step;
         ] );
+      ( "alloc gate",
+        [ Alcotest.test_case "engine churn" `Quick test_engine_churn_alloc ] );
       ( "stats",
         [
           Alcotest.test_case "running moments" `Quick test_running_moments;
