@@ -7,9 +7,10 @@ type queue =
   | Q_drr of Rr_queue.t
 
 (* The transmitter is a [next_free_at] virtual clock.  Popping a
-   packet advances the clock by its serialisation time and schedules
-   its arrival — one pre-allocated engine event per packet, no
-   per-packet closure.  Pops that fall due while no event touches the
+   packet advances the clock by its serialisation time and pushes its
+   arrival onto the interface's engine lane — one engine event per
+   packet, no per-packet closure, and only the lane's head in the
+   event heap.  Pops that fall due while no event touches the
    interface are performed lazily ("catch up") by the next send,
    delivery or state read, with the start time taken from the virtual
    clock, so queue occupancy, DRR service order, delivery timestamps
@@ -19,6 +20,17 @@ type queue =
    pending record is settled lazily.  Wire loss is decided in the
    arrival event; arrivals are FIFO, so the interface's loss stream is
    drawn in transmission order. *)
+
+(* The transmitter's floats, written on every packet: a float-only
+   record stores them unboxed, without a write barrier. *)
+type clock = {
+  mutable next_free_at : float;  (* virtual clock: busy until this time *)
+  mutable inflight_tx : float;   (* un-settled tx seconds … *)
+  mutable inflight_bits : float; (* … and bits of the newest popped packet *)
+  mutable busy_accum : float;    (* total seconds spent transmitting *)
+  mutable tx_bits_acc : float;
+}
+
 type t = {
   eng : Sim.Engine.t;
   l : Topology.Link.t;
@@ -27,13 +39,10 @@ type t = {
   prop_delay : float;
   deliver : Packet.t -> unit;
   loss : (float * Sim.Rng.t) option;
-  mutable next_free_at : float;  (* virtual clock: busy until this time *)
+  c : clock;
   mutable chain_stamp : int;     (* scheduling stamp of the send that
                                     began the current busy period *)
-  wire : Packet.t Queue.t;       (* popped packets awaiting their arrival *)
-  mutable arrive : unit -> unit; (* the shared delivery continuation *)
-  mutable inflight_tx : float;   (* un-settled tx seconds … *)
-  mutable inflight_bits : float; (* … and bits of the newest popped packet *)
+  lane : Packet.t Sim.Engine.lane; (* popped packets awaiting arrival *)
   mutable inflight_pending : bool;
   (* fault state: a downed interface refuses admission, stops popping
      its queue, and destroys whatever was already on the wire *)
@@ -46,8 +55,6 @@ type t = {
   (* profiler kind id claimed by this interface's arrival events *)
   mutable prof_kind : int;
   (* statistics *)
-  mutable busy_accum : float;    (* total seconds spent transmitting *)
-  mutable tx_bits_acc : float;
   mutable tx_packets_acc : int;
   mutable wire_loss_acc : int;
   mutable fault_drops_acc : int;
@@ -70,36 +77,37 @@ let q_push t (p : Packet.t) =
   | Q_drr d -> Rr_queue.push d ~class_id:(Packet.flow p) p
 
 (* accrue the newest popped packet once its completion time passes *)
-let settle t ~now =
-  if t.inflight_pending && t.next_free_at <= now then begin
-    t.busy_accum <- t.busy_accum +. t.inflight_tx;
-    t.tx_bits_acc <- t.tx_bits_acc +. t.inflight_bits;
+let[@inline] settle t ~now =
+  let c = t.c in
+  if t.inflight_pending && c.next_free_at <= now then begin
+    c.busy_accum <- c.busy_accum +. c.inflight_tx;
+    c.tx_bits_acc <- c.tx_bits_acc +. c.inflight_bits;
     t.tx_packets_acc <- t.tx_packets_acc + 1;
     t.inflight_pending <- false
   end
 
-(* start serialising [p] at the virtual clock and schedule its arrival.
+(* start serialising [p] at the virtual clock and push its arrival.
    The arrival lies strictly in the future: a packet only waits in the
    queue while a predecessor is on the wire, and our caller pops it no
    later than the predecessor's arrival event, so
    [next_free_at + tx + prop > predecessor arrival >= now].  The
    arrival's tie-break epoch is the completion instant — where the
-   eager two-event scheme would have scheduled the propagation — so
-   it sorts identically among simultaneous events. *)
+   eager two-event scheme would have scheduled the propagation — and
+   its parent the start, where that scheme scheduled the completion,
+   so it sorts identically among simultaneous events. *)
 let start_tx t (p : Packet.t) =
-  settle t ~now:t.next_free_at;
-  let start = t.next_free_at in
+  let c = t.c in
+  let start = c.next_free_at in
+  settle t ~now:start;
   (match t.span_tap with Some f -> f start p | None -> ());
   let tx = p.Packet.size /. t.effective_rate in
-  t.next_free_at <- start +. tx;
-  t.inflight_tx <- tx;
-  t.inflight_bits <- p.Packet.size;
+  let done_at = start +. tx in
+  c.next_free_at <- done_at;
+  c.inflight_tx <- tx;
+  c.inflight_bits <- p.Packet.size;
   t.inflight_pending <- true;
-  Queue.add p t.wire;
-  Sim.Engine.schedule_fixed_at t.eng ~epoch:t.next_free_at
-    ~parent_epoch:start ~stamp:t.chain_stamp
-    ~time:(t.next_free_at +. t.prop_delay)
-    t.arrive
+  Sim.Engine.lane_push t.lane ~time:(done_at +. t.prop_delay) ~epoch:done_at
+    ~parent:start ~stamp:t.chain_stamp p
 
 (* Is the pending completion at [next_free_at] due?  Strictly past:
    yes.  At an exact tie the eager scheme's completion event — pushed
@@ -107,9 +115,10 @@ let start_tx t (p : Packet.t) =
    sorts before the event executing right now, i.e. iff the
    transmission's start instant precedes the current event's epoch. *)
 let completion_due t ~now =
-  t.next_free_at < now
-  || (t.next_free_at = now
-      && t.next_free_at -. t.inflight_tx < Sim.Engine.current_epoch t.eng)
+  let c = t.c in
+  c.next_free_at < now
+  || (c.next_free_at = now
+      && c.next_free_at -. c.inflight_tx < Sim.Engine.current_epoch t.eng)
 
 (* perform every pop whose completion event would already have run,
    exactly as the eager transmitter would have at those instants *)
@@ -125,12 +134,11 @@ let rec catch_up t ~now =
     else settle t ~now (* down: never pop, but do accrue past work *)
   end
 
-(* the one pre-allocated continuation: deliver the oldest packet on
-   the wire (arrivals fire in FIFO order — serialisation times are
-   strictly positive, so arrival times strictly increase) *)
-let on_arrival t =
+(* the lane's handler: deliver the oldest packet on the wire (the lane
+   is FIFO — serialisation times are strictly positive, so arrival
+   times strictly increase) *)
+let on_arrival t p =
   Sim.Engine.profile_mark t.eng t.prof_kind;
-  let p = Queue.pop t.wire in
   catch_up t ~now:(Sim.Engine.now t.eng);
   (* packets that were on the wire when the link went down die at
      their would-be arrival instant (arrivals are FIFO, so the next
@@ -154,7 +162,7 @@ let on_arrival t =
    candidate set and the queue occupancy seen by any event ordered in
    between. *)
 let idle t ~now =
-  t.next_free_at < now || (t.next_free_at = now && not t.inflight_pending)
+  t.c.next_free_at < now || (t.c.next_free_at = now && not t.inflight_pending)
 
 (* begin a busy period at [now] if the transmitter is idle: arrivals
    scheduled lazily for its later packets tie-break as if pushed now *)
@@ -162,7 +170,7 @@ let start_busy_period t ~now =
   if idle t ~now then
     match q_pop t with
     | Some head ->
-      t.next_free_at <- now;
+      t.c.next_free_at <- now;
       t.chain_stamp <- Sim.Engine.stamp t.eng;
       start_tx t head
     | None -> ()
@@ -190,8 +198,9 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
   | Some (p, _) when p < 0. || p >= 1. ->
     invalid_arg "Iface.create: loss probability outside [0,1)"
   | Some _ | None -> ());
-  let t =
-    {
+  (* the lane's handler is this interface's arrival *)
+  let rec t =
+    lazy {
       eng;
       l;
       q =
@@ -203,27 +212,23 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
       prop_delay = l.Topology.Link.delay;
       deliver;
       loss;
-      next_free_at = 0.;
+      c =
+        { next_free_at = 0.; inflight_tx = 0.; inflight_bits = 0.;
+          busy_accum = 0.; tx_bits_acc = 0. };
       chain_stamp = 0;
-      wire = Queue.create ();
-      arrive = (fun () -> ());
-      inflight_tx = 0.;
-      inflight_bits = 0.;
+      lane = Sim.Engine.lane eng (fun p -> on_arrival (Lazy.force t) p);
       inflight_pending = false;
       up = true;
       kill_wire = 0;
       fault_tap = (fun _ -> ());
       span_tap = None;
       prof_kind = 0;
-      busy_accum = 0.;
-      tx_bits_acc = 0.;
       tx_packets_acc = 0;
       wire_loss_acc = 0;
       fault_drops_acc = 0;
     }
   in
-  t.arrive <- (fun () -> on_arrival t);
-  t
+  Lazy.force t
 
 (* Reads catch the virtual transmitter up first, so observed queue
    occupancy, busy state and statistics are those of an eager
@@ -247,11 +252,11 @@ let busy t =
 
 let utilisation t ~now =
   sync t;
-  if now <= 0. then 0. else t.busy_accum /. now
+  if now <= 0. then 0. else t.c.busy_accum /. now
 
 let tx_bits t =
   sync t;
-  t.tx_bits_acc
+  t.c.tx_bits_acc
 
 let tx_packets t =
   sync t;
@@ -282,7 +287,7 @@ let set_down ?(policy = `Drop_queued) t =
     sync t;
     t.up <- false;
     (* everything already on the wire dies at its arrival instant *)
-    t.kill_wire <- t.kill_wire + Queue.length t.wire;
+    t.kill_wire <- t.kill_wire + Sim.Engine.lane_length t.lane;
     match policy with
     | `Hold_queued -> ()
     | `Drop_queued ->

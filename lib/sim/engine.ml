@@ -1,10 +1,8 @@
 type t = {
   queue : (unit -> unit) Event_queue.t;
-  time_cell : float array;       (* the queue's last-popped-time cell *)
-  epoch_cell : float array;      (* … and its last-popped-epoch cell *)
-  mutable clock : float;
-  mutable cur_epoch : float;     (* epoch of the executing event;
-                                    [infinity] outside event execution *)
+  clock : float array;           (* the queue's last-pop cells: now, and
+                                    the executing event's epoch
+                                    ([infinity] outside execution) *)
   mutable handled : int;
   (* self-profiler: per-kind wall/allocation attribution.  Kind ids
      are interned at setup; handlers claim their kind with
@@ -21,12 +19,11 @@ type t = {
 
 let create () =
   let queue = Event_queue.create () in
+  (Event_queue.last_pop queue).(0) <- 0.;
+  (Event_queue.last_pop queue).(1) <- infinity;
   {
     queue;
-    time_cell = Event_queue.last_time_cell queue;
-    epoch_cell = Event_queue.last_epoch_cell queue;
-    clock = 0.;
-    cur_epoch = infinity;
+    clock = Event_queue.last_pop queue;
     handled = 0;
     prof_enabled = false;
     prof_clock = Sys.time;
@@ -37,56 +34,96 @@ let create () =
     prof_cur = 0;
   }
 
-let now t = t.clock
+let now t = t.clock.(0)
 
-let current_epoch t = t.cur_epoch
+let current_epoch t = t.clock.(1)
 
 (* Tie-break parent for an ordinary push: the executing event's own
    epoch (outside event execution, the clock itself). *)
-let push_parent t = Float.min t.cur_epoch t.clock
+let push_parent t = Float.min (current_epoch t) (now t)
 
 let schedule_at t ~time f =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
-  if time < t.clock then
+  if time < now t then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %g < now %g" time t.clock);
-  Event_queue.push t.queue ~epoch:t.clock ~parent:(push_parent t) ~time f
+      (Printf.sprintf "Engine.schedule_at: time %g < now %g" time (now t));
+  Event_queue.push t.queue ~epoch:(now t) ~parent:(push_parent t) ~time f
 
 let schedule t ~delay f =
   if Float.is_nan delay || delay < 0. then
     invalid_arg "Engine.schedule: negative or NaN delay";
-  schedule_at t ~time:(t.clock +. delay) f
+  schedule_at t ~time:(now t +. delay) f
 
 let stamp t = Event_queue.next_stamp t.queue
-
-let schedule_fixed_at ?epoch ?parent_epoch ?stamp t ~time f =
-  if Float.is_nan time then invalid_arg "Engine.schedule_fixed_at: NaN time";
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_fixed_at: time %g < now %g" time
-         t.clock);
-  let epoch =
-    match epoch with
-    | None -> t.clock
-    | Some e ->
-      if Float.is_nan e || e > time then
-        invalid_arg "Engine.schedule_fixed_at: epoch > time";
-      e
-  in
-  let parent =
-    match parent_epoch with
-    | None -> if epoch = t.clock then push_parent t else epoch
-    | Some p ->
-      if Float.is_nan p || p > epoch then
-        invalid_arg "Engine.schedule_fixed_at: parent_epoch > epoch";
-      p
-  in
-  Event_queue.push_fixed ?stamp t.queue ~epoch ~parent ~time f
 
 let schedule_fixed t ~delay f =
   if Float.is_nan delay || delay < 0. then
     invalid_arg "Engine.schedule_fixed: negative or NaN delay";
-  schedule_fixed_at t ~time:(t.clock +. delay) f
+  Event_queue.push_fixed t.queue ~epoch:(now t) ~parent:(push_parent t)
+    ~time:(now t +. delay) f
+
+(* A lane is a ring (capacity a power of two) of items with their
+   keys; only the head's event is in the queue, as [fire]. *)
+type 'a lane = {
+  eng : t;
+  mutable fire : unit -> unit;
+  mutable items : 'a array;      (* allocated on the first push *)
+  mutable keys : float array;    (* time, epoch, parent per item *)
+  mutable ints : int array;      (* stamp, seq per item *)
+  mutable head : int;
+  mutable len : int;
+}
+
+let enter_queue l i =
+  Event_queue.push_held l.eng.queue l.keys (3 * i) ~stamp:l.ints.(2 * i)
+    ~seq:l.ints.((2 * i) + 1) l.fire
+
+let lane t handler =
+  let l =
+    { eng = t; fire = ignore; items = [||]; keys = [||]; ints = [||];
+      head = 0; len = 0 }
+  in
+  l.fire <-
+    (fun () ->
+      let v = l.items.(l.head) in
+      l.head <- (l.head + 1) land (Array.length l.items - 1);
+      l.len <- l.len - 1;
+      if l.len > 0 then enter_queue l l.head;
+      handler v);
+  l
+
+(* double a full ring, unwrapping it to start at 0 *)
+let grow_lane l v =
+  let cap = Array.length l.items in
+  let n = max 8 (2 * cap) and wrap = cap - l.head in
+  let unwrap k a fill =
+    let b = Array.make (k * n) fill in
+    Array.blit a (k * l.head) b 0 (k * wrap);
+    Array.blit a 0 b (k * wrap) (k * l.head);
+    b
+  in
+  l.items <- unwrap 1 l.items v;
+  l.keys <- unwrap 3 l.keys 0.;
+  l.ints <- unwrap 2 l.ints 0;
+  l.head <- 0
+
+let lane_push l ~time ~epoch ~parent ~stamp v =
+  let last = (l.head + l.len - 1) land (Array.length l.items - 1) in
+  if not (time >= now l.eng && epoch <= time && parent <= epoch)
+     || (l.len > 0 && time <= l.keys.(3 * last))
+  then invalid_arg "Engine.lane_push: keys out of order";
+  if l.len = Array.length l.items then grow_lane l v;
+  let i = (l.head + l.len) land (Array.length l.items - 1) in
+  l.items.(i) <- v;
+  l.keys.(3 * i) <- time;
+  l.keys.((3 * i) + 1) <- epoch;
+  l.keys.((3 * i) + 2) <- parent;
+  l.ints.(2 * i) <- stamp;
+  l.ints.((2 * i) + 1) <- Event_queue.take_seq l.eng.queue;
+  l.len <- l.len + 1;
+  if l.len = 1 then enter_queue l i
+
+let lane_length l = l.len
 
 let cancel = Event_queue.cancel
 
@@ -166,15 +203,16 @@ let[@inline] profiled t f =
 
 (* ------------------------------------------------------------------ *)
 
+let no_event () = ()
+
+(* run a popped event (the pop already moved the clock to it) *)
+let[@inline] exec t f =
+  t.handled <- t.handled + 1;
+  if t.prof_enabled then profiled t f else f ()
+
 let step t =
-  match Event_queue.pop_if_before t.queue ~horizon:infinity with
-  | None -> false
-  | Some f ->
-    t.clock <- t.time_cell.(0);
-    t.cur_epoch <- t.epoch_cell.(0);
-    t.handled <- t.handled + 1;
-    if t.prof_enabled then profiled t f else f ();
-    true
+  let f = Event_queue.pop_before t.queue ~horizon:infinity ~none:no_event in
+  f != no_event && (exec t f; true)
 
 let run ?until ?(max_events = 100_000_000) t =
   let horizon = match until with Some h -> h | None -> infinity in
@@ -183,28 +221,24 @@ let run ?until ?(max_events = 100_000_000) t =
   while !continue do
     if !budget <= 0 then continue := false
     else begin
-      match Event_queue.pop_if_before t.queue ~horizon with
-      | None -> continue := false
-      | Some f ->
-        t.clock <- t.time_cell.(0);
-        t.cur_epoch <- t.epoch_cell.(0);
-        t.handled <- t.handled + 1;
-        if t.prof_enabled then profiled t f else f ();
+      let f = Event_queue.pop_before t.queue ~horizon ~none:no_event in
+      if f == no_event then continue := false
+      else begin
+        exec t f;
         decr budget
+      end
     end
   done;
   (* when stopped by the horizon or by draining the queue (not by the
      runaway guard), the clock advances to [until] per the contract
      and every event at or before the final clock has run *)
   if !budget > 0 || Event_queue.is_empty t.queue then begin
-    t.cur_epoch <- infinity;
+    t.clock.(1) <- infinity;
     match until with
-    | Some h -> t.clock <- Float.max t.clock h
+    | Some h -> t.clock.(0) <- Float.max (now t) h
     | None -> ()
   end
 
 let pending t = Event_queue.size t.queue
 
 let events_handled t = t.handled
-
-let queue_stats t = Event_queue.stats t.queue

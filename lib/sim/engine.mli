@@ -30,34 +30,13 @@ val schedule_at : t -> time:float -> (unit -> unit) -> Event_queue.handle
 
 val schedule_fixed : t -> delay:float -> (unit -> unit) -> unit
 (** Like {!schedule} for events that are never cancelled: no handle
-    is allocated or returned (see {!Event_queue.push_fixed}).  The
-    forwarding hot path uses this. *)
+    is allocated or returned (see {!Event_queue.push_fixed}). *)
 
 val stamp : t -> int
 (** Monotone scheduling stamp (the next event-queue insertion number).
     Capture it when a causal chain begins and pass it to
-    {!schedule_fixed_at} so later lazy schedules order among full ties
-    as if pushed when the chain began. *)
-
-val schedule_fixed_at :
-  ?epoch:float -> ?parent_epoch:float -> ?stamp:int -> t -> time:float ->
-  (unit -> unit) -> unit
-(** Absolute-time variant of {!schedule_fixed}.  [epoch] (default
-    [now]) positions the event among same-time ties as if it had been
-    scheduled at that instant; it may lie in the past (a lazy caller
-    scheduling an event that an equivalent eager process would have
-    scheduled earlier) but never after the event itself.
-    [parent_epoch] (default [epoch] when [epoch] is given, else the
-    executing event's epoch) breaks remaining ties: the instant at
-    which the scheduling process was itself scheduled.  The forwarding
-    fast path schedules each packet's arrival when it notices the
-    transmission started, with epoch = the transmission's completion
-    (when the eager two-event transmitter would have scheduled the
-    propagation) and parent epoch = the transmission's start (when
-    that transmitter would have scheduled the completion), so tie
-    order is preserved.
-    @raise Invalid_argument if [epoch > time], [parent_epoch > epoch]
-    or NaN. *)
+    {!lane_push} so later lazy schedules order among full ties as if
+    pushed when the chain began. *)
 
 val cancel : Event_queue.handle -> unit
 
@@ -78,6 +57,35 @@ val periodic_active : periodic -> bool
 (** [true] while ticks are still scheduled (not cancelled and [f] has
     not returned [false]). *)
 
+(** {1 Lanes}
+
+    A lane is a FIFO of never-cancelled events for one handler, with
+    strictly increasing times.  Only its head sits in the event queue,
+    and every event keeps the tie-break keys it was pushed with, so
+    events run exactly as if each were scheduled on its own (see
+    {!Event_queue.lane}).  Each interface keeps its packets on the wire
+    in one lane. *)
+
+type 'a lane
+
+val lane : t -> ('a -> unit) -> 'a lane
+(** An empty lane whose events run the handler on their item. *)
+
+val lane_push :
+  'a lane -> time:float -> epoch:float -> parent:float -> stamp:int -> 'a ->
+  unit
+(** Schedule the handler on the item at [time].  Ties break on [epoch],
+    the instant the event counts as scheduled (it may lie in the past:
+    a lazy caller pushes what an eager process would have pushed
+    then), on [parent], the instant its scheduler was scheduled, on
+    [stamp] (see {!stamp}), then on push order.
+    @raise Invalid_argument unless [now <= time],
+    [parent <= epoch <= time] and [time] exceeds every time the lane
+    still holds. *)
+
+val lane_length : 'a lane -> int
+(** Events pushed and not yet run; {!pending} counts them too. *)
+
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue.  Stops when empty, when the next event is later
     than [until], or after [max_events] handled events (a runaway
@@ -88,14 +96,10 @@ val step : t -> bool
 (** Process exactly one event; [false] when the queue is empty. *)
 
 val pending : t -> int
-(** Live scheduled events.  O(1). *)
+(** Live scheduled events, lane-held ones included.  O(1). *)
 
 val events_handled : t -> int
 (** Total events processed since creation. *)
-
-val queue_stats : t -> Event_queue.stats
-(** Scheduling / cancellation / compaction counters of the underlying
-    event queue. *)
 
 (** {1 Self-profiler}
 

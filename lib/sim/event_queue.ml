@@ -1,12 +1,14 @@
 (* Binary min-heap keyed on (time, epoch, parent, stamp, seq), with O(1) cancellation
    and O(1) size.
 
-   The heap is stored as parallel arrays: [times], [epochs] and [parents] are flat
-   float arrays (unboxed — key comparisons never chase a pointer) and
-   [data] holds the payload entries.  Each entry carries a [handle]
-   through which [cancel] updates the queue's live/dead counters
-   directly, so [size] is a field read with no scanning and no side
-   effects.
+   Heap positions hold unboxed keys only: [fkeys] keeps (time, epoch,
+   parent) and [ikeys] keeps (stamp, seq, slot), three per position.
+   Payloads and cancel handles sit in slot-indexed tables written once
+   per push, and popped slots go back on a free list, so sifting moves
+   floats and ints only: no write barrier, no allocation.  A spare
+   position past the capacity holds the entry being sifted.  Each
+   handle carries the queue's counters and [cancel] updates them
+   directly, so [size] is a field read with no scanning.
 
    The [epoch] key orders events that fire at the same instant: it is
    the (virtual) time at which the event was scheduled.  A caller that
@@ -14,25 +16,18 @@
    (time, seq) order, because epochs are then non-decreasing in push
    order.  A caller that knows an event *would* have been scheduled at
    a later instant T by an equivalent eager process may push it early
-   with [~epoch:T] and still take the same slot among same-time ties —
-   the forwarding fast path relies on this to collapse two events into
-   one without perturbing tie order.  [seq] (push order) is the final
-   tie-break.
+   with [~epoch:T] and still take the same slot among same-time ties.
+   [seq] (push order) is the final tie-break and is unique.
 
    Cancelled entries stay in the heap until they surface (lazy
    deletion) or until a compaction sweeps them out: when more than
-   half the heap is dead weight, [push] filters the arrays in place
-   and re-heapifies bottom-up.  Compaction preserves every live
-   (time, seq) key, and the pop order is a function of those keys
-   alone, so observable event order is unchanged.
-
-   Events that will never be cancelled can be scheduled through
-   [push_fixed], which shares one pre-allocated sentinel handle
-   instead of allocating a fresh one per event — the forwarding fast
-   path schedules every packet this way. *)
+   half the heap is dead weight, a push filters the positions in place
+   and re-heapifies bottom-up.  Pop order is a function of the keys
+   alone, so compaction leaves it unchanged, and so does holding an
+   event back (see [take_seq]) and pushing it later with its keys. *)
 
 type counts = {
-  mutable live : int;            (* schedulable entries in the heap *)
+  mutable live : int;            (* live events, lane-held ones included *)
   mutable dead : int;            (* cancelled entries still in the heap *)
   mutable pushed_total : int;
   mutable cancelled_total : int;
@@ -51,24 +46,18 @@ type stats = {
   compacted : int;
 }
 
-type 'a entry = {
-  seq : int;
-  stamp : int;        (* penultimate tie-break; defaults to [seq] *)
-  payload : 'a;
-  h : handle;
-}
-
 type 'a t = {
-  mutable times : float array;   (* heap order, parallel to [data] *)
-  mutable epochs : float array;  (* scheduling instants, same order *)
-  mutable parents : float array; (* the scheduler's own epochs *)
-  mutable data : 'a entry array;
+  mutable fkeys : float array;   (* by position: time, epoch, parent *)
+  mutable ikeys : int array;     (* by position: stamp, seq, slot *)
+  mutable payloads : 'a array;   (* by slot *)
+  mutable handles : handle array; (* by slot *)
+  mutable free : int array;      (* stack of unused slots *)
+  mutable nfree : int;
   mutable size_total : int;      (* entries in heap incl. cancelled *)
   mutable next_seq : int;
   counts : counts;
   fixed : handle;                (* shared handle for push_fixed *)
-  last_time : float array;       (* singleton cell: time of last pop *)
-  last_epoch : float array;      (* singleton cell: epoch of last pop *)
+  last : float array;            (* time and epoch of the last pop *)
 }
 
 let create () =
@@ -77,143 +66,160 @@ let create () =
       compactions = 0 }
   in
   {
-    times = [||];
-    epochs = [||];
-    parents = [||];
-    data = [||];
+    fkeys = [||];
+    ikeys = [||];
+    payloads = [||];
+    handles = [||];
+    free = [||];
+    nfree = 0;
     size_total = 0;
     next_seq = 0;
     counts;
     fixed = { cancelled = false; in_heap = true; counts };
-    last_time = [| nan |];
-    last_epoch = [| nan |];
+    last = [| nan; nan |];
   }
 
-let entry_before t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j)
-      && (t.epochs.(i) < t.epochs.(j)
-          || (t.epochs.(i) = t.epochs.(j)
-              && (t.parents.(i) < t.parents.(j)
-                  || (t.parents.(i) = t.parents.(j)
-                      && (t.data.(i).stamp < t.data.(j).stamp
-                          || (t.data.(i).stamp = t.data.(j).stamp
-                              && t.data.(i).seq < t.data.(j).seq)))))))
+let[@inline] spare t = Array.length t.payloads
 
-let swap t i j =
-  let tt = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tt;
-  let te = t.epochs.(i) in
-  t.epochs.(i) <- t.epochs.(j);
-  t.epochs.(j) <- te;
-  let tp = t.parents.(i) in
-  t.parents.(i) <- t.parents.(j);
-  t.parents.(j) <- tp;
-  let tmp = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- tmp
+let[@inline] before (fk : float array) (ik : int array) a b =
+  let a = 3 * a and b = 3 * b in
+  fk.(a) < fk.(b)
+  || fk.(a) = fk.(b)
+     && (fk.(a + 1) < fk.(b + 1)
+        || fk.(a + 1) = fk.(b + 1)
+           && (fk.(a + 2) < fk.(b + 2)
+              || fk.(a + 2) = fk.(b + 2)
+                 && (ik.(a) < ik.(b) || (ik.(a) = ik.(b) && ik.(a + 1) < ik.(b + 1)))))
 
+let[@inline] move (fk : float array) (ik : int array) ~src ~dst =
+  let s = 3 * src and d = 3 * dst in
+  fk.(d) <- fk.(s);
+  fk.(d + 1) <- fk.(s + 1);
+  fk.(d + 2) <- fk.(s + 2);
+  ik.(d) <- ik.(s);
+  ik.(d + 1) <- ik.(s + 1);
+  ik.(d + 2) <- ik.(s + 2)
+
+(* settle the spare entry at or above the hole at [start] *)
 let sift_up t start =
+  let fk = t.fkeys and ik = t.ikeys and s = spare t in
   let i = ref start in
-  while !i > 0 && entry_before t !i ((!i - 1) / 2) do
-    swap t !i ((!i - 1) / 2);
+  while !i > 0 && before fk ik s ((!i - 1) / 2) do
+    move fk ik ~src:((!i - 1) / 2) ~dst:!i;
     i := (!i - 1) / 2
-  done
+  done;
+  move fk ik ~src:s ~dst:!i
 
+(* settle the spare entry at or below the hole at [start] *)
 let sift_down t start =
-  let i = ref start in
-  let continue = ref true in
+  let fk = t.fkeys and ik = t.ikeys and s = spare t and n = t.size_total in
+  let i = ref start and continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.size_total && entry_before t l !smallest then smallest := l;
-    if r < t.size_total && entry_before t r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap t !i !smallest;
-      i := !smallest
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < n && before fk ik (l + 1) l then l + 1 else l in
+    if c < n && before fk ik c s then begin
+      move fk ik ~src:c ~dst:!i;
+      i := c
     end
     else continue := false
-  done
+  done;
+  move fk ik ~src:s ~dst:!i
 
-let ensure_capacity t e =
-  let cap = Array.length t.data in
-  if cap = 0 then begin
-    t.times <- Array.make 16 0.;
-    t.epochs <- Array.make 16 0.;
-    t.parents <- Array.make 16 0.;
-    t.data <- Array.make 16 e
-  end
-  else if t.size_total = cap then begin
-    let times = Array.make (2 * cap) 0. in
-    Array.blit t.times 0 times 0 cap;
-    t.times <- times;
-    let epochs = Array.make (2 * cap) 0. in
-    Array.blit t.epochs 0 epochs 0 cap;
-    t.epochs <- epochs;
-    let parents = Array.make (2 * cap) 0. in
-    Array.blit t.parents 0 parents 0 cap;
-    t.parents <- parents;
-    let data = Array.make (2 * cap) t.data.(0) in
-    Array.blit t.data 0 data 0 cap;
-    t.data <- data
-  end
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow t v =
+  let cap = Array.length t.payloads in
+  let ncap = max 16 (2 * cap) in
+  t.fkeys <- extend t.fkeys (3 * (ncap + 1)) 0.;
+  t.ikeys <- extend t.ikeys (3 * (ncap + 1)) 0;
+  t.payloads <- extend t.payloads ncap v;
+  t.handles <- extend t.handles ncap t.fixed;
+  (* a full heap uses every old slot, so the new ones are all free *)
+  t.free <- Array.init ncap (fun k -> ncap - 1 - k);
+  t.nfree <- ncap - cap
+
+let release_slot t slot =
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1
 
 (* Drop cancelled entries in place and rebuild the heap bottom-up
    (Floyd).  Live keys are untouched, so pop order is preserved. *)
 let compact t =
+  let fk = t.fkeys and ik = t.ikeys in
   let n = ref 0 in
   for i = 0 to t.size_total - 1 do
-    let e = t.data.(i) in
-    if e.h.cancelled then e.h.in_heap <- false
+    let h = t.handles.(ik.((3 * i) + 2)) in
+    if h.cancelled then begin
+      h.in_heap <- false;
+      release_slot t ik.((3 * i) + 2)
+    end
     else begin
-      t.times.(!n) <- t.times.(i);
-      t.epochs.(!n) <- t.epochs.(i);
-      t.parents.(!n) <- t.parents.(i);
-      t.data.(!n) <- e;
+      move fk ik ~src:i ~dst:!n;
       incr n
     end
   done;
   t.size_total <- !n;
   t.counts.dead <- 0;
   for i = (!n / 2) - 1 downto 0 do
+    move fk ik ~src:i ~dst:(spare t);
     sift_down t i
   done;
   t.counts.compactions <- t.counts.compactions + 1
 
-(* compaction threshold: worth a sweep once the heap is mostly dead
-   weight, and big enough that the O(n) cost is amortised *)
-let needs_compaction t =
-  t.size_total >= 64 && 2 * t.counts.dead > t.size_total
+(* Make room for one entry; the caller then writes its float keys at
+   the spare position and calls [insert].  Compaction is worth a sweep
+   once the heap is mostly dead weight and big enough to amortise it. *)
+let[@inline] make_room t v =
+  if t.size_total >= 64 && 2 * t.counts.dead > t.size_total then compact t;
+  if t.nfree = 0 then grow t v;
+  spare t
 
-let push_entry t ~time ~epoch ~parent e =
-  if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  if needs_compaction t then compact t;
-  ensure_capacity t e;
-  t.times.(t.size_total) <- time;
-  t.epochs.(t.size_total) <- epoch;
-  t.parents.(t.size_total) <- parent;
-  t.data.(t.size_total) <- e;
+let insert t ~stamp ~seq h v =
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) and s = 3 * spare t in
+  t.payloads.(slot) <- v;
+  t.handles.(slot) <- h;
+  t.ikeys.(s) <- stamp;
+  t.ikeys.(s + 1) <- seq;
+  t.ikeys.(s + 2) <- slot;
   t.size_total <- t.size_total + 1;
+  sift_up t (t.size_total - 1)
+
+let[@inline] take_seq t =
   t.counts.live <- t.counts.live + 1;
   t.counts.pushed_total <- t.counts.pushed_total + 1;
-  sift_up t (t.size_total - 1)
+  t.next_seq <- t.next_seq + 1;
+  t.next_seq - 1
+
+let push_entry t ~time ~epoch ~parent ~stamp h v =
+  if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
+  let s = 3 * make_room t v in
+  t.fkeys.(s) <- time;
+  t.fkeys.(s + 1) <- epoch;
+  t.fkeys.(s + 2) <- parent;
+  insert t ~stamp ~seq:(take_seq t) h v
 
 let push ?(epoch = neg_infinity) ?(parent = neg_infinity) t ~time payload =
   let h = { cancelled = false; in_heap = true; counts = t.counts } in
-  push_entry t ~time ~epoch ~parent
-    { seq = t.next_seq; stamp = t.next_seq; payload; h };
-  t.next_seq <- t.next_seq + 1;
+  push_entry t ~time ~epoch ~parent ~stamp:t.next_seq h payload;
   h
 
 let push_fixed ?(epoch = neg_infinity) ?(parent = neg_infinity) ?stamp t
     ~time payload =
   let stamp = match stamp with Some s -> s | None -> t.next_seq in
-  push_entry t ~time ~epoch ~parent
-    { seq = t.next_seq; stamp; payload; h = t.fixed };
-  t.next_seq <- t.next_seq + 1
+  push_entry t ~time ~epoch ~parent ~stamp t.fixed payload
 
 let next_stamp t = t.next_seq
+
+let push_held t keys i ~stamp ~seq v =
+  let s = 3 * make_room t v in
+  t.fkeys.(s) <- keys.(i);
+  t.fkeys.(s + 1) <- keys.(i + 1);
+  t.fkeys.(s + 2) <- keys.(i + 2);
+  insert t ~stamp ~seq t.fixed v
 
 let cancel (h : handle) =
   if not h.cancelled then begin
@@ -227,59 +233,55 @@ let cancel (h : handle) =
 
 let is_cancelled (h : handle) = h.cancelled
 
+(* remove the root, recycling its slot *)
 let remove_top t =
+  release_slot t t.ikeys.(2);
   t.size_total <- t.size_total - 1;
   if t.size_total > 0 then begin
-    t.times.(0) <- t.times.(t.size_total);
-    t.epochs.(0) <- t.epochs.(t.size_total);
-    t.parents.(0) <- t.parents.(t.size_total);
-    t.data.(0) <- t.data.(t.size_total);
+    move t.fkeys t.ikeys ~src:t.size_total ~dst:(spare t);
     sift_down t 0
   end
 
 (* surface a live entry at the top, discarding cancelled ones *)
 let rec clean_top t =
   if t.size_total > 0 then begin
-    let e = t.data.(0) in
-    if e.h.cancelled then begin
-      e.h.in_heap <- false;
+    let h = t.handles.(t.ikeys.(2)) in
+    if h.cancelled then begin
+      h.in_heap <- false;
       t.counts.dead <- t.counts.dead - 1;
       remove_top t;
       clean_top t
     end
   end
 
-(* Engine fast path: pop the earliest live event if it is due at or
-   before [horizon]; its time lands in the [last_time] cell (read it
-   via [last_popped_time] / the cell from [last_time_cell]) so the
-   caller pays no option-of-tuple allocation for the timestamp. *)
-let pop_if_before t ~horizon =
+(* Pop the earliest live event due by [horizon] and return its slot,
+   valid until the next push (-1 when there is none). *)
+let pop_slot t ~horizon =
   clean_top t;
-  if t.size_total = 0 || t.times.(0) > horizon then None
+  if t.size_total = 0 || t.fkeys.(0) > horizon then -1
   else begin
-    let e = t.data.(0) in
-    t.last_time.(0) <- t.times.(0);
-    t.last_epoch.(0) <- t.epochs.(0);
-    e.h.in_heap <- false;
+    let slot = t.ikeys.(2) in
+    t.last.(0) <- t.fkeys.(0);
+    t.last.(1) <- t.fkeys.(1);
+    t.handles.(slot).in_heap <- false;
     t.counts.live <- t.counts.live - 1;
     remove_top t;
-    Some e.payload
+    slot
   end
 
-let last_popped_time t = t.last_time.(0)
+let pop_before t ~horizon ~none =
+  let slot = pop_slot t ~horizon in
+  if slot < 0 then none else t.payloads.(slot)
 
-let last_time_cell t = t.last_time
-
-let last_epoch_cell t = t.last_epoch
+let last_pop t = t.last
 
 let pop t =
-  match pop_if_before t ~horizon:infinity with
-  | None -> None
-  | Some payload -> Some (t.last_time.(0), payload)
+  let slot = pop_slot t ~horizon:infinity in
+  if slot < 0 then None else Some (t.last.(0), t.payloads.(slot))
 
 let peek_time t =
   clean_top t;
-  if t.size_total = 0 then None else Some t.times.(0)
+  if t.size_total = 0 then None else Some t.fkeys.(0)
 
 let size t = t.counts.live
 

@@ -1,7 +1,7 @@
 (** Priority queue of timestamped events (binary min-heap).
 
     Ties on time break by scheduling epoch, then by the scheduler's
-    own epoch ([parent]), then by insertion sequence number, so
+    own epoch ([parent]), then by stamp and insertion sequence number, so
     simultaneous events run FIFO in scheduling order —
     important for reproducibility of the discrete-event simulators.
     The epoch is the (virtual) instant the event was scheduled at:
@@ -9,11 +9,12 @@
     plain FIFO order, while a caller that knows an event would have
     been scheduled at a later instant by an equivalent eager process
     may push it early and still occupy the same slot among same-time
-    ties (the forwarding fast path depends on this).  Cancellation is
+    ties (the interface transmitter depends on this).  Cancellation is
     O(1) lazy: cancelled handles are skipped when they surface, and
     the heap is compacted in place once cancelled entries outnumber
     live ones.  [size] and [is_empty] are O(1): the handle carries the
-    queue's counters and updates them at cancel time. *)
+    queue's counters and updates them at cancel time.  Sifting moves
+    unboxed keys only, so it needs no write barrier. *)
 
 type 'a t
 
@@ -40,11 +41,10 @@ val push_fixed :
   ?epoch:float -> ?parent:float -> ?stamp:int -> 'a t -> time:float -> 'a ->
   unit
 (** Like {!push} for events that will never be cancelled: shares one
-    sentinel handle instead of allocating one per event.  The hot
-    forwarding path schedules every packet this way.  [stamp] (default
-    the entry's own insertion number) is the penultimate tie-break,
-    letting a lazy caller order an event as if it had been pushed when
-    its causal chain began (see {!next_stamp}). *)
+    sentinel handle instead of allocating one per event.  [stamp]
+    (default the entry's own insertion number) is the penultimate
+    tie-break, letting a lazy caller order an event as if it had been
+    pushed when its causal chain began (see {!next_stamp}). *)
 
 val next_stamp : 'a t -> int
 (** The stamp the next push will receive — capture it to order later
@@ -59,34 +59,45 @@ val is_cancelled : handle -> bool
 val pop : 'a t -> (float * 'a) option
 (** Earliest live event, removed.  [None] when empty. *)
 
-val pop_if_before : 'a t -> horizon:float -> 'a option
+val pop_before : 'a t -> horizon:float -> none:'a -> 'a
 (** Earliest live event, removed, provided its time is [<= horizon];
-    [None] when empty or the next event lies beyond the horizon.  The
-    popped time is stored in the queue's last-time cell (see
-    {!last_popped_time}) instead of being returned, so the caller
-    pays no tuple allocation.  Pass [infinity] for an unbounded pop. *)
+    [none] (compare physically) when empty or the next event lies
+    beyond the horizon.  The popped time goes to {!last_pop} instead of
+    being returned, so the pop allocates nothing.  Pass [infinity] for
+    an unbounded pop. *)
 
-val last_popped_time : 'a t -> float
-(** Time of the most recent successful {!pop} / {!pop_if_before};
-    NaN before the first pop. *)
-
-val last_time_cell : 'a t -> float array
-(** The singleton cell behind {!last_popped_time}, for callers that
-    read it on every event and want to skip the function call (the
-    engine's run loop).  Do not write to it. *)
-
-val last_epoch_cell : 'a t -> float array
-(** Singleton cell holding the scheduling epoch of the most recently
-    popped event; NaN before the first pop.  Do not write to it. *)
+val last_pop : 'a t -> float array
+(** Two cells, written by every successful pop: its time and epoch
+    (NaN before the first).  The queue never reads them, so its owner
+    may keep its clock there (the engine does). *)
 
 val peek_time : 'a t -> float option
 (** Time of the earliest live event without removing it. *)
 
 val size : 'a t -> int
-(** Live (non-cancelled) entries.  O(1), no side effects. *)
+(** Live (non-cancelled) entries, held ones included.  O(1), no side
+    effects. *)
 
 val is_empty : 'a t -> bool
 (** O(1). *)
 
 val stats : 'a t -> stats
 (** Scheduling / cancellation / compaction counters since [create]. *)
+
+(** {1 Held events}
+
+    A caller may hold an event back and push it later with the keys it
+    would have had (the engine's lanes do).  Pop order is a function of
+    the keys alone, so it is exactly that of pushing the event at once,
+    provided it enters the heap before anything that sorts after it
+    pops. *)
+
+val take_seq : 'a t -> int
+(** The insertion number of a new held event, which counts as live
+    (see {!size}) and scheduled from now on. *)
+
+val push_held :
+  'a t -> float array -> int -> stamp:int -> seq:int -> 'a -> unit
+(** [push_held q keys i ~stamp ~seq v] pushes a held event that will
+    never be cancelled: its time, epoch and parent are [keys.(i)],
+    [keys.(i+1)] and [keys.(i+2)], and [seq] came from {!take_seq}. *)

@@ -370,7 +370,7 @@ let test_iface_alloc_budget () =
     done;
     Sim.Engine.run eng;
     let per_packet = (Gc.minor_words () -. before) /. float_of_int rounds in
-    let frozen = 45.0 in
+    let frozen = 23.0 in
     if per_packet > 1.25 *. frozen then
       Alcotest.failf "%.1f minor words/packet, frozen %.1f, bound %.1f"
         per_packet frozen (1.25 *. frozen)

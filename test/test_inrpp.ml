@@ -430,7 +430,7 @@ let test_router_handler_alloc_budget () =
       Sim.Engine.run eng
     done;
     let per_chunk = (Gc.minor_words () -. before) /. float_of_int rounds in
-    gate "minor words/chunk" per_chunk 47.0
+    gate "minor words/chunk" per_chunk 23.0
 
 let ebone = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone
 
@@ -459,7 +459,7 @@ let test_protocol_alloc_gate () =
         Alcotest.(check int) (what ^ ": every flow completes") 8
           r.Inrpp.Protocol.completed;
         gate (what ^ " minor words/event") per_event frozen)
-      [ ("plain", None, 44.6); ("overload", Some Overload.Config.default, 54.9) ]
+      [ ("plain", None, 30.8); ("overload", Some Overload.Config.default, 40.8) ]
 
 (* Flow-state gate: 20k workload flows installed along their shortest
    paths on the EBONE routers, then released.  Bytes per entry is the

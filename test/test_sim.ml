@@ -433,10 +433,294 @@ let test_engine_churn_alloc () =
     let events = Sim.Engine.events_handled e in
     let per_event = (Gc.minor_words () -. before) /. float_of_int events in
     Alcotest.(check int) "events" 20_064 events;
-    let frozen = 38.1 in
+    let frozen = 30.1 in
     if per_event > 1.25 *. frozen then
       Alcotest.failf "%.1f minor words/event, frozen %.1f, bound %.1f"
         per_event frozen (1.25 *. frozen)
+
+(* ------------------------------------------------------------------ *)
+(* Event order: the five-key queue against a model that pops the least
+   key tuple, and engine lanes against the same events pushed one by
+   one *)
+
+type queue_op =
+  | Push of int * int * int              (* time, epoch, parent grid steps *)
+  | Push_fixed of int * int * int * int  (* … and a stamp *)
+  | Cancel of int                        (* even: a live handle; odd: a spent one *)
+  | Pop
+
+let show_queue_op = function
+  | Push (t, e, p) -> Printf.sprintf "push(%d,%d,%d)" t e p
+  | Push_fixed (t, e, p, s) -> Printf.sprintf "fixed(%d,%d,%d,s%d)" t e p s
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Pop -> "pop"
+
+(* coarse grids (6 times, 3 epochs, 3 parents, 4 stamps) so every tie
+   level is hit; a push-heavy phase then a cancel-heavy one, so most
+   runs pass the compaction threshold (64 entries, over half dead) *)
+let queue_ops =
+  let open QCheck.Gen in
+  let key = triple (int_bound 5) (int_bound 2) (int_bound 2) in
+  let phase ~push ~fixed ~cancel ~pop n =
+    list_size n
+      (frequency
+         [
+           (push, map (fun (t, e, p) -> Push (t, e, p)) key);
+           (fixed, map2 (fun (t, e, p) s -> Push_fixed (t, e, p, s)) key (int_bound 3));
+           (cancel, map (fun k -> Cancel k) (int_bound 1_000));
+           (pop, return Pop);
+         ])
+  in
+  map2 ( @ )
+    (phase ~push:7 ~fixed:2 ~cancel:1 ~pop:1 (int_range 120 250))
+    (phase ~push:1 ~fixed:1 ~cancel:8 ~pop:1 (int_range 150 300))
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"five-key order matches a model" ~count:200
+    (QCheck.make ~print:(QCheck.Print.list show_queue_op) queue_ops)
+    (fun ops ->
+      let module Q = Sim.Event_queue in
+      let q = Q.create () in
+      let grid i = float_of_int i *. 0.25 in
+      (* live entries as ((time, epoch, parent, stamp, seq), seq); the
+         payload is the seq *)
+      let model = ref [] and live = ref [] and spent = ref [] in
+      let seq = ref 0 in
+      let add key = model := (key, !seq) :: !model; incr seq in
+      let forget id =
+        model := List.filter (fun (_, i) -> i <> id) !model;
+        match List.assoc_opt id !live with
+        | Some h ->
+          live := List.remove_assoc id !live;
+          spent := h :: !spent
+        | None -> ()
+      in
+      let check_state () =
+        let n = List.length !model in
+        if Q.size q <> n then
+          QCheck.Test.fail_reportf "size %d, model %d" (Q.size q) n;
+        if Q.is_empty q <> (n = 0) then
+          QCheck.Test.fail_report "is_empty disagrees with the model";
+        let min_time =
+          List.fold_left
+            (fun acc ((t, _, _, _, _), _) ->
+              Some (match acc with Some m -> Float.min m t | None -> t))
+            None !model
+        in
+        if Q.peek_time q <> min_time then
+          QCheck.Test.fail_report "peek_time disagrees with the model"
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push (t, e, p) ->
+            let h = Q.push q ~epoch:(grid e) ~parent:(grid p) ~time:(grid t) !seq in
+            live := (!seq, h) :: !live;
+            add (grid t, grid e, grid p, !seq, !seq)
+          | Push_fixed (t, e, p, s) ->
+            Q.push_fixed q ~epoch:(grid e) ~parent:(grid p) ~stamp:s ~time:(grid t) !seq;
+            add (grid t, grid e, grid p, s, !seq)
+          | Cancel k when k mod 2 = 0 -> (
+            match !live with
+            | [] -> ()
+            | hs ->
+              let id, h = List.nth hs (k / 2 mod List.length hs) in
+              Q.cancel h;
+              forget id)
+          | Cancel k -> (
+            (* cancelling a popped or cancelled handle changes nothing *)
+            match !spent with
+            | [] -> ()
+            | hs -> Q.cancel (List.nth hs (k / 2 mod List.length hs)))
+          | Pop -> (
+            let expected =
+              List.fold_left
+                (fun acc (key, id) ->
+                  match acc with
+                  | Some (k, _) when compare k key <= 0 -> acc
+                  | _ -> Some (key, id))
+                None !model
+            in
+            match (Q.pop q, expected) with
+            | None, None -> ()
+            | Some (t, id), Some ((et, _, _, _, _), eid) ->
+              if id <> eid || t <> et then
+                QCheck.Test.fail_reportf "popped %d at %g, model %d at %g"
+                  id t eid et;
+              forget id
+            | Some _, None -> QCheck.Test.fail_report "popped from an empty model"
+            | None, Some _ -> QCheck.Test.fail_report "empty, model is not"));
+          check_state ())
+        ops;
+      true)
+
+(* A random scenario run twice: through an engine whose lane events
+   sit in lanes, and through a plain queue where every lane event is
+   pushed on its own with the same keys, the same stamp and (being
+   pushed at the same moment) the same seq.  Timers, periodic ticks
+   and lane events share one 0.25 s grid of times, epochs and parents,
+   so ties cross lanes and timers at every level.  Each handled event
+   logs (source, item, time, pending). *)
+type scheduler = {
+  now : unit -> float;
+  stamp : unit -> int;
+  pending : unit -> int;
+  lane_push :
+    int -> time:float -> epoch:float -> parent:float -> stamp:int -> int -> unit;
+  after : float -> (unit -> unit) -> unit;
+  every : float -> (unit -> bool) -> unit;
+}
+
+let lanes = 3
+
+(* returns the lane handler, which the scheduler calls per lane event *)
+let lane_scenario ~seed d ~log =
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  let g = 0.25 in
+  let step () = g *. float_of_int (Sim.Rng.int rng 3) in
+  let last = Array.make lanes neg_infinity and chain = Array.make lanes 0 in
+  let budget = ref 300 and item = ref 0 and timer = ref 0 in
+  let push_lane l =
+    let now = d.now () in
+    let time = Float.max (now +. step ()) (last.(l) +. g) in
+    last.(l) <- time;
+    let epoch = time -. step () in
+    let parent = epoch -. step () in
+    if Sim.Rng.int rng 4 = 0 then chain.(l) <- d.stamp ();
+    let stamp = if Sim.Rng.bool rng then chain.(l) else d.stamp () in
+    incr item;
+    d.lane_push l ~time ~epoch ~parent ~stamp !item
+  in
+  let record src id = log := (src, id, d.now (), d.pending ()) :: !log in
+  let rec react () =
+    if !budget > 0 then begin
+      decr budget;
+      match Sim.Rng.int rng 6 with
+      | 0 | 1 | 2 -> push_lane (Sim.Rng.int rng lanes)
+      | 3 -> push_lane (Sim.Rng.int rng lanes); push_lane (Sim.Rng.int rng lanes)
+      | 4 ->
+        incr timer;
+        let id = !timer in
+        d.after (step ()) (fun () -> record (-1) id; react ())
+      | _ -> ()
+    end
+  in
+  for _ = 1 to 6 do push_lane (Sim.Rng.int rng lanes) done;
+  List.iter
+    (fun (id, interval) ->
+      let ticks = ref 20 in
+      d.every interval (fun () ->
+          record (-2) id;
+          react ();
+          decr ticks;
+          !ticks > 0))
+    [ (1, g); (2, 2. *. g) ];
+  d.after 0. (fun () -> record (-1) 0; react ());
+  fun l i -> record l i; react ()
+
+let run_with_lanes ~seed =
+  let e = Sim.Engine.create () and log = ref [] in
+  let handler = ref (fun _ _ -> ()) in
+  let ls = Array.init lanes (fun l -> Sim.Engine.lane e (fun i -> !handler l i)) in
+  let d =
+    {
+      now = (fun () -> Sim.Engine.now e);
+      stamp = (fun () -> Sim.Engine.stamp e);
+      pending = (fun () -> Sim.Engine.pending e);
+      lane_push = (fun l -> Sim.Engine.lane_push ls.(l));
+      after = (fun delay f -> ignore (Sim.Engine.schedule e ~delay f));
+      every = (fun interval f -> ignore (Sim.Engine.schedule_periodic e ~interval f));
+    }
+  in
+  handler := lane_scenario ~seed d ~log;
+  Sim.Engine.run e;
+  List.rev !log
+
+(* the reference: the engine's scheduling rules over one plain queue *)
+let run_plain ~seed =
+  let q = Sim.Event_queue.create () and log = ref [] in
+  let now = ref 0. and epoch = ref infinity in
+  let after delay f =
+    ignore
+      (Sim.Event_queue.push q ~epoch:!now ~parent:(Float.min !epoch !now)
+         ~time:(!now +. delay) f)
+  in
+  let handler = ref (fun _ _ -> ()) in
+  let d =
+    {
+      now = (fun () -> !now);
+      stamp = (fun () -> Sim.Event_queue.next_stamp q);
+      pending = (fun () -> Sim.Event_queue.size q);
+      lane_push =
+        (fun l ~time ~epoch ~parent ~stamp i ->
+          Sim.Event_queue.push_fixed q ~epoch ~parent ~stamp ~time (fun () ->
+              !handler l i));
+      after;
+      every =
+        (fun interval f ->
+          let rec tick () = if f () then after interval tick in
+          after interval tick);
+    }
+  in
+  handler := lane_scenario ~seed d ~log;
+  let rec loop () =
+    match Sim.Event_queue.pop q with
+    | Some (t, f) ->
+      now := t;
+      epoch := (Sim.Event_queue.last_pop q).(1);
+      f ();
+      loop ()
+    | None -> ()
+  in
+  loop ();
+  List.rev !log
+
+let prop_lanes_equal_plain =
+  QCheck.Test.make ~name:"lanes pop as plain pushes would" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let a = run_with_lanes ~seed and b = run_plain ~seed in
+      if a <> b then begin
+        let rec first i = function
+          | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+          | _ -> i
+        in
+        QCheck.Test.fail_reportf "diverge at event %d of %d/%d"
+          (first 0 (a, b)) (List.length a) (List.length b)
+      end;
+      List.length a > 300)
+
+let test_lane_contract () =
+  let e = Sim.Engine.create () and got = ref [] in
+  let l = Sim.Engine.lane e (fun i -> got := (i, Sim.Engine.now e) :: !got) in
+  let push ?(epoch = 0.) time i =
+    Sim.Engine.lane_push l ~time ~epoch ~parent:0. ~stamp:(Sim.Engine.stamp e) i
+  in
+  push 1. 1;
+  push 2. 2;
+  push 3. 3;
+  ignore (Sim.Engine.schedule e ~delay:5. ignore);
+  Alcotest.(check int) "lane length" 3 (Sim.Engine.lane_length l);
+  Alcotest.(check int) "pending counts lane-held events" 4
+    (Sim.Engine.pending e);
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "equal time" (fun () -> push 3. 9);
+  rejects "earlier time" (fun () -> push 2.5 9);
+  rejects "NaN time" (fun () -> push Float.nan 9);
+  rejects "epoch after time" (fun () -> push ~epoch:5. 4. 9);
+  Alcotest.(check int) "rejected pushes leave no trace" 4 (Sim.Engine.pending e);
+  Alcotest.(check bool) "step" true (Sim.Engine.step e);
+  Alcotest.(check int) "pending after one" 3 (Sim.Engine.pending e);
+  rejects "time before now" (fun () -> push 0.5 9);
+  Sim.Engine.run e;
+  Alcotest.(check (list (pair int (float 0.)))) "FIFO at their times"
+    [ (1, 1.); (2, 2.); (3, 3.) ] (List.rev !got);
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending e);
+  Alcotest.(check int) "lane empty" 0 (Sim.Engine.lane_length l)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -562,19 +846,6 @@ let prop_running_mean_bounded =
       m >= Sim.Stats.Running.min s -. 1e-6
       && m <= Sim.Stats.Running.max s +. 1e-6)
 
-let prop_queue_pops_sorted =
-  QCheck.Test.make ~name:"event queue pops in sorted order" ~count:100
-    QCheck.(list (float_bound_exclusive 1e6))
-    (fun ts ->
-      let q = Sim.Event_queue.create () in
-      List.iter (fun t -> ignore (Sim.Event_queue.push q ~time:t ())) ts;
-      let rec drain last =
-        match Sim.Event_queue.pop q with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
-      in
-      drain neg_infinity)
-
 let prop_timeline_integral_additive =
   QCheck.Test.make ~name:"timeline integral is additive over records" ~count:200
     QCheck.(list (pair (float_bound_inclusive 10.) (float_bound_inclusive 100.)))
@@ -658,6 +929,9 @@ let () =
         ] );
       ( "alloc gate",
         [ Alcotest.test_case "engine churn" `Quick test_engine_churn_alloc ] );
+      ( "event order",
+        qc [ prop_queue_model; prop_lanes_equal_plain ]
+        @ [ Alcotest.test_case "lane contract" `Quick test_lane_contract ] );
       ( "stats",
         [
           Alcotest.test_case "running moments" `Quick test_running_moments;
@@ -678,7 +952,6 @@ let () =
           [
             prop_percentile_monotone;
             prop_running_mean_bounded;
-            prop_queue_pops_sorted;
             prop_exponential_positive;
             prop_timeline_integral_additive;
           ] );
