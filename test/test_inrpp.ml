@@ -815,6 +815,40 @@ let test_router_port_creation () =
   request r 1;
   expect "request after restart" [ down ] (Some "push-data")
 
+(* The sampler's estimator series over eight bulk EBONE flows, pinned
+   by Digest.  The sampling period (0.9 s) is not a multiple of the
+   40 ms estimator interval, so reads land between ticks, 22 or 23
+   intervals after the previous read.  Seven flows start in the first
+   two seconds and the last at 100 s, so the interfaces the early flows
+   used sit idle long enough for r_a to decay to the denormal floor.
+   The NDJSON export prints every float so that it parses back to the
+   same bits. *)
+let test_sampler_estimator_series_pinned () =
+  let n = Topology.Graph.node_count ebone in
+  let specs =
+    List.init 8 (fun i ->
+        Inrpp.Protocol.flow_spec
+          ~start:(if i = 7 then 100. else 0.3 *. float_of_int i)
+          ~src:(i * 3 mod n) ~dst:((i + (n / 2)) mod n) (100 + (50 * i)))
+  in
+  let o = Obs.Observer.create ~sample_interval:0.9 () in
+  let r = Inrpp.Protocol.run ~horizon:600. ~obs:o ebone specs in
+  Alcotest.(check int) "every flow completes" 8 r.Inrpp.Protocol.completed;
+  let series =
+    List.filter
+      (fun s ->
+        List.mem (Obs.Series.name s)
+          [ "iface_anticipated_bps"; "iface_anticipated_ratio"; "iface_phase" ])
+      (Obs.Observer.series o)
+  in
+  Alcotest.(check int) "three series per interface"
+    (3 * Topology.Graph.link_count ebone) (List.length series);
+  let buf = Buffer.create (1 lsl 20) in
+  Obs.Export.series_to_ndjson buf series;
+  Alcotest.(check string) "series digest"
+    "5d7888b344b615c7d3a96d31f5473538"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* After warm-up every EBONE interface is idle in push-data, and a tick
    sweep allocates nothing.  A drain allocates a bounded amount per
    chunk it releases. *)
@@ -1479,6 +1513,8 @@ let () =
             test_router_drain_skip_exact;
           Alcotest.test_case "port creation instants" `Quick
             test_router_port_creation;
+          Alcotest.test_case "sampler estimator series pinned" `Quick
+            test_sampler_estimator_series_pinned;
         ] );
       ( "endpoints",
         [
