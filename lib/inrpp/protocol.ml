@@ -198,9 +198,13 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     | Some s -> not (Fault.Schedule.is_empty s)
     | None -> false
   in
+  (* the run's periodic work: ticks and drains visit only the routers
+     this registry lists *)
+  let registry = Router.registry ~nodes:(Graph.node_count g) in
   let routers =
     Array.init (Graph.node_count g) (fun node ->
-        Router.create ~cfg ~net ~node ~detours ~link_state ?trace ?overload ())
+        Router.create ~cfg ~net ~node ~detours ~link_state ?trace ?overload
+          ~registry ())
   in
   (* neighbour-pressure oracle for detour refusal: each router can ask
      any node's custody occupancy fraction.  Installed only when the
@@ -869,17 +873,18 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
                  if Topology.Link_state.is_up link_state l.Link.id then 1.
                  else 0.))));
     Obs.Sampler.start ~stop:all_done smp);
-  (* periodic estimator ticks and custody drains; track custody peak *)
+  (* periodic estimator ticks and custody drains; track custody peak
+     over the routers holding custody (every other one holds 0) *)
   let peak_custody = ref 0. in
+  let note_peak r =
+    let occ = Chunksim.Cache.custody_occupancy (Router.cache r) in
+    if occ > !peak_custody then peak_custody := occ
+  in
   ignore
   @@ Sim.Engine.schedule_periodic eng ~interval:cfg.Config.ti (fun () ->
       Sim.Engine.profile_mark eng k_tick;
-      Array.iter
-        (fun r ->
-          Router.tick r;
-          let occ = Chunksim.Cache.custody_occupancy (Router.cache r) in
-          if occ > !peak_custody then peak_custody := occ)
-        routers;
+      Router.tick_sweep registry routers;
+      Router.iter_custody registry routers note_peak;
       (match check with
       | Some chk -> Check.Invariant.probe chk ~time:(Sim.Engine.now eng)
       | None -> ());
@@ -894,7 +899,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
   @@ Sim.Engine.schedule_periodic eng ~interval:(cfg.Config.ti /. 4.)
        (fun () ->
          Sim.Engine.profile_mark eng k_drain;
-         Array.iter Router.drain routers;
+         Router.drain_sweep registry routers;
          not (all_done ()));
   (* flow starts *)
   List.iteri

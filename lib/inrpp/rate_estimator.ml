@@ -44,7 +44,30 @@ let tick t =
   t.interval_bits <- 0.;
   t.ticks <- t.ticks +. 1.
 
-let idle t = t.interval_bits = 0.
+(* [k] idle intervals, each computed as [tick] computes one.  The
+   update depends on r_a alone, so once an interval leaves r_a
+   unchanged every later one does too: the loop stops there.  At the
+   default alpha = 0.3 that takes ~2.2k intervals from 1 Tbps, and r_a
+   then sits at the smallest denormal, which 0.7 times rounds back up
+   to (at alpha = 0.5 it reaches 0 instead). *)
+let replay_idle t k =
+  if k < 0 then invalid_arg "Rate_estimator.replay_idle: k < 0";
+  if k > 0 then begin
+    if t.interval_bits <> 0. then
+      invalid_arg "Rate_estimator.replay_idle: interval not idle";
+    let i = ref 0 in
+    while !i < k do
+      let ra =
+        (t.alpha *. (t.interval_bits /. t.ti)) +. (t.one_minus_alpha *. t.ra)
+      in
+      if ra = t.ra then i := k
+      else begin
+        t.ra <- ra;
+        incr i
+      end
+    done;
+    t.ticks <- t.ticks +. float_of_int k
+  end
 
 let anticipated_rate t = t.ra
 

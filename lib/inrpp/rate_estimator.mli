@@ -30,10 +30,14 @@ val tick : t -> unit
 (** Close the current interval: fold its demand into the EWMA and
     reset the counters.  Call every [ti] seconds. *)
 
-val idle : t -> bool
-(** No bits were noted in the current interval, so the next {!tick}
-    only decays r_a.  Returns no float, so a caller in another module
-    can ask without boxing one. *)
+val replay_idle : t -> int -> unit
+(** [replay_idle t k] closes [k] intervals in which nothing was noted:
+    bit for bit the same r_a as [k] calls to {!tick}, and {!intervals}
+    advances by exactly [k].  The work stops once an interval leaves
+    r_a unchanged (at 0 or at the denormal floor), so it is bounded
+    however large [k] is.
+    @raise Invalid_argument if [k < 0], or if [k > 0] and bits were
+    noted in the current interval. *)
 
 val anticipated_rate : t -> float
 (** Smoothed r_a, bps. *)

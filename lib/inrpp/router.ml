@@ -40,7 +40,11 @@ type dcand = {
    [create].  The estimator appears on first use and the phase on the
    estimator's first tick (or the first packet forwarded), the instants
    the sampler's [estimator_links]/[iface_phase] probes observe; [crash]
-   clears both in place.  The detour candidates are cached by
+   clears both in place.  A port is on the walk ([walking]) from the
+   first bit it notes until a tick leaves it idle in push-data; off the
+   walk its estimator is current as of tick [synced] and owes one idle
+   interval for every tick since (see [catch_up]).  The detour
+   candidates are cached by
    generation: every link-state flip and every crash bumps [ls_gen], so
    a stale [dk_gen] means the static filter must be recomputed.
    Between bumps, up-ness cannot change (all transitions go through
@@ -52,6 +56,8 @@ and port = {
   p_link : Link.t;
   mutable est : Rate_estimator.t option;
   mutable phase : Phase.t option;
+  mutable walking : bool;
+  mutable synced : int;            (* registry tick count, off the walk *)
   mutable dk_gen : int;
   mutable dk_cands : dcand array;
   mutable blocked : int;           (* [drains] value when found exitless *)
@@ -65,6 +71,20 @@ type hot = {
   h_iface : Iface.t;
   h_limit : float;                 (* threshold * capacity of h_iface *)
   h_port : port;
+}
+
+(* A run's periodic-work registry: the count of ticks closed so far and,
+   each in ascending node id, the routers with a port on the walk and
+   the routers holding custody or a local back-pressure engage.  A
+   router created without one is its own registry of one ([solo]): its
+   [tick] advances the count, and it counts as always listed. *)
+type registry = {
+  solo : bool;
+  mutable ticks : int;
+  tick_nodes : int array;
+  mutable tick_n : int;
+  drain_nodes : int array;
+  mutable drain_n : int;
 }
 
 type t = {
@@ -81,6 +101,10 @@ type t = {
   store : Cache.t;
   custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
   ports : port array;             (* one per out-link, ascending link id *)
+  reg : registry;
+  mutable walk_n : int;           (* ports on the walk *)
+  mutable tick_listed : bool;     (* in [reg.tick_nodes] *)
+  mutable drain_listed : bool;    (* in [reg.drain_nodes] *)
   drain_flows : int array ref;    (* custody snapshot, reused per drain *)
   mutable drains : int;           (* drains that found custody, see port *)
   c : counters;
@@ -94,7 +118,29 @@ type t = {
   mutable neighbor_pressure : (Topology.Node.id -> float) option;
 }
 
-let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
+let registry ~nodes =
+  if nodes < 1 then invalid_arg "Router.registry: nodes < 1";
+  {
+    solo = false;
+    ticks = 0;
+    tick_nodes = Array.make nodes 0;
+    tick_n = 0;
+    drain_nodes = Array.make nodes 0;
+    drain_n = 0;
+  }
+
+let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload ?registry
+    () =
+  let reg =
+    match registry with
+    | Some r ->
+      if node >= Array.length r.tick_nodes then
+        invalid_arg "Router.create: node outside the registry";
+      r
+    | None ->
+      { solo = true; ticks = 0; tick_nodes = [||]; tick_n = 0;
+        drain_nodes = [||]; drain_n = 0 }
+  in
   {
     cfg;
     net;
@@ -114,9 +160,13 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload () =
       |> List.sort (fun (a : Link.t) (b : Link.t) ->
              Int.compare a.Link.id b.Link.id)
       |> List.map (fun l ->
-             { p_link = l; est = None; phase = None; dk_gen = -1;
-               dk_cands = [||]; blocked = -1 })
+             { p_link = l; est = None; phase = None; walking = false;
+               synced = 0; dk_gen = -1; dk_cands = [||]; blocked = -1 })
       |> Array.of_list;
+    reg;
+    walk_n = 0;
+    tick_listed = reg.solo;
+    drain_listed = reg.solo;
     drain_flows = ref [||];
     drains = 0;
     c =
@@ -205,9 +255,47 @@ let port_of t (l : Link.t) =
   if i < 0 then invalid_arg "Router: link does not leave this node";
   t.ports.(i)
 
+(* [node] into the ascending [nodes.(0 .. n - 1)]; the new length *)
+let insert_sorted nodes n node =
+  let i = ref n in
+  while !i > 0 && nodes.(!i - 1) > node do
+    nodes.(!i) <- nodes.(!i - 1);
+    decr i
+  done;
+  nodes.(!i) <- node;
+  n + 1
+
+(* Off the walk, replay the idle intervals the skipped ticks owed *)
+let catch_up t p e =
+  if not p.walking then begin
+    Rate_estimator.replay_idle e (t.reg.ticks - p.synced);
+    p.synced <- t.reg.ticks
+  end
+
+let join_walk t p =
+  p.walking <- true;
+  t.walk_n <- t.walk_n + 1;
+  if not t.tick_listed then begin
+    t.tick_listed <- true;
+    t.reg.tick_n <- insert_sorted t.reg.tick_nodes t.reg.tick_n t.node_id
+  end
+
+(* A custody store or a local engage gives the next drains work *)
+let list_drain t =
+  if not t.drain_listed then begin
+    t.drain_listed <- true;
+    t.reg.drain_n <- insert_sorted t.reg.drain_nodes t.reg.drain_n t.node_id
+  end
+
+(* The estimator of a port about to note bits: current, and on the
+   walk so the next tick runs its full step *)
 let estimator t p =
   match p.est with
-  | Some e -> e
+  | Some e when p.walking -> e
+  | Some e ->
+    catch_up t p e;
+    join_walk t p;
+    e
   | None ->
     let e =
       Rate_estimator.create ~ti:t.cfg.Config.ti
@@ -215,7 +303,13 @@ let estimator t p =
         ~capacity:(p.p_link.Link.capacity *. t.cfg.Config.speed_factor)
     in
     p.est <- Some e;
+    join_walk t p;
     e
+
+(* A port's estimator for reading, current as of the last tick *)
+let current_estimator t p =
+  (match p.est with Some e -> catch_up t p e | None -> ());
+  p.est
 
 let phase t p =
   match p.phase with
@@ -394,7 +488,8 @@ let engage_local t slot ~flow ~which =
   | `Custody ->
     if not (Ft.bp_local t.ft slot) then begin
       Ft.set_bp_local t.ft slot true;
-      t.bp_locals <- t.bp_locals + 1
+      t.bp_locals <- t.bp_locals + 1;
+      list_drain t
     end
   | `Outage -> Ft.set_bp_outage t.ft slot true);
   if not was then signal_upstream t slot ~flow ~engage:true
@@ -482,6 +577,7 @@ let custody t slot flow (p : Packet.t) =
       | `Stored ->
         Hashtbl.replace t.custody_packets key p;
         t.c.custody_stored <- t.c.custody_stored + 1;
+        list_drain t;
         (match t.trace with
         | Some tr ->
           Trace.record tr ~time:(now t)
@@ -836,22 +932,49 @@ let tick_port t p est =
            })
     | None -> ()
 
-(* An interface in push-data that noted no bits this interval only
-   decays.  Push-data after any update means ratio < engage, and a
-   zero-bit interval multiplies r_a by 1 - alpha, so [Phase.update]
-   would return push-data without reading the probe.  This path calls
-   nothing that returns a float, so it allocates nothing. *)
-let tick t =
+(* Only ports on the walk are stepped.  A port that ends a step idle
+   in push-data leaves it: push-data after any update means ratio <
+   engage, and an interval with no bits multiplies r_a by 1 - alpha, so
+   until the port notes bits again every tick would only decay r_a and
+   [Phase.update] would return push-data.  [catch_up] replays those
+   decays when the estimator is next noted or read. *)
+let walk t =
   if not t.crashed then
     for i = 0 to Array.length t.ports - 1 do
       let p = t.ports.(i) in
-      match p.est, p.phase with
-      | None, _ -> ()
-      | Some est, Some ph
-        when Rate_estimator.idle est && Phase.current ph = Phase.Push_data ->
-        Rate_estimator.tick est
-      | Some est, (Some _ | None) -> tick_port t p est
+      if p.walking then
+        match p.est with
+        | None -> ()
+        | Some est -> (
+          tick_port t p est;
+          match p.phase with
+          | Some ph when Phase.current ph = Phase.Push_data ->
+            p.walking <- false;
+            p.synced <- t.reg.ticks;
+            t.walk_n <- t.walk_n - 1
+          | Some _ | None -> ())
     done
+
+let tick t =
+  if not t.reg.solo then
+    invalid_arg "Router.tick: the router belongs to a registry";
+  t.reg.ticks <- t.reg.ticks + 1;
+  walk t
+
+(* The walk notes nothing, so the list cannot grow during the sweep *)
+let tick_sweep reg routers =
+  reg.ticks <- reg.ticks + 1;
+  let kept = ref 0 in
+  for i = 0 to reg.tick_n - 1 do
+    let r = routers.(reg.tick_nodes.(i)) in
+    walk r;
+    if r.walk_n > 0 then begin
+      reg.tick_nodes.(!kept) <- r.node_id;
+      incr kept
+    end
+    else r.tick_listed <- false
+  done;
+  reg.tick_n <- !kept
 
 (* Hand [flow]'s oldest custody chunk to its primary interface, or to a
    detour when the primary is down or full; [false] when nothing left
@@ -955,6 +1078,35 @@ let drain t =
           then release_local t slot ~flow ~which:`Custody)
   end
 
+(* An unlisted router holds no custody and its occupancy is exactly 0,
+   which [iter_custody] relies on; the occupancy test only runs once
+   the store is empty, and keeps a router listed while float
+   accumulation has left a residue *)
+let drain_work t =
+  (not (Cache.custody_is_empty t.store))
+  || t.bp_locals > 0
+  || Cache.custody_occupancy t.store <> 0.
+
+(* A drain stores no custody and engages nothing, so the list cannot
+   grow during the sweep *)
+let drain_sweep reg routers =
+  let kept = ref 0 in
+  for i = 0 to reg.drain_n - 1 do
+    let r = routers.(reg.drain_nodes.(i)) in
+    drain r;
+    if drain_work r then begin
+      reg.drain_nodes.(!kept) <- r.node_id;
+      incr kept
+    end
+    else r.drain_listed <- false
+  done;
+  reg.drain_n <- !kept
+
+let iter_custody reg routers f =
+  for i = 0 to reg.drain_n - 1 do
+    f routers.(reg.drain_nodes.(i))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Fault recovery *)
 
@@ -1021,7 +1173,13 @@ let crash t ~policy =
         Ft.set_bp_outage t.ft slot false;
         Ft.set_failed_over t.ft slot false);
     t.bp_locals <- 0;
-    Array.iter (fun p -> p.est <- None; p.phase <- None) t.ports;
+    Array.iter
+      (fun p ->
+        p.est <- None;
+        p.phase <- None;
+        p.walking <- false)
+      t.ports;
+    t.walk_n <- 0;
     t.ls_gen <- t.ls_gen + 1;
     match policy with
     | `Preserve -> []
@@ -1057,11 +1215,11 @@ let phase_of_link t link_id =
 
 let anticipated_rate_of_link t link_id =
   Option.bind (port_opt t link_id) (fun p ->
-      Option.map Rate_estimator.anticipated_rate p.est)
+      Option.map Rate_estimator.anticipated_rate (current_estimator t p))
 
 let ratio_of_link t link_id =
   Option.bind (port_opt t link_id) (fun p ->
-      Option.map Rate_estimator.ratio p.est)
+      Option.map Rate_estimator.ratio (current_estimator t p))
 
 let estimator_links t =
   Array.fold_right

@@ -32,10 +32,22 @@ type counters = {
      per drain round failing to evacuate a held chunk; probes count none *)
 }
 
+type registry
+(** A run's periodic-work registry: the count of estimator intervals
+    closed so far, and the routers a tick or a drain has work at.  The
+    protocol layer builds one per run and drives every router's ticks
+    and drains through it ({!tick_sweep}, {!drain_sweep}); it is a few
+    arrays sized by the node count. *)
+
+val registry : nodes:int -> registry
+(** A registry for routers with node ids below [nodes].
+    @raise Invalid_argument if [nodes < 1]. *)
+
 val create :
   cfg:Config.t -> net:Chunksim.Net.t -> node:Topology.Node.id ->
   detours:Detour_table.t -> ?link_state:Topology.Link_state.t ->
-  ?trace:Chunksim.Trace.t -> ?overload:Overload.Config.t -> unit -> t
+  ?trace:Chunksim.Trace.t -> ?overload:Overload.Config.t ->
+  ?registry:registry -> unit -> t
 (** [link_state] makes the router outage-aware: detour candidates with
     a down hop are unusable, and a down primary interface routes
     through the detour set.  Without it every link is assumed up
@@ -45,7 +57,10 @@ val create :
     engages early at [early_bp_threshold], and detours into pressured
     neighbours are refused (see {!set_neighbor_pressure}).  Without it
     (or with {!Overload.Config.off}) behaviour is bit-identical to the
-    legacy path. *)
+    legacy path.  [registry] enrols the router in a run's registry;
+    without it the router is its own registry of one, ticked by
+    {!tick}.
+    @raise Invalid_argument if [node] is outside [registry]. *)
 
 val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit
 (** Install the neighbour custody-occupancy oracle (fraction of store
@@ -92,11 +107,23 @@ val originate_data : t -> Chunksim.Packet.t -> unit
     own phase/detour/custody logic. *)
 
 val tick : t -> unit
-(** Close an estimator interval and update every interface phase, in
-    ascending link-id order.  Schedule every [cfg.ti].  An interface
-    that noted no bits this interval and is in push-data only decays
-    its estimator (its phase cannot change), allocating nothing; the
-    detour probe runs only where the phase machine reads it. *)
+(** Close an estimator interval on a router created without a
+    registry and update its interface phases, in ascending link-id
+    order.  Schedule every [cfg.ti].  Only interfaces on the walk are
+    stepped: an interface joins it when it notes bits and leaves it
+    when a tick finds it idle in push-data, where every later tick
+    would only decay r_a (its phase cannot change).  Those decays are
+    replayed, bit for bit, when the estimator is next noted or read
+    ({!anticipated_rate_of_link}, {!ratio_of_link}), so an idle
+    interface costs a tick nothing.  The detour probe runs only where
+    the phase machine reads it.
+    @raise Invalid_argument if the router belongs to a registry. *)
+
+val tick_sweep : registry -> t array -> unit
+(** {!tick} for a whole run: advance the registry's interval count,
+    then step the routers with an interface on the walk, in ascending
+    node id.  [routers] is indexed by node id and holds every router of
+    the registry. *)
 
 val drain : t -> unit
 (** Move custody chunks onto primary interfaces with queue room (or
@@ -106,6 +133,16 @@ val drain : t -> unit
     round in ascending flow id.  A drain target that refuses admission
     (full or down) leaves the chunk in custody — chunks are never
     leaked.  No-op while crashed. *)
+
+val drain_sweep : registry -> t array -> unit
+(** {!drain} every router that holds custody or has a local
+    back-pressure engage outstanding, in ascending node id; every other
+    router's drain would do nothing.  [routers] as for {!tick_sweep}. *)
+
+val iter_custody : registry -> t array -> (t -> unit) -> unit
+(** Apply to the routers {!drain_sweep} would visit, in ascending node
+    id.  Every other router holds no custody and its custody occupancy
+    is exactly 0. *)
 
 (** {1 Fault recovery} *)
 
@@ -137,11 +174,14 @@ val phase_of_link : t -> int -> Phase.phase option
     creation or the last {!crash}. *)
 
 val anticipated_rate_of_link : t -> int -> float option
-(** Smoothed r_a of the interface's estimator, bps; [None] as for
-    {!phase_of_link}. *)
+(** Smoothed r_a of the interface's estimator as of the last tick, bps;
+    [None] as for {!phase_of_link}.  First replays the idle intervals
+    ticks skipped while the interface was off the walk (see {!tick}),
+    so the value equals the one an eager per-tick decay gives. *)
 
 val ratio_of_link : t -> int -> float option
-(** r_a / capacity — the phase-machine input. *)
+(** r_a / capacity — the phase-machine input; replays skipped idle
+    intervals first, as {!anticipated_rate_of_link}. *)
 
 val estimator_links : t -> int list
 (** Link ids with live estimators (i.e. interfaces that carried this

@@ -288,6 +288,62 @@ let test_estimator_decays () =
   Alcotest.(check bool) "decays toward zero" true
     (Inrpp.Rate_estimator.anticipated_rate e < first /. 2.)
 
+(* Replaying k idle intervals equals k ticks bit for bit, from every r_a
+   a long decay passes through: a fresh estimator's 0, a live value,
+   the smallest denormal (where alpha = 0.3 gets stuck) and 0 after a
+   full decay (alpha = 0.5); and at alpha 0 and 1. *)
+let test_estimator_replay_idle () =
+  let module E = Inrpp.Rate_estimator in
+  let bits x = Int64.bits_of_float x in
+  let warmed ~alpha ~noted warm =
+    let e = E.create ~ti:0.04 ~alpha ~capacity:1e9 in
+    if noted then E.note_request e ~expected_bits:8e4;
+    E.tick e;
+    for _ = 1 to warm do
+      E.tick e
+    done;
+    e
+  in
+  let floor_ = Int64.float_of_bits 1L in
+  Alcotest.(check int64) "alpha 0.3 sticks at the smallest denormal"
+    (bits floor_)
+    (bits (E.anticipated_rate (warmed ~alpha:0.3 ~noted:true 3000)));
+  Alcotest.(check int64) "alpha 0.5 reaches 0" (bits 0.)
+    (bits (E.anticipated_rate (warmed ~alpha:0.5 ~noted:true 3000)));
+  List.iter
+    (fun alpha ->
+      List.iter
+        (fun (noted, warm) ->
+          List.iter
+            (fun k ->
+              let replayed = warmed ~alpha ~noted warm
+              and ticked = warmed ~alpha ~noted warm in
+              E.replay_idle replayed k;
+              for _ = 1 to k do
+                E.tick ticked
+              done;
+              let what =
+                Printf.sprintf "alpha %g, noted %b, warm %d, k %d" alpha noted
+                  warm k
+              in
+              Alcotest.(check int64) (what ^ ": r_a")
+                (bits (E.anticipated_rate ticked))
+                (bits (E.anticipated_rate replayed));
+              Alcotest.(check int) (what ^ ": intervals")
+                (warm + 1 + k) (E.intervals replayed))
+            [ 0; 1; 2; 7; 2500; 10_000 ])
+        [ (false, 0); (true, 0); (true, 1); (true, 2100); (true, 3000) ])
+    [ 0.; 0.3; 0.5; 1. ];
+  let e = warmed ~alpha:0.3 ~noted:true 0 in
+  Alcotest.check_raises "negative k"
+    (Invalid_argument "Rate_estimator.replay_idle: k < 0") (fun () ->
+      E.replay_idle e (-1));
+  E.note_transit e ~bits:1.;
+  E.replay_idle e 0;
+  Alcotest.check_raises "bits noted this interval"
+    (Invalid_argument "Rate_estimator.replay_idle: interval not idle")
+    (fun () -> E.replay_idle e 1)
+
 let test_shares_eq1 () =
   let s = Inrpp.Rate_estimator.Shares.create ~ifaces:3 in
   (* iface 0 forwarded 3 requests to iface 1 and 1 to iface 2 *)
@@ -770,6 +826,157 @@ let prop_tick_matches_full_step =
           && R.phase_transitions r = Inrpp.Phase.transitions ph)
         steps)
 
+(* The same reference step, with the router's lazy decay exercised:
+   r_a (bit for bit, through both readers), the phase and the
+   transition count are compared only at [Read] steps, so idle runs of
+   up to 3000 ticks (past the denormal floor) are replayed in one
+   read, and reads land after one or many skipped intervals.  Ticks
+   are no-ops while crashed; a crash clears the estimator and the
+   phase (a second crash changes nothing), and notes may recreate the
+   estimator before the restart.
+   Every case opens with an idle stretch before the estimator exists. *)
+let prop_lazy_decay_matches_full_step =
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun k -> `Requests k) (int_bound 6));
+          (2, map (fun k -> `Transits k) (int_range 1 3));
+          (3, map (fun n -> `Idle n) (int_range 1 40));
+          (1, map (fun n -> `Idle n) (int_range 1000 3000));
+          (1, return `Flip);
+          (3, return `Read);
+          (1, return `Crash);
+          (1, return `Restart);
+        ])
+  in
+  let show = function
+    | `Requests k -> Printf.sprintf "R%d" k
+    | `Transits k -> Printf.sprintf "T%d" k
+    | `Idle n -> Printf.sprintf "I%d" n
+    | `Flip -> "F"
+    | `Read -> "?"
+    | `Crash -> "C"
+    | `Restart -> "S"
+  in
+  QCheck.Test.make ~name:"lazy decay equals the full per-interface step"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (n, l) ->
+         Printf.sprintf "I%d %s" n (String.concat " " (List.map show l)))
+       QCheck.Gen.(pair (int_bound 3000) (list_size (int_range 1 60) step)))
+    (fun (idle, steps) ->
+      let module E = Inrpp.Rate_estimator in
+      let cfg = Inrpp.Config.default in
+      let pressure = Array.make 4 0. in
+      let r, _, bottleneck = fig3_router pressure in
+      let est = ref None and ph = ref None and crashed = ref false in
+      let note f =
+        let e =
+          match !est with
+          | Some e -> e
+          | None ->
+            let e =
+              E.create ~ti:cfg.Inrpp.Config.ti
+                ~alpha:cfg.Inrpp.Config.estimator_alpha
+                ~capacity:(2e6 *. cfg.Inrpp.Config.speed_factor)
+            in
+            est := Some e;
+            e
+        in
+        f e
+      in
+      let tick () =
+        R.tick r;
+        match !est with
+        | Some e when not !crashed ->
+          E.tick e;
+          let p =
+            match !ph with
+            | Some p -> p
+            | None ->
+              let p =
+                Inrpp.Phase.create ~engage:cfg.Inrpp.Config.engage_ratio
+                  ~release:cfg.Inrpp.Config.release_ratio
+              in
+              ph := Some p;
+              p
+          in
+          ignore
+            (Inrpp.Phase.update p ~ratio:(E.ratio e)
+               ~detour_usable:(pressure.(0) = 0.)
+               ~custody_pressure:false ~custody_drained:true)
+        | Some _ | None -> ()
+      in
+      let same_bits a b =
+        match (a, b) with
+        | Some x, Some y ->
+          Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      let read () =
+        same_bits
+          (R.anticipated_rate_of_link r bottleneck)
+          (Option.map E.anticipated_rate !est)
+        && same_bits (R.ratio_of_link r bottleneck) (Option.map E.ratio !est)
+        && R.phase_of_link r bottleneck
+           = Option.map Inrpp.Phase.current !ph
+        && R.phase_transitions r
+           = Option.fold ~none:0 ~some:Inrpp.Phase.transitions !ph
+      in
+      let nc = ref 0 in
+      for _ = 1 to idle do
+        tick ()
+      done;
+      List.for_all
+        (fun s ->
+          match s with
+          | `Requests k ->
+            for _ = 1 to k do
+              request r !nc;
+              incr nc;
+              note (E.note_request ~expected_bits:chunk)
+            done;
+            tick ();
+            true
+          | `Transits k ->
+            for _ = 1 to k do
+              R.handler r ~from:None
+                (Chunksim.Packet.data ~detour_route:[ 3 ] ~flow:0 ~idx:0
+                   ~born:0. chunk);
+              note (E.note_transit ~bits:chunk)
+            done;
+            tick ();
+            true
+          | `Idle n ->
+            for _ = 1 to n do
+              tick ()
+            done;
+            true
+          | `Flip ->
+            let p = if pressure.(0) > 0. then 0. else 1. in
+            pressure.(0) <- p;
+            pressure.(2) <- p;
+            tick ();
+            true
+          | `Read -> read ()
+          | `Crash ->
+            (* a crash while crashed changes nothing *)
+            ignore (R.crash r ~policy:`Preserve);
+            if not !crashed then begin
+              est := None;
+              ph := None;
+              crashed := true
+            end;
+            true
+          | `Restart ->
+            R.restart r;
+            crashed := false;
+            true)
+        steps
+      && read ())
+
 (* Estimators appear on first use and phases on the first tick (or the
    first forwarded chunk); a crash clears both.  The sampler's probes
    observe these instants, so they are pinned step by step. *)
@@ -814,6 +1021,222 @@ let test_router_port_creation () =
   expect "tick after the chunk" [] (Some "push-data");
   request r 1;
   expect "request after restart" [ down ] (Some "push-data")
+
+(* Drain registry exactness.  Two copies of a four-node line carry
+   flows 0-2 from node 0 to node 3 and run the same script.  In one
+   the routers share a registry and drain through [R.drain_sweep]; in
+   the other each router is its own registry and every router is
+   drained, as before the registry existed.  After every step both
+   must show the same custody stores, releases and back-pressure
+   signals in the same order, the same upstream back-pressure packets
+   at the producer, and the same counters. *)
+type drain_world = {
+  dw_eng : Sim.Engine.t;
+  dw_ls : Topology.Link_state.t;
+  dw_link : int -> int -> Topology.Link.t;
+  dw_routers : R.t array;
+  dw_next : int array;  (* next chunk index per flow *)
+  dw_log : Buffer.t;
+  dw_drain : unit -> unit;
+}
+
+let drain_world ~cfg ~registry =
+  let g = Topology.Builders.line ~capacity:1e8 4 in
+  let eng = Sim.Engine.create () in
+  let net = Chunksim.Net.create ~queue_bits:(4. *. chunk) eng g in
+  let ls = Topology.Link_state.create g in
+  let tr = Chunksim.Trace.create () in
+  let log = Buffer.create 4096 in
+  let sign engage = if engage then '+' else '-' in
+  Chunksim.Trace.on_record tr (fun _ -> function
+    | Chunksim.Trace.Cached { node; flow; idx } ->
+      Printf.bprintf log " in%d.%d.%d" node flow idx
+    | Chunksim.Trace.Custody_released { node; flow; idx } ->
+      Printf.bprintf log " out%d.%d.%d" node flow idx
+    | Chunksim.Trace.Bp_signal { node; flow; engage } ->
+      Printf.bprintf log " bp%d.%d%c" node flow (sign engage)
+    | _ -> ());
+  let reg = if registry then Some (R.registry ~nodes:4) else None in
+  let detours = Inrpp.Detour_table.create g in
+  let routers =
+    Array.init 4 (fun node ->
+        R.create ~cfg ~net ~node ~detours ~link_state:ls ~trace:tr
+          ?registry:reg ())
+  in
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  Array.iteri
+    (fun node r ->
+      Chunksim.Net.set_handler net node (R.handler r);
+      for flow = 0 to 2 do
+        R.install_flow r ~flow
+          ~data_link:(if node < 3 then Some (link node (node + 1)) else None)
+          ~req_link:(if node > 0 then Some (link node (node - 1)) else None)
+          ()
+      done)
+    routers;
+  R.set_local_consumer routers.(3) ignore;
+  R.set_local_producer routers.(0) (fun p ->
+      match p.Chunksim.Packet.header with
+      | Chunksim.Packet.Backpressure { flow; engage } ->
+        Printf.bprintf log " up%d%c" flow (sign engage)
+      | Chunksim.Packet.Data _ | Chunksim.Packet.Request _ -> ());
+  {
+    dw_eng = eng;
+    dw_ls = ls;
+    dw_link = link;
+    dw_routers = routers;
+    dw_next = Array.make 3 0;
+    dw_log = log;
+    dw_drain =
+      (match reg with
+      | Some reg -> fun () -> R.drain_sweep reg routers
+      | None -> fun () -> Array.iter R.drain routers);
+  }
+
+let drain_state w =
+  let counters r =
+    let c = R.counters r in
+    Printf.sprintf " [%d %d %d %d %d %d %d %d]" c.R.custody_stored
+      c.R.custody_released c.R.dropped c.R.bp_engages c.R.bp_releases
+      c.R.custody_wiped c.R.detours_refused (R.custody_packet_count r)
+  in
+  Buffer.contents w.dw_log
+  ^ String.concat "" (Array.to_list (Array.map counters w.dw_routers))
+
+let originate node flow n w =
+  for _ = 1 to n do
+    R.originate_data w.dw_routers.(node)
+      (Chunksim.Packet.data ~flow ~idx:w.dw_next.(flow) ~born:0. chunk);
+    w.dw_next.(flow) <- w.dw_next.(flow) + 1
+  done
+
+let run_for dt w = Sim.Engine.run ~until:(Sim.Engine.now w.dw_eng +. dt) w.dw_eng
+let drain_once w = w.dw_drain ()
+
+let flip u v ~up w =
+  let id = (w.dw_link u v).Topology.Link.id in
+  Topology.Link_state.set w.dw_ls id ~up;
+  Array.iter
+    (fun r -> if up then R.on_link_up r id else R.on_link_down r id)
+    w.dw_routers
+
+(* Runs [script] on both copies, comparing them after every step, and
+   returns the registry copy. *)
+let drain_twins ~cfg script =
+  let reg = drain_world ~cfg ~registry:true
+  and all = drain_world ~cfg ~registry:false in
+  let n = ref 0 in
+  let step what f =
+    incr n;
+    f reg;
+    f all;
+    Alcotest.(check string)
+      (Printf.sprintf "step %d (%s)" !n what)
+      (drain_state all) (drain_state reg)
+  in
+  (* a millisecond of transmission, then a drain, [k] times *)
+  let settle k =
+    for _ = 1 to k do
+      step "run" (run_for 1e-3);
+      step "drain" drain_once
+    done
+  in
+  script step settle;
+  reg
+
+let custody_now w =
+  Array.fold_left (fun acc r -> acc + R.custody_packet_count r) 0 w.dw_routers
+
+let drain_cfg =
+  { Inrpp.Config.default with Inrpp.Config.cache_bits = 20. *. chunk }
+
+let test_registry_drain_refill () =
+  let w =
+    drain_twins ~cfg:drain_cfg (fun step settle ->
+        for round = 1 to 2 do
+          let what = Printf.sprintf "fill %d" round in
+          step what (originate 1 0 10);
+          step what (originate 1 1 10);
+          step what (originate 2 2 8);
+          settle 40
+        done)
+  in
+  let c = R.counters w.dw_routers.(1) in
+  Alcotest.(check bool) "custody filled twice" true (c.R.custody_stored > 20);
+  Alcotest.(check bool) "back-pressure engaged and released" true
+    (c.R.bp_engages > 0 && c.R.bp_releases = c.R.bp_engages);
+  Alcotest.(check int) "custody drained" 0 (custody_now w)
+
+(* A store smaller than one chunk refuses every chunk as full: the
+   router engages back-pressure while its custody stays empty, and the
+   next drain (below the low watermark) releases it upstream.  An
+   engage made while crashed waits for the first drain after the
+   restart. *)
+let test_registry_drain_bp_only () =
+  let w =
+    drain_twins
+      ~cfg:{ drain_cfg with Inrpp.Config.cache_bits = 0.5 *. chunk }
+      (fun step settle ->
+        step "fill" (originate 1 0 6);
+        step "fill" (originate 1 1 6);
+        settle 3;
+        step "crash" (fun w ->
+            ignore (R.crash w.dw_routers.(1) ~policy:`Preserve));
+        step "fill while crashed" (originate 1 0 6);
+        settle 3;
+        step "restart" (fun w -> R.restart w.dw_routers.(1));
+        settle 3)
+  in
+  let c = R.counters w.dw_routers.(1) in
+  Alcotest.(check int) "nothing stored" 0 c.R.custody_stored;
+  Alcotest.(check bool) "releases sent upstream" true
+    (c.R.bp_releases >= 2 && c.R.bp_releases = c.R.bp_engages);
+  let log = Buffer.contents w.dw_log in
+  Alcotest.(check bool) "and reached the producer" true
+    (List.exists
+       (fun i -> String.sub log i 5 = " up0-")
+       (List.init (String.length log - 4) Fun.id))
+
+let test_registry_drain_wipe () =
+  let w =
+    drain_twins ~cfg:drain_cfg (fun step settle ->
+        step "fill" (originate 1 0 10);
+        step "fill" (originate 2 1 8);
+        settle 2;
+        step "crash" (fun w -> ignore (R.crash w.dw_routers.(1) ~policy:`Wipe));
+        settle 3;
+        step "fill while crashed" (originate 1 2 8);
+        settle 2;
+        step "restart" (fun w -> R.restart w.dw_routers.(1));
+        step "fill" (originate 1 0 8);
+        settle 40)
+  in
+  Alcotest.(check bool) "custody wiped" true
+    ((R.counters w.dw_routers.(1)).R.custody_wiped > 0);
+  Alcotest.(check int) "custody drained" 0 (custody_now w)
+
+(* A link flip drains every router directly, outside the sweep *)
+let test_registry_drain_link_down () =
+  let released = ref 0 in
+  let w =
+    drain_twins ~cfg:drain_cfg (fun step settle ->
+        step "fill" (originate 1 0 12);
+        step "transmit" (run_for 5e-3);
+        step "2->3 down" (fun w ->
+            let before = (R.counters w.dw_routers.(1)).R.custody_released in
+            flip 2 3 ~up:false w;
+            (* the same in both copies *)
+            released :=
+              (R.counters w.dw_routers.(1)).R.custody_released - before);
+        settle 5;
+        step "fill" (originate 2 1 4);
+        settle 3;
+        step "2->3 up" (flip 2 3 ~up:true);
+        settle 40)
+  in
+  Alcotest.(check bool) "the flip's own drain released custody" true
+    (!released > 0);
+  Alcotest.(check int) "custody drained" 0 (custody_now w)
 
 (* The sampler's estimator series over eight bulk EBONE flows, pinned
    by Digest.  The sampling period (0.9 s) is not a multiple of the
@@ -1480,6 +1903,8 @@ let () =
           Alcotest.test_case "converges" `Quick test_estimator_converges;
           Alcotest.test_case "transit counts" `Quick test_estimator_transit_counts;
           Alcotest.test_case "decays" `Quick test_estimator_decays;
+          Alcotest.test_case "idle replay equals ticks" `Quick
+            test_estimator_replay_idle;
           Alcotest.test_case "eq.1 shares" `Quick test_shares_eq1;
         ] );
       ( "phase",
@@ -1515,6 +1940,14 @@ let () =
             test_router_port_creation;
           Alcotest.test_case "sampler estimator series pinned" `Quick
             test_sampler_estimator_series_pinned;
+          Alcotest.test_case "registry drains: refill" `Quick
+            test_registry_drain_refill;
+          Alcotest.test_case "registry drains: engage only" `Quick
+            test_registry_drain_bp_only;
+          Alcotest.test_case "registry drains: wipe, restart" `Quick
+            test_registry_drain_wipe;
+          Alcotest.test_case "registry drains: link down" `Quick
+            test_registry_drain_link_down;
         ] );
       ( "endpoints",
         [
@@ -1554,5 +1987,6 @@ let () =
             prop_estimator_converges_under_stationary_mix;
             prop_flow_table_model;
             prop_tick_matches_full_step;
+            prop_lazy_decay_matches_full_step;
           ] );
     ]
