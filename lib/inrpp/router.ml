@@ -76,10 +76,9 @@ type hot = {
 (* A run's periodic-work registry: the count of ticks closed so far and,
    each in ascending node id, the routers with a port on the walk and
    the routers holding custody or a local back-pressure engage.  A
-   router created without one is its own registry of one ([solo]): its
-   [tick] advances the count, and it counts as always listed. *)
+   router created without one keeps its own tick count, advanced by
+   [tick], and lists itself nowhere. *)
 type registry = {
-  solo : bool;
   mutable ticks : int;
   tick_nodes : int array;
   mutable tick_n : int;
@@ -101,10 +100,10 @@ type t = {
   store : Cache.t;
   custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
   ports : port array;             (* one per out-link, ascending link id *)
-  reg : registry;
-  mutable walk_n : int;           (* ports on the walk *)
-  mutable tick_listed : bool;     (* in [reg.tick_nodes] *)
-  mutable drain_listed : bool;    (* in [reg.drain_nodes] *)
+  reg : registry option;
+  mutable own_ticks : int;        (* the tick count without [reg] *)
+  mutable tick_listed : bool;     (* in [reg]'s tick_nodes *)
+  mutable drain_listed : bool;    (* in [reg]'s drain_nodes *)
   drain_flows : int array ref;    (* custody snapshot, reused per drain *)
   mutable drains : int;           (* drains that found custody, see port *)
   c : counters;
@@ -121,7 +120,6 @@ type t = {
 let registry ~nodes =
   if nodes < 1 then invalid_arg "Router.registry: nodes < 1";
   {
-    solo = false;
     ticks = 0;
     tick_nodes = Array.make nodes 0;
     tick_n = 0;
@@ -131,16 +129,10 @@ let registry ~nodes =
 
 let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload ?registry
     () =
-  let reg =
-    match registry with
-    | Some r ->
-      if node >= Array.length r.tick_nodes then
-        invalid_arg "Router.create: node outside the registry";
-      r
-    | None ->
-      { solo = true; ticks = 0; tick_nodes = [||]; tick_n = 0;
-        drain_nodes = [||]; drain_n = 0 }
-  in
+  (match registry with
+  | Some r when node >= Array.length r.tick_nodes ->
+    invalid_arg "Router.create: node outside the registry"
+  | Some _ | None -> ());
   {
     cfg;
     net;
@@ -163,10 +155,10 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload ?registry
              { p_link = l; est = None; phase = None; walking = false;
                synced = 0; dk_gen = -1; dk_cands = [||]; blocked = -1 })
       |> Array.of_list;
-    reg;
-    walk_n = 0;
-    tick_listed = reg.solo;
-    drain_listed = reg.solo;
+    reg = registry;
+    own_ticks = 0;
+    tick_listed = false;
+    drain_listed = false;
     drain_flows = ref [||];
     drains = 0;
     c =
@@ -265,27 +257,30 @@ let insert_sorted nodes n node =
   nodes.(!i) <- node;
   n + 1
 
+let ticks t = match t.reg with Some r -> r.ticks | None -> t.own_ticks
+
 (* Off the walk, replay the idle intervals the skipped ticks owed *)
 let catch_up t p e =
   if not p.walking then begin
-    Rate_estimator.replay_idle e (t.reg.ticks - p.synced);
-    p.synced <- t.reg.ticks
+    Rate_estimator.replay_idle e (ticks t - p.synced);
+    p.synced <- ticks t
   end
 
 let join_walk t p =
   p.walking <- true;
-  t.walk_n <- t.walk_n + 1;
-  if not t.tick_listed then begin
+  match t.reg with
+  | Some r when not t.tick_listed ->
     t.tick_listed <- true;
-    t.reg.tick_n <- insert_sorted t.reg.tick_nodes t.reg.tick_n t.node_id
-  end
+    r.tick_n <- insert_sorted r.tick_nodes r.tick_n t.node_id
+  | Some _ | None -> ()
 
 (* A custody store or a local engage gives the next drains work *)
 let list_drain t =
-  if not t.drain_listed then begin
+  match t.reg with
+  | Some r when not t.drain_listed ->
     t.drain_listed <- true;
-    t.reg.drain_n <- insert_sorted t.reg.drain_nodes t.reg.drain_n t.node_id
-  end
+    r.drain_n <- insert_sorted r.drain_nodes r.drain_n t.node_id
+  | Some _ | None -> ()
 
 (* The estimator of a port about to note bits: current, and on the
    walk so the next tick runs its full step *)
@@ -937,29 +932,33 @@ let tick_port t p est =
    engage, and an interval with no bits multiplies r_a by 1 - alpha, so
    until the port notes bits again every tick would only decay r_a and
    [Phase.update] would return push-data.  [catch_up] replays those
-   decays when the estimator is next noted or read. *)
+   decays when the estimator is next noted or read.  Returns whether a
+   port is still on the walk (a crashed router steps none, but a port
+   noted while crashed stays on it). *)
 let walk t =
-  if not t.crashed then
-    for i = 0 to Array.length t.ports - 1 do
-      let p = t.ports.(i) in
-      if p.walking then
-        match p.est with
-        | None -> ()
-        | Some est -> (
-          tick_port t p est;
-          match p.phase with
-          | Some ph when Phase.current ph = Phase.Push_data ->
-            p.walking <- false;
-            p.synced <- t.reg.ticks;
-            t.walk_n <- t.walk_n - 1
-          | Some _ | None -> ())
-    done
+  let on = ref false in
+  for i = 0 to Array.length t.ports - 1 do
+    let p = t.ports.(i) in
+    if p.walking then begin
+      (match p.est with
+      | Some est when not t.crashed -> (
+        tick_port t p est;
+        match p.phase with
+        | Some ph when Phase.current ph = Phase.Push_data ->
+          p.walking <- false;
+          p.synced <- ticks t
+        | Some _ | None -> ())
+      | Some _ | None -> ());
+      if p.walking then on := true
+    end
+  done;
+  !on
 
 let tick t =
-  if not t.reg.solo then
+  if Option.is_some t.reg then
     invalid_arg "Router.tick: the router belongs to a registry";
-  t.reg.ticks <- t.reg.ticks + 1;
-  walk t
+  t.own_ticks <- t.own_ticks + 1;
+  ignore (walk t)
 
 (* The walk notes nothing, so the list cannot grow during the sweep *)
 let tick_sweep reg routers =
@@ -967,8 +966,7 @@ let tick_sweep reg routers =
   let kept = ref 0 in
   for i = 0 to reg.tick_n - 1 do
     let r = routers.(reg.tick_nodes.(i)) in
-    walk r;
-    if r.walk_n > 0 then begin
+    if walk r then begin
       reg.tick_nodes.(!kept) <- r.node_id;
       incr kept
     end
@@ -1179,7 +1177,6 @@ let crash t ~policy =
         p.phase <- None;
         p.walking <- false)
       t.ports;
-    t.walk_n <- 0;
     t.ls_gen <- t.ls_gen + 1;
     match policy with
     | `Preserve -> []

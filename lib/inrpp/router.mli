@@ -58,7 +58,7 @@ val create :
     neighbours are refused (see {!set_neighbor_pressure}).  Without it
     (or with {!Overload.Config.off}) behaviour is bit-identical to the
     legacy path.  [registry] enrols the router in a run's registry;
-    without it the router is its own registry of one, ticked by
+    without it the router keeps its own interval count, advanced by
     {!tick}.
     @raise Invalid_argument if [node] is outside [registry]. *)
 

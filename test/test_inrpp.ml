@@ -1110,7 +1110,9 @@ let originate node flow n w =
     w.dw_next.(flow) <- w.dw_next.(flow) + 1
   done
 
-let run_for dt w = Sim.Engine.run ~until:(Sim.Engine.now w.dw_eng +. dt) w.dw_eng
+let run_for dt w =
+  Sim.Engine.run ~until:(Sim.Engine.now w.dw_eng +. dt) w.dw_eng
+
 let drain_once w = w.dw_drain ()
 
 let flip u v ~up w =
