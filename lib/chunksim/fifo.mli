@@ -2,7 +2,8 @@
 
     Capacity is in bits; a packet that would overflow is dropped whole
     (tail drop), the baseline transports' loss signal.  Counters track
-    totals for the experiment reports. *)
+    totals for the experiment reports.  Packets sit in a ring, so
+    neither {!push} nor {!take} allocates once the ring has grown. *)
 
 type t
 
@@ -10,8 +11,11 @@ val create : capacity:float -> t
 (** @raise Invalid_argument if [capacity <= 0.]. *)
 
 val push : t -> Packet.t -> [ `Queued | `Dropped ]
-val pop : t -> Packet.t option
-val peek : t -> Packet.t option
+
+val take : t -> Packet.t
+(** Remove and return the oldest packet.
+    @raise Invalid_argument if the queue is empty. *)
+
 val occupancy : t -> float
 (** Bits currently queued. *)
 

@@ -19,7 +19,12 @@ type queue =
    packet's completion lies in the future at any instant, so a single
    pending record is settled lazily.  Wire loss is decided in the
    arrival event; arrivals are FIFO, so the interface's loss stream is
-   drawn in transmission order. *)
+   drawn in transmission order.
+
+   A packet hop allocates nothing here.  The engine's clock is read
+   from its cells ([clock]) rather than through [Sim.Engine.now], whose
+   float result is boxed across modules; arrival keys go to the lane in
+   a reused array; and no recursive function takes a float argument. *)
 
 (* The transmitter's floats, written on every packet: a float-only
    record stores them unboxed, without a write barrier. *)
@@ -33,6 +38,8 @@ type clock = {
 
 type t = {
   eng : Sim.Engine.t;
+  clock : float array;           (* the engine's now and current epoch *)
+  keys : float array;            (* the next arrival's time, epoch, parent *)
   l : Topology.Link.t;
   q : queue;
   effective_rate : float;
@@ -66,10 +73,15 @@ let link t = t.l
 
 let rate t = t.effective_rate
 
-let q_pop t =
+let q_is_empty t =
   match t.q with
-  | Q_fifo f -> Fifo.pop f
-  | Q_drr d -> Rr_queue.pop d
+  | Q_fifo f -> Fifo.is_empty f
+  | Q_drr d -> Rr_queue.is_empty d
+
+let q_take t =
+  match t.q with
+  | Q_fifo f -> Fifo.take f
+  | Q_drr d -> Rr_queue.take d
 
 let q_push t (p : Packet.t) =
   match t.q with
@@ -106,32 +118,31 @@ let start_tx t (p : Packet.t) =
   c.inflight_tx <- tx;
   c.inflight_bits <- p.Packet.size;
   t.inflight_pending <- true;
-  Sim.Engine.lane_push t.lane ~time:(done_at +. t.prop_delay) ~epoch:done_at
-    ~parent:start ~stamp:t.chain_stamp p
+  t.keys.(0) <- done_at +. t.prop_delay;
+  t.keys.(1) <- done_at;
+  t.keys.(2) <- start;
+  Sim.Engine.lane_push t.lane t.keys ~stamp:t.chain_stamp p
 
 (* Is the pending completion at [next_free_at] due?  Strictly past:
    yes.  At an exact tie the eager scheme's completion event — pushed
    when its packet started transmitting — has run already iff it
    sorts before the event executing right now, i.e. iff the
    transmission's start instant precedes the current event's epoch. *)
-let completion_due t ~now =
-  let c = t.c in
+let completion_due t =
+  let c = t.c and now = t.clock.(0) in
   c.next_free_at < now
-  || (c.next_free_at = now
-      && c.next_free_at -. c.inflight_tx < Sim.Engine.current_epoch t.eng)
+  || (c.next_free_at = now && c.next_free_at -. c.inflight_tx < t.clock.(1))
 
 (* perform every pop whose completion event would already have run,
    exactly as the eager transmitter would have at those instants *)
-let rec catch_up t ~now =
-  if completion_due t ~now then begin
-    if t.up then begin
-      match q_pop t with
-      | Some p ->
-        start_tx t p;
-        catch_up t ~now
-      | None -> settle t ~now
+let rec catch_up t =
+  if completion_due t then begin
+    if t.up && not (q_is_empty t) then begin
+      start_tx t (q_take t);
+      catch_up t
     end
-    else settle t ~now (* down: never pop, but do accrue past work *)
+    (* empty, or down: pop nothing, but do accrue past work *)
+    else settle t ~now:t.clock.(0)
   end
 
 (* the lane's handler: deliver the oldest packet on the wire (the lane
@@ -139,7 +150,7 @@ let rec catch_up t ~now =
    times strictly increase) *)
 let on_arrival t p =
   Sim.Engine.profile_mark t.eng t.prof_kind;
-  catch_up t ~now:(Sim.Engine.now t.eng);
+  catch_up t;
   (* packets that were on the wire when the link went down die at
      their would-be arrival instant (arrivals are FIFO, so the next
      [kill_wire] arrivals are exactly those packets) *)
@@ -161,29 +172,27 @@ let on_arrival t p =
    leaving the pop to a later catch-up reproduces both the pop's
    candidate set and the queue occupancy seen by any event ordered in
    between. *)
-let idle t ~now =
+let idle t =
+  let now = t.clock.(0) in
   t.c.next_free_at < now || (t.c.next_free_at = now && not t.inflight_pending)
 
-(* begin a busy period at [now] if the transmitter is idle: arrivals
+(* begin a busy period now if the transmitter is idle: arrivals
    scheduled lazily for its later packets tie-break as if pushed now *)
-let start_busy_period t ~now =
-  if idle t ~now then
-    match q_pop t with
-    | Some head ->
-      t.c.next_free_at <- now;
-      t.chain_stamp <- Sim.Engine.stamp t.eng;
-      start_tx t head
-    | None -> ()
+let start_busy_period t =
+  if idle t && not (q_is_empty t) then begin
+    t.c.next_free_at <- t.clock.(0);
+    t.chain_stamp <- Sim.Engine.stamp t.eng;
+    start_tx t (q_take t)
+  end
 
 let send t p =
   if not t.up then `Dropped (* admission refusal while down *)
   else begin
-    let now = Sim.Engine.now t.eng in
-    catch_up t ~now;
+    catch_up t;
     match q_push t p with
     | `Dropped -> `Dropped
     | `Queued ->
-      start_busy_period t ~now;
+      start_busy_period t;
       `Queued
   end
 
@@ -202,6 +211,8 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
   let rec t =
     lazy {
       eng;
+      clock = Sim.Engine.clock_cells eng;
+      keys = Array.make 3 0.;
       l;
       q =
         (match discipline with
@@ -233,7 +244,7 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
 (* Reads catch the virtual transmitter up first, so observed queue
    occupancy, busy state and statistics are those of an eager
    transmitter at the same instant. *)
-let sync t = catch_up t ~now:(Sim.Engine.now t.eng)
+let sync t = catch_up t
 
 let queue_occupancy t =
   sync t;
@@ -248,7 +259,7 @@ let queue_capacity t =
 
 let busy t =
   sync t;
-  not (idle t ~now:(Sim.Engine.now t.eng))
+  not (idle t)
 
 let utilisation t ~now =
   sync t;
@@ -291,26 +302,20 @@ let set_down ?(policy = `Drop_queued) t =
     match policy with
     | `Hold_queued -> ()
     | `Drop_queued ->
-      let rec flush () =
-        match q_pop t with
-        | Some p ->
-          t.fault_drops_acc <- t.fault_drops_acc + 1;
-          t.fault_tap p;
-          flush ()
-        | None -> ()
-      in
-      flush ()
+      while not (q_is_empty t) do
+        t.fault_drops_acc <- t.fault_drops_acc + 1;
+        t.fault_tap (q_take t)
+      done
   end
 
 let set_up t =
   if not t.up then begin
     t.up <- true;
-    let now = Sim.Engine.now t.eng in
     (* The virtual transmitter may have gone idle during the outage;
        restart the busy period for any held packets.  Do not catch up
        with the stale clock first — pops while down were refused, so
        popping at [next_free_at] now would schedule arrivals in the
        past. *)
-    settle t ~now;
-    start_busy_period t ~now
+    settle t ~now:t.clock.(0);
+    start_busy_period t
   end

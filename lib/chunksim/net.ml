@@ -37,9 +37,9 @@ let create ?queue_bits ?speed_factor ?discipline ?loss_rate
      interface construction *)
   let make_iface (l : Link.t) =
     let loss = Option.map (fun p -> (p, Sim.Rng.split loss_rng)) loss_rate in
+    let from = Some l in
     Iface.create ?queue_bits ?speed_factor ?discipline ?loss eng l
-      ~deliver:(fun p ->
-        t.handlers.(l.Link.dst) ~from:(Some l) p)
+      ~deliver:(fun p -> t.handlers.(l.Link.dst) ~from p)
   in
   let ifaces = Array.init (Graph.link_count g) (fun i -> make_iface (Graph.link g i)) in
   { t with ifaces }

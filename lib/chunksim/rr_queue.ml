@@ -53,43 +53,34 @@ let push t ~class_id (p : Packet.t) =
    topping deficits up by one quantum as we pass.  Each pass either
    returns a packet or adds quantum to every backlogged class, so
    termination is bounded by max_packet/quantum passes. *)
-let pop t =
-  match t.ring with
-  | [] -> None
-  | _ ->
-    let rec scan guard =
-      match t.ring with
-      | [] -> None
-      | c :: rest -> begin
-        match Queue.peek_opt c.q with
-        | None ->
-          (* empty class left in the ring: retire it *)
-          t.ring <- rest;
-          scan guard
-        | Some head ->
-          if head.Packet.size <= c.deficit then begin
-            let p = Queue.take c.q in
-            c.deficit <- c.deficit -. p.Packet.size;
-            t.bits <- t.bits -. p.Packet.size;
-            if Queue.is_empty c.q then t.ring <- rest
-            else t.ring <- rest @ [ c ];
-            Some p
-          end
-          else begin
-            c.deficit <- c.deficit +. t.quantum;
-            t.ring <- rest @ [ c ];
-            if guard <= 0 then None else scan (guard - 1)
-          end
+let take t =
+  (* enough passes for the largest packet to accumulate credit *)
+  let passes = List.length t.ring * (2 + int_of_float (t.cap /. t.quantum)) in
+  let rec scan guard =
+    match t.ring with
+    | [] -> invalid_arg "Rr_queue.take: empty"
+    | c :: rest ->
+      (* a class is in the ring exactly while its queue is non-empty *)
+      let head = Queue.peek c.q in
+      if head.Packet.size <= c.deficit then begin
+        let p = Queue.take c.q in
+        c.deficit <- c.deficit -. p.Packet.size;
+        t.bits <- t.bits -. p.Packet.size;
+        if Queue.is_empty c.q then t.ring <- rest
+        else t.ring <- rest @ [ c ];
+        p
       end
-    in
-    (* enough passes for the largest packet to accumulate credit *)
-    let passes =
-      List.length t.ring * (2 + int_of_float (t.cap /. t.quantum))
-    in
-    scan passes
+      else begin
+        c.deficit <- c.deficit +. t.quantum;
+        t.ring <- rest @ [ c ];
+        if guard <= 0 then failwith "Rr_queue.take: no class eligible"
+        else scan (guard - 1)
+      end
+  in
+  scan passes
 
 let occupancy t = t.bits
 let capacity t = t.cap
-let is_empty t = t.bits <= 0.
+let is_empty t = t.ring = []
 let backlogged_classes t = List.length t.ring
 let total_dropped t = t.dropped

@@ -19,11 +19,14 @@ val create : ?quantum:float -> capacity:float -> unit -> t
 
 val push : t -> class_id:int -> Packet.t -> [ `Queued | `Dropped ]
 
-val pop : t -> Packet.t option
-(** Next packet under DRR order. *)
+val take : t -> Packet.t
+(** Remove and return the next packet under DRR order.
+    @raise Invalid_argument if the queue is empty. *)
 
 val occupancy : t -> float
 val capacity : t -> float
 val is_empty : t -> bool
+(** No packet queued. *)
+
 val backlogged_classes : t -> int
 val total_dropped : t -> int

@@ -38,6 +38,8 @@ let now t = t.clock.(0)
 
 let current_epoch t = t.clock.(1)
 
+let clock_cells t = t.clock
+
 (* Tie-break parent for an ordinary push: the executing event's own
    epoch (outside event execution, the clock itself). *)
 let push_parent t = Float.min (current_epoch t) (now t)
@@ -107,7 +109,8 @@ let grow_lane l v =
   l.ints <- unwrap 2 l.ints 0;
   l.head <- 0
 
-let lane_push l ~time ~epoch ~parent ~stamp v =
+let lane_push l (k : float array) ~stamp v =
+  let time = k.(0) and epoch = k.(1) and parent = k.(2) in
   let last = (l.head + l.len - 1) land (Array.length l.items - 1) in
   if not (time >= now l.eng && epoch <= time && parent <= epoch)
      || (l.len > 0 && time <= l.keys.(3 * last))

@@ -20,6 +20,12 @@ val current_epoch : t -> float
     drained or reached its horizon), meaning every event at or before
     [now] has already run. *)
 
+val clock_cells : t -> float array
+(** The engine's clock as two cells, [now] and {!current_epoch}, which
+    every event updates in place.  A hot caller in another module reads
+    them here: a float returned by {!now} is boxed under [-opaque], a
+    float read from the array is not.  Read-only. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> Event_queue.handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
     @raise Invalid_argument if [delay < 0.] or NaN. *)
@@ -71,14 +77,15 @@ type 'a lane
 val lane : t -> ('a -> unit) -> 'a lane
 (** An empty lane whose events run the handler on their item. *)
 
-val lane_push :
-  'a lane -> time:float -> epoch:float -> parent:float -> stamp:int -> 'a ->
-  unit
-(** Schedule the handler on the item at [time].  Ties break on [epoch],
-    the instant the event counts as scheduled (it may lie in the past:
-    a lazy caller pushes what an eager process would have pushed
-    then), on [parent], the instant its scheduler was scheduled, on
-    [stamp] (see {!stamp}), then on push order.
+val lane_push : 'a lane -> float array -> stamp:int -> 'a -> unit
+(** [lane_push l keys ~stamp v] schedules the handler on [v] at
+    [time = keys.(0)].  Ties break on [epoch = keys.(1)], the instant
+    the event counts as scheduled (it may lie in the past: a lazy
+    caller pushes what an eager process would have pushed then), on
+    [parent = keys.(2)], the instant its scheduler was scheduled, on
+    [stamp] (see {!stamp}), then on push order.  The caller owns
+    [keys] and may reuse it at once: the lane copies the three cells,
+    and passing them in an array keeps them unboxed.
     @raise Invalid_argument unless [now <= time],
     [parent <= epoch <= time] and [time] exceeds every time the lane
     still holds. *)

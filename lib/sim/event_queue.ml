@@ -24,7 +24,17 @@
    half the heap is dead weight, a push filters the positions in place
    and re-heapifies bottom-up.  Pop order is a function of the keys
    alone, so compaction leaves it unchanged, and so does holding an
-   event back (see [take_seq]) and pushing it later with its keys. *)
+   event back (see [take_seq]) and pushing it later with its keys.
+
+   A pop defers removing the root: it recycles the root's slot and
+   leaves position 0 as a hole.  Most events push a successor, and that
+   push fills the hole with one sift down, where closing the hole at
+   once and then adding the new entry would cost a sift down of the
+   last entry plus a sift up of the new one.  Anything else that reads
+   the top (a pop, [peek_time], compaction) first closes the hole with
+   the last entry, exactly as an immediate removal would have.  The
+   heap's layout differs, its contents do not, and since every entry's
+   key tuple is unique (seq), neither does the pop order. *)
 
 type counts = {
   mutable live : int;            (* live events, lane-held ones included *)
@@ -54,6 +64,8 @@ type 'a t = {
   mutable free : int array;      (* stack of unused slots *)
   mutable nfree : int;
   mutable size_total : int;      (* entries in heap incl. cancelled *)
+  mutable hole : bool;           (* position 0 is vacant: the entries sit
+                                    at positions 1 .. size_total *)
   mutable next_seq : int;
   counts : counts;
   fixed : handle;                (* shared handle for push_fixed *)
@@ -73,6 +85,7 @@ let create () =
     free = [||];
     nfree = 0;
     size_total = 0;
+    hole = false;
     next_seq = 0;
     counts;
     fixed = { cancelled = false; in_heap = true; counts };
@@ -145,9 +158,20 @@ let release_slot t slot =
   t.free.(t.nfree) <- slot;
   t.nfree <- t.nfree + 1
 
+(* fill a pending hole at the root with the last entry *)
+let close_hole t =
+  if t.hole then begin
+    t.hole <- false;
+    if t.size_total > 0 then begin
+      move t.fkeys t.ikeys ~src:t.size_total ~dst:(spare t);
+      sift_down t 0
+    end
+  end
+
 (* Drop cancelled entries in place and rebuild the heap bottom-up
    (Floyd).  Live keys are untouched, so pop order is preserved. *)
 let compact t =
+  close_hole t;
   let fk = t.fkeys and ik = t.ikeys in
   let n = ref 0 in
   for i = 0 to t.size_total - 1 do
@@ -186,7 +210,11 @@ let insert t ~stamp ~seq h v =
   t.ikeys.(s + 1) <- seq;
   t.ikeys.(s + 2) <- slot;
   t.size_total <- t.size_total + 1;
-  sift_up t (t.size_total - 1)
+  if t.hole then begin
+    t.hole <- false;
+    sift_down t 0
+  end
+  else sift_up t (t.size_total - 1)
 
 let[@inline] take_seq t =
   t.counts.live <- t.counts.live + 1;
@@ -233,17 +261,15 @@ let cancel (h : handle) =
 
 let is_cancelled (h : handle) = h.cancelled
 
-(* remove the root, recycling its slot *)
+(* remove the root, recycling its slot and leaving a hole *)
 let remove_top t =
   release_slot t t.ikeys.(2);
   t.size_total <- t.size_total - 1;
-  if t.size_total > 0 then begin
-    move t.fkeys t.ikeys ~src:t.size_total ~dst:(spare t);
-    sift_down t 0
-  end
+  t.hole <- true
 
 (* surface a live entry at the top, discarding cancelled ones *)
 let rec clean_top t =
+  close_hole t;
   if t.size_total > 0 then begin
     let h = t.handles.(t.ikeys.(2)) in
     if h.cancelled then begin

@@ -14,7 +14,9 @@
     the heap is compacted in place once cancelled entries outnumber
     live ones.  [size] and [is_empty] are O(1): the handle carries the
     queue's counters and updates them at cancel time.  Sifting moves
-    unboxed keys only, so it needs no write barrier. *)
+    unboxed keys only, so it needs no write barrier.  A pop leaves the
+    root vacant and the next push fills it with a single sift down;
+    pop order does not depend on when the vacancy is closed. *)
 
 type 'a t
 

@@ -47,18 +47,85 @@ let test_fifo_order_and_bounds () =
   Alcotest.(check bool) "third dropped" true (Chunksim.Fifo.push q (mk 2) = `Dropped);
   Alcotest.(check int) "drop counter" 1 (Chunksim.Fifo.total_dropped q);
   check_close "occupancy" 0. 800. (Chunksim.Fifo.occupancy q);
-  (match Chunksim.Fifo.pop q with
-  | Some p -> (match p.P.header with
-    | P.Data { idx; _ } -> Alcotest.(check int) "FIFO order" 0 idx
-    | _ -> Alcotest.fail "wrong kind")
-  | None -> Alcotest.fail "queue empty");
-  check_close "occupancy after pop" 0. 400. (Chunksim.Fifo.occupancy q)
+  (match (Chunksim.Fifo.take q).P.header with
+  | P.Data { idx; _ } -> Alcotest.(check int) "FIFO order" 0 idx
+  | _ -> Alcotest.fail "wrong kind");
+  check_close "occupancy after take" 0. 400. (Chunksim.Fifo.occupancy q)
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "%s accepted" what
+  | exception Invalid_argument _ -> ()
 
 let test_fifo_empty () =
   let q = Chunksim.Fifo.create ~capacity:10. in
   Alcotest.(check bool) "empty" true (Chunksim.Fifo.is_empty q);
-  Alcotest.(check bool) "pop none" true (Chunksim.Fifo.pop q = None);
-  Alcotest.(check bool) "peek none" true (Chunksim.Fifo.peek q = None)
+  rejects "take on a new queue" (fun () -> Chunksim.Fifo.take q);
+  ignore (Chunksim.Fifo.push q (P.data ~flow:0 ~idx:0 ~born:0. 4.));
+  Alcotest.(check bool) "not empty" false (Chunksim.Fifo.is_empty q);
+  ignore (Chunksim.Fifo.take q);
+  Alcotest.(check bool) "empty again" true (Chunksim.Fifo.is_empty q);
+  rejects "take on a drained queue" (fun () -> Chunksim.Fifo.take q)
+
+(* The ring against a list model, every counter checked after each
+   step.  The script wraps the ring (head past its start, tail behind
+   it), grows it while wrapped, overflows the byte bound, then drains
+   it. *)
+let test_fifo_ring () =
+  let module F = Chunksim.Fifo in
+  let size i = float_of_int (100 + (10 * (i mod 7))) in
+  let q = F.create ~capacity:2_500. in
+  let model = Queue.create () and next = ref 0 in
+  let queued = ref 0 and dropped = ref 0 and dropped_bits = ref 0. in
+  let bits () = Queue.fold (fun acc i -> acc +. size i) 0. model in
+  let check what =
+    Alcotest.(check int) (what ^ ": length") (Queue.length model) (F.length q);
+    Alcotest.(check bool) (what ^ ": is_empty") (Queue.is_empty model)
+      (F.is_empty q);
+    Alcotest.(check (float 0.)) (what ^ ": bits") (bits ()) (F.occupancy q);
+    Alcotest.(check int) (what ^ ": queued") !queued (F.total_queued q);
+    Alcotest.(check int) (what ^ ": dropped") !dropped (F.total_dropped q);
+    Alcotest.(check (float 0.)) (what ^ ": dropped bits") !dropped_bits
+      (F.total_dropped_bits q)
+  in
+  let push n =
+    for _ = 1 to n do
+      let i = !next in
+      incr next;
+      (match F.push q (P.data ~flow:0 ~idx:i ~born:0. (size i)) with
+      | `Queued ->
+        Queue.add i model;
+        incr queued
+      | `Dropped ->
+        incr dropped;
+        dropped_bits := !dropped_bits +. size i);
+      check (Printf.sprintf "push %d" i)
+    done
+  in
+  let take n =
+    for _ = 1 to n do
+      let want = Queue.take model in
+      (match (F.take q).P.header with
+      | P.Data { idx; _ } -> Alcotest.(check int) "FIFO order" want idx
+      | _ -> Alcotest.fail "wrong kind");
+      check (Printf.sprintf "take %d" want)
+    done
+  in
+  push 6;
+  take 4;
+  (* the first ring holds 8: these wrap past its end *)
+  push 6;
+  (* a ninth packet grows the ring while its head is not at 0 *)
+  push 3;
+  take 2;
+  (* the byte bound (2500) is hit before the count is: drops *)
+  push 20;
+  Alcotest.(check bool) "drops happened" true (!dropped > 0);
+  take (Queue.length model);
+  Alcotest.(check bool) "drained" true (F.is_empty q);
+  rejects "take when drained" (fun () -> F.take q);
+  push 3;
+  take 3
 
 (* ------------------------------------------------------------------ *)
 (* Rr_queue *)
@@ -73,14 +140,9 @@ let test_rr_round_robin () =
     ignore (Chunksim.Rr_queue.push q ~class_id:1 (P.data ~flow:1 ~idx:i ~born:0. 400.))
   done;
   let order = ref [] in
-  let rec drain () =
-    match Chunksim.Rr_queue.pop q with
-    | Some p ->
-      order := P.flow p :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Chunksim.Rr_queue.is_empty q) do
+    order := P.flow (Chunksim.Rr_queue.take q) :: !order
+  done;
   let order = List.rev !order in
   Alcotest.(check int) "all served" 6 (List.length order);
   (* the first four services alternate between the two classes *)
@@ -103,10 +165,9 @@ let test_rr_large_packet_accumulates_deficit () =
   (* a packet bigger than one quantum must still be served *)
   let q = Chunksim.Rr_queue.create ~quantum:100. ~capacity:1e6 () in
   ignore (Chunksim.Rr_queue.push q ~class_id:0 (P.data ~flow:0 ~idx:0 ~born:0. 950.));
-  (match Chunksim.Rr_queue.pop q with
-  | Some p -> Alcotest.(check bool) "served" true (P.is_data p)
-  | None -> Alcotest.fail "starved");
-  Alcotest.(check bool) "empty" true (Chunksim.Rr_queue.is_empty q)
+  Alcotest.(check bool) "served" true (P.is_data (Chunksim.Rr_queue.take q));
+  Alcotest.(check bool) "empty" true (Chunksim.Rr_queue.is_empty q);
+  rejects "take when empty" (fun () -> Chunksim.Rr_queue.take q)
 
 let test_iface_drr_discipline () =
   let eng = Sim.Engine.create () in
@@ -345,8 +406,9 @@ let test_iface_one_event_per_packet () =
     [ None; Some (0.3, Sim.Rng.create 5L) ]
 
 (* per-packet allocation in the transmitter is gated: no per-packet
-   closures, no tuples on pop.  The figure is bit-deterministic and
-   frozen with 1.25x headroom. *)
+   closures, options or boxed floats, so once the rings have grown a
+   packet allocates nothing.  The figure is bit-deterministic and
+   frozen with 1.25x headroom, which at 0 admits no allocation. *)
 let test_iface_alloc_budget () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
@@ -370,7 +432,7 @@ let test_iface_alloc_budget () =
     done;
     Sim.Engine.run eng;
     let per_packet = (Gc.minor_words () -. before) /. float_of_int rounds in
-    let frozen = 23.0 in
+    let frozen = 0.0 in
     if per_packet > 1.25 *. frozen then
       Alcotest.failf "%.1f minor words/packet, frozen %.1f, bound %.1f"
         per_packet frozen (1.25 *. frozen)
@@ -385,12 +447,15 @@ let eager_reference ~discipline ~loss eng (l : Topology.Link.t) ~deliver =
     | Chunksim.Iface.Fifo_discipline ->
       let q = Chunksim.Fifo.create ~capacity:6e4 in
       ( Chunksim.Fifo.push q,
-        (fun () -> Chunksim.Fifo.pop q),
+        (fun () ->
+          if Chunksim.Fifo.is_empty q then None else Some (Chunksim.Fifo.take q)),
         fun () -> Chunksim.Fifo.total_dropped q )
     | Chunksim.Iface.Drr quantum ->
       let q = Chunksim.Rr_queue.create ~quantum ~capacity:6e4 () in
       ( (fun p -> Chunksim.Rr_queue.push q ~class_id:(P.flow p) p),
-        (fun () -> Chunksim.Rr_queue.pop q),
+        (fun () ->
+          if Chunksim.Rr_queue.is_empty q then None
+          else Some (Chunksim.Rr_queue.take q)),
         fun () -> Chunksim.Rr_queue.total_dropped q )
   in
   let busy = ref false and up = ref true and on_wire = ref 0 and kill = ref 0 in
@@ -506,6 +571,37 @@ let test_iface_reference_drr () =
 
 let test_iface_reference_outage () =
   check_matches_reference ~outage:true Chunksim.Iface.Fifo_discipline
+
+(* The delivery traces above, pinned by Digest (trace, then drops,
+   losses, fault drops and tx bits) as the list-queue transmitter
+   produced them, for both disciplines, with and without wire loss and
+   outages. *)
+let test_iface_pinned_traces () =
+  List.iter
+    (fun (name, discipline, loss, outage, want) ->
+      let trace, (drops, losses, faults, bits) =
+        iface_delivery_trace ~discipline ~loss ~outage ~reference:false ()
+      in
+      let got =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "\n" trace
+             ^ Printf.sprintf "|%d %d %d %.17g" drops losses faults bits))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s loss=%b outage=%b" name (loss <> None) outage)
+        want got)
+    Chunksim.Iface.
+      [
+        ("fifo", Fifo_discipline, None, false, "d362db994671de0c3f9230dfecd1e475");
+        ("fifo", Fifo_discipline, Some 0.3, false, "b3d702e4bcb66991e4adf1510d026f4b");
+        ("fifo", Fifo_discipline, None, true, "d846c4aabd36a6462a1fe70567bd68b8");
+        ("fifo", Fifo_discipline, Some 0.3, true, "40be41b14edd47520521ae4cc227748d");
+        ("drr", Drr 4_000., None, false, "357ed5400f2915c4346aa77fe9aef39f");
+        ("drr", Drr 4_000., Some 0.3, false, "898bbeada83996b02f565f2161d23572");
+        ("drr", Drr 4_000., None, true, "8c04b477a3d1d78ba0ff82d1e3912b18");
+        ("drr", Drr 4_000., Some 0.3, true, "f78d2a184b75d345ee25f1ecdb349be0");
+      ]
 
 let test_net_delivery_and_handlers () =
   let eng = Sim.Engine.create () in
@@ -646,16 +742,9 @@ let prop_fifo_conserves_bits =
         sizes;
       let total = List.fold_left ( + ) 0 sizes in
       let popped = ref 0. in
-      let rec pop_half n =
-        if n > 0 then begin
-          match Chunksim.Fifo.pop q with
-          | Some p ->
-            popped := !popped +. p.P.size;
-            pop_half (n - 1)
-          | None -> ()
-        end
-      in
-      pop_half (List.length sizes / 2);
+      for _ = 1 to List.length sizes / 2 do
+        popped := !popped +. (Chunksim.Fifo.take q).P.size
+      done;
       Float.abs (Chunksim.Fifo.occupancy q +. !popped -. float_of_int total)
       < 1e-6)
 
@@ -694,15 +783,11 @@ let prop_rr_work_conserving =
           | `Dropped -> ())
         ops;
       let popped = ref 0 in
-      let rec drain () =
-        match Chunksim.Rr_queue.pop q with
-        | Some _ ->
-          incr popped;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      !popped = !queued && Chunksim.Rr_queue.is_empty q)
+      while not (Chunksim.Rr_queue.is_empty q) do
+        ignore (Chunksim.Rr_queue.take q);
+        incr popped
+      done;
+      !popped = !queued)
 
 let prop_rr_two_class_fairness =
   QCheck.Test.make ~name:"rr queue serves equal backlogs near-equally"
@@ -718,9 +803,9 @@ let prop_rr_two_class_fairness =
       let c0 = ref 0 and c1 = ref 0 in
       let ok = ref true in
       for _ = 1 to 2 * n do
-        (match Chunksim.Rr_queue.pop q with
-        | Some p -> if P.flow p = 0 then incr c0 else incr c1
-        | None -> ok := false);
+        if Chunksim.Rr_queue.is_empty q then ok := false
+        else if P.flow (Chunksim.Rr_queue.take q) = 0 then incr c0
+        else incr c1;
         if abs (!c0 - !c1) > 1 then ok := false
       done;
       !ok)
@@ -790,6 +875,8 @@ let () =
         [
           Alcotest.test_case "order and bounds" `Quick test_fifo_order_and_bounds;
           Alcotest.test_case "empty" `Quick test_fifo_empty;
+          Alcotest.test_case "ring wrap, growth and counters" `Quick
+            test_fifo_ring;
         ] );
       ( "cache",
         [
@@ -819,6 +906,8 @@ let () =
             test_iface_reference_drr;
           Alcotest.test_case "matches eager reference (outage)" `Quick
             test_iface_reference_outage;
+          Alcotest.test_case "delivery traces pinned" `Quick
+            test_iface_pinned_traces;
         ] );
       ( "rr_queue",
         [

@@ -475,83 +475,138 @@ let queue_ops =
     (phase ~push:7 ~fixed:2 ~cancel:1 ~pop:1 (int_range 120 250))
     (phase ~push:1 ~fixed:1 ~cancel:8 ~pop:1 (int_range 150 300))
 
+(* A pop leaves the root vacant until the next push fills it or the
+   next read of the top closes it.  This script reaches each case from
+   an empty queue; equal keys order by seq, so the heap array starts
+   sorted in push order and its last entry is the newest push. *)
+let hole_script =
+  let fill n = List.init n (fun _ -> Push (0, 0, 0)) in
+  (* cancel the entry that would close the hole, alone and in a full
+     heap *)
+  fill 2 @ [ Pop; Cancel 0; Pop ]
+  @ fill 70 @ [ Pop; Cancel 0; Pop ]
+  (* a push straight after a pop fills the hole; a pop after a pop
+     closes it *)
+  @ [ Pop; Push (0, 0, 0); Pop; Pop ]
+  (* cancel the 40 newest (largest) keys: over half the heap is dead,
+     so the push after the next pop compacts with the hole pending *)
+  @ List.init 40 (fun _ -> Cancel 0)
+  @ [ Pop; Push (0, 0, 0); Pop ]
+
+(* Run [ops] through a queue and the model, checking [size] and
+   [is_empty] after every op, and [peek_time] too when [peek] is set.
+   A peek closes a pending hole, so only the unpeeked run fills holes
+   with pushes.  Returns how many pushes straight after a pop
+   compacted the heap. *)
+let run_queue_model ~peek ops =
+  let module Q = Sim.Event_queue in
+  let q = Q.create () in
+  let grid i = float_of_int i *. 0.25 in
+  (* live entries as ((time, epoch, parent, stamp, seq), seq); the
+     payload is the seq *)
+  let model = ref [] and live = ref [] and spent = ref [] in
+  let seq = ref 0 and after_pop = ref false and hole_compactions = ref 0 in
+  let add key = model := (key, !seq) :: !model; incr seq in
+  let forget id =
+    model := List.filter (fun (_, i) -> i <> id) !model;
+    match List.assoc_opt id !live with
+    | Some h ->
+      live := List.remove_assoc id !live;
+      spent := h :: !spent
+    | None -> ()
+  in
+  let check_state () =
+    let n = List.length !model in
+    if Q.size q <> n then
+      QCheck.Test.fail_reportf "size %d, model %d" (Q.size q) n;
+    if Q.is_empty q <> (n = 0) then
+      QCheck.Test.fail_report "is_empty disagrees with the model";
+    if peek then begin
+      let min_time =
+        List.fold_left
+          (fun acc ((t, _, _, _, _), _) ->
+            Some (match acc with Some m -> Float.min m t | None -> t))
+          None !model
+      in
+      if Q.peek_time q <> min_time then
+        QCheck.Test.fail_report "peek_time disagrees with the model"
+    end
+  in
+  let pushed f =
+    let before = (Q.stats q).Q.compacted in
+    f ();
+    if !after_pop && (Q.stats q).Q.compacted > before then
+      incr hole_compactions
+  in
+  List.iter
+    (fun op ->
+      let popped =
+        match op with
+        | Push (t, e, p) ->
+          pushed (fun () ->
+              let h =
+                Q.push q ~epoch:(grid e) ~parent:(grid p) ~time:(grid t) !seq
+              in
+              live := (!seq, h) :: !live;
+              add (grid t, grid e, grid p, !seq, !seq));
+          false
+        | Push_fixed (t, e, p, s) ->
+          pushed (fun () ->
+              Q.push_fixed q ~epoch:(grid e) ~parent:(grid p) ~stamp:s
+                ~time:(grid t) !seq;
+              add (grid t, grid e, grid p, s, !seq));
+          false
+        | Cancel k when k mod 2 = 0 -> (
+          match !live with
+          | [] -> false
+          | hs ->
+            let id, h = List.nth hs (k / 2 mod List.length hs) in
+            Q.cancel h;
+            forget id;
+            false)
+        | Cancel k -> (
+          (* cancelling a popped or cancelled handle changes nothing *)
+          match !spent with
+          | [] -> false
+          | hs ->
+            Q.cancel (List.nth hs (k / 2 mod List.length hs));
+            false)
+        | Pop -> (
+          let expected =
+            List.fold_left
+              (fun acc (key, id) ->
+                match acc with
+                | Some (k, _) when compare k key <= 0 -> acc
+                | _ -> Some (key, id))
+              None !model
+          in
+          match (Q.pop q, expected) with
+          | None, None -> false
+          | Some (t, id), Some ((et, _, _, _, _), eid) ->
+            if id <> eid || t <> et then
+              QCheck.Test.fail_reportf "popped %d at %g, model %d at %g" id t
+                eid et;
+            forget id;
+            true
+          | Some _, None -> QCheck.Test.fail_report "popped from an empty model"
+          | None, Some _ -> QCheck.Test.fail_report "empty, model is not")
+      in
+      (* a cancel leaves a pending hole pending *)
+      (match op with
+      | Cancel _ -> ()
+      | _ -> after_pop := popped && not peek);
+      check_state ())
+    ops;
+  !hole_compactions
+
 let prop_queue_model =
   QCheck.Test.make ~name:"five-key order matches a model" ~count:200
     (QCheck.make ~print:(QCheck.Print.list show_queue_op) queue_ops)
     (fun ops ->
-      let module Q = Sim.Event_queue in
-      let q = Q.create () in
-      let grid i = float_of_int i *. 0.25 in
-      (* live entries as ((time, epoch, parent, stamp, seq), seq); the
-         payload is the seq *)
-      let model = ref [] and live = ref [] and spent = ref [] in
-      let seq = ref 0 in
-      let add key = model := (key, !seq) :: !model; incr seq in
-      let forget id =
-        model := List.filter (fun (_, i) -> i <> id) !model;
-        match List.assoc_opt id !live with
-        | Some h ->
-          live := List.remove_assoc id !live;
-          spent := h :: !spent
-        | None -> ()
-      in
-      let check_state () =
-        let n = List.length !model in
-        if Q.size q <> n then
-          QCheck.Test.fail_reportf "size %d, model %d" (Q.size q) n;
-        if Q.is_empty q <> (n = 0) then
-          QCheck.Test.fail_report "is_empty disagrees with the model";
-        let min_time =
-          List.fold_left
-            (fun acc ((t, _, _, _, _), _) ->
-              Some (match acc with Some m -> Float.min m t | None -> t))
-            None !model
-        in
-        if Q.peek_time q <> min_time then
-          QCheck.Test.fail_report "peek_time disagrees with the model"
-      in
-      List.iter
-        (fun op ->
-          (match op with
-          | Push (t, e, p) ->
-            let h = Q.push q ~epoch:(grid e) ~parent:(grid p) ~time:(grid t) !seq in
-            live := (!seq, h) :: !live;
-            add (grid t, grid e, grid p, !seq, !seq)
-          | Push_fixed (t, e, p, s) ->
-            Q.push_fixed q ~epoch:(grid e) ~parent:(grid p) ~stamp:s ~time:(grid t) !seq;
-            add (grid t, grid e, grid p, s, !seq)
-          | Cancel k when k mod 2 = 0 -> (
-            match !live with
-            | [] -> ()
-            | hs ->
-              let id, h = List.nth hs (k / 2 mod List.length hs) in
-              Q.cancel h;
-              forget id)
-          | Cancel k -> (
-            (* cancelling a popped or cancelled handle changes nothing *)
-            match !spent with
-            | [] -> ()
-            | hs -> Q.cancel (List.nth hs (k / 2 mod List.length hs)))
-          | Pop -> (
-            let expected =
-              List.fold_left
-                (fun acc (key, id) ->
-                  match acc with
-                  | Some (k, _) when compare k key <= 0 -> acc
-                  | _ -> Some (key, id))
-                None !model
-            in
-            match (Q.pop q, expected) with
-            | None, None -> ()
-            | Some (t, id), Some ((et, _, _, _, _), eid) ->
-              if id <> eid || t <> et then
-                QCheck.Test.fail_reportf "popped %d at %g, model %d at %g"
-                  id t eid et;
-              forget id
-            | Some _, None -> QCheck.Test.fail_report "popped from an empty model"
-            | None, Some _ -> QCheck.Test.fail_report "empty, model is not"));
-          check_state ())
-        ops;
+      let ops = hole_script @ ops in
+      ignore (run_queue_model ~peek:true ops);
+      if run_queue_model ~peek:false ops = 0 then
+        QCheck.Test.fail_report "no push after a pop compacted the heap";
       true)
 
 (* A random scenario run twice: through an engine whose lane events
@@ -565,8 +620,7 @@ type scheduler = {
   now : unit -> float;
   stamp : unit -> int;
   pending : unit -> int;
-  lane_push :
-    int -> time:float -> epoch:float -> parent:float -> stamp:int -> int -> unit;
+  lane_push : int -> float array -> stamp:int -> int -> unit;
   after : float -> (unit -> unit) -> unit;
   every : float -> (unit -> bool) -> unit;
 }
@@ -580,6 +634,8 @@ let lane_scenario ~seed d ~log =
   let step () = g *. float_of_int (Sim.Rng.int rng 3) in
   let last = Array.make lanes neg_infinity and chain = Array.make lanes 0 in
   let budget = ref 300 and item = ref 0 and timer = ref 0 in
+  (* one key array for every push: the lane copies the cells *)
+  let keys = Array.make 3 0. in
   let push_lane l =
     let now = d.now () in
     let time = Float.max (now +. step ()) (last.(l) +. g) in
@@ -589,7 +645,10 @@ let lane_scenario ~seed d ~log =
     if Sim.Rng.int rng 4 = 0 then chain.(l) <- d.stamp ();
     let stamp = if Sim.Rng.bool rng then chain.(l) else d.stamp () in
     incr item;
-    d.lane_push l ~time ~epoch ~parent ~stamp !item
+    keys.(0) <- time;
+    keys.(1) <- epoch;
+    keys.(2) <- parent;
+    d.lane_push l keys ~stamp !item
   in
   let record src id = log := (src, id, d.now (), d.pending ()) :: !log in
   let rec react () =
@@ -652,9 +711,9 @@ let run_plain ~seed =
       stamp = (fun () -> Sim.Event_queue.next_stamp q);
       pending = (fun () -> Sim.Event_queue.size q);
       lane_push =
-        (fun l ~time ~epoch ~parent ~stamp i ->
-          Sim.Event_queue.push_fixed q ~epoch ~parent ~stamp ~time (fun () ->
-              !handler l i));
+        (fun l keys ~stamp i ->
+          Sim.Event_queue.push_fixed q ~epoch:keys.(1) ~parent:keys.(2) ~stamp
+            ~time:keys.(0) (fun () -> !handler l i));
       after;
       every =
         (fun interval f ->
@@ -693,8 +752,14 @@ let prop_lanes_equal_plain =
 let test_lane_contract () =
   let e = Sim.Engine.create () and got = ref [] in
   let l = Sim.Engine.lane e (fun i -> got := (i, Sim.Engine.now e) :: !got) in
+  let keys = Array.make 3 0. in
   let push ?(epoch = 0.) time i =
-    Sim.Engine.lane_push l ~time ~epoch ~parent:0. ~stamp:(Sim.Engine.stamp e) i
+    keys.(0) <- time;
+    keys.(1) <- epoch;
+    keys.(2) <- 0.;
+    Sim.Engine.lane_push l keys ~stamp:(Sim.Engine.stamp e) i;
+    (* the caller owns the cells: scribbling on them moves nothing *)
+    Array.fill keys 0 3 Float.nan
   in
   push 1. 1;
   push 2. 2;
