@@ -38,7 +38,7 @@ type clock = {
 
 type t = {
   eng : Sim.Engine.t;
-  clock : float array;           (* the engine's now and current epoch *)
+  clock : Sim.Engine.clock;      (* the engine's now and current epoch *)
   keys : float array;            (* the next arrival's time, epoch, parent *)
   l : Topology.Link.t;
   q : queue;
@@ -88,6 +88,10 @@ let q_push t (p : Packet.t) =
   | Q_fifo f -> Fifo.push f p
   | Q_drr d -> Rr_queue.push d ~class_id:(Packet.flow p) p
 
+(* the engine's clock, read unboxed *)
+let[@inline] now t = (t.clock :> float array).(0)
+let[@inline] epoch t = (t.clock :> float array).(1)
+
 (* accrue the newest popped packet once its completion time passes *)
 let[@inline] settle t ~now =
   let c = t.c in
@@ -129,9 +133,9 @@ let start_tx t (p : Packet.t) =
    sorts before the event executing right now, i.e. iff the
    transmission's start instant precedes the current event's epoch. *)
 let completion_due t =
-  let c = t.c and now = t.clock.(0) in
+  let c = t.c and now = now t in
   c.next_free_at < now
-  || (c.next_free_at = now && c.next_free_at -. c.inflight_tx < t.clock.(1))
+  || (c.next_free_at = now && c.next_free_at -. c.inflight_tx < epoch t)
 
 (* perform every pop whose completion event would already have run,
    exactly as the eager transmitter would have at those instants *)
@@ -142,7 +146,7 @@ let rec catch_up t =
       catch_up t
     end
     (* empty, or down: pop nothing, but do accrue past work *)
-    else settle t ~now:t.clock.(0)
+    else settle t ~now:(now t)
   end
 
 (* the lane's handler: deliver the oldest packet on the wire (the lane
@@ -173,14 +177,14 @@ let on_arrival t p =
    candidate set and the queue occupancy seen by any event ordered in
    between. *)
 let idle t =
-  let now = t.clock.(0) in
+  let now = now t in
   t.c.next_free_at < now || (t.c.next_free_at = now && not t.inflight_pending)
 
 (* begin a busy period now if the transmitter is idle: arrivals
    scheduled lazily for its later packets tie-break as if pushed now *)
 let start_busy_period t =
   if idle t && not (q_is_empty t) then begin
-    t.c.next_free_at <- t.clock.(0);
+    t.c.next_free_at <- now t;
     t.chain_stamp <- Sim.Engine.stamp t.eng;
     start_tx t (q_take t)
   end
@@ -316,6 +320,6 @@ let set_up t =
        with the stale clock first — pops while down were refused, so
        popping at [next_free_at] now would schedule arrivals in the
        past. *)
-    settle t ~now:t.clock.(0);
+    settle t ~now:(now t);
     start_busy_period t
   end

@@ -38,6 +38,8 @@ let now t = t.clock.(0)
 
 let current_epoch t = t.clock.(1)
 
+type clock = float array
+
 let clock_cells t = t.clock
 
 (* Tie-break parent for an ordinary push: the executing event's own

@@ -20,11 +20,15 @@ val current_epoch : t -> float
     drained or reached its horizon), meaning every event at or before
     [now] has already run. *)
 
-val clock_cells : t -> float array
-(** The engine's clock as two cells, [now] and {!current_epoch}, which
-    every event updates in place.  A hot caller in another module reads
-    them here: a float returned by {!now} is boxed under [-opaque], a
-    float read from the array is not.  Read-only. *)
+type clock = private float array
+(** The engine's clock cells, [now] and {!current_epoch}.  Read them
+    through a coercion, [(c :> float array).(0)]; the type forbids
+    writes. *)
+
+val clock_cells : t -> clock
+(** The engine's clock, which every event updates in place.  A hot
+    caller in another module reads it here: a float returned by {!now}
+    is boxed under [-opaque], a float read from the array is not. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> Event_queue.handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].

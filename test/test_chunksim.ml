@@ -151,7 +151,8 @@ let test_rr_round_robin () =
     Alcotest.(check bool) "interleaved" true
       (a <> b && c <> d && a <> c || a <> b && b <> c)
   | _ -> Alcotest.fail "expected six packets");
-  Alcotest.(check bool) "empty after drain" true (Chunksim.Rr_queue.is_empty q)
+  Alcotest.(check bool) "empty after drain" true (Chunksim.Rr_queue.is_empty q);
+  check_close "no bits left after drain" 1e-6 0. (Chunksim.Rr_queue.occupancy q)
 
 let test_rr_capacity_shared () =
   let q = Chunksim.Rr_queue.create ~quantum:400. ~capacity:1000. () in
@@ -167,6 +168,7 @@ let test_rr_large_packet_accumulates_deficit () =
   ignore (Chunksim.Rr_queue.push q ~class_id:0 (P.data ~flow:0 ~idx:0 ~born:0. 950.));
   Alcotest.(check bool) "served" true (P.is_data (Chunksim.Rr_queue.take q));
   Alcotest.(check bool) "empty" true (Chunksim.Rr_queue.is_empty q);
+  check_close "no bits left" 1e-6 0. (Chunksim.Rr_queue.occupancy q);
   rejects "take when empty" (fun () -> Chunksim.Rr_queue.take q)
 
 let test_iface_drr_discipline () =
@@ -434,7 +436,7 @@ let test_iface_alloc_budget () =
     let per_packet = (Gc.minor_words () -. before) /. float_of_int rounds in
     let frozen = 0.0 in
     if per_packet > 1.25 *. frozen then
-      Alcotest.failf "%.1f minor words/packet, frozen %.1f, bound %.1f"
+      Alcotest.failf "%g minor words/packet, frozen %g, bound %g"
         per_packet frozen (1.25 *. frozen)
 
 (* An eager two-event reference transmitter: a serialisation-complete
@@ -787,7 +789,7 @@ let prop_rr_work_conserving =
         ignore (Chunksim.Rr_queue.take q);
         incr popped
       done;
-      !popped = !queued)
+      !popped = !queued && Float.abs (Chunksim.Rr_queue.occupancy q) < 1e-6)
 
 let prop_rr_two_class_fairness =
   QCheck.Test.make ~name:"rr queue serves equal backlogs near-equally"

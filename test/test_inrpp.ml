@@ -444,7 +444,7 @@ let test_detour_table_none_on_line () =
    fails with the measured one. *)
 let gate what figure frozen =
   if figure > 1.25 *. frozen then
-    Alcotest.failf "%.1f %s, frozen %.1f, bound %.1f" figure what frozen
+    Alcotest.failf "%g %s, frozen %g, bound %g" figure what frozen
       (1.25 *. frozen)
 
 (* The protocol hot path is allocation-free past the packet itself:

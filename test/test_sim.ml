@@ -435,7 +435,7 @@ let test_engine_churn_alloc () =
     Alcotest.(check int) "events" 20_064 events;
     let frozen = 30.1 in
     if per_event > 1.25 *. frozen then
-      Alcotest.failf "%.1f minor words/event, frozen %.1f, bound %.1f"
+      Alcotest.failf "%g minor words/event, frozen %g, bound %g"
         per_event frozen (1.25 *. frozen)
 
 (* ------------------------------------------------------------------ *)
