@@ -57,8 +57,6 @@ let rto t =
   if not t.have_sample then 1.
   else Float.max 0.01 (t.srtt_v +. (4. *. t.rttvar))
 
-let srtt t = t.srtt_v
-
 let on_loss t ~now =
   let guard = if t.have_sample then t.srtt_v else 0.05 in
   if now -. t.last_cut >= guard then begin

@@ -33,8 +33,5 @@ val rto : t -> float
 (** Retransmission timeout: [srtt + 4 * rttvar], floored at 10 ms,
     initially 1 s. *)
 
-val srtt : t -> float
-(** Smoothed RTT; [0.] before the first sample. *)
-
 val in_slow_start : t -> bool
 val losses : t -> int

@@ -131,11 +131,6 @@ let evict_oldest t =
 
 let free_bits t = t.cap -. t.custody_bits -. t.popular_bits
 
-let custody_bits_of_flow t ~flow =
-  match Hashtbl.find_opt t.custody flow with
-  | None -> 0.
-  | Some q -> Queue.fold (fun acc (_, bits) -> acc +. bits) 0. q
-
 let pressure_of t ~flow ~bits =
   let flow_bits, flow_backlog =
     match Hashtbl.find_opt t.custody flow with

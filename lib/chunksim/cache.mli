@@ -100,9 +100,6 @@ val commit_custody : t -> flow:int -> unit
 (** Removes the chunk {!peek_custody} returned, releasing its budget.
     @raise Invalid_argument if the flow holds no custody chunk. *)
 
-val custody_bits_of_flow : t -> flow:int -> float
-(** Custody bits currently held for one flow (O(backlog)). *)
-
 val custody_backlog : t -> flow:int -> int
 (** Chunks currently held for the flow. *)
 

@@ -16,9 +16,6 @@
 val bits : int
 (** Low-field width (31). *)
 
-val max_idx : int
-(** Largest representable chunk index, [2^bits - 1]. *)
-
 val pack : flow:int -> idx:int -> int
 val flow : int -> int
 val idx : int -> int

@@ -39,7 +39,7 @@ type clock = {
 type t = {
   eng : Sim.Engine.t;
   clock : Sim.Engine.clock;      (* the engine's now and current epoch *)
-  keys : float array;            (* the next arrival's time, epoch, parent *)
+  keys : float array;            (* the next arrival's time and epoch *)
   l : Topology.Link.t;
   q : queue;
   effective_rate : float;
@@ -107,10 +107,13 @@ let[@inline] settle t ~now =
    queue while a predecessor is on the wire, and our caller pops it no
    later than the predecessor's arrival event, so
    [next_free_at + tx + prop > predecessor arrival >= now].  The
-   arrival's tie-break epoch is the completion instant — where the
-   eager two-event scheme would have scheduled the propagation — and
-   its parent the start, where that scheme scheduled the completion,
-   so it sorts identically among simultaneous events. *)
+   arrival's tie-break epoch is the completion instant, where the eager
+   two-event scheme would have scheduled the propagation, and its stamp
+   the busy period's, so it sorts among simultaneous events as that
+   scheme's arrival would.  That scheme also ordered ties by the
+   instant the completion itself was scheduled (the start); the key
+   only reorders same-instant events whose order no pinned output
+   observes, so it is not kept. *)
 let start_tx t (p : Packet.t) =
   let c = t.c in
   let start = c.next_free_at in
@@ -124,7 +127,6 @@ let start_tx t (p : Packet.t) =
   t.inflight_pending <- true;
   t.keys.(0) <- done_at +. t.prop_delay;
   t.keys.(1) <- done_at;
-  t.keys.(2) <- start;
   Sim.Engine.lane_push t.lane t.keys ~stamp:t.chain_stamp p
 
 (* Is the pending completion at [next_free_at] due?  Strictly past:
@@ -216,7 +218,7 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
     lazy {
       eng;
       clock = Sim.Engine.clock_cells eng;
-      keys = Array.make 3 0.;
+      keys = Array.make 2 0.;
       l;
       q =
         (match discipline with

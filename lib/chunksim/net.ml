@@ -51,12 +51,7 @@ let set_handler t node h = t.handlers.(node) <- h
 
 let iface t link_id = t.ifaces.(link_id)
 
-let iface_count t = Array.length t.ifaces
-
 let iter_ifaces t f = Array.iter f t.ifaces
-
-let out_ifaces t node =
-  List.map (fun (l : Link.t) -> t.ifaces.(l.Link.id)) (Graph.out_links t.g node)
 
 let send t ~via p =
   match t.wire_filter with
@@ -72,9 +67,6 @@ let total_drops t = Array.fold_left (fun acc i -> acc + Iface.drops i) 0 t.iface
 
 let total_wire_losses t =
   Array.fold_left (fun acc i -> acc + Iface.wire_losses i) 0 t.ifaces
-
-let total_tx_bits t =
-  Array.fold_left (fun acc i -> acc +. Iface.tx_bits i) 0. t.ifaces
 
 let handler t node = t.handlers.(node)
 

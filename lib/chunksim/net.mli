@@ -31,10 +31,6 @@ val set_handler : t -> Topology.Node.id -> handler -> unit
 val iface : t -> int -> Iface.t
 (** By link id. *)
 
-val out_ifaces : t -> Topology.Node.id -> Iface.t list
-
-val iface_count : t -> int
-
 val iter_ifaces : t -> (Iface.t -> unit) -> unit
 (** All interfaces in link-id order — the observability layer walks
     this to register per-interface gauges and timeseries probes. *)
@@ -49,7 +45,6 @@ val inject : t -> at:Topology.Node.id -> Packet.t -> unit
 
 val total_drops : t -> int
 val total_wire_losses : t -> int
-val total_tx_bits : t -> float
 
 (** {1 Fault plumbing} — used by [Fault.Driver]; all no-ops by default *)
 

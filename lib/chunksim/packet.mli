@@ -47,11 +47,6 @@ val request : flow:int -> nc:int -> ack:int -> ac:int -> t
 (** 50-byte header packet with an empty label stack (stateful
     forwarding).  @raise Invalid_argument if [ac < nc] or [nc < 0]. *)
 
-val request_routed :
-  route:Topology.Node.id list -> flow:int -> nc:int -> ack:int -> ac:int -> t
-(** {!request} with the PIT-less label stack stamped: the remaining
-    nodes to the producer, popped hop by hop by the routers. *)
-
 val data :
   ?anticipated:bool -> ?via_detour:bool ->
   ?detour_route:Topology.Node.id list -> flow:int -> idx:int ->

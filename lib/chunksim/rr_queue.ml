@@ -82,5 +82,4 @@ let take t =
 let occupancy t = t.bits
 let capacity t = t.cap
 let is_empty t = t.ring = []
-let backlogged_classes t = List.length t.ring
 let total_dropped t = t.dropped

@@ -28,5 +28,4 @@ val capacity : t -> float
 val is_empty : t -> bool
 (** No packet queued. *)
 
-val backlogged_classes : t -> int
 val total_dropped : t -> int

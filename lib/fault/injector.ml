@@ -7,16 +7,6 @@ type hooks = {
   burst_end : loss:float -> unit;
 }
 
-let nil_hooks =
-  {
-    link_down = (fun ~link:_ ~policy:_ -> ());
-    link_up = (fun ~link:_ -> ());
-    node_crash = (fun ~node:_ ~policy:_ -> ());
-    node_restart = (fun ~node:_ -> ());
-    burst_start = (fun ~loss:_ -> ());
-    burst_end = (fun ~loss:_ -> ());
-  }
-
 type t = { mutable fired : int }
 
 let install eng sched hooks =

@@ -16,9 +16,6 @@ type hooks = {
           same [loss] so overlapping bursts can be un-stacked *)
 }
 
-val nil_hooks : hooks
-(** Every hook ignores its arguments. *)
-
 type t
 
 val install : Sim.Engine.t -> Schedule.t -> hooks -> t

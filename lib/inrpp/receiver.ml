@@ -143,5 +143,4 @@ let session t = t.sess
 let breaker t = t.breaker
 let requests_sent t = t.req_count
 let duplicates t = t.dup_count
-let started_at t = t.started
 let completed_at t = t.completed

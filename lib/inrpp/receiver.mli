@@ -35,5 +35,4 @@ val breaker : t -> Overload.Breaker.t option
 
 val requests_sent : t -> int
 val duplicates : t -> int
-val started_at : t -> float option
 val completed_at : t -> float option

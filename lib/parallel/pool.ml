@@ -1,5 +1,3 @@
-let available_domains () = Domain.recommended_domain_count ()
-
 (* Each result slot is written exactly once, by whichever domain
    claimed that index off the shared cursor; the slots are disjoint
    and the Domain.join at the end publishes them to the caller. *)

@@ -17,10 +17,6 @@
     schedules).  See DESIGN §11 — "no cross-domain sharing except the
     job queue". *)
 
-val available_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — the host parallelism a
-    caller may want to default its [~domains] argument to. *)
-
 val run_jobs : ?domains:int -> (unit -> 'a) array -> 'a array
 (** [run_jobs ~domains jobs] executes every job and returns their
     results in job-index order.  [domains] (default [1]) is the total

@@ -36,22 +36,16 @@ let create () =
 
 let now t = t.clock.(0)
 
-let current_epoch t = t.clock.(1)
-
 type clock = float array
 
 let clock_cells t = t.clock
-
-(* Tie-break parent for an ordinary push: the executing event's own
-   epoch (outside event execution, the clock itself). *)
-let push_parent t = Float.min (current_epoch t) (now t)
 
 let schedule_at t ~time f =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   if time < now t then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g < now %g" time (now t));
-  Event_queue.push t.queue ~epoch:(now t) ~parent:(push_parent t) ~time f
+  Event_queue.push t.queue ~epoch:(now t) ~time f
 
 let schedule t ~delay f =
   if Float.is_nan delay || delay < 0. then
@@ -60,26 +54,20 @@ let schedule t ~delay f =
 
 let stamp t = Event_queue.next_stamp t.queue
 
-let schedule_fixed t ~delay f =
-  if Float.is_nan delay || delay < 0. then
-    invalid_arg "Engine.schedule_fixed: negative or NaN delay";
-  Event_queue.push_fixed t.queue ~epoch:(now t) ~parent:(push_parent t)
-    ~time:(now t +. delay) f
-
 (* A lane is a ring (capacity a power of two) of items with their
    keys; only the head's event is in the queue, as [fire]. *)
 type 'a lane = {
   eng : t;
   mutable fire : unit -> unit;
   mutable items : 'a array;      (* allocated on the first push *)
-  mutable keys : float array;    (* time, epoch, parent per item *)
+  mutable keys : float array;    (* time, epoch per item *)
   mutable ints : int array;      (* stamp, seq per item *)
   mutable head : int;
   mutable len : int;
 }
 
 let enter_queue l i =
-  Event_queue.push_held l.eng.queue l.keys (3 * i) ~stamp:l.ints.(2 * i)
+  Event_queue.push_held l.eng.queue l.keys (2 * i) ~stamp:l.ints.(2 * i)
     ~seq:l.ints.((2 * i) + 1) l.fire
 
 let lane t handler =
@@ -107,22 +95,21 @@ let grow_lane l v =
     b
   in
   l.items <- unwrap 1 l.items v;
-  l.keys <- unwrap 3 l.keys 0.;
+  l.keys <- unwrap 2 l.keys 0.;
   l.ints <- unwrap 2 l.ints 0;
   l.head <- 0
 
 let lane_push l (k : float array) ~stamp v =
-  let time = k.(0) and epoch = k.(1) and parent = k.(2) in
+  let time = k.(0) and epoch = k.(1) in
   let last = (l.head + l.len - 1) land (Array.length l.items - 1) in
-  if not (time >= now l.eng && epoch <= time && parent <= epoch)
-     || (l.len > 0 && time <= l.keys.(3 * last))
+  if not (time >= now l.eng && epoch <= time)
+     || (l.len > 0 && time <= l.keys.(2 * last))
   then invalid_arg "Engine.lane_push: keys out of order";
   if l.len = Array.length l.items then grow_lane l v;
   let i = (l.head + l.len) land (Array.length l.items - 1) in
   l.items.(i) <- v;
-  l.keys.(3 * i) <- time;
-  l.keys.((3 * i) + 1) <- epoch;
-  l.keys.((3 * i) + 2) <- parent;
+  l.keys.(2 * i) <- time;
+  l.keys.((2 * i) + 1) <- epoch;
   l.ints.(2 * i) <- stamp;
   l.ints.((2 * i) + 1) <- Event_queue.take_seq l.eng.queue;
   l.len <- l.len + 1;

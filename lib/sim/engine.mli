@@ -3,7 +3,10 @@
     The engine owns a virtual clock and an event queue of closures.
     Handlers run strictly in time order (FIFO among simultaneous
     events) and may schedule further events.  Time never goes
-    backwards: scheduling into the past raises. *)
+    backwards: scheduling into the past raises.  Events order by the
+    four keys (time, epoch, stamp, seq) of {!Event_queue}: an ordinary
+    schedule takes [now] as its epoch and its insertion number as its
+    stamp, and only {!lane_push} sets the two keys itself. *)
 
 type t
 
@@ -12,18 +15,15 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time, seconds.  Starts at [0.]. *)
 
-val current_epoch : t -> float
-(** Scheduling epoch of the event currently being executed — the
-    instant at which it was scheduled, the key that orders it among
-    same-time ties (see {!Event_queue}).  [infinity] when no event is
+type clock = private float array
+(** The engine's clock cells: [now], then the scheduling epoch of the
+    event currently being executed — the instant at which it was
+    scheduled, the key that orders it among same-time ties (see
+    {!Event_queue}).  The epoch is [infinity] when no event is
     executing (before the first event and after {!run} returns having
     drained or reached its horizon), meaning every event at or before
-    [now] has already run. *)
-
-type clock = private float array
-(** The engine's clock cells, [now] and {!current_epoch}.  Read them
-    through a coercion, [(c :> float array).(0)]; the type forbids
-    writes. *)
+    [now] has already run.  Read the cells through a coercion,
+    [(c :> float array).(0)]; the type forbids writes. *)
 
 val clock_cells : t -> clock
 (** The engine's clock, which every event updates in place.  A hot
@@ -37,10 +37,6 @@ val schedule : t -> delay:float -> (unit -> unit) -> Event_queue.handle
 val schedule_at : t -> time:float -> (unit -> unit) -> Event_queue.handle
 (** Absolute-time variant.  @raise Invalid_argument if
     [time < now t]. *)
-
-val schedule_fixed : t -> delay:float -> (unit -> unit) -> unit
-(** Like {!schedule} for events that are never cancelled: no handle
-    is allocated or returned (see {!Event_queue.push_fixed}). *)
 
 val stamp : t -> int
 (** Monotone scheduling stamp (the next event-queue insertion number).
@@ -73,7 +69,7 @@ val periodic_active : periodic -> bool
     strictly increasing times.  Only its head sits in the event queue,
     and every event keeps the tie-break keys it was pushed with, so
     events run exactly as if each were scheduled on its own (see
-    {!Event_queue.lane}).  Each interface keeps its packets on the wire
+    {!Event_queue.push_held}).  Each interface keeps its packets on the wire
     in one lane. *)
 
 type 'a lane
@@ -86,13 +82,11 @@ val lane_push : 'a lane -> float array -> stamp:int -> 'a -> unit
     [time = keys.(0)].  Ties break on [epoch = keys.(1)], the instant
     the event counts as scheduled (it may lie in the past: a lazy
     caller pushes what an eager process would have pushed then), on
-    [parent = keys.(2)], the instant its scheduler was scheduled, on
     [stamp] (see {!stamp}), then on push order.  The caller owns
-    [keys] and may reuse it at once: the lane copies the three cells,
+    [keys] and may reuse it at once: the lane copies the two cells,
     and passing them in an array keeps them unboxed.
-    @raise Invalid_argument unless [now <= time],
-    [parent <= epoch <= time] and [time] exceeds every time the lane
-    still holds. *)
+    @raise Invalid_argument unless [now <= time], [epoch <= time] and
+    [time] exceeds every time the lane still holds. *)
 
 val lane_length : 'a lane -> int
 (** Events pushed and not yet run; {!pending} counts them too. *)

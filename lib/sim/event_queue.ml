@@ -1,8 +1,8 @@
-(* Binary min-heap keyed on (time, epoch, parent, stamp, seq), with O(1) cancellation
-   and O(1) size.
+(* Binary min-heap keyed on (time, epoch, stamp, seq), with O(1)
+   cancellation and O(1) size.
 
-   Heap positions hold unboxed keys only: [fkeys] keeps (time, epoch,
-   parent) and [ikeys] keeps (stamp, seq, slot), three per position.
+   Heap positions hold unboxed keys only: [fkeys] keeps (time, epoch),
+   two per position, and [ikeys] keeps (stamp, seq, slot), three.
    Payloads and cancel handles sit in slot-indexed tables written once
    per push, and popped slots go back on a free list, so sifting moves
    floats and ints only: no write barrier, no allocation.  A spare
@@ -57,7 +57,7 @@ type stats = {
 }
 
 type 'a t = {
-  mutable fkeys : float array;   (* by position: time, epoch, parent *)
+  mutable fkeys : float array;   (* by position: time, epoch *)
   mutable ikeys : int array;     (* by position: stamp, seq, slot *)
   mutable payloads : 'a array;   (* by slot *)
   mutable handles : handle array; (* by slot *)
@@ -68,7 +68,7 @@ type 'a t = {
                                     at positions 1 .. size_total *)
   mutable next_seq : int;
   counts : counts;
-  fixed : handle;                (* shared handle for push_fixed *)
+  held : handle;                 (* shared handle for held pushes *)
   last : float array;            (* time and epoch of the last pop *)
 }
 
@@ -88,27 +88,24 @@ let create () =
     hole = false;
     next_seq = 0;
     counts;
-    fixed = { cancelled = false; in_heap = true; counts };
+    held = { cancelled = false; in_heap = true; counts };
     last = [| nan; nan |];
   }
 
 let[@inline] spare t = Array.length t.payloads
 
 let[@inline] before (fk : float array) (ik : int array) a b =
-  let a = 3 * a and b = 3 * b in
-  fk.(a) < fk.(b)
-  || fk.(a) = fk.(b)
-     && (fk.(a + 1) < fk.(b + 1)
-        || fk.(a + 1) = fk.(b + 1)
-           && (fk.(a + 2) < fk.(b + 2)
-              || fk.(a + 2) = fk.(b + 2)
-                 && (ik.(a) < ik.(b) || (ik.(a) = ik.(b) && ik.(a + 1) < ik.(b + 1)))))
+  let fa = 2 * a and fb = 2 * b and a = 3 * a and b = 3 * b in
+  fk.(fa) < fk.(fb)
+  || fk.(fa) = fk.(fb)
+     && (fk.(fa + 1) < fk.(fb + 1)
+        || fk.(fa + 1) = fk.(fb + 1)
+           && (ik.(a) < ik.(b) || (ik.(a) = ik.(b) && ik.(a + 1) < ik.(b + 1))))
 
 let[@inline] move (fk : float array) (ik : int array) ~src ~dst =
-  let s = 3 * src and d = 3 * dst in
-  fk.(d) <- fk.(s);
-  fk.(d + 1) <- fk.(s + 1);
-  fk.(d + 2) <- fk.(s + 2);
+  let fs = 2 * src and fd = 2 * dst and s = 3 * src and d = 3 * dst in
+  fk.(fd) <- fk.(fs);
+  fk.(fd + 1) <- fk.(fs + 1);
   ik.(d) <- ik.(s);
   ik.(d + 1) <- ik.(s + 1);
   ik.(d + 2) <- ik.(s + 2)
@@ -146,10 +143,10 @@ let extend a n fill =
 let grow t v =
   let cap = Array.length t.payloads in
   let ncap = max 16 (2 * cap) in
-  t.fkeys <- extend t.fkeys (3 * (ncap + 1)) 0.;
+  t.fkeys <- extend t.fkeys (2 * (ncap + 1)) 0.;
   t.ikeys <- extend t.ikeys (3 * (ncap + 1)) 0;
   t.payloads <- extend t.payloads ncap v;
-  t.handles <- extend t.handles ncap t.fixed;
+  t.handles <- extend t.handles ncap t.held;
   (* a full heap uses every old slot, so the new ones are all free *)
   t.free <- Array.init ncap (fun k -> ncap - 1 - k);
   t.nfree <- ncap - cap
@@ -222,32 +219,23 @@ let[@inline] take_seq t =
   t.next_seq <- t.next_seq + 1;
   t.next_seq - 1
 
-let push_entry t ~time ~epoch ~parent ~stamp h v =
+let push ?(epoch = neg_infinity) t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  let s = 3 * make_room t v in
+  let h = { cancelled = false; in_heap = true; counts = t.counts } in
+  let s = 2 * make_room t payload in
   t.fkeys.(s) <- time;
   t.fkeys.(s + 1) <- epoch;
-  t.fkeys.(s + 2) <- parent;
-  insert t ~stamp ~seq:(take_seq t) h v
-
-let push ?(epoch = neg_infinity) ?(parent = neg_infinity) t ~time payload =
-  let h = { cancelled = false; in_heap = true; counts = t.counts } in
-  push_entry t ~time ~epoch ~parent ~stamp:t.next_seq h payload;
+  let seq = take_seq t in
+  insert t ~stamp:seq ~seq h payload;
   h
-
-let push_fixed ?(epoch = neg_infinity) ?(parent = neg_infinity) ?stamp t
-    ~time payload =
-  let stamp = match stamp with Some s -> s | None -> t.next_seq in
-  push_entry t ~time ~epoch ~parent ~stamp t.fixed payload
 
 let next_stamp t = t.next_seq
 
 let push_held t keys i ~stamp ~seq v =
-  let s = 3 * make_room t v in
+  let s = 2 * make_room t v in
   t.fkeys.(s) <- keys.(i);
   t.fkeys.(s + 1) <- keys.(i + 1);
-  t.fkeys.(s + 2) <- keys.(i + 2);
-  insert t ~stamp ~seq t.fixed v
+  insert t ~stamp ~seq t.held v
 
 let cancel (h : handle) =
   if not h.cancelled then begin

@@ -1,9 +1,10 @@
 (** Priority queue of timestamped events (binary min-heap).
 
-    Ties on time break by scheduling epoch, then by the scheduler's
-    own epoch ([parent]), then by stamp and insertion sequence number, so
-    simultaneous events run FIFO in scheduling order —
-    important for reproducibility of the discrete-event simulators.
+    Events order by the four keys (time, epoch, stamp, seq): ties on
+    time break by scheduling epoch, then by stamp, then by insertion
+    sequence number, so simultaneous events run FIFO in scheduling
+    order — important for reproducibility of the discrete-event
+    simulators.
     The epoch is the (virtual) instant the event was scheduled at:
     callers that push with [~epoch] equal to their current clock get
     plain FIFO order, while a caller that knows an event would have
@@ -31,26 +32,15 @@ type stats = {
 
 val create : unit -> 'a t
 
-val push : ?epoch:float -> ?parent:float -> 'a t -> time:float -> 'a -> handle
-(** [epoch] is the instant this event was scheduled; [parent] the
-    instant its scheduler was itself scheduled (a second-level
-    tie-break for events sharing both time and epoch).  Both default
-    to [neg_infinity], which reduces tie order to plain insertion
-    order.
+val push : ?epoch:float -> 'a t -> time:float -> 'a -> handle
+(** [epoch] is the instant this event was scheduled (default
+    [neg_infinity], which reduces tie order to plain insertion order).
+    Its stamp is its own insertion number.
     @raise Invalid_argument if [time] is NaN. *)
-
-val push_fixed :
-  ?epoch:float -> ?parent:float -> ?stamp:int -> 'a t -> time:float -> 'a ->
-  unit
-(** Like {!push} for events that will never be cancelled: shares one
-    sentinel handle instead of allocating one per event.  [stamp]
-    (default the entry's own insertion number) is the penultimate
-    tie-break, letting a lazy caller order an event as if it had been
-    pushed when its causal chain began (see {!next_stamp}). *)
 
 val next_stamp : 'a t -> int
 (** The stamp the next push will receive — capture it to order later
-    [push_fixed ~stamp] calls as if they happened now. *)
+    {!push_held} calls as if they happened now. *)
 
 val cancel : handle -> unit
 (** Idempotent.  O(1): adjusts the owning queue's live count through
@@ -88,8 +78,10 @@ val stats : 'a t -> stats
 
 (** {1 Held events}
 
-    A caller may hold an event back and push it later with the keys it
-    would have had (the engine's lanes do).  Pop order is a function of
+    Events that are never cancelled go through {!push_held}, which
+    shares one sentinel handle instead of allocating one per event.  A
+    caller may also hold such an event back and push it later with the
+    keys it would have had (the engine's lanes do).  Pop order is a function of
     the keys alone, so it is exactly that of pushing the event at once,
     provided it enters the heap before anything that sorts after it
     pops. *)
@@ -101,5 +93,8 @@ val take_seq : 'a t -> int
 val push_held :
   'a t -> float array -> int -> stamp:int -> seq:int -> 'a -> unit
 (** [push_held q keys i ~stamp ~seq v] pushes a held event that will
-    never be cancelled: its time, epoch and parent are [keys.(i)],
-    [keys.(i+1)] and [keys.(i+2)], and [seq] came from {!take_seq}. *)
+    never be cancelled: its time and epoch are [keys.(i)] and
+    [keys.(i+1)], and [seq] came from {!take_seq}.  [stamp] (see
+    {!next_stamp}) is the penultimate tie-break, letting a lazy caller
+    order an event as if it had been pushed when its causal chain
+    began.  The caller checks the keys: [time] must not be NaN. *)

@@ -94,7 +94,7 @@ let outage_iface () =
 (* 3 × 80 kbit packets at 1 Mbps: tx 0.08 s each.  Down at 0.01 s the
    first packet is on the wire (destroyed); the other two are queued. *)
 let send3 eng iface =
-  Sim.Engine.schedule_fixed eng ~delay:0. (fun () ->
+  ignore @@ Sim.Engine.schedule eng ~delay:0. (fun () ->
       for i = 0 to 2 do
         ignore (Chunksim.Iface.send iface (P.data ~flow:0 ~idx:i ~born:0. 8e4))
       done)
@@ -103,7 +103,7 @@ let test_iface_down_drop_queued () =
   let eng, iface, delivered = outage_iface () in
   send3 eng iface;
   let refused = ref `Queued in
-  Sim.Engine.schedule_fixed eng ~delay:0.01 (fun () ->
+  ignore @@ Sim.Engine.schedule eng ~delay:0.01 (fun () ->
       Chunksim.Iface.set_down iface;
       refused := Chunksim.Iface.send iface (P.data ~flow:0 ~idx:9 ~born:0. 8e4));
   Sim.Engine.run eng;
@@ -118,9 +118,9 @@ let test_iface_down_hold_queued_then_up () =
   let tapped = ref 0 in
   Chunksim.Iface.set_fault_tap iface (fun _ -> incr tapped);
   send3 eng iface;
-  Sim.Engine.schedule_fixed eng ~delay:0.01 (fun () ->
+  ignore @@ Sim.Engine.schedule eng ~delay:0.01 (fun () ->
       Chunksim.Iface.set_down ~policy:`Hold_queued iface);
-  Sim.Engine.schedule_fixed eng ~delay:0.5 (fun () ->
+  ignore @@ Sim.Engine.schedule eng ~delay:0.5 (fun () ->
       Chunksim.Iface.set_up iface;
       Chunksim.Iface.set_up iface (* idempotent *));
   Sim.Engine.run eng;

@@ -179,13 +179,30 @@ let test_resilience_grid_determinism () =
   Alcotest.(check string) "domains=4 bytes = domains=1 bytes" d1
     (capture_resilience 4)
 
+(* a small seed-dependent differential: seeded times popped from an
+   event queue against the same times sorted *)
+let queue_sorts ~seed =
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  let times =
+    List.init (20 + Sim.Rng.int rng 30) (fun _ -> Sim.Rng.float rng 1.)
+  in
+  let q = Sim.Event_queue.create () in
+  List.iter (fun time -> ignore (Sim.Event_queue.push q ~time ())) times;
+  let rec drain acc =
+    match Sim.Event_queue.pop q with
+    | Some (t, ()) -> drain (t :: acc)
+    | None -> List.rev acc
+  in
+  let popped = drain [] in
+  {
+    Check.Differential.equal = popped = List.sort compare times;
+    detail = Printf.sprintf "seed %d: %d times" seed (List.length times);
+  }
+
 let test_differential_sweep_determinism () =
   let seeds = List.init 50 Fun.id in
   let run domains =
-    let v =
-      Check.Differential.sweep ~domains ~seeds
-        Check.Differential.queue_tie_order
-    in
+    let v = Check.Differential.sweep ~domains ~seeds queue_sorts in
     Alcotest.(check bool)
       (Printf.sprintf "sweep equal at domains=%d" domains)
       true v.Check.Differential.equal;

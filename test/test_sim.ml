@@ -439,59 +439,59 @@ let test_engine_churn_alloc () =
         per_event frozen (1.25 *. frozen)
 
 (* ------------------------------------------------------------------ *)
-(* Event order: the five-key queue against a model that pops the least
+(* Event order: the four-key queue against a model that pops the least
    key tuple, and engine lanes against the same events pushed one by
    one *)
 
 type queue_op =
-  | Push of int * int * int              (* time, epoch, parent grid steps *)
-  | Push_fixed of int * int * int * int  (* … and a stamp *)
-  | Cancel of int                        (* even: a live handle; odd: a spent one *)
+  | Push of int * int               (* time, epoch grid steps *)
+  | Push_held of int * int * int    (* … and a stamp *)
+  | Cancel of int                   (* even: a live handle; odd: a spent one *)
   | Pop
 
 let show_queue_op = function
-  | Push (t, e, p) -> Printf.sprintf "push(%d,%d,%d)" t e p
-  | Push_fixed (t, e, p, s) -> Printf.sprintf "fixed(%d,%d,%d,s%d)" t e p s
+  | Push (t, e) -> Printf.sprintf "push(%d,%d)" t e
+  | Push_held (t, e, s) -> Printf.sprintf "held(%d,%d,s%d)" t e s
   | Cancel k -> Printf.sprintf "cancel %d" k
   | Pop -> "pop"
 
-(* coarse grids (6 times, 3 epochs, 3 parents, 4 stamps) so every tie
-   level is hit; a push-heavy phase then a cancel-heavy one, so most
-   runs pass the compaction threshold (64 entries, over half dead) *)
+(* coarse grids (6 times, 3 epochs, 4 stamps) so every tie level is
+   hit; a push-heavy phase then a cancel-heavy one, so most runs pass
+   the compaction threshold (64 entries, over half dead) *)
 let queue_ops =
   let open QCheck.Gen in
-  let key = triple (int_bound 5) (int_bound 2) (int_bound 2) in
-  let phase ~push ~fixed ~cancel ~pop n =
+  let key = pair (int_bound 5) (int_bound 2) in
+  let phase ~push ~held ~cancel ~pop n =
     list_size n
       (frequency
          [
-           (push, map (fun (t, e, p) -> Push (t, e, p)) key);
-           (fixed, map2 (fun (t, e, p) s -> Push_fixed (t, e, p, s)) key (int_bound 3));
+           (push, map (fun (t, e) -> Push (t, e)) key);
+           (held, map2 (fun (t, e) s -> Push_held (t, e, s)) key (int_bound 3));
            (cancel, map (fun k -> Cancel k) (int_bound 1_000));
            (pop, return Pop);
          ])
   in
   map2 ( @ )
-    (phase ~push:7 ~fixed:2 ~cancel:1 ~pop:1 (int_range 120 250))
-    (phase ~push:1 ~fixed:1 ~cancel:8 ~pop:1 (int_range 150 300))
+    (phase ~push:7 ~held:2 ~cancel:1 ~pop:1 (int_range 120 250))
+    (phase ~push:1 ~held:1 ~cancel:8 ~pop:1 (int_range 150 300))
 
 (* A pop leaves the root vacant until the next push fills it or the
    next read of the top closes it.  This script reaches each case from
    an empty queue; equal keys order by seq, so the heap array starts
    sorted in push order and its last entry is the newest push. *)
 let hole_script =
-  let fill n = List.init n (fun _ -> Push (0, 0, 0)) in
+  let fill n = List.init n (fun _ -> Push (0, 0)) in
   (* cancel the entry that would close the hole, alone and in a full
      heap *)
   fill 2 @ [ Pop; Cancel 0; Pop ]
   @ fill 70 @ [ Pop; Cancel 0; Pop ]
   (* a push straight after a pop fills the hole; a pop after a pop
      closes it *)
-  @ [ Pop; Push (0, 0, 0); Pop; Pop ]
+  @ [ Pop; Push (0, 0); Pop; Pop ]
   (* cancel the 40 newest (largest) keys: over half the heap is dead,
      so the push after the next pop compacts with the hole pending *)
   @ List.init 40 (fun _ -> Cancel 0)
-  @ [ Pop; Push (0, 0, 0); Pop ]
+  @ [ Pop; Push (0, 0); Pop ]
 
 (* Run [ops] through a queue and the model, checking [size] and
    [is_empty] after every op, and [peek_time] too when [peek] is set.
@@ -501,9 +501,9 @@ let hole_script =
 let run_queue_model ~peek ops =
   let module Q = Sim.Event_queue in
   let q = Q.create () in
-  let grid i = float_of_int i *. 0.25 in
-  (* live entries as ((time, epoch, parent, stamp, seq), seq); the
-     payload is the seq *)
+  let grid i = float_of_int i *. 0.25 and keys = Array.make 2 0. in
+  (* live entries as ((time, epoch, stamp, seq), seq); the payload is
+     the seq *)
   let model = ref [] and live = ref [] and spent = ref [] in
   let seq = ref 0 and after_pop = ref false and hole_compactions = ref 0 in
   let add key = model := (key, !seq) :: !model; incr seq in
@@ -524,7 +524,7 @@ let run_queue_model ~peek ops =
     if peek then begin
       let min_time =
         List.fold_left
-          (fun acc ((t, _, _, _, _), _) ->
+          (fun acc ((t, _, _, _), _) ->
             Some (match acc with Some m -> Float.min m t | None -> t))
           None !model
       in
@@ -542,19 +542,19 @@ let run_queue_model ~peek ops =
     (fun op ->
       let popped =
         match op with
-        | Push (t, e, p) ->
+        | Push (t, e) ->
           pushed (fun () ->
-              let h =
-                Q.push q ~epoch:(grid e) ~parent:(grid p) ~time:(grid t) !seq
-              in
+              let h = Q.push q ~epoch:(grid e) ~time:(grid t) !seq in
               live := (!seq, h) :: !live;
-              add (grid t, grid e, grid p, !seq, !seq));
+              add (grid t, grid e, !seq, !seq));
           false
-        | Push_fixed (t, e, p, s) ->
+        | Push_held (t, e, s) ->
           pushed (fun () ->
-              Q.push_fixed q ~epoch:(grid e) ~parent:(grid p) ~stamp:s
-                ~time:(grid t) !seq;
-              add (grid t, grid e, grid p, s, !seq));
+              let sq = Q.take_seq q in
+              keys.(0) <- grid t;
+              keys.(1) <- grid e;
+              Q.push_held q keys 0 ~stamp:s ~seq:sq !seq;
+              add (grid t, grid e, s, sq));
           false
         | Cancel k when k mod 2 = 0 -> (
           match !live with
@@ -582,7 +582,7 @@ let run_queue_model ~peek ops =
           in
           match (Q.pop q, expected) with
           | None, None -> false
-          | Some (t, id), Some ((et, _, _, _, _), eid) ->
+          | Some (t, id), Some ((et, _, _, _), eid) ->
             if id <> eid || t <> et then
               QCheck.Test.fail_reportf "popped %d at %g, model %d at %g" id t
                 eid et;
@@ -600,7 +600,7 @@ let run_queue_model ~peek ops =
   !hole_compactions
 
 let prop_queue_model =
-  QCheck.Test.make ~name:"five-key order matches a model" ~count:200
+  QCheck.Test.make ~name:"four-key order matches a model" ~count:200
     (QCheck.make ~print:(QCheck.Print.list show_queue_op) queue_ops)
     (fun ops ->
       let ops = hole_script @ ops in
@@ -613,8 +613,8 @@ let prop_queue_model =
    sit in lanes, and through a plain queue where every lane event is
    pushed on its own with the same keys, the same stamp and (being
    pushed at the same moment) the same seq.  Timers, periodic ticks
-   and lane events share one 0.25 s grid of times, epochs and parents,
-   so ties cross lanes and timers at every level.  Each handled event
+   and lane events share one 0.25 s grid of times and epochs, so ties
+   cross lanes and timers at every level.  Each handled event
    logs (source, item, time, pending). *)
 type scheduler = {
   now : unit -> float;
@@ -635,19 +635,17 @@ let lane_scenario ~seed d ~log =
   let last = Array.make lanes neg_infinity and chain = Array.make lanes 0 in
   let budget = ref 300 and item = ref 0 and timer = ref 0 in
   (* one key array for every push: the lane copies the cells *)
-  let keys = Array.make 3 0. in
+  let keys = Array.make 2 0. in
   let push_lane l =
     let now = d.now () in
     let time = Float.max (now +. step ()) (last.(l) +. g) in
     last.(l) <- time;
     let epoch = time -. step () in
-    let parent = epoch -. step () in
     if Sim.Rng.int rng 4 = 0 then chain.(l) <- d.stamp ();
     let stamp = if Sim.Rng.bool rng then chain.(l) else d.stamp () in
     incr item;
     keys.(0) <- time;
     keys.(1) <- epoch;
-    keys.(2) <- parent;
     d.lane_push l keys ~stamp !item
   in
   let record src id = log := (src, id, d.now (), d.pending ()) :: !log in
@@ -698,11 +696,9 @@ let run_with_lanes ~seed =
 (* the reference: the engine's scheduling rules over one plain queue *)
 let run_plain ~seed =
   let q = Sim.Event_queue.create () and log = ref [] in
-  let now = ref 0. and epoch = ref infinity in
+  let now = ref 0. in
   let after delay f =
-    ignore
-      (Sim.Event_queue.push q ~epoch:!now ~parent:(Float.min !epoch !now)
-         ~time:(!now +. delay) f)
+    ignore (Sim.Event_queue.push q ~epoch:!now ~time:(!now +. delay) f)
   in
   let handler = ref (fun _ _ -> ()) in
   let d =
@@ -712,8 +708,9 @@ let run_plain ~seed =
       pending = (fun () -> Sim.Event_queue.size q);
       lane_push =
         (fun l keys ~stamp i ->
-          Sim.Event_queue.push_fixed q ~epoch:keys.(1) ~parent:keys.(2) ~stamp
-            ~time:keys.(0) (fun () -> !handler l i));
+          let seq = Sim.Event_queue.take_seq q in
+          Sim.Event_queue.push_held q keys 0 ~stamp ~seq (fun () ->
+              !handler l i));
       after;
       every =
         (fun interval f ->
@@ -726,7 +723,6 @@ let run_plain ~seed =
     match Sim.Event_queue.pop q with
     | Some (t, f) ->
       now := t;
-      epoch := (Sim.Event_queue.last_pop q).(1);
       f ();
       loop ()
     | None -> ()
@@ -752,14 +748,13 @@ let prop_lanes_equal_plain =
 let test_lane_contract () =
   let e = Sim.Engine.create () and got = ref [] in
   let l = Sim.Engine.lane e (fun i -> got := (i, Sim.Engine.now e) :: !got) in
-  let keys = Array.make 3 0. in
+  let keys = Array.make 2 0. in
   let push ?(epoch = 0.) time i =
     keys.(0) <- time;
     keys.(1) <- epoch;
-    keys.(2) <- 0.;
     Sim.Engine.lane_push l keys ~stamp:(Sim.Engine.stamp e) i;
     (* the caller owns the cells: scribbling on them moves nothing *)
-    Array.fill keys 0 3 Float.nan
+    Array.fill keys 0 2 Float.nan
   in
   push 1. 1;
   push 2. 2;

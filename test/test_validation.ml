@@ -193,9 +193,6 @@ let check_sweep name differential =
   if not v.Check.Differential.equal then
     Alcotest.failf "%s diverged: %s" name v.Check.Differential.detail
 
-let test_differential_queue_tie_order () =
-  check_sweep "eager vs lazy tie order" Check.Differential.queue_tie_order
-
 (* ------------------------------------------------------------------ *)
 (* Protocol runs under the invariant checkers: PIT-less forwarding
    over 50 seeds, then named scenarios *)
@@ -344,8 +341,6 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "queue tie order x50" `Quick
-            test_differential_queue_tie_order;
           Alcotest.test_case "pitless conservation x50" `Quick
             test_differential_pitless_checked;
         ] );
