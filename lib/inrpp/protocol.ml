@@ -13,11 +13,18 @@ type flow_spec = {
   content : int option;
 }
 
+(* the one check of a spec: [flow_spec] runs it on what it builds and
+   [run] on every spec it is given or generates, since a hand-built
+   record skips the constructor *)
+let check_spec who s =
+  if s.chunks <= 0 then invalid_arg (who ^ ": chunks <= 0");
+  if s.src = s.dst then invalid_arg (who ^ ": src = dst");
+  if not (s.start >= 0.) then invalid_arg (who ^ ": negative or NaN start")
+
 let flow_spec ?(start = 0.) ?content ~src ~dst chunks =
-  if chunks <= 0 then invalid_arg "Protocol.flow_spec: chunks <= 0";
-  if src = dst then invalid_arg "Protocol.flow_spec: src = dst";
-  if start < 0. then invalid_arg "Protocol.flow_spec: negative start";
-  { src; dst; chunks; start; content }
+  let s = { src; dst; chunks; start; content } in
+  check_spec "Protocol.flow_spec" s;
+  s
 
 type flow_result = {
   spec : flow_spec;
@@ -83,77 +90,141 @@ let route_finder ?forbidden_links g =
     in
     Topology.Dijkstra.path_to tree dst
 
-let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
-    ?loss_rate ?obs ?check ?faults ?workload ?overload g specs =
+(* Run stages.  [wire] builds one run's state into a [wiring];
+   [attach_faults], [attach_endpoints], [instrument] and [collect] read
+   it, and [run] sequences them around the engine run. *)
+
+type wiring = {
+  cfg : Config.t;
+  g : Graph.t;
+  horizon : float;
+  obs : Obs.Observer.t option;
+  overload : Overload.Config.t option;
+  specs : flow_spec array;
+  routes : Path.t array;
+  eng : Sim.Engine.t;
+  net : Net.t;
+  trace : Trace.t option;
+  recorder : Obs.Recorder.t option;
+  link_state : Topology.Link_state.t;
+  registry : Router.registry;
+  routers : Router.t array;
+  watchdog : Obs.Watchdog.t option;
+  conservation : Check.Invariant.Conservation.t option;
+  profiling : bool;
+  k_tick : int; k_drain : int; k_sampler : int; k_flow_start : int;
+  (* profiler kinds above: 0 when not profiling *)
+  fcts : float option array;
+  (* PIT-less label stacks towards the consumer and the producer *)
+  data_routes : int list array;
+  req_routes : int list array;
+  (* every node a flow's state was placed on: the teardown set *)
+  install_sites : int list array;
+  mutable completed : int;
+  mutable finished_at : float option;
+  (* disruptions not yet followed by a delivery *)
+  mutable pending_disruptions : float list;
+  mutable recovery_total : float;
+  mutable recovery_count : int;
+  mutable peak_custody : float;
+}
+
+let all_done w = w.completed = Array.length w.specs
+
+let sum_routers w f = Array.fold_left (fun acc r -> acc + f r) 0 w.routers
+
+(* Route placement, at set-up ([Router.install_flow]) and on
+   reconvergence ([Router.reroute_flow]).  PIT-less forwarding keeps
+   no router state: the endpoints carry the path as label stacks, and
+   a re-stamp leaves in-flight packets on their stale stack.
+   Otherwise every node on the path gets its next hops both ways. *)
+let place w op flow (path : Path.t) =
+  if w.cfg.Config.pitless then begin
+    w.data_routes.(flow) <- List.tl path.Path.nodes;
+    w.req_routes.(flow) <- List.tl (List.rev path.Path.nodes)
+  end
+  else begin
+    let nodes = Array.of_list path.Path.nodes in
+    let links = Array.of_list path.Path.links in
+    let n = Array.length nodes in
+    let content = w.specs.(flow).content in
+    for k = 0 to n - 1 do
+      let data_link = if k < n - 1 then Some links.(k) else None in
+      let req_link =
+        if k > 0 then Graph.find_link w.g nodes.(k) nodes.(k - 1) else None
+      in
+      op w.routers.(nodes.(k)) ?content ~flow ~data_link ~req_link ()
+    done;
+    if w.cfg.Config.flow_teardown then
+      w.install_sites.(flow) <-
+        List.fold_left
+          (fun acc nd -> if List.mem nd acc then acc else nd :: acc)
+          w.install_sites.(flow) path.Path.nodes
+  end
+
+(* Route reconvergence: detoured data is source-routed and survives
+   an outage on its own, but requests and back-pressure carry only a
+   flow id — their hop-by-hop state must follow the residual
+   topology.  After every link or node transition each flow is
+   re-resolved in the surviving graph and placed again; a partitioned
+   flow keeps its stale state until the topology heals.  The link
+   state is fixed for the duration of one call, so flows from the same
+   source share one tree. *)
+let reconverge w =
+  let forbidden (l : Link.t) =
+    not (Topology.Link_state.is_up w.link_state l.Link.id)
+  in
+  let route = route_finder ~forbidden_links:forbidden w.g in
+  Array.iteri
+    (fun flow spec ->
+      (* a released flow stays released: resurrecting its entries
+         would leak them for the rest of the run *)
+      if not (w.cfg.Config.flow_teardown && w.fcts.(flow) <> None) then
+        Option.iter (place w Router.reroute_flow flow)
+          (route spec.src spec.dst))
+    w.specs
+
+(* Validate the inputs, resolve every route, build the run's state and
+   place every flow on its route.  Schedules no event. *)
+let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
+    ~overload g specs =
   (match Config.validate cfg with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Protocol.run: " ^ msg));
-  (match overload with
-  | Some ov -> Overload.Config.validate ov
-  | None -> ());
+  Option.iter Overload.Config.validate overload;
   (* generated flows ride behind the static list so existing scenarios
      keep their flow ids; generation is a pure function of (spec,
      graph), so a run with a workload is as replayable as one without.
-     The generator is consumed as a lazy stream in one pass — no
-     materialised request list, no intermediate append — so very long
-     workloads cost only the final spec list. *)
+     The generator is consumed as a lazy stream in one pass, so very
+     long workloads cost only the final spec array. *)
   let specs =
     match workload with
-    | None -> specs
-    | Some w ->
-      List.of_seq
+    | None -> Array.of_list specs
+    | Some wl ->
+      Array.of_seq
         (Seq.append (List.to_seq specs)
            (Seq.map
-              (fun (r : Workload.Request.t) ->
-                {
-                  src = r.Workload.Request.src;
-                  dst = r.Workload.Request.dst;
-                  chunks = r.Workload.Request.chunks;
-                  start = r.Workload.Request.start;
-                  content = Some r.Workload.Request.content;
-                })
-              (Workload.Gen.requests_seq w g)))
+              (fun { Workload.Request.src; dst; chunks; start; content; _ } ->
+                { src; dst; chunks; start; content = Some content })
+              (Workload.Gen.requests_seq wl g)))
   in
-  if specs = [] then invalid_arg "Protocol.run: no flows";
+  if Array.length specs = 0 then invalid_arg "Protocol.run: no flows";
   if horizon <= 0. then invalid_arg "Protocol.run: horizon <= 0";
-  let pitless = cfg.Config.pitless in
-  let total_flows = List.length specs in
+  Array.iter (check_spec "Protocol.run") specs;
   (* every flow's route, resolved once and before any state exists:
      router installs, label stacks, base delays and pace rates all read
      it *)
   let routes =
     let route = route_finder g in
-    Array.of_list
-      (List.map
-         (fun spec ->
-           match route spec.src spec.dst with
-           | Some p -> p
-           | None ->
-             invalid_arg
-               (Printf.sprintf "Protocol.run: flow %d -> %d unroutable"
-                  spec.src spec.dst))
-         specs)
+    Array.map
+      (fun spec ->
+        match route spec.src spec.dst with
+        | Some p -> p
+        | None ->
+          Printf.ksprintf invalid_arg "Protocol.run: flow %d -> %d unroutable"
+            spec.src spec.dst)
+      specs
   in
-  (* senders sharing an outgoing link pace at its processor-sharing
-     share (§3.2: flows multiplexed processor-sharing); sharers.(l)
-     counts the flows whose route starts on link l *)
-  let sharers = Array.make (Graph.link_count g) 0 in
-  Array.iter
-    (fun (p : Path.t) ->
-      match p.Path.links with
-      | first :: _ -> sharers.(first.Link.id) <- sharers.(first.Link.id) + 1
-      | [] -> ())
-    routes;
-  let fcts = Array.make total_flows None in
-  (* PIT-less label stacks, per flow: the remaining nodes to the
-     consumer (stamped onto data at the sender) and to the producer
-     (stamped onto requests at the receiver).  Route reconvergence
-     re-stamps them; in-flight packets ride their stale stack out. *)
-  let data_routes = Array.make total_flows [] in
-  let req_routes = Array.make total_flows [] in
-  (* every node a flow's state was installed on, including nodes added
-     by reconvergence — the teardown set (cfg.flow_teardown) *)
-  let install_sites = Array.make total_flows [] in
   let eng = Sim.Engine.create () in
   let net =
     let discipline =
@@ -175,17 +246,9 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
   (* span tracing: chunk-lifecycle events exist only when an observer
      carries a span collector, so every other run — goldens, bench,
      check, differential — sees the unchanged event stream *)
-  let spans_on =
-    match obs with
-    | Some o -> Option.is_some (Obs.Observer.spans o)
-    | None -> false
-  in
-  (match trace with
-  | Some tr when spans_on -> Trace.set_lifecycle tr true
-  | _ -> ());
-  let recorder =
-    match obs with Some o -> Obs.Observer.recorder o | None -> None
-  in
+  let spans_on = Option.is_some (Option.bind obs Obs.Observer.spans) in
+  if spans_on then Option.iter (fun tr -> Trace.set_lifecycle tr true) trace;
+  let recorder = Option.bind obs Obs.Observer.recorder in
   let detours =
     Detour_table.create ~max_intermediate:(max 1 cfg.Config.max_detour) g
   in
@@ -193,11 +256,6 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
      which is behaviourally identical to not having one) so router
      wiring does not depend on whether a schedule was passed *)
   let link_state = Topology.Link_state.create g in
-  let faults_active =
-    match faults with
-    | Some s -> not (Fault.Schedule.is_empty s)
-    | None -> false
-  in
   (* the run's periodic work: ticks and drains visit only the routers
      this registry lists *)
   let registry = Router.registry ~nodes:(Graph.node_count g) in
@@ -269,22 +327,18 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
       true
     | _ -> false
   in
-  let k_tick = if profiling then Sim.Engine.profile_kind eng "tick" else 0 in
-  let k_drain = if profiling then Sim.Engine.profile_kind eng "drain" else 0 in
-  let k_sampler =
-    if profiling then Sim.Engine.profile_kind eng "sampler" else 0
-  in
-  let k_flow_start =
-    if profiling then Sim.Engine.profile_kind eng "flow_start" else 0
-  in
+  let kind name = if profiling then Sim.Engine.profile_kind eng name else 0 in
+  let k_tick = kind "tick" in
+  let k_drain = kind "drain" in
+  let k_sampler = kind "sampler" in
+  let k_flow_start = kind "flow_start" in
   if profiling then begin
-    let k_arrival = Sim.Engine.profile_kind eng "packet" in
-    Net.iter_ifaces net (fun i ->
-        Chunksim.Iface.set_profile_kind i k_arrival)
+    let k_arrival = kind "packet" in
+    Net.iter_ifaces net (fun i -> Chunksim.Iface.set_profile_kind i k_arrival)
   end;
   (* invariant checkers: streaming checkers tap the trace, the custody
      ledger rides the estimator-tick probe (no extra engine events),
-     and conservation is fed from the sender/consumer wrappers below *)
+     and conservation is fed from the sender/consumer wrappers *)
   let conservation =
     match (check, trace) with
     | Some chk, Some tr ->
@@ -321,154 +375,179 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
           ~reason:("invariant: " ^ v.Check.Invariant.checker)
           ~time:v.Check.Invariant.time)
   | _ -> ());
-  (* fault injection: the driver flips interfaces and detaches handlers
-     mechanically; the callbacks layer protocol recovery (router
-     failover, custody wipe attribution) and accounting on top.
-     Recovery time is measured from each disruption to the next
-     delivery anywhere in the network. *)
-  let pending_disruptions = ref [] in
-  let recovery_total = ref 0. in
-  let recovery_count = ref 0 in
-  let note_recovery_delivery now =
-    match !pending_disruptions with
-    | [] -> ()
-    | ds ->
-      List.iter
-        (fun t0 ->
-          recovery_total := !recovery_total +. (now -. t0);
-          incr recovery_count)
-        ds;
-      pending_disruptions := []
+  let n = Array.length specs in
+  let w =
+    { cfg; g; horizon; obs; overload; specs; routes; eng; net; trace;
+      recorder; link_state; registry; routers; watchdog; conservation;
+      profiling; k_tick; k_drain; k_sampler; k_flow_start;
+      fcts = Array.make n None; data_routes = Array.make n [];
+      req_routes = Array.make n []; install_sites = Array.make n [];
+      completed = 0; finished_at = None; pending_disruptions = [];
+      recovery_total = 0.; recovery_count = 0; peak_custody = 0. }
   in
-  let kill_data (p : Packet.t) =
-    match (conservation, p.Packet.header) with
-    | Some cons, Packet.Data { flow; idx; _ } ->
-      Check.Invariant.Conservation.note_fault_loss cons
-        ~time:(Sim.Engine.now eng) ~flow ~idx
-    | _ -> ()
-  in
-  (* Route reconvergence: detoured data is source-routed and survives
-     an outage on its own, but requests and back-pressure carry only a
-     flow id — their hop-by-hop state must follow the residual
-     topology.  After every link or node transition each flow is
-     re-resolved in the surviving graph and its per-node next hops
-     updated in place; a partitioned flow keeps its stale state until
-     the topology heals.  The link state is fixed for the duration of
-     one call, so flows from the same source share one tree. *)
-  let reconverge () =
-    let forbidden (l : Link.t) =
-      not (Topology.Link_state.is_up link_state l.Link.id)
+  Array.iteri (place w Router.install_flow) routes;
+  w
+
+(* Fault injection: the driver flips interfaces and detaches handlers
+   mechanically; these callbacks layer protocol recovery (router
+   failover, reconvergence, custody wipe attribution) and accounting
+   on top.  Installing the driver schedules the fault events. *)
+let attach_faults w faults =
+  match faults with
+  | Some sched when not (Fault.Schedule.is_empty sched) ->
+    let { eng; trace; recorder; routers; conservation; _ } = w in
+    let kill_data (p : Packet.t) =
+      match (conservation, p.Packet.header) with
+      | Some cons, Packet.Data { flow; idx; _ } ->
+        Check.Invariant.Conservation.note_fault_loss cons
+          ~time:(Sim.Engine.now eng) ~flow ~idx
+      | _ -> ()
     in
-    let route = route_finder ~forbidden_links:forbidden g in
-    List.iteri
-      (fun flow_id (spec : flow_spec) ->
-        (* a released flow stays released: resurrecting its entries
-           would leak them for the rest of the run *)
-        if cfg.Config.flow_teardown && fcts.(flow_id) <> None then ()
-        else
-          match route spec.src spec.dst with
-          | None -> ()
-          | Some path ->
-            if pitless then begin
-              data_routes.(flow_id) <- List.tl path.Path.nodes;
-              req_routes.(flow_id) <- List.tl (List.rev path.Path.nodes)
-            end
-            else begin
-              let nodes = Array.of_list path.Path.nodes in
-              let links = Array.of_list path.Path.links in
-              let n = Array.length nodes in
-              for k = 0 to n - 1 do
-                let data_link = if k < n - 1 then Some links.(k) else None in
-                let req_link =
-                  if k > 0 then Graph.find_link g nodes.(k) nodes.(k - 1)
-                  else None
-                in
-                Router.reroute_flow routers.(nodes.(k)) ?content:spec.content
-                  ~flow:flow_id ~data_link ~req_link ()
-              done;
-              if cfg.Config.flow_teardown then
-                install_sites.(flow_id) <-
-                  List.fold_left
-                    (fun acc nd ->
-                      if List.mem nd acc then acc else nd :: acc)
-                    install_sites.(flow_id) path.Path.nodes
-            end)
-      specs
+    Net.set_fault_tap w.net kill_data;
+    let record ev =
+      Option.iter (fun tr -> Trace.record tr ~time:(Sim.Engine.now eng) ev)
+        trace
+    in
+    let disrupted () =
+      w.pending_disruptions <- Sim.Engine.now eng :: w.pending_disruptions
+    in
+    Some
+      (Fault.Driver.install ~link_state:w.link_state
+         ~on_link_down:(fun link ->
+           record (Trace.Link_fault { link; up = false });
+           disrupted ();
+           Array.iter (fun r -> Router.on_link_down r link) routers;
+           reconverge w)
+         ~on_link_up:(fun link ->
+           record (Trace.Link_fault { link; up = true });
+           Array.iter (fun r -> Router.on_link_up r link) routers;
+           reconverge w)
+         ~on_node_crash:(fun node policy ->
+           record (Trace.Node_fault { node; up = false });
+           disrupted ();
+           let policy =
+             match policy with
+             | Fault.Schedule.Wipe_custody -> `Wipe
+             | Fault.Schedule.Preserve_custody -> `Preserve
+           in
+           let wiped = Router.crash routers.(node) ~policy in
+           let now = Sim.Engine.now eng in
+           (match conservation with
+           | Some cons ->
+             List.iter
+               (fun (flow, idx) ->
+                 Check.Invariant.Conservation.note_fault_loss cons ~time:now
+                   ~flow ~idx)
+               wiped
+           | None -> ());
+           (match trace with
+           | Some tr when Trace.lifecycle tr ->
+             List.iter
+               (fun (flow, idx) ->
+                 Trace.record tr ~time:now
+                   (Trace.Custody_evicted { node; flow; idx }))
+               wiped
+           | Some _ | None -> ());
+           (match recorder with
+           | Some rc when wiped <> [] ->
+             Obs.Recorder.dump rc
+               ~reason:
+                 (Printf.sprintf "custody wiped: node %d lost %d chunks" node
+                    (List.length wiped))
+               ~time:now
+           | Some _ | None -> ());
+           reconverge w)
+         ~on_node_restart:(fun node ->
+           record (Trace.Node_fault { node; up = true });
+           Router.restart routers.(node);
+           reconverge w)
+         ~on_data_killed:kill_data w.net sched)
+  | Some _ | None -> None
+
+(* recovery time runs from each disruption to the next delivery
+   anywhere in the network *)
+let note_recovery w now =
+  match w.pending_disruptions with
+  | [] -> ()
+  | ds ->
+    List.iter (fun t0 -> w.recovery_total <- w.recovery_total +. (now -. t0))
+      ds;
+    w.recovery_count <- w.recovery_count + List.length ds;
+    w.pending_disruptions <- []
+
+let complete_flow w fct_hist flow ~fct =
+  w.fcts.(flow) <- Some fct;
+  (* teardown: recycle this flow's entry at every node it was placed
+     on (fcts is set first, so reconvergence will not resurrect the
+     entries) *)
+  if w.cfg.Config.flow_teardown then begin
+    List.iter
+      (fun nd -> Router.release_flow w.routers.(nd) ~flow)
+      w.install_sites.(flow);
+    w.install_sites.(flow) <- []
+  end;
+  (match fct_hist with Some h -> Obs.Metric.observe h fct | None -> ());
+  w.completed <- w.completed + 1;
+  if all_done w then w.finished_at <- Some (Sim.Engine.now w.eng);
+  match w.trace with
+  | Some tr ->
+    Trace.record tr ~time:(Sim.Engine.now w.eng)
+      (Trace.Flow_complete { flow; fct })
+  | None -> ()
+
+(* A sender at each flow's producer, a receiver at its consumer, and
+   per-node endpoint dispatch on top of routing (several flows may
+   start or end at one node).  Returns the receivers in flow-id order
+   and the per-node sender and receiver tables. *)
+let attach_endpoints w ~faulted =
+  let { cfg; eng; net; trace; routers; watchdog; conservation; specs; routes;
+        data_routes; req_routes; _ } =
+    w
   in
-  let driver =
-    match faults with
-    | Some sched when faults_active ->
-      Net.set_fault_tap net kill_data;
-      let record ev =
-        match trace with
-        | Some tr -> Trace.record tr ~time:(Sim.Engine.now eng) ev
-        | None -> ()
-      in
-      let disrupted () =
-        pending_disruptions := Sim.Engine.now eng :: !pending_disruptions
-      in
-      Some
-        (Fault.Driver.install ~link_state
-           ~on_link_down:(fun link ->
-             record (Trace.Link_fault { link; up = false });
-             disrupted ();
-             Array.iter (fun r -> Router.on_link_down r link) routers;
-             reconverge ())
-           ~on_link_up:(fun link ->
-             record (Trace.Link_fault { link; up = true });
-             Array.iter (fun r -> Router.on_link_up r link) routers;
-             reconverge ())
-           ~on_node_crash:(fun node policy ->
-             record (Trace.Node_fault { node; up = false });
-             disrupted ();
-             let policy =
-               match policy with
-               | Fault.Schedule.Wipe_custody -> `Wipe
-               | Fault.Schedule.Preserve_custody -> `Preserve
-             in
-             let wiped = Router.crash routers.(node) ~policy in
-             (match conservation with
-             | Some cons ->
-               let now = Sim.Engine.now eng in
-               List.iter
-                 (fun (flow, idx) ->
-                   Check.Invariant.Conservation.note_fault_loss cons
-                     ~time:now ~flow ~idx)
-                 wiped
-             | None -> ());
-             (match trace with
-             | Some tr when Trace.lifecycle tr ->
-               let now = Sim.Engine.now eng in
-               List.iter
-                 (fun (flow, idx) ->
-                   Trace.record tr ~time:now
-                     (Trace.Custody_evicted { node; flow; idx }))
-                 wiped
-             | Some _ | None -> ());
-             (match recorder with
-             | Some rc when wiped <> [] ->
-               Obs.Recorder.dump rc
-                 ~reason:
-                   (Printf.sprintf "custody wiped: node %d lost %d chunks"
-                      node (List.length wiped))
-                 ~time:(Sim.Engine.now eng)
-             | Some _ | None -> ());
-             reconverge ())
-           ~on_node_restart:(fun node ->
-             record (Trace.Node_fault { node; up = true });
-             Router.restart routers.(node);
-             reconverge ())
-           ~on_data_killed:kill_data net sched)
-    | _ -> None
+  let pitless = cfg.Config.pitless in
+  (* senders sharing an outgoing link pace at its processor-sharing
+     share (§3.2: flows multiplexed processor-sharing); sharers.(l)
+     counts the flows whose route starts on link l.  Every route has a
+     first link, since src <> dst. *)
+  let sharers = Array.make (Graph.link_count w.g) 0 in
+  Array.iter
+    (fun (p : Path.t) ->
+      let l = (List.hd p.Path.links).Link.id in
+      sharers.(l) <- sharers.(l) + 1)
+    routes;
+  (* distribution metrics, observed at the receivers: per-flow
+     completion times and per-chunk queueing delay (arrival time minus
+     send timestamp minus the primary path's unloaded latency, so a
+     detoured chunk shows its detour cost as queueing).  Histograms
+     exist only when an observer asks; the handlers stay callback-free
+     otherwise. *)
+  let fct_hist, qdelay_hist =
+    match w.obs with
+    | None -> (None, None)
+    | Some o ->
+      let reg = Obs.Observer.registry o in
+      ( Some
+          (Obs.Metric.histogram reg ~lo:0. ~hi:w.horizon ~bins:64
+             "flow_fct_seconds"),
+        Some
+          (Array.init (Array.length specs) (fun i ->
+               Obs.Metric.histogram reg
+                 ~labels:[ ("flow", string_of_int i) ]
+                 ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds")) )
   in
-  (* per-node endpoint dispatch: several flows may start or end at the
-     same node *)
-  let producers : (int, (int, Sender.t) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
+  let base_delay =
+    Array.map
+      (fun (p : Path.t) ->
+        List.fold_left
+          (fun acc (l : Link.t) ->
+            acc +. l.Link.delay
+            +. (cfg.Config.chunk_bits
+               /. (l.Link.capacity *. cfg.Config.speed_factor)))
+          0. p.Path.links)
+      routes
   in
-  let consumers : (int, (int, Receiver.t) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  (* node -> flow -> sender / receiver *)
+  let producers = Hashtbl.create 8 and consumers = Hashtbl.create 8 in
   let endpoint_table tbl node =
     match Hashtbl.find_opt tbl node with
     | Some sub -> sub
@@ -477,73 +556,16 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
       Hashtbl.add tbl node sub;
       sub
   in
-  let completed = ref 0 in
-  let finished_at = ref None in
-  let all_done () = !completed = total_flows in
-  (* distribution metrics, observed at the receivers: per-flow
-     completion times and per-chunk queueing delay (arrival time minus
-     send timestamp minus the primary path's unloaded latency, so a
-     detoured chunk shows its detour cost as queueing).  Histograms
-     exist only when an observer asks; the handlers stay callback-free
-     otherwise. *)
-  let base_delay = Array.make total_flows 0. in
-  let fct_hist, qdelay_hist =
-    match obs with
-    | None -> (None, None)
-    | Some o ->
-      let reg = Obs.Observer.registry o in
-      ( Some
-          (Obs.Metric.histogram reg ~lo:0. ~hi:horizon ~bins:64
-             "flow_fct_seconds"),
-        Some
-          (Array.init total_flows (fun i ->
-               Obs.Metric.histogram reg
-                 ~labels:[ ("flow", string_of_int i) ]
-                 ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds")) )
-  in
-  (* set up each flow along its shortest path *)
-  let receivers = Array.make total_flows None in
-  List.iteri
-    (fun flow_id spec ->
-      let path = routes.(flow_id) in
-      let nodes = Array.of_list path.Path.nodes in
-      let links = Array.of_list path.Path.links in
-      base_delay.(flow_id) <-
-        List.fold_left
-          (fun acc (l : Link.t) ->
-            acc +. l.Link.delay
-            +. (cfg.Config.chunk_bits
-               /. (l.Link.capacity *. cfg.Config.speed_factor)))
-          0. path.Path.links;
-      let n = Array.length nodes in
-      if pitless then begin
-        (* no router state: the endpoints carry the whole path as a
-           label stack — data towards the consumer, requests towards
-           the producer *)
-        data_routes.(flow_id) <- List.tl path.Path.nodes;
-        req_routes.(flow_id) <- List.tl (List.rev path.Path.nodes)
-      end
-      else begin
-        for k = 0 to n - 1 do
-          let data_link = if k < n - 1 then Some links.(k) else None in
-          let req_link =
-            if k > 0 then Graph.find_link g nodes.(k) nodes.(k - 1) else None
-          in
-          Router.install_flow routers.(nodes.(k)) ?content:spec.content
-            ~flow:flow_id ~data_link ~req_link ()
-        done;
-        install_sites.(flow_id) <- path.Path.nodes
-      end;
-      let pace_rate =
-        match path.Path.links with
-        | first :: _ ->
-          first.Link.capacity *. cfg.Config.speed_factor
-          /. float_of_int (max 1 sharers.(first.Link.id))
-        | [] -> cfg.Config.chunk_bits (* unreachable: src <> dst *)
-      in
-      let transmit =
-        let src_router = routers.(spec.src) in
-        let base p =
+  let receivers =
+    Array.init (Array.length specs) (fun flow ->
+        let { src; dst; chunks; _ } = specs.(flow) in
+        let pace_rate =
+          let l = List.hd routes.(flow).Path.links in
+          l.Link.capacity *. cfg.Config.speed_factor
+          /. float_of_int sharers.(l.Link.id)
+        in
+        let src_router = routers.(src) in
+        let transmit p =
           (* a crashed producer node transmits nothing (and the chunk is
              not counted as pushed — it never reached any wire) *)
           if not (Router.is_crashed src_router) then begin
@@ -558,12 +580,9 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
               if pitless then begin
                 match p.Packet.header with
                 | Packet.Data d ->
-                  {
-                    p with
+                  { p with
                     Packet.header =
-                      Packet.Data
-                        { d with detour_route = data_routes.(flow_id) };
-                  }
+                      Packet.Data { d with detour_route = data_routes.(flow) } }
                 | Packet.Request _ | Packet.Backpressure _ -> p
               end
               else p
@@ -571,58 +590,33 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
             Router.originate_data src_router p
           end
         in
-        base
-      in
-      let sender =
-        Sender.create ~cfg ~eng ?trace ~flow:flow_id
-          ~total_chunks:spec.chunks ~pace_rate ~transmit ()
-      in
-      Hashtbl.replace (endpoint_table producers spec.src) flow_id sender;
-      let receiver =
-        Receiver.create ~cfg ~eng ~flow:flow_id ~total_chunks:spec.chunks
-          ~send_request:(fun p ->
-            let p =
-              if pitless then begin
-                match p.Packet.header with
-                | Packet.Request r ->
-                  {
-                    p with
-                    Packet.header =
-                      Packet.Request { r with route = req_routes.(flow_id) };
-                  }
-                | Packet.Data _ | Packet.Backpressure _ -> p
-              end
-              else p
-            in
-            Net.inject net ~at:spec.dst p)
-          ~on_complete:(fun ~fct ->
-            fcts.(flow_id) <- Some fct;
-            (* teardown: recycle this flow's entry at every node it was
-               installed on (fcts is set first, so reconvergence will
-               not resurrect the entries) *)
-            if cfg.Config.flow_teardown then begin
-              List.iter
-                (fun nd -> Router.release_flow routers.(nd) ~flow:flow_id)
-                install_sites.(flow_id);
-              install_sites.(flow_id) <- []
-            end;
-            (match fct_hist with
-            | Some h -> Obs.Metric.observe h fct
-            | None -> ());
-            incr completed;
-            if all_done () then finished_at := Some (Sim.Engine.now eng);
-            match trace with
-            | Some tr ->
-              Trace.record tr ~time:(Sim.Engine.now eng)
-                (Trace.Flow_complete { flow = flow_id; fct })
-            | None -> ())
-          ?overload ()
-      in
-      receivers.(flow_id) <- Some receiver;
-      Hashtbl.replace (endpoint_table consumers spec.dst) flow_id receiver)
-    specs;
-  (* install node handlers: endpoint dispatch sits on top of routing *)
-  for node = 0 to Graph.node_count g - 1 do
+        let sender =
+          Sender.create ~cfg ~eng ?trace ~flow ~total_chunks:chunks ~pace_rate
+            ~transmit ()
+        in
+        Hashtbl.replace (endpoint_table producers src) flow sender;
+        let receiver =
+          Receiver.create ~cfg ~eng ~flow ~total_chunks:chunks
+            ~send_request:(fun p ->
+              let p =
+                if pitless then begin
+                  match p.Packet.header with
+                  | Packet.Request r ->
+                    { p with
+                      Packet.header =
+                        Packet.Request { r with route = req_routes.(flow) } }
+                  | Packet.Data _ | Packet.Backpressure _ -> p
+                end
+                else p
+              in
+              Net.inject net ~at:dst p)
+            ~on_complete:(complete_flow w fct_hist flow)
+            ?overload:w.overload ()
+        in
+        Hashtbl.replace (endpoint_table consumers dst) flow receiver;
+        receiver)
+  in
+  for node = 0 to Graph.node_count w.g - 1 do
     let router = routers.(node) in
     (match Hashtbl.find_opt producers node with
     | Some senders ->
@@ -633,252 +627,304 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     | None -> ());
     (match Hashtbl.find_opt consumers node with
     | Some recvs ->
-      let observe_data =
-        match qdelay_hist with
-        | None -> fun (_ : Packet.t) -> ()
-        | Some hs ->
-          fun (p : Packet.t) -> (
-            match p.Packet.header with
-            | Packet.Data { flow; born; _ } ->
+      Router.set_local_consumer router (fun p ->
+          (* delivery taps, in order: queueing delay, span, recovery,
+             conservation, watchdog *)
+          (match p.Packet.header with
+          | Packet.Data { flow; idx; born; _ } ->
+            (match qdelay_hist with
+            | Some hs ->
               let d = Sim.Engine.now eng -. born -. base_delay.(flow) in
               Obs.Metric.observe hs.(flow) (Float.max 0. d)
-            | _ -> ())
-      in
-      Router.set_local_consumer router (fun p ->
-          observe_data p;
-          (match trace with
-          | Some tr when Trace.lifecycle tr -> begin
-            match p.Packet.header with
-            | Packet.Data { flow; idx; _ } ->
+            | None -> ());
+            (match trace with
+            | Some tr when Trace.lifecycle tr ->
               Trace.record tr ~time:(Sim.Engine.now eng)
                 (Trace.Delivered { node; flow; idx })
-            | Packet.Request _ | Packet.Backpressure _ -> ()
-          end
-          | Some _ | None -> ());
-          (if Option.is_some driver then
-             match p.Packet.header with
-             | Packet.Data _ ->
-               note_recovery_delivery (Sim.Engine.now eng)
-             | _ -> ());
-          (match conservation with
-          | Some cons -> (
-            match p.Packet.header with
-            | Packet.Data { flow; idx; _ } ->
+            | Some _ | None -> ());
+            if faulted then note_recovery w (Sim.Engine.now eng);
+            (match conservation with
+            | Some cons ->
               Check.Invariant.Conservation.note_delivery cons
                 ~time:(Sim.Engine.now eng) ~flow ~idx
-            | _ -> ())
-          | None -> ());
-          (match watchdog with
-          | Some wd -> (
-            match p.Packet.header with
-            | Packet.Data _ ->
+            | None -> ());
+            (match watchdog with
+            | Some wd ->
               Obs.Watchdog.note_delivery wd ~time:(Sim.Engine.now eng)
                 ~bits:p.Packet.size
-            | _ -> ())
-          | None -> ());
+            | None -> ())
+          | Packet.Request _ | Packet.Backpressure _ -> ());
           match Hashtbl.find_opt recvs (Packet.flow p) with
           | Some r -> Receiver.handle_data r p
           | None -> ())
     | None -> ());
     Net.set_handler net node (Router.handler router)
   done;
-  (* observability: callback metrics read the counters the stack
-     already maintains (zero hot-path cost), and a periodic sampler
-     records per-interface phase / rate / queue and per-node custody
-     timeseries at the estimator-tick resolution *)
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = Obs.Observer.registry o in
-    Array.iter
-      (fun r ->
-        let labels = [ ("node", string_of_int (Router.node r)) ] in
-        let c = Router.counters r in
-        let fi name get =
-          Obs.Metric.callback reg ~labels name (fun () ->
-              float_of_int (get ()))
-        in
-        fi "router_forwarded_data_total" (fun () -> c.Router.forwarded_data);
-        fi "router_detoured_total" (fun () -> c.Router.detoured);
-        fi "router_custody_stored_total" (fun () -> c.Router.custody_stored);
-        fi "router_custody_released_total" (fun () ->
-            c.Router.custody_released);
-        fi "router_dropped_total" (fun () -> c.Router.dropped);
-        fi "router_bp_engages_total" (fun () -> c.Router.bp_engages);
-        fi "router_bp_releases_total" (fun () -> c.Router.bp_releases);
-        fi "router_cache_hits_total" (fun () -> c.Router.cache_hits);
-        fi "router_phase_transitions_total" (fun () ->
-            Router.phase_transitions r);
-        fi "router_bp_active_flows" (fun () -> Router.bp_active_flows r);
-        fi "router_flow_entries_live" (fun () -> Router.flow_entries_live r);
-        fi "router_flow_entries_peak" (fun () -> Router.flow_entries_peak r);
-        fi "router_flow_entries_recycled_total" (fun () ->
-            Router.flow_entries_recycled r);
-        fi "router_flow_table_bytes" (fun () -> Router.flow_table_bytes r);
-        (* overload counters exist only when the control layer is on,
-           so default runs export byte-identical metric sets *)
-        if Option.is_some overload then begin
-          fi "router_shed_total" (fun () -> c.Router.shed);
-          fi "router_detours_refused_total" (fun () -> c.Router.detours_refused)
-        end;
-        Obs.Metric.callback reg ~labels "router_custody_occupancy_bits"
-          (fun () -> Chunksim.Cache.custody_occupancy (Router.cache r)))
-      routers;
-    (match watchdog with
-    | Some wd ->
-      Obs.Metric.callback reg "watchdog_collapse_episodes" (fun () ->
-          float_of_int (Obs.Watchdog.episodes wd));
-      Obs.Metric.callback reg "watchdog_in_collapse" (fun () ->
-          if Obs.Watchdog.in_collapse wd then 1. else 0.);
-      Obs.Metric.callback reg "watchdog_recovery_seconds_total" (fun () ->
-          Obs.Watchdog.total_recovery_time wd);
-      Obs.Metric.callback reg "watchdog_goodput_peak_bps" (fun () ->
-          Obs.Watchdog.peak wd)
-    | None -> ());
-    Net.iter_ifaces net (fun i ->
-        let l = Chunksim.Iface.link i in
-        let labels =
-          [ ("link", string_of_int l.Link.id);
-            ("src", string_of_int l.Link.src);
-            ("dst", string_of_int l.Link.dst) ]
-        in
-        let f name fn = Obs.Metric.callback reg ~labels name fn in
-        f "iface_tx_bits_total" (fun () -> Chunksim.Iface.tx_bits i);
-        f "iface_drops_total" (fun () ->
-            float_of_int (Chunksim.Iface.drops i));
-        f "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i);
-        f "iface_utilisation" (fun () ->
-            Chunksim.Iface.utilisation i ~now:(Sim.Engine.now eng)));
-    Hashtbl.iter
-      (fun node senders ->
-        Hashtbl.iter
-          (fun flow s ->
-            let labels =
-              [ ("node", string_of_int node); ("flow", string_of_int flow) ]
-            in
-            let f name fn = Obs.Metric.callback reg ~labels name fn in
-            f "sender_tx_packets_total" (fun () ->
-                float_of_int (Sender.sent_packets s));
-            f "sender_backlog_chunks" (fun () ->
-                float_of_int (Sender.backlog s));
-            f "sender_in_backpressure" (fun () ->
-                if Sender.in_backpressure s then 1. else 0.))
-          senders)
-      producers;
-    Hashtbl.iter
-      (fun node recvs ->
-        Hashtbl.iter
-          (fun flow r ->
-            let labels =
-              [ ("node", string_of_int node); ("flow", string_of_int flow) ]
-            in
-            let f name fn = Obs.Metric.callback reg ~labels name fn in
-            f "receiver_requests_total" (fun () ->
-                float_of_int (Receiver.requests_sent r));
-            f "receiver_duplicates_total" (fun () ->
-                float_of_int (Receiver.duplicates r));
-            f "receiver_chunks_received" (fun () ->
-                float_of_int (Session.received_count (Receiver.session r))))
-          recvs)
-      consumers;
-    let smp =
-      Obs.Observer.install_sampler o ~eng ~default_interval:cfg.Config.ti
-    in
-    (* attribute the sampler's own engine events to their profiler
-       bucket (hooks run first on each tick), and when a wall clock
-       was configured surface the sampler's self-observation — its
-       tick count and cumulative probe time — as metrics.  Registered
-       only then, so clockless runs export byte-identical output. *)
-    if profiling then
-      Obs.Sampler.on_sample smp (fun () ->
-          Sim.Engine.profile_mark eng k_sampler);
-    if Obs.Sampler.self_observing smp then begin
-      Obs.Metric.callback reg "sampler_ticks_total" (fun () ->
-          float_of_int (Obs.Sampler.ticks smp));
-      Obs.Metric.callback reg "sampler_probe_seconds_total" (fun () ->
-          Obs.Sampler.probe_seconds smp)
-    end;
-    Net.iter_ifaces net (fun i ->
-        let l = Chunksim.Iface.link i in
-        let r = routers.(l.Link.src) in
-        let li = l.Link.id in
-        let labels =
-          [ ("node", string_of_int l.Link.src);
-            ("link", string_of_int li) ]
-        in
-        let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
-        track "iface_phase" (fun () ->
-            phase_value (Router.phase_of_link r li));
-        track "iface_anticipated_bps" (fun () ->
-            Option.value ~default:0. (Router.anticipated_rate_of_link r li));
-        track "iface_anticipated_ratio" (fun () ->
-            Option.value ~default:0. (Router.ratio_of_link r li));
-        track "iface_queue_bits" (fun () ->
-            Chunksim.Iface.queue_occupancy i);
-        track "iface_utilisation" (fun () ->
-            Chunksim.Iface.utilisation i ~now:(Sim.Engine.now eng));
-        (* time-in-phase fractions, accumulated between samples *)
-        let acc = [| 0.; 0.; 0. |] in
-        let last_t = ref (Sim.Engine.now eng) in
-        let last_ph = ref (-1) in
-        Obs.Sampler.on_sample smp (fun () ->
-            let t_now = Sim.Engine.now eng in
-            if !last_ph >= 0 then
-              acc.(!last_ph) <- acc.(!last_ph) +. (t_now -. !last_t);
-            last_t := t_now;
-            last_ph :=
-              int_of_float (phase_value (Router.phase_of_link r li)));
-        Array.iteri
-          (fun pi pname ->
-            let labels = ("phase", pname) :: labels in
-            ignore
-              (Obs.Sampler.track smp ~labels "iface_phase_occupancy"
-                 (fun () ->
-                   let tot = acc.(0) +. acc.(1) +. acc.(2) in
-                   if tot <= 0. then 0. else acc.(pi) /. tot)))
-          phase_names);
-    Array.iter
-      (fun r ->
-        let labels = [ ("node", string_of_int (Router.node r)) ] in
-        let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
-        track "custody_bits" (fun () ->
-            Chunksim.Cache.custody_occupancy (Router.cache r));
-        track "bp_active_flows" (fun () ->
-            float_of_int (Router.bp_active_flows r));
-        let c = Router.counters r in
-        track "detoured_total" (fun () -> float_of_int c.Router.detoured))
-      routers;
-    (* fault observability only exists when a schedule is live, so a
-       no-fault run's metric/timeseries output is byte-identical *)
-    (match driver with
-    | None -> ()
-    | Some d ->
-      let fc name fn =
-        Obs.Metric.callback reg name (fun () -> float_of_int (fn ()))
+  (receivers, producers, consumers)
+
+(* Observability: callback metrics read the counters the stack already
+   maintains (zero hot-path cost), and a periodic sampler records
+   per-interface phase / rate / queue and per-node custody timeseries
+   at the estimator-tick resolution.  Metrics and series export in
+   registration order, which this stage fixes; starting the sampler
+   schedules its first event. *)
+let instrument w ~driver ~producers ~consumers o =
+  let { cfg; eng; net; routers; watchdog; link_state; _ } = w in
+  let reg = Obs.Observer.registry o in
+  Array.iter
+    (fun r ->
+      let labels = [ ("node", string_of_int (Router.node r)) ] in
+      let c = Router.counters r in
+      let fi name get =
+        Obs.Metric.callback reg ~labels name (fun () -> float_of_int (get r))
       in
-      fc "fault_link_downs_total" (fun () -> Fault.Driver.link_downs d);
-      fc "fault_link_ups_total" (fun () -> Fault.Driver.link_ups d);
-      fc "fault_node_crashes_total" (fun () -> Fault.Driver.node_crashes d);
-      fc "fault_node_restarts_total" (fun () ->
-          Fault.Driver.node_restarts d);
-      fc "fault_control_drops_total" (fun () -> Fault.Driver.control_drops d);
-      fc "fault_packet_kills_total" (fun () -> Net.total_fault_drops net);
-      Net.iter_ifaces net (fun i ->
-          let l = Chunksim.Iface.link i in
+      fi "router_forwarded_data_total" (fun _ -> c.Router.forwarded_data);
+      fi "router_detoured_total" (fun _ -> c.Router.detoured);
+      fi "router_custody_stored_total" (fun _ -> c.Router.custody_stored);
+      fi "router_custody_released_total" (fun _ -> c.Router.custody_released);
+      fi "router_dropped_total" (fun _ -> c.Router.dropped);
+      fi "router_bp_engages_total" (fun _ -> c.Router.bp_engages);
+      fi "router_bp_releases_total" (fun _ -> c.Router.bp_releases);
+      fi "router_cache_hits_total" (fun _ -> c.Router.cache_hits);
+      fi "router_phase_transitions_total" Router.phase_transitions;
+      fi "router_bp_active_flows" Router.bp_active_flows;
+      fi "router_flow_entries_live" Router.flow_entries_live;
+      fi "router_flow_entries_peak" Router.flow_entries_peak;
+      fi "router_flow_entries_recycled_total" Router.flow_entries_recycled;
+      fi "router_flow_table_bytes" Router.flow_table_bytes;
+      (* overload counters exist only when the control layer is on, so
+         default runs export byte-identical metric sets *)
+      if Option.is_some w.overload then begin
+        fi "router_shed_total" (fun _ -> c.Router.shed);
+        fi "router_detours_refused_total" (fun _ -> c.Router.detours_refused)
+      end;
+      Obs.Metric.callback reg ~labels "router_custody_occupancy_bits"
+        (fun () -> Chunksim.Cache.custody_occupancy (Router.cache r)))
+    routers;
+  (match watchdog with
+  | Some wd ->
+    Obs.Metric.callback reg "watchdog_collapse_episodes" (fun () ->
+        float_of_int (Obs.Watchdog.episodes wd));
+    Obs.Metric.callback reg "watchdog_in_collapse" (fun () ->
+        if Obs.Watchdog.in_collapse wd then 1. else 0.);
+    Obs.Metric.callback reg "watchdog_recovery_seconds_total" (fun () ->
+        Obs.Watchdog.total_recovery_time wd);
+    Obs.Metric.callback reg "watchdog_goodput_peak_bps" (fun () ->
+        Obs.Watchdog.peak wd)
+  | None -> ());
+  Net.iter_ifaces net (fun i ->
+      let l = Chunksim.Iface.link i in
+      let labels =
+        [ ("link", string_of_int l.Link.id);
+          ("src", string_of_int l.Link.src);
+          ("dst", string_of_int l.Link.dst) ]
+      in
+      let f name fn = Obs.Metric.callback reg ~labels name fn in
+      f "iface_tx_bits_total" (fun () -> Chunksim.Iface.tx_bits i);
+      f "iface_drops_total" (fun () -> float_of_int (Chunksim.Iface.drops i));
+      f "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i);
+      f "iface_utilisation" (fun () ->
+          Chunksim.Iface.utilisation i ~now:(Sim.Engine.now eng)));
+  (* per endpoint, in the tables' iteration order *)
+  let endpoint_metrics tbl metrics =
+    Hashtbl.iter
+      (fun node sub ->
+        Hashtbl.iter
+          (fun flow e ->
+            let labels =
+              [ ("node", string_of_int node); ("flow", string_of_int flow) ]
+            in
+            List.iter
+              (fun (name, get) ->
+                Obs.Metric.callback reg ~labels name (fun () ->
+                    float_of_int (get e)))
+              metrics)
+          sub)
+      tbl
+  in
+  endpoint_metrics producers
+    [ ("sender_tx_packets_total", Sender.sent_packets);
+      ("sender_backlog_chunks", Sender.backlog);
+      ("sender_in_backpressure", fun s ->
+        Bool.to_int (Sender.in_backpressure s)) ];
+  endpoint_metrics consumers
+    [ ("receiver_requests_total", Receiver.requests_sent);
+      ("receiver_duplicates_total", Receiver.duplicates);
+      ("receiver_chunks_received", fun r ->
+        Session.received_count (Receiver.session r)) ];
+  let smp =
+    Obs.Observer.install_sampler o ~eng ~default_interval:cfg.Config.ti
+  in
+  (* attribute the sampler's own engine events to their profiler
+     bucket (hooks run first on each tick), and when a wall clock was
+     configured surface the sampler's self-observation — its tick count
+     and cumulative probe time — as metrics.  Registered only then, so
+     clockless runs export byte-identical output. *)
+  if w.profiling then
+    Obs.Sampler.on_sample smp (fun () ->
+        Sim.Engine.profile_mark eng w.k_sampler);
+  if Obs.Sampler.self_observing smp then begin
+    Obs.Metric.callback reg "sampler_ticks_total" (fun () ->
+        float_of_int (Obs.Sampler.ticks smp));
+    Obs.Metric.callback reg "sampler_probe_seconds_total" (fun () ->
+        Obs.Sampler.probe_seconds smp)
+  end;
+  Net.iter_ifaces net (fun i ->
+      let l = Chunksim.Iface.link i in
+      let r = routers.(l.Link.src) in
+      let li = l.Link.id in
+      let labels =
+        [ ("node", string_of_int l.Link.src); ("link", string_of_int li) ]
+      in
+      let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
+      track "iface_phase" (fun () -> phase_value (Router.phase_of_link r li));
+      track "iface_anticipated_bps" (fun () ->
+          Option.value ~default:0. (Router.anticipated_rate_of_link r li));
+      track "iface_anticipated_ratio" (fun () ->
+          Option.value ~default:0. (Router.ratio_of_link r li));
+      track "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i);
+      track "iface_utilisation" (fun () ->
+          Chunksim.Iface.utilisation i ~now:(Sim.Engine.now eng));
+      (* time-in-phase fractions, accumulated between samples *)
+      let acc = [| 0.; 0.; 0. |] in
+      let last_t = ref (Sim.Engine.now eng) in
+      let last_ph = ref (-1) in
+      Obs.Sampler.on_sample smp (fun () ->
+          let t_now = Sim.Engine.now eng in
+          if !last_ph >= 0 then
+            acc.(!last_ph) <- acc.(!last_ph) +. (t_now -. !last_t);
+          last_t := t_now;
+          last_ph := int_of_float (phase_value (Router.phase_of_link r li)));
+      Array.iteri
+        (fun pi pname ->
+          let labels = ("phase", pname) :: labels in
           ignore
-            (Obs.Sampler.track smp
-               ~labels:[ ("link", string_of_int l.Link.id) ]
-               "link_up"
-               (fun () ->
-                 if Topology.Link_state.is_up link_state l.Link.id then 1.
-                 else 0.))));
-    Obs.Sampler.start ~stop:all_done smp);
+            (Obs.Sampler.track smp ~labels "iface_phase_occupancy" (fun () ->
+                 let tot = acc.(0) +. acc.(1) +. acc.(2) in
+                 if tot <= 0. then 0. else acc.(pi) /. tot)))
+        phase_names);
+  Array.iter
+    (fun r ->
+      let labels = [ ("node", string_of_int (Router.node r)) ] in
+      let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
+      track "custody_bits" (fun () ->
+          Chunksim.Cache.custody_occupancy (Router.cache r));
+      track "bp_active_flows" (fun () ->
+          float_of_int (Router.bp_active_flows r));
+      let c = Router.counters r in
+      track "detoured_total" (fun () -> float_of_int c.Router.detoured))
+    routers;
+  (* fault observability only exists when a schedule is live, so a
+     no-fault run's metric/timeseries output is byte-identical *)
+  (match driver with
+  | None -> ()
+  | Some d ->
+    let fc name fn =
+      Obs.Metric.callback reg name (fun () -> float_of_int (fn ()))
+    in
+    fc "fault_link_downs_total" (fun () -> Fault.Driver.link_downs d);
+    fc "fault_link_ups_total" (fun () -> Fault.Driver.link_ups d);
+    fc "fault_node_crashes_total" (fun () -> Fault.Driver.node_crashes d);
+    fc "fault_node_restarts_total" (fun () -> Fault.Driver.node_restarts d);
+    fc "fault_control_drops_total" (fun () -> Fault.Driver.control_drops d);
+    fc "fault_packet_kills_total" (fun () -> Net.total_fault_drops net);
+    Net.iter_ifaces net (fun i ->
+        let l = Chunksim.Iface.link i in
+        ignore
+          (Obs.Sampler.track smp
+             ~labels:[ ("link", string_of_int l.Link.id) ]
+             "link_up"
+             (fun () ->
+               if Topology.Link_state.is_up link_state l.Link.id then 1.
+               else 0.))));
+  Obs.Sampler.start ~stop:(fun () -> all_done w) smp
+
+(* The result: per-flow outcomes in flow-id order and the counters
+   summed over the routers. *)
+let collect w receivers =
+  let { cfg; eng; net; watchdog; _ } = w in
+  let sim_time = Option.value w.finished_at ~default:(Sim.Engine.now eng) in
+  let flows =
+    Array.mapi
+      (fun i r ->
+        { spec = w.specs.(i); fct = w.fcts.(i);
+          chunks_received = Session.received_count (Receiver.session r);
+          duplicates = Receiver.duplicates r;
+          requests_sent = Receiver.requests_sent r })
+      receivers
+  in
+  let delivered_bits =
+    Array.fold_left
+      (fun acc fr ->
+        acc +. (float_of_int fr.chunks_received *. cfg.Config.chunk_bits))
+      0. flows
+  in
+  let sum = sum_routers w in
+  {
+    flows;
+    completed = w.completed;
+    sim_time;
+    (* interface-queue refusals were handled by the routers (detour or
+       custody); only router-level drops are real losses *)
+    total_drops = sum (fun r -> (Router.counters r).Router.dropped);
+    forwarded_data = sum (fun r -> (Router.counters r).Router.forwarded_data);
+    detoured = sum (fun r -> (Router.counters r).Router.detoured);
+    custody_stored = sum (fun r -> (Router.counters r).Router.custody_stored);
+    custody_released =
+      sum (fun r -> (Router.counters r).Router.custody_released);
+    bp_engages = sum (fun r -> (Router.counters r).Router.bp_engages);
+    bp_releases = sum (fun r -> (Router.counters r).Router.bp_releases);
+    cache_hits = sum (fun r -> (Router.counters r).Router.cache_hits);
+    phase_transitions = sum Router.phase_transitions;
+    peak_custody_bits = w.peak_custody;
+    mean_utilisation = Net.mean_utilisation net;
+    goodput = (if sim_time > 0. then delivered_bits /. sim_time else 0.);
+    engine_events = Sim.Engine.events_handled eng;
+    chunks_lost_in_custody =
+      sum (fun r -> (Router.counters r).Router.custody_wiped);
+    failovers = sum (fun r -> (Router.counters r).Router.failovers);
+    recovery_time =
+      (if w.recovery_count > 0 then
+         Some (w.recovery_total /. float_of_int w.recovery_count)
+       else None);
+    shed = sum (fun r -> (Router.counters r).Router.shed);
+    detours_refused = sum (fun r -> (Router.counters r).Router.detours_refused);
+    collapse_episodes =
+      (match watchdog with Some wd -> Obs.Watchdog.episodes wd | None -> 0);
+    collapse_recovery_time =
+      (match Option.map Obs.Watchdog.recovery_times watchdog with
+      | None | Some [] -> None
+      | Some ts ->
+        Some (List.fold_left ( +. ) 0. ts /. float_of_int (List.length ts)));
+    flow_entries_live = sum Router.flow_entries_live;
+    flow_entries_peak = sum Router.flow_entries_peak;
+    flow_entries_recycled = sum Router.flow_entries_recycled;
+    flow_table_bytes = sum Router.flow_table_bytes;
+    trace = w.trace;
+  }
+
+(* Stage order is event order: seqs are taken at schedule time, so the
+   fault events (scheduled by [attach_faults]) come before the sampler
+   start ([instrument]), the tick, the drain and the flow starts. *)
+let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
+    ?loss_rate ?obs ?check ?faults ?workload ?overload g specs =
+  let w =
+    wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
+      ~overload g specs
+  in
+  let driver = attach_faults w faults in
+  let receivers, producers, consumers =
+    attach_endpoints w ~faulted:(Option.is_some driver)
+  in
+  Option.iter (instrument w ~driver ~producers ~consumers) obs;
   (* periodic estimator ticks and custody drains; track custody peak
      over the routers holding custody (every other one holds 0) *)
-  let peak_custody = ref 0. in
+  let { eng; registry; routers; watchdog; k_tick; k_drain; k_flow_start; _ } =
+    w
+  in
   let note_peak r =
     let occ = Chunksim.Cache.custody_occupancy (Router.cache r) in
-    if occ > !peak_custody then peak_custody := occ
+    if occ > w.peak_custody then w.peak_custody <- occ
   in
   ignore
   @@ Sim.Engine.schedule_periodic eng ~interval:cfg.Config.ti (fun () ->
@@ -891,149 +937,54 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
       (* the watchdog needs a heartbeat: a total stall delivers nothing,
          so without ticks there would be no edge to detect it on *)
       (match watchdog with
-      | Some wd when not (all_done ()) ->
+      | Some wd when not (all_done w) ->
         Obs.Watchdog.tick wd ~time:(Sim.Engine.now eng)
       | Some _ | None -> ());
-      not (all_done ()));
+      not (all_done w));
   ignore
   @@ Sim.Engine.schedule_periodic eng ~interval:(cfg.Config.ti /. 4.)
        (fun () ->
          Sim.Engine.profile_mark eng k_drain;
          Router.drain_sweep registry routers;
-         not (all_done ()));
-  (* flow starts *)
-  List.iteri
-    (fun flow_id spec ->
+         not (all_done w));
+  Array.iteri
+    (fun flow r ->
       ignore
-        (Sim.Engine.schedule eng ~delay:spec.start (fun () ->
+        (Sim.Engine.schedule eng ~delay:w.specs.(flow).start (fun () ->
              Sim.Engine.profile_mark eng k_flow_start;
-             match receivers.(flow_id) with
-             | Some r -> Receiver.start r
-             | None -> ())))
-    specs;
+             Receiver.start r)))
+    receivers;
   Sim.Engine.run ~until:horizon eng;
   (* harvest the profiler before anything else touches the engine *)
   (match obs with
-  | Some o when profiling ->
+  | Some o when w.profiling ->
     Sim.Engine.profile_stop eng;
     Obs.Observer.set_profile_rows o (Sim.Engine.profile_rows eng)
   | _ -> ());
   (* a disruption with no delivery after it means recovery never
      happened: capture the tail of the run for post-mortem *)
-  (match recorder with
-  | Some rc when !pending_disruptions <> [] ->
+  (match w.recorder with
+  | Some rc when w.pending_disruptions <> [] ->
     Obs.Recorder.dump rc
       ~reason:
         (Printf.sprintf "%d disruption(s) with no subsequent delivery"
-           (List.length !pending_disruptions))
+           (List.length w.pending_disruptions))
       ~time:(Sim.Engine.now eng)
   | Some _ | None -> ());
   (match check with
   | Some chk -> Check.Invariant.probe chk ~time:(Sim.Engine.now eng)
   | None -> ());
-  (match conservation with
+  (match w.conservation with
   | Some cons ->
-    let in_custody =
-      Array.fold_left
-        (fun acc r -> acc + Router.custody_packet_count r)
-        0 routers
-    in
-    let drops =
-      Array.fold_left
-        (fun acc r -> acc + (Router.counters r).Router.dropped)
-        0 routers
-    in
     Check.Invariant.Conservation.finish cons ~time:(Sim.Engine.now eng)
-      ~quiescent:(all_done ()) ~in_custody ~drops
-      ~wire_losses:(Net.total_wire_losses net)
+      ~quiescent:(all_done w)
+      ~in_custody:(sum_routers w Router.custody_packet_count)
+      ~drops:(sum_routers w (fun r -> (Router.counters r).Router.dropped))
+      ~wire_losses:(Net.total_wire_losses w.net)
   | None -> ());
-  let sim_time =
-    match !finished_at with
-    | Some t -> t
-    | None -> Sim.Engine.now eng
-  in
-  let sum f = Array.fold_left (fun acc r -> acc + f (Router.counters r)) 0 routers in
-  let delivered_bits =
-    List.fold_left
-      (fun acc (spec, fr) ->
-        ignore spec;
-        acc +. (float_of_int fr *. cfg.Config.chunk_bits))
-      0.
-      (List.mapi
-         (fun i spec ->
-           ( spec,
-             match receivers.(i) with
-             | Some r -> Session.received_count (Receiver.session r)
-             | None -> 0 ))
-         specs)
-  in
-  let flows =
-    Array.of_list
-      (List.mapi
-         (fun i spec ->
-           let r = Option.get receivers.(i) in
-           {
-             spec;
-             fct = fcts.(i);
-             chunks_received = Session.received_count (Receiver.session r);
-             duplicates = Receiver.duplicates r;
-             requests_sent = Receiver.requests_sent r;
-           })
-         specs)
-  in
-  {
-    flows;
-    completed = !completed;
-    sim_time;
-    (* interface-queue refusals were handled by the routers (detour or
-       custody); only router-level drops are real losses *)
-    total_drops = sum (fun c -> c.Router.dropped);
-    forwarded_data = sum (fun c -> c.Router.forwarded_data);
-    detoured = sum (fun c -> c.Router.detoured);
-    custody_stored = sum (fun c -> c.Router.custody_stored);
-    custody_released = sum (fun c -> c.Router.custody_released);
-    bp_engages = sum (fun c -> c.Router.bp_engages);
-    bp_releases = sum (fun c -> c.Router.bp_releases);
-    cache_hits = sum (fun c -> c.Router.cache_hits);
-    phase_transitions =
-      Array.fold_left (fun acc r -> acc + Router.phase_transitions r) 0 routers;
-    peak_custody_bits = !peak_custody;
-    mean_utilisation = Net.mean_utilisation net;
-    goodput = (if sim_time > 0. then delivered_bits /. sim_time else 0.);
-    engine_events = Sim.Engine.events_handled eng;
-    chunks_lost_in_custody = sum (fun c -> c.Router.custody_wiped);
-    failovers = sum (fun c -> c.Router.failovers);
-    recovery_time =
-      (if !recovery_count > 0 then
-         Some (!recovery_total /. float_of_int !recovery_count)
-       else None);
-    shed = sum (fun c -> c.Router.shed);
-    detours_refused = sum (fun c -> c.Router.detours_refused);
-    collapse_episodes =
-      (match watchdog with Some wd -> Obs.Watchdog.episodes wd | None -> 0);
-    collapse_recovery_time =
-      (match watchdog with
-      | Some wd -> begin
-        match Obs.Watchdog.recovery_times wd with
-        | [] -> None
-        | ts ->
-          Some (List.fold_left ( +. ) 0. ts /. float_of_int (List.length ts))
-      end
-      | None -> None);
-    flow_entries_live =
-      Array.fold_left (fun acc r -> acc + Router.flow_entries_live r) 0 routers;
-    flow_entries_peak =
-      Array.fold_left (fun acc r -> acc + Router.flow_entries_peak r) 0 routers;
-    flow_entries_recycled =
-      Array.fold_left
-        (fun acc r -> acc + Router.flow_entries_recycled r)
-        0 routers;
-    flow_table_bytes =
-      Array.fold_left (fun acc r -> acc + Router.flow_table_bytes r) 0 routers;
-    trace;
-  }
+  collect w receivers
 
-let pp_result ppf r =
+let pp_result ppf (r : result) =
   Format.fprintf ppf
     "%d/%d flows done in %.3gs; goodput=%a util=%.3f detoured=%d custody=%d \
      (peak %a) bp=%d/%d drops=%d transitions=%d"

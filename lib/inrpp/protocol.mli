@@ -1,10 +1,12 @@
 (** End-to-end INRPP transfers over the chunk-level simulator.
 
-    Wires routers on every node, a {!Sender} at each flow's producer
-    and a {!Receiver} at its consumer, installs forward/reverse flow
-    state along shortest paths, schedules the estimator ticks and
-    custody drains, and runs the engine.  This is the entry point of
-    the protocol-behaviour experiments (`phases`, `backpressure`,
+    {!run} checks every flow spec and resolves its route, wires routers
+    on every node and places flow state along the routes, attaches
+    faults, a {!Sender} at each producer and a {!Receiver} at each
+    consumer, and the observer's metrics; then it schedules the
+    estimator ticks, custody drains and flow starts, runs the engine
+    and collects the result.  This is the entry point of the
+    protocol-behaviour experiments (`phases`, `backpressure`,
     `protocols`) and of the examples. *)
 
 type flow_spec = {
@@ -21,7 +23,8 @@ val flow_spec :
   ?start:float -> ?content:int -> src:Topology.Node.id ->
   dst:Topology.Node.id -> int -> flow_spec
 (** [flow_spec ~src ~dst chunks]; [start] defaults to 0.
-    @raise Invalid_argument if [chunks <= 0] or [src = dst]. *)
+    @raise Invalid_argument if [chunks <= 0], [src = dst], or [start]
+    is negative or NaN. *)
 
 type flow_result = {
   spec : flow_spec;
@@ -150,7 +153,8 @@ val run :
     one is armed).  Absent — or set to {!Overload.Config.off} — the
     run is bit-identical to the pre-overload protocol.
     @raise Invalid_argument on an invalid config, no flows at all
-    (empty static list and no or empty workload), or an unroutable
-    flow. *)
+    (empty static list and no or empty workload), a spec that
+    {!flow_spec} would reject (hand-built specs included), or an
+    unroutable flow. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -1729,7 +1729,19 @@ let test_protocol_validation () =
            [ Inrpp.Protocol.flow_spec ~src:0 ~dst:1 1;
              Inrpp.Protocol.flow_spec ~src:2 ~dst:1 1 ]));
   Alcotest.check_raises "bad spec" (Invalid_argument "Protocol.flow_spec: chunks <= 0")
-    (fun () -> ignore (Inrpp.Protocol.flow_spec ~src:0 ~dst:1 0))
+    (fun () -> ignore (Inrpp.Protocol.flow_spec ~src:0 ~dst:1 0));
+  Alcotest.check_raises "NaN start"
+    (Invalid_argument "Protocol.flow_spec: negative or NaN start") (fun () ->
+      ignore (Inrpp.Protocol.flow_spec ~start:nan ~src:0 ~dst:1 1));
+  (* the record is public: [run] checks a hand-built spec the same way *)
+  let spec = Inrpp.Protocol.flow_spec ~src:0 ~dst:1 1 in
+  List.iter
+    (fun (msg, bad) ->
+      Alcotest.check_raises msg (Invalid_argument ("Protocol.run: " ^ msg))
+        (fun () -> ignore (Inrpp.Protocol.run ~horizon:5. g [ spec; bad ])))
+    [ ("src = dst", { spec with Inrpp.Protocol.dst = 0 });
+      ("chunks <= 0", { spec with Inrpp.Protocol.chunks = 0 });
+      ("negative or NaN start", { spec with Inrpp.Protocol.start = nan }) ]
 
 (* Set-up cost must grow linearly in the flow count: routes come from
    one shortest-path tree per source, and the pace-rate sharer count

@@ -595,8 +595,7 @@ let test_observer_install_once () =
     (fun () ->
       ignore (Obs.Observer.install_sampler o ~eng ~default_interval:0.1))
 
-let test_protocol_instrumented_run () =
-  let g = backpressure_graph () in
+let instrumented_run ?faults ?overload () =
   let cfg =
     {
       Inrpp.Config.default with
@@ -607,9 +606,14 @@ let test_protocol_instrumented_run () =
   let o = Obs.Observer.create () in
   Obs.Observer.add_sink o (Obs.Sink.counter_tap (Obs.Observer.registry o));
   let r =
-    Inrpp.Protocol.run ~cfg ~horizon:30. ~obs:o g
+    Inrpp.Protocol.run ~cfg ~horizon:30. ~obs:o ?faults ?overload
+      (backpressure_graph ())
       [ Inrpp.Protocol.flow_spec ~src:0 ~dst:2 150 ]
   in
+  (r, o)
+
+let test_protocol_instrumented_run () =
+  let r, o = instrumented_run () in
   Alcotest.(check int) "flow completed" 1 r.Inrpp.Protocol.completed;
   Alcotest.(check bool) "obs implies a trace" true
     (r.Inrpp.Protocol.trace <> None);
@@ -663,6 +667,31 @@ let test_protocol_instrumented_run () =
          | Ok _ -> ()
          | Error e -> Alcotest.failf "export line %S: %s" line e)
 
+(* The instrumentation stage with the fault, overload and watchdog
+   metric sets on: every metric and series, its labels, values and
+   registration order, pinned by Digest of the NDJSON export. *)
+let test_instrumentation_pinned () =
+  let link =
+    (Option.get (Topology.Graph.find_link (backpressure_graph ()) 1 2))
+      .Topology.Link.id
+  in
+  let faults =
+    Fault.Schedule.(
+      of_list
+        [ { at = 0.3; event = Link_down { link; policy = `Hold_queued } };
+          { at = 0.5; event = Link_up { link } };
+          { at = 0.8;
+            event = Node_crash { node = 1; policy = Preserve_custody } };
+          { at = 1.0; event = Node_restart { node = 1 } } ])
+  in
+  let r, o = instrumented_run ~faults ~overload:Overload.Config.default () in
+  Alcotest.(check int) "flow completed" 1 r.Inrpp.Protocol.completed;
+  let buf = Buffer.create 65536 in
+  Obs.Export.series_to_ndjson buf (Obs.Observer.series o);
+  Obs.Export.snapshot_to_ndjson buf (Obs.Observer.snapshot o);
+  Alcotest.(check string) "export digest" "1838f635525963297ffc86c0c0d4c8d4"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -715,4 +744,7 @@ let () =
           Alcotest.test_case "instrumented protocol run" `Quick
             test_protocol_instrumented_run;
         ] );
+      ( "instrumentation",
+        [ Alcotest.test_case "faults and overload pinned" `Quick
+            test_instrumentation_pinned ] );
     ]

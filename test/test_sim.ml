@@ -433,7 +433,7 @@ let test_engine_churn_alloc () =
     let events = Sim.Engine.events_handled e in
     let per_event = (Gc.minor_words () -. before) /. float_of_int events in
     Alcotest.(check int) "events" 20_064 events;
-    let frozen = 30.1 in
+    let frozen = 22.1 in
     if per_event > 1.25 *. frozen then
       Alcotest.failf "%g minor words/event, frozen %g, bound %g"
         per_event frozen (1.25 *. frozen)
