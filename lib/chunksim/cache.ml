@@ -65,6 +65,10 @@ type t = {
   low : float;
   (* custody: per-flow FIFO of (idx, bits) *)
   custody : (int, (int * float) Queue.t) Hashtbl.t;
+  (* the flows holding custody, ascending in holders.(0 .. held - 1): a
+     flow joins with its first stored chunk and leaves with its last *)
+  mutable holders : int array;
+  mutable held : int;
   mutable custody_bits : float;
   (* popularity: LRU doubly-linked list + index *)
   popular : (int, lru_entry) Hashtbl.t;
@@ -86,6 +90,8 @@ let create ?(high_water = 0.7) ?(low_water = 0.3) ?policy ~capacity () =
     high = high_water *. capacity;
     low = low_water *. capacity;
     custody = Hashtbl.create 16;
+    holders = [||];
+    held = 0;
     custody_bits = 0.;
     popular = Hashtbl.create 64;
     popular_bits = 0.;
@@ -131,6 +137,27 @@ let evict_oldest t =
 
 let free_bits t = t.cap -. t.custody_bits -. t.popular_bits
 
+(* Flow ids mostly arrive in increasing order, so the shift is usually
+   empty *)
+let add_holder t flow =
+  if t.held = Array.length t.holders then begin
+    let a = Array.make (max 8 (2 * t.held)) 0 in
+    Array.blit t.holders 0 a 0 t.held;
+    t.holders <- a
+  end;
+  let a = t.holders and i = ref t.held in
+  while !i > 0 && a.(!i - 1) > flow do a.(!i) <- a.(!i - 1); decr i done;
+  a.(!i) <- flow;
+  t.held <- t.held + 1
+
+(* the flow's queue, now empty, leaves the table and the holders *)
+let drop_flow t flow =
+  Hashtbl.remove t.custody flow;
+  let a = t.holders and i = ref 0 in
+  while a.(!i) <> flow do incr i done;
+  Array.blit a (!i + 1) a !i (t.held - !i - 1);
+  t.held <- t.held - 1
+
 let pressure_of t ~flow ~bits =
   let flow_bits, flow_backlog =
     match Hashtbl.find_opt t.custody flow with
@@ -144,7 +171,7 @@ let pressure_of t ~flow ~bits =
     flow_bits;
     flow_backlog;
     incoming_bits = bits;
-    flows = Hashtbl.length t.custody;
+    flows = t.held;
   }
 
 let put_custody t ~flow ~idx ~bits =
@@ -169,6 +196,7 @@ let put_custody t ~flow ~idx ~bits =
       | None ->
         let q = Queue.create () in
         Hashtbl.add t.custody flow q;
+        add_holder t flow;
         q
     in
     Queue.add (idx, bits) q;
@@ -184,7 +212,7 @@ let take_custody t ~flow =
     | None -> None
     | Some (idx, bits) ->
       t.custody_bits <- t.custody_bits -. bits;
-      if Queue.is_empty q then Hashtbl.remove t.custody flow;
+      if Queue.is_empty q then drop_flow t flow;
       Some (idx, bits))
 
 (* queues leave the table as they empty, so a found queue has a head *)
@@ -200,7 +228,7 @@ let commit_custody t ~flow =
   | q ->
     let _, bits = Queue.take q in
     t.custody_bits <- t.custody_bits -. bits;
-    if Queue.is_empty q then Hashtbl.remove t.custody flow
+    if Queue.is_empty q then drop_flow t flow
 
 let custody_backlog t ~flow =
   match Hashtbl.find_opt t.custody flow with
@@ -208,26 +236,14 @@ let custody_backlog t ~flow =
   | Some q -> Queue.length q
 
 let custody_occupancy t = t.custody_bits
-let custody_is_empty t = Hashtbl.length t.custody = 0
+let custody_is_empty t = t.held = 0
 let above_high t = t.custody_bits >= t.high
 let below_low t = t.custody_bits <= t.low
 
-let swap (a : int array) i j = let x = a.(i) in a.(i) <- a.(j); a.(j) <- x
-
-(* max-heap sift-down over a.(0..n-1): with it [custody_flows] heapsorts
-   in place, O(n log n) whatever the number of flows, allocating nothing *)
-let rec sift a i n =
-  let l = (2 * i) + 1 in
-  let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-  if c < n && a.(c) > a.(i) then (swap a i c; sift a c n)
-
 let custody_flows t buf =
-  let n = Hashtbl.length t.custody in
+  let n = t.held in
   if Array.length !buf < n then buf := Array.make (2 * n) 0;
-  let a = !buf in
-  ignore (Hashtbl.fold (fun flow _ i -> a.(i) <- flow; i + 1) t.custody 0);
-  for i = (n / 2) - 1 downto 0 do sift a i n done;
-  for e = n - 1 downto 1 do swap a 0 e; sift a 0 e done;
+  Array.blit t.holders 0 !buf 0 n;
   n
 
 (* ------------------------------------------------------------------ *)

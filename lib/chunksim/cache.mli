@@ -115,8 +115,10 @@ val above_high : t -> bool
 val below_low : t -> bool
 val custody_flows : t -> int array ref -> int
 (** [custody_flows t buf] writes the flows holding custody into [!buf],
-    ascending, and returns their number.  [!buf] is replaced only when
-    too short, so a caller keeping [buf] snapshots without allocating. *)
+    ascending, and returns their number.  The store keeps that list in
+    order as flows gain their first chunk and lose their last, so this
+    is one O(n) copy with no sort.  [!buf] is replaced only when too
+    short, so a caller keeping [buf] snapshots without allocating. *)
 
 (** {1 Popularity (LRU) region} *)
 

@@ -974,16 +974,20 @@ let tick_sweep reg routers =
   done;
   reg.tick_n <- !kept
 
+(* What one release attempt leaves for the rest of the drain: [Done]
+   holds until it ends, so a later attempt would have no effect *)
+type release = Released | Retry | Done
+
 (* Hand [flow]'s oldest custody chunk to its primary interface, or to a
-   detour when the primary is down or full; [false] when nothing left
-   the store.  Peek-then-commit: the chunk stays charged against the
-   store budget until the handoff is known to have succeeded, so
-   nothing can be admitted into the gap a failed evacuation would
-   open. *)
+   detour when the primary is down or full.  Peek-then-commit: the chunk
+   stays charged against the store budget until the handoff is known to
+   have succeeded, so nothing can be admitted into the gap a failed
+   evacuation would open.  [Retry] when the attempt had a side effect (a
+   refusal counted, a send dropped) that the next round would repeat. *)
 let release_one t flow =
   let slot = Ft.find t.ft flow in
   let dl = if slot < 0 then -1 else Ft.data_link t.ft slot in
-  if dl < 0 then false
+  if dl < 0 then Done
   else begin
     let l = link_of t dl in
     let h = hot_of t slot l in
@@ -991,15 +995,15 @@ let release_one t flow =
     let idx =
       if pt.blocked = t.drains then -1 else Cache.peek_custody t.store ~flow
     in
-    if idx < 0 then false
+    if idx < 0 then Done
     else begin
       let primary =
         link_is_up t l && Iface.queue_occupancy h.h_iface < h.h_limit
       in
       (* the exit: the primary, else this detour candidate *)
       let ci = if primary then 0 else detour_for t pt in
-      if ci = -1 then pt.blocked <- t.drains;
-      if ci < 0 then false
+      if ci = -1 then (pt.blocked <- t.drains; Done)
+      else if ci < 0 then Retry
       else begin
         t.c.custody_released <- t.c.custody_released + 1;
         (match t.trace with
@@ -1013,7 +1017,7 @@ let release_one t flow =
           (* store entry without a payload cannot be handed off;
              discharge it so drain cannot spin on the flow *)
           Cache.commit_custody t.store ~flow;
-          true
+          Released
         | p ->
           let sent =
             if primary then begin
@@ -1037,7 +1041,7 @@ let release_one t flow =
           if sent then begin
             Cache.commit_custody t.store ~flow;
             Hashtbl.remove t.custody_packets key;
-            true
+            Released
           end
           else begin
             (* raced with new arrivals, or the interface just went down:
@@ -1045,7 +1049,7 @@ let release_one t flow =
                accounting and stop draining this flow for the round —
                never leak, never double-admit *)
             t.c.custody_released <- t.c.custody_released - 1;
-            false
+            Retry
           end
       end
     end
@@ -1056,17 +1060,22 @@ let drain t =
   else begin
     (* release custody one chunk per flow per round so competing flows
        share the recovered bandwidth round-robin (the paper's scheduler
-       multiplexes flows in round-robin fashion) *)
+       multiplexes flows in round-robin fashion); a round keeps only
+       the flows that may still release *)
     if not (Cache.custody_is_empty t.store) then begin
       t.drains <- t.drains + 1;
-      let n = Cache.custody_flows t.store t.drain_flows in
+      let n = ref (Cache.custody_flows t.store t.drain_flows) in
       let flows = !(t.drain_flows) in
       let progress = ref true in
       while !progress do
         progress := false;
-        for i = 0 to n - 1 do
-          if release_one t flows.(i) then progress := true
-        done
+        let kept = ref 0 in
+        for i = 0 to !n - 1 do
+          let r = release_one t flows.(i) in
+          if r = Released then progress := true;
+          if r <> Done then (flows.(!kept) <- flows.(i); incr kept)
+        done;
+        n := !kept
       done
     end;
     (* release upstream pressure once the store has drained enough *)

@@ -130,9 +130,10 @@ val drain : t -> unit
     onto detours when the primary is down or full) and release
     back-pressure when the store empties below the low watermark.
     Schedule a few times per [cfg.ti].  Flows are served one chunk per
-    round in ascending flow id.  A drain target that refuses admission
-    (full or down) leaves the chunk in custody — chunks are never
-    leaked.  No-op while crashed. *)
+    round in ascending flow id, a round visiting only the flows the
+    previous one left able to release, until a round releases nothing.
+    A drain target that refuses admission (full or down) leaves the
+    chunk in custody — chunks are never leaked.  No-op while crashed. *)
 
 val drain_sweep : registry -> t array -> unit
 (** {!drain} every router that holds custody or has a local

@@ -840,28 +840,59 @@ let prop_custody_per_flow_fifo =
       !ok && Array.for_all2 ( = ) expect counters)
 
 (* The drain's snapshot: exactly the flows holding custody, ascending,
-   whatever order the table yields them in, and into one buffer that is
-   only replaced when it is too short *)
+   whatever order they gained and lost custody in, and into one buffer
+   that is only replaced when it is too short.  Stores, takes and
+   peek-then-commits interleave across flows; after every operation the
+   store is compared with a per-flow model of held chunk indices. *)
 let prop_custody_flows_sorted =
+  let op =
+    QCheck.Gen.(
+      pair (int_bound 2) (int_range 0 40) >|= fun (k, flow) ->
+      match k with 0 -> `Put flow | 1 -> `Take flow | _ -> `Peek_commit flow)
+  in
   QCheck.Test.make ~name:"custody_flows lists holders ascending" ~count:200
-    QCheck.(pair (list (int_range 0 500)) (list (int_range 0 500)))
-    (fun (puts, takes) ->
+    (QCheck.make QCheck.Gen.(list_size (int_bound 300) op))
+    (fun ops ->
       let c = Chunksim.Cache.create ~capacity:1e9 () in
-      List.iter
-        (fun flow ->
-          ignore (Chunksim.Cache.put_custody c ~flow ~idx:0 ~bits:1.))
-        puts;
-      List.iter (fun flow -> ignore (Chunksim.Cache.take_custody c ~flow)) takes;
+      let model = Array.init 41 (fun _ -> Queue.create ()) in
+      let next = Array.make 41 0 in
       let buf = ref [||] in
-      let n = Chunksim.Cache.custody_flows c buf in
-      let first = !buf in
-      let m = Chunksim.Cache.custody_flows c buf in
-      let expect =
-        List.sort_uniq Int.compare puts
-        |> List.filter (fun flow -> Chunksim.Cache.custody_backlog c ~flow > 0)
+      let check () =
+        let expect =
+          List.filter (fun f -> not (Queue.is_empty model.(f)))
+            (List.init 41 Fun.id)
+        in
+        let before = !buf in
+        let n = Chunksim.Cache.custody_flows c buf in
+        (!buf == before) = (Array.length before >= n)
+        && Array.to_list (Array.sub !buf 0 n) = expect
+        && Chunksim.Cache.custody_is_empty c = (expect = [])
+        && List.for_all
+             (fun f ->
+               Chunksim.Cache.custody_backlog c ~flow:f
+               = Queue.length model.(f))
+             expect
       in
-      n = m && !buf == first
-      && Array.to_list (Array.sub !buf 0 n) = expect)
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | `Put flow ->
+              ignore
+                (Chunksim.Cache.put_custody c ~flow ~idx:next.(flow) ~bits:1.);
+              Queue.add next.(flow) model.(flow);
+              next.(flow) <- next.(flow) + 1;
+              true
+            | `Take flow ->
+              Chunksim.Cache.take_custody c ~flow
+              = Option.map (fun i -> (i, 1.)) (Queue.take_opt model.(flow))
+            | `Peek_commit flow ->
+              let idx = Chunksim.Cache.peek_custody c ~flow in
+              if idx >= 0 then Chunksim.Cache.commit_custody c ~flow;
+              idx = Option.value (Queue.take_opt model.(flow)) ~default:(-1)
+          in
+          agrees && check ())
+        ops)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in

@@ -743,6 +743,115 @@ let test_router_drain_skip_exact () =
      1.6>1 2.6>1 0.8>8 1.7>1 2.7>1 3.5>1"
     (Buffer.contents log)
 
+(* The custody ledger the protocol checker reads, across every site
+   that changes custody: stores, drains, reroutes, teardown, link flips
+   and crashes under both policies.  Four flows over two ports of fig3's
+   node 1 behind two-chunk queues; neighbour pressure toggles, so both
+   stores and drains meet detours refused.  After every step the packet
+   table must hold what the store's backlog over [custody_flows] says,
+   and every chunk ever stored must be released, held, wiped, or
+   stripped by a teardown (counted here from the backlog just before
+   it). *)
+let prop_custody_ledger =
+  let step =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun f k -> `Store (f, k)) (int_bound 3) (int_range 1 6));
+          (3, return `Run);
+          (4, return `Drain);
+          (1, map (fun f -> `Reroute f) (int_bound 3));
+          (1, map (fun f -> `Release f) (int_bound 3));
+          (1, map2 (fun k up -> `Flip (k, up)) (int_bound 1) bool);
+          (1, return `Pressure);
+          (1, map (fun wipe -> `Crash wipe) bool);
+        ])
+  in
+  let print = function
+    | `Store (f, k) -> Printf.sprintf "store %d x%d" f k
+    | `Run -> "run"
+    | `Drain -> "drain"
+    | `Reroute f -> Printf.sprintf "reroute %d" f
+    | `Release f -> Printf.sprintf "release %d" f
+    | `Flip (k, up) -> Printf.sprintf "flip %d %s" k (if up then "up" else "down")
+    | `Pressure -> "pressure"
+    | `Crash wipe -> if wipe then "crash wipe" else "crash preserve"
+  in
+  QCheck.Test.make ~name:"custody ledger across every custody site"
+    ~count:100
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (int_range 1 60) step))
+    (fun steps ->
+      let g = Topology.Builders.fig3 () in
+      let eng = Sim.Engine.create () in
+      let net = Chunksim.Net.create ~queue_bits:(2. *. chunk) eng g in
+      List.iter
+        (fun n -> Chunksim.Net.set_handler net n (fun ~from:_ _ -> ()))
+        [ 0; 2; 3 ];
+      let ls = Topology.Link_state.create g in
+      let pressure = Array.make 4 0. in
+      let r =
+        R.create ~cfg:Inrpp.Config.default ~net ~node:1
+          ~detours:(Inrpp.Detour_table.create g) ~link_state:ls
+          ~overload:
+            { Overload.Config.default with
+              Overload.Config.neighbor_pressure = 0.5 }
+          ()
+      in
+      R.set_neighbor_pressure r (fun n -> pressure.(n));
+      let link u v = Option.get (Topology.Graph.find_link g u v) in
+      let links = [| link 1 3; link 1 2 |] in
+      let on = [| 0; 0; 1; 1 |] (* flow -> its port in [links] *) in
+      let install f =
+        R.install_flow r ~flow:f ~data_link:(Some links.(on.(f)))
+          ~req_link:None ()
+      in
+      for f = 0 to 3 do install f done;
+      let next = Array.make 4 0 and stripped = ref 0 and buf = ref [||] in
+      let backlog flow = Chunksim.Cache.custody_backlog (R.cache r) ~flow in
+      let ledger () =
+        let listed = ref 0 in
+        for i = 0 to Chunksim.Cache.custody_flows (R.cache r) buf - 1 do
+          listed := !listed + backlog !buf.(i)
+        done;
+        let c = R.counters r and held = R.custody_packet_count r in
+        held = !listed
+        && c.R.custody_stored
+           = c.R.custody_released + held + c.R.custody_wiped + !stripped
+      in
+      List.for_all
+        (fun s ->
+          (match s with
+          | `Store (f, k) ->
+            for _ = 1 to k do
+              R.originate_data r
+                (Chunksim.Packet.data ~flow:f ~idx:next.(f) ~born:0. chunk);
+              next.(f) <- next.(f) + 1
+            done
+          | `Run -> Sim.Engine.run ~until:(Sim.Engine.now eng +. 0.05) eng
+          | `Drain -> R.drain r
+          | `Reroute f ->
+            on.(f) <- 1 - on.(f);
+            R.reroute_flow r ~flow:f ~data_link:(Some links.(on.(f)))
+              ~req_link:None ()
+          | `Release f ->
+            stripped := !stripped + backlog f;
+            R.release_flow r ~flow:f;
+            install f
+          | `Flip (k, up) ->
+            let id = links.(k).Topology.Link.id in
+            Topology.Link_state.set ls id ~up;
+            if up then R.on_link_up r id else R.on_link_down r id
+          | `Pressure ->
+            List.iter (fun n -> pressure.(n) <- 1. -. pressure.(n)) [ 0; 2; 3 ]
+          | `Crash wipe ->
+            ignore (R.crash r ~policy:(if wipe then `Wipe else `Preserve)));
+          let ok = ledger () in
+          (* a crash is checked, then followed by its restart *)
+          if R.is_crashed r then R.restart r;
+          ok && ledger ())
+        steps)
+
 (* The router's tick against the per-interface step it replaced:
    Rate_estimator.tick, then Phase.update fed an eagerly probed
    detour_usable.  Idle intervals, request and transit bursts and
@@ -1354,6 +1463,41 @@ let test_router_sweep_alloc_budget () =
          per_chunk)
       true (per_chunk <= 32.)
 
+(* Drain allocation gate: twelve flows parked in custody behind a full
+   two-chunk bottleneck queue with no detour, so every drain finds the
+   port exitless at its first flow and skips the rest.  Such a drain
+   costs one snapshot of the custody list and one release attempt;
+   gate its minor words. *)
+let test_drain_alloc_gate () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let g = Topology.Builders.dumbbell ~bottleneck_capacity:1e6 1 in
+    let net =
+      Chunksim.Net.create ~queue_bits:(2. *. chunk) (Sim.Engine.create ()) g
+    in
+    let r =
+      R.create ~cfg:Inrpp.Config.default ~net ~node:0
+        ~detours:(Inrpp.Detour_table.create g) ()
+    in
+    let l = Topology.Graph.find_link g 0 1 in
+    for f = 0 to 11 do
+      R.install_flow r ~flow:f ~data_link:l ~req_link:None ()
+    done;
+    for idx = 0 to 19 do
+      for f = 0 to 11 do
+        R.originate_data r (Chunksim.Packet.data ~flow:f ~idx ~born:0. chunk)
+      done
+    done;
+    Alcotest.(check int) "chunks in custody" 237 (R.custody_packet_count r);
+    for _ = 1 to 1_000 do R.drain r done;
+    let drains = 100_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to drains do R.drain r done;
+    let per_drain = (Gc.minor_words () -. before) /. float_of_int drains in
+    Alcotest.(check int) "nothing released" 0 (R.counters r).R.custody_released;
+    gate "minor words/drain" per_drain 2.0
+
 (* ------------------------------------------------------------------ *)
 (* Sender / Receiver unit behaviour *)
 
@@ -1943,6 +2087,7 @@ let () =
           Alcotest.test_case "protocol alloc gate" `Quick
             test_protocol_alloc_gate;
           Alcotest.test_case "flow-state gate" `Quick test_flow_state_gate;
+          Alcotest.test_case "drain alloc gate" `Quick test_drain_alloc_gate;
         ] );
       ( "sweeps",
         [
@@ -1962,6 +2107,7 @@ let () =
             test_registry_drain_wipe;
           Alcotest.test_case "registry drains: link down" `Quick
             test_registry_drain_link_down;
+          QCheck_alcotest.to_alcotest prop_custody_ledger;
         ] );
       ( "endpoints",
         [
