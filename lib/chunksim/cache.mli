@@ -120,7 +120,17 @@ val custody_flows : t -> int array ref -> int
     is one O(n) copy with no sort.  [!buf] is replaced only when too
     short, so a caller keeping [buf] snapshots without allocating. *)
 
-(** {1 Popularity (LRU) region} *)
+(** {1 Popularity (LRU) region}
+
+    Entries live in slot arrays (key, bits, and newer/older links that
+    thread the LRU through them), and a private open-addressing index
+    maps a packed {!Chunk_key} to its slot: linear probing from a
+    multiplicative hash, at most half full, removal by backward shift.
+    Lookup, insert and each eviction take expected O(1) time.  A new
+    store has no slots; the arrays double (from 8) when every slot is
+    taken, and once they have grown the region allocates nothing.  The
+    index is never iterated, so its hash order cannot reach any
+    output. *)
 
 val insert_popular : t -> flow:int -> idx:int -> bits:float -> unit
 (** Adds to the LRU region, evicting least-recently-used entries if

@@ -313,6 +313,143 @@ let test_cache_validation () =
       ignore
         (Chunksim.Cache.create ~high_water:0.2 ~low_water:0.5 ~capacity:1. ()))
 
+(* The popularity region against a list-based LRU, newest first, whose
+   float ledger adds and subtracts in the store's order: a present key
+   is taken out and its bits returned before make-room runs, and
+   make-room evicts from the old end.  Stores of about 40 chunks see
+   keys from 3,000, half of them from a hot set of 60, so entries are
+   re-inserted, evicted, refused and looked up while the index grows,
+   wraps and shifts runs back.  Custody shares the budget and evicts
+   from the LRU too.  After every operation the occupancy ledgers must
+   agree bit for bit, and one lookup of every key, present ones from
+   oldest to newest so the recency order is kept, must agree with the
+   model's membership. *)
+let prop_popular_model =
+  let keys = 3_000 and cap = 4_000. in
+  let key = QCheck.Gen.(frequency [ (1, int_bound 59); (1, int_bound (keys - 1)) ]) in
+  let bits =
+    QCheck.Gen.(
+      frequency
+        [ (99, int_range 50 150 >|= fun b -> float_of_int b *. 0.97);
+          (1, return (cap +. 1.)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (4, pair key bits >|= fun (k, b) -> `Insert (k, b));
+          (4, key >|= fun k -> `Lookup k);
+          (1, pair (int_bound 3) bits >|= fun (f, b) -> `Put (f, b));
+          (1, int_bound 3 >|= fun f -> `Take f) ])
+  in
+  QCheck.Test.make ~name:"popularity region agrees with a list LRU" ~count:20
+    (QCheck.make QCheck.Gen.(list_size (int_range 100 400) op))
+    (fun ops ->
+      let c = Chunksim.Cache.create ~capacity:cap () in
+      let lru = ref [] and popular = ref 0. and custody = ref 0. in
+      let hits = ref 0 and misses = ref 0 in
+      let held = Array.init 4 (fun _ -> Queue.create ()) in
+      let next = Array.make 4 0 in
+      let rec make_room bits =
+        cap -. !custody -. !popular >= bits
+        ||
+        match List.rev !lru with
+        | [] -> false
+        | (_, b) :: older_first ->
+          lru := List.rev older_first;
+          popular := !popular -. b;
+          make_room bits
+      in
+      let lookup k = Chunksim.Cache.lookup_popular c ~flow:(k / 64) ~idx:(k mod 64) in
+      let lookup_both k =
+        match List.assoc_opt k !lru with
+        | Some b ->
+          incr hits;
+          lru := (k, b) :: List.remove_assoc k !lru;
+          lookup k
+        | None ->
+          incr misses;
+          not (lookup k)
+      in
+      let agrees () =
+        let present = Array.make keys false in
+        List.iter (fun (k, _) -> present.(k) <- true) !lru;
+        List.for_all lookup_both (List.rev_map fst !lru)
+        && Seq.for_all
+             (fun k -> present.(k) || (incr misses; not (lookup k)))
+             (Seq.init keys Fun.id)
+        && Chunksim.Cache.hits c = !hits
+        && Chunksim.Cache.misses c = !misses
+        && Chunksim.Cache.popular_occupancy c = !popular
+        && Chunksim.Cache.custody_occupancy c = !custody
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | `Insert (k, bits) ->
+              Chunksim.Cache.insert_popular c ~flow:(k / 64) ~idx:(k mod 64) ~bits;
+              (match List.assoc_opt k !lru with
+              | Some b ->
+                lru := List.remove_assoc k !lru;
+                popular := !popular -. b
+              | None -> ());
+              if make_room bits then begin
+                lru := (k, bits) :: !lru;
+                popular := !popular +. bits
+              end;
+              true
+            | `Lookup k -> lookup_both k
+            | `Put (flow, bits) ->
+              let idx = next.(flow) in
+              let stored = make_room bits in
+              if stored then begin
+                Queue.add (idx, bits) held.(flow);
+                next.(flow) <- idx + 1;
+                custody := !custody +. bits
+              end;
+              Chunksim.Cache.put_custody c ~flow ~idx ~bits
+              = if stored then `Stored else `Full
+            | `Take flow ->
+              let expect = Queue.take_opt held.(flow) in
+              Option.iter (fun (_, b) -> custody := !custody -. b) expect;
+              Chunksim.Cache.take_custody c ~flow = expect
+          in
+          same && agrees ())
+        ops)
+
+(* The popularity region allocates nothing once warm: a full store
+   takes 100,000 operations, alternately a lookup (about half hit) and
+   an insert (evicting the oldest entry, or refreshing a present one).
+   Keys are drawn before measuring, since an Rng draw allocates.  The
+   figure is bit-deterministic and frozen with 1.25x headroom, which at
+   0 admits no allocation. *)
+let test_cache_popular_alloc () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let bits = 1_000. and full = 2_000 in
+    let c = Chunksim.Cache.create ~capacity:(float_of_int full *. bits) () in
+    for k = 0 to full - 1 do
+      Chunksim.Cache.insert_popular c ~flow:(k / 64) ~idx:(k mod 64) ~bits
+    done;
+    let rng = Sim.Rng.create 11L in
+    let ops = 100_000 in
+    let keys = Array.init ops (fun _ -> Sim.Rng.int rng (2 * full)) in
+    let before = Gc.minor_words () in
+    for i = 0 to ops - 1 do
+      let k = keys.(i) in
+      if i land 1 = 0 then
+        ignore (Chunksim.Cache.lookup_popular c ~flow:(k / 64) ~idx:(k mod 64))
+      else Chunksim.Cache.insert_popular c ~flow:(k / 64) ~idx:(k mod 64) ~bits
+    done;
+    let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+    let frozen = 0.0 in
+    if per_op > 1.25 *. frozen then
+      Alcotest.failf "%g minor words/op, frozen %g, bound %g" per_op frozen
+        (1.25 *. frozen);
+    Alcotest.(check bool) "lookups hit and miss" true
+      (Chunksim.Cache.hits c > 0 && Chunksim.Cache.misses c > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Iface + Net *)
 
@@ -922,6 +1059,9 @@ let () =
             test_cache_custody_survives_popularity_churn;
           Alcotest.test_case "paper holding time" `Quick test_cache_holding_time;
           Alcotest.test_case "validation" `Quick test_cache_validation;
+          QCheck_alcotest.to_alcotest prop_popular_model;
+          Alcotest.test_case "popularity allocation gate" `Quick
+            test_cache_popular_alloc;
         ] );
       ( "iface",
         [
