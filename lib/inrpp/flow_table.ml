@@ -2,7 +2,9 @@
    arrays grow by doubling and never shrink; a released slot is
    threaded onto a free list through [flow_of] (live slots hold the
    flow id >= 0, free slots hold [-2 - next] so the encoding never
-   collides with a flow id). *)
+   collides with a flow id).  The flow -> slot index chains live slots
+   through [chain] from [buckets] and mirrors the stdlib [Hashtbl]
+   step for step, so {!iter} keeps its order. *)
 
 type route =
   | Primary
@@ -17,7 +19,9 @@ let f_failed_over = 16
 
 type 'hot t = {
   gap : float;
-  slots : (int, int) Hashtbl.t;    (* flow -> slot; owns iteration order *)
+  mutable buckets : int array;     (* head slot per bucket, -1 = empty *)
+  mutable chain : int array;       (* slot -> next slot in its bucket *)
+  mutable live : int;
   mutable flow_of : int array;     (* slot -> flow, or free-list thread *)
   mutable content : int array;
   mutable data_link : int array;   (* link id, -1 = none *)
@@ -36,7 +40,9 @@ let create ~gap () =
   if gap < 0. then invalid_arg "Flow_table.create: gap < 0";
   {
     gap;
-    slots = Hashtbl.create 16;
+    buckets = Array.make 16 (-1);
+    chain = [||];
+    live = 0;
     flow_of = [||];
     content = [||];
     data_link = [||];
@@ -54,7 +60,13 @@ let create ~gap () =
 let grow t =
   let n = Array.length t.flow_of in
   let m = max 16 (2 * n) in
-  let grow_i a = Array.append a (Array.make (m - n) (-1)) in
+  (* make + blit, not [Array.append]: no temporary for the GC to keep *)
+  let grow_i a =
+    let b = Array.make m (-1) in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.chain <- grow_i t.chain;
   t.flow_of <- grow_i t.flow_of;
   t.content <- grow_i t.content;
   t.data_link <- grow_i t.data_link;
@@ -90,25 +102,58 @@ let set_flag t slot bit v =
   let next = if v then cur lor bit else cur land lnot bit in
   Bytes.unsafe_set t.flags slot (Char.unsafe_chr next)
 
-let find t flow =
-  match Hashtbl.find t.slots flow with
-  | slot -> slot
-  | exception Not_found -> -1
+let bucket t flow = Hashtbl.hash flow land (Array.length t.buckets - 1)
+
+let rec find_from t flow slot =
+  if slot < 0 || t.flow_of.(slot) = flow then slot
+  else find_from t flow t.chain.(slot)
+
+let find t flow = find_from t flow t.buckets.(bucket t flow)
+
+(* Double the buckets as the stdlib [Hashtbl.resize] does in place:
+   old bucket [i] splits into new buckets [i] and [i + n], each keeping
+   its entries in chain order. *)
+let resize t =
+  let n = Array.length t.buckets in
+  let nb = Array.make (2 * n) (-1) in
+  for i = 0 to n - 1 do
+    let lo = ref (-1) and hi = ref (-1) in
+    let slot = ref t.buckets.(i) in
+    while !slot >= 0 do
+      let s = !slot in
+      slot := t.chain.(s);
+      t.chain.(s) <- -1;
+      if Hashtbl.hash t.flow_of.(s) land n = 0 then begin
+        if !lo < 0 then nb.(i) <- s else t.chain.(!lo) <- s;
+        lo := s
+      end
+      else begin
+        if !hi < 0 then nb.(i + n) <- s else t.chain.(!hi) <- s;
+        hi := s
+      end
+    done
+  done;
+  t.buckets <- nb
 
 let install t ~flow ~content ~data_link ~req_link =
   if flow < 0 then invalid_arg "Flow_table.install: flow < 0";
+  let b = bucket t flow in
+  let slot = find_from t flow t.buckets.(b) in
   let slot =
-    match Hashtbl.find_opt t.slots flow with
-    | Some slot -> slot (* reinstall: keep the slot and the flowlet pin *)
-    | None ->
+    if slot >= 0 then slot (* reinstall: keep the slot and the flowlet pin *)
+    else begin
+      (* prepend, then resize past two entries a bucket: stdlib [replace] *)
       let slot = alloc t in
-      Hashtbl.replace t.slots flow slot;
+      t.chain.(slot) <- t.buckets.(b);
+      t.buckets.(b) <- slot;
       t.flow_of.(slot) <- flow;
       t.fl_last.(slot) <- Float.nan;
       t.fl_route.(slot) <- -1;
-      let live = Hashtbl.length t.slots in
-      if live > t.peak then t.peak <- live;
+      t.live <- t.live + 1;
+      if t.live > t.peak then t.peak <- t.live;
+      if t.live > 2 * Array.length t.buckets then resize t;
       slot
+    end
   in
   t.content.(slot) <- content;
   t.data_link.(slot) <- data_link;
@@ -117,15 +162,24 @@ let install t ~flow ~content ~data_link ~req_link =
   t.hots.(slot) <- None;
   slot
 
+(* Unlink [flow]'s slot from bucket [b], whose walk reached [slot]
+   after [prev] (-1 = at the head), and free it. *)
+let rec unlink t flow b prev slot =
+  if slot >= 0 then
+    if t.flow_of.(slot) <> flow then unlink t flow b slot t.chain.(slot)
+    else begin
+      let next = t.chain.(slot) in
+      if prev < 0 then t.buckets.(b) <- next else t.chain.(prev) <- next;
+      t.live <- t.live - 1;
+      t.hots.(slot) <- None;
+      t.flow_of.(slot) <- -2 - t.free;
+      t.free <- slot;
+      t.recycled <- t.recycled + 1
+    end
+
 let release t ~flow =
-  match Hashtbl.find_opt t.slots flow with
-  | None -> ()
-  | Some slot ->
-    Hashtbl.remove t.slots flow;
-    t.hots.(slot) <- None;
-    t.flow_of.(slot) <- -2 - t.free;
-    t.free <- slot;
-    t.recycled <- t.recycled + 1
+  let b = bucket t flow in
+  unlink t flow b (-1) t.buckets.(b)
 
 let flow_of t slot = t.flow_of.(slot)
 let content t slot = t.content.(slot)
@@ -165,9 +219,18 @@ let flowlet_choose t slot ~now ~preferred =
     decode t.fl_route.(slot)
   end
 
-let iter t f = Hashtbl.iter f t.slots
+let iter t f =
+  let buckets = t.buckets in
+  for i = 0 to Array.length buckets - 1 do
+    let slot = ref buckets.(i) in
+    while !slot >= 0 do
+      let s = !slot in
+      slot := t.chain.(s);
+      f t.flow_of.(s) s
+    done
+  done
 
-let live t = Hashtbl.length t.slots
+let live t = t.live
 
 let peak t = t.peak
 

@@ -10,9 +10,18 @@
     few dozen bytes per flow, measured and frozen by the flow-state
     gate in [test/test_inrpp.ml].
 
-    Iteration is driven off a stdlib [Hashtbl] from flow id to slot,
-    so {!iter} order — observable through the drain and fault loops —
-    is that of a stdlib [Hashtbl] fed the same key sequence.
+    The flow id -> slot index allocates nothing per entry: a
+    [buckets] array holds each bucket's head slot and a per-slot
+    [chain] array, grown with the other slot arrays, links the slots
+    of one bucket.  It follows the stdlib [Hashtbl] policy step for
+    step: 16 buckets to start, bucket [Hashtbl.hash flow land
+    (buckets - 1)], an install prepends to its bucket, the buckets
+    double when live entries exceed twice their number, each chain
+    keeping its order as the stdlib in-place resize does, and a
+    release unlinks.  {!iter} walks the buckets in ascending order and
+    each chain from its head, so its order — observable through the
+    drain and fault loops — is that of a stdlib [Hashtbl] created at
+    size 16 and fed the same installs and releases.
 
     Next hops are stored as link ids rather than [Link.t] to keep a
     slot at two words; resolve through [Topology.Graph.link] (O(1),
@@ -83,7 +92,8 @@ val flowlet_choose : 'hot t -> int -> now:float -> preferred:route -> route
 
 val iter : 'hot t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f flow slot] for every live entry, in stdlib
-    hashtable order (see module doc). *)
+    hashtable order (see module doc).  [f] may read and set a slot's
+    fields but must not {!install} or {!release}. *)
 
 val live : _ t -> int
 (** Installed entries right now. *)

@@ -892,7 +892,8 @@ let release_flow t ~flow =
         strip ()
       | None -> ()
     in
-    strip ();
+    (* an empty store holds no queue, so skip the probe *)
+    if not (Cache.custody_is_empty t.store) then strip ();
     Ft.release t.ft ~flow
   end
 
