@@ -238,7 +238,7 @@ let recycled t = t.recycled
 
 let approx_bytes t =
   let cap = Array.length t.flow_of in
-  (* five int arrays + one float array + the hot pointer array at 8
-     bytes a slot, one flag byte, plus ~3 words per live hashtable
-     binding and the bucket array *)
-  (cap * ((7 * 8) + 1)) + (live t * 24) + (cap * 4) + 128
+  (* six int arrays (the chain among them) + one float array + the hot
+     pointer array at 8 bytes a slot, one flag byte, the bucket array
+     and the headers *)
+  (cap * ((8 * 8) + 1)) + (Array.length t.buckets * 8) + 128

@@ -105,7 +105,8 @@ val recycled : _ t -> int
 (** Slots returned to the free list by {!release}. *)
 
 val approx_bytes : _ t -> int
-(** Estimated retained heap for the per-flow state (arrays at current
-    capacity plus hashtable overhead).  An accounting estimate for
+(** Estimated retained heap for the per-flow state (slot arrays at
+    current capacity, the index's chain among them, plus its bucket
+    array).  An accounting estimate for
     gauges and reports — the frozen bytes/flow figure comes from the
     flow-state gate's live-words measurement, not from this. *)
