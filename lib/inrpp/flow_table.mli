@@ -107,6 +107,6 @@ val recycled : _ t -> int
 val approx_bytes : _ t -> int
 (** Estimated retained heap for the per-flow state (slot arrays at
     current capacity, the index's chain among them, plus its bucket
-    array).  An accounting estimate for
-    gauges and reports — the frozen bytes/flow figure comes from the
-    flow-state gate's live-words measurement, not from this. *)
+    array).  An accounting estimate for gauges and reports — the
+    frozen bytes/flow figure comes from the flow-state gate's
+    live-words measurement, not from this. *)
