@@ -742,6 +742,64 @@ let test_router_refusals_count_requests () =
   R.drain r;
   Alcotest.(check int) "and one per later drain" 11 (refused ())
 
+(* The link-flip decision table, on fig3's node 1 with flow 0 on 1->3
+   and flow 1 on 1->0.  A down flip fails a flow over when a detour is
+   usable and engages its outage otherwise; an up flip releases the
+   outage when the primary or a detour is back and engages nothing.  A
+   flow is counted in [failovers] once per fail-over, however many flips
+   see it failed over.  Each row is (failovers, bp_engages, bp_releases,
+   bp_active_flows) after the flip. *)
+let test_router_link_flip_table () =
+  let pressure = [| 0.; 0.; 0.; 0. |] in
+  let r, ls, l13 = fig3_router pressure in
+  let g = Topology.Builders.fig3 () in
+  let link u v = (Option.get (Topology.Graph.find_link g u v)).Topology.Link.id in
+  let l10 = link 1 0 and l01 = link 0 1 in
+  R.install_flow r ~flow:1
+    ~data_link:(Some (Topology.Graph.link g l10)) ~req_link:None ();
+  let flip id ~up =
+    Topology.Link_state.set ls id ~up;
+    if up then R.on_link_up r id else R.on_link_down r id
+  in
+  let row name expect =
+    let c = R.counters r in
+    Alcotest.(check (list int)) name expect
+      [ c.R.failovers; c.R.bp_engages; c.R.bp_releases; R.bp_active_flows r ]
+  in
+  (* 1: every detour around 1->3 refused by pressure (nodes 0 and 2) *)
+  pressure.(0) <- 1.;
+  pressure.(2) <- 1.;
+  flip l13 ~up:false;
+  row "primary down, no detour: outage engaged" [ 0; 1; 0; 0 ];
+  (* 2: the detour via node 2 is usable again; both flows fail over,
+     and a down flip keeps flow 0's outage engaged *)
+  pressure.(2) <- 0.;
+  flip l10 ~up:false;
+  row "another link down, detour usable: fail-over" [ 2; 1; 0; 0 ];
+  (* 3: both flows already failed over *)
+  flip l01 ~up:false;
+  row "primary down on failed-over flows: counted once" [ 2; 1; 0; 0 ];
+  (* 4: no detour left for either flow; an up flip engages nothing *)
+  pressure.(2) <- 1.;
+  flip l01 ~up:true;
+  row "up flip, primary down, no detour: nothing" [ 2; 1; 0; 0 ];
+  (* 5: flow 0's primary returns and its outage is released; flow 1
+     stays failed over (its detour via node 3 is back) *)
+  flip l13 ~up:true;
+  row "primary back up: outage released" [ 2; 1; 1; 0 ];
+  (* 6: 1->3 down with every detour refused engages both outages; an
+     unrelated up flip with node 2 unpressured releases both and fails
+     flow 0 over again *)
+  pressure.(0) <- 1.;
+  pressure.(3) <- 1.;
+  flip l13 ~up:false;
+  row "both outages engaged" [ 2; 3; 1; 0 ];
+  pressure.(2) <- 0.;
+  flip l01 ~up:false;
+  row "down flip, detour back: outages kept" [ 3; 3; 1; 0 ];
+  flip l01 ~up:true;
+  row "up flip, detour back: outages released" [ 3; 3; 3; 0 ]
+
 (* A drain skips a port it found exitless for the rest of that drain.
    Six flows over two ports of fig3's node 1, behind eight-chunk
    queues, so ports run out of exits part-way through drains and
@@ -2152,6 +2210,8 @@ let () =
         [
           Alcotest.test_case "refusals count requests, not probes" `Quick
             test_router_refusals_count_requests;
+          Alcotest.test_case "link-flip decision table" `Quick
+            test_router_link_flip_table;
           Alcotest.test_case "drain skips exitless ports exactly" `Quick
             test_router_drain_skip_exact;
           Alcotest.test_case "port creation instants" `Quick
