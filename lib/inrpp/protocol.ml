@@ -347,20 +347,11 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
       let lossy = match loss_rate with Some r -> r > 0. | None -> false in
       let cons = Check.Invariant.Conservation.create ~lossy chk in
       Check.Invariant.attach tr (Check.Invariant.Conservation.handler cons);
-      let flows = ref [||] in
       Array.iter
         (fun r ->
           Check.Invariant.custody_ledger chk
             ~name:(Printf.sprintf "node %d" (Router.node r))
-            (fun () ->
-              let cache = Router.cache r in
-              let backlog = ref 0 in
-              for i = 0 to Chunksim.Cache.custody_flows cache flows - 1 do
-                backlog :=
-                  !backlog
-                  + Chunksim.Cache.custody_backlog cache ~flow:!flows.(i)
-              done;
-              (Router.custody_packet_count r, !backlog)))
+            (fun () -> Router.custody_ledger r))
         routers;
       Some cons
     | _ -> None

@@ -11,7 +11,12 @@
 
     A router also relays the two endpoint roles: requests reaching the
     producer node go to the local {!Sender}, data reaching the
-    consumer node goes to the local {!Receiver}. *)
+    consumer node goes to the local {!Receiver}.
+
+    The per-interface control plane (estimator, phase, detour
+    candidates, tick walk, {!registry}) lives in the library-private
+    [Port] module; this module keeps the per-flow state: forwarding,
+    custody and its drain rounds, back-pressure and fault recovery. *)
 
 type t
 
@@ -215,7 +220,12 @@ val node : t -> Topology.Node.id
 
 val custody_packet_count : t -> int
 (** Chunks in the custody packet table right now — must equal the
-    cache's custody-region chunk count ([Check]'s ledger invariant). *)
+    cache's custody-region chunk count (see {!custody_ledger}). *)
+
+val custody_ledger : t -> int * int
+(** [(packets, backlog)]: {!custody_packet_count}, and the store's
+    custody backlog summed over its custody flows.  The two are equal
+    after every step; [Check]'s ledger invariant reads this pair. *)
 
 val phase_transitions : t -> int
 (** Summed across interfaces. *)
