@@ -161,49 +161,3 @@ let waxman ?capacity ?delay ~seed ~alpha ~beta n =
     done
   done;
   Graph.Builder.build b
-
-let barabasi_albert ?(capacity = default_capacity) ?(delay = default_delay)
-    ~seed ~m n =
-  if m < 1 then invalid_arg "Builders.barabasi_albert: m < 1";
-  if n < m + 1 then invalid_arg "Builders.barabasi_albert: n <= m";
-  let rng = Sim.Rng.create seed in
-  let b = Graph.Builder.create () in
-  let ids = named_nodes b "b" n Node.Core in
-  (* degree-weighted target multiset: every link endpoint appears once *)
-  let endpoints = ref [] in
-  let degree = Array.make n 0 in
-  let connect u v =
-    Graph.Builder.add_edge b ~capacity ~delay ids.(u) ids.(v);
-    degree.(u) <- degree.(u) + 1;
-    degree.(v) <- degree.(v) + 1;
-    endpoints := u :: v :: !endpoints
-  in
-  (* seed clique on the first m+1 nodes *)
-  for i = 0 to m do
-    for j = i + 1 to m do
-      connect i j
-    done
-  done;
-  let endpoint_array = ref (Array.of_list !endpoints) in
-  for v = m + 1 to n - 1 do
-    (* draw m distinct targets weighted by degree *)
-    let chosen = Hashtbl.create m in
-    let arr = !endpoint_array in
-    let attempts = ref 0 in
-    while Hashtbl.length chosen < m && !attempts < 50 * m do
-      incr attempts;
-      let candidate = arr.(Sim.Rng.int rng (Array.length arr)) in
-      if candidate <> v && not (Hashtbl.mem chosen candidate) then
-        Hashtbl.replace chosen candidate ()
-    done;
-    (* fall back to lowest-id unchosen nodes if sampling stalled *)
-    let u = ref 0 in
-    while Hashtbl.length chosen < m do
-      if !u <> v && not (Hashtbl.mem chosen !u) then
-        Hashtbl.replace chosen !u ();
-      incr u
-    done;
-    Hashtbl.iter (fun target () -> connect v target) chosen;
-    endpoint_array := Array.of_list !endpoints
-  done;
-  Graph.Builder.build b

@@ -52,7 +52,3 @@ val waxman :
     [alpha * exp (-dist / (beta * sqrt 2.))].  Delays, when not
     overridden, are proportional to Euclidean distance. *)
 
-val barabasi_albert : ?capacity:float -> ?delay:float -> seed:int64 ->
-  m:int -> int -> Graph.t
-(** Preferential attachment: each new node attaches [m >= 1] links to
-    existing nodes weighted by degree.  Starts from an [m + 1] clique. *)

@@ -257,8 +257,7 @@ let test_builder_validation () =
   expect_invalid (fun () -> Builders.ring 2);
   expect_invalid (fun () -> Builders.full_mesh 1);
   expect_invalid (fun () -> Builders.binary_tree (-1));
-  expect_invalid (fun () -> Builders.erdos_renyi ~seed:1L ~p:1.5 4);
-  expect_invalid (fun () -> Builders.barabasi_albert ~seed:1L ~m:3 3)
+  expect_invalid (fun () -> Builders.erdos_renyi ~seed:1L ~p:1.5 4)
 
 let test_random_builders_deterministic () =
   let a = Builders.erdos_renyi ~seed:5L ~p:0.3 30 in
@@ -268,15 +267,6 @@ let test_random_builders_deterministic () =
   let wb = Builders.waxman ~seed:5L ~alpha:0.9 ~beta:0.3 30 in
   Alcotest.(check int) "waxman deterministic" (Graph.link_count wa)
     (Graph.link_count wb)
-
-let test_barabasi_albert_degrees () =
-  let g = Builders.barabasi_albert ~seed:3L ~m:2 80 in
-  Alcotest.(check bool) "connected" true (Graph.is_connected g);
-  (* every non-seed node has degree >= m *)
-  let stats = Graph_stats.compute g in
-  Alcotest.(check bool) "min degree >= 2" true (stats.Graph_stats.min_degree >= 2);
-  (* preferential attachment yields a hub *)
-  Alcotest.(check bool) "has a hub" true (stats.Graph_stats.max_degree >= 8)
 
 let test_graph_stats_mesh () =
   let g = Builders.full_mesh 5 in
@@ -390,7 +380,6 @@ let () =
           Alcotest.test_case "shapes" `Quick test_builder_shapes;
           Alcotest.test_case "validation" `Quick test_builder_validation;
           Alcotest.test_case "random deterministic" `Quick test_random_builders_deterministic;
-          Alcotest.test_case "barabasi-albert degrees" `Quick test_barabasi_albert_degrees;
           Alcotest.test_case "stats mesh" `Quick test_graph_stats_mesh;
           Alcotest.test_case "stats line" `Quick test_graph_stats_line;
           Alcotest.test_case "betweenness line" `Quick test_betweenness_line;
