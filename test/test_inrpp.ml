@@ -753,7 +753,9 @@ let test_router_link_flip_table () =
   let pressure = [| 0.; 0.; 0.; 0. |] in
   let r, ls, l13 = fig3_router pressure in
   let g = Topology.Builders.fig3 () in
-  let link u v = (Option.get (Topology.Graph.find_link g u v)).Topology.Link.id in
+  let link u v =
+    (Option.get (Topology.Graph.find_link g u v)).Topology.Link.id
+  in
   let l10 = link 1 0 and l01 = link 0 1 in
   R.install_flow r ~flow:1
     ~data_link:(Some (Topology.Graph.link g l10)) ~req_link:None ();
@@ -787,9 +789,9 @@ let test_router_link_flip_table () =
      stays failed over (its detour via node 3 is back) *)
   flip l13 ~up:true;
   row "primary back up: outage released" [ 2; 1; 1; 0 ];
-  (* 6: 1->3 down with every detour refused engages both outages; an
-     unrelated up flip with node 2 unpressured releases both and fails
-     flow 0 over again *)
+  (* 6: 1->3 down with every detour refused engages both outages; with
+     node 2 unpressured, an unrelated down flip fails flow 0 over again
+     and keeps both outages, and an up flip releases both *)
   pressure.(0) <- 1.;
   pressure.(3) <- 1.;
   flip l13 ~up:false;
