@@ -1,9 +1,8 @@
 (* Experiment implementations: regenerate every table and figure of
    the paper plus the repository's own ablations, and micro-benchmark
    the core primitives.  `bench/main.ml` is the CLI over this library;
-   the golden-artefact regression test (test/test_artefacts.ml) calls
-   the same entries in-process through {!capture} and pins their
-   output by stdlib Digest.
+   test/golden/dune diffs the CLI's artefact output against checked-in
+   text, and {!capture} runs the same entries in-process.
 
    Experiment ids: table1 fig3 fig4a fig4b custody phases backpressure
    protocols resilience popularity ablation-detour ablation-ac micro.
@@ -1565,7 +1564,7 @@ let all =
 let find name = List.assoc_opt name all
 
 (* Run [f] with stdout redirected into a temp file and return what it
-   wrote.  Used to digest artefact output in-process: the bytes are
+   wrote.  Used to read artefact output in-process: the bytes are
    exactly what `bench/main.exe <id>` prints, as both go through the
    same fd after the same [Format] flush discipline. *)
 let capture f =

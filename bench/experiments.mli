@@ -1,10 +1,10 @@
 (** Paper-artefact experiment implementations.
 
     Each entry regenerates one table/figure of the paper (or a
-    repository ablation) on stdout.  `bench/main.exe` is the CLI; the
-    golden-artefact regression test runs the same closures in-process
-    via {!capture} and pins the output bytes by their stdlib [Digest]
-    (test/golden/artefacts.digest). *)
+    repository ablation) on stdout.  `bench/main.exe` is the CLI, and
+    `dune runtest` diffs the stdout of the ten paper artefacts against
+    the checked-in text in test/golden/<id>.expected.  {!capture} runs
+    the same closures in-process and returns the bytes they print. *)
 
 val all : (string * (unit -> unit)) list
 (** Experiment id -> runner, in canonical order. *)

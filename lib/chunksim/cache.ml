@@ -15,13 +15,6 @@ end
 
 type policy = (module POLICY)
 
-module Drop_tail = struct
-  let name = "drop-tail"
-  let admit _ = true
-end
-
-let drop_tail : policy = (module Drop_tail)
-
 let object_runs ?(threshold = 0.5) () : policy =
   if not (0. < threshold && threshold <= 1.) then
     invalid_arg "Cache.object_runs: threshold must be in (0, 1]";
@@ -88,7 +81,7 @@ type t = {
   mutable shift : int;
   mutable hit_count : int;
   mutable miss_count : int;
-  (* admission policy; [None] is the legacy always-admit hot path *)
+  (* admission policy; [None] admits while capacity lasts (drop-tail) *)
   policy : policy option;
 }
 

@@ -19,9 +19,9 @@ type t
 
     Custody admission is policy-pluggable: a first-class module decides
     whether an offered chunk may enter the custody region, given a
-    snapshot of store pressure.  [None] (the default) is the legacy
-    always-admit path — byte-identical behaviour, no pressure snapshot
-    computed. *)
+    snapshot of store pressure.  Without a policy (the default) every
+    chunk is admitted while capacity lasts (drop-tail), and no pressure
+    snapshot is computed. *)
 
 type pressure = {
   capacity : float;       (** total store budget, bits *)
@@ -40,10 +40,6 @@ module type POLICY = sig
 end
 
 type policy = (module POLICY)
-
-val drop_tail : policy
-(** Always admit (capacity still bounds, via [`Full]) — the legacy
-    behaviour, as an explicit policy. *)
 
 val object_runs : ?threshold:float -> unit -> policy
 (** Object-granularity admission (after {e Object-oriented Packet
@@ -70,7 +66,7 @@ val create :
   t
 (** [capacity] in bits.  Watermarks are fractions of capacity
     (defaults 0.7 and 0.3).  [policy] guards custody admission; omit it
-    for the legacy always-admit path.
+    for drop-tail, which admits while capacity lasts.
     @raise Invalid_argument if [capacity <= 0.] or the watermarks are
     not [0 <= low < high <= 1]. *)
 

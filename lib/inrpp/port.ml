@@ -68,10 +68,9 @@ type set = {
   net : Net.t;
   node : Topology.Node.id;
   detours : Detour_table.t;
-  link_state : Topology.Link_state.t option;
+  link_state : Topology.Link_state.t;
   trace : Trace.t option;
-  (* overload control; [None] is the legacy path throughout *)
-  overload : Overload.Config.t option;
+  overload : Overload.Config.t;
   mutable neighbor_pressure : (Topology.Node.id -> float) option;
   ports : port array;             (* one per out-link, ascending link id *)
   reg : registry option;
@@ -190,9 +189,7 @@ let phase s p =
     ph
 
 let link_is_up s (l : Link.t) =
-  match s.link_state with
-  | Some ls -> Topology.Link_state.is_up ls l.Link.id
-  | None -> true
+  Topology.Link_state.is_up s.link_state l.Link.id
 
 (* ------------------------------------------------------------------ *)
 (* Detour candidate cache *)
@@ -241,18 +238,17 @@ let cands s p =
   end;
   p.dk_cands
 
-(* Detour refusal into pressured neighbours: with overload control on,
-   a candidate whose first hop lands on a neighbour already above the
-   configured custody-occupancy fraction is unusable — deflecting load
-   into a store that is itself shedding only spreads the collapse.
-   The pressure function is installed by the protocol layer (it owns
-   the router array). *)
+(* Detour refusal into pressured neighbours: a candidate whose first
+   hop lands on a neighbour already above the configured
+   custody-occupancy fraction is unusable — deflecting load into a
+   store that is itself shedding only spreads the collapse.  The
+   pressure function is installed by the protocol layer (it owns the
+   router array), and only under a finite threshold. *)
 let pressure_ok s (c : dcand) =
-  match s.overload, s.neighbor_pressure with
-  | Some ov, Some pressure_of
-    when ov.Overload.Config.neighbor_pressure < infinity ->
-    pressure_of c.dc_via < ov.Overload.Config.neighbor_pressure
-  | (Some _ | None), _ -> true
+  match s.neighbor_pressure with
+  | Some pressure_of ->
+    pressure_of c.dc_via < s.overload.Overload.Config.neighbor_pressure
+  | None -> true
 
 let rec room_from (c : dcand) i =
   i >= Array.length c.dc_ifaces

@@ -99,7 +99,7 @@ type wiring = {
   g : Graph.t;
   horizon : float;
   obs : Obs.Observer.t option;
-  overload : Overload.Config.t option;
+  overload : Overload.Config.t;
   specs : flow_spec array;
   routes : Path.t array;
   eng : Sim.Engine.t;
@@ -191,7 +191,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
   (match Config.validate cfg with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Protocol.run: " ^ msg));
-  Option.iter Overload.Config.validate overload;
+  Overload.Config.validate overload;
   (* generated flows ride behind the static list so existing scenarios
      keep their flow ids; generation is a pure function of (spec,
      graph), so a run with a workload is as replayable as one without.
@@ -261,30 +261,28 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
   let registry = Router.registry ~nodes:(Graph.node_count g) in
   let routers =
     Array.init (Graph.node_count g) (fun node ->
-        Router.create ~cfg ~net ~node ~detours ~link_state ?trace ?overload
+        Router.create ~cfg ~net ~node ~detours ~link_state ?trace ~overload
           ~registry ())
   in
   (* neighbour-pressure oracle for detour refusal: each router can ask
-     any node's custody occupancy fraction.  Installed only when the
-     overload config would ever consult it. *)
-  (match overload with
-  | Some ov when ov.Overload.Config.neighbor_pressure < infinity ->
+     any node's custody occupancy fraction.  Installed only under a
+     finite threshold, the one case that consults it. *)
+  if overload.Overload.Config.neighbor_pressure < infinity then begin
     let pressure node =
       let cache = Router.cache routers.(node) in
       Chunksim.Cache.custody_occupancy cache /. Chunksim.Cache.capacity cache
     in
     Array.iter (fun r -> Router.set_neighbor_pressure r pressure) routers
-  | Some _ | None -> ());
+  end;
   (* collapse watchdog: sliding-window goodput over consumer
      deliveries; a collapse dumps the flight recorder (when armed) so
      the events leading into the episode are on disk for post-mortem *)
   let watchdog =
-    match overload with
-    | Some ov when Overload.Config.watchdog_enabled ov ->
+    if Overload.Config.watchdog_enabled overload then
       Some
-        (Obs.Watchdog.create ~window:ov.Overload.Config.watchdog_window
-           ~collapse_ratio:ov.Overload.Config.collapse_ratio
-           ~recovery_ratio:ov.Overload.Config.recovery_ratio
+        (Obs.Watchdog.create ~window:overload.Overload.Config.watchdog_window
+           ~collapse_ratio:overload.Overload.Config.collapse_ratio
+           ~recovery_ratio:overload.Overload.Config.recovery_ratio
            ~on_collapse:(fun ~time ~rate ~peak ->
              match recorder with
              | Some rc ->
@@ -296,7 +294,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
                  ~time
              | None -> ())
            ())
-    | Some _ | None -> None
+    else None
   in
   (* wire-time span taps: the interface hands back each data packet's
      virtual transmission start (possibly earlier than now — see
@@ -488,8 +486,8 @@ let complete_flow w fct_hist flow ~fct =
 
 (* A sender at each flow's producer, a receiver at its consumer, and
    per-node endpoint dispatch on top of routing (several flows may
-   start or end at one node).  Returns the receivers in flow-id order
-   and the per-node sender and receiver tables. *)
+   start or end at one node).  Returns the senders and the receivers,
+   both in flow-id order. *)
 let attach_endpoints w ~faulted =
   let { cfg; eng; net; trace; routers; watchdog; conservation; specs; routes;
         data_routes; req_routes; _ } =
@@ -537,17 +535,7 @@ let attach_endpoints w ~faulted =
           0. p.Path.links)
       routes
   in
-  (* node -> flow -> sender / receiver *)
-  let producers = Hashtbl.create 8 and consumers = Hashtbl.create 8 in
-  let endpoint_table tbl node =
-    match Hashtbl.find_opt tbl node with
-    | Some sub -> sub
-    | None ->
-      let sub = Hashtbl.create 4 in
-      Hashtbl.add tbl node sub;
-      sub
-  in
-  let receivers =
+  let endpoints =
     Array.init (Array.length specs) (fun flow ->
         let { src; dst; chunks; _ } = specs.(flow) in
         let pace_rate =
@@ -585,7 +573,6 @@ let attach_endpoints w ~faulted =
           Sender.create ~cfg ~eng ?trace ~flow ~total_chunks:chunks ~pace_rate
             ~transmit ()
         in
-        Hashtbl.replace (endpoint_table producers src) flow sender;
         let receiver =
           Receiver.create ~cfg ~eng ~flow ~total_chunks:chunks
             ~send_request:(fun p ->
@@ -602,22 +589,28 @@ let attach_endpoints w ~faulted =
               in
               Net.inject net ~at:dst p)
             ~on_complete:(complete_flow w fct_hist flow)
-            ?overload:w.overload ()
+            ~overload:w.overload ()
         in
-        Hashtbl.replace (endpoint_table consumers dst) flow receiver;
-        receiver)
+        (sender, receiver))
   in
+  let senders = Array.map fst endpoints in
+  let receivers = Array.map snd endpoints in
+  (* a node dispatches to the endpoints of the flows it is an end of;
+     a packet of any other flow is ignored *)
+  let producer = Array.make (Graph.node_count w.g) false in
+  let consumer = Array.make (Graph.node_count w.g) false in
+  Array.iter
+    (fun s ->
+      producer.(s.src) <- true;
+      consumer.(s.dst) <- true)
+    specs;
   for node = 0 to Graph.node_count w.g - 1 do
     let router = routers.(node) in
-    (match Hashtbl.find_opt producers node with
-    | Some senders ->
+    if producer.(node) then
       Router.set_local_producer router (fun p ->
-          match Hashtbl.find_opt senders (Packet.flow p) with
-          | Some s -> Sender.handle s p
-          | None -> ())
-    | None -> ());
-    (match Hashtbl.find_opt consumers node with
-    | Some recvs ->
+          let flow = Packet.flow p in
+          if specs.(flow).src = node then Sender.handle senders.(flow) p);
+    if consumer.(node) then
       Router.set_local_consumer router (fun p ->
           (* delivery taps, in order: queueing delay, span, recovery,
              conservation, watchdog *)
@@ -645,13 +638,12 @@ let attach_endpoints w ~faulted =
                 ~bits:p.Packet.size
             | None -> ())
           | Packet.Request _ | Packet.Backpressure _ -> ());
-          match Hashtbl.find_opt recvs (Packet.flow p) with
-          | Some r -> Receiver.handle_data r p
-          | None -> ())
-    | None -> ());
+          let flow = Packet.flow p in
+          if specs.(flow).dst = node then
+            Receiver.handle_data receivers.(flow) p);
     Net.set_handler net node (Router.handler router)
   done;
-  (receivers, producers, consumers)
+  (senders, receivers)
 
 (* Observability: callback metrics read the counters the stack already
    maintains (zero hot-path cost), and a periodic sampler records
@@ -659,7 +651,7 @@ let attach_endpoints w ~faulted =
    at the estimator-tick resolution.  Metrics and series export in
    registration order, which this stage fixes; starting the sampler
    schedules its first event. *)
-let instrument w ~driver ~producers ~consumers o =
+let instrument w ~driver ~senders ~receivers o =
   let { cfg; eng; net; routers; watchdog; link_state; _ } = w in
   let reg = Obs.Observer.registry o in
   Array.iter
@@ -683,12 +675,8 @@ let instrument w ~driver ~producers ~consumers o =
       fi "router_flow_entries_peak" Router.flow_entries_peak;
       fi "router_flow_entries_recycled_total" Router.flow_entries_recycled;
       fi "router_flow_table_bytes" Router.flow_table_bytes;
-      (* overload counters exist only when the control layer is on, so
-         default runs export byte-identical metric sets *)
-      if Option.is_some w.overload then begin
-        fi "router_shed_total" (fun _ -> c.Router.shed);
-        fi "router_detours_refused_total" (fun _ -> c.Router.detours_refused)
-      end;
+      fi "router_shed_total" (fun _ -> c.Router.shed);
+      fi "router_detours_refused_total" (fun _ -> c.Router.detours_refused);
       Obs.Metric.callback reg ~labels "router_custody_occupancy_bits"
         (fun () -> Chunksim.Cache.custody_occupancy (Router.cache r)))
     routers;
@@ -716,29 +704,27 @@ let instrument w ~driver ~producers ~consumers o =
       f "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i);
       f "iface_utilisation" (fun () ->
           Chunksim.Iface.utilisation i ~now:(Sim.Engine.now eng)));
-  (* per endpoint, in the tables' iteration order *)
-  let endpoint_metrics tbl metrics =
-    Hashtbl.iter
-      (fun node sub ->
-        Hashtbl.iter
-          (fun flow e ->
-            let labels =
-              [ ("node", string_of_int node); ("flow", string_of_int flow) ]
-            in
-            List.iter
-              (fun (name, get) ->
-                Obs.Metric.callback reg ~labels name (fun () ->
-                    float_of_int (get e)))
-              metrics)
-          sub)
-      tbl
+  (* per endpoint, in flow-id order *)
+  let endpoint_metrics endpoints node_of metrics =
+    Array.iteri
+      (fun flow e ->
+        let labels =
+          [ ("node", string_of_int (node_of w.specs.(flow)));
+            ("flow", string_of_int flow) ]
+        in
+        List.iter
+          (fun (name, get) ->
+            Obs.Metric.callback reg ~labels name (fun () ->
+                float_of_int (get e)))
+          metrics)
+      endpoints
   in
-  endpoint_metrics producers
+  endpoint_metrics senders (fun s -> s.src)
     [ ("sender_tx_packets_total", Sender.sent_packets);
       ("sender_backlog_chunks", Sender.backlog);
       ("sender_in_backpressure", fun s ->
         Bool.to_int (Sender.in_backpressure s)) ];
-  endpoint_metrics consumers
+  endpoint_metrics receivers (fun s -> s.dst)
     [ ("receiver_requests_total", Receiver.requests_sent);
       ("receiver_duplicates_total", Receiver.duplicates);
       ("receiver_chunks_received", fun r ->
@@ -898,16 +884,17 @@ let collect w receivers =
    fault events (scheduled by [attach_faults]) come before the sampler
    start ([instrument]), the tick, the drain and the flow starts. *)
 let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
-    ?loss_rate ?obs ?check ?faults ?workload ?overload g specs =
+    ?loss_rate ?obs ?check ?faults ?workload
+    ?(overload = Overload.Config.off) g specs =
   let w =
     wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
       ~overload g specs
   in
   let driver = attach_faults w faults in
-  let receivers, producers, consumers =
+  let senders, receivers =
     attach_endpoints w ~faulted:(Option.is_some driver)
   in
-  Option.iter (instrument w ~driver ~producers ~consumers) obs;
+  Option.iter (instrument w ~driver ~senders ~receivers) obs;
   (* periodic estimator ticks and custody drains; track custody peak
      over the routers holding custody (every other one holds 0) *)
   let { eng; registry; routers; watchdog; k_tick; k_drain; k_flow_start; _ } =

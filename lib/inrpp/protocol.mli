@@ -60,11 +60,12 @@ type result = {
       chunk delivery anywhere; [None] when no faults fired *)
   shed : int;
   (** custody admissions refused by overload control (threshold
-      shedding + policy rejections); 0 without [?overload] *)
+      shedding + policy rejections); 0 under the default
+      {!Overload.Config.off} *)
   detours_refused : int;
   (** pressure-refused detour requests: one per chunk sent to custody
       and one per drain round that fails to evacuate a held chunk;
-      probes count none.  0 without [?overload] *)
+      probes count none.  0 under the default {!Overload.Config.off} *)
   collapse_episodes : int;
   (** collapse episodes the watchdog declared; 0 without a watchdog *)
   collapse_recovery_time : float option;
@@ -144,14 +145,16 @@ val run :
     (and their slots recycled) at every node the flow was installed
     on, including nodes added by reconvergence.
 
-    [overload] switches on the graceful-degradation layer
-    ({!Overload.Config}): pluggable custody admission at every router,
-    load shedding and early back-pressure above the configured store
-    pressures, refusal of detours into pressured neighbours, the
-    receiver-side retransmission circuit breaker, and the collapse
-    watchdog (whose episodes dump the observer's flight recorder when
-    one is armed).  Absent — or set to {!Overload.Config.off} — the
-    run is bit-identical to the pre-overload protocol.
+    [overload] (default {!Overload.Config.off}) configures the
+    graceful-degradation layer ({!Overload.Config}): pluggable custody
+    admission at every router, load shedding and early back-pressure
+    above the configured store pressures, refusal of detours into
+    pressured neighbours, the receiver-side retransmission circuit
+    breaker, and the collapse watchdog (whose episodes dump the
+    observer's flight recorder when one is armed).  Under [off] every
+    mechanism is disabled and the run is the paper's protocol; its
+    metric set still carries [router_shed_total] and
+    [router_detours_refused_total], reading 0.
     @raise Invalid_argument on an invalid config, no flows at all
     (empty static list and no or empty workload), a spec that
     {!flow_spec} would reject (hand-built specs included), or an

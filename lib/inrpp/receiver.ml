@@ -12,12 +12,13 @@ type t = {
   mutable last_progress : float;
   mutable timeout_armed : bool;
   mutable timeout_scale : float;  (* exponential backoff multiplier *)
-  (* retransmission circuit breaker (overload control); None = legacy *)
-  breaker : Overload.Breaker.t option;
+  (* retransmission circuit breaker; never opens under an infinite
+     budget *)
+  breaker : Overload.Breaker.t;
 }
 
 let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
-    ?overload () =
+    ?(overload = Overload.Config.off) () =
   {
     cfg;
     eng;
@@ -33,11 +34,8 @@ let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
     timeout_armed = false;
     timeout_scale = 1.;
     breaker =
-      Option.map
-        (fun (ov : Overload.Config.t) ->
-          Overload.Breaker.create ~budget:ov.retry_budget
-            ~probe_interval:ov.probe_interval)
-        overload;
+      Overload.Breaker.create ~budget:overload.Overload.Config.retry_budget
+        ~probe_interval:overload.Overload.Config.probe_interval;
   }
 
 let request t =
@@ -68,12 +66,7 @@ let rec arm_timeout t =
            if t.completed = None then begin
              let now = Sim.Engine.now t.eng in
              if now -. t.last_progress >= delay -. 1e-9 then begin
-               let action =
-                 match t.breaker with
-                 | None -> `Retry
-                 | Some b -> Overload.Breaker.on_timeout b ~now
-               in
-               match action with
+               match Overload.Breaker.on_timeout t.breaker ~now with
                | `Retry ->
                  request t;
                  t.timeout_scale <-
@@ -121,9 +114,7 @@ let handle_data t (p : Chunksim.Packet.t) =
       | `New ->
         t.last_progress <- now;
         t.timeout_scale <- 1.;
-        (match t.breaker with
-        | Some b -> Overload.Breaker.on_progress b
-        | None -> ());
+        Overload.Breaker.on_progress t.breaker;
         if Session.is_complete t.sess then begin
           t.completed <- Some now;
           let fct =
@@ -140,7 +131,6 @@ let handle_data t (p : Chunksim.Packet.t) =
     ()
 
 let session t = t.sess
-let breaker t = t.breaker
 let requests_sent t = t.req_count
 let duplicates t = t.dup_count
 let completed_at t = t.completed

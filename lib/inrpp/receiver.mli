@@ -14,12 +14,13 @@ val create :
   cfg:Config.t -> eng:Sim.Engine.t -> flow:int -> total_chunks:int ->
   send_request:(Chunksim.Packet.t -> unit) ->
   on_complete:(fct:float -> unit) -> ?overload:Overload.Config.t -> unit -> t
-(** [overload] arms the retransmission circuit breaker
-    ({!Overload.Breaker}) with the config's [retry_budget] and
-    [probe_interval]: after the budget of consecutive barren timeouts
-    the receiver stops retransmitting and probes at the interval
-    instead.  Without it (or with an infinite budget) retransmission
-    behaviour is the legacy timeout/backoff loop, bit-identical.
+(** [overload] (default {!Overload.Config.off}) arms the
+    retransmission circuit breaker ({!Overload.Breaker}) with the
+    config's [retry_budget] and [probe_interval]: after the budget of
+    consecutive barren timeouts the receiver stops retransmitting and
+    probes at the interval instead.  Under [off]'s budget of [max_int]
+    the breaker never opens, and every barren timeout re-requests with
+    backoff.
     @raise Invalid_argument if [total_chunks <= 0]. *)
 
 val start : t -> unit
@@ -29,9 +30,6 @@ val handle_data : t -> Chunksim.Packet.t -> unit
 (** Process a Data packet for this flow (others ignored). *)
 
 val session : t -> Session.t
-
-val breaker : t -> Overload.Breaker.t option
-(** The circuit breaker, when overload control armed one. *)
 
 val requests_sent : t -> int
 val duplicates : t -> int

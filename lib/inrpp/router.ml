@@ -54,8 +54,9 @@ type t = {
 
 let registry = Port.registry
 
-let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload ?registry
-    () =
+let create ~cfg ~net ~node ~detours
+    ?(link_state = Topology.Link_state.create (Net.graph net)) ?trace
+    ?(overload = Overload.Config.off) ?registry () =
   (match registry with
   | Some r when node >= Array.length r.Port.tick_nodes ->
     invalid_arg "Router.create: node outside the registry"
@@ -68,7 +69,7 @@ let create ~cfg ~net ~node ~detours ?link_state ?trace ?overload ?registry
     store =
       Cache.create ~high_water:cfg.Config.cache_high_water
         ~low_water:cfg.Config.cache_low_water
-        ?policy:(Option.bind overload (fun ov -> Overload.Config.policy ov))
+        ?policy:(Overload.Config.policy overload)
         ~capacity:cfg.Config.cache_bits ();
     custody_packets = Hashtbl.create 64;
     drain_listed = false;
@@ -267,27 +268,25 @@ let reroute_flow t ?content ~flow ~data_link ~req_link () =
 (* ------------------------------------------------------------------ *)
 (* Custody *)
 
-(* Load shedding (overload control only): above [shed_threshold]
-   custody occupancy, refuse the admission outright — new chunks are
-   shed {e before} in-custody chunks are endangered, and the upstream
-   hears about it immediately instead of at store exhaustion. *)
+(* Load shedding: above [shed_threshold] custody occupancy, refuse the
+   admission outright — new chunks are shed {e before} in-custody
+   chunks are endangered, and the upstream hears about it immediately
+   instead of at store exhaustion.  The finiteness test comes first so
+   a run without the threshold reads no occupancy: that read boxes two
+   floats per admission. *)
 let shed_admission t =
-  match t.s.Port.overload with
-  | Some ov when ov.Overload.Config.shed_threshold < infinity ->
-    Cache.custody_occupancy t.store
-    >= ov.Overload.Config.shed_threshold *. Cache.capacity t.store
-  | Some _ | None -> false
+  let x = t.s.Port.overload.Overload.Config.shed_threshold in
+  x < infinity
+  && Cache.custody_occupancy t.store >= x *. Cache.capacity t.store
 
-(* Early back-pressure (overload control only): escalate upstream at
-   [early_bp_threshold] occupancy, before the store's high watermark —
-   under a flash crowd the watermark fires too late to stop the wave
-   already in flight. *)
+(* Early back-pressure: escalate upstream at [early_bp_threshold]
+   occupancy, before the store's high watermark — under a flash crowd
+   the watermark fires too late to stop the wave already in flight.
+   Guarded like [shed_admission]. *)
 let early_bp t =
-  match t.s.Port.overload with
-  | Some ov when ov.Overload.Config.early_bp_threshold < infinity ->
-    Cache.custody_occupancy t.store
-    >= ov.Overload.Config.early_bp_threshold *. Cache.capacity t.store
-  | Some _ | None -> false
+  let x = t.s.Port.overload.Overload.Config.early_bp_threshold in
+  x < infinity
+  && Cache.custody_occupancy t.store >= x *. Cache.capacity t.store
 
 (* A chunk custody turns away is a drop; [shed] counts an overload
    refusal and [engage] makes the upstream slow down *)

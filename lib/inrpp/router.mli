@@ -53,18 +53,18 @@ val create :
   detours:Detour_table.t -> ?link_state:Topology.Link_state.t ->
   ?trace:Chunksim.Trace.t -> ?overload:Overload.Config.t ->
   ?registry:registry -> unit -> t
-(** [link_state] makes the router outage-aware: detour candidates with
-    a down hop are unusable, and a down primary interface routes
-    through the detour set.  Without it every link is assumed up
-    (pre-fault behaviour, bit-identical).  [overload] switches on
-    overload control: the config's admission policy guards the custody
-    store, admissions shed above [shed_threshold], back-pressure
-    engages early at [early_bp_threshold], and detours into pressured
-    neighbours are refused (see {!set_neighbor_pressure}).  Without it
-    (or with {!Overload.Config.off}) behaviour is bit-identical to the
-    legacy path.  [registry] enrols the router in a run's registry;
-    without it the router keeps its own interval count, advanced by
-    {!tick}.
+(** [link_state] is the link view the router reads: detour candidates
+    with a down hop are unusable, and a down primary interface routes
+    through the detour set.  It defaults to a fresh all-up view of the
+    net's graph, which nothing flips.  [overload] (default
+    {!Overload.Config.off}) configures overload control: the config's
+    admission policy guards the custody store, admissions shed above
+    [shed_threshold], back-pressure engages early at
+    [early_bp_threshold], and detours into pressured neighbours are
+    refused (see {!set_neighbor_pressure}); an infinite threshold
+    disables its mechanism.  [registry] enrols the router in a run's
+    registry; without it the router keeps its own interval count,
+    advanced by {!tick}.
     @raise Invalid_argument if [node] is outside [registry]. *)
 
 val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit
@@ -72,8 +72,10 @@ val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit
     capacity, by node id) used to refuse detours into pressured
     neighbours.  Installed by the protocol layer, which owns the
     router array; stands in for the paper's periodic utilisation
-    exchange between one-hop neighbours.  Only consulted when
-    [overload] is active with a finite [neighbor_pressure]. *)
+    exchange between one-hop neighbours.  A detour is refused when
+    its first neighbour's fraction is at or above [overload]'s
+    [neighbor_pressure]; the protocol layer installs the oracle only
+    when that threshold is finite. *)
 
 val install_flow :
   t -> ?content:int -> flow:int -> data_link:Topology.Link.t option ->

@@ -3,13 +3,12 @@
     One record switches on the whole graceful-degradation layer:
     custody admission policy, router load shedding, the receiver
     circuit breaker, and the collapse watchdog.  Everything is off by
-    default — [Inrpp.Protocol.run] without [?overload] behaves exactly
-    as before this layer existed, and {!off} is the same thing spelled
-    as a config (the differential tests pin both). *)
+    default: {!off} is the default of every [?overload] argument, and
+    under it a run is the paper's protocol unchanged. *)
 
 type admission =
   | Drop_tail
-      (** Legacy always-admit behaviour (capacity still bounds). *)
+      (** Always admit while capacity lasts: no policy in the store. *)
   | Object_runs of { threshold : float }
       (** Object-granularity admission: never break a custody run the
           store already committed to; refuse {e new} runs above
@@ -57,8 +56,9 @@ val default : t
     collapse/recovery ratios. *)
 
 val off : t
-(** Every mechanism disabled.  [run ~overload:off] is bit-identical to
-    [run] without the argument. *)
+(** Every mechanism disabled: drop-tail admission, infinite thresholds,
+    an infinite retry budget and no watchdog.  The default of every
+    [?overload] argument. *)
 
 val validate : t -> unit
 (** @raise Invalid_argument on out-of-range fields. *)
@@ -68,7 +68,7 @@ val watchdog_enabled : t -> bool
 
 val policy : t -> Chunksim.Cache.policy option
 (** The cache admission policy this config asks for; [None] for
-    {!Drop_tail} (the legacy no-policy hot path). *)
+    {!Drop_tail}, the store's no-policy path. *)
 
 val admission_name : t -> string
 (** Short label for tables: ["drop-tail"], ["object-runs"],

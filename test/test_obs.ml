@@ -667,6 +667,40 @@ let test_protocol_instrumented_run () =
          | Ok _ -> ()
          | Error e -> Alcotest.failf "export line %S: %s" line e)
 
+(* Per-endpoint metrics export in flow-id order, also when several
+   flows start or end at one node: on a two-host dumbbell the even
+   flows run 2 -> 4 and the odd ones 3 -> 5. *)
+let test_endpoint_metric_order () =
+  let specs =
+    List.init 12 (fun i ->
+        Inrpp.Protocol.flow_spec ~src:(2 + (i mod 2)) ~dst:(4 + (i mod 2)) 4)
+  in
+  let o = Obs.Observer.create () in
+  ignore
+    (Inrpp.Protocol.run ~horizon:5. ~obs:o (Topology.Builders.dumbbell 2)
+       specs);
+  let snapshot = Obs.Observer.snapshot o in
+  let flows = List.init 12 Fun.id in
+  List.iter
+    (fun (name, base) ->
+      let labels =
+        List.filter_map
+          (fun (s : M.sample) ->
+            if s.M.name = name then Some s.M.labels else None)
+          snapshot
+      in
+      Alcotest.(check (list (list (pair string string))))
+        (name ^ " in flow-id order")
+        (List.map
+           (fun f ->
+             [ ("node", string_of_int (base + (f mod 2)));
+               ("flow", string_of_int f) ])
+           flows)
+        labels)
+    [ ("sender_tx_packets_total", 2); ("sender_backlog_chunks", 2);
+      ("sender_in_backpressure", 2); ("receiver_requests_total", 4);
+      ("receiver_duplicates_total", 4); ("receiver_chunks_received", 4) ]
+
 (* The instrumentation stage with the fault, overload and watchdog
    metric sets on: every metric and series, its labels, values and
    registration order, pinned by Digest of the NDJSON export. *)
@@ -743,6 +777,8 @@ let () =
           Alcotest.test_case "install once" `Quick test_observer_install_once;
           Alcotest.test_case "instrumented protocol run" `Quick
             test_protocol_instrumented_run;
+          Alcotest.test_case "endpoint metrics in flow order" `Quick
+            test_endpoint_metric_order;
         ] );
       ( "instrumentation",
         [ Alcotest.test_case "faults and overload pinned" `Quick

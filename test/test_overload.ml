@@ -1,7 +1,5 @@
 (* Overload-control layer: custody admission policies, the receiver
-   circuit breaker, the collapse watchdog, schedule merging, and the
-   config-off differential (Protocol.run ~overload:Config.off must be
-   bit-identical to run without the argument, swept over 50 seeds). *)
+   circuit breaker, the collapse watchdog and schedule merging. *)
 
 module Cache = Chunksim.Cache
 
@@ -18,14 +16,6 @@ let pressure ?(capacity = 10. *. chunk) ?(free = capacity)
     incoming_bits; flows }
 
 let admit p (module P : Cache.POLICY) = P.admit p
-
-let test_drop_tail () =
-  Alcotest.(check bool) "empty store" true (admit (pressure ()) Cache.drop_tail);
-  Alcotest.(check bool) "full store still admits (capacity bounds via `Full)"
-    true
-    (admit
-       (pressure ~custody_bits:(10. *. chunk) ~free:0. ())
-       Cache.drop_tail)
 
 let test_object_runs () =
   let p = Cache.object_runs ~threshold:0.5 () in
@@ -133,6 +123,25 @@ let test_breaker_cycle () =
     (Overload.Breaker.state b = Overload.Breaker.Closed);
   Alcotest.(check bool) "closed retries again" true
     (Overload.Breaker.on_timeout b ~now:3.0 = `Retry)
+
+(* Config.off is every receiver's default: its breaker must never
+   leave Closed, so each barren timeout retries as if there were none,
+   and its store takes no admission policy *)
+let test_breaker_off () =
+  let off = Overload.Config.off in
+  let b =
+    Overload.Breaker.create ~budget:off.Overload.Config.retry_budget
+      ~probe_interval:off.Overload.Config.probe_interval
+  in
+  for i = 1 to 10_000 do
+    if Overload.Breaker.on_timeout b ~now:(float_of_int i) <> `Retry then
+      Alcotest.failf "timeout %d did not retry" i
+  done;
+  Alcotest.(check bool) "still closed" true
+    (Overload.Breaker.state b = Overload.Breaker.Closed);
+  Alcotest.(check int) "no trip" 0 (Overload.Breaker.trips b);
+  Alcotest.(check bool) "no store policy" true
+    (Option.is_none (Overload.Config.policy off))
 
 (* Permanent partition: the breaker caps sends at roughly
    budget + elapsed / probe_interval; without it the receiver's
@@ -298,70 +307,12 @@ let test_schedule_merge () =
     (S.events (S.merge a S.empty) = S.events a)
 
 (* ------------------------------------------------------------------ *)
-(* Config.off differential: 50 seeds, run without ?overload vs with
-   Config.off must produce structurally identical results (the off
-   config gates every mechanism to a no-op) *)
-
-let off_scenario ~seed =
-  let g =
-    Topology.Builders.dumbbell ~access_capacity:10e6
-      ~bottleneck_capacity:2e6 3
-  in
-  let workload =
-    {
-      Workload.Gen.default with
-      Workload.Gen.seed = Int64.of_int (1000 + seed);
-      horizon = 3.;
-      max_requests = 16;
-      objects = 8;
-      chunk_min = 2;
-      chunk_max = 16;
-      rate = 5.;
-      bursts = [ Workload.Arrivals.burst ~at:1. ~duration:1. ~boost:4. ];
-      producers = [ Topology.Node.Host ];
-      consumers = [ Topology.Node.Host ];
-    }
-  in
-  let cfg =
-    {
-      Inrpp.Config.default with
-      Inrpp.Config.cache_bits =
-        30. *. Inrpp.Config.default.Inrpp.Config.chunk_bits;
-    }
-  in
-  let run overload = Inrpp.Protocol.run ~cfg ~horizon:40. ~workload ?overload g [] in
-  let base = run None in
-  let off = run (Some Overload.Config.off) in
-  if base = off then { Check.Differential.equal = true; detail = "" }
-  else
-    {
-      Check.Differential.equal = false;
-      detail =
-        Printf.sprintf
-          "seed %d: overload:off diverged from no-overload (completed %d vs \
-           %d, goodput %.6g vs %.6g, drops %d vs %d)"
-          seed base.Inrpp.Protocol.completed off.Inrpp.Protocol.completed
-          base.Inrpp.Protocol.goodput off.Inrpp.Protocol.goodput
-          base.Inrpp.Protocol.total_drops off.Inrpp.Protocol.total_drops;
-    }
-
-let test_off_differential () =
-  let v =
-    Check.Differential.sweep ~domains:2
-      ~seeds:(List.init 50 (fun i -> i))
-      off_scenario
-  in
-  if not v.Check.Differential.equal then
-    Alcotest.failf "off differential diverged: %s" v.Check.Differential.detail
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "overload"
     [
       ( "admission",
         [
-          Alcotest.test_case "drop-tail" `Quick test_drop_tail;
           Alcotest.test_case "object-runs" `Quick test_object_runs;
           Alcotest.test_case "fair-share" `Quick test_fair_share;
           Alcotest.test_case "policy in store" `Quick test_policy_in_store;
@@ -372,6 +323,7 @@ let () =
           Alcotest.test_case "state cycle" `Quick test_breaker_cycle;
           Alcotest.test_case "bounded under permanent partition" `Quick
             test_breaker_bounded_partition;
+          Alcotest.test_case "off never opens" `Quick test_breaker_off;
         ] );
       ( "watchdog",
         [
@@ -382,9 +334,4 @@ let () =
         ] );
       ( "schedule",
         [ Alcotest.test_case "merge" `Quick test_schedule_merge ] );
-      ( "differential",
-        [
-          Alcotest.test_case "off = absent over 50 seeds" `Quick
-            test_off_differential;
-        ] );
     ]
