@@ -726,6 +726,42 @@ let test_instrumentation_pinned () =
   Alcotest.(check string) "export digest" "2c8e65d7fb3c04b21bf09a64054517ab"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Each baseline run with an observer and one bottleneck outage on the
+   4-flow dumbbell: its series and snapshot export and its result
+   JSON, pinned by Digest per protocol. *)
+let test_baselines_pinned () =
+  let g = Topology.Builders.dumbbell 4 in
+  let link = (Option.get (Topology.Graph.find_link g 0 1)).Topology.Link.id in
+  let faults =
+    Fault.Schedule.(
+      of_list
+        [ { at = 0.2; event = Link_down { link; policy = `Hold_queued } };
+          { at = 0.4; event = Link_up { link } } ])
+  in
+  let specs =
+    List.init 4 (fun i ->
+        Inrpp.Protocol.flow_spec ~start:(0.01 *. float_of_int i) ~src:(2 + i)
+          ~dst:(6 + i) 200)
+  in
+  List.iter
+    (fun (p, expected) ->
+      let o = Obs.Observer.create () in
+      let r =
+        Baselines.Comparison.run_one ~horizon:10. ~obs:o ~faults p g specs
+      in
+      let buf = Buffer.create 65536 in
+      Obs.Export.series_to_ndjson buf (Obs.Observer.series o);
+      Obs.Export.snapshot_to_ndjson buf (Obs.Observer.snapshot o);
+      Buffer.add_string buf (J.to_string (Baselines.Run_result.to_json r));
+      Alcotest.(check string)
+        (Baselines.Comparison.name p ^ " export digest")
+        expected
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [ (Baselines.Comparison.Aimd_proto, "c58c75cbe9ec0df37a1341965f8ca981");
+      (Baselines.Comparison.Mptcp_proto, "16d4ed14b9bad013bcfce1b47d529a1d");
+      (Baselines.Comparison.Rcp_proto, "2142577572fc47958ed24bd045d6b823");
+      (Baselines.Comparison.Hbh_proto, "374e23e62643cb3978198d700b97f2f0") ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -782,5 +818,7 @@ let () =
         ] );
       ( "instrumentation",
         [ Alcotest.test_case "faults and overload pinned" `Quick
-            test_instrumentation_pinned ] );
+            test_instrumentation_pinned;
+          Alcotest.test_case "baselines with an outage pinned" `Quick
+            test_baselines_pinned ] );
     ]
