@@ -2,14 +2,36 @@ module Graph = Topology.Graph
 module Path = Topology.Path
 module Net = Chunksim.Net
 module Packet = Chunksim.Packet
+module Session = Inrpp.Session
 
-type setup = {
-  eng : Sim.Engine.t;
-  net : Chunksim.Net.t;
-  forwarders : Forwarder.t array;
-  paths : Topology.Path.t array array;
-  wire_ids : int array array;
+type flow = {
+  spec : Inrpp.Protocol.flow_spec;
+  sess : Session.t;
+  wires : int array;
+  paths : Path.t array;
 }
+
+type env = {
+  eng : Sim.Engine.t;
+  net : Net.t;
+  forwarders : Forwarder.t array;
+  chunk_bits : float;
+  flows : flow array;
+  every : float -> (unit -> unit) -> unit;
+}
+
+type receiver = {
+  start : unit -> unit;
+  on_data : subflow:int -> int -> unit;
+  on_new : unit -> unit;
+  retransmissions : unit -> int;
+  metrics : (string * (unit -> float)) list;
+  series : (string * (unit -> float)) list;
+}
+
+let request env f ~subflow ~nc ~ack =
+  Net.inject env.net ~at:f.spec.Inrpp.Protocol.dst
+    (Packet.request ~flow:f.wires.(subflow) ~nc ~ack ~ac:nc)
 
 let install_path forwarders g ~wire (path : Path.t) =
   let nodes = Array.of_list path.Path.nodes in
@@ -24,98 +46,53 @@ let install_path forwarders g ~wire (path : Path.t) =
       ~req_link
   done
 
-let prepare ?queue_bits ~paths_per_flow g specs =
-  if paths_per_flow < 1 then invalid_arg "Harness.prepare: paths_per_flow < 1";
-  if specs = [] then invalid_arg "Harness.prepare: no flows";
+(* Up to [paths_per_flow] link-disjoint paths per flow, one wire id per
+   path, allocated densely in flow then path order; every node's
+   handler is its plain forwarder.  Also returns wire -> (flow,
+   subflow). *)
+let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
   let eng = Sim.Engine.create () in
   let net = Net.create ?queue_bits eng g in
   let forwarders =
-    Array.init (Graph.node_count g) (fun node -> Forwarder.create ~net ~node)
+    Array.init (Graph.node_count g) (fun node ->
+        let fwd = Forwarder.create ~net ~node in
+        Net.set_handler net node (Forwarder.handler fwd);
+        fwd)
   in
-  let next_wire = ref 0 in
-  let fresh_wire () =
-    let w = !next_wire in
-    incr next_wire;
-    w
-  in
+  let ends = ref [] and next_wire = ref 0 in
   let flows =
-    List.map
-      (fun (spec : Inrpp.Protocol.flow_spec) ->
-        let candidate_paths =
+    Array.mapi
+      (fun i (spec : Inrpp.Protocol.flow_spec) ->
+        match
           Topology.Yen.k_disjoint g ~k:paths_per_flow spec.Inrpp.Protocol.src
             spec.Inrpp.Protocol.dst
-        in
-        match candidate_paths with
+        with
         | [] ->
           invalid_arg
-            (Printf.sprintf "Harness.prepare: flow %d -> %d unroutable"
+            (Printf.sprintf "Harness.run: flow %d -> %d unroutable"
                spec.Inrpp.Protocol.src spec.Inrpp.Protocol.dst)
         | ps ->
-          let ps = Array.of_list ps in
-          let wires = Array.map (fun _ -> fresh_wire ()) ps in
-          Array.iteri
-            (fun j p -> install_path forwarders g ~wire:wires.(j) p)
-            ps;
-          (ps, wires))
+          let paths = Array.of_list ps in
+          let wires =
+            Array.mapi
+              (fun j p ->
+                let wire = !next_wire in
+                incr next_wire;
+                ends := (i, j) :: !ends;
+                install_path forwarders g ~wire p;
+                wire)
+              paths
+          in
+          {
+            spec;
+            sess = Session.create ~total_chunks:spec.Inrpp.Protocol.chunks;
+            wires;
+            paths;
+          })
       specs
   in
-  {
-    eng;
-    net;
-    forwarders;
-    paths = Array.of_list (List.map fst flows);
-    wire_ids = Array.of_list (List.map snd flows);
-  }
-
-(* Baselines take fault schedules mechanically: interfaces flip,
-   crashed nodes eat packets, bursts drop control traffic.  There is
-   no recovery layer — no detours, no custody — which is exactly what
-   the resilience comparison measures. *)
-let apply_faults ?faults s =
-  match faults with
-  | Some sched when not (Fault.Schedule.is_empty sched) ->
-    ignore (Fault.Driver.install s.net sched : Fault.Driver.t)
-  | Some _ | None -> ()
-
-(* Shared observability wiring for baseline runs: callback metrics on
-   the forwarders and interfaces plus sampled per-interface series
-   (the per-protocol interface series of the comparison runs).
-   Returns the sampler — still stopped — and the protocol label so
-   the caller can add its own flow series before {!Obs.Sampler.start}. *)
-let observe_net o ~protocol ~horizon s =
-  let reg = Obs.Observer.registry o in
-  let proto_label = ("protocol", protocol) in
-  Array.iteri
-    (fun node fwd ->
-      Obs.Metric.callback reg
-        ~labels:[ proto_label; ("node", string_of_int node) ]
-        "forwarder_drops_total"
-        (fun () -> float_of_int (Forwarder.drops fwd)))
-    s.forwarders;
-  Net.iter_ifaces s.net (fun i ->
-      let l = Chunksim.Iface.link i in
-      let labels =
-        [ proto_label; ("link", string_of_int l.Topology.Link.id) ]
-      in
-      let f name fn = Obs.Metric.callback reg ~labels name fn in
-      f "iface_tx_bits_total" (fun () -> Chunksim.Iface.tx_bits i);
-      f "iface_drops_total" (fun () ->
-          float_of_int (Chunksim.Iface.drops i));
-      f "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i));
-  let smp =
-    Obs.Observer.install_sampler o ~eng:s.eng
-      ~default_interval:(horizon /. 200.)
-  in
-  Net.iter_ifaces s.net (fun i ->
-      let l = Chunksim.Iface.link i in
-      let labels =
-        [ proto_label; ("link", string_of_int l.Topology.Link.id) ]
-      in
-      let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
-      track "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i);
-      track "iface_utilisation" (fun () ->
-          Chunksim.Iface.utilisation i ~now:(Sim.Engine.now s.eng)));
-  (smp, proto_label)
+  ( { eng; net; forwarders; chunk_bits; flows; every },
+    Array.of_list (List.rev !ends) )
 
 (* unloaded latency of a path: propagation plus one serialisation per
    hop — the floor against which receivers measure queueing delay *)
@@ -125,153 +102,164 @@ let path_base_delay ~chunk_bits (path : Path.t) =
       acc +. l.Topology.Link.delay +. (chunk_bits /. l.Topology.Link.capacity))
     0. path.Path.links
 
-let run_pull ~protocol ~coupled ~paths_per_flow ?(chunk_bits = 10e3 *. 8.)
-    ?queue_bits ?(horizon = 120.) ?obs ?faults g specs =
-  let s = prepare ?queue_bits ~paths_per_flow g specs in
-  apply_faults ?faults s;
-  let specs_arr = Array.of_list specs in
-  let nflows = Array.length specs_arr in
+(* Callback metrics on the forwarders and interfaces plus sampled
+   per-interface series; returns the installed sampler, not started. *)
+let observe_net o ~proto_label env ~horizon =
+  let reg = Obs.Observer.registry o in
+  Array.iteri
+    (fun node fwd ->
+      Obs.Metric.callback reg
+        ~labels:[ proto_label; ("node", string_of_int node) ]
+        "forwarder_drops_total"
+        (fun () -> float_of_int (Forwarder.drops fwd)))
+    env.forwarders;
+  let link_labels i =
+    [ proto_label;
+      ("link", string_of_int (Chunksim.Iface.link i).Topology.Link.id) ]
+  in
+  Net.iter_ifaces env.net (fun i ->
+      let f name fn = Obs.Metric.callback reg ~labels:(link_labels i) name fn in
+      f "iface_tx_bits_total" (fun () -> Chunksim.Iface.tx_bits i);
+      f "iface_drops_total" (fun () ->
+          float_of_int (Chunksim.Iface.drops i));
+      f "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i));
+  let smp =
+    Obs.Observer.install_sampler o ~eng:env.eng
+      ~default_interval:(horizon /. 200.)
+  in
+  Net.iter_ifaces env.net (fun i ->
+      let track name fn =
+        ignore (Obs.Sampler.track smp ~labels:(link_labels i) name fn)
+      in
+      track "iface_queue_bits" (fun () -> Chunksim.Iface.queue_occupancy i);
+      track "iface_utilisation" (fun () ->
+          Chunksim.Iface.utilisation i ~now:(Sim.Engine.now env.eng)));
+  smp
+
+let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
+    ?(horizon = 120.) ?obs ?faults receivers g specs =
+  if paths_per_flow < 1 then invalid_arg "Harness.run: paths_per_flow < 1";
+  if specs = [] then invalid_arg "Harness.run: no flows";
+  let specs = Array.of_list specs in
+  Array.iter (Inrpp.Protocol.check_spec "Harness.run") specs;
+  let ticks = ref [] in
+  let env, ends =
+    prepare ?queue_bits ~paths_per_flow ~chunk_bits
+      ~every:(fun interval f -> ticks := (interval, f) :: !ticks)
+      g specs
+  in
+  let eng = env.eng and flows = env.flows in
+  (match faults with
+  | Some sched when not (Fault.Schedule.is_empty sched) ->
+    ignore (Fault.Driver.install env.net sched : Fault.Driver.t)
+  | Some _ | None -> ());
+  let nflows = Array.length flows in
+  let proto_label = ("protocol", protocol) in
+  let flow_labels i = [ proto_label; ("flow", string_of_int i) ] in
+  (* receiver-side distributions, only when observed: queueing delay per
+     delivered chunk, then FCT per completed flow *)
+  let observe_chunk, observe_fct =
+    match obs with
+    | None -> ((fun ~wire:_ ~born:_ -> ()), fun _ -> ())
+    | Some o ->
+      let reg = Obs.Observer.registry o in
+      let qdelay =
+        Array.init nflows (fun i ->
+            Obs.Metric.histogram reg ~labels:(flow_labels i) ~lo:0. ~hi:10.
+              ~bins:50 "chunk_queueing_delay_seconds")
+      in
+      let base =
+        Array.map
+          (fun (i, j) -> path_base_delay ~chunk_bits flows.(i).paths.(j))
+          ends
+      in
+      let fct =
+        Obs.Metric.histogram reg ~labels:[ proto_label ] ~lo:0. ~hi:horizon
+          ~bins:64 "flow_fct_seconds"
+      in
+      ( (fun ~wire ~born ->
+          let d = Sim.Engine.now eng -. born -. base.(wire) in
+          Obs.Metric.observe qdelay.(fst ends.(wire)) (Float.max 0. d)),
+        Obs.Metric.observe fct )
+  in
   let fcts = Array.make nflows None in
   let completed = ref 0 in
   let finished_at = ref None in
-  (* receiver-side distribution metrics (only when observed): FCT per
-     completed flow, and queueing delay per delivered chunk — arrival
-     time minus the send timestamp minus the subflow path's unloaded
-     latency *)
-  let fct_hist, qdelay_by_wire =
-    match obs with
-    | None -> (None, None)
-    | Some o ->
-      let reg = Obs.Observer.registry o in
-      let proto_label = ("protocol", protocol) in
-      let by_wire = Hashtbl.create 32 in
-      Array.iteri
-        (fun i wires ->
-          let h =
-            Obs.Metric.histogram reg
-              ~labels:[ proto_label; ("flow", string_of_int i) ]
-              ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds"
-          in
-          Array.iteri
-            (fun j wire ->
-              Hashtbl.replace by_wire wire
-                (path_base_delay ~chunk_bits s.paths.(i).(j), h))
-            wires)
-        s.wire_ids;
-      ( Some
-          (Obs.Metric.histogram reg ~labels:[ proto_label ] ~lo:0.
-             ~hi:horizon ~bins:64 "flow_fct_seconds"),
-        Some by_wire )
+  let receivers = receivers env in
+  let deliver ~wire idx =
+    let i, subflow = ends.(wire) in
+    let f = flows.(i) and r = receivers.(i) in
+    if not (Session.is_complete f.sess) then begin
+      r.on_data ~subflow idx;
+      match Session.receive f.sess idx with
+      | `New when Session.is_complete f.sess ->
+        let now = Sim.Engine.now eng in
+        let fct = now -. f.spec.Inrpp.Protocol.start in
+        fcts.(i) <- Some fct;
+        observe_fct fct;
+        incr completed;
+        if !completed = nflows then finished_at := Some now
+      | `New -> r.on_new ()
+      | `Duplicate -> ()
+    end
   in
-  (* producers: wire id -> responder *)
-  let producers : (int, Packet.t -> unit) Hashtbl.t = Hashtbl.create 32 in
-  (* consumers: wire id -> (puller, subflow index) *)
-  let consumers : (int, Puller.t * int) Hashtbl.t = Hashtbl.create 32 in
-  let pullers =
-    Array.init nflows (fun i ->
-        let spec = specs_arr.(i) in
-        let wires = s.wire_ids.(i) in
-        let subflow_request =
-          Array.map
-            (fun _wire _j (p : Packet.t) ->
-              Net.inject s.net ~at:spec.Inrpp.Protocol.dst p)
-            wires
-        in
-        let puller =
-          Puller.create ~eng:s.eng ~chunk_bits
-            ~total_chunks:spec.Inrpp.Protocol.chunks ~coupled
-            ~subflow_request ~wire_ids:wires
-            ~on_complete:(fun ~fct ->
-              fcts.(i) <- Some fct;
-              (match fct_hist with
-              | Some h -> Obs.Metric.observe h fct
-              | None -> ());
-              incr completed;
-              if !completed = nflows then
-                finished_at := Some (Sim.Engine.now s.eng))
-        in
-        Array.iteri
-          (fun j wire ->
-            Hashtbl.replace consumers wire (puller, j);
-            let src_forwarder = s.forwarders.(spec.Inrpp.Protocol.src) in
-            Hashtbl.replace producers wire (fun (p : Packet.t) ->
-                match p.Packet.header with
-                | Packet.Request { nc; _ } ->
-                  if nc < spec.Inrpp.Protocol.chunks then
-                    Forwarder.originate_data src_forwarder
-                      (Packet.data ~flow:wire ~idx:nc
-                         ~born:(Sim.Engine.now s.eng) chunk_bits)
-                | Packet.Data _ | Packet.Backpressure _ -> ()))
-          wires;
-        puller)
-  in
-  (* endpoint hooks *)
-  Array.iteri
-    (fun node fwd ->
+  (* endpoints: a producer answers a request from the flow's source, a
+     consumer hands data to the flow's receiver *)
+  Array.iter
+    (fun fwd ->
       Forwarder.set_local_producer fwd (fun p ->
-          match Hashtbl.find_opt producers (Packet.flow p) with
-          | Some respond -> respond p
-          | None -> ());
-      let observe_data =
-        match qdelay_by_wire with
-        | None -> fun (_ : Packet.t) -> ()
-        | Some by_wire ->
-          fun (p : Packet.t) -> (
-            match p.Packet.header with
-            | Packet.Data { flow; born; _ } -> (
-              match Hashtbl.find_opt by_wire flow with
-              | Some (base, h) ->
-                let d = Sim.Engine.now s.eng -. born -. base in
-                Obs.Metric.observe h (Float.max 0. d)
-              | None -> ())
-            | _ -> ())
-      in
+          match p.Packet.header with
+          | Packet.Request { nc; _ } ->
+            let wire = Packet.flow p in
+            let spec = flows.(fst ends.(wire)).spec in
+            if nc < spec.Inrpp.Protocol.chunks then
+              Forwarder.originate_data
+                env.forwarders.(spec.Inrpp.Protocol.src)
+                (Packet.data ~flow:wire ~idx:nc ~born:(Sim.Engine.now eng)
+                   chunk_bits)
+          | Packet.Data _ | Packet.Backpressure _ -> ());
       Forwarder.set_local_consumer fwd (fun p ->
-          observe_data p;
-          match Hashtbl.find_opt consumers (Packet.flow p) with
-          | Some (puller, j) -> Puller.handle_data puller ~subflow:j p
-          | None -> ());
-      Net.set_handler s.net node (Forwarder.handler fwd))
-    s.forwarders;
-  (* observability: the baseline stack has no trace, so an observer
-     gets callback metrics, sampled series and the receiver-side
-     histograms only *)
+          match p.Packet.header with
+          | Packet.Data { flow; idx; born; _ } ->
+            observe_chunk ~wire:flow ~born;
+            deliver ~wire:flow idx
+          | Packet.Request _ | Packet.Backpressure _ -> ()))
+    env.forwarders;
   (match obs with
   | None -> ()
   | Some o ->
     let reg = Obs.Observer.registry o in
-    let smp, proto_label = observe_net o ~protocol ~horizon s in
+    let smp = observe_net o ~proto_label env ~horizon in
     Array.iteri
-      (fun i p ->
-        let labels = [ proto_label; ("flow", string_of_int i) ] in
-        let f name fn = Obs.Metric.callback reg ~labels name fn in
-        f "puller_retransmissions_total" (fun () ->
-            float_of_int (Puller.retransmissions p));
-        f "puller_loss_events_total" (fun () ->
-            float_of_int (Puller.loss_events p));
-        f "puller_chunks_received" (fun () ->
-            float_of_int (Puller.received p));
-        ignore
-          (Obs.Sampler.track smp ~labels "chunks_received" (fun () ->
-               float_of_int (Puller.received p))))
-      pullers;
+      (fun i r ->
+        let labels = flow_labels i in
+        List.iter
+          (fun (name, fn) -> Obs.Metric.callback reg ~labels name fn)
+          r.metrics;
+        List.iter
+          (fun (name, fn) -> ignore (Obs.Sampler.track smp ~labels name fn))
+          (r.series
+          @ [ ("chunks_received",
+                fun () -> float_of_int (Session.received_count flows.(i).sess)) ]))
+      receivers;
     Obs.Sampler.start ~stop:(fun () -> !completed = nflows) smp);
-  (* flow starts *)
-  Array.iteri
-    (fun i spec ->
+  List.iter
+    (fun (interval, f) ->
       ignore
-        (Sim.Engine.schedule s.eng ~delay:spec.Inrpp.Protocol.start (fun () ->
-             Puller.start pullers.(i))))
-    specs_arr;
-  Sim.Engine.run ~until:horizon s.eng;
-  let sim_time =
-    match !finished_at with
-    | Some tm -> tm
-    | None -> Sim.Engine.now s.eng
-  in
+        (Sim.Engine.schedule_periodic eng ~interval (fun () ->
+             f ();
+             !completed < nflows)))
+    (List.rev !ticks);
+  Array.iteri
+    (fun i f ->
+      ignore
+        (Sim.Engine.schedule eng ~delay:f.spec.Inrpp.Protocol.start
+           receivers.(i).start))
+    flows;
+  Sim.Engine.run ~until:horizon eng;
   Run_result.make ~protocol ~fcts ~chunk_bits
-    ~chunks:(Array.map (fun sp -> sp.Inrpp.Protocol.chunks) specs_arr)
-    ~drops:(Array.fold_left (fun acc f -> acc + Forwarder.drops f) 0 s.forwarders)
+    ~chunks:(Array.map (fun f -> f.spec.Inrpp.Protocol.chunks) flows)
+    ~drops:(Array.fold_left (fun acc f -> acc + Forwarder.drops f) 0 env.forwarders)
     ~retransmissions:
-      (Array.fold_left (fun acc p -> acc + Puller.retransmissions p) 0 pullers)
-    ~sim_time
+      (Array.fold_left (fun acc r -> acc + r.retransmissions ()) 0 receivers)
+    ~sim_time:(Option.value !finished_at ~default:(Sim.Engine.now eng))

@@ -1,62 +1,83 @@
-(** Shared plumbing for the baseline transports: builds the
-    store-and-forward network, installs per-subflow routing state,
-    wires producers/consumers and runs the engine. *)
+(** The one run driver of the baseline transports.
 
-type setup = {
+    {!run} checks every flow spec, builds the store-and-forward network
+    (up to [paths_per_flow] link-disjoint paths per flow, one wire flow
+    id per path), installs the faults, the per-flow sessions and
+    completion bookkeeping, the producer and consumer endpoints and the
+    observer's metrics; then it schedules the flow starts, runs the
+    engine and assembles the {!Run_result.t}.  A protocol supplies only
+    its receivers: the pull window ({!Puller}) for {!Aimd} and
+    {!Mptcp}, rate pacing for {!Rcp}, request shapers for {!Hbh}. *)
+
+type flow = {
+  spec : Inrpp.Protocol.flow_spec;
+  sess : Inrpp.Session.t;  (** the chunks delivered so far *)
+  wires : int array;
+      (** wire flow id of each subflow; ids run densely from 0 in flow
+          then subflow order *)
+  paths : Topology.Path.t array;  (** the path of each subflow *)
+}
+
+type env = {
   eng : Sim.Engine.t;
   net : Chunksim.Net.t;
   forwarders : Forwarder.t array;
-  paths : Topology.Path.t array array;  (** [paths.(flow).(subflow)] *)
-  wire_ids : int array array;           (** matching wire flow ids *)
+      (** per node; each is the node's handler unless a protocol
+          replaces it with {!Chunksim.Net.set_handler} *)
+  chunk_bits : float;
+  flows : flow array;
+  every : float -> (unit -> unit) -> unit;
+      (** [every interval f] runs [f] every [interval] seconds, from
+          before the first flow start until every flow has completed *)
 }
 
-val prepare :
-  ?queue_bits:float -> paths_per_flow:int -> Topology.Graph.t ->
-  Inrpp.Protocol.flow_spec list -> setup
-(** Computes up to [paths_per_flow] link-disjoint paths per flow (at
-    least one — @raise Invalid_argument when unroutable), allocates
-    wire ids and installs forwarding state.
-    @raise Invalid_argument if [paths_per_flow < 1] or no flows. *)
+type receiver = {
+  start : unit -> unit;  (** at the flow's start time *)
+  on_data : subflow:int -> int -> unit;
+      (** chunk [idx] arrived on [subflow] of an incomplete flow, before
+          the session records it *)
+  on_new : unit -> unit;
+      (** the session recorded a new chunk and the flow is still
+          incomplete *)
+  retransmissions : unit -> int;
+  metrics : (string * (unit -> float)) list;
+      (** per-flow callback metrics, registered in this order *)
+  series : (string * (unit -> float)) list;
+      (** per-flow sampled series, tracked in this order before the
+          shared [chunks_received] *)
+}
 
-val observe_net :
-  Obs.Observer.t -> protocol:string -> horizon:float -> setup ->
-  Obs.Sampler.t * (string * string)
-(** Register the network-level instrumentation every baseline shares:
-    callback metrics ([forwarder_drops_total], per-link [iface_*]) and
-    sampled per-interface [iface_queue_bits] / [iface_utilisation]
-    series, all labelled [("protocol", protocol)].  Installs the
-    observer's sampler (at [horizon /. 200.] by default) but does not
-    start it; returns it with the protocol label so the caller can add
-    flow series, then call {!Obs.Sampler.start}. *)
+val request : env -> flow -> subflow:int -> nc:int -> ack:int -> unit
+(** Inject at the flow's consumer a request for chunk [nc] on
+    [subflow]'s wire. *)
 
-val apply_faults : ?faults:Fault.Schedule.t -> setup -> unit
-(** Install a fault schedule on the prepared network: purely
-    mechanical (interfaces flip, crashed nodes destroy arriving
-    packets, bursts drop Request/Backpressure traffic).  The baselines
-    have no in-network recovery, so their response to faults is
-    whatever their end-to-end loss recovery does — the comparison the
-    resilience experiment draws.  No-op for an empty/absent
-    schedule. *)
-
-val path_base_delay : chunk_bits:float -> Topology.Path.t -> float
-(** Unloaded latency of a path: propagation plus one serialisation
-    per hop — the floor receivers subtract when histogramming
-    queueing delay. *)
-
-val run_pull :
-  protocol:string -> coupled:bool -> paths_per_flow:int ->
-  ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
-  ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
+val run :
+  protocol:string -> paths_per_flow:int -> ?chunk_bits:float ->
+  ?queue_bits:float -> ?horizon:float -> ?obs:Obs.Observer.t ->
+  ?faults:Fault.Schedule.t -> (env -> receiver array) -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** Window-driven pull transport over the prepared network (see
-    {!Puller}); the engine of both {!Aimd} and {!Mptcp}.
-    Defaults: 10 kB chunks, 64-chunk queues, 120 s horizon.
+(** [run ~protocol ~paths_per_flow receivers g specs] calls
+    [receivers] once, after the network and sessions exist, for one
+    receiver per flow in [env.flows] order.  Defaults: 10 kB chunks,
+    64-chunk queues, 120 s horizon.
 
-    [obs] instruments the run with callback metrics
-    ([forwarder_drops_total], [puller_retransmissions_total],
-    [puller_loss_events_total], [puller_chunks_received], per-link
-    [iface_*]) and sampled [iface_queue_bits] / [iface_utilisation] /
-    per-flow [chunks_received] series, all labelled with [protocol],
-    plus receiver-side distributions: [flow_fct_seconds] and per-flow
-    [chunk_queueing_delay_seconds] histograms.  The baseline stack
-    has no packet trace, so the observer's sinks are not attached. *)
+    Faults apply mechanically: interfaces flip, crashed nodes destroy
+    arriving packets, bursts drop control traffic.  The baselines have
+    no in-network recovery, so their response is whatever their
+    end-to-end loss recovery does, which is what the resilience
+    experiment compares.
+
+    [obs] instruments the run, every metric and series labelled
+    [("protocol", protocol)]: per-flow [chunk_queueing_delay_seconds]
+    histograms (arrival minus send time minus the subflow path's
+    unloaded latency), a [flow_fct_seconds] histogram, callback
+    metrics [forwarder_drops_total] per node and [iface_tx_bits_total],
+    [iface_drops_total] and [iface_queue_bits] per link, sampled
+    [iface_queue_bits] and [iface_utilisation] per link, then each
+    flow's [receiver.metrics], [receiver.series] and
+    [chunks_received].  The sampler runs at [horizon /. 200.] unless
+    the observer sets an interval.  The baseline stack has no packet
+    trace, so the observer's sinks are not attached.
+    @raise Invalid_argument if [paths_per_flow < 1], there are no
+    flows, a spec breaks {!Inrpp.Protocol.check_spec}'s rule, or a
+    flow is unroutable. *)

@@ -1,240 +1,110 @@
 module Packet = Chunksim.Packet
-module Net = Chunksim.Net
 module Link = Topology.Link
+module Session = Inrpp.Session
 
 (* Per-node, per-flow shaping state: requests queue here and leave
    paced at the flow's share of its data link. *)
 type shaper = {
   rq : Packet.t Queue.t;
   mutable busy : bool;
-  pace_gap : float;          (* seconds between forwarded requests *)
-  forward : Packet.t -> unit;
+  pace_gap : float;  (* seconds between forwarded requests *)
 }
 
-type node_state = {
-  shapers : (int, shaper) Hashtbl.t;
-  data_links : (int, Link.t option) Hashtbl.t;  (* flow -> downstream link *)
-}
+(* interests each consumer keeps in flight *)
+let window = 32
 
-let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.) ?obs ?faults
-    g specs =
-  let s = Harness.prepare ?queue_bits ~paths_per_flow:1 g specs in
-  Harness.apply_faults ?faults s;
-  let eng = s.Harness.eng in
-  let specs_arr = Array.of_list specs in
-  let nflows = Array.length specs_arr in
-  let fcts = Array.make nflows None in
-  let completed = ref 0 in
-  let finished_at = ref None in
-  (* receiver-side distributions (only when observed) *)
-  let base_delay =
-    Array.init nflows (fun i ->
-        Harness.path_base_delay ~chunk_bits s.Harness.paths.(i).(0))
-  in
-  let fct_hist, qdelay_hist =
-    match obs with
-    | None -> (None, None)
-    | Some o ->
-      let reg = Obs.Observer.registry o in
-      let proto_label = ("protocol", "HBH") in
-      ( Some
-          (Obs.Metric.histogram reg ~labels:[ proto_label ] ~lo:0.
-             ~hi:horizon ~bins:64 "flow_fct_seconds"),
-        Some
-          (Array.init nflows (fun i ->
-               Obs.Metric.histogram reg
-                 ~labels:[ proto_label; ("flow", string_of_int i) ]
-                 ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds")) )
-  in
+let receivers g (env : Harness.env) =
+  let eng = env.Harness.eng and chunk_bits = env.Harness.chunk_bits in
+  let flows = env.Harness.flows in
   (* how many flows send data over each directed link: the processor
      sharing denominator of the shaper *)
-  let flows_on_link = Hashtbl.create 32 in
+  let sharers = Array.make (Topology.Graph.link_count g) 0 in
   Array.iter
-    (fun paths ->
+    (fun (f : Harness.flow) ->
       List.iter
-        (fun (l : Link.t) ->
-          Hashtbl.replace flows_on_link l.Link.id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt flows_on_link l.Link.id)))
-        paths.(0).Topology.Path.links)
-    s.Harness.paths;
-  let states =
-    Array.init (Topology.Graph.node_count g) (fun _ ->
-        { shapers = Hashtbl.create 4; data_links = Hashtbl.create 4 })
+        (fun (l : Link.t) -> sharers.(l.Link.id) <- sharers.(l.Link.id) + 1)
+        f.Harness.paths.(0).Topology.Path.links)
+    flows;
+  (* [shapers.(node).(wire)], made at the node's first request on the
+     wire; with one path per flow, wire [i] is flow [i] *)
+  let shapers =
+    Array.map (fun _ -> Array.make (Array.length flows) None) env.Harness.forwarders
   in
-  (* sessions at the consumers *)
-  let sessions = Array.make nflows None in
-  let retx = ref 0 in
-  (* endpoint dispatch by wire id (single subflow: wire = flow index) *)
-  let producers : (int, Packet.t -> unit) Hashtbl.t = Hashtbl.create 16 in
-  let consumers : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  Array.iteri
-    (fun i spec ->
-      let wire = s.Harness.wire_ids.(i).(0) in
-      let path = s.Harness.paths.(i).(0) in
-      sessions.(i) <-
-        Some (Inrpp.Session.create ~total_chunks:spec.Inrpp.Protocol.chunks);
-      Hashtbl.replace consumers wire i;
-      let src_fwd = s.Harness.forwarders.(spec.Inrpp.Protocol.src) in
-      Hashtbl.replace producers wire (fun (p : Packet.t) ->
-          match p.Packet.header with
-          | Packet.Request { nc; _ } when nc < spec.Inrpp.Protocol.chunks ->
-            Forwarder.originate_data src_fwd
-              (Packet.data ~flow:wire ~idx:nc ~born:(Sim.Engine.now eng)
-                 chunk_bits)
-          | _ -> ());
-      (* register the flow's data link at every path node so shapers
-         know their pacing denominator *)
-      let nodes = Array.of_list path.Topology.Path.nodes in
-      let links = Array.of_list path.Topology.Path.links in
-      Array.iteri
-        (fun k node ->
-          Hashtbl.replace states.(node).data_links wire
-            (if k < Array.length links then Some links.(k) else None))
-        nodes)
-    specs_arr;
-  (* shaped request relay installed on every node handler *)
-  let rec service sh =
+  let shaper_for node wire =
+    match shapers.(node).(wire) with
+    | Some sh -> sh
+    | None ->
+      let pace_gap =
+        match
+          List.find_opt
+            (fun (l : Link.t) -> l.Link.src = node)
+            flows.(wire).Harness.paths.(0).Topology.Path.links
+        with
+        | Some l ->
+          chunk_bits
+          /. (l.Link.capacity /. float_of_int (max 1 sharers.(l.Link.id)))
+        | None -> 0.
+      in
+      let sh =
+        { rq = Queue.create (); busy = false; pace_gap = Float.max 1e-6 pace_gap }
+      in
+      shapers.(node).(wire) <- Some sh;
+      sh
+  in
+  let rec service fwd sh =
     if not sh.busy then begin
       match Queue.take_opt sh.rq with
       | None -> ()
       | Some p ->
         sh.busy <- true;
-        sh.forward p;
+        Forwarder.handler fwd ~from:None p;
         ignore
           (Sim.Engine.schedule eng ~delay:sh.pace_gap (fun () ->
                sh.busy <- false;
-               service sh))
+               service fwd sh))
     end
   in
-  let shaper_for node wire =
-    let st = states.(node) in
-    match Hashtbl.find_opt st.shapers wire with
-    | Some sh -> sh
-    | None ->
-      let pace_gap =
-        match Hashtbl.find_opt st.data_links wire with
-        | Some (Some l) ->
-          let sharers =
-            Option.value ~default:1 (Hashtbl.find_opt flows_on_link l.Link.id)
-          in
-          chunk_bits /. (l.Link.capacity /. float_of_int (max 1 sharers))
-        | _ -> 0.
-      in
-      let fwd = s.Harness.forwarders.(node) in
-      let sh =
-        {
-          rq = Queue.create ();
-          busy = false;
-          pace_gap = Float.max 1e-6 pace_gap;
-          forward =
-            (fun p ->
-              (* reuse the plain forwarder's request routing *)
-              let h = Forwarder.handler fwd in
-              h ~from:None p);
-        }
-      in
-      Hashtbl.replace st.shapers wire sh;
-      sh
-  in
+  (* the one handler override: requests queue for shaping, everything
+     else forwards plainly *)
   Array.iteri
     (fun node fwd ->
-      Forwarder.set_local_producer fwd (fun p ->
-          match Hashtbl.find_opt producers (Packet.flow p) with
-          | Some respond -> respond p
-          | None -> ());
-      Forwarder.set_local_consumer fwd (fun p ->
-          match p.Packet.header, Hashtbl.find_opt consumers (Packet.flow p) with
-          | Packet.Data { idx; born; _ }, Some i -> begin
-            (match qdelay_hist with
-            | Some hs ->
-              let d = Sim.Engine.now eng -. born -. base_delay.(i) in
-              Obs.Metric.observe hs.(i) (Float.max 0. d)
-            | None -> ());
-            match sessions.(i) with
-            | Some sess when not (Inrpp.Session.is_complete sess) -> begin
-              match Inrpp.Session.receive sess idx with
-              | `New ->
-                if Inrpp.Session.is_complete sess then begin
-                  let now = Sim.Engine.now eng in
-                  let fct = now -. specs_arr.(i).Inrpp.Protocol.start in
-                  fcts.(i) <- Some fct;
-                  (match fct_hist with
-                  | Some h -> Obs.Metric.observe h fct
-                  | None -> ());
-                  incr completed;
-                  if !completed = nflows then finished_at := Some now
-                end
-              | `Duplicate -> ()
-            end
-            | _ -> ()
-          end
-          | _ -> ());
-      (* intercept requests for shaping; everything else forwards plainly *)
-      Net.set_handler s.Harness.net node (fun ~from p ->
+      Chunksim.Net.set_handler env.Harness.net node (fun ~from p ->
           match p.Packet.header with
           | Packet.Request _ ->
             let sh = shaper_for node (Packet.flow p) in
             Queue.add p sh.rq;
-            service sh
+            service fwd sh
           | Packet.Data _ | Packet.Backpressure _ ->
             Forwarder.handler fwd ~from p))
-    s.Harness.forwarders;
-  (* observability: shared net series plus per-flow progress *)
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let smp, proto_label = Harness.observe_net o ~protocol:"HBH" ~horizon s in
-    Array.iteri
-      (fun i _ ->
-        let labels = [ proto_label; ("flow", string_of_int i) ] in
-        ignore
-          (Obs.Sampler.track smp ~labels "chunks_received" (fun () ->
-               match sessions.(i) with
-               | Some sess ->
-                 float_of_int (Inrpp.Session.received_count sess)
-               | None -> 0.)))
-      specs_arr;
-    Obs.Sampler.start ~stop:(fun () -> !completed = nflows) smp);
-  (* consumers: window of outstanding interests, self-clocked; the
-     shapers inside the network do the congestion control *)
-  let window = 32 in
-  Array.iteri
-    (fun i spec ->
-      let wire = s.Harness.wire_ids.(i).(0) in
-      let dst = spec.Inrpp.Protocol.dst in
+    env.Harness.forwarders;
+  (* consumers: [window] interests in flight, topped up by a periodic
+     refresh rather than per arrival, which keeps the data path simple;
+     the shapers inside the network do the congestion control *)
+  Array.map
+    (fun (f : Harness.flow) ->
       let next = ref 0 in
-      let request idx =
-        Net.inject s.Harness.net ~at:dst
-          (Packet.request ~flow:wire ~nc:idx ~ack:0 ~ac:idx)
-      in
       let rec top_up () =
-        match sessions.(i) with
-        | Some sess when not (Inrpp.Session.is_complete sess) ->
-          (* keep [window] interests in flight: one new request per
-             arrival is triggered from a periodic refresh to keep the
-             code simple and allocation-free on the data path *)
-          let in_flight = !next - Inrpp.Session.received_count sess in
-          if in_flight < window && !next < spec.Inrpp.Protocol.chunks then begin
-            request !next;
+        if not (Session.is_complete f.Harness.sess) then begin
+          if
+            !next - Session.received_count f.Harness.sess < window
+            && !next < f.Harness.spec.Inrpp.Protocol.chunks
+          then begin
+            Harness.request env f ~subflow:0 ~nc:!next ~ack:0;
             incr next
           end;
           ignore (Sim.Engine.schedule eng ~delay:(chunk_bits /. 10e6) top_up)
-        | _ -> ()
+        end
       in
-      ignore
-        (Sim.Engine.schedule eng ~delay:spec.Inrpp.Protocol.start (fun () ->
-             top_up ())))
-    specs_arr;
-  Sim.Engine.run ~until:horizon eng;
-  let sim_time =
-    match !finished_at with
-    | Some tm -> tm
-    | None -> Sim.Engine.now eng
-  in
-  Run_result.make ~protocol:"HBH" ~fcts ~chunk_bits
-    ~chunks:(Array.map (fun sp -> sp.Inrpp.Protocol.chunks) specs_arr)
-    ~drops:
-      (Array.fold_left
-         (fun acc f -> acc + Forwarder.drops f)
-         0 s.Harness.forwarders)
-    ~retransmissions:!retx ~sim_time
+      {
+        Harness.start = top_up;
+        on_data = (fun ~subflow:_ _ -> ());
+        on_new = ignore;
+        retransmissions = (fun () -> 0);
+        metrics = [];
+        series = [];
+      })
+    flows
+
+let run ?chunk_bits ?queue_bits ?horizon ?obs ?faults g specs =
+  Harness.run ~protocol:"HBH" ~paths_per_flow:1 ?chunk_bits ?queue_bits
+    ?horizon ?obs ?faults (receivers g) g specs

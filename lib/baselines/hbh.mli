@@ -11,14 +11,14 @@
     or in-network storage.
 
     Lossless like INRPP (data is never sent faster than it can
-    drain), but no faster than the bottleneck. *)
+    drain), but no faster than the bottleneck.  The shapers are the
+    one handler it installs over {!Harness.run}'s plain forwarders;
+    its receivers keep a fixed window of interests in flight and
+    never retransmit. *)
 
 val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
   ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** Defaults as in {!Harness.run_pull}.  [obs] adds the shared network
-    series (see {!Harness.observe_net}), a sampled per-flow
-    [chunks_received] series, and receiver-side [flow_fct_seconds] /
-    [chunk_queueing_delay_seconds] histograms, labelled
-    [("protocol", "HBH")]. *)
+(** Defaults and instrumentation as in {!Harness.run}, labelled
+    [protocol=HBH]. *)

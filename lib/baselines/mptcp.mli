@@ -6,16 +6,15 @@
     across {e end-to-end} paths only: no in-network detours, no
     custody.
 
-    Like {!Aimd}, this is a parameter-only preset over
-    {!Harness.run_pull}: the coupled linked-increase lives in
-    {!Puller} (keyed on [coupled = true]), path diversity in
-    {!Harness.prepare}'s disjoint-path setup. *)
+    Like {!Aimd}, a parameter-only preset over {!Harness.run} and
+    {!Puller}: the coupled linked-increase lives in {!Puller} (keyed on
+    [coupled = true]), path diversity in {!Harness.run}'s
+    disjoint-path set-up. *)
 
 val run :
   ?subflows:int -> ?chunk_bits:float -> ?queue_bits:float ->
   ?horizon:float -> ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
 (** [subflows] defaults to 2 (fewer when the topology offers fewer
-    disjoint paths).  [obs] is forwarded to {!Harness.run_pull}, so an
-    instrumented MPTCP run emits the same metric and series names
-    (labelled [protocol=MPTCP]) as the other baselines. *)
+    disjoint paths).  Defaults and instrumentation as in
+    {!Harness.run}, labelled [protocol=MPTCP]. *)

@@ -1,168 +1,135 @@
-module Packet = Chunksim.Packet
+module Session = Inrpp.Session
 
-type sub = {
-  win : Window.t;
-  outstanding : (int, float) Hashtbl.t;
-  wire : int;
-  send : int -> Packet.t -> unit;   (* subflow index baked in by caller *)
-  index : int;
-}
-
-type t = {
-  eng : Sim.Engine.t;
-  total_chunks : int;
-  sess : Inrpp.Session.t;
-  coupled : bool;
-  subs : sub array;
+type fetch = {
+  sess : Session.t;
   retry : int Queue.t;
   retry_set : (int, unit) Hashtbl.t;
-  on_complete : fct:float -> unit;
   mutable next_seq : int;
-  mutable started : float option;
-  mutable finished : bool;
   mutable retx : int;
 }
 
-let create ~eng ~chunk_bits:_ ~total_chunks ~coupled ~subflow_request
-    ~wire_ids ~on_complete =
-  let n = Array.length subflow_request in
-  if n = 0 then invalid_arg "Puller.create: no subflows";
-  if Array.length wire_ids <> n then
-    invalid_arg "Puller.create: wire_ids length mismatch";
+let fetch sess =
   {
-    eng;
-    total_chunks;
-    sess = Inrpp.Session.create ~total_chunks;
-    coupled;
-    subs =
-      Array.init n (fun j ->
-          {
-            win = Window.create ();
-            outstanding = Hashtbl.create 32;
-            wire = wire_ids.(j);
-            send = subflow_request.(j);
-            index = j;
-          });
+    sess;
     retry = Queue.create ();
     retry_set = Hashtbl.create 8;
-    on_complete;
     next_seq = 0;
-    started = None;
-    finished = false;
     retx = 0;
   }
 
-let total_window t =
-  Array.fold_left (fun acc s -> acc +. Window.size s.win) 0. t.subs
-
-(* next chunk index to fetch: retries first, then fresh sequence; skips
-   anything already received *)
-let rec next_chunk t =
-  match Queue.take_opt t.retry with
+let rec next_chunk f =
+  match Queue.take_opt f.retry with
   | Some idx ->
-    Hashtbl.remove t.retry_set idx;
-    if Inrpp.Session.next_needed t.sess > idx then next_chunk t
-    else Some idx
+    Hashtbl.remove f.retry_set idx;
+    if Session.next_needed f.sess > idx then next_chunk f else Some idx
   | None ->
     let rec fresh () =
-      if t.next_seq >= t.total_chunks then None
+      if f.next_seq >= Session.total f.sess then None
       else begin
-        let idx = t.next_seq in
-        t.next_seq <- idx + 1;
-        if Inrpp.Session.next_needed t.sess > idx then fresh () else Some idx
+        let idx = f.next_seq in
+        f.next_seq <- idx + 1;
+        if Session.next_needed f.sess > idx then fresh () else Some idx
       end
     in
     fresh ()
 
-let request_on t (s : sub) idx =
-  Hashtbl.replace s.outstanding idx (Sim.Engine.now t.eng);
-  let ack = Inrpp.Session.next_needed t.sess in
-  s.send s.index (Packet.request ~flow:s.wire ~nc:idx ~ack ~ac:idx)
+let expire f outstanding ~now ~deadline =
+  let expired =
+    Hashtbl.fold
+      (fun idx t0 acc -> if now -. t0 > deadline then idx :: acc else acc)
+      outstanding []
+  in
+  List.iter
+    (fun idx ->
+      Hashtbl.remove outstanding idx;
+      if not (Hashtbl.mem f.retry_set idx) then begin
+        Hashtbl.replace f.retry_set idx ();
+        Queue.add idx f.retry;
+        f.retx <- f.retx + 1
+      end)
+    expired;
+  expired <> []
 
-let fill t =
-  if not t.finished then begin
-    let progress = ref true in
-    while !progress do
-      progress := false;
+let retransmissions f = f.retx
+
+type sub = {
+  win : Window.t;
+  outstanding : (int, float) Hashtbl.t;  (* chunk -> send time *)
+}
+
+let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
+  let eng = env.Harness.eng and sess = flow.Harness.sess in
+  let fetch = fetch sess in
+  let subs =
+    Array.map
+      (fun _ -> { win = Window.create (); outstanding = Hashtbl.create 32 })
+      flow.Harness.wires
+  in
+  let fill () =
+    if not (Session.is_complete sess) then begin
+      let progress = ref true in
+      while !progress do
+        progress := false;
+        Array.iteri
+          (fun subflow s ->
+            if Hashtbl.length s.outstanding < Window.capacity s.win then begin
+              match next_chunk fetch with
+              | Some nc ->
+                Hashtbl.replace s.outstanding nc (Sim.Engine.now eng);
+                Harness.request env flow ~subflow ~nc
+                  ~ack:(Session.next_needed sess);
+                progress := true
+              | None -> ()
+            end)
+          subs
+      done
+    end
+  in
+  let rec check_timeouts () =
+    if not (Session.is_complete sess) then begin
+      let now = Sim.Engine.now eng in
       Array.iter
         (fun s ->
-          if Hashtbl.length s.outstanding < Window.capacity s.win then begin
-            match next_chunk t with
-            | Some idx ->
-              request_on t s idx;
-              progress := true
-            | None -> ()
-          end)
-        t.subs
-    done
-  end
-
-let rec check_timeouts t =
-  if not t.finished then begin
-    let now = Sim.Engine.now t.eng in
-    Array.iter
-      (fun s ->
-        let deadline = Window.rto s.win in
-        let expired =
-          Hashtbl.fold
-            (fun idx t0 acc -> if now -. t0 > deadline then idx :: acc else acc)
-            s.outstanding []
-        in
-        if expired <> [] then begin
-          Window.on_loss s.win ~now;
-          List.iter
-            (fun idx ->
-              Hashtbl.remove s.outstanding idx;
-              if not (Hashtbl.mem t.retry_set idx) then begin
-                Hashtbl.replace t.retry_set idx ();
-                Queue.add idx t.retry;
-                t.retx <- t.retx + 1
-              end)
-            expired
-        end)
-      t.subs;
-    fill t;
-    ignore (Sim.Engine.schedule t.eng ~delay:0.02 (fun () -> check_timeouts t))
-  end
-
-let start t =
-  if t.started = None then begin
-    t.started <- Some (Sim.Engine.now t.eng);
-    fill t;
-    check_timeouts t
-  end
-
-let handle_data t ~subflow (p : Packet.t) =
-  match p.Packet.header with
-  | Packet.Data { idx; _ } when not t.finished ->
-    let now = Sim.Engine.now t.eng in
-    let s = t.subs.(subflow) in
-    (match Hashtbl.find_opt s.outstanding idx with
+          if expire fetch s.outstanding ~now ~deadline:(Window.rto s.win) then
+            Window.on_loss s.win ~now)
+        subs;
+      fill ();
+      ignore (Sim.Engine.schedule eng ~delay:0.02 check_timeouts)
+    end
+  in
+  let on_data ~subflow idx =
+    let s = subs.(subflow) in
+    match Hashtbl.find_opt s.outstanding idx with
     | Some t0 ->
       Hashtbl.remove s.outstanding idx;
+      let now = Sim.Engine.now eng in
       let rtt_sample = now -. t0 in
-      if t.coupled then
+      if coupled then
         Window.on_ack_coupled s.win ~now ~rtt_sample
-          ~total_window:(total_window t)
+          ~total_window:
+            (Array.fold_left (fun acc s -> acc +. Window.size s.win) 0. subs)
       else Window.on_ack s.win ~now ~rtt_sample
-    | None -> ());
-    (match Inrpp.Session.receive t.sess idx with
-    | `New ->
-      if Inrpp.Session.is_complete t.sess then begin
-        t.finished <- true;
-        let fct =
-          match t.started with
-          | Some s0 -> now -. s0
-          | None -> now
-        in
-        t.on_complete ~fct
-      end
-      else fill t
-    | `Duplicate -> ())
-  | Packet.Data _ | Packet.Request _ | Packet.Backpressure _ -> ()
+    | None -> ()
+  in
+  let count f = fun () -> float_of_int (f ()) in
+  {
+    Harness.start =
+      (fun () ->
+        fill ();
+        check_timeouts ());
+    on_data;
+    on_new = fill;
+    retransmissions = (fun () -> fetch.retx);
+    metrics =
+      [ ("puller_retransmissions_total", count (fun () -> fetch.retx));
+        ( "puller_loss_events_total",
+          count (fun () ->
+              Array.fold_left (fun acc s -> acc + Window.losses s.win) 0 subs)
+        );
+        ("puller_chunks_received", count (fun () -> Session.received_count sess))
+      ];
+    series = [];
+  }
 
-let is_complete t = t.finished
-let retransmissions t = t.retx
-let loss_events t =
-  Array.fold_left (fun acc s -> acc + Window.losses s.win) 0 t.subs
-let received t = Inrpp.Session.received_count t.sess
+let receivers ~coupled env =
+  Array.map (receiver ~coupled env) env.Harness.flows

@@ -1,5 +1,5 @@
-(** Window-driven pull engine: the receiver side of the AIMD-family
-    baselines.
+(** Window-driven pull receiver of the AIMD-family baselines, and the
+    chunk choice it shares with {!Rcp}.
 
     Chunks are requested one per request packet (no anticipation — the
     classic interest-per-data ICN transport, cf. ICP).  Each subflow
@@ -10,23 +10,23 @@
     loss is the only congestion signal, exactly the e2e behaviour the
     paper argues against. *)
 
-type t
+type fetch
+(** Which chunk a flow requests next: requeued chunks first, then the
+    next fresh index, skipping what the session already holds. *)
 
-val create :
-  eng:Sim.Engine.t -> chunk_bits:float -> total_chunks:int ->
-  coupled:bool -> subflow_request:(int -> Chunksim.Packet.t -> unit) array ->
-  wire_ids:int array -> on_complete:(fct:float -> unit) -> t
-(** [subflow_request.(j)] transmits a request for subflow [j];
-    [wire_ids.(j)] is the flow id used on the wire by subflow [j].
-    @raise Invalid_argument if arrays are empty or lengths differ. *)
+val fetch : Inrpp.Session.t -> fetch
+val next_chunk : fetch -> int option
 
-val start : t -> unit
+val expire :
+  fetch -> (int, float) Hashtbl.t -> now:float -> deadline:float -> bool
+(** [expire f outstanding ~now ~deadline] removes every request sent
+    more than [deadline] before [now] from [outstanding] (chunk ->
+    send time) and requeues it unless already queued, counting a
+    retransmission; [true] if any expired. *)
 
-val handle_data : t -> subflow:int -> Chunksim.Packet.t -> unit
+val retransmissions : fetch -> int
 
-val is_complete : t -> bool
-val retransmissions : t -> int
-(** Chunks requeued after an RTO. *)
-
-val loss_events : t -> int
-val received : t -> int
+val receivers : coupled:bool -> Harness.env -> Harness.receiver array
+(** One pull receiver per flow in [env.flows], one window per subflow.
+    Its metrics: [puller_retransmissions_total],
+    [puller_loss_events_total] and [puller_chunks_received]. *)

@@ -1,132 +1,63 @@
-module Packet = Chunksim.Packet
-module Net = Chunksim.Net
+module Session = Inrpp.Session
 
 type flow_state = {
-  spec : Inrpp.Protocol.flow_spec;
-  sess : Inrpp.Session.t;
-  wire : int;
-  path : Topology.Path.t;
-  outstanding : (int, float) Hashtbl.t;
-  retry : int Queue.t;
-  retry_set : (int, unit) Hashtbl.t;
-  mutable rate : float;          (* assigned fair rate, bps *)
-  mutable next_seq : int;
-  mutable started : float option;
-  mutable finished : bool;
+  flow : Harness.flow;
+  fetch : Puller.fetch;
+  outstanding : (int, float) Hashtbl.t;  (* chunk -> send time *)
+  mutable rate : float;  (* assigned fair rate, bps *)
+  mutable started : bool;
   mutable pacing_armed : bool;
-  mutable retx : int;
 }
 
 let max_outstanding = 512
 
-let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
-    ?(update_interval = 0.05) ?obs ?faults g specs =
-  if update_interval <= 0. then invalid_arg "Rcp.run: update_interval <= 0";
-  let s = Harness.prepare ?queue_bits ~paths_per_flow:1 g specs in
-  Harness.apply_faults ?faults s;
-  let specs_arr = Array.of_list specs in
-  let nflows = Array.length specs_arr in
-  let fcts = Array.make nflows None in
-  let completed = ref 0 in
-  let finished_at = ref None in
+let receivers ~update_interval g (env : Harness.env) =
+  let eng = env.Harness.eng and chunk_bits = env.Harness.chunk_bits in
   let states =
-    Array.init nflows (fun i ->
-        {
-          spec = specs_arr.(i);
-          sess =
-            Inrpp.Session.create
-              ~total_chunks:specs_arr.(i).Inrpp.Protocol.chunks;
-          wire = s.Harness.wire_ids.(i).(0);
-          path = s.Harness.paths.(i).(0);
-          outstanding = Hashtbl.create 32;
-          retry = Queue.create ();
-          retry_set = Hashtbl.create 8;
-          rate = chunk_bits *. 10.;  (* modest initial rate *)
-          next_seq = 0;
-          started = None;
-          finished = false;
-          pacing_armed = false;
-          retx = 0;
-        })
-  in
-  (* receiver-side distributions (only when observed) *)
-  let base_delay =
     Array.map
-      (fun st -> Harness.path_base_delay ~chunk_bits st.path)
-      states
+      (fun (flow : Harness.flow) ->
+        {
+          flow;
+          fetch = Puller.fetch flow.Harness.sess;
+          outstanding = Hashtbl.create 32;
+          rate = chunk_bits *. 10.;  (* modest initial rate *)
+          started = false;
+          pacing_armed = false;
+        })
+      env.Harness.flows
   in
-  let fct_hist, qdelay_hist =
-    match obs with
-    | None -> (None, None)
-    | Some o ->
-      let reg = Obs.Observer.registry o in
-      let proto_label = ("protocol", "RCP") in
-      ( Some
-          (Obs.Metric.histogram reg ~labels:[ proto_label ] ~lo:0.
-             ~hi:horizon ~bins:64 "flow_fct_seconds"),
-        Some
-          (Array.init nflows (fun i ->
-               Obs.Metric.histogram reg
-                 ~labels:[ proto_label; ("flow", string_of_int i) ]
-                 ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds")) )
-  in
+  let finished st = Session.is_complete st.flow.Harness.sess in
   (* explicit rate feedback: max-min share among active flows *)
   let update_rates () =
     let active =
-      Array.to_list states
-      |> List.filter (fun st -> st.started <> None && not st.finished)
+      List.filter
+        (fun st -> st.started && not (finished st))
+        (Array.to_list states)
     in
-    match active with
-    | [] -> ()
-    | _ ->
-      let demands =
-        Array.of_list (List.map (fun st -> (st.path, infinity)) active)
+    if active <> [] then begin
+      let rates =
+        Flowsim.Allocation.max_min g
+          (Array.of_list
+             (List.map (fun st -> (st.flow.Harness.paths.(0), infinity)) active))
       in
-      let rates = Flowsim.Allocation.max_min g demands in
-      List.iteri
-        (fun j st -> st.rate <- Float.max (chunk_bits /. 1.) rates.(j))
-        active
+      List.iteri (fun j st -> st.rate <- Float.max chunk_bits rates.(j)) active
+    end
   in
-  let next_chunk st =
-    let rec from_retry () =
-      match Queue.take_opt st.retry with
-      | Some idx ->
-        Hashtbl.remove st.retry_set idx;
-        if Inrpp.Session.next_needed st.sess > idx then from_retry ()
-        else Some idx
-      | None ->
-        let rec fresh () =
-          if st.next_seq >= Inrpp.Session.total st.sess then None
-          else begin
-            let idx = st.next_seq in
-            st.next_seq <- idx + 1;
-            if Inrpp.Session.next_needed st.sess > idx then fresh ()
-            else Some idx
-          end
-        in
-        fresh ()
-    in
-    from_retry ()
-  in
-  let send_request st idx =
-    Hashtbl.replace st.outstanding idx (Sim.Engine.now s.Harness.eng);
-    Net.inject s.Harness.net ~at:st.spec.Inrpp.Protocol.dst
-      (Packet.request ~flow:st.wire ~nc:idx
-         ~ack:(Inrpp.Session.next_needed st.sess)
-         ~ac:idx)
-  in
+  env.Harness.every update_interval update_rates;
   (* request pacing at the assigned rate *)
   let rec pace st =
-    if (not st.finished) && not st.pacing_armed then begin
+    if (not (finished st)) && not st.pacing_armed then begin
       st.pacing_armed <- true;
-      let gap = chunk_bits /. st.rate in
       ignore
-        (Sim.Engine.schedule s.Harness.eng ~delay:gap (fun () ->
+        (Sim.Engine.schedule eng ~delay:(chunk_bits /. st.rate) (fun () ->
              st.pacing_armed <- false;
-             if not st.finished then begin
+             if not (finished st) then begin
                if Hashtbl.length st.outstanding < max_outstanding then begin
-                 match next_chunk st with
-                 | Some idx -> send_request st idx
+                 match Puller.next_chunk st.fetch with
+                 | Some nc ->
+                   Hashtbl.replace st.outstanding nc (Sim.Engine.now eng);
+                   Harness.request env st.flow ~subflow:0 ~nc
+                     ~ack:(Session.next_needed st.flow.Harness.sess)
                  | None -> ()
                end;
                pace st
@@ -135,128 +66,36 @@ let run ?(chunk_bits = 10e3 *. 8.) ?queue_bits ?(horizon = 120.)
   in
   (* loss recovery: conservative fixed check *)
   let rec check_timeouts st =
-    if not st.finished then begin
-      let now = Sim.Engine.now s.Harness.eng in
-      let expired =
-        Hashtbl.fold
-          (fun idx t0 acc -> if now -. t0 > 0.5 then idx :: acc else acc)
-          st.outstanding []
-      in
-      List.iter
-        (fun idx ->
-          Hashtbl.remove st.outstanding idx;
-          if not (Hashtbl.mem st.retry_set idx) then begin
-            Hashtbl.replace st.retry_set idx ();
-            Queue.add idx st.retry;
-            st.retx <- st.retx + 1
-          end)
-        expired;
+    if not (finished st) then begin
       ignore
-        (Sim.Engine.schedule s.Harness.eng ~delay:0.1 (fun () ->
-             check_timeouts st))
+        (Puller.expire st.fetch st.outstanding ~now:(Sim.Engine.now eng)
+           ~deadline:0.5);
+      ignore (Sim.Engine.schedule eng ~delay:0.1 (fun () -> check_timeouts st))
     end
   in
-  (* endpoint hooks *)
-  let producers : (int, flow_state) Hashtbl.t = Hashtbl.create 32 in
-  let consumers : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  Array.iteri
-    (fun i st ->
-      Hashtbl.replace producers st.wire st;
-      Hashtbl.replace consumers st.wire i)
-    states;
-  Array.iteri
-    (fun node fwd ->
-      ignore node;
-      Forwarder.set_local_producer fwd (fun p ->
-          match p.Packet.header, Hashtbl.find_opt producers (Packet.flow p) with
-          | Packet.Request { nc; _ }, Some st
-            when nc < st.spec.Inrpp.Protocol.chunks ->
-            Forwarder.originate_data
-              s.Harness.forwarders.(st.spec.Inrpp.Protocol.src)
-              (Packet.data ~flow:st.wire ~idx:nc
-                 ~born:(Sim.Engine.now s.Harness.eng) chunk_bits)
-          | _ -> ());
-      Forwarder.set_local_consumer fwd (fun p ->
-          match p.Packet.header, Hashtbl.find_opt consumers (Packet.flow p) with
-          | Packet.Data { idx; born; _ }, Some i ->
-            (match qdelay_hist with
-            | Some hs ->
-              let d =
-                Sim.Engine.now s.Harness.eng -. born -. base_delay.(i)
-              in
-              Obs.Metric.observe hs.(i) (Float.max 0. d)
-            | None -> ());
-            let st = states.(i) in
-            if not st.finished then begin
-              Hashtbl.remove st.outstanding idx;
-              match Inrpp.Session.receive st.sess idx with
-              | `New ->
-                if Inrpp.Session.is_complete st.sess then begin
-                  st.finished <- true;
-                  let now = Sim.Engine.now s.Harness.eng in
-                  let fct =
-                    match st.started with
-                    | Some t0 -> now -. t0
-                    | None -> now
-                  in
-                  fcts.(i) <- Some fct;
-                  (match fct_hist with
-                  | Some h -> Obs.Metric.observe h fct
-                  | None -> ());
-                  incr completed;
-                  if !completed = nflows then finished_at := Some now
-                end
-              | `Duplicate -> ()
-            end
-          | _ -> ());
-      Net.set_handler s.Harness.net node (Forwarder.handler fwd))
-    s.Harness.forwarders;
-  (* observability: shared net series plus RCP's assigned-rate series *)
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = Obs.Observer.registry o in
-    let smp, proto_label = Harness.observe_net o ~protocol:"RCP" ~horizon s in
-    Array.iteri
-      (fun i st ->
-        let labels = [ proto_label; ("flow", string_of_int i) ] in
-        Obs.Metric.callback reg ~labels "rcp_retransmissions_total"
-          (fun () -> float_of_int st.retx);
-        let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
-        track "rcp_rate_bps" (fun () -> st.rate);
-        track "chunks_received" (fun () ->
-            float_of_int (Inrpp.Session.received_count st.sess)))
-      states;
-    Obs.Sampler.start ~stop:(fun () -> !completed = nflows) smp);
-  (* rate feedback loop *)
-  ignore
-  @@ Sim.Engine.schedule_periodic s.Harness.eng ~interval:update_interval
-       (fun () ->
-         update_rates ();
-         !completed < nflows);
-  (* flow starts *)
-  Array.iteri
-    (fun i st ->
-      ignore
-        (Sim.Engine.schedule s.Harness.eng
-           ~delay:st.spec.Inrpp.Protocol.start (fun () ->
-             st.started <- Some (Sim.Engine.now s.Harness.eng);
-             update_rates ();
-             pace st;
-             check_timeouts st));
-      ignore i)
-    states;
-  Sim.Engine.run ~until:horizon s.Harness.eng;
-  let sim_time =
-    match !finished_at with
-    | Some tm -> tm
-    | None -> Sim.Engine.now s.Harness.eng
-  in
-  Run_result.make ~protocol:"RCP" ~fcts ~chunk_bits
-    ~chunks:(Array.map (fun sp -> sp.Inrpp.Protocol.chunks) specs_arr)
-    ~drops:
-      (Array.fold_left
-         (fun acc f -> acc + Forwarder.drops f)
-         0 s.Harness.forwarders)
-    ~retransmissions:(Array.fold_left (fun acc st -> acc + st.retx) 0 states)
-    ~sim_time
+  Array.map
+    (fun st ->
+      {
+        Harness.start =
+          (fun () ->
+            st.started <- true;
+            update_rates ();
+            pace st;
+            check_timeouts st);
+        on_data = (fun ~subflow:_ idx -> Hashtbl.remove st.outstanding idx);
+        on_new = ignore;
+        retransmissions = (fun () -> Puller.retransmissions st.fetch);
+        metrics =
+          [ ( "rcp_retransmissions_total",
+              fun () -> float_of_int (Puller.retransmissions st.fetch) ) ];
+        series = [ ("rcp_rate_bps", fun () -> st.rate) ];
+      })
+    states
+
+let run ?chunk_bits ?queue_bits ?horizon ?(update_interval = 0.05) ?obs
+    ?faults g specs =
+  if update_interval <= 0. then invalid_arg "Rcp.run: update_interval <= 0";
+  Harness.run ~protocol:"RCP" ~paths_per_flow:1 ?chunk_bits ?queue_bits
+    ?horizon ?obs ?faults
+    (receivers ~update_interval g)
+    g specs

@@ -7,14 +7,14 @@
     recomputed periodically — an idealisation of RCP's router
     feedback (we read the share from a fluid computation rather than
     carrying a rate field hop by hop; see DESIGN.md).  Single path,
-    no detours, no custody. *)
+    no detours, no custody.  Its receiver paces requests and picks
+    chunks with {!Puller.next_chunk}; the run is {!Harness.run}'s. *)
 
 val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
   ?update_interval:float -> ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
 (** [update_interval] (default 50 ms) is the rate-feedback period.
-    [obs] adds the shared network series (see {!Harness.observe_net}),
-    a sampled per-flow [rcp_rate_bps] series, and receiver-side
-    [flow_fct_seconds] / [chunk_queueing_delay_seconds] histograms,
-    labelled [("protocol", "RCP")]. *)
+    Other defaults and instrumentation as in {!Harness.run}, labelled
+    [protocol=RCP], plus a per-flow [rcp_retransmissions_total] metric
+    and a sampled [rcp_rate_bps] series. *)

@@ -26,6 +26,11 @@ val flow_spec :
     @raise Invalid_argument if [chunks <= 0], [src = dst], or [start]
     is negative or NaN. *)
 
+val check_spec : string -> flow_spec -> unit
+(** [check_spec who s] applies {!flow_spec}'s rule to a spec that may
+    have been built by hand, as {!run} does to every spec it runs.
+    @raise Invalid_argument ["who: <rule>"] if [s] breaks it. *)
+
 type flow_result = {
   spec : flow_spec;
   fct : float option;           (** completion time, [None] if unfinished *)

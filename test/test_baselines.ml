@@ -203,6 +203,29 @@ let test_comparison_inrpp_avoids_drops () =
     true
     (inrpp.Baselines.Run_result.mean_fct < aimd.Baselines.Run_result.mean_fct)
 
+(* A hand-built spec skips [flow_spec]'s check; every protocol still
+   rejects it, before any state exists, with the rule it breaks. *)
+let test_comparison_rejects_malformed_specs () =
+  let g = Topology.Builders.fig3 () in
+  let ok = spec 0 3 10 in
+  List.iter
+    (fun (bad, rule) ->
+      List.iter
+        (fun p ->
+          match Baselines.Comparison.run_one ~horizon:1. p g [ ok; bad ] with
+          | _ -> Alcotest.failf "%s accepted a spec with %s" (Baselines.Comparison.name p) rule
+          | exception Invalid_argument msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s names %S in %S" (Baselines.Comparison.name p)
+                 rule msg)
+              true
+              (String.ends_with ~suffix:(": " ^ rule) msg))
+        Baselines.Comparison.all)
+    [ ({ ok with Inrpp.Protocol.dst = 0 }, "src = dst");
+      ({ ok with Inrpp.Protocol.chunks = 0 }, "chunks <= 0");
+      ({ ok with Inrpp.Protocol.start = -1. }, "negative or NaN start");
+      ({ ok with Inrpp.Protocol.start = Float.nan }, "negative or NaN start") ]
+
 let test_comparison_names () =
   Alcotest.(check (list string)) "labels"
     [ "INRPP"; "AIMD"; "MPTCP"; "RCP"; "HBH" ]
@@ -268,6 +291,8 @@ let () =
           Alcotest.test_case "runs all" `Slow test_comparison_runs_all;
           Alcotest.test_case "inrpp avoids drops" `Slow test_comparison_inrpp_avoids_drops;
           Alcotest.test_case "names" `Quick test_comparison_names;
+          Alcotest.test_case "rejects malformed specs" `Quick
+            test_comparison_rejects_malformed_specs;
         ] );
       ( "run_result",
         [
