@@ -1,7 +1,7 @@
 (* Validation subsystem tests: the runtime invariant checkers (fed
-   synthetic violating traces so we know they actually fire), the
-   differential equivalence harness swept over many seeds, and
-   end-to-end protocol runs under [?check]. *)
+   synthetic violating traces so we know they actually fire), a
+   checked PIT-less sweep over 50 seeds, and end-to-end protocol runs
+   under [?check]. *)
 
 module Inv = Check.Invariant
 module Trace = Chunksim.Trace
@@ -176,22 +176,24 @@ let test_custody_ledger_probe () =
   Alcotest.(check int) "desynced ledgers flagged" 1 (Inv.total c)
 
 (* ------------------------------------------------------------------ *)
-(* Differential harness *)
+(* Seed sweeps *)
 
 let seeds n = List.init n (fun i -> i)
 
-(* sweep seeds across a couple of domains so the ordinary test run
-   also exercises the parallel path; verdict folding is seed-ordered,
-   so the result is identical to a sequential sweep *)
-let sweep_domains = 2
-
-let check_sweep name differential =
-  let v =
-    Check.Differential.sweep ~domains:sweep_domains ~seeds:(seeds 50)
-      differential
+(* sweep 50 seeds across two domains so the ordinary test run also
+   exercises the parallel path; results join in seed order, so the
+   first failure reported is the same as a sequential sweep's *)
+let check_sweep name check =
+  let failures =
+    List.filter_map
+      (function Ok () -> None | Error detail -> Some detail)
+      (Parallel.Pool.map_list ~domains:2 (fun seed -> check ~seed) (seeds 50))
   in
-  if not v.Check.Differential.equal then
-    Alcotest.failf "%s diverged: %s" name v.Check.Differential.detail
+  match failures with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%s: %d/50 seeds diverged; first: %s" name
+      (List.length failures) first
 
 (* ------------------------------------------------------------------ *)
 (* Protocol runs under the invariant checkers: PIT-less forwarding
@@ -238,20 +240,11 @@ let pitless_checked ~seed =
       ~horizon:600. ~check:chk g specs
   in
   let n = List.length specs in
-  if Inv.ok chk && r.Inrpp.Protocol.completed = n then
-    {
-      Check.Differential.equal = true;
-      detail =
-        Printf.sprintf "seed %d: %d flows clean, %d drops, 0 table bytes kept"
-          seed n r.Inrpp.Protocol.total_drops;
-    }
+  if Inv.ok chk && r.Inrpp.Protocol.completed = n then Ok ()
   else
-    {
-      Check.Differential.equal = false;
-      detail =
-        Printf.sprintf "seed %d: completed %d/%d; %s" seed
-          r.Inrpp.Protocol.completed n (Inv.report chk);
-    }
+    Error
+      (Printf.sprintf "seed %d: completed %d/%d; %s" seed
+         r.Inrpp.Protocol.completed n (Inv.report chk))
 
 let test_differential_pitless_checked () =
   check_sweep "pitless conservation/ledger" pitless_checked
