@@ -965,8 +965,17 @@ let popularity_workload alpha =
     consumers = [ Topology.Node.Host ];
   }
 
-let popularity_grid ?(alphas = [ 0.4; 0.8; 1.2 ]) ?(stores = [ 60.; 240. ])
-    () =
+(* mean FCT over an INRPP run's completed flows; NaN if none completed *)
+let inrpp_mean_fct (r : Inrpp.Protocol.result) =
+  let fcts =
+    Array.to_list r.Inrpp.Protocol.flows
+    |> List.filter_map (fun fr -> fr.Inrpp.Protocol.fct)
+  in
+  if fcts = [] then Float.nan
+  else List.fold_left ( +. ) 0. fcts /. float_of_int (List.length fcts)
+
+let popularity () =
+  let alphas = [ 0.4; 0.8; 1.2 ] and stores = [ 60.; 240. ] in
   section "Extension — content popularity: catalogue skew x custody store";
   Format.printf
     "(Zipf(a) catalogue over 24 objects, open-loop Poisson sessions with a \
@@ -996,17 +1005,9 @@ let popularity_grid ?(alphas = [ 0.4; 0.8; 1.2 ]) ?(stores = [ 60.; 240. ])
             }
           in
           let r = Inrpp.Protocol.run ~cfg ~horizon ~workload:wl g [] in
-          let fcts =
-            Array.to_list r.Inrpp.Protocol.flows
-            |> List.filter_map (fun fr -> fr.Inrpp.Protocol.fct)
-          in
-          let mean_fct =
-            if fcts = [] then Float.nan
-            else List.fold_left ( +. ) 0. fcts /. float_of_int (List.length fcts)
-          in
           ( r.Inrpp.Protocol.completed,
             Array.length r.Inrpp.Protocol.flows,
-            mean_fct,
+            inrpp_mean_fct r,
             Some
               ( r.Inrpp.Protocol.cache_hits,
                 r.Inrpp.Protocol.custody_stored,
@@ -1102,8 +1103,6 @@ let popularity_grid ?(alphas = [ 0.4; 0.8; 1.2 ]) ?(stores = [ 60.; 240. ])
      admission — while the pull baseline re-crosses the bottleneck for \
      every copy)@."
 
-let popularity () = popularity_grid ()
-
 (* ------------------------------------------------------------------ *)
 (* Overload control under flash crowds *)
 
@@ -1132,7 +1131,18 @@ let overload_workload boost =
     consumers = [ Topology.Node.Host ];
   }
 
-let jain_of_rates = function
+(* Jain's index over an INRPP run's per-flow rates (completed flows
+   with a positive FCT); 0 if there are none *)
+let inrpp_jain ~chunk_bits (r : Inrpp.Protocol.result) =
+  let open Inrpp.Protocol in
+  match
+    Array.to_list r.flows
+    |> List.filter_map (fun fr ->
+           match fr.fct with
+           | Some fct when fct > 0. ->
+             Some (float_of_int fr.spec.chunks *. chunk_bits /. fct)
+           | _ -> None)
+  with
   | [] -> 0.
   | rates ->
     let n = float_of_int (List.length rates) in
@@ -1140,7 +1150,8 @@ let jain_of_rates = function
     let s2 = List.fold_left (fun acc r -> acc +. (r *. r)) 0. rates in
     if s2 <= 0. then 0. else s *. s /. (n *. s2)
 
-let overload_grid ?(boosts = [ 2.; 8. ]) ?(stores = [ 40.; 120. ]) () =
+let overload () =
+  let boosts = [ 2.; 8. ] and stores = [ 40.; 120. ] in
   section "Extension — overload control: flash-crowd intensity x store x policy";
   Format.printf
     "(open-loop Poisson sessions with a mid-window flash crowd on a \
@@ -1176,26 +1187,11 @@ let overload_grid ?(boosts = [ 2.; 8. ]) ?(stores = [ 40.; 120. ]) () =
     in
     let r = Inrpp.Protocol.run ~cfg ~horizon ~workload:wl ?overload g [] in
     let open Inrpp.Protocol in
-    let rates =
-      Array.to_list r.flows
-      |> List.filter_map (fun fr ->
-             match fr.fct with
-             | Some fct when fct > 0. ->
-               Some (float_of_int fr.spec.chunks *. chunk_bits /. fct)
-             | _ -> None)
-    in
-    let fcts =
-      Array.to_list r.flows |> List.filter_map (fun fr -> fr.fct)
-    in
-    let mean_fct =
-      if fcts = [] then Float.nan
-      else List.fold_left ( +. ) 0. fcts /. float_of_int (List.length fcts)
-    in
     ( r.completed,
       Array.length r.flows,
-      mean_fct,
+      inrpp_mean_fct r,
       r.goodput,
-      jain_of_rates rates,
+      inrpp_jain ~chunk_bits r,
       Some (r.shed, r.detours_refused, r.collapse_episodes,
             r.collapse_recovery_time),
       r.total_drops )
@@ -1391,23 +1387,7 @@ let overload_grid ?(boosts = [ 2.; 8. ]) ?(stores = [ 40.; 120. ]) () =
           | Some t -> Printf.sprintf "%.2fs" t
           | None -> "-"
         in
-        let fcts =
-          Array.to_list r.flows |> List.filter_map (fun fr -> fr.fct)
-        in
-        let mean_fct =
-          if fcts = [] then Float.nan
-          else
-            List.fold_left ( +. ) 0. fcts /. float_of_int (List.length fcts)
-        in
-        let jain =
-          jain_of_rates
-            (Array.to_list r.flows
-            |> List.filter_map (fun fr ->
-                   match fr.fct with
-                   | Some fct when fct > 0. ->
-                     Some (float_of_int fr.spec.chunks *. chunk_bits /. fct)
-                   | _ -> None))
-        in
+        let mean_fct = inrpp_mean_fct r in
         sidecar_emit ~experiment:"overload"
           [
             ("scenario", Obs.Json.Str "bottleneck-outage");
@@ -1419,7 +1399,7 @@ let overload_grid ?(boosts = [ 2.; 8. ]) ?(stores = [ 40.; 120. ]) () =
             ( "mean_fct",
               if Float.is_nan mean_fct || mean_fct <= 0. then Obs.Json.Null
               else Obs.Json.Num mean_fct );
-            ("jain", Obs.Json.Num jain);
+            ("jain", Obs.Json.Num (inrpp_jain ~chunk_bits r));
             ("goodput", Obs.Json.Num r.goodput);
             ( "collapse_episodes",
               if Option.is_some ov then
@@ -1451,8 +1431,6 @@ let overload_grid ?(boosts = [ 2.; 8. ]) ?(stores = [ 40.; 120. ]) () =
      retransmitting into the storm, and the watchdog timestamps each \
      collapse edge and measures the time until goodput climbs back \
      past the recovery threshold)@."
-
-let overload () = overload_grid ()
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks *)

@@ -40,15 +40,6 @@ val resilience_grid :
     {!all} runs the defaults; the parallel-determinism test captures a
     reduced grid at several domain counts. *)
 
-val popularity_grid :
-  ?alphas:float list -> ?stores:float list -> unit -> unit
-(** The popularity experiment on a configurable grid — [alphas]
-    (catalogue skews, default [[0.4; 0.8; 1.2]]) and [stores] (custody
-    store sizes in chunks, default [[60.; 240.]]).  One
-    {!Workload.Gen} request mix per skew (same seed), replayed through
-    INRPP with ICN caching on and through the AIMD pull baseline.  The
-    [popularity] entry in {!all} runs the defaults. *)
-
 val capture : (unit -> unit) -> string
 (** Run with stdout redirected to a temp file; return the bytes
     written.  [Format.std_formatter] is flushed around the redirect so
