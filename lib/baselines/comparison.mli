@@ -1,7 +1,7 @@
 (** Matched-scenario comparison: INRPP against the e2e baselines.
 
     Runs the same topology and flow set through INRPP (chunk-level,
-    {!Inrpp.Protocol}), AIMD, MPTCP and RCP, and returns one
+    {!Inrpp.Protocol}), AIMD, MPTCP, RCP and HBH, and returns one
     {!Run_result.t} per protocol — the `protocols` experiment. *)
 
 type protocol =

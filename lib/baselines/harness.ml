@@ -233,14 +233,15 @@ let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
     Array.iteri
       (fun i r ->
         let labels = flow_labels i in
+        let received () =
+          float_of_int (Session.received_count flows.(i).sess)
+        in
         List.iter
           (fun (name, fn) -> Obs.Metric.callback reg ~labels name fn)
           r.metrics;
         List.iter
           (fun (name, fn) -> ignore (Obs.Sampler.track smp ~labels name fn))
-          (r.series
-          @ [ ("chunks_received",
-                fun () -> float_of_int (Session.received_count flows.(i).sess)) ]))
+          (r.series @ [ ("chunks_received", received) ]))
       receivers;
     Obs.Sampler.start ~stop:(fun () -> !completed = nflows) smp);
   List.iter
@@ -259,7 +260,8 @@ let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
   Sim.Engine.run ~until:horizon eng;
   Run_result.make ~protocol ~fcts ~chunk_bits
     ~chunks:(Array.map (fun f -> f.spec.Inrpp.Protocol.chunks) flows)
-    ~drops:(Array.fold_left (fun acc f -> acc + Forwarder.drops f) 0 env.forwarders)
+    ~drops:
+      (Array.fold_left (fun acc f -> acc + Forwarder.drops f) 0 env.forwarders)
     ~retransmissions:
       (Array.fold_left (fun acc r -> acc + r.retransmissions ()) 0 receivers)
     ~sim_time:(Option.value !finished_at ~default:(Sim.Engine.now eng))

@@ -28,7 +28,9 @@ let receivers g (env : Harness.env) =
   (* [shapers.(node).(wire)], made at the node's first request on the
      wire; with one path per flow, wire [i] is flow [i] *)
   let shapers =
-    Array.map (fun _ -> Array.make (Array.length flows) None) env.Harness.forwarders
+    Array.map
+      (fun _ -> Array.make (Array.length flows) None)
+      env.Harness.forwarders
   in
   let shaper_for node wire =
     match shapers.(node).(wire) with
@@ -46,7 +48,11 @@ let receivers g (env : Harness.env) =
         | None -> 0.
       in
       let sh =
-        { rq = Queue.create (); busy = false; pace_gap = Float.max 1e-6 pace_gap }
+        {
+          rq = Queue.create ();
+          busy = false;
+          pace_gap = Float.max 1e-6 pace_gap;
+        }
       in
       shapers.(node).(wire) <- Some sh;
       sh

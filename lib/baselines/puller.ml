@@ -111,7 +111,6 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
       else Window.on_ack s.win ~now ~rtt_sample
     | None -> ()
   in
-  let count f = fun () -> float_of_int (f ()) in
   {
     Harness.start =
       (fun () ->
@@ -121,13 +120,14 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
     on_new = fill;
     retransmissions = (fun () -> fetch.retx);
     metrics =
-      [ ("puller_retransmissions_total", count (fun () -> fetch.retx));
+      [ ("puller_retransmissions_total", fun () -> float_of_int fetch.retx);
         ( "puller_loss_events_total",
-          count (fun () ->
-              Array.fold_left (fun acc s -> acc + Window.losses s.win) 0 subs)
+          fun () ->
+            float_of_int
+              (Array.fold_left (fun acc s -> acc + Window.losses s.win) 0 subs)
         );
-        ("puller_chunks_received", count (fun () -> Session.received_count sess))
-      ];
+        ( "puller_chunks_received",
+          fun () -> float_of_int (Session.received_count sess) ) ];
     series = [];
   }
 

@@ -35,10 +35,9 @@ let receivers ~update_interval g (env : Harness.env) =
         (Array.to_list states)
     in
     if active <> [] then begin
+      let demand st = (st.flow.Harness.paths.(0), infinity) in
       let rates =
-        Flowsim.Allocation.max_min g
-          (Array.of_list
-             (List.map (fun st -> (st.flow.Harness.paths.(0), infinity)) active))
+        Flowsim.Allocation.max_min g (Array.of_list (List.map demand active))
       in
       List.iteri (fun j st -> st.rate <- Float.max chunk_bits rates.(j)) active
     end

@@ -4,7 +4,7 @@
 
     The caller builds an observer, passes it to an instrumented runner
     ([Inrpp.Protocol.run ~obs], [Flowsim.Simulator.run ~obs],
-    [Baselines.Harness.run_pull ~obs]); the runner attaches the sinks
+    [Baselines.Harness.run ~obs]); the runner attaches the sinks
     to its trace, registers its gauges/counters and installs the
     sampler.  Afterwards the caller reads {!series} and
     [Metric.snapshot (registry obs)] and exports with {!Export}. *)

@@ -212,12 +212,12 @@ let test_comparison_rejects_malformed_specs () =
     (fun (bad, rule) ->
       List.iter
         (fun p ->
+          let name = Baselines.Comparison.name p in
           match Baselines.Comparison.run_one ~horizon:1. p g [ ok; bad ] with
-          | _ -> Alcotest.failf "%s accepted a spec with %s" (Baselines.Comparison.name p) rule
+          | _ -> Alcotest.failf "%s accepted a spec with %s" name rule
           | exception Invalid_argument msg ->
             Alcotest.(check bool)
-              (Printf.sprintf "%s names %S in %S" (Baselines.Comparison.name p)
-                 rule msg)
+              (Printf.sprintf "%s names %S in %S" name rule msg)
               true
               (String.ends_with ~suffix:(": " ^ rule) msg))
         Baselines.Comparison.all)
