@@ -22,8 +22,7 @@ type env = {
 
 type receiver = {
   start : unit -> unit;
-  on_data : subflow:int -> int -> unit;
-  on_new : unit -> unit;
+  on_data : subflow:int -> int -> [ `New | `Duplicate ] -> unit;
   retransmissions : unit -> int;
   metrics : (string * (unit -> float)) list;
   series : (string * (unit -> float)) list;
@@ -190,17 +189,16 @@ let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
     let i, subflow = ends.(wire) in
     let f = flows.(i) and r = receivers.(i) in
     if not (Session.is_complete f.sess) then begin
-      r.on_data ~subflow idx;
-      match Session.receive f.sess idx with
-      | `New when Session.is_complete f.sess ->
+      let verdict = Session.receive f.sess idx in
+      if Session.is_complete f.sess then begin
         let now = Sim.Engine.now eng in
         let fct = now -. f.spec.Inrpp.Protocol.start in
         fcts.(i) <- Some fct;
         observe_fct fct;
         incr completed;
         if !completed = nflows then finished_at := Some now
-      | `New -> r.on_new ()
-      | `Duplicate -> ()
+      end;
+      r.on_data ~subflow idx verdict
     end
   in
   (* endpoints: a producer answers a request from the flow's source, a

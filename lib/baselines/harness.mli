@@ -33,12 +33,10 @@ type env = {
 
 type receiver = {
   start : unit -> unit;  (** at the flow's start time *)
-  on_data : subflow:int -> int -> unit;
-      (** chunk [idx] arrived on [subflow] of an incomplete flow, before
-          the session records it *)
-  on_new : unit -> unit;
-      (** the session recorded a new chunk and the flow is still
-          incomplete *)
+  on_data : subflow:int -> int -> [ `New | `Duplicate ] -> unit;
+      (** chunk [idx] arrived on [subflow] of a flow that was
+          incomplete, with the session's verdict on it; called after
+          the driver's completion bookkeeping *)
   retransmissions : unit -> int;
   metrics : (string * (unit -> float)) list;
       (** per-flow callback metrics, registered in this order *)

@@ -103,8 +103,7 @@ let receivers g (env : Harness.env) =
       in
       {
         Harness.start = top_up;
-        on_data = (fun ~subflow:_ _ -> ());
-        on_new = ignore;
+        on_data = (fun ~subflow:_ _ _ -> ());
         retransmissions = (fun () -> 0);
         metrics = [];
         series = [];

@@ -97,9 +97,9 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
       ignore (Sim.Engine.schedule eng ~delay:0.02 check_timeouts)
     end
   in
-  let on_data ~subflow idx =
+  let on_data ~subflow idx verdict =
     let s = subs.(subflow) in
-    match Hashtbl.find_opt s.outstanding idx with
+    (match Hashtbl.find_opt s.outstanding idx with
     | Some t0 ->
       Hashtbl.remove s.outstanding idx;
       let now = Sim.Engine.now eng in
@@ -109,7 +109,8 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
           ~total_window:
             (Array.fold_left (fun acc s -> acc +. Window.size s.win) 0. subs)
       else Window.on_ack s.win ~now ~rtt_sample
-    | None -> ()
+    | None -> ());
+    if verdict = `New then fill ()
   in
   {
     Harness.start =
@@ -117,7 +118,6 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
         fill ();
         check_timeouts ());
     on_data;
-    on_new = fill;
     retransmissions = (fun () -> fetch.retx);
     metrics =
       [ ("puller_retransmissions_total", fun () -> float_of_int fetch.retx);

@@ -81,8 +81,7 @@ let receivers ~update_interval g (env : Harness.env) =
             update_rates ();
             pace st;
             check_timeouts st);
-        on_data = (fun ~subflow:_ idx -> Hashtbl.remove st.outstanding idx);
-        on_new = ignore;
+        on_data = (fun ~subflow:_ idx _ -> Hashtbl.remove st.outstanding idx);
         retransmissions = (fun () -> Puller.retransmissions st.fetch);
         metrics =
           [ ( "rcp_retransmissions_total",
