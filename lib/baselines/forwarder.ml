@@ -8,25 +8,23 @@ type entry = {
 
 type t = {
   net : Net.t;
-  node : Topology.Node.id;
-  flows : (int, entry) Hashtbl.t;
+  flows : entry option array;  (* by wire id *)
   mutable drop_count : int;
   mutable local_producer : (Packet.t -> unit) option;
   mutable local_consumer : (Packet.t -> unit) option;
 }
 
-let create ~net ~node =
+let create ~net ~wires =
   {
     net;
-    node;
-    flows = Hashtbl.create 16;
+    flows = Array.make wires None;
     drop_count = 0;
     local_producer = None;
     local_consumer = None;
   }
 
 let install_flow t ~flow ~data_link ~req_link =
-  Hashtbl.replace t.flows flow { data_link; req_link }
+  t.flows.(flow) <- Some { data_link; req_link }
 
 let set_local_producer t f = t.local_producer <- Some f
 let set_local_consumer t f = t.local_consumer <- Some f
@@ -34,7 +32,7 @@ let set_local_consumer t f = t.local_consumer <- Some f
 let drop t = t.drop_count <- t.drop_count + 1
 
 let forward_data t (p : Packet.t) =
-  match Hashtbl.find_opt t.flows (Packet.flow p) with
+  match t.flows.(Packet.flow p) with
   | None -> drop t
   | Some entry -> begin
     match entry.data_link with
@@ -51,7 +49,7 @@ let forward_data t (p : Packet.t) =
   end
 
 let forward_request t (p : Packet.t) =
-  match Hashtbl.find_opt t.flows (Packet.flow p) with
+  match t.flows.(Packet.flow p) with
   | None -> drop t
   | Some entry -> begin
     match entry.req_link with

@@ -7,7 +7,8 @@
 
 type t
 
-val create : net:Chunksim.Net.t -> node:Topology.Node.id -> t
+val create : net:Chunksim.Net.t -> wires:int -> t
+(** A router for wire flow ids [0 .. wires - 1]. *)
 
 val install_flow :
   t -> flow:int -> data_link:Topology.Link.t option ->

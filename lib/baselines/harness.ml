@@ -50,48 +50,51 @@ let install_path forwarders g ~wire (path : Path.t) =
    handler is its plain forwarder.  Also returns wire -> (flow,
    subflow). *)
 let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
+  let paths =
+    Array.map
+      (fun { Inrpp.Protocol.src; dst; _ } ->
+        match Topology.Yen.k_disjoint g ~k:paths_per_flow src dst with
+        | [] ->
+          invalid_arg
+            (Printf.sprintf "Harness.run: flow %d -> %d unroutable" src dst)
+        | ps -> Array.of_list ps)
+      specs
+  in
+  let ends =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun i -> Array.mapi (fun j _ -> (i, j))) paths))
+  in
   let eng = Sim.Engine.create () in
   let net = Net.create ?queue_bits eng g in
   let forwarders =
     Array.init (Graph.node_count g) (fun node ->
-        let fwd = Forwarder.create ~net ~node in
+        let fwd = Forwarder.create ~net ~wires:(Array.length ends) in
         Net.set_handler net node (Forwarder.handler fwd);
         fwd)
   in
-  let ends = ref [] and next_wire = ref 0 in
+  let next_wire = ref 0 in
   let flows =
-    Array.mapi
-      (fun i (spec : Inrpp.Protocol.flow_spec) ->
-        match
-          Topology.Yen.k_disjoint g ~k:paths_per_flow spec.Inrpp.Protocol.src
-            spec.Inrpp.Protocol.dst
-        with
-        | [] ->
-          invalid_arg
-            (Printf.sprintf "Harness.run: flow %d -> %d unroutable"
-               spec.Inrpp.Protocol.src spec.Inrpp.Protocol.dst)
-        | ps ->
-          let paths = Array.of_list ps in
-          let wires =
-            Array.mapi
-              (fun j p ->
-                let wire = !next_wire in
-                incr next_wire;
-                ends := (i, j) :: !ends;
-                install_path forwarders g ~wire p;
-                wire)
-              paths
-          in
-          {
-            spec;
-            sess = Session.create ~total_chunks:spec.Inrpp.Protocol.chunks;
-            wires;
-            paths;
-          })
-      specs
+    Array.map2
+      (fun (spec : Inrpp.Protocol.flow_spec) paths ->
+        let wires =
+          Array.map
+            (fun p ->
+              let wire = !next_wire in
+              incr next_wire;
+              install_path forwarders g ~wire p;
+              wire)
+            paths
+        in
+        {
+          spec;
+          sess = Session.create ~total_chunks:spec.Inrpp.Protocol.chunks;
+          wires;
+          paths;
+        })
+      specs paths
   in
-  ( { eng; net; forwarders; chunk_bits; flows; every },
-    Array.of_list (List.rev !ends) )
+  ({ eng; net; forwarders; chunk_bits; flows; every }, ends)
 
 (* unloaded latency of a path: propagation plus one serialisation per
    hop — the floor against which receivers measure queueing delay *)
