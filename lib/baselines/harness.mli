@@ -1,4 +1,4 @@
-(** The one run driver of the baseline transports.
+(** The one run skeleton of the baseline transports.
 
     {!run} checks every flow spec, builds the store-and-forward network
     (up to [paths_per_flow] link-disjoint paths per flow, one wire flow
@@ -36,7 +36,7 @@ type receiver = {
   on_data : subflow:int -> int -> [ `New | `Duplicate ] -> unit;
       (** chunk [idx] arrived on [subflow] of a flow that was
           incomplete, with the session's verdict on it; called after
-          the driver's completion bookkeeping *)
+          the harness's completion bookkeeping *)
   retransmissions : unit -> int;
   metrics : (string * (unit -> float)) list;
       (** per-flow callback metrics, registered in this order *)
