@@ -1173,9 +1173,8 @@ let overload () =
     [
       ("INRPP off", None);
       control "INRPP drop-tail" Overload.Config.Drop_tail;
-      control "INRPP object-runs"
-        (Overload.Config.Object_runs { threshold = 0.6 });
-      control "INRPP fair-share" (Overload.Config.Fair_share { share = 1.0 });
+      control "INRPP object-runs" Overload.Config.Object_runs;
+      control "INRPP fair-share" Overload.Config.Fair_share;
     ]
   in
   let inrpp wl store overload () =
@@ -1357,8 +1356,7 @@ let overload () =
     [
       ("INRPP off", None);
       control "INRPP drop-tail" Overload.Config.Drop_tail;
-      control "INRPP object-runs"
-        (Overload.Config.Object_runs { threshold = 0.6 });
+      control "INRPP object-runs" Overload.Config.Object_runs;
     ]
   in
   let outage_results =

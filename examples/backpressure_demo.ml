@@ -28,8 +28,8 @@ let () =
   Format.printf
     "store: %g chunks, watermarks engage at %.0f%% / release at %.0f%%@.@."
     (cfg.Inrpp.Config.cache_bits /. cfg.Inrpp.Config.chunk_bits)
-    (100. *. cfg.Inrpp.Config.cache_high_water)
-    (100. *. cfg.Inrpp.Config.cache_low_water);
+    (100. *. Chunksim.Cache.high_water)
+    (100. *. Chunksim.Cache.low_water);
 
   let r =
     Inrpp.Protocol.run ~cfg ~collect_trace:true g

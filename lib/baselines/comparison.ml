@@ -59,15 +59,5 @@ let run_one ?(cfg = Inrpp.Config.default) ?(horizon = 120.) ?obs ?faults
   | Rcp_proto -> Rcp.run ~chunk_bits ~queue_bits ~horizon ?obs ?faults g specs
   | Hbh_proto -> Hbh.run ~chunk_bits ~queue_bits ~horizon ?obs ?faults g specs
 
-let run_all ?cfg ?horizon ?(protocols = all) ?observe ?faults ?workload g
-    specs =
-  let specs = resolve_specs ?workload g specs in
-  List.map
-    (fun p ->
-      let obs =
-        match observe with
-        | Some f -> f p
-        | None -> None
-      in
-      run_one ?cfg ?horizon ?obs ?faults p g specs)
-    protocols
+let run_all ?cfg ?horizon g specs =
+  List.map (fun p -> run_one ?cfg ?horizon p g specs) all

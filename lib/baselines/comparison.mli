@@ -31,12 +31,6 @@ val run_one :
     construction. *)
 
 val run_all :
-  ?cfg:Inrpp.Config.t -> ?horizon:float -> ?protocols:protocol list ->
-  ?observe:(protocol -> Obs.Observer.t option) ->
-  ?faults:Fault.Schedule.t -> ?workload:Workload.Gen.spec ->
-  Topology.Graph.t -> Inrpp.Protocol.flow_spec list -> Run_result.t list
-(** [observe] supplies at most one fresh observer per protocol run —
-    an observer instruments exactly one run (its sampler installs
-    once), so the comparison takes a factory rather than a shared
-    observer.  Each protocol's series carry a
-    [("protocol", name p)] label. *)
+  ?cfg:Inrpp.Config.t -> ?horizon:float -> Topology.Graph.t ->
+  Inrpp.Protocol.flow_spec list -> Run_result.t list
+(** {!run_one} for every protocol of {!all}, in that order. *)

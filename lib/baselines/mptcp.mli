@@ -1,6 +1,6 @@
 (** Multipath coupled-AIMD transport — the e2eRPP comparator (§2.2).
 
-    Up to [subflows] link-disjoint end-to-end paths per flow, each
+    Up to two link-disjoint end-to-end paths per flow, each
     with its own window, coupled by MPTCP's linked increase so the
     aggregate is no more aggressive than one TCP.  Resource pooling
     across {e end-to-end} paths only: no in-network detours, no
@@ -12,9 +12,9 @@
     disjoint-path set-up. *)
 
 val run :
-  ?subflows:int -> ?chunk_bits:float -> ?queue_bits:float ->
-  ?horizon:float -> ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
+  ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
+  ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** [subflows] defaults to 2 (fewer when the topology offers fewer
+(** Two subflows per flow (fewer when the topology offers fewer
     disjoint paths).  Defaults and instrumentation as in
     {!Harness.run}, labelled [protocol=MPTCP]. *)

@@ -11,7 +11,10 @@ type flow_state = {
 
 let max_outstanding = 512
 
-let receivers ~update_interval g (env : Harness.env) =
+(* the rate-feedback period *)
+let update_interval = 0.05
+
+let receivers g (env : Harness.env) =
   let eng = env.Harness.eng and chunk_bits = env.Harness.chunk_bits in
   let states =
     Array.map
@@ -90,10 +93,6 @@ let receivers ~update_interval g (env : Harness.env) =
       })
     states
 
-let run ?chunk_bits ?queue_bits ?horizon ?(update_interval = 0.05) ?obs
-    ?faults g specs =
-  if update_interval <= 0. then invalid_arg "Rcp.run: update_interval <= 0";
+let run ?chunk_bits ?queue_bits ?horizon ?obs ?faults g specs =
   Harness.run ~protocol:"RCP" ~paths_per_flow:1 ?chunk_bits ?queue_bits
-    ?horizon ?obs ?faults
-    (receivers ~update_interval g)
-    g specs
+    ?horizon ?obs ?faults (receivers g) g specs

@@ -12,9 +12,9 @@
 
 val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->
-  ?update_interval:float -> ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
+  ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
-(** [update_interval] (default 50 ms) is the rate-feedback period.
-    Other defaults and instrumentation as in {!Harness.run}, labelled
+(** The rate feedback runs every 50 ms.  Defaults and instrumentation
+    as in {!Harness.run}, labelled
     [protocol=RCP], plus a per-flow [rcp_retransmissions_total] metric
     and a sampled [rcp_rate_bps] series. *)

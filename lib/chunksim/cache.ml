@@ -87,10 +87,11 @@ type t = {
 
 let no_slot = -1
 
-let create ?(high_water = 0.7) ?(low_water = 0.3) ?policy ~capacity () =
+let high_water = 0.7
+let low_water = 0.3
+
+let create ?policy ~capacity () =
   if capacity <= 0. then invalid_arg "Cache.create: capacity <= 0";
-  if not (0. <= low_water && low_water < high_water && high_water <= 1.) then
-    invalid_arg "Cache.create: watermarks must satisfy 0 <= low < high <= 1";
   {
     cap = capacity;
     high = high_water *. capacity;

@@ -57,18 +57,18 @@ val fair_share : ?share:float -> unit -> policy
     1.0).  A flow with no footprint always gets its first chunk.
     @raise Invalid_argument if [share <= 0.]. *)
 
-val create :
-  ?high_water:float ->
-  ?low_water:float ->
-  ?policy:policy ->
-  capacity:float ->
-  unit ->
-  t
-(** [capacity] in bits.  Watermarks are fractions of capacity
-    (defaults 0.7 and 0.3).  [policy] guards custody admission; omit it
+val high_water : float
+(** 0.7: custody occupancy, as a fraction of capacity, at or above
+    which {!above_high} holds (back-pressure engages). *)
+
+val low_water : float
+(** 0.3: custody occupancy, as a fraction of capacity, at or below
+    which {!below_low} holds (back-pressure releases). *)
+
+val create : ?policy:policy -> capacity:float -> unit -> t
+(** [capacity] in bits.  [policy] guards custody admission; omit it
     for drop-tail, which admits while capacity lasts.
-    @raise Invalid_argument if [capacity <= 0.] or the watermarks are
-    not [0 <= low < high <= 1]. *)
+    @raise Invalid_argument if [capacity <= 0.]. *)
 
 val policy_name : t -> string option
 (** Name of the installed admission policy, if any. *)

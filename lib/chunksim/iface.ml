@@ -204,11 +204,9 @@ let send t p =
 
 (* ------------------------------------------------------------------ *)
 
-let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
+let create ?(queue_bits = default_queue_bits)
     ?(discipline = Fifo_discipline) ?loss eng l ~deliver =
   if queue_bits <= 0. then invalid_arg "Iface.create: queue_bits <= 0";
-  if speed_factor <= 0. || speed_factor > 1. then
-    invalid_arg "Iface.create: speed_factor outside (0,1]";
   (match loss with
   | Some (p, _) when p < 0. || p >= 1. ->
     invalid_arg "Iface.create: loss probability outside [0,1)"
@@ -225,7 +223,7 @@ let create ?(queue_bits = default_queue_bits) ?(speed_factor = 1.)
         | Fifo_discipline -> Q_fifo (Fifo.create ~capacity:queue_bits)
         | Drr quantum ->
           Q_drr (Rr_queue.create ~quantum ~capacity:queue_bits ()));
-      effective_rate = l.Topology.Link.capacity *. speed_factor;
+      effective_rate = l.Topology.Link.capacity;
       prop_delay = l.Topology.Link.delay;
       deliver;
       loss;

@@ -1,9 +1,7 @@
 (** Output interface: serialises packets onto one directed link.
 
     Owns a bounded FIFO; transmits at link rate; delivers each packet
-    to the far node after the propagation delay.  Forwarding speed can
-    be derated below nominal capacity (the paper's §3.3 footnote about
-    not operating at full capacity) via [speed_factor].
+    to the far node after the propagation delay.
 
     The transmitter is a virtual clock: each transmitted packet costs
     exactly one engine event, its arrival at the far end.  Queue pops
@@ -22,19 +20,18 @@ type discipline =
   | Drr of float  (** quantum, bits per flow per round *)
 
 val create :
-  ?queue_bits:float -> ?speed_factor:float -> ?discipline:discipline ->
+  ?queue_bits:float -> ?discipline:discipline ->
   ?loss:float * Sim.Rng.t -> Sim.Engine.t -> Topology.Link.t ->
   deliver:(Packet.t -> unit) -> t
 (** [queue_bits] defaults to 64 chunks of 10 kB (≈ 5.1 Mbit);
-    [speed_factor] in (0, 1], default 1; [discipline] defaults to
-    FIFO.  [loss] injects random wire loss: each transmitted packet is
+    [discipline] defaults to FIFO.  [loss] injects random wire loss: each transmitted packet is
     discarded at its arrival instant with the given probability
     (failure-injection tests); default none.  The stream is drawn once
     per arrival that an outage did not already kill, in transmission
     order, so it should belong to this interface alone.  A lost packet
     still counts in {!tx_bits}, {!tx_packets} and {!utilisation}.
-    @raise Invalid_argument on a non-positive queue, factor outside
-    (0, 1] or loss probability outside [0, 1). *)
+    @raise Invalid_argument on a non-positive queue or a loss
+    probability outside [0, 1). *)
 
 val link : t -> Topology.Link.t
 
@@ -42,7 +39,7 @@ val send : t -> Packet.t -> [ `Queued | `Dropped ]
 (** Enqueue and start transmitting if idle. *)
 
 val rate : t -> float
-(** Effective transmit rate (capacity × speed_factor), bps. *)
+(** Transmit rate: the link's capacity, bps. *)
 
 val queue_occupancy : t -> float
 (** Bits waiting (not counting the packet on the wire). *)

@@ -17,10 +17,9 @@ type t = {
 
 let silent ~from:_ (_ : Packet.t) = ()
 
-let create ?queue_bits ?speed_factor ?discipline ?loss_rate
-    ?(loss_seed = 0xbadL) eng g =
+let create ?queue_bits ?discipline ?loss_rate eng g =
   (* one loss stream per interface, split in link-id order *)
-  let loss_rng = Sim.Rng.create loss_seed in
+  let loss_rng = Sim.Rng.create 0xbadL in
   let handlers = Array.make (Graph.node_count g) silent in
   let t =
     {
@@ -38,7 +37,7 @@ let create ?queue_bits ?speed_factor ?discipline ?loss_rate
   let make_iface (l : Link.t) =
     let loss = Option.map (fun p -> (p, Sim.Rng.split loss_rng)) loss_rate in
     let from = Some l in
-    Iface.create ?queue_bits ?speed_factor ?discipline ?loss eng l
+    Iface.create ?queue_bits ?discipline ?loss eng l
       ~deliver:(fun p -> t.handlers.(l.Link.dst) ~from p)
   in
   let ifaces = Array.init (Graph.link_count g) (fun i -> make_iface (Graph.link g i)) in

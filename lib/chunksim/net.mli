@@ -13,14 +13,13 @@ type handler = from:Topology.Link.t option -> Packet.t -> unit
     injected packets). *)
 
 val create :
-  ?queue_bits:float -> ?speed_factor:float ->
-  ?discipline:Iface.discipline -> ?loss_rate:float -> ?loss_seed:int64 ->
+  ?queue_bits:float -> ?discipline:Iface.discipline -> ?loss_rate:float ->
   Sim.Engine.t -> Topology.Graph.t -> t
 (** Interface parameters are uniform; see {!Iface.create}.
-    [loss_rate]/[loss_seed] inject seeded random wire loss on every
-    link (default none).  Each interface draws from its own stream,
-    split from [loss_seed] in link-id order, so one link's loss
-    decisions do not depend on traffic elsewhere. *)
+    [loss_rate] injects seeded random wire loss on every link (default
+    none).  Each interface draws from its own stream, split from one
+    fixed seed in link-id order, so one link's loss decisions do not
+    depend on traffic elsewhere. *)
 
 val graph : t -> Topology.Graph.t
 val engine : t -> Sim.Engine.t

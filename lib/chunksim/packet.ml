@@ -34,12 +34,13 @@ let request_routed ~route ~flow ~nc ~ack ~ac =
 
 let request ~flow ~nc ~ack ~ac = request_routed ~route:[] ~flow ~nc ~ack ~ac
 
-let data ?(anticipated = false) ?(via_detour = false) ?(detour_route = [])
-    ~flow ~idx ~born chunk_bits =
+let data ?(anticipated = false) ?(detour_route = []) ~flow ~idx ~born
+    chunk_bits =
   if chunk_bits <= 0. then invalid_arg "Packet.data: chunk_bits <= 0";
   if idx < 0 then invalid_arg "Packet.data: idx < 0";
   {
-    header = Data { flow; idx; anticipated; via_detour; detour_route; born };
+    header =
+      Data { flow; idx; anticipated; via_detour = false; detour_route; born };
     size = chunk_bits;
   }
 

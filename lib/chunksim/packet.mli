@@ -48,10 +48,10 @@ val request : flow:int -> nc:int -> ack:int -> ac:int -> t
     forwarding).  @raise Invalid_argument if [ac < nc] or [nc < 0]. *)
 
 val data :
-  ?anticipated:bool -> ?via_detour:bool ->
-  ?detour_route:Topology.Node.id list -> flow:int -> idx:int ->
-  born:float -> float -> t
-(** [data ~flow ~idx ~born chunk_bits].
+  ?anticipated:bool -> ?detour_route:Topology.Node.id list -> flow:int ->
+  idx:int -> born:float -> float -> t
+(** [data ~flow ~idx ~born chunk_bits]: [via_detour] starts [false]; a
+    router deflecting the chunk sets it.
     @raise Invalid_argument if [chunk_bits <= 0.] or [idx < 0]. *)
 
 val backpressure : flow:int -> engage:bool -> t

@@ -53,12 +53,12 @@ val merge : t -> t -> t
 
 val random :
   seed:int64 -> ?link_outages:int -> ?crashes:int -> ?bursts:int ->
-  ?mean_outage:float -> horizon:float -> Topology.Graph.t -> t
+  horizon:float -> Topology.Graph.t -> t
 (** Derive a schedule from [seed] alone.  [link_outages] (default 2)
     finite outages, each taking both directions of a random physical
     link down at a time uniform in the first two-thirds of [horizon]
     and back up after an exponential-ish duration around
-    [mean_outage] (default [horizon /. 10.]); [crashes] (default 0)
+    [horizon /. 10.]; [crashes] (default 0)
     crash/restart pairs on random nodes of out-degree ≥ 2 (ignored on
     graphs with none); [bursts] (default 0) control-plane loss bursts
     with loss in [0.5, 1.0].  All outages resolve strictly before

@@ -79,21 +79,20 @@ let max_min g demands =
 (* INRP hop-by-hop allocation. *)
 
 type inrp_options = {
-  rounds : int;
   max_detour : int;
   allow_further : bool;
-  bp_iterations : int;
   source_detour : bool;
 }
 
 let default_inrp =
-  {
-    rounds = 50;
-    max_detour = 1;
-    allow_further = true;
-    bp_iterations = 4;
-    source_detour = true;
-  }
+  { max_detour = 1; allow_further = true; source_detour = true }
+
+let rounds = 50
+
+(* back-pressure fixed-point passes: after each pass a sender's cap
+   drops to what it could deliver, modelling the closed-loop mode of
+   §3.2, so undeliverable traffic stops wasting upstream capacity *)
+let bp_iterations = 4
 
 let fig3_inrp = { default_inrp with source_detour = false }
 
@@ -204,8 +203,8 @@ let inrp_pass ~options ~detours g demands caps =
         dpath.Path.links;
     Float.max 0. grantable
   in
-  let quantum = Array.map (fun r -> r /. float_of_int options.rounds) pushed in
-  for round = 0 to options.rounds - 1 do
+  let quantum = Array.map (fun r -> r /. float_of_int rounds) pushed in
+  for round = 0 to rounds - 1 do
     for slot = 0 to nflows - 1 do
       (* rotate service order so no flow systematically goes first *)
       let f = (slot + round) mod nflows in
@@ -287,9 +286,6 @@ let inrp_pass ~options ~detours g demands caps =
   }
 
 let inrp ?(options = default_inrp) ~detours g demands =
-  if options.rounds < 1 then invalid_arg "Allocation.inrp: rounds < 1";
-  if options.bp_iterations < 1 then
-    invalid_arg "Allocation.inrp: bp_iterations < 1";
   let caps = Array.map snd demands in
   let result = ref (inrp_pass ~options ~detours g demands caps) in
   (* Back-pressure: tighten each sender to what it proved deliverable,
@@ -299,8 +295,8 @@ let inrp ?(options = default_inrp) ~detours g demands =
   let max_capacity =
     Graph.fold_links (fun l acc -> Float.max acc l.Link.capacity) g 0.
   in
-  for pass = 2 to options.bp_iterations do
-    let final = pass = options.bp_iterations in
+  for pass = 2 to bp_iterations do
+    let final = pass = bp_iterations in
     let slack = if final then 1.0 else 1.25 in
     (* a small probe keeps fully-blocked senders able to re-grow when
        other senders back off — the rate with which receivers keep

@@ -23,17 +23,11 @@ val max_min : Topology.Graph.t -> (Topology.Path.t * float) array -> float array
 
 (** Options for the INRP allocator. *)
 type inrp_options = {
-  rounds : int;          (** water-filling granularity; >= 10 sensible *)
   max_detour : int;      (** detour depth: 0 disables, 1 = paper's 1-hop,
                              2 adds the "one extra hop" recursion *)
   allow_further : bool;  (** nodes on a detour may detour one extra hop
                              (paper's Fig. 4 setting) — includes
                              2-intermediate detours as fallback *)
-  bp_iterations : int;   (** back-pressure fixed-point passes: after each
-                             pass a sender's cap drops to what it could
-                             deliver, modelling the closed-loop mode of
-                             §3.2 — undeliverable traffic stops wasting
-                             upstream capacity.  1 = pure open loop. *)
   source_detour : bool;  (** the source node acts as a router for its own
                              traffic: it may detour around its congested
                              first link (PoP-level semantics, used for
@@ -45,8 +39,11 @@ type inrp_options = {
 }
 
 val default_inrp : inrp_options
-(** [{ rounds = 50; max_detour = 1; allow_further = true;
-      bp_iterations = 4; source_detour = true }] *)
+(** [{ max_detour = 1; allow_further = true; source_detour = true }] *)
+
+val rounds : int
+(** 50: the water-filling granularity.  Each pass serves every flow in
+    [rounds] equal quanta of its push rate. *)
 
 val fig3_inrp : inrp_options
 (** {!default_inrp} with [source_detour = false]. *)

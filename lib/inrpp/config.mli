@@ -1,7 +1,11 @@
-(** Protocol constants.
+(** Protocol configuration.
 
-    One record gathers every tunable of the INRPP implementation; the
-    ablation benches sweep individual fields.  All sizes in bits,
+    The record holds what runs set differently: the chunk size, the Ac
+    window, the re-request timer, the store and queue sizes, and the
+    feature switches the ablation benches flip.  Everything else is a
+    constant, as in the paper (§3.2: "a constant parameter set
+    globally"), defined once in the module that reads it; the constants
+    below are the ones read outside that module.  All sizes in bits,
     times in seconds, rates in bits per second. *)
 
 type t = {
@@ -11,9 +15,6 @@ type t = {
   (** Ac window: how many chunks beyond Nc a request invites the
       sender to push (paper §3.2, "a constant parameter set
       globally") *)
-  initial_request_rate : float;
-  (** requests per second while no data has arrived yet — the
-      "initial window" analogue *)
   request_timeout : float;
   (** receiver retransmits the request for its lowest missing chunk
       after this much silence (the paper's explicit timers/NACKs) *)
@@ -21,39 +22,10 @@ type t = {
   (** multiplicative backoff of the re-request timer while a flow
       makes no progress (≥ 1; 1 disables backoff).  Keeps re-request
       storms from melting a partitioned network *)
-  timeout_backoff_cap : float;
-  (** ceiling on the backoff multiplier: the re-request interval never
-      exceeds [timeout_backoff_cap × request_timeout] *)
-  ti : float;
-  (** measurement interval T_i of the anticipated-rate estimator;
-      the paper suggests ≈ average RTT *)
-  estimator_alpha : float;
-  (** EWMA smoothing of r_a across intervals, in [0, 1]; higher =
-      more reactive *)
-  engage_ratio : float;
-  (** enter detour/back-pressure when r_a / r crosses this *)
-  release_ratio : float;
-  (** return towards push when r_a / r falls below this
-      (hysteresis against link swapping, an open issue the paper
-      flags in §4) *)
-  max_detour : int;
-  (** intermediate nodes allowed on a detour (1 = paper's headline;
-      2 covers "nodes on the detour path can further detour by one
-      extra hop") *)
-  flowlet_gap : float;
-  (** idle gap after which a flow may be re-pinned to a different
-      path (flowlet switching, avoids reordering within bursts) *)
-  detour_queue_threshold : float;
-  (** a detour first-hop is usable while its queue occupancy is
-      below this fraction *)
   cache_bits : float;
   (** content-store capacity per router *)
-  cache_high_water : float;
-  cache_low_water : float;
   queue_bits : float;
   (** interface buffer *)
-  speed_factor : float;
-  (** derate interface transmit speed (§3.3 footnote); (0, 1] *)
   drr_scheduler : bool;
   (** per-flow deficit-round-robin interface queues instead of FIFO —
       the §3.3 "round-robin scheduler" (ablation [ablation-sched]) *)
@@ -85,15 +57,35 @@ type t = {
 }
 
 val default : t
-(** 10 kB chunks, Ac = 8, 100 req/s initial, 200 ms timeout (backoff
-    off by default — the fault experiments enable ×2 capped at ×32),
-    T_i = 40 ms, α = 0.3, engage 0.95 / release 0.75, 1-hop detours
-    (+1 recursion), 20 ms flowlets, queue threshold 0.5, 4 MB cache
-    (0.7/0.3 watermarks), 64-chunk queues, full speed, stateful
-    forwarding, no teardown. *)
+(** 10 kB chunks, Ac = 8, 200 ms timeout (backoff off by default — the
+    fault experiments enable ×2), 4 MB cache, 64-chunk queues, FIFO
+    interfaces, stateful forwarding, no ICN caching, no teardown. *)
+
+val ti : float
+(** 40 ms: the measurement interval T_i of the anticipated-rate
+    estimator, the paper's "≈ average RTT"; also the period of the
+    router ticks and of the sampler's default interval. *)
+
+val estimator_alpha : float
+(** 0.3: EWMA smoothing of r_a across intervals. *)
+
+val engage_ratio : float
+(** 0.95: a port enters detour/back-pressure when r_a / r crosses
+    this. *)
+
+val release_ratio : float
+(** 0.75: a port returns towards push-data when r_a / r falls below
+    this (hysteresis against link swapping, an open issue the paper
+    flags in §4). *)
+
+val timeout_backoff_cap : float
+(** 32: the re-request interval never exceeds
+    [timeout_backoff_cap × request_timeout]. *)
 
 val validate : t -> (t, string) result
-(** All range checks; returns the config unchanged when valid. *)
+(** The range checks on the fields, and the one illegal combination
+    ([pitless] with [icn_caching]); returns the config unchanged when
+    valid. *)
 
 val chunk_tx_time : t -> rate:float -> float
 (** Serialisation time of one chunk at [rate]. *)

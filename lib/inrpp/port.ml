@@ -9,11 +9,17 @@ module Net = Chunksim.Net
 module Iface = Chunksim.Iface
 module Trace = Chunksim.Trace
 
+(* A queue admits detoured chunks, and a port in detour keeps its own
+   chunks on the primary, while the queue is below this fraction of
+   its capacity *)
+let detour_queue_threshold = 0.5
+
 (* A detour candidate with everything the per-packet usability scan
    needs resolved ahead of time: hop interfaces, their admission
-   limits, and the first hop's port.  The static conditions — depth
-   bound, every hop up — are folded into cache membership; only queue
-   room is re-checked per scan, so the scan allocates nothing. *)
+   limits, and the first hop's port.  The static condition — every hop
+   up — is folded into cache membership (the depth bound is the
+   detour table's); only queue room is re-checked per scan, so the
+   scan allocates nothing. *)
 type dcand = {
   dc_first : Link.t;
   dc_via : Topology.Node.id;       (* first hop's dst: the flowlet pin *)
@@ -164,9 +170,8 @@ let estimator s p =
     e
   | None ->
     let e =
-      Rate_estimator.create ~ti:s.cfg.Config.ti
-        ~alpha:s.cfg.Config.estimator_alpha
-        ~capacity:(p.p_link.Link.capacity *. s.cfg.Config.speed_factor)
+      Rate_estimator.create ~ti:Config.ti ~alpha:Config.estimator_alpha
+        ~capacity:p.p_link.Link.capacity
     in
     p.est <- Some e;
     join_walk s p;
@@ -177,13 +182,12 @@ let current_estimator s p =
   (match p.est with Some e -> catch_up s p e | None -> ());
   p.est
 
-let phase s p =
+let phase p =
   match p.phase with
   | Some ph -> ph
   | None ->
     let ph =
-      Phase.create ~engage:s.cfg.Config.engage_ratio
-        ~release:s.cfg.Config.release_ratio
+      Phase.create ~engage:Config.engage_ratio ~release:Config.release_ratio
     in
     p.phase <- Some ph;
     ph
@@ -194,7 +198,7 @@ let link_is_up s (l : Link.t) =
 (* ------------------------------------------------------------------ *)
 (* Detour candidate cache *)
 
-(* detour candidates around [l] within the configured depth and with
+(* detour candidates around [l] within the table's depth and with
    every hop up; queue room is the per-scan dynamic check.  Remote
    queue state stands in for the paper's periodic utilisation exchange
    between one-hop neighbours. *)
@@ -202,8 +206,7 @@ let build_cands s (l : Link.t) =
   let usable =
     List.filter
       (fun (cand : Detour_table.candidate) ->
-        cand.Detour_table.hops - 1 <= s.cfg.Config.max_detour
-        && List.for_all (fun hop -> link_is_up s hop) cand.Detour_table.links)
+        List.for_all (fun hop -> link_is_up s hop) cand.Detour_table.links)
       (Detour_table.candidates s.detours l)
   in
   Array.of_list
@@ -217,8 +220,7 @@ let build_cands s (l : Link.t) =
          in
          let limits =
            Array.map
-             (fun i ->
-               s.cfg.Config.detour_queue_threshold *. Iface.queue_capacity i)
+             (fun i -> detour_queue_threshold *. Iface.queue_capacity i)
              ifaces
          in
          {
@@ -283,13 +285,13 @@ let first_usable s p = usable_from s (cands s p) 0 false
    in detour, in back-pressure, and in push-data at or above engage. *)
 let tick_port s p est ~pressure ~drained =
   Rate_estimator.tick est;
-  let ph = phase s p in
+  let ph = phase p in
   let before = Phase.current ph in
   let ratio = Rate_estimator.ratio est in
   let after =
     Phase.update ph ~ratio
       ~detour_usable:
-        ((before <> Phase.Push_data || ratio >= s.cfg.Config.engage_ratio)
+        ((before <> Phase.Push_data || ratio >= Config.engage_ratio)
         && first_usable s p >= 0)
       ~custody_pressure:pressure ~custody_drained:drained
   in

@@ -232,8 +232,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
         Chunksim.Iface.Drr cfg.Config.chunk_bits
       else Chunksim.Iface.Fifo_discipline
     in
-    Net.create ~queue_bits:cfg.Config.queue_bits
-      ~speed_factor:cfg.Config.speed_factor ~discipline ?loss_rate eng g
+    Net.create ~queue_bits:cfg.Config.queue_bits ~discipline ?loss_rate eng g
   in
   let trace =
     if collect_trace || Option.is_some obs || Option.is_some check then
@@ -249,9 +248,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
   let spans_on = Option.is_some (Option.bind obs Obs.Observer.spans) in
   if spans_on then Option.iter (fun tr -> Trace.set_lifecycle tr true) trace;
   let recorder = Option.bind obs Obs.Observer.recorder in
-  let detours =
-    Detour_table.create ~max_intermediate:(max 1 cfg.Config.max_detour) g
-  in
+  let detours = Detour_table.create g in
   (* the link-state view exists in every run (all-up without faults,
      which is behaviourally identical to not having one) so router
      wiring does not depend on whether a schedule was passed *)
@@ -530,8 +527,7 @@ let attach_endpoints w ~faulted =
         List.fold_left
           (fun acc (l : Link.t) ->
             acc +. l.Link.delay
-            +. (cfg.Config.chunk_bits
-               /. (l.Link.capacity *. cfg.Config.speed_factor)))
+            +. (cfg.Config.chunk_bits /. l.Link.capacity))
           0. p.Path.links)
       routes
   in
@@ -540,8 +536,7 @@ let attach_endpoints w ~faulted =
         let { src; dst; chunks; _ } = specs.(flow) in
         let pace_rate =
           let l = List.hd routes.(flow).Path.links in
-          l.Link.capacity *. cfg.Config.speed_factor
-          /. float_of_int sharers.(l.Link.id)
+          l.Link.capacity /. float_of_int sharers.(l.Link.id)
         in
         let src_router = routers.(src) in
         let transmit p =
@@ -652,7 +647,7 @@ let attach_endpoints w ~faulted =
    registration order, which this stage fixes; starting the sampler
    schedules its first event. *)
 let instrument w ~driver ~senders ~receivers o =
-  let { cfg; eng; net; routers; watchdog; link_state; _ } = w in
+  let { eng; net; routers; watchdog; link_state; _ } = w in
   let reg = Obs.Observer.registry o in
   Array.iter
     (fun r ->
@@ -730,7 +725,7 @@ let instrument w ~driver ~senders ~receivers o =
       ("receiver_chunks_received", fun r ->
         Session.received_count (Receiver.session r)) ];
   let smp =
-    Obs.Observer.install_sampler o ~eng ~default_interval:cfg.Config.ti
+    Obs.Observer.install_sampler o ~eng ~default_interval:Config.ti
   in
   (* attribute the sampler's own engine events to their profiler
      bucket (hooks run first on each tick), and when a wall clock was
@@ -905,7 +900,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     if occ > w.peak_custody then w.peak_custody <- occ
   in
   ignore
-  @@ Sim.Engine.schedule_periodic eng ~interval:cfg.Config.ti (fun () ->
+  @@ Sim.Engine.schedule_periodic eng ~interval:Config.ti (fun () ->
       Sim.Engine.profile_mark eng k_tick;
       Router.tick_sweep registry routers;
       Router.iter_custody registry routers note_peak;
@@ -920,7 +915,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
       | Some _ | None -> ());
       not (all_done w));
   ignore
-  @@ Sim.Engine.schedule_periodic eng ~interval:(cfg.Config.ti /. 4.)
+  @@ Sim.Engine.schedule_periodic eng ~interval:(Config.ti /. 4.)
        (fun () ->
          Sim.Engine.profile_mark eng k_drain;
          Router.drain_sweep registry routers;

@@ -110,7 +110,7 @@ val run :
     [iface_phase_occupancy] per phase label), anticipated rate
     ([iface_anticipated_bps]/[_ratio]), queue and utilisation series
     plus per-node [custody_bits], [bp_active_flows] and
-    [detoured_total] at interval [cfg.ti] (or the observer's
+    [detoured_total] at interval [Config.ti] (or the observer's
     override).
 
     [check] enforces runtime invariants throughout the run (implies

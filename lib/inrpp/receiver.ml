@@ -17,6 +17,10 @@ type t = {
   breaker : Overload.Breaker.t;
 }
 
+(* requests per second while no data has arrived yet: the "initial
+   window" analogue *)
+let initial_request_rate = 100.
+
 let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
     ?(overload = Overload.Config.off) () =
   {
@@ -72,7 +76,7 @@ let rec arm_timeout t =
                  t.timeout_scale <-
                    Float.min
                      (t.timeout_scale *. t.cfg.Config.timeout_backoff)
-                     t.cfg.Config.timeout_backoff_cap
+                     Config.timeout_backoff_cap
                | `Probe ->
                  (* half-open: exactly one probe, no backoff growth —
                     the breaker's probe interval is the pacing now *)
@@ -89,7 +93,7 @@ let start t =
     t.last_progress <- Sim.Engine.now t.eng;
     request t;
     (* pace extra requests until data flows, like TCP's initial window *)
-    let gap = 1. /. t.cfg.Config.initial_request_rate in
+    let gap = 1. /. initial_request_rate in
     let rec prime n =
       if n > 0 then
         ignore

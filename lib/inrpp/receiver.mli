@@ -3,7 +3,7 @@
     Requests data at the application rate: one request per arriving
     chunk (flow balance), each carrying ⟨Nc = lowest missing, ACKc,
     Ac = Nc-side anticipation window⟩.  Before any data arrives,
-    requests are paced at the configured initial rate.  A progress
+    requests are paced at 100 per second.  A progress
     timeout re-requests the lowest missing chunk — the explicit-timer
     loss recovery the paper prescribes instead of treating
     out-of-order arrival as congestion. *)

@@ -54,6 +54,10 @@ type t = {
 
 let registry = Port.registry
 
+(* idle gap after which a flow may be re-pinned to a different path
+   (flowlet switching: no reordering within a burst) *)
+let flowlet_gap = 0.02
+
 let create ~cfg ~net ~node ~detours
     ?(link_state = Topology.Link_state.create (Net.graph net)) ?trace
     ?(overload = Overload.Config.off) ?registry () =
@@ -65,11 +69,9 @@ let create ~cfg ~net ~node ~detours
     s =
       Port.create ~cfg ~net ~node ~detours ~link_state ~trace ~overload
         ~reg:registry;
-    ft = Ft.create ~gap:cfg.Config.flowlet_gap ();
+    ft = Ft.create ~gap:flowlet_gap ();
     store =
-      Cache.create ~high_water:cfg.Config.cache_high_water
-        ~low_water:cfg.Config.cache_low_water
-        ?policy:(Overload.Config.policy overload)
+      Cache.create ?policy:(Overload.Config.policy overload)
         ~capacity:cfg.Config.cache_bits ();
     custody_packets = Hashtbl.create 64;
     drain_listed = false;
@@ -197,8 +199,7 @@ let hot_of t slot (l : Link.t) =
       {
         h_link = l;
         h_iface = i;
-        h_limit =
-          t.s.Port.cfg.Config.detour_queue_threshold *. Iface.queue_capacity i;
+        h_limit = Port.detour_queue_threshold *. Iface.queue_capacity i;
         h_port = Port.port_of t.s l;
       }
     in
@@ -438,7 +439,7 @@ let forward_primary_path t slot flow (p : Packet.t) =
          custody is the fallback when no detour survives *)
       try_detour t slot flow l p
     else
-      let ph = Phase.current (Port.phase t.s h.h_port) in
+      let ph = Phase.current (Port.phase h.h_port) in
       let effective =
         if Ft.detour_override t.ft slot && ph = Phase.Push_data then
           Phase.Detour

@@ -53,7 +53,8 @@ val create :
   detours:Detour_table.t -> ?link_state:Topology.Link_state.t ->
   ?trace:Chunksim.Trace.t -> ?overload:Overload.Config.t ->
   ?registry:registry -> unit -> t
-(** [link_state] is the link view the router reads: detour candidates
+(** [detours] bounds the detour depth: every candidate it lists may
+    be taken.  [link_state] is the link view the router reads: detour candidates
     with a down hop are unusable, and a down primary interface routes
     through the detour set.  It defaults to a fresh all-up view of the
     net's graph, which nothing flips.  [overload] (default
@@ -116,7 +117,7 @@ val originate_data : t -> Chunksim.Packet.t -> unit
 val tick : t -> unit
 (** Close an estimator interval on a router created without a
     registry and update its interface phases, in ascending link-id
-    order.  Schedule every [cfg.ti].  Only interfaces on the walk are
+    order.  Schedule every [Config.ti].  Only interfaces on the walk are
     stepped: an interface joins it when it notes bits and leaves it
     when a tick finds it idle in push-data, where every later tick
     would only decay r_a (its phase cannot change).  Those decays are
@@ -136,7 +137,7 @@ val drain : t -> unit
 (** Move custody chunks onto primary interfaces with queue room (or
     onto detours when the primary is down or full) and release
     back-pressure when the store empties below the low watermark.
-    Schedule a few times per [cfg.ti].  Flows are served one chunk per
+    Schedule a few times per [Config.ti].  Flows are served one chunk per
     round in ascending flow id, a round visiting only the flows the
     previous one left able to release, until a round releases nothing.
     A drain target that refuses admission (full or down) leaves the

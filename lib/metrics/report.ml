@@ -1,18 +1,12 @@
-type align =
-  | Left
-  | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else begin
     let fill = String.make (width - n) ' ' in
-    match align with
-    | Left -> s ^ fill
-    | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
   end
 
-let table ?(align = [ Left; Right ]) ~header rows ppf () =
+let table ~header rows ppf () =
   let ncols = List.length header in
   List.iteri
     (fun i row ->
@@ -21,17 +15,6 @@ let table ?(align = [ Left; Right ]) ~header rows ppf () =
           (Printf.sprintf "Report.table: row %d has %d cells, expected %d" i
              (List.length row) ncols))
     rows;
-  let aligns =
-    let rec fill i prev =
-      if i >= ncols then []
-      else begin
-        match List.nth_opt align i with
-        | Some a -> a :: fill (i + 1) a
-        | None -> prev :: fill (i + 1) prev
-      end
-    in
-    fill 0 Left
-  in
   let widths =
     List.mapi
       (fun c h ->
@@ -42,10 +25,9 @@ let table ?(align = [ Left; Right ]) ~header rows ppf () =
   in
   let print_row cells =
     let padded =
-      List.map2
-        (fun (a, w) cell -> pad a w cell)
-        (List.combine aligns widths)
-        cells
+      List.mapi
+        (fun c (w, cell) -> pad ~left:(c = 0) w cell)
+        (List.combine widths cells)
     in
     Format.fprintf ppf "%s@." (String.concat "  " padded)
   in
@@ -69,7 +51,7 @@ let bar_chart ?(width = 40) ~header entries ppf () =
         else int_of_float (Float.round (Float.abs v /. maxv *. float_of_int width))
       in
       Format.fprintf ppf "%s  %s %.3f@."
-        (pad Left label_width label)
+        (pad ~left:true label_width label)
         (String.make bar_len '#') v)
     entries
 

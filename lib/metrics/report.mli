@@ -2,17 +2,11 @@
     CDF/bar plots, used by the bench harness to print the paper's
     tables and figure series. *)
 
-type align =
-  | Left
-  | Right
-
 val table :
-  ?align:align list -> header:string list -> string list list ->
-  Format.formatter -> unit -> unit
+  header:string list -> string list list -> Format.formatter -> unit -> unit
 (** [table ~header rows ppf ()] prints an aligned table with a rule
-    under the header.  Alignment defaults to [Left] for the first
-    column and [Right] for the rest; a short [align] list is padded
-    with its last element.
+    under the header: the first column left-aligned, the rest
+    right-aligned.
     @raise Invalid_argument when a row width differs from the header. *)
 
 val bar_chart :

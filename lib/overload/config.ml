@@ -1,7 +1,7 @@
 type admission =
   | Drop_tail
-  | Object_runs of { threshold : float }
-  | Fair_share of { share : float }
+  | Object_runs
+  | Fair_share
 
 type t = {
   admission : admission;
@@ -17,7 +17,7 @@ type t = {
 
 let default =
   {
-    admission = Object_runs { threshold = 0.6 };
+    admission = Object_runs;
     shed_threshold = 0.9;
     early_bp_threshold = 0.5;
     neighbor_pressure = 0.85;
@@ -45,13 +45,6 @@ let watchdog_enabled t = t.watchdog_window > 0.
 
 let validate t =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
-  (match t.admission with
-  | Drop_tail -> ()
-  | Object_runs { threshold } ->
-    if not (0. < threshold && threshold <= 1.) then
-      fail "Overload.Config: object_runs threshold %g not in (0, 1]" threshold
-  | Fair_share { share } ->
-    if share <= 0. then fail "Overload.Config: fair_share share %g <= 0" share);
   if t.shed_threshold <= 0. then
     fail "Overload.Config: shed_threshold %g <= 0" t.shed_threshold;
   if t.early_bp_threshold <= 0. then
@@ -76,11 +69,11 @@ let validate t =
 let policy t : Chunksim.Cache.policy option =
   match t.admission with
   | Drop_tail -> None
-  | Object_runs { threshold } -> Some (Chunksim.Cache.object_runs ~threshold ())
-  | Fair_share { share } -> Some (Chunksim.Cache.fair_share ~share ())
+  | Object_runs -> Some (Chunksim.Cache.object_runs ~threshold:0.6 ())
+  | Fair_share -> Some (Chunksim.Cache.fair_share ())
 
 let admission_name t =
   match t.admission with
   | Drop_tail -> "drop-tail"
-  | Object_runs _ -> "object-runs"
-  | Fair_share _ -> "fair-share"
+  | Object_runs -> "object-runs"
+  | Fair_share -> "fair-share"

@@ -9,13 +9,13 @@
 type admission =
   | Drop_tail
       (** Always admit while capacity lasts: no policy in the store. *)
-  | Object_runs of { threshold : float }
+  | Object_runs
       (** Object-granularity admission: never break a custody run the
-          store already committed to; refuse {e new} runs above
-          [threshold] custody occupancy.  See
-          {!Chunksim.Cache.object_runs}. *)
-  | Fair_share of { share : float }
-      (** Per-flow fairness cap over the custody region.  See
+          store already committed to; refuse {e new} runs above 0.6
+          custody occupancy.  See {!Chunksim.Cache.object_runs}. *)
+  | Fair_share
+      (** Per-flow fairness cap over the custody region: no flow grows
+          past an equal split of the store.  See
           {!Chunksim.Cache.fair_share}. *)
 
 type t = {
@@ -50,7 +50,7 @@ type t = {
 }
 
 val default : t
-(** Sensible active defaults: object-runs admission at 0.6, shed at
+(** Sensible active defaults: object-runs admission, shed at
     0.9, early back-pressure at 0.5, neighbour refusal at 0.85, retry
     budget 4 with 1 s probes, 1 s watchdog window with 0.3/0.7
     collapse/recovery ratios. *)

@@ -227,9 +227,7 @@ let test_cache_custody_full () =
     (Chunksim.Cache.custody_occupancy c)
 
 let test_cache_watermarks () =
-  let c =
-    Chunksim.Cache.create ~high_water:0.7 ~low_water:0.3 ~capacity:1000. ()
-  in
+  let c = Chunksim.Cache.create ~capacity:1000. () in
   Alcotest.(check bool) "empty below low" true (Chunksim.Cache.below_low c);
   ignore (Chunksim.Cache.put_custody c ~flow:0 ~idx:0 ~bits:750.);
   Alcotest.(check bool) "above high" true (Chunksim.Cache.above_high c);
@@ -305,13 +303,7 @@ let test_cache_holding_time () =
 let test_cache_validation () =
   Alcotest.check_raises "capacity"
     (Invalid_argument "Cache.create: capacity <= 0") (fun () ->
-      ignore (Chunksim.Cache.create ~capacity:0. ()));
-  Alcotest.check_raises "watermarks"
-    (Invalid_argument
-       "Cache.create: watermarks must satisfy 0 <= low < high <= 1")
-    (fun () ->
-      ignore
-        (Chunksim.Cache.create ~high_water:0.2 ~low_water:0.5 ~capacity:1. ()))
+      ignore (Chunksim.Cache.create ~capacity:0. ()))
 
 (* The popularity region against a list-based LRU, newest first, whose
    float ledger adds and subtracts in the store's order: a present key
@@ -473,20 +465,6 @@ let test_iface_serialisation () =
     check_close "tx bits" 0. 2e5 (Chunksim.Iface.tx_bits iface);
     Alcotest.(check int) "tx packets" 2 (Chunksim.Iface.tx_packets iface)
   | l -> Alcotest.failf "expected 2 arrivals, got %d" (List.length l)
-
-let test_iface_speed_factor () =
-  let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0. 2 [ (0, 1) ] in
-  let l = Option.get (Topology.Graph.find_link g 0 1) in
-  let arrived_at = ref 0. in
-  let iface =
-    Chunksim.Iface.create ~speed_factor:0.5 eng l ~deliver:(fun _ ->
-        arrived_at := Sim.Engine.now eng)
-  in
-  check_close "derated" 0. 5e5 (Chunksim.Iface.rate iface);
-  ignore (Chunksim.Iface.send iface (P.data ~flow:0 ~idx:0 ~born:0. 1e5));
-  Sim.Engine.run eng;
-  check_close "slower tx" 1e-9 0.2 !arrived_at
 
 let test_iface_utilisation () =
   let eng = Sim.Engine.create () in
@@ -1066,7 +1044,6 @@ let () =
       ( "iface",
         [
           Alcotest.test_case "serialisation" `Quick test_iface_serialisation;
-          Alcotest.test_case "speed factor" `Quick test_iface_speed_factor;
           Alcotest.test_case "drr discipline" `Quick test_iface_drr_discipline;
           Alcotest.test_case "utilisation" `Quick test_iface_utilisation;
           Alcotest.test_case "wire loss" `Quick test_iface_wire_loss;

@@ -401,12 +401,12 @@ let test_backoff_bounds_requests_during_partition () =
   (* derived bound: the fault-free request load, plus the doublings up
      to the cap, plus one request per capped interval across the
      partition, plus slack for the post-heal refetch *)
-  let cfg = Inrpp.Config.default in
   let cap =
-    cfg.Inrpp.Config.timeout_backoff_cap *. cfg.Inrpp.Config.request_timeout
+    Inrpp.Config.timeout_backoff_cap
+    *. Inrpp.Config.default.Inrpp.Config.request_timeout
   in
   let doublings =
-    int_of_float (ceil (log cfg.Inrpp.Config.timeout_backoff_cap /. log 2.))
+    int_of_float (ceil (log Inrpp.Config.timeout_backoff_cap /. log 2.))
   in
   let partition = 30. in
   let bound =

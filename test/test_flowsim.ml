@@ -162,23 +162,6 @@ let test_inrp_effective_hops_sane () =
   Alcotest.(check bool) "flow A traffic detoured" true
     (res.A.detoured_fraction > 0.2)
 
-let test_inrp_options_validation () =
-  let g = Builders.fig3 () in
-  let table = A.Detour_table.create g in
-  let p = path_of g [ 0; 1 ] in
-  Alcotest.check_raises "rounds" (Invalid_argument "Allocation.inrp: rounds < 1")
-    (fun () ->
-      ignore
-        (A.inrp
-           ~options:{ A.default_inrp with rounds = 0 }
-           ~detours:(A.Detour_table.find table) g [| (p, 1.) |]));
-  Alcotest.check_raises "bp" (Invalid_argument "Allocation.inrp: bp_iterations < 1")
-    (fun () ->
-      ignore
-        (A.inrp
-           ~options:{ A.default_inrp with bp_iterations = 0 }
-           ~detours:(A.Detour_table.find table) g [| (p, 1.) |]))
-
 (* ------------------------------------------------------------------ *)
 (* Routing *)
 
@@ -599,7 +582,7 @@ let detour_deficit ~n ~seed =
       Array.fold_left
         (fun acc (p, d) ->
           acc
-          +. (d /. float_of_int opts.A.rounds)
+          +. (d /. float_of_int A.rounds)
              *. float_of_int (Path.hops p + detour_extra))
         0. demands
     in
@@ -645,7 +628,6 @@ let () =
           Alcotest.test_case "delivered <= pushed" `Quick test_inrp_delivered_le_pushed;
           Alcotest.test_case "capacity conserved" `Quick test_inrp_capacity_conserved;
           Alcotest.test_case "effective hops" `Quick test_inrp_effective_hops_sane;
-          Alcotest.test_case "options validation" `Quick test_inrp_options_validation;
           Alcotest.test_case "detour deficit worst case" `Quick
             test_inrp_detour_deficit_worst_case;
         ] );

@@ -21,11 +21,6 @@ let test_config_rejections () =
   in
   bad (fun c -> { c with Inrpp.Config.chunk_bits = 0. });
   bad (fun c -> { c with Inrpp.Config.anticipation = -1 });
-  bad (fun c -> { c with Inrpp.Config.engage_ratio = 0.5; release_ratio = 0.6 });
-  bad (fun c -> { c with Inrpp.Config.cache_low_water = 0.9 });
-  bad (fun c -> { c with Inrpp.Config.speed_factor = 1.5 });
-  bad (fun c -> { c with Inrpp.Config.ti = 0. });
-  bad (fun c -> { c with Inrpp.Config.flowlet_gap = -1. });
   bad (fun c -> { c with Inrpp.Config.pitless = true; icn_caching = true })
 
 let test_config_chunk_tx_time () =
@@ -1000,17 +995,15 @@ let prop_tick_matches_full_step =
        ~print:(fun l -> String.concat " " (List.map show l))
        QCheck.Gen.(list_size (int_range 1 60) step))
     (fun steps ->
-      let cfg = Inrpp.Config.default in
       let pressure = Array.make 4 0. in
       let r, _, bottleneck = fig3_router pressure in
       let est =
-        Inrpp.Rate_estimator.create ~ti:cfg.Inrpp.Config.ti
-          ~alpha:cfg.Inrpp.Config.estimator_alpha
-          ~capacity:(2e6 *. cfg.Inrpp.Config.speed_factor)
+        Inrpp.Rate_estimator.create ~ti:Inrpp.Config.ti
+          ~alpha:Inrpp.Config.estimator_alpha ~capacity:2e6
       in
       let ph =
-        Inrpp.Phase.create ~engage:cfg.Inrpp.Config.engage_ratio
-          ~release:cfg.Inrpp.Config.release_ratio
+        Inrpp.Phase.create ~engage:Inrpp.Config.engage_ratio
+          ~release:Inrpp.Config.release_ratio
       in
       let nc = ref 0 in
       let requests k =
@@ -1094,7 +1087,6 @@ let prop_lazy_decay_matches_full_step =
        QCheck.Gen.(pair (int_bound 3000) (list_size (int_range 1 60) step)))
     (fun (idle, steps) ->
       let module E = Inrpp.Rate_estimator in
-      let cfg = Inrpp.Config.default in
       let pressure = Array.make 4 0. in
       let r, _, bottleneck = fig3_router pressure in
       let est = ref None and ph = ref None and crashed = ref false in
@@ -1104,9 +1096,8 @@ let prop_lazy_decay_matches_full_step =
           | Some e -> e
           | None ->
             let e =
-              E.create ~ti:cfg.Inrpp.Config.ti
-                ~alpha:cfg.Inrpp.Config.estimator_alpha
-                ~capacity:(2e6 *. cfg.Inrpp.Config.speed_factor)
+              E.create ~ti:Inrpp.Config.ti ~alpha:Inrpp.Config.estimator_alpha
+                ~capacity:2e6
             in
             est := Some e;
             e
@@ -1123,8 +1114,8 @@ let prop_lazy_decay_matches_full_step =
             | Some p -> p
             | None ->
               let p =
-                Inrpp.Phase.create ~engage:cfg.Inrpp.Config.engage_ratio
-                  ~release:cfg.Inrpp.Config.release_ratio
+                Inrpp.Phase.create ~engage:Inrpp.Config.engage_ratio
+                  ~release:Inrpp.Config.release_ratio
               in
               ph := Some p;
               p
