@@ -1,6 +1,4 @@
 type event =
-  | Sent of { node : Topology.Node.id; link : int; packet : string }
-  | Received of { node : Topology.Node.id; packet : string }
   | Dropped of { node : Topology.Node.id; link : int; packet : string }
   | Cached of { node : Topology.Node.id; flow : int; idx : int }
   | Cache_hit of { node : Topology.Node.id; flow : int; idx : int }
@@ -68,9 +66,6 @@ let clear t =
   t.size <- 0
 
 let pp_event ppf = function
-  | Sent { node; link; packet } ->
-    Format.fprintf ppf "n%d sent %s on l%d" node packet link
-  | Received { node; packet } -> Format.fprintf ppf "n%d recv %s" node packet
   | Dropped { node; link; packet } ->
     Format.fprintf ppf "n%d dropped %s on l%d" node packet link
   | Cached { node; flow; idx } ->

@@ -5,9 +5,8 @@
     bound memory in long runs. *)
 
 type event =
-  | Sent of { node : Topology.Node.id; link : int; packet : string }
-  | Received of { node : Topology.Node.id; packet : string }
   | Dropped of { node : Topology.Node.id; link : int; packet : string }
+      (** a router refused a chunk into custody ([link] is [-1]) *)
   | Cached of { node : Topology.Node.id; flow : int; idx : int }
   | Cache_hit of { node : Topology.Node.id; flow : int; idx : int }
   | Custody_released of { node : Topology.Node.id; flow : int; idx : int }

@@ -43,7 +43,7 @@ let counter_tap registry =
   (* one pre-registered counter per kind: the hot path is a match plus
      an int increment *)
   let c kind = Metric.counter registry ~labels:[ ("kind", kind) ] "trace_events_total" in
-  let sent = c "sent" and received = c "received" and dropped = c "dropped" in
+  let dropped = c "dropped" in
   let cached = c "cached" and cache_hit = c "cache_hit" in
   let custody_released = c "custody_released" and detoured = c "detoured" in
   let phase_change = c "phase_change" and bp_signal = c "bp_signal" in
@@ -58,8 +58,6 @@ let counter_tap registry =
       (fun _time e ->
         Metric.incr
           (match e with
-          | T.Sent _ -> sent
-          | T.Received _ -> received
           | T.Dropped _ -> dropped
           | T.Cached _ -> cached
           | T.Cache_hit _ -> cache_hit

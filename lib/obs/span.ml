@@ -53,7 +53,7 @@ let event_key = function
   | T.Custody_evicted { flow; idx; _ }
   | T.Detoured { flow; idx; _ } ->
     Some (flow, idx)
-  | T.Sent _ | T.Received _ | T.Dropped _ | T.Phase_change _ | T.Bp_signal _
+  | T.Dropped _ | T.Phase_change _ | T.Bp_signal _
   | T.Flow_complete _ | T.Link_fault _ | T.Node_fault _ ->
     None
 
@@ -223,8 +223,6 @@ let node_of = function
   | T.Phase_change { node; _ }
   | T.Bp_signal { node; _ }
   | T.Node_fault { node; _ }
-  | T.Sent { node; _ }
-  | T.Received { node; _ }
   | T.Dropped { node; _ } ->
     Some node
   | T.Tx_begin _ | T.Retransmit _ | T.Flow_complete _ | T.Link_fault _ ->

@@ -1,8 +1,6 @@
 module T = Chunksim.Trace
 
 let kind = function
-  | T.Sent _ -> "sent"
-  | T.Received _ -> "received"
   | T.Dropped _ -> "dropped"
   | T.Cached _ -> "cached"
   | T.Cache_hit _ -> "cache_hit"
@@ -22,19 +20,15 @@ let kind = function
 
 let all_kinds =
   [
-    "sent"; "received"; "dropped"; "cached"; "cache_hit"; "custody_released";
-    "detoured"; "phase_change"; "bp_signal"; "flow_complete"; "link_fault";
-    "node_fault"; "enqueued"; "tx_begin"; "delivered"; "retransmit";
-    "custody_evacuated"; "custody_evicted";
+    "dropped"; "cached"; "cache_hit"; "custody_released"; "detoured";
+    "phase_change"; "bp_signal"; "flow_complete"; "link_fault"; "node_fault";
+    "enqueued"; "tx_begin"; "delivered"; "retransmit"; "custody_evacuated";
+    "custody_evicted";
   ]
 
 let num i = Json.Num (float_of_int i)
 
 let fields = function
-  | T.Sent { node; link; packet } ->
-    [ ("node", num node); ("link", num link); ("packet", Json.Str packet) ]
-  | T.Received { node; packet } ->
-    [ ("node", num node); ("packet", Json.Str packet) ]
   | T.Dropped { node; link; packet } ->
     [ ("node", num node); ("link", num link); ("packet", Json.Str packet) ]
   | T.Cached { node; flow; idx } | T.Cache_hit { node; flow; idx }
@@ -123,15 +117,6 @@ let of_json j =
   let* k = str_f "kind" in
   let* e =
     match k with
-    | "sent" ->
-      let* node = int_f "node" in
-      let* link = int_f "link" in
-      let* packet = str_f "packet" in
-      Ok (T.Sent { node; link; packet })
-    | "received" ->
-      let* node = int_f "node" in
-      let* packet = str_f "packet" in
-      Ok (T.Received { node; packet })
     | "dropped" ->
       let* node = int_f "node" in
       let* link = int_f "link" in
@@ -200,10 +185,6 @@ let of_json j =
 let to_csv_row ~time e =
   let node, link, flow, idx, via, phase, engage, packet, fct =
     match e with
-    | T.Sent { node; link; packet } ->
-      (Some node, Some link, None, None, None, None, None, Some packet, None)
-    | T.Received { node; packet } ->
-      (Some node, None, None, None, None, None, None, Some packet, None)
     | T.Dropped { node; link; packet } ->
       (Some node, Some link, None, None, None, None, None, Some packet, None)
     | T.Cached { node; flow; idx } ->

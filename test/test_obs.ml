@@ -514,7 +514,7 @@ let test_sink_counter_tap_and_filter () =
   Alcotest.(check (option int)) "cached counted" (Some 2) (value "cached");
   Alcotest.(check (option int)) "phase_change counted" (Some 1)
     (value "phase_change");
-  Alcotest.(check (option int)) "sent untouched" (Some 0) (value "sent")
+  Alcotest.(check (option int)) "dropped untouched" (Some 0) (value "dropped")
 
 let test_sink_ndjson_stream () =
   let file = Filename.temp_file "obs_test" ".ndjson" in
@@ -559,7 +559,7 @@ let test_sink_ndjson_long_line () =
   let tr = Chunksim.Trace.create () in
   Obs.Sink.attach sink tr;
   Chunksim.Trace.record tr ~time:0.5
-    (Chunksim.Trace.Sent { node = 1; link = 2; packet = big });
+    (Chunksim.Trace.Dropped { node = 1; link = 2; packet = big });
   Obs.Sink.close sink;
   close_out oc;
   let ic = open_in file in
@@ -723,7 +723,7 @@ let test_instrumentation_pinned () =
   let buf = Buffer.create 65536 in
   Obs.Export.series_to_ndjson buf (Obs.Observer.series o);
   Obs.Export.snapshot_to_ndjson buf (Obs.Observer.snapshot o);
-  Alcotest.(check string) "export digest" "2c8e65d7fb3c04b21bf09a64054517ab"
+  Alcotest.(check string) "export digest" "493d8af1332f223575d6b4778aca8fd4"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* Each baseline run with an observer and one bottleneck outage on the

@@ -71,7 +71,7 @@ let test_codec_nan_time () =
 let test_codec_long_line () =
   (* one event line well past 64 KiB must survive encode + decode *)
   let big = String.make 100_000 'x' in
-  let e = T.Sent { node = 1; link = 2; packet = big } in
+  let e = T.Dropped { node = 1; link = 2; packet = big } in
   let text = J.to_string (Obs.Trace_codec.to_json ~time:0.5 e) in
   Alcotest.(check bool) "line longer than 64 KiB" true
     (String.length text > 65_536);
