@@ -13,6 +13,10 @@ type shaper = {
 (* interests each consumer keeps in flight *)
 let window = 32
 
+(* an interest unanswered for this long is re-expressed; well above
+   any queueing delay the shapers build, so only a lost chunk expires *)
+let deadline = 5.
+
 let receivers g (env : Harness.env) =
   let eng = env.Harness.eng and chunk_bits = env.Harness.chunk_bits in
   let flows = env.Harness.flows in
@@ -85,26 +89,40 @@ let receivers g (env : Harness.env) =
     env.Harness.forwarders;
   (* consumers: [window] interests in flight, topped up by a periodic
      refresh rather than per arrival, which keeps the data path simple;
-     the shapers inside the network do the congestion control *)
+     the shapers inside the network do the congestion control.  An
+     interest past [deadline] is requeued, checked every 0.1 s *)
   Array.map
     (fun (f : Harness.flow) ->
-      let next = ref 0 in
+      let fetch = Puller.fetch f.Harness.sess in
+      let outstanding = Hashtbl.create 32 in
+      let finished () = Session.is_complete f.Harness.sess in
       let rec top_up () =
-        if not (Session.is_complete f.Harness.sess) then begin
-          if
-            !next - Session.received_count f.Harness.sess < window
-            && !next < f.Harness.spec.Inrpp.Protocol.chunks
-          then begin
-            Harness.request env f ~subflow:0 ~nc:!next ~ack:0;
-            incr next
+        if not (finished ()) then begin
+          if Hashtbl.length outstanding < window then begin
+            match Puller.next_chunk fetch with
+            | Some nc ->
+              Hashtbl.replace outstanding nc (Sim.Engine.now eng);
+              Harness.request env f ~subflow:0 ~nc ~ack:0
+            | None -> ()
           end;
           ignore (Sim.Engine.schedule eng ~delay:(chunk_bits /. 10e6) top_up)
         end
       in
+      let rec check_timeouts () =
+        if not (finished ()) then begin
+          ignore
+            (Puller.expire fetch outstanding ~now:(Sim.Engine.now eng)
+               ~deadline);
+          ignore (Sim.Engine.schedule eng ~delay:0.1 check_timeouts)
+        end
+      in
       {
-        Harness.start = top_up;
-        on_data = (fun ~subflow:_ _ _ -> ());
-        retransmissions = (fun () -> 0);
+        Harness.start =
+          (fun () ->
+            top_up ();
+            check_timeouts ());
+        on_data = (fun ~subflow:_ idx _ -> Hashtbl.remove outstanding idx);
+        retransmissions = (fun () -> Puller.retransmissions fetch);
         metrics = [];
         series = [];
       })

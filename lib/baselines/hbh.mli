@@ -10,11 +10,13 @@
     slowest link ({e global stability}), so it cannot exploit detours
     or in-network storage.
 
-    Lossless like INRPP (data is never sent faster than it can
-    drain), but no faster than the bottleneck.  The shapers are the
-    one handler it installs over {!Harness.run}'s plain forwarders;
-    its receivers keep a fixed window of interests in flight and
-    never retransmit. *)
+    Data is never sent faster than it can drain, so the shapers alone
+    drop nothing, but a fault still loses chunks; and no flow goes
+    faster than its bottleneck.  The shapers are the one handler it
+    installs over {!Harness.run}'s plain forwarders.  Its receivers
+    keep a fixed window of interests in flight (chunks chosen by
+    {!Puller.next_chunk}) and re-request a chunk whose interest has
+    gone unanswered for 5 s. *)
 
 val run :
   ?chunk_bits:float -> ?queue_bits:float -> ?horizon:float ->

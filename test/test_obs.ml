@@ -753,6 +753,9 @@ let test_baselines_pinned () =
       Obs.Export.series_to_ndjson buf (Obs.Observer.series o);
       Obs.Export.snapshot_to_ndjson buf (Obs.Observer.snapshot o);
       Buffer.add_string buf (J.to_string (Baselines.Run_result.to_json r));
+      if p = Baselines.Comparison.Hbh_proto then
+        Alcotest.(check int) "HBH re-requests its lost chunks" 4
+          r.Baselines.Run_result.completed;
       Alcotest.(check string)
         (Baselines.Comparison.name p ^ " export digest")
         expected
@@ -760,7 +763,7 @@ let test_baselines_pinned () =
     [ (Baselines.Comparison.Aimd_proto, "c58c75cbe9ec0df37a1341965f8ca981");
       (Baselines.Comparison.Mptcp_proto, "16d4ed14b9bad013bcfce1b47d529a1d");
       (Baselines.Comparison.Rcp_proto, "2142577572fc47958ed24bd045d6b823");
-      (Baselines.Comparison.Hbh_proto, "374e23e62643cb3978198d700b97f2f0") ]
+      (Baselines.Comparison.Hbh_proto, "0dfce72ef103d14276ebea0b32e5e11a") ]
 
 let () =
   Alcotest.run "obs"
