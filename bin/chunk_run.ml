@@ -25,6 +25,9 @@ let specs_for topo_name g nflows chunks =
     List.init nflows (fun i ->
         Inrpp.Protocol.flow_spec ~src:(i mod (n - 1)) ~dst:(n - 1) chunks)
 
+let flag_name proto =
+  String.lowercase_ascii (Baselines.Comparison.name proto)
+
 let run topo_name protocol nflows chunks anticipation =
   let g = topo_of topo_name in
   let specs = specs_for topo_name g nflows chunks in
@@ -45,15 +48,13 @@ let run topo_name protocol nflows chunks anticipation =
     let rows = Baselines.Comparison.run_all ~cfg g specs in
     Baselines.Run_result.pp_table Format.std_formatter rows
   | p -> begin
-    let proto =
-      match p with
-      | "aimd" -> Baselines.Comparison.Aimd_proto
-      | "mptcp" -> Baselines.Comparison.Mptcp_proto
-      | "rcp" -> Baselines.Comparison.Rcp_proto
-      | _ -> prerr_endline ("unknown protocol: " ^ p); exit 1
-    in
-    let r = Baselines.Comparison.run_one ~cfg proto g specs in
-    Format.printf "%a@." Baselines.Run_result.pp r
+    match
+      List.find_opt (fun proto -> flag_name proto = p) Baselines.Comparison.all
+    with
+    | Some proto ->
+      let r = Baselines.Comparison.run_one ~cfg proto g specs in
+      Format.printf "%a@." Baselines.Run_result.pp r
+    | None -> prerr_endline ("unknown protocol: " ^ p); exit 1
   end
 
 let topo =
@@ -62,7 +63,10 @@ let topo =
 
 let protocol =
   Arg.(value & opt string "inrpp"
-       & info [ "protocol" ] ~docv:"P" ~doc:"inrpp | aimd | mptcp | rcp | all.")
+       & info [ "protocol" ] ~docv:"P"
+           ~doc:
+             (String.concat " | "
+                (List.map flag_name Baselines.Comparison.all @ [ "all." ])))
 
 let flows =
   Arg.(value & opt int 1 & info [ "flows" ] ~docv:"N" ~doc:"Number of flows.")
