@@ -42,7 +42,7 @@ type t = {
   keys : float array;            (* the next arrival's time and epoch *)
   l : Topology.Link.t;
   q : queue;
-  effective_rate : float;
+  rate : float;
   prop_delay : float;
   deliver : Packet.t -> unit;
   loss : (float * Sim.Rng.t) option;
@@ -71,7 +71,7 @@ let default_queue_bits = 64. *. 10e3 *. 8.
 
 let link t = t.l
 
-let rate t = t.effective_rate
+let rate t = t.rate
 
 let q_is_empty t =
   match t.q with
@@ -119,7 +119,7 @@ let start_tx t (p : Packet.t) =
   let start = c.next_free_at in
   settle t ~now:start;
   (match t.span_tap with Some f -> f start p | None -> ());
-  let tx = p.Packet.size /. t.effective_rate in
+  let tx = p.Packet.size /. t.rate in
   let done_at = start +. tx in
   c.next_free_at <- done_at;
   c.inflight_tx <- tx;
@@ -223,7 +223,7 @@ let create ?(queue_bits = default_queue_bits)
         | Fifo_discipline -> Q_fifo (Fifo.create ~capacity:queue_bits)
         | Drr quantum ->
           Q_drr (Rr_queue.create ~quantum ~capacity:queue_bits ()));
-      effective_rate = l.Topology.Link.capacity;
+      rate = l.Topology.Link.capacity;
       prop_delay = l.Topology.Link.delay;
       deliver;
       loss;

@@ -107,16 +107,17 @@ let now t = Port.now t.s
    hot cache's [h_link == l] identity check keeps working *)
 let link_of t id = Topology.Graph.link (Net.graph t.s.Port.net) id
 
-(* Dropped events carry a formatted packet string; build it only when
-   a trace is actually attached (bench runs drop packets too). *)
-let record_drop t ~link (p : Packet.t) =
+(* A chunk custody refused (no link: [-1]).  Dropped events carry a
+   formatted packet string; build it only when a trace is actually
+   attached (bench runs drop packets too). *)
+let record_drop t (p : Packet.t) =
   match t.s.Port.trace with
   | Some tr ->
     Trace.record tr ~time:(now t)
       (Trace.Dropped
          {
            node = t.s.Port.node;
-           link;
+           link = -1;
            packet = Format.asprintf "%a" Packet.pp p;
          })
   | None -> ()
@@ -295,7 +296,7 @@ let refuse t slot flow p ~shed ~engage =
   if shed then t.c.shed <- t.c.shed + 1;
   if engage then set_local t slot ~flow ~which:`Custody true;
   t.c.dropped <- t.c.dropped + 1;
-  record_drop t ~link:(-1) p
+  record_drop t p
 
 let custody t slot flow (p : Packet.t) =
   match p.Packet.header with
