@@ -15,6 +15,6 @@ val run :
   ?obs:Obs.Observer.t -> ?faults:Fault.Schedule.t -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t
 (** The rate feedback runs every 50 ms.  Defaults and instrumentation
-    as in {!Harness.run}, labelled
-    [protocol=RCP], plus a per-flow [rcp_retransmissions_total] metric
-    and a sampled [rcp_rate_bps] series. *)
+    as in {!Harness.run}, labelled [protocol=RCP], plus a per-flow
+    [rcp_retransmissions_total] metric and a sampled [rcp_rate_bps]
+    series. *)

@@ -46,8 +46,8 @@ let merge a b =
   in
   { evs = go a.evs b.evs; seed = (if is_empty a then b.seed else a.seed) }
 
-let random ~seed ?(link_outages = 2) ?(crashes = 0) ?(bursts = 0) ~horizon g
-    =
+let random ~seed ?(link_outages = 2) ?(crashes = 0) ?(bursts = 0) ~horizon
+    g =
   if horizon <= 0. then invalid_arg "Schedule.random: horizon <= 0";
   let mean_outage = horizon /. 10. in
   let rng = Sim.Rng.create seed in
