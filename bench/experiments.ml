@@ -53,11 +53,16 @@ let domains () = !domains_ref
 
 let table1 () =
   section "Table 1 — Available detour paths (paper vs synthetic)";
-  let rows =
+  let profiles =
     List.map
       (fun isp ->
+        (isp, Topology.Detour.classify_links (Topology.Isp_zoo.graph isp)))
+      Topology.Isp_zoo.all
+  in
+  let rows =
+    List.map
+      (fun (isp, m) ->
         let p1, p2, p3, pna = Topology.Isp_zoo.table1_row isp in
-        let m = Topology.Detour.classify_links (Topology.Isp_zoo.graph isp) in
         let cell paper mine = Printf.sprintf "%.2f/%.2f" paper (100. *. mine) in
         [
           Topology.Isp_zoo.name isp;
@@ -66,15 +71,11 @@ let table1 () =
           cell p3 m.Topology.Detour.three_plus;
           cell pna m.Topology.Detour.unavailable;
         ])
-      Topology.Isp_zoo.all
+      profiles
   in
   (* averages, the paper's last row *)
-  let profiles =
-    List.map (fun i -> Topology.Detour.classify_links (Topology.Isp_zoo.graph i))
-      Topology.Isp_zoo.all
-  in
   let n = float_of_int (List.length profiles) in
-  let avg f = 100. *. List.fold_left (fun a p -> a +. f p) 0. profiles /. n in
+  let avg f = 100. *. List.fold_left (fun a (_, p) -> a +. f p) 0. profiles /. n in
   let avg_row =
     [
       "Average";

@@ -5,73 +5,89 @@ module Graph = Topology.Graph
 (* ------------------------------------------------------------------ *)
 (* Classic end-to-end max-min by progressive filling. *)
 
+let path_link_ids (p : Path.t) =
+  Array.of_list (List.map (fun (l : Link.t) -> l.Link.id) p.Path.links)
+
+(* each demand's path as the ids of its links, resolved once per call *)
+let link_ids demands = Array.map (fun (p, _) -> path_link_ids p) demands
+
+let capacities g =
+  Array.init (Graph.link_count g) (fun i -> (Graph.link g i).Link.capacity)
+
 let max_min g demands =
   let nflows = Array.length demands in
   let nlinks = Graph.link_count g in
-  let residual = Array.init nlinks (fun i -> (Graph.link g i).Link.capacity) in
+  let capacity = capacities g in
+  let residual = Array.copy capacity in
+  let paths = link_ids demands in
   let rates = Array.make nflows 0. in
   let frozen = Array.make nflows false in
+  let unfrozen = ref nflows in
+  let freeze f =
+    frozen.(f) <- true;
+    decr unfrozen
+  in
   (* zero-hop flows: no link constraint *)
   Array.iteri
-    (fun f (p, demand) ->
-      if Path.hops p = 0 then begin
+    (fun f (_, demand) ->
+      if Array.length paths.(f) = 0 then begin
         rates.(f) <- (if Float.is_finite demand then demand else 0.);
-        frozen.(f) <- true
+        freeze f
       end)
     demands;
-  let link_ids p = List.map (fun (l : Link.t) -> l.Link.id) p.Path.links in
   let unfrozen_on = Array.make nlinks 0 in
-  let recount () =
-    Array.fill unfrozen_on 0 nlinks 0;
-    Array.iteri
-      (fun f (p, _) ->
-        if not frozen.(f) then
-          List.iter
-            (fun l -> unfrozen_on.(l) <- unfrozen_on.(l) + 1)
-            (link_ids p))
-      demands
-  in
-  let all_frozen () = Array.for_all Fun.id frozen in
   let guard = ref (nflows + nlinks + 2) in
-  while (not (all_frozen ())) && !guard > 0 do
+  while !unfrozen > 0 && !guard > 0 do
     decr guard;
-    recount ();
+    Array.fill unfrozen_on 0 nlinks 0;
+    for f = 0 to nflows - 1 do
+      if not frozen.(f) then begin
+        let p = paths.(f) in
+        for j = 0 to Array.length p - 1 do
+          unfrozen_on.(p.(j)) <- unfrozen_on.(p.(j)) + 1
+        done
+      end
+    done;
     (* smallest feasible uniform increment across unfrozen flows *)
     let delta = ref infinity in
-    Array.iteri
-      (fun f (p, demand) ->
-        if not frozen.(f) then begin
-          let headroom = demand -. rates.(f) in
-          if headroom < !delta then delta := headroom;
-          List.iter
-            (fun l ->
-              let share = residual.(l) /. float_of_int unfrozen_on.(l) in
-              if share < !delta then delta := share)
-            (link_ids p)
-        end)
-      demands;
+    for f = 0 to nflows - 1 do
+      if not frozen.(f) then begin
+        let headroom = snd demands.(f) -. rates.(f) in
+        if headroom < !delta then delta := headroom;
+        let p = paths.(f) in
+        for j = 0 to Array.length p - 1 do
+          let l = p.(j) in
+          let share = residual.(l) /. float_of_int unfrozen_on.(l) in
+          if share < !delta then delta := share
+        done
+      end
+    done;
     let delta = Float.max 0. !delta in
     (* apply the increment and freeze exhausted flows *)
-    Array.iteri
-      (fun f (p, demand) ->
-        if not frozen.(f) then begin
-          rates.(f) <- rates.(f) +. delta;
-          List.iter
-            (fun l -> residual.(l) <- residual.(l) -. delta)
-            (link_ids p);
-          if rates.(f) >= demand -. 1e-9 then frozen.(f) <- true
-        end)
-      demands;
+    for f = 0 to nflows - 1 do
+      if not frozen.(f) then begin
+        rates.(f) <- rates.(f) +. delta;
+        let p = paths.(f) in
+        for j = 0 to Array.length p - 1 do
+          residual.(p.(j)) <- residual.(p.(j)) -. delta
+        done;
+        if rates.(f) >= snd demands.(f) -. 1e-9 then freeze f
+      end
+    done;
     (* freeze flows riding a saturated link *)
-    Array.iteri
-      (fun f (p, _) ->
-        if not frozen.(f) then
-          if
-            List.exists
-              (fun l -> residual.(l) <= 1e-9 *. (Graph.link g l).Link.capacity)
-              (link_ids p)
-          then frozen.(f) <- true)
-      demands
+    for f = 0 to nflows - 1 do
+      if not frozen.(f) then begin
+        let p = paths.(f) in
+        let j = ref 0 in
+        while
+          !j < Array.length p
+          && not (residual.(p.(!j)) <= 1e-9 *. capacity.(p.(!j)))
+        do
+          incr j
+        done;
+        if !j < Array.length p then freeze f
+      end
+    done
   done;
   rates
 
@@ -104,24 +120,68 @@ type inrp_result = {
   link_carried : float array;
 }
 
-(* A parcel of fluid walking a path: [clean] bits/s that never left the
-   primary route, [det] bits/s that crossed at least one detour, and
-   the hop-weighted sum used for path-stretch accounting. *)
-type parcel = {
-  clean : float;
-  det : float;
-  wh : float;
+(* A detour around one link as the walk uses it: the ids of its links
+   and its hop count. *)
+type detour = {
+  d_links : int array;
+  d_hops : float;
 }
 
-let parcel_amount p = p.clean +. p.det
+(* State shared by the passes of one {!inrp} call: each demand's path
+   as link ids, each node's aggregate outgoing capacity, and each
+   link's usable detours, resolved the first time the link overflows. *)
+type walk = {
+  paths : int array array;
+  capacity : float array;
+  out_cap : float array;
+  detours_of : int -> detour array;
+}
+
+let walk ~options ~detours g demands =
+  let nlinks = Graph.link_count g in
+  let max_int_hops =
+    if options.allow_further then max options.max_detour 2
+    else options.max_detour
+  in
+  let resolved = Array.make nlinks false in
+  let table = Array.make nlinks [||] in
+  let detours_of l =
+    if options.max_detour > 0 && not resolved.(l) then begin
+      resolved.(l) <- true;
+      table.(l) <-
+        Array.of_list
+          (List.filter_map
+             (fun (_, (dp : Path.t)) ->
+               (* a detour with k intermediates has k + 1 hops *)
+               if Path.hops dp <= max_int_hops + 1 then
+                 Some
+                   {
+                     d_links = path_link_ids dp;
+                     d_hops = float_of_int (Path.hops dp);
+                   }
+               else None)
+             (detours (Graph.link g l)))
+    end;
+    table.(l)
+  in
+  {
+    paths = link_ids demands;
+    capacity = capacities g;
+    out_cap =
+      Array.init (Graph.node_count g) (fun u ->
+          List.fold_left
+            (fun acc (l : Link.t) -> acc +. l.Link.capacity)
+            0. (Graph.out_links g u));
+    detours_of;
+  }
 
 (* One open-loop pass: push at the first-link processor-sharing share
    (capped by [caps]), spill overflow onto detours, drop what no link
    will take.  The back-pressure fixed point in [inrp] tightens [caps]
    between passes. *)
-let inrp_pass ~options ~detours g demands caps =
+let inrp_pass ~options w g demands caps =
   let nflows = Array.length demands in
-  let nlinks = Graph.link_count g in
+  let paths = w.paths in
   (* sender push rates.  Router-style sources ([source_detour]) inject
      up to their node's aggregate outgoing capacity and let the walk
      below share links and spill to detours; end-host-style sources
@@ -130,14 +190,7 @@ let inrp_pass ~options ~detours g demands caps =
   let pushed =
     if options.source_detour then
       Array.mapi
-        (fun i (p, _) ->
-          let out_cap =
-            List.fold_left
-              (fun acc (l : Link.t) -> acc +. l.Link.capacity)
-              0.
-              (Graph.out_links g (Path.src p))
-          in
-          Float.min caps.(i) out_cap)
+        (fun i (p, _) -> Float.min caps.(i) w.out_cap.(Path.src p))
         demands
     else begin
       let first_link_demands =
@@ -156,126 +209,85 @@ let inrp_pass ~options ~detours g demands caps =
       max_min g first_link_demands
     end
   in
-  let residual = Array.init nlinks (fun i -> (Graph.link g i).Link.capacity) in
+  let residual = Array.copy w.capacity in
   let delivered = Array.make nflows 0. in
   let weighted = Array.make nflows 0. in
   let total_clean = ref 0. and total_det = ref 0. in
-  let detour_cache = Hashtbl.create 64 in
-  let detour_list (l : Link.t) =
-    if options.max_detour = 0 then []
-    else begin
-      match Hashtbl.find_opt detour_cache l.Link.id with
-      | Some ds -> ds
-      | None ->
-        let max_int_hops =
-          if options.allow_further then max options.max_detour 2
-          else options.max_detour
-        in
-        let ds =
-          List.filter
-            (fun (_, dp) ->
-              Path.hops dp <= max_int_hops + 1
-              (* a detour with k intermediates has k + 1 hops *))
-            (detours l)
-        in
-        Hashtbl.add detour_cache l.Link.id ds;
-        ds
-    end
-  in
-  let take link_id amount =
-    let granted = Float.min amount residual.(link_id) in
-    residual.(link_id) <- residual.(link_id) -. granted;
-    granted
-  in
-  (* grant [amount] across every link of [dpath] atomically *)
-  let take_path (dpath : Path.t) amount =
-    let grantable =
-      List.fold_left
-        (fun acc (l : Link.t) -> Float.min acc residual.(l.Link.id))
-        amount dpath.Path.links
-    in
-    if grantable > 0. then
-      List.iter
-        (fun (l : Link.t) ->
-          let got = take l.Link.id grantable in
-          (* the min above guarantees full grants *)
-          assert (got >= grantable -. 1e-9))
-        dpath.Path.links;
-    Float.max 0. grantable
-  in
   let quantum = Array.map (fun r -> r /. float_of_int rounds) pushed in
   for round = 0 to rounds - 1 do
     for slot = 0 to nflows - 1 do
       (* rotate service order so no flow systematically goes first *)
       let f = (slot + round) mod nflows in
-      let p, _ = demands.(f) in
+      let links = paths.(f) in
       let q = quantum.(f) in
-      if q > 0. && Path.hops p > 0 then begin
-        let carry = ref { clean = q; det = 0.; wh = 0. } in
-        List.iter
-          (fun (l : Link.t) ->
-            let amount = parcel_amount !carry in
-            if amount > 1e-15 then begin
-              let granted = take l.Link.id amount in
-              let frac = granted /. amount in
-              let kept =
-                {
-                  clean = !carry.clean *. frac;
-                  det = !carry.det *. frac;
-                  wh = (!carry.wh *. frac) +. granted;
-                }
-              in
-              let overflow = amount -. granted in
-              (* route the overflow through detours around [l] *)
-              let via_detours = ref { clean = 0.; det = 0.; wh = 0. } in
-              if overflow > 1e-15 then begin
-                let left = ref overflow in
-                List.iter
-                  (fun (_, dpath) ->
-                    if !left > 1e-15 then begin
-                      let d = take_path dpath !left in
-                      if d > 0. then begin
-                        let dfrac = d /. overflow in
-                        let wh_inherit =
-                          !carry.wh *. (overflow /. amount) *. dfrac
-                        in
-                        via_detours :=
-                          {
-                            clean = !via_detours.clean;
-                            det = !via_detours.det +. d;
-                            wh =
-                              !via_detours.wh +. wh_inherit
-                              +. (d *. float_of_int (Path.hops dpath));
-                          };
-                        left := !left -. d
-                      end
-                    end)
-                  (detour_list l)
-              end;
-              carry :=
-                {
-                  clean = kept.clean;
-                  det = kept.det +. !via_detours.det;
-                  wh = kept.wh +. !via_detours.wh;
-                }
-            end)
-          p.Path.links;
-        delivered.(f) <- delivered.(f) +. parcel_amount !carry;
-        weighted.(f) <- weighted.(f) +. !carry.wh;
-        total_clean := !total_clean +. !carry.clean;
-        total_det := !total_det +. !carry.det
+      if q > 0. && Array.length links > 0 then begin
+        (* the parcel of fluid walking the path: [clean] bits/s that
+           never left the primary route, [det] bits/s that crossed at
+           least one detour, and the hop-weighted sum [wh] used for
+           path-stretch accounting *)
+        let clean = ref q and det = ref 0. and wh = ref 0. in
+        for h = 0 to Array.length links - 1 do
+          let l = links.(h) in
+          let amount = !clean +. !det in
+          if amount > 1e-15 then begin
+            let granted = Float.min amount residual.(l) in
+            residual.(l) <- residual.(l) -. granted;
+            let frac = granted /. amount in
+            let kept_clean = !clean *. frac in
+            let kept_det = !det *. frac in
+            let kept_wh = (!wh *. frac) +. granted in
+            let overflow = amount -. granted in
+            (* route the overflow through detours around [l] *)
+            let via_det = ref 0. and via_wh = ref 0. in
+            if overflow > 1e-15 then begin
+              let ds = w.detours_of l in
+              let left = ref overflow in
+              for k = 0 to Array.length ds - 1 do
+                if !left > 1e-15 then begin
+                  let dt = ds.(k) in
+                  let dl = dt.d_links in
+                  (* grant the same amount on every link of the detour *)
+                  let grantable = ref !left in
+                  for j = 0 to Array.length dl - 1 do
+                    grantable := Float.min !grantable residual.(dl.(j))
+                  done;
+                  let d = !grantable in
+                  if d > 0. then begin
+                    for j = 0 to Array.length dl - 1 do
+                      let got = Float.min d residual.(dl.(j)) in
+                      residual.(dl.(j)) <- residual.(dl.(j)) -. got;
+                      (* the min above guarantees full grants *)
+                      assert (got >= d -. 1e-9)
+                    done;
+                    let dfrac = d /. overflow in
+                    let wh_inherit = !wh *. (overflow /. amount) *. dfrac in
+                    via_det := !via_det +. d;
+                    via_wh := !via_wh +. wh_inherit +. (d *. dt.d_hops);
+                    left := !left -. d
+                  end
+                end
+              done
+            end;
+            clean := kept_clean;
+            det := kept_det +. !via_det;
+            wh := kept_wh +. !via_wh
+          end
+        done;
+        delivered.(f) <- delivered.(f) +. (!clean +. !det);
+        weighted.(f) <- weighted.(f) +. !wh;
+        total_clean := !total_clean +. !clean;
+        total_det := !total_det +. !det
       end
     done
   done;
   let effective_hops =
     Array.init nflows (fun f ->
         if delivered.(f) > 0. then weighted.(f) /. delivered.(f)
-        else float_of_int (Path.hops (fst demands.(f))))
+        else float_of_int (Array.length paths.(f)))
   in
   let total = !total_clean +. !total_det in
   let link_carried =
-    Array.init nlinks (fun i ->
-        (Graph.link g i).Link.capacity -. residual.(i))
+    Array.mapi (fun i cap -> cap -. residual.(i)) w.capacity
   in
   {
     delivered;
@@ -286,15 +298,14 @@ let inrp_pass ~options ~detours g demands caps =
   }
 
 let inrp ?(options = default_inrp) ~detours g demands =
+  let w = walk ~options ~detours g demands in
   let caps = Array.map snd demands in
-  let result = ref (inrp_pass ~options ~detours g demands caps) in
+  let result = ref (inrp_pass ~options w g demands caps) in
   (* Back-pressure: tighten each sender to what it proved deliverable,
      with head-room on the exploratory passes so freed capacity can be
      re-claimed; the final pass runs without head-room so the returned
      allocation wastes (almost) nothing. *)
-  let max_capacity =
-    Graph.fold_links (fun l acc -> Float.max acc l.Link.capacity) g 0.
-  in
+  let max_capacity = Array.fold_left Float.max 0. w.capacity in
   for pass = 2 to bp_iterations do
     let final = pass = bp_iterations in
     let slack = if final then 1.0 else 1.25 in
@@ -307,7 +318,7 @@ let inrp ?(options = default_inrp) ~detours g demands =
         caps.(i) <-
           Float.min original ((!result.delivered.(i) *. slack) +. probe))
       demands;
-    result := inrp_pass ~options ~detours g demands caps
+    result := inrp_pass ~options w g demands caps
   done;
   !result
 

@@ -24,8 +24,11 @@ val name : strategy -> string
 val is_inrp : strategy -> bool
 
 type t
-(** Routing state for one graph: caches shortest-path trees and detour
-    tables so per-flow routing is cheap. *)
+(** Routing state for one graph and strategy: caches shortest-path
+    trees, ECMP path sets and the detour table, all pure functions of
+    the graph, so per-flow routing is cheap.  One value may serve any
+    number of snapshots of the same graph; it is mutable, so each
+    parallel job creates its own. *)
 
 val create : Topology.Graph.t -> strategy -> t
 val strategy : t -> strategy

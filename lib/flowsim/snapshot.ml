@@ -35,32 +35,27 @@ let utilisation_of_rates g paths rates =
   if total_cap <= 0. then 0.
   else Array.fold_left ( +. ) 0. carried /. total_cap
 
-let run ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
-    ~nflows ~seed g =
-  if nflows <= 0 then invalid_arg "Snapshot.run: nflows <= 0";
-  if demand <= 0. then invalid_arg "Snapshot.run: demand <= 0";
-  let router = Routing.create g strategy in
+(* One snapshot on a routing state the caller owns: {!ensemble} shares
+   one across its seeds, since trees, ECMP path sets and detours
+   depend only on the graph and the strategy. *)
+let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
+  let strategy = Routing.strategy router in
   let pairs = draw_pairs ~endpoints ~nflows ~seed g in
-  (* drop unroutable pairs (disconnected graphs) *)
-  let routed =
-    List.filteri
-      (fun i (src, dst) -> Routing.route router ~flow_id:i src dst <> None)
-      pairs
-  in
-  let paths =
-    Array.of_list
-      (List.mapi
-         (fun i (src, dst) ->
-           Option.get (Routing.route router ~flow_id:i src dst))
-         routed)
-  in
-  let shortest =
-    Array.of_list
-      (List.map
-         (fun (src, dst) ->
-           Option.value ~default:1 (Routing.shortest_hops router src dst))
-         routed)
-  in
+  (* drop unroutable pairs (disconnected graphs); an ECMP flow hashes
+     on its index among the routed pairs *)
+  let routed = ref [] and next_id = ref 0 in
+  List.iter
+    (fun (src, dst) ->
+      match Routing.route router ~flow_id:!next_id src dst with
+      | Some p ->
+        routed := p :: !routed;
+        incr next_id
+      | None -> ())
+    pairs;
+  let paths = Array.of_list (List.rev !routed) in
+  (* every strategy's primary is a min-hop path, so its length is the
+     pair's shortest hop count *)
+  let shortest = Array.map Path.hops paths in
   let demands = Array.map (fun p -> (p, demand)) paths in
   let offered =
     if Float.is_finite demand then demand *. float_of_int (Array.length paths)
@@ -141,14 +136,26 @@ let run ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
       flows = Array.length paths;
     }
 
-let ensemble ?(endpoints = Workload.Any_pair) ?demand ~strategy ~nflows
-    ~seeds g =
+let check ~nflows ~demand =
+  if nflows <= 0 then invalid_arg "Snapshot.run: nflows <= 0";
+  if demand <= 0. then invalid_arg "Snapshot.run: demand <= 0"
+
+let run ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
+    ~nflows ~seed g =
+  check ~nflows ~demand;
+  let router = Routing.create g strategy in
+  run_routed ~endpoints ~demand ~router ~nflows ~seed g
+
+let ensemble ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
+    ~nflows ~seeds g =
   match seeds with
   | [] -> invalid_arg "Snapshot.ensemble: no seeds"
   | _ ->
+    check ~nflows ~demand;
+    let router = Routing.create g strategy in
     let results =
       List.map
-        (fun seed -> run ~endpoints ?demand ~strategy ~nflows ~seed g)
+        (fun seed -> run_routed ~endpoints ~demand ~router ~nflows ~seed g)
         seeds
     in
     let n = float_of_int (List.length results) in

@@ -1,76 +1,54 @@
-let equal_cost_paths ?(metric = Dijkstra.Hops) ?(limit = 16) g s d =
+let equal_cost_paths ?(limit = 16) g s d =
   if s = d then [ Path.singleton s ]
   else begin
-    (* Distances to destination let us walk the equal-cost DAG forward:
-       a link (u,v) is on a shortest path iff
-       dist(u) = weight(u,v) + dist(v). *)
-    let tree_from_s = Dijkstra.run ~metric g s in
-    match Dijkstra.distance tree_from_s d with
-    | None -> []
-    | Some _total ->
-      let n = Graph.node_count g in
-      (* dist_to_dst via reverse relaxation: reuse next_hops machinery by
-         running Dijkstra on each node would be wasteful; recompute here
-         with a simple reverse Dijkstra. *)
-      let dist_to_dst = Array.make n infinity in
-      (* Reverse Dijkstra using a sorted-list frontier; graphs here are
-         small (hundreds of nodes). *)
-      let visited = Array.make n false in
-      let frontier = ref [ (0., d) ] in
-      dist_to_dst.(d) <- 0.;
-      let weight (l : Link.t) =
-        match metric with Dijkstra.Hops -> 1. | Dijkstra.Delay -> l.Link.delay
-      in
-      let rec settle () =
-        match !frontier with
-        | [] -> ()
-        | (dist, x) :: rest ->
-          frontier := rest;
-          if not visited.(x) then begin
-            visited.(x) <- true;
+    (* Hop distance of every node to [d], by a BFS over in-links: a link
+       (u,v) lies on a shortest path iff dist(u) = 1 + dist(v).  Each
+       node enters the queue once, so an array of [n] slots holds it. *)
+    let n = Graph.node_count g in
+    let dist_to_dst = Array.make n max_int in
+    let queue = Array.make n d in
+    dist_to_dst.(d) <- 0;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let x = queue.(!head) in
+      incr head;
+      List.iter
+        (fun (l : Link.t) ->
+          let w = l.Link.src in
+          if dist_to_dst.(w) = max_int then begin
+            dist_to_dst.(w) <- dist_to_dst.(x) + 1;
+            queue.(!tail) <- w;
+            incr tail
+          end)
+        (Graph.in_links g x)
+    done;
+    if dist_to_dst.(s) = max_int then []
+    else begin
+      let results = ref [] in
+      let count = ref 0 in
+      let rec dfs u rev_links =
+        if !count < limit then begin
+          if u = d then begin
+            match Path.of_links (List.rev rev_links) with
+            | Ok p ->
+              results := p :: !results;
+              incr count
+            | Error _ -> ()
+          end
+          else
             List.iter
               (fun (l : Link.t) ->
-                let w = l.Link.src in
-                let nd = dist +. weight l in
-                if nd < dist_to_dst.(w) then begin
-                  dist_to_dst.(w) <- nd;
-                  frontier :=
-                    List.merge
-                      (fun (a, _) (b, _) -> Float.compare a b)
-                      [ (nd, w) ] !frontier
-                end)
-              (Graph.in_links g x)
-          end;
-          settle ()
+                let v = l.Link.dst in
+                if
+                  dist_to_dst.(v) <> max_int
+                  && dist_to_dst.(u) = dist_to_dst.(v) + 1
+                then dfs v (l :: rev_links))
+              (Graph.out_links g u)
+        end
       in
-      settle ();
-      if not (Float.is_finite dist_to_dst.(s)) then []
-      else begin
-        let results = ref [] in
-        let count = ref 0 in
-        let rec dfs u rev_links =
-          if !count < limit then begin
-            if u = d then begin
-              match Path.of_links (List.rev rev_links) with
-              | Ok p ->
-                results := p :: !results;
-                incr count
-              | Error _ -> ()
-            end
-            else
-              List.iter
-                (fun (l : Link.t) ->
-                  let v = l.Link.dst in
-                  if
-                    Float.is_finite dist_to_dst.(v)
-                    && dist_to_dst.(u) = weight l +. dist_to_dst.(v)
-                  then dfs v (l :: rev_links))
-                (Graph.out_links g u)
-          end
-        in
-        dfs s [];
-        List.rev !results
-      end
+      dfs s [];
+      List.rev !results
+    end
   end
 
 (* SplitMix64-style avalanche: cheap, stable, well distributed. *)

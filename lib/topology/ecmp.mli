@@ -5,9 +5,10 @@
     equal-cost DAG can be exponential) and hash flows onto them. *)
 
 val equal_cost_paths :
-  ?metric:Dijkstra.metric -> ?limit:int -> Graph.t -> Node.id -> Node.id -> Path.t list
-(** All shortest paths from source to destination, up to [limit]
-    (default 16), deterministic order.  Empty when unreachable. *)
+  ?limit:int -> Graph.t -> Node.id -> Node.id -> Path.t list
+(** All min-hop paths from source to destination, up to [limit]
+    (default 16), in depth-first order over each node's [out_links]
+    (lexicographic in link order).  Empty when unreachable. *)
 
 val pick : Path.t list -> flow_id:int -> Path.t option
 (** Deterministic hash-based selection among candidate paths, the

@@ -1023,8 +1023,11 @@ let () =
         [
           Alcotest.test_case "order and bounds" `Quick test_fifo_order_and_bounds;
           Alcotest.test_case "empty" `Quick test_fifo_empty;
-          Alcotest.test_case "ring wrap, growth and counters" `Quick
-            test_fifo_ring;
+        ] );
+      (* a group of its own, so CI runs it by name *)
+      ( "fifo ring",
+        [
+          Alcotest.test_case "wrap, growth and counters" `Quick test_fifo_ring;
         ] );
       ( "cache",
         [
@@ -1038,7 +1041,10 @@ let () =
           Alcotest.test_case "paper holding time" `Quick test_cache_holding_time;
           Alcotest.test_case "validation" `Quick test_cache_validation;
           QCheck_alcotest.to_alcotest prop_popular_model;
-          Alcotest.test_case "popularity allocation gate" `Quick
+        ] );
+      ( "cache gate",
+        [
+          Alcotest.test_case "popularity allocation" `Quick
             test_cache_popular_alloc;
         ] );
       ( "iface",
@@ -1049,7 +1055,6 @@ let () =
           Alcotest.test_case "wire loss" `Quick test_iface_wire_loss;
           Alcotest.test_case "one event per packet" `Quick
             test_iface_one_event_per_packet;
-          Alcotest.test_case "allocation budget" `Quick test_iface_alloc_budget;
           Alcotest.test_case "matches eager reference (FIFO)" `Quick
             test_iface_reference_fifo;
           Alcotest.test_case "matches eager reference (DRR)" `Quick
@@ -1059,6 +1064,8 @@ let () =
           Alcotest.test_case "delivery traces pinned" `Quick
             test_iface_pinned_traces;
         ] );
+      ( "iface gate",
+        [ Alcotest.test_case "allocation budget" `Quick test_iface_alloc_budget ] );
       ( "rr_queue",
         [
           Alcotest.test_case "round robin" `Quick test_rr_round_robin;

@@ -365,6 +365,108 @@ let test_snapshot_validation () =
     (fun () ->
       ignore (Flowsim.Snapshot.ensemble ~strategy:R.sp ~nflows:2 ~seeds:[] g))
 
+let fig4_endpoints = W.Role_pairs [ Node.Core; Node.Aggregation ]
+
+let test_snapshot_ensemble_is_fold () =
+  (* one routing state shared across seeds must not move a bit: the
+     ensemble equals the seed-wise fold of independent runs *)
+  let g = Isp_zoo.graph Isp_zoo.Telstra in
+  let nflows = 2 * Graph.node_count g in
+  let seeds = [ 1L; 2L; 3L ] in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun strategy ->
+      let e =
+        Flowsim.Snapshot.ensemble ~endpoints:fig4_endpoints ~strategy
+          ~demand:6e9 ~nflows ~seeds g
+      in
+      let runs =
+        List.map
+          (fun seed ->
+            Flowsim.Snapshot.run ~endpoints:fig4_endpoints ~strategy
+              ~demand:6e9 ~nflows ~seed g)
+          seeds
+      in
+      let mean f =
+        List.fold_left (fun acc r -> acc +. f r) 0. runs
+        /. float_of_int (List.length runs)
+      in
+      let name = R.name strategy in
+      Alcotest.(check int64) (name ^ " throughput")
+        (bits (mean (fun r -> r.Flowsim.Snapshot.throughput)))
+        (bits e.Flowsim.Snapshot.throughput);
+      Alcotest.(check int64) (name ^ " detoured fraction")
+        (bits (mean (fun r -> r.Flowsim.Snapshot.detoured_fraction)))
+        (bits e.Flowsim.Snapshot.detoured_fraction);
+      let sorted r =
+        Sim.Stats.Samples.to_sorted_array r.Flowsim.Snapshot.stretch_samples
+      in
+      let pooled = Array.concat (List.map sorted runs) in
+      Array.sort Float.compare pooled;
+      Alcotest.(check (array int64)) (name ^ " stretch samples")
+        (Array.map bits pooled) (Array.map bits (sorted e)))
+    [ R.sp; R.ecmp; R.inrp ]
+
+(* Two disconnected diamonds, each with two equal-cost paths between
+   its far corners and one slow link, so which path an ECMP flow hashes
+   onto moves the max-min rates. *)
+let two_diamonds () =
+  let b = Graph.Builder.create () in
+  let n = Array.init 8 (fun i -> Graph.Builder.add_node b (string_of_int i)) in
+  List.iter
+    (fun base ->
+      let edge ?(capacity = 1e7) u v =
+        Graph.Builder.add_edge b ~capacity n.(base + u) n.(base + v)
+      in
+      edge 0 1;
+      edge 0 2;
+      edge ~capacity:1e6 1 3;
+      edge 2 3)
+    [ 0; 4 ];
+  Graph.Builder.build b
+
+let test_snapshot_ecmp_ids_skip_unroutable () =
+  (* an ECMP flow hashes on its index among the routed pairs, not among
+     all drawn pairs: the goodput matches an independent replay of that
+     rule and differs from the all-pairs one *)
+  let g = two_diamonds () in
+  let nflows = 40 and seed = 5L and demand = 1e7 in
+  let r =
+    Flowsim.Snapshot.run ~strategy:(R.Ecmp 8) ~demand ~nflows ~seed g
+  in
+  let wl = W.create ~arrival_rate:1. ~size:(W.Fixed 1.) ~seed g in
+  let pairs =
+    List.init nflows (fun id ->
+        let src, dst, _ = W.draw_flow wl ~time:0. ~id in
+        (src, dst))
+  in
+  let goodput flow_id_of =
+    let routed = ref 0 in
+    let paths =
+      List.filter_map Fun.id
+        (List.mapi
+           (fun i (src, dst) ->
+             match Ecmp.equal_cost_paths ~limit:8 g src dst with
+             | [] -> None
+             | ps ->
+               let k = !routed in
+               incr routed;
+               Ecmp.pick ps ~flow_id:(flow_id_of i k))
+           pairs)
+    in
+    let demands = Array.of_list (List.map (fun p -> (p, demand)) paths) in
+    (List.length paths, Array.fold_left ( +. ) 0. (A.max_min g demands))
+  in
+  let routed, by_routed = goodput (fun _ k -> k) in
+  let _, by_drawn = goodput (fun i _ -> i) in
+  Alcotest.(check bool) "some pairs unroutable" true (routed < nflows);
+  Alcotest.(check int) "routed flows" routed r.Flowsim.Snapshot.flows;
+  Alcotest.(check bool) "the indexing rule matters here" true
+    (by_routed <> by_drawn);
+  Alcotest.(check int64) "goodput by routed index"
+    (Int64.bits_of_float by_routed)
+    (Int64.bits_of_float r.Flowsim.Snapshot.goodput)
+
 (* ------------------------------------------------------------------ *)
 (* DES simulator *)
 
@@ -608,6 +710,43 @@ let test_inrp_detour_deficit_worst_case () =
       true
       (deficit <= bound)
 
+(* Allocation gate: minor words per INRP allocation on the Telstra
+   seed-1 Fig. 4a snapshot (226 routed flows), with the routing
+   state's detour table already filled by a first call, as in every
+   seed after the first of an ensemble.  The allocator walks link-id
+   arrays with the parcel in float locals, so what is left is the
+   per-call arrays: paths, the four passes' vectors and the detours
+   resolved for overflowing links.  Bit-deterministic at fixed inputs;
+   the figure is frozen with 1.25x headroom. *)
+let test_inrp_alloc_gate () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let g = Isp_zoo.graph Isp_zoo.Telstra in
+    let router = R.create g R.inrp in
+    let wl =
+      W.create ~endpoints:fig4_endpoints ~arrival_rate:1. ~size:(W.Fixed 1.)
+        ~seed:1L g
+    in
+    let demands =
+      Array.of_list
+        (List.filter_map
+           (fun id ->
+             let src, dst, _ = W.draw_flow wl ~time:0. ~id in
+             Option.map (fun p -> (p, 6e9)) (R.route router ~flow_id:id src dst))
+           (List.init (2 * Graph.node_count g) Fun.id))
+    in
+    let detours = R.detours router in
+    ignore (A.inrp ~detours g demands);
+    let before = Gc.minor_words () in
+    ignore (A.inrp ~detours g demands);
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check int) "flows" 226 (Array.length demands);
+    let frozen = 34324. in
+    if words > 1.25 *. frozen then
+      Alcotest.failf "%g minor words per inrp call, frozen %g, bound %g" words
+        frozen (1.25 *. frozen)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "flowsim"
@@ -656,6 +795,10 @@ let () =
           Alcotest.test_case "stretch bounds" `Slow test_snapshot_stretch_bounds;
           Alcotest.test_case "no-detour matches SP" `Quick test_snapshot_no_detour_matches_sp;
           Alcotest.test_case "validation" `Quick test_snapshot_validation;
+          Alcotest.test_case "ensemble is the fold of runs" `Quick
+            test_snapshot_ensemble_is_fold;
+          Alcotest.test_case "ecmp ids skip unroutable pairs" `Quick
+            test_snapshot_ecmp_ids_skip_unroutable;
         ] );
       ( "des",
         [
@@ -671,6 +814,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_flow_lifecycle;
           Alcotest.test_case "validation" `Quick test_flow_validation;
         ] );
+      ( "alloc gate",
+        [ Alcotest.test_case "inrp telstra snapshot" `Quick test_inrp_alloc_gate ] );
       ( "properties",
         qc
           [

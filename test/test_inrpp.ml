@@ -2171,9 +2171,13 @@ let () =
           Alcotest.test_case "converges" `Quick test_estimator_converges;
           Alcotest.test_case "transit counts" `Quick test_estimator_transit_counts;
           Alcotest.test_case "decays" `Quick test_estimator_decays;
-          Alcotest.test_case "idle replay equals ticks" `Quick
-            test_estimator_replay_idle;
           Alcotest.test_case "eq.1 shares" `Quick test_shares_eq1;
+        ] );
+      (* this group and "tick exact" and "link flips" below stand
+         alone so CI runs them by name *)
+      ( "idle replay",
+        [
+          Alcotest.test_case "equals ticks" `Quick test_estimator_replay_idle;
         ] );
       ( "phase",
         [
@@ -2203,8 +2207,6 @@ let () =
         [
           Alcotest.test_case "refusals count requests, not probes" `Quick
             test_router_refusals_count_requests;
-          Alcotest.test_case "link-flip decision table" `Quick
-            test_router_link_flip_table;
           Alcotest.test_case "drain skips exitless ports exactly" `Quick
             test_router_drain_skip_exact;
           Alcotest.test_case "port creation instants" `Quick
@@ -2220,6 +2222,11 @@ let () =
           Alcotest.test_case "registry drains: link down" `Quick
             test_registry_drain_link_down;
           QCheck_alcotest.to_alcotest prop_custody_ledger;
+        ] );
+      ( "link flips",
+        [
+          Alcotest.test_case "decision table" `Quick
+            test_router_link_flip_table;
         ] );
       ( "endpoints",
         [
@@ -2258,7 +2265,7 @@ let () =
             prop_shares_are_a_distribution;
             prop_estimator_converges_under_stationary_mix;
             prop_flow_table_model;
-            prop_tick_matches_full_step;
-            prop_lazy_decay_matches_full_step;
           ] );
+      ( "tick exact",
+        qc [ prop_tick_matches_full_step; prop_lazy_decay_matches_full_step ] );
     ]

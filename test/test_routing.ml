@@ -275,6 +275,77 @@ let prop_ecmp_paths_equal_cost =
           (fun p -> Path.hops p = best)
           (Ecmp.equal_cost_paths g 0 d))
 
+(* ECMP against the shortest-path DAG: the number of min-hop paths K
+   counted by a DP over the DAG (in BFS order from the source, summing
+   over in-links one hop nearer), every returned path valid and
+   min-hop, no path twice, [min limit K] of them, and the first of
+   them in depth-first order: each path's sequence of out_links
+   positions rises strictly, lexicographically, from one path to the
+   next, and a smaller limit returns a prefix of the full list. *)
+let ecmp_gen =
+  QCheck.make
+    QCheck.Gen.(
+      quad (int_range 4 30) (int_range 0 10_000) (int_range 0 999)
+        (int_range 1 12))
+
+let prop_ecmp_dag_count_and_order =
+  QCheck.Test.make ~name:"ecmp gives the DAG's paths in DFS order" ~count:80
+    ecmp_gen (fun (n, seed, pick, limit) ->
+      let g = connected_er (n, seed) in
+      let nc = Graph.node_count g in
+      let s = pick mod nc and d = pick * 7 / 11 mod nc in
+      let dist = (Dijkstra.all_pairs_hops g).(s) in
+      let by_dist =
+        List.sort
+          (fun a b -> Int.compare dist.(a) dist.(b))
+          (List.init nc Fun.id)
+      in
+      let count = Array.make nc 0 in
+      count.(s) <- 1;
+      List.iter
+        (fun v ->
+          List.iter
+            (fun (l : Link.t) ->
+              let u = l.Link.src in
+              if dist.(u) < max_int && dist.(u) + 1 = dist.(v) then
+                count.(v) <- count.(v) + count.(u))
+            (Graph.in_links g v))
+        by_dist;
+      let k = count.(d) in
+      let all = Ecmp.equal_cost_paths ~limit:(max 1 k) g s d in
+      let capped = Ecmp.equal_cost_paths ~limit g s d in
+      let position (l : Link.t) =
+        let rec go i = function
+          | [] -> assert false
+          | (x : Link.t) :: rest ->
+            if x.Link.id = l.Link.id then i else go (i + 1) rest
+        in
+        go 0 (Graph.out_links g l.Link.src)
+      in
+      let positions p = List.map position p.Path.links in
+      let rec rising = function
+        | a :: (b :: _ as rest) -> compare a b < 0 && rising rest
+        | [ _ ] | [] -> true
+      in
+      let rec prefix n = function
+        | x :: rest when n > 0 -> x :: prefix (n - 1) rest
+        | _ -> []
+      in
+      let rec contiguous = function
+        | (a : Link.t) :: ((b : Link.t) :: _ as rest) ->
+          a.Link.dst = b.Link.src && contiguous rest
+        | [ _ ] | [] -> true
+      in
+      let valid p =
+        Path.src p = s && Path.dst p = d && Path.hops p = dist.(d)
+        && contiguous p.Path.links
+      in
+      List.length all = k
+      && List.length capped = min limit k
+      && List.for_all valid all
+      && rising (List.map positions all)
+      && List.map positions capped = prefix limit (List.map positions all))
+
 let prop_dijkstra_is_minimal =
   QCheck.Test.make ~name:"dijkstra beats any yen alternative" ~count:40
     graph_gen (fun (n, seed) ->
@@ -410,6 +481,7 @@ let () =
             prop_triangle_inequality;
             prop_yen_sorted_distinct;
             prop_ecmp_paths_equal_cost;
+            prop_ecmp_dag_count_and_order;
             prop_dijkstra_is_minimal;
             prop_target_exit_exact;
             prop_bound_exit_exact;
