@@ -1024,7 +1024,8 @@ let () =
           Alcotest.test_case "order and bounds" `Quick test_fifo_order_and_bounds;
           Alcotest.test_case "empty" `Quick test_fifo_empty;
         ] );
-      (* a group of its own, so CI runs it by name *)
+      (* this group and "cache gate" and "iface gate" below stand alone
+         so CI runs them by name *)
       ( "fifo ring",
         [
           Alcotest.test_case "wrap, growth and counters" `Quick test_fifo_ring;
