@@ -1207,28 +1207,48 @@ let overload () =
       None,
       r.drops )
   in
-  let cells_of boost store =
-    let wl = overload_workload boost in
-    List.map
-      (fun (label, ov) -> (label, inrpp wl store ov))
-      variants
-    @ [
-        ("AIMD (pull)", baseline wl Baselines.Comparison.Aimd_proto);
-        ("MPTCP", baseline wl Baselines.Comparison.Mptcp_proto);
-      ]
+  (* [baseline] takes no store and passes [run_one] no [cfg], so an
+     AIMD or MPTCP result depends on the crowd alone: each runs once
+     per crowd and its row repeats under every store *)
+  let pulls =
+    [
+      ("AIMD (pull)", Baselines.Comparison.Aimd_proto);
+      ("MPTCP", Baselines.Comparison.Mptcp_proto);
+    ]
   in
-  let grid =
+  let jobs_of boost =
+    let wl = overload_workload boost in
     List.concat_map
-      (fun boost ->
-        List.map (fun store -> (boost, store, cells_of boost store)) stores)
-      boosts
+      (fun store -> List.map (fun (_, ov) -> inrpp wl store ov) variants)
+      stores
+    @ List.map (fun (_, proto) -> baseline wl proto) pulls
   in
   let results =
     Parallel.Pool.run_jobs ~domains:(domains ())
-      (Array.of_list
-         (List.concat_map (fun (_, _, cells) -> List.map snd cells) grid))
+      (Array.of_list (List.concat_map jobs_of boosts))
   in
-  let cursor = ref 0 in
+  (* rows in table order, each with the index of its job in
+     [jobs_of]'s layout: every store's INRPP variants, then the pulls *)
+  let nv = List.length variants and ns = List.length stores in
+  let per_boost = (ns * nv) + List.length pulls in
+  let grid =
+    List.concat
+      (List.mapi
+         (fun bi boost ->
+           let base = bi * per_boost in
+           List.mapi
+             (fun si store ->
+               ( boost,
+                 store,
+                 List.mapi
+                   (fun vi (label, _) -> (label, base + (si * nv) + vi))
+                   variants
+                 @ List.mapi
+                     (fun pi (label, _) -> (label, base + (ns * nv) + pi))
+                     pulls ))
+             stores)
+         boosts)
+  in
   let rows = ref [] in
   (* goodput of the control-off INRPP run per (boost, store), for the
      retention summary below *)
@@ -1237,11 +1257,10 @@ let overload () =
   List.iter
     (fun (boost, store, cells) ->
       List.iter
-        (fun (label, _) ->
+        (fun (label, k) ->
           let completed, flows, mean_fct, goodput, jain, ovstats, drops =
-            results.(!cursor)
+            results.(k)
           in
-          incr cursor;
           if label = "INRPP off" then
             Hashtbl.replace off_goodput (boost, store) goodput;
           if label = "INRPP object-runs" then
@@ -1439,7 +1458,7 @@ let micro () =
   let open Bechamel in
   let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
   let small = Topology.Builders.grid 6 6 in
-  let table = Flowsim.Allocation.Detour_table.create g in
+  let table = Topology.Detour.Table.create g in
   let router = Flowsim.Routing.create g Flowsim.Routing.sp in
   let demands =
     let paths =
@@ -1469,7 +1488,7 @@ let micro () =
           (Staged.stage (fun () ->
                ignore
                  (Flowsim.Allocation.inrp
-                    ~detours:(Flowsim.Allocation.Detour_table.find table)
+                    ~detours:(Topology.Detour.Table.find table)
                     g demands)));
         Test.make ~name:"event queue push+pop"
           (Staged.stage (fun () ->

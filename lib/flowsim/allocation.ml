@@ -321,29 +321,3 @@ let inrp ?(options = default_inrp) ~detours g demands =
     result := inrp_pass ~options w g demands caps
   done;
   !result
-
-(* ------------------------------------------------------------------ *)
-
-module Detour_table = struct
-  type t = {
-    g : Graph.t;
-    max_intermediate : int;
-    cache : (int, (Topology.Node.id * Path.t) list) Hashtbl.t;
-  }
-
-  let create ?(max_intermediate = 2) g =
-    if max_intermediate < 1 then
-      invalid_arg "Detour_table.create: max_intermediate < 1";
-    { g; max_intermediate; cache = Hashtbl.create 64 }
-
-  let find t (l : Link.t) =
-    match Hashtbl.find_opt t.cache l.Link.id with
-    | Some ds -> ds
-    | None ->
-      let ds =
-        Topology.Detour.detours_via t.g l
-          ~max_intermediate:t.max_intermediate
-      in
-      Hashtbl.add t.cache l.Link.id ds;
-      ds
-  end

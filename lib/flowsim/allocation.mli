@@ -69,14 +69,5 @@ val inrp :
     push rate is the minimum of its demand cap and its processor-sharing
     share of its first link.  [detours l] lists detour paths around
     link [l] (see {!Topology.Detour.detours_via}); it is consulted only
-    for saturated links and should be memoised by the caller. *)
-
-module Detour_table : sig
-  type t
-
-  val create : ?max_intermediate:int -> Topology.Graph.t -> t
-  (** Lazy, memoised per-link detour sets ([max_intermediate] default
-      2: 1-hop detours first, 2-hop recursion fallback). *)
-
-  val find : t -> Topology.Link.t -> (Topology.Node.id * Topology.Path.t) list
-end
+    for saturated links and should be memoised by the caller, e.g. with
+    {!Topology.Detour.Table.find}. *)

@@ -29,7 +29,7 @@ type t = {
   strat : strategy;
   trees : (Topology.Node.id, Dijkstra.tree) Hashtbl.t;
   ecmp_cache : (int, Topology.Path.t list) Hashtbl.t;
-  table : Allocation.Detour_table.t;
+  table : Topology.Detour.Table.t option;  (* INRP only *)
 }
 
 let create g strat =
@@ -38,7 +38,10 @@ let create g strat =
     strat;
     trees = Hashtbl.create 32;
     ecmp_cache = Hashtbl.create 64;
-    table = Allocation.Detour_table.create g;
+    table =
+      (match strat with
+      | Inrp _ -> Some (Topology.Detour.Table.create g)
+      | Sp | Ecmp _ -> None);
   }
 
 let strategy t = t.strat
@@ -68,6 +71,6 @@ let route t ~flow_id src dst =
     Ecmp_paths.pick paths ~flow_id
 
 let detours t l =
-  match t.strat with
-  | Inrp _ -> Allocation.Detour_table.find t.table l
-  | Sp | Ecmp _ -> []
+  match t.table with
+  | Some table -> Topology.Detour.Table.find table l
+  | None -> []

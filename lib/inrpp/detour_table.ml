@@ -9,23 +9,21 @@ type candidate = {
 }
 
 type t = {
-  g : Topology.Graph.t;
-  max_intermediate : int;
+  table : Topology.Detour.Table.t;
   cache : (int, candidate list) Hashtbl.t;
 }
 
 let create ?(max_intermediate = 2) g =
-  if max_intermediate < 1 then
-    invalid_arg "Detour_table.create: max_intermediate < 1";
-  { g; max_intermediate; cache = Hashtbl.create 64 }
+  {
+    table = Topology.Detour.Table.create ~max_intermediate g;
+    cache = Hashtbl.create 64;
+  }
 
 let candidates t (l : Link.t) =
   match Hashtbl.find_opt t.cache l.Link.id with
   | Some cs -> cs
   | None ->
-    let ds =
-      Topology.Detour.detours_via t.g l ~max_intermediate:t.max_intermediate
-    in
+    let ds = Topology.Detour.Table.find t.table l in
     let cs =
       List.filter_map
         (fun (_, dpath) ->

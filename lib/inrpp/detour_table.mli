@@ -1,6 +1,6 @@
 (** Per-link detour candidates for the chunk-level router.
 
-    Memoised view over {!Topology.Detour.detours_via}: for each
+    Memoised view over a {!Topology.Detour.Table}: for each
     directed link, the list of detour hops — the first link to take
     and the node sequence a deflected packet must then visit to rejoin
     the primary path at the far end of the protected link. *)

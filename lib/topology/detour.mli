@@ -23,7 +23,8 @@ type profile = {
 
 val classify_link : Graph.t -> Link.t -> availability
 (** Shortest-alternative class for one directed link.  Both directions
-    of the physical link are excluded from the search. *)
+    of the physical link are excluded from the search, a BFS that
+    stops when it discovers the link's destination. *)
 
 val best_detour : Graph.t -> Link.t -> Path.t option
 (** The shortest alternative path itself ([src] to [dst] of the link,
@@ -34,8 +35,26 @@ val detours_via :
 (** All detours of at most [max_intermediate] intermediate nodes,
     keyed by their first intermediate node (the neighbour the traffic
     is deflected to).  A neighbour appears at most once, with its
-    shortest usable continuation.  Used to build {!Inrpp} detour
-    tables. *)
+    shortest usable continuation.  One-shot form of {!Table.find}. *)
+
+module Table : sig
+  type t
+  (** Memoised {!detours_via} lists for the links of one graph.  The
+      first query of a link out of [u] runs one bounded search per
+      neighbour of [u], in one workspace reused across searches, and
+      keeps from each only the continuations to [u]'s neighbours; a
+      link's list is built from them on its first query.  Mutable, so
+      each parallel job creates its own. *)
+
+  val create : ?max_intermediate:int -> Graph.t -> t
+  (** [max_intermediate] defaults to 2: 1-hop detours first, 2-hop
+      fallback.
+      @raise Invalid_argument if [max_intermediate < 1]. *)
+
+  val find : t -> Link.t -> (Node.id * Path.t) list
+  (** [detours_via g l ~max_intermediate], computed once per link
+      whatever the order of queries. *)
+end
 
 val classify_links : Graph.t -> profile
 (** Classify every {e undirected} link of the graph (Table 1 counts

@@ -12,6 +12,25 @@ type metric =
 type tree
 (** Single-source shortest-path tree. *)
 
+module Heap : sig
+  type t
+  (** Binary min-heap of [(priority, node)] pairs in growable parallel
+      arrays: a push or pop allocates nothing once the arrays are
+      large enough.  Equal priorities pop in an order fixed by the
+      sequence of pushes and pops, so two searches that make the same
+      calls settle equal-distance nodes in the same order. *)
+
+  val create : unit -> t
+  val is_empty : t -> bool
+  val push : t -> float -> int -> unit
+  val pop : t -> int
+  (** Remove the minimum and return its node; the heap must be
+      non-empty. *)
+end
+(** The heap {!run} pops from, exposed so that a search which must
+    reproduce {!run}'s choice among equal-cost predecessors can reuse
+    it. *)
+
 val run : ?metric:metric -> ?forbidden_links:(Link.t -> bool) ->
   ?forbidden_nodes:(Node.id -> bool) -> ?target:Node.id -> ?bound:float ->
   Graph.t -> Node.id -> tree

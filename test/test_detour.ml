@@ -73,6 +73,25 @@ let test_classify_profile_sums_to_one () =
   in
   Alcotest.(check (float 1e-9)) "fractions sum to 1" 1. sum
 
+(* Table 1 classes by BFS hop count: on every physical link of the
+   nine ISP graphs, the class derived from best_detour's Dijkstra path *)
+let test_isp_zoo_matches_best_detour () =
+  List.iter
+    (fun isp ->
+      let g = Isp_zoo.graph isp in
+      List.iter
+        (fun (l : Link.t) ->
+          let reference =
+            match Detour.best_detour g l with
+            | None -> Detour.Unavailable
+            | Some p -> Detour.Detour (Path.hops p - 1)
+          in
+          if Detour.classify_link g l <> reference then
+            Alcotest.failf "%s link %d: class differs from best_detour"
+              (Isp_zoo.name isp) l.Link.id)
+        (Graph.undirected_links g))
+    Isp_zoo.all
+
 (* ------------------------------------------------------------------ *)
 (* detours_via *)
 
@@ -147,6 +166,9 @@ let reference_detours_via g (l : Link.t) ~max_intermediate =
          | 0 -> Int.compare w1 w2
          | c -> c)
 
+(* detours_via, and a table queried in link-id order and in reverse
+   (each source's lists are filled by whichever of its links comes
+   first), against the reference *)
 let test_detours_via_matches_reference () =
   let ids ds =
     List.map
@@ -158,14 +180,24 @@ let test_detours_via_matches_reference () =
       let g = Isp_zoo.graph isp in
       List.iter
         (fun max_intermediate ->
+          let forward = Detour.Table.create ~max_intermediate g in
+          let backward = Detour.Table.create ~max_intermediate g in
+          List.iter
+            (fun l -> ignore (Detour.Table.find backward l))
+            (List.rev (Graph.links g));
           Graph.iter_links
             (fun l ->
-              if
-                ids (Detour.detours_via g l ~max_intermediate)
-                <> ids (reference_detours_via g l ~max_intermediate)
-              then
-                Alcotest.failf "%s link %d (max_intermediate %d): differs"
-                  (Isp_zoo.name isp) l.Link.id max_intermediate)
+              let expected = ids (reference_detours_via g l ~max_intermediate) in
+              List.iter
+                (fun (how, got) ->
+                  if ids got <> expected then
+                    Alcotest.failf "%s link %d (max_intermediate %d): %s differs"
+                      (Isp_zoo.name isp) l.Link.id max_intermediate how)
+                [
+                  ("detours_via", Detour.detours_via g l ~max_intermediate);
+                  ("forward table", Detour.Table.find forward l);
+                  ("reverse table", Detour.Table.find backward l);
+                ])
             g)
         [ 1; 2 ])
     Isp_zoo.all
@@ -262,6 +294,37 @@ let test_fig4_isps () =
     (List.mem Isp_zoo.Telstra Isp_zoo.fig4_isps)
 
 (* ------------------------------------------------------------------ *)
+(* Detour gate: minor words for one classify_links pass over the nine
+   ISP graphs (one BFS workspace per graph, then a closure and a
+   reverse-link lookup per link) and for querying every link of
+   Telstra in a fresh table (the workspace, each source's continuation
+   array and boxed heap priorities, then per candidate its path and
+   list cells).  Bit-deterministic; each figure is frozen with 1.25x
+   headroom and printed on failure. *)
+
+let check_minor_words label ~frozen f =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let before = Gc.minor_words () in
+    f ();
+    let words = Gc.minor_words () -. before in
+    if words > 1.25 *. frozen then
+      Alcotest.failf "%s: %g minor words, frozen %g, bound %g" label words
+        frozen (1.25 *. frozen)
+
+let test_gate_classify_links () =
+  let graphs = List.map Isp_zoo.graph Isp_zoo.all in
+  check_minor_words "classify_links over the ISP zoo" ~frozen:73772.
+    (fun () -> List.iter (fun g -> ignore (Detour.classify_links g)) graphs)
+
+let test_gate_table_fill () =
+  let g = Isp_zoo.graph Isp_zoo.Telstra in
+  check_minor_words "Telstra table fill" ~frozen:707030. (fun () ->
+      let t = Detour.Table.create g in
+      Graph.iter_links (fun l -> ignore (Detour.Table.find t l)) g)
+
+(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let prop_best_detour_consistent_with_class =
@@ -290,6 +353,28 @@ let prop_detours_via_within_depth =
             (Detour.detours_via g l ~max_intermediate:2))
         (Graph.undirected_links g))
 
+(* Dense random graphs have many equal-length continuations, so this
+   pins the table's choice among them to the reference Dijkstra's,
+   which the ISP zoo alone does not *)
+let prop_table_matches_reference =
+  QCheck.Test.make ~name:"detour table matches reference" ~count:40
+    (QCheck.make
+       QCheck.Gen.(triple (int_range 5 20) (int_range 0 10_000) (int_range 1 3)))
+    (fun (n, seed, max_intermediate) ->
+      let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.35 n in
+      let t = Detour.Table.create ~max_intermediate g in
+      let ids ds =
+        List.map
+          (fun (w, p) ->
+            (w, List.map (fun (l : Link.t) -> l.Link.id) p.Path.links))
+          ds
+      in
+      List.for_all
+        (fun l ->
+          ids (Detour.Table.find t l)
+          = ids (reference_detours_via g l ~max_intermediate))
+        (List.rev (Graph.links g)))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "detour"
@@ -304,6 +389,8 @@ let () =
           Alcotest.test_case "best detour path" `Quick test_best_detour_path;
           Alcotest.test_case "reverse excluded" `Quick test_best_detour_ignores_reverse;
           Alcotest.test_case "profile sums to 1" `Quick test_classify_profile_sums_to_one;
+          Alcotest.test_case "isp zoo matches best_detour" `Quick
+            test_isp_zoo_matches_best_detour;
         ] );
       ( "detours_via",
         [
@@ -324,6 +411,17 @@ let () =
           Alcotest.test_case "average row" `Quick test_zoo_average_row;
           Alcotest.test_case "fig4 trio" `Quick test_fig4_isps;
         ] );
+      ( "detour gate",
+        [
+          Alcotest.test_case "classify_links isp zoo" `Quick
+            test_gate_classify_links;
+          Alcotest.test_case "table fill telstra" `Quick test_gate_table_fill;
+        ] );
       ( "properties",
-        qc [ prop_best_detour_consistent_with_class; prop_detours_via_within_depth ] );
+        qc
+          [
+            prop_best_detour_consistent_with_class;
+            prop_detours_via_within_depth;
+            prop_table_matches_reference;
+          ] );
     ]

@@ -103,26 +103,26 @@ let test_inrp_fig3 () =
 let test_inrp_no_detour_matches_bottleneck () =
   (* without detours INRP degenerates to the bottleneck rate *)
   let g = Graph.of_edges ~capacity:(mbps 10.) 3 [ (0, 1); (1, 2) ] in
-  let table = A.Detour_table.create g in
+  let table = Detour.Table.create g in
   let p = path_of g [ 0; 1; 2 ] in
   let res =
     A.inrp
       ~options:{ A.default_inrp with max_detour = 0 }
-      ~detours:(A.Detour_table.find table) g
+      ~detours:(Detour.Table.find table) g
       [| (p, infinity) |]
   in
   check_close "full line rate" 1000. (mbps 10.) res.A.delivered.(0)
 
 let test_inrp_delivered_le_pushed () =
   let g = Isp_zoo.graph Isp_zoo.Vsnl in
-  let table = A.Detour_table.create g in
+  let table = Detour.Table.create g in
   let router = R.create g R.sp in
   let paths =
     List.filter_map (fun (s, d) -> R.route router ~flow_id:0 s d)
       [ (0, 6); (1, 8); (2, 10); (5, 9) ]
   in
   let demands = Array.of_list (List.map (fun p -> (p, 1e10)) paths) in
-  let res = A.inrp ~detours:(A.Detour_table.find table) g demands in
+  let res = A.inrp ~detours:(Detour.Table.find table) g demands in
   Array.iteri
     (fun i d ->
       if d > res.A.pushed.(i) +. 1e-6 then
@@ -132,14 +132,14 @@ let test_inrp_delivered_le_pushed () =
 
 let test_inrp_capacity_conserved () =
   let g = Isp_zoo.graph Isp_zoo.Vsnl in
-  let table = A.Detour_table.create g in
+  let table = Detour.Table.create g in
   let router = R.create g R.sp in
   let paths =
     List.filter_map (fun (s, d) -> R.route router ~flow_id:0 s d)
       [ (0, 6); (1, 8); (2, 10); (5, 9); (3, 7); (0, 9) ]
   in
   let demands = Array.of_list (List.map (fun p -> (p, infinity)) paths) in
-  let res = A.inrp ~detours:(A.Detour_table.find table) g demands in
+  let res = A.inrp ~detours:(Detour.Table.find table) g demands in
   Array.iteri
     (fun lid c ->
       let cap = (Graph.link g lid).Link.capacity in
@@ -149,11 +149,11 @@ let test_inrp_capacity_conserved () =
 
 let test_inrp_effective_hops_sane () =
   let g = Builders.fig3 () in
-  let table = A.Detour_table.create g in
+  let table = Detour.Table.create g in
   let a = path_of g [ 0; 1; 3 ] in
   let b = path_of g [ 0; 1 ] in
   let res =
-    A.inrp ~options:A.fig3_inrp ~detours:(A.Detour_table.find table) g
+    A.inrp ~options:A.fig3_inrp ~detours:(Detour.Table.find table) g
       [| (a, infinity); (b, infinity) |]
   in
   (* flow A: 2 Mbps over 2 hops, 3 Mbps over 3 hops -> 2.6 mean hops *)
@@ -616,7 +616,7 @@ let prop_inrp_no_overbooking =
         Builders.erdos_renyi ~capacity:1e6 ~seed:(Int64.of_int seed) ~p:0.4 n
       in
       let router = R.create g R.inrp in
-      let table = A.Detour_table.create g in
+      let table = Detour.Table.create g in
       let rng = Sim.Rng.create (Int64.of_int (seed + 7)) in
       let paths = ref [] in
       for _ = 1 to 8 do
@@ -630,7 +630,7 @@ let prop_inrp_no_overbooking =
       | [] -> true
       | ps ->
         let demands = Array.of_list (List.map (fun p -> (p, infinity)) ps) in
-        let res = A.inrp ~detours:(A.Detour_table.find table) g demands in
+        let res = A.inrp ~detours:(Detour.Table.find table) g demands in
         Array.for_all2
           (fun c (l : Link.t) -> c <= l.Link.capacity +. 1. && c >= -1.)
           res.A.link_carried
@@ -653,7 +653,7 @@ let detour_deficit ~n ~seed =
     Builders.erdos_renyi ~capacity ~seed:(Int64.of_int seed) ~p:0.4 n
   in
   let router = R.create g R.sp in
-  let table = A.Detour_table.create g in
+  let table = Detour.Table.create g in
   let rng = Sim.Rng.create (Int64.of_int (seed + 3)) in
   let paths = ref [] in
   for _ = 1 to 8 do
@@ -669,7 +669,7 @@ let detour_deficit ~n ~seed =
     let demands = Array.of_list (List.map (fun p -> (p, capacity /. 2.)) ps) in
     let total options =
       let res =
-        A.inrp ~options ~detours:(A.Detour_table.find table) g demands
+        A.inrp ~options ~detours:(Detour.Table.find table) g demands
       in
       Array.fold_left ( +. ) 0. res.A.delivered
     in
