@@ -30,13 +30,15 @@ type dcand = {
 }
 
 (* Control state of one outgoing interface, one per out-link, built at
-   [create].  The estimator appears on first use and the phase on the
-   estimator's first tick (or the first packet forwarded), the instants
-   the sampler's [estimator_links]/[iface_phase] probes observe; [reset]
-   clears both in place.  A port is on the walk ([walking]) from the
-   first bit it notes until a tick leaves it idle in push-data; off the
-   walk its estimator is current as of tick [synced] and owes one idle
-   interval for every tick since (see [catch_up]).  The detour
+   [create] with its interface and that queue's detour-admission limit
+   (queue capacity is fixed).  The estimator appears on first use and
+   the phase on the estimator's first tick (or the first packet
+   forwarded), the instants the sampler's [estimator_links]/
+   [iface_phase] probes observe; [reset] clears both in place.  A port
+   is on the walk ([walking]) from the first bit it notes until a tick
+   leaves it idle in push-data; off the walk its estimator is current
+   as of tick [synced] and owes one idle interval for every tick since
+   (see [catch_up]).  The detour
    candidates are cached by generation: every link-state flip and every
    crash bumps [ls_gen], so a stale [dk_gen] means the static filter
    must be recomputed.  Between bumps, up-ness cannot change (all
@@ -46,6 +48,8 @@ type dcand = {
    fill and neither link state nor neighbour pressure moves. *)
 and port = {
   p_link : Link.t;
+  p_iface : Iface.t;               (* the link's interface *)
+  p_limit : float;                 (* threshold * its queue capacity *)
   mutable est : Rate_estimator.t option;
   mutable phase : Phase.t option;
   mutable walking : bool;
@@ -100,9 +104,12 @@ let create ~cfg ~net ~node ~detours ~link_state ~trace ~overload ~reg =
     Topology.Graph.out_links (Net.graph net) node
     |> List.sort (fun (a : Link.t) (b : Link.t) ->
            Int.compare a.Link.id b.Link.id)
-    |> List.map (fun l ->
-           { p_link = l; est = None; phase = None; walking = false;
-             synced = 0; dk_gen = -1; dk_cands = [||]; blocked = -1 })
+    |> List.map (fun (l : Link.t) ->
+           let i = Net.iface net l.Link.id in
+           { p_link = l; p_iface = i;
+             p_limit = detour_queue_threshold *. Iface.queue_capacity i;
+             est = None; phase = None; walking = false; synced = 0;
+             dk_gen = -1; dk_cands = [||]; blocked = -1 })
     |> Array.of_list
   in
   { cfg; net; node; detours; link_state; trace; overload; ports; reg;
@@ -337,8 +344,8 @@ let walk s ~crashed store =
   done;
   !on
 
-(* A crash loses every port's estimator and phase; hot caches point at
-   the ports, so they are cleared in place *)
+(* A crash loses every port's estimator and phase; flow-table slots
+   hold port indices, so the ports are cleared in place *)
 let reset s =
   Array.iter
     (fun p ->

@@ -22,24 +22,14 @@ type counters = {
   mutable detours_refused : int;
 }
 
-(* Hot-path state resolved once per (flow, data link) instead of per
-   packet: interface handle, queue-admission limit and port.  Dropped
-   whenever the flow's link changes (reroute). *)
-type hot = {
-  h_link : Link.t;
-  h_iface : Iface.t;
-  h_limit : float;                 (* threshold * capacity of h_iface *)
-  h_port : Port.port;
-}
-
 type registry = Port.registry
 
 type t = {
   s : Port.set;                   (* the interfaces' control plane *)
-  (* per-flow forwarding state: next hops as link ids, flag bitfield,
-     flowlet pin and hot cache, struct-of-arrays slots with free-list
-     recycling (see Flow_table) *)
-  ft : hot Ft.t;
+  (* per-flow forwarding state: next hops as link ids, the data link's
+     port index, flag bitfield and flowlet pin, one slab of slot
+     records with free-list recycling (see Flow_table) *)
+  ft : Ft.t;
   store : Cache.t;
   custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
   mutable drain_listed : bool;    (* in the registry's drain_nodes *)
@@ -102,9 +92,7 @@ let set_neighbor_pressure t f = t.s.Port.neighbor_pressure <- Some f
 
 let now t = Port.now t.s
 
-(* canonical link object for a stored id: Graph.link is O(1) and
-   returns the same physical Link.t the adjacency lists hold, so the
-   hot cache's [h_link == l] identity check keeps working *)
+(* canonical link object for a stored id: Graph.link is O(1) *)
 let link_of t id = Topology.Graph.link (Net.graph t.s.Port.net) id
 
 (* A chunk custody refused (no link: [-1]).  Dropped events carry a
@@ -168,14 +156,22 @@ let to_producer t p =
 
 let link_id = function Some (l : Link.t) -> l.Link.id | None -> -1
 
+(* the data link's port index, -1 when there is none or the link does
+   not leave this node ([port_at] raises on use) *)
+let port_index t = function
+  | Some (l : Link.t) -> Port.index t.s l.Link.id
+  | None -> -1
+
+(* one index walk: a reinstall resets the flags, so a set bp_local
+   leaves the count first *)
 let install_flow t ?content ~flow ~data_link ~req_link () =
   if flow < 0 then invalid_arg "Router.install_flow: flow < 0";
-  let slot = Ft.find t.ft flow in
-  if slot >= 0 && Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
-  ignore
-    (Ft.install t.ft ~flow
-       ~content:(Option.value ~default:flow content)
-       ~data_link:(link_id data_link) ~req_link:(link_id req_link))
+  let slot = Ft.add t.ft ~flow in
+  if Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
+  Ft.set_entry t.ft slot
+    ~content:(Option.value ~default:flow content)
+    ~data_link:(link_id data_link) ~req_link:(link_id req_link)
+    ~data_port:(port_index t data_link)
 
 let set_local_producer t f = t.local_producer <- Some f
 let set_local_consumer t f = t.local_consumer <- Some f
@@ -188,24 +184,11 @@ let detour_for t p =
   if i = -2 then t.c.detours_refused <- t.c.detours_refused + 1;
   i
 
-(* ------------------------------------------------------------------ *)
-(* Per-flow hot state *)
-
-let hot_of t slot (l : Link.t) =
-  match Ft.hot t.ft slot with
-  | Some h when h.h_link == l -> h
-  | Some _ | None ->
-    let i = Net.iface t.s.Port.net l.Link.id in
-    let h =
-      {
-        h_link = l;
-        h_iface = i;
-        h_limit = Port.detour_queue_threshold *. Iface.queue_capacity i;
-        h_port = Port.port_of t.s l;
-      }
-    in
-    Ft.set_hot t.ft slot (Some h);
-    h
+(* The port of a slot's data link, which must exist *)
+let port_at t slot =
+  let i = Ft.data_port t.ft slot in
+  if i < 0 then invalid_arg "Router: link does not leave this node";
+  t.s.Port.ports.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Back-pressure signalling *)
@@ -258,8 +241,7 @@ let reroute_flow t ?content ~flow ~data_link ~req_link () =
   if slot < 0 then install_flow t ?content ~flow ~data_link ~req_link ()
   else begin
     Ft.set_links t.ft slot ~data_link:(link_id data_link)
-      ~req_link:(link_id req_link);
-    Ft.set_hot t.ft slot None;
+      ~req_link:(link_id req_link) ~data_port:(port_index t data_link);
     match data_link with
     | Some l when Port.link_is_up t.s l ->
       Ft.set_failed_over t.ft slot false;
@@ -386,8 +368,7 @@ let send_detour t flow (c : Port.dcand) (p : Packet.t) =
    custody when no detour has queue room — including when the chosen
    detour's admission fails under the candidate check (a race with new
    arrivals, or an interface that just went down). *)
-let try_detour t slot flow (l : Link.t) (p : Packet.t) =
-  let pt = Port.port_of t.s l in
+let try_detour t slot flow (pt : Port.port) (p : Packet.t) =
   let fi = detour_for t pt in
   if fi < 0 then custody t slot flow p
   else begin
@@ -424,38 +405,37 @@ let maybe_cache_popular t slot (p : Packet.t) =
 (* an overflowing queue falls through to detours, then custody —
    congestion is handled locally even before the estimator notices
    it *)
-let forward_on_primary t slot flow (l : Link.t) (p : Packet.t) =
-  if not (send_primary t l p) then try_detour t slot flow l p
+let forward_on_primary t slot flow (pt : Port.port) (p : Packet.t) =
+  if not (send_primary t pt.p_link p) then try_detour t slot flow pt p
 
 let forward_primary_path t slot flow (p : Packet.t) =
   maybe_cache_popular t slot p;
   let dl = Ft.data_link t.ft slot in
   if dl < 0 then to_consumer t p
   else begin
-    let l = link_of t dl in
-    let h = hot_of t slot l in
-    if not (Port.link_is_up t.s l) then
+    let pt = port_at t slot in
+    if not (Port.link_is_up t.s pt.p_link) then
       (* primary interface is down: go straight to the detour set (the
          paper's detour phase, triggered by outage rather than rate);
          custody is the fallback when no detour survives *)
-      try_detour t slot flow l p
+      try_detour t slot flow pt p
     else
-      let ph = Phase.current (Port.phase h.h_port) in
+      let ph = Phase.current (Port.phase pt) in
       let effective =
         if Ft.detour_override t.ft slot && ph = Phase.Push_data then
           Phase.Detour
         else ph
       in
       match effective with
-      | Phase.Push_data -> forward_on_primary t slot flow l p
+      | Phase.Push_data -> forward_on_primary t slot flow pt p
       | Phase.Detour ->
-        if Iface.queue_occupancy h.h_iface < h.h_limit then begin
+        if Iface.queue_occupancy pt.p_iface < pt.p_limit then begin
           ignore
             (Ft.flowlet_choose t.ft slot ~now:(now t)
                ~preferred:Ft.Primary);
-          forward_on_primary t slot flow l p
+          forward_on_primary t slot flow pt p
         end
-        else try_detour t slot flow l p
+        else try_detour t slot flow pt p
       | Phase.Backpressure -> custody t slot flow p
   end
 
@@ -543,10 +523,9 @@ let handle_request t (p : Packet.t) =
     else begin
       (* every forwarded request predicts one chunk leaving through
          the data interface (eq. 1 bookkeeping) *)
-      let dl = Ft.data_link t.ft slot in
-      if dl >= 0 then
+      if Ft.data_link t.ft slot >= 0 then
         Rate_estimator.note_request
-          (Port.estimator t.s (hot_of t slot (link_of t dl)).h_port)
+          (Port.estimator t.s (port_at t slot))
           ~expected_bits:t.s.Port.cfg.Config.chunk_bits;
       let rl = Ft.req_link t.ft slot in
       if rl >= 0 then ignore (Net.send t.s.Port.net ~via:(link_of t rl) p)
@@ -565,8 +544,8 @@ let handle_backpressure t (p : Packet.t) =
          congested area with a deeper detour, else relays the
          notification towards the sender *)
       let can_absorb =
-        let dl = Ft.data_link t.ft slot in
-        dl >= 0 && Port.first_usable t.s (Port.port_of t.s (link_of t dl)) >= 0
+        Ft.data_link t.ft slot >= 0
+        && Port.first_usable t.s (port_at t slot) >= 0
       in
       if can_absorb then Ft.set_detour_override t.ft slot true
       else begin
@@ -603,6 +582,16 @@ let originate_data t p = handle_data t p
 (* ------------------------------------------------------------------ *)
 (* Flow teardown *)
 
+(* Purge [flow]'s custody as drops.  Top level, not a local closure,
+   so a release allocates nothing. *)
+let rec strip_custody t flow =
+  match Cache.take_custody t.store ~flow with
+  | Some (idx, _bits) ->
+    Hashtbl.remove t.custody_packets (Chunk_key.pack ~flow ~idx);
+    t.c.dropped <- t.c.dropped + 1;
+    strip_custody t flow
+  | None -> ()
+
 (* Silent release: no upstream signalling — the flow is finished, its
    sender is about to go quiet on its own.  Custody still held for the
    flow can only be duplicate copies (the consumer has every chunk),
@@ -610,20 +599,12 @@ let originate_data t p = handle_data t p
    accounting balanced.  Works while crashed (the slot and store are
    not control state). *)
 let release_flow t ~flow =
-  let slot = Ft.find t.ft flow in
+  (* one index walk: the freed slot's flags stay readable *)
+  let slot = Ft.release t.ft ~flow in
   if slot >= 0 then begin
     if Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
-    let rec strip () =
-      match Cache.take_custody t.store ~flow with
-      | Some (idx, _bits) ->
-        Hashtbl.remove t.custody_packets (Chunk_key.pack ~flow ~idx);
-        t.c.dropped <- t.c.dropped + 1;
-        strip ()
-      | None -> ()
-    in
     (* an empty store holds no queue, so skip the probe *)
-    if not (Cache.custody_is_empty t.store) then strip ();
-    Ft.release t.ft ~flow
+    if not (Cache.custody_is_empty t.store) then strip_custody t flow
   end
 
 (* ------------------------------------------------------------------ *)
@@ -668,16 +649,15 @@ let release_one t flow =
   let dl = if slot < 0 then -1 else Ft.data_link t.ft slot in
   if dl < 0 then Done
   else begin
-    let l = link_of t dl in
-    let h = hot_of t slot l in
-    let pt = h.h_port in
+    let pt = port_at t slot in
+    let l = pt.p_link in
     let idx =
       if pt.blocked = t.drains then -1 else Cache.peek_custody t.store ~flow
     in
     if idx < 0 then Done
     else begin
       let primary =
-        Port.link_is_up t.s l && Iface.queue_occupancy h.h_iface < h.h_limit
+        Port.link_is_up t.s l && Iface.queue_occupancy pt.p_iface < pt.p_limit
       in
       (* the exit: the primary, else this detour candidate *)
       let ci = if primary then 0 else detour_for t pt in
@@ -803,7 +783,7 @@ let on_link_flip t ~up =
               set_local t slot ~flow ~which:`Outage false
             end
           end
-          else if Port.first_usable t.s (Port.port_of t.s l) >= 0 then begin
+          else if Port.first_usable t.s (port_at t slot) >= 0 then begin
             if up then set_local t slot ~flow ~which:`Outage false;
             if not (Ft.failed_over t.ft slot) then begin
               Ft.set_failed_over t.ft slot true;
