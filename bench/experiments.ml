@@ -1457,7 +1457,6 @@ let micro () =
   section "Micro-benchmarks (Bechamel, OLS ns/op)";
   let open Bechamel in
   let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
-  let small = Topology.Builders.grid 6 6 in
   let table = Topology.Detour.Table.create g in
   let router = Flowsim.Routing.create g Flowsim.Routing.sp in
   let demands =
@@ -1476,9 +1475,6 @@ let micro () =
         Test.make ~name:"dijkstra (ebone)"
           (Staged.stage (fun () ->
                ignore (Topology.Dijkstra.run g 0)));
-        Test.make ~name:"yen k=4 (grid)"
-          (Staged.stage (fun () ->
-               ignore (Topology.Yen.k_shortest small ~k:4 0 35)));
         Test.make ~name:"detour classify one link"
           (Staged.stage (fun () ->
                ignore (Topology.Detour.classify_link g (Topology.Graph.link g 0))));

@@ -22,8 +22,8 @@ val sidecar_emit : experiment:string -> (string * Obs.Json.t) list -> unit
 (** Emit one sidecar row (no-op without a sidecar channel). *)
 
 val set_domains : int -> unit
-(** Fan sweep-shaped experiments (currently {e resilience} and
-    {e popularity}) across this many domains via {!Parallel.Pool}
+(** Fan sweep-shaped experiments ({e resilience}, {e popularity} and
+    {e overload}) across this many domains via {!Parallel.Pool}
     (default 1).  Results are joined in job-index order and all
     order-sensitive effects happen at join, so output is
     byte-identical at any setting.

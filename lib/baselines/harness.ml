@@ -53,7 +53,7 @@ let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
   let paths =
     Array.map
       (fun { Inrpp.Protocol.src; dst; _ } ->
-        match Topology.Yen.k_disjoint g ~k:paths_per_flow src dst with
+        match Topology.Dijkstra.k_disjoint g ~k:paths_per_flow src dst with
         | [] ->
           invalid_arg
             (Printf.sprintf "Harness.run: flow %d -> %d unroutable" src dst)

@@ -67,12 +67,6 @@ let to_json r =
       ("jain", Obs.Json.Num r.jain);
     ]
 
-let pp ppf r =
-  Format.fprintf ppf
-    "%-6s %d/%d done mean_fct=%.3gs goodput=%a jain=%.3f drops=%d retx=%d"
-    r.protocol r.completed r.flows r.mean_fct Sim.Units.pp_rate r.goodput
-    r.jain r.drops r.retransmissions
-
 let pp_table ppf rows =
   Format.fprintf ppf "%-8s %6s %10s %12s %7s %7s %7s@." "protocol" "done"
     "mean_fct" "goodput" "jain" "drops" "retx";

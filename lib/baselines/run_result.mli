@@ -26,5 +26,4 @@ val to_json : t -> Obs.Json.t
     comparison harness emits next to its ASCII table.  [fcts] become a
     list with [null] for unfinished flows. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_table : Format.formatter -> t list -> unit

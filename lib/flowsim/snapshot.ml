@@ -178,13 +178,3 @@ let ensemble ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
       stretch_samples = pooled;
       flows = List.fold_left (fun acc r -> acc + r.flows) 0 results;
     }
-
-let pp ppf r =
-  Format.fprintf ppf
-    "%-5s thr=%.3f util=%.3f goodput=%a delivered=%.2f stretch=%.3f \
-     detoured=%.1f%% (%d flows)"
-    r.strategy r.throughput r.utilisation Sim.Units.pp_rate r.goodput
-    r.delivered_fraction
-    r.mean_stretch
-    (100. *. r.detoured_fraction)
-    r.flows

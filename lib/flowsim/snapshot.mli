@@ -46,5 +46,3 @@ val ensemble :
   nflows:int -> seeds:int64 list -> Topology.Graph.t -> result
 (** Mean over seeds; stretch samples pooled.
     @raise Invalid_argument on an empty seed list. *)
-
-val pp : Format.formatter -> result -> unit

@@ -133,31 +133,3 @@ let erdos_renyi ?(capacity = default_capacity) ?(delay = default_delay) ~seed
     done
   done;
   Graph.Builder.build b
-
-let waxman ?capacity ?delay ~seed ~alpha ~beta n =
-  if n < 1 then invalid_arg "Builders.waxman: n < 1";
-  if alpha <= 0. || alpha > 1. then invalid_arg "Builders.waxman: alpha";
-  if beta <= 0. then invalid_arg "Builders.waxman: beta";
-  let rng = Sim.Rng.create seed in
-  let xs = Array.init n (fun _ -> Sim.Rng.float rng 1.) in
-  let ys = Array.init n (fun _ -> Sim.Rng.float rng 1.) in
-  let b = Graph.Builder.create () in
-  let ids = named_nodes b "w" n Node.Core in
-  let diag = sqrt 2. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let dx = xs.(i) -. xs.(j) and dy = ys.(i) -. ys.(j) in
-      let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
-      let prob = alpha *. exp (-.dist /. (beta *. diag)) in
-      if Sim.Rng.float rng 1. < prob then begin
-        let cap = match capacity with Some c -> c | None -> default_capacity in
-        let dly =
-          match delay with
-          | Some d -> d
-          | None -> 1e-3 +. (dist *. 5e-3) (* ~speed-of-light flavour *)
-        in
-        Graph.Builder.add_edge b ~capacity:cap ~delay:dly ids.(i) ids.(j)
-      end
-    done
-  done;
-  Graph.Builder.build b

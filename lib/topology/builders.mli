@@ -1,9 +1,9 @@
 (** Deterministic and random topology generators.
 
-    Regular topologies serve the unit tests and worked examples; the
-    random families (Erdős–Rényi, Waxman, Barabási–Albert) provide
-    workloads for property tests and ablations.  All random builders
-    take an explicit 64-bit [seed] and are reproducible. *)
+    Regular topologies serve the unit tests and worked examples;
+    Erdős–Rényi graphs provide workloads for property tests.  The
+    random builder takes an explicit 64-bit [seed] and is
+    reproducible. *)
 
 (** {1 Regular topologies} *)
 
@@ -44,11 +44,4 @@ val erdos_renyi :
   ?capacity:float -> ?delay:float -> seed:int64 -> p:float -> int -> Graph.t
 (** G(n, p); only the giant attempt is returned (may be disconnected —
     check {!Graph.is_connected} if that matters). [0 <= p <= 1]. *)
-
-val waxman :
-  ?capacity:float -> ?delay:float -> seed:int64 -> alpha:float ->
-  beta:float -> int -> Graph.t
-(** Waxman random geometric graph on the unit square; link probability
-    [alpha * exp (-dist / (beta * sqrt 2.))].  Delays, when not
-    overridden, are proportional to Euclidean distance. *)
 

@@ -84,8 +84,7 @@ let no_link_filter (_ : Link.t) = false
 let no_node_filter (_ : Node.id) = false
 
 let run ?(metric = Hops) ?(forbidden_links = no_link_filter)
-    ?(forbidden_nodes = no_node_filter) ?(target = -1) ?(bound = infinity) g s
-    =
+    ?(forbidden_nodes = no_node_filter) ?(target = -1) g s =
   let n = Graph.node_count g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: bad source";
   let dist = Array.make n infinity in
@@ -110,16 +109,14 @@ let run ?(metric = Hops) ?(forbidden_links = no_link_filter)
       end
     end
   in
-  (* early exit: pops come in non-decreasing distance order, so once
-     one exceeds [bound] nothing left can settle within it; and a
-     settled node's predecessor chain is never touched again, so
-     stopping at [target] leaves its path exactly as a full run would *)
+  (* early exit: a settled node's predecessor chain is never touched
+     again, so stopping at [target] leaves its path exactly as a full
+     run would *)
   let rec loop () =
     if not (Heap.is_empty heap) then begin
       let d = Heap.min_prio heap in
       let u = Heap.pop heap in
-      if d > bound then ()
-      else if d > dist.(u) then loop ()
+      if d > dist.(u) then loop ()
       else if u <> target then begin
         List.iter relax (Graph.out_links g u);
         loop ()
@@ -163,6 +160,26 @@ let hop_distance t v =
   | Some p -> Some (Path.hops p)
 
 let shortest_path ?metric g s d = path_to (run ?metric ~target:d g s) d
+
+let k_disjoint ?(metric = Hops) g ~k s d =
+  if k <= 0 then invalid_arg "Dijkstra.k_disjoint: k must be positive";
+  let used = Hashtbl.create 16 in
+  let rec collect acc remaining =
+    if remaining = 0 then List.rev acc
+    else
+      let tree =
+        run ~metric ~forbidden_links:(fun l -> Hashtbl.mem used l.Link.id)
+          ~target:d g s
+      in
+      match path_to tree d with
+      | None -> List.rev acc
+      | Some p ->
+        List.iter
+          (fun (l : Link.t) -> Hashtbl.replace used l.Link.id ())
+          p.Path.links;
+        collect (p :: acc) (remaining - 1)
+  in
+  collect [] k
 
 let all_pairs_hops g =
   let n = Graph.node_count g in

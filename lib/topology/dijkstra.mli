@@ -32,20 +32,17 @@ end
     it. *)
 
 val run : ?metric:metric -> ?forbidden_links:(Link.t -> bool) ->
-  ?forbidden_nodes:(Node.id -> bool) -> ?target:Node.id -> ?bound:float ->
+  ?forbidden_nodes:(Node.id -> bool) -> ?target:Node.id ->
   Graph.t -> Node.id -> tree
 (** [run g s] computes shortest distances from [s] to every node.
     [forbidden_links] / [forbidden_nodes] prune the graph on the fly —
     this is how detour discovery removes the protected link.  The
     source is never pruned by [forbidden_nodes].
 
-    [target] and [bound] stop the search early: once [target] is
-    settled, or once the nearest unsettled node lies further than
-    [bound].  [path_to tree target] is then exactly what a full run
-    gives when the target's distance is within [bound]; beyond it the
-    result is [None] or a path longer than [bound].  Every other
-    node's entries are partial: an unsettled node may be missing or
-    carry a longer-than-shortest tentative path. *)
+    [target] stops the search once it is settled.  [path_to tree
+    target] is then exactly what a full run gives.  Every other node's
+    entries are partial: an unsettled node may be missing or carry a
+    longer-than-shortest tentative path. *)
 
 val distance : tree -> Node.id -> float option
 (** [None] when unreachable. *)
@@ -62,6 +59,13 @@ val source : tree -> Node.id
 
 val shortest_path : ?metric:metric -> Graph.t -> Node.id -> Node.id -> Path.t option
 (** One-shot convenience wrapper around {!run} and {!path_to}. *)
+
+val k_disjoint :
+  ?metric:metric -> Graph.t -> k:int -> Node.id -> Node.id -> Path.t list
+(** Up to [k] link-disjoint paths, greedily: repeatedly take the
+    shortest path and remove its links from consideration.  The
+    multipath baselines (MPTCP) route their subflows on these.
+    @raise Invalid_argument if [k <= 0]. *)
 
 val all_pairs_hops : Graph.t -> int array array
 (** [all_pairs_hops g] is the matrix of hop distances; [max_int] where

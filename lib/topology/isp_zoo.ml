@@ -23,25 +23,6 @@ let name = function
   | Tiscali -> "Tiscali (EU)"
   | Verio -> "Verio (US)"
 
-let of_name s =
-  let canon =
-    String.lowercase_ascii s
-    |> String.to_seq
-    |> Seq.filter (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'))
-    |> String.of_seq
-  in
-  match canon with
-  | "exodus" | "exodusus" -> Some Exodus
-  | "vsnl" | "vsnlin" -> Some Vsnl
-  | "level3" -> Some Level3
-  | "sprint" | "sprintus" -> Some Sprint
-  | "att" | "attus" -> Some Att
-  | "ebone" | "eboneeu" -> Some Ebone
-  | "telstra" | "telstraaus" -> Some Telstra
-  | "tiscali" | "tiscalieu" -> Some Tiscali
-  | "verio" | "verious" -> Some Verio
-  | _ -> None
-
 let table1_row = function
   | Exodus -> (49.77, 35.48, 6.68, 8.06)
   | Vsnl -> (25.00, 33.33, 0.00, 41.67)

@@ -25,8 +25,6 @@ val all : isp list
 (** Table 1 row order. *)
 
 val name : isp -> string
-val of_name : string -> isp option
-(** Case-insensitive; accepts e.g. ["level3"], ["AT&T"], ["att"]. *)
 
 val table1_row : isp -> float * float * float * float
 (** The paper's reported percentages (1 hop, 2 hops, 3+ hops, N/A),

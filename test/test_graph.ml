@@ -1,5 +1,4 @@
-(* Tests for graph construction, paths, serialisation and structural
-   statistics. *)
+(* Tests for graph construction, paths and the topology builders. *)
 
 open Topology
 
@@ -162,74 +161,7 @@ let test_path_mem () =
   Alcotest.(check bool) "not mem link" false (Path.mem_link p l')
 
 (* ------------------------------------------------------------------ *)
-(* Serial *)
-
-let test_serial_roundtrip () =
-  let g = Builders.fig3 () in
-  let text = Serial.to_string g in
-  match Serial.of_string text with
-  | Error m -> Alcotest.fail m
-  | Ok g' ->
-    Alcotest.(check int) "nodes" (Graph.node_count g) (Graph.node_count g');
-    Alcotest.(check int) "links" (Graph.link_count g) (Graph.link_count g');
-    List.iter
-      (fun (l : Link.t) ->
-        match Graph.find_link g' l.Link.src l.Link.dst with
-        | None -> Alcotest.fail "link lost in roundtrip"
-        | Some l' ->
-          Alcotest.(check (float 0.)) "capacity" l.Link.capacity l'.Link.capacity;
-          Alcotest.(check (float 0.)) "delay" l.Link.delay l'.Link.delay)
-      (Graph.links g)
-
-let test_serial_roles_roundtrip () =
-  let b = Graph.Builder.create () in
-  let c = Graph.Builder.add_node b ~role:Node.Core "c" in
-  let h = Graph.Builder.add_node b ~role:Node.Host "h" in
-  Graph.Builder.add_edge b c h;
-  let g = Graph.Builder.build b in
-  match Serial.of_string (Serial.to_string g) with
-  | Error m -> Alcotest.fail m
-  | Ok g' ->
-    Alcotest.(check string) "role kept" "host"
-      (Node.role_to_string (Graph.node g' 1).Node.role)
-
-let test_serial_errors () =
-  let check_err text =
-    match Serial.of_string text with
-    | Ok _ -> Alcotest.fail ("accepted bad input: " ^ text)
-    | Error _ -> ()
-  in
-  check_err "frobnicate 1 2\n";
-  check_err "node 5 foo core\n";
-  check_err "node 0 foo king\n";
-  check_err "node 0 a core\nedge 0 7 1e9 0.001\n";
-  check_err "node 0 a core\nnode 1 b core\nedge 0 1 bad 0.001\n"
-
-let test_serial_file_roundtrip () =
-  let g = Isp_zoo.graph Isp_zoo.Vsnl in
-  let path = Filename.temp_file "inrpp_topo" ".topo" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Serial.save g path;
-      match Serial.load path with
-      | Error m -> Alcotest.fail m
-      | Ok g' ->
-        Alcotest.(check int) "nodes" (Graph.node_count g) (Graph.node_count g');
-        Alcotest.(check int) "links" (Graph.link_count g) (Graph.link_count g'));
-  Alcotest.(check bool) "missing file errors" true
-    (match Serial.load "/nonexistent/inrpp.topo" with
-    | Error _ -> true
-    | Ok _ -> false)
-
-let test_serial_comments_and_blanks () =
-  let text = "# heading\n\nnode 0 a core\nnode 1 b core # trailing\nedge 0 1 1e9 0.001\n" in
-  match Serial.of_string text with
-  | Error m -> Alcotest.fail m
-  | Ok g -> Alcotest.(check int) "parsed" 2 (Graph.node_count g)
-
-(* ------------------------------------------------------------------ *)
-(* Builders + stats *)
+(* Builders *)
 
 let test_builder_shapes () =
   let check_shape name g nodes ulinks =
@@ -262,50 +194,7 @@ let test_builder_validation () =
 let test_random_builders_deterministic () =
   let a = Builders.erdos_renyi ~seed:5L ~p:0.3 30 in
   let b = Builders.erdos_renyi ~seed:5L ~p:0.3 30 in
-  Alcotest.(check int) "same link count" (Graph.link_count a) (Graph.link_count b);
-  let wa = Builders.waxman ~seed:5L ~alpha:0.9 ~beta:0.3 30 in
-  let wb = Builders.waxman ~seed:5L ~alpha:0.9 ~beta:0.3 30 in
-  Alcotest.(check int) "waxman deterministic" (Graph.link_count wa)
-    (Graph.link_count wb)
-
-let test_graph_stats_mesh () =
-  let g = Builders.full_mesh 5 in
-  let s = Graph_stats.compute g in
-  Alcotest.(check (float 1e-9)) "avg degree" 4. s.Graph_stats.avg_degree;
-  Alcotest.(check (option int)) "diameter" (Some 1) s.Graph_stats.diameter;
-  Alcotest.(check (float 1e-9)) "clustering" 1. s.Graph_stats.clustering;
-  Alcotest.(check (float 1e-9)) "avg path" 1. s.Graph_stats.avg_path_length
-
-let test_betweenness_line () =
-  (* on a 3-node line all 0<->2 shortest paths pass through node 1 *)
-  let g = Builders.line 3 in
-  let cb = Graph_stats.betweenness g in
-  Alcotest.(check (float 1e-9)) "ends" 0. cb.(0);
-  Alcotest.(check (float 1e-9)) "ends" 0. cb.(2);
-  (* node 1 lies on 0->2 and 2->0 *)
-  Alcotest.(check (float 1e-9)) "middle" 2. cb.(1)
-
-let test_betweenness_star () =
-  let g = Builders.star 4 in
-  let cb = Graph_stats.betweenness g in
-  (* hub carries all 4*3 leaf pairs *)
-  Alcotest.(check (float 1e-9)) "hub" 12. cb.(0);
-  for leaf = 1 to 4 do
-    Alcotest.(check (float 1e-9)) "leaf" 0. cb.(leaf)
-  done
-
-let test_betweenness_mesh_zero () =
-  let g = Builders.full_mesh 4 in
-  let cb = Graph_stats.betweenness g in
-  Array.iter (fun v -> Alcotest.(check (float 1e-9)) "no transit" 0. v) cb
-
-let test_graph_stats_line () =
-  let g = Builders.line 4 in
-  let s = Graph_stats.compute g in
-  Alcotest.(check (option int)) "diameter" (Some 3) s.Graph_stats.diameter;
-  Alcotest.(check (float 1e-9)) "clustering" 0. s.Graph_stats.clustering;
-  let dist = Graph_stats.degree_distribution g in
-  Alcotest.(check (list (pair int int))) "degree dist" [ (1, 2); (2, 2) ] dist
+  Alcotest.(check int) "same link count" (Graph.link_count a) (Graph.link_count b)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -330,16 +219,6 @@ let prop_undirected_halves =
     (QCheck.make random_graph_gen) (fun (n, seed) ->
       let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.4 n in
       2 * List.length (Graph.undirected_links g) = Graph.link_count g)
-
-let prop_serial_roundtrip =
-  QCheck.Test.make ~name:"serial roundtrip preserves structure" ~count:50
-    (QCheck.make random_graph_gen) (fun (n, seed) ->
-      let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.3 n in
-      match Serial.of_string (Serial.to_string g) with
-      | Error _ -> false
-      | Ok g' ->
-        Graph.node_count g = Graph.node_count g'
-        && Graph.link_count g = Graph.link_count g')
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -367,25 +246,12 @@ let () =
           Alcotest.test_case "splice errors" `Quick test_path_splice_errors;
           Alcotest.test_case "folds" `Quick test_graph_folds;
         ] );
-      ( "serial",
-        [
-          Alcotest.test_case "roundtrip fig3" `Quick test_serial_roundtrip;
-          Alcotest.test_case "roles roundtrip" `Quick test_serial_roles_roundtrip;
-          Alcotest.test_case "errors" `Quick test_serial_errors;
-          Alcotest.test_case "comments and blanks" `Quick test_serial_comments_and_blanks;
-          Alcotest.test_case "file roundtrip" `Quick test_serial_file_roundtrip;
-        ] );
       ( "builders",
         [
           Alcotest.test_case "shapes" `Quick test_builder_shapes;
           Alcotest.test_case "validation" `Quick test_builder_validation;
           Alcotest.test_case "random deterministic" `Quick test_random_builders_deterministic;
-          Alcotest.test_case "stats mesh" `Quick test_graph_stats_mesh;
-          Alcotest.test_case "stats line" `Quick test_graph_stats_line;
-          Alcotest.test_case "betweenness line" `Quick test_betweenness_line;
-          Alcotest.test_case "betweenness star" `Quick test_betweenness_star;
-          Alcotest.test_case "betweenness mesh" `Quick test_betweenness_mesh_zero;
         ] );
       ( "properties",
-        qc [ prop_of_edges_symmetric; prop_undirected_halves; prop_serial_roundtrip ] );
+        qc [ prop_of_edges_symmetric; prop_undirected_halves ] );
     ]

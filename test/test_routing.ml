@@ -1,4 +1,4 @@
-(* Tests for Dijkstra, Yen's k-shortest paths and ECMP. *)
+(* Tests for Dijkstra, link-disjoint paths and ECMP. *)
 
 open Topology
 
@@ -93,56 +93,9 @@ let test_next_hops () =
   Alcotest.(check (list int)) "self" []
     (List.map (fun (l : Link.t) -> l.Link.dst) (Dijkstra.next_hops g 3 ~dst:3))
 
-(* ------------------------------------------------------------------ *)
-(* Yen *)
-
-let test_yen_basic () =
-  let g = diamond () in
-  let paths = Yen.k_shortest g ~k:3 0 3 in
-  Alcotest.(check int) "only two loopless" 2 (List.length paths);
-  List.iter
-    (fun p -> Alcotest.(check int) "both are 2 hops" 2 (Path.hops p))
-    paths;
-  (* distinct *)
-  match paths with
-  | [ a; b ] -> Alcotest.(check bool) "distinct" false (Path.equal a b)
-  | _ -> Alcotest.fail "expected two"
-
-let test_yen_ordering () =
-  (* ladder where longer alternatives exist *)
-  let g =
-    Graph.of_edges 6 [ (0, 1); (1, 2); (0, 3); (3, 4); (4, 2); (1, 4); (3, 1) ]
-  in
-  let paths = Yen.k_shortest g ~k:5 0 2 in
-  let costs = List.map Path.hops paths in
-  let sorted = List.sort Int.compare costs in
-  Alcotest.(check (list int)) "non-decreasing" sorted costs;
-  Alcotest.(check bool) "first is shortest" true (List.hd costs = 2)
-
-let test_yen_all_simple () =
-  let g = Builders.grid 3 3 in
-  let paths = Yen.k_shortest g ~k:10 0 8 in
-  Alcotest.(check bool) "got several" true (List.length paths >= 5);
-  List.iter
-    (fun p ->
-      Alcotest.(check bool) "simple" true (Path.is_simple p);
-      Alcotest.(check int) "src" 0 (Path.src p);
-      Alcotest.(check int) "dst" 8 (Path.dst p))
-    paths
-
-let test_yen_unreachable () =
-  let g = Graph.of_edges 3 [ (0, 1) ] in
-  Alcotest.(check int) "no paths" 0 (List.length (Yen.k_shortest g ~k:4 0 2))
-
-let test_yen_k_one () =
-  let g = diamond () in
-  match Yen.k_shortest g ~k:1 0 3 with
-  | [ p ] -> Alcotest.(check int) "is shortest" 2 (Path.hops p)
-  | _ -> Alcotest.fail "expected exactly one"
-
 let test_k_disjoint () =
   let g = diamond () in
-  let paths = Yen.k_disjoint g ~k:3 0 3 in
+  let paths = Dijkstra.k_disjoint g ~k:3 0 3 in
   Alcotest.(check int) "two disjoint routes" 2 (List.length paths);
   match paths with
   | [ a; b ] ->
@@ -248,20 +201,6 @@ let prop_triangle_inequality =
       done;
       !ok)
 
-let prop_yen_sorted_distinct =
-  QCheck.Test.make ~name:"yen paths sorted and distinct" ~count:40 graph_gen
-    (fun (n, seed) ->
-      let g = connected_er (n, seed) in
-      let paths = Yen.k_shortest g ~k:6 0 (Graph.node_count g - 1) in
-      let hops = List.map Path.hops paths in
-      let sorted = List.sort Int.compare hops in
-      let node_lists = List.map (fun p -> p.Path.nodes) paths in
-      let distinct =
-        List.length node_lists
-        = List.length (List.sort_uniq compare node_lists)
-      in
-      hops = sorted && distinct)
-
 let prop_ecmp_paths_equal_cost =
   QCheck.Test.make ~name:"ecmp paths all have shortest cost" ~count:60
     graph_gen (fun (n, seed) ->
@@ -346,17 +285,27 @@ let prop_ecmp_dag_count_and_order =
       && rising (List.map positions all)
       && List.map positions capped = prefix limit (List.map positions all))
 
-let prop_dijkstra_is_minimal =
-  QCheck.Test.make ~name:"dijkstra beats any yen alternative" ~count:40
+(* greedy disjoint paths: each search runs on a subgraph of the one
+   before, so costs never fall, and the first is the shortest path *)
+let prop_k_disjoint =
+  QCheck.Test.make ~name:"k_disjoint: shortest first, disjoint" ~count:40
     graph_gen (fun (n, seed) ->
       let g = connected_er (n, seed) in
       let d = Graph.node_count g - 1 in
-      match Dijkstra.shortest_path g 0 d with
-      | None -> true
-      | Some sp ->
-        List.for_all
-          (fun p -> Path.hops p >= Path.hops sp)
-          (Yen.k_shortest g ~k:4 0 d))
+      let paths = Dijkstra.k_disjoint g ~k:4 0 d in
+      let hops = List.map Path.hops paths in
+      let ids =
+        List.concat_map
+          (fun p -> List.map (fun (l : Link.t) -> l.Link.id) p.Path.links)
+          paths
+      in
+      (match (Dijkstra.shortest_path g 0 d, hops) with
+      | None, [] -> true
+      | Some sp, h :: _ -> h = Path.hops sp
+      | _ -> false)
+      && hops = List.sort Int.compare hops
+      && List.length ids = List.length (List.sort_uniq Int.compare ids)
+      && List.for_all (fun p -> Path.src p = 0 && Path.dst p = d) paths)
 
 (* early exit: random graph with whole-unit link delays of 1-9, random
    pruning (a salted hash picks about one link in five and one node in
@@ -383,13 +332,6 @@ let pruning salt =
   let pick x m = Hashtbl.hash (x, salt) mod m = 0 in
   ((fun (l : Link.t) -> pick l.Link.id 5), fun v -> pick (v + 100_000) 8)
 
-(* path length under the metric; Path.delay sums from the source, the
-   order the search accumulates in, so the floats compare exactly *)
-let length metric p =
-  match metric with
-  | Dijkstra.Hops -> float_of_int (Path.hops p)
-  | Dijkstra.Delay -> Path.delay p
-
 let link_ids = function
   | None -> None
   | Some p -> Some (List.map (fun (l : Link.t) -> l.Link.id) p.Path.links)
@@ -409,37 +351,6 @@ let prop_target_exit_exact =
           link_ids (Dijkstra.path_to early t) = link_ids (Dijkstra.path_to full t))
         (List.init (Graph.node_count g) Fun.id))
 
-let prop_bound_exit_exact =
-  QCheck.Test.make
-    ~name:"dijkstra ~bound is exact within the bound, longer or absent past it"
-    ~count:80 pruned_gen (fun (n, seed, salt, by_delay) ->
-      let g = weighted_er (n, seed) in
-      let metric = if by_delay then Dijkstra.Delay else Dijkstra.Hops in
-      let forbidden_links, forbidden_nodes = pruning salt in
-      let full = Dijkstra.run ~metric ~forbidden_links ~forbidden_nodes g 0 in
-      let span = if by_delay then 30 else 5 in
-      List.for_all
-        (fun t ->
-          let bound = float_of_int (((7 * t) + salt) mod span) in
-          let want = Dijkstra.path_to full t in
-          List.for_all
-            (fun target ->
-              let got =
-                Dijkstra.path_to
-                  (Dijkstra.run ~metric ~forbidden_links ~forbidden_nodes
-                     ?target ~bound g 0)
-                  t
-              in
-              match want with
-              | Some p when length metric p <= bound ->
-                link_ids got = link_ids want
-              | Some _ | None -> (
-                match got with
-                | None -> true
-                | Some q -> length metric q > bound))
-            [ None; Some t ])
-        (List.init (Graph.node_count g) Fun.id))
-
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -455,14 +366,6 @@ let () =
           Alcotest.test_case "all pairs" `Quick test_all_pairs_matches_bfs;
           Alcotest.test_case "eccentricity" `Quick test_eccentricity;
           Alcotest.test_case "next hops" `Quick test_next_hops;
-        ] );
-      ( "yen",
-        [
-          Alcotest.test_case "basic" `Quick test_yen_basic;
-          Alcotest.test_case "ordering" `Quick test_yen_ordering;
-          Alcotest.test_case "all simple" `Quick test_yen_all_simple;
-          Alcotest.test_case "unreachable" `Quick test_yen_unreachable;
-          Alcotest.test_case "k=1" `Quick test_yen_k_one;
           Alcotest.test_case "disjoint" `Quick test_k_disjoint;
         ] );
       ( "ecmp",
@@ -479,11 +382,9 @@ let () =
         qc
           [
             prop_triangle_inequality;
-            prop_yen_sorted_distinct;
             prop_ecmp_paths_equal_cost;
             prop_ecmp_dag_count_and_order;
-            prop_dijkstra_is_minimal;
+            prop_k_disjoint;
             prop_target_exit_exact;
-            prop_bound_exit_exact;
           ] );
     ]
