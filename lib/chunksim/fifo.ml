@@ -1,7 +1,9 @@
 (* A ring of packets whose capacity is a power of two, allocated on the
-   first push and doubled when full.  The byte accounting sits in a
-   float-only record, which OCaml stores flat, so neither a push nor a
-   take allocates. *)
+   first push and doubled when full.  Every slot not holding a queued
+   packet holds [Packet.vacant], so a taken packet is not kept alive
+   until the ring wraps.  The byte accounting sits in a float-only
+   record, which OCaml stores flat, so neither a push nor a take
+   allocates. *)
 
 type bits = {
   capacity : float;
@@ -30,9 +32,9 @@ let create ~capacity =
   }
 
 (* double a full ring, unwrapping it to start at 0 *)
-let grow t p =
+let grow t =
   let cap = Array.length t.ring in
-  let r = Array.make (max 8 (2 * cap)) p in
+  let r = Array.make (max 8 (2 * cap)) Packet.vacant in
   Array.blit t.ring t.head r 0 (cap - t.head);
   Array.blit t.ring 0 r (cap - t.head) t.head;
   t.ring <- r;
@@ -46,7 +48,7 @@ let push t (p : Packet.t) =
     `Dropped
   end
   else begin
-    if t.len = Array.length t.ring then grow t p;
+    if t.len = Array.length t.ring then grow t;
     t.ring.((t.head + t.len) land (Array.length t.ring - 1)) <- p;
     t.len <- t.len + 1;
     b.queued_bits <- b.queued_bits +. p.Packet.size;
@@ -57,6 +59,7 @@ let push t (p : Packet.t) =
 let take t =
   if t.len = 0 then invalid_arg "Fifo.take: empty";
   let p = t.ring.(t.head) in
+  t.ring.(t.head) <- Packet.vacant;
   t.head <- (t.head + 1) land (Array.length t.ring - 1);
   t.len <- t.len - 1;
   t.b.queued_bits <- t.b.queued_bits -. p.Packet.size;

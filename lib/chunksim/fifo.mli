@@ -3,7 +3,9 @@
     Capacity is in bits; a packet that would overflow is dropped whole
     (tail drop), the baseline transports' loss signal.  Counters track
     totals for the experiment reports.  Packets sit in a ring, so
-    neither {!push} nor {!take} allocates once the ring has grown. *)
+    neither {!push} nor {!take} allocates once the ring has grown, and
+    {!take} clears the slot it empties, so the ring keeps no taken
+    packet alive. *)
 
 type t
 

@@ -49,7 +49,9 @@ type t = {
   c : clock;
   mutable chain_stamp : int;     (* scheduling stamp of the send that
                                     began the current busy period *)
-  lane : Packet.t Sim.Engine.lane; (* popped packets awaiting arrival *)
+  mutable lane : Packet.t Sim.Engine.lane;
+  (* popped packets awaiting arrival; set once, right after creation,
+     to a lane whose handler closes over this record *)
   mutable inflight_pending : bool;
   (* fault state: a downed interface refuses admission, stops popping
      its queue, and destroys whatever was already on the wire *)
@@ -211,9 +213,8 @@ let create ?(queue_bits = default_queue_bits)
   | Some (p, _) when p < 0. || p >= 1. ->
     invalid_arg "Iface.create: loss probability outside [0,1)"
   | Some _ | None -> ());
-  (* the lane's handler is this interface's arrival *)
-  let rec t =
-    lazy {
+  let t =
+    {
       eng;
       clock = Sim.Engine.clock_cells eng;
       keys = Array.make 2 0.;
@@ -231,7 +232,7 @@ let create ?(queue_bits = default_queue_bits)
         { next_free_at = 0.; inflight_tx = 0.; inflight_bits = 0.;
           busy_accum = 0.; tx_bits_acc = 0. };
       chain_stamp = 0;
-      lane = Sim.Engine.lane eng (fun p -> on_arrival (Lazy.force t) p);
+      lane = Sim.Engine.lane eng ignore;
       inflight_pending = false;
       up = true;
       kill_wire = 0;
@@ -243,7 +244,9 @@ let create ?(queue_bits = default_queue_bits)
       fault_drops_acc = 0;
     }
   in
-  Lazy.force t
+  (* the lane's handler is this interface's arrival *)
+  t.lane <- Sim.Engine.lane ~filler:Packet.vacant eng (on_arrival t);
+  t
 
 (* Reads catch the virtual transmitter up first, so observed queue
    occupancy, busy state and statistics are those of an eager

@@ -47,6 +47,8 @@ let data ?(anticipated = false) ?(detour_route = []) ~flow ~idx ~born
 let backpressure ~flow ~engage =
   { header = Backpressure { flow; engage }; size = backpressure_bits }
 
+let vacant = backpressure ~flow:(-1) ~engage:false
+
 let flow t =
   match t.header with
   | Request { flow; _ } | Data { flow; _ } | Backpressure { flow; _ } -> flow

@@ -56,6 +56,10 @@ val data :
 
 val backpressure : flow:int -> engage:bool -> t
 
+val vacant : t
+(** A packet no node ever sends.  Packet rings write it over each slot
+    they vacate, so they keep no delivered packet alive. *)
+
 val flow : t -> int
 val is_data : t -> bool
 val pp : Format.formatter -> t -> unit

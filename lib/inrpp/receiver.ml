@@ -1,6 +1,14 @@
+(* the floats written per chunk: a float-only record stores them
+   unboxed *)
+type floats = {
+  mutable last_progress : float;
+  mutable timeout_scale : float;  (* exponential backoff multiplier *)
+}
+
 type t = {
   cfg : Config.t;
   eng : Sim.Engine.t;
+  clock : Sim.Engine.clock;
   flow : int;
   sess : Session.t;
   send_request : Chunksim.Packet.t -> unit;
@@ -9,9 +17,16 @@ type t = {
   mutable completed : float option;
   mutable req_count : int;
   mutable dup_count : int;
-  mutable last_progress : float;
+  f : floats;
+  (* [request_timeout *. timeout_scale], recomputed only when the scale
+     moves, and the value the pending timeout was armed with: both stay
+     boxed, so arming allocates nothing *)
+  mutable interval : float;
+  mutable armed_interval : float;
   mutable timeout_armed : bool;
-  mutable timeout_scale : float;  (* exponential backoff multiplier *)
+  mutable timeout : Sim.Engine.timer;
+  mutable primes_left : int;
+  mutable primer : Sim.Engine.timer;
   (* retransmission circuit breaker; never opens under an infinite
      budget *)
   breaker : Overload.Breaker.t;
@@ -21,26 +36,7 @@ type t = {
    window" analogue *)
 let initial_request_rate = 100.
 
-let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
-    ?(overload = Overload.Config.off) () =
-  {
-    cfg;
-    eng;
-    flow;
-    sess = Session.create ~total_chunks;
-    send_request;
-    on_complete;
-    started = None;
-    completed = None;
-    req_count = 0;
-    dup_count = 0;
-    last_progress = 0.;
-    timeout_armed = false;
-    timeout_scale = 1.;
-    breaker =
-      Overload.Breaker.create ~budget:overload.Overload.Config.retry_budget
-        ~probe_interval:overload.Overload.Config.probe_interval;
-  }
+let prime_gap = 1. /. initial_request_rate
 
 let request t =
   let nc = Session.next_needed t.sess in
@@ -54,57 +50,97 @@ let request t =
     t.send_request (Chunksim.Packet.request ~flow:t.flow ~nc ~ack:nc ~ac)
   end
 
+let set_scale t scale =
+  if scale <> t.f.timeout_scale then begin
+    t.f.timeout_scale <- scale;
+    t.interval <- t.cfg.Config.request_timeout *. scale
+  end
+
 (* Re-request timer with exponential backoff: each barren firing (no
    progress for a whole interval) re-requests and widens the interval
    by [timeout_backoff], capped at [timeout_backoff_cap ×
    request_timeout]; any progress resets the interval.  During a long
    partition the request count therefore grows logarithmically then
    linearly at the capped interval instead of linearly at 1/timeout. *)
-let rec arm_timeout t =
+let arm_timeout t =
   if not t.timeout_armed then begin
     t.timeout_armed <- true;
-    let delay = t.cfg.Config.request_timeout *. t.timeout_scale in
-    ignore
-      (Sim.Engine.schedule t.eng ~delay (fun () ->
-           t.timeout_armed <- false;
-           if t.completed = None then begin
-             let now = Sim.Engine.now t.eng in
-             if now -. t.last_progress >= delay -. 1e-9 then begin
-               match Overload.Breaker.on_timeout t.breaker ~now with
-               | `Retry ->
-                 request t;
-                 t.timeout_scale <-
-                   Float.min
-                     (t.timeout_scale *. t.cfg.Config.timeout_backoff)
-                     Config.timeout_backoff_cap
-               | `Probe ->
-                 (* half-open: exactly one probe, no backoff growth —
-                    the breaker's probe interval is the pacing now *)
-                 request t
-               | `Wait -> ()
-             end;
-             arm_timeout t
-           end))
+    t.armed_interval <- t.interval;
+    Sim.Engine.arm t.timeout ~delay:t.interval
   end
+
+let on_timeout t () =
+  t.timeout_armed <- false;
+  if t.completed = None then begin
+    (* the clock read stays unboxed unless the timeout is barren *)
+    let idle = (t.clock :> float array).(0) -. t.f.last_progress in
+    if idle >= t.armed_interval -. 1e-9 then begin
+      let now = Sim.Engine.now t.eng in
+      match Overload.Breaker.on_timeout t.breaker ~now with
+      | `Retry ->
+        request t;
+        set_scale t
+          (Float.min
+             (t.f.timeout_scale *. t.cfg.Config.timeout_backoff)
+             Config.timeout_backoff_cap)
+      | `Probe ->
+        (* half-open: exactly one probe, no backoff growth — the
+           breaker's probe interval is the pacing now *)
+        request t
+      | `Wait -> ()
+    end;
+    arm_timeout t
+  end
+
+(* pace extra requests until data flows, like TCP's initial window *)
+let on_prime t () =
+  if Session.received_count t.sess = 0 && t.completed = None then begin
+    request t;
+    t.primes_left <- t.primes_left - 1;
+    if t.primes_left > 0 then Sim.Engine.arm t.primer ~delay:prime_gap
+  end
+
+let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
+    ?(overload = Overload.Config.off) () =
+  (* the timers' callbacks close over [t]: both are set right below *)
+  let unset = Sim.Engine.timer eng ignore in
+  let interval = cfg.Config.request_timeout in
+  let t =
+    {
+      cfg;
+      eng;
+      clock = Sim.Engine.clock_cells eng;
+      flow;
+      sess = Session.create ~total_chunks;
+      send_request;
+      on_complete;
+      started = None;
+      completed = None;
+      req_count = 0;
+      dup_count = 0;
+      f = { last_progress = 0.; timeout_scale = 1. };
+      interval;
+      armed_interval = interval;
+      timeout_armed = false;
+      timeout = unset;
+      primes_left = 0;
+      primer = unset;
+      breaker =
+        Overload.Breaker.create ~budget:overload.Overload.Config.retry_budget
+          ~probe_interval:overload.Overload.Config.probe_interval;
+    }
+  in
+  t.timeout <- Sim.Engine.timer eng (on_timeout t);
+  t.primer <- Sim.Engine.timer eng (on_prime t);
+  t
 
 let start t =
   if t.started = None then begin
     t.started <- Some (Sim.Engine.now t.eng);
-    t.last_progress <- Sim.Engine.now t.eng;
+    t.f.last_progress <- Sim.Engine.now t.eng;
     request t;
-    (* pace extra requests until data flows, like TCP's initial window *)
-    let gap = 1. /. initial_request_rate in
-    let rec prime n =
-      if n > 0 then
-        ignore
-          (Sim.Engine.schedule t.eng ~delay:gap (fun () ->
-               if Session.received_count t.sess = 0 && t.completed = None
-               then begin
-                 request t;
-                 prime (n - 1)
-               end))
-    in
-    prime 3;
+    t.primes_left <- 3;
+    Sim.Engine.arm t.primer ~delay:prime_gap;
     arm_timeout t
   end
 
@@ -112,14 +148,14 @@ let handle_data t (p : Chunksim.Packet.t) =
   match p.Chunksim.Packet.header with
   | Chunksim.Packet.Data { flow; idx; _ } when flow = t.flow ->
     if t.completed = None then begin
-      let now = Sim.Engine.now t.eng in
-      (match Session.receive t.sess idx with
+      match Session.receive t.sess idx with
       | `Duplicate -> t.dup_count <- t.dup_count + 1
       | `New ->
-        t.last_progress <- now;
-        t.timeout_scale <- 1.;
+        t.f.last_progress <- (t.clock :> float array).(0);
+        set_scale t 1.;
         Overload.Breaker.on_progress t.breaker;
         if Session.is_complete t.sess then begin
+          let now = Sim.Engine.now t.eng in
           t.completed <- Some now;
           let fct =
             match t.started with
@@ -128,7 +164,7 @@ let handle_data t (p : Chunksim.Packet.t) =
           in
           t.on_complete ~fct
         end
-        else request t)
+        else request t
     end
   | Chunksim.Packet.Data _ | Chunksim.Packet.Request _
   | Chunksim.Packet.Backpressure _ ->

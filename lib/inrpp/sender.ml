@@ -4,9 +4,15 @@ type t = {
   trace : Chunksim.Trace.t option;
   flow : int;
   total_chunks : int;
-  pace_rate : float;
+  gap : float;                       (* pacing interval, seconds *)
   transmit : Chunksim.Packet.t -> unit;
-  pending : (int * bool) Queue.t;    (* (chunk, anticipated) awaiting pacing *)
+  (* invited chunks awaiting pacing, oldest first: a ring (capacity a
+     power of two) of [2 * idx + 1] for an anticipated chunk and
+     [2 * idx] for a requested one *)
+  mutable pending : int array;
+  mutable head : int;
+  mutable len : int;
+  mutable pacer : Sim.Engine.timer;  (* fires one gap after each paced send *)
   mutable highest_enqueued : int;    (* -1 before the first invitation *)
   mutable highest_sent : int;
   mutable busy : bool;               (* pacing timer armed *)
@@ -16,28 +22,6 @@ type t = {
   mutable tx_count : int;
   retx_at : (int, float) Hashtbl.t;
 }
-
-let create ~cfg ~eng ?trace ~flow ~total_chunks ~pace_rate ~transmit () =
-  if total_chunks <= 0 then invalid_arg "Sender.create: total_chunks <= 0";
-  if pace_rate <= 0. then invalid_arg "Sender.create: pace_rate <= 0";
-  {
-    cfg;
-    eng;
-    trace;
-    flow;
-    total_chunks;
-    pace_rate;
-    transmit;
-    pending = Queue.create ();
-    highest_enqueued = -1;
-    highest_sent = -1;
-    busy = false;
-    last_nc = -1;
-    nc_repeats = 0;
-    bp = false;
-    tx_count = 0;
-    retx_at = Hashtbl.create 8;
-  }
 
 let now t = Sim.Engine.now t.eng
 
@@ -50,20 +34,62 @@ let send_chunk t ~anticipated idx =
   if idx > t.highest_sent then t.highest_sent <- idx;
   t.transmit p
 
+(* append a chunk to the backlog, doubling a full ring *)
+let enqueue t ~anticipated idx =
+  let cap = Array.length t.pending in
+  if t.len = cap then begin
+    let r = Array.make (max 16 (2 * cap)) 0 in
+    Array.blit t.pending t.head r 0 (cap - t.head);
+    Array.blit t.pending 0 r (cap - t.head) t.head;
+    t.pending <- r;
+    t.head <- 0
+  end;
+  t.pending.((t.head + t.len) land (Array.length t.pending - 1)) <-
+    (2 * idx) + Bool.to_int anticipated;
+  t.len <- t.len + 1
+
 (* drain the backlog one transmission time apart *)
-let rec service t =
-  if not t.busy then begin
-    match Queue.take_opt t.pending with
-    | None -> ()
-    | Some (idx, anticipated) ->
-      t.busy <- true;
-      send_chunk t ~anticipated idx;
-      let gap = t.cfg.Config.chunk_bits /. t.pace_rate in
-      ignore
-        (Sim.Engine.schedule t.eng ~delay:gap (fun () ->
-             t.busy <- false;
-             service t))
+let service t =
+  if (not t.busy) && t.len > 0 then begin
+    let v = t.pending.(t.head) in
+    t.head <- (t.head + 1) land (Array.length t.pending - 1);
+    t.len <- t.len - 1;
+    t.busy <- true;
+    send_chunk t ~anticipated:(v land 1 = 1) (v lsr 1);
+    Sim.Engine.arm t.pacer ~delay:t.gap
   end
+
+let create ~cfg ~eng ?trace ~flow ~total_chunks ~pace_rate ~transmit () =
+  if total_chunks <= 0 then invalid_arg "Sender.create: total_chunks <= 0";
+  if pace_rate <= 0. then invalid_arg "Sender.create: pace_rate <= 0";
+  let t =
+    {
+      cfg;
+      eng;
+      trace;
+      flow;
+      total_chunks;
+      gap = cfg.Config.chunk_bits /. pace_rate;
+      transmit;
+      pending = [||];
+      head = 0;
+      len = 0;
+      pacer = Sim.Engine.timer eng ignore; (* its callback closes over [t] *)
+      highest_enqueued = -1;
+      highest_sent = -1;
+      busy = false;
+      last_nc = -1;
+      nc_repeats = 0;
+      bp = false;
+      tx_count = 0;
+      retx_at = Hashtbl.create 8;
+    }
+  in
+  t.pacer <-
+    Sim.Engine.timer eng (fun () ->
+        t.busy <- false;
+        service t);
+  t
 
 let retransmit_ok t idx =
   let current = now t in
@@ -107,7 +133,7 @@ let handle_request t ~nc ~ac =
       let start = t.highest_enqueued + 1 in
       let stop = min ac (t.total_chunks - 1) in
       for idx = start to stop do
-        Queue.add (idx, idx > nc) t.pending
+        enqueue t ~anticipated:(idx > nc) idx
       done;
       if stop > t.highest_enqueued then t.highest_enqueued <- stop;
       service t
@@ -118,7 +144,8 @@ let enter_backpressure t =
   (* freeze the open-loop backlog; un-invite what was never sent so the
      closed loop re-issues it 1-for-1 *)
   t.bp <- true;
-  Queue.clear t.pending;
+  t.head <- 0;
+  t.len <- 0;
   t.highest_enqueued <- t.highest_sent
 
 let handle t (p : Chunksim.Packet.t) =
@@ -132,6 +159,6 @@ let handle t (p : Chunksim.Packet.t) =
     ()
 
 let pushed t = t.highest_sent + 1
-let backlog t = Queue.length t.pending
+let backlog t = t.len
 let sent_packets t = t.tx_count
 let in_backpressure t = t.bp

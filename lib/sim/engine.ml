@@ -3,6 +3,8 @@ type t = {
   clock : float array;           (* the queue's last-pop cells: now, and
                                     the executing event's epoch
                                     ([infinity] outside execution) *)
+  arm_keys : float array;        (* a timer arm's time and epoch, copied
+                                    into the queue at once *)
   mutable handled : int;
   (* self-profiler: per-kind wall/allocation attribution.  Kind ids
      are interned at setup; handlers claim their kind with
@@ -24,6 +26,7 @@ let create () =
   {
     queue;
     clock = Event_queue.last_pop queue;
+    arm_keys = Array.make 2 0.;
     handled = 0;
     prof_enabled = false;
     prof_clock = Sys.time;
@@ -54,12 +57,37 @@ let schedule t ~delay f =
 
 let stamp t = Event_queue.next_stamp t.queue
 
+(* A timer is one owner's reusable event: its callback is fixed, so an
+   arm pushes the same closure on the shared held handle, and passes
+   its keys in the engine's cells, so an arm allocates nothing.  It
+   takes exactly [schedule]'s keys: epoch [now], and a fresh seq as its
+   stamp. *)
+type timer = {
+  teng : t;
+  tfire : unit -> unit;
+}
+
+let timer t f = { teng = t; tfire = f }
+
+let arm tm ~delay =
+  if Float.is_nan delay || delay < 0. then
+    invalid_arg "Engine.arm: negative or NaN delay";
+  let t = tm.teng in
+  let now = t.clock.(0) in
+  t.arm_keys.(0) <- now +. delay;
+  t.arm_keys.(1) <- now;
+  let seq = Event_queue.take_seq t.queue in
+  Event_queue.push_held t.queue t.arm_keys 0 ~stamp:seq ~seq tm.tfire
+
 (* A lane is a ring (capacity a power of two) of items with their
-   keys; only the head's event is in the queue, as [fire]. *)
+   keys; only the head's event is in the queue, as [fire].  A popped
+   slot is overwritten with [filler], so the ring keeps no delivered
+   item alive until it wraps. *)
 type 'a lane = {
   eng : t;
   mutable fire : unit -> unit;
   mutable items : 'a array;      (* allocated on the first push *)
+  mutable filler : 'a option;    (* given, or else the first item *)
   mutable keys : float array;    (* time, epoch per item *)
   mutable ints : int array;      (* stamp, seq per item *)
   mutable head : int;
@@ -70,14 +98,15 @@ let enter_queue l i =
   Event_queue.push_held l.eng.queue l.keys (2 * i) ~stamp:l.ints.(2 * i)
     ~seq:l.ints.((2 * i) + 1) l.fire
 
-let lane t handler =
+let lane ?filler t handler =
   let l =
-    { eng = t; fire = ignore; items = [||]; keys = [||]; ints = [||];
+    { eng = t; fire = ignore; items = [||]; filler; keys = [||]; ints = [||];
       head = 0; len = 0 }
   in
   l.fire <-
     (fun () ->
       let v = l.items.(l.head) in
+      (match l.filler with Some f -> l.items.(l.head) <- f | None -> ());
       l.head <- (l.head + 1) land (Array.length l.items - 1);
       l.len <- l.len - 1;
       if l.len > 0 then enter_queue l l.head;
@@ -85,7 +114,7 @@ let lane t handler =
   l
 
 (* double a full ring, unwrapping it to start at 0 *)
-let grow_lane l v =
+let grow_lane l fill =
   let cap = Array.length l.items in
   let n = max 8 (2 * cap) and wrap = cap - l.head in
   let unwrap k a fill =
@@ -94,7 +123,7 @@ let grow_lane l v =
     Array.blit a 0 b (k * wrap) (k * l.head);
     b
   in
-  l.items <- unwrap 1 l.items v;
+  l.items <- unwrap 1 l.items fill;
   l.keys <- unwrap 2 l.keys 0.;
   l.ints <- unwrap 2 l.ints 0;
   l.head <- 0
@@ -105,7 +134,16 @@ let lane_push l (k : float array) ~stamp v =
   if not (time >= now l.eng && epoch <= time)
      || (l.len > 0 && time <= l.keys.(2 * last))
   then invalid_arg "Engine.lane_push: keys out of order";
-  if l.len = Array.length l.items then grow_lane l v;
+  if l.len = Array.length l.items then begin
+    let fill =
+      match l.filler with
+      | Some f -> f
+      | None ->
+        l.filler <- Some v;
+        v
+    in
+    grow_lane l fill
+  end;
   let i = (l.head + l.len) land (Array.length l.items - 1) in
   l.items.(i) <- v;
   l.keys.(2 * i) <- time;

@@ -46,6 +46,24 @@ val stamp : t -> int
 
 val cancel : Event_queue.handle -> unit
 
+(** {1 Timers}
+
+    A timer is one owner's reusable, never-cancelled event with a fixed
+    callback.  Arming it pushes exactly the keys {!schedule} would
+    (epoch [now], a fresh stamp), so a timer fires where the same
+    [schedule] would have, but an arm allocates no closure and no
+    handle.  Only events that are never cancelled may use one. *)
+
+type timer
+
+val timer : t -> (unit -> unit) -> timer
+(** A timer that runs the callback each time it fires. *)
+
+val arm : timer -> delay:float -> unit
+(** [arm tm ~delay] fires [tm] once at [now +. delay].  A timer armed
+    again before it fires fires once per arm.
+    @raise Invalid_argument if [delay < 0.] or NaN. *)
+
 type periodic
 (** A running periodic schedule; cancellable. *)
 
@@ -74,8 +92,10 @@ val periodic_active : periodic -> bool
 
 type 'a lane
 
-val lane : t -> ('a -> unit) -> 'a lane
-(** An empty lane whose events run the handler on their item. *)
+val lane : ?filler:'a -> t -> ('a -> unit) -> 'a lane
+(** An empty lane whose events run the handler on their item.  Each
+    popped slot is overwritten with [filler] (default: the first item
+    pushed), so the lane keeps no item it has handed over alive. *)
 
 val lane_push : 'a lane -> float array -> stamp:int -> 'a -> unit
 (** [lane_push l keys ~stamp v] schedules the handler on [v] at

@@ -201,8 +201,10 @@ let[@inline] make_room t v =
 let insert t ~stamp ~seq h v =
   t.nfree <- t.nfree - 1;
   let slot = t.free.(t.nfree) and s = 3 * spare t in
-  t.payloads.(slot) <- v;
-  t.handles.(slot) <- h;
+  (* a lane's or timer's event pushes the same closure on the shared
+     handle each time: skip the write barrier when the slot has them *)
+  if t.payloads.(slot) != v then t.payloads.(slot) <- v;
+  if t.handles.(slot) != h then t.handles.(slot) <- h;
   t.ikeys.(s) <- stamp;
   t.ikeys.(s + 1) <- seq;
   t.ikeys.(s + 2) <- slot;

@@ -180,84 +180,3 @@ let k_disjoint ?(metric = Hops) g ~k s d =
         collect (p :: acc) (remaining - 1)
   in
   collect [] k
-
-let all_pairs_hops g =
-  let n = Graph.node_count g in
-  let result = Array.make_matrix n n max_int in
-  let queue = Queue.create () in
-  for s = 0 to n - 1 do
-    let row = result.(s) in
-    row.(s) <- 0;
-    Queue.clear queue;
-    Queue.add s queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      let du = row.(u) in
-      let visit v =
-        if row.(v) = max_int then begin
-          row.(v) <- du + 1;
-          Queue.add v queue
-        end
-      in
-      List.iter visit (Graph.succs g u)
-    done
-  done;
-  result
-
-let eccentricity g u =
-  let t = run ~metric:Hops g u in
-  let best = ref None in
-  Array.iteri
-    (fun v d ->
-      if v <> u && Float.is_finite d then
-        match !best with
-        | None -> best := Some (int_of_float d)
-        | Some b -> if int_of_float d > b then best := Some (int_of_float d))
-    t.dist;
-  !best
-
-let next_hops ?(metric = Hops) g u ~dst =
-  if u = dst then []
-  else begin
-    (* Distances from every neighbour to dst: run Dijkstra backwards from
-       dst over reversed links, i.e. use predecessors.  Simpler: run a
-       forward tree from each neighbour would be O(deg * n log n); instead
-       build the reverse-graph tree from dst once. *)
-    let n = Graph.node_count g in
-    let dist_to_dst = Array.make n infinity in
-    let settled = Array.make n false in
-    let heap = Heap.create () in
-    dist_to_dst.(dst) <- 0.;
-    Heap.push heap 0. dst;
-    let rec loop () =
-      if not (Heap.is_empty heap) then begin
-        let d = Heap.min_prio heap in
-        let x = Heap.pop heap in
-        if (not settled.(x)) && d <= dist_to_dst.(x) then begin
-          settled.(x) <- true;
-          let relax (l : Link.t) =
-            (* l : w -> x, so going forward w reaches dst through x *)
-            let w = l.Link.src in
-            if not settled.(w) then begin
-              let nd = d +. weight metric l in
-              if nd < dist_to_dst.(w) then begin
-                dist_to_dst.(w) <- nd;
-                Heap.push heap nd w
-              end
-            end
-          in
-          List.iter relax (Graph.in_links g x)
-        end;
-        loop ()
-      end
-    in
-    loop ();
-    let du = dist_to_dst.(u) in
-    if not (Float.is_finite du) then []
-    else
-      List.filter
-        (fun (l : Link.t) ->
-          let through = weight metric l +. dist_to_dst.(l.Link.dst) in
-          Float.is_finite dist_to_dst.(l.Link.dst) && through = du)
-        (Graph.out_links g u)
-  end

@@ -66,15 +66,3 @@ val k_disjoint :
     shortest path and remove its links from consideration.  The
     multipath baselines (MPTCP) route their subflows on these.
     @raise Invalid_argument if [k <= 0]. *)
-
-val all_pairs_hops : Graph.t -> int array array
-(** [all_pairs_hops g] is the matrix of hop distances; [max_int] where
-    unreachable.  O(n * (n + m)) via per-source BFS. *)
-
-val eccentricity : Graph.t -> Node.id -> int option
-(** Longest hop distance from the node to any reachable node; [None]
-    if the node reaches nothing else. *)
-
-val next_hops : ?metric:metric -> Graph.t -> Node.id -> dst:Node.id -> Link.t list
-(** All first links of equal-cost shortest paths from the node to
-    [dst].  Empty when unreachable.  Used by ECMP. *)

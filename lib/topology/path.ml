@@ -5,29 +5,6 @@ type t = {
 
 let singleton u = { nodes = [ u ]; links = [] }
 
-let of_nodes g ns =
-  match ns with
-  | [] -> Error "Path.of_nodes: empty node list"
-  | [ u ] -> Ok (singleton u)
-  | _ ->
-    let rec walk acc = function
-      | a :: (b :: _ as rest) -> begin
-        match Graph.find_link g a b with
-        | Some l -> walk (l :: acc) rest
-        | None -> Error (Printf.sprintf "Path.of_nodes: no link %d->%d" a b)
-      end
-      | [ _ ] | [] -> Ok (List.rev acc)
-    in
-    begin match walk [] ns with
-    | Error _ as e -> e
-    | Ok links -> Ok { nodes = ns; links }
-    end
-
-let of_nodes_exn g ns =
-  match of_nodes g ns with
-  | Ok p -> p
-  | Error msg -> invalid_arg msg
-
 let of_links ls =
   match ls with
   | [] -> Error "Path.of_links: empty link list"
@@ -57,80 +34,3 @@ let dst p =
   last p.nodes
 
 let hops p = List.length p.links
-
-let delay p = List.fold_left (fun acc (l : Link.t) -> acc +. l.Link.delay) 0. p.links
-
-let bottleneck p =
-  List.fold_left
-    (fun acc (l : Link.t) -> Float.min acc l.Link.capacity)
-    infinity p.links
-
-let mem_node p u = List.mem u p.nodes
-
-let mem_link p (l : Link.t) =
-  List.exists (fun (l' : Link.t) -> l'.Link.id = l.Link.id) p.links
-
-let is_simple p =
-  let sorted = List.sort Int.compare p.nodes in
-  let rec no_dup = function
-    | a :: (b :: _ as rest) -> a <> b && no_dup rest
-    | [ _ ] | [] -> true
-  in
-  no_dup sorted
-
-let stretch ~shortest p =
-  let h = hops p in
-  if h = 0 then 1.
-  else if shortest <= 0 then
-    invalid_arg "Path.stretch: shortest must be positive"
-  else float_of_int h /. float_of_int shortest
-
-let concat a b =
-  if dst a <> src b then
-    Error
-      (Printf.sprintf "Path.concat: endpoints mismatch (%d vs %d)" (dst a)
-         (src b))
-  else
-    Ok { nodes = a.nodes @ List.tl b.nodes; links = a.links @ b.links }
-
-(* [splice] works on indexed views of the path: node i sits before link
-   i, so the prefix up to node index i keeps links [0 .. i-1] and the
-   suffix from node index j keeps links [j ..]. *)
-let splice p ~at ~replacement ~rejoin =
-  if src replacement <> at || dst replacement <> rejoin then
-    Error "Path.splice: replacement endpoints do not match at/rejoin"
-  else
-    let nodes = Array.of_list p.nodes in
-    let links = Array.of_list p.links in
-    let n = Array.length nodes in
-    let index_from start x =
-      let rec go i = if i >= n then None else if nodes.(i) = x then Some i else go (i + 1) in
-      go start
-    in
-    match index_from 0 at with
-    | None -> Error "Path.splice: at-node not on path"
-    | Some i ->
-      match index_from (i + 1) rejoin with
-      | None -> Error "Path.splice: rejoin-node not after at-node"
-      | Some j ->
-        let prefix_nodes = Array.to_list (Array.sub nodes 0 i) in
-        let prefix_links = Array.to_list (Array.sub links 0 i) in
-        let suffix_nodes = Array.to_list (Array.sub nodes (j + 1) (n - j - 1)) in
-        let suffix_links = Array.to_list (Array.sub links j (Array.length links - j)) in
-        Ok
-          {
-            nodes = prefix_nodes @ replacement.nodes @ suffix_nodes;
-            links = prefix_links @ replacement.links @ suffix_links;
-          }
-
-let equal a b =
-  a.nodes = b.nodes
-  && List.length a.links = List.length b.links
-  && List.for_all2 Link.equal a.links b.links
-
-let pp ppf p =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-       Format.pp_print_int)
-    p.nodes

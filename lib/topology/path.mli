@@ -1,22 +1,14 @@
 (** Paths through a graph.
 
-    A path is a non-empty sequence of nodes joined by existing links.
-    Construction validates against the graph, so a [Path.t] in hand is
-    always walkable.  Costs come in two metrics, matching the two ways
-    the paper measures routes: hop count (used for path stretch,
-    Fig. 4b) and propagation delay. *)
+    A path is a non-empty sequence of nodes joined by links.
+    Construction checks that each link starts where the previous one
+    ended, so a [Path.t] in hand is always walkable.  Its cost is its
+    hop count (path stretch, Fig. 4b). *)
 
 type t = private {
   nodes : Node.id list;   (** at least one node; [src] first *)
   links : Link.t list;    (** [List.length links = List.length nodes - 1] *)
 }
-
-val of_nodes : Graph.t -> Node.id list -> (t, string) result
-(** [of_nodes g ns] checks every consecutive pair is linked in [g].
-    Multi-links resolve to the first link found. *)
-
-val of_nodes_exn : Graph.t -> Node.id list -> t
-(** @raise Invalid_argument when {!of_nodes} would return [Error]. *)
 
 val of_links : Link.t list -> (t, string) result
 (** [of_links ls] requires a non-empty chain where each link starts
@@ -29,32 +21,3 @@ val src : t -> Node.id
 val dst : t -> Node.id
 val hops : t -> int
 (** Number of links. *)
-
-val delay : t -> float
-(** Sum of link propagation delays, seconds. *)
-
-val bottleneck : t -> float
-(** Minimum link capacity along the path; [infinity] for a zero-hop
-    path. *)
-
-val mem_node : t -> Node.id -> bool
-val mem_link : t -> Link.t -> bool
-val is_simple : t -> bool
-(** No repeated node. *)
-
-val stretch : shortest:int -> t -> float
-(** [stretch ~shortest p] is [hops p / shortest] (both as floats).
-    @raise Invalid_argument if [shortest <= 0] while [hops p > 0]. *)
-
-val concat : t -> t -> (t, string) result
-(** [concat a b] glues paths when [dst a = src b]. *)
-
-val splice : t -> at:Node.id -> replacement:t -> rejoin:Node.id -> (t, string) result
-(** [splice p ~at ~replacement ~rejoin] replaces the segment of [p]
-    between the first occurrence of [at] and the first occurrence of
-    [rejoin] (which must come later) by [replacement], whose endpoints
-    must be [at] and [rejoin].  Used to install detours around a
-    congested link. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -554,6 +554,61 @@ let test_iface_alloc_budget () =
       Alcotest.failf "%g minor words/packet, frozen %g, bound %g"
         per_packet frozen (1.25 *. frozen)
 
+(* Retention: once an interface has delivered a packet, neither its
+   lane nor its FIFO ring keeps it alive.  The packets are built in a
+   frame of their own, so no stack slot of the test holds them; after a
+   full major collection their weak pointers must be empty.  Under DRR
+   the packets skip the FIFO ring, so that case checks the lane alone;
+   under FIFO the second packet waits in the ring while the first is on
+   the wire. *)
+let delivered_packets_collectable discipline () =
+  let eng = Sim.Engine.create () in
+  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.001 2 [ (0, 1) ] in
+  let l = Option.get (Topology.Graph.find_link g 0 1) in
+  let delivered = ref 0 in
+  let iface =
+    Chunksim.Iface.create ~discipline ~queue_bits:1e9 eng l ~deliver:(fun _ ->
+        incr delivered)
+  in
+  let n = 3 in
+  let w = Weak.create n in
+  let[@inline never] send_all () =
+    for i = 0 to n - 1 do
+      let p = P.data ~flow:0 ~idx:i ~born:0. 1e4 in
+      Weak.set w i (Some p);
+      ignore (Chunksim.Iface.send iface p)
+    done
+  in
+  send_all ();
+  Alcotest.(check bool) "later packets queued" true
+    (Chunksim.Iface.queue_occupancy iface > 0.);
+  Sim.Engine.run eng;
+  Alcotest.(check int) "all delivered" n !delivered;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "packet %d collected" i) false
+      (Weak.check w i)
+  done;
+  (* the interface, and the engine holding its lane, outlive the check *)
+  Alcotest.(check int) "transmitted" n (Chunksim.Iface.tx_packets iface);
+  Alcotest.(check int) "engine kept" n (Sim.Engine.events_handled eng)
+
+let test_fifo_lets_go () =
+  let q = Chunksim.Fifo.create ~capacity:1e9 and w = Weak.create 1 in
+  let[@inline never] push_one () =
+    let p = P.data ~flow:0 ~idx:0 ~born:0. 1e4 in
+    Weak.set w 0 (Some p);
+    ignore (Chunksim.Fifo.push q p)
+  in
+  push_one ();
+  ignore (Chunksim.Fifo.push q (P.data ~flow:0 ~idx:1 ~born:0. 1e4));
+  (match (Chunksim.Fifo.take q).P.header with
+  | P.Data { idx; _ } -> Alcotest.(check int) "oldest first" 0 idx
+  | _ -> Alcotest.fail "wrong kind");
+  Gc.full_major ();
+  Alcotest.(check bool) "taken packet collected" false (Weak.check w 0);
+  Alcotest.(check int) "the other stays" 1 (Chunksim.Fifo.length q)
+
 (* An eager two-event reference transmitter: a serialisation-complete
    event pops the next packet and schedules an arrival, which kills,
    loses or delivers.  The interface's lazy one-event transmitter must
@@ -1064,6 +1119,14 @@ let () =
             test_iface_reference_outage;
           Alcotest.test_case "delivery traces pinned" `Quick
             test_iface_pinned_traces;
+        ] );
+      ( "retention",
+        [
+          Alcotest.test_case "fifo take lets go" `Quick test_fifo_lets_go;
+          Alcotest.test_case "delivered packets collectable (FIFO)" `Quick
+            (delivered_packets_collectable Chunksim.Iface.Fifo_discipline);
+          Alcotest.test_case "delivered packets collectable (DRR, lane)" `Quick
+            (delivered_packets_collectable (Chunksim.Iface.Drr 8e4));
         ] );
       ( "iface gate",
         [ Alcotest.test_case "allocation budget" `Quick test_iface_alloc_budget ] );

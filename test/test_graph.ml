@@ -71,74 +71,28 @@ let test_total_capacity () =
 (* ------------------------------------------------------------------ *)
 (* Path *)
 
-let test_path_of_nodes () =
+let test_path_of_links () =
   let g = diamond () in
-  let p = Path.of_nodes_exn g [ 0; 1; 3 ] in
-  Alcotest.(check int) "hops" 2 (Path.hops p);
-  Alcotest.(check int) "src" 0 (Path.src p);
-  Alcotest.(check int) "dst" 3 (Path.dst p);
-  Alcotest.(check bool) "simple" true (Path.is_simple p);
-  match Path.of_nodes g [ 0; 3 ] with
-  | Ok _ -> Alcotest.fail "0-3 not linked"
+  let link a b = Option.get (Graph.find_link g a b) in
+  (match Path.of_links [ link 0 1; link 1 3 ] with
+  | Error m -> Alcotest.fail m
+  | Ok p ->
+    Alcotest.(check int) "hops" 2 (Path.hops p);
+    Alcotest.(check int) "src" 0 (Path.src p);
+    Alcotest.(check int) "dst" 3 (Path.dst p);
+    Alcotest.(check (list int)) "nodes" [ 0; 1; 3 ] p.Path.nodes);
+  (match Path.of_links [ link 0 1; link 2 3 ] with
+  | Ok _ -> Alcotest.fail "broken chain accepted"
+  | Error _ -> ());
+  match Path.of_links [] with
+  | Ok _ -> Alcotest.fail "empty chain accepted"
   | Error _ -> ()
 
 let test_path_singleton () =
   let p = Path.singleton 2 in
   Alcotest.(check int) "no hops" 0 (Path.hops p);
-  Alcotest.(check (float 0.)) "zero delay" 0. (Path.delay p);
-  Alcotest.(check bool) "infinite bottleneck" true
-    (Path.bottleneck p = infinity)
-
-let test_path_costs () =
-  let g = Graph.of_edges ~capacity:10. ~delay:0.5 4 [ (0, 1); (1, 2); (2, 3) ] in
-  let p = Path.of_nodes_exn g [ 0; 1; 2; 3 ] in
-  Alcotest.(check (float 1e-9)) "delay" 1.5 (Path.delay p);
-  Alcotest.(check (float 1e-9)) "bottleneck" 10. (Path.bottleneck p);
-  Alcotest.(check (float 1e-9)) "stretch vs 2" 1.5 (Path.stretch ~shortest:2 p)
-
-let test_path_concat () =
-  let g = diamond () in
-  let a = Path.of_nodes_exn g [ 0; 1 ] in
-  let b = Path.of_nodes_exn g [ 1; 3 ] in
-  (match Path.concat a b with
-  | Ok p -> Alcotest.(check int) "joined" 2 (Path.hops p)
-  | Error m -> Alcotest.fail m);
-  match Path.concat b a with
-  | Ok _ -> Alcotest.fail "mismatched endpoints accepted"
-  | Error _ -> ()
-
-let test_path_splice () =
-  let g = diamond () in
-  let p = Path.of_nodes_exn g [ 0; 1; 3 ] in
-  let detour = Path.of_nodes_exn g [ 0; 2; 3 ] in
-  match Path.splice p ~at:0 ~replacement:detour ~rejoin:3 with
-  | Error m -> Alcotest.fail m
-  | Ok spliced ->
-    Alcotest.(check (list int)) "rerouted" [ 0; 2; 3 ] spliced.Path.nodes
-
-let test_path_splice_middle () =
-  let g = Graph.of_edges 5 [ (0, 1); (1, 2); (2, 3); (3, 4); (1, 3) ] in
-  let p = Path.of_nodes_exn g [ 0; 1; 2; 3; 4 ] in
-  let shortcut = Path.of_nodes_exn g [ 1; 3 ] in
-  match Path.splice p ~at:1 ~replacement:shortcut ~rejoin:3 with
-  | Error m -> Alcotest.fail m
-  | Ok spliced ->
-    Alcotest.(check (list int)) "middle replaced" [ 0; 1; 3; 4 ] spliced.Path.nodes;
-    Alcotest.(check int) "links follow" 3 (List.length spliced.Path.links)
-
-let test_path_splice_errors () =
-  let g = diamond () in
-  let p = Path.of_nodes_exn g [ 0; 1; 3 ] in
-  let detour = Path.of_nodes_exn g [ 0; 2; 3 ] in
-  (match Path.splice p ~at:2 ~replacement:detour ~rejoin:3 with
-  | Ok _ -> Alcotest.fail "at-node not on path accepted"
-  | Error _ -> ());
-  (match Path.splice p ~at:3 ~replacement:detour ~rejoin:0 with
-  | Ok _ -> Alcotest.fail "rejoin before at accepted"
-  | Error _ -> ());
-  match Path.splice p ~at:1 ~replacement:detour ~rejoin:3 with
-  | Ok _ -> Alcotest.fail "mismatched replacement endpoints accepted"
-  | Error _ -> ()
+  Alcotest.(check int) "src" 2 (Path.src p);
+  Alcotest.(check int) "dst" 2 (Path.dst p)
 
 let test_graph_folds () =
   let g = diamond () in
@@ -149,16 +103,6 @@ let test_graph_folds () =
   let seen = ref 0 in
   Graph.iter_links (fun _ -> incr seen) g;
   Alcotest.(check int) "iter_links" 8 !seen
-
-let test_path_mem () =
-  let g = diamond () in
-  let p = Path.of_nodes_exn g [ 0; 1; 3 ] in
-  Alcotest.(check bool) "mem node" true (Path.mem_node p 1);
-  Alcotest.(check bool) "not mem node" false (Path.mem_node p 2);
-  let l = Option.get (Graph.find_link g 0 1) in
-  let l' = Option.get (Graph.find_link g 0 2) in
-  Alcotest.(check bool) "mem link" true (Path.mem_link p l);
-  Alcotest.(check bool) "not mem link" false (Path.mem_link p l')
 
 (* ------------------------------------------------------------------ *)
 (* Builders *)
@@ -236,14 +180,8 @@ let () =
         ] );
       ( "path",
         [
-          Alcotest.test_case "of_nodes" `Quick test_path_of_nodes;
+          Alcotest.test_case "of_links" `Quick test_path_of_links;
           Alcotest.test_case "singleton" `Quick test_path_singleton;
-          Alcotest.test_case "costs" `Quick test_path_costs;
-          Alcotest.test_case "concat" `Quick test_path_concat;
-          Alcotest.test_case "splice ends" `Quick test_path_splice;
-          Alcotest.test_case "splice middle" `Quick test_path_splice_middle;
-          Alcotest.test_case "membership" `Quick test_path_mem;
-          Alcotest.test_case "splice errors" `Quick test_path_splice_errors;
           Alcotest.test_case "folds" `Quick test_graph_folds;
         ] );
       ( "builders",

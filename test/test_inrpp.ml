@@ -677,7 +677,90 @@ let test_protocol_alloc_gate () =
         Alcotest.(check int) (what ^ ": every flow completes") 8
           r.Inrpp.Protocol.completed;
         gate (what ^ " minor words/event") per_event frozen)
-      [ ("plain", None, 17.9); ("overload", Some Overload.Config.default, 26.7) ]
+      [ ("plain", None, 10.9); ("overload", Some Overload.Config.default, 19.5) ]
+
+(* Endpoint allocation gate: the sender's pacing and the receiver's
+   re-request timeout run on reusable engine timers and the sender's
+   backlog is an int ring, so past the packets an endpoint sends, a
+   paced chunk and a timeout arm allocate nothing.  Each figure is the
+   minor words per chunk (or per arm) minus those of the packets sent,
+   built the way the endpoint builds them. *)
+let words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_sender_pacing_alloc () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let cfg = Inrpp.Config.default and n = 10_000 in
+    let eng = Sim.Engine.create () and sent = ref 0 in
+    let s =
+      Inrpp.Sender.create ~cfg ~eng ~flow:0 ~total_chunks:n
+        ~pace_rate:(1000. *. cfg.Inrpp.Config.chunk_bits)
+        ~transmit:(fun _ -> incr sent)
+        ()
+    in
+    (* one request invites every chunk: the backlog ring grows here *)
+    Inrpp.Sender.handle s
+      (Chunksim.Packet.request ~flow:0 ~nc:0 ~ack:0 ~ac:(n - 1));
+    (* the sender passes [~anticipated] as a variable, which wraps it in
+       an option per call *)
+    let anticipated = Sys.opaque_identity true in
+    let packet =
+      words_of (fun () ->
+          Chunksim.Packet.data ~anticipated ~flow:0 ~idx:1
+            ~born:(Sim.Engine.now eng) cfg.Inrpp.Config.chunk_bits)
+    in
+    let words = words_of (fun () -> Sim.Engine.run eng) in
+    Alcotest.(check int) "every chunk paced out" n !sent;
+    (* the first chunk left inside [handle]; each chunk arms the pacer *)
+    Alcotest.(check int) "one timer event per paced chunk" n
+      (Sim.Engine.events_handled eng);
+    gate "minor words/paced chunk beyond its packet"
+      ((words /. float_of_int (n - 1)) -. packet)
+      0.
+
+let test_receiver_timeout_alloc () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let cfg = Inrpp.Config.default and n = 4_000 in
+    let eng = Sim.Engine.create () and requests = ref 0 in
+    let r =
+      Inrpp.Receiver.create ~cfg ~eng ~flow:0 ~total_chunks:(n + 1)
+        ~send_request:(fun _ -> incr requests)
+        ~on_complete:(fun ~fct -> ignore fct)
+        ()
+    in
+    (* a chunk every half interval: every timeout finds progress and
+       re-arms; the deliveries are scheduled before the window *)
+    let interval = cfg.Inrpp.Config.request_timeout in
+    for i = 0 to n - 1 do
+      let p =
+        Chunksim.Packet.data ~flow:0 ~idx:i ~born:0. cfg.Inrpp.Config.chunk_bits
+      in
+      ignore
+        (Sim.Engine.schedule eng
+           ~delay:(0.05 +. (float_of_int i *. interval /. 2.))
+           (fun () -> Inrpp.Receiver.handle_data r p))
+    done;
+    let request =
+      words_of (fun () -> Chunksim.Packet.request ~flow:0 ~nc:1 ~ack:1 ~ac:9)
+    in
+    Inrpp.Receiver.start r;
+    let sent_at_start = !requests in
+    (* the flow never completes: stop at the last delivery *)
+    let until = Some (0.05 +. (float_of_int (n - 1) *. interval /. 2.)) in
+    let words = words_of (fun () -> Sim.Engine.run ?until eng) in
+    let requests = !requests - sent_at_start in
+    let arms = Sim.Engine.events_handled eng - n in
+    Alcotest.(check bool) "the timeout re-armed throughout" true
+      (arms >= n / 2);
+    gate "minor words/timeout arm beyond the requests sent"
+      ((words -. (float_of_int requests *. request)) /. float_of_int arms)
+      0.
 
 (* Flow-state gate: 20k workload flows installed along their shortest
    paths on the EBONE routers, then released.  Bytes per entry is the
@@ -2373,6 +2456,12 @@ let () =
             test_protocol_alloc_gate;
           Alcotest.test_case "flow-state gate" `Quick test_flow_state_gate;
           Alcotest.test_case "drain alloc gate" `Quick test_drain_alloc_gate;
+        ] );
+      ( "endpoint alloc gate",
+        [
+          Alcotest.test_case "sender pacing" `Quick test_sender_pacing_alloc;
+          Alcotest.test_case "receiver timeout" `Quick
+            test_receiver_timeout_alloc;
         ] );
       ( "sweeps",
         [

@@ -730,19 +730,23 @@ let run_plain ~seed =
   loop ();
   List.rev !log
 
+(* fail with the first event at which two run logs differ *)
+let same_log a b =
+  if a <> b then begin
+    let rec first i = function
+      | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+      | _ -> i
+    in
+    QCheck.Test.fail_reportf "diverge at event %d of %d/%d" (first 0 (a, b))
+      (List.length a) (List.length b)
+  end
+
 let prop_lanes_equal_plain =
   QCheck.Test.make ~name:"lanes pop as plain pushes would" ~count:100
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let a = run_with_lanes ~seed and b = run_plain ~seed in
-      if a <> b then begin
-        let rec first i = function
-          | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
-          | _ -> i
-        in
-        QCheck.Test.fail_reportf "diverge at event %d of %d/%d"
-          (first 0 (a, b)) (List.length a) (List.length b)
-      end;
+      same_log a b;
       List.length a > 300)
 
 let test_lane_contract () =
@@ -781,6 +785,169 @@ let test_lane_contract () =
     [ (1, 1.); (2, 2.); (3, 3.) ] (List.rev !got);
   Alcotest.(check int) "drained" 0 (Sim.Engine.pending e);
   Alcotest.(check int) "lane empty" 0 (Sim.Engine.lane_length l)
+
+(* Timers against [schedule]: one random program run twice, once with
+   three timers, three lanes and cancellable one-shots, once with every
+   timer arm and lane push written as a [schedule].  A lane push takes
+   the keys a [schedule] would (epoch [now], the current stamp), so the
+   two runs must pop the same events at the same times.  Delays lie on
+   a 0.25 s grid, so same-instant ties mix all three kinds, and a timer
+   is often armed again before it fires. *)
+type timer_program = {
+  arm : int -> float -> unit;                 (* timer, delay *)
+  lane_at : int -> float -> int -> unit;      (* lane, time, item *)
+  after : float -> (unit -> unit) -> Sim.Event_queue.handle;
+}
+
+let timer_scenario ~seed e p ~log =
+  let rng = Sim.Rng.create (Int64.of_int seed) in
+  let g = 0.25 in
+  let step () = g *. float_of_int (Sim.Rng.int rng 3) in
+  let last = Array.make lanes neg_infinity in
+  let live = ref [] and budget = ref 800 and item = ref 0 in
+  let record src id =
+    log := (src, id, Sim.Engine.now e, Sim.Engine.pending e) :: !log
+  in
+  let rec react () =
+    if !budget > 0 then begin
+      decr budget;
+      match Sim.Rng.int rng 7 with
+      | 0 | 1 -> p.arm (Sim.Rng.int rng 3) (step ())
+      | 2 | 3 ->
+        let l = Sim.Rng.int rng lanes in
+        let time = Float.max (Sim.Engine.now e +. step ()) (last.(l) +. g) in
+        last.(l) <- time;
+        incr item;
+        p.lane_at l time !item
+      | 4 ->
+        incr item;
+        let id = !item in
+        live := p.after (step ()) (fun () -> record (-1) id; react ()) :: !live
+      | 5 -> (
+        match !live with
+        | [] -> ()
+        | hs -> Sim.Engine.cancel (List.nth hs (Sim.Rng.int rng (List.length hs))))
+      | _ -> react (); react ()
+    end
+  in
+  (* each timer or lane event reacts twice, so the program grows until
+     its budget runs out *)
+  (fun k -> record (-2) k; react (); react ()),
+  (fun l i -> record l i; react (); react ()),
+  fun () -> for _ = 1 to 6 do react () done
+
+let run_timers ~seed ~plain =
+  let e = Sim.Engine.create () and log = ref [] in
+  let on_timer = ref ignore and on_lane = ref (fun _ _ -> ()) in
+  let timers = Array.init 3 (fun k -> Sim.Engine.timer e (fun () -> !on_timer k)) in
+  let ls = Array.init lanes (fun l -> Sim.Engine.lane e (fun i -> !on_lane l i)) in
+  let keys = Array.make 2 0. in
+  let after delay f = Sim.Engine.schedule e ~delay f in
+  let p =
+    if plain then
+      {
+        arm = (fun k delay -> ignore (after delay (fun () -> !on_timer k)));
+        lane_at =
+          (fun l time i ->
+            ignore (after (time -. Sim.Engine.now e) (fun () -> !on_lane l i)));
+        after;
+      }
+    else
+      {
+        arm = (fun k delay -> Sim.Engine.arm timers.(k) ~delay);
+        lane_at =
+          (fun l time i ->
+            keys.(0) <- time;
+            keys.(1) <- Sim.Engine.now e;
+            Sim.Engine.lane_push ls.(l) keys ~stamp:(Sim.Engine.stamp e) i);
+        after;
+      }
+  in
+  let timer_h, lane_h, start = timer_scenario ~seed e p ~log in
+  on_timer := timer_h;
+  on_lane := lane_h;
+  start ();
+  Sim.Engine.run e;
+  List.rev !log
+
+let prop_timers_equal_schedule =
+  QCheck.Test.make ~name:"timers pop as schedules would" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let a = run_timers ~seed ~plain:false and b = run_timers ~seed ~plain:true in
+      same_log a b;
+      if not (List.exists (fun (src, _, _, _) -> src = -2) a && List.length a > 300)
+      then QCheck.Test.fail_reportf "only %d events" (List.length a);
+      true)
+
+let test_timer_contract () =
+  let e = Sim.Engine.create () and got = ref [] in
+  let tm = Sim.Engine.timer e (fun () -> got := Sim.Engine.now e :: !got) in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun delay ->
+      let what = Printf.sprintf "delay %g" delay in
+      rejects ("schedule " ^ what) (fun () ->
+          ignore (Sim.Engine.schedule e ~delay ignore));
+      rejects ("arm " ^ what) (fun () -> Sim.Engine.arm tm ~delay))
+    [ Float.nan; -1.; -0.5e-9; Float.neg_infinity ];
+  Alcotest.(check int) "rejected arms leave no trace" 0 (Sim.Engine.pending e);
+  Sim.Engine.arm tm ~delay:2.;
+  Sim.Engine.arm tm ~delay:1.;
+  Sim.Engine.arm tm ~delay:1.;
+  Alcotest.(check int) "each arm pending" 3 (Sim.Engine.pending e);
+  Sim.Engine.run e;
+  Alcotest.(check (list (float 0.))) "armed thrice, fired thrice"
+    [ 1.; 1.; 2. ] (List.rev !got);
+  Alcotest.(check int) "one event per arm" 3 (Sim.Engine.events_handled e)
+
+(* ------------------------------------------------------------------ *)
+(* Retention: a lane overwrites each slot it pops, so it keeps no item
+   it handed over alive, whatever the item's representation *)
+
+let test_lane_lets_go () =
+  let e = Sim.Engine.create () and handled = ref 0 in
+  let l = Sim.Engine.lane ~filler:(ref 0) e (fun r -> handled := !handled + !r) in
+  let w = Weak.create 3 and keys = Array.make 2 0. in
+  (* built in a frame of their own, so no stack slot of the test holds
+     them *)
+  let[@inline never] push_three () =
+    for i = 0 to 2 do
+      let r = ref (i + 1) in
+      Weak.set w i (Some r);
+      keys.(0) <- float_of_int (i + 1);
+      Sim.Engine.lane_push l keys ~stamp:(Sim.Engine.stamp e) r
+    done
+  in
+  push_three ();
+  Sim.Engine.run e;
+  Alcotest.(check int) "handled" 6 !handled;
+  Gc.full_major ();
+  for i = 0 to 2 do
+    Alcotest.(check bool) (Printf.sprintf "item %d collected" i) false
+      (Weak.check w i)
+  done;
+  (* the lane outlives the check *)
+  Alcotest.(check int) "lane drained" 0 (Sim.Engine.lane_length l)
+
+let test_float_lane () =
+  let e = Sim.Engine.create () and got = ref [] in
+  let l = Sim.Engine.lane e (fun x -> got := x :: !got) in
+  let keys = Array.make 2 0. in
+  (* enough to grow the ring twice, popping as it goes *)
+  for i = 1 to 40 do
+    keys.(0) <- float_of_int i;
+    Sim.Engine.lane_push l keys ~stamp:(Sim.Engine.stamp e) (float_of_int i *. 0.5);
+    if i mod 3 = 0 then ignore (Sim.Engine.step e)
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check (list (float 0.))) "pops what was pushed, in order"
+    (List.init 40 (fun i -> float_of_int (i + 1) *. 0.5))
+    (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -990,8 +1157,17 @@ let () =
       ( "alloc gate",
         [ Alcotest.test_case "engine churn" `Quick test_engine_churn_alloc ] );
       ( "event order",
-        qc [ prop_queue_model; prop_lanes_equal_plain ]
-        @ [ Alcotest.test_case "lane contract" `Quick test_lane_contract ] );
+        qc [ prop_queue_model; prop_lanes_equal_plain; prop_timers_equal_schedule ]
+        @ [
+            Alcotest.test_case "lane contract" `Quick test_lane_contract;
+            Alcotest.test_case "timer contract" `Quick test_timer_contract;
+          ] );
+      ( "retention",
+        [
+          Alcotest.test_case "lane lets go of handled items" `Quick
+            test_lane_lets_go;
+          Alcotest.test_case "float lane" `Quick test_float_lane;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "running moments" `Quick test_running_moments;
