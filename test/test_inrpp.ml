@@ -2456,11 +2456,12 @@ let () =
             test_protocol_alloc_gate;
           Alcotest.test_case "flow-state gate" `Quick test_flow_state_gate;
           Alcotest.test_case "drain alloc gate" `Quick test_drain_alloc_gate;
-        ] );
-      ( "endpoint alloc gate",
-        [
-          Alcotest.test_case "sender pacing" `Quick test_sender_pacing_alloc;
-          Alcotest.test_case "receiver timeout" `Quick
+          (* the endpoint gates: a group name longer than the others
+             would widen alcotest's name column and truncate every case
+             name in this suite differently *)
+          Alcotest.test_case "endpoint pacing alloc" `Quick
+            test_sender_pacing_alloc;
+          Alcotest.test_case "endpoint timeout alloc" `Quick
             test_receiver_timeout_alloc;
         ] );
       ( "sweeps",

@@ -831,10 +831,18 @@ let timer_scenario ~seed e p ~log =
     end
   in
   (* each timer or lane event reacts twice, so the program grows until
-     its budget runs out *)
-  (fun k -> record (-2) k; react (); react ()),
+     its budget runs out.  A reaction may cancel or schedule nothing, so
+     each timer also re-arms itself while budget remains: the program
+     cannot die out early whatever the seed. *)
+  (fun k ->
+    record (-2) k;
+    if !budget > 0 then p.arm k (step ());
+    react ();
+    react ()),
   (fun l i -> record l i; react (); react ()),
-  fun () -> for _ = 1 to 6 do react () done
+  fun () ->
+    for k = 0 to 2 do p.arm k (step ()) done;
+    for _ = 1 to 6 do react () done
 
 let run_timers ~seed ~plain =
   let e = Sim.Engine.create () and log = ref [] in
