@@ -94,14 +94,14 @@ let receivers g (env : Harness.env) =
   Array.map
     (fun (f : Harness.flow) ->
       let fetch = Puller.fetch f.Harness.sess in
-      let outstanding = Hashtbl.create 32 in
+      let outstanding = Puller.Itbl.create 32 in
       let finished () = Session.is_complete f.Harness.sess in
       let rec top_up () =
         if not (finished ()) then begin
-          if Hashtbl.length outstanding < window then begin
+          if Puller.Itbl.length outstanding < window then begin
             match Puller.next_chunk fetch with
             | Some nc ->
-              Hashtbl.replace outstanding nc (Sim.Engine.now eng);
+              Puller.Itbl.replace outstanding nc (Sim.Engine.now eng);
               Harness.request env f ~subflow:0 ~nc ~ack:0
             | None -> ()
           end;
@@ -121,7 +121,7 @@ let receivers g (env : Harness.env) =
           (fun () ->
             top_up ();
             check_timeouts ());
-        on_data = (fun ~subflow:_ idx _ -> Hashtbl.remove outstanding idx);
+        on_data = (fun ~subflow:_ idx _ -> Puller.Itbl.remove outstanding idx);
         retransmissions = (fun () -> Puller.retransmissions fetch);
         metrics = [];
         series = [];

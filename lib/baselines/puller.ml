@@ -1,9 +1,13 @@
 module Session = Inrpp.Session
 
+(* int keys compared inline, not through polymorphic compare; the same
+   buckets, resizes and fold order as a stdlib [Hashtbl] *)
+module Itbl = Hashtbl.Make (Int)
+
 type fetch = {
   sess : Session.t;
   retry : int Queue.t;
-  retry_set : (int, unit) Hashtbl.t;
+  retry_set : unit Itbl.t;
   mutable next_seq : int;
   mutable retx : int;
 }
@@ -12,7 +16,7 @@ let fetch sess =
   {
     sess;
     retry = Queue.create ();
-    retry_set = Hashtbl.create 8;
+    retry_set = Itbl.create 8;
     next_seq = 0;
     retx = 0;
   }
@@ -20,7 +24,7 @@ let fetch sess =
 let rec next_chunk f =
   match Queue.take_opt f.retry with
   | Some idx ->
-    Hashtbl.remove f.retry_set idx;
+    Itbl.remove f.retry_set idx;
     if Session.next_needed f.sess > idx then next_chunk f else Some idx
   | None ->
     let rec fresh () =
@@ -35,15 +39,15 @@ let rec next_chunk f =
 
 let expire f outstanding ~now ~deadline =
   let expired =
-    Hashtbl.fold
+    Itbl.fold
       (fun idx t0 acc -> if now -. t0 > deadline then idx :: acc else acc)
       outstanding []
   in
   List.iter
     (fun idx ->
-      Hashtbl.remove outstanding idx;
-      if not (Hashtbl.mem f.retry_set idx) then begin
-        Hashtbl.replace f.retry_set idx ();
+      Itbl.remove outstanding idx;
+      if not (Itbl.mem f.retry_set idx) then begin
+        Itbl.replace f.retry_set idx ();
         Queue.add idx f.retry;
         f.retx <- f.retx + 1
       end)
@@ -54,7 +58,7 @@ let retransmissions f = f.retx
 
 type sub = {
   win : Window.t;
-  outstanding : (int, float) Hashtbl.t;  (* chunk -> send time *)
+  outstanding : float Itbl.t;  (* chunk -> send time *)
 }
 
 let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
@@ -62,7 +66,7 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
   let fetch = fetch sess in
   let subs =
     Array.map
-      (fun _ -> { win = Window.create (); outstanding = Hashtbl.create 32 })
+      (fun _ -> { win = Window.create (); outstanding = Itbl.create 32 })
       flow.Harness.wires
   in
   let fill () =
@@ -72,10 +76,10 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
         progress := false;
         Array.iteri
           (fun subflow s ->
-            if Hashtbl.length s.outstanding < Window.capacity s.win then begin
+            if Itbl.length s.outstanding < Window.capacity s.win then begin
               match next_chunk fetch with
               | Some nc ->
-                Hashtbl.replace s.outstanding nc (Sim.Engine.now eng);
+                Itbl.replace s.outstanding nc (Sim.Engine.now eng);
                 Harness.request env flow ~subflow ~nc
                   ~ack:(Session.next_needed sess);
                 progress := true
@@ -99,9 +103,9 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
   in
   let on_data ~subflow idx verdict =
     let s = subs.(subflow) in
-    (match Hashtbl.find_opt s.outstanding idx with
+    (match Itbl.find_opt s.outstanding idx with
     | Some t0 ->
-      Hashtbl.remove s.outstanding idx;
+      Itbl.remove s.outstanding idx;
       let now = Sim.Engine.now eng in
       let rtt_sample = now -. t0 in
       if coupled then

@@ -10,6 +10,10 @@
     loss is the only congestion signal, exactly the e2e behaviour the
     paper argues against. *)
 
+module Itbl : Hashtbl.S with type key = int
+(** Int-keyed tables: the stdlib [Hashtbl]'s buckets and fold order,
+    with keys compared inline rather than through polymorphic compare. *)
+
 type fetch
 (** Which chunk a flow requests next: requeued chunks first, then the
     next fresh index, skipping what the session already holds. *)
@@ -18,7 +22,7 @@ val fetch : Inrpp.Session.t -> fetch
 val next_chunk : fetch -> int option
 
 val expire :
-  fetch -> (int, float) Hashtbl.t -> now:float -> deadline:float -> bool
+  fetch -> float Itbl.t -> now:float -> deadline:float -> bool
 (** [expire f outstanding ~now ~deadline] removes every request sent
     more than [deadline] before [now] from [outstanding] (chunk ->
     send time) and requeues it unless already queued, counting a

@@ -3,7 +3,7 @@ module Session = Inrpp.Session
 type flow_state = {
   flow : Harness.flow;
   fetch : Puller.fetch;
-  outstanding : (int, float) Hashtbl.t;  (* chunk -> send time *)
+  outstanding : float Puller.Itbl.t;  (* chunk -> send time *)
   mutable rate : float;  (* assigned fair rate, bps *)
   mutable started : bool;
   mutable pacing_armed : bool;
@@ -22,7 +22,7 @@ let receivers g (env : Harness.env) =
         {
           flow;
           fetch = Puller.fetch flow.Harness.sess;
-          outstanding = Hashtbl.create 32;
+          outstanding = Puller.Itbl.create 32;
           rate = chunk_bits *. 10.;  (* modest initial rate *)
           started = false;
           pacing_armed = false;
@@ -54,10 +54,10 @@ let receivers g (env : Harness.env) =
         (Sim.Engine.schedule eng ~delay:(chunk_bits /. st.rate) (fun () ->
              st.pacing_armed <- false;
              if not (finished st) then begin
-               if Hashtbl.length st.outstanding < max_outstanding then begin
+               if Puller.Itbl.length st.outstanding < max_outstanding then begin
                  match Puller.next_chunk st.fetch with
                  | Some nc ->
-                   Hashtbl.replace st.outstanding nc (Sim.Engine.now eng);
+                   Puller.Itbl.replace st.outstanding nc (Sim.Engine.now eng);
                    Harness.request env st.flow ~subflow:0 ~nc
                      ~ack:(Session.next_needed st.flow.Harness.sess)
                  | None -> ()
@@ -84,7 +84,7 @@ let receivers g (env : Harness.env) =
             update_rates ();
             pace st;
             check_timeouts st);
-        on_data = (fun ~subflow:_ idx _ -> Hashtbl.remove st.outstanding idx);
+        on_data = (fun ~subflow:_ idx _ -> Puller.Itbl.remove st.outstanding idx);
         retransmissions = (fun () -> Puller.retransmissions st.fetch);
         metrics =
           [ ( "rcp_retransmissions_total",

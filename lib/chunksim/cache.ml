@@ -45,6 +45,10 @@ let fair_share ?(share = 1.0) () : policy =
       p.flow_bits = 0. || p.flow_bits +. p.incoming_bits <= cap
   end)
 
+(* int keys compared inline, not through polymorphic compare; the same
+   buckets, resizes and fold order as a stdlib [Hashtbl] *)
+module Itbl = Hashtbl.Make (Int)
+
 (* The two regions' occupancy in an all-float record, which stores its
    fields unboxed: updating a float field of a mixed record boxes. *)
 type used = { mutable custody : float; mutable popular : float }
@@ -54,7 +58,7 @@ type t = {
   high : float;
   low : float;
   (* custody: per-flow FIFO of (idx, bits) *)
-  custody : (int, (int * float) Queue.t) Hashtbl.t;
+  custody : (int * float) Queue.t Itbl.t;
   (* the flows holding custody, ascending in holders.(0 .. held - 1): a
      flow joins with its first stored chunk and leaves with its last *)
   mutable holders : int array;
@@ -96,7 +100,7 @@ let create ?policy ~capacity () =
     cap = capacity;
     high = high_water *. capacity;
     low = low_water *. capacity;
-    custody = Hashtbl.create 16;
+    custody = Itbl.create 16;
     holders = [||];
     held = 0;
     used = { custody = 0.; popular = 0. };
@@ -234,7 +238,7 @@ let add_holder t flow =
 
 (* the flow's queue, now empty, leaves the table and the holders *)
 let drop_flow t flow =
-  Hashtbl.remove t.custody flow;
+  Itbl.remove t.custody flow;
   let a = t.holders and i = ref 0 in
   while a.(!i) <> flow do incr i done;
   Array.blit a (!i + 1) a !i (t.held - !i - 1);
@@ -242,7 +246,7 @@ let drop_flow t flow =
 
 let pressure_of t ~flow ~bits =
   let flow_bits, flow_backlog =
-    match Hashtbl.find_opt t.custody flow with
+    match Itbl.find_opt t.custody flow with
     | None -> (0., 0)
     | Some q -> (Queue.fold (fun acc (_, b) -> acc +. b) 0. q, Queue.length q)
   in
@@ -267,11 +271,11 @@ let put_custody t ~flow ~idx ~bits =
   else if not (make_room t bits) then `Full
   else begin
     let q =
-      match Hashtbl.find_opt t.custody flow with
+      match Itbl.find_opt t.custody flow with
       | Some q -> q
       | None ->
         let q = Queue.create () in
-        Hashtbl.add t.custody flow q;
+        Itbl.add t.custody flow q;
         add_holder t flow;
         q
     in
@@ -281,7 +285,7 @@ let put_custody t ~flow ~idx ~bits =
   end
 
 let take_custody t ~flow =
-  match Hashtbl.find_opt t.custody flow with
+  match Itbl.find_opt t.custody flow with
   | None -> None
   | Some q ->
     (match Queue.take_opt q with
@@ -293,12 +297,12 @@ let take_custody t ~flow =
 
 (* queues leave the table as they empty, so a found queue has a head *)
 let peek_custody t ~flow =
-  match Hashtbl.find t.custody flow with
+  match Itbl.find t.custody flow with
   | q -> fst (Queue.peek q)
   | exception Not_found -> -1
 
 let commit_custody t ~flow =
-  match Hashtbl.find t.custody flow with
+  match Itbl.find t.custody flow with
   | exception Not_found ->
     invalid_arg "Cache.commit_custody: flow holds no custody"
   | q ->
@@ -307,7 +311,7 @@ let commit_custody t ~flow =
     if Queue.is_empty q then drop_flow t flow
 
 let custody_backlog t ~flow =
-  match Hashtbl.find_opt t.custody flow with
+  match Itbl.find_opt t.custody flow with
   | None -> 0
   | Some q -> Queue.length q
 

@@ -6,7 +6,14 @@
    [-2 - next] so the encoding never collides with a flow id).  The
    flow -> slot index chains live slots through their chain field from
    [buckets] and mirrors the stdlib [Hashtbl] step for step, so {!iter}
-   keeps its order. *)
+   keeps its order.
+
+   Two shortcuts skip walks whose answer the table already knows.
+   [top] is the largest flow id ever added: a flow above it cannot be
+   present, so its install skips the absence walk.  [memo_flow] and
+   [memo_slot] remember the last flow {!find} found.  Slots never move
+   ([resize] relinks chains, [grow] copies bytes in place), so the memo
+   stays exact until that flow's release clears it. *)
 
 type route =
   | Primary
@@ -56,6 +63,9 @@ type t = {
   mutable free : int;             (* free-list head, -1 = empty *)
   mutable peak : int;
   mutable recycled : int;
+  mutable top : int;              (* largest flow id ever added, -1 = none *)
+  mutable memo_flow : int;        (* last flow found, -1 = none *)
+  mutable memo_slot : int;        (* its slot; -1 with memo_flow -1 *)
 }
 
 (* every byte 0xff: every int32 bucket head reads -1 *)
@@ -79,6 +89,9 @@ let create ~gap () =
     free = -1;
     peak = 0;
     recycled = 0;
+    top = -1;
+    memo_flow = -1;
+    memo_slot = -1;
   }
 
 (* A slot's fields by slot number and offset *)
@@ -134,7 +147,16 @@ let rec find_from t flow slot =
   if slot < 0 || get t slot o_flow = flow then slot
   else find_from t flow (get32f t slot o_chain)
 
-let find t flow = find_from t flow (head t (bucket t flow))
+let find t flow =
+  if flow = t.memo_flow then t.memo_slot
+  else begin
+    let slot = find_from t flow (head t (bucket t flow)) in
+    if slot >= 0 then begin
+      t.memo_flow <- flow;
+      t.memo_slot <- slot
+    end;
+    slot
+  end
 
 (* Double the buckets as the stdlib [Hashtbl.resize] does in place:
    old bucket [i] splits into new buckets [i] and [i + n], each keeping
@@ -184,7 +206,14 @@ let set_entry t slot ~content ~data_link ~req_link ~data_port =
 let add t ~flow =
   if flow < 0 then invalid_arg "Flow_table.install: flow < 0";
   let b = bucket t flow in
-  let slot = find_from t flow (head t b) in
+  (* above [top] the flow cannot be present: skip the walk *)
+  let slot =
+    if flow > t.top then begin
+      t.top <- flow;
+      -1
+    end
+    else find_from t flow (head t b)
+  in
   if slot >= 0 then slot (* reinstall: keep the slot and the flowlet pin *)
   else begin
     (* prepend, then resize past two entries a bucket: stdlib [replace] *)
@@ -218,6 +247,10 @@ let rec unlink t flow b prev slot =
   else begin
     let next = get32f t slot o_chain in
     if prev < 0 then set_head t b next else set32f t prev o_chain next;
+    if flow = t.memo_flow then begin
+      t.memo_flow <- -1;
+      t.memo_slot <- -1
+    end;
     t.live <- t.live - 1;
     set t slot o_flow (-2 - t.free);
     t.free <- slot;

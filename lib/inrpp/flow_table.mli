@@ -26,6 +26,16 @@
     [Hashtbl] created at size 16 and fed the same installs and
     releases.
 
+    Two shortcuts skip walks whose answer is already known, and change
+    no result.  The table keeps the largest flow id ever added: an
+    install of a flow above it cannot be a reinstall, so it skips the
+    absence walk.  Flow ids handed out in ascending order, as the
+    protocol does, never walk on install.  And {!find} keeps a
+    one-entry memo of the last flow it found with its slot.  Slots
+    never move (the index only relinks chains and growth copies the
+    slab in place), so the memo stays exact until {!release} of that
+    flow clears it.
+
     Next hops are stored as link ids rather than [Link.t] to keep the
     slab free of pointers; resolve through [Topology.Graph.link] (O(1),
     returns the canonical physical link).  Link ids, port indices and
@@ -47,7 +57,8 @@ val create : gap:float -> unit -> t
     @raise Invalid_argument if [gap < 0]. *)
 
 val find : t -> int -> int
-(** [find t flow] is the flow's slot, or [-1] when not installed. *)
+(** [find t flow] is the flow's slot, or [-1] when not installed.  A
+    repeat of the last flow found costs no index walk. *)
 
 val install :
   t -> flow:int -> content:int -> data_link:int -> req_link:int ->
@@ -63,7 +74,8 @@ val add : t -> flow:int -> int
 (** The flow's slot, found, or taken fresh (content the flow id, links
     and port [-1], flags clear, no flowlet pin) when the flow is not
     installed.  A caller that must read a reinstalled slot's flags
-    before {!set_entry} resets them pays one index walk, not two.
+    before {!set_entry} resets them pays one index walk, not two; a
+    flow above every id the table has held pays none.
     @raise Invalid_argument if [flow < 0]. *)
 
 val set_entry :

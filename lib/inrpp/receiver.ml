@@ -71,7 +71,7 @@ let arm_timeout t =
 
 let on_timeout t () =
   t.timeout_armed <- false;
-  if t.completed = None then begin
+  if Option.is_none t.completed then begin
     (* the clock read stays unboxed unless the timeout is barren *)
     let idle = (t.clock :> float array).(0) -. t.f.last_progress in
     if idle >= t.armed_interval -. 1e-9 then begin
@@ -94,7 +94,7 @@ let on_timeout t () =
 
 (* pace extra requests until data flows, like TCP's initial window *)
 let on_prime t () =
-  if Session.received_count t.sess = 0 && t.completed = None then begin
+  if Session.received_count t.sess = 0 && Option.is_none t.completed then begin
     request t;
     t.primes_left <- t.primes_left - 1;
     if t.primes_left > 0 then Sim.Engine.arm t.primer ~delay:prime_gap
@@ -135,7 +135,7 @@ let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
   t
 
 let start t =
-  if t.started = None then begin
+  if Option.is_none t.started then begin
     t.started <- Some (Sim.Engine.now t.eng);
     t.f.last_progress <- Sim.Engine.now t.eng;
     request t;
@@ -147,7 +147,7 @@ let start t =
 let handle_data t (p : Chunksim.Packet.t) =
   match p.Chunksim.Packet.header with
   | Chunksim.Packet.Data { flow; idx; _ } when flow = t.flow ->
-    if t.completed = None then begin
+    if Option.is_none t.completed then begin
       match Session.receive t.sess idx with
       | `Duplicate -> t.dup_count <- t.dup_count + 1
       | `New ->

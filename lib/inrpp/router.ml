@@ -7,6 +7,10 @@ module Chunk_key = Chunksim.Chunk_key
 module Trace = Chunksim.Trace
 module Ft = Flow_table
 
+(* int keys compared inline, not through polymorphic compare; the same
+   buckets, resizes and fold order as a stdlib [Hashtbl] *)
+module Itbl = Hashtbl.Make (Int)
+
 type counters = {
   mutable forwarded_data : int;
   mutable detoured : int;
@@ -31,7 +35,7 @@ type t = {
      records with free-list recycling (see Flow_table) *)
   ft : Ft.t;
   store : Cache.t;
-  custody_packets : (int, Packet.t) Hashtbl.t;  (* Chunk_key-packed *)
+  custody_packets : Packet.t Itbl.t;  (* Chunk_key-packed *)
   mutable drain_listed : bool;    (* in the registry's drain_nodes *)
   drain_flows : int array ref;    (* custody snapshot, reused per drain *)
   mutable drains : int;           (* drains that found custody, see port *)
@@ -63,7 +67,7 @@ let create ~cfg ~net ~node ~detours
     store =
       Cache.create ?policy:(Overload.Config.policy overload)
         ~capacity:cfg.Config.cache_bits ();
-    custody_packets = Hashtbl.create 64;
+    custody_packets = Itbl.create 64;
     drain_listed = false;
     drain_flows = ref [||];
     drains = 0;
@@ -284,7 +288,7 @@ let custody t slot flow (p : Packet.t) =
   match p.Packet.header with
   | Packet.Data { idx; _ } -> begin
     let key = Chunk_key.pack ~flow ~idx in
-    if Hashtbl.mem t.custody_packets key then
+    if Itbl.mem t.custody_packets key then
       (* duplicate copy (a retransmit racing the custodied original):
          admitting it would put a second entry in the store's custody
          queue while the packet table holds one payload per (flow,
@@ -296,7 +300,7 @@ let custody t slot flow (p : Packet.t) =
     else
       match Cache.put_custody t.store ~flow ~idx ~bits:p.Packet.size with
       | `Stored ->
-        Hashtbl.replace t.custody_packets key p;
+        Itbl.replace t.custody_packets key p;
         t.c.custody_stored <- t.c.custody_stored + 1;
         list_drain t;
         (match t.s.Port.trace with
@@ -587,7 +591,7 @@ let originate_data t p = handle_data t p
 let rec strip_custody t flow =
   match Cache.take_custody t.store ~flow with
   | Some (idx, _bits) ->
-    Hashtbl.remove t.custody_packets (Chunk_key.pack ~flow ~idx);
+    Itbl.remove t.custody_packets (Chunk_key.pack ~flow ~idx);
     t.c.dropped <- t.c.dropped + 1;
     strip_custody t flow
   | None -> ()
@@ -671,7 +675,7 @@ let release_one t flow =
             (Trace.Custody_released { node = t.s.Port.node; flow; idx })
         | None -> ());
         let key = Chunk_key.pack ~flow ~idx in
-        let p = Hashtbl.find t.custody_packets key in
+        let p = Itbl.find t.custody_packets key in
         let sent =
           if primary then send_primary t l p
           else begin
@@ -686,7 +690,7 @@ let release_one t flow =
         in
         if sent then begin
           Cache.commit_custody t.store ~flow;
-          Hashtbl.remove t.custody_packets key;
+          Itbl.remove t.custody_packets key;
           Released
         end
         else begin
@@ -816,7 +820,7 @@ let crash t ~policy =
     | `Wipe ->
       let wiped =
         List.sort compare
-          (Hashtbl.fold (fun k _ acc -> k :: acc) t.custody_packets [])
+          (Itbl.fold (fun k _ acc -> k :: acc) t.custody_packets [])
         |> List.map (fun k -> (Chunk_key.flow k, Chunk_key.idx k))
       in
       (* empty the store's custody region coherently with the table *)
@@ -827,7 +831,7 @@ let crash t ~policy =
           Cache.commit_custody t.store ~flow
         done
       done;
-      Hashtbl.reset t.custody_packets;
+      Itbl.reset t.custody_packets;
       t.c.custody_wiped <- t.c.custody_wiped + List.length wiped;
       wiped
   end
@@ -856,7 +860,7 @@ let flow_table_bytes t = Ft.approx_bytes t.ft
 let cache t = t.store
 let counters t = t.c
 let node t = t.s.Port.node
-let custody_packet_count t = Hashtbl.length t.custody_packets
+let custody_packet_count t = Itbl.length t.custody_packets
 
 let custody_ledger t =
   let backlog = ref 0 in

@@ -1,3 +1,7 @@
+(* int keys compared inline, not through polymorphic compare; the same
+   buckets, resizes and fold order as a stdlib [Hashtbl] *)
+module Itbl = Hashtbl.Make (Int)
+
 type t = {
   cfg : Config.t;
   eng : Sim.Engine.t;
@@ -20,15 +24,20 @@ type t = {
   mutable nc_repeats : int;
   mutable bp : bool;
   mutable tx_count : int;
-  retx_at : (int, float) Hashtbl.t;
+  retx_at : float Itbl.t;
 }
 
 let now t = Sim.Engine.now t.eng
 
+(* a constant option: passing the flag itself would box a [Some] per
+   packet *)
+let some_true = Some true
+
 let send_chunk t ~anticipated idx =
   let p =
-    Chunksim.Packet.data ~anticipated ~flow:t.flow ~idx ~born:(now t)
-      t.cfg.Config.chunk_bits
+    Chunksim.Packet.data
+      ?anticipated:(if anticipated then some_true else None)
+      ~flow:t.flow ~idx ~born:(now t) t.cfg.Config.chunk_bits
   in
   t.tx_count <- t.tx_count + 1;
   if idx > t.highest_sent then t.highest_sent <- idx;
@@ -82,7 +91,7 @@ let create ~cfg ~eng ?trace ~flow ~total_chunks ~pace_rate ~transmit () =
       nc_repeats = 0;
       bp = false;
       tx_count = 0;
-      retx_at = Hashtbl.create 8;
+      retx_at = Itbl.create 8;
     }
   in
   t.pacer <-
@@ -93,11 +102,11 @@ let create ~cfg ~eng ?trace ~flow ~total_chunks ~pace_rate ~transmit () =
 
 let retransmit_ok t idx =
   let current = now t in
-  match Hashtbl.find_opt t.retx_at idx with
+  match Itbl.find_opt t.retx_at idx with
   | Some last when current -. last < t.cfg.Config.request_timeout /. 2. ->
     false
   | _ ->
-    Hashtbl.replace t.retx_at idx current;
+    Itbl.replace t.retx_at idx current;
     true
 
 let handle_request t ~nc ~ac =

@@ -1,27 +1,39 @@
-type t = { mutable state : int64 }
+(* The state is 8 bytes read and written unboxed (an [int64] field
+   would box on every step), and each step is inlined into its draw, so
+   [int] and [bool] draws allocate nothing and a float draw only its
+   boxed result. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9e3779b97f4a7c15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let create seed = { state = mix64 seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 (mix64 seed);
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] step t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
 
-let split t = create (next_int64 t)
+let next_int64 t = step t
 
-let copy t = { state = t.state }
+let split t = create (step t)
+
+let copy = Bytes.copy
 
 (* 53-bit mantissa in [0,1) *)
-let unit_float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-53
 
 let float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound <= 0";
@@ -29,10 +41,16 @@ let float t bound =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  (* rejection-free modulo is fine: bounds here are tiny vs 2^64 *)
-  Int64.to_int (Int64.unsigned_rem (next_int64 t) (Int64.of_int bound))
+  (* rejection-free modulo is fine: bounds here are tiny vs 2^64.  The
+     unsigned remainder is [Int64.unsigned_rem] written out for a
+     divisor in (0, 2^62): halve, divide, double, then at most one
+     correction, since the partial remainder is below twice it. *)
+  let n = step t and d = Int64.of_int bound in
+  let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+  let r = Int64.sub n (Int64.mul q d) in
+  Int64.to_int (if r >= d then Int64.sub r d else r)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (step t) 1L = 1L
 
 let uniform t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.uniform: hi < lo";

@@ -95,6 +95,54 @@ let test_rng_split_independent () =
   done;
   Alcotest.(check bool) "split streams differ" true (!same < 2)
 
+(* The rng gate: [int] and [bool] draws allocate nothing, a float draw
+   at most its boxed result, and the first draws of a fixed seed are
+   pinned, so a rewrite of the state or of the remainder keeps every
+   stream.  The large bounds exercise the remainder's correction step. *)
+let test_rng_draw_alloc () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let r = Sim.Rng.create 42L and n = 10_000 in
+    let per_draw what frozen f =
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      if words > frozen then
+        Alcotest.failf "%g minor words per %s draw, frozen %g" words what
+          frozen
+    in
+    per_draw "int" 0. (fun () -> Sim.Rng.int r 1000);
+    per_draw "large int" 0. (fun () -> Sim.Rng.int r (max_int - 7));
+    per_draw "bool" 0. (fun () -> Sim.Rng.bool r);
+    per_draw "float" 2. (fun () -> Sim.Rng.float r 3.5);
+    per_draw "exponential" 2. (fun () -> Sim.Rng.exponential r ~mean:2.)
+
+let test_rng_pinned_stream () =
+  let r = Sim.Rng.create 1L in
+  Alcotest.(check (list int)) "int draws"
+    [ 401970; 666695; 847527; 673004; 883515 ]
+    (List.init 5 (fun _ -> Sim.Rng.int r 1_000_000));
+  Alcotest.(check (list int)) "int draws near max_int"
+    [
+      1766606535146567784;
+      1489930772790519291;
+      355630888729706692;
+      43492338936245698;
+      594537521105859000;
+    ]
+    (List.init 5 (fun b -> Sim.Rng.int r (max_int / (b + 1))));
+  Alcotest.(check (list (float 0.))) "float draws"
+    [ 0.51506059479431165; 0.53361440803412741; 0.92277321464439277 ]
+    (List.init 3 (fun _ -> Sim.Rng.float r 1.));
+  Alcotest.(check int64) "raw draw" 3723083104817009959L
+    (Sim.Rng.next_int64 r);
+  let c = Sim.Rng.copy r in
+  Alcotest.(check int64) "a copy replays" (Sim.Rng.next_int64 r)
+    (Sim.Rng.next_int64 c)
+
 let test_exponential_mean () =
   let r = Sim.Rng.create 11L in
   let acc = ref 0. in
@@ -1164,6 +1212,11 @@ let () =
         ] );
       ( "alloc gate",
         [ Alcotest.test_case "engine churn" `Quick test_engine_churn_alloc ] );
+      ( "rng gate",
+        [
+          Alcotest.test_case "draw allocation" `Quick test_rng_draw_alloc;
+          Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
+        ] );
       ( "event order",
         qc [ prop_queue_model; prop_lanes_equal_plain; prop_timers_equal_schedule ]
         @ [
