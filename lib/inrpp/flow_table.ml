@@ -322,6 +322,20 @@ let iter t f =
     done
   done
 
+(* [iter], calling [f] only where a bit of the mask is set *)
+let iter_bp t ~forwarded f =
+  let mask =
+    if forwarded then f_bp_local lor f_bp_forwarded else f_bp_local
+  in
+  for i = 0 to n_buckets t - 1 do
+    let slot = ref (head t i) in
+    while !slot >= 0 do
+      let s = !slot in
+      slot := get32f t s o_chain;
+      if flags t s land mask <> 0 then f (get t s o_flow) s
+    done
+  done
+
 let live t = t.live
 
 let peak t = t.peak

@@ -134,6 +134,12 @@ val iter : t -> (int -> int -> unit) -> unit
     hashtable order (see module doc).  [f] may read and set a slot's
     fields but must not {!install} or {!release}. *)
 
+val iter_bp : t -> forwarded:bool -> (int -> int -> unit) -> unit
+(** [iter_bp t ~forwarded f] is {!iter} restricted to the entries with
+    {!bp_local} set, or, when [forwarded], with {!bp_local} or
+    {!bp_forwarded} set: the same order, and each flag read as the walk
+    reaches its slot.  The same rules bind [f]. *)
+
 val live : t -> int
 (** Installed entries right now. *)
 

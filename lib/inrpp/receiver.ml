@@ -42,18 +42,33 @@ let request t =
   let nc = Session.next_needed t.sess in
   if nc < Session.total t.sess then begin
     let ac =
-      min
+      Int.min
         (Session.total t.sess - 1)
-        (max nc (Session.highest_received t.sess) + t.cfg.Config.anticipation)
+        (Int.max nc (Session.highest_received t.sess)
+        + t.cfg.Config.anticipation)
     in
     t.req_count <- t.req_count + 1;
     t.send_request (Chunksim.Packet.request ~flow:t.flow ~nc ~ack:nc ~ac)
   end
 
-let set_scale t scale =
+(* The interval moves only when the scale does, and no float crosses a
+   call: a barren firing at the cap or under the default backoff of 1
+   allocates nothing, and a reset shares the config's boxed timeout *)
+let back_off t =
+  let scale =
+    Float.min
+      (t.f.timeout_scale *. t.cfg.Config.timeout_backoff)
+      Config.timeout_backoff_cap
+  in
   if scale <> t.f.timeout_scale then begin
     t.f.timeout_scale <- scale;
     t.interval <- t.cfg.Config.request_timeout *. scale
+  end
+
+let reset_scale t =
+  if t.f.timeout_scale <> 1. then begin
+    t.f.timeout_scale <- 1.;
+    t.interval <- t.cfg.Config.request_timeout
   end
 
 (* Re-request timer with exponential backoff: each barren firing (no
@@ -72,17 +87,17 @@ let arm_timeout t =
 let on_timeout t () =
   t.timeout_armed <- false;
   if Option.is_none t.completed then begin
-    (* the clock read stays unboxed unless the timeout is barren *)
+    (* the clock is read in place, here and by the breaker: a firing
+       boxes no float, barren or not *)
     let idle = (t.clock :> float array).(0) -. t.f.last_progress in
     if idle >= t.armed_interval -. 1e-9 then begin
-      let now = Sim.Engine.now t.eng in
-      match Overload.Breaker.on_timeout t.breaker ~now with
+      match
+        Overload.Breaker.on_timeout t.breaker
+          ~clock:(t.clock :> float array)
+      with
       | `Retry ->
         request t;
-        set_scale t
-          (Float.min
-             (t.f.timeout_scale *. t.cfg.Config.timeout_backoff)
-             Config.timeout_backoff_cap)
+        back_off t
       | `Probe ->
         (* half-open: exactly one probe, no backoff growth — the
            breaker's probe interval is the pacing now *)
@@ -152,7 +167,7 @@ let handle_data t (p : Chunksim.Packet.t) =
       | `Duplicate -> t.dup_count <- t.dup_count + 1
       | `New ->
         t.f.last_progress <- (t.clock :> float array).(0);
-        set_scale t 1.;
+        reset_scale t;
         Overload.Breaker.on_progress t.breaker;
         if Session.is_complete t.sess then begin
           let now = Sim.Engine.now t.eng in

@@ -730,9 +730,9 @@ let drain t =
     end;
     (* release upstream pressure once the store has drained enough *)
     if t.bp_locals > 0 && Cache.below_low t.store then
-      Ft.iter t.ft (fun flow slot ->
-          if Ft.bp_local t.ft slot && Cache.custody_backlog t.store ~flow = 0
-          then set_local t slot ~flow ~which:`Custody false)
+      Ft.iter_bp t.ft ~forwarded:false (fun flow slot ->
+          if Cache.custody_backlog t.store ~flow = 0 then
+            set_local t slot ~flow ~which:`Custody false)
   end
 
 (* An unlisted router holds no custody and its occupancy is exactly 0,
@@ -848,8 +848,7 @@ let phase_transitions t = Port.phase_transitions t.s
 
 let bp_active_flows t =
   let n = ref 0 in
-  Ft.iter t.ft (fun _ slot ->
-      if Ft.bp_local t.ft slot || Ft.bp_forwarded t.ft slot then incr n);
+  Ft.iter_bp t.ft ~forwarded:true (fun _ _ -> incr n);
   !n
 
 let flow_entries_live t = Ft.live t.ft

@@ -140,7 +140,7 @@ let handle_request t ~nc ~ac =
     else begin
       (* open loop: invite everything up to Ac into the paced backlog *)
       let start = t.highest_enqueued + 1 in
-      let stop = min ac (t.total_chunks - 1) in
+      let stop = Int.min ac (t.total_chunks - 1) in
       for idx = start to stop do
         enqueue t ~anticipated:(idx > nc) idx
       done;

@@ -34,8 +34,9 @@ let on_progress t =
 (* A barren timeout fired.  [`Retry] — retransmit as before (budget not
    exhausted).  [`Probe] — the breaker is half-open: send exactly one
    probe retransmission.  [`Wait] — the breaker is open and the probe
-   interval has not elapsed; send nothing. *)
-let on_timeout t ~now =
+   interval has not elapsed; send nothing.  The time is read from
+   [clock] only where a branch needs it. *)
+let on_timeout t ~clock =
   match t.state with
   | Closed ->
     if t.barren < t.budget then begin
@@ -45,7 +46,7 @@ let on_timeout t ~now =
     else begin
       t.state <- Open;
       t.trips <- t.trips + 1;
-      t.last_probe <- now;
+      t.last_probe <- clock.(0);
       `Wait
     end
   | Half_open ->
@@ -53,6 +54,7 @@ let on_timeout t ~now =
     t.state <- Open;
     `Wait
   | Open ->
+    let now = clock.(0) in
     if now -. t.last_probe >= t.probe_interval -. 1e-9 then begin
       t.state <- Half_open;
       t.last_probe <- now;

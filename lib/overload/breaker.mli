@@ -17,10 +17,12 @@ type t
 val create : budget:int -> probe_interval:float -> t
 (** @raise Invalid_argument if [budget < 0] or [probe_interval <= 0.]. *)
 
-val on_timeout : t -> now:float -> [ `Retry | `Probe | `Wait ]
+val on_timeout : t -> clock:float array -> [ `Retry | `Probe | `Wait ]
 (** The receiver's retransmission timer fired with no progress since it
-    was armed.  [`Retry]: retransmit normally.  [`Probe]: send exactly
-    one half-open probe.  [`Wait]: send nothing. *)
+    was armed; [clock.(0)] is the time now (the engine's
+    {!Sim.Engine.clock_cells} fit), read in place so the call boxes no
+    float.  [`Retry]: retransmit normally.  [`Probe]: send exactly one
+    half-open probe.  [`Wait]: send nothing. *)
 
 val on_progress : t -> unit
 (** New data arrived: close the breaker, reset the budget. *)

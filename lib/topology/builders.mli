@@ -43,5 +43,5 @@ val fig3 : unit -> Graph.t
 val erdos_renyi :
   ?capacity:float -> ?delay:float -> seed:int64 -> p:float -> int -> Graph.t
 (** G(n, p); only the giant attempt is returned (may be disconnected —
-    check {!Graph.is_connected} if that matters). [0 <= p <= 1]. *)
+    check {!Graph.is_strongly_connected} if that matters). [0 <= p <= 1]. *)
 

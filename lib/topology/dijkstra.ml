@@ -2,11 +2,6 @@ type metric =
   | Hops
   | Delay
 
-let weight metric (l : Link.t) =
-  match metric with
-  | Hops -> 1.
-  | Delay -> l.Link.delay
-
 type tree = {
   t_graph : Graph.t;
   t_source : Node.id;
@@ -35,16 +30,18 @@ module Heap = struct
     h.prio.(j) <- tp;
     h.node.(j) <- tn
 
-  let push h prio v =
-    if h.size = Array.length h.prio then begin
-      let grow a fill =
-        let bigger = Array.make (2 * h.size) fill in
-        Array.blit a 0 bigger 0 h.size;
-        bigger
-      in
-      h.prio <- grow h.prio 0.;
-      h.node <- grow h.node 0
-    end;
+  let grow h =
+    let bigger a fill =
+      let b = Array.make (2 * h.size) fill in
+      Array.blit a 0 b 0 h.size;
+      b
+    in
+    h.prio <- bigger h.prio 0.;
+    h.node <- bigger h.node 0
+
+  (* inlined into [run]'s relax loop, so the priority stays unboxed *)
+  let[@inline] push h prio v =
+    if h.size = Array.length h.prio then grow h;
     h.prio.(h.size) <- prio;
     h.node.(h.size) <- v;
     let i = ref h.size in
@@ -80,50 +77,60 @@ module Heap = struct
     top
 end
 
-let no_link_filter (_ : Link.t) = false
-let no_node_filter (_ : Node.id) = false
-
-let run ?(metric = Hops) ?(forbidden_links = no_link_filter)
-    ?(forbidden_nodes = no_node_filter) ?(target = -1) g s =
+let run ?(metric = Hops) ?forbidden_links ?forbidden_nodes ?(target = -1) g
+    s =
   let n = Graph.node_count g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: bad source";
   let dist = Array.make n infinity in
   let pred = Array.make n (-1) in
   let heap = Heap.create () in
+  let rows = Graph.rows g in
+  let first = rows.Graph.first and link = rows.Graph.link
+  and head = rows.Graph.head in
   dist.(s) <- 0.;
   Heap.push heap 0. s;
   (* A node is pushed only on a strict improvement, so exactly one of
      its heap entries carries its final distance: that entry settles it,
      and every other one is stale.  Relaxing out of a settled node u
-     starts from dist.(u), which is then final.  A link into an
-     already-settled node never improves it (weights are non-negative),
-     so no separate settled set is needed. *)
-  let relax (l : Link.t) =
-    let v = l.Link.dst in
-    if (not (forbidden_links l)) && not (forbidden_nodes v) then begin
-      let nd = dist.(l.Link.src) +. weight metric l in
-      if nd < dist.(v) then begin
-        dist.(v) <- nd;
-        pred.(v) <- l.Link.id;
-        Heap.push heap nd v
-      end
-    end
-  in
-  (* early exit: a settled node's predecessor chain is never touched
+     starts from its popped distance, which is dist.(u) and final.  A
+     link into an already-settled node never improves it (weights are
+     non-negative), so no separate settled set is needed.
+
+     Early exit: a settled node's predecessor chain is never touched
      again, so stopping at [target] leaves its path exactly as a full
-     run would *)
-  let rec loop () =
-    if not (Heap.is_empty heap) then begin
-      let d = Heap.min_prio heap in
-      let u = Heap.pop heap in
-      if d > dist.(u) then loop ()
-      else if u <> target then begin
-        List.iter relax (Graph.out_links g u);
-        loop ()
-      end
-    end
-  in
-  loop ();
+     run would. *)
+  let searching = ref true in
+  while !searching && not (Heap.is_empty heap) do
+    let d = Heap.min_prio heap in
+    let u = Heap.pop heap in
+    if d <= dist.(u) then
+      if u = target then searching := false
+      else
+        for i = first.(u) to first.(u + 1) - 1 do
+          let v = head.(i) and id = link.(i) in
+          let pruned =
+            (match forbidden_links with
+            | None -> false
+            | Some f -> f (Graph.link g id))
+            ||
+            match forbidden_nodes with
+            | None -> false
+            | Some f -> f v
+          in
+          if not pruned then begin
+            let nd =
+              match metric with
+              | Hops -> d +. 1.
+              | Delay -> d +. (Graph.link g id).Link.delay
+            in
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              pred.(v) <- id;
+              Heap.push heap nd v
+            end
+          end
+        done
+  done;
   { t_graph = g; t_source = s; dist; pred }
 
 let distance t v =

@@ -1,14 +1,15 @@
-(* endpoint pairs are packed into one int so [find_link] (called from
-   routing hot paths) neither allocates a tuple key nor pays the
-   polymorphic hasher; node ids fit comfortably in 31 bits *)
-let endpoint_key u v = (u lsl 31) lor v
+type rows = {
+  first : int array;
+  link : int array;
+  head : int array;
+}
 
 type t = {
   node_arr : Node.t array;
   link_arr : Link.t array;
   out_adj : Link.t list array;   (* out-links per node, insertion order *)
   in_adj : Link.t list array;
-  by_endpoints : (int, Link.t) Hashtbl.t;
+  rows : rows;  (* [out_adj] flattened, built once and never written *)
 }
 
 module Builder = struct
@@ -55,6 +56,48 @@ module Builder = struct
     add_link b ?capacity ?delay u v;
     add_link b ?capacity ?delay v u
 
+  (* A counting sort by tail fills the rows in link-id order, which is
+     insertion order, so each row lists its node's links as [out_adj]
+     does. *)
+  let fill_rows n (link_arr : Link.t array) =
+    let m = Array.length link_arr in
+    let first = Array.make (n + 1) 0 in
+    Array.iter
+      (fun (l : Link.t) -> first.(l.Link.src + 1) <- first.(l.Link.src + 1) + 1)
+      link_arr;
+    for u = 1 to n do
+      first.(u) <- first.(u) + first.(u - 1)
+    done;
+    let next = Array.sub first 0 n in
+    let link = Array.make m 0 and head = Array.make m 0 in
+    Array.iter
+      (fun (l : Link.t) ->
+        let i = next.(l.Link.src) in
+        link.(i) <- l.Link.id;
+        head.(i) <- l.Link.dst;
+        next.(l.Link.src) <- i + 1)
+      link_arr;
+    { first; link; head }
+
+  (* [stamp.(v) = u] once [u]'s row has shown a link to [v]; among the
+     repeats the lowest link id is reported, the first repeat a walk in
+     insertion order meets *)
+  let check_duplicates n rows (link_arr : Link.t array) =
+    let stamp = Array.make n (-1) and repeat = ref max_int in
+    for u = 0 to n - 1 do
+      for i = rows.first.(u) to rows.first.(u + 1) - 1 do
+        let v = rows.head.(i) in
+        if stamp.(v) = u then repeat := Int.min !repeat rows.link.(i)
+        else stamp.(v) <- u
+      done
+    done;
+    if !repeat < max_int then begin
+      let l = link_arr.(!repeat) in
+      invalid_arg
+        (Printf.sprintf "Graph.Builder.build: duplicate link %d->%d"
+           l.Link.src l.Link.dst)
+    end
+
   let build b =
     let node_arr = Array.of_list (List.rev b.rev_nodes) in
     let n = Array.length node_arr in
@@ -67,22 +110,22 @@ module Builder = struct
                ~delay:p.p_delay)
            pendings)
     in
-    let out_adj = Array.make n [] and in_adj = Array.make n [] in
-    let by_endpoints = Hashtbl.create (max 16 (Array.length link_arr)) in
-    Array.iter
-      (fun (l : Link.t) ->
-        let k = endpoint_key l.Link.src l.Link.dst in
-        if Hashtbl.mem by_endpoints k then
-          invalid_arg
-            (Printf.sprintf "Graph.Builder.build: duplicate link %d->%d"
-               l.Link.src l.Link.dst);
-        Hashtbl.add by_endpoints k l;
-        out_adj.(l.Link.src) <- l :: out_adj.(l.Link.src);
-        in_adj.(l.Link.dst) <- l :: in_adj.(l.Link.dst))
-      link_arr;
-    Array.iteri (fun i ls -> out_adj.(i) <- List.rev ls) out_adj;
-    Array.iteri (fun i ls -> in_adj.(i) <- List.rev ls) in_adj;
-    { node_arr; link_arr; out_adj; in_adj; by_endpoints }
+    let rows = fill_rows n link_arr in
+    check_duplicates n rows link_arr;
+    let out_adj =
+      Array.init n (fun u ->
+          let acc = ref [] in
+          for i = rows.first.(u + 1) - 1 downto rows.first.(u) do
+            acc := link_arr.(rows.link.(i)) :: !acc
+          done;
+          !acc)
+    in
+    let in_adj = Array.make n [] in
+    for i = Array.length link_arr - 1 downto 0 do
+      let l = link_arr.(i) in
+      in_adj.(l.Link.dst) <- l :: in_adj.(l.Link.dst)
+    done;
+    { node_arr; link_arr; out_adj; in_adj; rows }
 end
 
 let of_edges ?capacity ?delay n pairs =
@@ -101,11 +144,18 @@ let nodes g = Array.to_list g.node_arr
 let links g = Array.to_list g.link_arr
 let out_links g u = g.out_adj.(u)
 let in_links g u = g.in_adj.(u)
-let succs g u = List.map (fun (l : Link.t) -> l.Link.dst) g.out_adj.(u)
-let preds g u = List.map (fun (l : Link.t) -> l.Link.src) g.in_adj.(u)
-let out_degree g u = List.length g.out_adj.(u)
+let out_degree g u = g.rows.first.(u + 1) - g.rows.first.(u)
+let rows g = g.rows
 
-let find_link g u v = Hashtbl.find_opt g.by_endpoints (endpoint_key u v)
+(* top level, so a lookup allocates only its [Some] *)
+let rec find_in_row g v i stop =
+  if i >= stop then None
+  else if g.rows.head.(i) = v then Some g.link_arr.(g.rows.link.(i))
+  else find_in_row g v (i + 1) stop
+
+let find_link g u v =
+  if u < 0 || u >= node_count g then None
+  else find_in_row g v g.rows.first.(u) g.rows.first.(u + 1)
 
 let reverse g (l : Link.t) = find_link g l.Link.dst l.Link.src
 
@@ -120,31 +170,32 @@ let undirected_links g =
 let total_capacity g =
   Array.fold_left (fun acc (l : Link.t) -> acc +. l.Link.capacity) 0. g.link_arr
 
-let is_connected g =
+(* every node reached from node 0 over [adj]'s links, stepping to
+   [ahead l] *)
+let reaches_all g adj ahead =
   let n = node_count g in
-  if n = 0 then true
-  else begin
-    let seen = Array.make n false in
-    let stack = ref [ 0 ] in
-    seen.(0) <- true;
-    let visited = ref 1 in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | u :: rest ->
-        stack := rest;
-        let push v =
-          if not seen.(v) then begin
-            seen.(v) <- true;
-            incr visited;
-            stack := v :: !stack
-          end
-        in
-        List.iter push (succs g u);
-        List.iter push (preds g u)
-    done;
-    !visited = n
-  end
+  let seen = Array.make n false and stack = Array.make n 0 in
+  seen.(0) <- true;
+  let top = ref 1 and visited = ref 1 in
+  while !top > 0 do
+    decr top;
+    List.iter
+      (fun l ->
+        let v = ahead l in
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          incr visited;
+          stack.(!top) <- v;
+          incr top
+        end)
+      adj.(stack.(!top))
+  done;
+  !visited = n
+
+let is_strongly_connected g =
+  node_count g = 0
+  || (reaches_all g g.out_adj (fun (l : Link.t) -> l.Link.dst)
+     && reaches_all g g.in_adj (fun (l : Link.t) -> l.Link.src))
 
 let fold_links f g acc = Array.fold_left (fun acc l -> f l acc) acc g.link_arr
 let iter_links f g = Array.iter f g.link_arr

@@ -53,12 +53,25 @@ val links : t -> Link.t list
 
 val out_links : t -> Node.id -> Link.t list
 val in_links : t -> Node.id -> Link.t list
-val succs : t -> Node.id -> Node.id list
-val preds : t -> Node.id -> Node.id list
 val out_degree : t -> Node.id -> int
 
+type rows = private {
+  first : int array;
+      (** node [u]'s row is entries [first.(u)] to [first.(u + 1) - 1] *)
+  link : int array;  (** the entry's link id *)
+  head : int array;  (** that link's [dst] *)
+}
+(** Flat out-adjacency: each node's out-links in {!out_links} order,
+    with their heads beside them, so a search walks a node's links
+    without following a list or loading a {!Link.t}. *)
+
+val rows : t -> rows
+(** The graph's rows, built once by {!Builder.build}.  They are shared
+    by every caller, across domains too: read them, never write. *)
+
 val find_link : t -> Node.id -> Node.id -> Link.t option
-(** First directed link [u -> v] if any. *)
+(** The directed link [u -> v] if any, found by a scan of [u]'s row;
+    [None] for ids outside the graph. *)
 
 val reverse : t -> Link.t -> Link.t option
 (** The opposite direction of the same physical link, when present. *)
@@ -70,8 +83,11 @@ val undirected_links : t -> Link.t list
 val total_capacity : t -> float
 (** Sum of directed link capacities, bits per second. *)
 
-val is_connected : t -> bool
-(** Weak connectivity over the underlying undirected structure. *)
+val is_strongly_connected : t -> bool
+(** Every node reaches every other along directed links: one forward
+    and one backward search from node 0.  On a graph built from
+    {!Builder.add_edge}s this is plain connectivity.  The empty graph
+    is strongly connected. *)
 
 val fold_links : (Link.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter_links : (Link.t -> unit) -> t -> unit

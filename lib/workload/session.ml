@@ -5,9 +5,13 @@ type t = {
   rng : Sim.Rng.t;
   affinity : float;
   mutable last : (Topology.Node.id * Topology.Node.id) option;
-  (* per-producer shortest-path tree, computed on first draw of that
-     producer — session setup cost stays proportional to the producers
-     actually used, not the graph *)
+  (* every node reaches every other, so any two distinct nodes are a
+     routable pair *)
+  strong : bool;
+  (* otherwise, a per-producer shortest-path tree, computed on first
+     draw of that producer — session setup cost stays proportional to
+     the producers actually used, not the graph; empty on a strongly
+     connected graph *)
   trees : Topology.Dijkstra.tree option array;
 }
 
@@ -34,13 +38,14 @@ let tree t producer =
     tr
 
 let routable t src dst =
-  src <> dst && Topology.Dijkstra.reachable (tree t src) dst
+  src <> dst && (t.strong || Topology.Dijkstra.reachable (tree t src) dst)
 
 let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
   if Topology.Graph.node_count g < 2 then
     invalid_arg "Session.create: graph has fewer than two nodes";
   if not (affinity >= 0. && affinity <= 1.) then
     invalid_arg "Session.create: affinity outside [0,1]";
+  let strong = Topology.Graph.is_strongly_connected g in
   let t =
     {
       g;
@@ -49,7 +54,10 @@ let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
       rng = Sim.Rng.create seed;
       affinity;
       last = None;
-      trees = Array.make (Topology.Graph.node_count g) None;
+      strong;
+      trees =
+        (if strong then [||]
+         else Array.make (Topology.Graph.node_count g) None);
     }
   in
   let any_routable =

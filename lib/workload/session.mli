@@ -4,9 +4,11 @@
     Producers are the nodes serving content, consumers the nodes
     requesting it; both sets are selected by role (with a fallback to
     every node when a role list matches nothing — small test graphs
-    often carry a single role).  Draws reject unroutable pairs using a
-    per-producer reachability memo, so every pair a session emits is
-    safe to hand to [Inrpp.Protocol.flow_spec]. *)
+    often carry a single role).  Draws reject unroutable pairs, so
+    every pair a session emits is safe to hand to
+    [Inrpp.Protocol.flow_spec].  On a strongly connected graph, checked
+    once at {!create}, every pair of distinct nodes is routable;
+    otherwise a per-producer reachability memo decides. *)
 
 type t
 

@@ -237,7 +237,7 @@ let test_zoo_connected () =
       Alcotest.(check bool)
         (Isp_zoo.name isp ^ " connected")
         true
-        (Graph.is_connected (Isp_zoo.graph isp)))
+        (Graph.is_strongly_connected (Isp_zoo.graph isp)))
     Isp_zoo.all
 
 let test_zoo_sizes () =

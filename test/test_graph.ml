@@ -18,8 +18,10 @@ let test_counts () =
 
 let test_adjacency () =
   let g = diamond () in
-  Alcotest.(check (list int)) "succs of 0" [ 1; 2 ] (Graph.succs g 0);
-  Alcotest.(check (list int)) "preds of 3" [ 1; 2 ] (Graph.preds g 3);
+  Alcotest.(check (list int)) "succs of 0" [ 1; 2 ]
+    (List.map (fun (l : Link.t) -> l.Link.dst) (Graph.out_links g 0));
+  Alcotest.(check (list int)) "preds of 3" [ 1; 2 ]
+    (List.map (fun (l : Link.t) -> l.Link.src) (Graph.in_links g 3));
   Alcotest.(check int) "out degree" 2 (Graph.out_degree g 0)
 
 let test_find_and_reverse () =
@@ -57,12 +59,29 @@ let test_invalid_links_rejected () =
       let v = Graph.Builder.add_node b "v" in
       Graph.Builder.add_link b ~capacity:0. u v)
 
+(* [n] nodes and the one-way links [pairs], in order *)
+let directed n pairs =
+  let b = Graph.Builder.create () in
+  for i = 0 to n - 1 do
+    ignore (Graph.Builder.add_node b (Printf.sprintf "n%d" i))
+  done;
+  List.iter (fun (u, v) -> Graph.Builder.add_link b u v) pairs;
+  Graph.Builder.build b
+
 let test_connectivity () =
-  Alcotest.(check bool) "diamond connected" true (Graph.is_connected (diamond ()));
+  let strong = Graph.is_strongly_connected in
+  Alcotest.(check bool) "diamond connected" true (strong (diamond ()));
   let disconnected = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  Alcotest.(check bool) "two components" false (Graph.is_connected disconnected);
+  Alcotest.(check bool) "two components" false (strong disconnected);
   let empty = Graph.of_edges 0 [] in
-  Alcotest.(check bool) "empty is connected" true (Graph.is_connected empty)
+  Alcotest.(check bool) "empty is connected" true (strong empty);
+  let ring = [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
+  Alcotest.(check bool) "one-way ring" true (strong (directed 4 ring));
+  (* node 0 still reaches every node, but none reaches it back *)
+  Alcotest.(check bool) "one-way line" false
+    (strong (directed 4 (List.filter (fun l -> l <> (3, 0)) ring)));
+  Alcotest.(check bool) "ring with a one-way spur" false
+    (strong (directed 5 ((0, 4) :: ring)))
 
 let test_total_capacity () =
   let g = Graph.of_edges ~capacity:5. 2 [ (0, 1) ] in
@@ -112,7 +131,8 @@ let test_builder_shapes () =
     Alcotest.(check int) (name ^ " nodes") nodes (Graph.node_count g);
     Alcotest.(check int) (name ^ " links") ulinks
       (List.length (Graph.undirected_links g));
-    Alcotest.(check bool) (name ^ " connected") true (Graph.is_connected g)
+    Alcotest.(check bool) (name ^ " connected") true
+      (Graph.is_strongly_connected g)
   in
   check_shape "line" (Builders.line 5) 5 4;
   check_shape "ring" (Builders.ring 6) 6 6;
@@ -164,6 +184,129 @@ let prop_undirected_halves =
       let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.4 n in
       2 * List.length (Graph.undirected_links g) = Graph.link_count g)
 
+(* Random graphs with one-way links: [n] nodes and the directed pairs
+   drawn, self-loops dropped; [dups] keeps repeated pairs *)
+let directed_gen =
+  QCheck.make
+    ~print:(fun (n, pairs) ->
+      Printf.sprintf "%d nodes: %s" n
+        (String.concat " "
+           (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) pairs)))
+    QCheck.Gen.(
+      int_range 1 12 >>= fun n ->
+      list_size (int_range 0 60) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      >>= fun pairs -> return (n, List.filter (fun (u, v) -> u <> v) pairs))
+
+let dedup pairs =
+  List.rev
+    (List.fold_left
+       (fun acc p -> if List.mem p acc then acc else p :: acc)
+       [] pairs)
+
+let prop_find_link_scans =
+  QCheck.Test.make ~name:"find_link agrees with a scan of links" ~count:300
+    directed_gen (fun (n, pairs) ->
+      let g = directed n (dedup pairs) in
+      let ids = function
+        | None -> -1
+        | Some (l : Link.t) -> l.Link.id
+      in
+      let scan u v =
+        List.find_opt
+          (fun (l : Link.t) -> l.Link.src = u && l.Link.dst = v)
+          (Graph.links g)
+      in
+      let range = List.init (n + 4) (fun i -> i - 2) in
+      List.for_all
+        (fun u ->
+          List.for_all
+            (fun v -> ids (Graph.find_link g u v) = ids (scan u v))
+            range)
+        range)
+
+(* [out_links] is the links out of [u] in id order, as it was before
+   the rows; the rows list the same links and heads in the same order *)
+let prop_rows_follow_out_links =
+  QCheck.Test.make ~name:"rows list out_links in order" ~count:300
+    directed_gen (fun (n, pairs) ->
+      let g = directed n (dedup pairs) in
+      let rows = Graph.rows g in
+      List.for_all
+        (fun u ->
+          let out = Graph.out_links g u in
+          let row =
+            List.init (Graph.out_degree g u) (fun k -> rows.Graph.first.(u) + k)
+          in
+          out = List.filter (fun (l : Link.t) -> l.Link.src = u) (Graph.links g)
+          && rows.Graph.first.(u + 1) - rows.Graph.first.(u) = List.length out
+          && List.map (fun i -> rows.Graph.link.(i)) row
+             = List.map (fun (l : Link.t) -> l.Link.id) out
+          && List.map (fun i -> rows.Graph.head.(i)) row
+             = List.map (fun (l : Link.t) -> l.Link.dst) out)
+        (List.init n Fun.id))
+
+(* the message names the first link, in insertion order, that repeats
+   an earlier one *)
+let prop_duplicate_message =
+  QCheck.Test.make ~name:"the first duplicate is the one reported" ~count:300
+    directed_gen (fun (n, pairs) ->
+      let rec first_repeat seen = function
+        | [] -> None
+        | p :: rest ->
+          if List.mem p seen then Some p else first_repeat (p :: seen) rest
+      in
+      let expected = first_repeat [] pairs in
+      match directed n pairs with
+      | _ -> expected = None
+      | exception Invalid_argument msg -> (
+        match expected with
+        | Some (u, v) ->
+          msg = Printf.sprintf "Graph.Builder.build: duplicate link %d->%d" u v
+        | None -> false))
+
+(* strong connectivity against reachability from every node *)
+let prop_strongly_connected =
+  QCheck.Test.make ~name:"strong connectivity is all-pairs reachability"
+    ~count:300 directed_gen (fun (n, pairs) ->
+      let g = directed n (dedup pairs) in
+      let all_reach =
+        List.for_all
+          (fun s ->
+            let t = Dijkstra.run g s in
+            List.for_all (Dijkstra.reachable t) (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      Graph.is_strongly_connected g = all_reach)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate: generating the ISP zoo builds nine graphs, rows
+   included; a shortest-path tree on EBONE allocates its arrays and
+   heap, and no float per relaxed link *)
+
+let check_minor_words label ~frozen f =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let before = Gc.minor_words () in
+    f ();
+    let words = Gc.minor_words () -. before in
+    if words > 1.25 *. frozen then
+      Alcotest.failf "%s: %g minor words, frozen %g, bound %g" label words
+        frozen (1.25 *. frozen)
+
+let test_gate_zoo_generate () =
+  check_minor_words "generating the nine ISP graphs" ~frozen:201315.
+    (fun () ->
+      List.iter
+        (fun isp ->
+          ignore (Sys.opaque_identity (Isp_zoo.generate (Isp_zoo.spec isp))))
+        Isp_zoo.all)
+
+let test_gate_ebone_dijkstra () =
+  let g = Isp_zoo.graph Isp_zoo.Ebone in
+  check_minor_words "one EBONE shortest-path tree" ~frozen:628. (fun () ->
+      ignore (Sys.opaque_identity (Dijkstra.run g 0)))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "graph"
@@ -191,5 +334,18 @@ let () =
           Alcotest.test_case "random deterministic" `Quick test_random_builders_deterministic;
         ] );
       ( "properties",
-        qc [ prop_of_edges_symmetric; prop_undirected_halves ] );
+        qc
+          [
+            prop_of_edges_symmetric;
+            prop_undirected_halves;
+            prop_find_link_scans;
+            prop_rows_follow_out_links;
+            prop_duplicate_message;
+            prop_strongly_connected;
+          ] );
+      ( "graph gate",
+        [
+          Alcotest.test_case "isp zoo generation" `Quick test_gate_zoo_generate;
+          Alcotest.test_case "ebone dijkstra" `Quick test_gate_ebone_dijkstra;
+        ] );
     ]

@@ -308,6 +308,21 @@ let prop_flow_table_model =
           let order = ref [] in
           Ft.iter t (fun flow _ -> order := flow :: !order);
           expect (!order = Hashtbl.fold (fun flow _ acc -> flow :: acc) m []);
+          (* the back-pressure walks: [iter]'s order, flagged entries
+             only (flags 0 and 1 are bp_local and bp_forwarded) *)
+          List.iter
+            (fun forwarded ->
+              let walked = ref [] in
+              Ft.iter_bp t ~forwarded (fun flow _ -> walked := flow :: !walked);
+              expect
+                (!walked
+                = Hashtbl.fold
+                    (fun flow e acc ->
+                      if e.m_flags.(0) || (forwarded && e.m_flags.(1)) then
+                        flow :: acc
+                      else acc)
+                    m []))
+            [ false; true ];
           for flow = 0 to 9 do
             let s = Ft.find t flow in
             match Hashtbl.find_opt m flow with
@@ -838,6 +853,29 @@ let test_receiver_timeout_alloc () =
       (arms >= n / 2);
     gate "minor words/timeout arm beyond the requests sent"
       ((words -. (float_of_int requests *. request)) /. float_of_int arms)
+      0.;
+    (* barren firings: no data ever arrives, so every timeout consults
+       the breaker, re-requests and re-arms *)
+    let eng = Sim.Engine.create () and requests = ref 0 in
+    let r =
+      Inrpp.Receiver.create ~cfg ~eng ~flow:0 ~total_chunks:n
+        ~send_request:(fun _ -> incr requests)
+        ~on_complete:(fun ~fct -> ignore fct)
+        ()
+    in
+    Inrpp.Receiver.start r;
+    (* past the primer's paced requests *)
+    Sim.Engine.run ~until:(interval /. 2.) eng;
+    let sent_before = !requests
+    and fired_before = Sim.Engine.events_handled eng in
+    let until = Some (interval *. 1000.5) in
+    let words = words_of (fun () -> Sim.Engine.run ?until eng) in
+    let firings = Sim.Engine.events_handled eng - fired_before in
+    Alcotest.(check int) "one request per barren firing" firings
+      (!requests - sent_before);
+    Alcotest.(check int) "a firing per interval" 1000 firings;
+    gate "minor words/barren firing beyond its request"
+      ((words /. float_of_int firings) -. request)
       0.
 
 (* Flow-state gate: 20k workload flows installed along their shortest

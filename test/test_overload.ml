@@ -101,28 +101,28 @@ let test_breaker_cycle () =
   Alcotest.(check bool) "starts closed" true
     (Overload.Breaker.state b = Overload.Breaker.Closed);
   Alcotest.(check bool) "retry 1" true
-    (Overload.Breaker.on_timeout b ~now:0.1 = `Retry);
+    (Overload.Breaker.on_timeout b ~clock:[| 0.1 |] = `Retry);
   Alcotest.(check bool) "retry 2" true
-    (Overload.Breaker.on_timeout b ~now:0.2 = `Retry);
+    (Overload.Breaker.on_timeout b ~clock:[| 0.2 |] = `Retry);
   Alcotest.(check bool) "budget exhausted: trips open" true
-    (Overload.Breaker.on_timeout b ~now:0.3 = `Wait);
+    (Overload.Breaker.on_timeout b ~clock:[| 0.3 |] = `Wait);
   Alcotest.(check int) "one trip" 1 (Overload.Breaker.trips b);
   Alcotest.(check bool) "open waits inside the probe interval" true
-    (Overload.Breaker.on_timeout b ~now:0.9 = `Wait);
+    (Overload.Breaker.on_timeout b ~clock:[| 0.9 |] = `Wait);
   Alcotest.(check bool) "probe after the interval" true
-    (Overload.Breaker.on_timeout b ~now:1.4 = `Probe);
+    (Overload.Breaker.on_timeout b ~clock:[| 1.4 |] = `Probe);
   Alcotest.(check bool) "half-open" true
     (Overload.Breaker.state b = Overload.Breaker.Half_open);
   (* a barren probe re-opens; progress closes *)
   Alcotest.(check bool) "barren probe re-opens" true
-    (Overload.Breaker.on_timeout b ~now:1.5 = `Wait);
+    (Overload.Breaker.on_timeout b ~clock:[| 1.5 |] = `Wait);
   Alcotest.(check bool) "probe again" true
-    (Overload.Breaker.on_timeout b ~now:2.6 = `Probe);
+    (Overload.Breaker.on_timeout b ~clock:[| 2.6 |] = `Probe);
   Overload.Breaker.on_progress b;
   Alcotest.(check bool) "progress closes" true
     (Overload.Breaker.state b = Overload.Breaker.Closed);
   Alcotest.(check bool) "closed retries again" true
-    (Overload.Breaker.on_timeout b ~now:3.0 = `Retry)
+    (Overload.Breaker.on_timeout b ~clock:[| 3.0 |] = `Retry)
 
 (* Config.off is every receiver's default: its breaker must never
    leave Closed, so each barren timeout retries as if there were none,
@@ -134,7 +134,7 @@ let test_breaker_off () =
       ~probe_interval:off.Overload.Config.probe_interval
   in
   for i = 1 to 10_000 do
-    if Overload.Breaker.on_timeout b ~now:(float_of_int i) <> `Retry then
+    if Overload.Breaker.on_timeout b ~clock:[| float_of_int i |] <> `Retry then
       Alcotest.failf "timeout %d did not retry" i
   done;
   Alcotest.(check bool) "still closed" true

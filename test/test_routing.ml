@@ -172,7 +172,7 @@ let connected_er (n, seed) =
   (* raise p until connected; deterministic given inputs *)
   let rec go p =
     let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p n in
-    if Graph.is_connected g || p > 0.95 then g else go (p +. 0.1)
+    if Graph.is_strongly_connected g || p > 0.95 then g else go (p +. 0.1)
   in
   go 0.2
 
@@ -345,6 +345,136 @@ let prop_target_exit_exact =
           link_ids (Dijkstra.path_to early t) = link_ids (Dijkstra.path_to full t))
         (List.init (Graph.node_count g) Fun.id))
 
+(* Reference search: [Dijkstra.run] as it was written before it read
+   the graph's adjacency rows, relaxing each settled node's
+   [Graph.out_links] list through a closure.  It makes the same heap
+   calls in the same order, so [run] must match it entry for entry,
+   ties included, on full and on target-stopped searches. *)
+let reference_run ~metric ?(forbidden_links = fun _ -> false)
+    ?(forbidden_nodes = fun _ -> false) ?(target = -1) g s =
+  let n = Graph.node_count g in
+  let dist = Array.make n infinity and pred = Array.make n (-1) in
+  let heap = Dijkstra.Heap.create () in
+  let weight (l : Link.t) =
+    match metric with
+    | Dijkstra.Hops -> 1.
+    | Dijkstra.Delay -> l.Link.delay
+  in
+  dist.(s) <- 0.;
+  Dijkstra.Heap.push heap 0. s;
+  let relax (l : Link.t) =
+    let v = l.Link.dst in
+    if (not (forbidden_links l)) && not (forbidden_nodes v) then begin
+      let nd = dist.(l.Link.src) +. weight l in
+      if nd < dist.(v) then begin
+        dist.(v) <- nd;
+        pred.(v) <- l.Link.id;
+        Dijkstra.Heap.push heap nd v
+      end
+    end
+  in
+  (* [Heap] exposes no peek, so a pop's priority is recovered from
+     [dist]: a popped entry is stale exactly when its node has already
+     been settled, and the first pop of a node is its final entry *)
+  let settled = Array.make n false in
+  let rec loop () =
+    if not (Dijkstra.Heap.is_empty heap) then begin
+      let u = Dijkstra.Heap.pop heap in
+      if settled.(u) then loop ()
+      else begin
+        settled.(u) <- true;
+        if u <> target then begin
+          List.iter relax (Graph.out_links g u);
+          loop ()
+        end
+      end
+    end
+  in
+  loop ();
+  (dist, pred)
+
+(* every node's distance and reconstructed path from [run] against the
+   reference's arrays *)
+let matches_reference ~metric ?forbidden_links ?forbidden_nodes ?target g s =
+  let t =
+    Dijkstra.run ~metric ?forbidden_links ?forbidden_nodes ?target g s
+  in
+  let dist, pred =
+    reference_run ~metric ?forbidden_links ?forbidden_nodes ?target g s
+  in
+  let ref_path v =
+    if not (Float.is_finite dist.(v)) then None
+    else begin
+      let rec back acc u =
+        if u = s then acc
+        else
+          let l = Graph.link g pred.(u) in
+          back (l.Link.id :: acc) l.Link.src
+      in
+      Some (back [] v)
+    end
+  in
+  List.for_all
+    (fun v ->
+      let d = if Float.is_finite dist.(v) then Some dist.(v) else None in
+      Dijkstra.distance t v = d && link_ids (Dijkstra.path_to t v) = ref_path v)
+    (List.init (Graph.node_count g) Fun.id)
+
+(* every source, both metrics, with and without the filters, a full
+   search and one stopped at a target *)
+let all_searches_match g salt =
+  let n = Graph.node_count g in
+  let forbidden_links, forbidden_nodes = pruning salt in
+  List.for_all
+    (fun s ->
+      let target = ((s * 7) + 3) mod n in
+      List.for_all
+        (fun metric ->
+          matches_reference ~metric g s
+          && matches_reference ~metric ~target g s
+          && matches_reference ~metric ~forbidden_links ~forbidden_nodes g s
+          && matches_reference ~metric ~forbidden_links ~forbidden_nodes
+               ~target g s)
+        [ Dijkstra.Hops; Dijkstra.Delay ])
+    (List.init n Fun.id)
+
+let test_zoo_matches_reference () =
+  List.iteri
+    (fun salt isp ->
+      Alcotest.(check bool)
+        (Isp_zoo.name isp ^ " searches match the reference")
+        true
+        (all_searches_match (Isp_zoo.graph isp) salt))
+    Isp_zoo.all
+
+(* dense directed graphs: each ordered pair gets a link with
+   probability about [p], so many links are one-way, and delays of 1-3
+   whole units leave many equal-cost ties for the relax order to
+   break *)
+let dense_directed (n, seed, p) =
+  let b = Graph.Builder.create () in
+  for i = 0 to n - 1 do
+    ignore (Graph.Builder.add_node b (string_of_int i))
+  done;
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let h = Hashtbl.hash (u, v, seed) in
+      if u <> v && h mod 100 < p then
+        Graph.Builder.add_link b ~delay:(float_of_int (1 + (h / 100 mod 3))) u v
+    done
+  done;
+  Graph.Builder.build b
+
+let prop_dense_matches_reference =
+  QCheck.Test.make ~name:"dijkstra matches the list-walking reference"
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(
+         quad (int_range 2 24) (int_range 0 10_000) (int_range 20 90)
+           (int_range 0 1_000)))
+    (fun (n, seed, p, salt) ->
+      all_searches_match (dense_directed (n, seed, p)) salt)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "routing"
@@ -359,6 +489,8 @@ let () =
           Alcotest.test_case "reconstruction validity" `Quick test_path_reconstruction_valid;
           Alcotest.test_case "all pairs" `Quick test_all_pairs_hops;
           Alcotest.test_case "disjoint" `Quick test_k_disjoint;
+          Alcotest.test_case "isp zoo matches reference" `Quick
+            test_zoo_matches_reference;
         ] );
       ( "ecmp",
         [
@@ -378,5 +510,6 @@ let () =
             prop_ecmp_dag_count_and_order;
             prop_k_disjoint;
             prop_target_exit_exact;
+            prop_dense_matches_reference;
           ] );
     ]

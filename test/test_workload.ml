@@ -511,6 +511,57 @@ let test_affinity_spec_concentrates seed =
     (reps bound > reps free)
 
 (* ------------------------------------------------------------------ *)
+(* Session draws *)
+
+(* four one-way links hang off a duplex line: node 0 reaches every
+   node, but nodes 4-7 never reach 0-3, so the graph is not strongly
+   connected while a forward search from 0 finds everything *)
+let one_way_tail () =
+  let b = Topology.Graph.Builder.create () in
+  for i = 0 to 7 do
+    ignore (Topology.Graph.Builder.add_node b (Printf.sprintf "n%d" i))
+  done;
+  List.iter
+    (fun (u, v) -> Topology.Graph.Builder.add_edge b u v)
+    [ (0, 1); (1, 2); (2, 3) ];
+  List.iter
+    (fun (u, v) -> Topology.Graph.Builder.add_link b u v)
+    [ (3, 4); (4, 5); (5, 6); (6, 7); (7, 5) ];
+  Topology.Graph.Builder.build b
+
+let draws_digest session =
+  let buf = Buffer.create 16_384 in
+  for _ = 1 to 2000 do
+    let p, c = Workload.Session.draw session in
+    Buffer.add_string buf (Printf.sprintf "%d,%d;" p c)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* the first 2,000 pairs, pinned from the per-producer reachability
+   trees: a routability shortcut must not move a single draw *)
+let test_session_draws_pinned () =
+  let ebone = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
+  let core_edge =
+    Workload.Session.create ~producers:[ Topology.Node.Core ]
+      ~consumers:[ Topology.Node.Edge ] ~seed:3L ebone
+  in
+  List.iter
+    (fun (what, session, pinned) ->
+      Alcotest.(check string) what pinned (draws_digest session))
+    [
+      ( "ebone",
+        Workload.Session.create ~seed:1L ebone,
+        "7a9a247c59250341853f7a4d960d73e2" );
+      ("ebone core to edge", core_edge, "efbfd816726c4db930776372520c3e76");
+      ( "one-way tail",
+        Workload.Session.create ~seed:1L (one_way_tail ()),
+        "94c420294346352bbd8d4307dfcc0dd8" );
+      ( "one-way tail, affinity",
+        Workload.Session.create ~affinity:0.5 ~seed:2L (one_way_tail ()),
+        "e67eeff7bc35d8452ebb53a3986feaf0" );
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -544,6 +595,9 @@ let () =
         at_seeds "of_seq = requests" test_seq_matches_list
         @ at_seeds "memoized prefix is persistent" test_seq_persistent
         @ at_seeds "lazy prefix = capped list" test_seq_prefix );
+      ( "session",
+        [ Alcotest.test_case "draws pinned" `Quick test_session_draws_pinned ]
+      );
       ( "trace",
         at_seeds "round trip" test_trace_round_trip
         @ [
