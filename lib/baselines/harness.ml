@@ -247,10 +247,9 @@ let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
     Obs.Sampler.start ~stop:(fun () -> !completed = nflows) smp);
   List.iter
     (fun (interval, f) ->
-      ignore
-        (Sim.Engine.schedule_periodic eng ~interval (fun () ->
-             f ();
-             !completed < nflows)))
+      Sim.Engine.schedule_periodic eng ~interval (fun () ->
+          f ();
+          !completed < nflows))
     (List.rev !ticks);
   Array.iteri
     (fun i f ->

@@ -66,5 +66,4 @@ let on_loss t ~now =
     t.w <- t.ssthresh
   end
 
-let in_slow_start t = t.w < t.ssthresh
 let losses t = t.loss_events

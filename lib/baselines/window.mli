@@ -33,5 +33,4 @@ val rto : t -> float
 (** Retransmission timeout: [srtt + 4 * rttvar], floored at 10 ms,
     initially 1 s. *)
 
-val in_slow_start : t -> bool
 val losses : t -> int

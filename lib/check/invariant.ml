@@ -19,7 +19,6 @@ let violate t ~time ~checker detail =
 
 let on_violation t f = t.notify <- Some f
 
-let total t = t.total
 let violations t = List.rev t.kept
 let ok t = t.total = 0
 
@@ -44,7 +43,6 @@ let add_probe t f = t.probes <- f :: t.probes
 let probe t ~time = List.iter (fun f -> f time) t.probes
 
 let attach trace handler = Chunksim.Trace.on_record trace handler
-let sink handler = Obs.Sink.callback handler
 
 (* ------------------------------------------------------------------ *)
 (* Phase-transition legality (DESIGN §1 table).  Every interface
@@ -221,7 +219,6 @@ module Conservation = struct
            "flow %d chunk %d: %d delivered + %d fault-destroyed exceeds %d sent"
            flow idx d dead p)
 
-  let fault_losses t = t.fault_losses
 
   let finish t ~time ~quiescent ~in_custody ~drops ~wire_losses =
     if quiescent then

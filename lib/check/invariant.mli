@@ -2,10 +2,10 @@
 
     A collector accumulates violations; checkers are either streaming
     trace handlers (attach them to a {!Chunksim.Trace} with {!attach},
-    or to an [Obs] sink chain with {!sink}) or periodic probes driven
-    by {!probe}.  [Inrpp.Protocol.run ?check] wires all of them up for
-    a protocol run; the differential harness and the soak test build
-    on the same pieces.
+    or to an [Obs] sink chain through [Obs.Sink.callback]) or periodic
+    probes driven by {!probe}.  [Inrpp.Protocol.run ?check] wires all
+    of them up for a protocol run; the differential harness and the
+    soak test build on the same pieces.
 
     A clean run ends with {!ok} true; {!report} renders the retained
     violations for test failure messages. *)
@@ -19,7 +19,6 @@ val create : ?limit:int -> unit -> t
     total count keeps incrementing past it. *)
 
 val violate : t -> time:float -> checker:string -> string -> unit
-val total : t -> int
 
 val on_violation : t -> (violation -> unit) -> unit
 (** Register a callback fired on {e every} violation, including ones
@@ -44,7 +43,7 @@ val probe : t -> time:float -> unit
 
     Each constructor returns a handler closed over its own state;
     route it to a trace directly ({!attach}) or through the
-    observability layer ({!sink}). *)
+    observability layer ([Obs.Sink.callback]). *)
 
 val phase_legality : t -> float -> Chunksim.Trace.event -> unit
 (** Interface phase machine (DESIGN §1): phases are exactly
@@ -63,10 +62,6 @@ val bp_ordering : t -> float -> Chunksim.Trace.event -> unit
 
 val attach : Chunksim.Trace.t -> (float -> Chunksim.Trace.event -> unit) -> unit
 (** [attach trace h] registers [h] as an [on_record] tap. *)
-
-val sink : (float -> Chunksim.Trace.event -> unit) -> Obs.Sink.t
-(** Wrap a checker handler as an observability sink so it can ride an
-    [Obs.Observer]'s sink list. *)
 
 val custody_ledger : t -> name:string -> (unit -> int * int) -> unit
 (** [custody_ledger c ~name read] registers a probe asserting the two
@@ -106,9 +101,6 @@ module Conservation : sig
 
   val pushes : t -> int
   val deliveries : t -> int
-
-  val fault_losses : t -> int
-  (** Total fault-attributed chunk copies so far. *)
 
   val finish :
     t -> time:float -> quiescent:bool -> in_custody:int -> drops:int ->

@@ -8,42 +8,29 @@ type pressure = {
   flows : int;
 }
 
-module type POLICY = sig
-  val name : string
-  val admit : pressure -> bool
-end
-
-type policy = (module POLICY)
+type policy = pressure -> bool
 
 let object_runs ?(threshold = 0.5) () : policy =
   if not (0. < threshold && threshold <= 1.) then
     invalid_arg "Cache.object_runs: threshold must be in (0, 1]";
-  (module struct
-    let name = Printf.sprintf "object-runs(%.2f)" threshold
-
-    (* Object-granularity admission: chunks continuing a run the store
-       already committed to are always worth keeping (a partial object
-       is useless downstream); new runs are admitted only while custody
-       pressure is below the threshold fraction. *)
-    let admit p =
-      p.flow_backlog > 0
-      || p.custody_bits +. p.incoming_bits <= threshold *. p.capacity
-  end)
+  (* Object-granularity admission: chunks continuing a run the store
+     already committed to are always worth keeping (a partial object is
+     useless downstream); new runs are admitted only while custody
+     pressure is below the threshold fraction. *)
+  fun p ->
+    p.flow_backlog > 0
+    || p.custody_bits +. p.incoming_bits <= threshold *. p.capacity
 
 let fair_share ?(share = 1.0) () : policy =
   if share <= 0. then invalid_arg "Cache.fair_share: share <= 0";
-  (module struct
-    let name = Printf.sprintf "fair-share(%.2f)" share
-
-    (* Per-flow fairness cap: no flow may grow its custody footprint
-       past [share] times an equal split of the whole store across the
-       flows currently holding custody.  A flow with no footprint yet
-       always gets its first chunk in (the cap never starves). *)
-    let admit p =
-      let active = max 1 p.flows in
-      let cap = share *. p.capacity /. float_of_int active in
-      p.flow_bits = 0. || p.flow_bits +. p.incoming_bits <= cap
-  end)
+  (* Per-flow fairness cap: no flow may grow its custody footprint past
+     [share] times an equal split of the whole store across the flows
+     currently holding custody.  A flow with no footprint yet always
+     gets its first chunk in (the cap never starves). *)
+  fun p ->
+    let active = max 1 p.flows in
+    let cap = share *. p.capacity /. float_of_int active in
+    p.flow_bits = 0. || p.flow_bits +. p.incoming_bits <= cap
 
 (* int keys compared inline, not through polymorphic compare; the same
    buckets, resizes and fold order as a stdlib [Hashtbl] *)
@@ -264,7 +251,7 @@ let put_custody t ~flow ~idx ~bits =
   let rejected =
     match t.policy with
     | None -> false
-    | Some (module P) -> not (P.admit (pressure_of t ~flow ~bits))
+    | Some admit -> not (admit (pressure_of t ~flow ~bits))
   in
   if rejected then `Rejected
   (* custody may displace popularity content: evict LRU until it fits *)
@@ -376,10 +363,6 @@ let popular_occupancy t = t.used.popular
 
 let occupancy t = t.used.custody +. t.used.popular
 let capacity t = t.cap
-let policy_name t = Option.map (fun ((module P : POLICY)) -> P.name) t.policy
 let hits t = t.hit_count
 let misses t = t.miss_count
 
-let holding_time t ~rate =
-  if rate <= 0. then invalid_arg "Cache.holding_time: rate <= 0";
-  t.cap /. rate

@@ -17,9 +17,9 @@ type t
 
 (** {1 Admission policy}
 
-    Custody admission is policy-pluggable: a first-class module decides
-    whether an offered chunk may enter the custody region, given a
-    snapshot of store pressure.  Without a policy (the default) every
+    Custody admission is policy-pluggable: a predicate decides whether
+    an offered chunk may enter the custody region, given a snapshot of
+    store pressure.  Without a policy (the default) every
     chunk is admitted while capacity lasts (drop-tail), and no pressure
     snapshot is computed. *)
 
@@ -34,12 +34,8 @@ type pressure = {
 }
 (** Store state at the moment of an admission decision. *)
 
-module type POLICY = sig
-  val name : string
-  val admit : pressure -> bool
-end
-
-type policy = (module POLICY)
+type policy = pressure -> bool
+(** [true] admits the offered chunk. *)
 
 val object_runs : ?threshold:float -> unit -> policy
 (** Object-granularity admission (after {e Object-oriented Packet
@@ -69,9 +65,6 @@ val create : ?policy:policy -> capacity:float -> unit -> t
 (** [capacity] in bits.  [policy] guards custody admission; omit it
     for drop-tail, which admits while capacity lasts.
     @raise Invalid_argument if [capacity <= 0.]. *)
-
-val policy_name : t -> string option
-(** Name of the installed admission policy, if any. *)
 
 (** {1 Custody region} *)
 
@@ -144,6 +137,3 @@ val occupancy : t -> float
 val capacity : t -> float
 val hits : t -> int
 val misses : t -> int
-val holding_time : t -> rate:float -> float
-(** §3.3 feasibility figure: time the whole store can absorb a
-    full-rate inflow, [capacity / rate]. *)

@@ -9,12 +9,9 @@
     order (both components non-negative), which crash/wipe reporting
     relies on when it sorts wiped custody.
 
-    Layout: flow in the high bits, idx in the low {!bits}.  Flow and
-    chunk ids are small dense non-negative ints everywhere in this
-    codebase; [idx] must fit in {!bits} bits. *)
-
-val bits : int
-(** Low-field width (31). *)
+    Layout: flow in the high bits, idx in the low 31.  Flow and chunk
+    ids are small dense non-negative ints everywhere in this codebase;
+    [idx] must fit in 31 bits. *)
 
 val pack : flow:int -> idx:int -> int
 val flow : int -> int

@@ -8,7 +8,6 @@
 type bits = {
   capacity : float;
   mutable queued_bits : float;
-  mutable dropped_bits : float;
 }
 
 type t = {
@@ -16,7 +15,6 @@ type t = {
   mutable head : int;
   mutable len : int;
   b : bits;
-  mutable queued : int;
   mutable dropped : int;
 }
 
@@ -26,8 +24,7 @@ let create ~capacity =
     ring = [||];
     head = 0;
     len = 0;
-    b = { capacity; queued_bits = 0.; dropped_bits = 0. };
-    queued = 0;
+    b = { capacity; queued_bits = 0. };
     dropped = 0;
   }
 
@@ -44,7 +41,6 @@ let push t (p : Packet.t) =
   let b = t.b in
   if b.queued_bits +. p.Packet.size > b.capacity then begin
     t.dropped <- t.dropped + 1;
-    b.dropped_bits <- b.dropped_bits +. p.Packet.size;
     `Dropped
   end
   else begin
@@ -52,7 +48,6 @@ let push t (p : Packet.t) =
     t.ring.((t.head + t.len) land (Array.length t.ring - 1)) <- p;
     t.len <- t.len + 1;
     b.queued_bits <- b.queued_bits +. p.Packet.size;
-    t.queued <- t.queued + 1;
     `Queued
   end
 
@@ -69,6 +64,4 @@ let occupancy t = t.b.queued_bits
 let length t = t.len
 let is_empty t = t.len = 0
 let capacity t = t.b.capacity
-let total_queued t = t.queued
 let total_dropped t = t.dropped
-let total_dropped_bits t = t.b.dropped_bits

@@ -27,6 +27,4 @@ val capacity : t -> float
 
 (** {1 Lifetime counters} *)
 
-val total_queued : t -> int
 val total_dropped : t -> int
-val total_dropped_bits : t -> float

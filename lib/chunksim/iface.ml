@@ -64,7 +64,6 @@ type t = {
   (* profiler kind id claimed by this interface's arrival events *)
   mutable prof_kind : int;
   (* statistics *)
-  mutable tx_packets_acc : int;
   mutable wire_loss_acc : int;
   mutable fault_drops_acc : int;
 }
@@ -72,8 +71,6 @@ type t = {
 let default_queue_bits = 64. *. 10e3 *. 8.
 
 let link t = t.l
-
-let rate t = t.rate
 
 let q_is_empty t =
   match t.q with
@@ -100,7 +97,6 @@ let[@inline] settle t ~now =
   if t.inflight_pending && c.next_free_at <= now then begin
     c.busy_accum <- c.busy_accum +. c.inflight_tx;
     c.tx_bits_acc <- c.tx_bits_acc +. c.inflight_bits;
-    t.tx_packets_acc <- t.tx_packets_acc + 1;
     t.inflight_pending <- false
   end
 
@@ -239,7 +235,6 @@ let create ?(queue_bits = default_queue_bits)
       fault_tap = (fun _ -> ());
       span_tap = None;
       prof_kind = 0;
-      tx_packets_acc = 0;
       wire_loss_acc = 0;
       fault_drops_acc = 0;
     }
@@ -264,10 +259,6 @@ let queue_capacity t =
   | Q_fifo f -> Fifo.capacity f
   | Q_drr d -> Rr_queue.capacity d
 
-let busy t =
-  sync t;
-  not (idle t)
-
 let utilisation t ~now =
   sync t;
   if now <= 0. then 0. else t.c.busy_accum /. now
@@ -275,10 +266,6 @@ let utilisation t ~now =
 let tx_bits t =
   sync t;
   t.c.tx_bits_acc
-
-let tx_packets t =
-  sync t;
-  t.tx_packets_acc
 
 let drops t =
   match t.q with
@@ -289,8 +276,6 @@ let wire_losses t = t.wire_loss_acc
 
 (* ------------------------------------------------------------------ *)
 (* Fault control *)
-
-let is_up t = t.up
 
 let fault_drops t = t.fault_drops_acc
 

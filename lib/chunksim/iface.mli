@@ -29,7 +29,7 @@ val create :
     (failure-injection tests); default none.  The stream is drawn once
     per arrival that an outage did not already kill, in transmission
     order, so it should belong to this interface alone.  A lost packet
-    still counts in {!tx_bits}, {!tx_packets} and {!utilisation}.
+    still counts in {!tx_bits} and {!utilisation}.
     @raise Invalid_argument on a non-positive queue or a loss
     probability outside [0, 1). *)
 
@@ -38,20 +38,15 @@ val link : t -> Topology.Link.t
 val send : t -> Packet.t -> [ `Queued | `Dropped ]
 (** Enqueue and start transmitting if idle. *)
 
-val rate : t -> float
-(** Transmit rate: the link's capacity, bps. *)
-
 val queue_occupancy : t -> float
 (** Bits waiting (not counting the packet on the wire). *)
 
 val queue_capacity : t -> float
-val busy : t -> bool
 
 val utilisation : t -> now:float -> float
 (** Fraction of elapsed time the transmitter was busy. *)
 
 val tx_bits : t -> float
-val tx_packets : t -> int
 val drops : t -> int
 val wire_losses : t -> int
 (** Packets discarded by loss injection. *)
@@ -63,8 +58,6 @@ val wire_losses : t -> int
     whatever was on the wire when the outage began — each such packet
     dies at its would-be arrival instant so fault accounting stays in
     event order. *)
-
-val is_up : t -> bool
 
 val set_down : ?policy:[ `Drop_queued | `Hold_queued ] -> t -> unit
 (** Take the interface down (idempotent).  [`Drop_queued] (default)

@@ -62,8 +62,6 @@ let send t ~via p =
 
 let inject t ~at p = t.handlers.(at) ~from:None p
 
-let total_drops t = Array.fold_left (fun acc i -> acc + Iface.drops i) 0 t.ifaces
-
 let total_wire_losses t =
   Array.fold_left (fun acc i -> acc + Iface.wire_losses i) 0 t.ifaces
 

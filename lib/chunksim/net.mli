@@ -42,7 +42,6 @@ val inject : t -> at:Topology.Node.id -> Packet.t -> unit
 (** Run the node's handler directly (local origination), [from =
     None], on the current engine time. *)
 
-val total_drops : t -> int
 val total_wire_losses : t -> int
 
 (** {1 Fault plumbing} — used by [Fault.Driver]; all no-ops by default *)

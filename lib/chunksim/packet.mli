@@ -64,8 +64,3 @@ val flow : t -> int
 val is_data : t -> bool
 val pp : Format.formatter -> t -> unit
 
-val request_bits : float
-(** Wire size of a request (50 bytes). *)
-
-val backpressure_bits : float
-(** Wire size of a back-pressure notification (50 bytes). *)

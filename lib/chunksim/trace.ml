@@ -61,10 +61,6 @@ let count t pred =
 
 let find_all t pred = List.filter (fun (_, e) -> pred e) (events t)
 
-let clear t =
-  t.rev_events <- [];
-  t.size <- 0
-
 let pp_event ppf = function
   | Dropped { node; link; packet } ->
     Format.fprintf ppf "n%d dropped %s on l%d" node packet link

@@ -63,5 +63,4 @@ val events : t -> (float * event) list
 
 val count : t -> (event -> bool) -> int
 val find_all : t -> (event -> bool) -> (float * event) list
-val clear : t -> unit
 val pp_event : Format.formatter -> event -> unit

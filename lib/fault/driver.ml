@@ -9,7 +9,6 @@ type t = {
   saved : (Topology.Node.id, Net.handler) Hashtbl.t;
   burst_rng : Sim.Rng.t;
   mutable active_bursts : float list; (* loss of each in-progress burst *)
-  mutable injector : Injector.t option;
   mutable link_downs : int;
   mutable link_ups : int;
   mutable node_crashes : int;
@@ -44,7 +43,6 @@ let install ?link_state ?(on_link_down = ignore) ?(on_link_up = ignore)
       saved = Hashtbl.create 7;
       burst_rng = Sim.Rng.create (Int64.add (Schedule.seed sched) 0x9e37L);
       active_bursts = [];
-      injector = None;
       link_downs = 0;
       link_ups = 0;
       node_crashes = 0;
@@ -127,13 +125,11 @@ let install ?link_state ?(on_link_down = ignore) ?(on_link_up = ignore)
           if t.active_bursts = [] then Net.set_wire_filter net None);
     }
   in
-  t.injector <- Some (Injector.install (Net.engine net) sched hooks);
+  Injector.install (Net.engine net) sched hooks;
   t
 
-let fired t = match t.injector with Some i -> Injector.fired i | None -> 0
 let link_downs t = t.link_downs
 let link_ups t = t.link_ups
 let node_crashes t = t.node_crashes
 let node_restarts t = t.node_restarts
 let control_drops t = t.control_drops
-let crashed t node = Hashtbl.mem t.saved node

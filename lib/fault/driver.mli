@@ -38,7 +38,6 @@ val install :
 
     Crash/restart and down/up are idempotent per target. *)
 
-val fired : t -> int
 val link_downs : t -> int
 val link_ups : t -> int
 val node_crashes : t -> int
@@ -47,4 +46,3 @@ val node_restarts : t -> int
 val control_drops : t -> int
 (** Request/Backpressure packets swallowed by burst filters. *)
 
-val crashed : t -> Topology.Node.id -> bool

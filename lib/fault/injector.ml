@@ -7,15 +7,11 @@ type hooks = {
   burst_end : loss:float -> unit;
 }
 
-type t = { mutable fired : int }
-
 let install eng sched hooks =
-  let t = { fired = 0 } in
   List.iter
     (fun { Schedule.at; event } ->
       ignore
         (Sim.Engine.schedule_at eng ~time:at (fun () ->
-             t.fired <- t.fired + 1;
              match event with
              | Schedule.Link_down { link; policy } ->
                hooks.link_down ~link ~policy
@@ -28,7 +24,4 @@ let install eng sched hooks =
                ignore
                  (Sim.Engine.schedule eng ~delay:duration (fun () ->
                       hooks.burst_end ~loss)))))
-    (Schedule.events sched);
-  t
-
-let fired t = t.fired
+    (Schedule.events sched)

@@ -16,11 +16,6 @@ type hooks = {
           same [loss] so overlapping bursts can be un-stacked *)
 }
 
-type t
-
-val install : Sim.Engine.t -> Schedule.t -> hooks -> t
+val install : Sim.Engine.t -> Schedule.t -> hooks -> unit
 (** Schedules the whole schedule now.  Events at equal times fire in
     schedule order. *)
-
-val fired : t -> int
-(** Fault events executed so far (burst ends not counted). *)

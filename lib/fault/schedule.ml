@@ -30,7 +30,6 @@ let of_list ?(seed = 1L) evs =
 let is_empty t = t.evs = []
 let events t = t.evs
 let seed t = t.seed
-let length t = List.length t.evs
 
 (* Stable two-way merge: both inputs are already time-sorted, and at
    equal times [a]'s events land first — composing a base schedule
@@ -108,21 +107,3 @@ let random ~seed ?(link_outages = 2) ?(crashes = 0) ?(bursts = 0) ~horizon
   done;
   of_list ~seed (List.rev !evs)
 
-let pp_event ppf = function
-  | Link_down { link; policy } ->
-    Format.fprintf ppf "l%d down (%s)" link
-      (match policy with `Drop_queued -> "drop" | `Hold_queued -> "hold")
-  | Link_up { link } -> Format.fprintf ppf "l%d up" link
-  | Node_crash { node; policy } ->
-    Format.fprintf ppf "n%d crash (%s)" node
-      (match policy with Wipe_custody -> "wipe" | Preserve_custody -> "preserve")
-  | Node_restart { node } -> Format.fprintf ppf "n%d restart" node
-  | Control_loss_burst { duration; loss } ->
-    Format.fprintf ppf "control burst %.3gs loss %.2g" duration loss
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun { at; event } -> Format.fprintf ppf "%8.4fs  %a@," at pp_event event)
-    t.evs;
-  Format.fprintf ppf "@]"

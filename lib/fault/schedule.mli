@@ -42,7 +42,6 @@ val events : t -> timed list
 (** Time-sorted, earliest first. *)
 
 val seed : t -> int64
-val length : t -> int
 
 val merge : t -> t -> t
 (** [merge a b] interleaves both event lists in time order (stable: at
@@ -64,4 +63,3 @@ val random :
     with loss in [0.5, 1.0].  All outages resolve strictly before
     [horizon]. *)
 
-val pp : Format.formatter -> t -> unit

@@ -33,8 +33,6 @@ let make ~id ~src ~dst ~size ~arrival ~shortest_hops ~path =
     completed_at = None;
   }
 
-let is_complete f = f.remaining <= 0.
-
 let advance f ~dt =
   if dt < 0. then invalid_arg "Flow.advance: negative dt";
   let drained = Float.min f.remaining (f.rate *. dt) in
@@ -49,6 +47,3 @@ let stretch f =
 
 let fct f = Option.map (fun t -> t -. f.arrival) f.completed_at
 
-let pp ppf f =
-  Format.fprintf ppf "flow#%d %d->%d %.3g bits (%.3g left @ %a)" f.id f.src
-    f.dst f.size f.remaining Sim.Units.pp_rate f.rate

@@ -28,8 +28,6 @@ val make :
   arrival:float -> shortest_hops:int -> path:Topology.Path.t -> t
 (** @raise Invalid_argument if [size <= 0.] or [src = dst]. *)
 
-val is_complete : t -> bool
-
 val advance : t -> dt:float -> unit
 (** Drain [rate *. dt] bits (never below zero) and accumulate the
     delivered-bits and weighted-hops counters.
@@ -43,4 +41,3 @@ val stretch : t -> float
 val fct : t -> float option
 (** Flow completion time, [completed_at - arrival]. *)
 
-val pp : Format.formatter -> t -> unit

@@ -16,16 +16,6 @@ type t = {
   detoured_fraction : float;
 }
 
-let stretch_cdf ?points t = Sim.Stats.Samples.cdf ?points t.stretch_samples
-
-let pp ppf r =
-  Format.fprintf ppf
-    "%-5s throughput=%.3f fct=%.3gs stretch=%.3f detoured=%.1f%% \
-     (%d arrivals, %d done, %d rejected)"
-    r.strategy r.throughput r.mean_fct r.mean_stretch
-    (100. *. r.detoured_fraction)
-    r.arrivals r.completions r.rejected
-
 let pp_table ppf rows =
   Format.fprintf ppf "%-6s %10s %10s %10s %9s %9s %9s@." "strat" "thruput"
     "mean_fct" "p95_fct" "stretch" "detour%" "done";

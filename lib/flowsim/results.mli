@@ -19,11 +19,5 @@ type t = {
                                      riding at least one detour (INRP only) *)
 }
 
-val stretch_cdf : ?points:int -> t -> (float * float) list
-(** [(stretch, P(X <= stretch))] — the Fig. 4b series. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary. *)
-
 val pp_table : Format.formatter -> t list -> unit
 (** Aligned comparison table (one row per run). *)

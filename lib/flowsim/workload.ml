@@ -3,11 +3,6 @@ type size_dist =
   | Exponential of float
   | Pareto of { shape : float; mean : float }
 
-let mean_size = function
-  | Fixed s -> s
-  | Exponential m -> m
-  | Pareto { mean; _ } -> mean
-
 let draw_size rng = function
   | Fixed s -> s
   | Exponential m -> Float.max 1. (Sim.Rng.exponential rng ~mean:m)
@@ -62,4 +57,3 @@ let draw_flow t ~time:_ ~id:_ =
   let dst = other () in
   (src, dst, draw_size t.rng t.size)
 
-let offered_load t = t.arrival_rate *. mean_size t.size

@@ -8,11 +8,6 @@ type size_dist =
   | Pareto of { shape : float; mean : float }
       (** heavy-tailed; [shape > 1] so the mean exists *)
 
-val mean_size : size_dist -> float
-
-val draw_size : Sim.Rng.t -> size_dist -> float
-(** Always [> 0]. *)
-
 (** Which nodes may source/sink traffic. *)
 type endpoints =
   | Any_pair            (** uniform over distinct connected pairs *)
@@ -35,5 +30,3 @@ val next_interarrival : t -> float
 val draw_flow : t -> time:float -> id:int -> (Topology.Node.id * Topology.Node.id * float)
 (** [(src, dst, size)]; src and dst are distinct. *)
 
-val offered_load : t -> float
-(** [arrival_rate * mean size] in bps — aggregate demand injected. *)

@@ -43,6 +43,3 @@ let validate c =
     err "pitless forwarding has no per-flow content keys for icn_caching"
   else Ok c
 
-let chunk_tx_time c ~rate =
-  if rate <= 0. then invalid_arg "Config.chunk_tx_time: rate <= 0";
-  c.chunk_bits /. rate

@@ -87,5 +87,3 @@ val validate : t -> (t, string) result
     ([pitless] with [icn_caching]); returns the config unchanged when
     valid. *)
 
-val chunk_tx_time : t -> rate:float -> float
-(** Serialisation time of one chunk at [rate]. *)

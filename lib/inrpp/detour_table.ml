@@ -49,4 +49,3 @@ let candidates t (l : Link.t) =
     Hashtbl.add t.cache l.Link.id cs;
     cs
 
-let has_detour t l = candidates t l <> []

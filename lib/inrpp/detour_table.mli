@@ -26,4 +26,3 @@ val candidates : t -> Topology.Link.t -> candidate list
 (** Shortest detours first; empty when the link has none within the
     depth bound. *)
 
-val has_detour : t -> Topology.Link.t -> bool

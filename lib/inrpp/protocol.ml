@@ -899,8 +899,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     let occ = Chunksim.Cache.custody_occupancy (Router.cache r) in
     if occ > w.peak_custody then w.peak_custody <- occ
   in
-  ignore
-  @@ Sim.Engine.schedule_periodic eng ~interval:Config.ti (fun () ->
+  Sim.Engine.schedule_periodic eng ~interval:Config.ti (fun () ->
       Sim.Engine.profile_mark eng k_tick;
       Router.tick_sweep registry routers;
       Router.iter_custody registry routers note_peak;
@@ -914,12 +913,10 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
         Obs.Watchdog.tick wd ~time:(Sim.Engine.now eng)
       | Some _ | None -> ());
       not (all_done w));
-  ignore
-  @@ Sim.Engine.schedule_periodic eng ~interval:(Config.ti /. 4.)
-       (fun () ->
-         Sim.Engine.profile_mark eng k_drain;
-         Router.drain_sweep registry routers;
-         not (all_done w));
+  Sim.Engine.schedule_periodic eng ~interval:(Config.ti /. 4.) (fun () ->
+      Sim.Engine.profile_mark eng k_drain;
+      Router.drain_sweep registry routers;
+      not (all_done w));
   Array.iteri
     (fun flow r ->
       ignore

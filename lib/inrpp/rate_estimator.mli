@@ -32,10 +32,9 @@ val tick : t -> unit
 
 val replay_idle : t -> int -> unit
 (** [replay_idle t k] closes [k] intervals in which nothing was noted:
-    bit for bit the same r_a as [k] calls to {!tick}, and {!intervals}
-    advances by exactly [k].  The work stops once an interval leaves
-    r_a unchanged (at 0 or at the denormal floor), so it is bounded
-    however large [k] is.
+    bit for bit the same r_a as [k] calls to {!tick}.  The work stops
+    once an interval leaves r_a unchanged (at 0 or at the denormal
+    floor), so it is bounded however large [k] is.
     @raise Invalid_argument if [k < 0], or if [k > 0] and bits were
     noted in the current interval. *)
 
@@ -44,23 +43,3 @@ val anticipated_rate : t -> float
 
 val ratio : t -> float
 (** r_a / capacity — the phase-machine input. *)
-
-val intervals : t -> int
-(** Ticks so far. *)
-
-(** {1 Request-share bookkeeping (eq. 1 verbatim)} *)
-
-module Shares : sig
-  type t
-  (** Per-router matrix of request counts: how many requests arriving
-      on interface [i] were forwarded to each other interface — the
-      y_{i→j} ratios of eq. 1. *)
-
-  val create : ifaces:int -> t
-  val note : t -> from_iface:int -> to_iface:int -> unit
-  val y : t -> from_iface:int -> to_iface:int -> float
-  (** Fraction of [from_iface]'s forwarded requests that went to
-      [to_iface]; [0.] when nothing was forwarded. *)
-
-  val reset : t -> unit
-end

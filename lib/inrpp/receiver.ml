@@ -188,4 +188,3 @@ let handle_data t (p : Chunksim.Packet.t) =
 let session t = t.sess
 let requests_sent t = t.req_count
 let duplicates t = t.dup_count
-let completed_at t = t.completed

@@ -33,4 +33,3 @@ val session : t -> Session.t
 
 val requests_sent : t -> int
 val duplicates : t -> int
-val completed_at : t -> float option

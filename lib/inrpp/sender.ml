@@ -167,7 +167,6 @@ let handle t (p : Chunksim.Packet.t) =
   | Chunksim.Packet.Data _ ->
     ()
 
-let pushed t = t.highest_sent + 1
 let backlog t = t.len
 let sent_packets t = t.tx_count
 let in_backpressure t = t.bp

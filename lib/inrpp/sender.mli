@@ -31,9 +31,6 @@ val handle : t -> Chunksim.Packet.t -> unit
 (** Process a Request or Backpressure packet addressed to this flow;
     other packets and other flows are ignored. *)
 
-val pushed : t -> int
-(** Chunks transmitted at least once. *)
-
 val backlog : t -> int
 (** Invited chunks not yet transmitted. *)
 

@@ -43,12 +43,3 @@ let received_count t = t.count
 let is_complete t = t.count = t.total_chunks
 let highest_received t = t.highest
 
-let missing_below t bound =
-  let bound = min bound t.total_chunks in
-  let rec collect i acc =
-    if i < t.lowest_missing then acc
-    else
-      collect (i - 1) (if Bytes.get t.got i = '\000' then i :: acc else acc)
-  in
-  if bound <= t.lowest_missing then []
-  else collect (bound - 1) []

@@ -23,6 +23,3 @@ val is_complete : t -> bool
 val highest_received : t -> int
 (** [-1] before any arrival. *)
 
-val missing_below : t -> int -> int list
-(** Missing indices strictly below the given bound, ascending —
-    the retransmission set. *)

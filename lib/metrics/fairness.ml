@@ -15,33 +15,3 @@ let jain throughputs =
     if sum_sq = 0. then 1. else sum *. sum /. (float_of_int n *. sum_sq)
   end
 
-let max_min_ratio throughputs =
-  validate throughputs;
-  if Array.length throughputs = 0 then 1.
-  else begin
-    let mn = Array.fold_left Float.min infinity throughputs in
-    let mx = Array.fold_left Float.max 0. throughputs in
-    if mx = 0. then 1. else mn /. mx
-  end
-
-let normalised_entropy throughputs =
-  validate throughputs;
-  let n = Array.length throughputs in
-  if n < 2 then 1.
-  else begin
-    let sum = Array.fold_left ( +. ) 0. throughputs in
-    if sum = 0. then 1.
-    else begin
-      let h =
-        Array.fold_left
-          (fun acc t ->
-            if t = 0. then acc
-            else begin
-              let p = t /. sum in
-              acc -. (p *. log p)
-            end)
-          0. throughputs
-      in
-      h /. log (float_of_int n)
-    end
-  end

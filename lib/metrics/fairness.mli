@@ -9,9 +9,3 @@ val jain : float array -> float
     degenerate all-equal case).
     @raise Invalid_argument on negative throughputs. *)
 
-val max_min_ratio : float array -> float
-(** min / max throughput; [1.] when empty or all-zero. *)
-
-val normalised_entropy : float array -> float
-(** Shannon entropy of the throughput shares divided by [log n];
-    1 for equal shares.  [1.] when fewer than two flows. *)

@@ -316,12 +316,6 @@ module Reader = struct
       | Ok v -> Some (Ok v)
       | Error msg ->
         Some (Error (Printf.sprintf "line %d: %s" t.line_no msg)))
-
-  let fold t f init =
-    let rec go acc =
-      match next t with None -> acc | Some r -> go (f acc r)
-    in
-    go init
 end
 
 (* ------------------------------------------------------------------ *)

@@ -40,23 +40,17 @@ module Reader : sig
   type json := t
   type t
 
-  val make : ?chunk_size:int -> (bytes -> int -> int) -> t
-  (** [make refill] wraps a raw byte source: [refill buf n] writes at
-      most [n] bytes into [buf] from offset 0 and returns the count,
-      [0] meaning end of input.  [chunk_size] (default 8 KiB) sizes
-      the internal buffer; lines longer than it simply span refills.
+  val of_channel : ?chunk_size:int -> in_channel -> t
+  (** [chunk_size] (default 8 KiB) sizes the internal buffer; lines
+      longer than it simply span refills.
       @raise Invalid_argument if [chunk_size < 1]. *)
 
-  val of_channel : ?chunk_size:int -> in_channel -> t
   val of_string : ?chunk_size:int -> string -> t
   (** For tests: same code path as {!of_channel}, fed from a string. *)
 
   val next : t -> (json, string) result option
   (** Next non-blank line's value; [Error] messages carry the 1-based
       line number.  [None] at end of input (and thereafter). *)
-
-  val fold : t -> ('a -> (json, string) result -> 'a) -> 'a -> 'a
-  (** [fold t f init] folds {!next} results until end of input. *)
 
   val line_no : t -> int
   (** Lines consumed so far (blank lines included). *)

@@ -2,9 +2,6 @@ type labels = (string * string) list
 
 type counter = { mutable count : int }
 
-(* single-float record: flat representation, [set] writes in place *)
-type gauge = { mutable value : float }
-
 type histogram = {
   histo : Sim.Stats.Histogram.t;
   running : Sim.Stats.Running.t;
@@ -12,7 +9,6 @@ type histogram = {
 
 type instrument =
   | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
   | Callback of (unit -> float)
 
@@ -25,10 +21,9 @@ type entry = {
 type t = {
   index : (string * labels, unit) Hashtbl.t;
   mutable entries : entry list;  (* reverse registration order *)
-  mutable n : int;
 }
 
-let create () = { index = Hashtbl.create 64; entries = []; n = 0 }
+let create () = { index = Hashtbl.create 64; entries = [] }
 
 let register t ~name ~labels instrument =
   let key = (name, labels) in
@@ -37,18 +32,12 @@ let register t ~name ~labels instrument =
       (Printf.sprintf "Metric.register: duplicate %s{%s}" name
          (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)));
   Hashtbl.add t.index key ();
-  t.entries <- { e_name = name; e_labels = labels; instrument } :: t.entries;
-  t.n <- t.n + 1
+  t.entries <- { e_name = name; e_labels = labels; instrument } :: t.entries
 
 let counter t ?(labels = []) name =
   let c = { count = 0 } in
   register t ~name ~labels (Counter c);
   c
-
-let gauge t ?(labels = []) name =
-  let g = { value = 0. } in
-  register t ~name ~labels (Gauge g);
-  g
 
 let histogram t ?(labels = []) ~lo ~hi ~bins name =
   let h =
@@ -64,11 +53,6 @@ let callback t ?(labels = []) name f = register t ~name ~labels (Callback f)
 
 (* hot path *)
 let incr c = c.count <- c.count + 1
-let add c n = c.count <- c.count + n
-let counter_value c = c.count
-let set g v = g.value <- v
-let gauge_add g v = g.value <- g.value +. v
-let gauge_value g = g.value
 
 let observe h v =
   Sim.Stats.Histogram.add h.histo v;
@@ -117,11 +101,8 @@ let snapshot t =
       let value =
         match e.instrument with
         | Counter c -> Counter_v c.count
-        | Gauge g -> Gauge_v g.value
         | Histogram h -> Histogram_v (summarise h)
         | Callback f -> Gauge_v (f ())
       in
       { name = e.e_name; labels = e.e_labels; value })
     t.entries
-
-let size t = t.n

@@ -1,15 +1,15 @@
-(** Typed metrics registry: labelled counters, gauges and histograms.
+(** Typed metrics registry: labelled counters, callback gauges and
+    histograms.
 
     A registry is a set of named instruments, each identified by a
     [(name, labels)] pair.  Instruments are created once (setup time)
-    and return a concrete handle; the hot-path update operations
-    ({!incr}, {!add}, {!set}, {!observe}) work on the handle directly —
-    a single mutable-field write, no lookup, no closure, no allocation
-    (counters are int fields, gauges are unboxed float records).
+    and return a concrete handle; the hot-path updates ({!incr},
+    {!observe}) work on the handle directly, with no lookup and no
+    closure ({!incr} is an int-field write and allocates nothing).
 
-    [Callback] instruments read their value lazily at snapshot time —
-    the cheapest way to expose counters a subsystem already maintains
-    (e.g. {!Inrpp.Router.counters}) without touching its hot path.
+    Gauges are {!callback}s, read lazily at snapshot time — the
+    cheapest way to expose values a subsystem already maintains (e.g.
+    {!Inrpp.Router.counters}) without touching its hot path.
 
     Histograms reuse {!Sim.Stats.Histogram} for bucketing and
     {!Sim.Stats.Running} for exact moments. *)
@@ -22,7 +22,6 @@ type labels = (string * string) list
     the identity: register with a fixed order per metric family. *)
 
 type counter
-type gauge
 type histogram
 
 val create : unit -> t
@@ -32,7 +31,6 @@ val create : unit -> t
     All raise [Invalid_argument] on a duplicate [(name, labels)]. *)
 
 val counter : t -> ?labels:labels -> string -> counter
-val gauge : t -> ?labels:labels -> string -> gauge
 
 val histogram :
   t -> ?labels:labels -> lo:float -> hi:float -> bins:int -> string ->
@@ -47,13 +45,6 @@ val callback : t -> ?labels:labels -> string -> (unit -> float) -> unit
 (** {1 Hot path — O(1), allocation-free} *)
 
 val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_add : gauge -> float -> unit
-val gauge_value : gauge -> float
-
 val observe : histogram -> float -> unit
 
 (** {1 Snapshot} *)
@@ -81,6 +72,3 @@ type sample = {
 val snapshot : t -> sample list
 (** One sample per registered instrument, in registration order.
     Callback gauges are invoked here. *)
-
-val size : t -> int
-(** Registered instruments. *)

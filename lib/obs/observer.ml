@@ -26,7 +26,6 @@ let create ?sample_interval ?(sinks = []) ?spans ?recorder ?(profile = false)
     o_profile = profile; o_clock = clock; o_profile_rows = [] }
 
 let registry t = t.o_registry
-let sinks t = t.o_sinks
 let add_sink t s = t.o_sinks <- t.o_sinks @ [ s ]
 
 let attach_trace t tr = List.iter (fun s -> Sink.attach s tr) t.o_sinks
@@ -52,11 +51,6 @@ let series t =
   match t.o_sampler with
   | None -> []
   | Some s -> Sampler.series s
-
-let find_series t ?labels name =
-  match t.o_sampler with
-  | None -> None
-  | Some s -> Sampler.find s ?labels name
 
 let snapshot t = Metric.snapshot t.o_registry
 

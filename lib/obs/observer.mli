@@ -33,7 +33,6 @@ val create :
     @raise Invalid_argument if [sample_interval] is non-positive. *)
 
 val registry : t -> Metric.t
-val sinks : t -> Sink.t list
 
 val add_sink : t -> Sink.t -> unit
 (** Append a sink before handing the observer to a runner — needed
@@ -75,7 +74,6 @@ val set_profile_rows : t -> Profile.row list -> unit
 val profile_rows : t -> Profile.row list
 (** [[]] unless [profile] was requested and the run finished. *)
 
-val find_series : t -> ?labels:Metric.labels -> string -> Series.t option
 val snapshot : t -> Metric.sample list
 
 val close : t -> unit

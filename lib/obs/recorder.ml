@@ -40,7 +40,6 @@ let record t ~time e =
   if t.count < t.capacity then t.count <- t.count + 1;
   t.total <- t.total + 1
 
-let size t = t.count
 let seen t = t.total
 let dumps t = t.n_dumps
 
@@ -50,11 +49,6 @@ let iter_oldest_first t f =
     let j = (start + i) mod t.capacity in
     f t.times.(j) t.events.(j)
   done
-
-let contents t =
-  let acc = ref [] in
-  iter_oldest_first t (fun time e -> acc := (time, e) :: !acc);
-  List.rev !acc
 
 let channel t =
   match t.oc with

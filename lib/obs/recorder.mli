@@ -23,9 +23,6 @@ val record : t -> time:float -> Chunksim.Trace.event -> unit
 val sink : t -> Sink.t
 (** Record off a live trace.  Closing the sink closes the recorder. *)
 
-val size : t -> int
-(** Events currently held (≤ capacity). *)
-
 val seen : t -> int
 (** Events recorded over the recorder's lifetime. *)
 
@@ -35,9 +32,6 @@ val dump : t -> reason:string -> time:float -> unit
 
 val dumps : t -> int
 (** Dumps actually written so far. *)
-
-val contents : t -> (float * Chunksim.Trace.event) list
-(** Oldest first. *)
 
 val close : t -> unit
 (** Flush and close the dump file if one was opened.  Idempotent. *)

@@ -12,16 +12,13 @@ type t = {
   mutable started : bool;
   mutable samples : int;
   mutable probe_s : float;         (* cumulative wall time in sample_now *)
-  mutable ticker : Sim.Engine.periodic option;
 }
 
 let create ~eng ~interval ?clock () =
   if interval <= 0. || Float.is_nan interval then
     invalid_arg "Sampler.create: interval <= 0";
   { eng; s_interval = interval; clock; probes = []; hooks = [];
-    started = false; samples = 0; probe_s = 0.; ticker = None }
-
-let interval t = t.s_interval
+    started = false; samples = 0; probe_s = 0. }
 
 let track t ?(labels = []) name read =
   let series = Series.create ~labels name in
@@ -46,33 +43,12 @@ let start ?(stop = fun () -> false) t =
   if t.started then invalid_arg "Sampler.start: already started";
   t.started <- true;
   sample_now t;
-  t.ticker <-
-    Some
-      (Sim.Engine.schedule_periodic t.eng ~interval:t.s_interval (fun () ->
-           let continue = not (stop ()) in
-           sample_now t;
-           continue))
-
-let stop t =
-  match t.ticker with
-  | Some p ->
-    Sim.Engine.cancel_periodic p;
-    t.ticker <- None
-  | None -> ()
-
-let running t =
-  match t.ticker with
-  | Some p -> Sim.Engine.periodic_active p
-  | None -> false
+  Sim.Engine.schedule_periodic t.eng ~interval:t.s_interval (fun () ->
+      let continue = not (stop ()) in
+      sample_now t;
+      continue)
 
 let series t = List.rev_map (fun p -> p.series) t.probes
-
-let find t ?labels name =
-  List.find_opt
-    (fun s ->
-      Series.name s = name
-      && match labels with None -> true | Some l -> Series.labels s = l)
-    (series t)
 
 let ticks t = t.samples
 let probe_seconds t = t.probe_s

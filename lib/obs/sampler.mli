@@ -15,13 +15,11 @@ type t
 val create :
   eng:Sim.Engine.t -> interval:float -> ?clock:(unit -> float) -> unit -> t
 (** [clock] (a wall clock, e.g. [Unix.gettimeofday]) turns on
-    self-observation: every {!sample_now} is timed and accumulated
+    self-observation: every sample is timed and accumulated
     into {!probe_seconds}, making the sampler's own overhead a
     first-class measurement.  Without it, sampling is untimed and
     {!probe_seconds} stays [0.].
     @raise Invalid_argument if [interval <= 0.]. *)
-
-val interval : t -> float
 
 val track : t -> ?labels:Metric.labels -> string -> (unit -> float) -> Series.t
 (** Register a probe; returns its series.  Probes fire in registration
@@ -30,31 +28,18 @@ val track : t -> ?labels:Metric.labels -> string -> (unit -> float) -> Series.t
 val on_sample : t -> (unit -> unit) -> unit
 (** Register a pre-probe hook. *)
 
-val sample_now : t -> unit
-(** Take one sample at the engine's current time immediately. *)
-
 val start : ?stop:(unit -> bool) -> t -> unit
 (** Take a baseline sample now, then one every [interval] until [stop]
-    returns [true] (one final sample is taken at the stopping tick) or
-    {!stop} is called.
+    returns [true] (one final sample is taken at the stopping tick).
     @raise Invalid_argument if already started. *)
-
-val stop : t -> unit
-(** Cancel the periodic tick (see {!Sim.Engine.cancel_periodic});
-    idempotent, no-op before [start].  No further samples are taken. *)
-
-val running : t -> bool
-(** [true] between [start] and whichever comes first of [stop] and the
-    stop predicate firing. *)
 
 val series : t -> Series.t list
 (** Registration order. *)
 
-val find : t -> ?labels:Metric.labels -> string -> Series.t option
 val ticks : t -> int
 
 val probe_seconds : t -> float
-(** Cumulative wall-clock seconds spent inside {!sample_now} — [0.]
+(** Cumulative wall-clock seconds spent taking samples — [0.]
     unless a [clock] was given to {!create}. *)
 
 val self_observing : t -> bool

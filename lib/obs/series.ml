@@ -35,24 +35,8 @@ let add t ~time v =
   t.values.(t.n) <- v;
   t.n <- t.n + 1
 
-let length t = t.n
-
-let get t i =
-  if i < 0 || i >= t.n then invalid_arg "Series.get: index out of bounds";
-  (t.times.(i), t.values.(i))
-
-let last t = if t.n = 0 then None else Some (t.times.(t.n - 1), t.values.(t.n - 1))
-
 let iter f t =
   for i = 0 to t.n - 1 do
     f ~time:t.times.(i) t.values.(i)
   done
 
-let to_list t = List.init t.n (fun i -> (t.times.(i), t.values.(i)))
-
-let max_value t =
-  let m = ref neg_infinity in
-  for i = 0 to t.n - 1 do
-    if t.values.(i) > !m then m := t.values.(i)
-  done;
-  !m

@@ -11,15 +11,5 @@ val labels : t -> Metric.labels
 val add : t -> time:float -> float -> unit
 (** @raise Invalid_argument if [time] precedes the last point. *)
 
-val length : t -> int
-
-val get : t -> int -> float * float
-(** [(time, value)] of the i-th point, oldest first.
-    @raise Invalid_argument out of bounds. *)
-
-val last : t -> (float * float) option
 val iter : (time:float -> float -> unit) -> t -> unit
-val to_list : t -> (float * float) list
 
-val max_value : t -> float
-(** [neg_infinity] when empty. *)

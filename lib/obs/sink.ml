@@ -5,14 +5,10 @@ type t = {
   close_fn : unit -> unit;
 }
 
-let emit t ~time e = t.emit_fn time e
 let close t = t.close_fn ()
 let attach t tr = T.on_record tr t.emit_fn
 
 let callback ?(close = ignore) f = { emit_fn = f; close_fn = close }
-
-let ring tr =
-  { emit_fn = (fun time e -> T.record tr ~time e); close_fn = ignore }
 
 let ndjson oc =
   let buf = Buffer.create 256 in
@@ -23,19 +19,6 @@ let ndjson oc =
         Json.to_buffer buf (Trace_codec.to_json ~time e);
         Buffer.add_char buf '\n';
         Buffer.output_buffer oc buf);
-    close_fn = (fun () -> flush oc);
-  }
-
-let csv ?(header = true) oc =
-  if header then begin
-    output_string oc Trace_codec.csv_header;
-    output_char oc '\n'
-  end;
-  {
-    emit_fn =
-      (fun time e ->
-        output_string oc (Trace_codec.to_csv_row ~time e);
-        output_char oc '\n');
     close_fn = (fun () -> flush oc);
   }
 
@@ -77,14 +60,3 @@ let counter_tap registry =
     close_fn = ignore;
   }
 
-let filter pred t =
-  {
-    emit_fn = (fun time e -> if pred e then t.emit_fn time e);
-    close_fn = t.close_fn;
-  }
-
-let fan_out sinks =
-  {
-    emit_fn = (fun time e -> List.iter (fun s -> s.emit_fn time e) sinks);
-    close_fn = (fun () -> List.iter (fun s -> s.close_fn ()) sinks);
-  }

@@ -3,14 +3,12 @@
     in-memory ring.
 
     A sink is attached to a trace with {!attach}, which registers it
-    as a {!Chunksim.Trace.on_record} tap.  Sinks compose: attach
-    several, or build one {!fan_out}.  Typical composition for a probe
-    run: ring (already inside the trace) + NDJSON file + per-kind
-    counter tap. *)
+    as a {!Chunksim.Trace.on_record} tap.  Sinks compose by attaching
+    several.  Typical composition for a probe run: ring (already inside
+    the trace) + NDJSON file + per-kind counter tap. *)
 
 type t
 
-val emit : t -> time:float -> Chunksim.Trace.event -> unit
 val close : t -> unit
 (** Flush/close underlying resources.  Idempotent for the built-in
     sinks. *)
@@ -23,25 +21,11 @@ val callback :
   ?close:(unit -> unit) -> (float -> Chunksim.Trace.event -> unit) -> t
 (** [close] (default no-op) runs on {!close}. *)
 
-val ring : Chunksim.Trace.t -> t
-(** Forward into {e another} bounded ring (e.g. a small recent-events
-    window next to a full file sink).  Never attach a trace's ring
-    sink to itself. *)
-
 val ndjson : out_channel -> t
 (** One {!Trace_codec.to_json} object per line.  [close] flushes but
     does not close the channel (the caller owns it). *)
-
-val csv : ?header:bool -> out_channel -> t
-(** {!Trace_codec.csv_header} columns; [header] (default true) writes
-    the header line immediately. *)
 
 val counter_tap : Metric.t -> t
 (** Registers one counter [trace_events_total{kind=...}] per event
     kind in the registry and bumps the matching one per event —
     allocation-free per event. *)
-
-val filter : (Chunksim.Trace.event -> bool) -> t -> t
-(** Pass only matching events through. *)
-
-val fan_out : t list -> t

@@ -72,11 +72,6 @@ let add t ~time e =
 
 let sink t = Sink.callback (fun time e -> add t ~time e)
 
-let of_events evs =
-  let t = create () in
-  List.iter (fun (time, e) -> add t ~time e) evs;
-  t
-
 let chunk_count t = Hashtbl.length t.chunks
 let event_count t = t.n_events
 

@@ -61,8 +61,6 @@ val sink : t -> Sink.t
 (** Collect off a live trace (attach via an {!Observer} sink list or
     {!Sink.attach}). *)
 
-val of_events : (float * Chunksim.Trace.event) list -> t
-
 val chunk_count : t -> int
 val event_count : t -> int
 

@@ -18,14 +18,6 @@ let kind = function
   | T.Custody_evacuated _ -> "custody_evacuated"
   | T.Custody_evicted _ -> "custody_evicted"
 
-let all_kinds =
-  [
-    "dropped"; "cached"; "cache_hit"; "custody_released"; "detoured";
-    "phase_change"; "bp_signal"; "flow_complete"; "link_fault"; "node_fault";
-    "enqueued"; "tx_begin"; "delivered"; "retransmit"; "custody_evacuated";
-    "custody_evicted";
-  ]
-
 let num i = Json.Num (float_of_int i)
 
 let fields = function
@@ -62,15 +54,6 @@ let to_json ~time e =
     :: ("t", Json.Num time)
     :: ("kind", Json.Str (kind e))
     :: fields e)
-
-let csv_header = "t,kind,node,link,flow,idx,via,phase,engage,packet,fct"
-
-(* quoting: packet descriptions may contain anything; the rest are
-   plain tokens *)
-let quote s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
 
 (* ------------------------------------------------------------------ *)
 (* Decoding — the inverse of [to_json], used by the report CLI and the
@@ -182,47 +165,3 @@ let of_json j =
   in
   Ok (time, e)
 
-let to_csv_row ~time e =
-  let node, link, flow, idx, via, phase, engage, packet, fct =
-    match e with
-    | T.Dropped { node; link; packet } ->
-      (Some node, Some link, None, None, None, None, None, Some packet, None)
-    | T.Cached { node; flow; idx } ->
-      (Some node, None, Some flow, Some idx, None, None, None, None, None)
-    | T.Cache_hit { node; flow; idx } ->
-      (Some node, None, Some flow, Some idx, None, None, None, None, None)
-    | T.Custody_released { node; flow; idx } ->
-      (Some node, None, Some flow, Some idx, None, None, None, None, None)
-    | T.Detoured { node; flow; idx; via } ->
-      (Some node, None, Some flow, Some idx, Some via, None, None, None, None)
-    | T.Phase_change { node; link; phase } ->
-      (Some node, Some link, None, None, None, Some phase, None, None, None)
-    | T.Bp_signal { node; flow; engage } ->
-      (Some node, None, Some flow, None, None, None, Some engage, None, None)
-    | T.Flow_complete { flow; fct } ->
-      (None, None, Some flow, None, None, None, None, None, Some fct)
-    (* fault events reuse the [engage] bool column for their up flag *)
-    | T.Link_fault { link; up } ->
-      (None, Some link, None, None, None, None, Some up, None, None)
-    | T.Node_fault { node; up } ->
-      (Some node, None, None, None, None, None, Some up, None, None)
-    | T.Enqueued { node; link; flow; idx } ->
-      (Some node, Some link, Some flow, Some idx, None, None, None, None, None)
-    | T.Tx_begin { link; flow; idx } ->
-      (None, Some link, Some flow, Some idx, None, None, None, None, None)
-    | T.Delivered { node; flow; idx }
-    | T.Custody_evacuated { node; flow; idx }
-    | T.Custody_evicted { node; flow; idx } ->
-      (Some node, None, Some flow, Some idx, None, None, None, None, None)
-    | T.Retransmit { flow; idx } ->
-      (None, None, Some flow, Some idx, None, None, None, None, None)
-  in
-  let i = function Some v -> string_of_int v | None -> "" in
-  let s = function Some v -> quote v | None -> "" in
-  let b = function Some v -> string_of_bool v | None -> "" in
-  let f = function Some v -> Printf.sprintf "%.9g" v | None -> "" in
-  String.concat ","
-    [
-      Printf.sprintf "%.9g" time; kind e; i node; i link; i flow; i idx; i via;
-      s phase; b engage; s packet; f fct;
-    ]

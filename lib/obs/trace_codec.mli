@@ -1,10 +1,8 @@
-(** Serialisation of {!Chunksim.Trace} events to JSON and CSV — the
-    wire format of the streaming {!Sink}s and the probe CLI. *)
+(** Serialisation of {!Chunksim.Trace} events to JSON — the wire
+    format of the streaming {!Sink}s and the probe CLI. *)
 
 val kind : Chunksim.Trace.event -> string
 (** Stable snake_case tag, e.g. ["phase_change"]. *)
-
-val all_kinds : string list
 
 val to_json : time:float -> Chunksim.Trace.event -> Json.t
 (** [{"type":"event","t":...,"kind":...,...}] with only the fields the
@@ -15,8 +13,3 @@ val of_json : Json.t -> (float * Chunksim.Trace.event, string) result
     NaN — the printer writes NaN as [null] (JSON has no NaN literal),
     so the pair round-trips. *)
 
-val csv_header : string
-(** [t,kind,node,link,flow,idx,via,phase,engage,packet,fct] — fixed
-    columns, empty when not applicable. *)
-
-val to_csv_row : time:float -> Chunksim.Trace.event -> string

@@ -54,9 +54,6 @@ val episodes : t -> int
 val peak : t -> float
 (** Current (decayed) peak-goodput reference, bits/s. *)
 
-val rate : t -> float
-(** Current windowed goodput, bits/s (as of the last note/tick). *)
-
 val recovery_times : t -> float list
 (** Per-episode time-to-recovery, episode order; open episodes absent. *)
 

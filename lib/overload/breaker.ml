@@ -6,8 +6,6 @@ type t = {
   mutable state : state;
   mutable barren : int;
   mutable last_probe : float;
-  mutable trips : int;
-  mutable probes : int;
 }
 
 let create ~budget ~probe_interval =
@@ -19,13 +17,9 @@ let create ~budget ~probe_interval =
     state = Closed;
     barren = 0;
     last_probe = neg_infinity;
-    trips = 0;
-    probes = 0;
   }
 
 let state t = t.state
-let trips t = t.trips
-let probes t = t.probes
 
 let on_progress t =
   t.state <- Closed;
@@ -45,7 +39,6 @@ let on_timeout t ~clock =
     end
     else begin
       t.state <- Open;
-      t.trips <- t.trips + 1;
       t.last_probe <- clock.(0);
       `Wait
     end
@@ -58,7 +51,6 @@ let on_timeout t ~clock =
     if now -. t.last_probe >= t.probe_interval -. 1e-9 then begin
       t.state <- Half_open;
       t.last_probe <- now;
-      t.probes <- t.probes + 1;
       `Probe
     end
     else `Wait

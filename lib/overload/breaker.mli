@@ -29,8 +29,3 @@ val on_progress : t -> unit
 
 val state : t -> state
 
-val trips : t -> int
-(** Times the breaker transitioned Closed → Open. *)
-
-val probes : t -> int
-(** Half-open probes sent. *)

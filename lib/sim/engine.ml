@@ -157,31 +157,11 @@ let lane_length l = l.len
 
 let cancel = Event_queue.cancel
 
-type periodic = {
-  mutable next : Event_queue.handle option;
-  mutable stopped : bool;
-}
-
 let schedule_periodic t ~interval f =
   if interval <= 0. then
     invalid_arg "Engine.schedule_periodic: interval <= 0";
-  let p = { next = None; stopped = false } in
-  let rec tick () =
-    if not p.stopped then
-      if f () then p.next <- Some (schedule t ~delay:interval tick)
-      else p.next <- None
-  in
-  p.next <- Some (schedule t ~delay:interval tick);
-  p
-
-let cancel_periodic p =
-  p.stopped <- true;
-  (match p.next with
-  | Some h -> Event_queue.cancel h
-  | None -> ());
-  p.next <- None
-
-let periodic_active p = not p.stopped && p.next <> None
+  let rec tick () = if f () then ignore (schedule t ~delay:interval tick) in
+  ignore (schedule t ~delay:interval tick)
 
 (* ------------------------------------------------------------------ *)
 (* Self-profiler *)

@@ -64,22 +64,10 @@ val arm : timer -> delay:float -> unit
     again before it fires fires once per arm.
     @raise Invalid_argument if [delay < 0.] or NaN. *)
 
-type periodic
-(** A running periodic schedule; cancellable. *)
-
-val schedule_periodic : t -> interval:float -> (unit -> bool) -> periodic
+val schedule_periodic : t -> interval:float -> (unit -> bool) -> unit
 (** [schedule_periodic t ~interval f] runs [f] every [interval]
-    seconds starting at [now + interval], until [f] returns [false]
-    or the returned handle is cancelled.
+    seconds starting at [now + interval], until [f] returns [false].
     @raise Invalid_argument if [interval <= 0.]. *)
-
-val cancel_periodic : periodic -> unit
-(** Stop a periodic schedule; idempotent.  The pending tick is
-    cancelled in the queue, so no further calls to [f] happen. *)
-
-val periodic_active : periodic -> bool
-(** [true] while ticks are still scheduled (not cancelled and [f] has
-    not returned [false]). *)
 
 (** {1 Lanes}
 

@@ -52,10 +52,6 @@ let int t bound =
 
 let bool t = Int64.logand (step t) 1L = 1L
 
-let uniform t ~lo ~hi =
-  if hi < lo then invalid_arg "Rng.uniform: hi < lo";
-  lo +. (unit_float t *. (hi -. lo))
-
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";
   let u = 1. -. unit_float t in
@@ -86,37 +82,3 @@ let zipf_sampler ~n ~s =
       if cdf.(mid) < u then lo := mid + 1 else hi := mid
     done;
     !lo + 1
-
-let zipf t ~n ~s = zipf_sampler ~n ~s t
-
-let poisson t ~mean =
-  if mean < 0. then invalid_arg "Rng.poisson: mean < 0";
-  if mean = 0. then 0
-  else if mean < 30. then begin
-    (* Knuth: multiply uniforms until below exp(-mean) *)
-    let limit = exp (-.mean) in
-    let rec go k p =
-      let p = p *. unit_float t in
-      if p <= limit then k else go (k + 1) p
-    in
-    go 0 1.
-  end
-  else begin
-    (* normal approximation with continuity correction *)
-    let u1 = 1. -. unit_float t and u2 = unit_float t in
-    let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-    let v = mean +. (sqrt mean *. z) +. 0.5 in
-    if v < 0. then 0 else int_of_float v
-  end
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-let choose t = function
-  | [] -> None
-  | l -> List.nth_opt l (int t (List.length l))

@@ -33,9 +33,6 @@ val bool : t -> bool
 
 (** {1 Distributions} *)
 
-val uniform : t -> lo:float -> hi:float -> float
-(** @raise Invalid_argument if [hi < lo]. *)
-
 val exponential : t -> mean:float -> float
 (** Inter-arrival times of a Poisson process.
     @raise Invalid_argument if [mean <= 0.]. *)
@@ -45,22 +42,5 @@ val pareto : t -> shape:float -> scale:float -> float
     when [shape > 1].  @raise Invalid_argument if [shape <= 0.] or
     [scale <= 0.]. *)
 
-val zipf : t -> n:int -> s:float -> int
-(** Rank in [[1, n]] under Zipf with exponent [s] (content
-    popularity).  O(n) setup per call is avoided by inverse-CDF on a
-    cached table — callers drawing many values should use
-    {!zipf_sampler}. *)
-
 val zipf_sampler : n:int -> s:float -> t -> int
 (** Precomputed-table sampler; partially apply to [(n, s)] and reuse. *)
-
-val poisson : t -> mean:float -> int
-(** Number of events in an interval. Knuth's method below mean 30,
-    normal approximation above.  @raise Invalid_argument if
-    [mean < 0.]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates. *)
-
-val choose : t -> 'a list -> 'a option
-(** Uniform element of the list; [None] on empty. *)

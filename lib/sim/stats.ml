@@ -2,7 +2,6 @@ module Running = struct
   type t = {
     mutable n : int;
     mutable mean_acc : float;
-    mutable m2 : float;
     mutable min_v : float;
     mutable max_v : float;
     mutable sum_v : float;
@@ -12,7 +11,6 @@ module Running = struct
     {
       n = 0;
       mean_acc = 0.;
-      m2 = 0.;
       min_v = infinity;
       max_v = neg_infinity;
       sum_v = 0.;
@@ -20,40 +18,17 @@ module Running = struct
 
   let add t x =
     t.n <- t.n + 1;
-    let delta = x -. t.mean_acc in
-    t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
+    t.mean_acc <- t.mean_acc +. ((x -. t.mean_acc) /. float_of_int t.n);
     if x < t.min_v then t.min_v <- x;
     if x > t.max_v then t.max_v <- x;
     t.sum_v <- t.sum_v +. x
 
   let count t = t.n
   let mean t = if t.n = 0 then 0. else t.mean_acc
-  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.min_v
   let max t = t.max_v
   let sum t = t.sum_v
 
-  let merge a b =
-    if a.n = 0 then { b with n = b.n }
-    else if b.n = 0 then { a with n = a.n }
-    else begin
-      let n = a.n + b.n in
-      let fa = float_of_int a.n and fb = float_of_int b.n in
-      let fn = float_of_int n in
-      let delta = b.mean_acc -. a.mean_acc in
-      let mean_acc = a.mean_acc +. (delta *. fb /. fn) in
-      let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn) in
-      {
-        n;
-        mean_acc;
-        m2;
-        min_v = Float.min a.min_v b.min_v;
-        max_v = Float.max a.max_v b.max_v;
-        sum_v = a.sum_v +. b.sum_v;
-      }
-    end
 end
 
 module Samples = struct
@@ -113,8 +88,6 @@ module Samples = struct
       ((1. -. w) *. t.data.(lo)) +. (w *. t.data.(hi))
     end
 
-  let median t = percentile t 50.
-
   let cdf ?(points = 50) t =
     if t.n = 0 then []
     else begin
@@ -127,20 +100,6 @@ module Samples = struct
           let idx = int_of_float (Float.round rank) in
           let idx = Stdlib.min (t.n - 1) (Stdlib.max 0 idx) in
           (t.data.(idx), float_of_int (idx + 1) /. float_of_int t.n))
-    end
-
-  let mean_ci95 t =
-    if t.n = 0 then invalid_arg "Stats.Samples.mean_ci95: empty";
-    let m = mean t in
-    if t.n < 2 then (m, 0.)
-    else begin
-      let acc = ref 0. in
-      for i = 0 to t.n - 1 do
-        let d = t.data.(i) -. m in
-        acc := !acc +. (d *. d)
-      done;
-      let s = sqrt (!acc /. float_of_int (t.n - 1)) in
-      (m, 1.96 *. s /. sqrt (float_of_int t.n))
     end
 
   let cdf_at t x =
@@ -163,36 +122,23 @@ module Histogram = struct
     hi : float;
     bins : int;
     counts : int array;
-    mutable total : int;
   }
 
   let create ~lo ~hi ~bins =
     if hi <= lo then invalid_arg "Stats.Histogram.create: hi <= lo";
     if bins <= 0 then invalid_arg "Stats.Histogram.create: bins <= 0";
-    { lo; hi; bins; counts = Array.make bins 0; total = 0 }
+    { lo; hi; bins; counts = Array.make bins 0 }
 
   let add t x =
     let raw =
       int_of_float (float_of_int t.bins *. (x -. t.lo) /. (t.hi -. t.lo))
     in
     let idx = Stdlib.min (t.bins - 1) (Stdlib.max 0 raw) in
-    t.counts.(idx) <- t.counts.(idx) + 1;
-    t.total <- t.total + 1
+    t.counts.(idx) <- t.counts.(idx) + 1
 
   let counts t = Array.copy t.counts
-  let total t = t.total
 
   let bin_edges t =
     Array.init (t.bins + 1) (fun i ->
         t.lo +. (float_of_int i *. (t.hi -. t.lo) /. float_of_int t.bins))
-
-  let pp ppf t =
-    let maxc = Array.fold_left Stdlib.max 1 t.counts in
-    let edges = bin_edges t in
-    for i = 0 to t.bins - 1 do
-      let bar_len = t.counts.(i) * 40 / maxc in
-      Format.fprintf ppf "[%8.3g, %8.3g) %6d %s@." edges.(i) edges.(i + 1)
-        t.counts.(i)
-        (String.make bar_len '#')
-    done
 end

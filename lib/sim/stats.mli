@@ -4,7 +4,7 @@
     completion-time samples, and by the benches to print the paper's
     figure series. *)
 
-(** {1 Running moments (Welford)} *)
+(** {1 Running moments} *)
 
 module Running : sig
   type t
@@ -15,10 +15,6 @@ module Running : sig
   val mean : t -> float
   (** [0.] when empty. *)
 
-  val variance : t -> float
-  (** Unbiased sample variance; [0.] for fewer than two samples. *)
-
-  val stddev : t -> float
   val min : t -> float
   (** [infinity] when empty. *)
 
@@ -26,8 +22,6 @@ module Running : sig
   (** [neg_infinity] when empty. *)
 
   val sum : t -> float
-  val merge : t -> t -> t
-  (** Combine two collectors (parallel Welford merge). *)
 end
 
 (** {1 Sample sets (exact percentiles)} *)
@@ -45,20 +39,12 @@ module Samples : sig
   (** [percentile s p] with [p] in [[0, 100]], linear interpolation.
       @raise Invalid_argument on empty set or p outside range. *)
 
-  val median : t -> float
-
   val cdf : ?points:int -> t -> (float * float) list
   (** [(value, P(X <= value))] pairs suitable for plotting; [points]
       (default 50) evenly spaced in rank. Empty list when no samples. *)
 
   val cdf_at : t -> float -> float
   (** Empirical [P(X <= x)]; [0.] on empty set. *)
-
-  val mean_ci95 : t -> float * float
-  (** [(mean, half_width)] of the 95% confidence interval under the
-      normal approximation ([1.96 * s / sqrt n]); half-width is [0.]
-      for fewer than two samples.
-      @raise Invalid_argument on an empty set. *)
 end
 
 (** {1 Fixed-bin histogram} *)
@@ -73,10 +59,6 @@ module Histogram : sig
   (** Out-of-range samples clamp into the first/last bin. *)
 
   val counts : t -> int array
-  val total : t -> int
   val bin_edges : t -> float array
   (** [bins + 1] edges. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** ASCII bar rendering, one line per bin. *)
 end

@@ -3,8 +3,6 @@ type t = {
   mutable last_time : float;
   mutable last_value : float;
   mutable area : float;         (* integral over [start, last_time] *)
-  mutable peak_v : float;
-  mutable rev_changes : (float * float) list;
 }
 
 let create ?(initial = 0.) ~start () =
@@ -13,8 +11,6 @@ let create ?(initial = 0.) ~start () =
     last_time = start;
     last_value = initial;
     area = 0.;
-    peak_v = initial;
-    rev_changes = [ (start, initial) ];
   }
 
 let record t ~time v =
@@ -23,9 +19,7 @@ let record t ~time v =
       (Printf.sprintf "Timeline.record: time %g < last %g" time t.last_time);
   t.area <- t.area +. (t.last_value *. (time -. t.last_time));
   t.last_time <- time;
-  t.last_value <- v;
-  if v > t.peak_v then t.peak_v <- v;
-  t.rev_changes <- (time, v) :: t.rev_changes
+  t.last_value <- v
 
 let value t = t.last_value
 
@@ -37,7 +31,3 @@ let integral t ~until =
 let time_average t ~until =
   let span = until -. t.start in
   if span <= 0. then 0. else integral t ~until /. span
-
-let peak t = t.peak_v
-
-let changes t = List.rev t.rev_changes

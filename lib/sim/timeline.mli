@@ -25,10 +25,3 @@ val time_average : t -> until:float -> float
 
 val integral : t -> until:float -> float
 (** ∫ signal dt over [[start, until]]. *)
-
-val peak : t -> float
-(** Maximum value ever recorded (including the initial value). *)
-
-val changes : t -> (float * float) list
-(** [(time, value)] change points, oldest first, including the initial
-    point. *)

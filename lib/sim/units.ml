@@ -1,20 +1,5 @@
-let bits x = x
-let bytes x = 8. *. x
-let kilobytes x = bytes (1e3 *. x)
-let megabytes x = bytes (1e6 *. x)
-let gigabytes x = bytes (1e9 *. x)
-let kibibytes x = bytes (1024. *. x)
-let mebibytes x = bytes (1024. *. 1024. *. x)
-let gibibytes x = bytes (1024. *. 1024. *. 1024. *. x)
-
-let bps x = x
-let kbps x = 1e3 *. x
-let mbps x = 1e6 *. x
+let gigabytes x = 8e9 *. x
 let gbps x = 1e9 *. x
-
-let seconds x = x
-let milliseconds x = 1e-3 *. x
-let microseconds x = 1e-6 *. x
 
 let transmission_time ~bits ~rate =
   if rate <= 0. then invalid_arg "Units.transmission_time: rate <= 0";

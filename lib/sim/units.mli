@@ -1,32 +1,14 @@
 (** Physical units used across the simulators.
 
     Everything is carried as [float] in base SI units — seconds, bits,
-    bits per second — with named constructors so call sites read like
-    the paper ("a 10 GB cache after a 40 Gbps link"). *)
+    bits per second — with constructors for the paper's figures ("a
+    10 GB cache after a 40 Gbps link"). *)
 
-(** {1 Data sizes (bits)} *)
-
-val bits : float -> float
-val bytes : float -> float
-val kilobytes : float -> float
-val megabytes : float -> float
 val gigabytes : float -> float
-val kibibytes : float -> float
-val mebibytes : float -> float
-val gibibytes : float -> float
+(** Decimal gigabytes to bits. *)
 
-(** {1 Rates (bits per second)} *)
-
-val bps : float -> float
-val kbps : float -> float
-val mbps : float -> float
 val gbps : float -> float
-
-(** {1 Times (seconds)} *)
-
-val seconds : float -> float
-val milliseconds : float -> float
-val microseconds : float -> float
+(** Gigabits per second to bits per second. *)
 
 (** {1 Derived} *)
 

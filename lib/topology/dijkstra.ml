@@ -139,8 +139,6 @@ let distance t v =
 
 let reachable t v = Float.is_finite t.dist.(v)
 
-let source t = t.t_source
-
 let path_to t v =
   if not (reachable t v) then None
   else begin

@@ -55,7 +55,6 @@ val hop_distance : tree -> Node.id -> int option
     the [Hops] metric). *)
 
 val reachable : tree -> Node.id -> bool
-val source : tree -> Node.id
 
 val shortest_path : ?metric:metric -> Graph.t -> Node.id -> Node.id -> Path.t option
 (** One-shot convenience wrapper around {!run} and {!path_to}. *)

@@ -12,16 +12,3 @@ let make ~id ~src ~dst ~capacity ~delay =
   if src = dst then invalid_arg "Link.make: self-loop";
   { id; src; dst; capacity; delay }
 
-let endpoints l = (l.src, l.dst)
-
-let key l = (l.src, l.dst)
-
-let ukey l = if l.src <= l.dst then (l.src, l.dst) else (l.dst, l.src)
-
-let pp ppf l =
-  Format.fprintf ppf "link#%d %d->%d (%.3g bps, %.3g s)" l.id l.src l.dst
-    l.capacity l.delay
-
-let equal a b = a.id = b.id
-
-let compare a b = Int.compare a.id b.id

@@ -21,15 +21,3 @@ val make : id:int -> src:Node.id -> dst:Node.id -> capacity:float -> delay:float
     @raise Invalid_argument if [capacity <= 0.], [delay < 0.] or
     [src = dst] (self-loops are meaningless for forwarding). *)
 
-val endpoints : t -> Node.id * Node.id
-
-val key : t -> Node.id * Node.id
-(** [key l] is [(src, dst)]; the unordered variant is {!ukey}. *)
-
-val ukey : t -> Node.id * Node.id
-(** Unordered endpoint pair, smaller id first — identifies the
-    underlying physical link shared by both directions. *)
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-val compare : t -> t -> int

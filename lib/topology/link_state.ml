@@ -1,38 +1,15 @@
-type t = {
-  up : bool array;
-  mutable flips : int;
-  mutable subs : (int -> bool -> unit) list; (* reverse subscription order *)
-}
+type t = bool array
 
-let create g = { up = Array.make (Graph.link_count g) true; flips = 0; subs = [] }
-
-let link_count t = Array.length t.up
+let create g = Array.make (Graph.link_count g) true
 
 let check t i =
-  if i < 0 || i >= Array.length t.up then
+  if i < 0 || i >= Array.length t then
     invalid_arg (Printf.sprintf "Link_state: link id %d out of range" i)
 
 let is_up t i =
   check t i;
-  t.up.(i)
+  t.(i)
 
 let set t i ~up =
   check t i;
-  if t.up.(i) <> up then begin
-    t.up.(i) <- up;
-    t.flips <- t.flips + 1;
-    List.iter (fun f -> f i up) (List.rev t.subs)
-  end
-
-let on_change t f = t.subs <- f :: t.subs
-
-let down_links t =
-  let acc = ref [] in
-  for i = Array.length t.up - 1 downto 0 do
-    if not t.up.(i) then acc := i :: !acc
-  done;
-  !acc
-
-let all_up t = Array.for_all Fun.id t.up
-
-let transitions t = t.flips
+  t.(i) <- up

@@ -3,8 +3,7 @@
     The graph itself stays immutable; fault injection flips entries
     here, and everything that must react to an outage — the chunk
     router's detour filter, custody evacuation, the observability
-    layer's per-link up/down timeseries — reads or subscribes to this
-    view.  One instance is shared per run: the fault driver writes it,
+    layer's per-link up/down timeseries — reads this view.  One instance is shared per run: the fault driver writes it,
     protocol and telemetry read it. *)
 
 type t
@@ -12,23 +11,9 @@ type t
 val create : Graph.t -> t
 (** All links start up. *)
 
-val link_count : t -> int
-
 val is_up : t -> int -> bool
 (** By link id.  @raise Invalid_argument on an out-of-range id. *)
 
 val set : t -> int -> up:bool -> unit
-(** Idempotent: setting the current state fires no subscriber and
-    counts no transition. *)
+(** @raise Invalid_argument on an out-of-range id. *)
 
-val on_change : t -> (int -> bool -> unit) -> unit
-(** Subscribe to state flips; called as [f link_id up] after the entry
-    is updated, in subscription order. *)
-
-val down_links : t -> int list
-(** Currently-down link ids, ascending. *)
-
-val all_up : t -> bool
-
-val transitions : t -> int
-(** Total state flips so far (both directions). *)

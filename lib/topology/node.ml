@@ -14,14 +14,3 @@ type t = {
 
 let make ?(role = Core) id name = { id; name; role }
 
-let role_to_string = function
-  | Core -> "core"
-  | Aggregation -> "aggregation"
-  | Edge -> "edge"
-  | Host -> "host"
-
-let pp ppf t = Format.fprintf ppf "%s#%d(%s)" t.name t.id (role_to_string t.role)
-
-let equal a b = a.id = b.id
-
-let compare a b = Int.compare a.id b.id

@@ -25,8 +25,3 @@ type t = {
 val make : ?role:role -> id -> string -> t
 (** [make id name] builds a node record; [role] defaults to [Core]. *)
 
-val role_to_string : role -> string
-
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
-val compare : t -> t -> int

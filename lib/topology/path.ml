@@ -25,12 +25,4 @@ let of_links ls =
 
 let src p = List.hd p.nodes
 
-let dst p =
-  let rec last = function
-    | [ x ] -> x
-    | _ :: rest -> last rest
-    | [] -> assert false
-  in
-  last p.nodes
-
 let hops p = List.length p.links

@@ -18,6 +18,5 @@ val singleton : Node.id -> t
 (** Zero-hop path (source = destination). *)
 
 val src : t -> Node.id
-val dst : t -> Node.id
 val hops : t -> int
 (** Number of links. *)

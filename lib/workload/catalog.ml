@@ -51,16 +51,9 @@ let create ?(alpha = 0.8) ?(chunk_shape = 1.2) ?(chunk_min = 4)
     harmonic = !harmonic;
   }
 
-let objects t = t.objects
-let alpha t = t.alpha
-
 let chunks t id =
   if id < 0 || id >= t.objects then invalid_arg "Catalog.chunks: bad object id";
   t.chunk_counts.(id)
-
-let mean_chunks t =
-  float_of_int (Array.fold_left ( + ) 0 t.chunk_counts)
-  /. float_of_int t.objects
 
 let draw t rng = t.zipf rng - 1
 

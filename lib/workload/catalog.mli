@@ -22,15 +22,9 @@ val create :
     @raise Invalid_argument if [objects <= 0], [alpha < 0.],
     [chunk_shape <= 0.] or not [1 <= chunk_min <= chunk_max]. *)
 
-val objects : t -> int
-val alpha : t -> float
-
 val chunks : t -> int -> int
 (** Chunk count of an object, in [[chunk_min, chunk_max]].
     @raise Invalid_argument on an id outside [[0, objects)]. *)
-
-val mean_chunks : t -> float
-(** Average chunk count over the catalogue (not popularity-weighted). *)
 
 val draw : t -> Sim.Rng.t -> int
 (** Draw an object id with Zipf popularity using the caller's

@@ -100,20 +100,3 @@ let requests_seq spec g =
 
 let requests spec g = List.of_seq (requests_seq spec g)
 
-let offered_chunks spec =
-  (* base-rate expectation with the catalogue's expected chunk count:
-     E[chunks] under the bounded Pareto, not a sampled mean *)
-  let lo = float_of_int spec.chunk_min
-  and hi_excl = float_of_int (spec.chunk_max + 1)
-  and a = spec.chunk_shape in
-  let mean =
-    if spec.chunk_min = spec.chunk_max then lo
-    else if Float.abs (a -. 1.) < 1e-9 then
-      (* shape 1: E[X] = log(H/L) * L*H/(H-L) for the truncated law *)
-      lo *. hi_excl /. (hi_excl -. lo) *. log (hi_excl /. lo)
-    else
-      let c = 1. -. ((lo /. hi_excl) ** a) in
-      a /. (a -. 1.) /. c
-      *. (lo -. (hi_excl *. ((lo /. hi_excl) ** a)))
-  in
-  spec.rate *. spec.horizon *. mean

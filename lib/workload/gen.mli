@@ -52,7 +52,3 @@ val requests_seq : spec -> Topology.Graph.t -> Request.t Seq.t
     [List.of_seq (requests_seq spec g) = requests spec g] always.
     Argument validation is eager; generation is not. *)
 
-val offered_chunks : spec -> float
-(** Expected chunks injected over the horizon at the {e base} rate —
-    a sizing aid for store/horizon choices, not an exact load figure
-    (diurnal curves and bursts shift it). *)

@@ -40,10 +40,3 @@ let of_json j =
   else if src = dst then Error "request: src = dst"
   else Ok { start; src; dst; content; chunks }
 
-let equal a b =
-  a.start = b.start && a.src = b.src && a.dst = b.dst
-  && a.content = b.content && a.chunks = b.chunks
-
-let pp fmt r =
-  Format.fprintf fmt "@[t=%.6f %d->%d content=%d chunks=%d@]" r.start r.src
-    r.dst r.content r.chunks

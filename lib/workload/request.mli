@@ -19,5 +19,3 @@ val of_json : Obs.Json.t -> (t, string) result
 (** Inverse of {!to_json}; rejects missing fields, non-integer ids,
     negative times and non-positive chunk counts. *)
 
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

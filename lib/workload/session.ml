@@ -69,9 +69,6 @@ let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
     invalid_arg "Session.create: no routable (producer, consumer) pair";
   t
 
-let producers t = Array.to_list t.producers
-let consumers t = Array.to_list t.consumers
-
 let draw t =
   let rec go () =
     let p = t.producers.(Sim.Rng.int t.rng (Array.length t.producers)) in

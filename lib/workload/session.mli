@@ -29,9 +29,6 @@ val create :
     routable (producer, consumer) pair exists at all, or [affinity] is
     outside [0,1]. *)
 
-val producers : t -> Topology.Node.id list
-val consumers : t -> Topology.Node.id list
-
 val draw : t -> Topology.Node.id * Topology.Node.id
 (** A uniformly drawn routable [(producer, consumer)] pair with
     distinct endpoints. *)

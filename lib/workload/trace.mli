@@ -10,13 +10,6 @@ val save : out_channel -> Request.t list -> unit
 
 val save_file : string -> Request.t list -> unit
 
-val load : ?max_requests:int -> in_channel -> (Request.t list, string) result
-(** Requests in file order; stops early at [max_requests] when given.
-    The first malformed line (bad JSON — including a truncated final
-    line — or a JSON value {!Request.of_json} rejects) fails the whole
-    load with its line number; blank lines and CRLF endings are
-    tolerated. *)
-
 val load_file : ?max_requests:int -> string -> (Request.t list, string) result
 
 val validate : Topology.Graph.t -> Request.t list -> (unit, string) result

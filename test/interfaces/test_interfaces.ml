@@ -1,0 +1,218 @@
+(* Two rules over the compiled annotations, and the walker's own
+   behaviour on a fixture.
+
+   "exports": every value a lib/ interface exports is called from
+   another compilation unit outside test/, or is named in
+   exports.allow with the reason a test needs it.  A value called only
+   inside its own module and by no test is reported as hideable.
+
+   "hash order": every walk over a stdlib Hashtbl (iter, fold and the
+   to_seq family) and every Flow_table.iter/iter_bp in lib/, bin/ and
+   bench/ is named in hash_order.allow, with the reason its order does
+   or does not reach an output.
+
+   Paths are relative to the build root: the current directory's
+   grandparent under `dune test`, _build/default under `dune exec`
+   from the repository root. *)
+
+let root =
+  if Sys.file_exists "../../lib/sim/.sim.objs" then "../.." else "_build/default"
+
+(* the allow-lists: this directory under `dune test`, its source
+   under `dune exec` *)
+let allow file =
+  Filename.concat (if root = "../.." then "." else "test/interfaces") file
+
+let max_entries = 30
+
+(* "pattern | reason" lines; blank lines and # comments skipped *)
+let read_allow file =
+  In_channel.with_open_bin file In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         let line = String.trim line in
+         if line = "" || line.[0] = '#' then None
+         else
+           match String.index_opt line '|' with
+           | None -> Alcotest.failf "%s: no reason in %S" file line
+           | Some i ->
+             let pattern = String.trim (String.sub line 0 i) in
+             let reason =
+               String.trim (String.sub line (i + 1) (String.length line - i - 1))
+             in
+             if reason = "" then Alcotest.failf "%s: empty reason in %S" file line;
+             Some (pattern, reason))
+
+let check_size file entries =
+  if List.length entries > max_entries then
+    Alcotest.failf "%s has %d entries, at most %d" file (List.length entries)
+      max_entries
+
+let fail_with title lines =
+  if lines <> [] then Alcotest.failf "%s:\n  %s" title (String.concat "\n  " lines)
+
+(* --- exports ---------------------------------------------------- *)
+
+type pattern = Prefix of string | Names of string list
+
+(* "M.N.*" allows every name under "M.N."; "M.N.{a,b}" and "M.N.v"
+   the names they list *)
+let expand pattern =
+  match String.rindex_opt pattern '.' with
+  | None -> Names [ pattern ]
+  | Some i ->
+    let prefix = String.sub pattern 0 (i + 1) in
+    let rest = String.sub pattern (i + 1) (String.length pattern - i - 1) in
+    if rest = "*" then Prefix prefix
+    else if String.length rest >= 2 && rest.[0] = '{' then
+      Names
+        (String.sub rest 1 (String.length rest - 2)
+        |> String.split_on_char ','
+        |> List.map (fun v -> prefix ^ String.trim v))
+    else Names [ pattern ]
+
+let allowed entries name =
+  List.exists
+    (fun (pattern, _) ->
+      match expand pattern with
+      | Prefix prefix -> String.starts_with ~prefix name
+      | Names names -> List.mem name names)
+    entries
+
+let reports =
+  lazy
+    (let exports = Walker.exports ~root [ "lib" ] in
+     let programs = Walker.units ~root [ "lib"; "bin"; "bench"; "examples" ] in
+     let tests = Walker.units ~root [ "test" ] in
+     Walker.classify ~exports ~programs ~tests)
+
+let describe (r : Walker.report) =
+  Printf.sprintf "%s (%s:%d)%s" r.export.name r.export.decl.loc_start.pos_fname
+    r.export.decl.loc_start.pos_lnum
+    (match r.test_users with
+     | [] -> ""
+     | users -> " called by " ^ String.concat ", " users)
+
+let test_exports () =
+  let reports = Lazy.force reports in
+  let entries = read_allow (allow "exports.allow") in
+  check_size "exports.allow" entries;
+  fail_with "exported values no program calls (delete them, or list them in exports.allow)"
+    (List.filter_map
+       (fun (r : Walker.report) ->
+         if r.verdict = Unused && not (allowed entries r.export.name) then
+           Some (describe r)
+         else None)
+       reports);
+  fail_with "exported values called only inside their own module (hide them)"
+    (List.filter_map
+       (fun (r : Walker.report) ->
+         if r.verdict = Hideable && r.test_users = [] then Some (describe r)
+         else None)
+       reports)
+
+(* An entry is live while it names uncalled exports that a test calls;
+   one that no test needs any more should go, with its value. *)
+let test_exports_live () =
+  let needed (r : Walker.report) = r.verdict = Unused && r.test_users <> [] in
+  let reports = Lazy.force reports in
+  fail_with "exports.allow entries that name no uncalled export a test calls"
+    (List.concat_map
+       (fun (pattern, _) ->
+         match expand pattern with
+         | Prefix prefix ->
+           if
+             List.exists
+               (fun (r : Walker.report) ->
+                 needed r && String.starts_with ~prefix r.export.name)
+               reports
+           then []
+           else [ pattern ]
+         | Names names ->
+           List.filter
+             (fun n ->
+               not
+                 (List.exists
+                    (fun (r : Walker.report) -> needed r && r.export.name = n)
+                    reports))
+             names)
+       (read_allow (allow "exports.allow")))
+
+(* --- hash order ------------------------------------------------- *)
+
+(* "file binding path", with " xN" when a binding makes N such calls *)
+let rendered_sites () =
+  let units = Walker.units ~root [ "lib"; "bin"; "bench" ] in
+  let rec group = function
+    | [] -> []
+    | (s : Walker.site) :: rest ->
+      let same, others = List.partition (( = ) s) rest in
+      let n = 1 + List.length same in
+      Printf.sprintf "%s %s %s%s" s.file s.in_binding s.called
+        (if n = 1 then "" else Printf.sprintf " x%d" n)
+      :: group others
+  in
+  group (Walker.hash_order_sites units)
+
+let test_hash_order () =
+  let entries = read_allow (allow "hash_order.allow") in
+  check_size "hash_order.allow" entries;
+  let sites = rendered_sites () in
+  fail_with "walks in hash order missing from hash_order.allow"
+    (List.filter (fun s -> not (List.mem_assoc s entries)) sites);
+  fail_with "hash_order.allow entries that match no walk"
+    (List.filter_map
+       (fun (pattern, _) -> if List.mem pattern sites then None else Some pattern)
+       entries)
+
+(* --- the walker on its fixture ---------------------------------- *)
+
+let fixture_verdicts =
+  lazy
+    (let dir = "test/interfaces/fixture" in
+     let exports = Walker.exports ~root [ dir ] in
+     let programs = Walker.units ~root [ dir ] in
+     Walker.classify ~exports ~programs ~tests:[]
+     |> List.map (fun (r : Walker.report) -> r.export.name, r.verdict))
+
+let verdict =
+  Alcotest.testable
+    (fun ppf v ->
+      Format.pp_print_string ppf
+        (match v with
+         | Walker.Used -> "used"
+         | Hideable -> "hideable"
+         | Unused -> "unused"))
+    ( = )
+
+let fixture name expected () =
+  Alcotest.(check (option verdict))
+    name (Some expected)
+    (List.assoc_opt name (Lazy.force fixture_verdicts))
+
+let test_fixture_count () =
+  Alcotest.(check int) "exports" 4 (List.length (Lazy.force fixture_verdicts))
+
+let () =
+  Alcotest.run "interfaces"
+    [
+      ( "exports",
+        [
+          Alcotest.test_case "every export has a caller" `Quick test_exports;
+          Alcotest.test_case "allow-list is live" `Quick test_exports_live;
+        ] );
+      ( "hash order",
+        [ Alcotest.test_case "every walk is listed" `Quick test_hash_order ] );
+      ( "walker",
+        [
+          Alcotest.test_case "four exports" `Quick test_fixture_count;
+          Alcotest.test_case "planted export flagged" `Quick
+            (fixture "Fixture.planted" Unused);
+          Alcotest.test_case "own-module use hideable" `Quick
+            (fixture "Fixture.helper" Hideable);
+          Alcotest.test_case "alias use counts" `Quick
+            (fixture "Fixture.entry" Used);
+          Alcotest.test_case "functor argument counts" `Quick
+            (fixture "Fixture.Key.compare" Used);
+        ] );
+    ]

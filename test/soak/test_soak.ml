@@ -91,7 +91,10 @@ let run_scale ~label ~nflows ~sinks =
   (* one sampler tick appends one point to every tracked series *)
   let sampler_ticks =
     List.fold_left
-      (fun acc s -> max acc (Obs.Series.length s))
+      (fun acc s ->
+        let n = ref 0 in
+        Obs.Series.iter (fun ~time:_ _ -> incr n) s;
+        max acc !n)
       0 (Obs.Observer.series obs)
   in
   if r.Inrpp.Protocol.completed <> nflows then
@@ -142,14 +145,15 @@ let write_ndjson path small large =
   List.iter
     (fun s ->
       if List.mem (Obs.Series.name s) artifact_series then begin
-        let len = Obs.Series.length s in
-        let stride = max 1 (len / max_points) in
+        let len = ref 0 in
+        Obs.Series.iter (fun ~time:_ _ -> incr len) s;
+        let stride = max 1 (!len / max_points) in
         let i = ref 0 in
-        while !i < len do
-          let time, v = Obs.Series.get s !i in
-          line (Obs.Export.point_to_json s ~time v);
-          i := !i + stride
-        done
+        Obs.Series.iter
+          (fun ~time v ->
+            if !i mod stride = 0 then line (Obs.Export.point_to_json s ~time v);
+            incr i)
+          s
       end)
     (Obs.Observer.series large.obs);
   output_string oc (Buffer.contents buf);

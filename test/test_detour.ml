@@ -3,6 +3,9 @@
 
 open Topology
 
+(* a path's last node *)
+let path_dst (p : Path.t) = List.nth p.Path.nodes (Path.hops p)
+
 (* ------------------------------------------------------------------ *)
 (* classify_link on known motifs *)
 
@@ -106,7 +109,7 @@ let test_detours_via_diamond () =
     (fun (_, p) ->
       Alcotest.(check int) "1 intermediate" 2 (Path.hops p);
       Alcotest.(check int) "src" 0 (Path.src p);
-      Alcotest.(check int) "dst" 3 (Path.dst p))
+      Alcotest.(check int) "dst" 3 (path_dst p))
     ds
 
 let test_detours_via_depth_limit () =
@@ -257,7 +260,7 @@ let test_zoo_deterministic () =
   let b = Isp_zoo.generate (Isp_zoo.spec Isp_zoo.Sprint) in
   let nodes g =
     List.map
-      (fun (v : Node.t) -> (v.Node.name, Node.role_to_string v.Node.role))
+      (fun (v : Node.t) -> (v.Node.name, v.Node.role))
       (Graph.nodes g)
   in
   let links g =
@@ -266,7 +269,7 @@ let test_zoo_deterministic () =
         ((l.Link.src, l.Link.dst), (l.Link.capacity, l.Link.delay)))
       (Graph.links g)
   in
-  Alcotest.(check (list (pair string string))) "same nodes" (nodes a) (nodes b);
+  Alcotest.(check bool) "same nodes" true (nodes a = nodes b);
   Alcotest.(check (list (pair (pair int int) (pair (float 0.) (float 0.)))))
     "same links" (links a) (links b)
 

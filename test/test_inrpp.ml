@@ -25,7 +25,7 @@ let test_config_rejections () =
 
 let test_config_chunk_tx_time () =
   check_close "80kb at 10Mbps" 1e-12 8e-3
-    (Inrpp.Config.chunk_tx_time Inrpp.Config.default ~rate:10e6)
+    (Inrpp.Config.default.Inrpp.Config.chunk_bits /. 10e6)
 
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
@@ -502,8 +502,6 @@ let test_session_out_of_order () =
   Alcotest.(check int) "highest" 3 (Inrpp.Session.highest_received s);
   ignore (Inrpp.Session.receive s 0);
   Alcotest.(check int) "skips received 1" 2 (Inrpp.Session.next_needed s);
-  Alcotest.(check (list int)) "missing below 5" [ 2; 4 ]
-    (Inrpp.Session.missing_below s 5);
   Alcotest.(check int) "count" 3 (Inrpp.Session.received_count s)
 
 let test_session_bounds () =
@@ -525,8 +523,7 @@ let test_estimator_converges () =
     Inrpp.Rate_estimator.tick e
   done;
   check_close "ra converged" 1e3 5e5 (Inrpp.Rate_estimator.anticipated_rate e);
-  check_close "ratio" 1e-2 0.5 (Inrpp.Rate_estimator.ratio e);
-  Alcotest.(check int) "intervals" 20 (Inrpp.Rate_estimator.intervals e)
+  check_close "ratio" 1e-2 0.5 (Inrpp.Rate_estimator.ratio e)
 
 let test_estimator_transit_counts () =
   let e = Inrpp.Rate_estimator.create ~ti:1. ~alpha:1. ~capacity:1e6 in
@@ -585,9 +582,7 @@ let test_estimator_replay_idle () =
               in
               Alcotest.(check int64) (what ^ ": r_a")
                 (bits (E.anticipated_rate ticked))
-                (bits (E.anticipated_rate replayed));
-              Alcotest.(check int) (what ^ ": intervals")
-                (warm + 1 + k) (E.intervals replayed))
+                (bits (E.anticipated_rate replayed)))
             [ 0; 1; 2; 7; 2500; 10_000 ])
         [ (false, 0); (true, 0); (true, 1); (true, 2100); (true, 3000) ])
     [ 0.; 0.3; 0.5; 1. ];
@@ -600,23 +595,6 @@ let test_estimator_replay_idle () =
   Alcotest.check_raises "bits noted this interval"
     (Invalid_argument "Rate_estimator.replay_idle: interval not idle")
     (fun () -> E.replay_idle e 1)
-
-let test_shares_eq1 () =
-  let s = Inrpp.Rate_estimator.Shares.create ~ifaces:3 in
-  (* iface 0 forwarded 3 requests to iface 1 and 1 to iface 2 *)
-  for _ = 1 to 3 do
-    Inrpp.Rate_estimator.Shares.note s ~from_iface:0 ~to_iface:1
-  done;
-  Inrpp.Rate_estimator.Shares.note s ~from_iface:0 ~to_iface:2;
-  check_close "y(0->1)" 1e-9 0.75
-    (Inrpp.Rate_estimator.Shares.y s ~from_iface:0 ~to_iface:1);
-  check_close "y(0->2)" 1e-9 0.25
-    (Inrpp.Rate_estimator.Shares.y s ~from_iface:0 ~to_iface:2);
-  check_close "empty row" 1e-9 0.
-    (Inrpp.Rate_estimator.Shares.y s ~from_iface:1 ~to_iface:0);
-  Inrpp.Rate_estimator.Shares.reset s;
-  check_close "reset" 1e-9 0.
-    (Inrpp.Rate_estimator.Shares.y s ~from_iface:0 ~to_iface:1)
 
 (* ------------------------------------------------------------------ *)
 (* Phase machine *)
@@ -684,14 +662,14 @@ let test_detour_table_candidates () =
     Alcotest.(check int) "2 hops" 2 c.Inrpp.Detour_table.hops;
     Alcotest.(check int) "2 links" 2 (List.length c.Inrpp.Detour_table.links)
   | [] -> Alcotest.fail "expected candidates");
-  Alcotest.(check bool) "has detour" true (Inrpp.Detour_table.has_detour t l13)
+  Alcotest.(check bool) "has detour" true (Inrpp.Detour_table.candidates t l13 <> [])
 
 let test_detour_table_none_on_line () =
   let g = Topology.Builders.line 3 in
   let t = Inrpp.Detour_table.create g in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   Alcotest.(check bool) "no detour on a line" false
-    (Inrpp.Detour_table.has_detour t l)
+    (Inrpp.Detour_table.candidates t l <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation and flow-state gates *)
@@ -1995,7 +1973,13 @@ let test_sender_paced_push () =
   Alcotest.(check int) "backlog holds the rest" 4 (Inrpp.Sender.backlog s);
   Sim.Engine.run eng;
   Alcotest.(check int) "all invited chunks sent" 5 (List.length !sent);
-  Alcotest.(check int) "pushed high-water" 5 (Inrpp.Sender.pushed s);
+  Alcotest.(check int) "pushed high-water" 5
+    (List.fold_left
+       (fun m (_, p) ->
+         match p.Chunksim.Packet.header with
+         | Chunksim.Packet.Data { idx; _ } -> max m (idx + 1)
+         | _ -> m)
+       0 !sent);
   (* pacing: consecutive sends are 0.1 s apart *)
   let times = List.rev_map fst !sent in
   let rec gaps = function
@@ -2433,7 +2417,12 @@ let prop_session_any_permutation_completes =
       let s = Inrpp.Session.create ~total_chunks:n in
       let order = Array.init n Fun.id in
       let rng = Sim.Rng.create (Int64.of_int (n * 7919)) in
-      Sim.Rng.shuffle rng order;
+      for i = n - 1 downto 1 do
+        let j = Sim.Rng.int rng (i + 1) in
+        let tmp = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- tmp
+      done;
       Array.iter (fun idx -> ignore (Inrpp.Session.receive s idx)) order;
       Inrpp.Session.is_complete s
       && Inrpp.Session.next_needed s = n
@@ -2450,39 +2439,6 @@ let prop_protocol_completes_on_random_lines =
           [ Inrpp.Protocol.flow_spec ~src:0 ~dst:(hops - 1) chunks ]
       in
       r.Inrpp.Protocol.completed = 1 && r.Inrpp.Protocol.total_drops = 0)
-
-let prop_shares_are_a_distribution =
-  (* eq. 1: the y_{i->j} request shares of every from-interface form a
-     probability distribution over the router's outgoing interfaces *)
-  QCheck.Test.make ~name:"request shares y are a distribution (eq. 1)"
-    ~count:200
-    QCheck.(
-      pair (int_range 2 6) (small_list (pair small_nat small_nat)))
-    (fun (ifaces, mix) ->
-      let s = Inrpp.Rate_estimator.Shares.create ~ifaces in
-      List.iter
-        (fun (f, t) ->
-          Inrpp.Rate_estimator.Shares.note s ~from_iface:(f mod ifaces)
-            ~to_iface:(t mod ifaces))
-        mix;
-      let forwarded = Array.make ifaces 0 in
-      List.iter
-        (fun (f, _) ->
-          let f = f mod ifaces in
-          forwarded.(f) <- forwarded.(f) + 1)
-        mix;
-      let ok_from f =
-        let row =
-          List.init ifaces (fun t ->
-              Inrpp.Rate_estimator.Shares.y s ~from_iface:f ~to_iface:t)
-        in
-        List.for_all (fun y -> y >= 0. && y <= 1.) row
-        &&
-        let sum = List.fold_left ( +. ) 0. row in
-        if forwarded.(f) = 0 then sum = 0.
-        else Float.abs (sum -. 1.) <= 1e-9
-      in
-      List.for_all ok_from (List.init ifaces Fun.id))
 
 let prop_estimator_converges_under_stationary_mix =
   (* constant per-interval demand: the EWMA follows the closed form
@@ -2503,8 +2459,7 @@ let prop_estimator_converges_under_stationary_mix =
       let inst = bits /. ti in
       let ra = Inrpp.Rate_estimator.anticipated_rate est in
       let closed = inst *. (1. -. ((1. -. alpha) ** float_of_int ticks)) in
-      Inrpp.Rate_estimator.intervals est = ticks
-      && Float.abs (ra -. closed) <= 1e-6 *. inst
+      Float.abs (ra -. closed) <= 1e-6 *. inst
       && ra <= inst *. (1. +. 1e-12)
       && (* convergence: (1-alpha)^k <= 3e-8 for alpha >= 1/4, k >= 60 *)
       (alpha < 0.25 || ticks < 60 || Float.abs (ra -. inst) <= 1e-5 *. inst))
@@ -2541,7 +2496,6 @@ let () =
           Alcotest.test_case "converges" `Quick test_estimator_converges;
           Alcotest.test_case "transit counts" `Quick test_estimator_transit_counts;
           Alcotest.test_case "decays" `Quick test_estimator_decays;
-          Alcotest.test_case "eq.1 shares" `Quick test_shares_eq1;
         ] );
       (* this group and "tick exact" and "link flips" below stand
          alone so CI runs them by name *)
@@ -2641,7 +2595,6 @@ let () =
             prop_phase_never_skips_validation;
             prop_session_any_permutation_completes;
             prop_protocol_completes_on_random_lines;
-            prop_shares_are_a_distribution;
             prop_estimator_converges_under_stationary_mix;
             prop_flow_table_model;
           ] );

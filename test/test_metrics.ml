@@ -33,19 +33,6 @@ let test_jain_scale_invariant () =
   let b = Metrics.Fairness.jain [| 10.; 20.; 30. |] in
   check_close "scale invariant" 1e-12 a b
 
-let test_max_min_ratio () =
-  check_close "equal" 1e-12 1. (Metrics.Fairness.max_min_ratio [| 4.; 4. |]);
-  check_close "quarter" 1e-12 0.25 (Metrics.Fairness.max_min_ratio [| 1.; 4. |]);
-  check_close "empty" 1e-12 1. (Metrics.Fairness.max_min_ratio [||])
-
-let test_entropy () =
-  check_close "equal shares" 1e-9 1.
-    (Metrics.Fairness.normalised_entropy [| 2.; 2.; 2. |]);
-  check_close "hog" 1e-9 0.
-    (Metrics.Fairness.normalised_entropy [| 5.; 0.; 0. |]);
-  let skewed = Metrics.Fairness.normalised_entropy [| 9.; 1. |] in
-  Alcotest.(check bool) "between" true (skewed > 0. && skewed < 1.)
-
 (* ------------------------------------------------------------------ *)
 (* Report *)
 
@@ -137,8 +124,6 @@ let () =
           Alcotest.test_case "paper example" `Quick test_jain_paper_example;
           Alcotest.test_case "edge cases" `Quick test_jain_edge_cases;
           Alcotest.test_case "scale invariance" `Quick test_jain_scale_invariant;
-          Alcotest.test_case "max-min ratio" `Quick test_max_min_ratio;
-          Alcotest.test_case "entropy" `Quick test_entropy;
         ] );
       ( "report",
         [

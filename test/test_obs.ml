@@ -14,19 +14,14 @@ let check_close msg eps expected got =
 let test_metric_basics () =
   let reg = M.create () in
   let c = M.counter reg ~labels:[ ("node", "1") ] "reqs" in
-  let g = M.gauge reg "queue_bits" in
   let h = M.histogram reg ~lo:0. ~hi:10. ~bins:5 "fct" in
-  M.incr c;
-  M.add c 4;
-  Alcotest.(check int) "counter value" 5 (M.counter_value c);
-  M.set g 3.5;
-  M.gauge_add g 1.5;
-  check_close "gauge value" 1e-9 5. (M.gauge_value g);
+  for _ = 1 to 5 do
+    M.incr c
+  done;
   List.iter (M.observe h) [ 1.; 3.; 9. ];
   M.callback reg "cb" (fun () -> 42.);
-  Alcotest.(check int) "size" 4 (M.size reg);
   match M.snapshot reg with
-  | [ s1; s2; s3; s4 ] ->
+  | [ s1; s2; s3 ] ->
     Alcotest.(check string) "registration order" "reqs" s1.M.name;
     (match s1.M.value with
     | M.Counter_v 5 -> ()
@@ -34,9 +29,6 @@ let test_metric_basics () =
     Alcotest.(check (list (pair string string))) "labels kept"
       [ ("node", "1") ] s1.M.labels;
     (match s2.M.value with
-    | M.Gauge_v v -> check_close "gauge sample" 1e-9 5. v
-    | _ -> Alcotest.fail "gauge sample");
-    (match s3.M.value with
     | M.Histogram_v hs ->
       Alcotest.(check int) "hist count" 3 hs.M.count;
       check_close "hist sum" 1e-9 13. hs.M.sum;
@@ -45,10 +37,10 @@ let test_metric_basics () =
       Alcotest.(check int) "bucket total" 3
         (List.fold_left (fun acc (_, _, n) -> acc + n) 0 hs.M.buckets)
     | _ -> Alcotest.fail "histogram sample");
-    (match s4.M.value with
+    (match s3.M.value with
     | M.Gauge_v v -> check_close "callback read at snapshot" 1e-9 42. v
     | _ -> Alcotest.fail "callback sample")
-  | l -> Alcotest.failf "expected 4 samples, got %d" (List.length l)
+  | l -> Alcotest.failf "expected 3 samples, got %d" (List.length l)
 
 let test_metric_duplicate () =
   let reg = M.create () in
@@ -59,8 +51,8 @@ let test_metric_duplicate () =
     (Invalid_argument "Metric.register: duplicate x{a=1}") (fun () ->
       ignore (M.counter reg ~labels:[ ("a", "1") ] "x"))
 
-(* The hot path must not allocate: counters are int-field bumps,
-   gauges are stores into a flat float record.  Histograms go through
+(* The hot path must not allocate: counters are int-field bumps.
+   Histograms go through
    Stats.Running (a mixed record, so each float store boxes) — bounded
    per-op, but the point of the handle design is that there is no
    per-event closure or lookup on any of them. *)
@@ -70,7 +62,6 @@ let test_metric_hot_path_no_alloc () =
   | Sys.Native ->
     let reg = M.create () in
     let c = M.counter reg "c" in
-    let g = M.gauge reg "g" in
     let h = M.histogram reg ~lo:0. ~hi:1. ~bins:4 "h" in
     let rounds = 10_000 in
     let measure f =
@@ -82,11 +73,6 @@ let test_metric_hot_path_no_alloc () =
       Gc.minor_words () -. before
     in
     check_close "incr allocates nothing" 0. 0. (measure (fun () -> M.incr c));
-    check_close "add allocates nothing" 0. 0. (measure (fun () -> M.add c 3));
-    check_close "set allocates nothing" 0. 0.
-      (measure (fun () -> M.set g 1.25));
-    check_close "gauge_add allocates nothing" 0. 0.
-      (measure (fun () -> M.gauge_add g 0.5));
     let per_op = measure (fun () -> M.observe h 0.5) /. float_of_int rounds in
     Alcotest.(check bool) "observe stays O(words), no closures" true
       (per_op < 16.)
@@ -94,27 +80,35 @@ let test_metric_hot_path_no_alloc () =
 (* ------------------------------------------------------------------ *)
 (* Series *)
 
+(* a series' points, oldest first *)
+let points s =
+  let acc = ref [] in
+  Obs.Series.iter (fun ~time v -> acc := (time, v) :: !acc) s;
+  Array.of_list (List.rev !acc)
+
+let max_value s = Array.fold_left (fun m (_, v) -> Float.max m v) neg_infinity (points s)
+
+let find_series series ?labels name =
+  List.find_opt
+    (fun s ->
+      Obs.Series.name s = name
+      && match labels with None -> true | Some l -> Obs.Series.labels s = l)
+    series
+
 let test_series_basics () =
   let s = Obs.Series.create ~labels:[ ("link", "0") ] "q" in
-  Alcotest.(check int) "empty" 0 (Obs.Series.length s);
-  Alcotest.(check bool) "no last" true (Obs.Series.last s = None);
+  Alcotest.(check int) "empty" 0 (Array.length (points s));
   for i = 0 to 999 do
     Obs.Series.add s ~time:(float_of_int i) (float_of_int (i * 2))
   done;
-  Alcotest.(check int) "growth past initial capacity" 1000
-    (Obs.Series.length s);
-  let t5, v5 = Obs.Series.get s 5 in
-  check_close "get time" 1e-9 5. t5;
-  check_close "get value" 1e-9 10. v5;
-  (match Obs.Series.last s with
-  | Some (t, v) ->
-    check_close "last time" 1e-9 999. t;
-    check_close "last value" 1e-9 1998. v
-  | None -> Alcotest.fail "last");
-  check_close "max" 1e-9 1998. (Obs.Series.max_value s);
-  let n = ref 0 in
-  Obs.Series.iter (fun ~time:_ _ -> incr n) s;
-  Alcotest.(check int) "iter visits all" 1000 !n;
+  let ps = points s in
+  Alcotest.(check int) "growth past initial capacity" 1000 (Array.length ps);
+  let t5, v5 = ps.(5) in
+  check_close "point 5 time" 1e-9 5. t5;
+  check_close "point 5 value" 1e-9 10. v5;
+  let t, v = ps.(999) in
+  check_close "last time" 1e-9 999. t;
+  check_close "last value" 1e-9 1998. v;
   Alcotest.check_raises "time must not go backwards"
     (Invalid_argument "Series.add: time went backwards") (fun () ->
       Obs.Series.add s ~time:0. 0.)
@@ -135,20 +129,19 @@ let test_sampler () =
   Obs.Sampler.start smp;
   Sim.Engine.run ~until:0.55 eng;
   (* baseline at t=0 plus ticks at 0.1..0.5 *)
-  Alcotest.(check int) "points" 6 (Obs.Series.length sx);
+  let ps = points sx in
+  Alcotest.(check int) "points" 6 (Array.length ps);
   Alcotest.(check int) "hook once per sample" 6 !hook_runs;
-  let t0, v0 = Obs.Series.get sx 0 in
+  let t0, v0 = ps.(0) in
   check_close "baseline time" 1e-9 0. t0;
   check_close "baseline value" 1e-9 0. v0;
-  let _, v3 = Obs.Series.get sx 3 in
+  let _, v3 = ps.(3) in
   check_close "sees the scheduled change" 1e-9 7. v3;
-  (match Obs.Sampler.find smp ~labels:[ ("k", "v") ] "x" with
+  match find_series (Obs.Sampler.series smp) ~labels:[ ("k", "v") ] "x" with
   | Some s ->
-    let _, v = Obs.Series.get s 5 in
+    let _, v = (points s).(5) in
     check_close "labelled probe tracked separately" 1e-9 14. v
-  | None -> Alcotest.fail "find with labels");
-  Alcotest.(check bool) "find without labels is the plain series" true
-    (Obs.Sampler.find smp "x" = Some sx)
+  | None -> Alcotest.fail "labelled series"
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -465,8 +458,7 @@ let test_export_nonfinite_round_trip () =
 
 let test_export_empty_series () =
   let s = Obs.Series.create ~labels:[ ("k", "v") ] "nothing" in
-  Alcotest.(check int) "no points" 0 (Obs.Series.length s);
-  Alcotest.(check bool) "no last" true (Obs.Series.last s = None);
+  Alcotest.(check int) "no points" 0 (Array.length (points s));
   let buf = Buffer.create 16 in
   Obs.Export.series_to_ndjson buf [ s ];
   Alcotest.(check string) "no ndjson lines" "" (Buffer.contents buf);
@@ -489,13 +481,14 @@ let test_sink_counter_tap_and_filter () =
   let tap = Obs.Sink.counter_tap reg in
   let seen = ref 0 in
   let only_cached =
-    Obs.Sink.filter
-      (function Chunksim.Trace.Cached _ -> true | _ -> false)
-      (Obs.Sink.callback (fun _ _ -> incr seen))
+    Obs.Sink.callback (fun _ -> function
+      | Chunksim.Trace.Cached _ -> incr seen
+      | _ -> ())
   in
-  let fan = Obs.Sink.fan_out [ tap; only_cached ] in
+  (* both sinks see every event of the one trace *)
   let tr = Chunksim.Trace.create () in
-  Obs.Sink.attach fan tr;
+  Obs.Sink.attach tap tr;
+  Obs.Sink.attach only_cached tr;
   List.iteri
     (fun i e -> Chunksim.Trace.record tr ~time:(float_of_int i) e)
     some_events;
@@ -619,10 +612,12 @@ let test_protocol_instrumented_run () =
     (r.Inrpp.Protocol.trace <> None);
   (* the bottleneck router's custody store filled: its sampled series
      must show occupancy *)
-  (match Obs.Observer.find_series o ~labels:[ ("node", "1") ] "custody_bits" with
+  (match
+     find_series (Obs.Observer.series o) ~labels:[ ("node", "1") ]
+       "custody_bits"
+   with
   | Some s ->
-    Alcotest.(check bool) "custody occupancy sampled" true
-      (Obs.Series.max_value s > 0.)
+    Alcotest.(check bool) "custody occupancy sampled" true (max_value s > 0.)
   | None -> Alcotest.fail "custody_bits series for the bottleneck router");
   (* some interface spent time in back-pressure *)
   let bp_occupancy =
@@ -635,7 +630,7 @@ let test_protocol_instrumented_run () =
   Alcotest.(check bool) "phase occupancy series exist" true
     (bp_occupancy <> []);
   Alcotest.(check bool) "an interface sat in backpressure" true
-    (List.exists (fun s -> Obs.Series.max_value s > 0.) bp_occupancy);
+    (List.exists (fun s -> max_value s > 0.) bp_occupancy);
   (* callback metrics reflect the run; the counter tap saw the trace *)
   let snapshot = Obs.Observer.snapshot o in
   let find name labels =

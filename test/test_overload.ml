@@ -15,7 +15,7 @@ let pressure ?(capacity = 10. *. chunk) ?(free = capacity)
   { Cache.capacity; free; custody_bits; flow_bits; flow_backlog;
     incoming_bits; flows }
 
-let admit p (module P : Cache.POLICY) = P.admit p
+let admit p (policy : Cache.policy) = policy p
 
 let test_object_runs () =
   let p = Cache.object_runs ~threshold:0.5 () in
@@ -30,7 +30,7 @@ let test_object_runs () =
        p);
   Alcotest.check_raises "threshold 0 rejected"
     (Invalid_argument "Cache.object_runs: threshold must be in (0, 1]")
-    (fun () -> ignore (Cache.object_runs ~threshold:0. ()))
+    (fun () -> let (_ : Cache.policy) = Cache.object_runs ~threshold:0. () in ())
 
 let test_fair_share () =
   let p = Cache.fair_share ~share:1.0 () in
@@ -49,7 +49,7 @@ let test_fair_share () =
        p);
   Alcotest.check_raises "share 0 rejected"
     (Invalid_argument "Cache.fair_share: share <= 0") (fun () ->
-      ignore (Cache.fair_share ~share:0. ()))
+      let (_ : Cache.policy) = Cache.fair_share ~share:0. () in ())
 
 let test_policy_in_store () =
   let c =
@@ -57,8 +57,6 @@ let test_policy_in_store () =
       ~policy:(Cache.object_runs ~threshold:0.5 ())
       ()
   in
-  Alcotest.(check (option string)) "policy name" (Some "object-runs(0.50)")
-    (Cache.policy_name c);
   (* flow 0 starts a run and may continue it past the threshold;
      flow 1's new run is rejected once occupancy is at/over half *)
   Alcotest.(check bool) "first admit" true
@@ -106,7 +104,6 @@ let test_breaker_cycle () =
     (Overload.Breaker.on_timeout b ~clock:[| 0.2 |] = `Retry);
   Alcotest.(check bool) "budget exhausted: trips open" true
     (Overload.Breaker.on_timeout b ~clock:[| 0.3 |] = `Wait);
-  Alcotest.(check int) "one trip" 1 (Overload.Breaker.trips b);
   Alcotest.(check bool) "open waits inside the probe interval" true
     (Overload.Breaker.on_timeout b ~clock:[| 0.9 |] = `Wait);
   Alcotest.(check bool) "probe after the interval" true
@@ -139,7 +136,6 @@ let test_breaker_off () =
   done;
   Alcotest.(check bool) "still closed" true
     (Overload.Breaker.state b = Overload.Breaker.Closed);
-  Alcotest.(check int) "no trip" 0 (Overload.Breaker.trips b);
   Alcotest.(check bool) "no store policy" true
     (Option.is_none (Overload.Config.policy off))
 
@@ -290,7 +286,7 @@ let test_schedule_merge () =
       ]
   in
   let m = S.merge a b in
-  Alcotest.(check int) "all events kept" 4 (S.length m);
+  Alcotest.(check int) "all events kept" 4 (List.length (S.events m));
   Alcotest.(check bool) "keeps a's seed" true (S.seed m = 5L);
   (match List.map (fun { S.at; _ } -> at) (S.events m) with
   | [ 1.0; 1.0; 2.0; 3.0 ] -> ()

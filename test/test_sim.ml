@@ -8,22 +8,8 @@ let check_close msg tolerance expected actual =
 (* ------------------------------------------------------------------ *)
 (* Units *)
 
-let test_units_sizes () =
-  check_float "byte is 8 bits" 8. (Sim.Units.bytes 1.);
-  check_float "kB" 8e3 (Sim.Units.kilobytes 1.);
-  check_float "MB" 8e6 (Sim.Units.megabytes 1.);
-  check_float "GB" 8e9 (Sim.Units.gigabytes 1.);
-  check_float "KiB" (8. *. 1024.) (Sim.Units.kibibytes 1.);
-  check_float "GiB" (8. *. 1073741824.) (Sim.Units.gibibytes 1.)
-
-let test_units_rates () =
-  check_float "kbps" 1e3 (Sim.Units.kbps 1.);
-  check_float "mbps" 1e6 (Sim.Units.mbps 1.);
-  check_float "gbps" 4e10 (Sim.Units.gbps 40.)
-
-let test_units_times () =
-  check_float "ms" 1e-3 (Sim.Units.milliseconds 1.);
-  check_float "us" 1e-6 (Sim.Units.microseconds 1.)
+let test_units_sizes () = check_float "GB" 8e9 (Sim.Units.gigabytes 1.)
+let test_units_rates () = check_float "gbps" 4e10 (Sim.Units.gbps 40.)
 
 let test_transmission_time () =
   check_float "1 Mbit over 1 Mbps = 1 s" 1.
@@ -180,39 +166,6 @@ let test_zipf_bounds_and_skew () =
   done;
   Alcotest.(check bool) "rank 1 most popular" true (counts.(1) > counts.(2));
   Alcotest.(check bool) "rank 2 beats rank 50" true (counts.(2) > counts.(50))
-
-let test_poisson_mean () =
-  let r = Sim.Rng.create 23L in
-  let total = ref 0 in
-  let n = 100_000 in
-  for _ = 1 to n do
-    total := !total + Sim.Rng.poisson r ~mean:4.
-  done;
-  check_close "poisson mean ~4" 0.1 4. (float_of_int !total /. float_of_int n);
-  Alcotest.(check int) "zero mean" 0 (Sim.Rng.poisson r ~mean:0.)
-
-let test_poisson_large_mean () =
-  let r = Sim.Rng.create 29L in
-  let total = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    total := !total + Sim.Rng.poisson r ~mean:100.
-  done;
-  check_close "poisson mean ~100 (normal approx)" 1. 100.
-    (float_of_int !total /. float_of_int n)
-
-let test_shuffle_permutation () =
-  let r = Sim.Rng.create 31L in
-  let arr = Array.init 50 Fun.id in
-  Sim.Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
-
-let test_choose () =
-  let r = Sim.Rng.create 37L in
-  Alcotest.(check (option int)) "empty" None (Sim.Rng.choose r []);
-  Alcotest.(check (option int)) "singleton" (Some 5) (Sim.Rng.choose r [ 5 ])
 
 (* ------------------------------------------------------------------ *)
 (* Event queue *)
@@ -398,10 +351,9 @@ let test_engine_past_rejected () =
 let test_engine_periodic () =
   let e = Sim.Engine.create () in
   let ticks = ref 0 in
-  ignore
-  @@ Sim.Engine.schedule_periodic e ~interval:1. (fun () ->
-         incr ticks;
-         !ticks < 4);
+  Sim.Engine.schedule_periodic e ~interval:1. (fun () ->
+      incr ticks;
+      !ticks < 4);
   Sim.Engine.run e;
   Alcotest.(check int) "stops when false" 4 !ticks;
   check_float "last tick time" 4. (Sim.Engine.now e)
@@ -413,26 +365,6 @@ let test_engine_cancel () =
   Sim.Engine.cancel h;
   Sim.Engine.run e;
   Alcotest.(check bool) "cancelled handler never fires" false !fired
-
-let test_engine_periodic_cancel () =
-  let e = Sim.Engine.create () in
-  let ticks = ref 0 in
-  let p =
-    Sim.Engine.schedule_periodic e ~interval:1. (fun () ->
-        incr ticks;
-        true)
-  in
-  Alcotest.(check bool) "active before run" true (Sim.Engine.periodic_active p);
-  (* a third party stops the schedule mid-run *)
-  ignore
-    (Sim.Engine.schedule e ~delay:3.5 (fun () -> Sim.Engine.cancel_periodic p));
-  Sim.Engine.run e;
-  Alcotest.(check int) "ticks until cancelled" 3 !ticks;
-  Alcotest.(check bool) "inactive after cancel" false
-    (Sim.Engine.periodic_active p);
-  (* idempotent *)
-  Sim.Engine.cancel_periodic p;
-  Alcotest.(check bool) "still inactive" false (Sim.Engine.periodic_active p)
 
 let test_engine_step () =
   let e = Sim.Engine.create () in
@@ -734,7 +666,7 @@ let run_with_lanes ~seed =
       pending = (fun () -> Sim.Engine.pending e);
       lane_push = (fun l -> Sim.Engine.lane_push ls.(l));
       after = (fun delay f -> ignore (Sim.Engine.schedule e ~delay f));
-      every = (fun interval f -> ignore (Sim.Engine.schedule_periodic e ~interval f));
+      every = (fun interval f -> Sim.Engine.schedule_periodic e ~interval f);
     }
   in
   handler := lane_scenario ~seed d ~log;
@@ -1013,25 +945,9 @@ let test_running_moments () =
   List.iter (Sim.Stats.Running.add s) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
   Alcotest.(check int) "count" 8 (Sim.Stats.Running.count s);
   check_float "mean" 5. (Sim.Stats.Running.mean s);
-  check_close "variance" 1e-9 (32. /. 7.) (Sim.Stats.Running.variance s);
   check_float "min" 2. (Sim.Stats.Running.min s);
   check_float "max" 9. (Sim.Stats.Running.max s);
   check_float "sum" 40. (Sim.Stats.Running.sum s)
-
-let test_running_merge () =
-  let a = Sim.Stats.Running.create () and b = Sim.Stats.Running.create () in
-  let all = Sim.Stats.Running.create () in
-  List.iter
-    (fun x ->
-      Sim.Stats.Running.add all x;
-      if x < 5. then Sim.Stats.Running.add a x else Sim.Stats.Running.add b x)
-    [ 1.; 2.; 3.; 6.; 7.; 10. ];
-  let merged = Sim.Stats.Running.merge a b in
-  check_close "merged mean" 1e-9 (Sim.Stats.Running.mean all)
-    (Sim.Stats.Running.mean merged);
-  check_close "merged variance" 1e-9
-    (Sim.Stats.Running.variance all)
-    (Sim.Stats.Running.variance merged)
 
 let test_samples_percentiles () =
   let s = Sim.Stats.Samples.create () in
@@ -1040,7 +956,7 @@ let test_samples_percentiles () =
   done;
   check_float "p0 = min" 1. (Sim.Stats.Samples.percentile s 0.);
   check_float "p100 = max" 100. (Sim.Stats.Samples.percentile s 100.);
-  check_float "median" 50.5 (Sim.Stats.Samples.median s);
+  check_float "median" 50.5 (Sim.Stats.Samples.percentile s 50.);
   check_close "p90" 0.5 90. (Sim.Stats.Samples.percentile s 90.)
 
 let test_samples_cdf () =
@@ -1054,28 +970,11 @@ let test_samples_cdf () =
   let last_p = snd (List.nth curve 3) in
   check_float "curve ends at 1" 1. last_p
 
-let test_mean_ci95 () =
-  let s = Sim.Stats.Samples.create () in
-  for i = 1 to 100 do
-    Sim.Stats.Samples.add s (float_of_int (i mod 10))
-  done;
-  let m, hw = Sim.Stats.Samples.mean_ci95 s in
-  check_float "mean" 4.5 m;
-  Alcotest.(check bool) "positive half width" true (hw > 0. && hw < 1.);
-  let single = Sim.Stats.Samples.create () in
-  Sim.Stats.Samples.add single 3.;
-  let m1, hw1 = Sim.Stats.Samples.mean_ci95 single in
-  check_float "single mean" 3. m1;
-  check_float "single hw" 0. hw1;
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Stats.Samples.mean_ci95: empty") (fun () ->
-      ignore (Sim.Stats.Samples.mean_ci95 (Sim.Stats.Samples.create ())))
-
 let test_histogram () =
   let h = Sim.Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
   List.iter (Sim.Stats.Histogram.add h) [ 1.; 3.; 5.; 7.; 9.; -1.; 11. ];
-  Alcotest.(check int) "total" 7 (Sim.Stats.Histogram.total h);
   let counts = Sim.Stats.Histogram.counts h in
+  Alcotest.(check int) "total" 7 (Array.fold_left ( + ) 0 counts);
   Alcotest.(check int) "clamped low" 2 counts.(0);
   Alcotest.(check int) "clamped high" 2 counts.(4);
   Alcotest.(check int) "edges" 6 (Array.length (Sim.Stats.Histogram.bin_edges h))
@@ -1090,13 +989,11 @@ let test_timeline_average () =
   check_float "integral" 20. (Sim.Timeline.integral tl ~until:6.);
   check_close "time average" 1e-9 (20. /. 6.)
     (Sim.Timeline.time_average tl ~until:6.);
-  check_float "peak" 10. (Sim.Timeline.peak tl);
   check_float "current value" 0. (Sim.Timeline.value tl)
 
 let test_timeline_initial () =
   let tl = Sim.Timeline.create ~initial:5. ~start:1. () in
-  check_float "avg of constant" 5. (Sim.Timeline.time_average tl ~until:3.);
-  Alcotest.(check int) "one change point" 1 (List.length (Sim.Timeline.changes tl))
+  check_float "avg of constant" 5. (Sim.Timeline.time_average tl ~until:3.)
 
 let test_timeline_backwards_rejected () =
   let tl = Sim.Timeline.create ~start:0. () in
@@ -1164,7 +1061,6 @@ let () =
         [
           Alcotest.test_case "sizes" `Quick test_units_sizes;
           Alcotest.test_case "rates" `Quick test_units_rates;
-          Alcotest.test_case "times" `Quick test_units_times;
           Alcotest.test_case "transmission time" `Quick test_transmission_time;
           Alcotest.test_case "paper custody claim" `Quick test_custody_claim;
           Alcotest.test_case "pretty printers" `Quick test_pp_formats;
@@ -1180,10 +1076,6 @@ let () =
           Alcotest.test_case "pareto support" `Quick test_pareto_support;
           Alcotest.test_case "pareto mean" `Slow test_pareto_mean;
           Alcotest.test_case "zipf bounds and skew" `Quick test_zipf_bounds_and_skew;
-          Alcotest.test_case "poisson mean" `Slow test_poisson_mean;
-          Alcotest.test_case "poisson large mean" `Slow test_poisson_large_mean;
-          Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
-          Alcotest.test_case "choose" `Quick test_choose;
         ] );
       ( "event_queue",
         [
@@ -1205,7 +1097,6 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "periodic" `Quick test_engine_periodic;
-          Alcotest.test_case "periodic cancel" `Quick test_engine_periodic_cancel;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "max events guard" `Quick test_engine_max_events;
           Alcotest.test_case "step" `Quick test_engine_step;
@@ -1232,11 +1123,9 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "running moments" `Quick test_running_moments;
-          Alcotest.test_case "running merge" `Quick test_running_merge;
           Alcotest.test_case "percentiles" `Quick test_samples_percentiles;
           Alcotest.test_case "cdf" `Quick test_samples_cdf;
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "mean ci95" `Quick test_mean_ci95;
         ] );
       ( "timeline",
         [
