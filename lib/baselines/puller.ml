@@ -38,9 +38,16 @@ let rec next_chunk f =
     fresh ()
 
 let expire f outstanding ~now ~deadline =
+  (* the survivors' earliest send time, found in the same walk *)
+  let oldest = ref Float.infinity in
   let expired =
     Itbl.fold
-      (fun idx t0 acc -> if now -. t0 > deadline then idx :: acc else acc)
+      (fun idx t0 acc ->
+        if now -. t0 > deadline then idx :: acc
+        else begin
+          if t0 < !oldest then oldest := t0;
+          acc
+        end)
       outstanding []
   in
   List.iter
@@ -52,13 +59,14 @@ let expire f outstanding ~now ~deadline =
         f.retx <- f.retx + 1
       end)
     expired;
-  expired <> []
+  !oldest
 
 let retransmissions f = f.retx
 
 type sub = {
   win : Window.t;
   outstanding : float Itbl.t;  (* chunk -> send time *)
+  mutable oldest : float;  (* no send time in [outstanding] is earlier *)
 }
 
 let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
@@ -66,7 +74,12 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
   let fetch = fetch sess in
   let subs =
     Array.map
-      (fun _ -> { win = Window.create (); outstanding = Itbl.create 32 })
+      (fun _ ->
+        {
+          win = Window.create ();
+          outstanding = Itbl.create 32;
+          oldest = Float.infinity;
+        })
       flow.Harness.wires
   in
   let fill () =
@@ -79,7 +92,9 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
             if Itbl.length s.outstanding < Window.capacity s.win then begin
               match next_chunk fetch with
               | Some nc ->
-                Itbl.replace s.outstanding nc (Sim.Engine.now eng);
+                let now = Sim.Engine.now eng in
+                Itbl.replace s.outstanding nc now;
+                if now < s.oldest then s.oldest <- now;
                 Harness.request env flow ~subflow ~nc
                   ~ack:(Session.next_needed sess);
                 progress := true
@@ -89,18 +104,24 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
       done
     end
   in
+  (* A subflow whose oldest send time is within its RTO has nothing to
+     expire, so a poll walks its requests only once one might. *)
   let rec check_timeouts () =
     if not (Session.is_complete sess) then begin
       let now = Sim.Engine.now eng in
       Array.iter
         (fun s ->
-          if expire fetch s.outstanding ~now ~deadline:(Window.rto s.win) then
-            Window.on_loss s.win ~now)
+          let deadline = Window.rto s.win in
+          if now -. s.oldest > deadline then begin
+            let before = Itbl.length s.outstanding in
+            s.oldest <- expire fetch s.outstanding ~now ~deadline;
+            if Itbl.length s.outstanding < before then Window.on_loss s.win ~now
+          end)
         subs;
       fill ();
-      ignore (Sim.Engine.schedule eng ~delay:0.02 check_timeouts)
+      Sim.Engine.arm (Lazy.force poll) ~delay:0.02
     end
-  in
+  and poll = lazy (Sim.Engine.timer eng check_timeouts) in
   let on_data ~subflow idx verdict =
     let s = subs.(subflow) in
     (match Itbl.find_opt s.outstanding idx with

@@ -22,11 +22,13 @@ val fetch : Inrpp.Session.t -> fetch
 val next_chunk : fetch -> int option
 
 val expire :
-  fetch -> float Itbl.t -> now:float -> deadline:float -> bool
+  fetch -> float Itbl.t -> now:float -> deadline:float -> float
 (** [expire f outstanding ~now ~deadline] removes every request sent
     more than [deadline] before [now] from [outstanding] (chunk ->
     send time) and requeues it unless already queued, counting a
-    retransmission; [true] if any expired. *)
+    retransmission.  It returns the earliest send time left in
+    [outstanding], [infinity] when none is: until [now] passes that
+    time by more than [deadline], a second call expires nothing. *)
 
 val retransmissions : fetch -> int
 

@@ -70,8 +70,6 @@ type t = {
   mutable spare : int;
   mutable index : int array;
   mutable shift : int;
-  mutable hit_count : int;
-  mutable miss_count : int;
   (* admission policy; [None] admits while capacity lasts (drop-tail) *)
   policy : policy option;
 }
@@ -102,8 +100,6 @@ let create ?policy ~capacity () =
     spare = no_slot;
     index = [| no_slot |];
     shift = 63;
-    hit_count = 0;
-    miss_count = 0;
     policy;
   }
 
@@ -344,12 +340,8 @@ let insert_popular t ~flow ~idx ~bits =
 
 let lookup_popular t ~flow ~idx =
   let s = t.index.(find_cell t (Chunk_key.pack ~flow ~idx)) in
-  if s = no_slot then begin
-    t.miss_count <- t.miss_count + 1;
-    false
-  end
+  if s = no_slot then false
   else begin
-    t.hit_count <- t.hit_count + 1;
     if s <> t.newest then begin
       unlink t s;
       push_newest t s
@@ -363,6 +355,4 @@ let popular_occupancy t = t.used.popular
 
 let occupancy t = t.used.custody +. t.used.popular
 let capacity t = t.cap
-let hits t = t.hit_count
-let misses t = t.miss_count
 

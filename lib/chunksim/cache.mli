@@ -135,5 +135,3 @@ val popular_occupancy : t -> float
 
 val occupancy : t -> float
 val capacity : t -> float
-val hits : t -> int
-val misses : t -> int

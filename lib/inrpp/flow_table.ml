@@ -1,19 +1,22 @@
-(* One-slab slot table — see the .mli for the contract.  Every slot is
-   a [stride]-byte record in [slab]; the flowlet clock sits beside it
-   in an unboxed float array.  The slab grows by doubling and never
-   shrinks; a released slot is threaded onto a free list through its
-   flow field (live slots hold the flow id >= 0, free slots hold
-   [-2 - next] so the encoding never collides with a flow id).  The
-   flow -> slot index chains live slots through their chain field from
-   [buckets] and mirrors the stdlib [Hashtbl] step for step, so {!iter}
-   keeps its order.
+(* Paged slot table — see the .mli for the contract.  Every slot is a
+   [stride]-byte record in a [Bytes] page of [page_slots] slots; its
+   flowlet clock sits at the same index in an unboxed float page.  The
+   first page grows by doubling up to [page_slots]; past that, growth
+   appends a fresh page pair and moves no slot, so a table never holds
+   a second copy of its records and its slack is under one page.  The
+   page directories double, copying only pointers.  A released slot is
+   threaded onto a free list through its flow field (live slots hold
+   the flow id >= 0, free slots hold [-2 - next] so the encoding never
+   collides with a flow id).  The flow -> slot index chains live slots
+   through their chain field from [buckets] and mirrors the stdlib
+   [Hashtbl] step for step, so {!iter} keeps its order.
 
    Two shortcuts skip walks whose answer the table already knows.
    [top] is the largest flow id ever added: a flow above it cannot be
    present, so its install skips the absence walk.  [memo_flow] and
    [memo_slot] remember the last flow {!find} found.  Slots never move
-   ([resize] relinks chains, [grow] copies bytes in place), so the memo
-   stays exact until that flow's release clears it. *)
+   ([resize] relinks chains, [grow] keeps every slot's number), so the
+   memo stays exact until that flow's release clears it. *)
 
 type route =
   | Primary
@@ -39,9 +42,14 @@ let o_route = 32     (* flowlet pin: -1 = Primary, else Via node id *)
 let o_flags = 36
 let stride = 40
 
+(* Slot [s] lives in page [s lsr page_bits] at index [s land page_mask] *)
+let page_bits = 10
+let page_slots = 1 lsl page_bits
+let page_mask = page_slots - 1
+
 (* Unchecked loads and stores: every slot number used below is under
-   [cap], either taken from the index or checked by [slot_at], and
-   every bucket number is masked to the bucket count. *)
+   [cap], either taken from the index or checked by [slot_at], so its
+   page exists; every bucket number is masked to the bucket count. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
@@ -56,9 +64,9 @@ type t = {
   gap : float;
   mutable buckets : Bytes.t;      (* int32 head slot per bucket, -1 = empty *)
   mutable live : int;
-  mutable slab : Bytes.t;         (* [stride] bytes per slot *)
-  mutable fl_last : float array;  (* unboxed; nan = no flowlet pin yet *)
-  mutable cap : int;              (* slots in [slab] and [fl_last] *)
+  mutable pages : Bytes.t array;  (* [stride] bytes per slot *)
+  mutable clocks : float array array; (* unboxed; nan = no flowlet pin *)
+  mutable cap : int;              (* slots in the pages *)
   mutable next : int;             (* first never-used slot *)
   mutable free : int;             (* free-list head, -1 = empty *)
   mutable peak : int;
@@ -82,8 +90,8 @@ let create ~gap () =
     gap;
     buckets = empty_buckets 16;
     live = 0;
-    slab = Bytes.empty;
-    fl_last = [||];
+    pages = [||];
+    clocks = [||];
     cap = 0;
     next = 0;
     free = -1;
@@ -94,38 +102,74 @@ let create ~gap () =
     memo_slot = -1;
   }
 
+(* A slot's page and its byte offset there.  These and the field
+   accessors must inline: a call per field read costs more than the
+   page lookup itself. *)
+let[@inline] page t slot = Array.unsafe_get t.pages (slot lsr page_bits)
+let[@inline] at slot off = ((slot land page_mask) * stride) + off
+
 (* A slot's fields by slot number and offset *)
-let get t slot off = Int64.to_int (get64 t.slab ((slot * stride) + off))
-let set t slot off v = set64 t.slab ((slot * stride) + off) (Int64.of_int v)
-let get32f t slot off = Int32.to_int (get32 t.slab ((slot * stride) + off))
+let[@inline] get t slot off = Int64.to_int (get64 (page t slot) (at slot off))
 
-let set32f t slot off v =
-  set32 t.slab ((slot * stride) + off) (Int32.of_int v)
+let[@inline] set t slot off v =
+  set64 (page t slot) (at slot off) (Int64.of_int v)
 
-let flags t slot =
-  Char.code (Bytes.unsafe_get t.slab ((slot * stride) + o_flags))
+let[@inline] get32f t slot off =
+  Int32.to_int (get32 (page t slot) (at slot off))
 
-let set_flags t slot v =
-  Bytes.unsafe_set t.slab ((slot * stride) + o_flags) (Char.unsafe_chr v)
+let[@inline] set32f t slot off v =
+  set32 (page t slot) (at slot off) (Int32.of_int v)
+
+let[@inline] flags t slot =
+  Char.code (Bytes.unsafe_get (page t slot) (at slot o_flags))
+
+let[@inline] set_flags t slot v =
+  Bytes.unsafe_set (page t slot) (at slot o_flags) (Char.unsafe_chr v)
+
+(* The flowlet clock *)
+let[@inline] clock t slot =
+  Array.unsafe_get
+    (Array.unsafe_get t.clocks (slot lsr page_bits))
+    (slot land page_mask)
+
+let[@inline] set_clock t slot v =
+  Array.unsafe_set
+    (Array.unsafe_get t.clocks (slot lsr page_bits))
+    (slot land page_mask) v
 
 (* A slot number from a caller *)
-let slot_at t slot =
+let[@inline] slot_at t slot =
   if slot < 0 || slot >= t.cap then invalid_arg "Flow_table: no such slot";
   slot
 
+(* The page that holds slot [n] is replaced by one that holds slots up
+   to [m - 1]: below a page the first page doubles, copying its slots;
+   from a page on it is a fresh page and no slot is copied.  The
+   directories double when full, copying only pointers; the first grow
+   creates them.  Fresh blocks + blit leave no temporary for the GC to
+   keep; slots past [n] are written whole when first handed out. *)
 let grow t =
   let n = t.cap in
-  let m = max 16 (2 * n) in
+  let m = if n < page_slots then max 16 (2 * n) else n + page_slots in
   (* chain fields and bucket heads hold slot numbers at int32 *)
   if not (fits32 m) then invalid_arg "Flow_table: slots outside int32";
-  (* fresh blocks + blit: no temporary for the GC to keep; slots past
-     [n] are written whole when first handed out *)
-  let slab = Bytes.create (m * stride) in
-  Bytes.blit t.slab 0 slab 0 (n * stride);
-  t.slab <- slab;
-  let fl = Array.create_float m in
-  Array.blit t.fl_last 0 fl 0 n;
-  t.fl_last <- fl;
+  let p = n lsr page_bits in
+  if p = Array.length t.pages then begin
+    let d = max 1 (2 * p) in
+    let pages = Array.make d Bytes.empty in
+    Array.blit t.pages 0 pages 0 p;
+    t.pages <- pages;
+    let clocks = Array.make d [||] in
+    Array.blit t.clocks 0 clocks 0 p;
+    t.clocks <- clocks
+  end;
+  let base = p lsl page_bits in
+  let pg = Bytes.create ((m - base) * stride) in
+  Bytes.blit t.pages.(p) 0 pg 0 ((n - base) * stride);
+  t.pages.(p) <- pg;
+  let fl = Array.create_float (m - base) in
+  Array.blit t.clocks.(p) 0 fl 0 (n - base);
+  t.clocks.(p) <- fl;
   t.cap <- m
 
 let alloc t =
@@ -224,7 +268,7 @@ let add t ~flow =
     write_entry t slot ~content:flow ~data_link:(-1) ~req_link:(-1)
       ~data_port:(-1);
     set32f t slot o_route (-1);
-    t.fl_last.(slot) <- Float.nan;
+    set_clock t slot Float.nan;
     t.live <- t.live + 1;
     if t.live > t.peak then t.peak <- t.live;
     if t.live > 2 * n_buckets t then resize t;
@@ -300,8 +344,8 @@ let flowlet_choose t slot ~now ~preferred =
       check32 "route" v;
       v
   in
-  let last = Array.unsafe_get t.fl_last slot in
-  Array.unsafe_set t.fl_last slot now;
+  let last = clock t slot in
+  set_clock t slot now;
   if Float.is_nan last then begin
     set32f t slot o_route encoded;
     preferred
@@ -344,5 +388,10 @@ let recycled t = t.recycled
 
 let approx_bytes t =
   (* a slot's record plus its flowlet clock, an int32 per bucket, and
-     the three blocks' headers and padding plus the table record *)
+     the first blocks' headers and padding plus the table record; past
+     one page, three header words a page and two pointers a directory
+     slot *)
+  let pages = (t.cap + page_mask) lsr page_bits in
   (t.cap * (stride + 8)) + (n_buckets t * 4) + 128
+  + (24 * max 0 (pages - 1))
+  + (16 * max 0 (Array.length t.pages - 1))

@@ -3,15 +3,19 @@
     The router keeps one entry per flow crossing it: next hops for
     data and requests, the data link's port, five
     back-pressure/fail-over flags and the flowlet pin.  This module
-    owns that state as one slab of fixed-stride slot records in a
-    single [Bytes] block: flow id and content at 63 bits; the index
-    chain, both next-hop link ids ({e ids}, [-1] = none), the data
-    link's port index and the flowlet route at int32; and a one-byte
-    flag bitfield.  The flowlet clock sits beside the slab in an
-    unboxed float array, and released slots are recycled through a
-    free list.  The GC scans none of it, and growth is a copy of
-    bytes.  Steady-state cost is a few dozen bytes per flow, measured
-    and frozen by the flow-state gate in [test/test_inrpp.ml].
+    owns that state as fixed-stride slot records in [Bytes] pages of
+    1024 slots: flow id and content at 63 bits; the index chain, both
+    next-hop link ids ({e ids}, [-1] = none), the data link's port
+    index and the flowlet route at int32; and a one-byte flag
+    bitfield.  Each page has an unboxed float page beside it for the
+    flowlet clocks, and released slots are recycled through a free
+    list.  The GC scans none of it.  The first page grows by doubling
+    from 16 slots, so a table of a few hundred flows stays small; past
+    one page, growth adds a page and copies no slot, so a large table
+    keeps under one page of slack and leaves no old copy for the GC.
+    Steady-state cost is a few dozen bytes per flow, measured and
+    frozen by the flow-state gate in [test/test_inrpp.ml], which also
+    bounds what a 250k-flow ramp allocates.
 
     The flow id -> slot index allocates nothing per entry: an int32
     bucket array holds each bucket's head slot and each slot's chain
@@ -32,16 +36,16 @@
     absence walk.  Flow ids handed out in ascending order, as the
     protocol does, never walk on install.  And {!find} keeps a
     one-entry memo of the last flow it found with its slot.  Slots
-    never move (the index only relinks chains and growth copies the
-    slab in place), so the memo stays exact until {!release} of that
+    never move (the index only relinks chains and growth keeps every
+    slot's number), so the memo stays exact until {!release} of that
     flow clears it.
 
     Next hops are stored as link ids rather than [Link.t] to keep the
-    slab free of pointers; resolve through [Topology.Graph.link] (O(1),
+    pages free of pointers; resolve through [Topology.Graph.link] (O(1),
     returns the canonical physical link).  Link ids, port indices and
     flowlet routes must fit in int32: a setter given one outside
     raises [Invalid_argument] before it writes anything.  So does
-    every accessor given a slot outside the slab. *)
+    every accessor given a slot outside the table's capacity. *)
 
 (** Flowlet pinning (Sinha et al., cited by the paper for detour
     granularity): a flow's packets within one burst stay on one route
@@ -150,8 +154,8 @@ val recycled : t -> int
 (** Slots returned to the free list by {!release}. *)
 
 val approx_bytes : t -> int
-(** Retained heap for the per-flow state: the slab and the flowlet
-    clock at current capacity, the int32 bucket array, and a fixed
-    allowance for block headers and the table record.  An accounting
+(** Retained heap for the per-flow state: the slot and clock pages at
+    current capacity, the int32 bucket array, the page directories,
+    and an allowance for block headers and the table record.  An accounting
     figure for gauges and reports; the flow-state gate checks it
     against its live-words measurement, which is what it freezes. *)

@@ -31,8 +31,8 @@ type registry = Port.registry
 type t = {
   s : Port.set;                   (* the interfaces' control plane *)
   (* per-flow forwarding state: next hops as link ids, the data link's
-     port index, flag bitfield and flowlet pin, one slab of slot
-     records with free-list recycling (see Flow_table) *)
+     port index, flag bitfield and flowlet pin, paged slot records
+     with free-list recycling (see Flow_table) *)
   ft : Ft.t;
   store : Cache.t;
   custody_packets : Packet.t Itbl.t;  (* Chunk_key-packed *)

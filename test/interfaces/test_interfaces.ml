@@ -23,7 +23,8 @@ let root =
 let allow file =
   Filename.concat (if root = "../.." then "." else "test/interfaces") file
 
-let max_entries = 30
+(* the larger list's size today: a new entry must displace one *)
+let max_entries = 21
 
 (* "pattern | reason" lines; blank lines and # comments skipped *)
 let read_allow file =

@@ -239,9 +239,7 @@ let test_cache_lru () =
   Alcotest.(check bool) "0 survives" true
     (Chunksim.Cache.lookup_popular c ~flow:0 ~idx:0);
   Alcotest.(check bool) "1 evicted" false
-    (Chunksim.Cache.lookup_popular c ~flow:0 ~idx:1);
-  Alcotest.(check int) "hits" 2 (Chunksim.Cache.hits c);
-  Alcotest.(check int) "misses" 1 (Chunksim.Cache.misses c)
+    (Chunksim.Cache.lookup_popular c ~flow:0 ~idx:1)
 
 let test_cache_custody_evicts_popular () =
   let c = cache () in
@@ -332,7 +330,6 @@ let prop_popular_model =
     (fun ops ->
       let c = Chunksim.Cache.create ~capacity:cap () in
       let lru = ref [] and popular = ref 0. and custody = ref 0. in
-      let hits = ref 0 and misses = ref 0 in
       let held = Array.init 4 (fun _ -> Queue.create ()) in
       let next = Array.make 4 0 in
       let rec make_room bits =
@@ -349,22 +346,17 @@ let prop_popular_model =
       let lookup_both k =
         match List.assoc_opt k !lru with
         | Some b ->
-          incr hits;
           lru := (k, b) :: List.remove_assoc k !lru;
           lookup k
-        | None ->
-          incr misses;
-          not (lookup k)
+        | None -> not (lookup k)
       in
       let agrees () =
         let present = Array.make keys false in
         List.iter (fun (k, _) -> present.(k) <- true) !lru;
         List.for_all lookup_both (List.rev_map fst !lru)
         && Seq.for_all
-             (fun k -> present.(k) || (incr misses; not (lookup k)))
+             (fun k -> present.(k) || not (lookup k))
              (Seq.init keys Fun.id)
-        && Chunksim.Cache.hits c = !hits
-        && Chunksim.Cache.misses c = !misses
         && Chunksim.Cache.popular_occupancy c = !popular
         && Chunksim.Cache.custody_occupancy c = !custody
       in
@@ -421,11 +413,14 @@ let test_cache_popular_alloc () =
     let rng = Sim.Rng.create 11L in
     let ops = 100_000 in
     let keys = Array.init ops (fun _ -> Sim.Rng.int rng (2 * full)) in
+    let hits = ref 0 in
     let before = Gc.minor_words () in
     for i = 0 to ops - 1 do
       let k = keys.(i) in
-      if i land 1 = 0 then
-        ignore (Chunksim.Cache.lookup_popular c ~flow:(k / 64) ~idx:(k mod 64))
+      if i land 1 = 0 then begin
+        if Chunksim.Cache.lookup_popular c ~flow:(k / 64) ~idx:(k mod 64) then
+          incr hits
+      end
       else Chunksim.Cache.insert_popular c ~flow:(k / 64) ~idx:(k mod 64) ~bits
     done;
     let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
@@ -434,7 +429,7 @@ let test_cache_popular_alloc () =
       Alcotest.failf "%g minor words/op, frozen %g, bound %g" per_op frozen
         (1.25 *. frozen);
     Alcotest.(check bool) "lookups hit and miss" true
-      (Chunksim.Cache.hits c > 0 && Chunksim.Cache.misses c > 0)
+      (!hits > 0 && !hits < ops / 2)
 
 (* ------------------------------------------------------------------ *)
 (* Iface + Net *)
