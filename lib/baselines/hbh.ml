@@ -95,13 +95,17 @@ let receivers g (env : Harness.env) =
     (fun (f : Harness.flow) ->
       let fetch = Puller.fetch f.Harness.sess in
       let outstanding = Puller.Itbl.create 32 in
+      (* no send time in [outstanding] is earlier *)
+      let oldest = ref Float.infinity in
       let finished () = Session.is_complete f.Harness.sess in
       let rec top_up () =
         if not (finished ()) then begin
           if Puller.Itbl.length outstanding < window then begin
             match Puller.next_chunk fetch with
             | Some nc ->
-              Puller.Itbl.replace outstanding nc (Sim.Engine.now eng);
+              let now = Sim.Engine.now eng in
+              Puller.Itbl.replace outstanding nc now;
+              if now < !oldest then oldest := now;
               Harness.request env f ~subflow:0 ~nc ~ack:0
             | None -> ()
           end;
@@ -110,12 +114,12 @@ let receivers g (env : Harness.env) =
       in
       let rec check_timeouts () =
         if not (finished ()) then begin
-          ignore
-            (Puller.expire fetch outstanding ~now:(Sim.Engine.now eng)
-               ~deadline);
-          ignore (Sim.Engine.schedule eng ~delay:0.1 check_timeouts)
+          oldest :=
+            Puller.expire fetch outstanding ~oldest:!oldest
+              ~now:(Sim.Engine.now eng) ~deadline;
+          Sim.Engine.arm (Lazy.force poll) ~delay:0.1
         end
-      in
+      and poll = lazy (Sim.Engine.timer eng check_timeouts) in
       {
         Harness.start =
           (fun () ->

@@ -37,29 +37,35 @@ let rec next_chunk f =
     in
     fresh ()
 
-let expire f outstanding ~now ~deadline =
-  (* the survivors' earliest send time, found in the same walk *)
-  let oldest = ref Float.infinity in
-  let expired =
-    Itbl.fold
-      (fun idx t0 acc ->
-        if now -. t0 > deadline then idx :: acc
-        else begin
-          if t0 < !oldest then oldest := t0;
-          acc
+(* No send time in [outstanding] is below [oldest], so while [now]
+   is within [deadline] of it no request can qualify and the walk is
+   skipped. *)
+let expire f outstanding ~oldest ~now ~deadline =
+  if now -. oldest <= deadline then oldest
+  else begin
+    (* the survivors' earliest send time, found in the same walk *)
+    let oldest = ref Float.infinity in
+    let expired =
+      Itbl.fold
+        (fun idx t0 acc ->
+          if now -. t0 > deadline then idx :: acc
+          else begin
+            if t0 < !oldest then oldest := t0;
+            acc
+          end)
+        outstanding []
+    in
+    List.iter
+      (fun idx ->
+        Itbl.remove outstanding idx;
+        if not (Itbl.mem f.retry_set idx) then begin
+          Itbl.replace f.retry_set idx ();
+          Queue.add idx f.retry;
+          f.retx <- f.retx + 1
         end)
-      outstanding []
-  in
-  List.iter
-    (fun idx ->
-      Itbl.remove outstanding idx;
-      if not (Itbl.mem f.retry_set idx) then begin
-        Itbl.replace f.retry_set idx ();
-        Queue.add idx f.retry;
-        f.retx <- f.retx + 1
-      end)
-    expired;
-  !oldest
+      expired;
+    !oldest
+  end
 
 let retransmissions f = f.retx
 
@@ -104,19 +110,16 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
       done
     end
   in
-  (* A subflow whose oldest send time is within its RTO has nothing to
-     expire, so a poll walks its requests only once one might. *)
   let rec check_timeouts () =
     if not (Session.is_complete sess) then begin
       let now = Sim.Engine.now eng in
       Array.iter
         (fun s ->
-          let deadline = Window.rto s.win in
-          if now -. s.oldest > deadline then begin
-            let before = Itbl.length s.outstanding in
-            s.oldest <- expire fetch s.outstanding ~now ~deadline;
-            if Itbl.length s.outstanding < before then Window.on_loss s.win ~now
-          end)
+          let before = Itbl.length s.outstanding in
+          s.oldest <-
+            expire fetch s.outstanding ~oldest:s.oldest ~now
+              ~deadline:(Window.rto s.win);
+          if Itbl.length s.outstanding < before then Window.on_loss s.win ~now)
         subs;
       fill ();
       Sim.Engine.arm (Lazy.force poll) ~delay:0.02

@@ -22,13 +22,17 @@ val fetch : Inrpp.Session.t -> fetch
 val next_chunk : fetch -> int option
 
 val expire :
-  fetch -> float Itbl.t -> now:float -> deadline:float -> float
-(** [expire f outstanding ~now ~deadline] removes every request sent
-    more than [deadline] before [now] from [outstanding] (chunk ->
+  fetch -> float Itbl.t -> oldest:float -> now:float -> deadline:float ->
+  float
+(** [expire f outstanding ~oldest ~now ~deadline] removes every request
+    sent more than [deadline] before [now] from [outstanding] (chunk ->
     send time) and requeues it unless already queued, counting a
-    retransmission.  It returns the earliest send time left in
-    [outstanding], [infinity] when none is: until [now] passes that
-    time by more than [deadline], a second call expires nothing. *)
+    retransmission.  [oldest] must bound every send time in
+    [outstanding] from below: while [now -. oldest <= deadline] no
+    request can qualify, and [expire] returns [oldest] without walking
+    the table.  Otherwise it walks and returns the earliest send time
+    left, [infinity] when none is.  Either way the result is the bound
+    to pass next, lowered on each send. *)
 
 val retransmissions : fetch -> int
 

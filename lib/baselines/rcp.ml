@@ -4,6 +4,7 @@ type flow_state = {
   flow : Harness.flow;
   fetch : Puller.fetch;
   outstanding : float Puller.Itbl.t;  (* chunk -> send time *)
+  mutable oldest : float;  (* no send time in [outstanding] is earlier *)
   mutable rate : float;  (* assigned fair rate, bps *)
   mutable started : bool;
   mutable pacing_armed : bool;
@@ -23,6 +24,7 @@ let receivers g (env : Harness.env) =
           flow;
           fetch = Puller.fetch flow.Harness.sess;
           outstanding = Puller.Itbl.create 32;
+          oldest = Float.infinity;
           rate = chunk_bits *. 10.;  (* modest initial rate *)
           started = false;
           pacing_armed = false;
@@ -57,7 +59,9 @@ let receivers g (env : Harness.env) =
                if Puller.Itbl.length st.outstanding < max_outstanding then begin
                  match Puller.next_chunk st.fetch with
                  | Some nc ->
-                   Puller.Itbl.replace st.outstanding nc (Sim.Engine.now eng);
+                   let now = Sim.Engine.now eng in
+                   Puller.Itbl.replace st.outstanding nc now;
+                   if now < st.oldest then st.oldest <- now;
                    Harness.request env st.flow ~subflow:0 ~nc
                      ~ack:(Session.next_needed st.flow.Harness.sess)
                  | None -> ()
@@ -66,24 +70,24 @@ let receivers g (env : Harness.env) =
              end))
     end
   in
-  (* loss recovery: conservative fixed check *)
-  let rec check_timeouts st =
-    if not (finished st) then begin
-      ignore
-        (Puller.expire st.fetch st.outstanding ~now:(Sim.Engine.now eng)
-           ~deadline:0.5);
-      ignore (Sim.Engine.schedule eng ~delay:0.1 (fun () -> check_timeouts st))
-    end
-  in
   Array.map
     (fun st ->
+      (* loss recovery: conservative fixed check *)
+      let rec check_timeouts () =
+        if not (finished st) then begin
+          st.oldest <-
+            Puller.expire st.fetch st.outstanding ~oldest:st.oldest
+              ~now:(Sim.Engine.now eng) ~deadline:0.5;
+          Sim.Engine.arm (Lazy.force poll) ~delay:0.1
+        end
+      and poll = lazy (Sim.Engine.timer eng check_timeouts) in
       {
         Harness.start =
           (fun () ->
             st.started <- true;
             update_rates ();
             pace st;
-            check_timeouts st);
+            check_timeouts ());
         on_data = (fun ~subflow:_ idx _ -> Puller.Itbl.remove st.outstanding idx);
         retransmissions = (fun () -> Puller.retransmissions st.fetch);
         metrics =

@@ -6,14 +6,19 @@ let burst ~at ~duration ~boost =
   if boost < 1. then invalid_arg "Arrivals.burst: boost < 1";
   { at; duration; boost }
 
+(* the clock in a record of floats alone, so advancing it stores an
+   unboxed float and allocates nothing *)
+type clock = { mutable now : float }
+
 type t = {
   rate : float;
   amplitude : float;
   period : float;
-  bursts : burst list;
+  bursts : burst array;
   peak : float;
+  gap : float;  (* mean candidate gap at the envelope rate, 1 / peak *)
   rng : Sim.Rng.t;
-  mutable now : float;
+  clock : clock;
 }
 
 let create ?(diurnal_amplitude = 0.) ?(diurnal_period = 86_400.)
@@ -27,28 +32,31 @@ let create ?(diurnal_amplitude = 0.) ?(diurnal_period = 86_400.)
   let boost_bound =
     List.fold_left (fun acc b -> acc *. b.boost) 1. bursts
   in
+  let peak = rate *. (1. +. diurnal_amplitude) *. boost_bound in
   {
     rate;
     amplitude = diurnal_amplitude;
     period = diurnal_period;
-    bursts;
-    peak = rate *. (1. +. diurnal_amplitude) *. boost_bound;
+    bursts = Array.of_list bursts;
+    peak;
+    gap = 1. /. peak;
     rng = Sim.Rng.create seed;
-    now = 0.;
+    clock = { now = 0. };
   }
 
-let rate_at t time =
+(* inlined into [next], where its local float stays unboxed; the
+   bursts compound in list order, as a left fold would *)
+let[@inline] rate_at t time =
   let diurnal =
     1. +. (t.amplitude *. sin (2. *. Float.pi *. time /. t.period))
   in
-  let boost =
-    List.fold_left
-      (fun acc b ->
-        if time >= b.at && time < b.at +. b.duration then acc *. b.boost
-        else acc)
-      1. t.bursts
-  in
-  t.rate *. diurnal *. boost
+  let boost = ref 1. in
+  for i = 0 to Array.length t.bursts - 1 do
+    let b = t.bursts.(i) in
+    if time >= b.at && time < b.at +. b.duration then
+      boost := !boost *. b.boost
+  done;
+  t.rate *. diurnal *. !boost
 
 let peak_rate t = t.peak
 
@@ -56,9 +64,11 @@ let peak_rate t = t.peak
    probability rate(t)/peak — an exact sample of the inhomogeneous
    process for any rate function below the envelope *)
 let next t =
-  let rec step () =
-    t.now <- t.now +. Sim.Rng.exponential t.rng ~mean:(1. /. t.peak);
-    if Sim.Rng.float t.rng 1. <= rate_at t t.now /. t.peak then t.now
-    else step ()
-  in
-  step ()
+  let now = ref t.clock.now in
+  let accepted = ref false in
+  while not !accepted do
+    now := !now +. Sim.Rng.exponential t.rng ~mean:t.gap;
+    accepted := Sim.Rng.float t.rng 1. <= rate_at t !now /. t.peak
+  done;
+  t.clock.now <- !now;
+  !now

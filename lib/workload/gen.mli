@@ -44,11 +44,15 @@ val requests : spec -> Topology.Graph.t -> Request.t list
     {!Arrivals}, {!Session}) or a graph with no routable pair. *)
 
 val requests_seq : spec -> Topology.Graph.t -> Request.t Seq.t
-(** The same stream, lazily: element [n] is generated at its first
-    force, so consuming a prefix costs only that prefix — million-
-    request overload runs stay memory-bounded.  Memoized, hence
-    persistent: forcing any prefix twice returns identical requests
-    (the generator state is imperative underneath), and
-    [List.of_seq (requests_seq spec g) = requests spec g] always.
-    Argument validation is eager; generation is not. *)
-
+(** The same stream, lazily: element [n] is generated when it is
+    forced, so consuming a prefix costs only that prefix — million-
+    request overload runs stay memory-bounded, and a single pass
+    promotes nothing it drops.  Persistent by replay: forcing any
+    prefix twice returns identical requests (the generator state is
+    imperative underneath), and
+    [List.of_seq (requests_seq spec g) = requests spec g] always.  A
+    single pass draws each request once; re-forcing an earlier node,
+    or interleaving two traversals, costs one replay of that node's
+    prefix.  The stream value shares one generator among its nodes, so
+    it belongs to one domain: build one per domain instead of sharing
+    it.  Argument validation is eager; generation is not. *)

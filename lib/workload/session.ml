@@ -4,7 +4,10 @@ type t = {
   consumers : Topology.Node.id array;
   rng : Sim.Rng.t;
   affinity : float;
-  mutable last : (Topology.Node.id * Topology.Node.id) option;
+  (* the previous draw's pair, as two ints so a draw stores no block;
+     [last_p] is -1 before the first draw *)
+  mutable last_p : Topology.Node.id;
+  mutable last_c : Topology.Node.id;
   (* every node reaches every other, so any two distinct nodes are a
      routable pair *)
   strong : bool;
@@ -53,7 +56,8 @@ let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
       consumers = nodes_with_roles g consumers;
       rng = Sim.Rng.create seed;
       affinity;
-      last = None;
+      last_p = -1;
+      last_c = -1;
       strong;
       trees =
         (if strong then [||]
@@ -69,22 +73,24 @@ let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
     invalid_arg "Session.create: no routable (producer, consumer) pair";
   t
 
+(* draws until a pair is routable, and keeps it as the last pair *)
+let rec fresh t =
+  let p = t.producers.(Sim.Rng.int t.rng (Array.length t.producers)) in
+  let c = t.consumers.(Sim.Rng.int t.rng (Array.length t.consumers)) in
+  if routable t p c then begin
+    t.last_p <- p;
+    t.last_c <- c
+  end
+  else fresh t
+
 let draw t =
-  let rec go () =
-    let p = t.producers.(Sim.Rng.int t.rng (Array.length t.producers)) in
-    let c = t.consumers.(Sim.Rng.int t.rng (Array.length t.consumers)) in
-    if routable t p c then (p, c) else go ()
-  in
   (* session affinity: repeat the previous pair with probability
      [affinity] — consecutive requests from the same client hit the
      same server, concentrating load on a few paths (the EBONE/VSNL
      hot-pair scenarios).  At affinity 0 the branch makes no RNG draw
      at all, so existing request streams stay byte-identical. *)
-  let pair =
-    match t.last with
-    | Some pc when t.affinity > 0. && Sim.Rng.float t.rng 1. < t.affinity ->
-      pc
-    | Some _ | None -> go ()
+  let repeat =
+    t.last_p >= 0 && t.affinity > 0. && Sim.Rng.float t.rng 1. < t.affinity
   in
-  t.last <- Some pair;
-  pair
+  if not repeat then fresh t;
+  (t.last_p, t.last_c)

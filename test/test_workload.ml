@@ -306,8 +306,8 @@ let test_seq_matches_list seed =
   Alcotest.(check string) "same bytes" (to_bytes from_list)
     (to_bytes from_seq)
 
-(* memoization makes the imperative generator state persistent: forcing
-   a prefix twice (or a prefix then the whole stream) must not misdraw *)
+(* replay makes the imperative generator state persistent: forcing a
+   prefix twice (or a prefix then the whole stream) must not misdraw *)
 let test_seq_persistent seed =
   let g = graph () in
   let spec = spec_of_seed seed in
@@ -338,6 +338,90 @@ let test_seq_prefix seed =
   Alcotest.(check string) "take 7 = max_requests 7"
     (to_bytes (Workload.Gen.requests capped g))
     (to_bytes prefix)
+
+(* Persistence by replay under random forcing schedules: on one stream
+   value, a prefix forced twice, an earlier node re-forced after a
+   later one, two traversals interleaved, and the node that ends the
+   stream (at the horizon or the cap) re-forced, each request equal to
+   [Gen.requests] byte for byte.  Spans of 0.5-5 s at ~10 requests/s
+   against caps of 0-60 cut some streams at the horizon, some at the
+   cap. *)
+let prop_seq_persistent_by_replay =
+  let gen =
+    QCheck.Gen.(
+      quad int64 (pair (int_range 1 10) (int_range 0 60))
+        (pair (int_range 0 64) (int_range 0 64))
+        (list_size (int_range 0 40) bool))
+  in
+  QCheck.Test.make ~name:"replayed stream under any forcing order"
+    ~count:60
+    (QCheck.make gen
+       ~print:
+         QCheck.Print.(
+           quad Int64.to_string (pair int int) (pair int int) (list bool)))
+    (fun (seed, (h, cap), (a, b), turns) ->
+      let g = graph () in
+      let spec =
+        { (spec_of_seed seed) with
+          Workload.Gen.horizon = 0.5 *. float_of_int h;
+          max_requests = cap }
+      in
+      let reference = Array.of_list (Workload.Gen.requests spec g) in
+      let len = Array.length reference in
+      let byte r = to_bytes [ r ] in
+      let s = Workload.Gen.requests_seq spec g in
+      (* force node [i]: the reference's request [i], or the end *)
+      let force what i node =
+        match node () with
+        | Seq.Cons (r, next) ->
+          if i >= len || byte r <> byte reference.(i) then
+            QCheck.Test.fail_reportf "%s: node %d differs" what i;
+          Some next
+        | Seq.Nil ->
+          if i <> len then
+            QCheck.Test.fail_reportf "%s: ended at %d of %d" what i len;
+          None
+      in
+      let rec walk what i node k =
+        if k > 0 then
+          match force what i node with
+          | Some next -> walk what (i + 1) next (k - 1)
+          | None -> ()
+      in
+      (* the node [k] steps after [node], which is node [i] *)
+      let rec nth i node k =
+        if k = 0 then node
+        else
+          match force "seek" i node with
+          | Some next -> nth (i + 1) next (k - 1)
+          | None -> node
+      in
+      let k = a mod (len + 2) in
+      walk "prefix" 0 s k;
+      walk "prefix again" 0 s k;
+      let a = a mod (len + 1) and b = b mod (len + 1) in
+      let i = min a b and j = max a b in
+      let early = nth 0 s i in
+      ignore (force "later" j (nth i early (j - i)));
+      walk "earlier after later" i early max_int;
+      let step what = function
+        | Some (i, node) ->
+          Option.map (fun next -> (i + 1, next)) (force what i node)
+        | None -> None
+      in
+      let rec interleave ta tb = function
+        | true :: rest -> interleave (step "A" ta) tb rest
+        | false :: rest -> interleave ta (step "B" tb) rest
+        | [] ->
+          if Option.is_some ta || Option.is_some tb then
+            interleave (step "A" ta) (step "B" tb) []
+      in
+      interleave (Some (0, s)) (Some (0, s)) turns;
+      let tail = nth 0 s len in
+      ignore (force "end" len tail);
+      ignore (force "end again" len tail);
+      if len > 0 then walk "last again" (len - 1) (nth 0 s (len - 1)) max_int;
+      to_bytes (List.of_seq s) = to_bytes (Array.to_list reference))
 
 let test_catalog_pure seed =
   let mk () =
@@ -562,6 +646,77 @@ let test_session_draws_pinned () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Stream gate: a single-pass consumer keeps nothing, so the stream
+   must promote nothing, and a draw allocates what it returns.  Minor
+   and promoted words are deterministic at fixed inputs. *)
+
+let gate_spec =
+  {
+    Workload.Gen.default with
+    Workload.Gen.seed = 1L;
+    horizon = 1e9;
+    max_requests = 100_000;
+    alpha = 1.2;
+    chunk_min = 64;
+    chunk_max = 256;
+  }
+
+(* 100k EBONE requests through [Seq.iter].  A memoized stream promoted
+   every cell (1.5M words, 15 per request); what a replayed stream
+   promotes is its generator, once (493 words measured).  Minor words
+   per request are frozen with 1.25x headroom. *)
+let test_stream_gate () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
+    let n = ref 0 in
+    (* promote the graph now, not inside the measured span *)
+    Gc.minor ();
+    let before = Gc.quick_stat () in
+    Seq.iter (fun _ -> incr n) (Workload.Gen.requests_seq gate_spec g);
+    let after = Gc.quick_stat () in
+    Alcotest.(check int) "requests" 100_000 !n;
+    let promoted = after.promoted_words -. before.promoted_words in
+    let per_request =
+      (after.minor_words -. before.minor_words) /. float_of_int !n
+    in
+    let frozen_promoted = 1_000. in
+    if promoted > frozen_promoted then
+      Alcotest.failf "%g promoted words, frozen bound %g" promoted
+        frozen_promoted;
+    let frozen = 21.0 in
+    if per_request > 1.25 *. frozen then
+      Alcotest.failf "%g minor words/request, frozen %g, bound %g"
+        per_request frozen (1.25 *. frozen)
+
+(* An arrival draw allocates its boxed result and the boxed results of
+   its two [Sim.Rng] float draws per candidate; a session draw its
+   pair, plus a boxed float draw when affinity is on. *)
+let test_draw_gate () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
+  | Sys.Native ->
+    let n = 10_000 in
+    let per_draw what frozen f =
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      if words > frozen then
+        Alcotest.failf "%g minor words per %s draw, frozen %g" words what
+          frozen
+    in
+    let arrivals = Workload.Arrivals.create ~rate:8. ~seed:3L () in
+    per_draw "arrival" 6. (fun () -> Workload.Arrivals.next arrivals);
+    let ebone = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
+    let session = Workload.Session.create ~seed:3L ebone in
+    per_draw "session" 3. (fun () -> Workload.Session.draw session);
+    let sticky = Workload.Session.create ~affinity:0.5 ~seed:3L ebone in
+    per_draw "sticky session" 5. (fun () -> Workload.Session.draw sticky)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -593,11 +748,17 @@ let () =
         @ [ Alcotest.test_case "range check" `Quick test_affinity_range ] );
       ( "seq",
         at_seeds "of_seq = requests" test_seq_matches_list
-        @ at_seeds "memoized prefix is persistent" test_seq_persistent
-        @ at_seeds "lazy prefix = capped list" test_seq_prefix );
+        @ at_seeds "replayed prefix is persistent" test_seq_persistent
+        @ at_seeds "lazy prefix = capped list" test_seq_prefix
+        @ qc [ prop_seq_persistent_by_replay ] );
       ( "session",
         [ Alcotest.test_case "draws pinned" `Quick test_session_draws_pinned ]
       );
+      ( "stream gate",
+        [
+          Alcotest.test_case "stream promotes nothing" `Quick test_stream_gate;
+          Alcotest.test_case "draws allocate results" `Quick test_draw_gate;
+        ] );
       ( "trace",
         at_seeds "round trip" test_trace_round_trip
         @ [
