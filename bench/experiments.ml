@@ -1166,10 +1166,7 @@ let overload () =
     Topology.Builders.dumbbell ~access_capacity:10e6
       ~bottleneck_capacity:1.5e6 4
   in
-  let control label admission =
-    ( label,
-      Some { Overload.Config.default with Overload.Config.admission } )
-  in
+  let control label admission = (label, Some (Overload.Config.On admission)) in
   let variants =
     [
       ("INRPP off", None);

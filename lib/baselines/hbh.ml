@@ -94,18 +94,14 @@ let receivers g (env : Harness.env) =
   Array.map
     (fun (f : Harness.flow) ->
       let fetch = Puller.fetch f.Harness.sess in
-      let outstanding = Puller.Itbl.create 32 in
-      (* no send time in [outstanding] is earlier *)
-      let oldest = ref Float.infinity in
+      let out = Puller.ledger () in
       let finished () = Session.is_complete f.Harness.sess in
       let rec top_up () =
         if not (finished ()) then begin
-          if Puller.Itbl.length outstanding < window then begin
+          if Puller.in_flight out < window then begin
             match Puller.next_chunk fetch with
             | Some nc ->
-              let now = Sim.Engine.now eng in
-              Puller.Itbl.replace outstanding nc now;
-              if now < !oldest then oldest := now;
+              Puller.send out nc ~now:(Sim.Engine.now eng);
               Harness.request env f ~subflow:0 ~nc ~ack:0
             | None -> ()
           end;
@@ -114,9 +110,7 @@ let receivers g (env : Harness.env) =
       in
       let rec check_timeouts () =
         if not (finished ()) then begin
-          oldest :=
-            Puller.expire fetch outstanding ~oldest:!oldest
-              ~now:(Sim.Engine.now eng) ~deadline;
+          Puller.expire fetch out ~now:(Sim.Engine.now eng) ~deadline;
           Sim.Engine.arm (Lazy.force poll) ~delay:0.1
         end
       and poll = lazy (Sim.Engine.timer eng check_timeouts) in
@@ -125,7 +119,7 @@ let receivers g (env : Harness.env) =
           (fun () ->
             top_up ();
             check_timeouts ());
-        on_data = (fun ~subflow:_ idx _ -> Puller.Itbl.remove outstanding idx);
+        on_data = (fun ~subflow:_ idx _ -> ignore (Puller.answer out idx));
         retransmissions = (fun () -> Puller.retransmissions fetch);
         metrics = [];
         series = [];

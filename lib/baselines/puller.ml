@@ -37,12 +37,30 @@ let rec next_chunk f =
     in
     fresh ()
 
-(* No send time in [outstanding] is below [oldest], so while [now]
-   is within [deadline] of it no request can qualify and the walk is
+type ledger = {
+  sent : float Itbl.t;  (* chunk -> send time *)
+  mutable oldest : float;  (* no send time in [sent] is earlier *)
+}
+
+let ledger () = { sent = Itbl.create 32; oldest = Float.infinity }
+let in_flight l = Itbl.length l.sent
+
+let send l idx ~now =
+  Itbl.replace l.sent idx now;
+  if now < l.oldest then l.oldest <- now
+
+let answer l idx =
+  match Itbl.find_opt l.sent idx with
+  | Some _ as sent ->
+    Itbl.remove l.sent idx;
+    sent
+  | None -> None
+
+(* No send time in the ledger is below [oldest], so while [now] is
+   within [deadline] of it no request can qualify and the walk is
    skipped. *)
-let expire f outstanding ~oldest ~now ~deadline =
-  if now -. oldest <= deadline then oldest
-  else begin
+let expire f l ~now ~deadline =
+  if now -. l.oldest > deadline then begin
     (* the survivors' earliest send time, found in the same walk *)
     let oldest = ref Float.infinity in
     let expired =
@@ -53,39 +71,30 @@ let expire f outstanding ~oldest ~now ~deadline =
             if t0 < !oldest then oldest := t0;
             acc
           end)
-        outstanding []
+        l.sent []
     in
     List.iter
       (fun idx ->
-        Itbl.remove outstanding idx;
+        Itbl.remove l.sent idx;
         if not (Itbl.mem f.retry_set idx) then begin
           Itbl.replace f.retry_set idx ();
           Queue.add idx f.retry;
           f.retx <- f.retx + 1
         end)
       expired;
-    !oldest
+    l.oldest <- !oldest
   end
 
 let retransmissions f = f.retx
 
-type sub = {
-  win : Window.t;
-  outstanding : float Itbl.t;  (* chunk -> send time *)
-  mutable oldest : float;  (* no send time in [outstanding] is earlier *)
-}
+type sub = { win : Window.t; out : ledger }
 
 let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
   let eng = env.Harness.eng and sess = flow.Harness.sess in
   let fetch = fetch sess in
   let subs =
     Array.map
-      (fun _ ->
-        {
-          win = Window.create ();
-          outstanding = Itbl.create 32;
-          oldest = Float.infinity;
-        })
+      (fun _ -> { win = Window.create (); out = ledger () })
       flow.Harness.wires
   in
   let fill () =
@@ -95,12 +104,10 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
         progress := false;
         Array.iteri
           (fun subflow s ->
-            if Itbl.length s.outstanding < Window.capacity s.win then begin
+            if in_flight s.out < Window.capacity s.win then begin
               match next_chunk fetch with
               | Some nc ->
-                let now = Sim.Engine.now eng in
-                Itbl.replace s.outstanding nc now;
-                if now < s.oldest then s.oldest <- now;
+                send s.out nc ~now:(Sim.Engine.now eng);
                 Harness.request env flow ~subflow ~nc
                   ~ack:(Session.next_needed sess);
                 progress := true
@@ -115,11 +122,9 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
       let now = Sim.Engine.now eng in
       Array.iter
         (fun s ->
-          let before = Itbl.length s.outstanding in
-          s.oldest <-
-            expire fetch s.outstanding ~oldest:s.oldest ~now
-              ~deadline:(Window.rto s.win);
-          if Itbl.length s.outstanding < before then Window.on_loss s.win ~now)
+          let before = in_flight s.out in
+          expire fetch s.out ~now ~deadline:(Window.rto s.win);
+          if in_flight s.out < before then Window.on_loss s.win ~now)
         subs;
       fill ();
       Sim.Engine.arm (Lazy.force poll) ~delay:0.02
@@ -127,9 +132,8 @@ let receiver ~coupled (env : Harness.env) (flow : Harness.flow) =
   and poll = lazy (Sim.Engine.timer eng check_timeouts) in
   let on_data ~subflow idx verdict =
     let s = subs.(subflow) in
-    (match Itbl.find_opt s.outstanding idx with
+    (match answer s.out idx with
     | Some t0 ->
-      Itbl.remove s.outstanding idx;
       let now = Sim.Engine.now eng in
       let rtt_sample = now -. t0 in
       if coupled then

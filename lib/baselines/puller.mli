@@ -1,5 +1,6 @@
 (** Window-driven pull receiver of the AIMD-family baselines, and the
-    chunk choice it shares with {!Rcp}.
+    chunk choice and request ledger it shares with {!Rcp} and
+    {!Hbh}.
 
     Chunks are requested one per request packet (no anticipation — the
     classic interest-per-data ICN transport, cf. ICP).  Each subflow
@@ -10,10 +11,6 @@
     loss is the only congestion signal, exactly the e2e behaviour the
     paper argues against. *)
 
-module Itbl : Hashtbl.S with type key = int
-(** Int-keyed tables: the stdlib [Hashtbl]'s buckets and fold order,
-    with keys compared inline rather than through polymorphic compare. *)
-
 type fetch
 (** Which chunk a flow requests next: requeued chunks first, then the
     next fresh index, skipping what the session already holds. *)
@@ -21,18 +18,26 @@ type fetch
 val fetch : Inrpp.Session.t -> fetch
 val next_chunk : fetch -> int option
 
-val expire :
-  fetch -> float Itbl.t -> oldest:float -> now:float -> deadline:float ->
-  float
-(** [expire f outstanding ~oldest ~now ~deadline] removes every request
-    sent more than [deadline] before [now] from [outstanding] (chunk ->
-    send time) and requeues it unless already queued, counting a
-    retransmission.  [oldest] must bound every send time in
-    [outstanding] from below: while [now -. oldest <= deadline] no
-    request can qualify, and [expire] returns [oldest] without walking
-    the table.  Otherwise it walks and returns the earliest send time
-    left, [infinity] when none is.  Either way the result is the bound
-    to pass next, lowered on each send. *)
+type ledger
+(** The requests a window or a pacer has in flight, each with its send
+    time, and a lower bound on those times. *)
+
+val ledger : unit -> ledger
+val in_flight : ledger -> int
+
+val send : ledger -> int -> now:float -> unit
+(** A request for the chunk went out at [now]. *)
+
+val answer : ledger -> int -> float option
+(** The chunk arrived: drop it from the ledger and return its send
+    time, [None] when it was not in flight. *)
+
+val expire : fetch -> ledger -> now:float -> deadline:float -> unit
+(** [expire f l ~now ~deadline] drops every request sent more than
+    [deadline] before [now] from [l] and requeues its chunk in [f]
+    unless already queued, counting a retransmission.  While [now] is
+    within [deadline] of the ledger's lower bound no request can
+    qualify, and the table is not walked. *)
 
 val retransmissions : fetch -> int
 

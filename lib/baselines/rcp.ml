@@ -3,8 +3,7 @@ module Session = Inrpp.Session
 type flow_state = {
   flow : Harness.flow;
   fetch : Puller.fetch;
-  outstanding : float Puller.Itbl.t;  (* chunk -> send time *)
-  mutable oldest : float;  (* no send time in [outstanding] is earlier *)
+  out : Puller.ledger;
   mutable rate : float;  (* assigned fair rate, bps *)
   mutable started : bool;
   mutable pacing_armed : bool;
@@ -23,8 +22,7 @@ let receivers g (env : Harness.env) =
         {
           flow;
           fetch = Puller.fetch flow.Harness.sess;
-          outstanding = Puller.Itbl.create 32;
-          oldest = Float.infinity;
+          out = Puller.ledger ();
           rate = chunk_bits *. 10.;  (* modest initial rate *)
           started = false;
           pacing_armed = false;
@@ -56,12 +54,10 @@ let receivers g (env : Harness.env) =
         (Sim.Engine.schedule eng ~delay:(chunk_bits /. st.rate) (fun () ->
              st.pacing_armed <- false;
              if not (finished st) then begin
-               if Puller.Itbl.length st.outstanding < max_outstanding then begin
+               if Puller.in_flight st.out < max_outstanding then begin
                  match Puller.next_chunk st.fetch with
                  | Some nc ->
-                   let now = Sim.Engine.now eng in
-                   Puller.Itbl.replace st.outstanding nc now;
-                   if now < st.oldest then st.oldest <- now;
+                   Puller.send st.out nc ~now:(Sim.Engine.now eng);
                    Harness.request env st.flow ~subflow:0 ~nc
                      ~ack:(Session.next_needed st.flow.Harness.sess)
                  | None -> ()
@@ -75,9 +71,8 @@ let receivers g (env : Harness.env) =
       (* loss recovery: conservative fixed check *)
       let rec check_timeouts () =
         if not (finished st) then begin
-          st.oldest <-
-            Puller.expire st.fetch st.outstanding ~oldest:st.oldest
-              ~now:(Sim.Engine.now eng) ~deadline:0.5;
+          Puller.expire st.fetch st.out ~now:(Sim.Engine.now eng)
+            ~deadline:0.5;
           Sim.Engine.arm (Lazy.force poll) ~delay:0.1
         end
       and poll = lazy (Sim.Engine.timer eng check_timeouts) in
@@ -88,7 +83,7 @@ let receivers g (env : Harness.env) =
             update_rates ();
             pace st;
             check_timeouts ());
-        on_data = (fun ~subflow:_ idx _ -> Puller.Itbl.remove st.outstanding idx);
+        on_data = (fun ~subflow:_ idx _ -> ignore (Puller.answer st.out idx));
         retransmissions = (fun () -> Puller.retransmissions st.fetch);
         metrics =
           [ ( "rcp_retransmissions_total",

@@ -21,15 +21,14 @@ let object_runs ?(threshold = 0.5) () : policy =
     p.flow_backlog > 0
     || p.custody_bits +. p.incoming_bits <= threshold *. p.capacity
 
-let fair_share ?(share = 1.0) () : policy =
-  if share <= 0. then invalid_arg "Cache.fair_share: share <= 0";
+let fair_share () : policy =
   (* Per-flow fairness cap: no flow may grow its custody footprint past
-     [share] times an equal split of the whole store across the flows
-     currently holding custody.  A flow with no footprint yet always
-     gets its first chunk in (the cap never starves). *)
+     an equal split of the whole store across the flows currently
+     holding custody.  A flow with no footprint yet always gets its
+     first chunk in (the cap never starves). *)
   fun p ->
     let active = max 1 p.flows in
-    let cap = share *. p.capacity /. float_of_int active in
+    let cap = p.capacity /. float_of_int active in
     p.flow_bits = 0. || p.flow_bits +. p.incoming_bits <= cap
 
 (* int keys compared inline, not through polymorphic compare; the same

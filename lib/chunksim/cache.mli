@@ -46,12 +46,11 @@ val object_runs : ?threshold:float -> unit -> policy
     0.5).
     @raise Invalid_argument unless [0 < threshold <= 1]. *)
 
-val fair_share : ?share:float -> unit -> policy
+val fair_share : unit -> policy
 (** Per-flow fairness cap (after {e FairCache}): a flow may not grow
-    its custody footprint past [share] times an equal split of the
-    store across the flows currently holding custody (default share
-    1.0).  A flow with no footprint always gets its first chunk.
-    @raise Invalid_argument if [share <= 0.]. *)
+    its custody footprint past an equal split of the store across the
+    flows currently holding custody.  A flow with no footprint always
+    gets its first chunk. *)
 
 val high_water : float
 (** 0.7: custody occupancy, as a fraction of capacity, at or above

@@ -188,7 +188,7 @@ let handle_arrival st =
   record_active st;
   reallocate st
 
-let run ?obs g cfg =
+let run g cfg =
   if cfg.warmup < 0. || cfg.duration <= 0. then
     invalid_arg "Simulator.run: bad warmup/duration";
   if cfg.arrival_rate <= 0. then invalid_arg "Simulator.run: arrival_rate <= 0";
@@ -220,32 +220,6 @@ let run ?obs g cfg =
     }
   in
   let horizon = window_end st in
-  (* observability: counters as callback metrics over the window
-     accumulators; a sampler records the flow population, the running
-     delivered/offered bits and the INRP detour fraction *)
-  (match obs with
-  | None -> ()
-  | Some o ->
-    let reg = Obs.Observer.registry o in
-    let labels = [ ("strategy", Routing.name cfg.strategy) ] in
-    let f name fn = Obs.Metric.callback reg ~labels name fn in
-    f "flows_arrived_total" (fun () -> float_of_int st.window_arrivals);
-    f "flows_rejected_total" (fun () -> float_of_int st.window_rejected);
-    f "flows_completed_total" (fun () -> float_of_int st.window_completions);
-    f "offered_bits_total" (fun () -> st.window_offered);
-    f "delivered_bits_total" (fun () -> st.window_delivered);
-    f "active_flows" (fun () -> float_of_int (Hashtbl.length st.active));
-    let smp =
-      Obs.Observer.install_sampler o ~eng
-        ~default_interval:(cfg.duration /. 100.)
-    in
-    let track name fn = ignore (Obs.Sampler.track smp ~labels name fn) in
-    track "active_flows" (fun () -> float_of_int (Hashtbl.length st.active));
-    track "delivered_bits" (fun () -> st.window_delivered);
-    track "offered_bits" (fun () -> st.window_offered);
-    if Routing.is_inrp cfg.strategy then
-      track "detour_fraction" (fun () -> Sim.Timeline.value st.detour_tl);
-    Obs.Sampler.start ~stop:(fun () -> Sim.Engine.now eng >= horizon) smp);
   (* arrival process *)
   let rec schedule_next_arrival () =
     let gap = Workload.next_interarrival st.wl in

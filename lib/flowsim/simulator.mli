@@ -25,13 +25,8 @@ val config :
 (** Defaults: 4 Mbit exponential sizes, any endpoint pair, 2 s warmup,
     8 s window, seed 1, cap 4000. *)
 
-val run : ?obs:Obs.Observer.t -> Topology.Graph.t -> config -> Results.t
-(** [obs] instruments the run: the window accumulators become callback
-    metrics (labelled by strategy) and a sampler records
-    [active_flows], [delivered_bits], [offered_bits] and — for INRP —
-    [detour_fraction] timeseries at [duration / 100] resolution (or
-    the observer's override).
-    @raise Invalid_argument on non-positive durations or rates. *)
+val run : Topology.Graph.t -> config -> Results.t
+(** @raise Invalid_argument on non-positive durations or rates. *)
 
 val run_static :
   Topology.Graph.t -> strategy:Routing.strategy ->

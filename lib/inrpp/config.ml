@@ -1,7 +1,6 @@
 type t = {
   chunk_bits : float;
   anticipation : int;
-  request_timeout : float;
   timeout_backoff : float;
   cache_bits : float;
   queue_bits : float;
@@ -15,7 +14,6 @@ let default =
   {
     chunk_bits = 10e3 *. 8.;
     anticipation = 8;
-    request_timeout = 0.2;
     timeout_backoff = 1.;
     cache_bits = 4e6 *. 8.;
     queue_bits = 64. *. 10e3 *. 8.;
@@ -26,6 +24,7 @@ let default =
   }
 
 let ti = 0.04
+let request_timeout = 0.2
 let estimator_alpha = 0.3
 let engage_ratio = 0.95
 let release_ratio = 0.75
@@ -35,7 +34,6 @@ let validate c =
   let err msg = Error ("Config: " ^ msg) in
   if c.chunk_bits <= 0. then err "chunk_bits <= 0"
   else if c.anticipation < 0 then err "anticipation < 0"
-  else if c.request_timeout <= 0. then err "request_timeout <= 0"
   else if c.timeout_backoff < 1. then err "timeout_backoff < 1"
   else if c.cache_bits <= 0. then err "cache_bits <= 0"
   else if c.queue_bits <= 0. then err "queue_bits <= 0"

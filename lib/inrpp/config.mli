@@ -1,7 +1,7 @@
 (** Protocol configuration.
 
     The record holds what runs set differently: the chunk size, the Ac
-    window, the re-request timer, the store and queue sizes, and the
+    window, the re-request backoff, the store and queue sizes, and the
     feature switches the ablation benches flip.  Everything else is a
     constant, as in the paper (§3.2: "a constant parameter set
     globally"), defined once in the module that reads it; the constants
@@ -15,9 +15,6 @@ type t = {
   (** Ac window: how many chunks beyond Nc a request invites the
       sender to push (paper §3.2, "a constant parameter set
       globally") *)
-  request_timeout : float;
-  (** receiver retransmits the request for its lowest missing chunk
-      after this much silence (the paper's explicit timers/NACKs) *)
   timeout_backoff : float;
   (** multiplicative backoff of the re-request timer while a flow
       makes no progress (≥ 1; 1 disables backoff).  Keeps re-request
@@ -57,14 +54,19 @@ type t = {
 }
 
 val default : t
-(** 10 kB chunks, Ac = 8, 200 ms timeout (backoff off by default — the
-    fault experiments enable ×2), 4 MB cache, 64-chunk queues, FIFO
+(** 10 kB chunks, Ac = 8, no re-request backoff (the fault
+    experiments enable ×2), 4 MB cache, 64-chunk queues, FIFO
     interfaces, stateful forwarding, no ICN caching, no teardown. *)
 
 val ti : float
 (** 40 ms: the measurement interval T_i of the anticipated-rate
     estimator, the paper's "≈ average RTT"; also the period of the
     router ticks and of the sampler's default interval. *)
+
+val request_timeout : float
+(** 200 ms: the receiver retransmits the request for its lowest
+    missing chunk after this much silence (the paper's explicit
+    timers/NACKs). *)
 
 val estimator_alpha : float
 (** 0.3: EWMA smoothing of r_a across intervals. *)

@@ -5,6 +5,7 @@
    [Router], which reads the port records directly on its hot path. *)
 
 module Link = Topology.Link
+module Path = Topology.Path
 module Net = Chunksim.Net
 module Iface = Chunksim.Iface
 module Trace = Chunksim.Trace
@@ -212,18 +213,19 @@ let link_is_up s (l : Link.t) =
 let build_cands s (l : Link.t) =
   let usable =
     List.filter
-      (fun (cand : Detour_table.candidate) ->
-        List.for_all (fun hop -> link_is_up s hop) cand.Detour_table.links)
-      (Detour_table.candidates s.detours l)
+      (fun (_, (d : Path.t)) ->
+        List.for_all (fun hop -> link_is_up s hop) d.Path.links)
+      (Topology.Detour.Table.find s.detours l)
   in
   Array.of_list
     (List.map
-       (fun (cand : Detour_table.candidate) ->
+       (fun (via, (d : Path.t)) ->
+         let first = List.hd d.Path.links in
          let ifaces =
            Array.of_list
              (List.map
                 (fun (hop : Link.t) -> Net.iface s.net hop.Link.id)
-                cand.Detour_table.links)
+                d.Path.links)
          in
          let limits =
            Array.map
@@ -231,12 +233,15 @@ let build_cands s (l : Link.t) =
              ifaces
          in
          {
-           dc_first = cand.Detour_table.first_link;
-           dc_via = cand.Detour_table.first_link.Link.dst;
-           dc_rest = cand.Detour_table.rest;
+           dc_first = first;
+           dc_via = via;
+           (* the nodes after the first hop, ending at the protected
+              link's dst *)
+           dc_rest =
+             (match d.Path.nodes with _ :: _ :: rest -> rest | _ -> []);
            dc_ifaces = ifaces;
            dc_limits = limits;
-           dc_port = port_of s cand.Detour_table.first_link;
+           dc_port = port_of s first;
          })
        usable)
 
@@ -248,15 +253,14 @@ let cands s p =
   p.dk_cands
 
 (* Detour refusal into pressured neighbours: a candidate whose first
-   hop lands on a neighbour already above the configured
-   custody-occupancy fraction is unusable — deflecting load into a
-   store that is itself shedding only spreads the collapse.  The
-   pressure function is installed by the protocol layer (it owns the
-   router array), and only under a finite threshold. *)
+   hop lands on a neighbour already at {!Overload.Config.neighbor_pressure}
+   custody occupancy is unusable — deflecting load into a store that
+   is itself shedding only spreads the collapse.  The pressure
+   function is installed by the protocol layer (it owns the router
+   array), and only under overload control. *)
 let pressure_ok s (c : dcand) =
   match s.neighbor_pressure with
-  | Some pressure_of ->
-    pressure_of c.dc_via < s.overload.Overload.Config.neighbor_pressure
+  | Some pressure_of -> pressure_of c.dc_via < Overload.Config.neighbor_pressure
   | None -> true
 
 let rec room_from (c : dcand) i =

@@ -191,7 +191,6 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
   (match Config.validate cfg with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Protocol.run: " ^ msg));
-  Overload.Config.validate overload;
   (* generated flows ride behind the static list so existing scenarios
      keep their flow ids; generation is a pure function of (spec,
      graph), so a run with a workload is as replayable as one without.
@@ -262,9 +261,10 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
           ~registry ())
   in
   (* neighbour-pressure oracle for detour refusal: each router can ask
-     any node's custody occupancy fraction.  Installed only under a
-     finite threshold, the one case that consults it. *)
-  if overload.Overload.Config.neighbor_pressure < infinity then begin
+     any node's custody occupancy fraction.  Installed only under
+     overload control, the one case that consults it. *)
+  let on = overload <> Overload.Config.Off in
+  if on then begin
     let pressure node =
       let cache = Router.cache routers.(node) in
       Chunksim.Cache.custody_occupancy cache /. Chunksim.Cache.capacity cache
@@ -275,11 +275,11 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
      deliveries; a collapse dumps the flight recorder (when armed) so
      the events leading into the episode are on disk for post-mortem *)
   let watchdog =
-    if Overload.Config.watchdog_enabled overload then
+    if on then
       Some
-        (Obs.Watchdog.create ~window:overload.Overload.Config.watchdog_window
-           ~collapse_ratio:overload.Overload.Config.collapse_ratio
-           ~recovery_ratio:overload.Overload.Config.recovery_ratio
+        (Obs.Watchdog.create ~window:Overload.Config.watchdog_window
+           ~collapse_ratio:Overload.Config.collapse_ratio
+           ~recovery_ratio:Overload.Config.recovery_ratio
            ~on_collapse:(fun ~time ~rate ~peak ->
              match recorder with
              | Some rc ->
@@ -289,8 +289,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
                       "goodput collapse: %.3g bps in window (peak %.3g)" rate
                       peak)
                  ~time
-             | None -> ())
-           ())
+             | None -> ()))
     else None
   in
   (* wire-time span taps: the interface hands back each data packet's
@@ -880,7 +879,7 @@ let collect w receivers =
    start ([instrument]), the tick, the drain and the flow starts. *)
 let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
     ?loss_rate ?obs ?check ?faults ?workload
-    ?(overload = Overload.Config.off) g specs =
+    ?(overload = Overload.Config.Off) g specs =
   let w =
     wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
       ~overload g specs

@@ -66,11 +66,11 @@ type result = {
   shed : int;
   (** custody admissions refused by overload control (threshold
       shedding + policy rejections); 0 under the default
-      {!Overload.Config.off} *)
+      {!Overload.Config.Off} *)
   detours_refused : int;
   (** pressure-refused detour requests: one per chunk sent to custody
       and one per drain round that fails to evacuate a held chunk;
-      probes count none.  0 under the default {!Overload.Config.off} *)
+      probes count none.  0 under the default {!Overload.Config.Off} *)
   collapse_episodes : int;
   (** collapse episodes the watchdog declared; 0 without a watchdog *)
   collapse_recovery_time : float option;
@@ -150,13 +150,13 @@ val run :
     (and their slots recycled) at every node the flow was installed
     on, including nodes added by reconvergence.
 
-    [overload] (default {!Overload.Config.off}) configures the
+    [overload] (default {!Overload.Config.Off}) configures the
     graceful-degradation layer ({!Overload.Config}): pluggable custody
     admission at every router, load shedding and early back-pressure
-    above the configured store pressures, refusal of detours into
+    above the layer's store pressures, refusal of detours into
     pressured neighbours, the receiver-side retransmission circuit
     breaker, and the collapse watchdog (whose episodes dump the
-    observer's flight recorder when one is armed).  Under [off] every
+    observer's flight recorder when one is armed).  Under [Off] every
     mechanism is disabled and the run is the paper's protocol; its
     metric set still carries [router_shed_total] and
     [router_detours_refused_total], reading 0.

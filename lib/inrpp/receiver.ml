@@ -53,7 +53,7 @@ let request t =
 
 (* The interval moves only when the scale does, and no float crosses a
    call: a barren firing at the cap or under the default backoff of 1
-   allocates nothing, and a reset shares the config's boxed timeout *)
+   allocates nothing, and a reset shares the boxed constant *)
 let back_off t =
   let scale =
     Float.min
@@ -62,13 +62,13 @@ let back_off t =
   in
   if scale <> t.f.timeout_scale then begin
     t.f.timeout_scale <- scale;
-    t.interval <- t.cfg.Config.request_timeout *. scale
+    t.interval <- Config.request_timeout *. scale
   end
 
 let reset_scale t =
   if t.f.timeout_scale <> 1. then begin
     t.f.timeout_scale <- 1.;
-    t.interval <- t.cfg.Config.request_timeout
+    t.interval <- Config.request_timeout
   end
 
 (* Re-request timer with exponential backoff: each barren firing (no
@@ -116,10 +116,10 @@ let on_prime t () =
   end
 
 let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
-    ?(overload = Overload.Config.off) () =
+    ?(overload = Overload.Config.Off) () =
   (* the timers' callbacks close over [t]: both are set right below *)
   let unset = Sim.Engine.timer eng ignore in
-  let interval = cfg.Config.request_timeout in
+  let interval = Config.request_timeout in
   let t =
     {
       cfg;
@@ -141,8 +141,12 @@ let create ~cfg ~eng ~flow ~total_chunks ~send_request ~on_complete
       primes_left = 0;
       primer = unset;
       breaker =
-        Overload.Breaker.create ~budget:overload.Overload.Config.retry_budget
-          ~probe_interval:overload.Overload.Config.probe_interval;
+        (match overload with
+         | Overload.Config.On _ ->
+           Overload.Breaker.create ~budget:Overload.Config.retry_budget
+             ~probe_interval:Overload.Config.probe_interval
+         | Off ->
+           Overload.Breaker.create ~budget:max_int ~probe_interval:infinity);
     }
   in
   t.timeout <- Sim.Engine.timer eng (on_timeout t);

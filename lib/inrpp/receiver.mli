@@ -14,12 +14,13 @@ val create :
   cfg:Config.t -> eng:Sim.Engine.t -> flow:int -> total_chunks:int ->
   send_request:(Chunksim.Packet.t -> unit) ->
   on_complete:(fct:float -> unit) -> ?overload:Overload.Config.t -> unit -> t
-(** [overload] (default {!Overload.Config.off}) arms the
-    retransmission circuit breaker ({!Overload.Breaker}) with the
-    config's [retry_budget] and [probe_interval]: after the budget of
-    consecutive barren timeouts the receiver stops retransmitting and
-    probes at the interval instead.  Under [off]'s budget of [max_int]
-    the breaker never opens, and every barren timeout re-requests with
+(** [overload] (default {!Overload.Config.Off}) arms the
+    retransmission circuit breaker ({!Overload.Breaker}) under [On],
+    with {!Overload.Config.retry_budget} and
+    {!Overload.Config.probe_interval}: after the budget of consecutive
+    barren timeouts the receiver stops retransmitting and probes at the
+    interval instead.  Under [Off] the breaker's budget is [max_int]:
+    it never opens, and every barren timeout re-requests with
     backoff.
     @raise Invalid_argument if [total_chunks <= 0]. *)
 

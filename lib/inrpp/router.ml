@@ -54,7 +54,7 @@ let flowlet_gap = 0.02
 
 let create ~cfg ~net ~node ~detours
     ?(link_state = Topology.Link_state.create (Net.graph net)) ?trace
-    ?(overload = Overload.Config.off) ?registry () =
+    ?(overload = Overload.Config.Off) ?registry () =
   (match registry with
   | Some r when node >= Array.length r.Port.tick_nodes ->
     invalid_arg "Router.create: node outside the registry"
@@ -256,25 +256,25 @@ let reroute_flow t ?content ~flow ~data_link ~req_link () =
 (* ------------------------------------------------------------------ *)
 (* Custody *)
 
-(* Load shedding: above [shed_threshold] custody occupancy, refuse the
-   admission outright — new chunks are shed {e before} in-custody
-   chunks are endangered, and the upstream hears about it immediately
-   instead of at store exhaustion.  The finiteness test comes first so
-   a run without the threshold reads no occupancy: that read boxes two
-   floats per admission. *)
-let shed_admission t =
-  let x = t.s.Port.overload.Overload.Config.shed_threshold in
-  x < infinity
-  && Cache.custody_occupancy t.store >= x *. Cache.capacity t.store
+(* Load shedding: above {!Overload.Config.shed_threshold} custody
+   occupancy, refuse the admission outright — new chunks are shed
+   {e before} in-custody chunks are endangered, and the upstream hears
+   about it immediately instead of at store exhaustion.  The [On] test
+   comes first so a run without overload control reads no occupancy:
+   that read boxes two floats per admission. *)
+let over t x =
+  match t.s.Port.overload with
+  | Overload.Config.On _ ->
+    Cache.custody_occupancy t.store >= x *. Cache.capacity t.store
+  | Off -> false
 
-(* Early back-pressure: escalate upstream at [early_bp_threshold]
-   occupancy, before the store's high watermark — under a flash crowd
-   the watermark fires too late to stop the wave already in flight.
-   Guarded like [shed_admission]. *)
-let early_bp t =
-  let x = t.s.Port.overload.Overload.Config.early_bp_threshold in
-  x < infinity
-  && Cache.custody_occupancy t.store >= x *. Cache.capacity t.store
+let shed_admission t = over t Overload.Config.shed_threshold
+
+(* Early back-pressure: escalate upstream at
+   {!Overload.Config.early_bp_threshold} occupancy, before the store's
+   high watermark — under a flash crowd the watermark fires too late
+   to stop the wave already in flight. *)
+let early_bp t = over t Overload.Config.early_bp_threshold
 
 (* A chunk custody turns away is a drop; [shed] counts an overload
    refusal and [engage] makes the upstream slow down *)

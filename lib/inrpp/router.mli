@@ -58,12 +58,11 @@ val create :
     with a down hop are unusable, and a down primary interface routes
     through the detour set.  It defaults to a fresh all-up view of the
     net's graph, which nothing flips.  [overload] (default
-    {!Overload.Config.off}) configures overload control: the config's
-    admission policy guards the custody store, admissions shed above
-    [shed_threshold], back-pressure engages early at
-    [early_bp_threshold], and detours into pressured neighbours are
-    refused (see {!set_neighbor_pressure}); an infinite threshold
-    disables its mechanism.  [registry] enrols the router in a run's
+    {!Overload.Config.Off}) configures overload control: under [On]
+    the admission policy guards the custody store, admissions shed
+    above {!Overload.Config.shed_threshold}, back-pressure engages
+    early at {!Overload.Config.early_bp_threshold}, and detours into
+    pressured neighbours are refused (see {!set_neighbor_pressure}).  [registry] enrols the router in a run's
     registry; without it the router keeps its own interval count,
     advanced by {!tick}.
     @raise Invalid_argument if [node] is outside [registry]. *)
@@ -74,9 +73,9 @@ val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit
     neighbours.  Installed by the protocol layer, which owns the
     router array; stands in for the paper's periodic utilisation
     exchange between one-hop neighbours.  A detour is refused when
-    its first neighbour's fraction is at or above [overload]'s
-    [neighbor_pressure]; the protocol layer installs the oracle only
-    when that threshold is finite. *)
+    its first neighbour's fraction is at or above
+    {!Overload.Config.neighbor_pressure}; the protocol layer installs
+    the oracle only under overload control. *)
 
 val install_flow :
   t -> ?content:int -> flow:int -> data_link:Topology.Link.t option ->

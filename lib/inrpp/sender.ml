@@ -103,7 +103,7 @@ let create ~cfg ~eng ?trace ~flow ~total_chunks ~pace_rate ~transmit () =
 let retransmit_ok t idx =
   let current = now t in
   match Itbl.find_opt t.retx_at idx with
-  | Some last when current -. last < t.cfg.Config.request_timeout /. 2. ->
+  | Some last when current -. last < Config.request_timeout /. 2. ->
     false
   | _ ->
     Itbl.replace t.retx_at idx current;

@@ -3,10 +3,9 @@
     wires it) a periodic {!Sampler.t}.
 
     The caller builds an observer, passes it to an instrumented runner
-    ([Inrpp.Protocol.run ~obs], [Flowsim.Simulator.run ~obs],
-    [Baselines.Harness.run ~obs]); the runner attaches the sinks
-    to its trace, registers its gauges/counters and installs the
-    sampler.  Afterwards the caller reads {!series} and
+    ([Inrpp.Protocol.run ~obs], [Baselines.Harness.run ~obs]); the
+    runner attaches the sinks to its trace, registers its
+    gauges/counters and installs the sampler.  Afterwards the caller reads {!series} and
     [Metric.snapshot (registry obs)] and exports with {!Export}. *)
 
 type t

@@ -5,7 +5,7 @@ let schema = "inrpp-profile/v1"
 let sorted rows =
   List.sort (fun (_, _, wa, _) (_, _, wb, _) -> Float.compare wb wa) rows
 
-let to_json ?(extra = []) rows =
+let to_json rows =
   let row_json (kind, events, wall, words) =
     Json.Obj
       [
@@ -16,12 +16,11 @@ let to_json ?(extra = []) rows =
       ]
   in
   Json.Obj
-    ([
-       ("type", Json.Str "profile");
-       ("schema", Json.Str schema);
-       ("rows", Json.List (List.map row_json (sorted rows)));
-     ]
-    @ extra)
+    [
+      ("type", Json.Str "profile");
+      ("schema", Json.Str schema);
+      ("rows", Json.List (List.map row_json (sorted rows)));
+    ]
 
 let of_json j =
   let ( let* ) r f = Result.bind r f in

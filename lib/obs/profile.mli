@@ -9,10 +9,9 @@
 
 type row = string * int * float * float
 
-val to_json : ?extra:(string * Json.t) list -> row list -> Json.t
+val to_json : row list -> Json.t
 (** [{"type":"profile","schema":"inrpp-profile/v1","rows":[...]}],
-    rows sorted by wall-clock descending, [extra] fields appended to
-    the top-level object. *)
+    rows sorted by wall-clock descending. *)
 
 val of_json : Json.t -> (row list, string) result
 (** Inverse of {!to_json} (row order preserved). *)

@@ -156,7 +156,10 @@ let breakdowns t =
 
 let elapsed b = interval b.first_t b.last_t
 
-let report ?(limit = 16) ppf t =
+(* rows of the critical-path table *)
+let limit = 16
+
+let report ppf t =
   let bs = breakdowns t in
   if bs = [] then
     Format.fprintf ppf "no chunk lifecycle events (span tracing off?)@."

@@ -68,9 +68,9 @@ val breakdowns : t -> breakdown list
 (** One per chunk, sorted by (flow, idx).  NaN-timestamped events sort
     last and contribute zero-width intervals. *)
 
-val report : ?limit:int -> Format.formatter -> t -> unit
-(** Per-chunk critical-path table (worst elapsed first, [limit] rows —
-    default 16) plus a stage-total summary line. *)
+val report : Format.formatter -> t -> unit
+(** Per-chunk critical-path table (worst elapsed first, 16 rows) plus
+    a stage-total summary line. *)
 
 val to_perfetto : Buffer.t -> t -> unit
 (** Chrome trace-event JSON ([{"traceEvents":[...],...}]), timestamps

@@ -2,10 +2,8 @@ type t = {
   window : float;
   collapse_ratio : float;
   recovery_ratio : float;
-  min_peak : float;
   peak_tau : float;                   (* decay constant of the reference *)
   on_collapse : time:float -> rate:float -> peak:float -> unit;
-  on_recover : time:float -> elapsed:float -> unit;
   samples : (float * float) Queue.t;  (* (time, bits) deliveries *)
   mutable window_bits : float;
   mutable peak : float;
@@ -15,27 +13,14 @@ type t = {
   mutable recoveries : float list;    (* reverse order *)
 }
 
-let create ?(window = 1.0) ?(collapse_ratio = 0.3) ?(recovery_ratio = 0.7)
-    ?(min_peak = 0.) ?peak_tau ~on_collapse
-    ?(on_recover = fun ~time:_ ~elapsed:_ -> ()) () =
+let create ~window ~collapse_ratio ~recovery_ratio ~on_collapse =
   if window <= 0. then invalid_arg "Watchdog.create: window <= 0";
-  if
-    not (0. < collapse_ratio && collapse_ratio < recovery_ratio
-         && recovery_ratio <= 1.)
-  then
-    invalid_arg "Watchdog.create: need 0 < collapse_ratio < recovery_ratio <= 1";
-  let peak_tau =
-    match peak_tau with Some tau -> tau | None -> 8. *. window
-  in
-  if peak_tau <= 0. then invalid_arg "Watchdog.create: peak_tau <= 0";
   {
     window;
     collapse_ratio;
     recovery_ratio;
-    min_peak;
-    peak_tau;
+    peak_tau = 8. *. window;
     on_collapse;
-    on_recover;
     samples = Queue.create ();
     window_bits = 0.;
     peak = 0.;
@@ -65,27 +50,24 @@ let in_collapse t = not (Float.is_nan t.collapsed_at)
    operation at a third of that burst would read as a permanent
    "collapse" with an unreachable recovery bar.  Decay continues
    through an episode, so a long outage's recovery bar relaxes towards
-   levels the recovered system can actually sustain; [min_peak] is the
-   floor below which the aged reference disarms the detector
-   entirely. *)
+   levels the recovered system can actually sustain. *)
 let advance t ~time =
   (if (not (Float.is_nan t.last_seen)) && time > t.last_seen then
      t.peak <- t.peak *. exp (-.(time -. t.last_seen) /. t.peak_tau));
   t.last_seen <- time
 
 (* One evaluation of the detector.  Fires [on_collapse] exactly once
-   per episode (at the collapse edge) and [on_recover] once when the
+   per episode (at the collapse edge) and records a recovery once the
    windowed rate climbs back past the recovery threshold — the
    hysteresis gap between the two ratios prevents edge chatter. *)
 let check t ~time =
-  if t.peak >= t.min_peak && t.peak > 0. then begin
+  if t.peak > 0. then begin
     let r = rate t in
     if in_collapse t then begin
       if r >= t.recovery_ratio *. t.peak then begin
         let elapsed = time -. t.collapsed_at in
         t.collapsed_at <- Float.nan;
-        t.recoveries <- elapsed :: t.recoveries;
-        t.on_recover ~time ~elapsed
+        t.recoveries <- elapsed :: t.recoveries
       end
     end
     else if r < t.collapse_ratio *. t.peak then begin

@@ -3,12 +3,12 @@
     Feed it every delivery ({!note_delivery}) and a periodic {!tick};
     it maintains goodput over a sliding [window] and a {e decaying}
     peak reference — the peak windowed rate, aged exponentially with
-    time constant [peak_tau] so that a one-off startup burst cannot
+    time constant 8 × [window] so that a one-off startup burst cannot
     anchor the thresholds forever.  When the windowed rate falls below
     [collapse_ratio × peak] it declares a collapse episode — firing
     [on_collapse] {e exactly once} per episode — and the episode ends
-    only when the rate recovers past [recovery_ratio × peak]
-    ([on_recover], with the measured time-to-recovery).  The reference
+    only when the rate recovers past [recovery_ratio × peak], which
+    records the measured time-to-recovery.  The reference
     keeps decaying through an episode: recovery is judged against an
     aging memory of pre-collapse goodput, so a long outage's bar
     relaxes towards what the recovered system can actually sustain
@@ -22,24 +22,15 @@
 type t
 
 val create :
-  ?window:float ->
-  ?collapse_ratio:float ->
-  ?recovery_ratio:float ->
-  ?min_peak:float ->
-  ?peak_tau:float ->
+  window:float ->
+  collapse_ratio:float ->
+  recovery_ratio:float ->
   on_collapse:(time:float -> rate:float -> peak:float -> unit) ->
-  ?on_recover:(time:float -> elapsed:float -> unit) ->
-  unit ->
   t
-(** Defaults: [window] 1 s, ratios 0.3 / 0.7, [peak_tau] 8 × window.
-    [min_peak] (bits/s) suppresses the detector until the peak
-    windowed rate has reached it — keeps slow ramp-ups from reading as
-    collapses (default [0.]: armed from the first delivery); the decay
-    can drop the reference back below [min_peak], disarming the
-    detector until the rate pushes it up again.  [peak_tau = infinity]
-    recovers the undecayed all-time peak.
-    @raise Invalid_argument unless [window > 0.], [peak_tau > 0.] and
-    [0 < collapse_ratio < recovery_ratio <= 1]. *)
+(** The overload layer passes its window (1 s) and
+    ratios (0.3 / 0.7).  The detector is armed from the first
+    delivery.
+    @raise Invalid_argument unless [window > 0.]. *)
 
 val note_delivery : t -> time:float -> bits:float -> unit
 (** A chunk reached its consumer. *)

@@ -1,10 +1,12 @@
 (** Overload-control configuration.
 
-    One record switches on the whole graceful-degradation layer:
-    custody admission policy, router load shedding, the receiver
-    circuit breaker, and the collapse watchdog.  Everything is off by
-    default: {!off} is the default of every [?overload] argument, and
-    under it a run is the paper's protocol unchanged. *)
+    One switch turns on the whole graceful-degradation layer: custody
+    admission policy, router load shedding, early back-pressure,
+    detour refusal into pressured neighbours, the receiver circuit
+    breaker and the collapse watchdog.  Only the admission policy is
+    chosen per run; every threshold is one of the constants below.
+    {!Off} is the default of every [?overload] argument, and under it
+    a run is the paper's protocol unchanged. *)
 
 type admission =
   | Drop_tail
@@ -18,58 +20,48 @@ type admission =
           past an equal split of the store.  See
           {!Chunksim.Cache.fair_share}. *)
 
-type t = {
-  admission : admission;  (** custody admission policy *)
-  shed_threshold : float;
-      (** custody occupancy (fraction of store capacity) above which
-          the router sheds new custody admissions outright — in-custody
-          chunks are never shed.  [infinity] disables. *)
-  early_bp_threshold : float;
-      (** custody occupancy fraction at which back-pressure engages
-          {e early}, before the store's high watermark.  [infinity]
-          disables (back-pressure then engages at the watermark as
-          before). *)
-  neighbor_pressure : float;
-      (** refuse detours whose first hop lands on a neighbour whose
-          custody occupancy fraction is at or above this.  [infinity]
-          disables. *)
-  retry_budget : int;
-      (** consecutive barren retransmissions a receiver may send before
-          its circuit breaker opens.  [max_int] disables. *)
-  probe_interval : float;
-      (** half-open probe spacing (seconds) once the breaker is open. *)
-  watchdog_window : float;
-      (** collapse-watchdog sliding window (seconds); [0.] disables the
-          watchdog entirely. *)
-  collapse_ratio : float;
-      (** collapse declared when windowed goodput falls below this
-          fraction of the peak observed. *)
-  recovery_ratio : float;
-      (** episode ends when windowed goodput recovers to this fraction
-          of peak; must exceed [collapse_ratio] (hysteresis). *)
-}
+type t =
+  | Off  (** every mechanism disabled *)
+  | On of admission  (** every mechanism on, with this admission *)
 
 val default : t
-(** Sensible active defaults: object-runs admission, shed at
-    0.9, early back-pressure at 0.5, neighbour refusal at 0.85, retry
-    budget 4 with 1 s probes, 1 s watchdog window with 0.3/0.7
-    collapse/recovery ratios. *)
+(** [On Object_runs]. *)
 
-val off : t
-(** Every mechanism disabled: drop-tail admission, infinite thresholds,
-    an infinite retry budget and no watchdog.  The default of every
-    [?overload] argument. *)
+val shed_threshold : float
+(** 0.9: custody occupancy (fraction of store capacity) above which a
+    router sheds new custody admissions outright; in-custody chunks
+    are never shed. *)
 
-val validate : t -> unit
-(** @raise Invalid_argument on out-of-range fields. *)
+val early_bp_threshold : float
+(** 0.5: custody occupancy fraction at which back-pressure engages
+    {e early}, before the store's high watermark. *)
 
-val watchdog_enabled : t -> bool
-(** [watchdog_window > 0.] *)
+val neighbor_pressure : float
+(** 0.85: detours whose first hop lands on a neighbour at or above
+    this custody occupancy fraction are refused. *)
+
+val retry_budget : int
+(** 4: consecutive barren retransmissions a receiver may send before
+    its circuit breaker opens. *)
+
+val probe_interval : float
+(** 1 s: half-open probe spacing once the breaker is open. *)
+
+val watchdog_window : float
+(** 1 s: the collapse watchdog's sliding window. *)
+
+val collapse_ratio : float
+(** 0.3: collapse is declared when windowed goodput falls below this
+    fraction of the peak observed. *)
+
+val recovery_ratio : float
+(** 0.7: an episode ends when windowed goodput recovers to this
+    fraction of the peak (hysteresis above {!collapse_ratio}). *)
 
 val policy : t -> Chunksim.Cache.policy option
-(** The cache admission policy this config asks for; [None] for
-    {!Drop_tail}, the store's no-policy path. *)
+(** The cache admission policy this config asks for; [None] under
+    {!Off} and for {!Drop_tail}, the store's no-policy path. *)
 
 val admission_name : t -> string
 (** Short label for tables: ["drop-tail"], ["object-runs"],
-    ["fair-share"]. *)
+    ["fair-share"], and ["off"] for {!Off}. *)

@@ -21,8 +21,6 @@ let record t ~time v =
   t.last_time <- time;
   t.last_value <- v
 
-let value t = t.last_value
-
 let integral t ~until =
   if until < t.last_time then
     invalid_arg "Timeline.integral: until precedes last record";

@@ -15,9 +15,6 @@ val record : t -> time:float -> float -> unit
 (** The signal takes the new value from [time] onwards.
     @raise Invalid_argument if [time] precedes the last record. *)
 
-val value : t -> float
-(** Current (latest) value. *)
-
 val time_average : t -> until:float -> float
 (** Time-weighted mean of the signal over [[start, until]].
     @raise Invalid_argument if [until] precedes the last record time.

@@ -14,16 +14,20 @@ let line ?(capacity = default_capacity) ?(delay = default_delay) n =
   done;
   Graph.Builder.build b
 
-let ring ?(capacity = default_capacity) ?(delay = default_delay) n =
+(* a link of the regular topologies' default capacity and delay *)
+let edge b u v =
+  Graph.Builder.add_edge b ~capacity:default_capacity ~delay:default_delay u v
+
+let ring n =
   if n < 3 then invalid_arg "Builders.ring: n < 3";
   let b = Graph.Builder.create () in
   let ids = named_nodes b "n" n Node.Core in
   for i = 0 to n - 1 do
-    Graph.Builder.add_edge b ~capacity ~delay ids.(i) ids.((i + 1) mod n)
+    edge b ids.(i) ids.((i + 1) mod n)
   done;
   Graph.Builder.build b
 
-let star ?(capacity = default_capacity) ?(delay = default_delay) n =
+let star n =
   if n < 1 then invalid_arg "Builders.star: n < 1";
   let b = Graph.Builder.create () in
   let hub = Graph.Builder.add_node b ~role:Node.Core "hub" in
@@ -31,22 +35,22 @@ let star ?(capacity = default_capacity) ?(delay = default_delay) n =
     let leaf =
       Graph.Builder.add_node b ~role:Node.Edge (Printf.sprintf "leaf%d" i)
     in
-    Graph.Builder.add_edge b ~capacity ~delay hub leaf
+    edge b hub leaf
   done;
   Graph.Builder.build b
 
-let full_mesh ?(capacity = default_capacity) ?(delay = default_delay) n =
+let full_mesh n =
   if n < 2 then invalid_arg "Builders.full_mesh: n < 2";
   let b = Graph.Builder.create () in
   let ids = named_nodes b "n" n Node.Core in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      Graph.Builder.add_edge b ~capacity ~delay ids.(i) ids.(j)
+      edge b ids.(i) ids.(j)
     done
   done;
   Graph.Builder.build b
 
-let grid ?(capacity = default_capacity) ?(delay = default_delay) rows cols =
+let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Builders.grid: empty dimension";
   let b = Graph.Builder.create () in
   let id r c = (r * cols) + c in
@@ -62,43 +66,44 @@ let grid ?(capacity = default_capacity) ?(delay = default_delay) rows cols =
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
       if c + 1 < cols then
-        Graph.Builder.add_edge b ~capacity ~delay (id r c) (id r (c + 1));
+        edge b (id r c) (id r (c + 1));
       if r + 1 < rows then
-        Graph.Builder.add_edge b ~capacity ~delay (id r c) (id (r + 1) c)
+        edge b (id r c) (id (r + 1) c)
     done
   done;
   Graph.Builder.build b
 
-let binary_tree ?(capacity = default_capacity) ?(delay = default_delay) depth =
+let binary_tree depth =
   if depth < 0 then invalid_arg "Builders.binary_tree: depth < 0";
   let n = (1 lsl (depth + 1)) - 1 in
   let b = Graph.Builder.create () in
   let ids = named_nodes b "t" n Node.Core in
   for i = 0 to n - 1 do
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    if l < n then Graph.Builder.add_edge b ~capacity ~delay ids.(i) ids.(l);
-    if r < n then Graph.Builder.add_edge b ~capacity ~delay ids.(i) ids.(r)
+    if l < n then edge b ids.(i) ids.(l);
+    if r < n then edge b ids.(i) ids.(r)
   done;
   Graph.Builder.build b
 
-let dumbbell ?(access_capacity = 1e9) ?(bottleneck_capacity = 1e8)
-    ?(delay = default_delay) n =
+let dumbbell ?(access_capacity = 1e9) ?(bottleneck_capacity = 1e8) n =
   if n < 1 then invalid_arg "Builders.dumbbell: n < 1";
   let b = Graph.Builder.create () in
   let left = Graph.Builder.add_node b ~role:Node.Core "left" in
   let right = Graph.Builder.add_node b ~role:Node.Core "right" in
-  Graph.Builder.add_edge b ~capacity:bottleneck_capacity ~delay left right;
+  Graph.Builder.add_edge b ~capacity:bottleneck_capacity ~delay:default_delay
+    left right;
   for i = 0 to n - 1 do
     let s =
       Graph.Builder.add_node b ~role:Node.Host (Printf.sprintf "src%d" i)
     in
-    Graph.Builder.add_edge b ~capacity:access_capacity ~delay s left
+    Graph.Builder.add_edge b ~capacity:access_capacity ~delay:default_delay s left
   done;
   for i = 0 to n - 1 do
     let d =
       Graph.Builder.add_node b ~role:Node.Host (Printf.sprintf "dst%d" i)
     in
-    Graph.Builder.add_edge b ~capacity:access_capacity ~delay right d
+    Graph.Builder.add_edge b ~capacity:access_capacity ~delay:default_delay right
+      d
   done;
   Graph.Builder.build b
 
@@ -119,8 +124,7 @@ let fig3 () =
   Graph.Builder.add_edge b ~capacity:5e6 ~delay:1e-3 n2 n3;
   Graph.Builder.build b
 
-let erdos_renyi ?(capacity = default_capacity) ?(delay = default_delay) ~seed
-    ~p n =
+let erdos_renyi ?(capacity = default_capacity) ~seed ~p n =
   if n < 1 then invalid_arg "Builders.erdos_renyi: n < 1";
   if p < 0. || p > 1. then invalid_arg "Builders.erdos_renyi: p outside [0,1]";
   let rng = Sim.Rng.create seed in
@@ -129,7 +133,8 @@ let erdos_renyi ?(capacity = default_capacity) ?(delay = default_delay) ~seed
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if Sim.Rng.float rng 1. < p then
-        Graph.Builder.add_edge b ~capacity ~delay ids.(i) ids.(j)
+        Graph.Builder.add_edge b ~capacity ~delay:default_delay ids.(i)
+          ids.(j)
     done
   done;
   Graph.Builder.build b

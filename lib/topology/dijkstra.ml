@@ -164,17 +164,17 @@ let hop_distance t v =
   | None -> None
   | Some p -> Some (Path.hops p)
 
-let shortest_path ?metric g s d = path_to (run ?metric ~target:d g s) d
+let shortest_path g s d = path_to (run ~target:d g s) d
 
-let k_disjoint ?(metric = Hops) g ~k s d =
+let k_disjoint g ~k s d =
   if k <= 0 then invalid_arg "Dijkstra.k_disjoint: k must be positive";
   let used = Hashtbl.create 16 in
   let rec collect acc remaining =
     if remaining = 0 then List.rev acc
     else
       let tree =
-        run ~metric ~forbidden_links:(fun l -> Hashtbl.mem used l.Link.id)
-          ~target:d g s
+        run ~forbidden_links:(fun l -> Hashtbl.mem used l.Link.id) ~target:d
+          g s
       in
       match path_to tree d with
       | None -> List.rev acc

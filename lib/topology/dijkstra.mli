@@ -56,12 +56,12 @@ val hop_distance : tree -> Node.id -> int option
 
 val reachable : tree -> Node.id -> bool
 
-val shortest_path : ?metric:metric -> Graph.t -> Node.id -> Node.id -> Path.t option
-(** One-shot convenience wrapper around {!run} and {!path_to}. *)
+val shortest_path : Graph.t -> Node.id -> Node.id -> Path.t option
+(** One-shot convenience wrapper around {!run} and {!path_to}, by
+    hops. *)
 
-val k_disjoint :
-  ?metric:metric -> Graph.t -> k:int -> Node.id -> Node.id -> Path.t list
+val k_disjoint : Graph.t -> k:int -> Node.id -> Node.id -> Path.t list
 (** Up to [k] link-disjoint paths, greedily: repeatedly take the
-    shortest path and remove its links from consideration.  The
+    shortest path by hops and remove its links from consideration.  The
     multipath baselines (MPTCP) route their subflows on these.
     @raise Invalid_argument if [k <= 0]. *)

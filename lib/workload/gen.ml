@@ -13,7 +13,6 @@ type spec = {
   bursts : Arrivals.burst list;
   producers : Topology.Node.role list;
   consumers : Topology.Node.role list;
-  affinity : float;
 }
 
 let default =
@@ -32,7 +31,6 @@ let default =
     bursts = [];
     producers = [];
     consumers = [];
-    affinity = 0.;
   }
 
 (* The imperative generator behind a stream.  Its draw order
@@ -90,7 +88,7 @@ let requests_seq spec g =
     in
     let session =
       Session.create ~producers:spec.producers ~consumers:spec.consumers
-        ~affinity:spec.affinity ~seed:session_seed g
+        ~seed:session_seed g
     in
     { catalog; arrivals; session; object_rng = Sim.Rng.create object_seed }
   in

@@ -26,16 +26,12 @@ type spec = {
   (* session endpoints *)
   producers : Topology.Node.role list;
   consumers : Topology.Node.role list;
-  affinity : float;
-  (** probability a draw repeats the previous (producer, consumer)
-      pair (see {!Session.create}); 0 = independent draws, and the
-      stream is byte-identical to pre-affinity specs *)
 }
 
 val default : spec
 (** Seed 1, 10 s horizon, 256-request cap, 64-object catalogue at
     α = 0.8, chunks Pareto(1.2) on [4, 64], 8 sessions/s, no diurnal
-    modulation or bursts, any-role endpoints, affinity 0. *)
+    modulation or bursts, any-role endpoints. *)
 
 val requests : spec -> Topology.Graph.t -> Request.t list
 (** The generated stream, in arrival order.  Pure: equal arguments

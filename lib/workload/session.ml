@@ -3,11 +3,6 @@ type t = {
   producers : Topology.Node.id array;
   consumers : Topology.Node.id array;
   rng : Sim.Rng.t;
-  affinity : float;
-  (* the previous draw's pair, as two ints so a draw stores no block;
-     [last_p] is -1 before the first draw *)
-  mutable last_p : Topology.Node.id;
-  mutable last_c : Topology.Node.id;
   (* every node reaches every other, so any two distinct nodes are a
      routable pair *)
   strong : bool;
@@ -43,11 +38,9 @@ let tree t producer =
 let routable t src dst =
   src <> dst && (t.strong || Topology.Dijkstra.reachable (tree t src) dst)
 
-let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
+let create ?(producers = []) ?(consumers = []) ~seed g =
   if Topology.Graph.node_count g < 2 then
     invalid_arg "Session.create: graph has fewer than two nodes";
-  if not (affinity >= 0. && affinity <= 1.) then
-    invalid_arg "Session.create: affinity outside [0,1]";
   let strong = Topology.Graph.is_strongly_connected g in
   let t =
     {
@@ -55,9 +48,6 @@ let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
       producers = nodes_with_roles g producers;
       consumers = nodes_with_roles g consumers;
       rng = Sim.Rng.create seed;
-      affinity;
-      last_p = -1;
-      last_c = -1;
       strong;
       trees =
         (if strong then [||]
@@ -73,24 +63,8 @@ let create ?(producers = []) ?(consumers = []) ?(affinity = 0.) ~seed g =
     invalid_arg "Session.create: no routable (producer, consumer) pair";
   t
 
-(* draws until a pair is routable, and keeps it as the last pair *)
-let rec fresh t =
+(* draws until a pair is routable *)
+let rec draw t =
   let p = t.producers.(Sim.Rng.int t.rng (Array.length t.producers)) in
   let c = t.consumers.(Sim.Rng.int t.rng (Array.length t.consumers)) in
-  if routable t p c then begin
-    t.last_p <- p;
-    t.last_c <- c
-  end
-  else fresh t
-
-let draw t =
-  (* session affinity: repeat the previous pair with probability
-     [affinity] — consecutive requests from the same client hit the
-     same server, concentrating load on a few paths (the EBONE/VSNL
-     hot-pair scenarios).  At affinity 0 the branch makes no RNG draw
-     at all, so existing request streams stay byte-identical. *)
-  let repeat =
-    t.last_p >= 0 && t.affinity > 0. && Sim.Rng.float t.rng 1. < t.affinity
-  in
-  if not repeat then fresh t;
-  (t.last_p, t.last_c)
+  if routable t p c then (p, c) else draw t

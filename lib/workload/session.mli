@@ -14,20 +14,12 @@ type t
 
 val create :
   ?producers:Topology.Node.role list -> ?consumers:Topology.Node.role list ->
-  ?affinity:float -> seed:int64 -> Topology.Graph.t -> t
+  seed:int64 -> Topology.Graph.t -> t
 (** Role lists default to every node.  A role list that matches no
     node falls back to every node too (mirroring
     [Flowsim.Workload.Role_pairs]).
-
-    [affinity] (default 0) is the probability that a draw repeats the
-    previous draw's pair instead of sampling a fresh one — consecutive
-    requests sticking to the same (server, client) pair, which
-    concentrates load on a few paths in the EBONE/VSNL scenarios.  At
-    0 the draw sequence is byte-identical to pre-affinity sessions (no
-    extra RNG draws are made).
-    @raise Invalid_argument if the graph has fewer than two nodes, no
-    routable (producer, consumer) pair exists at all, or [affinity] is
-    outside [0,1]. *)
+    @raise Invalid_argument if the graph has fewer than two nodes, or
+    no routable (producer, consumer) pair exists at all. *)
 
 val draw : t -> Topology.Node.id * Topology.Node.id
 (** A uniformly drawn routable [(producer, consumer)] pair with

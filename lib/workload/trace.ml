@@ -15,31 +15,24 @@ let save_file path requests =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> save oc requests)
 
-let load ?max_requests ic =
+let load ic =
   let reader = Obs.Json.Reader.of_channel ic in
-  let limit = Option.value max_requests ~default:max_int in
-  let rec go acc n =
-    if n >= limit then Ok (List.rev acc)
-    else
-      match Obs.Json.Reader.next reader with
-      | None -> Ok (List.rev acc)
-      | Some (Error msg) -> Error msg
-      | Some (Ok j) ->
-        (match Request.of_json j with
-        | Ok r -> go (r :: acc) (n + 1)
-        | Error msg ->
-          Error
-            (Printf.sprintf "line %d: %s"
-               (Obs.Json.Reader.line_no reader)
-               msg))
+  let rec go acc =
+    match Obs.Json.Reader.next reader with
+    | None -> Ok (List.rev acc)
+    | Some (Error msg) -> Error msg
+    | Some (Ok j) ->
+      (match Request.of_json j with
+      | Ok r -> go (r :: acc)
+      | Error msg ->
+        Error
+          (Printf.sprintf "line %d: %s" (Obs.Json.Reader.line_no reader) msg))
   in
-  go [] 0
+  go []
 
-let load_file ?max_requests path =
+let load_file path =
   let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> load ?max_requests ic)
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> load ic)
 
 let validate g requests =
   let n = Topology.Graph.node_count g in

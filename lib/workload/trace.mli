@@ -10,7 +10,7 @@ val save : out_channel -> Request.t list -> unit
 
 val save_file : string -> Request.t list -> unit
 
-val load_file : ?max_requests:int -> string -> (Request.t list, string) result
+val load_file : string -> (Request.t list, string) result
 
 val validate : Topology.Graph.t -> Request.t list -> (unit, string) result
 (** Checks every request's endpoints are distinct node ids of the

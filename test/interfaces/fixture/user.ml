@@ -2,3 +2,6 @@ module F = Fixture
 module S = Set.Make (Fixture.Key)
 
 let value = F.entry (S.cardinal (S.singleton 1))
+let fetched = Knob.fetch ~passed:1 value
+let scaled = List.map Knob.scale [ fetched ]
+let config = { Knob.default with Knob.updated = List.length scaled }

@@ -1,4 +1,4 @@
-(* Two rules over the compiled annotations, and the walker's own
+(* Three rules over the compiled annotations, and the walker's own
    behaviour on a fixture.
 
    "exports": every value a lib/ interface exports is called from
@@ -10,6 +10,14 @@
    to_seq family) and every Flow_table.iter/iter_bp in lib/, bin/ and
    bench/ is named in hash_order.allow, with the reason its order does
    or does not reach an output.
+
+   "knobs": every optional parameter of a function a lib/ interface
+   exports, and every field of a lib/ config record (a record type
+   whose module exports a [default] or [default_*] constant of it), is
+   set by some unit outside test/: the parameter is passed at a call,
+   or the function is passed as a value; the field is set in a
+   [{ e with f = ... }] update.  Otherwise knobs.allow names it with
+   the reason a test needs it.
 
    Paths are relative to the build root: the current directory's
    grandparent under `dune test`, _build/default under `dune exec`
@@ -166,15 +174,74 @@ let test_hash_order () =
        (fun (pattern, _) -> if List.mem pattern sites then None else Some pattern)
        entries)
 
+(* --- knobs ------------------------------------------------------ *)
+
+(* "M.f ?{a,b}" names "M.f ?a" and "M.f ?b" *)
+let knob_names pattern =
+  match String.index_opt pattern '{', String.index_opt pattern '}' with
+  | Some i, Some j when i < j ->
+    let prefix = String.sub pattern 0 i
+    and suffix = String.sub pattern (j + 1) (String.length pattern - j - 1) in
+    String.sub pattern (i + 1) (j - i - 1)
+    |> String.split_on_char ','
+    |> List.map (fun v -> prefix ^ String.trim v ^ suffix)
+  | _ -> [ pattern ]
+
+(* knobs.allow's size today *)
+let max_knobs = 16
+
+let knobs =
+  lazy
+    (let exports = Walker.exports ~root [ "lib" ] in
+     let records = Walker.records ~root [ "lib" ] in
+     let programs = Walker.units ~root [ "lib"; "bin"; "bench"; "examples" ] in
+     let tests = Walker.units ~root [ "test" ] in
+     Walker.knobs ~exports ~records ~programs ~tests
+     |> List.filter (fun (k : Walker.knob) -> not k.set))
+
+let test_knobs () =
+  let entries = read_allow (allow "knobs.allow") in
+  if List.length entries > max_knobs then
+    Alcotest.failf "knobs.allow has %d entries, at most %d"
+      (List.length entries) max_knobs;
+  fail_with
+    "settings no program sets (make the value the only behaviour, or list \
+     it in knobs.allow)"
+    (List.filter_map
+       (fun (k : Walker.knob) ->
+         if List.exists (fun (p, _) -> List.mem k.knob (knob_names p)) entries
+         then None
+         else
+           Some
+             (match k.test_setters with
+              | [] -> k.knob
+              | users -> k.knob ^ " set by " ^ String.concat ", " users))
+       (Lazy.force knobs))
+
+(* every name an entry lists must be an unset setting *)
+let test_knobs_live () =
+  let unset = List.map (fun (k : Walker.knob) -> k.knob) (Lazy.force knobs) in
+  fail_with "knobs.allow entries that match no unset setting"
+    (List.concat_map
+       (fun (pattern, _) ->
+         List.filter (fun n -> not (List.mem n unset)) (knob_names pattern))
+       (read_allow (allow "knobs.allow")))
+
 (* --- the walker on its fixture ---------------------------------- *)
 
+let fixture_dir = "test/interfaces/fixture"
+
+(* the verdicts on the exports of [Fixture]; [Knob] is the knobs
+   rule's fixture *)
 let fixture_verdicts =
   lazy
-    (let dir = "test/interfaces/fixture" in
-     let exports = Walker.exports ~root [ dir ] in
-     let programs = Walker.units ~root [ dir ] in
+    (let exports = Walker.exports ~root [ fixture_dir ] in
+     let programs = Walker.units ~root [ fixture_dir ] in
      Walker.classify ~exports ~programs ~tests:[]
-     |> List.map (fun (r : Walker.report) -> r.export.name, r.verdict))
+     |> List.filter_map (fun (r : Walker.report) ->
+            if String.starts_with ~prefix:"Fixture." r.export.name then
+              Some (r.export.name, r.verdict)
+            else None))
 
 let verdict =
   Alcotest.testable
@@ -191,6 +258,20 @@ let fixture name expected () =
     name (Some expected)
     (List.assoc_opt name (Lazy.force fixture_verdicts))
 
+(* every setting of the fixture, and whether [User] sets it *)
+let fixture_knobs =
+  lazy
+    (let exports = Walker.exports ~root [ fixture_dir ] in
+     let records = Walker.records ~root [ fixture_dir ] in
+     let programs = Walker.units ~root [ fixture_dir ] in
+     Walker.knobs ~exports ~records ~programs ~tests:[]
+     |> List.map (fun (k : Walker.knob) -> k.knob, k.set))
+
+let fixture_knob name set () =
+  Alcotest.(check (option bool))
+    name (Some set)
+    (List.assoc_opt name (Lazy.force fixture_knobs))
+
 let test_fixture_count () =
   Alcotest.(check int) "exports" 4 (List.length (Lazy.force fixture_verdicts))
 
@@ -204,6 +285,11 @@ let () =
         ] );
       ( "hash order",
         [ Alcotest.test_case "every walk is listed" `Quick test_hash_order ] );
+      ( "knobs",
+        [
+          Alcotest.test_case "every setting is set" `Quick test_knobs;
+          Alcotest.test_case "allow-list is live" `Quick test_knobs_live;
+        ] );
       ( "walker",
         [
           Alcotest.test_case "four exports" `Quick test_fixture_count;
@@ -215,5 +301,15 @@ let () =
             (fixture "Fixture.entry" Used);
           Alcotest.test_case "functor argument counts" `Quick
             (fixture "Fixture.Key.compare" Used);
+          Alcotest.test_case "passed parameter used" `Quick
+            (fixture_knob "Knob.fetch ?passed" true);
+          Alcotest.test_case "unpassed parameter flagged" `Quick
+            (fixture_knob "Knob.fetch ?never" false);
+          Alcotest.test_case "function value passes all" `Quick
+            (fixture_knob "Knob.scale ?factor" true);
+          Alcotest.test_case "updated field used" `Quick
+            (fixture_knob "Knob.config.updated" true);
+          Alcotest.test_case "unset field flagged" `Quick
+            (fixture_knob "Knob.config.never_set" false);
         ] );
     ]

@@ -11,8 +11,11 @@
    or packed as a first-class module counts as a use of every value in
    its type.  Only constructors whose shape is the same from OCaml 5.1
    to 5.2 are matched: [Texp_ident], [Texp_pack], [Tmod_apply],
-   [Tsig_value], [Tsig_module], and [Sig_value]/[Sig_module] of the
-   implementation's signature. *)
+   [Tsig_value], [Tsig_module], [Tsig_type], and
+   [Sig_value]/[Sig_module] of the implementation's signature.  The
+   knobs rule also reads an application's arguments and a record
+   update's fields, each in one function of its own ([written_arg],
+   [updated_labels]). *)
 
 open Typedtree
 
@@ -32,6 +35,7 @@ type export = {
   name : string;  (** e.g. ["Topology.Graph.find_link"] *)
   decl : Location.t;  (** the .mli declaration *)
   impl : string;  (** the .ml the .mli belongs to *)
+  optional : string list;  (** its optional parameters, in order *)
 }
 
 type verdict =
@@ -80,12 +84,21 @@ let unit_name modname =
   done;
   Buffer.contents b
 
+(* the optional parameters of a function type, in order *)
+let rec optional_labels ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (Asttypes.Optional l, _, rest, _) -> l :: optional_labels rest
+  | Types.Tarrow (_, _, rest, _) -> optional_labels rest
+  | _ -> []
+
 let rec signature_exports prefix acc (sg : signature) =
   List.fold_left
     (fun acc item ->
       match item.sig_desc with
       | Tsig_value vd ->
-        (prefix ^ vd.val_name.txt, vd.val_val.Types.val_loc) :: acc
+        (prefix ^ vd.val_name.txt, vd.val_val.Types.val_loc,
+         optional_labels vd.val_val.Types.val_type)
+        :: acc
       | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } -> (
         match md_type.mty_desc with
         | Tmty_signature sg -> signature_exports (prefix ^ m ^ ".") acc sg
@@ -105,7 +118,8 @@ let exports ~root dirs =
              | Cmt_format.Interface sg, Some mli ->
                let impl = Filename.chop_suffix mli ".mli" ^ ".ml" in
                signature_exports (unit_name cmt.cmt_modname ^ ".") [] sg
-               |> List.rev_map (fun (name, decl) -> { name; decl; impl })
+               |> List.rev_map (fun (name, decl, optional) ->
+                      { name; decl; impl; optional })
              | _ -> []))
     dirs
 
@@ -204,16 +218,13 @@ type report = {
   test_users : string list;  (** test files that call it, sorted *)
 }
 
-(** [classify ~exports ~programs ~tests] gives each export its
-    verdict, in the order of [exports].  Calls from [tests] count only
-    in [test_users]. *)
-let classify ~exports ~programs ~tests =
+(* Exports by declaration: the .mli's, and each export's .ml
+   definition, so that uses inside its own unit find it too. *)
+let decl_index ~exports ~programs =
   let by_decl = Hashtbl.create 1024 in
   List.iter (fun e -> Hashtbl.replace by_decl (key e.decl) e) exports;
   let by_name = Hashtbl.create 1024 in
   List.iter (fun e -> Hashtbl.replace by_name e.name e) exports;
-  (* each export's .ml definition, so that uses inside its own unit
-     find it too *)
   List.iter
     (fun u ->
       definitions (u.modname ^ ".") [] u.str.str_type
@@ -222,6 +233,13 @@ let classify ~exports ~programs ~tests =
              | Some e when e.impl = u.source -> Hashtbl.replace by_decl k e
              | _ -> ()))
     programs;
+  by_decl
+
+(** [classify ~exports ~programs ~tests] gives each export its
+    verdict, in the order of [exports].  Calls from [tests] count only
+    in [test_users]. *)
+let classify ~exports ~programs ~tests =
+  let by_decl = decl_index ~exports ~programs in
   let outside = Hashtbl.create 1024
   and own = Hashtbl.create 1024
   and tested = Hashtbl.create 1024 in
@@ -284,3 +302,174 @@ let hash_order_sites units =
               :: !sites))
     units;
   List.sort compare !sites
+
+(* --- knobs ------------------------------------------------------ *)
+
+(* The two matches on Typedtree constructors whose shape is not the
+   same in every supported compiler.  An application's argument is an
+   [expression option] in OCaml 5.1 and [Arg of expression | Omitted of
+   unit] from 5.2; both keep a written argument in field 0 of a block
+   with tag 0, and [written_arg] reads that layout so that this file
+   builds under either.  An optional argument the call leaves out is
+   filled in by the type checker with a [None] at [Location.none]: not
+   written either. *)
+let written_arg (arg : Obj.t) : expression option =
+  if Obj.is_block arg && Obj.tag arg = 0 then
+    let e : expression = Obj.obj (Obj.field arg 0) in
+    if e.exp_loc = Location.none then None else Some e
+  else None
+
+(* the labels a [{ e with f = ... }] update sets; [] for any other
+   expression *)
+let updated_labels (e : expression) =
+  match e.exp_desc with
+  | Texp_record { fields; extended_expression = Some _; _ } ->
+    Array.to_list fields
+    |> List.filter_map (fun ((l : Types.label_description), def) ->
+           match def with Overridden _ -> Some l | Kept _ -> None)
+  | _ -> []
+
+(* A config record: a record type whose signature also exports a
+   default of that type, a constant named [default] or [default_*]. *)
+type record = {
+  record : string;  (** e.g. ["Inrpp.Config.t"] *)
+  owner : string * string;  (** its source without extension, type name *)
+  fields : string list;
+}
+
+let rec signature_records prefix file acc (sg : signature) =
+  let constant ty =
+    match Types.get_desc ty with
+    | Types.Tconstr (Path.Pident id, [], _) -> Some (Ident.name id)
+    | _ -> None
+  in
+  let constants =
+    List.filter_map
+      (fun item ->
+        match item.sig_desc with
+        | Tsig_value vd
+          when vd.val_name.txt = "default"
+               || String.starts_with ~prefix:"default_" vd.val_name.txt ->
+          constant vd.val_val.Types.val_type
+        | _ -> None)
+      sg.sig_items
+  in
+  List.fold_left
+    (fun acc item ->
+      match item.sig_desc with
+      | Tsig_type (_, decls) ->
+        List.fold_left
+          (fun acc d ->
+            match d.typ_kind with
+            | Ttype_record lds when List.mem d.typ_name.txt constants ->
+              {
+                record = prefix ^ d.typ_name.txt;
+                owner = file, d.typ_name.txt;
+                fields = List.map (fun ld -> ld.ld_name.txt) lds;
+              }
+              :: acc
+            | _ -> acc)
+          acc decls
+      | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } -> (
+        match md_type.mty_desc with
+        | Tmty_signature sg -> signature_records (prefix ^ m ^ ".") file acc sg
+        | _ -> acc)
+      | _ -> acc)
+    acc sg.sig_items
+
+(** The config records the .cmti files under [dirs] of [root]
+    declare, in file order. *)
+let records ~root dirs =
+  List.concat_map
+    (fun dir ->
+      annotation_files ~suffix:".cmti" root dir
+      |> List.concat_map (fun path ->
+             let cmt = read path in
+             match cmt.cmt_annots, cmt.cmt_sourcefile with
+             | Cmt_format.Interface sg, Some mli ->
+               signature_records (unit_name cmt.cmt_modname ^ ".")
+                 (Filename.chop_suffix mli ".mli") [] sg
+               |> List.rev
+             | _ -> []))
+    dirs
+
+(* [iter_settings u ~param ~value ~field] calls [param decl label] for
+   each optional argument [u] writes at a call, [value decl] for each
+   value it refers to other than at the head of an application, and
+   [field owner label] for each field it sets in a [with] update. *)
+let iter_settings u ~param ~value ~field =
+  let open Tast_iterator in
+  let head = ref None in
+  let expr it (e : expression) =
+    (match e.exp_desc with
+     | Texp_apply (({ exp_desc = Texp_ident (_, _, vd); _ } as f), args) ->
+       head := Some f;
+       List.iter
+         (fun (label, arg) ->
+           match label, written_arg (Obj.repr arg) with
+           | Asttypes.Optional l, Some _ -> param vd.Types.val_loc l
+           | _ -> ())
+         args
+     | Texp_ident (_, _, vd) -> (
+       match !head with
+       | Some f when f == e -> head := None
+       | _ -> value vd.Types.val_loc)
+     | _ -> ());
+    List.iter
+      (fun (l : Types.label_description) ->
+        match Types.get_desc l.lbl_res with
+        | Types.Tconstr (p, _, _) ->
+          field
+            (Filename.remove_extension l.lbl_loc.loc_start.pos_fname, Path.last p)
+            l.lbl_name
+        | _ -> ())
+      (updated_labels e);
+    default_iterator.expr it e
+  in
+  let it = { default_iterator with expr } in
+  it.structure it u.str
+
+type knob = {
+  knob : string;
+      (** ["Sim.Engine.run ?max_events"] or ["Inrpp.Config.t.pitless"] *)
+  set : bool;  (** set by a unit outside test/ *)
+  test_setters : string list;  (** test files that set it, sorted *)
+}
+
+(** [knobs ~exports ~records ~programs ~tests]: every optional
+    parameter of [exports] and every field of [records], and whether a
+    program sets it.  Passing a function other than by calling it
+    passes all its optional parameters.  Settings in [tests] count only
+    in [test_setters]. *)
+let knobs ~exports ~records ~programs ~tests =
+  let by_decl = decl_index ~exports ~programs in
+  let set = Hashtbl.create 256 and tested = Hashtbl.create 256 in
+  let note ~test u =
+    let mark k =
+      if test then
+        let users = Option.value ~default:[] (Hashtbl.find_opt tested k) in
+        Hashtbl.replace tested k (u.source :: users)
+      else Hashtbl.replace set k ()
+    in
+    let export loc f = Option.iter f (Hashtbl.find_opt by_decl (key loc)) in
+    iter_settings u
+      ~param:(fun loc l -> export loc (fun e -> mark (e.name ^ " ?" ^ l)))
+      ~value:(fun loc ->
+        export loc (fun e -> List.iter (fun l -> mark (e.name ^ " ?" ^ l)) e.optional))
+      ~field:(fun owner l ->
+        List.iter
+          (fun r -> if r.owner = owner then mark (r.record ^ "." ^ l))
+          records)
+  in
+  List.iter (note ~test:false) programs;
+  List.iter (note ~test:true) tests;
+  List.concat_map (fun e -> List.map (fun l -> e.name ^ " ?" ^ l) e.optional) exports
+  @ List.concat_map (fun r -> List.map (fun f -> r.record ^ "." ^ f) r.fields) records
+  |> List.map (fun knob ->
+         {
+           knob;
+           set = Hashtbl.mem set knob;
+           test_setters =
+             List.sort_uniq compare
+               (Option.value ~default:[] (Hashtbl.find_opt tested knob));
+         })

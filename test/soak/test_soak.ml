@@ -19,14 +19,10 @@
 
 let chunks_per_flow = 120
 
-(* keep the request timeout far above any soak-scale queueing delay:
-   spurious retransmissions would show up as duplicate pushes and turn
-   the conservation equality into noise *)
 let cfg =
   {
     Inrpp.Config.default with
     Inrpp.Config.anticipation = 512;
-    request_timeout = 10.;
     (* small stores: hotspot custody fills them and forces the
        backpressure phase, so the soak covers all three phases *)
     cache_bits = 40. *. Inrpp.Config.default.Inrpp.Config.chunk_bits;
@@ -162,15 +158,16 @@ let write_ndjson path small large =
 
 (* one seeded fault schedule under every checker: link outages, a
    custody-wiping crash and a control burst against the same EBONE
-   graph.  Fault attribution must keep conservation green, and every
-   flow must still complete once the faults resolve. *)
+   graph, all inside the ~6 s of simulated time the flows take.  Fault
+   attribution must keep conservation green, and every flow must still
+   complete once the faults resolve. *)
 let run_fault_soak () =
   let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
   let nflows = 120 in
   let specs = make_specs g ~nflows ~seed:97 in
   let faults =
     Fault.Schedule.random ~seed:2026L ~link_outages:3 ~crashes:1 ~bursts:1
-      ~horizon:30. g
+      ~horizon:6. g
   in
   let chk = Check.Invariant.create () in
   let r = Inrpp.Protocol.run ~cfg ~horizon:600. ~check:chk ~faults g specs in
@@ -263,9 +260,7 @@ let run_chaos_soak () =
       (Fault.Schedule.random ~seed:32L ~link_outages:1 ~crashes:1 ~horizon:25.
          g)
   in
-  let overload =
-    { Overload.Config.default with Overload.Config.retry_budget = 16 }
-  in
+  let overload = Overload.Config.default in
   let chk = Check.Invariant.create () in
   let r =
     Inrpp.Protocol.run ~cfg ~horizon:600. ~check:chk ~workload ~faults

@@ -398,8 +398,7 @@ let test_backoff_bounds_requests_during_partition () =
      to the cap, plus one request per capped interval across the
      partition, plus slack for the post-heal refetch *)
   let cap =
-    Inrpp.Config.timeout_backoff_cap
-    *. Inrpp.Config.default.Inrpp.Config.request_timeout
+    Inrpp.Config.timeout_backoff_cap *. Inrpp.Config.request_timeout
   in
   let doublings =
     int_of_float (ceil (log Inrpp.Config.timeout_backoff_cap /. log 2.))

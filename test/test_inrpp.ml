@@ -809,25 +809,25 @@ let test_detour_table_candidates () =
   let g = Topology.Builders.fig3 () in
   let t = Inrpp.Detour_table.create g in
   let l13 = Option.get (Topology.Graph.find_link g 1 3) in
-  (match Inrpp.Detour_table.candidates t l13 with
-  | c :: _ as cs ->
+  (match Topology.Detour.Table.find t l13 with
+  | (via, d) :: _ as cs ->
     (* shortest first: the 1-intermediate detour via node 2; the
        2-intermediate 1-0-2-3 fallback follows *)
     Alcotest.(check int) "two candidates" 2 (List.length cs);
-    Alcotest.(check int) "deflects to node 2" 2
-      c.Inrpp.Detour_table.first_link.Topology.Link.dst;
-    Alcotest.(check (list int)) "rejoins at 3" [ 3 ] c.Inrpp.Detour_table.rest;
-    Alcotest.(check int) "2 hops" 2 c.Inrpp.Detour_table.hops;
-    Alcotest.(check int) "2 links" 2 (List.length c.Inrpp.Detour_table.links)
+    Alcotest.(check int) "deflects to node 2" 2 via;
+    Alcotest.(check (list int)) "rejoins at 3" [ 3 ]
+      (match d.Topology.Path.nodes with _ :: _ :: rest -> rest | _ -> []);
+    Alcotest.(check int) "2 hops" 2 (Topology.Path.hops d);
+    Alcotest.(check int) "2 links" 2 (List.length d.Topology.Path.links)
   | [] -> Alcotest.fail "expected candidates");
-  Alcotest.(check bool) "has detour" true (Inrpp.Detour_table.candidates t l13 <> [])
+  Alcotest.(check bool) "has detour" true (Topology.Detour.Table.find t l13 <> [])
 
 let test_detour_table_none_on_line () =
   let g = Topology.Builders.line 3 in
   let t = Inrpp.Detour_table.create g in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   Alcotest.(check bool) "no detour on a line" false
-    (Inrpp.Detour_table.candidates t l <> [])
+    (Topology.Detour.Table.find t l <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path allocation and flow-state gates *)
@@ -965,7 +965,7 @@ let test_receiver_timeout_alloc () =
     in
     (* a chunk every half interval: every timeout finds progress and
        re-arms; the deliveries are scheduled before the window *)
-    let interval = cfg.Inrpp.Config.request_timeout in
+    let interval = Inrpp.Config.request_timeout in
     for i = 0 to n - 1 do
       let p =
         Chunksim.Packet.data ~flow:0 ~idx:i ~born:0. cfg.Inrpp.Config.chunk_bits
@@ -1124,18 +1124,17 @@ let chunk = Inrpp.Config.default.Inrpp.Config.chunk_bits
 (* fig3's node 1 with one flow on the 2 Mbps bottleneck 1->3.  Its
    detours run via node 2 (one hop) and via node 0 (two hops);
    [pressure] is the neighbour custody-occupancy oracle, refused at
-   0.5 and above *)
+   [Overload.Config.neighbor_pressure] (0.85) and above: the tests set
+   0 or 1 *)
 let fig3_router pressure =
   let g = Topology.Builders.fig3 () in
   let eng = Sim.Engine.create () in
   let net = Chunksim.Net.create ~queue_bits:1e12 eng g in
   let link_state = Topology.Link_state.create g in
-  let overload =
-    { Overload.Config.default with Overload.Config.neighbor_pressure = 0.5 }
-  in
   let r =
     R.create ~cfg:Inrpp.Config.default ~net ~node:1
-      ~detours:(Inrpp.Detour_table.create g) ~link_state ~overload ()
+      ~detours:(Inrpp.Detour_table.create g) ~link_state
+      ~overload:Overload.Config.default ()
   in
   R.set_neighbor_pressure r (fun n -> pressure.(n));
   let link u v = Option.get (Topology.Graph.find_link g u v) in
@@ -1278,9 +1277,7 @@ let test_router_drain_skip_exact () =
   List.iter (fun n -> Chunksim.Net.set_handler net n (fun ~from:_ _ -> ()))
     [ 0; 2; 3 ];
   let pressure = [| 0.; 0.; 0.; 0. |] in
-  let overload =
-    { Overload.Config.default with Overload.Config.neighbor_pressure = 0.5 }
-  in
+  let overload = Overload.Config.default in
   let tr = Chunksim.Trace.create () in
   Chunksim.Trace.set_lifecycle tr true;
   let r =
@@ -1373,10 +1370,7 @@ let prop_custody_ledger =
       let r =
         R.create ~cfg:Inrpp.Config.default ~net ~node:1
           ~detours:(Inrpp.Detour_table.create g) ~link_state:ls
-          ~overload:
-            { Overload.Config.default with
-              Overload.Config.neighbor_pressure = 0.5 }
-          ()
+          ~overload:Overload.Config.default ()
       in
       R.set_neighbor_pressure r (fun n -> pressure.(n));
       let link u v = Option.get (Topology.Graph.find_link g u v) in
@@ -2242,7 +2236,7 @@ let test_receiver_flow_balance () =
 let test_receiver_timeout_rerequests () =
   let eng = Sim.Engine.create () in
   let requests = ref 0 in
-  let cfg = { Inrpp.Config.default with Inrpp.Config.request_timeout = 0.05 } in
+  let cfg = Inrpp.Config.default in
   let r =
     Inrpp.Receiver.create ~cfg ~eng ~flow:0 ~total_chunks:5
       ~send_request:(fun _ -> incr requests)
@@ -2250,8 +2244,9 @@ let test_receiver_timeout_rerequests () =
       ()
   in
   Inrpp.Receiver.start r;
-  (* nothing ever arrives: the timeout must keep re-asking *)
-  Sim.Engine.run ~until:0.3 eng;
+  (* nothing ever arrives: the timeout must keep re-asking, six
+     [Config.request_timeout] intervals of 0.2 s *)
+  Sim.Engine.run ~until:(6. *. Inrpp.Config.request_timeout) eng;
   Alcotest.(check bool)
     (Printf.sprintf "re-requested (%d requests)" !requests)
     true (!requests >= 4)

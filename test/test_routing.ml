@@ -38,9 +38,10 @@ let test_hops_tree () =
 
 let test_metric_choice () =
   let g = weighted () in
-  let by_hops = Option.get (Dijkstra.shortest_path ~metric:Dijkstra.Hops g 0 3) in
+  let path metric = Dijkstra.path_to (Dijkstra.run ~metric ~target:3 g 0) 3 in
+  let by_hops = Option.get (path Dijkstra.Hops) in
   Alcotest.(check int) "hop metric takes direct link" 1 (Path.hops by_hops);
-  let by_delay = Option.get (Dijkstra.shortest_path ~metric:Dijkstra.Delay g 0 3) in
+  let by_delay = Option.get (path Dijkstra.Delay) in
   Alcotest.(check (list int)) "delay metric takes fast branch" [ 0; 2; 3 ]
     by_delay.Path.nodes
 

@@ -291,13 +291,10 @@ let test_profile_json_round_trip () =
   let rows =
     [ ("packet", 1376, 0.0006, 53_000.); ("tick", 1, 0.0037, 792_860.) ]
   in
-  let j = Obs.Profile.to_json ~extra:[ ("scenario", J.Str "test") ] rows in
+  let j = Obs.Profile.to_json rows in
   (match J.member "schema" j with
   | Some (J.Str s) -> Alcotest.(check string) "schema" "inrpp-profile/v1" s
   | _ -> Alcotest.fail "missing schema");
-  (match J.member "scenario" j with
-  | Some (J.Str s) -> Alcotest.(check string) "extra field kept" "test" s
-  | _ -> Alcotest.fail "extra field dropped");
   (match Result.bind (J.parse (J.to_string j)) Obs.Profile.of_json with
   | Ok rows' ->
     (* to_json sorts by wall-clock descending *)

@@ -498,103 +498,6 @@ let test_request_json_rejects () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Session affinity *)
-
-(* affinity = 0 must make no extra RNG draws at all, so the pair
-   stream is byte-identical to a pre-affinity session *)
-let test_affinity_zero_identical seed =
-  let g = Topology.Builders.fig3 () in
-  let plain = Workload.Session.create ~seed g in
-  let zero = Workload.Session.create ~affinity:0. ~seed g in
-  for i = 1 to 200 do
-    let a = Workload.Session.draw plain and b = Workload.Session.draw zero in
-    Alcotest.(check (pair int int))
-      (Printf.sprintf "draw %d identical" i)
-      a b
-  done
-
-let repeat_fraction session draws =
-  let repeats = ref 0 and prev = ref None in
-  for _ = 1 to draws do
-    let p = Workload.Session.draw session in
-    (match !prev with Some q when q = p -> incr repeats | _ -> ());
-    prev := Some p
-  done;
-  float_of_int !repeats /. float_of_int (draws - 1)
-
-(* an affinity-a draw repeats with probability at least a (chance
-   collisions of fresh draws only add); the binomial z-band around a
-   bounds it above *)
-let test_affinity_sticks seed =
-  let g = Topology.Builders.fig3 () in
-  let draws = 2000 in
-  let a = 0.8 in
-  let f =
-    repeat_fraction (Workload.Session.create ~affinity:a ~seed g) draws
-  in
-  let sd = sqrt (a *. (1. -. a) /. float_of_int draws) in
-  Alcotest.(check bool)
-    (Printf.sprintf "repeat fraction %.3f within [%.3f, %.3f]" f a
-       (a +. (z *. sd) +. 0.1))
-    true
-    (f >= a && f <= a +. (z *. sd) +. 0.1);
-  let f0 = repeat_fraction (Workload.Session.create ~seed g) draws in
-  Alcotest.(check bool)
-    (Printf.sprintf "independent draws rarely repeat (%.3f)" f0)
-    true (f0 < 0.3)
-
-let test_affinity_range () =
-  let g = Topology.Builders.fig3 () in
-  List.iter
-    (fun a ->
-      Alcotest.check_raises
-        (Printf.sprintf "affinity %f rejected" a)
-        (Invalid_argument "Session.create: affinity outside [0,1]")
-        (fun () -> ignore (Workload.Session.create ~affinity:a ~seed:1L g)))
-    [ -0.1; 1.1 ]
-
-(* the spec-level wiring: affinity 0 leaves the generated request
-   stream byte-identical to the default spec *)
-let test_affinity_spec_zero_identical seed =
-  let g = Topology.Builders.fig3 () in
-  let base = { Workload.Gen.default with Workload.Gen.seed } in
-  let zero = { base with Workload.Gen.affinity = 0. } in
-  Alcotest.(check bool) "affinity-0 spec streams identically" true
-    (Workload.Gen.requests base g = Workload.Gen.requests zero g)
-
-let test_affinity_spec_concentrates seed =
-  let g = Topology.Builders.fig3 () in
-  let base =
-    { Workload.Gen.default with Workload.Gen.seed; max_requests = 400 }
-  in
-  let sticky = { base with Workload.Gen.affinity = 0.9 } in
-  let pairs spec =
-    List.map
-      (fun r -> (r.Workload.Request.src, r.Workload.Request.dst))
-      (Workload.Gen.requests spec g)
-  in
-  let free = pairs base and bound = pairs sticky in
-  Alcotest.(check int) "same stream length" (List.length free)
-    (List.length bound);
-  (* on a tiny graph the distinct pair *sets* can coincide; adjacent
-     repeats are what affinity actually drives *)
-  let reps ps =
-    let r = ref 0 in
-    ignore
-      (List.fold_left
-         (fun prev p ->
-           (match prev with Some q when q = p -> incr r | _ -> ());
-           Some p)
-         None ps);
-    !r
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "sticky stream repeats adjacent pairs (%d > %d)"
-       (reps bound) (reps free))
-    true
-    (reps bound > reps free)
-
-(* ------------------------------------------------------------------ *)
 (* Session draws *)
 
 (* four one-way links hang off a duplex line: node 0 reaches every
@@ -640,9 +543,6 @@ let test_session_draws_pinned () =
       ( "one-way tail",
         Workload.Session.create ~seed:1L (one_way_tail ()),
         "94c420294346352bbd8d4307dfcc0dd8" );
-      ( "one-way tail, affinity",
-        Workload.Session.create ~affinity:0.5 ~seed:2L (one_way_tail ()),
-        "e67eeff7bc35d8452ebb53a3986feaf0" );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -692,7 +592,7 @@ let test_stream_gate () =
 
 (* An arrival draw allocates its boxed result and the boxed results of
    its two [Sim.Rng] float draws per candidate; a session draw its
-   pair, plus a boxed float draw when affinity is on. *)
+   pair. *)
 let test_draw_gate () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
@@ -712,9 +612,7 @@ let test_draw_gate () =
     per_draw "arrival" 6. (fun () -> Workload.Arrivals.next arrivals);
     let ebone = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
     let session = Workload.Session.create ~seed:3L ebone in
-    per_draw "session" 3. (fun () -> Workload.Session.draw session);
-    let sticky = Workload.Session.create ~affinity:0.5 ~seed:3L ebone in
-    per_draw "sticky session" 5. (fun () -> Workload.Session.draw sticky)
+    per_draw "session" 3. (fun () -> Workload.Session.draw session)
 
 (* ------------------------------------------------------------------ *)
 
@@ -740,12 +638,6 @@ let () =
             Alcotest.test_case "byte-identical at domains 1/2/4" `Quick
               test_domains_identical;
           ] );
-      ( "affinity",
-        at_seeds "zero is byte-identical" test_affinity_zero_identical
-        @ at_seeds "sticky draws repeat" test_affinity_sticks
-        @ at_seeds "spec zero identical" test_affinity_spec_zero_identical
-        @ at_seeds "spec concentrates" test_affinity_spec_concentrates
-        @ [ Alcotest.test_case "range check" `Quick test_affinity_range ] );
       ( "seq",
         at_seeds "of_seq = requests" test_seq_matches_list
         @ at_seeds "replayed prefix is persistent" test_seq_persistent
