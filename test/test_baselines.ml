@@ -226,6 +226,33 @@ let test_comparison_rejects_malformed_specs () =
       ({ ok with Inrpp.Protocol.start = -1. }, "negative or NaN start");
       ({ ok with Inrpp.Protocol.start = Float.nan }, "negative or NaN start") ]
 
+(* The matched-scenario contract: [run_one ~workload] hands every
+   protocol the flows [Inrpp.Protocol.run ~workload] generates itself,
+   in the same order. *)
+let test_comparison_matched_workload () =
+  let g =
+    Topology.Builders.dumbbell ~access_capacity:10e6 ~bottleneck_capacity:4e6 2
+  in
+  let workload =
+    { Workload.Gen.default with
+      Workload.Gen.horizon = 2.; max_requests = 12; chunk_max = 16 }
+  in
+  let direct = Inrpp.Protocol.run ~horizon:120. ~workload g [] in
+  let flows = Array.length direct.Inrpp.Protocol.flows in
+  Alcotest.(check bool) "workload generates flows" true (flows > 1);
+  let inrpp =
+    Baselines.Comparison.run_one ~horizon:120. ~workload
+      Baselines.Comparison.Inrpp_proto g []
+  in
+  Alcotest.(check (array (option (float 0.)))) "same fcts"
+    (Array.map (fun fr -> fr.Inrpp.Protocol.fct) direct.Inrpp.Protocol.flows)
+    inrpp.Baselines.Run_result.fcts;
+  let aimd =
+    Baselines.Comparison.run_one ~horizon:120. ~workload
+      Baselines.Comparison.Aimd_proto g []
+  in
+  Alcotest.(check int) "aimd flow count" flows aimd.Baselines.Run_result.flows
+
 let test_comparison_names () =
   Alcotest.(check (list string)) "labels"
     [ "INRPP"; "AIMD"; "MPTCP"; "RCP"; "HBH" ]
@@ -291,6 +318,8 @@ let () =
           Alcotest.test_case "runs all" `Slow test_comparison_runs_all;
           Alcotest.test_case "inrpp avoids drops" `Slow test_comparison_inrpp_avoids_drops;
           Alcotest.test_case "names" `Quick test_comparison_names;
+          Alcotest.test_case "matched workload" `Quick
+            test_comparison_matched_workload;
           Alcotest.test_case "rejects malformed specs" `Quick
             test_comparison_rejects_malformed_specs;
         ] );
