@@ -32,24 +32,11 @@ let request env f ~subflow ~nc ~ack =
   Net.inject env.net ~at:f.spec.Inrpp.Protocol.dst
     (Packet.request ~flow:f.wires.(subflow) ~nc ~ack ~ac:nc)
 
-let install_path forwarders g ~wire (path : Path.t) =
-  let nodes = Array.of_list path.Path.nodes in
-  let links = Array.of_list path.Path.links in
-  let n = Array.length nodes in
-  for k = 0 to n - 1 do
-    let data_link = if k < n - 1 then Some links.(k) else None in
-    let req_link =
-      if k > 0 then Graph.find_link g nodes.(k) nodes.(k - 1) else None
-    in
-    Forwarder.install_flow forwarders.(nodes.(k)) ~flow:wire ~data_link
-      ~req_link
-  done
-
 (* Up to [paths_per_flow] link-disjoint paths per flow, one wire id per
    path, allocated densely in flow then path order; every node's
    handler is its plain forwarder.  Also returns wire -> (flow,
    subflow). *)
-let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
+let prepare ~queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
   let paths =
     Array.map
       (fun { Inrpp.Protocol.src; dst; _ } ->
@@ -66,7 +53,7 @@ let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
          (Array.mapi (fun i -> Array.mapi (fun j _ -> (i, j))) paths))
   in
   let eng = Sim.Engine.create () in
-  let net = Net.create ?queue_bits eng g in
+  let net = Net.create ~queue_bits eng g in
   let forwarders =
     Array.init (Graph.node_count g) (fun node ->
         let fwd = Forwarder.create ~net ~wires:(Array.length ends) in
@@ -82,7 +69,9 @@ let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
             (fun p ->
               let wire = !next_wire in
               incr next_wire;
-              install_path forwarders g ~wire p;
+              Path.iter_hops g p (fun node ~data_link ~req_link ->
+                  Forwarder.install_flow forwarders.(node) ~flow:wire
+                    ~data_link ~req_link);
               wire)
             paths
         in
@@ -95,14 +84,6 @@ let prepare ?queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
       specs paths
   in
   ({ eng; net; forwarders; chunk_bits; flows; every }, ends)
-
-(* unloaded latency of a path: propagation plus one serialisation per
-   hop — the floor against which receivers measure queueing delay *)
-let path_base_delay ~chunk_bits (path : Path.t) =
-  List.fold_left
-    (fun acc (l : Topology.Link.t) ->
-      acc +. l.Topology.Link.delay +. (chunk_bits /. l.Topology.Link.capacity))
-    0. path.Path.links
 
 (* Callback metrics on the forwarders and interfaces plus sampled
    per-interface series; returns the installed sampler, not started. *)
@@ -138,15 +119,14 @@ let observe_net o ~proto_label env ~horizon =
           Chunksim.Iface.utilisation i ~now:(Sim.Engine.now env.eng)));
   smp
 
-let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
-    ?(horizon = 120.) ?obs ?faults receivers g specs =
+let run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon ?obs
+    ?faults receivers g specs =
   if paths_per_flow < 1 then invalid_arg "Harness.run: paths_per_flow < 1";
-  if specs = [] then invalid_arg "Harness.run: no flows";
-  let specs = Array.of_list specs in
+  if Array.length specs = 0 then invalid_arg "Harness.run: no flows";
   Array.iter (Inrpp.Protocol.check_spec "Harness.run") specs;
   let ticks = ref [] in
   let env, ends =
-    prepare ?queue_bits ~paths_per_flow ~chunk_bits
+    prepare ~queue_bits ~paths_per_flow ~chunk_bits
       ~every:(fun interval f -> ticks := (interval, f) :: !ticks)
       g specs
   in
@@ -172,7 +152,7 @@ let run ~protocol ~paths_per_flow ?(chunk_bits = 10e3 *. 8.) ?queue_bits
       in
       let base =
         Array.map
-          (fun (i, j) -> path_base_delay ~chunk_bits flows.(i).paths.(j))
+          (fun (i, j) -> Path.unloaded_latency ~chunk_bits flows.(i).paths.(j))
           ends
       in
       let fct =

@@ -6,8 +6,8 @@
     completion bookkeeping, the producer and consumer endpoints and the
     observer's metrics; then it schedules the flow starts, runs the
     engine and assembles the {!Run_result.t}.  A protocol supplies only
-    its receivers: the pull window ({!Puller}) for {!Aimd} and
-    {!Mptcp}, rate pacing for {!Rcp}, request shapers for {!Hbh}. *)
+    its receivers: the pull window ({!Puller}) for AIMD and MPTCP, rate
+    pacing for {!Rcp}, request shapers for {!Hbh}. *)
 
 type flow = {
   spec : Inrpp.Protocol.flow_spec;
@@ -50,14 +50,15 @@ val request : env -> flow -> subflow:int -> nc:int -> ack:int -> unit
     [subflow]'s wire. *)
 
 val run :
-  protocol:string -> paths_per_flow:int -> ?chunk_bits:float ->
-  ?queue_bits:float -> ?horizon:float -> ?obs:Obs.Observer.t ->
+  protocol:string -> paths_per_flow:int -> chunk_bits:float ->
+  queue_bits:float -> horizon:float -> ?obs:Obs.Observer.t ->
   ?faults:Fault.Schedule.t -> (env -> receiver array) -> Topology.Graph.t ->
-  Inrpp.Protocol.flow_spec list -> Run_result.t
-(** [run ~protocol ~paths_per_flow receivers g specs] calls
-    [receivers] once, after the network and sessions exist, for one
-    receiver per flow in [env.flows] order.  Defaults: 10 kB chunks,
-    64-chunk queues, 120 s horizon.
+  Inrpp.Protocol.flow_spec array -> Run_result.t
+(** [run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon
+    receivers g specs] calls [receivers] once, after the network and
+    sessions exist, for one receiver per flow in [env.flows] order.
+    Every interface queues [queue_bits]; the run stops at [horizon]
+    seconds or when every flow has completed.
 
     Faults apply mechanically: interfaces flip, crashed nodes destroy
     arriving packets, bursts drop control traffic.  The baselines have

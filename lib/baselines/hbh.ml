@@ -125,7 +125,3 @@ let receivers g (env : Harness.env) =
         series = [];
       })
     flows
-
-let run ?chunk_bits ?queue_bits ?horizon ?obs ?faults g specs =
-  Harness.run ~protocol:"HBH" ~paths_per_flow:1 ?chunk_bits ?queue_bits
-    ?horizon ?obs ?faults (receivers g) g specs

@@ -91,7 +91,3 @@ let receivers g (env : Harness.env) =
         series = [ ("rcp_rate_bps", fun () -> st.rate) ];
       })
     states
-
-let run ?chunk_bits ?queue_bits ?horizon ?obs ?faults g specs =
-  Harness.run ~protocol:"RCP" ~paths_per_flow:1 ?chunk_bits ?queue_bits
-    ?horizon ?obs ?faults (receivers g) g specs

@@ -10,7 +10,7 @@ type pressure = {
 
 type policy = pressure -> bool
 
-let object_runs ?(threshold = 0.5) () : policy =
+let object_runs ?(threshold = 0.6) () : policy =
   if not (0. < threshold && threshold <= 1.) then
     invalid_arg "Cache.object_runs: threshold must be in (0, 1]";
   (* Object-granularity admission: chunks continuing a run the store

@@ -43,7 +43,7 @@ val object_runs : ?threshold:float -> unit -> policy
     already holds for the flow are always admitted — a partial object
     is useless downstream — while {e new} runs are refused once custody
     occupancy would exceed [threshold] (fraction of capacity, default
-    0.5).
+    0.6).
     @raise Invalid_argument unless [0 < threshold <= 1]. *)
 
 val fair_share : unit -> policy

@@ -50,7 +50,7 @@ let tree t src =
   match Hashtbl.find_opt t.trees src with
   | Some tr -> tr
   | None ->
-    let tr = Dijkstra.run ~metric:Dijkstra.Hops t.g src in
+    let tr = Dijkstra.run t.g src in
     Hashtbl.add t.trees src tr;
     tr
 

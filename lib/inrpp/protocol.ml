@@ -90,6 +90,22 @@ let route_finder ?forbidden_links g =
     in
     Topology.Dijkstra.path_to tree dst
 
+(* Generated flows ride behind the static list so existing scenarios
+   keep their flow ids; generation is a pure function of (spec, graph),
+   so a run with a workload is as replayable as one without.  The
+   generator is consumed as a lazy stream in one pass, so very long
+   workloads cost only the final spec array. *)
+let expand workload g specs =
+  match workload with
+  | None -> Array.of_list specs
+  | Some wl ->
+    Array.of_seq
+      (Seq.append (List.to_seq specs)
+         (Seq.map
+            (fun { Workload.Request.src; dst; chunks; start; content; _ } ->
+              { src; dst; chunks; start; content = Some content })
+            (Workload.Gen.requests_seq wl g)))
+
 (* Run stages.  [wire] builds one run's state into a [wiring];
    [attach_faults], [attach_endpoints], [instrument] and [collect] read
    it, and [run] sequences them around the engine run. *)
@@ -144,17 +160,9 @@ let place w op flow (path : Path.t) =
     w.req_routes.(flow) <- List.tl (List.rev path.Path.nodes)
   end
   else begin
-    let nodes = Array.of_list path.Path.nodes in
-    let links = Array.of_list path.Path.links in
-    let n = Array.length nodes in
     let content = w.specs.(flow).content in
-    for k = 0 to n - 1 do
-      let data_link = if k < n - 1 then Some links.(k) else None in
-      let req_link =
-        if k > 0 then Graph.find_link w.g nodes.(k) nodes.(k - 1) else None
-      in
-      op w.routers.(nodes.(k)) ?content ~flow ~data_link ~req_link ()
-    done;
+    Path.iter_hops w.g path (fun node ~data_link ~req_link ->
+        op w.routers.(node) ?content ~flow ~data_link ~req_link ());
     if w.cfg.Config.flow_teardown then
       w.install_sites.(flow) <-
         List.fold_left
@@ -191,22 +199,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~workload
   (match Config.validate cfg with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Protocol.run: " ^ msg));
-  (* generated flows ride behind the static list so existing scenarios
-     keep their flow ids; generation is a pure function of (spec,
-     graph), so a run with a workload is as replayable as one without.
-     The generator is consumed as a lazy stream in one pass, so very
-     long workloads cost only the final spec array. *)
-  let specs =
-    match workload with
-    | None -> Array.of_list specs
-    | Some wl ->
-      Array.of_seq
-        (Seq.append (List.to_seq specs)
-           (Seq.map
-              (fun { Workload.Request.src; dst; chunks; start; content; _ } ->
-                { src; dst; chunks; start; content = Some content })
-              (Workload.Gen.requests_seq wl g)))
-  in
+  let specs = expand workload g specs in
   if Array.length specs = 0 then invalid_arg "Protocol.run: no flows";
   if horizon <= 0. then invalid_arg "Protocol.run: horizon <= 0";
   Array.iter (check_spec "Protocol.run") specs;
@@ -521,14 +514,7 @@ let attach_endpoints w ~faulted =
                  ~lo:0. ~hi:10. ~bins:50 "chunk_queueing_delay_seconds")) )
   in
   let base_delay =
-    Array.map
-      (fun (p : Path.t) ->
-        List.fold_left
-          (fun acc (l : Link.t) ->
-            acc +. l.Link.delay
-            +. (cfg.Config.chunk_bits /. l.Link.capacity))
-          0. p.Path.links)
-      routes
+    Array.map (Path.unloaded_latency ~chunk_bits:cfg.Config.chunk_bits) routes
   in
   let endpoints =
     Array.init (Array.length specs) (fun flow ->

@@ -31,6 +31,15 @@ val check_spec : string -> flow_spec -> unit
     have been built by hand, as {!run} does to every spec it runs.
     @raise Invalid_argument ["who: <rule>"] if [s] breaks it. *)
 
+val expand :
+  Workload.Gen.spec option -> Topology.Graph.t -> flow_spec list ->
+  flow_spec array
+(** [expand workload g specs] is the flow list a run sees: [specs],
+    then one flow per request [workload] generates on [g], its
+    catalogue object as [content].  The stream is read in one pass
+    ({!Workload.Gen.requests_seq}), with no intermediate list.
+    @raise Invalid_argument as {!Workload.Gen.requests} does. *)
+
 type flow_result = {
   spec : flow_spec;
   fct : float option;           (** completion time, [None] if unfinished *)

@@ -3,7 +3,7 @@
     wires it) a periodic {!Sampler.t}.
 
     The caller builds an observer, passes it to an instrumented runner
-    ([Inrpp.Protocol.run ~obs], [Baselines.Harness.run ~obs]); the
+    ([Inrpp.Protocol.run ~obs], [Baselines.Comparison.run_one ~obs]); the
     runner attaches the sinks to its trace, registers its
     gauges/counters and installs the sampler.  Afterwards the caller reads {!series} and
     [Metric.snapshot (registry obs)] and exports with {!Export}. *)

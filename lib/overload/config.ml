@@ -18,7 +18,7 @@ let recovery_ratio = 0.7
 let policy t : Chunksim.Cache.policy option =
   match t with
   | Off | On Drop_tail -> None
-  | On Object_runs -> Some (Chunksim.Cache.object_runs ~threshold:0.6 ())
+  | On Object_runs -> Some (Chunksim.Cache.object_runs ())
   | On Fair_share -> Some (Chunksim.Cache.fair_share ())
 
 let admission_name = function

@@ -20,7 +20,7 @@ let excludes g (l : Link.t) =
 
 let best_detour g (l : Link.t) =
   let tree =
-    Dijkstra.run ~metric:Dijkstra.Hops ~forbidden_links:(excludes g l)
+    Dijkstra.run ~forbidden_links:(excludes g l)
       ~target:l.Link.dst g l.Link.src
   in
   Dijkstra.path_to tree l.Link.dst

@@ -1,7 +1,3 @@
-type metric =
-  | Hops
-  | Delay
-
 type tree = {
   t_graph : Graph.t;
   t_source : Node.id;
@@ -77,8 +73,7 @@ module Heap = struct
     top
 end
 
-let run ?(metric = Hops) ?forbidden_links ?forbidden_nodes ?(target = -1) g
-    s =
+let run ?forbidden_links ?forbidden_nodes ?(target = -1) g s =
   let n = Graph.node_count g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: bad source";
   let dist = Array.make n infinity in
@@ -118,11 +113,7 @@ let run ?(metric = Hops) ?forbidden_links ?forbidden_nodes ?(target = -1) g
             | Some f -> f v
           in
           if not pruned then begin
-            let nd =
-              match metric with
-              | Hops -> d +. 1.
-              | Delay -> d +. (Graph.link g id).Link.delay
-            in
+            let nd = d +. 1. in
             if nd < dist.(v) then begin
               dist.(v) <- nd;
               pred.(v) <- id;

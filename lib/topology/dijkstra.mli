@@ -1,13 +1,5 @@
-(** Shortest paths.
-
-    Two metrics are supported, matching how routes are costed in the
-    paper's evaluation: [Hops] (unit weight per link — the metric used
-    for path stretch and detour classification) and [Delay]
-    (propagation-delay weight). *)
-
-type metric =
-  | Hops
-  | Delay
+(** Shortest paths by hop count: unit weight per link, the metric of
+    the paper's path stretch and detour classification. *)
 
 type tree
 (** Single-source shortest-path tree. *)
@@ -31,8 +23,7 @@ end
     reproduce {!run}'s choice among equal-cost predecessors can reuse
     it. *)
 
-val run : ?metric:metric -> ?forbidden_links:(Link.t -> bool) ->
-  ?forbidden_nodes:(Node.id -> bool) -> ?target:Node.id ->
+val run : ?forbidden_links:(Link.t -> bool) -> ?forbidden_nodes:(Node.id -> bool) -> ?target:Node.id ->
   Graph.t -> Node.id -> tree
 (** [run g s] computes shortest distances from [s] to every node.
     [forbidden_links] / [forbidden_nodes] prune the graph on the fly —
@@ -51,8 +42,7 @@ val path_to : tree -> Node.id -> Path.t option
 (** Reconstructed shortest path from the tree's source. *)
 
 val hop_distance : tree -> Node.id -> int option
-(** Number of links on the reconstructed path (equals [distance] under
-    the [Hops] metric). *)
+(** Number of links on the reconstructed path (equals [distance]). *)
 
 val reachable : tree -> Node.id -> bool
 

@@ -20,3 +20,17 @@ val singleton : Node.id -> t
 val src : t -> Node.id
 val hops : t -> int
 (** Number of links. *)
+
+val iter_hops :
+  Graph.t -> t ->
+  (Node.id -> data_link:Link.t option -> req_link:Link.t option -> unit) ->
+  unit
+(** [iter_hops g p f] calls [f] on each node of [p], source first, with
+    the link data leaves it on towards the last node ([None] there) and
+    the link requests leave it on back towards the source, the
+    [Graph.find_link] reverse of the hop it was reached by ([None] at
+    the source). *)
+
+val unloaded_latency : chunk_bits:float -> t -> float
+(** Propagation plus one [chunk_bits] serialisation per link: the
+    floor against which a receiver measures queueing delay. *)

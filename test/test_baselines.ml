@@ -1,5 +1,7 @@
-(* Tests for the baseline transports (AIMD / MPTCP / RCP) and the
+(* Tests for the baseline transports (AIMD / MPTCP / RCP / HBH) and the
    INRPP-vs-baselines comparison harness. *)
+
+module C = Baselines.Comparison
 
 let check_close msg tolerance expected actual =
   Alcotest.(check (float tolerance)) msg expected actual
@@ -58,7 +60,7 @@ let test_window_coupled_growth () =
 (* AIMD transport *)
 
 let test_aimd_completes_clean_path () =
-  let r = Baselines.Aimd.run (line10 ()) [ spec 0 2 100 ] in
+  let r = C.run_one C.Aimd_proto (line10 ()) [ spec 0 2 100 ] in
   Alcotest.(check int) "done" 1 r.Baselines.Run_result.completed;
   Alcotest.(check bool) "reasonable fct" true
     (r.Baselines.Run_result.mean_fct > 0.8
@@ -74,7 +76,11 @@ let test_aimd_losses_on_bottleneck () =
   Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:2e-3 n0 n1;
   Topology.Graph.Builder.add_edge b ~capacity:2e6 ~delay:2e-3 n1 n2;
   let g = Topology.Graph.Builder.build b in
-  let r = Baselines.Aimd.run ~queue_bits:(16. *. 80e3) g [ spec 0 2 200 ] in
+  let r =
+    C.run_one
+      ~cfg:{ Inrpp.Config.default with Inrpp.Config.queue_bits = 16. *. 80e3 }
+      C.Aimd_proto g [ spec 0 2 200 ]
+  in
   Alcotest.(check int) "done" 1 r.Baselines.Run_result.completed;
   Alcotest.(check bool) "losses happened" true (r.Baselines.Run_result.drops > 0);
   Alcotest.(check bool) "recovered all chunks" true
@@ -83,7 +89,7 @@ let test_aimd_losses_on_bottleneck () =
 let test_aimd_two_flows_fair () =
   let g = Topology.Builders.dumbbell ~access_capacity:10e6 ~bottleneck_capacity:4e6 2 in
   (* dumbbell hosts: sources 2,3; sinks 4,5 *)
-  let r = Baselines.Aimd.run g [ spec 2 4 150; spec 3 5 150 ] in
+  let r = C.run_one C.Aimd_proto g [ spec 2 4 150; spec 3 5 150 ] in
   Alcotest.(check int) "both done" 2 r.Baselines.Run_result.completed;
   Alcotest.(check bool)
     (Printf.sprintf "fair-ish (jain %.3f)" r.Baselines.Run_result.jain)
@@ -96,8 +102,8 @@ let test_aimd_two_flows_fair () =
 let test_mptcp_uses_both_paths () =
   (* fig3 has two disjoint 0->3 paths; MPTCP should beat AIMD *)
   let g = Topology.Builders.fig3 () in
-  let aimd = Baselines.Aimd.run g [ spec 0 3 300 ] in
-  let mptcp = Baselines.Mptcp.run g [ spec 0 3 300 ] in
+  let aimd = C.run_one C.Aimd_proto g [ spec 0 3 300 ] in
+  let mptcp = C.run_one C.Mptcp_proto g [ spec 0 3 300 ] in
   Alcotest.(check int) "aimd done" 1 aimd.Baselines.Run_result.completed;
   Alcotest.(check int) "mptcp done" 1 mptcp.Baselines.Run_result.completed;
   Alcotest.(check bool)
@@ -109,8 +115,8 @@ let test_mptcp_uses_both_paths () =
 let test_mptcp_single_path_degenerates () =
   (* on a line there is one path: MPTCP ~ AIMD *)
   let g = line10 () in
-  let aimd = Baselines.Aimd.run g [ spec 0 2 100 ] in
-  let mptcp = Baselines.Mptcp.run g [ spec 0 2 100 ] in
+  let aimd = C.run_one C.Aimd_proto g [ spec 0 2 100 ] in
+  let mptcp = C.run_one C.Mptcp_proto g [ spec 0 2 100 ] in
   check_close "same fct" 0.5 aimd.Baselines.Run_result.mean_fct
     mptcp.Baselines.Run_result.mean_fct
 
@@ -118,14 +124,14 @@ let test_mptcp_single_path_degenerates () =
 (* RCP transport *)
 
 let test_rcp_completes_and_paces () =
-  let r = Baselines.Rcp.run (line10 ()) [ spec 0 2 100 ] in
+  let r = C.run_one C.Rcp_proto (line10 ()) [ spec 0 2 100 ] in
   Alcotest.(check int) "done" 1 r.Baselines.Run_result.completed;
   (* paced at the fair share: no queue overflows at all *)
   Alcotest.(check int) "no drops" 0 r.Baselines.Run_result.drops
 
 let test_rcp_fair_shares () =
   let g = Topology.Builders.dumbbell ~access_capacity:10e6 ~bottleneck_capacity:4e6 2 in
-  let r = Baselines.Rcp.run g [ spec 2 4 100; spec 3 5 100 ] in
+  let r = C.run_one C.Rcp_proto g [ spec 2 4 100; spec 3 5 100 ] in
   Alcotest.(check int) "both done" 2 r.Baselines.Run_result.completed;
   Alcotest.(check bool)
     (Printf.sprintf "near-perfect fairness (jain %.3f)" r.Baselines.Run_result.jain)
@@ -145,7 +151,7 @@ let test_hbh_lossless_on_bottleneck () =
   Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:2e-3 n0 n1;
   Topology.Graph.Builder.add_edge b ~capacity:2e6 ~delay:2e-3 n1 n2;
   let g = Topology.Graph.Builder.build b in
-  let r = Baselines.Hbh.run g [ spec 0 2 200 ] in
+  let r = C.run_one C.Hbh_proto g [ spec 0 2 200 ] in
   Alcotest.(check int) "done" 1 r.Baselines.Run_result.completed;
   Alcotest.(check int) "lossless" 0 r.Baselines.Run_result.drops;
   (* 200 x 80 kbit over 2 Mbps = 8 s ideal *)
@@ -157,7 +163,7 @@ let test_hbh_lossless_on_bottleneck () =
 let test_hbh_cannot_detour () =
   (* on fig3, HBH stays on the single path: INRPP must beat it *)
   let g = Topology.Builders.fig3 () in
-  let hbh = Baselines.Hbh.run g [ spec 0 3 200 ] in
+  let hbh = C.run_one C.Hbh_proto g [ spec 0 3 200 ] in
   let inrpp =
     Baselines.Comparison.run_one ~cfg:bulk Baselines.Comparison.Inrpp_proto g
       [ spec 0 3 200 ]

@@ -9,22 +9,9 @@ let diamond () = Graph.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ]
 
 (* hop distances from [s] to every node; [max_int] where unreachable *)
 let hops_from g s =
-  let t = Dijkstra.run ~metric:Dijkstra.Hops g s in
+  let t = Dijkstra.run g s in
   Array.init (Graph.node_count g) (fun v ->
       Option.value (Dijkstra.hop_distance t v) ~default:max_int)
-
-(* Weighted graph where the hop-shortest and delay-shortest paths
-   differ: 0-1-3 is 2 hops with 10ms total, 0-2-3 is 2 hops with 2ms,
-   and 0-3 direct is 1 hop with 50ms. *)
-let weighted () =
-  let b = Graph.Builder.create () in
-  let n = Array.init 4 (fun i -> Graph.Builder.add_node b (string_of_int i)) in
-  Graph.Builder.add_edge b ~delay:5e-3 n.(0) n.(1);
-  Graph.Builder.add_edge b ~delay:5e-3 n.(1) n.(3);
-  Graph.Builder.add_edge b ~delay:1e-3 n.(0) n.(2);
-  Graph.Builder.add_edge b ~delay:1e-3 n.(2) n.(3);
-  Graph.Builder.add_edge b ~delay:50e-3 n.(0) n.(3);
-  Graph.Builder.build b
 
 (* ------------------------------------------------------------------ *)
 (* Dijkstra *)
@@ -35,15 +22,6 @@ let test_hops_tree () =
   Alcotest.(check (option (float 0.))) "self" (Some 0.) (Dijkstra.distance t 0);
   Alcotest.(check (option (float 0.))) "one hop" (Some 1.) (Dijkstra.distance t 1);
   Alcotest.(check (option (float 0.))) "two hops" (Some 2.) (Dijkstra.distance t 3)
-
-let test_metric_choice () =
-  let g = weighted () in
-  let path metric = Dijkstra.path_to (Dijkstra.run ~metric ~target:3 g 0) 3 in
-  let by_hops = Option.get (path Dijkstra.Hops) in
-  Alcotest.(check int) "hop metric takes direct link" 1 (Path.hops by_hops);
-  let by_delay = Option.get (path Dijkstra.Delay) in
-  Alcotest.(check (list int)) "delay metric takes fast branch" [ 0; 2; 3 ]
-    by_delay.Path.nodes
 
 let test_unreachable () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
@@ -304,26 +282,11 @@ let prop_k_disjoint =
       && List.length ids = List.length (List.sort_uniq Int.compare ids)
       && List.for_all (fun p -> Path.src p = 0 && path_dst p = d) paths)
 
-(* early exit: random graph with whole-unit link delays of 1-9, random
-   pruning (a salted hash picks about one link in five and one node in
-   eight), every target from node 0, under both metrics *)
+(* early exit: random graph, random pruning (a salted hash picks about
+   one link in five and one node in eight), every target from node 0 *)
 let pruned_gen =
   QCheck.make
-    QCheck.Gen.(
-      quad (int_range 4 30) (int_range 0 10_000) (int_range 0 1_000) bool)
-
-let weighted_er (n, seed) =
-  let base = connected_er (n, seed) in
-  let b = Graph.Builder.create () in
-  for i = 0 to Graph.node_count base - 1 do
-    ignore (Graph.Builder.add_node b (string_of_int i))
-  done;
-  List.iter
-    (fun (l : Link.t) ->
-      let delay = float_of_int (1 + (Hashtbl.hash (l.Link.id, seed) mod 9)) in
-      Graph.Builder.add_edge b ~delay l.Link.src l.Link.dst)
-    (Graph.undirected_links base);
-  Graph.Builder.build b
+    QCheck.Gen.(triple (int_range 4 30) (int_range 0 10_000) (int_range 0 1_000))
 
 let pruning salt =
   let pick x m = Hashtbl.hash (x, salt) mod m = 0 in
@@ -335,15 +298,14 @@ let link_ids = function
 
 let prop_target_exit_exact =
   QCheck.Test.make ~name:"dijkstra ~target gives the full run's path"
-    ~count:80 pruned_gen (fun (n, seed, salt, by_delay) ->
-      let g = weighted_er (n, seed) in
-      let metric = if by_delay then Dijkstra.Delay else Dijkstra.Hops in
+    ~count:80 pruned_gen (fun (n, seed, salt) ->
+      let g = connected_er (n, seed) in
       let forbidden_links, forbidden_nodes = pruning salt in
-      let full = Dijkstra.run ~metric ~forbidden_links ~forbidden_nodes g 0 in
+      let full = Dijkstra.run ~forbidden_links ~forbidden_nodes g 0 in
       List.for_all
         (fun t ->
           let early =
-            Dijkstra.run ~metric ~forbidden_links ~forbidden_nodes ~target:t g 0
+            Dijkstra.run ~forbidden_links ~forbidden_nodes ~target:t g 0
           in
           link_ids (Dijkstra.path_to early t) = link_ids (Dijkstra.path_to full t))
         (List.init (Graph.node_count g) Fun.id))
@@ -353,22 +315,17 @@ let prop_target_exit_exact =
    [Graph.out_links] list through a closure.  It makes the same heap
    calls in the same order, so [run] must match it entry for entry,
    ties included, on full and on target-stopped searches. *)
-let reference_run ~metric ?(forbidden_links = fun _ -> false)
+let reference_run ?(forbidden_links = fun _ -> false)
     ?(forbidden_nodes = fun _ -> false) ?(target = -1) g s =
   let n = Graph.node_count g in
   let dist = Array.make n infinity and pred = Array.make n (-1) in
   let heap = Dijkstra.Heap.create () in
-  let weight (l : Link.t) =
-    match metric with
-    | Dijkstra.Hops -> 1.
-    | Dijkstra.Delay -> l.Link.delay
-  in
   dist.(s) <- 0.;
   Dijkstra.Heap.push heap 0. s;
   let relax (l : Link.t) =
     let v = l.Link.dst in
     if (not (forbidden_links l)) && not (forbidden_nodes v) then begin
-      let nd = dist.(l.Link.src) +. weight l in
+      let nd = dist.(l.Link.src) +. 1. in
       if nd < dist.(v) then begin
         dist.(v) <- nd;
         pred.(v) <- l.Link.id;
@@ -398,12 +355,10 @@ let reference_run ~metric ?(forbidden_links = fun _ -> false)
 
 (* every node's distance and reconstructed path from [run] against the
    reference's arrays *)
-let matches_reference ~metric ?forbidden_links ?forbidden_nodes ?target g s =
-  let t =
-    Dijkstra.run ~metric ?forbidden_links ?forbidden_nodes ?target g s
-  in
+let matches_reference ?forbidden_links ?forbidden_nodes ?target g s =
+  let t = Dijkstra.run ?forbidden_links ?forbidden_nodes ?target g s in
   let dist, pred =
-    reference_run ~metric ?forbidden_links ?forbidden_nodes ?target g s
+    reference_run ?forbidden_links ?forbidden_nodes ?target g s
   in
   let ref_path v =
     if not (Float.is_finite dist.(v)) then None
@@ -423,22 +378,18 @@ let matches_reference ~metric ?forbidden_links ?forbidden_nodes ?target g s =
       Dijkstra.distance t v = d && link_ids (Dijkstra.path_to t v) = ref_path v)
     (List.init (Graph.node_count g) Fun.id)
 
-(* every source, both metrics, with and without the filters, a full
-   search and one stopped at a target *)
+(* every source, with and without the filters, a full search and one
+   stopped at a target *)
 let all_searches_match g salt =
   let n = Graph.node_count g in
   let forbidden_links, forbidden_nodes = pruning salt in
   List.for_all
     (fun s ->
       let target = ((s * 7) + 3) mod n in
-      List.for_all
-        (fun metric ->
-          matches_reference ~metric g s
-          && matches_reference ~metric ~target g s
-          && matches_reference ~metric ~forbidden_links ~forbidden_nodes g s
-          && matches_reference ~metric ~forbidden_links ~forbidden_nodes
-               ~target g s)
-        [ Dijkstra.Hops; Dijkstra.Delay ])
+      matches_reference g s
+      && matches_reference ~target g s
+      && matches_reference ~forbidden_links ~forbidden_nodes g s
+      && matches_reference ~forbidden_links ~forbidden_nodes ~target g s)
     (List.init n Fun.id)
 
 let test_zoo_matches_reference () =
@@ -451,9 +402,8 @@ let test_zoo_matches_reference () =
     Isp_zoo.all
 
 (* dense directed graphs: each ordered pair gets a link with
-   probability about [p], so many links are one-way, and delays of 1-3
-   whole units leave many equal-cost ties for the relax order to
-   break *)
+   probability about [p], so many links are one-way and many paths tie
+   on hop count for the relax order to break *)
 let dense_directed (n, seed, p) =
   let b = Graph.Builder.create () in
   for i = 0 to n - 1 do
@@ -461,9 +411,8 @@ let dense_directed (n, seed, p) =
   done;
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      let h = Hashtbl.hash (u, v, seed) in
-      if u <> v && h mod 100 < p then
-        Graph.Builder.add_link b ~delay:(float_of_int (1 + (h / 100 mod 3))) u v
+      if u <> v && Hashtbl.hash (u, v, seed) mod 100 < p then
+        Graph.Builder.add_link b u v
     done
   done;
   Graph.Builder.build b
@@ -485,7 +434,6 @@ let () =
       ( "dijkstra",
         [
           Alcotest.test_case "hop tree" `Quick test_hops_tree;
-          Alcotest.test_case "metric choice" `Quick test_metric_choice;
           Alcotest.test_case "unreachable" `Quick test_unreachable;
           Alcotest.test_case "forbidden links" `Quick test_forbidden_links;
           Alcotest.test_case "forbidden nodes" `Quick test_forbidden_nodes;
