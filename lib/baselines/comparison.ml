@@ -35,8 +35,7 @@ let run_one ?(cfg = Inrpp.Config.default) ?(horizon = 120.) ?obs ?faults
   let baseline paths_per_flow receivers =
     Harness.run ~protocol:(name protocol) ~paths_per_flow
       ~chunk_bits:cfg.Inrpp.Config.chunk_bits
-      ~queue_bits:cfg.Inrpp.Config.queue_bits ~horizon ?obs ?faults receivers
-      g
+      ~queue_bits:cfg.Inrpp.Config.queue_bits ~horizon ?obs ?faults receivers g
       (Inrpp.Protocol.expand workload g specs)
   in
   match protocol with

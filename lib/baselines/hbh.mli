@@ -10,5 +10,5 @@
 
 val receivers : Topology.Graph.t -> Harness.env -> Harness.receiver array
 (** Install the shapers on every node of [env] and return one receiver
-    per flow in [env.flows], on its first path.  [g] counts the flows
-    sharing each link. *)
+    per flow in [env.flows], on its first path.  [g] is [env]'s graph,
+    whose links the shapers count sharers on. *)

@@ -124,10 +124,6 @@ let run ?forbidden_links ?forbidden_nodes ?(target = -1) g s =
   done;
   { t_graph = g; t_source = s; dist; pred }
 
-let distance t v =
-  let d = t.dist.(v) in
-  if Float.is_finite d then Some d else None
-
 let reachable t v = Float.is_finite t.dist.(v)
 
 let path_to t v =
@@ -150,10 +146,11 @@ let path_to t v =
       | Error _ -> None
   end
 
+(* a distance is the hop count of its [pred] chain: each relaxation
+   sets both from the same settled node *)
 let hop_distance t v =
-  match path_to t v with
-  | None -> None
-  | Some p -> Some (Path.hops p)
+  let d = t.dist.(v) in
+  if Float.is_finite d then Some (int_of_float d) else None
 
 let shortest_path g s d = path_to (run ~target:d g s) d
 

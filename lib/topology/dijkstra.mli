@@ -35,14 +35,12 @@ val run : ?forbidden_links:(Link.t -> bool) -> ?forbidden_nodes:(Node.id -> bool
     entries are partial: an unsettled node may be missing or carry a
     longer-than-shortest tentative path. *)
 
-val distance : tree -> Node.id -> float option
-(** [None] when unreachable. *)
 
 val path_to : tree -> Node.id -> Path.t option
 (** Reconstructed shortest path from the tree's source. *)
 
 val hop_distance : tree -> Node.id -> int option
-(** Number of links on the reconstructed path (equals [distance]). *)
+(** Number of links on {!path_to}'s path, [None] when unreachable. *)
 
 val reachable : tree -> Node.id -> bool
 

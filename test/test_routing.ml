@@ -19,15 +19,15 @@ let hops_from g s =
 let test_hops_tree () =
   let g = diamond () in
   let t = Dijkstra.run g 0 in
-  Alcotest.(check (option (float 0.))) "self" (Some 0.) (Dijkstra.distance t 0);
-  Alcotest.(check (option (float 0.))) "one hop" (Some 1.) (Dijkstra.distance t 1);
-  Alcotest.(check (option (float 0.))) "two hops" (Some 2.) (Dijkstra.distance t 3)
+  Alcotest.(check (option int)) "self" (Some 0) (Dijkstra.hop_distance t 0);
+  Alcotest.(check (option int)) "one hop" (Some 1) (Dijkstra.hop_distance t 1);
+  Alcotest.(check (option int)) "two hops" (Some 2) (Dijkstra.hop_distance t 3)
 
 let test_unreachable () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
   let t = Dijkstra.run g 0 in
   Alcotest.(check bool) "unreachable" false (Dijkstra.reachable t 3);
-  Alcotest.(check (option (float 0.))) "no distance" None (Dijkstra.distance t 3);
+  Alcotest.(check (option int)) "no distance" None (Dijkstra.hop_distance t 3);
   Alcotest.(check bool) "no path" true (Dijkstra.path_to t 3 = None)
 
 let test_forbidden_links () =
@@ -374,8 +374,13 @@ let matches_reference ?forbidden_links ?forbidden_nodes ?target g s =
   in
   List.for_all
     (fun v ->
-      let d = if Float.is_finite dist.(v) then Some dist.(v) else None in
-      Dijkstra.distance t v = d && link_ids (Dijkstra.path_to t v) = ref_path v)
+      let d =
+        if Float.is_finite dist.(v) then Some (int_of_float dist.(v)) else None
+      in
+      let path = link_ids (Dijkstra.path_to t v) in
+      Dijkstra.hop_distance t v = d
+      && Option.map List.length path = d
+      && path = ref_path v)
     (List.init (Graph.node_count g) Fun.id)
 
 (* every source, with and without the filters, a full search and one
