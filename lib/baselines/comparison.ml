@@ -44,8 +44,8 @@ let run_one ?(cfg = Inrpp.Config.default) ?(horizon = 120.) ?obs ?faults
       (Inrpp.Protocol.run ~cfg ~horizon ?obs ?faults ?workload g specs)
   | Aimd_proto -> baseline 1 (Puller.receivers ~coupled:false)
   | Mptcp_proto -> baseline 2 (Puller.receivers ~coupled:true)
-  | Rcp_proto -> baseline 1 (Rcp.receivers g)
-  | Hbh_proto -> baseline 1 (Hbh.receivers g)
+  | Rcp_proto -> baseline 1 Rcp.receivers
+  | Hbh_proto -> baseline 1 Hbh.receivers
 
 let run_all ?cfg ?horizon g specs =
   List.map (fun p -> run_one ?cfg ?horizon p g specs) all

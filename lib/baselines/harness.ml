@@ -12,6 +12,7 @@ type flow = {
 }
 
 type env = {
+  g : Graph.t;
   eng : Sim.Engine.t;
   net : Net.t;
   forwarders : Forwarder.t array;
@@ -83,7 +84,7 @@ let prepare ~queue_bits ~paths_per_flow ~chunk_bits ~every g specs =
         })
       specs paths
   in
-  ({ eng; net; forwarders; chunk_bits; flows; every }, ends)
+  ({ g; eng; net; forwarders; chunk_bits; flows; every }, ends)
 
 (* Callback metrics on the forwarders and interfaces plus sampled
    per-interface series; returns the installed sampler, not started. *)

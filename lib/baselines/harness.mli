@@ -19,6 +19,7 @@ type flow = {
 }
 
 type env = {
+  g : Topology.Graph.t;  (** the run's topology *)
   eng : Sim.Engine.t;
   net : Chunksim.Net.t;
   forwarders : Forwarder.t array;

@@ -17,12 +17,12 @@ let window = 32
    any queueing delay the shapers build, so only a lost chunk expires *)
 let deadline = 5.
 
-let receivers g (env : Harness.env) =
+let receivers (env : Harness.env) =
   let eng = env.Harness.eng and chunk_bits = env.Harness.chunk_bits in
   let flows = env.Harness.flows in
   (* how many flows send data over each directed link: the processor
      sharing denominator of the shaper *)
-  let sharers = Array.make (Topology.Graph.link_count g) 0 in
+  let sharers = Array.make (Topology.Graph.link_count env.Harness.g) 0 in
   Array.iter
     (fun (f : Harness.flow) ->
       List.iter

@@ -8,7 +8,6 @@
     of interests in flight (chunks chosen by {!Puller.next_chunk}) and
     re-request a chunk whose interest has gone unanswered for 5 s. *)
 
-val receivers : Topology.Graph.t -> Harness.env -> Harness.receiver array
+val receivers : Harness.env -> Harness.receiver array
 (** Install the shapers on every node of [env] and return one receiver
-    per flow in [env.flows], on its first path.  [g] is [env]'s graph,
-    whose links the shapers count sharers on. *)
+    per flow in [env.flows], on its first path. *)

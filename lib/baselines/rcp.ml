@@ -14,7 +14,7 @@ let max_outstanding = 512
 (* the rate-feedback period *)
 let update_interval = 0.05
 
-let receivers g (env : Harness.env) =
+let receivers (env : Harness.env) =
   let eng = env.Harness.eng and chunk_bits = env.Harness.chunk_bits in
   let states =
     Array.map
@@ -40,7 +40,8 @@ let receivers g (env : Harness.env) =
     if active <> [] then begin
       let demand st = (st.flow.Harness.paths.(0), infinity) in
       let rates =
-        Flowsim.Allocation.max_min g (Array.of_list (List.map demand active))
+        Flowsim.Allocation.max_min env.Harness.g
+          (Array.of_list (List.map demand active))
       in
       List.iteri (fun j st -> st.rate <- Float.max chunk_bits rates.(j)) active
     end

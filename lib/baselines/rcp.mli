@@ -7,6 +7,6 @@
     fluid computation rather than carried hop by hop in a rate field
     (see DESIGN.md).  Chunks are picked with {!Puller.next_chunk}. *)
 
-val receivers : Topology.Graph.t -> Harness.env -> Harness.receiver array
+val receivers : Harness.env -> Harness.receiver array
 (** One paced receiver per flow in [env.flows], on its first path,
-    with the rates recomputed over [g] every 50 ms. *)
+    with the rates recomputed every 50 ms. *)
