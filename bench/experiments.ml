@@ -445,7 +445,7 @@ let protocols () =
   List.iter
     (fun (name, g, specs) ->
       Format.printf "%s:@." name;
-      let rows = Baselines.Comparison.run_all ~cfg:bulk g specs in
+      let rows = Baselines.Comparison.run_all ~cfg:bulk ~horizon:120. g specs in
       List.iter
         (fun row ->
           match Baselines.Run_result.to_json row with

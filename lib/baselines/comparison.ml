@@ -30,8 +30,8 @@ let inrpp_as_run_result ~cfg (r : Inrpp.Protocol.result) =
 
 (* every protocol runs the flows [Inrpp.Protocol.expand] gives for
    [(workload, g, specs)], a pure function, so each sees the same set *)
-let run_one ?(cfg = Inrpp.Config.default) ?(horizon = 120.) ?obs ?faults
-    ?workload protocol g specs =
+let run_one ?(cfg = Inrpp.Config.default) ~horizon ?obs ?faults ?workload
+    protocol g specs =
   let baseline paths_per_flow receivers =
     Harness.run ~protocol:(name protocol) ~paths_per_flow
       ~chunk_bits:cfg.Inrpp.Config.chunk_bits
@@ -47,5 +47,5 @@ let run_one ?(cfg = Inrpp.Config.default) ?(horizon = 120.) ?obs ?faults
   | Rcp_proto -> baseline 1 Rcp.receivers
   | Hbh_proto -> baseline 1 Hbh.receivers
 
-let run_all ?cfg ?horizon g specs =
-  List.map (fun p -> run_one ?cfg ?horizon p g specs) all
+let run_all ?cfg ~horizon g specs =
+  List.map (fun p -> run_one ?cfg ~horizon p g specs) all

@@ -43,11 +43,11 @@ val name : protocol -> string
     its observed run registers. *)
 
 val run_one :
-  ?cfg:Inrpp.Config.t -> ?horizon:float -> ?obs:Obs.Observer.t ->
+  ?cfg:Inrpp.Config.t -> horizon:float -> ?obs:Obs.Observer.t ->
   ?faults:Fault.Schedule.t -> ?workload:Workload.Gen.spec -> protocol ->
   Topology.Graph.t -> Inrpp.Protocol.flow_spec list -> Run_result.t
 (** Every protocol runs with [cfg]'s chunk and queue sizes and stops
-    at [horizon] (default 120 s).  [obs] instruments the run.
+    at [horizon], in simulated seconds.  [obs] instruments the run.
     [faults] replays the same schedule against whichever protocol
     runs — a schedule is an immutable value, so passing one to every
     protocol makes the failures apples-to-apples (INRPP recovers
@@ -58,6 +58,6 @@ val run_one :
     identical flow set — matched-scenario by construction. *)
 
 val run_all :
-  ?cfg:Inrpp.Config.t -> ?horizon:float -> Topology.Graph.t ->
+  ?cfg:Inrpp.Config.t -> horizon:float -> Topology.Graph.t ->
   Inrpp.Protocol.flow_spec list -> Run_result.t list
 (** {!run_one} for every protocol of {!all}, in that order. *)

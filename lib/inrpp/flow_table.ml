@@ -1,15 +1,17 @@
 (* Paged slot table — see the .mli for the contract.  Every slot is a
-   [stride]-byte record in a [Bytes] page of [page_slots] slots; its
-   flowlet clock sits at the same index in an unboxed float page.  The
-   first page grows by doubling up to [page_slots]; past that, growth
-   appends a fresh page pair and moves no slot, so a table never holds
-   a second copy of its records and its slack is under one page.  The
-   page directories double, copying only pointers.  A released slot is
-   threaded onto a free list through its flow field (live slots hold
-   the flow id >= 0, free slots hold [-2 - next] so the encoding never
-   collides with a flow id).  The flow -> slot index chains live slots
-   through their chain field from [buckets] and mirrors the stdlib
-   [Hashtbl] step for step, so {!iter} keeps its order.
+   [stride]-byte record in a [Bytes] page of [page_slots] slots.  The
+   flowlet clock and route live beside the slot page in a float page
+   and an int32 page, allocated at the first pin in that page; a page
+   without them reads as unpinned.  The first page grows by doubling
+   up to [page_slots]; past that, growth appends a fresh page and
+   moves no slot, so a table never holds a second copy of its records
+   and its slack is under one page.  The page directories double,
+   copying only pointers.  A released slot is threaded onto a free
+   list through its flow field (live slots hold the flow id >= 0, free
+   slots hold [-2 - next] so the encoding never collides with a flow
+   id).  The flow -> slot index chains live slots through their chain
+   field from [buckets] and mirrors the stdlib [Hashtbl] step for
+   step, so {!iter} keeps its order.
 
    Two shortcuts skip walks whose answer the table already knows.
    [top] is the largest flow id ever added: a flow above it cannot be
@@ -29,18 +31,16 @@ let f_detour_override = 4
 let f_bp_outage = 8
 let f_failed_over = 16
 
-(* Slot layout: byte offsets within a slot.  The two 63-bit fields lead
-   so they stay 8-byte aligned; the stride pads the flag byte to a
-   whole word. *)
+(* Slot layout: byte offsets within a slot; the stride pads the flag
+   byte to a whole word. *)
 let o_flow = 0       (* flow id, or free-list thread *)
-let o_content = 8
-let o_chain = 16     (* next slot in the bucket, -1 = end *)
-let o_data_link = 20 (* link id, -1 = none *)
-let o_req_link = 24
-let o_data_port = 28 (* the data link's port index, -1 = none *)
-let o_route = 32     (* flowlet pin: -1 = Primary, else Via node id *)
-let o_flags = 36
-let stride = 40
+let o_content = 4
+let o_chain = 8      (* next slot in the bucket, -1 = end *)
+let o_data_link = 12 (* link id, -1 = none *)
+let o_req_link = 16
+let o_data_port = 20 (* u16: the data link's port index + 1, 0 = none *)
+let o_flags = 22
+let stride = 24
 
 (* Slot [s] lives in page [s lsr page_bits] at index [s land page_mask] *)
 let page_bits = 10
@@ -50,8 +50,8 @@ let page_mask = page_slots - 1
 (* Unchecked loads and stores: every slot number used below is under
    [cap], either taken from the index or checked by [slot_at], so its
    page exists; every bucket number is masked to the bucket count. *)
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
@@ -65,7 +65,10 @@ type t = {
   mutable buckets : Bytes.t;      (* int32 head slot per bucket, -1 = empty *)
   mutable live : int;
   mutable pages : Bytes.t array;  (* [stride] bytes per slot *)
-  mutable clocks : float array array; (* unboxed; nan = no flowlet pin *)
+  (* per page, [||] and empty until its first pin: the flowlet clock
+     (nan = no pin) and the int32 route (-1 = Primary, else Via node) *)
+  mutable clocks : float array array;
+  mutable routes : Bytes.t array;
   mutable cap : int;              (* slots in the pages *)
   mutable next : int;             (* first never-used slot *)
   mutable free : int;             (* free-list head, -1 = empty *)
@@ -92,6 +95,7 @@ let create ~gap () =
     live = 0;
     pages = [||];
     clocks = [||];
+    routes = [||];
     cap = 0;
     next = 0;
     free = -1;
@@ -108,12 +112,7 @@ let create ~gap () =
 let[@inline] page t slot = Array.unsafe_get t.pages (slot lsr page_bits)
 let[@inline] at slot off = ((slot land page_mask) * stride) + off
 
-(* A slot's fields by slot number and offset *)
-let[@inline] get t slot off = Int64.to_int (get64 (page t slot) (at slot off))
-
-let[@inline] set t slot off v =
-  set64 (page t slot) (at slot off) (Int64.of_int v)
-
+(* A slot's int32 fields by slot number and offset *)
 let[@inline] get32f t slot off =
   Int32.to_int (get32 (page t slot) (at slot off))
 
@@ -126,16 +125,12 @@ let[@inline] flags t slot =
 let[@inline] set_flags t slot v =
   Bytes.unsafe_set (page t slot) (at slot o_flags) (Char.unsafe_chr v)
 
-(* The flowlet clock *)
-let[@inline] clock t slot =
-  Array.unsafe_get
-    (Array.unsafe_get t.clocks (slot lsr page_bits))
-    (slot land page_mask)
-
-let[@inline] set_clock t slot v =
-  Array.unsafe_set
-    (Array.unsafe_get t.clocks (slot lsr page_bits))
-    (slot land page_mask) v
+(* A fresh slot's flowlet pin: none, and nothing to clear in a page
+   that never pinned *)
+let unpin t slot =
+  let c = Array.unsafe_get t.clocks (slot lsr page_bits) in
+  if Array.length c > 0 then
+    Array.unsafe_set c (slot land page_mask) Float.nan
 
 (* A slot number from a caller *)
 let[@inline] slot_at t slot =
@@ -161,21 +156,29 @@ let grow t =
     t.pages <- pages;
     let clocks = Array.make d [||] in
     Array.blit t.clocks 0 clocks 0 p;
-    t.clocks <- clocks
+    t.clocks <- clocks;
+    let routes = Array.make d Bytes.empty in
+    Array.blit t.routes 0 routes 0 p;
+    t.routes <- routes
   end;
   let base = p lsl page_bits in
   let pg = Bytes.create ((m - base) * stride) in
   Bytes.blit t.pages.(p) 0 pg 0 ((n - base) * stride);
   t.pages.(p) <- pg;
-  let fl = Array.create_float (m - base) in
-  Array.blit t.clocks.(p) 0 fl 0 (n - base);
-  t.clocks.(p) <- fl;
+  (* a doubling first page that holds pins takes them along *)
+  let fl = t.clocks.(p) in
+  if Array.length fl > 0 then begin
+    let c = Array.make (m - base) Float.nan in
+    Array.blit fl 0 c 0 (n - base);
+    t.clocks.(p) <- c;
+    t.routes.(p) <- Bytes.extend t.routes.(p) 0 (4 * (m - n))
+  end;
   t.cap <- m
 
 let alloc t =
   if t.free >= 0 then begin
     let slot = t.free in
-    t.free <- -2 - get t slot o_flow;
+    t.free <- -2 - get32f t slot o_flow;
     slot
   end
   else begin
@@ -188,7 +191,7 @@ let alloc t =
 let bucket t flow = Hashtbl.hash flow land (n_buckets t - 1)
 
 let rec find_from t flow slot =
-  if slot < 0 || get t slot o_flow = flow then slot
+  if slot < 0 || get32f t slot o_flow = flow then slot
   else find_from t flow (get32f t slot o_chain)
 
 let find t flow =
@@ -216,7 +219,7 @@ let resize t =
       let s = !slot in
       slot := get32f t s o_chain;
       set32f t s o_chain (-1);
-      if Hashtbl.hash (get t s o_flow) land n = 0 then begin
+      if Hashtbl.hash (get32f t s o_flow) land n = 0 then begin
         if !lo < 0 then set_head t i s else set32f t !lo o_chain s;
         lo := s
       end
@@ -230,25 +233,28 @@ let resize t =
 let check_links ~data_link ~req_link ~data_port =
   check32 "link id" data_link;
   check32 "link id" req_link;
-  check32 "port index" data_port
+  if data_port < -1 || data_port > 0xfffe then
+    invalid_arg "Flow_table: port index outside u16"
 
 let write_links t slot ~data_link ~req_link ~data_port =
   set32f t slot o_data_link data_link;
   set32f t slot o_req_link req_link;
-  set32f t slot o_data_port data_port
+  set16 (page t slot) (at slot o_data_port) (data_port + 1)
 
 let write_entry t slot ~content ~data_link ~req_link ~data_port =
-  set t slot o_content content;
+  set32f t slot o_content content;
   write_links t slot ~data_link ~req_link ~data_port;
   set_flags t slot 0
 
 let set_entry t slot ~content ~data_link ~req_link ~data_port =
   let slot = slot_at t slot in
+  check32 "content" content;
   check_links ~data_link ~req_link ~data_port;
   write_entry t slot ~content ~data_link ~req_link ~data_port
 
 let add t ~flow =
   if flow < 0 then invalid_arg "Flow_table.install: flow < 0";
+  check32 "flow id" flow;
   let b = bucket t flow in
   (* above [top] the flow cannot be present: skip the walk *)
   let slot =
@@ -264,11 +270,10 @@ let add t ~flow =
     let slot = alloc t in
     set32f t slot o_chain (head t b);
     set_head t b slot;
-    set t slot o_flow flow;
+    set32f t slot o_flow flow;
     write_entry t slot ~content:flow ~data_link:(-1) ~req_link:(-1)
       ~data_port:(-1);
-    set32f t slot o_route (-1);
-    set_clock t slot Float.nan;
+    unpin t slot;
     t.live <- t.live + 1;
     if t.live > t.peak then t.peak <- t.live;
     if t.live > 2 * n_buckets t then resize t;
@@ -276,6 +281,7 @@ let add t ~flow =
   end
 
 let install t ~flow ~content ~data_link ~req_link ~data_port =
+  check32 "content" content;
   check_links ~data_link ~req_link ~data_port;
   let slot = add t ~flow in
   write_entry t slot ~content ~data_link ~req_link ~data_port;
@@ -286,7 +292,7 @@ let install t ~flow ~content ~data_link ~req_link ~data_port =
    Only the flow field changes. *)
 let rec unlink t flow b prev slot =
   if slot < 0 then -1
-  else if get t slot o_flow <> flow then
+  else if get32f t slot o_flow <> flow then
     unlink t flow b slot (get32f t slot o_chain)
   else begin
     let next = get32f t slot o_chain in
@@ -296,7 +302,7 @@ let rec unlink t flow b prev slot =
       t.memo_slot <- -1
     end;
     t.live <- t.live - 1;
-    set t slot o_flow (-2 - t.free);
+    set32f t slot o_flow (-2 - t.free);
     t.free <- slot;
     t.recycled <- t.recycled + 1;
     slot
@@ -306,11 +312,14 @@ let release t ~flow =
   let b = bucket t flow in
   unlink t flow b (-1) (head t b)
 
-let flow_of t slot = get t (slot_at t slot) o_flow
-let content t slot = get t (slot_at t slot) o_content
+let flow_of t slot = get32f t (slot_at t slot) o_flow
+let content t slot = get32f t (slot_at t slot) o_content
 let data_link t slot = get32f t (slot_at t slot) o_data_link
 let req_link t slot = get32f t (slot_at t slot) o_req_link
-let data_port t slot = get32f t (slot_at t slot) o_data_port
+
+let data_port t slot =
+  let slot = slot_at t slot in
+  get16 (page t slot) (at slot o_data_port) - 1
 
 let set_links t slot ~data_link ~req_link ~data_port =
   let slot = slot_at t slot in
@@ -344,17 +353,23 @@ let flowlet_choose t slot ~now ~preferred =
       check32 "route" v;
       v
   in
-  let last = clock t slot in
-  set_clock t slot now;
-  if Float.is_nan last then begin
-    set32f t slot o_route encoded;
+  let p = slot lsr page_bits and i = slot land page_mask in
+  (* the page's first pin pages in its flowlet pair *)
+  if Array.length t.clocks.(p) = 0 then begin
+    let n = Bytes.length t.pages.(p) / stride in
+    t.clocks.(p) <- Array.make n Float.nan;
+    t.routes.(p) <- Bytes.create (4 * n)
+  end;
+  let clocks = t.clocks.(p) and routes = t.routes.(p) in
+  let last = clocks.(i) in
+  clocks.(i) <- now;
+  if Float.is_nan last || now -. last > t.gap then begin
+    set32 routes (4 * i) (Int32.of_int encoded);
     preferred
   end
-  else begin
-    if now -. last > t.gap then set32f t slot o_route encoded;
-    let v = get32f t slot o_route in
+  else
+    let v = Int32.to_int (get32 routes (4 * i)) in
     if v < 0 then Primary else Via v
-  end
 
 let iter t f =
   for i = 0 to n_buckets t - 1 do
@@ -362,7 +377,7 @@ let iter t f =
     while !slot >= 0 do
       let s = !slot in
       slot := get32f t s o_chain;
-      f (get t s o_flow) s
+      f (get32f t s o_flow) s
     done
   done
 
@@ -376,7 +391,7 @@ let iter_bp t ~forwarded f =
     while !slot >= 0 do
       let s = !slot in
       slot := get32f t s o_chain;
-      if flags t s land mask <> 0 then f (get t s o_flow) s
+      if flags t s land mask <> 0 then f (get32f t s o_flow) s
     done
   done
 
@@ -387,11 +402,14 @@ let peak t = t.peak
 let recycled t = t.recycled
 
 let approx_bytes t =
-  (* a slot's record plus its flowlet clock, an int32 per bucket, and
-     the first blocks' headers and padding plus the table record; past
-     one page, three header words a page and two pointers a directory
-     slot *)
+  (* a slot's record, an int32 per bucket, a header and a padding word
+     a page, three pointers a directory slot, and the fixed blocks'
+     headers plus the table record; a page that pinned adds its clock
+     and route, 12 B a slot, and three words of headers and padding *)
   let pages = (t.cap + page_mask) lsr page_bits in
-  (t.cap * (stride + 8)) + (n_buckets t * 4) + 128
-  + (24 * max 0 (pages - 1))
-  + (16 * max 0 (Array.length t.pages - 1))
+  let flowlet acc c =
+    if Array.length c = 0 then acc else acc + (12 * Array.length c) + 24
+  in
+  (t.cap * stride) + (n_buckets t * 4) + (16 * pages)
+  + (24 * Array.length t.pages) + 200
+  + Array.fold_left flowlet 0 t.clocks

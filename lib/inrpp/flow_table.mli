@@ -3,19 +3,22 @@
     The router keeps one entry per flow crossing it: next hops for
     data and requests, the data link's port, five
     back-pressure/fail-over flags and the flowlet pin.  This module
-    owns that state as fixed-stride slot records in [Bytes] pages of
-    1024 slots: flow id and content at 63 bits; the index chain, both
-    next-hop link ids ({e ids}, [-1] = none), the data link's port
-    index and the flowlet route at int32; and a one-byte flag
-    bitfield.  Each page has an unboxed float page beside it for the
-    flowlet clocks, and released slots are recycled through a free
+    owns that state as 24-byte slot records in [Bytes] pages of 1024
+    slots: flow id, content, the index chain and both next-hop link ids
+    ({e ids}, [-1] = none) at int32; the data link's port index as an
+    unsigned 16-bit field holding port + 1 (0 = none); and a one-byte
+    flag bitfield.  The flowlet clock and pinned route live outside the
+    slot, in an unboxed float page and an int32 page allocated beside
+    a slot page when the first slot in it pins a flowlet; a page
+    without them reads as unpinned, so a table that never detours holds
+    no flowlet bytes.  Released slots are recycled through a free
     list.  The GC scans none of it.  The first page grows by doubling
     from 16 slots, so a table of a few hundred flows stays small; past
     one page, growth adds a page and copies no slot, so a large table
     keeps under one page of slack and leaves no old copy for the GC.
-    Steady-state cost is a few dozen bytes per flow, measured and
-    frozen by the flow-state gate in [test/test_inrpp.ml], which also
-    bounds what a 250k-flow ramp allocates.
+    Steady-state cost is about 35 bytes per flow, measured and frozen
+    by the flow-state gate in [test/test_inrpp.ml], which also bounds
+    what a 250k-flow ramp allocates.
 
     The flow id -> slot index allocates nothing per entry: an int32
     bucket array holds each bucket's head slot and each slot's chain
@@ -42,10 +45,12 @@
 
     Next hops are stored as link ids rather than [Link.t] to keep the
     pages free of pointers; resolve through [Topology.Graph.link] (O(1),
-    returns the canonical physical link).  Link ids, port indices and
-    flowlet routes must fit in int32: a setter given one outside
-    raises [Invalid_argument] before it writes anything.  So does
-    every accessor given a slot outside the table's capacity. *)
+    returns the canonical physical link).  Flow ids, contents, link ids
+    and flowlet routes must fit in int32, and port indices in
+    [-1, 65534] (u16 less the none code): a call that would store one
+    outside raises [Invalid_argument] before it writes anything, and
+    {!find} or {!release} of a flow id outside finds nothing.  Every
+    accessor given a slot outside the table's capacity raises too. *)
 
 (** Flowlet pinning (Sinha et al., cited by the paper for detour
     granularity): a flow's packets within one burst stay on one route
@@ -72,7 +77,8 @@ val install :
     flags.  [data_port] is the router's index of [data_link]'s port
     ([-1] = none); the table only stores it.  [install] is {!add}
     followed by {!set_entry}.
-    @raise Invalid_argument if [flow < 0] or an id is outside int32. *)
+    @raise Invalid_argument if [flow < 0] or a value is outside its
+    width. *)
 
 val add : t -> flow:int -> int
 (** The flow's slot, found, or taken fresh (content the flow id, links
@@ -80,14 +86,14 @@ val add : t -> flow:int -> int
     installed.  A caller that must read a reinstalled slot's flags
     before {!set_entry} resets them pays one index walk, not two; a
     flow above every id the table has held pays none.
-    @raise Invalid_argument if [flow < 0]. *)
+    @raise Invalid_argument if [flow < 0] or [flow] is outside int32. *)
 
 val set_entry :
   t -> int -> content:int -> data_link:int -> req_link:int ->
   data_port:int -> unit
 (** Set a slot's content and links and clear its flags: the reset half
     of a (re)install.
-    @raise Invalid_argument if an id is outside int32. *)
+    @raise Invalid_argument if a value is outside its width. *)
 
 val release : t -> flow:int -> int
 (** Free the flow's slot onto the free list (counted in {!recycled})
@@ -112,7 +118,7 @@ val data_port : t -> int -> int
 
 val set_links :
   t -> int -> data_link:int -> req_link:int -> data_port:int -> unit
-(** @raise Invalid_argument if an id is outside int32. *)
+(** @raise Invalid_argument if a value is outside its width. *)
 
 val bp_local : t -> int -> bool
 val set_bp_local : t -> int -> bool -> unit
@@ -129,7 +135,8 @@ val flowlet_choose : t -> int -> now:float -> preferred:route -> route
 (** Per-slot flowlet pinning: the first call pins [preferred]; later
     calls return the pin, replacing it with [preferred] only after an
     idle gap longer than [gap].  Every call updates the slot's
-    last-packet time.
+    last-packet time.  A slot's page gets its flowlet clocks and routes
+    at its first call.
     @raise Invalid_argument if [preferred] is [Via v] with [v] outside
     int32. *)
 
@@ -154,8 +161,9 @@ val recycled : t -> int
 (** Slots returned to the free list by {!release}. *)
 
 val approx_bytes : t -> int
-(** Retained heap for the per-flow state: the slot and clock pages at
-    current capacity, the int32 bucket array, the page directories,
-    and an allowance for block headers and the table record.  An accounting
+(** Retained heap for the per-flow state: the slot pages at current
+    capacity, the flowlet pages of the pages that pinned, the int32
+    bucket array, the page directories, and the block headers and the
+    table record.  An accounting
     figure for gauges and reports; the flow-state gate checks it
     against its live-words measurement, which is what it freezes. *)

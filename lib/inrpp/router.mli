@@ -84,7 +84,9 @@ val install_flow :
     consumer).  [req_link]: next hop towards the producer ([None] at
     the producer).  [content] (default the flow id) keys the
     popularity cache, so repeated transfers of the same object hit
-    on-path copies when [icn_caching] is enabled. *)
+    on-path copies when [icn_caching] is enabled.  The flow table
+    stores [flow] and [content] at int32 and port indices at u16.
+    @raise Invalid_argument if one is outside its width. *)
 
 val reroute_flow :
   t -> ?content:int -> flow:int -> data_link:Topology.Link.t option ->
@@ -213,8 +215,9 @@ val flow_entries_recycled : t -> int
     calls that found the flow installed). *)
 
 val flow_table_bytes : t -> int
-(** Approximate heap footprint of the flow table (slot arrays + index
-    + flowlet pins; see DESIGN §14 for the accounting). *)
+(** Approximate heap footprint of the flow table (slot pages + index
+    + the flowlet pages of pages that pinned; see DESIGN §14 for the
+    accounting). *)
 
 val cache : t -> Chunksim.Cache.t
 val counters : t -> counters

@@ -272,6 +272,26 @@ let fixture_knob name set () =
     name (Some set)
     (List.assoc_opt name (Lazy.force fixture_knobs))
 
+(* An entry that vanishes between [readdir] and [is_directory], as a
+   library archive dune is still writing can, reads as absent: here a
+   dangling link named like the files sought, and one named like an
+   archive, next to a [.cmt] file and a subdirectory holding one. *)
+let test_dangling_entry () =
+  let dir = Filename.temp_dir "walker" "" in
+  let path n = Filename.concat dir n in
+  Sys.mkdir (path "sub") 0o755;
+  List.iter (fun n -> close_out (open_out (path n))) [ "a.cmt"; "sub/c.cmt" ];
+  Unix.symlink (path "missing.cmt") (path "b.cmt");
+  Unix.symlink (path "missing.a") (path "lib.a");
+  let found = Walker.files_under ~suffix:".cmt" dir in
+  List.iter
+    (fun n -> Sys.remove (path n))
+    [ "a.cmt"; "sub/c.cmt"; "b.cmt"; "lib.a" ];
+  Sys.rmdir (path "sub");
+  Sys.rmdir dir;
+  Alcotest.(check (list string))
+    "the .cmt files only" [ path "a.cmt"; path "sub/c.cmt" ] found
+
 let test_fixture_count () =
   Alcotest.(check int) "exports" 4 (List.length (Lazy.force fixture_verdicts))
 
@@ -293,6 +313,8 @@ let () =
       ( "walker",
         [
           Alcotest.test_case "four exports" `Quick test_fixture_count;
+          Alcotest.test_case "dangling entry absent" `Quick
+            test_dangling_entry;
           Alcotest.test_case "planted export flagged" `Quick
             (fixture "Fixture.planted" Unused);
           Alcotest.test_case "own-module use hideable" `Quick

@@ -55,9 +55,12 @@ let rec files_under ~suffix dir =
     Array.to_list names
     |> List.concat_map (fun n ->
            let p = Filename.concat dir n in
-           if Sys.is_directory p then files_under ~suffix p
-           else if Filename.check_suffix n suffix then [ p ]
-           else [])
+           (* an entry gone since [readdir] (a build still writing), or
+              a dangling link, is absent *)
+           match Sys.is_directory p with
+           | exception Sys_error _ -> []
+           | true -> files_under ~suffix p
+           | false -> if Filename.check_suffix n suffix then [ p ] else [])
 
 (* Byte objects only: the native directory holds no annotations. *)
 let annotation_files ~suffix root dir =
