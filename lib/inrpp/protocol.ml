@@ -394,11 +394,11 @@ let attach_faults w faults =
          ~on_link_down:(fun link ->
            record (Trace.Link_fault { link; up = false });
            disrupted ();
-           Array.iter (fun r -> Router.on_link_down r link) routers;
+           Array.iter (fun r -> Router.on_link_flip r ~up:false) routers;
            reconverge w)
          ~on_link_up:(fun link ->
            record (Trace.Link_fault { link; up = true });
-           Array.iter (fun r -> Router.on_link_up r link) routers;
+           Array.iter (fun r -> Router.on_link_flip r ~up:true) routers;
            reconverge w)
          ~on_node_crash:(fun node policy ->
            record (Trace.Node_fault { node; up = false });

@@ -99,6 +99,9 @@ let now t = Port.now t.s
 (* canonical link object for a stored id: Graph.link is O(1) *)
 let link_of t id = Topology.Graph.link (Net.graph t.s.Port.net) id
 
+(* Every router-level loss goes through here *)
+let count_drop t = t.c.dropped <- t.c.dropped + 1
+
 (* A chunk custody refused (no link: [-1]).  Dropped events carry a
    formatted packet string; build it only when a trace is actually
    attached (bench runs drop packets too). *)
@@ -148,12 +151,12 @@ let list_drain t =
 let to_consumer t p =
   match t.local_consumer with
   | Some consumer -> consumer p
-  | None -> t.c.dropped <- t.c.dropped + 1
+  | None -> count_drop t
 
 let to_producer t p =
   match t.local_producer with
   | Some producer -> producer p
-  | None -> t.c.dropped <- t.c.dropped + 1
+  | None -> count_drop t
 
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
@@ -281,7 +284,7 @@ let early_bp t = over t Overload.Config.early_bp_threshold
 let refuse t slot flow p ~shed ~engage =
   if shed then t.c.shed <- t.c.shed + 1;
   if engage then set_local t slot ~flow ~which:`Custody true;
-  t.c.dropped <- t.c.dropped + 1;
+  count_drop t;
   record_drop t p
 
 let custody t slot flow (p : Packet.t) =
@@ -364,7 +367,7 @@ let send_detour t flow (c : Port.dcand) (p : Packet.t) =
     record_enqueued t ~link:c.dc_first.Link.id p';
     `Queued
   | `Dropped ->
-    t.c.dropped <- t.c.dropped + 1;
+    count_drop t;
     `Dropped
 
 (* Deflect [p] onto the best usable detour around [l]; prefers the
@@ -456,14 +459,14 @@ let handle_data t (p : Packet.t) =
          PIT-less forwarding this branch {e is} the data plane — the
          sender stamps the whole path as the label stack. *)
       match next_hop t next with
-      | None -> t.c.dropped <- t.c.dropped + 1
+      | None -> count_drop t
       | Some l ->
         let p' =
           { p with Packet.header = Packet.Data { d with detour_route = rest } }
         in
         Rate_estimator.note_transit (Port.estimator t.s (Port.port_of t.s l))
           ~bits:p.Packet.size;
-        if not (send_primary t l p') then t.c.dropped <- t.c.dropped + 1
+        if not (send_primary t l p') then count_drop t
     end
     | [] ->
       if t.s.Port.cfg.Config.pitless then
@@ -472,7 +475,7 @@ let handle_data t (p : Packet.t) =
         to_consumer t p
       else begin
         let slot = Ft.find t.ft flow in
-        if slot < 0 then t.c.dropped <- t.c.dropped + 1
+        if slot < 0 then count_drop t
         else forward_primary_path t slot flow p
       end
   end
@@ -491,7 +494,7 @@ let handle_request_pitless t (p : Packet.t) =
     match route with
     | next :: rest -> begin
       match next_hop t next with
-      | None -> t.c.dropped <- t.c.dropped + 1
+      | None -> count_drop t
       | Some l ->
         let p' =
           { p with Packet.header = Packet.Request { r with route = rest } }
@@ -506,7 +509,7 @@ let handle_request t (p : Packet.t) =
   match p.Packet.header with
   | Packet.Request { flow; nc; _ } -> begin
     let slot = Ft.find t.ft flow in
-    if slot < 0 then t.c.dropped <- t.c.dropped + 1
+    if slot < 0 then count_drop t
     else if
       (* ICN short-circuit: a popularity-cached copy answers the request
          locally and the request is not forwarded upstream *)
@@ -592,7 +595,7 @@ let rec strip_custody t flow =
   match Cache.take_custody t.store ~flow with
   | Some (idx, _bits) ->
     Itbl.remove t.custody_packets (Chunk_key.pack ~flow ~idx);
-    t.c.dropped <- t.c.dropped + 1;
+    count_drop t;
     strip_custody t flow
   | None -> ()
 
@@ -798,9 +801,6 @@ let on_link_flip t ~up =
         end);
     drain t
   end
-
-let on_link_down t _link_id = on_link_flip t ~up:false
-let on_link_up t _link_id = on_link_flip t ~up:true
 
 let crash t ~policy =
   if t.crashed then []

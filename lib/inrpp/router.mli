@@ -156,16 +156,14 @@ val iter_custody : registry -> t array -> (t -> unit) -> unit
 
 (** {1 Fault recovery} *)
 
-val on_link_down : t -> int -> unit
-(** Notify the router that some link just went down.  Every flow whose
-    primary interface is down fails over to surviving detours (counted
-    in [failovers]) or, when no path remains, engages back-pressure
-    towards the sender; custody for the dead next-hop evacuates
-    immediately via a drain. *)
-
-val on_link_up : t -> int -> unit
-(** Inverse: flows return to recovered primaries (releasing
-    outage back-pressure) and held custody drains. *)
+val on_link_flip : t -> up:bool -> unit
+(** Notify the router that some link just went down ([up = false]) or
+    came back up.  On a down flip every flow whose primary interface is
+    down fails over to surviving detours (counted in [failovers]) or,
+    when no path remains, engages back-pressure towards the sender; on
+    an up flip flows return to recovered primaries, releasing outage
+    back-pressure.  Either way held custody drains at once, so custody
+    for a dead next-hop evacuates at the outage instant. *)
 
 val crash : t -> policy:[ `Wipe | `Preserve ] -> (int * int) list
 (** Crash this router: control state (estimators, phases,

@@ -1235,7 +1235,7 @@ let test_router_refusals_count_requests () =
   Alcotest.(check int) "21 detour ticks refuse nothing" 0 (refused ());
   pressure.(0) <- 1.;
   Topology.Link_state.set ls bottleneck ~up:false;
-  R.on_link_down r bottleneck;
+  R.on_link_flip r ~up:false;
   Alcotest.(check int) "a link flip refuses nothing" 0 (refused ());
   R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
   Alcotest.(check int) "one chunk refused both detours" 1 (refused ());
@@ -1252,7 +1252,7 @@ let test_router_refusals_count_requests () =
   in
   R.install_flow r ~flow:1 ~data_link:(Some l10) ~req_link:None ();
   Topology.Link_state.set ls l10.Topology.Link.id ~up:false;
-  R.on_link_down r l10.Topology.Link.id;
+  R.on_link_flip r ~up:false;
   Alcotest.(check int) "the flip's drain re-attempts flow 0's chunk" 3
     (refused ());
   for idx = 0 to 2 do
@@ -1263,7 +1263,7 @@ let test_router_refusals_count_requests () =
      the fourth finds nothing, so flow 0's held chunk is refused four
      times in that one drain *)
   Topology.Link_state.set ls l10.Topology.Link.id ~up:true;
-  R.on_link_up r l10.Topology.Link.id;
+  R.on_link_flip r ~up:true;
   Alcotest.(check int) "flow 1 drained" 3 (R.counters r).R.custody_released;
   Alcotest.(check int) "one refusal per round" 10 (refused ());
   R.drain r;
@@ -1288,7 +1288,7 @@ let test_router_link_flip_table () =
     ~data_link:(Some (Topology.Graph.link g l10)) ~req_link:None ();
   let flip id ~up =
     Topology.Link_state.set ls id ~up;
-    if up then R.on_link_up r id else R.on_link_down r id
+    R.on_link_flip r ~up
   in
   let row name expect =
     let c = R.counters r in
@@ -1481,7 +1481,7 @@ let prop_custody_ledger =
           | `Flip (k, up) ->
             let id = links.(k).Topology.Link.id in
             Topology.Link_state.set ls id ~up;
-            if up then R.on_link_up r id else R.on_link_down r id
+            R.on_link_flip r ~up
           | `Pressure ->
             List.iter (fun n -> pressure.(n) <- 1. -. pressure.(n)) [ 0; 2; 3 ]
           | `Crash wipe ->
@@ -1916,9 +1916,7 @@ let drain_once w = w.dw_drain ()
 let flip u v ~up w =
   let id = (w.dw_link u v).Topology.Link.id in
   Topology.Link_state.set w.dw_ls id ~up;
-  Array.iter
-    (fun r -> if up then R.on_link_up r id else R.on_link_down r id)
-    w.dw_routers
+  Array.iter (fun r -> R.on_link_flip r ~up) w.dw_routers
 
 (* Runs [script] on both copies, comparing them after every step, and
    returns the registry copy. *)
