@@ -9,7 +9,7 @@
     protocol-behaviour experiments (`phases`, `backpressure`,
     `protocols`) and of the examples. *)
 
-type flow_spec = {
+type flow_spec = Wiring.flow_spec = {
   src : Topology.Node.id;
   dst : Topology.Node.id;
   chunks : int;

@@ -27,6 +27,24 @@ let track t ?(labels = []) name read =
 
 let on_sample t hook = t.hooks <- hook :: t.hooks
 
+let track_shares t ?(labels = []) name ~key states state =
+  let acc = Array.make (Array.length states) 0. in
+  let last_t = ref (Sim.Engine.now t.eng) and last = ref (-1) in
+  on_sample t (fun () ->
+      let now = Sim.Engine.now t.eng in
+      if !last >= 0 then acc.(!last) <- acc.(!last) +. (now -. !last_t);
+      last_t := now;
+      last := state ());
+  Array.iteri
+    (fun i s ->
+      ignore
+        (track t ~labels:((key, s) :: labels) name (fun () ->
+             (* a loop, not a fold: the sum stays unboxed *)
+             let tot = ref 0. in
+             for j = 0 to Array.length acc - 1 do tot := !tot +. acc.(j) done;
+             if !tot <= 0. then 0. else acc.(i) /. !tot)))
+    states
+
 let sample_now t =
   let now = Sim.Engine.now t.eng in
   let t0 = match t.clock with Some c -> c () | None -> 0. in

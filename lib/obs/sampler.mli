@@ -28,6 +28,15 @@ val track : t -> ?labels:Metric.labels -> string -> (unit -> float) -> Series.t
 val on_sample : t -> (unit -> unit) -> unit
 (** Register a pre-probe hook. *)
 
+val track_shares :
+  t -> ?labels:Metric.labels -> string -> key:string -> string array ->
+  (unit -> int) -> unit
+(** [track_shares t name ~key states state]: one series per state,
+    labelled [(key, states.(i)) :: labels], of the share of sampled
+    time that [state ()] (read by a hook at every sample) spent in
+    state [i]; [0.] before any time is counted, and a negative state
+    counts none. *)
+
 val start : ?stop:(unit -> bool) -> t -> unit
 (** Take a baseline sample now, then one every [interval] until [stop]
     returns [true] (one final sample is taken at the stopping tick).

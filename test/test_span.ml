@@ -412,7 +412,7 @@ let test_recorder_dump_cap () =
       Alcotest.(check int) "only capped dumps on disk" 2 (List.length headers))
 
 let test_recorder_on_invariant_violation () =
-  (* the wiring protocol.ml uses: a checker violation triggers a dump *)
+  (* the wiring instrumentation.ml uses: a checker violation triggers a dump *)
   with_tmp (fun path ->
       let rc = Obs.Recorder.create ~path () in
       Obs.Recorder.record rc ~time:0.1
