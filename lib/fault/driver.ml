@@ -33,7 +33,7 @@ let make_filter t =
       if drop then t.control_drops <- t.control_drops + 1;
       drop
 
-let install ?link_state ?(on_link_down = ignore) ?(on_link_up = ignore)
+let install ?link_state ?(on_link_flip = fun _ ~up:_ -> ())
     ?(on_node_crash = fun _ _ -> ()) ?(on_node_restart = ignore)
     ?(on_data_killed = ignore) net sched =
   let t =
@@ -58,13 +58,13 @@ let install ?link_state ?(on_link_down = ignore) ?(on_link_up = ignore)
           t.link_downs <- t.link_downs + 1;
           Iface.set_down ~policy (Net.iface net link);
           mark t link false;
-          on_link_down link);
+          on_link_flip link ~up:false);
       link_up =
         (fun ~link ->
           t.link_ups <- t.link_ups + 1;
           Iface.set_up (Net.iface net link);
           mark t link true;
-          on_link_up link);
+          on_link_flip link ~up:true);
       node_crash =
         (fun ~node ~policy ->
           if not (Hashtbl.mem t.saved node) then begin

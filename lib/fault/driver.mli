@@ -12,8 +12,7 @@ type t
 
 val install :
   ?link_state:Topology.Link_state.t ->
-  ?on_link_down:(int -> unit) ->
-  ?on_link_up:(int -> unit) ->
+  ?on_link_flip:(int -> up:bool -> unit) ->
   ?on_node_crash:(Topology.Node.id -> Schedule.node_policy -> unit) ->
   ?on_node_restart:(Topology.Node.id -> unit) ->
   ?on_data_killed:(Chunksim.Packet.t -> unit) ->

@@ -183,7 +183,7 @@ let attach_faults w faults =
     in
     Some
       (Fault.Driver.install ~link_state:w.link_state
-         ~on_link_down:(flip ~up:false) ~on_link_up:(flip ~up:true)
+         ~on_link_flip:flip
          ~on_node_crash:(fun node policy ->
            Instrumentation.node_fault ins ~node ~up:false;
            disrupted ();
