@@ -117,9 +117,8 @@ let attach (w : Wiring.t) ~faulted =
           if specs.(flow).src = node then Sender.handle senders.(flow) p);
     if consumer.(node) then
       Router.set_local_consumer router (fun p ->
-          (match p.Packet.header with
-          | Packet.Data _ when faulted -> note_recovery w (Sim.Engine.now eng)
-          | Packet.Data _ | Packet.Request _ | Packet.Backpressure _ -> ());
+          if faulted && Packet.is_data p then
+            note_recovery w (Sim.Engine.now eng);
           Instrumentation.delivered ins ~node p;
           let flow = Packet.flow p in
           if specs.(flow).dst = node then
