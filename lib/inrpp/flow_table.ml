@@ -9,9 +9,9 @@
    copying only pointers.  A released slot is threaded onto a free
    list through its flow field (live slots hold the flow id >= 0, free
    slots hold [-2 - next] so the encoding never collides with a flow
-   id).  The flow -> slot index chains live slots through their chain
-   field from [buckets] and mirrors the stdlib [Hashtbl] step for
-   step, so {!iter} keeps its order.
+   id).  The flow -> slot index chains live slots through their 24-bit
+   chain field from [buckets] and mirrors the stdlib [Hashtbl] step
+   for step, so {!iter} keeps its order.
 
    Two shortcuts skip walks whose answer the table already knows.
    [top] is the largest flow id ever added: a flow above it cannot be
@@ -31,16 +31,16 @@ let f_detour_override = 4
 let f_bp_outage = 8
 let f_failed_over = 16
 
-(* Slot layout: byte offsets within a slot; the stride pads the flag
-   byte to a whole word. *)
+(* Slot layout: byte offsets within a slot.  The chain is a u16 and a
+   u8 at 8 and 10, so it never touches the flag byte beside it. *)
 let o_flow = 0       (* flow id, or free-list thread *)
 let o_content = 4
-let o_chain = 8      (* next slot in the bucket, -1 = end *)
-let o_data_link = 12 (* link id, -1 = none *)
-let o_req_link = 16
-let o_data_port = 20 (* u16: the data link's port index + 1, 0 = none *)
-let o_flags = 22
-let stride = 24
+let o_chain = 8      (* u24: next slot in the bucket + 1, 0 = end *)
+let o_flags = 11
+let o_data_port = 12 (* u16: port index + 1, 0 = none *)
+let o_req_port = 14
+let stride = 16
+let max_slots = 0xff_ffff (* the chain holds slot + 1 *)
 
 (* Slot [s] lives in page [s lsr page_bits] at index [s land page_mask] *)
 let page_bits = 10
@@ -55,10 +55,9 @@ external set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-let fits32 v = v >= -0x8000_0000 && v <= 0x7fff_ffff
-
 let check32 what v =
-  if not (fits32 v) then invalid_arg ("Flow_table: " ^ what ^ " outside int32")
+  if v < -0x8000_0000 || v > 0x7fff_ffff then
+    invalid_arg ("Flow_table: " ^ what ^ " outside int32")
 
 type t = {
   gap : float;
@@ -119,6 +118,15 @@ let[@inline] get32f t slot off =
 let[@inline] set32f t slot off v =
   set32 (page t slot) (at slot off) (Int32.of_int v)
 
+let[@inline] chain t slot =
+  let pg = page t slot and o = at slot o_chain in
+  (get16 pg o lor (Char.code (Bytes.unsafe_get pg (o + 2)) lsl 16)) - 1
+
+let[@inline] set_chain t slot next =
+  let pg = page t slot and o = at slot o_chain and v = next + 1 in
+  set16 pg o (v land 0xffff);
+  Bytes.unsafe_set pg (o + 2) (Char.unsafe_chr (v lsr 16))
+
 let[@inline] flags t slot =
   Char.code (Bytes.unsafe_get (page t slot) (at slot o_flags))
 
@@ -146,8 +154,7 @@ let[@inline] slot_at t slot =
 let grow t =
   let n = t.cap in
   let m = if n < page_slots then max 16 (2 * n) else n + page_slots in
-  (* chain fields and bucket heads hold slot numbers at int32 *)
-  if not (fits32 m) then invalid_arg "Flow_table: slots outside int32";
+  if m > max_slots then invalid_arg "Flow_table: slots outside u24";
   let p = n lsr page_bits in
   if p = Array.length t.pages then begin
     let d = max 1 (2 * p) in
@@ -192,7 +199,7 @@ let bucket t flow = Hashtbl.hash flow land (n_buckets t - 1)
 
 let rec find_from t flow slot =
   if slot < 0 || get32f t slot o_flow = flow then slot
-  else find_from t flow (get32f t slot o_chain)
+  else find_from t flow (chain t slot)
 
 let find t flow =
   if flow = t.memo_flow then t.memo_slot
@@ -217,40 +224,39 @@ let resize t =
     let slot = ref (Int32.to_int (get32 old (4 * i))) in
     while !slot >= 0 do
       let s = !slot in
-      slot := get32f t s o_chain;
-      set32f t s o_chain (-1);
+      slot := chain t s;
+      set_chain t s (-1);
       if Hashtbl.hash (get32f t s o_flow) land n = 0 then begin
-        if !lo < 0 then set_head t i s else set32f t !lo o_chain s;
+        if !lo < 0 then set_head t i s else set_chain t !lo s;
         lo := s
       end
       else begin
-        if !hi < 0 then set_head t (i + n) s else set32f t !hi o_chain s;
+        if !hi < 0 then set_head t (i + n) s else set_chain t !hi s;
         hi := s
       end
     done
   done
 
-let check_links ~data_link ~req_link ~data_port =
-  check32 "link id" data_link;
-  check32 "link id" req_link;
-  if data_port < -1 || data_port > 0xfffe then
+let check_ports ~data_port ~req_port =
+  let bad p = p < -1 || p > 0xfffe in
+  if bad data_port || bad req_port then
     invalid_arg "Flow_table: port index outside u16"
 
-let write_links t slot ~data_link ~req_link ~data_port =
-  set32f t slot o_data_link data_link;
-  set32f t slot o_req_link req_link;
-  set16 (page t slot) (at slot o_data_port) (data_port + 1)
+let write_ports t slot ~data_port ~req_port =
+  let pg = page t slot in
+  set16 pg (at slot o_data_port) (data_port + 1);
+  set16 pg (at slot o_req_port) (req_port + 1)
 
-let write_entry t slot ~content ~data_link ~req_link ~data_port =
+let write_entry t slot ~content ~data_port ~req_port =
   set32f t slot o_content content;
-  write_links t slot ~data_link ~req_link ~data_port;
+  write_ports t slot ~data_port ~req_port;
   set_flags t slot 0
 
-let set_entry t slot ~content ~data_link ~req_link ~data_port =
+let set_entry t slot ~content ~data_port ~req_port =
   let slot = slot_at t slot in
   check32 "content" content;
-  check_links ~data_link ~req_link ~data_port;
-  write_entry t slot ~content ~data_link ~req_link ~data_port
+  check_ports ~data_port ~req_port;
+  write_entry t slot ~content ~data_port ~req_port
 
 let add t ~flow =
   if flow < 0 then invalid_arg "Flow_table.install: flow < 0";
@@ -268,11 +274,10 @@ let add t ~flow =
   else begin
     (* prepend, then resize past two entries a bucket: stdlib [replace] *)
     let slot = alloc t in
-    set32f t slot o_chain (head t b);
+    set_chain t slot (head t b);
     set_head t b slot;
     set32f t slot o_flow flow;
-    write_entry t slot ~content:flow ~data_link:(-1) ~req_link:(-1)
-      ~data_port:(-1);
+    write_entry t slot ~content:flow ~data_port:(-1) ~req_port:(-1);
     unpin t slot;
     t.live <- t.live + 1;
     if t.live > t.peak then t.peak <- t.live;
@@ -280,11 +285,11 @@ let add t ~flow =
     slot
   end
 
-let install t ~flow ~content ~data_link ~req_link ~data_port =
+let install t ~flow ~content ~data_port ~req_port =
   check32 "content" content;
-  check_links ~data_link ~req_link ~data_port;
+  check_ports ~data_port ~req_port;
   let slot = add t ~flow in
-  write_entry t slot ~content ~data_link ~req_link ~data_port;
+  write_entry t slot ~content ~data_port ~req_port;
   slot
 
 (* Unlink [flow]'s slot from bucket [b], whose walk reached [slot]
@@ -293,10 +298,10 @@ let install t ~flow ~content ~data_link ~req_link ~data_port =
 let rec unlink t flow b prev slot =
   if slot < 0 then -1
   else if get32f t slot o_flow <> flow then
-    unlink t flow b slot (get32f t slot o_chain)
+    unlink t flow b slot (chain t slot)
   else begin
-    let next = get32f t slot o_chain in
-    if prev < 0 then set_head t b next else set32f t prev o_chain next;
+    let next = chain t slot in
+    if prev < 0 then set_head t b next else set_chain t prev next;
     if flow = t.memo_flow then begin
       t.memo_flow <- -1;
       t.memo_slot <- -1
@@ -314,17 +319,17 @@ let release t ~flow =
 
 let flow_of t slot = get32f t (slot_at t slot) o_flow
 let content t slot = get32f t (slot_at t slot) o_content
-let data_link t slot = get32f t (slot_at t slot) o_data_link
-let req_link t slot = get32f t (slot_at t slot) o_req_link
-
-let data_port t slot =
+let port t slot off =
   let slot = slot_at t slot in
-  get16 (page t slot) (at slot o_data_port) - 1
+  get16 (page t slot) (at slot off) - 1
 
-let set_links t slot ~data_link ~req_link ~data_port =
+let data_port t slot = port t slot o_data_port
+let req_port t slot = port t slot o_req_port
+
+let set_ports t slot ~data_port ~req_port =
   let slot = slot_at t slot in
-  check_links ~data_link ~req_link ~data_port;
-  write_links t slot ~data_link ~req_link ~data_port
+  check_ports ~data_port ~req_port;
+  write_ports t slot ~data_port ~req_port
 
 let flag t slot bit = flags t (slot_at t slot) land bit <> 0
 
@@ -371,29 +376,22 @@ let flowlet_choose t slot ~now ~preferred =
     let v = Int32.to_int (get32 routes (4 * i)) in
     if v < 0 then Primary else Via v
 
-let iter t f =
+(* every live entry in stdlib order; with a [mask], only the entries
+   with a bit of it set *)
+let walk t mask f =
   for i = 0 to n_buckets t - 1 do
     let slot = ref (head t i) in
     while !slot >= 0 do
       let s = !slot in
-      slot := get32f t s o_chain;
-      f (get32f t s o_flow) s
+      slot := chain t s;
+      if mask = 0 || flags t s land mask <> 0 then f (get32f t s o_flow) s
     done
   done
 
-(* [iter], calling [f] only where a bit of the mask is set *)
+let iter t f = walk t 0 f
+
 let iter_bp t ~forwarded f =
-  let mask =
-    if forwarded then f_bp_local lor f_bp_forwarded else f_bp_local
-  in
-  for i = 0 to n_buckets t - 1 do
-    let slot = ref (head t i) in
-    while !slot >= 0 do
-      let s = !slot in
-      slot := get32f t s o_chain;
-      if flags t s land mask <> 0 then f (get32f t s o_flow) s
-    done
-  done
+  walk t (if forwarded then f_bp_local lor f_bp_forwarded else f_bp_local) f
 
 let live t = t.live
 

@@ -1,24 +1,25 @@
 (** Per-flow forwarding state, compacted.
 
     The router keeps one entry per flow crossing it: next hops for
-    data and requests, the data link's port, five
-    back-pressure/fail-over flags and the flowlet pin.  This module
-    owns that state as 24-byte slot records in [Bytes] pages of 1024
-    slots: flow id, content, the index chain and both next-hop link ids
-    ({e ids}, [-1] = none) at int32; the data link's port index as an
-    unsigned 16-bit field holding port + 1 (0 = none); and a one-byte
-    flag bitfield.  The flowlet clock and pinned route live outside the
-    slot, in an unboxed float page and an int32 page allocated beside
-    a slot page when the first slot in it pins a flowlet; a page
-    without them reads as unpinned, so a table that never detours holds
-    no flowlet bytes.  Released slots are recycled through a free
-    list.  The GC scans none of it.  The first page grows by doubling
-    from 16 slots, so a table of a few hundred flows stays small; past
-    one page, growth adds a page and copies no slot, so a large table
-    keeps under one page of slack and leaves no old copy for the GC.
-    Steady-state cost is about 35 bytes per flow, measured and frozen
-    by the flow-state gate in [test/test_inrpp.ml], which also bounds
-    what a 250k-flow ramp allocates.
+    data and requests, five back-pressure/fail-over flags and the
+    flowlet pin.  This module owns that state as 16-byte slot records
+    in [Bytes] pages of 1024 slots: flow id and content at int32; the
+    index chain as a 24-bit field holding slot + 1 (0 = end) beside a
+    one-byte flag bitfield; and both next hops as unsigned 16-bit port
+    indices holding port + 1 (0 = none).  The flowlet clock and pinned
+    route live outside the slot, in an unboxed float page and an int32
+    page allocated beside a slot page when the first slot in it pins a
+    flowlet; a page without them reads as unpinned, so a table that
+    never detours holds no flowlet bytes.  Released slots are recycled
+    through a free list.  The GC scans none of it.  The first page
+    grows by doubling from 16 slots, so a table of a few hundred flows
+    stays small; past one page, growth adds a page and copies no slot,
+    so a large table keeps under one page of slack and leaves no old
+    copy for the GC.  A growth that would pass 2^24 - 1 slots (the
+    chain's reach) raises [Invalid_argument].  Steady-state cost is
+    about 27 bytes per flow, measured and frozen by the flow-state gate
+    in [test/test_inrpp.ml], which also bounds what a 250k-flow ramp
+    allocates.
 
     The flow id -> slot index allocates nothing per entry: an int32
     bucket array holds each bucket's head slot and each slot's chain
@@ -43,14 +44,15 @@
     slot's number), so the memo stays exact until {!release} of that
     flow clears it.
 
-    Next hops are stored as link ids rather than [Link.t] to keep the
-    pages free of pointers; resolve through [Topology.Graph.link] (O(1),
-    returns the canonical physical link).  Flow ids, contents, link ids
-    and flowlet routes must fit in int32, and port indices in
-    [-1, 65534] (u16 less the none code): a call that would store one
-    outside raises [Invalid_argument] before it writes anything, and
-    {!find} or {!release} of a flow id outside finds nothing.  Every
-    accessor given a slot outside the table's capacity raises too. *)
+    Next hops are stored as the router's port indices rather than
+    [Link.t] to keep the pages free of pointers; the router resolves
+    one through its own port array.  The table only stores them.  Flow
+    ids, contents and flowlet routes must fit in int32, and port
+    indices in [-1, 65534] (u16 less the none code): a call that would
+    store one outside raises [Invalid_argument] before it writes
+    anything, and {!find} or {!release} of a flow id outside finds
+    nothing.  Every accessor given a slot outside the table's capacity
+    raises too. *)
 
 (** Flowlet pinning (Sinha et al., cited by the paper for detour
     granularity): a flow's packets within one burst stay on one route
@@ -70,28 +72,25 @@ val find : t -> int -> int
     repeat of the last flow found costs no index walk. *)
 
 val install :
-  t -> flow:int -> content:int -> data_link:int -> req_link:int ->
-  data_port:int -> int
+  t -> flow:int -> content:int -> data_port:int -> req_port:int -> int
 (** Install (or reinstall) a flow; returns its slot.  A reinstall
-    keeps the slot and the flowlet pin but resets content, links and
-    flags.  [data_port] is the router's index of [data_link]'s port
-    ([-1] = none); the table only stores it.  [install] is {!add}
-    followed by {!set_entry}.
+    keeps the slot and the flowlet pin but resets content, ports and
+    flags.  [data_port] and [req_port] are the router's port indices
+    of the next hops ([-1] = none).  [install] is {!add} followed by
+    {!set_entry}.
     @raise Invalid_argument if [flow < 0] or a value is outside its
     width. *)
 
 val add : t -> flow:int -> int
-(** The flow's slot, found, or taken fresh (content the flow id, links
-    and port [-1], flags clear, no flowlet pin) when the flow is not
+(** The flow's slot, found, or taken fresh (content the flow id, ports
+    [-1], flags clear, no flowlet pin) when the flow is not
     installed.  A caller that must read a reinstalled slot's flags
     before {!set_entry} resets them pays one index walk, not two; a
     flow above every id the table has held pays none.
     @raise Invalid_argument if [flow < 0] or [flow] is outside int32. *)
 
-val set_entry :
-  t -> int -> content:int -> data_link:int -> req_link:int ->
-  data_port:int -> unit
-(** Set a slot's content and links and clear its flags: the reset half
+val set_entry : t -> int -> content:int -> data_port:int -> req_port:int -> unit
+(** Set a slot's content and ports and clear its flags: the reset half
     of a (re)install.
     @raise Invalid_argument if a value is outside its width. *)
 
@@ -107,18 +106,16 @@ val flow_of : t -> int -> int
 
 val content : t -> int -> int
 
-val data_link : t -> int -> int
-(** Next-hop link id towards the consumer; [-1] = none (consumer node). *)
-
-val req_link : t -> int -> int
-(** Next-hop link id towards the producer; [-1] = none (producer node). *)
-
 val data_port : t -> int -> int
-(** The port index stored with {!data_link}; [-1] = none. *)
+(** Next-hop port index towards the consumer; [-1] = none (consumer
+    node). *)
 
-val set_links :
-  t -> int -> data_link:int -> req_link:int -> data_port:int -> unit
-(** @raise Invalid_argument if a value is outside its width. *)
+val req_port : t -> int -> int
+(** Next-hop port index towards the producer; [-1] = none (producer
+    node). *)
+
+val set_ports : t -> int -> data_port:int -> req_port:int -> unit
+(** @raise Invalid_argument if a port is outside its width. *)
 
 val bp_local : t -> int -> bool
 val set_bp_local : t -> int -> bool -> unit

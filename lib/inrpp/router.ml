@@ -30,9 +30,9 @@ type registry = Port.registry
 
 type t = {
   s : Port.set;                   (* the interfaces' control plane *)
-  (* per-flow forwarding state: next hops as link ids, the data link's
-     port index, flag bitfield and flowlet pin, paged slot records
-     with free-list recycling (see Flow_table) *)
+  (* per-flow forwarding state: next hops as port indices, flag
+     bitfield and flowlet pin, paged slot records with free-list
+     recycling (see Flow_table) *)
   ft : Ft.t;
   store : Cache.t;
   custody_packets : Packet.t Itbl.t;  (* Chunk_key-packed *)
@@ -96,9 +96,6 @@ let set_neighbor_pressure t f = t.s.Port.neighbor_pressure <- Some f
 
 let now t = Port.now t.s
 
-(* canonical link object for a stored id: Graph.link is O(1) *)
-let link_of t id = Topology.Graph.link (Net.graph t.s.Port.net) id
-
 (* Every router-level loss goes through here *)
 let count_drop t = t.c.dropped <- t.c.dropped + 1
 
@@ -161,24 +158,25 @@ let to_producer t p =
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
 
-let link_id = function Some (l : Link.t) -> l.Link.id | None -> -1
-
-(* the data link's port index, -1 when there is none or the link does
-   not leave this node ([port_at] raises on use) *)
+(* a next hop's port index, -1 for none *)
 let port_index t = function
-  | Some (l : Link.t) -> Port.index t.s l.Link.id
+  | Some (l : Link.t) ->
+    let i = Port.index t.s l.Link.id in
+    if i < 0 then invalid_arg "Router: next hop does not leave this node";
+    i
   | None -> -1
 
 (* one index walk: a reinstall resets the flags, so a set bp_local
    leaves the count first *)
 let install_flow t ?content ~flow ~data_link ~req_link () =
   if flow < 0 then invalid_arg "Router.install_flow: flow < 0";
+  let data_port = port_index t data_link in
+  let req_port = port_index t req_link in
   let slot = Ft.add t.ft ~flow in
   if Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
   Ft.set_entry t.ft slot
     ~content:(Option.value ~default:flow content)
-    ~data_link:(link_id data_link) ~req_link:(link_id req_link)
-    ~data_port:(port_index t data_link)
+    ~data_port ~req_port
 
 let set_local_producer t f = t.local_producer <- Some f
 let set_local_consumer t f = t.local_consumer <- Some f
@@ -191,12 +189,8 @@ let detour_for t p =
   if i = -2 then t.c.detours_refused <- t.c.detours_refused + 1;
   i
 
-(* The port of a slot's data link, which must exist *)
-let port_at t slot =
-  let i = Ft.data_port t.ft slot in
-  if i < 0 then invalid_arg "Router: link does not leave this node";
-  t.s.Port.ports.(i)
-
+(* The port of a slot's data next hop, which must exist *)
+let port_at t slot = t.s.Port.ports.(Ft.data_port t.ft slot)
 (* ------------------------------------------------------------------ *)
 (* Back-pressure signalling *)
 
@@ -209,8 +203,9 @@ let signal_upstream t slot ~flow ~engage =
     Trace.record tr ~time:(now t)
       (Trace.Bp_signal { node = t.s.Port.node; flow; engage })
   | None -> ());
-  let rl = Ft.req_link t.ft slot in
-  if rl >= 0 then ignore (Net.send t.s.Port.net ~via:(link_of t rl) pkt)
+  let rp = Ft.req_port t.ft slot in
+  if rp >= 0 then
+    ignore (Net.send t.s.Port.net ~via:t.s.Port.ports.(rp).p_link pkt)
   else begin
     (* we are at the producer node: tell the local sender directly *)
     match t.local_producer with
@@ -247,8 +242,8 @@ let reroute_flow t ?content ~flow ~data_link ~req_link () =
   let slot = Ft.find t.ft flow in
   if slot < 0 then install_flow t ?content ~flow ~data_link ~req_link ()
   else begin
-    Ft.set_links t.ft slot ~data_link:(link_id data_link)
-      ~req_link:(link_id req_link) ~data_port:(port_index t data_link);
+    Ft.set_ports t.ft slot ~data_port:(port_index t data_link)
+      ~req_port:(port_index t req_link);
     match data_link with
     | Some l when Port.link_is_up t.s l ->
       Ft.set_failed_over t.ft slot false;
@@ -417,10 +412,10 @@ let forward_on_primary t slot flow (pt : Port.port) (p : Packet.t) =
 
 let forward_primary_path t slot flow (p : Packet.t) =
   maybe_cache_popular t slot p;
-  let dl = Ft.data_link t.ft slot in
-  if dl < 0 then to_consumer t p
+  let dp = Ft.data_port t.ft slot in
+  if dp < 0 then to_consumer t p
   else begin
-    let pt = port_at t slot in
+    let pt = t.s.Port.ports.(dp) in
     if not (Port.link_is_up t.s pt.p_link) then
       (* primary interface is down: go straight to the detour set (the
          paper's detour phase, triggered by outage rather than rate);
@@ -530,12 +525,13 @@ let handle_request t (p : Packet.t) =
     else begin
       (* every forwarded request predicts one chunk leaving through
          the data interface (eq. 1 bookkeeping) *)
-      if Ft.data_link t.ft slot >= 0 then
+      if Ft.data_port t.ft slot >= 0 then
         Rate_estimator.note_request
           (Port.estimator t.s (port_at t slot))
           ~expected_bits:t.s.Port.cfg.Config.chunk_bits;
-      let rl = Ft.req_link t.ft slot in
-      if rl >= 0 then ignore (Net.send t.s.Port.net ~via:(link_of t rl) p)
+      let rp = Ft.req_port t.ft slot in
+      if rp >= 0 then
+        ignore (Net.send t.s.Port.net ~via:t.s.Port.ports.(rp).p_link p)
       else to_producer t p
     end
   end
@@ -551,7 +547,7 @@ let handle_backpressure t (p : Packet.t) =
          congested area with a deeper detour, else relays the
          notification towards the sender *)
       let can_absorb =
-        Ft.data_link t.ft slot >= 0
+        Ft.data_port t.ft slot >= 0
         && Port.first_usable t.s (port_at t slot) >= 0
       in
       if can_absorb then Ft.set_detour_override t.ft slot true
@@ -653,10 +649,10 @@ type release = Released | Retry | Done
    so the peeked chunk's payload is there. *)
 let release_one t flow =
   let slot = Ft.find t.ft flow in
-  let dl = if slot < 0 then -1 else Ft.data_link t.ft slot in
-  if dl < 0 then Done
+  let dp = if slot < 0 then -1 else Ft.data_port t.ft slot in
+  if dp < 0 then Done
   else begin
-    let pt = port_at t slot in
+    let pt = t.s.Port.ports.(dp) in
     let l = pt.p_link in
     let idx =
       if pt.blocked = t.drains then -1 else Cache.peek_custody t.store ~flow
@@ -781,16 +777,16 @@ let on_link_flip t ~up =
   t.s.Port.ls_gen <- t.s.Port.ls_gen + 1;
   if not t.crashed then begin
     Ft.iter t.ft (fun flow slot ->
-        let dl = Ft.data_link t.ft slot in
-        if dl >= 0 then begin
-          let l = link_of t dl in
-          if Port.link_is_up t.s l then begin
+        let dp = Ft.data_port t.ft slot in
+        if dp >= 0 then begin
+          let pt = t.s.Port.ports.(dp) in
+          if Port.link_is_up t.s pt.p_link then begin
             if up then begin
               Ft.set_failed_over t.ft slot false;
               set_local t slot ~flow ~which:`Outage false
             end
           end
-          else if Port.first_usable t.s (port_at t slot) >= 0 then begin
+          else if Port.first_usable t.s pt >= 0 then begin
             if up then set_local t slot ~flow ~which:`Outage false;
             if not (Ft.failed_over t.ft slot) then begin
               Ft.set_failed_over t.ft slot true;

@@ -84,9 +84,12 @@ val install_flow :
     consumer).  [req_link]: next hop towards the producer ([None] at
     the producer).  [content] (default the flow id) keys the
     popularity cache, so repeated transfers of the same object hit
-    on-path copies when [icn_caching] is enabled.  The flow table
-    stores [flow] and [content] at int32 and port indices at u16.
-    @raise Invalid_argument if one is outside its width. *)
+    on-path copies when [icn_caching] is enabled.  Both next hops must
+    be out-links of this router's node: the flow table stores each as
+    the index of its port, [flow] and [content] at int32 and port
+    indices at u16.
+    @raise Invalid_argument if a next hop does not leave this node,
+    before anything is written, or if a value is outside its width. *)
 
 val reroute_flow :
   t -> ?content:int -> flow:int -> data_link:Topology.Link.t option ->
@@ -94,7 +97,9 @@ val reroute_flow :
 (** Route reconvergence after an outage: like {!install_flow} but
     preserves the entry's back-pressure and flowlet state when the
     flow is already installed.  Rerouting onto a live data link clears
-    the outage condition (fail-over flag, outage back-pressure). *)
+    the outage condition (fail-over flag, outage back-pressure).
+    @raise Invalid_argument as {!install_flow} does, before anything
+    is written. *)
 
 val release_flow : t -> flow:int -> unit
 (** Tear down the flow's table entry and recycle its slot (free-list,

@@ -718,7 +718,7 @@ let test_instrumentation_pinned () =
   let buf = Buffer.create 65536 in
   Obs.Export.series_to_ndjson buf (Obs.Observer.series o);
   Obs.Export.snapshot_to_ndjson buf (Obs.Observer.snapshot o);
-  Alcotest.(check string) "export digest" "3a53fbea0b2be10396471ccc48c4bd15"
+  Alcotest.(check string) "export digest" "613134ad40606b9bb718027b75c45dd7"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* Each baseline run with an observer and one bottleneck outage on the
