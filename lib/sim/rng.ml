@@ -31,9 +31,12 @@ let split t = create (step t)
 
 let copy = Bytes.copy
 
+(* the 53 high bits of a step, an immediate int; [Float.of_int] of one
+   is exact, so [unit_float] reads as [Int64.to_float] did *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
+
 (* 53-bit mantissa in [0,1) *)
-let[@inline] unit_float t =
-  Int64.to_float (Int64.shift_right_logical (step t) 11) *. 0x1.0p-53
+let[@inline] unit_float t = Float.of_int (bits53 t) *. 0x1.0p-53
 
 let float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound <= 0";

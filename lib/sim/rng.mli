@@ -21,6 +21,13 @@ val copy : t -> t
 (** {1 Raw draws} *)
 
 val next_int64 : t -> int64
+
+val bits53 : t -> int
+(** The next step's 53 high bits, in [[0, 2^53)]: what {!float},
+    {!exponential} and {!pareto} scale by [2^-53] into a unit float.
+    An immediate int, so a caller that scales the bits itself draws
+    the same values as those functions without their boxed result. *)
+
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [[0, bound)].
     @raise Invalid_argument if [bound <= 0.]. *)

@@ -60,15 +60,22 @@ let[@inline] rate_at t time =
 
 let peak_rate t = t.peak
 
+(* a unit float from [Sim.Rng.bits53], as [Sim.Rng.float] draws it,
+   but unboxed in its caller *)
+let[@inline] unit t = Float.of_int (Sim.Rng.bits53 t.rng) *. 0x1.0p-53
+
 (* Lewis–Shedler: candidate gaps at the envelope rate, accepted with
    probability rate(t)/peak — an exact sample of the inhomogeneous
-   process for any rate function below the envelope *)
+   process for any rate function below the envelope.  The gap and the
+   acceptance uniform are [Sim.Rng.exponential ~mean:gap] and
+   [Sim.Rng.float 1.] on the same bits, computed here so a candidate
+   allocates nothing. *)
 let next t =
   let now = ref t.clock.now in
   let accepted = ref false in
   while not !accepted do
-    now := !now +. Sim.Rng.exponential t.rng ~mean:t.gap;
-    accepted := Sim.Rng.float t.rng 1. <= rate_at t !now /. t.peak
+    now := !now +. (-.t.gap *. log (1. -. unit t));
+    accepted := unit t <= rate_at t !now /. t.peak
   done;
   t.clock.now <- !now;
   !now

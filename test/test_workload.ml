@@ -563,7 +563,7 @@ let gate_spec =
 
 (* 100k EBONE requests through [Seq.iter].  A memoized stream promoted
    every cell (1.5M words, 15 per request); what a replayed stream
-   promotes is its generator, once (493 words measured).  Minor words
+   promotes is its generator, once (458 words measured).  Minor words
    per request are frozen with 1.25x headroom. *)
 let test_stream_gate () =
   match Sys.backend_type with
@@ -585,14 +585,14 @@ let test_stream_gate () =
     if promoted > frozen_promoted then
       Alcotest.failf "%g promoted words, frozen bound %g" promoted
         frozen_promoted;
-    let frozen = 21.0 in
+    let frozen = 18.4 in
     if per_request > 1.25 *. frozen then
       Alcotest.failf "%g minor words/request, frozen %g, bound %g"
         per_request frozen (1.25 *. frozen)
 
-(* An arrival draw allocates its boxed result and the boxed results of
-   its two [Sim.Rng] float draws per candidate; a session draw its
-   pair. *)
+(* An arrival draw allocates its boxed result alone: its candidates
+   scale [Sim.Rng.bits53] locally, so they box nothing.  A session
+   draw allocates its pair. *)
 let test_draw_gate () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
@@ -609,7 +609,7 @@ let test_draw_gate () =
           frozen
     in
     let arrivals = Workload.Arrivals.create ~rate:8. ~seed:3L () in
-    per_draw "arrival" 6. (fun () -> Workload.Arrivals.next arrivals);
+    per_draw "arrival" 2. (fun () -> Workload.Arrivals.next arrivals);
     let ebone = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
     let session = Workload.Session.create ~seed:3L ebone in
     per_draw "session" 3. (fun () -> Workload.Session.draw session)
