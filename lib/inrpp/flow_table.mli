@@ -17,7 +17,7 @@
     so a large table keeps under one page of slack and leaves no old
     copy for the GC.  A growth that would pass 2^24 - 1 slots (the
     chain's reach) raises [Invalid_argument].  Steady-state cost is
-    about 27 bytes per flow, measured and frozen by the flow-state gate
+    about 24 bytes per flow, measured and frozen by the flow-state gate
     in [test/test_inrpp.ml], which also bounds what a 250k-flow ramp
     allocates.
 

@@ -158,7 +158,8 @@ let to_producer t p =
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
 
-(* a next hop's port index, -1 for none *)
+(* a next hop's port index, -1 for none; a link that does not leave
+   this node has none and is refused *)
 let port_index t = function
   | Some (l : Link.t) ->
     let i = Port.index t.s l.Link.id in
@@ -191,6 +192,7 @@ let detour_for t p =
 
 (* The port of a slot's data next hop, which must exist *)
 let port_at t slot = t.s.Port.ports.(Ft.data_port t.ft slot)
+
 (* ------------------------------------------------------------------ *)
 (* Back-pressure signalling *)
 

@@ -62,7 +62,7 @@ let peak_rate t = t.peak
 
 (* a unit float from [Sim.Rng.bits53], as [Sim.Rng.float] draws it,
    but unboxed in its caller *)
-let[@inline] unit t = Float.of_int (Sim.Rng.bits53 t.rng) *. 0x1.0p-53
+let[@inline] uniform t = Float.of_int (Sim.Rng.bits53 t.rng) *. 0x1.0p-53
 
 (* Lewis–Shedler: candidate gaps at the envelope rate, accepted with
    probability rate(t)/peak — an exact sample of the inhomogeneous
@@ -74,8 +74,8 @@ let next t =
   let now = ref t.clock.now in
   let accepted = ref false in
   while not !accepted do
-    now := !now +. (-.t.gap *. log (1. -. unit t));
-    accepted := unit t <= rate_at t !now /. t.peak
+    now := !now +. (-.t.gap *. log (1. -. uniform t));
+    accepted := uniform t <= rate_at t !now /. t.peak
   done;
   t.clock.now <- !now;
   !now
