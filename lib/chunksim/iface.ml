@@ -21,6 +21,12 @@ type queue =
    arrival event; arrivals are FIFO, so the interface's loss stream is
    drawn in transmission order.
 
+   The lane keeps the packets on the wire in fixed-size pages drawn
+   from a pool, which every interface of one [Net] shares: the pages in
+   use follow the packets in flight across the network, not each
+   wire's own peak.  The lane is built before this record, and its
+   handler, the arrival below, is set once the record exists.
+
    A packet hop allocates nothing here.  The engine's clock is read
    from its cells ([clock]) rather than through [Sim.Engine.now], whose
    float result is boxed across modules; arrival keys go to the lane in
@@ -49,9 +55,9 @@ type t = {
   c : clock;
   mutable chain_stamp : int;     (* scheduling stamp of the send that
                                     began the current busy period *)
-  mutable lane : Packet.t Sim.Engine.lane;
-  (* popped packets awaiting arrival; set once, right after creation,
-     to a lane whose handler closes over this record *)
+  lane : Packet.t Sim.Engine.lane;
+  (* popped packets awaiting arrival; its handler, which closes over
+     this record, is set right after creation *)
   mutable inflight_pending : bool;
   (* fault state: a downed interface refuses admission, stops popping
      its queue, and destroys whatever was already on the wire *)
@@ -203,12 +209,18 @@ let send t p =
 (* ------------------------------------------------------------------ *)
 
 let create ?(queue_bits = default_queue_bits)
-    ?(discipline = Fifo_discipline) ?loss eng l ~deliver =
+    ?(discipline = Fifo_discipline) ?loss ?pool eng l ~deliver =
   if queue_bits <= 0. then invalid_arg "Iface.create: queue_bits <= 0";
   (match loss with
   | Some (p, _) when p < 0. || p >= 1. ->
     invalid_arg "Iface.create: loss probability outside [0,1)"
   | Some _ | None -> ());
+  let pool =
+    match pool with
+    | Some p -> p
+    | None -> Sim.Engine.pool ~filler:Packet.vacant
+  in
+  let lane = Sim.Engine.lane pool eng ignore in
   let t =
     {
       eng;
@@ -228,7 +240,7 @@ let create ?(queue_bits = default_queue_bits)
         { next_free_at = 0.; inflight_tx = 0.; inflight_bits = 0.;
           busy_accum = 0.; tx_bits_acc = 0. };
       chain_stamp = 0;
-      lane = Sim.Engine.lane eng ignore;
+      lane;
       inflight_pending = false;
       up = true;
       kill_wire = 0;
@@ -240,7 +252,7 @@ let create ?(queue_bits = default_queue_bits)
     }
   in
   (* the lane's handler is this interface's arrival *)
-  t.lane <- Sim.Engine.lane ~filler:Packet.vacant eng (on_arrival t);
+  Sim.Engine.set_lane_handler lane (on_arrival t);
   t
 
 (* Reads catch the virtual transmitter up first, so observed queue

@@ -21,15 +21,18 @@ type discipline =
 
 val create :
   ?queue_bits:float -> ?discipline:discipline ->
-  ?loss:float * Sim.Rng.t -> Sim.Engine.t -> Topology.Link.t ->
-  deliver:(Packet.t -> unit) -> t
+  ?loss:float * Sim.Rng.t -> ?pool:Packet.t Sim.Engine.pool ->
+  Sim.Engine.t -> Topology.Link.t -> deliver:(Packet.t -> unit) -> t
 (** [queue_bits] defaults to 64 chunks of 10 kB (≈ 5.1 Mbit);
     [discipline] defaults to FIFO.  [loss] injects random wire loss: each transmitted packet is
     discarded at its arrival instant with the given probability
     (failure-injection tests); default none.  The stream is drawn once
     per arrival that an outage did not already kill, in transmission
     order, so it should belong to this interface alone.  A lost packet
-    still counts in {!tx_bits} and {!utilisation}.
+    still counts in {!tx_bits} and {!utilisation}.  [pool] supplies
+    the pages of the lane that holds the packets on the wire (see
+    {!Sim.Engine.pool}); interfaces that share one draw on one set of
+    pages.  Default: a pool of the interface's own.
     @raise Invalid_argument on a non-positive queue or a loss
     probability outside [0, 1). *)
 

@@ -15,7 +15,9 @@ type handler = from:Topology.Link.t option -> Packet.t -> unit
 val create :
   ?queue_bits:float -> ?discipline:Iface.discipline -> ?loss_rate:float ->
   Sim.Engine.t -> Topology.Graph.t -> t
-(** Interface parameters are uniform; see {!Iface.create}.
+(** Interface parameters are uniform; see {!Iface.create}.  All
+    interfaces keep their packets on the wire in pages of one shared
+    pool (see {!Sim.Engine.pool}).
     [loss_rate] injects seeded random wire loss on every link (default
     none).  Each interface draws from its own stream, split from one
     fixed seed in link-id order, so one link's loss decisions do not

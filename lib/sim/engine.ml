@@ -79,79 +79,126 @@ let arm tm ~delay =
   let seq = Event_queue.take_seq t.queue in
   Event_queue.push_held t.queue t.arm_keys 0 ~stamp:seq ~seq tm.tfire
 
-(* A lane is a ring (capacity a power of two) of items with their
-   keys; only the head's event is in the queue, as [fire].  A popped
-   slot is overwritten with [filler], so the ring keeps no delivered
-   item alive until it wraps. *)
+(* A lane keeps its items with their keys in fixed-size pages, linked
+   head to tail; only the head's event is in the queue, as [fire].
+   Every lane of one pool draws its pages from the pool's free list,
+   which is threaded through the pages' [next] field, and hands back
+   each page it has consumed whole.  A lane keeps its tail page, and an
+   emptied lane starts over at its slot 0, so a lane that holds one
+   item at a time touches the pool once.  A popped slot is overwritten
+   with the pool's filler, so a page keeps no delivered item alive. *)
+let page_slots = 8
+
+type 'a page = {
+  items : 'a array;
+  keys : float array;            (* time, epoch per item *)
+  ints : int array;              (* stamp, seq per item *)
+  mutable next : 'a page;        (* the lane's next page, or the pool's
+                                    next free page *)
+}
+
+type 'a pool = {
+  filler : 'a;
+  nil : 'a page;                 (* slotless: ends the free list, and
+                                    every lane starts on it *)
+  mutable free : 'a page;
+}
+
+let pool ~filler =
+  let rec nil = { items = [||]; keys = [||]; ints = [||]; next = nil } in
+  { filler; nil; free = nil }
+
+let take_page p =
+  let pg = p.free in
+  if pg != p.nil then begin
+    p.free <- pg.next;
+    pg
+  end
+  else
+    { items = Array.make page_slots p.filler;
+      keys = Array.make (2 * page_slots) 0.;
+      ints = Array.make (2 * page_slots) 0;
+      next = p.nil }
+
+let give_page p pg =
+  pg.next <- p.free;
+  p.free <- pg
+
+(* Items run from slot [hi] of page [head] to slot [ti - 1] of page
+   [tail]; [ti = page_slots] makes the next push take a page.  The
+   tail's [next] is stale until that push overwrites it. *)
 type 'a lane = {
   eng : t;
-  mutable fire : unit -> unit;
-  mutable items : 'a array;      (* allocated on the first push *)
-  mutable filler : 'a option;    (* given, or else the first item *)
-  mutable keys : float array;    (* time, epoch per item *)
-  mutable ints : int array;      (* stamp, seq per item *)
-  mutable head : int;
+  pool : 'a pool;
+  mutable handler : 'a -> unit;
+  fire : unit -> unit;           (* pops the head: the queue's payload *)
+  mutable head : 'a page;
+  mutable hi : int;
+  mutable tail : 'a page;
+  mutable ti : int;
   mutable len : int;
 }
 
-let enter_queue l i =
-  Event_queue.push_held l.eng.queue l.keys (2 * i) ~stamp:l.ints.(2 * i)
-    ~seq:l.ints.((2 * i) + 1) l.fire
+let enter_queue l =
+  let pg = l.head and i = 2 * l.hi in
+  Event_queue.push_held l.eng.queue pg.keys i ~stamp:pg.ints.(i)
+    ~seq:pg.ints.(i + 1) l.fire
 
-let lane ?filler t handler =
-  let l =
-    { eng = t; fire = ignore; items = [||]; filler; keys = [||]; ints = [||];
-      head = 0; len = 0 }
+let pop l =
+  let pg = l.head and i = l.hi in
+  let v = pg.items.(i) in
+  pg.items.(i) <- l.pool.filler;
+  l.len <- l.len - 1;
+  if l.len = 0 then begin
+    (* the head is the tail: start it over *)
+    l.hi <- 0;
+    l.ti <- 0
+  end
+  else begin
+    if i + 1 = page_slots then begin
+      l.head <- pg.next;
+      l.hi <- 0;
+      give_page l.pool pg
+    end
+    else l.hi <- i + 1;
+    enter_queue l
+  end;
+  l.handler v
+
+let lane p t handler =
+  let rec l =
+    { eng = t; pool = p; handler; fire = (fun () -> pop l); head = p.nil;
+      hi = 0; tail = p.nil; ti = page_slots; len = 0 }
   in
-  l.fire <-
-    (fun () ->
-      let v = l.items.(l.head) in
-      (match l.filler with Some f -> l.items.(l.head) <- f | None -> ());
-      l.head <- (l.head + 1) land (Array.length l.items - 1);
-      l.len <- l.len - 1;
-      if l.len > 0 then enter_queue l l.head;
-      handler v);
   l
 
-(* double a full ring, unwrapping it to start at 0 *)
-let grow_lane l fill =
-  let cap = Array.length l.items in
-  let n = max 8 (2 * cap) and wrap = cap - l.head in
-  let unwrap k a fill =
-    let b = Array.make (k * n) fill in
-    Array.blit a (k * l.head) b 0 (k * wrap);
-    Array.blit a 0 b (k * wrap) (k * l.head);
-    b
-  in
-  l.items <- unwrap 1 l.items fill;
-  l.keys <- unwrap 2 l.keys 0.;
-  l.ints <- unwrap 2 l.ints 0;
-  l.head <- 0
+let set_lane_handler l handler = l.handler <- handler
 
 let lane_push l (k : float array) ~stamp v =
   let time = k.(0) and epoch = k.(1) in
-  let last = (l.head + l.len - 1) land (Array.length l.items - 1) in
   if not (time >= now l.eng && epoch <= time)
-     || (l.len > 0 && time <= l.keys.(2 * last))
+     || (l.len > 0 && time <= l.tail.keys.(2 * (l.ti - 1)))
   then invalid_arg "Engine.lane_push: keys out of order";
-  if l.len = Array.length l.items then begin
-    let fill =
-      match l.filler with
-      | Some f -> f
-      | None ->
-        l.filler <- Some v;
-        v
-    in
-    grow_lane l fill
+  if l.ti = page_slots then begin
+    let pg = take_page l.pool in
+    if l.len = 0 then begin
+      (* the lane's first page *)
+      l.head <- pg;
+      l.hi <- 0
+    end
+    else l.tail.next <- pg;
+    l.tail <- pg;
+    l.ti <- 0
   end;
-  let i = (l.head + l.len) land (Array.length l.items - 1) in
-  l.items.(i) <- v;
-  l.keys.(2 * i) <- time;
-  l.keys.((2 * i) + 1) <- epoch;
-  l.ints.(2 * i) <- stamp;
-  l.ints.((2 * i) + 1) <- Event_queue.take_seq l.eng.queue;
+  let pg = l.tail and i = l.ti in
+  pg.items.(i) <- v;
+  pg.keys.(2 * i) <- time;
+  pg.keys.((2 * i) + 1) <- epoch;
+  pg.ints.(2 * i) <- stamp;
+  pg.ints.((2 * i) + 1) <- Event_queue.take_seq l.eng.queue;
+  l.ti <- i + 1;
   l.len <- l.len + 1;
-  if l.len = 1 then enter_queue l i
+  if l.len = 1 then enter_queue l
 
 let lane_length l = l.len
 

@@ -76,14 +76,33 @@ val schedule_periodic : t -> interval:float -> (unit -> bool) -> unit
     and every event keeps the tie-break keys it was pushed with, so
     events run exactly as if each were scheduled on its own (see
     {!Event_queue.push_held}).  Each interface keeps its packets on the wire
-    in one lane. *)
+    in one lane.
+
+    A lane keeps its items in pages of a fixed number of slots, drawn
+    from a {!pool} that many lanes may share.  A lane hands each page
+    it has consumed whole back to its pool and keeps only its tail
+    page once it drains, so the pages in use follow the items pending
+    across all the pool's lanes, not each lane's own peak.  The pool
+    threads its free pages through the pages themselves: once its
+    pages exist, pushes and pops allocate nothing. *)
+
+type 'a pool
+
+val pool : filler:'a -> 'a pool
+(** An empty pool; it makes a page when a lane needs one and none is
+    free, and keeps every page it has made.  Each slot a lane pops is
+    overwritten with [filler], so a page keeps no item it has handed
+    over alive, and a page back in the pool holds only [filler]. *)
 
 type 'a lane
 
-val lane : ?filler:'a -> t -> ('a -> unit) -> 'a lane
-(** An empty lane whose events run the handler on their item.  Each
-    popped slot is overwritten with [filler] (default: the first item
-    pushed), so the lane keeps no item it has handed over alive. *)
+val lane : 'a pool -> t -> ('a -> unit) -> 'a lane
+(** An empty lane, holding no page, whose events run the handler on
+    their item. *)
+
+val set_lane_handler : 'a lane -> ('a -> unit) -> unit
+(** Replace the handler, for an owner whose handler closes over a
+    record that holds the lane. *)
 
 val lane_push : 'a lane -> float array -> stamp:int -> 'a -> unit
 (** [lane_push l keys ~stamp v] schedules the handler on [v] at

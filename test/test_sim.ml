@@ -594,8 +594,10 @@ let prop_queue_model =
    pushed on its own with the same keys, the same stamp and (being
    pushed at the same moment) the same seq.  Timers, periodic ticks
    and lane events share one 0.25 s grid of times and epochs, so ties
-   cross lanes and timers at every level.  Each handled event
-   logs (source, item, time, pending). *)
+   cross lanes and timers at every level.  The lanes share one page
+   pool, and a reaction may push a burst of 70 items, several pages
+   long, onto one lane while the others drain, so pages change hands
+   between lanes.  Each handled event logs (source, item, time, pending). *)
 type scheduler = {
   now : unit -> float;
   stamp : unit -> int;
@@ -639,7 +641,11 @@ let lane_scenario ~seed d ~log =
         incr timer;
         let id = !timer in
         d.after (step ()) (fun () -> record (-1) id; react ())
-      | _ -> ()
+      | _ ->
+        if Sim.Rng.int rng 4 = 0 then begin
+          let l = Sim.Rng.int rng lanes in
+          for _ = 1 to 70 do push_lane l done
+        end
     end
   in
   for _ = 1 to 6 do push_lane (Sim.Rng.int rng lanes) done;
@@ -658,7 +664,10 @@ let lane_scenario ~seed d ~log =
 let run_with_lanes ~seed =
   let e = Sim.Engine.create () and log = ref [] in
   let handler = ref (fun _ _ -> ()) in
-  let ls = Array.init lanes (fun l -> Sim.Engine.lane e (fun i -> !handler l i)) in
+  let pool = Sim.Engine.pool ~filler:0 in
+  let ls =
+    Array.init lanes (fun l -> Sim.Engine.lane pool e (fun i -> !handler l i))
+  in
   let d =
     {
       now = (fun () -> Sim.Engine.now e);
@@ -731,7 +740,10 @@ let prop_lanes_equal_plain =
 
 let test_lane_contract () =
   let e = Sim.Engine.create () and got = ref [] in
-  let l = Sim.Engine.lane e (fun i -> got := (i, Sim.Engine.now e) :: !got) in
+  let l =
+    Sim.Engine.lane (Sim.Engine.pool ~filler:0) e (fun i ->
+        got := (i, Sim.Engine.now e) :: !got)
+  in
   let keys = Array.make 2 0. in
   let push ?(epoch = 0.) time i =
     keys.(0) <- time;
@@ -764,7 +776,20 @@ let test_lane_contract () =
   Alcotest.(check (list (pair int (float 0.)))) "FIFO at their times"
     [ (1, 1.); (2, 2.); (3, 3.) ] (List.rev !got);
   Alcotest.(check int) "drained" 0 (Sim.Engine.pending e);
-  Alcotest.(check int) "lane empty" 0 (Sim.Engine.lane_length l)
+  Alcotest.(check int) "lane empty" 0 (Sim.Engine.lane_length l);
+  (* An equal-time push is refused after every push, page boundaries
+     included: when the next push would start a page, the last key sits
+     on the page before it.  100 pushes cross several pages. *)
+  let t0 = Sim.Engine.now e in
+  for i = 1 to 100 do
+    let time = t0 +. float_of_int i in
+    push time i;
+    rejects (Printf.sprintf "equal time after push %d" i) (fun () ->
+        push time 9)
+  done;
+  Alcotest.(check int) "refusals leave no trace" 100 (Sim.Engine.lane_length l);
+  Sim.Engine.run e;
+  Alcotest.(check int) "all ran" 103 (List.length !got)
 
 (* Timers against [schedule]: one random program run twice, once with
    three timers, three lanes and cancellable one-shots, once with every
@@ -828,7 +853,10 @@ let run_timers ~seed ~plain =
   let e = Sim.Engine.create () and log = ref [] in
   let on_timer = ref ignore and on_lane = ref (fun _ _ -> ()) in
   let timers = Array.init 3 (fun k -> Sim.Engine.timer e (fun () -> !on_timer k)) in
-  let ls = Array.init lanes (fun l -> Sim.Engine.lane e (fun i -> !on_lane l i)) in
+  let pool = Sim.Engine.pool ~filler:0 in
+  let ls =
+    Array.init lanes (fun l -> Sim.Engine.lane pool e (fun i -> !on_lane l i))
+  in
   let keys = Array.make 2 0. in
   let after delay f = Sim.Engine.schedule e ~delay f in
   let p =
@@ -895,27 +923,33 @@ let test_timer_contract () =
 
 (* ------------------------------------------------------------------ *)
 (* Retention: a lane overwrites each slot it pops, so it keeps no item
-   it handed over alive, whatever the item's representation *)
+   it handed over alive, whatever the item's representation.  Seventy
+   items span several pages: the full ones go back to the pool, and the
+   drained lane keeps its tail page. *)
 
 let test_lane_lets_go () =
   let e = Sim.Engine.create () and handled = ref 0 in
-  let l = Sim.Engine.lane ~filler:(ref 0) e (fun r -> handled := !handled + !r) in
-  let w = Weak.create 3 and keys = Array.make 2 0. in
+  let l =
+    Sim.Engine.lane (Sim.Engine.pool ~filler:(ref 0)) e (fun r ->
+        handled := !handled + !r)
+  in
+  let n = 70 in
+  let w = Weak.create n and keys = Array.make 2 0. in
   (* built in a frame of their own, so no stack slot of the test holds
      them *)
-  let[@inline never] push_three () =
-    for i = 0 to 2 do
+  let[@inline never] push_all () =
+    for i = 0 to n - 1 do
       let r = ref (i + 1) in
       Weak.set w i (Some r);
       keys.(0) <- float_of_int (i + 1);
       Sim.Engine.lane_push l keys ~stamp:(Sim.Engine.stamp e) r
     done
   in
-  push_three ();
+  push_all ();
   Sim.Engine.run e;
-  Alcotest.(check int) "handled" 6 !handled;
+  Alcotest.(check int) "handled" (n * (n + 1) / 2) !handled;
   Gc.full_major ();
-  for i = 0 to 2 do
+  for i = 0 to n - 1 do
     Alcotest.(check bool) (Printf.sprintf "item %d collected" i) false
       (Weak.check w i)
   done;
@@ -924,17 +958,17 @@ let test_lane_lets_go () =
 
 let test_float_lane () =
   let e = Sim.Engine.create () and got = ref [] in
-  let l = Sim.Engine.lane e (fun x -> got := x :: !got) in
+  let l = Sim.Engine.lane (Sim.Engine.pool ~filler:0.) e (fun x -> got := x :: !got) in
   let keys = Array.make 2 0. in
-  (* enough to grow the ring twice, popping as it goes *)
-  for i = 1 to 40 do
+  (* past two page boundaries, popping as it goes *)
+  for i = 1 to 80 do
     keys.(0) <- float_of_int i;
     Sim.Engine.lane_push l keys ~stamp:(Sim.Engine.stamp e) (float_of_int i *. 0.5);
     if i mod 3 = 0 then ignore (Sim.Engine.step e)
   done;
   Sim.Engine.run e;
   Alcotest.(check (list (float 0.))) "pops what was pushed, in order"
-    (List.init 40 (fun i -> float_of_int (i + 1) *. 0.5))
+    (List.init 80 (fun i -> float_of_int (i + 1) *. 0.5))
     (List.rev !got)
 
 (* ------------------------------------------------------------------ *)
