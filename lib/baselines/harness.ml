@@ -143,7 +143,7 @@ let run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon ?obs
      delivered chunk, then FCT per completed flow *)
   let observe_chunk, observe_fct =
     match obs with
-    | None -> ((fun ~wire:_ ~born:_ -> ()), fun _ -> ())
+    | None -> ((fun ~wire:_ ~born_bits:_ -> ()), fun _ -> ())
     | Some o ->
       let reg = Obs.Observer.registry o in
       let qdelay =
@@ -160,7 +160,8 @@ let run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon ?obs
         Obs.Metric.histogram reg ~labels:[ proto_label ] ~lo:0. ~hi:horizon
           ~bins:64 "flow_fct_seconds"
       in
-      ( (fun ~wire ~born ->
+      ( (fun ~wire ~born_bits ->
+          let born = Packet.born_of_bits born_bits in
           let d = Sim.Engine.now eng -. born -. base.(wire) in
           Obs.Metric.observe qdelay.(fst ends.(wire)) (Float.max 0. d)),
         Obs.Metric.observe fct )
@@ -202,8 +203,8 @@ let run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon ?obs
           | Packet.Data _ | Packet.Backpressure _ -> ());
       Forwarder.set_local_consumer fwd (fun p ->
           match p.Packet.header with
-          | Packet.Data { flow; idx; born; _ } ->
-            observe_chunk ~wire:flow ~born;
+          | Packet.Data { flow; idx; born_bits; _ } ->
+            observe_chunk ~wire:flow ~born_bits;
             deliver ~wire:flow idx
           | Packet.Request _ | Packet.Backpressure _ -> ()))
     env.forwarders;

@@ -12,7 +12,7 @@ type header =
       anticipated : bool;
       via_detour : bool;
       detour_route : Topology.Node.id list;
-      born : float;
+      born_bits : int;
     }
   | Backpressure of {
       flow : int;
@@ -34,13 +34,22 @@ let request_routed ~route ~flow ~nc ~ack ~ac =
 
 let request ~flow ~nc ~ack ~ac = request_routed ~route:[] ~flow ~nc ~ack ~ac
 
+(* A non-negative float's IEEE bits have bit 63 clear, so they fit in
+   an immediate int.  [Int64.of_int] sign-extends bit 62 (set from
+   2.0 up) into bit 63; the decode masks it off again. *)
+let born_of_bits b =
+  Int64.float_of_bits (Int64.logand (Int64.of_int b) Int64.max_int)
+
 let data ?(anticipated = false) ?(detour_route = []) ~flow ~idx ~born
     chunk_bits =
   if chunk_bits <= 0. then invalid_arg "Packet.data: chunk_bits <= 0";
   if idx < 0 then invalid_arg "Packet.data: idx < 0";
+  if not (born >= 0.) then invalid_arg "Packet.data: born < 0 or NaN";
+  let born_bits = Int64.to_int (Int64.bits_of_float born) in
   {
     header =
-      Data { flow; idx; anticipated; via_detour = false; detour_route; born };
+      Data
+        { flow; idx; anticipated; via_detour = false; detour_route; born_bits };
     size = chunk_bits;
   }
 

@@ -31,7 +31,9 @@ type header =
       anticipated : bool;         (** pushed ahead of an explicit request *)
       via_detour : bool;
       detour_route : Topology.Node.id list; (** remaining detour nodes to visit *)
-      born : float;               (** sender timestamp (RTT sampling) *)
+      born_bits : int;
+      (** sender timestamp (RTT sampling), as the IEEE bits of a
+          non-negative float held unboxed; read it with {!born_of_bits} *)
     }
   | Backpressure of {
       flow : int;
@@ -51,8 +53,13 @@ val data :
   ?anticipated:bool -> ?detour_route:Topology.Node.id list -> flow:int ->
   idx:int -> born:float -> float -> t
 (** [data ~flow ~idx ~born chunk_bits]: [via_detour] starts [false]; a
-    router deflecting the chunk sets it.
-    @raise Invalid_argument if [chunk_bits <= 0.] or [idx < 0]. *)
+    router deflecting the chunk sets it.  [born] is kept exactly (a
+    [-0.] reads back as [0.]), as [born_bits].
+    @raise Invalid_argument if [chunk_bits <= 0.], [idx < 0], or [born]
+    is negative or NaN. *)
+
+val born_of_bits : int -> float
+(** The sender timestamp a data header's [born_bits] holds. *)
 
 val backpressure : flow:int -> engage:bool -> t
 

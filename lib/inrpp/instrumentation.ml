@@ -332,9 +332,10 @@ let delivered t ~node (p : Packet.t) =
   | Some { eng; hists; trace; conservation; watchdog; _ } -> (
     match p.Packet.header with
     | Packet.Request _ | Packet.Backpressure _ -> ()
-    | Packet.Data { flow; idx; born; _ } ->
+    | Packet.Data { flow; idx; born_bits; _ } ->
       (match hists with
       | Some (_, hs, base_delay) ->
+        let born = Packet.born_of_bits born_bits in
         let d = Sim.Engine.now eng -. born -. base_delay.(flow) in
         Obs.Metric.observe hs.(flow) (Float.max 0. d)
       | None -> ());

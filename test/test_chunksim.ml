@@ -29,6 +29,48 @@ let test_packet_data () =
   Alcotest.check_raises "bad size" (Invalid_argument "Packet.data: chunk_bits <= 0")
     (fun () -> ignore (P.data ~flow:0 ~idx:0 ~born:0. 0.))
 
+(* [born] is held as the IEEE bits of a non-negative float in an
+   immediate int.  The values span every exponent, from subnormals to
+   [max_float] and infinity: from 2.0 up, bit 62 of the bits is set, so
+   a decode that sign-extends it reads a negative time. *)
+let born_values =
+  let open QCheck.Gen in
+  QCheck.make ~print:(Printf.sprintf "%h")
+    (oneof
+       [
+         map (fun x -> if Float.is_nan x then 0. else Float.abs x) float;
+         map (fun m -> Float.ldexp (float_of_int m) (-1074))
+           (int_bound ((1 lsl 52) - 1));
+         map (fun m -> Float.ldexp (1. +. float_of_int m /. 4096.) 1)
+           (int_bound 4095);
+         oneofl
+           [ 0.; 2.; Float.pred 2.; Float.succ 2.; Float.min_float;
+             Float.max_float; Float.infinity; 3600. ];
+       ])
+
+let prop_born_round_trip =
+  QCheck.Test.make ~name:"born round trip" ~count:1000 born_values
+    (fun born ->
+      match (P.data ~flow:0 ~idx:0 ~born 1e4).P.header with
+      | P.Data { born_bits; _ } ->
+        Int64.equal
+          (Int64.bits_of_float (P.born_of_bits born_bits))
+          (Int64.bits_of_float born)
+      | P.Request _ | P.Backpressure _ -> false)
+
+let test_packet_born_refused () =
+  List.iter
+    (fun born ->
+      Alcotest.check_raises (Printf.sprintf "born %h" born)
+        (Invalid_argument "Packet.data: born < 0 or NaN") (fun () ->
+          ignore (P.data ~flow:0 ~idx:0 ~born 1e4)))
+    [ -1.; Float.nan; Float.neg_infinity; -.Float.min_float; -.Float.max_float ];
+  match (P.data ~flow:0 ~idx:0 ~born:(-0.) 1e4).P.header with
+  | P.Data { born_bits; _ } ->
+    Alcotest.(check int64) "-0. reads back as 0." 0L
+      (Int64.bits_of_float (P.born_of_bits born_bits))
+  | P.Request _ | P.Backpressure _ -> Alcotest.fail "wrong header"
+
 let test_packet_pp () =
   let str p = Format.asprintf "%a" P.pp p in
   Alcotest.(check string) "req" "req[f1 nc=2 ack=1 ac=5]"
@@ -542,6 +584,96 @@ let test_iface_alloc_budget () =
       Alcotest.failf "%g minor words/packet, frozen %g, bound %g"
         per_packet frozen (1.25 *. frozen)
 
+(* Lane pool gate.  [k] packets go onto one interface of a two-node
+   Net, sent one per serialisation time by an engine timer, so the FIFO
+   ring never holds more than two and every packet is on the wire at
+   [k] serialisation times.  The packets are built beforehand and kept
+   in a toplevel cell, which the timer's closure reads without
+   capturing it: an event queue keeps a fired closure in its vacated
+   slot, so a captured array would count as reachable from the Net.
+   (a) Words per data packet on the wire: the Net's reachable words
+   with [k] packets in flight, less its words before the burst, per
+   packet.  This counts the packet and its share of the lane's pages.
+   It read 21.8 with a boxed [born] and per-interface rings of a power
+   of two, and reads 15.95 with an unboxed [born] and 8-slot pages from
+   one pool.  Frozen with a 1.25x bound.
+   (b) Once that lane has drained, the same burst on the other
+   interface takes every page from the pool: it allocates nothing.
+   Frozen at 0. *)
+let burst_packets = ref [||]
+
+let test_lane_pool_gate () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* allocation counts differ *)
+  | Sys.Native ->
+    let eng = Sim.Engine.create () in
+    (* 2^10 bits at 2^20 b/s: a serialisation time of exactly 2^-10 s *)
+    let tx = Float.ldexp 1. (-10) and bits = 1024. in
+    let g =
+      Topology.Graph.of_edges ~capacity:(Float.ldexp 1. 20) ~delay:1. 2
+        [ (0, 1) ]
+    in
+    let net = Chunksim.Net.create ~queue_bits:1e9 eng g in
+    let via u v = Option.get (Topology.Graph.find_link g u v) in
+    let delivered = ref 0 in
+    for node = 0 to 1 do
+      Chunksim.Net.set_handler net node (fun ~from:_ _ -> incr delivered)
+    done;
+    let k = 520 in
+    burst_packets :=
+      Array.init k (fun i ->
+          P.data ~flow:0 ~idx:i ~born:(float_of_int i *. tx) bits);
+    let link = ref (via 0 1) and next = ref 0 and self = ref None in
+    let tm =
+      Sim.Engine.timer eng (fun () ->
+          ignore (Chunksim.Net.send net ~via:!link !burst_packets.(!next));
+          incr next;
+          if !next < k then Sim.Engine.arm (Option.get !self) ~delay:tx)
+    in
+    self := Some tm;
+    (* every send, none of them an arrival: the first arrival lies a
+       second after the burst began *)
+    let burst l =
+      link := l;
+      next := 0;
+      Sim.Engine.arm tm ~delay:0.;
+      while !next < k do ignore (Sim.Engine.step eng) done
+    in
+    (* one packet each way first, so both FIFO rings and lanes exist *)
+    List.iter
+      (fun (u, v) ->
+        ignore
+          (Chunksim.Net.send net ~via:(via u v)
+             (P.data ~flow:1 ~idx:0 ~born:0. bits)))
+      [ (0, 1); (1, 0) ];
+    Sim.Engine.run eng;
+    let before = Obj.reachable_words (Obj.repr net) in
+    burst (via 0 1);
+    (* one serialisation time on, reading the queue catches the lazy
+       transmitter up: the last packet leaves the queue for the wire *)
+    Sim.Engine.run ~until:(Sim.Engine.now eng +. tx) eng;
+    check_close "queue empty" 0. 0.
+      (Chunksim.Iface.queue_occupancy (Chunksim.Net.iface net (via 0 1).id));
+    Alcotest.(check int) "all on the wire" k (Sim.Engine.pending eng);
+    let per_packet =
+      float_of_int (Obj.reachable_words (Obj.repr net) - before)
+      /. float_of_int k
+    in
+    let frozen = 15.95 in
+    if per_packet > 1.25 *. frozen then
+      Alcotest.failf "%g words per packet on the wire, frozen %g, bound %g"
+        per_packet frozen (1.25 *. frozen);
+    Sim.Engine.run eng;
+    (* a page's arrays are far below the minor heap's largest block, so
+       a page made would show in the minor words *)
+    let back = via 1 0 in
+    let w0 = Gc.minor_words () in
+    burst back;
+    Sim.Engine.run eng;
+    let replay = Gc.minor_words () -. w0 in
+    Alcotest.(check (float 0.)) "replay on the other lane allocates" 0. replay;
+    Alcotest.(check int) "both bursts delivered" ((2 * k) + 2) !delivered
+
 (* Retention: once an interface has delivered a packet, neither its
    lane nor its FIFO ring keeps it alive.  The packets are built in a
    frame of their own, so no stack slot of the test holds them; after a
@@ -580,6 +712,42 @@ let delivered_packets_collectable discipline () =
   (* the interface, and the engine holding its lane, outlive the check *)
   check_close "transmitted" 0. (float_of_int n *. 1e4)
     (Chunksim.Iface.tx_bits iface);
+  Alcotest.(check int) "engine kept" n (Sim.Engine.events_handled eng)
+
+(* Pooled pages let go too: a Net's interfaces share one page pool, and
+   a burst of 40 packets on the wire fills several pages, which go back
+   to the pool as the lane drains.  Every page slot a packet left holds
+   the filler, so no delivered packet stays reachable. *)
+let pooled_pages_let_go () =
+  let eng = Sim.Engine.create () in
+  let g = Topology.Graph.of_edges ~capacity:1e9 ~delay:0.01 2 [ (0, 1) ] in
+  let net = Chunksim.Net.create ~queue_bits:1e9 eng g in
+  let delivered = ref 0 in
+  Chunksim.Net.set_handler net 1 (fun ~from:_ _ -> incr delivered);
+  let l = Option.get (Topology.Graph.find_link g 0 1) in
+  let n = 40 in
+  let w = Weak.create n in
+  let[@inline never] send_all () =
+    for i = 0 to n - 1 do
+      let p = P.data ~flow:0 ~idx:i ~born:0. 1e4 in
+      Weak.set w i (Some p);
+      ignore (Chunksim.Net.send net ~via:l p)
+    done
+  in
+  send_all ();
+  (* all on the wire at once: 10 us each to serialise, 10 ms to cross;
+     reading the queue catches the lazy transmitter up *)
+  Sim.Engine.run ~until:0.005 eng;
+  check_close "queue empty" 0.
+    0. (Chunksim.Iface.queue_occupancy (Chunksim.Net.iface net l.id));
+  Alcotest.(check int) "all on the wire" n (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check int) "all delivered" n !delivered;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "packet %d collected" i) false
+      (Weak.check w i)
+  done;
   Alcotest.(check int) "engine kept" n (Sim.Engine.events_handled eng)
 
 let test_fifo_lets_go () =
@@ -1060,6 +1228,8 @@ let () =
           Alcotest.test_case "request" `Quick test_packet_request;
           Alcotest.test_case "data" `Quick test_packet_data;
           Alcotest.test_case "pp" `Quick test_packet_pp;
+          Alcotest.test_case "born refused" `Quick test_packet_born_refused;
+          QCheck_alcotest.to_alcotest prop_born_round_trip;
         ] );
       ( "fifo",
         [
@@ -1114,9 +1284,15 @@ let () =
             (delivered_packets_collectable Chunksim.Iface.Fifo_discipline);
           Alcotest.test_case "delivered packets collectable (DRR, lane)" `Quick
             (delivered_packets_collectable (Chunksim.Iface.Drr 8e4));
+          Alcotest.test_case "pooled pages let go" `Quick pooled_pages_let_go;
         ] );
       ( "iface gate",
         [ Alcotest.test_case "allocation budget" `Quick test_iface_alloc_budget ] );
+      ( "lane pool",
+        [
+          Alcotest.test_case "words on the wire, pages reused" `Quick
+            test_lane_pool_gate;
+        ] );
       ( "rr_queue",
         [
           Alcotest.test_case "round robin" `Quick test_rr_round_robin;
