@@ -252,9 +252,11 @@ let write_entry t slot ~content ~data_port ~req_port =
   write_ports t slot ~data_port ~req_port;
   set_flags t slot 0
 
+let check_content content = check32 "content" content
+
 let set_entry t slot ~content ~data_port ~req_port =
   let slot = slot_at t slot in
-  check32 "content" content;
+  check_content content;
   check_ports ~data_port ~req_port;
   write_entry t slot ~content ~data_port ~req_port
 
@@ -286,7 +288,7 @@ let add t ~flow =
   end
 
 let install t ~flow ~content ~data_port ~req_port =
-  check32 "content" content;
+  check_content content;
   check_ports ~data_port ~req_port;
   let slot = add t ~flow in
   write_entry t slot ~content ~data_port ~req_port;

@@ -89,6 +89,11 @@ val add : t -> flow:int -> int
     flow above every id the table has held pays none.
     @raise Invalid_argument if [flow < 0] or [flow] is outside int32. *)
 
+val check_content : int -> unit
+(** What {!set_entry} checks of a content, for a caller that must
+    refuse an install before {!add} takes a slot.
+    @raise Invalid_argument if the content is outside int32. *)
+
 val set_entry : t -> int -> content:int -> data_port:int -> req_port:int -> unit
 (** Set a slot's content and ports and clear its flags: the reset half
     of a (re)install.

@@ -173,11 +173,12 @@ let install_flow t ?content ~flow ~data_link ~req_link () =
   if flow < 0 then invalid_arg "Router.install_flow: flow < 0";
   let data_port = port_index t data_link in
   let req_port = port_index t req_link in
+  let content = Option.value ~default:flow content in
+  (* refuse before [add] takes a slot, as [port_index] does *)
+  Ft.check_content content;
   let slot = Ft.add t.ft ~flow in
   if Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
-  Ft.set_entry t.ft slot
-    ~content:(Option.value ~default:flow content)
-    ~data_port ~req_port
+  Ft.set_entry t.ft slot ~content ~data_port ~req_port
 
 let set_local_producer t f = t.local_producer <- Some f
 let set_local_consumer t f = t.local_consumer <- Some f

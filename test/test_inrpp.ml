@@ -1411,6 +1411,27 @@ let test_router_refuses_foreign_req_hop () =
   Alcotest.(check (float 0.)) "flow 0's request left on 1->0"
     req.Chunksim.Packet.size (sent 1 0)
 
+(* A content outside int32 is refused before the install takes a slot:
+   a new flow leaves no live entry, and flow 0's reinstall leaves its
+   entry as it was, so its data still leaves on 1->3. *)
+let test_router_refuses_wide_content () =
+  let r, eng, link, sent = foreign_hop_rig () in
+  let wide = 0x8000_0000 in
+  let refused what f =
+    Alcotest.check_raises what
+      (Invalid_argument "Flow_table: content outside int32") f
+  in
+  refused "install of a new flow" (fun () ->
+      R.install_flow r ~content:wide ~flow:1 ~data_link:(link 1 3)
+        ~req_link:None ());
+  refused "reinstall" (fun () ->
+      R.install_flow r ~content:wide ~flow:0 ~data_link:(link 1 3)
+        ~req_link:(link 1 0) ());
+  Alcotest.(check int) "no entry added" 1 (R.flow_entries_live r);
+  R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
+  Sim.Engine.run eng;
+  Alcotest.(check (float 0.)) "flow 0's data left on 1->3" chunk (sent 1 3)
+
 (* A drain skips a port it found exitless for the rest of that drain.
    Six flows over two ports of fig3's node 1, behind eight-chunk
    queues, so ports run out of exits part-way through drains and
@@ -2888,6 +2909,8 @@ let () =
             test_router_refuses_foreign_data_hop;
           Alcotest.test_case "a request link into the node" `Quick
             test_router_refuses_foreign_req_hop;
+          Alcotest.test_case "a content past int32" `Quick
+            test_router_refuses_wide_content;
         ] );
       ( "endpoints",
         [
