@@ -335,19 +335,21 @@ let phases () =
   let rows =
     List.map
       (fun (name, g, specs) ->
-        let r = Inrpp.Protocol.run ~cfg:bulk ~collect_trace:true g specs in
-        let tr = Option.get r.Inrpp.Protocol.trace in
-        let entered phase =
-          Chunksim.Trace.count tr (function
-            | Chunksim.Trace.Phase_change { phase = p; _ } -> p = phase
-            | _ -> false)
-        in
+        (* interface entries into detour and back-pressure, counted as
+           the run records them *)
+        let trace = Chunksim.Trace.create () in
+        let to_detour = ref 0 and to_bp = ref 0 in
+        Chunksim.Trace.on_record trace (fun _ -> function
+          | Chunksim.Trace.Phase_change { phase = Detour; _ } -> incr to_detour
+          | Chunksim.Trace.Phase_change { phase = Backpressure; _ } ->
+            incr to_bp
+          | _ -> ());
+        let r = Inrpp.Protocol.run ~cfg:bulk ~trace g specs in
         sidecar_emit ~experiment:"phases"
           [
             ("scenario", Obs.Json.Str name);
-            ("to_detour", Obs.Json.Num (float_of_int (entered "detour")));
-            ( "to_backpressure",
-              Obs.Json.Num (float_of_int (entered "backpressure")) );
+            ("to_detour", Obs.Json.Num (float_of_int !to_detour));
+            ("to_backpressure", Obs.Json.Num (float_of_int !to_bp));
             ( "detoured",
               Obs.Json.Num (float_of_int r.Inrpp.Protocol.detoured) );
             ( "custody_stored",
@@ -360,8 +362,8 @@ let phases () =
           ];
         [
           name;
-          string_of_int (entered "detour");
-          string_of_int (entered "backpressure");
+          string_of_int !to_detour;
+          string_of_int !to_bp;
           string_of_int r.Inrpp.Protocol.detoured;
           string_of_int r.Inrpp.Protocol.custody_stored;
           string_of_int r.Inrpp.Protocol.total_drops;

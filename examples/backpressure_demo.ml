@@ -31,38 +31,26 @@ let () =
     (100. *. Chunksim.Cache.high_water)
     (100. *. Chunksim.Cache.low_water);
 
+  (* narrate the interesting part of the trace as the run records it,
+     and count custody in and out *)
+  let trace = Chunksim.Trace.create () in
+  let cached = ref 0 and released = ref 0 in
+  Chunksim.Trace.on_record trace (fun time e ->
+      match e with
+      | Chunksim.Trace.Bp_signal _ | Chunksim.Trace.Phase_change _
+      | Chunksim.Trace.Flow_complete _ | Chunksim.Trace.Link_fault _
+      | Chunksim.Trace.Node_fault _ ->
+        Format.printf "  %7.3fs  %a@." time Chunksim.Trace.pp_event e
+      | Chunksim.Trace.Cached _ -> incr cached
+      | Chunksim.Trace.Custody_released _ -> incr released
+      | _ -> ());
+  Format.printf "control-plane timeline:@.";
   let r =
-    Inrpp.Protocol.run ~cfg ~collect_trace:true g
+    Inrpp.Protocol.run ~cfg ~trace g
       [ Inrpp.Protocol.flow_spec ~src:0 ~dst:2 150 ]
   in
-
-  (* narrate the interesting part of the trace *)
-  let tr = Option.get r.Inrpp.Protocol.trace in
-  let interesting = function
-    | Chunksim.Trace.Bp_signal _ | Chunksim.Trace.Phase_change _
-    | Chunksim.Trace.Flow_complete _ | Chunksim.Trace.Link_fault _
-    | Chunksim.Trace.Node_fault _ ->
-      true
-    | _ -> false
-  in
-  Format.printf "control-plane timeline:@.";
-  List.iter
-    (fun (time, e) ->
-      Format.printf "  %7.3fs  %a@." time Chunksim.Trace.pp_event e)
-    (Chunksim.Trace.find_all tr interesting);
-
-  let cached =
-    Chunksim.Trace.count tr (function
-      | Chunksim.Trace.Cached _ -> true
-      | _ -> false)
-  in
-  let released =
-    Chunksim.Trace.count tr (function
-      | Chunksim.Trace.Custody_released _ -> true
-      | _ -> false)
-  in
-  Format.printf "@.custody: %d chunks stored, %d handed on downstream@." cached
-    released;
+  Format.printf "@.custody: %d chunks stored, %d handed on downstream@."
+    !cached !released;
   Format.printf "peak custody occupancy: %a (store %a)@." Sim.Units.pp_size
     r.Inrpp.Protocol.peak_custody_bits Sim.Units.pp_size
     cfg.Inrpp.Config.cache_bits;

@@ -42,22 +42,6 @@ let report t =
 let add_probe t f = t.probes <- f :: t.probes
 let probe t ~time = List.iter (fun f -> f time) t.probes
 
-let attach trace handler = Chunksim.Trace.on_record trace handler
-
-(* ------------------------------------------------------------------ *)
-(* Phase-transition legality (DESIGN §1 table).  Every interface
-   starts in push-data; each of the three phases may move to either of
-   the other two (engage, recovery, and the backpressure -> detour
-   re-route once custody drains), so the only illegal records are an
-   unknown phase name and a self-transition — [Phase.set] must not
-   emit an event when the state does not change. *)
-
-let phase_successors = function
-  | "push-data" -> [ "detour"; "backpressure" ]
-  | "detour" -> [ "push-data"; "backpressure" ]
-  | "backpressure" -> [ "push-data"; "detour" ]
-  | _ -> []
-
 (* checker tables are keyed by packed pairs (Chunk_key) rather than
    structural tuples so lookups on the trace hot path avoid the
    polymorphic hasher and per-event key allocation *)
@@ -74,28 +58,30 @@ let forget_node tbl node =
   in
   List.iter (Hashtbl.remove tbl) doomed
 
+(* ------------------------------------------------------------------ *)
+(* Phase-transition legality (DESIGN §1 table).  Every interface
+   starts in push-data; each of the three phases may move to either of
+   the other two (engage, recovery, and the backpressure -> detour
+   re-route once custody drains), so the only illegal record is a
+   self-transition — [Phase.set] must not emit an event when the state
+   does not change. *)
+
 let phase_legality t =
-  let state : (int, string) Hashtbl.t = Hashtbl.create 64 in
+  let state : (int, Chunksim.Trace.phase) Hashtbl.t = Hashtbl.create 64 in
   fun time event ->
     match event with
     | Chunksim.Trace.Node_fault { node; up = false } -> forget_node state node
     | Chunksim.Trace.Phase_change { node; link; phase } ->
+      let key = pack ~flow:node ~idx:link in
       let prev =
-        Option.value ~default:"push-data"
-          (Hashtbl.find_opt state (pack ~flow:node ~idx:link))
+        Option.value ~default:Chunksim.Trace.Push_data
+          (Hashtbl.find_opt state key)
       in
-      (if phase_successors phase = [] then
-         violate t ~time ~checker:"phase-legality"
-           (Printf.sprintf "node %d link %d: unknown phase %S" node link phase)
-       else if String.equal phase prev then
-         violate t ~time ~checker:"phase-legality"
-           (Printf.sprintf "node %d link %d: self-transition %S -> %S recorded"
-              node link prev phase)
-       else if not (List.mem phase (phase_successors prev)) then
-         violate t ~time ~checker:"phase-legality"
-           (Printf.sprintf "node %d link %d: illegal transition %S -> %S" node
-              link prev phase));
-      Hashtbl.replace state (pack ~flow:node ~idx:link) phase
+      if phase = prev then
+        violate t ~time ~checker:"phase-legality"
+          (Printf.sprintf "node %d link %d: self-transition to %S recorded"
+             node link (Chunksim.Trace.phase_name phase));
+      Hashtbl.replace state key phase
     | _ -> ()
 
 (* ------------------------------------------------------------------ *)

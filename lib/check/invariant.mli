@@ -1,11 +1,12 @@
 (** Runtime invariant checkers over the simulator's tap points.
 
     A collector accumulates violations; checkers are either streaming
-    trace handlers (attach them to a {!Chunksim.Trace} with {!attach},
-    or to an [Obs] sink chain through [Obs.Sink.callback]) or periodic
-    probes driven by {!probe}.  [Inrpp.Protocol.run ?check] wires all
-    of them up for a protocol run; the differential harness and the
-    soak test build on the same pieces.
+    trace handlers (register them on a {!Chunksim.Trace} with
+    {!Chunksim.Trace.on_record}, or on an [Obs] sink chain through
+    [Obs.Sink.callback]) or periodic probes driven by {!probe}.
+    [Inrpp.Protocol.run ?check] wires all of them up for a protocol
+    run; the differential harness and the soak test build on the same
+    pieces.
 
     A clean run ends with {!ok} true; {!report} renders the retained
     violations for test failure messages. *)
@@ -42,16 +43,16 @@ val probe : t -> time:float -> unit
 (** {1 Streaming trace checkers}
 
     Each constructor returns a handler closed over its own state;
-    route it to a trace directly ({!attach}) or through the
-    observability layer ([Obs.Sink.callback]). *)
+    route it to a trace directly ({!Chunksim.Trace.on_record}) or
+    through the observability layer ([Obs.Sink.callback]). *)
 
 val phase_legality : t -> float -> Chunksim.Trace.event -> unit
-(** Interface phase machine (DESIGN §1): phases are exactly
-    push-data / detour / backpressure, every recorded transition moves
-    to a {e different} legal successor (self-transitions must not be
-    recorded), and the implicit initial state is push-data.  A
-    [Node_fault] crash resets the node's interfaces to push-data (a
-    restarted router starts from scratch). *)
+(** Interface phase machine (DESIGN §1): every recorded transition
+    moves to a {e different} phase (each phase may move to either of
+    the other two; self-transitions must not be recorded), and the
+    implicit initial state is push-data.  A [Node_fault] crash resets
+    the node's interfaces to push-data (a restarted router starts from
+    scratch). *)
 
 val bp_ordering : t -> float -> Chunksim.Trace.event -> unit
 (** Back-pressure propagation ordering: per (node, flow) at most two
@@ -59,9 +60,6 @@ val bp_ordering : t -> float -> Chunksim.Trace.event -> unit
     an outstanding engage.  A [Node_fault] crash clears the node's
     balances — a crash wipes back-pressure flags without emitting
     releases. *)
-
-val attach : Chunksim.Trace.t -> (float -> Chunksim.Trace.event -> unit) -> unit
-(** [attach trace h] registers [h] as an [on_record] tap. *)
 
 val custody_ledger : t -> name:string -> (unit -> int * int) -> unit
 (** [custody_ledger c ~name read] registers a probe asserting the two

@@ -1,10 +1,17 @@
+type phase = Push_data | Detour | Backpressure
+
+let phase_name = function
+  | Push_data -> "push-data"
+  | Detour -> "detour"
+  | Backpressure -> "backpressure"
+
 type event =
   | Dropped of { node : Topology.Node.id; link : int; packet : string }
   | Cached of { node : Topology.Node.id; flow : int; idx : int }
   | Cache_hit of { node : Topology.Node.id; flow : int; idx : int }
   | Custody_released of { node : Topology.Node.id; flow : int; idx : int }
   | Detoured of { node : Topology.Node.id; flow : int; idx : int; via : Topology.Node.id }
-  | Phase_change of { node : Topology.Node.id; link : int; phase : string }
+  | Phase_change of { node : Topology.Node.id; link : int; phase : phase }
   | Bp_signal of { node : Topology.Node.id; flow : int; engage : bool }
   | Flow_complete of { flow : int; fct : float }
   | Link_fault of { link : int; up : bool }
@@ -19,16 +26,11 @@ type event =
   | Custody_evicted of { node : Topology.Node.id; flow : int; idx : int }
 
 type t = {
-  limit : int;
-  mutable rev_events : (float * event) list;
-  mutable size : int;
   mutable taps : (float -> event -> unit) array;
   mutable lifecycle_on : bool;
 }
 
-let create ?(limit = 100_000) () =
-  if limit <= 0 then invalid_arg "Trace.create: limit <= 0";
-  { limit; rev_events = []; size = 0; taps = [||]; lifecycle_on = false }
+let create () = { taps = [||]; lifecycle_on = false }
 
 let on_record t tap = t.taps <- Array.append t.taps [| tap |]
 
@@ -39,27 +41,7 @@ let record t ~time e =
   let taps = t.taps in
   for i = 0 to Array.length taps - 1 do
     taps.(i) time e
-  done;
-  t.rev_events <- (time, e) :: t.rev_events;
-  t.size <- t.size + 1;
-  if t.size > 2 * t.limit then begin
-    (* amortised trim: keep the newest [limit] *)
-    let rec take n acc = function
-      | [] -> acc
-      | x :: rest -> if n = 0 then acc else take (n - 1) (x :: acc) rest
-    in
-    t.rev_events <- List.rev (take t.limit [] t.rev_events);
-    t.size <- t.limit
-  end
-
-let events t = List.rev t.rev_events
-
-let count t pred =
-  List.fold_left
-    (fun acc (_, e) -> if pred e then acc + 1 else acc)
-    0 t.rev_events
-
-let find_all t pred = List.filter (fun (_, e) -> pred e) (events t)
+  done
 
 let pp_event ppf = function
   | Dropped { node; link; packet } ->
@@ -73,7 +55,7 @@ let pp_event ppf = function
   | Detoured { node; flow; idx; via } ->
     Format.fprintf ppf "n%d detoured f%d#%d via n%d" node flow idx via
   | Phase_change { node; link; phase } ->
-    Format.fprintf ppf "n%d l%d -> %s" node link phase
+    Format.fprintf ppf "n%d l%d -> %s" node link (phase_name phase)
   | Bp_signal { node; flow; engage } ->
     Format.fprintf ppf "n%d bp f%d %s" node flow (if engage then "on" else "off")
   | Flow_complete { flow; fct } ->

@@ -1,8 +1,16 @@
 (** Structured event traces.
 
-    Protocol layers append events; tests and the demo examples read
-    them back filtered.  Keeps at most [limit] most-recent events to
-    bound memory in long runs. *)
+    Protocol layers record events; a trace stores none of them.  Each
+    {!record} is handed, in attach order, to the taps registered with
+    {!on_record} (counters, checkers, span collectors, NDJSON sinks —
+    see [Obs.Sink]), and each tap keeps whatever state it needs. *)
+
+(** An interface's phase (paper §3.3); [Inrpp.Phase] re-exports it. *)
+type phase = Push_data | Detour | Backpressure
+
+val phase_name : phase -> string
+(** ["push-data"], ["detour"] or ["backpressure"]: the name the trace
+    codec writes and reads. *)
 
 type event =
   | Dropped of { node : Topology.Node.id; link : int; packet : string }
@@ -11,7 +19,7 @@ type event =
   | Cache_hit of { node : Topology.Node.id; flow : int; idx : int }
   | Custody_released of { node : Topology.Node.id; flow : int; idx : int }
   | Detoured of { node : Topology.Node.id; flow : int; idx : int; via : Topology.Node.id }
-  | Phase_change of { node : Topology.Node.id; link : int; phase : string }
+  | Phase_change of { node : Topology.Node.id; link : int; phase : phase }
   | Bp_signal of { node : Topology.Node.id; flow : int; engage : bool }
   | Flow_complete of { flow : int; fct : float }
   | Link_fault of { link : int; up : bool }
@@ -38,8 +46,8 @@ type event =
 
 type t
 
-val create : ?limit:int -> unit -> t
-(** [limit] defaults to 100_000 events. *)
+val create : unit -> t
+(** A trace with no tap and lifecycle events off. *)
 
 val set_lifecycle : t -> bool -> unit
 (** Ask instrumented layers to record the chunk-lifecycle events
@@ -53,14 +61,7 @@ val record : t -> time:float -> event -> unit
 
 val on_record : t -> (float -> event -> unit) -> unit
 (** Register a streaming tap: called synchronously on every {!record}
-    with [(time, event)], before the ring stores it.  Taps let events
-    flow to sinks (files, counters, callbacks — see [Obs.Sink])
-    without being bounded by the ring's [limit].  Taps must not call
-    {!record} on the same trace. *)
+    with [(time, event)], after the taps registered before it.  Taps
+    must not call {!record} on the same trace. *)
 
-val events : t -> (float * event) list
-(** Oldest first. *)
-
-val count : t -> (event -> bool) -> int
-val find_all : t -> (event -> bool) -> (float * event) list
 val pp_event : Format.formatter -> event -> unit

@@ -26,10 +26,9 @@ let phase_names = [| "push"; "detour"; "backpressure" |]
 
 let dump rc ~time reason = Obs.Recorder.dump rc ~reason ~time
 
-let new_trace ~collect_trace ~obs ~check =
-  if collect_trace || Option.is_some obs || Option.is_some check then
-    Some (Trace.create ())
-  else None
+let new_trace ~trace ~obs ~check =
+  if Option.is_some trace || (obs = None && check = None) then trace
+  else Some (Trace.create ())
 
 let create ~cfg ~horizon ~loss_rate ~obs ~check ~watchdog ~trace eng net
     routes routers =
@@ -97,11 +96,11 @@ let create ~cfg ~horizon ~loss_rate ~obs ~check ~watchdog ~trace eng net
     let conservation =
       match (check, trace) with
       | Some chk, Some tr ->
-        Check.Invariant.attach tr (Check.Invariant.phase_legality chk);
-        Check.Invariant.attach tr (Check.Invariant.bp_ordering chk);
+        Trace.on_record tr (Check.Invariant.phase_legality chk);
+        Trace.on_record tr (Check.Invariant.bp_ordering chk);
         let lossy = match loss_rate with Some r -> r > 0. | None -> false in
         let cons = Check.Invariant.Conservation.create ~lossy chk in
-        Check.Invariant.attach tr (Check.Invariant.Conservation.handler cons);
+        Trace.on_record tr (Check.Invariant.Conservation.handler cons);
         Array.iter
           (fun r ->
             Check.Invariant.custody_ledger chk

@@ -9,10 +9,10 @@
 type t
 
 val new_trace :
-  collect_trace:bool -> obs:Obs.Observer.t option ->
+  trace:Chunksim.Trace.t option -> obs:Obs.Observer.t option ->
   check:Check.Invariant.t option -> Chunksim.Trace.t option
-(** The run's trace, for {!Router.create}: one when asked for, observed
-    or checked. *)
+(** The run's trace, for {!Router.create}: the caller's [trace], else a
+    new one when the run is observed or checked. *)
 
 val create :
   cfg:Config.t -> horizon:float -> loss_rate:float option ->

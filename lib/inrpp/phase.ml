@@ -1,7 +1,4 @@
-type phase =
-  | Push_data
-  | Detour
-  | Backpressure
+type phase = Chunksim.Trace.phase = Push_data | Detour | Backpressure
 
 type t = {
   engage : float;
@@ -39,10 +36,5 @@ let update t ~ratio ~detour_usable ~custody_pressure ~custody_drained =
     if custody_drained && ratio <= t.release then set t Push_data
     else if custody_drained && detour_usable then set t Detour
     else t.state
-
-let to_string = function
-  | Push_data -> "push-data"
-  | Detour -> "detour"
-  | Backpressure -> "backpressure"
 
 let transitions t = t.changes

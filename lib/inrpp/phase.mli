@@ -11,10 +11,7 @@
     Dual thresholds give hysteresis so estimator noise does not flap
     the interface between phases (link-swap stability, §4). *)
 
-type phase =
-  | Push_data
-  | Detour
-  | Backpressure
+type phase = Chunksim.Trace.phase = Push_data | Detour | Backpressure
 
 type t
 
@@ -30,6 +27,5 @@ val update :
     phase.  [custody_pressure]: the custody region crossed its high
     watermark.  [custody_drained]: it fell below the low one. *)
 
-val to_string : phase -> string
 val transitions : t -> int
 (** Number of phase changes so far (a stability metric). *)

@@ -311,11 +311,7 @@ let tick_port s p est ~pressure ~drained =
     | Some tr ->
       Trace.record tr ~time:(now s)
         (Trace.Phase_change
-           {
-             node = s.node;
-             link = p.p_link.Link.id;
-             phase = Phase.to_string after;
-           })
+           { node = s.node; link = p.p_link.Link.id; phase = after })
     | None -> ()
 
 (* Only ports on the walk are stepped.  A port that ends a step idle

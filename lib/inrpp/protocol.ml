@@ -55,7 +55,6 @@ type result = {
   flow_entries_peak : int;
   flow_entries_recycled : int;
   flow_table_bytes : int;
-  trace : Chunksim.Trace.t option;
 }
 
 (* Generated flows ride behind the static list so existing scenarios
@@ -135,7 +134,6 @@ let collect (w : Wiring.t) receivers =
     flow_entries_peak = sum Router.flow_entries_peak;
     flow_entries_recycled = sum Router.flow_entries_recycled;
     flow_table_bytes = sum Router.flow_table_bytes;
-    trace = Instrumentation.trace w.ins;
   }
 
 (* Run stages: [Wiring.wire] builds the run's state (creating its
@@ -145,9 +143,8 @@ let collect (w : Wiring.t) receivers =
    event order: seqs are taken at schedule time, so the fault events
    come before the sampler start, the tick, the drain and the flow
    starts. *)
-let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
-    ?loss_rate ?obs ?check ?faults ?workload
-    ?(overload = Overload.Config.Off) g specs =
+let run ?(cfg = Config.default) ?(horizon = 60.) ?trace ?loss_rate ?obs
+    ?check ?faults ?workload ?(overload = Overload.Config.Off) g specs =
   (match Config.validate cfg with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Protocol.run: " ^ msg));
@@ -156,8 +153,7 @@ let run ?(cfg = Config.default) ?(horizon = 60.) ?(collect_trace = false)
   if horizon <= 0. then invalid_arg "Protocol.run: horizon <= 0";
   Array.iter (check_spec "Protocol.run") specs;
   let w =
-    Wiring.wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~overload
-      g specs
+    Wiring.wire ~cfg ~horizon ~trace ~loss_rate ~obs ~check ~overload g specs
   in
   let driver = Wiring.attach_faults w faults in
   let senders, receivers =

@@ -96,11 +96,10 @@ type result = {
   flow_table_bytes : int;
   (** approximate heap retained by the flow tables across all routers
       (see {!Router.flow_table_bytes}); ≈ 0 under PIT-less forwarding *)
-  trace : Chunksim.Trace.t option;
 }
 
 val run :
-  ?cfg:Config.t -> ?horizon:float -> ?collect_trace:bool ->
+  ?cfg:Config.t -> ?horizon:float -> ?trace:Chunksim.Trace.t ->
   ?loss_rate:float -> ?obs:Obs.Observer.t -> ?check:Check.Invariant.t ->
   ?faults:Fault.Schedule.t -> ?workload:Workload.Gen.spec ->
   ?overload:Overload.Config.t ->
@@ -111,10 +110,16 @@ val run :
     the protocol's own behaviour never drops unless the store
     overflows).
 
+    [trace] receives the run's events: the caller owns it and attaches
+    its own taps ({!Chunksim.Trace.on_record}) before the run, and the
+    trace stores nothing itself.  Without [trace], a run that is
+    observed or checked records into a trace of its own, and any other
+    run records nothing.
+
     [obs] instruments the run: router/interface/endpoint counters are
     registered as callback metrics (read at snapshot time — no
     hot-path cost), the observer's sinks are attached to the trace
-    (implies trace collection, so [result.trace] is [Some _]), and a
+    (the caller's [trace] when given, after its taps), and a
     sampler records per-interface phase ([iface_phase],
     [iface_phase_occupancy] per phase label), anticipated rate
     ([iface_anticipated_bps]/[_ratio]), queue and utilisation series
@@ -122,9 +127,9 @@ val run :
     [detoured_total] at interval [Config.ti] (or the observer's
     override).
 
-    [check] enforces runtime invariants throughout the run (implies
-    trace collection): phase-transition legality, back-pressure
-    ordering and chunk conservation stream off the trace taps, and the
+    [check] enforces runtime invariants throughout the run:
+    phase-transition legality, back-pressure ordering and chunk
+    conservation are taps on the same trace, and the
     custody-ledger probe rides the estimator tick.  Inspect the
     collector with [Check.Invariant.ok]/[report] after the run.
 

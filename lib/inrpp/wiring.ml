@@ -96,8 +96,7 @@ let reconverge w =
           (route spec.src spec.dst))
     w.specs
 
-let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~overload g specs
-    =
+let wire ~cfg ~horizon ~trace ~loss_rate ~obs ~check ~overload g specs =
   (* every flow's route, resolved once and before any state exists:
      router installs, label stacks, base delays and pace rates all read
      it *)
@@ -121,7 +120,7 @@ let wire ~cfg ~horizon ~collect_trace ~loss_rate ~obs ~check ~overload g specs
     in
     Net.create ~queue_bits:cfg.Config.queue_bits ~discipline ?loss_rate eng g
   in
-  let trace = Instrumentation.new_trace ~collect_trace ~obs ~check in
+  let trace = Instrumentation.new_trace ~trace ~obs ~check in
   let detours = Detour_table.create g in
   (* the link-state view exists in every run (all-up without faults,
      which is behaviourally identical to not having one) so router

@@ -41,7 +41,7 @@ type t = {
 val all_done : t -> bool
 
 val wire :
-  cfg:Config.t -> horizon:float -> collect_trace:bool ->
+  cfg:Config.t -> horizon:float -> trace:Chunksim.Trace.t option ->
   loss_rate:float option -> obs:Obs.Observer.t option ->
   check:Check.Invariant.t option -> overload:Overload.Config.t ->
   Topology.Graph.t -> flow_spec array -> t

@@ -1,11 +1,10 @@
 (** Pluggable trace sinks: stream {!Chunksim.Trace} events somewhere
-    as they are recorded, instead of (or in addition to) the bounded
-    in-memory ring.
+    as they are recorded (the trace itself stores none).
 
     A sink is attached to a trace with {!attach}, which registers it
     as a {!Chunksim.Trace.on_record} tap.  Sinks compose by attaching
-    several.  Typical composition for a probe run: ring (already inside
-    the trace) + NDJSON file + per-kind counter tap. *)
+    several.  Typical composition for a probe run: NDJSON file +
+    per-kind counter tap. *)
 
 type t
 

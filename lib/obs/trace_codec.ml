@@ -29,7 +29,8 @@ let fields = function
   | T.Detoured { node; flow; idx; via } ->
     [ ("node", num node); ("flow", num flow); ("idx", num idx); ("via", num via) ]
   | T.Phase_change { node; link; phase } ->
-    [ ("node", num node); ("link", num link); ("phase", Json.Str phase) ]
+    [ ("node", num node); ("link", num link);
+      ("phase", Json.Str (T.phase_name phase)) ]
   | T.Bp_signal { node; flow; engage } ->
     [ ("node", num node); ("flow", num flow); ("engage", Json.Bool engage) ]
   | T.Flow_complete { flow; fct } ->
@@ -127,7 +128,16 @@ let of_json j =
     | "phase_change" ->
       let* node = int_f "node" in
       let* link = int_f "link" in
-      let* phase = str_f "phase" in
+      let* name = str_f "phase" in
+      let* phase =
+        match
+          List.find_opt
+            (fun p -> T.phase_name p = name)
+            [ T.Push_data; T.Detour; T.Backpressure ]
+        with
+        | Some p -> Ok p
+        | None -> Error (Printf.sprintf "event: unknown phase %S" name)
+      in
       Ok (T.Phase_change { node; link; phase })
     | "bp_signal" ->
       let* node = int_f "node" in

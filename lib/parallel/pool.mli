@@ -12,7 +12,7 @@
 
     The contract that makes this safe is {e domain locality}: a job
     must own every piece of mutable state it touches (its engine, RNG,
-    observer, trace rings, checkers) and may share only immutable
+    observer, traces, checkers) and may share only immutable
     values with other jobs (topology graphs, configs, fault
     schedules).  See DESIGN §11 — "no cross-domain sharing except the
     job queue". *)

@@ -188,7 +188,7 @@ let knob_names pattern =
   | _ -> [ pattern ]
 
 (* knobs.allow's size today *)
-let max_knobs = 16
+let max_knobs = 15
 
 let knobs =
   lazy

@@ -970,90 +970,32 @@ let test_net_inject () =
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
+(* the trace stores nothing: taps see every event in record order,
+   and several taps see each event in attach order *)
 let test_trace_basics () =
   let tr = Chunksim.Trace.create () in
-  Chunksim.Trace.record tr ~time:1. (Chunksim.Trace.Cached { node = 1; flow = 0; idx = 5 });
-  Chunksim.Trace.record tr ~time:2.
-    (Chunksim.Trace.Bp_signal { node = 1; flow = 0; engage = true });
-  Alcotest.(check int) "count cached" 1
-    (Chunksim.Trace.count tr (function
-      | Chunksim.Trace.Cached _ -> true
-      | _ -> false));
-  (match Chunksim.Trace.events tr with
-  | [ (t1, _); (t2, _) ] ->
-    check_close "oldest first" 0. 1. t1;
-    check_close "then newer" 0. 2. t2
-  | _ -> Alcotest.fail "expected two events")
-
-let test_trace_limit () =
-  let tr = Chunksim.Trace.create ~limit:10 () in
-  for i = 0 to 99 do
-    Chunksim.Trace.record tr ~time:(float_of_int i)
-      (Chunksim.Trace.Flow_complete { flow = i; fct = 0. })
-  done;
-  let evs = Chunksim.Trace.events tr in
-  Alcotest.(check bool) "bounded" true (List.length evs <= 20);
-  (* newest events survive *)
-  let has_99 =
-    List.exists
-      (fun (_, e) ->
-        match e with
-        | Chunksim.Trace.Flow_complete { flow = 99; _ } -> true
-        | _ -> false)
-      evs
+  let seen = ref [] in
+  let tap name =
+    Chunksim.Trace.on_record tr (fun time e -> seen := (name, time, e) :: !seen)
   in
-  Alcotest.(check bool) "newest kept" true has_99
-
-(* Regression for the amortised trim: the ring trims only when the
-   size exceeds [2 * limit], and what survives must be exactly the
-   [limit] newest events, still in chronological order, with [count]
-   and [find_all] agreeing with [events]. *)
-let test_trace_trim_regression () =
-  let limit = 10 in
-  let tr = Chunksim.Trace.create ~limit () in
-  let n = (2 * limit) + 1 in
-  for i = 0 to n - 1 do
-    Chunksim.Trace.record tr ~time:(float_of_int i)
-      (Chunksim.Trace.Flow_complete { flow = i; fct = 0. })
-  done;
-  let evs = Chunksim.Trace.events tr in
-  Alcotest.(check int) "exactly limit survive" limit (List.length evs);
-  let flows =
-    List.map
-      (fun (_, e) ->
-        match e with
-        | Chunksim.Trace.Flow_complete { flow; _ } -> flow
-        | _ -> Alcotest.fail "unexpected event kind")
-      evs
-  in
-  let expected = List.init limit (fun k -> n - limit + k) in
-  Alcotest.(check (list int)) "newest, chronological" expected flows;
-  List.iter2
-    (fun (t, _) flow -> check_close "timestamp matches flow" 0. (float_of_int flow) t)
-    evs flows;
-  Alcotest.(check int) "count agrees" limit
-    (Chunksim.Trace.count tr (fun _ -> true));
-  Alcotest.(check int) "find_all agrees" limit
-    (List.length (Chunksim.Trace.find_all tr (fun _ -> true)));
-  (* one more record after a trim must not trim again prematurely *)
-  Chunksim.Trace.record tr ~time:(float_of_int n)
-    (Chunksim.Trace.Flow_complete { flow = n; fct = 0. });
-  Alcotest.(check int) "grows past limit between trims" (limit + 1)
-    (List.length (Chunksim.Trace.events tr))
+  tap "a";
+  tap "b";
+  let e1 = Chunksim.Trace.Cached { node = 1; flow = 0; idx = 5 } in
+  let e2 = Chunksim.Trace.Bp_signal { node = 1; flow = 0; engage = true } in
+  Chunksim.Trace.record tr ~time:1. e1;
+  Chunksim.Trace.record tr ~time:2. e2;
+  Alcotest.(check bool) "record order, then attach order" true
+    (List.rev !seen
+    = [ ("a", 1., e1); ("b", 1., e1); ("a", 2., e2); ("b", 2., e2) ])
 
 let test_trace_taps () =
-  let tr = Chunksim.Trace.create ~limit:5 () in
-  let seen = ref [] in
-  Chunksim.Trace.on_record tr (fun time e -> seen := (time, e) :: !seen);
-  let n = 20 in
-  for i = 0 to n - 1 do
+  let tr = Chunksim.Trace.create () and seen = ref 0 in
+  Chunksim.Trace.on_record tr (fun _ _ -> incr seen);
+  for i = 1 to 20 do
     Chunksim.Trace.record tr ~time:(float_of_int i)
       (Chunksim.Trace.Cached { node = 0; flow = 0; idx = i })
   done;
-  (* taps see every event, unbounded by the ring's limit *)
-  Alcotest.(check int) "tap saw all" n (List.length !seen);
-  Alcotest.(check bool) "ring stayed bounded" true
-    (List.length (Chunksim.Trace.events tr) <= 2 * 5)
+  Alcotest.(check int) "tap saw all" 20 !seen
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -1307,8 +1249,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "basics" `Quick test_trace_basics;
-          Alcotest.test_case "limit" `Quick test_trace_limit;
-          Alcotest.test_case "trim regression" `Quick test_trace_trim_regression;
           Alcotest.test_case "taps" `Quick test_trace_taps;
         ] );
       ( "properties",

@@ -1840,35 +1840,39 @@ let test_router_port_creation () =
   let down = (link 1 2).Topology.Link.id and up = (link 1 0).Topology.Link.id in
   R.install_flow r ~flow:0 ~data_link:(Some (link 1 2))
     ~req_link:(Some (link 1 0)) ();
+  let phase_t =
+    Alcotest.testable
+      (fun ppf p -> Format.pp_print_string ppf (Chunksim.Trace.phase_name p))
+      ( = )
+  in
   let expect msg links phase =
     Alcotest.(check (list int)) (msg ^ ": estimator links") links
       (R.estimator_links r);
-    Alcotest.(check (option string)) (msg ^ ": data-link phase") phase
-      (Option.map Inrpp.Phase.to_string (R.phase_of_link r down));
-    Alcotest.(check (option string)) (msg ^ ": request-link phase") None
-      (Option.map Inrpp.Phase.to_string (R.phase_of_link r up))
+    Alcotest.(check (option phase_t)) (msg ^ ": data-link phase") phase
+      (R.phase_of_link r down);
+    Alcotest.(check (option phase_t)) (msg ^ ": request-link phase") None
+      (R.phase_of_link r up)
   in
   expect "fresh" [] None;
-  Alcotest.(check (option string)) "a link into the node has no phase" None
-    (Option.map Inrpp.Phase.to_string
-       (R.phase_of_link r (link 0 1).Topology.Link.id));
+  Alcotest.(check (option phase_t)) "a link into the node has no phase" None
+    (R.phase_of_link r (link 0 1).Topology.Link.id);
   R.tick r;
   expect "tick with no estimator" [] None;
   request r 0;
   expect "after the first request" [ down ] None;
   R.tick r;
-  expect "after the first tick" [ down ] (Some "push-data");
+  expect "after the first tick" [ down ] (Some Inrpp.Phase.Push_data);
   ignore (R.crash r ~policy:`Preserve);
   expect "crashed" [] None;
   R.tick r;
   R.restart r;
   expect "restarted" [] None;
   R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
-  expect "a forwarded chunk" [] (Some "push-data");
+  expect "a forwarded chunk" [] (Some Inrpp.Phase.Push_data);
   R.tick r;
-  expect "tick after the chunk" [] (Some "push-data");
+  expect "tick after the chunk" [] (Some Inrpp.Phase.Push_data);
   request r 1;
-  expect "request after restart" [ down ] (Some "push-data")
+  expect "request after restart" [ down ] (Some Inrpp.Phase.Push_data)
 
 (* A reinstall clears the entry's flags, so an engaged bp_local leaves
    the router's engage count with it.  Node 1 of a three-node line
@@ -2432,6 +2436,12 @@ let bottleneck_graph () =
   Topology.Graph.Builder.add_edge b ~capacity:2e6 ~delay:2e-3 n1 n2;
   Topology.Graph.Builder.build b
 
+(* a trace whose one tap counts the events [pred] accepts *)
+let counting pred =
+  let trace = Chunksim.Trace.create () and n = ref 0 in
+  Chunksim.Trace.on_record trace (fun _ e -> if pred e then incr n);
+  (trace, n)
+
 let test_protocol_clean_line () =
   let g = Topology.Builders.line ~capacity:10e6 ~delay:2e-3 3 in
   let r = Inrpp.Protocol.run ~cfg:bulk g [ Inrpp.Protocol.flow_spec ~src:0 ~dst:2 200 ] in
@@ -2470,24 +2480,60 @@ let test_protocol_backpressure_engages () =
      must signal upstream and the sender must enter the closed loop *)
   let g = bottleneck_graph () in
   let cfg = { bulk with Inrpp.Config.cache_bits = 20. *. bulk.Inrpp.Config.chunk_bits } in
+  let trace, engages =
+    counting (function
+      | Chunksim.Trace.Bp_signal { engage = true; _ } -> true
+      | _ -> false)
+  in
   let r =
-    Inrpp.Protocol.run ~cfg ~collect_trace:true g
+    Inrpp.Protocol.run ~cfg ~trace g
       [ Inrpp.Protocol.flow_spec ~src:0 ~dst:2 200 ]
   in
   Alcotest.(check int) "completes" 1 r.Inrpp.Protocol.completed;
   Alcotest.(check bool) "bp engaged" true (r.Inrpp.Protocol.bp_engages > 0);
   Alcotest.(check bool) "bp released" true (r.Inrpp.Protocol.bp_releases > 0);
-  let tr = Option.get r.Inrpp.Protocol.trace in
-  Alcotest.(check bool) "bp signal traced" true
-    (Chunksim.Trace.count tr (function
-       | Chunksim.Trace.Bp_signal { engage = true; _ } -> true
-       | _ -> false)
-    > 0)
+  Alcotest.(check bool) "bp signal traced" true (!engages > 0)
+
+(* one stream, two consumers: a caller's tap on the run's trace and the
+   observer's counter tap count the same events per kind *)
+let test_protocol_trace_and_obs () =
+  let cfg =
+    { bulk with Inrpp.Config.cache_bits = 20. *. bulk.Inrpp.Config.chunk_bits }
+  in
+  let trace = Chunksim.Trace.create () and tapped = Hashtbl.create 16 in
+  Chunksim.Trace.on_record trace (fun _ e ->
+      let k = Obs.Trace_codec.kind e in
+      Hashtbl.replace tapped k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt tapped k)));
+  let o = Obs.Observer.create () in
+  Obs.Observer.add_sink o (Obs.Sink.counter_tap (Obs.Observer.registry o));
+  let r =
+    Inrpp.Protocol.run ~cfg ~trace ~obs:o (bottleneck_graph ())
+      [ Inrpp.Protocol.flow_spec ~src:0 ~dst:2 200 ]
+  in
+  Alcotest.(check int) "completes" 1 r.Inrpp.Protocol.completed;
+  let counted =
+    List.filter_map
+      (fun (s : Obs.Metric.sample) ->
+        match (s.name, s.value) with
+        | "trace_events_total", Obs.Metric.Counter_v n when n > 0 ->
+          Some (List.assoc "kind" s.labels, n)
+        | _ -> None)
+      (Obs.Observer.snapshot o)
+  in
+  let tapped = List.of_seq (Hashtbl.to_seq tapped) in
+  Alcotest.(check (list (pair string int))) "same events per kind"
+    (List.sort compare tapped) (List.sort compare counted);
+  Alcotest.(check bool) "bp signals among them" true
+    (List.mem_assoc "bp_signal" tapped)
 
 let test_protocol_fig3_detours () =
   let g = Topology.Builders.fig3 () in
+  let trace, detoured =
+    counting (function Chunksim.Trace.Detoured _ -> true | _ -> false)
+  in
   let r =
-    Inrpp.Protocol.run ~cfg:bulk ~collect_trace:true g
+    Inrpp.Protocol.run ~cfg:bulk ~trace g
       [ Inrpp.Protocol.flow_spec ~src:0 ~dst:3 300 ]
   in
   Alcotest.(check int) "completes" 1 r.Inrpp.Protocol.completed;
@@ -2500,27 +2546,21 @@ let test_protocol_fig3_detours () =
       (Printf.sprintf "fct %.3f beats single-path 12 s" fct)
       true (fct < 9.)
   | None -> Alcotest.fail "flow unfinished");
-  let tr = Option.get r.Inrpp.Protocol.trace in
-  Alcotest.(check bool) "detour events traced" true
-    (Chunksim.Trace.count tr (function
-       | Chunksim.Trace.Detoured _ -> true
-       | _ -> false)
-    > 0)
+  Alcotest.(check bool) "detour events traced" true (!detoured > 0)
 
 let test_protocol_phase_transitions_observed () =
   let g = Topology.Builders.fig3 () in
+  let trace, entered_detour =
+    counting (function
+      | Chunksim.Trace.Phase_change { phase = Detour; _ } -> true
+      | _ -> false)
+  in
   let r =
-    Inrpp.Protocol.run ~cfg:bulk ~collect_trace:true g
+    Inrpp.Protocol.run ~cfg:bulk ~trace g
       [ Inrpp.Protocol.flow_spec ~src:0 ~dst:3 300 ]
   in
   Alcotest.(check bool) "phases changed" true (r.Inrpp.Protocol.phase_transitions > 0);
-  let tr = Option.get r.Inrpp.Protocol.trace in
-  let entered_detour =
-    Chunksim.Trace.count tr (function
-      | Chunksim.Trace.Phase_change { phase = "detour"; _ } -> true
-      | _ -> false)
-  in
-  Alcotest.(check bool) "detour phase entered" true (entered_detour > 0)
+  Alcotest.(check bool) "detour phase entered" true (!entered_detour > 0)
 
 let test_protocol_two_flows_share () =
   let g = Topology.Builders.fig3 () in
@@ -2925,6 +2965,7 @@ let () =
           Alcotest.test_case "clean line" `Quick test_protocol_clean_line;
           Alcotest.test_case "bottleneck custody" `Quick test_protocol_bottleneck_custody;
           Alcotest.test_case "backpressure engages" `Quick test_protocol_backpressure_engages;
+          Alcotest.test_case "trace and obs" `Quick test_protocol_trace_and_obs;
           Alcotest.test_case "fig3 detours" `Quick test_protocol_fig3_detours;
           Alcotest.test_case "phase transitions" `Quick test_protocol_phase_transitions_observed;
           Alcotest.test_case "two flows share" `Quick test_protocol_two_flows_share;

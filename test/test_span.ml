@@ -18,7 +18,7 @@ let check_close msg eps expected got =
     Alcotest.failf "%s: expected %.17g, got %.17g" msg expected got
 
 (* ------------------------------------------------------------------ *)
-(* Trace_codec laws for the lifecycle events *)
+(* Trace_codec laws for every event kind *)
 
 let lifecycle_events =
   [
@@ -28,6 +28,22 @@ let lifecycle_events =
     T.Retransmit { flow = 1; idx = 42 };
     T.Custody_evacuated { node = 3; flow = 1; idx = 42 };
     T.Custody_evicted { node = 3; flow = 1; idx = 42 };
+  ]
+
+let control_events =
+  [
+    T.Dropped { node = 3; link = -1; packet = "data f1#42" };
+    T.Cached { node = 3; flow = 1; idx = 42 };
+    T.Cache_hit { node = 3; flow = 1; idx = 42 };
+    T.Custody_released { node = 3; flow = 1; idx = 42 };
+    T.Detoured { node = 3; flow = 1; idx = 42; via = 5 };
+    T.Phase_change { node = 3; link = 7; phase = T.Push_data };
+    T.Phase_change { node = 3; link = 7; phase = T.Detour };
+    T.Phase_change { node = 3; link = 7; phase = T.Backpressure };
+    T.Bp_signal { node = 3; flow = 1; engage = true };
+    T.Flow_complete { flow = 1; fct = 0.75 };
+    T.Link_fault { link = 7; up = false };
+    T.Node_fault { node = 3; up = true };
   ]
 
 let round_trip ~time e =
@@ -41,14 +57,25 @@ let round_trip ~time e =
   | Error err ->
     Alcotest.failf "%s failed to round-trip: %s" (Obs.Trace_codec.kind e) err
 
-let test_codec_lifecycle_round_trip () =
+let test_codec_round_trip events () =
   List.iter
     (fun e ->
       let t', e' = round_trip ~time:1.25 e in
       check_close (Obs.Trace_codec.kind e ^ " time") 0. 1.25 t';
       if e' <> e then
         Alcotest.failf "%s changed in round trip" (Obs.Trace_codec.kind e))
-    lifecycle_events
+    events
+
+(* NDJSON read back from disk is untyped input: a phase the machine
+   does not have is refused, not decoded *)
+let test_codec_unknown_phase () =
+  let line =
+    {|{"type":"event","t":1,"kind":"phase_change","node":3,"link":7,"phase":"warp-drive"}|}
+  in
+  match Result.bind (J.parse line) Obs.Trace_codec.of_json with
+  | Error e ->
+    Alcotest.(check string) "refused" {|event: unknown phase "warp-drive"|} e
+  | Ok _ -> Alcotest.fail "an unknown phase decoded"
 
 let test_codec_nan_time () =
   (* NaN has no JSON literal: the printer writes null, the decoder
@@ -68,7 +95,7 @@ let test_codec_nan_time () =
         true (Float.is_nan t');
       if e' <> e then
         Alcotest.failf "%s changed under NaN time" (Obs.Trace_codec.kind e))
-    lifecycle_events
+    (lifecycle_events @ control_events)
 
 let test_codec_long_line () =
   (* one event line well past 64 KiB must survive encode + decode *)
@@ -187,7 +214,7 @@ let test_span_report_renders () =
 let test_perfetto_export_shape () =
   let s = span_of_events chunk_timeline in
   Obs.Span.add s ~time:2.0
-    (T.Phase_change { node = 1; link = 0; phase = "backpressure" });
+    (T.Phase_change { node = 1; link = 0; phase = T.Backpressure });
   let buf = Buffer.create 1024 in
   Obs.Span.to_perfetto buf s;
   match J.parse (Buffer.contents buf) with
@@ -542,7 +569,10 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "lifecycle round trip" `Quick
-            test_codec_lifecycle_round_trip;
+            (test_codec_round_trip lifecycle_events);
+          Alcotest.test_case "control round trip" `Quick
+            (test_codec_round_trip control_events);
+          Alcotest.test_case "unknown phase" `Quick test_codec_unknown_phase;
           Alcotest.test_case "NaN time" `Quick test_codec_nan_time;
           Alcotest.test_case "long line" `Quick test_codec_long_line;
         ] );

@@ -47,36 +47,30 @@ let test_phase_legality_clean () =
   let h = Inv.phase_legality c in
   (* full legal tour from the implicit initial push-data state,
      including the custody-drained backpressure -> detour edge *)
-  h 0.1 (phase ~node:1 ~link:0 "detour");
-  h 0.2 (phase ~node:1 ~link:0 "backpressure");
-  h 0.3 (phase ~node:1 ~link:0 "detour");
-  h 0.4 (phase ~node:1 ~link:0 "push-data");
-  h 0.5 (phase ~node:1 ~link:0 "backpressure");
-  h 0.6 (phase ~node:1 ~link:0 "push-data");
+  h 0.1 (phase ~node:1 ~link:0 Trace.Detour);
+  h 0.2 (phase ~node:1 ~link:0 Trace.Backpressure);
+  h 0.3 (phase ~node:1 ~link:0 Trace.Detour);
+  h 0.4 (phase ~node:1 ~link:0 Trace.Push_data);
+  h 0.5 (phase ~node:1 ~link:0 Trace.Backpressure);
+  h 0.6 (phase ~node:1 ~link:0 Trace.Push_data);
   (* independent interface state per (node, link) *)
-  h 0.7 (phase ~node:1 ~link:1 "backpressure");
-  h 0.8 (phase ~node:2 ~link:0 "detour");
+  h 0.7 (phase ~node:1 ~link:1 Trace.Backpressure);
+  h 0.8 (phase ~node:2 ~link:0 Trace.Detour);
   Alcotest.(check bool) "legal tour is clean" true (Inv.ok c)
 
 let test_phase_legality_self_transition () =
   let c = Inv.create () in
   let h = Inv.phase_legality c in
-  h 0.1 (phase ~node:0 ~link:0 "detour");
-  h 0.2 (phase ~node:0 ~link:0 "detour");
+  h 0.1 (phase ~node:0 ~link:0 Trace.Detour);
+  h 0.2 (phase ~node:0 ~link:0 Trace.Detour);
   Alcotest.(check int) "self-transition flagged" 1 (List.length (Inv.violations c))
-
-let test_phase_legality_unknown_phase () =
-  let c = Inv.create () in
-  let h = Inv.phase_legality c in
-  h 0.1 (phase ~node:0 ~link:0 "warp-drive");
-  Alcotest.(check bool) "unknown phase flagged" false (Inv.ok c)
 
 let test_phase_legality_initial_state () =
   let c = Inv.create () in
   let h = Inv.phase_legality c in
   (* recording "push-data" first is a self-transition out of the
      implicit initial state and must be flagged *)
-  h 0.1 (phase ~node:3 ~link:2 "push-data");
+  h 0.1 (phase ~node:3 ~link:2 Trace.Push_data);
   Alcotest.(check int) "initial state is push-data" 1 (List.length (Inv.violations c))
 
 (* ------------------------------------------------------------------ *)
@@ -306,8 +300,6 @@ let () =
           Alcotest.test_case "legal tour" `Quick test_phase_legality_clean;
           Alcotest.test_case "self transition" `Quick
             test_phase_legality_self_transition;
-          Alcotest.test_case "unknown phase" `Quick
-            test_phase_legality_unknown_phase;
           Alcotest.test_case "initial state" `Quick
             test_phase_legality_initial_state;
         ] );
