@@ -56,9 +56,6 @@ type sidecar = {
 
 let num j f = Option.bind (Obs.Json.member f j) Obs.Json.to_float
 let str j f = Option.bind (Obs.Json.member f j) Obs.Json.to_str
-let label j k =
-  Option.bind (Obs.Json.member "labels" j) (fun l ->
-      Option.bind (Obs.Json.member k l) Obs.Json.to_str)
 
 (* ------------------------------------------------------------------ *)
 (* Line classification *)
@@ -90,12 +87,12 @@ type acc = {
   mutable skipped : int;
 }
 
-let on_sample acc j =
-  match str j "series" with
-  | Some "iface_phase_occupancy" -> (
-    match (label j "node", label j "link", label j "phase", num j "t", num j "v")
-    with
-    | Some node, Some link, Some phase, Some t, Some v ->
+let on_sample acc (series, labels, t, v) =
+  let label k = List.assoc_opt k labels in
+  match series with
+  | "iface_phase_occupancy" -> (
+    match (label "node", label "link", label "phase") with
+    | Some node, Some link, Some phase ->
       let key = (node, link) in
       let io =
         match Hashtbl.find_opt acc.ifaces key with
@@ -111,9 +108,9 @@ let on_sample acc j =
         Hashtbl.replace io.occ phase v
       end
     | _ -> acc.skipped <- acc.skipped + 1)
-  | Some "custody_bits" -> (
-    match (label j "node", num j "t", num j "v") with
-    | Some node, Some t, Some v ->
+  | "custody_bits" -> (
+    match label "node" with
+    | Some node ->
       let c =
         match Hashtbl.find_opt acc.nodes node with
         | Some c -> c
@@ -124,7 +121,7 @@ let on_sample acc j =
       in
       c.samples <- (t, v) :: c.samples;
       if v > c.peak then c.peak <- v
-    | _ -> acc.skipped <- acc.skipped + 1)
+    | None -> acc.skipped <- acc.skipped + 1)
   | _ -> ()
 
 let on_sidecar acc j =
@@ -140,29 +137,35 @@ let on_sidecar acc j =
       :: acc.runs
   | _ -> acc.skipped <- acc.skipped + 1
 
-let on_metric acc j =
+let on_metric acc (s : Obs.Metric.sample) =
   acc.metrics <- acc.metrics + 1;
-  let node () = Option.value (label j "node") ~default:"?" in
-  match (str j "name", num j "value") with
-  | Some "sampler_ticks_total", Some v -> acc.sampler_ticks <- Some v
-  | Some "sampler_probe_seconds_total", Some v ->
-    acc.sampler_probe_s <- Some v
-  | Some "router_shed_total", Some v -> acc.shed <- (node (), v) :: acc.shed
-  | Some "router_detours_refused_total", Some v ->
+  let node () =
+    Option.value (List.assoc_opt "node" s.Obs.Metric.labels) ~default:"?"
+  in
+  let value =
+    match s.Obs.Metric.value with
+    | Obs.Metric.Counter_v n -> Some (float_of_int n)
+    | Obs.Metric.Gauge_v v -> Some v
+    | Obs.Metric.Histogram_v _ -> None
+  in
+  match (s.Obs.Metric.name, value) with
+  | "sampler_ticks_total", Some v -> acc.sampler_ticks <- Some v
+  | "sampler_probe_seconds_total", Some v -> acc.sampler_probe_s <- Some v
+  | "router_shed_total", Some v -> acc.shed <- (node (), v) :: acc.shed
+  | "router_detours_refused_total", Some v ->
     acc.detours_refused <- (node (), v) :: acc.detours_refused
-  | Some "router_flow_entries_live", Some v ->
+  | "router_flow_entries_live", Some v ->
     acc.flow_live <- (node (), v) :: acc.flow_live
-  | Some "router_flow_entries_peak", Some v ->
+  | "router_flow_entries_peak", Some v ->
     acc.flow_peak <- (node (), v) :: acc.flow_peak
-  | Some "router_flow_entries_recycled_total", Some v ->
+  | "router_flow_entries_recycled_total", Some v ->
     acc.flow_recycled <- (node (), v) :: acc.flow_recycled
-  | Some "router_flow_table_bytes", Some v ->
+  | "router_flow_table_bytes", Some v ->
     acc.flow_bytes <- (node (), v) :: acc.flow_bytes
-  | Some "watchdog_collapse_episodes", Some v -> acc.wd_episodes <- Some v
-  | Some "watchdog_in_collapse", Some v -> acc.wd_in_collapse <- Some v
-  | Some "watchdog_recovery_seconds_total", Some v ->
-    acc.wd_recovery_s <- Some v
-  | Some "watchdog_goodput_peak_bps", Some v -> acc.wd_peak <- Some v
+  | "watchdog_collapse_episodes", Some v -> acc.wd_episodes <- Some v
+  | "watchdog_in_collapse", Some v -> acc.wd_in_collapse <- Some v
+  | "watchdog_recovery_seconds_total", Some v -> acc.wd_recovery_s <- Some v
+  | "watchdog_goodput_peak_bps", Some v -> acc.wd_peak <- Some v
   | _ -> ()
 
 let on_line acc line =
@@ -170,8 +173,14 @@ let on_line acc line =
     match Obs.Json.parse line with
     | Error _ -> acc.skipped <- acc.skipped + 1
     | Ok j -> (
+      (* a row its library decoder refuses is an "other" line *)
+      let decoded of_json on_row =
+        match of_json j with
+        | Ok row -> on_row acc row
+        | Error _ -> acc.skipped <- acc.skipped + 1
+      in
       match str j "type" with
-      | Some "sample" -> on_sample acc j
+      | Some "sample" -> decoded Obs.Export.point_of_json on_sample
       | Some "event" -> (
         acc.events <- acc.events + 1;
         (* lifecycle events rebuild the span collector; kinds this
@@ -179,11 +188,9 @@ let on_line acc line =
         match Obs.Trace_codec.of_json j with
         | Ok (time, e) -> Obs.Span.add acc.span ~time e
         | Error _ -> ())
-      | Some "metric" -> on_metric acc j
-      | Some "profile" -> (
-        match Obs.Profile.of_json j with
-        | Ok rows -> acc.profile <- Some rows
-        | Error _ -> acc.skipped <- acc.skipped + 1)
+      | Some "metric" -> decoded Obs.Export.sample_of_json on_metric
+      | Some "profile" ->
+        decoded Obs.Profile.of_json (fun acc rows -> acc.profile <- Some rows)
       | Some "flight_dump" -> acc.flight_dumps <- acc.flight_dumps + 1
       | Some _ -> acc.skipped <- acc.skipped + 1
       | None ->

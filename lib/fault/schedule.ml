@@ -31,20 +31,6 @@ let is_empty t = t.evs = []
 let events t = t.evs
 let seed t = t.seed
 
-(* Stable two-way merge: both inputs are already time-sorted, and at
-   equal times [a]'s events land first — composing a base schedule
-   with an overlay is deterministic regardless of how either was
-   built.  The merged seed is [a]'s unless [a] is the empty schedule
-   (so merging onto [empty] is the identity both ways). *)
-let merge a b =
-  let rec go xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> rest
-    | x :: xs', y :: ys' ->
-      if x.at <= y.at then x :: go xs' ys else y :: go xs ys'
-  in
-  { evs = go a.evs b.evs; seed = (if is_empty a then b.seed else a.seed) }
-
 let random ~seed ?(link_outages = 2) ?(crashes = 0) ?(bursts = 0) ~horizon
     g =
   if horizon <= 0. then invalid_arg "Schedule.random: horizon <= 0";

@@ -43,13 +43,6 @@ val events : t -> timed list
 
 val seed : t -> int64
 
-val merge : t -> t -> t
-(** [merge a b] interleaves both event lists in time order (stable: at
-    equal times [a]'s events come first).  The result carries [a]'s
-    seed unless [a] is empty, so [merge empty s = merge s empty = s].
-    Used to compose fault schedules with chaos overlays — e.g. a
-    deterministic outage plus {!random} background noise. *)
-
 val random :
   seed:int64 -> ?link_outages:int -> ?crashes:int -> ?bursts:int ->
   horizon:float -> Topology.Graph.t -> t

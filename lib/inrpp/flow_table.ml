@@ -261,7 +261,7 @@ let set_entry t slot ~content ~data_port ~req_port =
   write_entry t slot ~content ~data_port ~req_port
 
 let add t ~flow =
-  if flow < 0 then invalid_arg "Flow_table.install: flow < 0";
+  if flow < 0 then invalid_arg "Flow_table.add: flow < 0";
   check32 "flow id" flow;
   let b = bucket t flow in
   (* above [top] the flow cannot be present: skip the walk *)
@@ -286,13 +286,6 @@ let add t ~flow =
     if t.live > 2 * n_buckets t then resize t;
     slot
   end
-
-let install t ~flow ~content ~data_port ~req_port =
-  check_content content;
-  check_ports ~data_port ~req_port;
-  let slot = add t ~flow in
-  write_entry t slot ~content ~data_port ~req_port;
-  slot
 
 (* Unlink [flow]'s slot from bucket [b], whose walk reached [slot]
    after [prev] (-1 = at the head), and free it; the freed slot, or -1.

@@ -71,16 +71,6 @@ val find : t -> int -> int
 (** [find t flow] is the flow's slot, or [-1] when not installed.  A
     repeat of the last flow found costs no index walk. *)
 
-val install :
-  t -> flow:int -> content:int -> data_port:int -> req_port:int -> int
-(** Install (or reinstall) a flow; returns its slot.  A reinstall
-    keeps the slot and the flowlet pin but resets content, ports and
-    flags.  [data_port] and [req_port] are the router's port indices
-    of the next hops ([-1] = none).  [install] is {!add} followed by
-    {!set_entry}.
-    @raise Invalid_argument if [flow < 0] or a value is outside its
-    width. *)
-
 val add : t -> flow:int -> int
 (** The flow's slot, found, or taken fresh (content the flow id, ports
     [-1], flags clear, no flowlet pin) when the flow is not
@@ -96,14 +86,17 @@ val check_content : int -> unit
 
 val set_entry : t -> int -> content:int -> data_port:int -> req_port:int -> unit
 (** Set a slot's content and ports and clear its flags: the reset half
-    of a (re)install.
-    @raise Invalid_argument if a value is outside its width. *)
+    of a (re)install, which keeps the slot's flowlet pin.  [data_port]
+    and [req_port] are the router's port indices of the next hops
+    ([-1] = none).
+    @raise Invalid_argument if a value is outside its width, before
+    anything is written. *)
 
 val release : t -> flow:int -> int
 (** Free the flow's slot onto the free list (counted in {!recycled})
     and return it, or [-1] (a no-op) when the flow is not installed.
     The freed slot's fields other than its flow id keep their values
-    until a later {!install} hands the slot out again, so a caller may
+    until a later {!add} hands the slot out again, so a caller may
     read its flags right after the release. *)
 
 val flow_of : t -> int -> int
@@ -145,7 +138,7 @@ val flowlet_choose : t -> int -> now:float -> preferred:route -> route
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] calls [f flow slot] for every live entry, in stdlib
     hashtable order (see module doc).  [f] may read and set a slot's
-    fields but must not {!install} or {!release}. *)
+    fields but must not {!add} or {!release}. *)
 
 val iter_bp : t -> forwarded:bool -> (int -> int -> unit) -> unit
 (** [iter_bp t ~forwarded f] is {!iter} restricted to the entries with

@@ -224,9 +224,7 @@ let parse s =
 
 module Reader = struct
   type t = {
-    refill : bytes -> int -> int;
-    (* [refill buf n] reads at most [n] bytes into [buf] from offset 0
-       and returns how many were read; 0 means end of input *)
+    ic : in_channel;
     chunk : bytes;
     mutable chunk_len : int;   (* valid bytes in [chunk] *)
     mutable chunk_pos : int;   (* next unconsumed byte *)
@@ -235,12 +233,10 @@ module Reader = struct
     mutable line_no : int;
   }
 
-  let default_chunk_size = 8192
-
-  let make ?(chunk_size = default_chunk_size) refill =
+  let of_channel ?(chunk_size = 8192) ic =
     if chunk_size < 1 then invalid_arg "Json.Reader: chunk_size < 1";
     {
-      refill;
+      ic;
       chunk = Bytes.create chunk_size;
       chunk_len = 0;
       chunk_pos = 0;
@@ -248,17 +244,6 @@ module Reader = struct
       eof = false;
       line_no = 0;
     }
-
-  let of_channel ?chunk_size ic =
-    make ?chunk_size (fun buf n -> input ic buf 0 n)
-
-  let of_string ?chunk_size s =
-    let pos = ref 0 in
-    make ?chunk_size (fun buf n ->
-        let k = min n (String.length s - !pos) in
-        Bytes.blit_string s !pos buf 0 k;
-        pos := !pos + k;
-        k)
 
   let line_no t = t.line_no
 
@@ -281,7 +266,7 @@ module Reader = struct
         if t.eof then
           if Buffer.length t.line > 0 then finish () else None
         else begin
-          let n = t.refill t.chunk (Bytes.length t.chunk) in
+          let n = input t.ic t.chunk 0 (Bytes.length t.chunk) in
           if n = 0 then begin
             t.eof <- true;
             scan ()

@@ -45,9 +45,6 @@ module Reader : sig
       longer than it simply span refills.
       @raise Invalid_argument if [chunk_size < 1]. *)
 
-  val of_string : ?chunk_size:int -> string -> t
-  (** For tests: same code path as {!of_channel}, fed from a string. *)
-
   val next : t -> (json, string) result option
   (** Next non-blank line's value; [Error] messages carry the 1-based
       line number.  [None] at end of input (and thereafter). *)

@@ -39,8 +39,3 @@ let run_jobs ?(domains = 1) jobs =
         | Empty -> assert false)
       results
   end
-
-let map ?domains f xs = run_jobs ?domains (Array.map (fun x () -> f x) xs)
-
-let map_list ?domains f xs =
-  Array.to_list (map ?domains f (Array.of_list xs))

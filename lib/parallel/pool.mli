@@ -30,9 +30,3 @@ val run_jobs : ?domains:int -> (unit -> 'a) array -> 'a array
     depend on the domain count.
 
     @raise Invalid_argument if [domains < 1]. *)
-
-val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~domains f xs] = [run_jobs ~domains [| fun () -> f xs.(0); ... |]]. *)
-
-val map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** List version of {!map}; result order follows input order. *)

@@ -1,7 +1,7 @@
 (* The state is 8 bytes read and written unboxed (an [int64] field
    would box on every step), and each step is inlined into its draw, so
-   [int] and [bool] draws allocate nothing and a float draw only its
-   boxed result. *)
+   an [int] draw allocates nothing and a float draw only its boxed
+   result. *)
 type t = Bytes.t
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -29,8 +29,6 @@ let next_int64 t = step t
 
 let split t = create (step t)
 
-let copy = Bytes.copy
-
 (* the 53 high bits of a step, an immediate int; [Float.of_int] of one
    is exact, so [unit_float] reads as [Int64.to_float] did *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
@@ -52,8 +50,6 @@ let int t bound =
   let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
   let r = Int64.sub n (Int64.mul q d) in
   Int64.to_int (if r >= d then Int64.sub r d else r)
-
-let bool t = Int64.logand (step t) 1L = 1L
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";

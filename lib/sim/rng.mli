@@ -16,8 +16,6 @@ val split : t -> t
 (** A new generator statistically independent of the parent; the
     parent advances by one step. *)
 
-val copy : t -> t
-
 (** {1 Raw draws} *)
 
 val next_int64 : t -> int64
@@ -35,8 +33,6 @@ val float : t -> float -> float
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
-
-val bool : t -> bool
 
 (** {1 Distributions} *)
 

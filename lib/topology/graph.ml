@@ -197,10 +197,6 @@ let is_strongly_connected g =
   || (reaches_all g g.out_adj (fun (l : Link.t) -> l.Link.dst)
      && reaches_all g g.in_adj (fun (l : Link.t) -> l.Link.src))
 
-let fold_links f g acc = Array.fold_left (fun acc l -> f l acc) acc g.link_arr
-let iter_links f g = Array.iter f g.link_arr
-let fold_nodes f g acc = Array.fold_left (fun acc v -> f v acc) acc g.node_arr
-
 let pp ppf g =
   Format.fprintf ppf "graph(%d nodes, %d links, %.3g bps total)"
     (node_count g) (link_count g) (total_capacity g)

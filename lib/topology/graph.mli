@@ -89,9 +89,5 @@ val is_strongly_connected : t -> bool
     {!Builder.add_edge}s this is plain connectivity.  The empty graph
     is strongly connected. *)
 
-val fold_links : (Link.t -> 'a -> 'a) -> t -> 'a -> 'a
-val iter_links : (Link.t -> unit) -> t -> unit
-val fold_nodes : (Node.t -> 'a -> 'a) -> t -> 'a -> 'a
-
 val pp : Format.formatter -> t -> unit
 (** Summary line: node/link counts and capacity. *)

@@ -32,7 +32,7 @@ let allow file =
   Filename.concat (if root = "../.." then "." else "test/interfaces") file
 
 (* the larger list's size today: a new entry must displace one *)
-let max_entries = 20
+let max_entries = 14
 
 (* "pattern | reason" lines; blank lines and # comments skipped *)
 let read_allow file =
@@ -188,7 +188,7 @@ let knob_names pattern =
   | _ -> [ pattern ]
 
 (* knobs.allow's size today *)
-let max_knobs = 15
+let max_knobs = 14
 
 let knobs =
   lazy

@@ -13,7 +13,7 @@
    SOAK_DOMAINS=D (D >= 2) additionally runs one independent
    distinct-seed EBONE soak per domain — all checkers on, one
    Obs.Observer per run with its snapshot taken inside the owning
-   domain — and merges the observable output with Obs.Snapshot at the
+   domain — and prints each run's instrument and series counts at the
    join.  Without RUN_SOAK=1 the test prints a skip notice and
    exits 0. *)
 
@@ -230,13 +230,13 @@ let run_workload_soak () =
     r.Inrpp.Protocol.bp_engages r.Inrpp.Protocol.bp_releases
     r.Inrpp.Protocol.total_drops
 
-(* chaos soak: a flash-crowd workload composed (Fault.Schedule.merge)
-   with deterministic bottleneck-ish outages AND random background
-   faults, run with the full overload-control layer on and every
-   checker attached.  The point is the composition: admission
-   shedding, the circuit breaker and the collapse watchdog must not
-   break conservation or custody accounting while faults fire mid
-   crowd, and the run must still drain to completion. *)
+(* chaos soak: a flash-crowd workload composed with deterministic
+   bottleneck-ish outages AND random background faults, run with the
+   full overload-control layer on and every checker attached.  The
+   point is the composition: admission shedding, the circuit breaker
+   and the collapse watchdog must not break conservation or custody
+   accounting while faults fire mid crowd, and the run must still
+   drain to completion. *)
 let run_chaos_soak () =
   let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
   let workload =
@@ -254,11 +254,11 @@ let run_chaos_soak () =
     }
   in
   let faults =
-    Fault.Schedule.merge
-      (Fault.Schedule.random ~seed:31L ~link_outages:2 ~bursts:1 ~horizon:20.
-         g)
-      (Fault.Schedule.random ~seed:32L ~link_outages:1 ~crashes:1 ~horizon:25.
-         g)
+    let module S = Fault.Schedule in
+    let a = S.random ~seed:31L ~link_outages:2 ~bursts:1 ~horizon:20. g in
+    let b = S.random ~seed:32L ~link_outages:1 ~crashes:1 ~horizon:25. g in
+    (* of_list's stable sort puts a's events first at equal times *)
+    S.of_list ~seed:(S.seed a) (S.events a @ S.events b)
   in
   let overload = Overload.Config.default in
   let chk = Check.Invariant.create () in
@@ -289,8 +289,8 @@ let run_chaos_soak () =
    domain, each on its own seed (disjoint from the scale runs' 97).
    Every job owns its engine, RNG, checkers and Observer; the snapshot
    is taken inside the owning domain (the Metric registry is per-run
-   state) and only the immutable results cross back to the join, where
-   they merge in job-index order. *)
+   state) and only the immutable results cross back to the join, which
+   checks and reports them in job-index order. *)
 let run_parallel_soak ~domains =
   let nflows = 120 in
   let jobs =
@@ -310,7 +310,7 @@ let run_parallel_soak ~domains =
   in
   let runs = Parallel.Pool.run_jobs ~domains jobs in
   Array.iter
-    (fun (seed, (r : Inrpp.Protocol.result), chk, _, _) ->
+    (fun (seed, (r : Inrpp.Protocol.result), chk, snap, series) ->
       if not (Check.Invariant.ok chk) then
         failwith
           (Printf.sprintf "parallel soak seed %d: invariant violations\n%s"
@@ -319,32 +319,10 @@ let run_parallel_soak ~domains =
         failwith
           (Printf.sprintf
              "parallel soak seed %d: %d of %d flows completed by the horizon"
-             seed r.Inrpp.Protocol.completed nflows))
-    runs;
-  let per_run = Array.to_list (Array.map (fun (_, _, _, s, _) -> s) runs) in
-  let merged = Obs.Snapshot.merge per_run in
-  (* merge keeps instrument identity: no per-run snapshot can have
-     more instruments than the union *)
-  List.iter
-    (fun snap ->
-      if List.length snap > List.length merged then
-        failwith "parallel soak: merged snapshot lost instruments")
-    per_run;
-  let merged_series =
-    Obs.Snapshot.merge_series
-      (Array.to_list
-         (Array.map (fun (seed, _, _, _, ss) -> (string_of_int seed, ss)) runs))
-  in
-  let total_series =
-    Array.fold_left (fun acc (_, _, _, _, ss) -> acc + List.length ss) 0 runs
-  in
-  if List.length merged_series <> total_series then
-    failwith
-      (Printf.sprintf "parallel soak: %d merged series, expected %d"
-         (List.length merged_series) total_series);
-  Printf.printf
-    "par    %4d seeds  %d merged instruments  %d run-labelled series\n%!"
-    domains (List.length merged) (List.length merged_series)
+             seed r.Inrpp.Protocol.completed nflows);
+      Printf.printf "par    seed %d  %d instruments  %d series\n%!" seed
+        (List.length snap) (List.length series))
+    runs
 
 let soak () =
   let small = run_scale ~label:"small" ~nflows:120 ~sinks:[] in

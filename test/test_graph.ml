@@ -118,13 +118,8 @@ let test_path_singleton () =
 
 let test_graph_folds () =
   let g = diamond () in
-  let link_sum = Graph.fold_links (fun _ acc -> acc + 1) g 0 in
-  Alcotest.(check int) "fold_links" 8 link_sum;
-  let node_sum = Graph.fold_nodes (fun _ acc -> acc + 1) g 0 in
-  Alcotest.(check int) "fold_nodes" 4 node_sum;
-  let seen = ref 0 in
-  Graph.iter_links (fun _ -> incr seen) g;
-  Alcotest.(check int) "iter_links" 8 !seen
+  Alcotest.(check int) "links" 8 (List.length (Graph.links g));
+  Alcotest.(check int) "nodes" 4 (List.length (Graph.nodes g))
 
 (* ------------------------------------------------------------------ *)
 (* Builders *)

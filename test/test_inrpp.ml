@@ -32,12 +32,20 @@ let test_config_chunk_tx_time () =
 
 module Ft = Inrpp.Flow_table
 
+(* install in one call as Router.install_flow does: a wide content is
+   refused before [add] takes a slot *)
+let ft_install t ~flow ~content ~data_port ~req_port =
+  Ft.check_content content;
+  let slot = Ft.add t ~flow in
+  Ft.set_entry t slot ~content ~data_port ~req_port;
+  slot
+
 let ft_install_release () =
   let t = Ft.create ~gap:0.5 () in
   Alcotest.(check int) "empty find" (-1) (Ft.find t 7);
   Alcotest.(check int) "empty live" 0 (Ft.live t);
   let s =
-    Ft.install t ~flow:7 ~content:42 ~data_port:1 ~req_port:(-1)
+    ft_install t ~flow:7 ~content:42 ~data_port:1 ~req_port:(-1)
   in
   Alcotest.(check int) "find" s (Ft.find t 7);
   Alcotest.(check int) "flow_of inverts" 7 (Ft.flow_of t s);
@@ -64,12 +72,12 @@ let ft_slot_recycling () =
   let t = Ft.create ~gap:0.5 () in
   let slots =
     List.init 8 (fun f ->
-        Ft.install t ~flow:f ~content:f ~data_port:(-1) ~req_port:(-1))
+        ft_install t ~flow:f ~content:f ~data_port:(-1) ~req_port:(-1))
   in
   Alcotest.(check int) "peak 8" 8 (Ft.peak t);
   List.iter (fun f -> ignore (Ft.release t ~flow:f)) [ 2; 5 ];
   let s9 =
-    Ft.install t ~flow:99 ~content:99 ~data_port:(-1) ~req_port:(-1)
+    ft_install t ~flow:99 ~content:99 ~data_port:(-1) ~req_port:(-1)
   in
   (* the free list hands a released slot to the new flow *)
   Alcotest.(check bool) "freed slot reused" true
@@ -80,7 +88,7 @@ let ft_slot_recycling () =
 let ft_reinstall_semantics () =
   let t = Ft.create ~gap:0.5 () in
   let s =
-    Ft.install t ~flow:3 ~content:1 ~data_port:2 ~req_port:4
+    ft_install t ~flow:3 ~content:1 ~data_port:2 ~req_port:4
   in
   Ft.set_bp_local t s true;
   Ft.set_failed_over t s true;
@@ -89,7 +97,7 @@ let ft_reinstall_semantics () =
   let pinned = Ft.flowlet_choose t s ~now:1.0 ~preferred:(Ft.Via 2) in
   Alcotest.(check bool) "pin taken" true (pinned = Ft.Via 2);
   let s' =
-    Ft.install t ~flow:3 ~content:8 ~data_port:(-1) ~req_port:(-1)
+    ft_install t ~flow:3 ~content:8 ~data_port:(-1) ~req_port:(-1)
   in
   Alcotest.(check int) "reinstall keeps slot" s s';
   Alcotest.(check int) "content reset" 8 (Ft.content t s');
@@ -114,7 +122,7 @@ let ft_flags =
 let ft_flags_roundtrip () =
   let t = Ft.create ~gap:0.5 () in
   let s =
-    Ft.install t ~flow:0 ~content:0 ~data_port:(-1) ~req_port:(-1)
+    ft_install t ~flow:0 ~content:0 ~data_port:(-1) ~req_port:(-1)
   in
   List.iter
     (fun (name, get, set) ->
@@ -137,9 +145,9 @@ let test_ft_invalid_args () =
       ignore (Ft.create ~gap:(-1.) ()));
   let t = Ft.create ~gap:0.5 () in
   Alcotest.check_raises "negative flow"
-    (Invalid_argument "Flow_table.install: flow < 0") (fun () ->
+    (Invalid_argument "Flow_table.add: flow < 0") (fun () ->
       ignore
-        (Ft.install t ~flow:(-1) ~content:0 ~data_port:0 ~req_port:0));
+        (ft_install t ~flow:(-1) ~content:0 ~data_port:0 ~req_port:0));
   (* the pages are unchecked inside; a slot from outside is checked *)
   List.iter
     (fun slot ->
@@ -187,7 +195,7 @@ let ft_packed_bounds () =
   let install k =
     let d, r = ports k in
     let s =
-      Ft.install t ~flow:(flow k) ~content:(content k) ~data_port:d ~req_port:r
+      ft_install t ~flow:(flow k) ~content:(content k) ~data_port:d ~req_port:r
     in
     if k mod 2 = 0 then List.iter (fun (_, _, set) -> set t s true) ft_flags
   in
@@ -206,33 +214,31 @@ let ft_packed_bounds () =
   let raises what msg f =
     Alcotest.check_raises what (Invalid_argument ("Flow_table: " ^ msg)) f
   in
-  let refused what msg ?(flow = n) ?(content = 0) ?(data_port = -1)
-      ?(req_port = -1) () =
+  let refused what msg ?(flow = n) ?(content = 0) () =
     raises what msg (fun () ->
-        ignore (Ft.install t ~flow ~content ~data_port ~req_port))
+        ignore (ft_install t ~flow ~content ~data_port:(-1) ~req_port:(-1)))
   in
   refused "flow id past int32" "flow id outside int32" ~flow:(hi + 1) ();
   refused "content past int32" "content outside int32" ~content:(hi + 1) ();
   refused "content below int32" "content outside int32" ~content:(lo - 1) ();
-  refused "data port past u16" "port index outside u16"
-    ~data_port:(port_hi + 1) ();
-  refused "data port below -1" "port index outside u16" ~data_port:(-2) ();
-  refused "req port past u16" "port index outside u16" ~req_port:(port_hi + 1)
-    ();
-  refused "req port below -1" "port index outside u16" ~req_port:(-2) ();
-  raises "add past int32" "flow id outside int32" (fun () ->
-      ignore (Ft.add t ~flow:(hi + 1)));
   Alcotest.(check int) "a refused install adds nothing" (-1) (Ft.find t n);
   Alcotest.(check int) "nor does a refused add" (-1) (Ft.find t (hi + 1));
   let s = Ft.find t (flow 2) in
+  let port_refused what ~data_port ~req_port =
+    raises what "port index outside u16" (fun () ->
+        Ft.set_entry t s ~content:0 ~data_port ~req_port)
+  in
+  port_refused "data port past u16" ~data_port:(port_hi + 1) ~req_port:0;
+  port_refused "data port below -1" ~data_port:(-2) ~req_port:0;
+  port_refused "req port past u16" ~data_port:0 ~req_port:(port_hi + 1);
+  port_refused "req port below -1" ~data_port:0 ~req_port:(-2);
+  port_refused "req port at min_int" ~data_port:0 ~req_port:min_int;
   raises "set_ports req port past u16" "port index outside u16" (fun () ->
       Ft.set_ports t s ~data_port:0 ~req_port:(port_hi + 1));
   raises "set_ports data port below -1" "port index outside u16" (fun () ->
       Ft.set_ports t s ~data_port:(-2) ~req_port:0);
   raises "set_entry content past int32" "content outside int32" (fun () ->
       Ft.set_entry t s ~content:(hi + 1) ~data_port:0 ~req_port:0);
-  raises "set_entry port below -1" "port index outside u16" (fun () ->
-      Ft.set_entry t s ~content:0 ~data_port:0 ~req_port:min_int);
   raises "route past int32" "route outside int32" (fun () ->
       ignore (Ft.flowlet_choose t s ~now:10. ~preferred:(Ft.Via (hi + 1))));
   check_all "after refusals";
@@ -257,7 +263,7 @@ let ft_unpinned_bytes () =
   let t = Ft.create ~gap:0.5 () in
   for flow = 0 to 2999 do
     ignore
-      (Ft.install t ~flow ~content:flow ~data_port:0 ~req_port:0)
+      (ft_install t ~flow ~content:flow ~data_port:0 ~req_port:0)
   done;
   let measured what =
     let live = 8 * Obj.reachable_words (Obj.repr t) in
@@ -285,7 +291,7 @@ let ft_unpinned_bytes () =
 let ft_recycled_unpinned () =
   let t = Ft.create ~gap:0.5 () in
   let install flow =
-    Ft.install t ~flow ~content:flow ~data_port:(-1) ~req_port:(-1)
+    ft_install t ~flow ~content:flow ~data_port:(-1) ~req_port:(-1)
   in
   let slots = Array.init 4 install in
   let choose s now preferred = Ft.flowlet_choose t s ~now ~preferred in
@@ -336,7 +342,7 @@ let prop_flow_table_model =
       let flags = Array.of_list ft_flags in
       (* (re)install: the flowlet pin survives, everything else resets *)
       let install flow ~content ~data_port ~req_port =
-        ignore (Ft.install t ~flow ~content ~data_port ~req_port);
+        ignore (ft_install t ~flow ~content ~data_port ~req_port);
         let prev = Hashtbl.find_opt m flow in
         let e =
           {
@@ -475,7 +481,7 @@ let prop_flow_table_order =
       let touched = Hashtbl.create 1024 in
       let install flow =
         ignore
-          (Ft.install t ~flow ~content:0 ~data_port:(-1) ~req_port:(-1));
+          (ft_install t ~flow ~content:0 ~data_port:(-1) ~req_port:(-1));
         Hashtbl.replace m flow ()
       in
       let release flow =
@@ -624,7 +630,7 @@ let prop_flow_table_pages =
       let install flow =
         let content = flow * 7 in
         let ((dp, rp) as ports) = ((flow mod 5) - 1, (flow mod 89) - 1) in
-        let s = Ft.install t ~flow ~content ~data_port:dp ~req_port:rp in
+        let s = ft_install t ~flow ~content ~data_port:dp ~req_port:rp in
         let slot, pin =
           match Hashtbl.find_opt m flow with
           | Some (slot, e) -> (slot, e.m_pin) (* reinstall: slot and pin kept *)
@@ -1204,7 +1210,7 @@ let test_flow_state_gate () =
   let before = Gc.allocated_bytes () in
   for flow = 0 to 249_999 do
     ignore
-      (Ft.install t ~flow ~content:flow ~data_port:0 ~req_port:0)
+      (ft_install t ~flow ~content:flow ~data_port:0 ~req_port:0)
   done;
   let grown = Gc.allocated_bytes () -. before in
   let kept = float_of_int (Ft.approx_bytes t) in

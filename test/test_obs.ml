@@ -211,6 +211,18 @@ let drain r =
   in
   loop []
 
+(* [f] applied to a reader of [input], written to a temp file first *)
+let with_reader ?chunk_size input f =
+  let path = Filename.temp_file "obs_reader" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc input);
+      In_channel.with_open_bin path (fun ic ->
+          f (J.Reader.of_channel ?chunk_size ic)))
+
+let read ?chunk_size input = with_reader ?chunk_size input drain
+
 let test_reader_basics () =
   let input = {|{"a":1}
 [1,2,3]
@@ -218,11 +230,14 @@ let test_reader_basics () =
 "hello"
 |} in
   (* tiny chunk so every line spans several refills *)
-  let r = J.Reader.of_string ~chunk_size:3 input in
-  let values, err = drain r in
+  let (values, err), lines =
+    with_reader ~chunk_size:3 input (fun r ->
+        let drained = drain r in
+        (drained, J.Reader.line_no r))
+  in
   Alcotest.(check (option string)) "no error" None err;
   Alcotest.(check int) "three values (blank skipped)" 3 (List.length values);
-  Alcotest.(check int) "line count includes the blank" 4 (J.Reader.line_no r);
+  Alcotest.(check int) "line count includes the blank" 4 lines;
   match values with
   | [ J.Obj [ ("a", J.Num 1.) ]; J.List _; J.Str "hello" ] -> ()
   | _ -> Alcotest.fail "unexpected values"
@@ -235,14 +250,14 @@ let test_reader_long_line () =
   let input = J.to_string v ^ "\n" ^ {|{"tail":true}|} ^ "\n" in
   Alcotest.(check bool) "line really exceeds 64 KiB" true
     (String.length (J.to_string v) > 65_536);
-  let values, err = drain (J.Reader.of_string input) in
+  let values, err = read input in
   Alcotest.(check (option string)) "no error" None err;
   (match values with
   | [ v'; J.Obj [ ("tail", J.Bool true) ] ] ->
     if v' <> v then Alcotest.fail "long line changed in transit"
   | _ -> Alcotest.fail "unexpected shape");
   (* same input through a pathologically small buffer *)
-  let values2, err2 = drain (J.Reader.of_string ~chunk_size:1 input) in
+  let values2, err2 = read ~chunk_size:1 input in
   Alcotest.(check (option string)) "no error (1-byte chunks)" None err2;
   Alcotest.(check bool) "chunk size is invisible" true (values = values2)
 
@@ -250,7 +265,7 @@ let test_reader_truncated_tail () =
   (* a writer died mid-line: the complete lines parse, the torn tail
      surfaces as an Error carrying its line number *)
   let input = "{\"a\":1}\n{\"b\":2}\n{\"c\":" in
-  let values, err = drain (J.Reader.of_string input) in
+  let values, err = read input in
   Alcotest.(check int) "complete lines parsed" 2 (List.length values);
   (match err with
   | Some e ->
@@ -258,26 +273,19 @@ let test_reader_truncated_tail () =
       (String.length e >= 7 && String.sub e 0 7 = "line 3:")
   | None -> Alcotest.fail "truncated tail must error");
   (* a trailing newline-terminated stream has no torn tail *)
-  let _, err' = drain (J.Reader.of_string "{\"a\":1}\n") in
+  let _, err' = read "{\"a\":1}\n" in
   Alcotest.(check (option string)) "terminated stream clean" None err'
 
 let test_reader_crlf () =
   let input = "{\"a\":1}\r\n{\"b\":2}\r\n" in
-  let values, err = drain (J.Reader.of_string ~chunk_size:2 input) in
+  let values, err = read ~chunk_size:2 input in
   Alcotest.(check (option string)) "no error" None err;
   match values with
   | [ J.Obj [ ("a", J.Num 1.) ]; J.Obj [ ("b", J.Num 2.) ] ] -> ()
   | _ -> Alcotest.fail "CRLF lines must parse like LF lines"
 
 let test_reader_of_channel () =
-  let path = Filename.temp_file "obs_reader" ".ndjson" in
-  let oc = open_out path in
-  output_string oc "{\"x\":1}\n\n{\"y\":[1,2]}\n";
-  close_out oc;
-  let ic = open_in path in
-  let values, err = drain (J.Reader.of_channel ~chunk_size:4 ic) in
-  close_in ic;
-  Sys.remove path;
+  let values, err = read ~chunk_size:4 "{\"x\":1}\n\n{\"y\":[1,2]}\n" in
   Alcotest.(check (option string)) "no error" None err;
   Alcotest.(check int) "two values" 2 (List.length values)
 
@@ -305,7 +313,7 @@ let test_reader_matches_parse () =
   in
   List.iter
     (fun chunk_size ->
-      let values, err = drain (J.Reader.of_string ~chunk_size input) in
+      let values, err = read ~chunk_size input in
       Alcotest.(check (option string)) "no error" None err;
       let expected =
         List.map
@@ -322,6 +330,15 @@ let test_reader_matches_parse () =
 
 (* ------------------------------------------------------------------ *)
 (* Export round-trips *)
+
+(* [j] without its field [key]: a row some writer left incomplete *)
+let without key = function
+  | J.Obj fields -> J.Obj (List.remove_assoc key fields)
+  | j -> j
+
+let refused what = function
+  | Ok _ -> Alcotest.failf "%s decoded" what
+  | Error _ -> ()
 
 let test_export_sample_round_trip () =
   let samples =
@@ -350,7 +367,14 @@ let test_export_sample_round_trip () =
       | Ok s' ->
         if s <> s' then Alcotest.failf "sample %s changed in round trip" s.M.name
       | Error e -> Alcotest.failf "sample %s: %s" s.M.name e)
-    samples
+    samples;
+  refused "unknown kind"
+    (Result.bind
+       (J.parse {|{"type":"metric","name":"c","kind":"summary","value":1}|})
+       Obs.Export.sample_of_json);
+  refused "histogram without its count"
+    (Obs.Export.sample_of_json
+       (without "count" (Obs.Export.sample_to_json (List.nth samples 2))))
 
 let test_export_ndjson_and_csv () =
   let s = Obs.Series.create ~labels:[ ("link", "1") ] "q" in
@@ -376,6 +400,9 @@ let test_export_ndjson_and_csv () =
         check_close "value" 1e-12 (1.5 +. float_of_int i) v
       | Error e -> Alcotest.failf "line %d: %s" i e)
     lines;
+  refused "sample without t"
+    (Obs.Export.point_of_json
+       (without "t" (Obs.Export.point_to_json s ~time:0. 1.5)));
   (* CSV: header + histogram flattening *)
   let reg = M.create () in
   let h = M.histogram reg ~lo:0. ~hi:4. ~bins:2 "fct" in

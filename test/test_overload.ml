@@ -241,43 +241,6 @@ let test_watchdog_peak_decay () =
     (Obs.Watchdog.peak wd < 20_000.)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule merge *)
-
-let test_schedule_merge () =
-  let module S = Fault.Schedule in
-  let ev at event = { S.at; event } in
-  let a =
-    S.of_list ~seed:5L
-      [
-        ev 1.0 (S.Link_down { link = 0; policy = `Hold_queued });
-        ev 3.0 (S.Link_up { link = 0 });
-      ]
-  in
-  let b =
-    S.of_list ~seed:9L
-      [
-        ev 1.0 (S.Link_down { link = 1; policy = `Drop_queued });
-        ev 2.0 (S.Link_up { link = 1 });
-      ]
-  in
-  let m = S.merge a b in
-  Alcotest.(check int) "all events kept" 4 (List.length (S.events m));
-  Alcotest.(check bool) "keeps a's seed" true (S.seed m = 5L);
-  (match List.map (fun { S.at; _ } -> at) (S.events m) with
-  | [ 1.0; 1.0; 2.0; 3.0 ] -> ()
-  | ts ->
-    Alcotest.failf "bad merge order: %s"
-      (String.concat "," (List.map string_of_float ts)));
-  (* stability: at equal times a's event comes first *)
-  (match S.events m with
-  | { S.event = S.Link_down { link = 0; _ }; _ } :: _ -> ()
-  | _ -> Alcotest.fail "merge not stable at equal times");
-  Alcotest.(check bool) "empty is left identity" true
-    (S.events (S.merge S.empty a) = S.events a && S.seed (S.merge S.empty a) = 5L);
-  Alcotest.(check bool) "empty is right identity" true
-    (S.events (S.merge a S.empty) = S.events a)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "overload"
@@ -302,6 +265,4 @@ let () =
             test_watchdog_once_per_episode;
           Alcotest.test_case "peak decay" `Quick test_watchdog_peak_decay;
         ] );
-      ( "schedule",
-        [ Alcotest.test_case "merge" `Quick test_schedule_merge ] );
     ]

@@ -173,16 +173,15 @@ let test_custody_ledger_probe () =
 (* ------------------------------------------------------------------ *)
 (* Seed sweeps *)
 
-let seeds n = List.init n (fun i -> i)
-
 (* sweep 50 seeds across two domains so the ordinary test run also
    exercises the parallel path; results join in seed order, so the
    first failure reported is the same as a sequential sweep's *)
 let check_sweep name check =
   let failures =
-    List.filter_map
-      (function Ok () -> None | Error detail -> Some detail)
-      (Parallel.Pool.map_list ~domains:2 (fun seed -> check ~seed) (seeds 50))
+    Array.init 50 (fun seed () -> check ~seed)
+    |> Parallel.Pool.run_jobs ~domains:2
+    |> Array.to_list
+    |> List.filter_map (function Ok () -> None | Error detail -> Some detail)
   in
   match failures with
   | [] -> ()
