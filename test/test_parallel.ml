@@ -58,6 +58,25 @@ let test_exception_lowest_index () =
         (Array.make 8 true) ran)
     [ 1; 2; 4 ]
 
+let test_inline_single_domain () =
+  (* one worker, the default, is the calling domain itself: every job
+     runs inline, in index order, without spawning a domain *)
+  let caller = Domain.self () in
+  let order = ref [] in
+  let jobs =
+    Array.init 5 (fun i () ->
+        order := i :: !order;
+        Domain.self () = caller)
+  in
+  List.iter
+    (fun run ->
+      order := [];
+      Alcotest.(check (array bool))
+        "every job ran in the calling domain" (Array.make 5 true) (run jobs);
+      Alcotest.(check (list int))
+        "jobs ran in index order" [ 0; 1; 2; 3; 4 ] (List.rev !order))
+    [ Parallel.Pool.run_jobs ~domains:1; Parallel.Pool.run_jobs ?domains:None ]
+
 let test_bad_domains () =
   Alcotest.check_raises "domains < 1 rejected"
     (Invalid_argument "Parallel.Pool.run_jobs: domains < 1") (fun () ->
@@ -125,6 +144,8 @@ let () =
             test_more_domains_than_jobs;
           Alcotest.test_case "lowest-index exception wins" `Quick
             test_exception_lowest_index;
+          Alcotest.test_case "one domain runs inline" `Quick
+            test_inline_single_domain;
           Alcotest.test_case "domains < 1 rejected" `Quick test_bad_domains;
         ] );
       ( "determinism",
