@@ -1138,20 +1138,15 @@ let overload_workload boost =
    with a positive FCT); 0 if there are none *)
 let inrpp_jain ~chunk_bits (r : Inrpp.Protocol.result) =
   let open Inrpp.Protocol in
-  match
+  let rates =
     Array.to_list r.flows
     |> List.filter_map (fun fr ->
            match fr.fct with
            | Some fct when fct > 0. ->
              Some (float_of_int fr.spec.chunks *. chunk_bits /. fct)
            | _ -> None)
-  with
-  | [] -> 0.
-  | rates ->
-    let n = float_of_int (List.length rates) in
-    let s = List.fold_left ( +. ) 0. rates in
-    let s2 = List.fold_left (fun acc r -> acc +. (r *. r)) 0. rates in
-    if s2 <= 0. then 0. else s *. s /. (n *. s2)
+  in
+  if rates = [] then 0. else Metrics.Fairness.jain (Array.of_list rates)
 
 let overload () =
   let boosts = [ 2.; 8. ] and stores = [ 40.; 120. ] in

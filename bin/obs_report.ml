@@ -29,7 +29,10 @@
    (the CI smoke gate); --perfetto-check FILE validates a Chrome
    trace-event export instead of / in addition to the report. *)
 
-let phases = [ "push"; "detour"; "backpressure" ]
+(* the phase columns, labelled as the iface_phase_occupancy series
+   label them *)
+let phases =
+  List.map Chunksim.Trace.phase_name [ Push_data; Detour; Backpressure ]
 
 type iface_occ = {
   node : string;
@@ -373,8 +376,14 @@ let flow_report ppf acc =
     Format.fprintf ppf "@."
   end
 
+(* only when some chunk crossed a hop or was delivered: a stream with
+   custody events alone has no path to report *)
 let span_report ppf acc =
-  if Obs.Span.chunk_count acc.span > 0 then begin
+  if
+    List.exists
+      (fun (b : Obs.Span.breakdown) -> b.hops > 0 || b.delivered)
+      (Obs.Span.breakdowns acc.span)
+  then begin
     Format.fprintf ppf "Chunk critical path@.@.";
     Obs.Span.report ppf acc.span;
     Format.fprintf ppf "@."

@@ -61,7 +61,6 @@ let take t =
   p
 
 let occupancy t = t.b.queued_bits
-let length t = t.len
 let is_empty t = t.len = 0
 let capacity t = t.b.capacity
 let total_dropped t = t.dropped

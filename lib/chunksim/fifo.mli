@@ -21,7 +21,6 @@ val take : t -> Packet.t
 val occupancy : t -> float
 (** Bits currently queued. *)
 
-val length : t -> int
 val is_empty : t -> bool
 val capacity : t -> float
 

@@ -51,81 +51,93 @@ let install ?link_state ?(on_link_flip = fun _ ~up:_ -> ())
     }
   in
   let g = Net.graph net in
-  let hooks =
-    {
-      Injector.link_down =
-        (fun ~link ~policy ->
-          t.link_downs <- t.link_downs + 1;
-          Iface.set_down ~policy (Net.iface net link);
-          mark t link false;
-          on_link_flip link ~up:false);
-      link_up =
-        (fun ~link ->
-          t.link_ups <- t.link_ups + 1;
-          Iface.set_up (Net.iface net link);
-          mark t link true;
-          on_link_flip link ~up:true);
-      node_crash =
-        (fun ~node ~policy ->
-          if not (Hashtbl.mem t.saved node) then begin
-            t.node_crashes <- t.node_crashes + 1;
-            Hashtbl.add t.saved node (Net.handler net node);
-            Net.set_handler net node (fun ~from:_ p ->
-                (* the dead node destroys everything that reaches it *)
-                Net.note_fault_kill net;
-                if Packet.is_data p then on_data_killed p);
-            let iface_policy =
-              match policy with
-              | Schedule.Wipe_custody -> `Drop_queued
-              | Schedule.Preserve_custody -> `Hold_queued
-            in
-            List.iter
-              (fun (l : Link.t) ->
-                Iface.set_down ~policy:iface_policy
-                  (Net.iface net l.Link.id);
-                mark t l.Link.id false)
-              (Topology.Graph.out_links g node);
-            (* neighbours' transmitters stay up — their packets die at
-               the sink above — but routing must see the links as gone *)
-            List.iter
-              (fun (l : Link.t) -> mark t l.Link.id false)
-              (Topology.Graph.in_links g node);
-            on_node_crash node policy
-          end);
-      node_restart =
-        (fun ~node ->
-          match Hashtbl.find_opt t.saved node with
-          | None -> ()
-          | Some h ->
-            t.node_restarts <- t.node_restarts + 1;
-            Hashtbl.remove t.saved node;
-            Net.set_handler net node h;
-            List.iter
-              (fun (l : Link.t) ->
-                Iface.set_up (Net.iface net l.Link.id);
-                mark t l.Link.id true)
-              (Topology.Graph.out_links g node);
-            List.iter
-              (fun (l : Link.t) -> mark t l.Link.id true)
-              (Topology.Graph.in_links g node);
-            on_node_restart node);
-      burst_start =
-        (fun ~loss ->
-          if t.active_bursts = [] then
-            Net.set_wire_filter net (Some (make_filter t));
-          t.active_bursts <- loss :: t.active_bursts);
-      burst_end =
-        (fun ~loss ->
-          (* remove one instance of this burst's loss *)
-          let rec remove = function
-            | [] -> []
-            | l :: rest -> if l = loss then rest else l :: remove rest
-          in
-          t.active_bursts <- remove t.active_bursts;
-          if t.active_bursts = [] then Net.set_wire_filter net None);
-    }
+  let link_down link policy =
+    t.link_downs <- t.link_downs + 1;
+    Iface.set_down ~policy (Net.iface net link);
+    mark t link false;
+    on_link_flip link ~up:false
   in
-  Injector.install (Net.engine net) sched hooks;
+  let link_up link =
+    t.link_ups <- t.link_ups + 1;
+    Iface.set_up (Net.iface net link);
+    mark t link true;
+    on_link_flip link ~up:true
+  in
+  let node_crash node policy =
+    if not (Hashtbl.mem t.saved node) then begin
+      t.node_crashes <- t.node_crashes + 1;
+      Hashtbl.add t.saved node (Net.handler net node);
+      Net.set_handler net node (fun ~from:_ p ->
+          (* the dead node destroys everything that reaches it *)
+          Net.note_fault_kill net;
+          if Packet.is_data p then on_data_killed p);
+      let iface_policy =
+        match policy with
+        | Schedule.Wipe_custody -> `Drop_queued
+        | Schedule.Preserve_custody -> `Hold_queued
+      in
+      List.iter
+        (fun (l : Link.t) ->
+          Iface.set_down ~policy:iface_policy (Net.iface net l.Link.id);
+          mark t l.Link.id false)
+        (Topology.Graph.out_links g node);
+      (* neighbours' transmitters stay up — their packets die at the
+         sink above — but routing must see the links as gone *)
+      List.iter
+        (fun (l : Link.t) -> mark t l.Link.id false)
+        (Topology.Graph.in_links g node);
+      on_node_crash node policy
+    end
+  in
+  let node_restart node =
+    match Hashtbl.find_opt t.saved node with
+    | None -> ()
+    | Some h ->
+      t.node_restarts <- t.node_restarts + 1;
+      Hashtbl.remove t.saved node;
+      Net.set_handler net node h;
+      List.iter
+        (fun (l : Link.t) ->
+          Iface.set_up (Net.iface net l.Link.id);
+          mark t l.Link.id true)
+        (Topology.Graph.out_links g node);
+      List.iter
+        (fun (l : Link.t) -> mark t l.Link.id true)
+        (Topology.Graph.in_links g node);
+      on_node_restart node
+  in
+  let burst_start loss =
+    if t.active_bursts = [] then Net.set_wire_filter net (Some (make_filter t));
+    t.active_bursts <- loss :: t.active_bursts
+  in
+  (* removes one instance of the burst's loss, so overlapping bursts
+     un-stack *)
+  let burst_end loss =
+    let rec remove = function
+      | [] -> []
+      | l :: rest -> if l = loss then rest else l :: remove rest
+    in
+    t.active_bursts <- remove t.active_bursts;
+    if t.active_bursts = [] then Net.set_wire_filter net None
+  in
+  (* one engine event per timed fault, plus one for the end of each
+     burst; events at equal times fire in schedule order *)
+  let eng = Net.engine net in
+  List.iter
+    (fun { Schedule.at; event } ->
+      ignore
+        (Sim.Engine.schedule_at eng ~time:at (fun () ->
+             match event with
+             | Schedule.Link_down { link; policy } -> link_down link policy
+             | Schedule.Link_up { link } -> link_up link
+             | Schedule.Node_crash { node; policy } -> node_crash node policy
+             | Schedule.Node_restart { node } -> node_restart node
+             | Schedule.Control_loss_burst { duration; loss } ->
+               burst_start loss;
+               ignore
+                 (Sim.Engine.schedule eng ~delay:duration (fun () ->
+                      burst_end loss)))))
+    (Schedule.events sched);
   t
 
 let link_downs t = t.link_downs

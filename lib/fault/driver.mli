@@ -35,7 +35,10 @@ val install :
       packets with the burst's probability (dice from
       {!Schedule.seed}); overlapping bursts compose by max loss.
 
-    Crash/restart and down/up are idempotent per target. *)
+    Crash/restart and down/up are idempotent per target.  The whole
+    schedule is put on the net's engine at the call, one event per
+    timed fault and one more for each burst's end; events at equal
+    times fire in schedule order. *)
 
 val link_downs : t -> int
 val link_ups : t -> int

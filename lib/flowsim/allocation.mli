@@ -68,6 +68,5 @@ val inrp :
 (** [inrp ~detours g demands]: [demands] as in {!max_min}; a flow's
     push rate is the minimum of its demand cap and its processor-sharing
     share of its first link.  [detours l] lists detour paths around
-    link [l] (see {!Topology.Detour.detours_via}); it is consulted only
-    for saturated links and should be memoised by the caller, e.g. with
-    {!Topology.Detour.Table.find}. *)
+    link [l]; it is consulted only for saturated links and should be
+    memoised by the caller, e.g. with {!Topology.Detour.Table.find}. *)

@@ -213,8 +213,8 @@ let run g cfg =
       window_completions = 0;
       fct_samples = Sim.Stats.Samples.create ();
       stretch_samples = Sim.Stats.Samples.create ();
-      active_tl = Sim.Timeline.create ~start:0. ();
-      detour_tl = Sim.Timeline.create ~start:0. ();
+      active_tl = Sim.Timeline.create ~start:0.;
+      detour_tl = Sim.Timeline.create ~start:0.;
       stretch_weight = 0.;
       stretch_bits = 0.;
     }

@@ -35,9 +35,9 @@ let utilisation_of_rates g paths rates =
   if total_cap <= 0. then 0.
   else Array.fold_left ( +. ) 0. carried /. total_cap
 
-(* One snapshot on a routing state the caller owns: {!ensemble} shares
-   one across its seeds, since trees, ECMP path sets and detours
-   depend only on the graph and the strategy. *)
+(* One snapshot on a routing state {!ensemble} shares across its seeds,
+   since trees, ECMP path sets and detours depend only on the graph and
+   the strategy. *)
 let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
   let strategy = Routing.strategy router in
   let pairs = draw_pairs ~endpoints ~nflows ~seed g in
@@ -64,15 +64,21 @@ let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
   let throughput_of goodput =
     if offered > 0. then goodput /. offered else 0.
   in
+  (* records each delivering flow's stretch, [hops i] over its
+     shortest hop count, and returns their rate-weighted mean *)
   let stretch_samples = Sim.Stats.Samples.create () in
-  let record_stretches rates hops =
+  let weighted_stretch rates hops =
+    let num = ref 0. and den = ref 0. in
     Array.iteri
       (fun i r ->
         if r > 0. then begin
-          let sh = float_of_int (max 1 shortest.(i)) in
-          Sim.Stats.Samples.add stretch_samples (hops i /. sh)
+          let stretch = hops i /. float_of_int (max 1 shortest.(i)) in
+          Sim.Stats.Samples.add stretch_samples stretch;
+          num := !num +. (r *. stretch);
+          den := !den +. r
         end)
-      rates
+      rates;
+    if !den > 0. then !num /. !den else 1.
   in
   match strategy with
   | Routing.Inrp options ->
@@ -83,19 +89,9 @@ let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
     let carried = Array.fold_left ( +. ) 0. res.Allocation.link_carried in
     let goodput = Array.fold_left ( +. ) 0. res.Allocation.delivered in
     let pushed = Array.fold_left ( +. ) 0. res.Allocation.pushed in
-    record_stretches res.Allocation.delivered (fun i ->
-        res.Allocation.effective_hops.(i));
-    let weighted_stretch =
-      let num = ref 0. and den = ref 0. in
-      Array.iteri
-        (fun i r ->
-          if r > 0. then begin
-            let sh = float_of_int (max 1 shortest.(i)) in
-            num := !num +. (r *. (res.Allocation.effective_hops.(i) /. sh));
-            den := !den +. r
-          end)
-        res.Allocation.delivered;
-      if !den > 0. then !num /. !den else 1.
+    let mean_stretch =
+      weighted_stretch res.Allocation.delivered (fun i ->
+          res.Allocation.effective_hops.(i))
     in
     {
       strategy = Routing.name strategy;
@@ -103,7 +99,7 @@ let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
       utilisation = (if total_cap > 0. then carried /. total_cap else 0.);
       goodput;
       delivered_fraction = (if pushed > 0. then goodput /. pushed else 0.);
-      mean_stretch = weighted_stretch;
+      mean_stretch;
       detoured_fraction = res.Allocation.detoured_fraction;
       stretch_samples;
       flows = Array.length paths;
@@ -111,18 +107,8 @@ let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
   | Routing.Sp | Routing.Ecmp _ ->
     let rates = Allocation.max_min g demands in
     let goodput = Array.fold_left ( +. ) 0. rates in
-    record_stretches rates (fun i -> float_of_int (Path.hops paths.(i)));
-    let weighted_stretch =
-      let num = ref 0. and den = ref 0. in
-      Array.iteri
-        (fun i r ->
-          if r > 0. then begin
-            let sh = float_of_int (max 1 shortest.(i)) in
-            num := !num +. (r *. (float_of_int (Path.hops paths.(i)) /. sh));
-            den := !den +. r
-          end)
-        rates;
-      if !den > 0. then !num /. !den else 1.
+    let mean_stretch =
+      weighted_stretch rates (fun i -> float_of_int (Path.hops paths.(i)))
     in
     {
       strategy = Routing.name strategy;
@@ -130,28 +116,19 @@ let run_routed ~endpoints ~demand ~router ~nflows ~seed g =
       utilisation = utilisation_of_rates g paths rates;
       goodput;
       delivered_fraction = 1.;
-      mean_stretch = weighted_stretch;
+      mean_stretch;
       detoured_fraction = 0.;
       stretch_samples;
       flows = Array.length paths;
     }
-
-let check ~nflows ~demand =
-  if nflows <= 0 then invalid_arg "Snapshot.run: nflows <= 0";
-  if demand <= 0. then invalid_arg "Snapshot.run: demand <= 0"
-
-let run ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
-    ~nflows ~seed g =
-  check ~nflows ~demand;
-  let router = Routing.create g strategy in
-  run_routed ~endpoints ~demand ~router ~nflows ~seed g
 
 let ensemble ?(endpoints = Workload.Any_pair) ?(demand = infinity) ~strategy
     ~nflows ~seeds g =
   match seeds with
   | [] -> invalid_arg "Snapshot.ensemble: no seeds"
   | _ ->
-    check ~nflows ~demand;
+    if nflows <= 0 then invalid_arg "Snapshot.ensemble: nflows <= 0";
+    if demand <= 0. then invalid_arg "Snapshot.ensemble: demand <= 0";
     let router = Routing.create g strategy in
     let results =
       List.map

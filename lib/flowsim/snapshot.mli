@@ -31,18 +31,14 @@ type result = {
   flows : int;
 }
 
-val run :
-  ?endpoints:Workload.endpoints -> ?demand:float ->
-  strategy:Routing.strategy ->
-  nflows:int -> seed:int64 -> Topology.Graph.t -> result
-(** One snapshot: [nflows] everlasting flows between distinct random
-    pairs, each offering [demand] bps (default [infinity]: senders
-    take everything their first link grants).
-    @raise Invalid_argument if [nflows <= 0] or [demand <= 0.]. *)
-
 val ensemble :
   ?endpoints:Workload.endpoints -> ?demand:float ->
   strategy:Routing.strategy ->
   nflows:int -> seeds:int64 list -> Topology.Graph.t -> result
-(** Mean over seeds; stretch samples pooled.
-    @raise Invalid_argument on an empty seed list. *)
+(** One snapshot per seed, each of [nflows] everlasting flows between
+    distinct random pairs offering [demand] bps (default [infinity]:
+    senders take everything their first link grants), on one routing
+    state; the result is the mean over seeds, with stretch samples
+    pooled.
+    @raise Invalid_argument on an empty seed list, [nflows <= 0] or
+    [demand <= 0.]. *)

@@ -312,7 +312,6 @@ let release t ~flow =
   let b = bucket t flow in
   unlink t flow b (-1) (head t b)
 
-let flow_of t slot = get32f t (slot_at t slot) o_flow
 let content t slot = get32f t (slot_at t slot) o_content
 let port t slot off =
   let slot = slot_at t slot in

@@ -99,9 +99,6 @@ val release : t -> flow:int -> int
     until a later {!add} hands the slot out again, so a caller may
     read its flags right after the release. *)
 
-val flow_of : t -> int -> int
-(** Inverse of {!find} for live slots. *)
-
 val content : t -> int -> int
 
 val data_port : t -> int -> int

@@ -22,8 +22,6 @@ type t = {
 
 type stage = Tick | Drain | Flow_start
 
-let phase_names = [| "push"; "detour"; "backpressure" |]
-
 let dump rc ~time reason = Obs.Recorder.dump rc ~reason ~time
 
 let new_trace ~trace ~obs ~check =
@@ -233,7 +231,9 @@ let instrument t o ~link_state ~driver ~senders ~receivers ~src ~dst ~finished
       track "iface_queue_bits" queue;
       track "iface_utilisation" util;
       Obs.Sampler.track_shares smp ~labels "iface_phase_occupancy"
-        ~key:"phase" phase_names (fun () -> int_of_float (phase ())));
+        ~key:"phase"
+        (Array.map Trace.phase_name [| Push_data; Detour; Backpressure |])
+        (fun () -> int_of_float (phase ())));
   (* per endpoint, in flow-id order *)
   let endpoint_metrics endpoints node_of metrics =
     Array.iteri

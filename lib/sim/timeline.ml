@@ -5,13 +5,7 @@ type t = {
   mutable area : float;         (* integral over [start, last_time] *)
 }
 
-let create ?(initial = 0.) ~start () =
-  {
-    start;
-    last_time = start;
-    last_value = initial;
-    area = 0.;
-  }
+let create ~start = { start; last_time = start; last_value = 0.; area = 0. }
 
 let record t ~time v =
   if time < t.last_time then

@@ -8,8 +8,8 @@
 
 type t
 
-val create : ?initial:float -> start:float -> unit -> t
-(** Signal value is [initial] (default [0.]) from [start] onwards. *)
+val create : start:float -> t
+(** Signal value is [0.] from [start] onwards. *)
 
 val record : t -> time:float -> float -> unit
 (** The signal takes the new value from [time] onwards.

@@ -10,24 +10,9 @@ type profile = {
   total_links : int;
 }
 
-let excludes g (l : Link.t) =
-  let rev_id =
-    match Graph.reverse g l with
-    | None -> -1
-    | Some r -> r.Link.id
-  in
-  fun (l' : Link.t) -> l'.Link.id = l.Link.id || l'.Link.id = rev_id
-
-let best_detour g (l : Link.t) =
-  let tree =
-    Dijkstra.run ~forbidden_links:(excludes g l)
-      ~target:l.Link.dst g l.Link.src
-  in
-  Dijkstra.path_to tree l.Link.dst
-
 (* Table 1 needs only the hop count of the shortest alternative, and
-   hop distances are unique, so a BFS gives the class that
-   [best_detour]'s Dijkstra gives.  [dist] holds -1 for undiscovered
+   hop distances are unique, so a BFS gives the class that a Dijkstra
+   search for the shortest alternative path gives.  [dist] holds -1 for undiscovered
    nodes; a search leaves the nodes it discovered in
    [queue.(0 .. tail - 1)] and resets exactly those, so one workspace
    serves every link of a graph. *)
@@ -216,11 +201,6 @@ module Table = struct
     end;
     t.lists.(id)
 end
-
-let detours_via g l ~max_intermediate =
-  if max_intermediate < 1 then
-    invalid_arg "Detour.detours_via: max_intermediate must be >= 1";
-  Table.find (Table.create ~max_intermediate g) l
 
 let classify_links g =
   let links = Graph.undirected_links g in

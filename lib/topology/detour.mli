@@ -26,20 +26,9 @@ val classify_link : Graph.t -> Link.t -> availability
     of the physical link are excluded from the search, a BFS that
     stops when it discovers the link's destination. *)
 
-val best_detour : Graph.t -> Link.t -> Path.t option
-(** The shortest alternative path itself ([src] to [dst] of the link,
-    avoiding both directions of it); [None] when [Unavailable]. *)
-
-val detours_via :
-  Graph.t -> Link.t -> max_intermediate:int -> (Node.id * Path.t) list
-(** All detours of at most [max_intermediate] intermediate nodes,
-    keyed by their first intermediate node (the neighbour the traffic
-    is deflected to).  A neighbour appears at most once, with its
-    shortest usable continuation.  One-shot form of {!Table.find}. *)
-
 module Table : sig
   type t
-  (** Memoised {!detours_via} lists for the links of one graph.  The
+  (** Memoised detour lists for the links of one graph.  The
       first query of a link out of [u] runs one bounded search per
       neighbour of [u], in one workspace reused across searches, and
       keeps from each only the continuations to [u]'s neighbours; a
@@ -52,7 +41,11 @@ module Table : sig
       @raise Invalid_argument if [max_intermediate < 1]. *)
 
   val find : t -> Link.t -> (Node.id * Path.t) list
-  (** [detours_via g l ~max_intermediate], computed once per link
+  (** All detours of [l] with at most [max_intermediate]
+      intermediate nodes, keyed by their first intermediate node (the
+      neighbour the traffic is deflected to).  A neighbour appears at
+      most once, with its shortest usable continuation; the list is
+      sorted by length, then neighbour id.  Computed once per link,
       whatever the order of queries. *)
 end
 

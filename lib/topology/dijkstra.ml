@@ -73,7 +73,7 @@ module Heap = struct
     top
 end
 
-let run ?forbidden_links ?forbidden_nodes ?(target = -1) g s =
+let run ?forbidden_links ?(target = -1) g s =
   let n = Graph.node_count g in
   if s < 0 || s >= n then invalid_arg "Dijkstra.run: bad source";
   let dist = Array.make n infinity in
@@ -104,13 +104,9 @@ let run ?forbidden_links ?forbidden_nodes ?(target = -1) g s =
         for i = first.(u) to first.(u + 1) - 1 do
           let v = head.(i) and id = link.(i) in
           let pruned =
-            (match forbidden_links with
+            match forbidden_links with
             | None -> false
-            | Some f -> f (Graph.link g id))
-            ||
-            match forbidden_nodes with
-            | None -> false
-            | Some f -> f v
+            | Some f -> f (Graph.link g id)
           in
           if not pruned then begin
             let nd = d +. 1. in

@@ -23,12 +23,12 @@ end
     reproduce {!run}'s choice among equal-cost predecessors can reuse
     it. *)
 
-val run : ?forbidden_links:(Link.t -> bool) -> ?forbidden_nodes:(Node.id -> bool) -> ?target:Node.id ->
+val run : ?forbidden_links:(Link.t -> bool) -> ?target:Node.id ->
   Graph.t -> Node.id -> tree
 (** [run g s] computes shortest distances from [s] to every node.
-    [forbidden_links] / [forbidden_nodes] prune the graph on the fly —
-    this is how detour discovery removes the protected link.  The
-    source is never pruned by [forbidden_nodes].
+    [forbidden_links] prunes links on the fly: {!k_disjoint} removes
+    the links its earlier paths took.  A node is pruned by pruning
+    every link whose [dst] it is.
 
     [target] stops the search once it is settled.  [path_to tree
     target] is then exactly what a full run gives.  Every other node's

@@ -128,14 +128,6 @@ module Builder = struct
     { node_arr; link_arr; out_adj; in_adj; rows }
 end
 
-let of_edges ?capacity ?delay n pairs =
-  let b = Builder.create () in
-  for i = 0 to n - 1 do
-    ignore (Builder.add_node b (Printf.sprintf "n%d" i))
-  done;
-  List.iter (fun (u, v) -> Builder.add_edge b ?capacity ?delay u v) pairs;
-  Builder.build b
-
 let node_count g = Array.length g.node_arr
 let link_count g = Array.length g.link_arr
 let node g i = g.node_arr.(i)

@@ -34,12 +34,6 @@ module Builder : sig
       @raise Invalid_argument if a duplicate directed link exists. *)
 end
 
-val of_edges :
-  ?capacity:float -> ?delay:float -> int -> (int * int) list -> t
-(** [of_edges n pairs] builds an undirected graph on [n] anonymous
-    nodes (named ["n<i>"]) with an edge (both directions) per pair.
-    Convenient in tests and builders. *)
-
 (** {1 Queries} *)
 
 val node_count : t -> int

@@ -1,12 +1,7 @@
 type t = {
   objects : int;
-  alpha : float;
-  chunk_min : int;
-  chunk_max : int;
-  chunk_shape : float;
   chunk_counts : int array;            (* per object, drawn at create *)
   zipf : Sim.Rng.t -> int;             (* rank in [1, objects] *)
-  harmonic : float;                    (* sum of k^-alpha, k = 1..objects *)
 }
 
 (* inverse-CDF of the bounded Pareto on [lo, hi_excl); [u] in [0, 1) *)
@@ -36,39 +31,10 @@ let create ?(alpha = 0.8) ?(chunk_shape = 1.2) ?(chunk_min = 4)
              edge cases at the interval ends *)
           max chunk_min (min chunk_max (int_of_float x)))
   in
-  let harmonic = ref 0. in
-  for k = 1 to objects do
-    harmonic := !harmonic +. (float_of_int k ** -.alpha)
-  done;
-  {
-    objects;
-    alpha;
-    chunk_min;
-    chunk_max;
-    chunk_shape;
-    chunk_counts;
-    zipf = Sim.Rng.zipf_sampler ~n:objects ~s:alpha;
-    harmonic = !harmonic;
-  }
+  { objects; chunk_counts; zipf = Sim.Rng.zipf_sampler ~n:objects ~s:alpha }
 
 let chunks t id =
   if id < 0 || id >= t.objects then invalid_arg "Catalog.chunks: bad object id";
   t.chunk_counts.(id)
 
 let draw t rng = t.zipf rng - 1
-
-let probability t id =
-  if id < 0 || id >= t.objects then
-    invalid_arg "Catalog.probability: bad object id";
-  (float_of_int (id + 1) ** -.t.alpha) /. t.harmonic
-
-let survival t k =
-  if k <= t.chunk_min then 1.
-  else if k > t.chunk_max then 0.
-  else begin
-    let lo = float_of_int t.chunk_min
-    and hi_excl = float_of_int (t.chunk_max + 1)
-    and x = float_of_int k in
-    let c = 1. -. ((lo /. hi_excl) ** t.chunk_shape) in
-    (((lo /. x) ** t.chunk_shape) -. ((lo /. hi_excl) ** t.chunk_shape)) /. c
-  end

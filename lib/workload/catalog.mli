@@ -29,13 +29,3 @@ val chunks : t -> int -> int
 val draw : t -> Sim.Rng.t -> int
 (** Draw an object id with Zipf popularity using the caller's
     generator (the catalogue itself holds no draw state). *)
-
-val probability : t -> int -> float
-(** Exact popularity mass of an object: [id^-α / H] with the same
-    finite-N normalisation {!draw} samples from — what the
-    statistical-law tests derive their tolerances against. *)
-
-val survival : t -> int -> float
-(** [survival t k]: the exact probability that an object's chunk count
-    is [>= k] under the bounded-Pareto draw used at creation; [1.] at
-    or below [chunk_min], [0.] above [chunk_max]. *)

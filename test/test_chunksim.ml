@@ -4,6 +4,7 @@
 let check_close msg tolerance expected actual =
   Alcotest.(check (float tolerance)) msg expected actual
 
+open Support
 module P = Chunksim.Packet
 
 (* ------------------------------------------------------------------ *)
@@ -110,7 +111,8 @@ let test_fifo_empty () =
   rejects "take on a drained queue" (fun () -> Chunksim.Fifo.take q)
 
 (* The ring against a list model, every counter checked after each
-   step.  The script wraps the ring (head past its start, tail behind
+   step; the sizes vary, so the queued bits track which packets
+   remain.  The script wraps the ring (head past its start, tail behind
    it), grows it while wrapped, overflows the byte bound, then drains
    it. *)
 let test_fifo_ring () =
@@ -121,7 +123,6 @@ let test_fifo_ring () =
   let dropped = ref 0 in
   let bits () = Queue.fold (fun acc i -> acc +. size i) 0. model in
   let check what =
-    Alcotest.(check int) (what ^ ": length") (Queue.length model) (F.length q);
     Alcotest.(check bool) (what ^ ": is_empty") (Queue.is_empty model)
       (F.is_empty q);
     Alcotest.(check (float 0.)) (what ^ ": bits") (bits ()) (F.occupancy q);
@@ -208,7 +209,7 @@ let test_rr_large_packet_accumulates_deficit () =
 
 let test_iface_drr_discipline () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0. 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e6 ~delay:0. 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let order = ref [] in
   let iface =
@@ -478,7 +479,7 @@ let test_cache_popular_alloc () =
 
 let test_iface_serialisation () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.01 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e6 ~delay:0.01 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let arrivals = ref [] in
   let iface =
@@ -498,7 +499,7 @@ let test_iface_serialisation () =
 
 let test_iface_utilisation () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0. 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e6 ~delay:0. 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let iface = Chunksim.Iface.create eng l ~deliver:(fun _ -> ()) in
   (* 0.5 s of transmission, observed at t = 1 s *)
@@ -510,7 +511,7 @@ let test_iface_utilisation () =
 
 let test_iface_wire_loss () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e9 ~delay:0. 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e9 ~delay:0. 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let delivered = ref 0 in
   let iface =
@@ -534,7 +535,7 @@ let test_iface_one_event_per_packet () =
   List.iter
     (fun loss ->
       let eng = Sim.Engine.create () in
-      let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.002 2 [ (0, 1) ] in
+      let g = Fixtures.of_edges ~capacity:1e6 ~delay:0.002 2 [ (0, 1) ] in
       let l = Option.get (Topology.Graph.find_link g 0 1) in
       let delivered = ref 0 in
       let iface =
@@ -561,7 +562,7 @@ let test_iface_alloc_budget () =
   | Sys.Bytecode | Sys.Other _ -> () (* minor-word counts differ *)
   | Sys.Native ->
     let eng = Sim.Engine.create () in
-    let g = Topology.Graph.of_edges ~capacity:1e9 ~delay:0. 2 [ (0, 1) ] in
+    let g = Fixtures.of_edges ~capacity:1e9 ~delay:0. 2 [ (0, 1) ] in
     let l = Option.get (Topology.Graph.find_link g 0 1) in
     let iface =
       Chunksim.Iface.create ~queue_bits:1e12 eng l ~deliver:(fun _ -> ())
@@ -610,7 +611,7 @@ let test_lane_pool_gate () =
     (* 2^10 bits at 2^20 b/s: a serialisation time of exactly 2^-10 s *)
     let tx = Float.ldexp 1. (-10) and bits = 1024. in
     let g =
-      Topology.Graph.of_edges ~capacity:(Float.ldexp 1. 20) ~delay:1. 2
+      Fixtures.of_edges ~capacity:(Float.ldexp 1. 20) ~delay:1. 2
         [ (0, 1) ]
     in
     let net = Chunksim.Net.create ~queue_bits:1e9 eng g in
@@ -683,7 +684,7 @@ let test_lane_pool_gate () =
    the wire. *)
 let delivered_packets_collectable discipline () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.001 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e6 ~delay:0.001 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let delivered = ref 0 in
   let iface =
@@ -720,7 +721,7 @@ let delivered_packets_collectable discipline () =
    the filler, so no delivered packet stays reachable. *)
 let pooled_pages_let_go () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e9 ~delay:0.01 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e9 ~delay:0.01 2 [ (0, 1) ] in
   let net = Chunksim.Net.create ~queue_bits:1e9 eng g in
   let delivered = ref 0 in
   Chunksim.Net.set_handler net 1 (fun ~from:_ _ -> incr delivered);
@@ -764,7 +765,7 @@ let test_fifo_lets_go () =
   | _ -> Alcotest.fail "wrong kind");
   Gc.full_major ();
   Alcotest.(check bool) "taken packet collected" false (Weak.check w 0);
-  Alcotest.(check int) "the other stays" 1 (Chunksim.Fifo.length q)
+  Alcotest.(check (float 0.)) "the other stays" 1e4 (Chunksim.Fifo.occupancy q)
 
 (* An eager two-event reference transmitter: a serialisation-complete
    event pops the next packet and schedules an arrival, which kills,
@@ -832,7 +833,7 @@ let eager_reference ~discipline ~loss eng (l : Topology.Link.t) ~deliver =
    then flushed queue) *)
 let iface_delivery_trace ~discipline ~loss ~outage ~reference () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:0.003 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:1e6 ~delay:0.003 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let idx p = match p.P.header with P.Data { idx; _ } -> idx | _ -> -1 in
   let trace = ref [] in
@@ -934,7 +935,7 @@ let test_iface_pinned_traces () =
 
 let test_net_delivery_and_handlers () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:1e-3 3 [ (0, 1); (1, 2) ] in
+  let g = Fixtures.of_edges ~capacity:1e6 ~delay:1e-3 3 [ (0, 1); (1, 2) ] in
   let net = Chunksim.Net.create eng g in
   let seen_at_1 = ref 0 in
   (* node 1 relays data to node 2 *)
@@ -957,7 +958,7 @@ let test_net_delivery_and_handlers () =
 
 let test_net_inject () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges 2 [ (0, 1) ] in
   let net = Chunksim.Net.create eng g in
   let got = ref false in
   Chunksim.Net.set_handler net 0 (fun ~from p ->

@@ -2,6 +2,7 @@
    — the machinery behind the paper's Table 1. *)
 
 open Topology
+open Support
 
 (* a path's last node *)
 let path_dst (p : Path.t) = List.nth p.Path.nodes (Path.hops p)
@@ -10,7 +11,7 @@ let path_dst (p : Path.t) = List.nth p.Path.nodes (Path.hops p)
 (* classify_link on known motifs *)
 
 let test_triangle_one_hop () =
-  let g = Builders.ring 3 in
+  let g = Fixtures.ring 3 in
   List.iter
     (fun l ->
       match Detour.classify_link g l with
@@ -20,7 +21,7 @@ let test_triangle_one_hop () =
     (Graph.undirected_links g)
 
 let test_square_two_hop () =
-  let g = Builders.ring 4 in
+  let g = Fixtures.ring 4 in
   List.iter
     (fun l ->
       match Detour.classify_link g l with
@@ -29,7 +30,7 @@ let test_square_two_hop () =
     (Graph.undirected_links g)
 
 let test_pentagon_three_plus () =
-  let g = Builders.ring 5 in
+  let g = Fixtures.ring 5 in
   List.iter
     (fun l ->
       match Detour.classify_link g l with
@@ -46,15 +47,15 @@ let test_bridge_unavailable () =
     (Graph.undirected_links g)
 
 let test_mesh_all_one_hop () =
-  let g = Builders.full_mesh 6 in
+  let g = Fixtures.full_mesh 6 in
   let p = Detour.classify_links g in
   Alcotest.(check (float 1e-9)) "all 1-hop" 1. p.Detour.one_hop;
   Alcotest.(check int) "link count" 15 p.Detour.total_links
 
 let test_best_detour_path () =
-  let g = Builders.ring 4 in
+  let g = Fixtures.ring 4 in
   let l = Option.get (Graph.find_link g 0 1) in
-  match Detour.best_detour g l with
+  match Oracles.best_detour g l with
   | None -> Alcotest.fail "ring has detours"
   | Some p ->
     Alcotest.(check (list int)) "goes the long way" [ 0; 3; 2; 1 ] p.Path.nodes
@@ -65,7 +66,7 @@ let test_best_detour_ignores_reverse () =
   let g = Builders.line 2 in
   let l = Option.get (Graph.find_link g 0 1) in
   Alcotest.(check bool) "no detour on isolated edge" true
-    (Detour.best_detour g l = None)
+    (Oracles.best_detour g l = None)
 
 let test_classify_profile_sums_to_one () =
   let g = Isp_zoo.graph Isp_zoo.Exodus in
@@ -85,7 +86,7 @@ let test_isp_zoo_matches_best_detour () =
       List.iter
         (fun (l : Link.t) ->
           let reference =
-            match Detour.best_detour g l with
+            match Oracles.best_detour g l with
             | None -> Detour.Unavailable
             | Some p -> Detour.Detour (Path.hops p - 1)
           in
@@ -99,9 +100,9 @@ let test_isp_zoo_matches_best_detour () =
 (* detours_via *)
 
 let test_detours_via_diamond () =
-  let g = Graph.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3); (0, 3) ] in
+  let g = Fixtures.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3); (0, 3) ] in
   let l = Option.get (Graph.find_link g 0 3) in
-  let ds = Detour.detours_via g l ~max_intermediate:1 in
+  let ds = Oracles.detours_via g l ~max_intermediate:1 in
   let vias = List.map fst ds in
   Alcotest.(check (list int)) "two 1-hop detours" [ 1; 2 ]
     (List.sort Int.compare vias);
@@ -113,34 +114,34 @@ let test_detours_via_diamond () =
     ds
 
 let test_detours_via_depth_limit () =
-  let g = Builders.ring 5 in
+  let g = Fixtures.ring 5 in
   let l = Option.get (Graph.find_link g 0 1) in
   Alcotest.(check int) "no detour within 2"
     0
-    (List.length (Detour.detours_via g l ~max_intermediate:2));
+    (List.length (Oracles.detours_via g l ~max_intermediate:2));
   Alcotest.(check int) "detour within 3"
     1
-    (List.length (Detour.detours_via g l ~max_intermediate:3))
+    (List.length (Oracles.detours_via g l ~max_intermediate:3))
 
 let test_detours_via_excludes_protected () =
-  let g = Builders.ring 4 in
+  let g = Fixtures.ring 4 in
   let l = Option.get (Graph.find_link g 0 1) in
   List.iter
     (fun (_, p) ->
       Alcotest.(check bool) "protected link unused" false
         (List.exists (fun (l' : Link.t) -> l'.Link.id = l.Link.id) p.Path.links))
-    (Detour.detours_via g l ~max_intermediate:3)
+    (Oracles.detours_via g l ~max_intermediate:3)
 
 let test_detours_via_no_bounce () =
   (* first hop must not return through the origin node *)
-  let g = Builders.ring 4 in
+  let g = Fixtures.ring 4 in
   let l = Option.get (Graph.find_link g 0 1) in
   List.iter
     (fun (_, p) ->
       let inner = List.tl p.Path.nodes in
       let inner = List.filteri (fun i _ -> i < List.length inner - 1) inner in
       Alcotest.(check bool) "origin not revisited" false (List.mem 0 inner))
-    (Detour.detours_via g l ~max_intermediate:3)
+    (Oracles.detours_via g l ~max_intermediate:3)
 
 (* Reference detours_via: the same candidate rule, with an unbounded
    search per neighbour.  The library's search stops at the far end or
@@ -157,7 +158,8 @@ let reference_detours_via g (l : Link.t) ~max_intermediate =
       if banned first || w = v then None
       else
         let tree =
-          Dijkstra.run ~forbidden_links:banned ~forbidden_nodes:(fun x -> x = u)
+          Dijkstra.run
+            ~forbidden_links:(fun l' -> banned l' || l'.Link.dst = u)
             g w
         in
         match Dijkstra.path_to tree v with
@@ -198,7 +200,7 @@ let test_detours_via_matches_reference () =
                     Alcotest.failf "%s link %d (max_intermediate %d): %s differs"
                       (Isp_zoo.name isp) l.Link.id max_intermediate how)
                 [
-                  ("detours_via", Detour.detours_via g l ~max_intermediate);
+                  ("detours_via", Oracles.detours_via g l ~max_intermediate);
                   ("forward table", Detour.Table.find forward l);
                   ("reverse table", Detour.Table.find backward l);
                 ])
@@ -346,10 +348,10 @@ let prop_best_detour_consistent_with_class =
     ~name:"best_detour length matches classify_link" ~count:40
     (QCheck.make QCheck.Gen.(pair (int_range 5 25) (int_range 0 10_000)))
     (fun (n, seed) ->
-      let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.3 n in
+      let g = Fixtures.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.3 n in
       List.for_all
         (fun l ->
-          match Detour.classify_link g l, Detour.best_detour g l with
+          match Detour.classify_link g l, Oracles.best_detour g l with
           | Detour.Unavailable, None -> true
           | Detour.Detour k, Some p -> Path.hops p = k + 1
           | _ -> false)
@@ -359,12 +361,12 @@ let prop_detours_via_within_depth =
   QCheck.Test.make ~name:"detours_via respects depth bound" ~count:40
     (QCheck.make QCheck.Gen.(pair (int_range 5 20) (int_range 0 10_000)))
     (fun (n, seed) ->
-      let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.35 n in
+      let g = Fixtures.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.35 n in
       List.for_all
         (fun l ->
           List.for_all
             (fun (_, p) -> Path.hops p <= 3)
-            (Detour.detours_via g l ~max_intermediate:2))
+            (Oracles.detours_via g l ~max_intermediate:2))
         (Graph.undirected_links g))
 
 (* Dense random graphs have many equal-length continuations, so this
@@ -375,7 +377,7 @@ let prop_table_matches_reference =
     (QCheck.make
        QCheck.Gen.(triple (int_range 5 20) (int_range 0 10_000) (int_range 1 3)))
     (fun (n, seed, max_intermediate) ->
-      let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.35 n in
+      let g = Fixtures.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.35 n in
       let t = Detour.Table.create ~max_intermediate g in
       let ids ds =
         List.map

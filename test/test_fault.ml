@@ -73,12 +73,43 @@ let test_link_state () =
     (Invalid_argument "Link_state: link id 99 out of range") (fun () ->
       ignore (Topology.Link_state.is_up ls 99))
 
+(* Two flips of one link at one instant fire in schedule order: down
+   then up leaves the link up, up then down leaves it down, and the
+   driver counts both flips either way. *)
+let test_same_instant_flips () =
+  let run events =
+    let eng = Sim.Engine.create () in
+    let g = Topology.Builders.line 2 in
+    let ls = Topology.Link_state.create g in
+    let flips = ref [] in
+    let drv =
+      Fault.Driver.install ~link_state:ls
+        ~on_link_flip:(fun _ ~up -> flips := up :: !flips)
+        (Chunksim.Net.create eng g)
+        (S.of_list (List.map (ev 1.) events))
+    in
+    Sim.Engine.run eng;
+    ( Topology.Link_state.is_up ls 0,
+      List.rev !flips,
+      Fault.Driver.link_downs drv,
+      Fault.Driver.link_ups drv )
+  in
+  let down = S.Link_down { link = 0; policy = `Hold_queued }
+  and up = S.Link_up { link = 0 } in
+  let check what (is_up, flips, downs, ups) want =
+    Alcotest.(check bool) (what ^ ": link state") want is_up;
+    Alcotest.(check (list bool)) (what ^ ": flip order") [ not want; want ] flips;
+    Alcotest.(check (pair int int)) (what ^ ": downs, ups") (1, 1) (downs, ups)
+  in
+  check "down then up" (run [ down; up ]) true;
+  check "up then down" (run [ up; down ]) false
+
 (* ------------------------------------------------------------------ *)
 (* Iface outage mechanics *)
 
 let outage_iface () =
   let eng = Sim.Engine.create () in
-  let g = Topology.Graph.of_edges ~capacity:1e6 ~delay:1e-3 2 [ (0, 1) ] in
+  let g = Support.Fixtures.of_edges ~capacity:1e6 ~delay:1e-3 2 [ (0, 1) ] in
   let l = Option.get (Topology.Graph.find_link g 0 1) in
   let delivered = ref 0 in
   let iface =
@@ -678,7 +709,11 @@ let () =
             test_schedule_random_deterministic;
         ] );
       ( "link_state",
-        [ Alcotest.test_case "flips and subscribers" `Quick test_link_state ] );
+        [
+          Alcotest.test_case "flips and subscribers" `Quick test_link_state;
+          Alcotest.test_case "same-instant flips in order" `Quick
+            test_same_instant_flips;
+        ] );
       ( "iface",
         [
           Alcotest.test_case "down drops queued" `Quick

@@ -2,6 +2,7 @@
    routing strategies, workload generation, snapshots and the DES. *)
 
 open Topology
+open Support
 module A = Flowsim.Allocation
 module R = Flowsim.Routing
 module W = Flowsim.Workload
@@ -22,13 +23,13 @@ let path_of g ns =
 (* max_min *)
 
 let test_max_min_single_link () =
-  let g = Graph.of_edges ~capacity:(mbps 10.) 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:(mbps 10.) 2 [ (0, 1) ] in
   let p = path_of g [ 0; 1 ] in
   let rates = A.max_min g [| (p, infinity); (p, infinity); (p, infinity) |] in
   Array.iter (fun r -> check_close "equal thirds" 1. (mbps 10. /. 3.) r) rates
 
 let test_max_min_demand_cap () =
-  let g = Graph.of_edges ~capacity:(mbps 10.) 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:(mbps 10.) 2 [ (0, 1) ] in
   let p = path_of g [ 0; 1 ] in
   let rates = A.max_min g [| (p, mbps 2.); (p, infinity) |] in
   check_close "capped flow" 1. (mbps 2.) rates.(0);
@@ -48,7 +49,7 @@ let test_max_min_fig3_e2e () =
 let test_max_min_parking_lot () =
   (* classic parking lot: long flow crosses two links shared with one
      short flow each: all get half of each link *)
-  let g = Graph.of_edges ~capacity:(mbps 10.) 3 [ (0, 1); (1, 2) ] in
+  let g = Fixtures.of_edges ~capacity:(mbps 10.) 3 [ (0, 1); (1, 2) ] in
   let long = path_of g [ 0; 1; 2 ] in
   let s1 = path_of g [ 0; 1 ] in
   let s2 = path_of g [ 1; 2 ] in
@@ -58,7 +59,7 @@ let test_max_min_parking_lot () =
   check_close "short 2" 1. (mbps 5.) rates.(2)
 
 let test_max_min_empty_and_zero_hop () =
-  let g = Graph.of_edges 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges 2 [ (0, 1) ] in
   Alcotest.(check int) "empty" 0 (Array.length (A.max_min g [||]));
   let z = Path.singleton 0 in
   let rates = A.max_min g [| (z, 5.); (z, infinity) |] in
@@ -107,7 +108,7 @@ let test_inrp_fig3 () =
 
 let test_inrp_no_detour_matches_bottleneck () =
   (* without detours INRP degenerates to the bottleneck rate *)
-  let g = Graph.of_edges ~capacity:(mbps 10.) 3 [ (0, 1); (1, 2) ] in
+  let g = Fixtures.of_edges ~capacity:(mbps 10.) 3 [ (0, 1); (1, 2) ] in
   let table = Detour.Table.create g in
   let p = path_of g [ 0; 1; 2 ] in
   let res =
@@ -191,7 +192,7 @@ let test_routing_sp_deterministic () =
   done
 
 let test_routing_ecmp_spreads () =
-  let g = Builders.grid 3 3 in
+  let g = Fixtures.grid 3 3 in
   let r = R.create g R.ecmp in
   let used = Hashtbl.create 4 in
   for flow = 0 to 63 do
@@ -221,7 +222,7 @@ let test_routing_names () =
 (* Workload *)
 
 let test_workload_distinct_pairs () =
-  let g = Builders.full_mesh 5 in
+  let g = Fixtures.full_mesh 5 in
   let wl = W.create ~arrival_rate:10. ~size:(W.Fixed 100.) ~seed:3L g in
   for id = 0 to 200 do
     let src, dst, size = W.draw_flow wl ~time:0. ~id in
@@ -242,7 +243,7 @@ let test_workload_role_filter () =
   done
 
 let test_workload_sizes () =
-  let g = Builders.full_mesh 3 in
+  let g = Fixtures.full_mesh 3 in
   let wl =
     W.create ~arrival_rate:5. ~size:(W.Exponential 1e6) ~seed:9L g
   in
@@ -256,7 +257,7 @@ let test_workload_sizes () =
   check_close "mean size" 5e4 1e6 (!acc /. float_of_int n)
 
 let test_workload_interarrivals () =
-  let g = Builders.full_mesh 3 in
+  let g = Fixtures.full_mesh 3 in
   let wl = W.create ~arrival_rate:100. ~size:(W.Fixed 1.) ~seed:5L g in
   let acc = ref 0. in
   let n = 50_000 in
@@ -266,7 +267,7 @@ let test_workload_interarrivals () =
   check_close "mean gap 10ms" 5e-4 0.01 (!acc /. float_of_int n)
 
 let test_workload_pareto_shape () =
-  let g = Builders.full_mesh 3 in
+  let g = Fixtures.full_mesh 3 in
   let wl =
     W.create ~arrival_rate:1. ~size:(W.Pareto { shape = 0.5; mean = 1e6 })
       ~seed:1L g
@@ -277,7 +278,7 @@ let test_workload_pareto_shape () =
 
 let test_workload_role_fallback () =
   (* fewer than two nodes with the requested role: fall back to any *)
-  let g = Builders.full_mesh 3 in
+  let g = Fixtures.full_mesh 3 in
   let wl =
     W.create ~endpoints:(W.Role_pairs [ Node.Host ]) ~arrival_rate:1.
       ~size:(W.Fixed 1.) ~seed:1L g
@@ -286,20 +287,25 @@ let test_workload_role_fallback () =
   Alcotest.(check bool) "still draws a pair" true (src <> dst)
 
 let test_workload_validation () =
-  let g = Builders.full_mesh 3 in
+  let g = Fixtures.full_mesh 3 in
   Alcotest.check_raises "rate" (Invalid_argument "Workload.create: arrival_rate <= 0")
     (fun () -> ignore (W.create ~arrival_rate:0. ~size:(W.Fixed 1.) ~seed:1L g));
-  let tiny = Graph.of_edges 1 [] in
+  let tiny = Fixtures.of_edges 1 [] in
   Alcotest.check_raises "nodes" (Invalid_argument "Workload.create: need at least two nodes")
     (fun () -> ignore (W.create ~arrival_rate:1. ~size:(W.Fixed 1.) ~seed:1L tiny))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot *)
 
+(* one seed's snapshot *)
+let snapshot ?endpoints ?demand ~strategy ~nflows ~seed g =
+  Flowsim.Snapshot.ensemble ?endpoints ?demand ~strategy ~nflows
+    ~seeds:[ seed ] g
+
 let test_snapshot_deterministic () =
   let g = Isp_zoo.graph Isp_zoo.Vsnl in
-  let a = Flowsim.Snapshot.run ~strategy:R.sp ~demand:1e9 ~nflows:20 ~seed:4L g in
-  let b = Flowsim.Snapshot.run ~strategy:R.sp ~demand:1e9 ~nflows:20 ~seed:4L g in
+  let a = snapshot ~strategy:R.sp ~demand:1e9 ~nflows:20 ~seed:4L g in
+  let b = snapshot ~strategy:R.sp ~demand:1e9 ~nflows:20 ~seed:4L g in
   check_close "same throughput" 1e-12 a.Flowsim.Snapshot.throughput
     b.Flowsim.Snapshot.throughput
 
@@ -308,7 +314,7 @@ let test_snapshot_throughput_bounds () =
   List.iter
     (fun strategy ->
       let r =
-        Flowsim.Snapshot.run ~strategy ~demand:2e9 ~nflows:30 ~seed:2L g
+        snapshot ~strategy ~demand:2e9 ~nflows:30 ~seed:2L g
       in
       let t = r.Flowsim.Snapshot.throughput in
       if t < 0. || t > 1. +. 1e-9 then
@@ -338,7 +344,7 @@ let test_snapshot_stretch_bounds () =
   let eps = W.Role_pairs [ Node.Core; Node.Aggregation ] in
   let g = Isp_zoo.graph Isp_zoo.Exodus in
   let r =
-    Flowsim.Snapshot.run ~endpoints:eps ~strategy:R.inrp ~demand:6e9
+    snapshot ~endpoints:eps ~strategy:R.inrp ~demand:6e9
       ~nflows:(2 * Graph.node_count g) ~seed:1L g
   in
   Alcotest.(check bool) "mean stretch in the Fig. 4b band" true
@@ -355,7 +361,7 @@ let test_snapshot_no_detour_matches_sp () =
   let eps = W.Role_pairs [ Node.Core; Node.Aggregation ] in
   let g = Isp_zoo.graph Isp_zoo.Vsnl in
   let run strategy =
-    (Flowsim.Snapshot.run ~endpoints:eps ~strategy ~demand:6e9 ~nflows:20
+    (snapshot ~endpoints:eps ~strategy ~demand:6e9 ~nflows:20
        ~seed:3L g).Flowsim.Snapshot.throughput
   in
   let sp = run R.sp in
@@ -366,8 +372,8 @@ let test_snapshot_no_detour_matches_sp () =
 
 let test_snapshot_validation () =
   let g = Builders.fig3 () in
-  Alcotest.check_raises "nflows" (Invalid_argument "Snapshot.run: nflows <= 0")
-    (fun () -> ignore (Flowsim.Snapshot.run ~strategy:R.sp ~nflows:0 ~seed:1L g));
+  Alcotest.check_raises "nflows" (Invalid_argument "Snapshot.ensemble: nflows <= 0")
+    (fun () -> ignore (snapshot ~strategy:R.sp ~nflows:0 ~seed:1L g));
   Alcotest.check_raises "seeds" (Invalid_argument "Snapshot.ensemble: no seeds")
     (fun () ->
       ignore (Flowsim.Snapshot.ensemble ~strategy:R.sp ~nflows:2 ~seeds:[] g))
@@ -376,7 +382,8 @@ let fig4_endpoints = W.Role_pairs [ Node.Core; Node.Aggregation ]
 
 let test_snapshot_ensemble_is_fold () =
   (* one routing state shared across seeds must not move a bit: the
-     ensemble equals the seed-wise fold of independent runs *)
+     ensemble equals the seed-wise fold of one-seed ensembles, each on
+     its own routing state *)
   let g = Isp_zoo.graph Isp_zoo.Telstra in
   let nflows = 2 * Graph.node_count g in
   let seeds = [ 1L; 2L; 3L ] in
@@ -390,7 +397,7 @@ let test_snapshot_ensemble_is_fold () =
       let runs =
         List.map
           (fun seed ->
-            Flowsim.Snapshot.run ~endpoints:fig4_endpoints ~strategy
+            snapshot ~endpoints:fig4_endpoints ~strategy
               ~demand:6e9 ~nflows ~seed g)
           seeds
       in
@@ -439,7 +446,7 @@ let test_snapshot_ecmp_ids_skip_unroutable () =
   let g = two_diamonds () in
   let nflows = 40 and seed = 5L and demand = 1e7 in
   let r =
-    Flowsim.Snapshot.run ~strategy:(R.Ecmp 8) ~demand ~nflows ~seed g
+    snapshot ~strategy:(R.Ecmp 8) ~demand ~nflows ~seed g
   in
   let wl = W.create ~arrival_rate:1. ~size:(W.Fixed 1.) ~seed g in
   let pairs =
@@ -545,7 +552,7 @@ let test_des_validation () =
               ~duration:0. ())))
 
 let test_run_static_unroutable () =
-  let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
+  let g = Fixtures.of_edges 4 [ (0, 1); (2, 3) ] in
   match Flowsim.Simulator.run_static g ~strategy:R.sp [ (0, 3) ] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
@@ -588,7 +595,7 @@ let prop_max_min_within_capacity =
     (QCheck.make QCheck.Gen.(pair (int_range 5 15) (int_range 0 1000)))
     (fun (n, seed) ->
       let g =
-        Builders.erdos_renyi ~capacity:1e6 ~seed:(Int64.of_int seed) ~p:0.4 n
+        Fixtures.erdos_renyi ~capacity:1e6 ~seed:(Int64.of_int seed) ~p:0.4 n
       in
       let router = R.create g R.sp in
       let rng = Sim.Rng.create (Int64.of_int (seed + 1)) in
@@ -620,7 +627,7 @@ let prop_inrp_no_overbooking =
     (QCheck.make QCheck.Gen.(pair (int_range 5 12) (int_range 0 1000)))
     (fun (n, seed) ->
       let g =
-        Builders.erdos_renyi ~capacity:1e6 ~seed:(Int64.of_int seed) ~p:0.4 n
+        Fixtures.erdos_renyi ~capacity:1e6 ~seed:(Int64.of_int seed) ~p:0.4 n
       in
       let router = R.create g R.inrp in
       let table = Detour.Table.create g in
@@ -657,7 +664,7 @@ let prop_inrp_no_overbooking =
 let detour_deficit ~n ~seed =
   let capacity = 1e6 in
   let g =
-    Builders.erdos_renyi ~capacity ~seed:(Int64.of_int seed) ~p:0.4 n
+    Fixtures.erdos_renyi ~capacity ~seed:(Int64.of_int seed) ~p:0.4 n
   in
   let router = R.create g R.sp in
   let table = Detour.Table.create g in

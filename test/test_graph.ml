@@ -1,13 +1,14 @@
 (* Tests for graph construction, paths and the topology builders. *)
 
 open Topology
+open Support
 
 (* a path's last node *)
 let path_dst (p : Path.t) = List.nth p.Path.nodes (Path.hops p)
 
 let diamond () =
   (* 0 - 1 - 3 with 0 - 2 - 3 alternative *)
-  Graph.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ]
+  Fixtures.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ]
 
 (* ------------------------------------------------------------------ *)
 (* Graph *)
@@ -74,9 +75,9 @@ let directed n pairs =
 let test_connectivity () =
   let strong = Graph.is_strongly_connected in
   Alcotest.(check bool) "diamond connected" true (strong (diamond ()));
-  let disconnected = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
+  let disconnected = Fixtures.of_edges 4 [ (0, 1); (2, 3) ] in
   Alcotest.(check bool) "two components" false (strong disconnected);
-  let empty = Graph.of_edges 0 [] in
+  let empty = Fixtures.of_edges 0 [] in
   Alcotest.(check bool) "empty is connected" true (strong empty);
   let ring = [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
   Alcotest.(check bool) "one-way ring" true (strong (directed 4 ring));
@@ -87,7 +88,7 @@ let test_connectivity () =
     (strong (directed 5 ((0, 4) :: ring)))
 
 let test_total_capacity () =
-  let g = Graph.of_edges ~capacity:5. 2 [ (0, 1) ] in
+  let g = Fixtures.of_edges ~capacity:5. 2 [ (0, 1) ] in
   Alcotest.(check (float 1e-9)) "both directions" 10. (Graph.total_capacity g)
 
 (* ------------------------------------------------------------------ *)
@@ -133,11 +134,11 @@ let test_builder_shapes () =
       (Graph.is_strongly_connected g)
   in
   check_shape "line" (Builders.line 5) 5 4;
-  check_shape "ring" (Builders.ring 6) 6 6;
-  check_shape "star" (Builders.star 4) 5 4;
-  check_shape "mesh" (Builders.full_mesh 5) 5 10;
-  check_shape "grid" (Builders.grid 3 4) 12 17;
-  check_shape "tree" (Builders.binary_tree 3) 15 14;
+  check_shape "ring" (Fixtures.ring 6) 6 6;
+  check_shape "star" (Fixtures.star 4) 5 4;
+  check_shape "mesh" (Fixtures.full_mesh 5) 5 10;
+  check_shape "grid" (Fixtures.grid 3 4) 12 17;
+  check_shape "tree" (Fixtures.binary_tree 3) 15 14;
   check_shape "dumbbell" (Builders.dumbbell 3) 8 7;
   check_shape "fig3" (Builders.fig3 ()) 4 5
 
@@ -148,14 +149,14 @@ let test_builder_validation () =
     | exception Invalid_argument _ -> ()
   in
   expect_invalid (fun () -> Builders.line 0);
-  expect_invalid (fun () -> Builders.ring 2);
-  expect_invalid (fun () -> Builders.full_mesh 1);
-  expect_invalid (fun () -> Builders.binary_tree (-1));
-  expect_invalid (fun () -> Builders.erdos_renyi ~seed:1L ~p:1.5 4)
+  expect_invalid (fun () -> Fixtures.ring 2);
+  expect_invalid (fun () -> Fixtures.full_mesh 1);
+  expect_invalid (fun () -> Fixtures.binary_tree (-1));
+  expect_invalid (fun () -> Fixtures.erdos_renyi ~seed:1L ~p:1.5 4)
 
 let test_random_builders_deterministic () =
-  let a = Builders.erdos_renyi ~seed:5L ~p:0.3 30 in
-  let b = Builders.erdos_renyi ~seed:5L ~p:0.3 30 in
+  let a = Fixtures.erdos_renyi ~seed:5L ~p:0.3 30 in
+  let b = Fixtures.erdos_renyi ~seed:5L ~p:0.3 30 in
   Alcotest.(check int) "same link count" (Graph.link_count a) (Graph.link_count b)
 
 (* ------------------------------------------------------------------ *)
@@ -170,7 +171,7 @@ let prop_of_edges_symmetric =
   QCheck.Test.make ~name:"of_edges graphs are symmetric" ~count:100
     (QCheck.make random_graph_gen) (fun (n, seed) ->
       let g =
-        Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.4 n
+        Fixtures.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.4 n
       in
       List.for_all
         (fun (l : Link.t) -> Graph.reverse g l <> None)
@@ -179,7 +180,7 @@ let prop_of_edges_symmetric =
 let prop_undirected_halves =
   QCheck.Test.make ~name:"undirected_links is half of links" ~count:100
     (QCheck.make random_graph_gen) (fun (n, seed) ->
-      let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.4 n in
+      let g = Fixtures.erdos_renyi ~seed:(Int64.of_int seed) ~p:0.4 n in
       2 * List.length (Graph.undirected_links g) = Graph.link_count g)
 
 (* Random graphs with one-way links: [n] nodes and the directed pairs

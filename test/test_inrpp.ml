@@ -47,8 +47,8 @@ let ft_install_release () =
   let s =
     ft_install t ~flow:7 ~content:42 ~data_port:1 ~req_port:(-1)
   in
-  Alcotest.(check int) "find" s (Ft.find t 7);
-  Alcotest.(check int) "flow_of inverts" 7 (Ft.flow_of t s);
+  (* the first find walks the chain, comparing each slot's stored id *)
+  Alcotest.(check int) "find reads the stored id" s (Ft.find t 7);
   Alcotest.(check int) "content" 42 (Ft.content t s);
   Alcotest.(check int) "data port" 1 (Ft.data_port t s);
   Alcotest.(check int) "req port (none)" (-1) (Ft.req_port t s);
@@ -183,9 +183,10 @@ let ft_packed_bounds () =
       let s = Ft.find t (flow k) in
       let d, r = ports k in
       let got = List.map (fun (_, get, _) -> get t s) ft_flags in
+      (* consecutive finds are of distinct flows, so each walks the
+         chain and compares the slot's stored flow id *)
       if
         s < 0
-        || Ft.flow_of t s <> flow k
         || Ft.content t s <> content k
         || (Ft.data_port t s, Ft.req_port t s) <> (d, r)
         || List.exists (fun f -> f <> (k mod 2 = 0)) got
@@ -437,7 +438,7 @@ let prop_flow_table_model =
             (fun flow e ->
               let s = Ft.find t flow in
               expect
-                (s >= 0 && Ft.flow_of t s = flow
+                (s >= 0
                 && Ft.content t s = e.m_content
                 && (Ft.data_port t s, Ft.req_port t s) = e.m_ports);
               Array.iteri
@@ -541,14 +542,15 @@ let prop_flow_table_ascending =
        QCheck.Gen.(list_size (int_range 20 80) batch))
     (fun batches ->
       let t = Ft.create ~gap:0.5 () in
-      let m : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+      (* each live flow's slot *)
+      let m : (int, int) Hashtbl.t = Hashtbl.create 16 in
       let top = ref (-1) and peak = ref 0 and recycled = ref 0 in
       let ok = ref true in
       let expect b = if not b then ok := false in
       let install flow =
         let s = Ft.add t ~flow in
-        expect (s >= 0 && Ft.flow_of t s = flow);
-        Hashtbl.replace m flow ();
+        expect (s >= 0);
+        Hashtbl.replace m flow s;
         if flow > !top then top := flow;
         peak := max !peak (Hashtbl.length m)
       in
@@ -571,16 +573,18 @@ let prop_flow_table_ascending =
           let flow = !top + 1 in
           expect (Ft.find t flow = -1);
           install flow;
-          expect (Ft.flow_of t (Ft.find t flow) = flow)
+          expect (Ft.find t flow = Hashtbl.find m flow)
       in
       List.iter
         (fun b ->
           List.iter step b;
           let order = ref [] in
+          (* [iter] reads each slot's stored flow id *)
           Ft.iter t (fun flow slot ->
-              order := (flow, slot = Ft.find t flow) :: !order);
+              order := (flow, slot, slot = Ft.find t flow) :: !order);
           expect
-            (!order = Hashtbl.fold (fun flow () acc -> (flow, true) :: acc) m []);
+            (!order
+            = Hashtbl.fold (fun flow s acc -> (flow, s, true) :: acc) m []);
           for flow = 0 to min !top 300 do
             expect ((Ft.find t flow >= 0) = Hashtbl.mem m flow)
           done;
@@ -712,7 +716,7 @@ let prop_flow_table_pages =
           | None -> expect (s = -1)
           | Some (slot, e) ->
             expect
-              (s = slot && Ft.flow_of t s = flow
+              (s = slot
               && Ft.content t s = e.m_content
               && (Ft.data_port t s, Ft.req_port t s) = e.m_ports);
             Array.iteri
@@ -2702,7 +2706,7 @@ let test_protocol_validation () =
   let g = Topology.Builders.line 3 in
   Alcotest.check_raises "no flows" (Invalid_argument "Protocol.run: no flows")
     (fun () -> ignore (Inrpp.Protocol.run g []));
-  let disconnected = Topology.Graph.of_edges 4 [ (0, 1); (2, 3) ] in
+  let disconnected = Support.Fixtures.of_edges 4 [ (0, 1); (2, 3) ] in
   Alcotest.check_raises "unroutable"
     (Invalid_argument "Protocol.run: flow 0 -> 3 unroutable") (fun () ->
       ignore

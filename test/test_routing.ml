@@ -1,11 +1,12 @@
 (* Tests for Dijkstra, link-disjoint paths and ECMP. *)
 
 open Topology
+open Support
 
 (* a path's last node *)
 let path_dst (p : Path.t) = List.nth p.Path.nodes (Path.hops p)
 
-let diamond () = Graph.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ]
+let diamond () = Fixtures.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ]
 
 (* hop distances from [s] to every node; [max_int] where unreachable *)
 let hops_from g s =
@@ -24,7 +25,7 @@ let test_hops_tree () =
   Alcotest.(check (option int)) "two hops" (Some 2) (Dijkstra.hop_distance t 3)
 
 let test_unreachable () =
-  let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
+  let g = Fixtures.of_edges 4 [ (0, 1); (2, 3) ] in
   let t = Dijkstra.run g 0 in
   Alcotest.(check bool) "unreachable" false (Dijkstra.reachable t 3);
   Alcotest.(check (option int)) "no distance" None (Dijkstra.hop_distance t 3);
@@ -39,14 +40,15 @@ let test_forbidden_links () =
   let p = Option.get (Dijkstra.path_to t 3) in
   Alcotest.(check (list int)) "avoids banned link" [ 0; 2; 3 ] p.Path.nodes
 
+(* a node is pruned by pruning the links into it *)
 let test_forbidden_nodes () =
   let g = diamond () in
-  let t = Dijkstra.run ~forbidden_nodes:(fun u -> u = 1) g 0 in
+  let t = Dijkstra.run ~forbidden_links:(fun l -> l.Link.dst = 1) g 0 in
   let p = Option.get (Dijkstra.path_to t 3) in
   Alcotest.(check (list int)) "avoids banned node" [ 0; 2; 3 ] p.Path.nodes
 
 let test_path_reconstruction_valid () =
-  let g = Builders.grid 4 5 in
+  let g = Fixtures.grid 4 5 in
   let t = Dijkstra.run g 0 in
   for v = 0 to Graph.node_count g - 1 do
     match Dijkstra.path_to t v with
@@ -59,7 +61,7 @@ let test_path_reconstruction_valid () =
   done
 
 let test_all_pairs_hops () =
-  let g = Builders.grid 3 3 in
+  let g = Fixtures.grid 3 3 in
   let matrix = Array.init (Graph.node_count g) (hops_from g) in
   (* corner to opposite corner of a 3x3 grid is 4 hops *)
   Alcotest.(check int) "corner to corner" 4 matrix.(0).(8);
@@ -91,7 +93,7 @@ let test_ecmp_enumerates_ties () =
 
 let test_ecmp_limit () =
   (* 3-stage butterfly has 8 equal-cost paths; limit must cap *)
-  let g = Builders.grid 2 4 in
+  let g = Fixtures.grid 2 4 in
   let all = Ecmp.equal_cost_paths ~limit:100 g 0 7 in
   let capped = Ecmp.equal_cost_paths ~limit:2 g 0 7 in
   Alcotest.(check bool) "several paths" true (List.length all >= 3);
@@ -104,7 +106,7 @@ let test_ecmp_self () =
   | _ -> Alcotest.fail "expected singleton"
 
 let test_ecmp_unreachable () =
-  let g = Graph.of_edges 3 [ (0, 1) ] in
+  let g = Fixtures.of_edges 3 [ (0, 1) ] in
   Alcotest.(check int) "none" 0 (List.length (Ecmp.equal_cost_paths g 0 2))
 
 let test_ecmp_hash_stability () =
@@ -152,7 +154,7 @@ let graph_gen =
 let connected_er (n, seed) =
   (* raise p until connected; deterministic given inputs *)
   let rec go p =
-    let g = Builders.erdos_renyi ~seed:(Int64.of_int seed) ~p n in
+    let g = Fixtures.erdos_renyi ~seed:(Int64.of_int seed) ~p n in
     if Graph.is_strongly_connected g || p > 0.95 then g else go (p +. 0.1)
   in
   go 0.2
@@ -283,14 +285,15 @@ let prop_k_disjoint =
       && List.for_all (fun p -> Path.src p = 0 && path_dst p = d) paths)
 
 (* early exit: random graph, random pruning (a salted hash picks about
-   one link in five and one node in eight), every target from node 0 *)
+   one link in five, and the links into about one node in eight), every
+   target from node 0 *)
 let pruned_gen =
   QCheck.make
     QCheck.Gen.(triple (int_range 4 30) (int_range 0 10_000) (int_range 0 1_000))
 
 let pruning salt =
   let pick x m = Hashtbl.hash (x, salt) mod m = 0 in
-  ((fun (l : Link.t) -> pick l.Link.id 5), fun v -> pick (v + 100_000) 8)
+  fun (l : Link.t) -> pick l.Link.id 5 || pick (l.Link.dst + 100_000) 8
 
 let link_ids = function
   | None -> None
@@ -300,12 +303,12 @@ let prop_target_exit_exact =
   QCheck.Test.make ~name:"dijkstra ~target gives the full run's path"
     ~count:80 pruned_gen (fun (n, seed, salt) ->
       let g = connected_er (n, seed) in
-      let forbidden_links, forbidden_nodes = pruning salt in
-      let full = Dijkstra.run ~forbidden_links ~forbidden_nodes g 0 in
+      let forbidden_links = pruning salt in
+      let full = Dijkstra.run ~forbidden_links g 0 in
       List.for_all
         (fun t ->
           let early =
-            Dijkstra.run ~forbidden_links ~forbidden_nodes ~target:t g 0
+            Dijkstra.run ~forbidden_links ~target:t g 0
           in
           link_ids (Dijkstra.path_to early t) = link_ids (Dijkstra.path_to full t))
         (List.init (Graph.node_count g) Fun.id))
@@ -315,8 +318,7 @@ let prop_target_exit_exact =
    [Graph.out_links] list through a closure.  It makes the same heap
    calls in the same order, so [run] must match it entry for entry,
    ties included, on full and on target-stopped searches. *)
-let reference_run ?(forbidden_links = fun _ -> false)
-    ?(forbidden_nodes = fun _ -> false) ?(target = -1) g s =
+let reference_run ?(forbidden_links = fun _ -> false) ?(target = -1) g s =
   let n = Graph.node_count g in
   let dist = Array.make n infinity and pred = Array.make n (-1) in
   let heap = Dijkstra.Heap.create () in
@@ -324,7 +326,7 @@ let reference_run ?(forbidden_links = fun _ -> false)
   Dijkstra.Heap.push heap 0. s;
   let relax (l : Link.t) =
     let v = l.Link.dst in
-    if (not (forbidden_links l)) && not (forbidden_nodes v) then begin
+    if not (forbidden_links l) then begin
       let nd = dist.(l.Link.src) +. 1. in
       if nd < dist.(v) then begin
         dist.(v) <- nd;
@@ -355,11 +357,9 @@ let reference_run ?(forbidden_links = fun _ -> false)
 
 (* every node's distance and reconstructed path from [run] against the
    reference's arrays *)
-let matches_reference ?forbidden_links ?forbidden_nodes ?target g s =
-  let t = Dijkstra.run ?forbidden_links ?forbidden_nodes ?target g s in
-  let dist, pred =
-    reference_run ?forbidden_links ?forbidden_nodes ?target g s
-  in
+let matches_reference ?forbidden_links ?target g s =
+  let t = Dijkstra.run ?forbidden_links ?target g s in
+  let dist, pred = reference_run ?forbidden_links ?target g s in
   let ref_path v =
     if not (Float.is_finite dist.(v)) then None
     else begin
@@ -387,14 +387,14 @@ let matches_reference ?forbidden_links ?forbidden_nodes ?target g s =
    stopped at a target *)
 let all_searches_match g salt =
   let n = Graph.node_count g in
-  let forbidden_links, forbidden_nodes = pruning salt in
+  let forbidden_links = pruning salt in
   List.for_all
     (fun s ->
       let target = ((s * 7) + 3) mod n in
       matches_reference g s
       && matches_reference ~target g s
-      && matches_reference ~forbidden_links ~forbidden_nodes g s
-      && matches_reference ~forbidden_links ~forbidden_nodes ~target g s)
+      && matches_reference ~forbidden_links g s
+      && matches_reference ~forbidden_links ~target g s)
     (List.init n Fun.id)
 
 let test_zoo_matches_reference () =

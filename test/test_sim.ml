@@ -1016,7 +1016,7 @@ let test_histogram () =
 (* Timeline *)
 
 let test_timeline_average () =
-  let tl = Sim.Timeline.create ~start:0. () in
+  let tl = Sim.Timeline.create ~start:0. in
   Sim.Timeline.record tl ~time:2. 10.;   (* 0 over [0,2) *)
   Sim.Timeline.record tl ~time:4. 0.;    (* 10 over [2,4) *)
   check_float "integral" 20. (Sim.Timeline.integral tl ~until:6.);
@@ -1024,11 +1024,12 @@ let test_timeline_average () =
     (Sim.Timeline.time_average tl ~until:6.)
 
 let test_timeline_initial () =
-  let tl = Sim.Timeline.create ~initial:5. ~start:1. () in
+  let tl = Sim.Timeline.create ~start:1. in
+  Sim.Timeline.record tl ~time:1. 5.;
   check_float "avg of constant" 5. (Sim.Timeline.time_average tl ~until:3.)
 
 let test_timeline_backwards_rejected () =
-  let tl = Sim.Timeline.create ~start:0. () in
+  let tl = Sim.Timeline.create ~start:0. in
   Sim.Timeline.record tl ~time:2. 1.;
   Alcotest.check_raises "backwards"
     (Invalid_argument "Timeline.record: time 1 < last 2") (fun () ->
@@ -1062,7 +1063,7 @@ let prop_timeline_integral_additive =
   QCheck.Test.make ~name:"timeline integral is additive over records" ~count:200
     QCheck.(list (pair (float_bound_inclusive 10.) (float_bound_inclusive 100.)))
     (fun steps ->
-      let tl = Sim.Timeline.create ~start:0. () in
+      let tl = Sim.Timeline.create ~start:0. in
       let time = ref 0. in
       let manual = ref 0. in
       let last_v = ref 0. in

@@ -1,8 +1,8 @@
 (* Workload engine: statistical laws and determinism.
 
    The law tests derive their tolerances in-test from the exact
-   distributions the generators expose (Catalog.probability,
-   Catalog.survival, the exponential inter-arrival moments): each
+   distributions the generators draw from (Oracles.zipf and
+   Oracles.pareto_survival, the exponential inter-arrival moments): each
    bound is z standard errors of the estimator under the law being
    checked, z = 5 (two-sided miss probability < 1e-6 per comparison),
    never a hand-tuned margin.  Every test also runs at three distinct
@@ -35,6 +35,7 @@ let z = 5.
 let zipf_slope alpha seed =
   let n = 50 and draws = 20_000 in
   let cat = Workload.Catalog.create ~alpha ~objects:n ~seed () in
+  let probability = Support.Oracles.zipf ~alpha ~objects:n in
   let rng = Sim.Rng.create (Int64.add seed 1L) in
   let counts = Array.make n 0 in
   for _ = 1 to draws do
@@ -51,7 +52,7 @@ let zipf_slope alpha seed =
     (fun k c ->
       if c = 0 then
         Alcotest.failf "rank %d drew no samples — widen draws" (k + 1);
-      let p = Workload.Catalog.probability cat k in
+      let p = probability k in
       slope := !slope +. (w.(k) *. log (float_of_int c /. float_of_int draws));
       var := !var +. (w.(k) ** 2.) *. (1. -. p) /. (float_of_int draws *. p))
     counts;
@@ -62,7 +63,7 @@ let zipf_slope alpha seed =
   (* and every rank's raw frequency within its own binomial bound *)
   Array.iteri
     (fun k c ->
-      let p = Workload.Catalog.probability cat k in
+      let p = probability k in
       let se = sqrt (p *. (1. -. p) /. float_of_int draws) in
       let dev =
         Float.abs ((float_of_int c /. float_of_int draws) -. p)
@@ -78,14 +79,13 @@ let test_zipf_slope seed =
 (* the probabilities the tolerance derivation leans on must themselves
    sum to one and decay monotonically *)
 let test_zipf_mass () =
-  let cat = Workload.Catalog.create ~alpha:0.8 ~objects:100 ~seed:1L () in
+  let probability = Support.Oracles.zipf ~alpha:0.8 ~objects:100 in
   let total = ref 0. in
   for k = 0 to 99 do
-    total := !total +. Workload.Catalog.probability cat k;
+    total := !total +. probability k;
     if k > 0 then
       Alcotest.(check bool) "monotone" true
-        (Workload.Catalog.probability cat k
-        <= Workload.Catalog.probability cat (k - 1))
+        (probability k <= probability (k - 1))
   done;
   Alcotest.(check (float 1e-9)) "sums to 1" 1. !total
 
@@ -93,7 +93,7 @@ let test_zipf_mass () =
 (* Catalog: bounded-Pareto chunk counts *)
 
 (* each object's chunk count is an iid bounded-Pareto draw, so a large
-   catalogue is a large sample; Catalog.survival is the exact law of
+   catalogue is a large sample; Oracles.pareto_survival is the exact law of
    the discretised draw, making the empirical tail a binomial whose
    standard error we can bound *)
 let test_pareto_tail seed =
@@ -105,7 +105,9 @@ let test_pareto_tail seed =
   let fobjects = float_of_int objects in
   List.iter
     (fun k ->
-      let p = Workload.Catalog.survival cat k in
+      let p =
+        Support.Oracles.pareto_survival ~shape:1.2 ~chunk_min:4 ~chunk_max:256 k
+      in
       let tail = ref 0 in
       for id = 0 to objects - 1 do
         if Workload.Catalog.chunks cat id >= k then incr tail
