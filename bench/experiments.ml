@@ -1482,7 +1482,7 @@ let micro () =
                     g demands)));
         Test.make ~name:"event queue push+pop"
           (Staged.stage (fun () ->
-               let q = Sim.Event_queue.create () in
+               let q = Sim.Event_queue.create ~vacant:() in
                for i = 0 to 63 do
                  ignore (Sim.Event_queue.push q ~time:(float_of_int (i * 7 mod 64)) ())
                done;

@@ -19,8 +19,11 @@ type t = {
   mutable prof_cur : int;
 }
 
+(* what the queue returns when no event is due *)
+let no_event () = ()
+
 let create () =
-  let queue = Event_queue.create () in
+  let queue = Event_queue.create ~vacant:no_event in
   (Event_queue.last_pop queue).(0) <- 0.;
   (Event_queue.last_pop queue).(1) <- infinity;
   {
@@ -260,15 +263,13 @@ let[@inline] profiled t f =
 
 (* ------------------------------------------------------------------ *)
 
-let no_event () = ()
-
 (* run a popped event (the pop already moved the clock to it) *)
 let[@inline] exec t f =
   t.handled <- t.handled + 1;
   if t.prof_enabled then profiled t f else f ()
 
 let step t =
-  let f = Event_queue.pop_before t.queue ~horizon:infinity ~none:no_event in
+  let f = Event_queue.pop_before t.queue ~horizon:infinity in
   f != no_event && (exec t f; true)
 
 let run ?until ?(max_events = 100_000_000) t =
@@ -278,7 +279,7 @@ let run ?until ?(max_events = 100_000_000) t =
   while !continue do
     if !budget <= 0 then continue := false
     else begin
-      let f = Event_queue.pop_before t.queue ~horizon ~none:no_event in
+      let f = Event_queue.pop_before t.queue ~horizon in
       if f == no_event then continue := false
       else begin
         exec t f;

@@ -69,10 +69,11 @@ type 'a t = {
   mutable next_seq : int;
   counts : counts;
   held : handle;                 (* shared handle for held pushes *)
+  vacant : 'a;                   (* what a slot holds with no event *)
   last : float array;            (* time and epoch of the last pop *)
 }
 
-let create () =
+let create ~vacant =
   let counts =
     { live = 0; dead = 0; pushed_total = 0; cancelled_total = 0;
       compactions = 0 }
@@ -89,6 +90,7 @@ let create () =
     next_seq = 0;
     counts;
     held = { cancelled = false; in_heap = true; counts };
+    vacant;
     last = [| nan; nan |];
   }
 
@@ -140,12 +142,12 @@ let extend a n fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-let grow t v =
+let grow t =
   let cap = Array.length t.payloads in
   let ncap = max 16 (2 * cap) in
   t.fkeys <- extend t.fkeys (2 * (ncap + 1)) 0.;
   t.ikeys <- extend t.ikeys (3 * (ncap + 1)) 0;
-  t.payloads <- extend t.payloads ncap v;
+  t.payloads <- extend t.payloads ncap t.vacant;
   t.handles <- extend t.handles ncap t.held;
   (* a full heap uses every old slot, so the new ones are all free *)
   t.free <- Array.init ncap (fun k -> ncap - 1 - k);
@@ -154,6 +156,12 @@ let grow t v =
 let release_slot t slot =
   t.free.(t.nfree) <- slot;
   t.nfree <- t.nfree + 1
+
+(* A one-shot event's payload leaves the queue with it, so nothing it
+   captured stays reachable from a free slot.  A held event's stays:
+   its owner pushes the same value again, and the slot then skips the
+   write barrier. *)
+let[@inline] forget t slot = t.payloads.(slot) <- t.vacant
 
 (* fill a pending hole at the root with the last entry *)
 let close_hole t =
@@ -175,6 +183,7 @@ let compact t =
     let h = t.handles.(ik.((3 * i) + 2)) in
     if h.cancelled then begin
       h.in_heap <- false;
+      forget t ik.((3 * i) + 2);
       release_slot t ik.((3 * i) + 2)
     end
     else begin
@@ -193,9 +202,9 @@ let compact t =
 (* Make room for one entry; the caller then writes its float keys at
    the spare position and calls [insert].  Compaction is worth a sweep
    once the heap is mostly dead weight and big enough to amortise it. *)
-let[@inline] make_room t v =
+let[@inline] make_room t =
   if t.size_total >= 64 && 2 * t.counts.dead > t.size_total then compact t;
-  if t.nfree = 0 then grow t v;
+  if t.nfree = 0 then grow t;
   spare t
 
 let insert t ~stamp ~seq h v =
@@ -224,7 +233,7 @@ let[@inline] take_seq t =
 let push ?(epoch = neg_infinity) t ~time payload =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
   let h = { cancelled = false; in_heap = true; counts = t.counts } in
-  let s = 2 * make_room t payload in
+  let s = 2 * make_room t in
   t.fkeys.(s) <- time;
   t.fkeys.(s + 1) <- epoch;
   let seq = take_seq t in
@@ -234,7 +243,7 @@ let push ?(epoch = neg_infinity) t ~time payload =
 let next_stamp t = t.next_seq
 
 let push_held t keys i ~stamp ~seq v =
-  let s = 2 * make_room t v in
+  let s = 2 * make_room t in
   t.fkeys.(s) <- keys.(i);
   t.fkeys.(s + 1) <- keys.(i + 1);
   insert t ~stamp ~seq t.held v
@@ -265,13 +274,15 @@ let rec clean_top t =
     if h.cancelled then begin
       h.in_heap <- false;
       t.counts.dead <- t.counts.dead - 1;
+      forget t t.ikeys.(2);
       remove_top t;
       clean_top t
     end
   end
 
 (* Pop the earliest live event due by [horizon] and return its slot,
-   valid until the next push (-1 when there is none). *)
+   valid until the next push (-1 when there is none).  The caller takes
+   the payload out with [take]. *)
 let pop_slot t ~horizon =
   clean_top t;
   if t.size_total = 0 || t.fkeys.(0) > horizon then -1
@@ -285,15 +296,20 @@ let pop_slot t ~horizon =
     slot
   end
 
-let pop_before t ~horizon ~none =
+let[@inline] take t slot =
+  let v = t.payloads.(slot) in
+  if t.handles.(slot) != t.held then forget t slot;
+  v
+
+let pop_before t ~horizon =
   let slot = pop_slot t ~horizon in
-  if slot < 0 then none else t.payloads.(slot)
+  if slot < 0 then t.vacant else take t slot
 
 let last_pop t = t.last
 
 let pop t =
   let slot = pop_slot t ~horizon:infinity in
-  if slot < 0 then None else Some (t.last.(0), t.payloads.(slot))
+  if slot < 0 then None else Some (t.last.(0), take t slot)
 
 let peek_time t =
   clean_top t;

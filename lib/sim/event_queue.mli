@@ -30,7 +30,12 @@ type stats = {
   compacted : int;   (** heap compaction sweeps performed *)
 }
 
-val create : unit -> 'a t
+val create : vacant:'a -> 'a t
+(** [vacant] fills every slot that holds no event.  A {!push} event's
+    slot gets it back when the event pops or its cancelled entry is
+    dropped, so the queue keeps nothing a fired or cancelled one-shot
+    payload reaches alive.  {!pop_before} returns it when no event is
+    due. *)
 
 val push : ?epoch:float -> 'a t -> time:float -> 'a -> handle
 (** [epoch] is the instant this event was scheduled (default
@@ -51,12 +56,12 @@ val is_cancelled : handle -> bool
 val pop : 'a t -> (float * 'a) option
 (** Earliest live event, removed.  [None] when empty. *)
 
-val pop_before : 'a t -> horizon:float -> none:'a -> 'a
+val pop_before : 'a t -> horizon:float -> 'a
 (** Earliest live event, removed, provided its time is [<= horizon];
-    [none] (compare physically) when empty or the next event lies
-    beyond the horizon.  The popped time goes to {!last_pop} instead of
-    being returned, so the pop allocates nothing.  Pass [infinity] for
-    an unbounded pop. *)
+    the queue's [vacant] (compare physically) when empty or the next
+    event lies beyond the horizon.  The popped time goes to {!last_pop}
+    instead of being returned, so the pop allocates nothing.  Pass
+    [infinity] for an unbounded pop. *)
 
 val last_pop : 'a t -> float array
 (** Two cells, written by every successful pop: its time and epoch
@@ -84,7 +89,9 @@ val stats : 'a t -> stats
     keys it would have had (the engine's lanes do).  Pop order is a function of
     the keys alone, so it is exactly that of pushing the event at once,
     provided it enters the heap before anything that sorts after it
-    pops. *)
+    pops.  A popped held event's slot keeps its payload: its owner
+    pushes the same value again, and the slot then skips the write
+    barrier. *)
 
 val take_seq : 'a t -> int
 (** The insertion number of a new held event, which counts as live

@@ -109,7 +109,7 @@ let queue_sorts seed =
   let times =
     List.init (20 + Sim.Rng.int rng 30) (fun _ -> Sim.Rng.float rng 1.)
   in
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:() in
   List.iter (fun time -> ignore (Sim.Event_queue.push q ~time ())) times;
   let rec drain acc =
     match Sim.Event_queue.pop q with

@@ -167,7 +167,7 @@ let test_zipf_bounds_and_skew () =
 (* Event queue *)
 
 let test_queue_order () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:"" in
   ignore (Sim.Event_queue.push q ~time:3. "c");
   ignore (Sim.Event_queue.push q ~time:1. "a");
   ignore (Sim.Event_queue.push q ~time:2. "b");
@@ -179,7 +179,7 @@ let test_queue_order () =
   Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
 
 let test_queue_fifo_ties () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:(-1) in
   for i = 0 to 9 do
     ignore (Sim.Event_queue.push q ~time:5. i)
   done;
@@ -190,7 +190,7 @@ let test_queue_fifo_ties () =
   done
 
 let test_queue_cancel () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:"" in
   let _a = Sim.Event_queue.push q ~time:1. "a" in
   let b = Sim.Event_queue.push q ~time:2. "b" in
   let _c = Sim.Event_queue.push q ~time:3. "c" in
@@ -202,7 +202,7 @@ let test_queue_cancel () =
     [ Some "a"; Some "c" ] seq
 
 let test_queue_peek () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:() in
   Alcotest.(check (option (float 0.))) "empty peek" None
     (Sim.Event_queue.peek_time q);
   let h = Sim.Event_queue.push q ~time:1. () in
@@ -216,7 +216,7 @@ let test_queue_peek () =
    count by scanning, and rewrote it as a side effect of the read *)
 let test_queue_size_exact_random () =
   let r = Sim.Rng.create 7L in
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:(-1) in
   let live = Hashtbl.create 64 in
   let next = ref 0 in
   let model = ref 0 in
@@ -254,7 +254,7 @@ let test_queue_size_exact_random () =
 (* cancelling is idempotent on the counters, and a mostly-dead heap is
    compacted on the next push *)
 let test_queue_cancel_idempotent_compaction () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:(-1) in
   let hs =
     Array.init 200 (fun i ->
         Sim.Event_queue.push q ~time:(float_of_int i) i)
@@ -277,14 +277,14 @@ let test_queue_cancel_idempotent_compaction () =
   Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
 
 let test_queue_nan_rejected () =
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:() in
   Alcotest.check_raises "NaN time"
     (Invalid_argument "Event_queue.push: NaN time") (fun () ->
       ignore (Sim.Event_queue.push q ~time:Float.nan ()))
 
 let test_queue_large_random () =
   let r = Sim.Rng.create 101L in
-  let q = Sim.Event_queue.create () in
+  let q = Sim.Event_queue.create ~vacant:() in
   let times = Array.init 5_000 (fun _ -> Sim.Rng.float r 1000.) in
   Array.iter (fun t -> ignore (Sim.Event_queue.push q ~time:t ())) times;
   let last = ref neg_infinity in
@@ -476,7 +476,7 @@ let hole_script =
    compacted the heap. *)
 let run_queue_model ~peek ops =
   let module Q = Sim.Event_queue in
-  let q = Q.create () in
+  let q = Q.create ~vacant:(-1) in
   let grid i = float_of_int i *. 0.25 and keys = Array.make 2 0. in
   (* live entries as ((time, epoch, stamp, seq), seq); the payload is
      the seq *)
@@ -683,7 +683,7 @@ let run_with_lanes ~seed =
 
 (* the reference: the engine's scheduling rules over one plain queue *)
 let run_plain ~seed =
-  let q = Sim.Event_queue.create () and log = ref [] in
+  let q = Sim.Event_queue.create ~vacant:ignore and log = ref [] in
   let now = ref 0. in
   let after delay f =
     ignore (Sim.Event_queue.push q ~epoch:!now ~time:(!now +. delay) f)
@@ -955,6 +955,35 @@ let test_lane_lets_go () =
   (* the lane outlives the check *)
   Alcotest.(check int) "lane drained" 0 (Sim.Engine.lane_length l)
 
+(* A fired or cancelled one-shot event keeps nothing it captured
+   alive: the queue overwrites its slot when it pops the event or drops
+   its cancelled entry.  The arrays are built and captured in a frame
+   of their own, so no stack slot of the test holds them. *)
+let test_schedule_lets_go () =
+  let e = Sim.Engine.create () and sum = ref 0 in
+  let w = Weak.create 2 in
+  let[@inline never] schedule_two () =
+    let fired = Array.make 100 1 and cancelled = Array.make 100 2 in
+    Weak.set w 0 (Some fired);
+    Weak.set w 1 (Some cancelled);
+    ignore
+      (Sim.Engine.schedule e ~delay:1. (fun () ->
+           sum := Array.fold_left ( + ) 0 fired));
+    Sim.Engine.cancel
+      (Sim.Engine.schedule e ~delay:2. (fun () ->
+           sum := Array.fold_left ( + ) 0 cancelled))
+  in
+  schedule_two ();
+  Sim.Engine.run e;
+  Alcotest.(check int) "fired" 100 !sum;
+  Gc.full_major ();
+  Alcotest.(check bool) "fired closure's array collected" false
+    (Weak.check w 0);
+  Alcotest.(check bool) "cancelled closure's array collected" false
+    (Weak.check w 1);
+  (* the engine outlives the check *)
+  Alcotest.(check int) "queue drained" 0 (Sim.Engine.pending e)
+
 let test_float_lane () =
   let e = Sim.Engine.create () and got = ref [] in
   let l = Sim.Engine.lane (Sim.Engine.pool ~filler:0.) e (fun x -> got := x :: !got) in
@@ -1152,6 +1181,8 @@ let () =
           Alcotest.test_case "lane lets go of handled items" `Quick
             test_lane_lets_go;
           Alcotest.test_case "float lane" `Quick test_float_lane;
+          Alcotest.test_case "fired schedule lets go" `Quick
+            test_schedule_lets_go;
         ] );
       ( "stats",
         [
