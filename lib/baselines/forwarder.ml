@@ -63,7 +63,7 @@ let forward_request t (p : Packet.t) =
 
 let handler t : Net.handler =
  fun ~from:_ p ->
-  match p.Packet.header with
+  match p with
   | Packet.Data _ -> forward_data t p
   | Packet.Request _ -> forward_request t p
   | Packet.Backpressure _ -> ()

@@ -191,7 +191,7 @@ let run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon ?obs
   Array.iter
     (fun fwd ->
       Forwarder.set_local_producer fwd (fun p ->
-          match p.Packet.header with
+          match p with
           | Packet.Request { nc; _ } ->
             let wire = Packet.flow p in
             let spec = flows.(fst ends.(wire)).spec in
@@ -202,7 +202,7 @@ let run ~protocol ~paths_per_flow ~chunk_bits ~queue_bits ~horizon ?obs
                    chunk_bits)
           | Packet.Data _ | Packet.Backpressure _ -> ());
       Forwarder.set_local_consumer fwd (fun p ->
-          match p.Packet.header with
+          match p with
           | Packet.Data { flow; idx; born_bits; _ } ->
             observe_chunk ~wire:flow ~born_bits;
             deliver ~wire:flow idx

@@ -79,7 +79,7 @@ let receivers (env : Harness.env) =
   Array.iteri
     (fun node fwd ->
       Chunksim.Net.set_handler env.Harness.net node (fun ~from p ->
-          match p.Packet.header with
+          match p with
           | Packet.Request _ ->
             let sh = shaper_for node (Packet.flow p) in
             Queue.add p sh.rq;

@@ -18,6 +18,13 @@ type t = {
   mutable dropped : int;
 }
 
+(* A packet's bits, matched here rather than read with [Packet.size]:
+   every hop reads them, and the dev profile's [-opaque] would make
+   that a call. *)
+let[@inline] bits : Packet.t -> float = function
+  | Data { size; _ } -> size
+  | Request _ | Backpressure _ -> Packet.control_bits
+
 let create ~capacity =
   if capacity <= 0. then invalid_arg "Fifo.create: capacity <= 0";
   {
@@ -39,7 +46,7 @@ let grow t =
 
 let push t (p : Packet.t) =
   let b = t.b in
-  if b.queued_bits +. p.Packet.size > b.capacity then begin
+  if b.queued_bits +. bits p > b.capacity then begin
     t.dropped <- t.dropped + 1;
     `Dropped
   end
@@ -47,7 +54,7 @@ let push t (p : Packet.t) =
     if t.len = Array.length t.ring then grow t;
     t.ring.((t.head + t.len) land (Array.length t.ring - 1)) <- p;
     t.len <- t.len + 1;
-    b.queued_bits <- b.queued_bits +. p.Packet.size;
+    b.queued_bits <- b.queued_bits +. bits p;
     `Queued
   end
 
@@ -57,7 +64,7 @@ let take t =
   t.ring.(t.head) <- Packet.vacant;
   t.head <- (t.head + 1) land (Array.length t.ring - 1);
   t.len <- t.len - 1;
-  t.b.queued_bits <- t.b.queued_bits -. p.Packet.size;
+  t.b.queued_bits <- t.b.queued_bits -. bits p;
   p
 
 let occupancy t = t.b.queued_bits

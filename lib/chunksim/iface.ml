@@ -93,6 +93,13 @@ let q_push t (p : Packet.t) =
   | Q_fifo f -> Fifo.push f p
   | Q_drr d -> Rr_queue.push d ~class_id:(Packet.flow p) p
 
+(* A packet's bits, matched here rather than read with [Packet.size]:
+   every hop reads them, and the dev profile's [-opaque] would make
+   that a call. *)
+let[@inline] bits : Packet.t -> float = function
+  | Data { size; _ } -> size
+  | Request _ | Backpressure _ -> Packet.control_bits
+
 (* the engine's clock, read unboxed *)
 let[@inline] now t = (t.clock :> float array).(0)
 let[@inline] epoch t = (t.clock :> float array).(1)
@@ -123,11 +130,11 @@ let start_tx t (p : Packet.t) =
   let start = c.next_free_at in
   settle t ~now:start;
   (match t.span_tap with Some f -> f start p | None -> ());
-  let tx = p.Packet.size /. t.rate in
+  let tx = bits p /. t.rate in
   let done_at = start +. tx in
   c.next_free_at <- done_at;
   c.inflight_tx <- tx;
-  c.inflight_bits <- p.Packet.size;
+  c.inflight_bits <- bits p;
   t.inflight_pending <- true;
   t.keys.(0) <- done_at +. t.prop_delay;
   t.keys.(1) <- done_at;

@@ -1,4 +1,4 @@
-type header =
+type t =
   | Request of {
       flow : int;
       nc : int;
@@ -9,30 +9,24 @@ type header =
   | Data of {
       flow : int;
       idx : int;
-      anticipated : bool;
-      via_detour : bool;
+      marks : int;
       detour_route : Topology.Node.id list;
       born_bits : int;
+      size : float;
     }
   | Backpressure of {
       flow : int;
       engage : bool;
     }
 
-type t = {
-  header : header;
-  size : float;
-}
+let control_bits = 50. *. 8.
+let anticipated_mark = 1
+let detour_mark = 2
 
-let request_bits = 50. *. 8.
-let backpressure_bits = 50. *. 8.
-
-let request_routed ~route ~flow ~nc ~ack ~ac =
+let request ~flow ~nc ~ack ~ac =
   if nc < 0 then invalid_arg "Packet.request: nc < 0";
   if ac < nc then invalid_arg "Packet.request: ac < nc";
-  { header = Request { flow; nc; ack; ac; route }; size = request_bits }
-
-let request ~flow ~nc ~ack ~ac = request_routed ~route:[] ~flow ~nc ~ack ~ac
+  Request { flow; nc; ack; ac; route = [] }
 
 (* A non-negative float's IEEE bits have bit 63 clear, so they fit in
    an immediate int.  [Int64.of_int] sign-extends bit 62 (set from
@@ -46,34 +40,37 @@ let data ?(anticipated = false) ?(detour_route = []) ~flow ~idx ~born
   if idx < 0 then invalid_arg "Packet.data: idx < 0";
   if not (born >= 0.) then invalid_arg "Packet.data: born < 0 or NaN";
   let born_bits = Int64.to_int (Int64.bits_of_float born) in
-  {
-    header =
-      Data
-        { flow; idx; anticipated; via_detour = false; detour_route; born_bits };
-    size = chunk_bits;
-  }
+  Data
+    {
+      flow;
+      idx;
+      marks = (if anticipated then anticipated_mark else 0);
+      detour_route;
+      born_bits;
+      size = chunk_bits;
+    }
 
-let backpressure ~flow ~engage =
-  { header = Backpressure { flow; engage }; size = backpressure_bits }
+let backpressure ~flow ~engage = Backpressure { flow; engage }
 
 let vacant = backpressure ~flow:(-1) ~engage:false
 
-let flow t =
-  match t.header with
+let size = function
+  | Data { size; _ } -> size
+  | Request _ | Backpressure _ -> control_bits
+
+let flow = function
   | Request { flow; _ } | Data { flow; _ } | Backpressure { flow; _ } -> flow
 
-let is_data t =
-  match t.header with
+let is_data = function
   | Data _ -> true
   | Request _ | Backpressure _ -> false
 
-let pp ppf t =
-  match t.header with
+let pp ppf = function
   | Request { flow; nc; ack; ac; _ } ->
     Format.fprintf ppf "req[f%d nc=%d ack=%d ac=%d]" flow nc ack ac
-  | Data { flow; idx; anticipated; via_detour; _ } ->
+  | Data { flow; idx; marks; _ } ->
     Format.fprintf ppf "data[f%d #%d%s%s]" flow idx
-      (if anticipated then " ant" else "")
-      (if via_detour then " det" else "")
+      (if marks land anticipated_mark <> 0 then " ant" else "")
+      (if marks land detour_mark <> 0 then " det" else "")
   | Backpressure { flow; engage } ->
     Format.fprintf ppf "bp[f%d %s]" flow (if engage then "engage" else "release")

@@ -9,12 +9,16 @@
     - {e Data} carries one content chunk.  [detour_route] is the
       source-routed remainder installed when a router deflects the
       chunk around a congested link (the paper's spoof-the-identifier
-      tunnelling); [via_detour] marks chunks that left the primary
-      path at least once.
+      tunnelling); its {!detour_mark} marks chunks that left the
+      primary path at least once.
     - {e Backpressure} engages or releases the closed-loop mode for a
-      flow, travelling hop-by-hop towards the sender. *)
+      flow, travelling hop-by-hop towards the sender.
 
-type header =
+    A packet is one block: 7 words for data, 6 for a request and 3 for
+    back-pressure, headers included.  Only data stores its size; the
+    other two kinds are {!control_bits} long. *)
+
+type t =
   | Request of {
       flow : int;
       nc : int;        (** next chunk the application requests *)
@@ -28,38 +32,42 @@ type header =
   | Data of {
       flow : int;
       idx : int;                  (** chunk index within the flow *)
-      anticipated : bool;         (** pushed ahead of an explicit request *)
-      via_detour : bool;
+      marks : int;
+      (** bit 0 if pushed ahead of an explicit request ([~anticipated]),
+          plus {!detour_mark} once deflected; only {!pp} reads them *)
       detour_route : Topology.Node.id list; (** remaining detour nodes to visit *)
       born_bits : int;
       (** sender timestamp (RTT sampling), as the IEEE bits of a
           non-negative float held unboxed; read it with {!born_of_bits} *)
+      size : float;               (** bits on the wire *)
     }
   | Backpressure of {
       flow : int;
       engage : bool;   (** [true] = slow down, [false] = release *)
     }
 
-type t = {
-  header : header;
-  size : float;        (** bits on the wire *)
-}
+val control_bits : float
+(** Bits on the wire of a request or a back-pressure packet: a 50-byte
+    header. *)
+
+val detour_mark : int
+(** The bit of a data packet's [marks] that a deflecting router sets. *)
 
 val request : flow:int -> nc:int -> ack:int -> ac:int -> t
-(** 50-byte header packet with an empty label stack (stateful
-    forwarding).  @raise Invalid_argument if [ac < nc] or [nc < 0]. *)
+(** Request with an empty label stack (stateful forwarding).
+    @raise Invalid_argument if [ac < nc] or [nc < 0]. *)
 
 val data :
   ?anticipated:bool -> ?detour_route:Topology.Node.id list -> flow:int ->
   idx:int -> born:float -> float -> t
-(** [data ~flow ~idx ~born chunk_bits]: [via_detour] starts [false]; a
+(** [data ~flow ~idx ~born chunk_bits]: the detour mark starts clear; a
     router deflecting the chunk sets it.  [born] is kept exactly (a
     [-0.] reads back as [0.]), as [born_bits].
     @raise Invalid_argument if [chunk_bits <= 0.], [idx < 0], or [born]
     is negative or NaN. *)
 
 val born_of_bits : int -> float
-(** The sender timestamp a data header's [born_bits] holds. *)
+(** The sender timestamp a data packet's [born_bits] holds. *)
 
 val backpressure : flow:int -> engage:bool -> t
 
@@ -67,7 +75,9 @@ val vacant : t
 (** A packet no node ever sends.  Packet rings write it over each slot
     they vacate, so they keep no delivered packet alive. *)
 
+val size : t -> float
+(** Bits on the wire. *)
+
 val flow : t -> int
 val is_data : t -> bool
 val pp : Format.formatter -> t -> unit
-

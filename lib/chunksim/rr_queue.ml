@@ -13,6 +13,13 @@ type t = {
   mutable dropped : int;
 }
 
+(* A packet's bits, matched here rather than read with [Packet.size]:
+   every hop reads them, and the dev profile's [-opaque] would make
+   that a call. *)
+let[@inline] bits : Packet.t -> float = function
+  | Data { size; _ } -> size
+  | Request _ | Backpressure _ -> Packet.control_bits
+
 let create ?(quantum = 10e3 *. 8.) ~capacity () =
   if capacity <= 0. then invalid_arg "Rr_queue.create: capacity <= 0";
   if quantum <= 0. then invalid_arg "Rr_queue.create: quantum <= 0";
@@ -26,7 +33,7 @@ let create ?(quantum = 10e3 *. 8.) ~capacity () =
   }
 
 let push t ~class_id (p : Packet.t) =
-  if t.bits +. p.Packet.size > t.cap then begin
+  if t.bits +. bits p > t.cap then begin
     t.dropped <- t.dropped + 1;
     `Dropped
   end
@@ -45,7 +52,7 @@ let push t ~class_id (p : Packet.t) =
       t.ring <- t.ring @ [ c ]
     end;
     Queue.add p c.q;
-    t.bits <- t.bits +. p.Packet.size;
+    t.bits <- t.bits +. bits p;
     `Queued
   end
 
@@ -61,11 +68,11 @@ let take t =
     | [] -> invalid_arg "Rr_queue.take: empty"
     | c :: rest ->
       (* a class is in the ring exactly while its queue is non-empty *)
-      let head = Queue.peek c.q in
-      if head.Packet.size <= c.deficit then begin
+      let b = bits (Queue.peek c.q) in
+      if b <= c.deficit then begin
         let p = Queue.take c.q in
-        c.deficit <- c.deficit -. p.Packet.size;
-        t.bits <- t.bits -. p.Packet.size;
+        c.deficit <- c.deficit -. b;
+        t.bits <- t.bits -. b;
         if Queue.is_empty c.q then t.ring <- rest
         else t.ring <- rest @ [ c ];
         p

@@ -26,7 +26,7 @@ let burst_loss t =
 
 let make_filter t =
   fun (_ : Link.t) (p : Packet.t) ->
-    match p.Packet.header with
+    match p with
     | Packet.Data _ -> false
     | Packet.Request _ | Packet.Backpressure _ ->
       let drop = Sim.Rng.float t.burst_rng 1. < burst_loss t in

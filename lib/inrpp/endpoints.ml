@@ -62,11 +62,9 @@ let attach (w : Wiring.t) ~faulted =
             Instrumentation.pushed ins p;
             let p =
               if pitless then begin
-                match p.Packet.header with
+                match p with
                 | Packet.Data d ->
-                  { p with
-                    Packet.header =
-                      Packet.Data { d with detour_route = data_routes.(flow) } }
+                  Packet.Data { d with detour_route = data_routes.(flow) }
                 | Packet.Request _ | Packet.Backpressure _ -> p
               end
               else p
@@ -83,11 +81,9 @@ let attach (w : Wiring.t) ~faulted =
             ~send_request:(fun p ->
               let p =
                 if pitless then begin
-                  match p.Packet.header with
+                  match p with
                   | Packet.Request r ->
-                    { p with
-                      Packet.header =
-                        Packet.Request { r with route = req_routes.(flow) } }
+                    Packet.Request { r with route = req_routes.(flow) }
                   | Packet.Data _ | Packet.Backpressure _ -> p
                 end
                 else p

@@ -67,7 +67,7 @@ let create ~cfg ~horizon ~loss_rate ~obs ~check ~watchdog ~trace eng net
           Chunksim.Iface.set_span_tap i
             (Some
                (fun start p ->
-                 match p.Packet.header with
+                 match p with
                  | Packet.Data { flow; idx; _ } ->
                    Trace.record tr ~time:start
                      (Trace.Tx_begin { link = li; flow; idx })
@@ -313,7 +313,7 @@ let mark t stage =
 let account t (p : Packet.t) ~lost =
   match t with
   | Some { conservation = Some cons; eng; _ } -> (
-    match p.Packet.header with
+    match p with
     | Packet.Data { flow; idx; _ } ->
       if lost then
         Check.Invariant.Conservation.note_fault_loss cons
@@ -329,9 +329,9 @@ let delivered t ~node (p : Packet.t) =
   match t with
   | None -> ()
   | Some { eng; hists; trace; conservation; watchdog; _ } -> (
-    match p.Packet.header with
+    match p with
     | Packet.Request _ | Packet.Backpressure _ -> ()
-    | Packet.Data { flow; idx; born_bits; _ } ->
+    | Packet.Data { flow; idx; born_bits; size; _ } ->
       (match hists with
       | Some (_, hs, base_delay) ->
         let born = Packet.born_of_bits born_bits in
@@ -351,7 +351,7 @@ let delivered t ~node (p : Packet.t) =
       (match watchdog with
       | Some wd ->
         Obs.Watchdog.note_delivery wd ~time:(Sim.Engine.now eng)
-          ~bits:p.Packet.size
+          ~bits:size
       | None -> ()))
 
 let record t ev =

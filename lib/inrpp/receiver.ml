@@ -164,7 +164,7 @@ let start t =
   end
 
 let handle_data t (p : Chunksim.Packet.t) =
-  match p.Chunksim.Packet.header with
+  match p with
   | Chunksim.Packet.Data { flow; idx; _ } when flow = t.flow ->
     if Option.is_none t.completed then begin
       match Session.receive t.sess idx with

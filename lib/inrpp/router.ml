@@ -120,7 +120,7 @@ let record_drop t (p : Packet.t) =
 let record_enqueued t ~link (p : Packet.t) =
   match t.s.Port.trace with
   | Some tr when Trace.lifecycle tr -> begin
-    match p.Packet.header with
+    match p with
     | Packet.Data { flow; idx; _ } ->
       Trace.record tr ~time:(now t)
         (Trace.Enqueued { node = t.s.Port.node; link; flow; idx })
@@ -286,8 +286,8 @@ let refuse t slot flow p ~shed ~engage =
   record_drop t p
 
 let custody t slot flow (p : Packet.t) =
-  match p.Packet.header with
-  | Packet.Data { idx; _ } -> begin
+  match p with
+  | Packet.Data { idx; size; _ } -> begin
     let key = Chunk_key.pack ~flow ~idx in
     if Itbl.mem t.custody_packets key then
       (* duplicate copy (a retransmit racing the custodied original):
@@ -299,7 +299,7 @@ let custody t slot flow (p : Packet.t) =
       refuse t slot flow p ~shed:false ~engage:false
     else if shed_admission t then refuse t slot flow p ~shed:true ~engage:true
     else
-      match Cache.put_custody t.store ~flow ~idx ~bits:p.Packet.size with
+      match Cache.put_custody t.store ~flow ~idx ~bits:size with
       | `Stored ->
         Itbl.replace t.custody_packets key p;
         t.c.custody_stored <- t.c.custody_stored + 1;
@@ -338,22 +338,19 @@ let send_primary t (l : Link.t) p =
 
 let send_detour t flow (c : Port.dcand) (p : Packet.t) =
   let idx =
-    match p.Packet.header with
+    match p with
     | Packet.Data { idx; _ } -> idx
     | Packet.Request _ | Packet.Backpressure _ -> -1
   in
   let p' =
-    match p.Packet.header with
+    match p with
     | Packet.Data d ->
-      {
-        p with
-        Packet.header =
-          Packet.Data { d with via_detour = true; detour_route = c.dc_rest };
-      }
+      Packet.Data
+        { d with marks = d.marks lor Packet.detour_mark; detour_route = c.dc_rest }
     | Packet.Request _ | Packet.Backpressure _ -> p
   in
   Rate_estimator.note_transit (Port.estimator t.s c.dc_port)
-    ~bits:p.Packet.size;
+    ~bits:(Packet.size p);
   match Net.send t.s.Port.net ~via:c.dc_first p' with
   | `Queued ->
     t.c.detoured <- t.c.detoured + 1;
@@ -400,10 +397,10 @@ let try_detour t slot flow (pt : Port.port) (p : Packet.t) =
 
 let maybe_cache_popular t slot (p : Packet.t) =
   if t.s.Port.cfg.Config.icn_caching then begin
-    match p.Packet.header with
-    | Packet.Data { idx; _ } ->
+    match p with
+    | Packet.Data { idx; size; _ } ->
       Cache.insert_popular t.store ~flow:(Ft.content t.ft slot) ~idx
-        ~bits:p.Packet.size
+        ~bits:size
     | Packet.Request _ | Packet.Backpressure _ -> ()
   end
 
@@ -449,8 +446,8 @@ let next_hop t next =
   Topology.Graph.find_link (Net.graph t.s.Port.net) t.s.Port.node next
 
 let handle_data t (p : Packet.t) =
-  match p.Packet.header with
-  | Packet.Data ({ flow; detour_route; _ } as d) -> begin
+  match p with
+  | Packet.Data ({ flow; detour_route; size; _ } as d) -> begin
     match detour_route with
     | next :: rest -> begin
       (* mid-detour: source-routed towards the rejoin node.  Under
@@ -459,11 +456,9 @@ let handle_data t (p : Packet.t) =
       match next_hop t next with
       | None -> count_drop t
       | Some l ->
-        let p' =
-          { p with Packet.header = Packet.Data { d with detour_route = rest } }
-        in
+        let p' = Packet.Data { d with detour_route = rest } in
         Rate_estimator.note_transit (Port.estimator t.s (Port.port_of t.s l))
-          ~bits:p.Packet.size;
+          ~bits:size;
         if not (send_primary t l p') then count_drop t
     end
     | [] ->
@@ -487,16 +482,14 @@ let handle_data t (p : Packet.t) =
    the anticipated-rate/phase machinery exists to manage the per-flow
    state this mode deliberately does without. *)
 let handle_request_pitless t (p : Packet.t) =
-  match p.Packet.header with
+  match p with
   | Packet.Request ({ route; _ } as r) -> begin
     match route with
     | next :: rest -> begin
       match next_hop t next with
       | None -> count_drop t
       | Some l ->
-        let p' =
-          { p with Packet.header = Packet.Request { r with route = rest } }
-        in
+        let p' = Packet.Request { r with route = rest } in
         ignore (Net.send t.s.Port.net ~via:l p')
     end
     | [] -> to_producer t p
@@ -504,7 +497,7 @@ let handle_request_pitless t (p : Packet.t) =
   | Packet.Data _ | Packet.Backpressure _ -> ()
 
 let handle_request t (p : Packet.t) =
-  match p.Packet.header with
+  match p with
   | Packet.Request { flow; nc; _ } -> begin
     let slot = Ft.find t.ft flow in
     if slot < 0 then count_drop t
@@ -541,7 +534,7 @@ let handle_request t (p : Packet.t) =
   | Packet.Data _ | Packet.Backpressure _ -> ()
 
 let handle_backpressure t (p : Packet.t) =
-  match p.Packet.header with
+  match p with
   | Packet.Backpressure { flow; engage } -> begin
     let slot = Ft.find t.ft flow in
     if slot < 0 then ()
@@ -572,13 +565,13 @@ let handle_backpressure t (p : Packet.t) =
 let handler t : Net.handler =
   if t.s.Port.cfg.Config.pitless then
     fun ~from:_ p ->
-      match p.Packet.header with
+      match p with
       | Packet.Data _ -> handle_data t p
       | Packet.Request _ -> handle_request_pitless t p
       | Packet.Backpressure _ -> ()
   else
     fun ~from:_ p ->
-      match p.Packet.header with
+      match p with
       | Packet.Data _ -> handle_data t p
       | Packet.Request _ -> handle_request t p
       | Packet.Backpressure _ -> handle_backpressure t p

@@ -158,7 +158,7 @@ let enter_backpressure t =
   t.highest_enqueued <- t.highest_sent
 
 let handle t (p : Chunksim.Packet.t) =
-  match p.Chunksim.Packet.header with
+  match p with
   | Chunksim.Packet.Request { flow; nc; ac; _ } when flow = t.flow ->
     handle_request t ~nc ~ac
   | Chunksim.Packet.Backpressure { flow; engage } when flow = t.flow ->

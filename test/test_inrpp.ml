@@ -1015,7 +1015,7 @@ let test_protocol_alloc_gate () =
         Alcotest.(check int) (what ^ ": every flow completes") 8
           r.Inrpp.Protocol.completed;
         gate (what ^ " minor words/event") per_event frozen)
-      [ ("plain", None, 10.7); ("overload", Some Overload.Config.default, 19.3) ]
+      [ ("plain", None, 8.41); ("overload", Some Overload.Config.default, 16.89) ]
 
 (* Endpoint allocation gate: the sender's pacing and the receiver's
    re-request timeout run on reusable engine timers and the sender's
@@ -1419,7 +1419,7 @@ let test_router_refuses_foreign_req_hop () =
   R.handler r ~from:None req;
   Sim.Engine.run eng;
   Alcotest.(check (float 0.)) "flow 0's request left on 1->0"
-    req.Chunksim.Packet.size (sent 1 0)
+    (Chunksim.Packet.size req) (sent 1 0)
 
 (* A content outside int32 is refused before the install takes a slot:
    a new flow leaves no live entry, and flow 0's reinstall leaves its
@@ -1991,7 +1991,7 @@ let drain_world ~cfg ~registry =
     routers;
   R.set_local_consumer routers.(3) ignore;
   R.set_local_producer routers.(0) (fun p ->
-      match p.Chunksim.Packet.header with
+      match p with
       | Chunksim.Packet.Backpressure { flow; engage } ->
         Printf.bprintf log " up%d%c" flow (sign engage)
       | Chunksim.Packet.Data _ | Chunksim.Packet.Request _ -> ());
@@ -2324,7 +2324,7 @@ let test_sender_paced_push () =
   Alcotest.(check int) "pushed high-water" 5
     (List.fold_left
        (fun m (_, p) ->
-         match p.Chunksim.Packet.header with
+         match p with
          | Chunksim.Packet.Data { idx; _ } -> max m (idx + 1)
          | _ -> m)
        0 !sent);
@@ -2369,7 +2369,7 @@ let test_sender_stall_retransmission () =
     Inrpp.Sender.create ~cfg ~eng ~flow:0 ~total_chunks:10
       ~pace_rate:(1000. *. cfg.Inrpp.Config.chunk_bits)
       ~transmit:(fun p ->
-        match p.Chunksim.Packet.header with
+        match p with
         | Chunksim.Packet.Data { idx; _ } -> sent := idx :: !sent
         | _ -> ())
       ()
