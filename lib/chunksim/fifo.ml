@@ -18,9 +18,8 @@ type t = {
   mutable dropped : int;
 }
 
-(* A packet's bits, matched here rather than read with [Packet.size]:
-   every hop reads them, and the dev profile's [-opaque] would make
-   that a call. *)
+(* A packet's bits, matched here rather than read with [Packet.size]
+   (DESIGN §8, "One block per packet"). *)
 let[@inline] bits : Packet.t -> float = function
   | Data { size; _ } -> size
   | Request _ | Backpressure _ -> Packet.control_bits

@@ -93,9 +93,8 @@ let q_push t (p : Packet.t) =
   | Q_fifo f -> Fifo.push f p
   | Q_drr d -> Rr_queue.push d ~class_id:(Packet.flow p) p
 
-(* A packet's bits, matched here rather than read with [Packet.size]:
-   every hop reads them, and the dev profile's [-opaque] would make
-   that a call. *)
+(* A packet's bits, matched here rather than read with [Packet.size]
+   (DESIGN §8, "One block per packet"). *)
 let[@inline] bits : Packet.t -> float = function
   | Data { size; _ } -> size
   | Request _ | Backpressure _ -> Packet.control_bits
@@ -130,11 +129,12 @@ let start_tx t (p : Packet.t) =
   let start = c.next_free_at in
   settle t ~now:start;
   (match t.span_tap with Some f -> f start p | None -> ());
-  let tx = bits p /. t.rate in
+  let b = bits p in
+  let tx = b /. t.rate in
   let done_at = start +. tx in
   c.next_free_at <- done_at;
   c.inflight_tx <- tx;
-  c.inflight_bits <- bits p;
+  c.inflight_bits <- b;
   t.inflight_pending <- true;
   t.keys.(0) <- done_at +. t.prop_delay;
   t.keys.(1) <- done_at;

@@ -13,13 +13,6 @@ type t = {
   mutable dropped : int;
 }
 
-(* A packet's bits, matched here rather than read with [Packet.size]:
-   every hop reads them, and the dev profile's [-opaque] would make
-   that a call. *)
-let[@inline] bits : Packet.t -> float = function
-  | Data { size; _ } -> size
-  | Request _ | Backpressure _ -> Packet.control_bits
-
 let create ?(quantum = 10e3 *. 8.) ~capacity () =
   if capacity <= 0. then invalid_arg "Rr_queue.create: capacity <= 0";
   if quantum <= 0. then invalid_arg "Rr_queue.create: quantum <= 0";
@@ -33,7 +26,8 @@ let create ?(quantum = 10e3 *. 8.) ~capacity () =
   }
 
 let push t ~class_id (p : Packet.t) =
-  if t.bits +. bits p > t.cap then begin
+  let b = Packet.size p in
+  if t.bits +. b > t.cap then begin
     t.dropped <- t.dropped + 1;
     `Dropped
   end
@@ -52,7 +46,7 @@ let push t ~class_id (p : Packet.t) =
       t.ring <- t.ring @ [ c ]
     end;
     Queue.add p c.q;
-    t.bits <- t.bits +. bits p;
+    t.bits <- t.bits +. b;
     `Queued
   end
 
@@ -68,7 +62,7 @@ let take t =
     | [] -> invalid_arg "Rr_queue.take: empty"
     | c :: rest ->
       (* a class is in the ring exactly while its queue is non-empty *)
-      let b = bits (Queue.peek c.q) in
+      let b = Packet.size (Queue.peek c.q) in
       if b <= c.deficit then begin
         let p = Queue.take c.q in
         c.deficit <- c.deficit -. b;
