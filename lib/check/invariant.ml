@@ -141,6 +141,7 @@ module Conservation = struct
     destroyed : (int, int) Hashtbl.t;
     mutable pushes : int;
     mutable deliveries : int;
+    mutable drops : int;
     mutable fault_losses : int;
   }
 
@@ -153,6 +154,7 @@ module Conservation = struct
       destroyed = Hashtbl.create 64;
       pushes = 0;
       deliveries = 0;
+      drops = 0;
       fault_losses = 0;
     }
 
@@ -179,12 +181,15 @@ module Conservation = struct
 
   (* cache hits synthesise a fresh copy of the chunk out of the
      content store — count them as pushes or delivery of the copy
-     would look like conjured data *)
+     would look like conjured data; a dropped data packet is a copy
+     gone for good *)
   let handler t =
     fun time event ->
       ignore time;
       match event with
       | Chunksim.Trace.Cache_hit { flow; idx; _ } -> note_push t ~flow ~idx
+      | Chunksim.Trace.Dropped { packet = Chunksim.Trace.Data; _ } ->
+        t.drops <- t.drops + 1
       | _ -> ()
 
   let pushes t = t.pushes
@@ -206,15 +211,15 @@ module Conservation = struct
            flow idx d dead p)
 
 
-  let finish t ~time ~quiescent ~in_custody ~drops ~wire_losses =
+  let finish t ~time ~quiescent ~in_custody ~wire_losses =
     if quiescent then
-      if drops = 0 && wire_losses = 0 && t.fault_losses = 0 && not t.lossy
-      then begin
-        if t.pushes <> t.deliveries + in_custody then
+      if wire_losses = 0 && t.fault_losses = 0 && not t.lossy then begin
+        if t.pushes <> t.deliveries + in_custody + t.drops then
           violate t.coll ~time ~checker:"conservation"
             (Printf.sprintf
-               "at quiescence: %d chunks sent <> %d delivered + %d in custody"
-               t.pushes t.deliveries in_custody)
+               "at quiescence: %d chunks sent <> %d delivered + %d in \
+                custody + %d dropped"
+               t.pushes t.deliveries in_custody t.drops)
       end
       else begin
         if t.deliveries + in_custody > t.pushes then

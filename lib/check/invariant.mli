@@ -68,8 +68,8 @@ val custody_ledger : t -> name:string -> (unit -> int * int) -> unit
 
 (** {1 Chunk conservation}
 
-    sent = delivered + in custody (+ drops and wire losses), per chunk
-    id and in aggregate at quiescence. *)
+    sent = delivered + in custody + dropped (+ wire and fault losses),
+    per chunk id and in aggregate at quiescence. *)
 
 module Conservation : sig
   type coll = t
@@ -81,7 +81,8 @@ module Conservation : sig
 
   val handler : t -> float -> Chunksim.Trace.event -> unit
   (** Attach to the trace: counts [Cache_hit] events as synthesised
-      pushes (a cache hit conjures a fresh copy of the chunk). *)
+      pushes (a cache hit conjures a fresh copy of the chunk) and data
+      [Dropped] events as drops. *)
 
   val note_push : t -> flow:int -> idx:int -> unit
   (** A chunk entered the network (sender origination). *)
@@ -101,11 +102,12 @@ module Conservation : sig
   val deliveries : t -> int
 
   val finish :
-    t -> time:float -> quiescent:bool -> in_custody:int -> drops:int ->
-    wire_losses:int -> unit
+    t -> time:float -> quiescent:bool -> in_custody:int -> wire_losses:int ->
+    unit
   (** End-of-run aggregate check.  [quiescent] means every flow
       completed (no data in flight); [in_custody] is the chunk count
-      still held across all routers.  With faults recorded the strict
-      equality relaxes to: delivered + in custody + fault-destroyed
-      must not exceed sent. *)
+      still held across all routers.  Without wire loss or faults it is
+      exact: sent = delivered + in custody + dropped, the drops counted
+      from the trace by {!handler}.  With either, it relaxes to:
+      delivered + in custody + fault-destroyed must not exceed sent. *)
 end

@@ -57,6 +57,10 @@ let push t (p : Packet.t) =
     `Queued
   end
 
+let peek t =
+  if t.len = 0 then invalid_arg "Fifo.peek: empty";
+  t.ring.(t.head)
+
 let take t =
   if t.len = 0 then invalid_arg "Fifo.take: empty";
   let p = t.ring.(t.head) in

@@ -14,6 +14,10 @@ val create : capacity:float -> t
 
 val push : t -> Packet.t -> [ `Queued | `Dropped ]
 
+val peek : t -> Packet.t
+(** The oldest packet, left queued.
+    @raise Invalid_argument if the queue is empty. *)
+
 val take : t -> Packet.t
 (** Remove and return the oldest packet.
     @raise Invalid_argument if the queue is empty. *)

@@ -9,7 +9,6 @@ type t =
   | Data of {
       flow : int;
       idx : int;
-      marks : int;
       detour_route : Topology.Node.id list;
       born_bits : int;
       size : float;
@@ -20,8 +19,6 @@ type t =
     }
 
 let control_bits = 50. *. 8.
-let anticipated_mark = 1
-let detour_mark = 2
 
 let request ~flow ~nc ~ack ~ac =
   if nc < 0 then invalid_arg "Packet.request: nc < 0";
@@ -34,21 +31,12 @@ let request ~flow ~nc ~ack ~ac =
 let born_of_bits b =
   Int64.float_of_bits (Int64.logand (Int64.of_int b) Int64.max_int)
 
-let data ?(anticipated = false) ?(detour_route = []) ~flow ~idx ~born
-    chunk_bits =
+let data ?(detour_route = []) ~flow ~idx ~born chunk_bits =
   if chunk_bits <= 0. then invalid_arg "Packet.data: chunk_bits <= 0";
   if idx < 0 then invalid_arg "Packet.data: idx < 0";
   if not (born >= 0.) then invalid_arg "Packet.data: born < 0 or NaN";
   let born_bits = Int64.to_int (Int64.bits_of_float born) in
-  Data
-    {
-      flow;
-      idx;
-      marks = (if anticipated then anticipated_mark else 0);
-      detour_route;
-      born_bits;
-      size = chunk_bits;
-    }
+  Data { flow; idx; detour_route; born_bits; size = chunk_bits }
 
 let backpressure ~flow ~engage = Backpressure { flow; engage }
 
@@ -64,13 +52,3 @@ let flow = function
 let is_data = function
   | Data _ -> true
   | Request _ | Backpressure _ -> false
-
-let pp ppf = function
-  | Request { flow; nc; ack; ac; _ } ->
-    Format.fprintf ppf "req[f%d nc=%d ack=%d ac=%d]" flow nc ack ac
-  | Data { flow; idx; marks; _ } ->
-    Format.fprintf ppf "data[f%d #%d%s%s]" flow idx
-      (if marks land anticipated_mark <> 0 then " ant" else "")
-      (if marks land detour_mark <> 0 then " det" else "")
-  | Backpressure { flow; engage } ->
-    Format.fprintf ppf "bp[f%d %s]" flow (if engage then "engage" else "release")

@@ -9,12 +9,11 @@
     - {e Data} carries one content chunk.  [detour_route] is the
       source-routed remainder installed when a router deflects the
       chunk around a congested link (the paper's spoof-the-identifier
-      tunnelling); its {!detour_mark} marks chunks that left the
-      primary path at least once.
+      tunnelling).
     - {e Backpressure} engages or releases the closed-loop mode for a
       flow, travelling hop-by-hop towards the sender.
 
-    A packet is one block: 7 words for data, 6 for a request and 3 for
+    A packet is one block: 6 words for data, 6 for a request and 3 for
     back-pressure, headers included.  Only data stores its size; the
     other two kinds are {!control_bits} long. *)
 
@@ -32,9 +31,6 @@ type t =
   | Data of {
       flow : int;
       idx : int;                  (** chunk index within the flow *)
-      marks : int;
-      (** bit 0 if pushed ahead of an explicit request ([~anticipated]),
-          plus {!detour_mark} once deflected; only {!pp} reads them *)
       detour_route : Topology.Node.id list; (** remaining detour nodes to visit *)
       born_bits : int;
       (** sender timestamp (RTT sampling), as the IEEE bits of a
@@ -50,18 +46,14 @@ val control_bits : float
 (** Bits on the wire of a request or a back-pressure packet: a 50-byte
     header. *)
 
-val detour_mark : int
-(** The bit of a data packet's [marks] that a deflecting router sets. *)
-
 val request : flow:int -> nc:int -> ack:int -> ac:int -> t
 (** Request with an empty label stack (stateful forwarding).
     @raise Invalid_argument if [ac < nc] or [nc < 0]. *)
 
 val data :
-  ?anticipated:bool -> ?detour_route:Topology.Node.id list -> flow:int ->
-  idx:int -> born:float -> float -> t
-(** [data ~flow ~idx ~born chunk_bits]: the detour mark starts clear; a
-    router deflecting the chunk sets it.  [born] is kept exactly (a
+  ?detour_route:Topology.Node.id list -> flow:int -> idx:int -> born:float ->
+  float -> t
+(** [data ~flow ~idx ~born chunk_bits].  [born] is kept exactly (a
     [-0.] reads back as [0.]), as [born_bits].
     @raise Invalid_argument if [chunk_bits <= 0.], [idx < 0], or [born]
     is negative or NaN. *)
@@ -80,4 +72,3 @@ val size : t -> float
 
 val flow : t -> int
 val is_data : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -5,8 +5,18 @@ let phase_name = function
   | Detour -> "detour"
   | Backpressure -> "backpressure"
 
+type packet = Data | Request
+
+let packet_name = function Data -> "data" | Request -> "request"
+
 type event =
-  | Dropped of { node : Topology.Node.id; link : int; packet : string }
+  | Dropped of {
+      node : Topology.Node.id;
+      link : int;
+      packet : packet;
+      flow : int;
+      idx : int;
+    }
   | Cached of { node : Topology.Node.id; flow : int; idx : int }
   | Cache_hit of { node : Topology.Node.id; flow : int; idx : int }
   | Custody_released of { node : Topology.Node.id; flow : int; idx : int }
@@ -44,8 +54,9 @@ let record t ~time e =
   done
 
 let pp_event ppf = function
-  | Dropped { node; link; packet } ->
-    Format.fprintf ppf "n%d dropped %s on l%d" node packet link
+  | Dropped { node; link; packet; flow; idx } ->
+    Format.fprintf ppf "n%d dropped %s f%d#%d on l%d" node (packet_name packet)
+      flow idx link
   | Cached { node; flow; idx } ->
     Format.fprintf ppf "n%d custody f%d#%d" node flow idx
   | Cache_hit { node; flow; idx } ->

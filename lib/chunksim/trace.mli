@@ -12,9 +12,27 @@ val phase_name : phase -> string
 (** ["push-data"], ["detour"] or ["backpressure"]: the name the trace
     codec writes and reads. *)
 
+(** The kind of a packet a router dropped; no router drops a
+    back-pressure packet. *)
+type packet = Data | Request
+
+val packet_name : packet -> string
+(** ["data"] or ["request"]: the name the trace codec writes and
+    reads. *)
+
 type event =
-  | Dropped of { node : Topology.Node.id; link : int; packet : string }
-      (** a router refused a chunk into custody ([link] is [-1]) *)
+  | Dropped of {
+      node : Topology.Node.id;
+      link : int;
+      packet : packet;
+      flow : int;
+      idx : int;
+    }
+      (** a router dropped a packet: every drop its [dropped] counter
+          counts records one.  [idx] is a data packet's chunk index or
+          a request's [nc]; [link] is the link that refused it, [-1]
+          where there is none (custody refused it, or no flow state,
+          next hop or local endpoint took it). *)
   | Cached of { node : Topology.Node.id; flow : int; idx : int }
   | Cache_hit of { node : Topology.Node.id; flow : int; idx : int }
   | Custody_released of { node : Topology.Node.id; flow : int; idx : int }

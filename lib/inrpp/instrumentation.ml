@@ -440,7 +440,6 @@ let finish t ~quiescent ~disruptions =
       let sum f = Array.fold_left (fun acc r -> acc + f r) 0 routers in
       Check.Invariant.Conservation.finish cons ~time:(Sim.Engine.now eng)
         ~quiescent ~in_custody:(sum Router.custody_packet_count)
-        ~drops:(sum (fun r -> (Router.counters r).Router.dropped))
         ~wire_losses:(Net.total_wire_losses net)
     | None -> ()
 

@@ -40,10 +40,11 @@ type dcand = {
    leaves it idle in push-data; off the walk its estimator is current
    as of tick [synced] and owes one idle interval for every tick since
    (see [catch_up]).  The detour
-   candidates are cached by generation: every link-state flip and every
-   crash bumps [ls_gen], so a stale [dk_gen] means the static filter
-   must be recomputed.  Between bumps, up-ness cannot change (all
-   transitions go through the router's link-flip walk).  [blocked]
+   candidates are cached by the link-state view's generation, which
+   every write to it bumps (a link flip, and a crash or restart, which
+   also marks its neighbours' links): a [dk_gen] behind it means the
+   static filter must be recomputed, and while they agree no hop's
+   up-ness has changed.  [blocked]
    marks a port a drain found with no exit (primary down or full, no
    usable detour) for the rest of that drain: mid-drain, queues only
    fill and neither link state nor neighbour pressure moves. *)
@@ -87,7 +88,6 @@ type set = {
   reg : registry option;
   mutable own_ticks : int;        (* the tick count without [reg] *)
   mutable tick_listed : bool;     (* in [reg]'s tick_nodes *)
-  mutable ls_gen : int;           (* link-state generation, see port *)
 }
 
 let registry ~nodes =
@@ -114,7 +114,7 @@ let create ~cfg ~net ~node ~detours ~link_state ~trace ~overload ~reg =
     |> Array.of_list
   in
   { cfg; net; node; detours; link_state; trace; overload; ports; reg;
-    neighbor_pressure = None; own_ticks = 0; tick_listed = false; ls_gen = 0 }
+    neighbor_pressure = None; own_ticks = 0; tick_listed = false }
 
 let now s = Sim.Engine.now (Net.engine s.net)
 
@@ -246,9 +246,10 @@ let build_cands s (l : Link.t) =
        usable)
 
 let cands s p =
-  if p.dk_gen <> s.ls_gen then begin
+  let gen = Topology.Link_state.gen s.link_state in
+  if p.dk_gen <> gen then begin
     p.dk_cands <- build_cands s p.p_link;
-    p.dk_gen <- s.ls_gen
+    p.dk_gen <- gen
   end;
   p.dk_cands
 
@@ -352,8 +353,7 @@ let reset s =
       p.est <- None;
       p.phase <- None;
       p.walking <- false)
-    s.ports;
-  s.ls_gen <- s.ls_gen + 1
+    s.ports
 
 (* ------------------------------------------------------------------ *)
 (* Read-outs *)

@@ -96,22 +96,22 @@ let set_neighbor_pressure t f = t.s.Port.neighbor_pressure <- Some f
 
 let now t = Port.now t.s
 
-(* Every router-level loss goes through here *)
-let count_drop t = t.c.dropped <- t.c.dropped + 1
-
-(* A chunk custody refused (no link: [-1]).  Dropped events carry a
-   formatted packet string; build it only when a trace is actually
-   attached (bench runs drop packets too). *)
-let record_drop t (p : Packet.t) =
+(* Every router-level loss goes through here: it counts the drop and,
+   with a trace attached, records it.  [link] is the link that refused
+   [p], -1 where there is none. *)
+let drop t ~link (p : Packet.t) =
+  t.c.dropped <- t.c.dropped + 1;
   match t.s.Port.trace with
-  | Some tr ->
-    Trace.record tr ~time:(now t)
-      (Trace.Dropped
-         {
-           node = t.s.Port.node;
-           link = -1;
-           packet = Format.asprintf "%a" Packet.pp p;
-         })
+  | Some tr -> (
+    let node = t.s.Port.node in
+    match p with
+    | Packet.Data { flow; idx; _ } ->
+      Trace.record tr ~time:(now t)
+        (Trace.Dropped { node; link; packet = Trace.Data; flow; idx })
+    | Packet.Request { flow; nc; _ } ->
+      Trace.record tr ~time:(now t)
+        (Trace.Dropped { node; link; packet = Trace.Request; flow; idx = nc })
+    | Packet.Backpressure _ -> () (* no site drops one *))
   | None -> ()
 
 (* chunk-lifecycle events are gated per-trace (Trace.set_lifecycle) so
@@ -148,12 +148,12 @@ let list_drain t =
 let to_consumer t p =
   match t.local_consumer with
   | Some consumer -> consumer p
-  | None -> count_drop t
+  | None -> drop t ~link:(-1) p
 
 let to_producer t p =
   match t.local_producer with
   | Some producer -> producer p
-  | None -> count_drop t
+  | None -> drop t ~link:(-1) p
 
 (* ------------------------------------------------------------------ *)
 (* Flow table *)
@@ -282,8 +282,7 @@ let early_bp t = over t Overload.Config.early_bp_threshold
 let refuse t slot flow p ~shed ~engage =
   if shed then t.c.shed <- t.c.shed + 1;
   if engage then set_local t slot ~flow ~which:`Custody true;
-  count_drop t;
-  record_drop t p
+  drop t ~link:(-1) p
 
 let custody t slot flow (p : Packet.t) =
   match p with
@@ -336,6 +335,8 @@ let send_primary t (l : Link.t) p =
     true
   | `Dropped -> false
 
+(* A refused send records nothing: the chunk is still the caller's,
+   which custodies it or keeps it in custody *)
 let send_detour t flow (c : Port.dcand) (p : Packet.t) =
   let idx =
     match p with
@@ -344,9 +345,7 @@ let send_detour t flow (c : Port.dcand) (p : Packet.t) =
   in
   let p' =
     match p with
-    | Packet.Data d ->
-      Packet.Data
-        { d with marks = d.marks lor Packet.detour_mark; detour_route = c.dc_rest }
+    | Packet.Data d -> Packet.Data { d with detour_route = c.dc_rest }
     | Packet.Request _ | Packet.Backpressure _ -> p
   in
   Rate_estimator.note_transit (Port.estimator t.s c.dc_port)
@@ -361,9 +360,7 @@ let send_detour t flow (c : Port.dcand) (p : Packet.t) =
     | None -> ());
     record_enqueued t ~link:c.dc_first.Link.id p';
     `Queued
-  | `Dropped ->
-    count_drop t;
-    `Dropped
+  | `Dropped -> `Dropped
 
 (* Deflect [p] onto the best usable detour around [l]; prefers the
    flow's previously pinned detour (flowlet stability), falls back to
@@ -454,12 +451,12 @@ let handle_data t (p : Packet.t) =
          PIT-less forwarding this branch {e is} the data plane — the
          sender stamps the whole path as the label stack. *)
       match next_hop t next with
-      | None -> count_drop t
+      | None -> drop t ~link:(-1) p
       | Some l ->
         let p' = Packet.Data { d with detour_route = rest } in
         Rate_estimator.note_transit (Port.estimator t.s (Port.port_of t.s l))
           ~bits:size;
-        if not (send_primary t l p') then count_drop t
+        if not (send_primary t l p') then drop t ~link:l.Link.id p'
     end
     | [] ->
       if t.s.Port.cfg.Config.pitless then
@@ -468,7 +465,7 @@ let handle_data t (p : Packet.t) =
         to_consumer t p
       else begin
         let slot = Ft.find t.ft flow in
-        if slot < 0 then count_drop t
+        if slot < 0 then drop t ~link:(-1) p
         else forward_primary_path t slot flow p
       end
   end
@@ -487,7 +484,7 @@ let handle_request_pitless t (p : Packet.t) =
     match route with
     | next :: rest -> begin
       match next_hop t next with
-      | None -> count_drop t
+      | None -> drop t ~link:(-1) p
       | Some l ->
         let p' = Packet.Request { r with route = rest } in
         ignore (Net.send t.s.Port.net ~via:l p')
@@ -500,7 +497,7 @@ let handle_request t (p : Packet.t) =
   match p with
   | Packet.Request { flow; nc; _ } -> begin
     let slot = Ft.find t.ft flow in
-    if slot < 0 then count_drop t
+    if slot < 0 then drop t ~link:(-1) p
     else if
       (* ICN short-circuit: a popularity-cached copy answers the request
          locally and the request is not forwarded upstream *)
@@ -586,8 +583,10 @@ let originate_data t p = handle_data t p
 let rec strip_custody t flow =
   match Cache.take_custody t.store ~flow with
   | Some (idx, _bits) ->
-    Itbl.remove t.custody_packets (Chunk_key.pack ~flow ~idx);
-    count_drop t;
+    let key = Chunk_key.pack ~flow ~idx in
+    let p = Itbl.find t.custody_packets key in
+    Itbl.remove t.custody_packets key;
+    drop t ~link:(-1) p;
     strip_custody t flow
   | None -> ()
 
@@ -770,7 +769,6 @@ let iter_custody (reg : registry) routers f =
    detours at the outage instant.  Only a down flip engages an outage,
    and only an up flip releases one (its primary or a detour is back). *)
 let on_link_flip t ~up =
-  t.s.Port.ls_gen <- t.s.Port.ls_gen + 1;
   if not t.crashed then begin
     Ft.iter t.ft (fun flow slot ->
         let dp = Ft.data_port t.ft slot in

@@ -26,6 +26,8 @@ type counters = {
   mutable custody_stored : int;
   mutable custody_released : int;
   mutable dropped : int;
+  (* every router drop; with a trace attached each also records a
+     [Chunksim.Trace.Dropped] event at this node *)
   mutable bp_engages : int;
   mutable bp_releases : int;
   mutable cache_hits : int;

@@ -10,9 +10,8 @@ type t = {
   total_chunks : int;
   gap : float;                       (* pacing interval, seconds *)
   transmit : Chunksim.Packet.t -> unit;
-  (* invited chunks awaiting pacing, oldest first: a ring (capacity a
-     power of two) of [2 * idx + 1] for an anticipated chunk and
-     [2 * idx] for a requested one *)
+  (* indices of invited chunks awaiting pacing, oldest first: a ring
+     (capacity a power of two) *)
   mutable pending : int array;
   mutable head : int;
   mutable len : int;
@@ -29,22 +28,16 @@ type t = {
 
 let now t = Sim.Engine.now t.eng
 
-(* a constant option: passing the flag itself would box a [Some] per
-   packet *)
-let some_true = Some true
-
-let send_chunk t ~anticipated idx =
+let send_chunk t idx =
   let p =
-    Chunksim.Packet.data
-      ?anticipated:(if anticipated then some_true else None)
-      ~flow:t.flow ~idx ~born:(now t) t.cfg.Config.chunk_bits
+    Chunksim.Packet.data ~flow:t.flow ~idx ~born:(now t) t.cfg.Config.chunk_bits
   in
   t.tx_count <- t.tx_count + 1;
   if idx > t.highest_sent then t.highest_sent <- idx;
   t.transmit p
 
 (* append a chunk to the backlog, doubling a full ring *)
-let enqueue t ~anticipated idx =
+let enqueue t idx =
   let cap = Array.length t.pending in
   if t.len = cap then begin
     let r = Array.make (max 16 (2 * cap)) 0 in
@@ -53,18 +46,17 @@ let enqueue t ~anticipated idx =
     t.pending <- r;
     t.head <- 0
   end;
-  t.pending.((t.head + t.len) land (Array.length t.pending - 1)) <-
-    (2 * idx) + Bool.to_int anticipated;
+  t.pending.((t.head + t.len) land (Array.length t.pending - 1)) <- idx;
   t.len <- t.len + 1
 
 (* drain the backlog one transmission time apart *)
 let service t =
   if (not t.busy) && t.len > 0 then begin
-    let v = t.pending.(t.head) in
+    let idx = t.pending.(t.head) in
     t.head <- (t.head + 1) land (Array.length t.pending - 1);
     t.len <- t.len - 1;
     t.busy <- true;
-    send_chunk t ~anticipated:(v land 1 = 1) (v lsr 1);
+    send_chunk t idx;
     Sim.Engine.arm t.pacer ~delay:t.gap
   end
 
@@ -128,13 +120,13 @@ let handle_request t ~nc ~ac =
         Chunksim.Trace.record tr ~time:(now t)
           (Chunksim.Trace.Retransmit { flow = t.flow; idx = nc })
       | Some _ | None -> ());
-      send_chunk t ~anticipated:false nc
+      send_chunk t nc
     end;
     if t.bp then begin
       (* closed loop: one new chunk per request *)
       if nc > t.highest_enqueued then begin
         t.highest_enqueued <- nc;
-        send_chunk t ~anticipated:false nc
+        send_chunk t nc
       end
     end
     else begin
@@ -142,7 +134,7 @@ let handle_request t ~nc ~ac =
       let start = t.highest_enqueued + 1 in
       let stop = Int.min ac (t.total_chunks - 1) in
       for idx = start to stop do
-        enqueue t ~anticipated:(idx > nc) idx
+        enqueue t idx
       done;
       if stop > t.highest_enqueued then t.highest_enqueued <- stop;
       service t

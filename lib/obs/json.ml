@@ -223,84 +223,31 @@ let parse s =
 (* Incremental NDJSON reading *)
 
 module Reader = struct
-  type t = {
-    ic : in_channel;
-    chunk : bytes;
-    mutable chunk_len : int;   (* valid bytes in [chunk] *)
-    mutable chunk_pos : int;   (* next unconsumed byte *)
-    line : Buffer.t;           (* current (possibly partial) line *)
-    mutable eof : bool;
-    mutable line_no : int;
-  }
+  type t = { ic : in_channel; mutable line_no : int }
 
-  let of_channel ?(chunk_size = 8192) ic =
-    if chunk_size < 1 then invalid_arg "Json.Reader: chunk_size < 1";
-    {
-      ic;
-      chunk = Bytes.create chunk_size;
-      chunk_len = 0;
-      chunk_pos = 0;
-      line = Buffer.create 256;
-      eof = false;
-      line_no = 0;
-    }
-
+  let of_channel ic = { ic; line_no = 0 }
   let line_no t = t.line_no
 
-  (* one completed line, '\n' consumed and a trailing '\r' stripped
-     (CRLF exports read back like LF ones); [None] only at end of
-     input.  A final unterminated line is still yielded — its parse
-     result tells the caller whether it was a whole value or a
-     truncated one. *)
-  let next_line t =
-    let finish () =
-      t.line_no <- t.line_no + 1;
-      let s = Buffer.contents t.line in
-      Buffer.clear t.line;
-      let len = String.length s in
-      if len > 0 && s.[len - 1] = '\r' then Some (String.sub s 0 (len - 1))
-      else Some s
-    in
-    let rec scan () =
-      if t.chunk_pos >= t.chunk_len then begin
-        if t.eof then
-          if Buffer.length t.line > 0 then finish () else None
-        else begin
-          let n = input t.ic t.chunk 0 (Bytes.length t.chunk) in
-          if n = 0 then begin
-            t.eof <- true;
-            scan ()
-          end
-          else begin
-            t.chunk_len <- n;
-            t.chunk_pos <- 0;
-            scan ()
-          end
-        end
-      end
-      else
-        match Bytes.index_from_opt t.chunk t.chunk_pos '\n' with
-        | Some i when i < t.chunk_len ->
-          Buffer.add_subbytes t.line t.chunk t.chunk_pos (i - t.chunk_pos);
-          t.chunk_pos <- i + 1;
-          finish ()
-        | _ ->
-          Buffer.add_subbytes t.line t.chunk t.chunk_pos
-            (t.chunk_len - t.chunk_pos);
-          t.chunk_pos <- t.chunk_len;
-          scan ()
-    in
-    scan ()
-
+  (* Lines come without their '\n' and with a trailing '\r' stripped
+     (CRLF exports read back like LF ones).  A final unterminated line
+     is still yielded: its parse result tells the caller whether it was
+     a whole value or a truncated one. *)
   let rec next t =
-    match next_line t with
+    match In_channel.input_line t.ic with
     | None -> None
-    | Some "" -> next t (* blank lines separate nothing in NDJSON *)
-    | Some line ->
-      (match parse line with
-      | Ok v -> Some (Ok v)
-      | Error msg ->
-        Some (Error (Printf.sprintf "line %d: %s" t.line_no msg)))
+    | Some line -> (
+      t.line_no <- t.line_no + 1;
+      let line =
+        if String.ends_with ~suffix:"\r" line then
+          String.sub line 0 (String.length line - 1)
+        else line
+      in
+      if line = "" then next t (* blank lines separate nothing in NDJSON *)
+      else
+        match parse line with
+        | Ok v -> Some (Ok v)
+        | Error msg ->
+          Some (Error (Printf.sprintf "line %d: %s" t.line_no msg)))
 end
 
 (* ------------------------------------------------------------------ *)

@@ -26,10 +26,10 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on missing keys or non-objects. *)
 
-(** Incremental NDJSON reader: one parsed value per line, streamed
-    through a fixed-size chunk buffer — memory is bounded by the
-    longest {e line}, never the file, so multi-gigabyte traces (the
-    workload engine's replay input) read in constant space.
+(** Incremental NDJSON reader: one parsed value per line, read a line
+    at a time — memory is bounded by the longest {e line}, never the
+    file, so multi-gigabyte traces (the workload engine's replay
+    input) read in constant space.
 
     Line discipline: ['\n'] terminates a line and a trailing ['\r'] is
     stripped (CRLF files read like LF ones); blank lines are skipped; a
@@ -40,10 +40,9 @@ module Reader : sig
   type json := t
   type t
 
-  val of_channel : ?chunk_size:int -> in_channel -> t
-  (** [chunk_size] (default 8 KiB) sizes the internal buffer; lines
-      longer than it simply span refills.
-      @raise Invalid_argument if [chunk_size < 1]. *)
+  val of_channel : in_channel -> t
+  (** Reads one line at a time with [In_channel.input_line]; a
+      trailing ['\r'] is stripped, so CRLF input reads like LF. *)
 
   val next : t -> (json, string) result option
   (** Next non-blank line's value; [Error] messages carry the 1-based

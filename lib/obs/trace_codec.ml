@@ -21,8 +21,10 @@ let kind = function
 let num i = Json.Num (float_of_int i)
 
 let fields = function
-  | T.Dropped { node; link; packet } ->
-    [ ("node", num node); ("link", num link); ("packet", Json.Str packet) ]
+  | T.Dropped { node; link; packet; flow; idx } ->
+    [ ("node", num node); ("link", num link);
+      ("packet", Json.Str (T.packet_name packet)); ("flow", num flow);
+      ("idx", num idx) ]
   | T.Cached { node; flow; idx } | T.Cache_hit { node; flow; idx }
   | T.Custody_released { node; flow; idx } ->
     [ ("node", num node); ("flow", num flow); ("idx", num idx) ]
@@ -92,6 +94,13 @@ let of_json j =
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "event: field %S is not a string" name)
   in
+  (* a string field naming one of [values] *)
+  let named_f name name_of values =
+    let* s = str_f name in
+    match List.find_opt (fun v -> name_of v = s) values with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "event: unknown %s %S" name s)
+  in
   let* () =
     match Json.member "type" j with
     | Some (Json.Str "event") -> Ok ()
@@ -104,8 +113,10 @@ let of_json j =
     | "dropped" ->
       let* node = int_f "node" in
       let* link = int_f "link" in
-      let* packet = str_f "packet" in
-      Ok (T.Dropped { node; link; packet })
+      let* packet = named_f "packet" T.packet_name [ T.Data; T.Request ] in
+      let* flow = int_f "flow" in
+      let* idx = int_f "idx" in
+      Ok (T.Dropped { node; link; packet; flow; idx })
     | "cached" | "cache_hit" | "custody_released" | "delivered"
     | "custody_evacuated" | "custody_evicted" ->
       let* node = int_f "node" in
@@ -128,15 +139,8 @@ let of_json j =
     | "phase_change" ->
       let* node = int_f "node" in
       let* link = int_f "link" in
-      let* name = str_f "phase" in
       let* phase =
-        match
-          List.find_opt
-            (fun p -> T.phase_name p = name)
-            [ T.Push_data; T.Detour; T.Backpressure ]
-        with
-        | Some p -> Ok p
-        | None -> Error (Printf.sprintf "event: unknown phase %S" name)
+        named_f "phase" T.phase_name [ T.Push_data; T.Detour; T.Backpressure ]
       in
       Ok (T.Phase_change { node; link; phase })
     | "bp_signal" ->

@@ -11,6 +11,6 @@ val to_json : time:float -> Chunksim.Trace.event -> Json.t
 val of_json : Json.t -> (float * Chunksim.Trace.event, string) result
 (** Inverse of {!to_json}: [(time, event)].  A [null] time parses as
     NaN — the printer writes NaN as [null] (JSON has no NaN literal),
-    so the pair round-trips.  A kind or phase name it does not know is
-    an [Error]. *)
+    so the pair round-trips.  A kind, phase or dropped-packet name it
+    does not know is an [Error]. *)
 

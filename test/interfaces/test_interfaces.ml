@@ -189,7 +189,7 @@ let knob_names pattern =
   | _ -> [ pattern ]
 
 (* knobs.allow's size today *)
-let max_knobs = 9
+let max_knobs = 8
 
 let knobs =
   lazy

@@ -165,14 +165,14 @@ let flow = Inrpp.Protocol.flow_spec
 
 (* The probe's diamond: primary 1->3 bottleneck with an equal-rate
    detour 1->2->3. *)
-let diamond () =
+let diamond ?(primary = 10e6) () =
   let b = Topology.Graph.Builder.create () in
   let n0 = Topology.Graph.Builder.add_node b "sender" in
   let n1 = Topology.Graph.Builder.add_node b "fork" in
   let n2 = Topology.Graph.Builder.add_node b "via" in
   let n3 = Topology.Graph.Builder.add_node b "receiver" in
   Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:2e-3 n0 n1;
-  Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:2e-3 n1 n3;
+  Topology.Graph.Builder.add_edge b ~capacity:primary ~delay:2e-3 n1 n3;
   Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:3e-3 n1 n2;
   Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:3e-3 n2 n3;
   Topology.Graph.Builder.build b
@@ -304,6 +304,41 @@ let test_crash_wipes_custody () =
   Alcotest.(check int) "still completes" 1 r.Inrpp.Protocol.completed;
   if not (Check.Invariant.ok check) then
     Alcotest.fail (Check.Invariant.report check)
+
+(* A crash marks the dead node's links down without a link flip at
+   its neighbours.  The fork's cached detour candidates must still lose
+   the dead node, so no chunk is deflected into it while it is down:
+   the probe's detour scenario with the via node crashed
+   mid-transfer. *)
+let test_crash_refreshes_neighbour_detours () =
+  let g = diamond ~primary:5e6 () in
+  let cfg = { Inrpp.Config.default with Inrpp.Config.anticipation = 512 } in
+  let faults =
+    S.of_list
+      [
+        ev 1.2 (S.Node_crash { node = 2; policy = S.Wipe_custody });
+        ev 2.35 (S.Node_restart { node = 2 });
+      ]
+  in
+  let trace = Chunksim.Trace.create () in
+  let down = Hashtbl.create 4 and detoured = ref 0 and into_dead = ref 0 in
+  Chunksim.Trace.on_record trace (fun _ e ->
+      match e with
+      | Chunksim.Trace.Node_fault { node; up } ->
+        if up then Hashtbl.remove down node else Hashtbl.replace down node ()
+      | Chunksim.Trace.Detoured { via; _ } ->
+        incr detoured;
+        if Hashtbl.mem down via then incr into_dead
+      | _ -> ());
+  let r =
+    Inrpp.Protocol.run ~cfg ~horizon:60. ~faults ~trace g
+      [ flow ~src:0 ~dst:3 200 ]
+  in
+  Alcotest.(check int) "completes" 1 r.Inrpp.Protocol.completed;
+  Alcotest.(check bool) "detours taken" true (!detoured > 0);
+  Alcotest.(check int)
+    (Printf.sprintf "detours into the dead node (of %d)" !detoured)
+    0 !into_dead
 
 let test_crash_preserve_custody () =
   let g = Topology.Builders.line 3 ~capacity:10e6 ~delay:2e-3 in
@@ -743,6 +778,11 @@ let () =
             test_teardown_recycles_after_outage;
           Alcotest.test_case "teardown recycles after crash" `Quick
             test_teardown_recycles_after_crash;
+        ] );
+      ( "detour cache",
+        [
+          Alcotest.test_case "crash refreshes neighbour detours" `Quick
+            test_crash_refreshes_neighbour_detours;
         ] );
       ( "flight-recorder",
         [

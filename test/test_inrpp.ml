@@ -1015,7 +1015,7 @@ let test_protocol_alloc_gate () =
         Alcotest.(check int) (what ^ ": every flow completes") 8
           r.Inrpp.Protocol.completed;
         gate (what ^ " minor words/event") per_event frozen)
-      [ ("plain", None, 8.41); ("overload", Some Overload.Config.default, 16.89) ]
+      [ ("plain", None, 8.23); ("overload", Some Overload.Config.default, 16.70) ]
 
 (* Endpoint allocation gate: the sender's pacing and the receiver's
    re-request timeout run on reusable engine timers and the sender's
@@ -1043,11 +1043,11 @@ let test_sender_pacing_alloc () =
     (* one request invites every chunk: the backlog ring grows here *)
     Inrpp.Sender.handle s
       (Chunksim.Packet.request ~flow:0 ~nc:0 ~ack:0 ~ac:(n - 1));
-    (* built as the sender builds it: a constant option, no box *)
+    (* built as the sender builds it *)
     let packet =
       words_of (fun () ->
-          Chunksim.Packet.data ~anticipated:true ~flow:0 ~idx:1
-            ~born:(Sim.Engine.now eng) cfg.Inrpp.Config.chunk_bits)
+          Chunksim.Packet.data ~flow:0 ~idx:1 ~born:(Sim.Engine.now eng)
+            cfg.Inrpp.Config.chunk_bits)
     in
     let words = words_of (fun () -> Sim.Engine.run eng) in
     Alcotest.(check int) "every chunk paced out" n !sent;
@@ -1369,6 +1369,40 @@ let test_router_link_flip_table () =
   row "down flip, detour back: outages kept" [ 3; 3; 1; 0 ];
   flip l01 ~up:true;
   row "up flip, detour back: outages released" [ 3; 3; 3; 0 ]
+
+(* A detour send the interface refuses is no drop: the chunk goes into
+   custody, and a drain's evacuation attempt that is refused again
+   leaves it there.  fig3's node 1 with flow 0 on 1->3: the primary is
+   down (a flip), and the first hops of both detours, 1->2 and 1->0,
+   are down at the interface only, as between a crash and the flip
+   that reports it. *)
+let test_router_refused_detour_send () =
+  let g = Topology.Builders.fig3 () in
+  let eng = Sim.Engine.create () in
+  let net = Chunksim.Net.create ~queue_bits:1e12 eng g in
+  let link_state = Topology.Link_state.create g in
+  let r =
+    R.create ~cfg:Inrpp.Config.default ~net ~node:1
+      ~detours:(Inrpp.Detour_table.create g) ~link_state ()
+  in
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  R.install_flow r ~flow:0 ~data_link:(Some (link 1 3))
+    ~req_link:(Some (link 1 0)) ();
+  Topology.Link_state.set link_state (link 1 3).Topology.Link.id ~up:false;
+  R.on_link_flip r ~up:false;
+  List.iter
+    (fun (u, v) ->
+      Chunksim.Iface.set_down (Chunksim.Net.iface net (link u v).Topology.Link.id))
+    [ (1, 2); (1, 0) ];
+  R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
+  let c = R.counters r in
+  Alcotest.(check int) "no drop" 0 c.R.dropped;
+  Alcotest.(check int) "no detour" 0 c.R.detoured;
+  Alcotest.(check int) "custody stored" 1 c.R.custody_stored;
+  R.drain r;
+  Alcotest.(check int) "no drop after the drain" 0 c.R.dropped;
+  Alcotest.(check int) "nothing released" 0 c.R.custody_released;
+  Alcotest.(check (pair int int)) "held in custody" (1, 1) (R.custody_ledger r)
 
 (* Next hops must leave the router's node.  fig3's node 1 with flow 0
    on 1->3 (data) and 1->0 (requests) refuses a link into node 1 in
@@ -2952,6 +2986,8 @@ let () =
         [
           Alcotest.test_case "decision table" `Quick
             test_router_link_flip_table;
+          Alcotest.test_case "refused detour send is no drop" `Quick
+            test_router_refused_detour_send;
         ] );
       ( "next hops",
         [

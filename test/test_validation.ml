@@ -116,7 +116,7 @@ let test_conservation_clean () =
   Inv.Conservation.note_delivery cons ~time:0.2 ~flow:0 ~idx:0;
   Inv.Conservation.note_delivery cons ~time:0.3 ~flow:0 ~idx:1;
   Inv.Conservation.finish cons ~time:1. ~quiescent:true ~in_custody:0
-    ~drops:0 ~wire_losses:0;
+    ~wire_losses:0;
   Alcotest.(check int) "pushes" 2 (Inv.Conservation.pushes cons);
   Alcotest.(check int) "deliveries" 2 (Inv.Conservation.deliveries cons);
   Alcotest.(check bool) "balanced run is clean" true (Inv.ok c)
@@ -143,7 +143,7 @@ let test_conservation_missing_chunks () =
   Inv.Conservation.note_delivery cons ~time:0.2 ~flow:0 ~idx:0;
   (* chunk 1 vanished: not delivered, not in custody, no drops *)
   Inv.Conservation.finish cons ~time:1. ~quiescent:true ~in_custody:0
-    ~drops:0 ~wire_losses:0;
+    ~wire_losses:0;
   Alcotest.(check bool) "vanished chunk flagged" false (Inv.ok c)
 
 let test_conservation_cache_hit_is_push () =
@@ -157,8 +157,26 @@ let test_conservation_cache_hit_is_push () =
   h 0.3 (Trace.Cache_hit { node = 1; flow = 0; idx = 0 });
   Inv.Conservation.note_delivery cons ~time:0.4 ~flow:0 ~idx:0;
   Inv.Conservation.finish cons ~time:1. ~quiescent:true ~in_custody:0
-    ~drops:0 ~wire_losses:0;
+    ~wire_losses:0;
   Alcotest.(check bool) "cache-hit copy accounted" true (Inv.ok c)
+
+(* a data drop the trace records is a copy gone for good; a dropped
+   request carries no chunk *)
+let test_conservation_drops_from_trace () =
+  let run packet =
+    let c = Inv.create () in
+    let cons = Inv.Conservation.create c in
+    let h = Inv.Conservation.handler cons in
+    Inv.Conservation.note_push cons ~flow:0 ~idx:0;
+    Inv.Conservation.note_push cons ~flow:0 ~idx:1;
+    Inv.Conservation.note_delivery cons ~time:0.2 ~flow:0 ~idx:0;
+    h 0.3 (Trace.Dropped { node = 1; link = -1; packet; flow = 0; idx = 1 });
+    Inv.Conservation.finish cons ~time:1. ~quiescent:true ~in_custody:0
+      ~wire_losses:0;
+    Inv.ok c
+  in
+  Alcotest.(check bool) "dropped data balances" true (run Trace.Data);
+  Alcotest.(check bool) "dropped request does not" false (run Trace.Request)
 
 let test_custody_ledger_probe () =
   let c = Inv.create () in
@@ -222,9 +240,8 @@ let seeded_scenario seed =
   (g, specs)
 
 (* PIT-less runs keep no router flow state: conservation and the
-   custody ledger must still balance (drops degrade the aggregate
-   check to an inequality), and the odd-seed bottleneck scenarios do
-   drop *)
+   custody ledger must still balance (exactly: the trace counts every
+   drop), and the odd-seed bottleneck scenarios do drop *)
 let pitless_checked ~seed =
   let g, specs = seeded_scenario seed in
   let chk = Inv.create () in
@@ -242,6 +259,150 @@ let pitless_checked ~seed =
 
 let test_differential_pitless_checked () =
   check_sweep "pitless conservation/ledger" pitless_checked
+
+(* ------------------------------------------------------------------ *)
+(* One drop path: each node's [Dropped] events equal its
+   [router_dropped_total] *)
+
+type drops = {
+  total : int;
+  on_a_link : int;  (* refused by a named link: a mid-detour send *)
+  stripped : int;   (* recorded at the instant their flow completed *)
+}
+
+let drops_traced ?(cfg = bulk) ?overload ?workload ~horizon g specs =
+  let o = Obs.Observer.create () in
+  let trace = Chunksim.Trace.create () in
+  let traced = Hashtbl.create 16 and last = Hashtbl.create 16 in
+  let d = ref { total = 0; on_a_link = 0; stripped = 0 } in
+  Chunksim.Trace.on_record trace (fun time e ->
+      match e with
+      | Trace.Dropped { node; link; flow; _ } ->
+        let n = Option.value ~default:0 (Hashtbl.find_opt traced node) in
+        Hashtbl.replace traced node (n + 1);
+        (* a teardown strips custody just before the flow completes *)
+        let k =
+          match Hashtbl.find_opt last flow with
+          | Some (t, k) when t = time -> k
+          | Some _ | None -> 0
+        in
+        Hashtbl.replace last flow (time, k + 1);
+        d :=
+          {
+            !d with
+            total = !d.total + 1;
+            on_a_link = (!d.on_a_link + if link >= 0 then 1 else 0);
+          }
+      | Trace.Flow_complete { flow; _ } -> (
+        match Hashtbl.find_opt last flow with
+        | Some (t, k) when t = time -> d := { !d with stripped = !d.stripped + k }
+        | Some _ | None -> ())
+      | _ -> ());
+  let r =
+    Inrpp.Protocol.run ~cfg ?overload ?workload ~horizon ~trace ~obs:o g specs
+  in
+  List.iter
+    (fun (s : Obs.Metric.sample) ->
+      if s.Obs.Metric.name = "router_dropped_total" then begin
+        let node = int_of_string (List.assoc "node" s.Obs.Metric.labels) in
+        let counted =
+          match s.Obs.Metric.value with
+          | Obs.Metric.Gauge_v v -> int_of_float v
+          | _ -> Alcotest.fail "router_dropped_total is not a gauge"
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "node %d: Dropped events = router_dropped_total" node)
+          counted
+          (Option.value ~default:0 (Hashtbl.find_opt traced node))
+      end)
+    (Obs.Metric.snapshot (Obs.Observer.registry o));
+  Alcotest.(check int) "result total" r.Inrpp.Protocol.total_drops !d.total;
+  (r, !d)
+
+(* 32 bulk flows between random EBONE pairs: detours refused mid-way *)
+let test_drops_ebone_bulk () =
+  let g = Topology.Isp_zoo.graph Topology.Isp_zoo.Ebone in
+  let n = Topology.Graph.node_count g in
+  let rng = Sim.Rng.create 1L in
+  let rec pairs acc k =
+    if k = 0 then acc
+    else
+      let src = Sim.Rng.int rng n and dst = Sim.Rng.int rng n in
+      if src = dst then pairs acc k
+      else pairs (Inrpp.Protocol.flow_spec ~src ~dst 300 :: acc) (k - 1)
+  in
+  let _, d = drops_traced ~horizon:3600. g (pairs [] 32) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mid-detour refusals (%d)" d.on_a_link)
+    true (d.on_a_link > 0)
+
+(* the flash crowd on a dumbbell with small stores *)
+let crowd ~seed =
+  ( Topology.Builders.dumbbell ~access_capacity:100e6
+      ~bottleneck_capacity:10e6 4,
+    { Inrpp.Config.default with
+      Inrpp.Config.cache_bits = 100. *. Inrpp.Config.default.Inrpp.Config.chunk_bits },
+    {
+      Workload.Gen.default with
+      Workload.Gen.seed;
+      horizon = 60.;
+      max_requests = 300;
+      objects = 256;
+      alpha = 0.8;
+      chunk_min = 16;
+      chunk_max = 512;
+      chunk_shape = 1.2;
+      rate = 10.;
+      bursts = [ Workload.Arrivals.burst ~at:10. ~duration:10. ~boost:8. ];
+      producers = [ Topology.Node.Host ];
+      consumers = [ Topology.Node.Host ];
+    } )
+
+(* shed, full-store and duplicate refusals *)
+let test_drops_overload () =
+  let g, cfg, workload = crowd ~seed:1L in
+  let r, d =
+    drops_traced ~cfg ~overload:Overload.Config.default ~workload
+      ~horizon:3600. g []
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "shed %d of %d drops" r.Inrpp.Protocol.shed d.total)
+    true
+    (r.Inrpp.Protocol.shed > 0 && d.total > r.Inrpp.Protocol.shed)
+
+(* the "Living in a PIT-less World" ablation's two scenarios *)
+let test_drops_pitless () =
+  let b = Topology.Graph.Builder.create () in
+  let n0 = Topology.Graph.Builder.add_node b "0" in
+  let n1 = Topology.Graph.Builder.add_node b "1" in
+  let n2 = Topology.Graph.Builder.add_node b "2" in
+  Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay:2e-3 n0 n1;
+  Topology.Graph.Builder.add_edge b ~capacity:2e6 ~delay:2e-3 n1 n2;
+  let cfg = { bulk with Inrpp.Config.pitless = true } in
+  let _, line =
+    drops_traced ~cfg ~horizon:120. (Topology.Graph.Builder.build b)
+      [ Inrpp.Protocol.flow_spec ~src:0 ~dst:2 200 ]
+  in
+  let _, fig3 =
+    drops_traced ~cfg ~horizon:120. (Topology.Builders.fig3 ())
+      [ Inrpp.Protocol.flow_spec ~src:0 ~dst:3 300 ]
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "drops (%d)" (line.total + fig3.total))
+    true
+    (line.total + fig3.total > 0)
+
+(* a finished flow's leftover custody copies go as drops *)
+let test_drops_teardown () =
+  let g, cfg, workload = crowd ~seed:1L in
+  let _, d =
+    drops_traced
+      ~cfg:{ cfg with Inrpp.Config.flow_teardown = true }
+      ~overload:Overload.Config.default ~workload ~horizon:3600. g []
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "custody stripped (%d)" d.stripped)
+    true (d.stripped > 0)
 
 let checked_run ?cfg ?loss_rate g specs =
   let chk = Inv.create () in
@@ -321,6 +482,8 @@ let () =
             test_conservation_missing_chunks;
           Alcotest.test_case "cache hit copies" `Quick
             test_conservation_cache_hit_is_push;
+          Alcotest.test_case "drops from the trace" `Quick
+            test_conservation_drops_from_trace;
           Alcotest.test_case "custody ledger probe" `Quick
             test_custody_ledger_probe;
         ] );
@@ -328,6 +491,13 @@ let () =
         [
           Alcotest.test_case "pitless conservation x50" `Quick
             test_differential_pitless_checked;
+        ] );
+      ( "drops traced",
+        [
+          Alcotest.test_case "ebone bulk" `Quick test_drops_ebone_bulk;
+          Alcotest.test_case "overload" `Quick test_drops_overload;
+          Alcotest.test_case "pitless" `Quick test_drops_pitless;
+          Alcotest.test_case "teardown" `Quick test_drops_teardown;
         ] );
       ( "protocol",
         [
