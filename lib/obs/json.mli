@@ -41,8 +41,7 @@ module Reader : sig
   type t
 
   val of_channel : in_channel -> t
-  (** Reads one line at a time with [In_channel.input_line]; a
-      trailing ['\r'] is stripped, so CRLF input reads like LF. *)
+  (** Reads [ic] one line at a time with [In_channel.input_line]. *)
 
   val next : t -> (json, string) result option
   (** Next non-blank line's value; [Error] messages carry the 1-based
