@@ -1489,14 +1489,14 @@ let micro () =
                while Sim.Event_queue.pop q <> None do () done));
         Test.make ~name:"rng exponential"
           (Staged.stage (fun () -> ignore (Sim.Rng.exponential rng ~mean:1.)));
-        Test.make ~name:"cache custody put+take"
+        Test.make ~name:"cache custody put+commit"
           (Staged.stage (fun () ->
                let c = Chunksim.Cache.create ~capacity:1e6 () in
                for i = 0 to 15 do
                  ignore (Chunksim.Cache.put_custody c ~flow:0 ~idx:i ~bits:100.)
                done;
                for _ = 0 to 15 do
-                 ignore (Chunksim.Cache.take_custody c ~flow:0)
+                 Chunksim.Cache.commit_custody c ~flow:0
                done));
       ]
   in

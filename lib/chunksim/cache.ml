@@ -266,17 +266,6 @@ let put_custody t ~flow ~idx ~bits =
     `Stored
   end
 
-let take_custody t ~flow =
-  match Itbl.find_opt t.custody flow with
-  | None -> None
-  | Some q ->
-    (match Queue.take_opt q with
-    | None -> None
-    | Some (idx, bits) ->
-      t.used.custody <- t.used.custody -. bits;
-      if Queue.is_empty q then drop_flow t flow;
-      Some (idx, bits))
-
 (* queues leave the table as they empty, so a found queue has a head *)
 let peek_custody t ~flow =
   match Itbl.find t.custody flow with

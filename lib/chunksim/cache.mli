@@ -4,7 +4,7 @@
 
     - the {e custody} region holds in-flight chunks the router accepted
       responsibility for during a back-pressure episode; FIFO per flow;
-      never evicted, only handed downstream ({!take_custody});
+      never evicted, only handed downstream ({!commit_custody});
     - the {e popularity} region is a plain LRU of chunks already
       forwarded, serving later requests for the same content (classic
       ICN caching).
@@ -74,9 +74,6 @@ val put_custody :
     engage back-pressure well before).  [`Rejected] when the admission
     policy refused the chunk (store may still have room); never
     returned without an installed policy. *)
-
-val take_custody : t -> flow:int -> (int * float) option
-(** Oldest held chunk of the flow, removed: [(idx, bits)]. *)
 
 val peek_custody : t -> flow:int -> int
 (** Index of the flow's oldest held chunk, {e not} removed; [-1] when

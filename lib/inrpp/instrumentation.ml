@@ -439,7 +439,7 @@ let finish t ~quiescent ~disruptions =
     | Some cons ->
       let sum f = Array.fold_left (fun acc r -> acc + f r) 0 routers in
       Check.Invariant.Conservation.finish cons ~time:(Sim.Engine.now eng)
-        ~quiescent ~in_custody:(sum Router.custody_packet_count)
+        ~quiescent ~in_custody:(sum (fun r -> fst (Router.custody_ledger r)))
         ~wire_losses:(Net.total_wire_losses net)
     | None -> ()
 

@@ -66,7 +66,7 @@ type result = {
   goodput : float;               (** delivered application bits / sim_time *)
   engine_events : int;           (** events the engine processed *)
   chunks_lost_in_custody : int;
-  (** custody chunks destroyed by [`Wipe]-policy node crashes *)
+  (** custody chunks destroyed by [Wipe_custody] node crashes *)
   failovers : int;
   (** flows moved onto (or back off) detours by link outages *)
   recovery_time : float option;
@@ -106,9 +106,11 @@ val run :
   Topology.Graph.t -> flow_spec list -> result
 (** [horizon] (default 60 s) bounds the run; the engine also stops as
     soon as every flow completes.  [loss_rate] injects seeded random
-    wire loss on every link (failure-injection testing; default none —
-    the protocol's own behaviour never drops unless the store
-    overflows).
+    wire loss on every link (failure-injection testing; default none).
+    The routers drop too, each drop counted and traced: a custody
+    refusal (full store, overload shedding, a duplicate copy), a
+    mid-detour hop that cannot be queued, a packet for a flow or local
+    endpoint the node does not hold, and custody a teardown purges.
 
     [trace] receives the run's events: the caller owns it and attaches
     its own taps ({!Chunksim.Trace.on_record}) before the run, and the
@@ -137,7 +139,7 @@ val run :
     outages fail flows over onto detours (or engage back-pressure when
     no path survives), node crashes detach handlers and wipe or
     preserve custody, and control-loss bursts stress the request
-    plane.  Custody lost to [`Wipe] crashes and packets destroyed on
+    plane.  Custody lost to [Wipe_custody] crashes and packets destroyed on
     dead links are attributed to the conservation checker (when
     [check] is given) rather than reported as leaks.  An empty or
     absent schedule leaves the run bit-identical to a build without

@@ -1,50 +1,9 @@
-module Link = Topology.Link
-module Packet = Chunksim.Packet
-module Net = Chunksim.Net
-module Iface = Chunksim.Iface
-module Cache = Chunksim.Cache
-module Chunk_key = Chunksim.Chunk_key
-module Trace = Chunksim.Trace
-module Ft = Flow_table
+(* Forwarding, the handlers, install, reroute and release, the tick and
+   the fault walks; the record is [Router_state]'s, the ledger [Custody]'s *)
 
-(* int keys compared inline, not through polymorphic compare; the same
-   buckets, resizes and fold order as a stdlib [Hashtbl] *)
-module Itbl = Hashtbl.Make (Int)
-
-type counters = {
-  mutable forwarded_data : int;
-  mutable detoured : int;
-  mutable custody_stored : int;
-  mutable custody_released : int;
-  mutable dropped : int;
-  mutable bp_engages : int;
-  mutable bp_releases : int;
-  mutable cache_hits : int;
-  mutable failovers : int;
-  mutable custody_wiped : int;
-  mutable shed : int;
-  mutable detours_refused : int;
-}
+include Router_state
 
 type registry = Port.registry
-
-type t = {
-  s : Port.set;                   (* the interfaces' control plane *)
-  (* per-flow forwarding state: next hops as port indices, flag
-     bitfield and flowlet pin, paged slot records with free-list
-     recycling (see Flow_table) *)
-  ft : Ft.t;
-  store : Cache.t;
-  custody_packets : Packet.t Itbl.t;  (* Chunk_key-packed *)
-  mutable drain_listed : bool;    (* in the registry's drain_nodes *)
-  drain_flows : int array ref;    (* custody snapshot, reused per drain *)
-  mutable drains : int;           (* drains that found custody, see port *)
-  c : counters;
-  mutable bp_locals : int;        (* entries with bp_local = true *)
-  mutable local_producer : (Packet.t -> unit) option;
-  mutable local_consumer : (Packet.t -> unit) option;
-  mutable crashed : bool;
-}
 
 let registry = Port.registry
 
@@ -94,56 +53,6 @@ let create ~cfg ~net ~node ~detours
 
 let set_neighbor_pressure t f = t.s.Port.neighbor_pressure <- Some f
 
-let now t = Port.now t.s
-
-(* Every router-level loss goes through here: it counts the drop and,
-   with a trace attached, records it.  [link] is the link that refused
-   [p], -1 where there is none. *)
-let drop t ~link (p : Packet.t) =
-  t.c.dropped <- t.c.dropped + 1;
-  match t.s.Port.trace with
-  | Some tr -> (
-    let node = t.s.Port.node in
-    match p with
-    | Packet.Data { flow; idx; _ } ->
-      Trace.record tr ~time:(now t)
-        (Trace.Dropped { node; link; packet = Trace.Data; flow; idx })
-    | Packet.Request { flow; nc; _ } ->
-      Trace.record tr ~time:(now t)
-        (Trace.Dropped { node; link; packet = Trace.Request; flow; idx = nc })
-    | Packet.Backpressure _ -> () (* no site drops one *))
-  | None -> ()
-
-(* chunk-lifecycle events are gated per-trace (Trace.set_lifecycle) so
-   check/differential runs and the artefact goldens see an unchanged
-   event stream unless a span collector asked for them *)
-let record_enqueued t ~link (p : Packet.t) =
-  match t.s.Port.trace with
-  | Some tr when Trace.lifecycle tr -> begin
-    match p with
-    | Packet.Data { flow; idx; _ } ->
-      Trace.record tr ~time:(now t)
-        (Trace.Enqueued { node = t.s.Port.node; link; flow; idx })
-    | Packet.Request _ | Packet.Backpressure _ -> ()
-  end
-  | Some _ | None -> ()
-
-let record_evacuated t ~flow ~idx =
-  match t.s.Port.trace with
-  | Some tr when Trace.lifecycle tr ->
-    Trace.record tr ~time:(now t)
-      (Trace.Custody_evacuated { node = t.s.Port.node; flow; idx })
-  | Some _ | None -> ()
-
-(* A custody store or a local engage gives the next drains work *)
-let list_drain t =
-  match t.s.Port.reg with
-  | Some r when not t.drain_listed ->
-    t.drain_listed <- true;
-    r.Port.drain_n <-
-      Port.insert_sorted r.Port.drain_nodes r.Port.drain_n t.s.Port.node
-  | Some _ | None -> ()
-
 (* The local endpoints: a packet for one this node lacks is a drop *)
 let to_consumer t p =
   match t.local_consumer with
@@ -167,6 +76,9 @@ let port_index t = function
     i
   | None -> -1
 
+(* The port of a slot's data next hop, which must exist *)
+let port_at t slot = t.s.Port.ports.(Ft.data_port t.ft slot)
+
 (* one index walk: a reinstall resets the flags, so a set bp_local
    leaves the count first *)
 let install_flow t ?content ~flow ~data_link ~req_link () =
@@ -182,61 +94,6 @@ let install_flow t ?content ~flow ~data_link ~req_link () =
 
 let set_local_producer t f = t.local_producer <- Some f
 let set_local_consumer t f = t.local_consumer <- Some f
-
-(* A real chunk asking for a detour now (a forwarded chunk, or one
-   drain round's evacuation attempt): when neighbour pressure alone
-   denies it one, that is one refusal *)
-let detour_for t p =
-  let i = Port.first_usable t.s p in
-  if i = -2 then t.c.detours_refused <- t.c.detours_refused + 1;
-  i
-
-(* The port of a slot's data next hop, which must exist *)
-let port_at t slot = t.s.Port.ports.(Ft.data_port t.ft slot)
-
-(* ------------------------------------------------------------------ *)
-(* Back-pressure signalling *)
-
-let signal_upstream t slot ~flow ~engage =
-  let pkt = Packet.backpressure ~flow ~engage in
-  if engage then t.c.bp_engages <- t.c.bp_engages + 1
-  else t.c.bp_releases <- t.c.bp_releases + 1;
-  (match t.s.Port.trace with
-  | Some tr ->
-    Trace.record tr ~time:(now t)
-      (Trace.Bp_signal { node = t.s.Port.node; flow; engage })
-  | None -> ());
-  let rp = Ft.req_port t.ft slot in
-  if rp >= 0 then
-    ignore (Net.send t.s.Port.net ~via:t.s.Port.ports.(rp).p_link pkt)
-  else begin
-    (* we are at the producer node: tell the local sender directly *)
-    match t.local_producer with
-    | Some producer -> producer pkt
-    | None -> ()
-  end
-
-(* The "local" engage slot is shared between custody pressure and
-   path-outage pressure: at most one upstream engage is outstanding
-   for the pair, which preserves the checker's ≤2 balance per
-   (node, flow) — the second slot being the relayed downstream
-   engage.  Set one of the two flags to [on]; the upstream hears of it
-   when their union flips. *)
-let set_local t slot ~flow ~which on =
-  let was = Ft.bp_local t.ft slot || Ft.bp_outage t.ft slot in
-  (match which with
-  | `Custody ->
-    if Ft.bp_local t.ft slot <> on then begin
-      Ft.set_bp_local t.ft slot on;
-      if on then begin
-        t.bp_locals <- t.bp_locals + 1;
-        list_drain t
-      end
-      else t.bp_locals <- t.bp_locals - 1
-    end
-  | `Outage -> Ft.set_bp_outage t.ft slot on);
-  if was <> (Ft.bp_local t.ft slot || Ft.bp_outage t.ft slot) then
-    signal_upstream t slot ~flow ~engage:on
 
 (* Route reconvergence: point an existing entry at new primary links
    without disturbing its flowlet or custody state.  A reroute onto a
@@ -255,112 +112,7 @@ let reroute_flow t ?content ~flow ~data_link ~req_link () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Custody *)
-
-(* Load shedding: above {!Overload.Config.shed_threshold} custody
-   occupancy, refuse the admission outright — new chunks are shed
-   {e before} in-custody chunks are endangered, and the upstream hears
-   about it immediately instead of at store exhaustion.  The [On] test
-   comes first so a run without overload control reads no occupancy:
-   that read boxes two floats per admission. *)
-let over t x =
-  match t.s.Port.overload with
-  | Overload.Config.On _ ->
-    Cache.custody_occupancy t.store >= x *. Cache.capacity t.store
-  | Off -> false
-
-let shed_admission t = over t Overload.Config.shed_threshold
-
-(* Early back-pressure: escalate upstream at
-   {!Overload.Config.early_bp_threshold} occupancy, before the store's
-   high watermark — under a flash crowd the watermark fires too late
-   to stop the wave already in flight. *)
-let early_bp t = over t Overload.Config.early_bp_threshold
-
-(* A chunk custody turns away is a drop; [shed] counts an overload
-   refusal and [engage] makes the upstream slow down *)
-let refuse t slot flow p ~shed ~engage =
-  if shed then t.c.shed <- t.c.shed + 1;
-  if engage then set_local t slot ~flow ~which:`Custody true;
-  drop t ~link:(-1) p
-
-let custody t slot flow (p : Packet.t) =
-  match p with
-  | Packet.Data { idx; size; _ } -> begin
-    let key = Chunk_key.pack ~flow ~idx in
-    if Itbl.mem t.custody_packets key then
-      (* duplicate copy (a retransmit racing the custodied original):
-         admitting it would put a second entry in the store's custody
-         queue while the packet table holds one payload per (flow,
-         idx), so the duplicate could never drain — it would leak
-         store space until the end of the run.  Drop it; the
-         custodied copy is already scheduled to move on. *)
-      refuse t slot flow p ~shed:false ~engage:false
-    else if shed_admission t then refuse t slot flow p ~shed:true ~engage:true
-    else
-      match Cache.put_custody t.store ~flow ~idx ~bits:size with
-      | `Stored ->
-        Itbl.replace t.custody_packets key p;
-        t.c.custody_stored <- t.c.custody_stored + 1;
-        list_drain t;
-        (match t.s.Port.trace with
-        | Some tr ->
-          Trace.record tr ~time:(now t)
-            (Trace.Cached { node = t.s.Port.node; flow; idx })
-        | None -> ());
-        (* back-pressure engages at the high watermark, not on the first
-           stored chunk — small excursions are what the store is for *)
-        if Cache.above_high t.store || early_bp t then
-          set_local t slot ~flow ~which:`Custody true
-      | `Rejected ->
-        (* the admission policy refused the chunk: shed it and make the
-           upstream slow down, exactly as for threshold shedding *)
-        refuse t slot flow p ~shed:true ~engage:true
-      | `Full ->
-        (* the store itself overflowed: the congestion-collapse guard the
-           paper's back-pressure exists to prevent *)
-        refuse t slot flow p ~shed:false ~engage:true
-  end
-  | Packet.Request _ | Packet.Backpressure _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Data forwarding *)
-
-(* Queue [p] on the primary [l]; false when the interface refused it *)
-let send_primary t (l : Link.t) p =
-  match Net.send t.s.Port.net ~via:l p with
-  | `Queued ->
-    t.c.forwarded_data <- t.c.forwarded_data + 1;
-    record_enqueued t ~link:l.Link.id p;
-    true
-  | `Dropped -> false
-
-(* A refused send records nothing: the chunk is still the caller's,
-   which custodies it or keeps it in custody *)
-let send_detour t flow (c : Port.dcand) (p : Packet.t) =
-  let idx =
-    match p with
-    | Packet.Data { idx; _ } -> idx
-    | Packet.Request _ | Packet.Backpressure _ -> -1
-  in
-  let p' =
-    match p with
-    | Packet.Data d -> Packet.Data { d with detour_route = c.dc_rest }
-    | Packet.Request _ | Packet.Backpressure _ -> p
-  in
-  Rate_estimator.note_transit (Port.estimator t.s c.dc_port)
-    ~bits:(Packet.size p);
-  match Net.send t.s.Port.net ~via:c.dc_first p' with
-  | `Queued ->
-    t.c.detoured <- t.c.detoured + 1;
-    (match t.s.Port.trace with
-    | Some tr ->
-      Trace.record tr ~time:(now t)
-        (Trace.Detoured { node = t.s.Port.node; flow; idx; via = c.dc_via })
-    | None -> ());
-    record_enqueued t ~link:c.dc_first.Link.id p';
-    `Queued
-  | `Dropped -> `Dropped
 
 (* Deflect [p] onto the best usable detour around [l]; prefers the
    flow's previously pinned detour (flowlet stability), falls back to
@@ -369,7 +121,7 @@ let send_detour t flow (c : Port.dcand) (p : Packet.t) =
    arrivals, or an interface that just went down). *)
 let try_detour t slot flow (pt : Port.port) (p : Packet.t) =
   let fi = detour_for t pt in
-  if fi < 0 then custody t slot flow p
+  if fi < 0 then Custody.admit t slot flow p
   else begin
     let first = pt.dk_cands.(fi) in
     let pinned =
@@ -389,7 +141,7 @@ let try_detour t slot flow (pt : Port.port) (p : Packet.t) =
     in
     match send_detour t flow chosen p with
     | `Queued -> () (* the detour copy went out; [p] is dead *)
-    | `Dropped -> custody t slot flow p
+    | `Dropped -> Custody.admit t slot flow p
   end
 
 let maybe_cache_popular t slot (p : Packet.t) =
@@ -435,7 +187,7 @@ let forward_primary_path t slot flow (p : Packet.t) =
           forward_on_primary t slot flow pt p
         end
         else try_detour t slot flow pt p
-      | Phase.Backpressure -> custody t slot flow p
+      | Phase.Backpressure -> Custody.admit t slot flow p
   end
 
 (* The link to the next node of a source route *)
@@ -578,18 +330,6 @@ let originate_data t p = handle_data t p
 (* ------------------------------------------------------------------ *)
 (* Flow teardown *)
 
-(* Purge [flow]'s custody as drops.  Top level, not a local closure,
-   so a release allocates nothing. *)
-let rec strip_custody t flow =
-  match Cache.take_custody t.store ~flow with
-  | Some (idx, _bits) ->
-    let key = Chunk_key.pack ~flow ~idx in
-    let p = Itbl.find t.custody_packets key in
-    Itbl.remove t.custody_packets key;
-    drop t ~link:(-1) p;
-    strip_custody t flow
-  | None -> ()
-
 (* Silent release: no upstream signalling — the flow is finished, its
    sender is about to go quiet on its own.  Custody still held for the
    flow can only be duplicate copies (the consumer has every chunk),
@@ -602,7 +342,7 @@ let release_flow t ~flow =
   if slot >= 0 then begin
     if Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
     (* an empty store holds no queue, so skip the probe *)
-    if not (Cache.custody_is_empty t.store) then strip_custody t flow
+    if not (Cache.custody_is_empty t.store) then Custody.strip t flow
   end
 
 (* ------------------------------------------------------------------ *)
@@ -630,133 +370,9 @@ let tick_sweep (reg : registry) routers =
   done;
   reg.Port.tick_n <- !kept
 
-(* What one release attempt leaves for the rest of the drain: [Done]
-   holds until it ends, so a later attempt would have no effect *)
-type release = Released | Retry | Done
-
-(* Hand [flow]'s oldest custody chunk to its primary interface, or to a
-   detour when the primary is down or full.  Peek-then-commit: the chunk
-   stays charged against the store budget until the handoff is known to
-   have succeeded, so nothing can be admitted into the gap a failed
-   evacuation would open.  [Retry] when the attempt had a side effect (a
-   refusal counted, a send dropped) that the next round would repeat.
-   Every site that changes the store changes the packet table with it,
-   so the peeked chunk's payload is there. *)
-let release_one t flow =
-  let slot = Ft.find t.ft flow in
-  let dp = if slot < 0 then -1 else Ft.data_port t.ft slot in
-  if dp < 0 then Done
-  else begin
-    let pt = t.s.Port.ports.(dp) in
-    let l = pt.p_link in
-    let idx =
-      if pt.blocked = t.drains then -1 else Cache.peek_custody t.store ~flow
-    in
-    if idx < 0 then Done
-    else begin
-      let primary =
-        Port.link_is_up t.s l && Iface.queue_occupancy pt.p_iface < pt.p_limit
-      in
-      (* the exit: the primary, else this detour candidate *)
-      let ci = if primary then 0 else detour_for t pt in
-      if ci = -1 then (pt.blocked <- t.drains; Done)
-      else if ci < 0 then Retry
-      else begin
-        t.c.custody_released <- t.c.custody_released + 1;
-        (match t.s.Port.trace with
-        | Some tr ->
-          Trace.record tr ~time:(now t)
-            (Trace.Custody_released { node = t.s.Port.node; flow; idx })
-        | None -> ());
-        let key = Chunk_key.pack ~flow ~idx in
-        let p = Itbl.find t.custody_packets key in
-        let sent =
-          if primary then send_primary t l p
-          else begin
-            match send_detour t flow pt.dk_cands.(ci) p with
-            | `Queued ->
-              (* custody left this node sideways, not down the primary:
-                 the recovery path's evacuation signal *)
-              record_evacuated t ~flow ~idx;
-              true
-            | `Dropped -> false
-          end
-        in
-        if sent then begin
-          Cache.commit_custody t.store ~flow;
-          Itbl.remove t.custody_packets key;
-          Released
-        end
-        else begin
-          (* raced with new arrivals, or the interface just went down:
-             the chunk never left custody, so undo the release
-             accounting and stop draining this flow for the round —
-             never leak, never double-admit *)
-          t.c.custody_released <- t.c.custody_released - 1;
-          Retry
-        end
-      end
-    end
-  end
-
-let drain t =
-  if t.crashed then ()
-  else begin
-    (* release custody one chunk per flow per round so competing flows
-       share the recovered bandwidth round-robin (the paper's scheduler
-       multiplexes flows in round-robin fashion); a round keeps only
-       the flows that may still release *)
-    if not (Cache.custody_is_empty t.store) then begin
-      t.drains <- t.drains + 1;
-      let n = ref (Cache.custody_flows t.store t.drain_flows) in
-      let flows = !(t.drain_flows) in
-      let progress = ref true in
-      while !progress do
-        progress := false;
-        let kept = ref 0 in
-        for i = 0 to !n - 1 do
-          let r = release_one t flows.(i) in
-          if r = Released then progress := true;
-          if r <> Done then (flows.(!kept) <- flows.(i); incr kept)
-        done;
-        n := !kept
-      done
-    end;
-    (* release upstream pressure once the store has drained enough *)
-    if t.bp_locals > 0 && Cache.below_low t.store then
-      Ft.iter_bp t.ft ~forwarded:false (fun flow slot ->
-          if Cache.custody_backlog t.store ~flow = 0 then
-            set_local t slot ~flow ~which:`Custody false)
-  end
-
-(* An unlisted router holds no custody and its occupancy is exactly 0,
-   which [iter_custody] relies on; the occupancy test only runs once
-   the store is empty, and keeps a router listed while float
-   accumulation has left a residue *)
-let drain_work t =
-  (not (Cache.custody_is_empty t.store))
-  || t.bp_locals > 0
-  || Cache.custody_occupancy t.store <> 0.
-
-(* A drain stores no custody and engages nothing, so the list cannot
-   grow during the sweep *)
-let drain_sweep (reg : registry) routers =
-  let kept = ref 0 in
-  for i = 0 to reg.Port.drain_n - 1 do
-    let r = routers.(reg.Port.drain_nodes.(i)) in
-    drain r;
-    if drain_work r then begin
-      reg.Port.drain_nodes.(!kept) <- r.s.Port.node;
-      incr kept
-    end
-    else r.drain_listed <- false
-  done;
-  reg.Port.drain_n <- !kept
-
-let iter_custody (reg : registry) routers f =
-  for i = 0 to reg.Port.drain_n - 1 do
-    f routers.(reg.Port.drain_nodes.(i))
-  done
+let drain = Custody.drain
+let drain_sweep = Custody.drain_sweep
+let iter_custody = Custody.iter_custody
 
 (* ------------------------------------------------------------------ *)
 (* Fault recovery *)
@@ -805,25 +421,9 @@ let crash t ~policy =
         Ft.set_failed_over t.ft slot false);
     t.bp_locals <- 0;
     Port.reset t.s;
-    match policy with
-    | `Preserve -> []
-    | `Wipe ->
-      let wiped =
-        List.sort compare
-          (Itbl.fold (fun k _ acc -> k :: acc) t.custody_packets [])
-        |> List.map (fun k -> (Chunk_key.flow k, Chunk_key.idx k))
-      in
-      (* empty the store's custody region coherently with the table *)
-      let n = Cache.custody_flows t.store t.drain_flows in
-      for i = 0 to n - 1 do
-        let flow = !(t.drain_flows).(i) in
-        while Cache.peek_custody t.store ~flow >= 0 do
-          Cache.commit_custody t.store ~flow
-        done
-      done;
-      Itbl.reset t.custody_packets;
-      t.c.custody_wiped <- t.c.custody_wiped + List.length wiped;
-      wiped
+    match (policy : Fault.Schedule.node_policy) with
+    | Preserve_custody -> []
+    | Wipe_custody -> Custody.wipe t
   end
 
 let restart t = t.crashed <- false
@@ -849,12 +449,4 @@ let flow_table_bytes t = Ft.approx_bytes t.ft
 let cache t = t.store
 let counters t = t.c
 let node t = t.s.Port.node
-let custody_packet_count t = Itbl.length t.custody_packets
-
-let custody_ledger t =
-  let backlog = ref 0 in
-  for i = 0 to Cache.custody_flows t.store t.drain_flows - 1 do
-    backlog :=
-      !backlog + Cache.custody_backlog t.store ~flow:!(t.drain_flows).(i)
-  done;
-  (custody_packet_count t, !backlog)
+let custody_ledger = Custody.ledger

@@ -13,10 +13,10 @@
     producer node go to the local {!Sender}, data reaching the
     consumer node goes to the local {!Receiver}.
 
-    The per-interface control plane (estimator, phase, detour
-    candidates, tick walk, {!registry}) lives in the library-private
-    [Port] module; this module keeps the per-flow state: forwarding,
-    custody and its drain rounds, back-pressure and fault recovery. *)
+    Under it sit three library-private layers, each calling only down:
+    [Port] (the per-interface control plane and the {!registry}),
+    [Router_state] (the router record and the drop, signalling and send
+    primitives) and [Custody] (the custody ledger). *)
 
 type t
 
@@ -172,11 +172,12 @@ val on_link_flip : t -> up:bool -> unit
     back-pressure.  Either way held custody drains at once, so custody
     for a dead next-hop evacuates at the outage instant. *)
 
-val crash : t -> policy:[ `Wipe | `Preserve ] -> (int * int) list
+val crash : t -> policy:Fault.Schedule.node_policy -> (int * int) list
 (** Crash this router: control state (estimators, phases,
-    back-pressure flags) is always lost; [`Wipe] also empties the
-    custody store and returns the wiped [(flow, idx)] list (sorted)
-    for fault attribution, [`Preserve] models non-volatile custody.
+    back-pressure flags) is always lost; [Wipe_custody] also empties
+    the custody store and returns the wiped [(flow, idx)] list, each
+    held chunk once in ascending order, for fault attribution;
+    [Preserve_custody] models non-volatile custody.
     {!tick} and {!drain} are no-ops until {!restart}.  Idempotent. *)
 
 val restart : t -> unit
@@ -228,14 +229,11 @@ val cache : t -> Chunksim.Cache.t
 val counters : t -> counters
 val node : t -> Topology.Node.id
 
-val custody_packet_count : t -> int
-(** Chunks in the custody packet table right now — must equal the
-    cache's custody-region chunk count (see {!custody_ledger}). *)
-
 val custody_ledger : t -> int * int
-(** [(packets, backlog)]: {!custody_packet_count}, and the store's
-    custody backlog summed over its custody flows.  The two are equal
-    after every step; [Check]'s ledger invariant reads this pair. *)
+(** [(packets, backlog)]: the chunks in the custody packet table, and
+    the store's custody backlog summed over its custody flows.  The two
+    are equal after every step; [Check]'s ledger invariant reads this
+    pair. *)
 
 val phase_transitions : t -> int
 (** Summed across interfaces. *)

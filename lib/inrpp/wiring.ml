@@ -186,11 +186,6 @@ let attach_faults w faults =
          ~on_node_crash:(fun node policy ->
            Instrumentation.node_fault ins ~node ~up:false;
            disrupted ();
-           let policy =
-             match policy with
-             | Fault.Schedule.Wipe_custody -> `Wipe
-             | Fault.Schedule.Preserve_custody -> `Preserve
-           in
            Instrumentation.custody_wiped ins ~node
              (Router.crash routers.(node) ~policy);
            reconverge w)

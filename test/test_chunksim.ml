@@ -398,6 +398,17 @@ let test_iface_drr_discipline () =
 
 let cache () = Chunksim.Cache.create ~capacity:1000. ()
 
+(* The flow's oldest held chunk, peeked and committed: [(idx, bits)],
+   the bits read as the fall in custody occupancy *)
+let take c ~flow =
+  let idx = Chunksim.Cache.peek_custody c ~flow in
+  let before = Chunksim.Cache.custody_occupancy c in
+  if idx < 0 then None
+  else begin
+    Chunksim.Cache.commit_custody c ~flow;
+    Some (idx, before -. Chunksim.Cache.custody_occupancy c)
+  end
+
 let test_cache_custody_fifo () =
   let c = cache () in
   Alcotest.(check bool) "store 1" true
@@ -405,7 +416,7 @@ let test_cache_custody_fifo () =
   Alcotest.(check bool) "store 2" true
     (Chunksim.Cache.put_custody c ~flow:1 ~idx:11 ~bits:100. = `Stored);
   Alcotest.(check int) "backlog" 2 (Chunksim.Cache.custody_backlog c ~flow:1);
-  (match Chunksim.Cache.take_custody c ~flow:1 with
+  (match take c ~flow:1 with
   | Some (idx, bits) ->
     Alcotest.(check int) "oldest first" 10 idx;
     check_close "bits" 0. 100. bits
@@ -428,7 +439,7 @@ let test_cache_watermarks () =
   ignore (Chunksim.Cache.put_custody c ~flow:0 ~idx:0 ~bits:750.);
   Alcotest.(check bool) "above high" true (Chunksim.Cache.above_high c);
   Alcotest.(check bool) "not below low" false (Chunksim.Cache.below_low c);
-  ignore (Chunksim.Cache.take_custody c ~flow:0);
+  ignore (take c ~flow:0);
   Alcotest.(check bool) "drained" true (Chunksim.Cache.below_low c)
 
 let test_cache_lru () =
@@ -481,7 +492,7 @@ let test_cache_custody_survives_popularity_churn () =
   Alcotest.(check (float 1e-9)) "regions account for the whole store"
     (Chunksim.Cache.custody_occupancy c +. Chunksim.Cache.popular_occupancy c)
     (Chunksim.Cache.occupancy c);
-  (match Chunksim.Cache.take_custody c ~flow:7 with
+  (match take c ~flow:7 with
   | Some (0, bits) -> Alcotest.(check (float 1e-9)) "fifo head bits" 100. bits
   | Some (idx, _) -> Alcotest.failf "fifo order broken: got idx %d" idx
   | None -> Alcotest.fail "custody emptied by popularity churn");
@@ -593,7 +604,7 @@ let prop_popular_model =
             | `Take flow ->
               let expect = Queue.take_opt held.(flow) in
               Option.iter (fun (_, b) -> custody := !custody -. b) expect;
-              Chunksim.Cache.take_custody c ~flow = expect
+              Option.map fst (take c ~flow) = Option.map fst expect
           in
           same && agrees ())
         ops)
@@ -1266,7 +1277,7 @@ let prop_custody_per_flow_fifo =
       let ok = ref true in
       for f = 0 to 3 do
         let rec drain () =
-          match Chunksim.Cache.take_custody c ~flow:f with
+          match take c ~flow:f with
           | Some (idx, _) ->
             if idx <> expect.(f) then ok := false;
             expect.(f) <- expect.(f) + 1;
@@ -1322,7 +1333,7 @@ let prop_custody_flows_sorted =
               next.(flow) <- next.(flow) + 1;
               true
             | `Take flow ->
-              Chunksim.Cache.take_custody c ~flow
+              take c ~flow
               = Option.map (fun i -> (i, 1.)) (Queue.take_opt model.(flow))
             | `Peek_commit flow ->
               let idx = Chunksim.Cache.peek_custody c ~flow in

@@ -1370,13 +1370,11 @@ let test_router_link_flip_table () =
   flip l01 ~up:true;
   row "up flip, detour back: outages released" [ 3; 3; 3; 0 ]
 
-(* A detour send the interface refuses is no drop: the chunk goes into
-   custody, and a drain's evacuation attempt that is refused again
-   leaves it there.  fig3's node 1 with flow 0 on 1->3: the primary is
-   down (a flip), and the first hops of both detours, 1->2 and 1->0,
-   are down at the interface only, as between a crash and the flip
-   that reports it. *)
-let test_router_refused_detour_send () =
+(* fig3's node 1 with [flows] on 1->3 (data) and 1->0 (requests): the
+   primary is down (a flip), and the first hops of both detours, 1->2
+   and 1->0, are down at the interface only, as between a crash and the
+   flip that reports it.  Every chunk it forwards goes into custody. *)
+let exitless_rig flows =
   let g = Topology.Builders.fig3 () in
   let eng = Sim.Engine.create () in
   let net = Chunksim.Net.create ~queue_bits:1e12 eng g in
@@ -1386,14 +1384,24 @@ let test_router_refused_detour_send () =
       ~detours:(Inrpp.Detour_table.create g) ~link_state ()
   in
   let link u v = Option.get (Topology.Graph.find_link g u v) in
-  R.install_flow r ~flow:0 ~data_link:(Some (link 1 3))
-    ~req_link:(Some (link 1 0)) ();
+  List.iter
+    (fun flow ->
+      R.install_flow r ~flow ~data_link:(Some (link 1 3))
+        ~req_link:(Some (link 1 0)) ())
+    flows;
   Topology.Link_state.set link_state (link 1 3).Topology.Link.id ~up:false;
   R.on_link_flip r ~up:false;
   List.iter
     (fun (u, v) ->
       Chunksim.Iface.set_down (Chunksim.Net.iface net (link u v).Topology.Link.id))
     [ (1, 2); (1, 0) ];
+  r
+
+(* A detour send the interface refuses is no drop: the chunk goes into
+   custody, and a drain's evacuation attempt that is refused again
+   leaves it there. *)
+let test_router_refused_detour_send () =
+  let r = exitless_rig [ 0 ] in
   R.originate_data r (Chunksim.Packet.data ~flow:0 ~idx:0 ~born:0. chunk);
   let c = R.counters r in
   Alcotest.(check int) "no drop" 0 c.R.dropped;
@@ -1403,6 +1411,21 @@ let test_router_refused_detour_send () =
   Alcotest.(check int) "no drop after the drain" 0 c.R.dropped;
   Alcotest.(check int) "nothing released" 0 c.R.custody_released;
   Alcotest.(check (pair int int)) "held in custody" (1, 1) (R.custody_ledger r)
+
+(* A wipe returns every held chunk once, in ascending (flow, idx)
+   order, whatever order the store holds them in: flow 0's
+   retransmitted idx 2 sits behind its idx 5. *)
+let test_router_wipe_list () =
+  let r = exitless_rig [ 0; 1 ] in
+  List.iter
+    (fun (flow, idx) ->
+      R.originate_data r (Chunksim.Packet.data ~flow ~idx ~born:0. chunk))
+    [ (1, 0); (0, 5); (0, 2); (1, 4) ];
+  Alcotest.(check (list (pair int int))) "wiped, ascending"
+    [ (0, 2); (0, 5); (1, 0); (1, 4) ]
+    (R.crash r ~policy:Wipe_custody);
+  Alcotest.(check (pair int int)) "ledger empty" (0, 0) (R.custody_ledger r);
+  Alcotest.(check int) "counted" 4 (R.counters r).R.custody_wiped
 
 (* Next hops must leave the router's node.  fig3's node 1 with flow 0
    on 1->3 (data) and 1->0 (requests) refuses a link into node 1 in
@@ -1601,7 +1624,7 @@ let prop_custody_ledger =
         for i = 0 to Chunksim.Cache.custody_flows (R.cache r) buf - 1 do
           listed := !listed + backlog !buf.(i)
         done;
-        let c = R.counters r and held = R.custody_packet_count r in
+        let c = R.counters r and held = fst (R.custody_ledger r) in
         held = !listed
         && c.R.custody_stored
            = c.R.custody_released + held + c.R.custody_wiped + !stripped
@@ -1632,7 +1655,9 @@ let prop_custody_ledger =
           | `Pressure ->
             List.iter (fun n -> pressure.(n) <- 1. -. pressure.(n)) [ 0; 2; 3 ]
           | `Crash wipe ->
-            ignore (R.crash r ~policy:(if wipe then `Wipe else `Preserve)));
+            ignore
+              (R.crash r
+                 ~policy:(if wipe then Wipe_custody else Preserve_custody)));
           let ok = ledger () in
           (* a crash is checked, then followed by its restart *)
           if R.is_crashed r then R.restart r;
@@ -1855,7 +1880,7 @@ let prop_lazy_decay_matches_full_step =
           | `Read -> read ()
           | `Crash ->
             (* a crash while crashed changes nothing *)
-            ignore (R.crash r ~policy:`Preserve);
+            ignore (R.crash r ~policy:Preserve_custody);
             if not !crashed then begin
               est := None;
               ph := None;
@@ -1906,7 +1931,7 @@ let test_router_port_creation () =
   expect "after the first request" [ down ] None;
   R.tick r;
   expect "after the first tick" [ down ] (Some Inrpp.Phase.Push_data);
-  ignore (R.crash r ~policy:`Preserve);
+  ignore (R.crash r ~policy:Preserve_custody);
   expect "crashed" [] None;
   R.tick r;
   R.restart r;
@@ -2047,7 +2072,7 @@ let drain_state w =
     let c = R.counters r in
     Printf.sprintf " [%d %d %d %d %d %d %d %d]" c.R.custody_stored
       c.R.custody_released c.R.dropped c.R.bp_engages c.R.bp_releases
-      c.R.custody_wiped c.R.detours_refused (R.custody_packet_count r)
+      c.R.custody_wiped c.R.detours_refused (fst (R.custody_ledger r))
   in
   Buffer.contents w.dw_log
   ^ String.concat "" (Array.to_list (Array.map counters w.dw_routers))
@@ -2094,7 +2119,7 @@ let drain_twins ~cfg script =
   reg
 
 let custody_now w =
-  Array.fold_left (fun acc r -> acc + R.custody_packet_count r) 0 w.dw_routers
+  Array.fold_left (fun acc r -> acc + fst (R.custody_ledger r)) 0 w.dw_routers
 
 let drain_cfg =
   { Inrpp.Config.default with Inrpp.Config.cache_bits = 20. *. chunk }
@@ -2130,7 +2155,7 @@ let test_registry_drain_bp_only () =
         step "fill" (originate 1 1 6);
         settle 3;
         step "crash" (fun w ->
-            ignore (R.crash w.dw_routers.(1) ~policy:`Preserve));
+            ignore (R.crash w.dw_routers.(1) ~policy:Preserve_custody));
         step "fill while crashed" (originate 1 0 6);
         settle 3;
         step "restart" (fun w -> R.restart w.dw_routers.(1));
@@ -2152,7 +2177,8 @@ let test_registry_drain_wipe () =
         step "fill" (originate 1 0 10);
         step "fill" (originate 2 1 8);
         settle 2;
-        step "crash" (fun w -> ignore (R.crash w.dw_routers.(1) ~policy:`Wipe));
+        step "crash" (fun w ->
+            ignore (R.crash w.dw_routers.(1) ~policy:Wipe_custody));
         settle 3;
         step "fill while crashed" (originate 1 2 8);
         settle 2;
@@ -2327,7 +2353,7 @@ let test_drain_alloc_gate () =
         R.originate_data r (Chunksim.Packet.data ~flow:f ~idx ~born:0. chunk)
       done
     done;
-    Alcotest.(check int) "chunks in custody" 237 (R.custody_packet_count r);
+    Alcotest.(check int) "chunks in custody" 237 (fst (R.custody_ledger r));
     for _ = 1 to 1_000 do R.drain r done;
     let drains = 100_000 in
     let before = Gc.minor_words () in
@@ -2989,6 +3015,9 @@ let () =
           Alcotest.test_case "refused detour send is no drop" `Quick
             test_router_refused_detour_send;
         ] );
+      ( "crash",
+        [ Alcotest.test_case "wipe lists each chunk once" `Quick
+            test_router_wipe_list ] );
       ( "next hops",
         [
           Alcotest.test_case "a data link into the node" `Quick
