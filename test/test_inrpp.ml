@@ -2692,6 +2692,64 @@ let test_protocol_icn_cache_off_by_default () =
   let r = Inrpp.Protocol.run ~cfg:bulk g specs in
   Alcotest.(check int) "no hits without the flag" 0 r.Inrpp.Protocol.cache_hits
 
+(* A content key reaches the nodes a reroute installs.  Flow 0 (0 -> 3)
+   runs on 0-1-3 until 1-3 goes down at 0.3 s; reconvergence moves it
+   onto 0-2-3, so node 2 holds its entry only through
+   [Router.reroute_flow].  Flow 1 (0 -> 4, on 0-2-4) starts after flow
+   0 has finished.  With the same content its requests hit the copies
+   flow 0 left at node 2; with another content it hits no chunk past
+   0 anywhere (the receiver's priming requests repeat chunk 0, and a
+   repeat finds the first one's copy).  Ac = 0 keeps the sender from
+   pushing chunks ahead of the requests, whose copies would answer
+   them too. *)
+let test_protocol_icn_content_across_reroute () =
+  let b = Topology.Graph.Builder.create () in
+  let n = Array.init 5 (fun i -> Topology.Graph.Builder.add_node b (string_of_int i)) in
+  let edge u v delay =
+    Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay n.(u) n.(v)
+  in
+  edge 0 1 1e-3;
+  edge 1 3 1e-3;
+  edge 0 2 2e-3;
+  edge 2 3 2e-3;
+  edge 2 4 1e-3;
+  let g = Topology.Graph.Builder.build b in
+  let down u v =
+    let l = Option.get (Topology.Graph.find_link g u v) in
+    { Fault.Schedule.at = 0.3;
+      event = Fault.Schedule.Link_down { link = l.Topology.Link.id;
+                                         policy = `Hold_queued } }
+  in
+  let faults = Fault.Schedule.of_list [ down 1 3; down 3 1 ] in
+  let cfg =
+    { Inrpp.Config.default with
+      Inrpp.Config.anticipation = 0; icn_caching = true; cache_bits = 64e6 }
+  in
+  (* flow 1's hits, as (node, idx) *)
+  let run second =
+    let trace = Chunksim.Trace.create () and hits = ref [] in
+    Chunksim.Trace.on_record trace (fun _ e ->
+        match e with
+        | Chunksim.Trace.Cache_hit { node; flow = 1; idx } ->
+          hits := (node, idx) :: !hits
+        | _ -> ());
+    let r =
+      Inrpp.Protocol.run ~cfg ~horizon:60. ~faults ~trace g
+        [
+          Inrpp.Protocol.flow_spec ~content:7 ~src:0 ~dst:3 200;
+          Inrpp.Protocol.flow_spec ~content:second ~start:8. ~src:0 ~dst:4 100;
+        ]
+    in
+    Alcotest.(check int) "both complete" 2 r.Inrpp.Protocol.completed;
+    !hits
+  in
+  let at_2 = List.length (List.filter (fun (node, _) -> node = 2) (run 7)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "flow 1 hits at node 2 (%d)" at_2)
+    true (at_2 > 50);
+  Alcotest.(check int) "another content: no hit past chunk 0" 0
+    (List.length (List.filter (fun (_, idx) -> idx > 0) (run 8)))
+
 let test_protocol_drr_runs () =
   let g = Topology.Builders.fig3 () in
   let cfg = { bulk with Inrpp.Config.drr_scheduler = true } in
@@ -3046,6 +3104,8 @@ let () =
           Alcotest.test_case "two flows share" `Quick test_protocol_two_flows_share;
           Alcotest.test_case "icn cache hits" `Quick test_protocol_icn_cache_hits;
           Alcotest.test_case "icn cache off by default" `Quick test_protocol_icn_cache_off_by_default;
+          Alcotest.test_case "icn content across a reroute" `Quick
+            test_protocol_icn_content_across_reroute;
           Alcotest.test_case "drr scheduler runs" `Quick test_protocol_drr_runs;
           Alcotest.test_case "recovers from wire loss" `Quick test_protocol_recovers_from_wire_loss;
           Alcotest.test_case "loss determinism" `Quick test_protocol_loss_is_deterministic;
