@@ -3,7 +3,6 @@
    No other module writes either, and every site here changes both. *)
 
 open Router_state
-module Ft = Flow_table (* hash_order.allow names its walks so *)
 
 (* Load shedding: above {!Overload.Config.shed_threshold} custody
    occupancy, refuse the admission outright — new chunks are shed

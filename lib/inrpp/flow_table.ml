@@ -32,14 +32,13 @@ let f_bp_outage = 8
 let f_failed_over = 16
 
 (* Slot layout: byte offsets within a slot.  The chain is a u16 and a
-   u8 at 8 and 10, so it never touches the flag byte beside it. *)
+   u8 at 4 and 6, so it never touches the flag byte beside it. *)
 let o_flow = 0       (* flow id, or free-list thread *)
-let o_content = 4
-let o_chain = 8      (* u24: next slot in the bucket + 1, 0 = end *)
-let o_flags = 11
-let o_data_port = 12 (* u16: port index + 1, 0 = none *)
-let o_req_port = 14
-let stride = 16
+let o_chain = 4      (* u24: next slot in the bucket + 1, 0 = end *)
+let o_flags = 7
+let o_data_port = 8  (* u16: port index + 1, 0 = none *)
+let o_req_port = 10
+let stride = 12
 let max_slots = 0xff_ffff (* the chain holds slot + 1 *)
 
 (* Slot [s] lives in page [s lsr page_bits] at index [s land page_mask] *)
@@ -247,18 +246,14 @@ let write_ports t slot ~data_port ~req_port =
   set16 pg (at slot o_data_port) (data_port + 1);
   set16 pg (at slot o_req_port) (req_port + 1)
 
-let write_entry t slot ~content ~data_port ~req_port =
-  set32f t slot o_content content;
+let write_entry t slot ~data_port ~req_port =
   write_ports t slot ~data_port ~req_port;
   set_flags t slot 0
 
-let check_content content = check32 "content" content
-
-let set_entry t slot ~content ~data_port ~req_port =
+let set_entry t slot ~data_port ~req_port =
   let slot = slot_at t slot in
-  check_content content;
   check_ports ~data_port ~req_port;
-  write_entry t slot ~content ~data_port ~req_port
+  write_entry t slot ~data_port ~req_port
 
 let add t ~flow =
   if flow < 0 then invalid_arg "Flow_table.add: flow < 0";
@@ -279,7 +274,7 @@ let add t ~flow =
     set_chain t slot (head t b);
     set_head t b slot;
     set32f t slot o_flow flow;
-    write_entry t slot ~content:flow ~data_port:(-1) ~req_port:(-1);
+    write_entry t slot ~data_port:(-1) ~req_port:(-1);
     unpin t slot;
     t.live <- t.live + 1;
     if t.live > t.peak then t.peak <- t.live;
@@ -312,7 +307,6 @@ let release t ~flow =
   let b = bucket t flow in
   unlink t flow b (-1) (head t b)
 
-let content t slot = get32f t (slot_at t slot) o_content
 let port t slot off =
   let slot = slot_at t slot in
   get16 (page t slot) (at slot off) - 1

@@ -2,11 +2,13 @@
 
     The router keeps one entry per flow crossing it: next hops for
     data and requests, five back-pressure/fail-over flags and the
-    flowlet pin.  This module owns that state as 16-byte slot records
-    in [Bytes] pages of 1024 slots: flow id and content at int32; the
-    index chain as a 24-bit field holding slot + 1 (0 = end) beside a
+    flowlet pin.  This module owns that state as 12-byte slot records
+    in [Bytes] pages of 1024 slots: the flow id at int32; the index
+    chain as a 24-bit field holding slot + 1 (0 = end) beside a
     one-byte flag bitfield; and both next hops as unsigned 16-bit port
-    indices holding port + 1 (0 = none).  The flowlet clock and pinned
+    indices holding port + 1 (0 = none).  A flow's content key is the
+    same at every router, so the run holds it once (see
+    {!Router.create}) and no slot stores it.  The flowlet clock and pinned
     route live outside the slot, in an unboxed float page and an int32
     page allocated beside a slot page when the first slot in it pins a
     flowlet; a page without them reads as unpinned, so a table that
@@ -17,7 +19,7 @@
     so a large table keeps under one page of slack and leaves no old
     copy for the GC.  A growth that would pass 2^24 - 1 slots (the
     chain's reach) raises [Invalid_argument].  Steady-state cost is
-    about 24 bytes per flow, measured and frozen by the flow-state gate
+    about 19 bytes per flow, measured and frozen by the flow-state gate
     in [test/test_inrpp.ml], which also bounds what a 250k-flow ramp
     allocates.
 
@@ -47,7 +49,7 @@
     Next hops are stored as the router's port indices rather than
     [Link.t] to keep the pages free of pointers; the router resolves
     one through its own port array.  The table only stores them.  Flow
-    ids, contents and flowlet routes must fit in int32, and port
+    ids and flowlet routes must fit in int32, and port
     indices in [-1, 65534] (u16 less the none code): a call that would
     store one outside raises [Invalid_argument] before it writes
     anything, and {!find} or {!release} of a flow id outside finds
@@ -72,24 +74,19 @@ val find : t -> int -> int
     repeat of the last flow found costs no index walk. *)
 
 val add : t -> flow:int -> int
-(** The flow's slot, found, or taken fresh (content the flow id, ports
-    [-1], flags clear, no flowlet pin) when the flow is not
-    installed.  A caller that must read a reinstalled slot's flags
-    before {!set_entry} resets them pays one index walk, not two; a
-    flow above every id the table has held pays none.
+(** The flow's slot, found, or taken fresh (ports [-1], flags clear,
+    no flowlet pin) when the flow is not installed.  A caller that
+    must read a reinstalled slot's flags before {!set_entry} resets
+    them pays one index walk, not two; a flow above every id the table
+    has held pays none.
     @raise Invalid_argument if [flow < 0] or [flow] is outside int32. *)
 
-val check_content : int -> unit
-(** What {!set_entry} checks of a content, for a caller that must
-    refuse an install before {!add} takes a slot.
-    @raise Invalid_argument if the content is outside int32. *)
-
-val set_entry : t -> int -> content:int -> data_port:int -> req_port:int -> unit
-(** Set a slot's content and ports and clear its flags: the reset half
-    of a (re)install, which keeps the slot's flowlet pin.  [data_port]
-    and [req_port] are the router's port indices of the next hops
-    ([-1] = none).
-    @raise Invalid_argument if a value is outside its width, before
+val set_entry : t -> int -> data_port:int -> req_port:int -> unit
+(** Set a slot's ports and clear its flags: the reset half of a
+    (re)install, which keeps the slot's flowlet pin.  [data_port] and
+    [req_port] are the router's port indices of the next hops ([-1] =
+    none).
+    @raise Invalid_argument if a port is outside its width, before
     anything is written. *)
 
 val release : t -> flow:int -> int
@@ -98,8 +95,6 @@ val release : t -> flow:int -> int
     The freed slot's fields other than its flow id keep their values
     until a later {!add} hands the slot out again, so a caller may
     read its flags right after the release. *)
-
-val content : t -> int -> int
 
 val data_port : t -> int -> int
 (** Next-hop port index towards the consumer; [-1] = none (consumer

@@ -23,8 +23,8 @@ val flow_spec :
   ?start:float -> ?content:int -> src:Topology.Node.id ->
   dst:Topology.Node.id -> int -> flow_spec
 (** [flow_spec ~src ~dst chunks]; [start] defaults to 0.
-    @raise Invalid_argument if [chunks <= 0], [src = dst], or [start]
-    is negative or NaN. *)
+    @raise Invalid_argument if [chunks <= 0], [src = dst], [start] is
+    negative or NaN, or [content] is negative or 2^31 or more. *)
 
 val check_spec : string -> flow_spec -> unit
 (** [check_spec who s] applies {!flow_spec}'s rule to a spec that may

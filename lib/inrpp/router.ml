@@ -13,7 +13,7 @@ let flowlet_gap = 0.02
 
 let create ~cfg ~net ~node ~detours
     ?(link_state = Topology.Link_state.create (Net.graph net)) ?trace
-    ?(overload = Overload.Config.Off) ?registry () =
+    ?(overload = Overload.Config.Off) ?registry ?(contents = [||]) () =
   (match registry with
   | Some r when node >= Array.length r.Port.tick_nodes ->
     invalid_arg "Router.create: node outside the registry"
@@ -23,6 +23,7 @@ let create ~cfg ~net ~node ~detours
       Port.create ~cfg ~net ~node ~detours ~link_state ~trace ~overload
         ~reg:registry;
     ft = Ft.create ~gap:flowlet_gap ();
+    contents;
     store =
       Cache.create ?policy:(Overload.Config.policy overload)
         ~capacity:cfg.Config.cache_bits ();
@@ -81,16 +82,13 @@ let port_at t slot = t.s.Port.ports.(Ft.data_port t.ft slot)
 
 (* one index walk: a reinstall resets the flags, so a set bp_local
    leaves the count first *)
-let install_flow t ?content ~flow ~data_link ~req_link () =
+let install_flow t ~flow ~data_link ~req_link () =
   if flow < 0 then invalid_arg "Router.install_flow: flow < 0";
   let data_port = port_index t data_link in
   let req_port = port_index t req_link in
-  let content = Option.value ~default:flow content in
-  (* refuse before [add] takes a slot, as [port_index] does *)
-  Ft.check_content content;
   let slot = Ft.add t.ft ~flow in
   if Ft.bp_local t.ft slot then t.bp_locals <- t.bp_locals - 1;
-  Ft.set_entry t.ft slot ~content ~data_port ~req_port
+  Ft.set_entry t.ft slot ~data_port ~req_port
 
 let set_local_producer t f = t.local_producer <- Some f
 let set_local_consumer t f = t.local_consumer <- Some f
@@ -98,9 +96,9 @@ let set_local_consumer t f = t.local_consumer <- Some f
 (* Route reconvergence: point an existing entry at new primary links
    without disturbing its flowlet or custody state.  A reroute onto a
    live data link ends any outage condition the old path caused. *)
-let reroute_flow t ?content ~flow ~data_link ~req_link () =
+let reroute_flow t ~flow ~data_link ~req_link () =
   let slot = Ft.find t.ft flow in
-  if slot < 0 then install_flow t ?content ~flow ~data_link ~req_link ()
+  if slot < 0 then install_flow t ~flow ~data_link ~req_link ()
   else begin
     Ft.set_ports t.ft slot ~data_port:(port_index t data_link)
       ~req_port:(port_index t req_link);
@@ -144,12 +142,11 @@ let try_detour t slot flow (pt : Port.port) (p : Packet.t) =
     | `Dropped -> Custody.admit t slot flow p
   end
 
-let maybe_cache_popular t slot (p : Packet.t) =
+let maybe_cache_popular t flow (p : Packet.t) =
   if t.s.Port.cfg.Config.icn_caching then begin
     match p with
     | Packet.Data { idx; size; _ } ->
-      Cache.insert_popular t.store ~flow:(Ft.content t.ft slot) ~idx
-        ~bits:size
+      Cache.insert_popular t.store ~flow:(content t flow) ~idx ~bits:size
     | Packet.Request _ | Packet.Backpressure _ -> ()
   end
 
@@ -160,7 +157,7 @@ let forward_on_primary t slot flow (pt : Port.port) (p : Packet.t) =
   if not (send_primary t pt.p_link p) then try_detour t slot flow pt p
 
 let forward_primary_path t slot flow (p : Packet.t) =
-  maybe_cache_popular t slot p;
+  maybe_cache_popular t flow p;
   let dp = Ft.data_port t.ft slot in
   if dp < 0 then to_consumer t p
   else begin
@@ -254,7 +251,7 @@ let handle_request t (p : Packet.t) =
       (* ICN short-circuit: a popularity-cached copy answers the request
          locally and the request is not forwarded upstream *)
       t.s.Port.cfg.Config.icn_caching
-      && Cache.lookup_popular t.store ~flow:(Ft.content t.ft slot) ~idx:nc
+      && Cache.lookup_popular t.store ~flow:(content t flow) ~idx:nc
     then begin
       t.c.cache_hits <- t.c.cache_hits + 1;
       (match t.s.Port.trace with

@@ -54,7 +54,7 @@ val create :
   cfg:Config.t -> net:Chunksim.Net.t -> node:Topology.Node.id ->
   detours:Detour_table.t -> ?link_state:Topology.Link_state.t ->
   ?trace:Chunksim.Trace.t -> ?overload:Overload.Config.t ->
-  ?registry:registry -> unit -> t
+  ?registry:registry -> ?contents:int array -> unit -> t
 (** [detours] bounds the detour depth: every candidate it lists may
     be taken.  [link_state] is the link view the router reads: detour candidates
     with a down hop are unusable, and a down primary interface routes
@@ -64,9 +64,15 @@ val create :
     the admission policy guards the custody store, admissions shed
     above {!Overload.Config.shed_threshold}, back-pressure engages
     early at {!Overload.Config.early_bp_threshold}, and detours into
-    pressured neighbours are refused (see {!set_neighbor_pressure}).  [registry] enrols the router in a run's
-    registry; without it the router keeps its own interval count,
-    advanced by {!tick}.
+    pressured neighbours are refused (see {!set_neighbor_pressure}).
+    [registry] enrols the router in a run's registry; without it the
+    router keeps its own interval count, advanced by {!tick}.
+    [contents] holds each flow's content key, which keys the
+    popularity cache when [icn_caching] is on, so repeated transfers of
+    the same object hit on-path copies; a flow past its end (every
+    flow, by default) keys on its own id.  The key is a fact of the
+    run, the same at every router, so the protocol layer hands one
+    array to all of them and no flow-table entry stores it.
     @raise Invalid_argument if [node] is outside [registry]. *)
 
 val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit
@@ -80,21 +86,18 @@ val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit
     the oracle only under overload control. *)
 
 val install_flow :
-  t -> ?content:int -> flow:int -> data_link:Topology.Link.t option ->
+  t -> flow:int -> data_link:Topology.Link.t option ->
   req_link:Topology.Link.t option -> unit -> unit
 (** [data_link]: next hop towards the consumer ([None] at the
     consumer).  [req_link]: next hop towards the producer ([None] at
-    the producer).  [content] (default the flow id) keys the
-    popularity cache, so repeated transfers of the same object hit
-    on-path copies when [icn_caching] is enabled.  Both next hops must
-    be out-links of this router's node: the flow table stores each as
-    the index of its port, [flow] and [content] at int32 and port
-    indices at u16.
+    the producer).  Both next hops must be out-links of this router's
+    node: the flow table stores each as the index of its port, [flow]
+    at int32 and port indices at u16.
     @raise Invalid_argument if a next hop does not leave this node,
     before anything is written, or if a value is outside its width. *)
 
 val reroute_flow :
-  t -> ?content:int -> flow:int -> data_link:Topology.Link.t option ->
+  t -> flow:int -> data_link:Topology.Link.t option ->
   req_link:Topology.Link.t option -> unit -> unit
 (** Route reconvergence after an outage: like {!install_flow} but
     preserves the entry's back-pressure and flowlet state when the

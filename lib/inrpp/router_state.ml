@@ -35,6 +35,9 @@ type t = {
      bitfield and flowlet pin, paged slot records with free-list
      recycling (see Flow_table) *)
   ft : Ft.t;
+  (* each flow's content key, shared by every router of a run; a flow
+     past its end keys on its own id *)
+  contents : int array;
   store : Cache.t;
   custody_packets : Packet.t Itbl.t;  (* Chunk_key-packed; see Custody *)
   mutable drain_listed : bool;    (* in the registry's drain_nodes *)
@@ -48,6 +51,10 @@ type t = {
 }
 
 let now t = Port.now t.s
+
+(* The popularity cache's key for [flow]'s chunks *)
+let content t flow =
+  if flow < Array.length t.contents then t.contents.(flow) else flow
 
 (* Every router-level loss goes through here: it counts the drop and,
    with a trace attached, records it.  [link] is the link that refused

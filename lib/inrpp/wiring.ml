@@ -64,9 +64,8 @@ let place w op flow (path : Path.t) =
     w.req_routes.(flow) <- List.tl (List.rev path.Path.nodes)
   end
   else begin
-    let content = w.specs.(flow).content in
     Path.iter_hops w.g path (fun node ~data_link ~req_link ->
-        op w.routers.(node) ?content ~flow ~data_link ~req_link ());
+        op w.routers.(node) ~flow ~data_link ~req_link ());
     if w.cfg.Config.flow_teardown then
       w.install_sites.(flow) <-
         List.fold_left
@@ -129,10 +128,14 @@ let wire ~cfg ~horizon ~trace ~loss_rate ~obs ~check ~overload g specs =
   (* the run's periodic work: ticks and drains visit only the routers
      this registry lists *)
   let registry = Router.registry ~nodes:(Graph.node_count g) in
+  (* each flow's content key, held once for every router *)
+  let contents =
+    Array.mapi (fun flow s -> Option.value s.content ~default:flow) specs
+  in
   let routers =
     Array.init (Graph.node_count g) (fun node ->
         Router.create ~cfg ~net ~node ~detours ~link_state ?trace ~overload
-          ~registry ())
+          ~registry ~contents ())
   in
   (* neighbour-pressure oracle for detour refusal: each router can ask
      any node's custody occupancy fraction.  Installed only under

@@ -293,6 +293,16 @@ let test_dangling_entry () =
   Alcotest.(check (list string))
     "the .cmt files only" [ path "a.cmt"; path "sub/c.cmt" ] found
 
+(* A walk is named as its call writes it, through an [open] and an
+   alias alike, so an allow-list entry does not depend on either *)
+let test_opened_alias () =
+  Alcotest.(check (list string))
+    "the walk as written"
+    [ "test/interfaces/fixture/user.ml walked Tbl.fold" ]
+    (Walker.hash_order_sites (Walker.units ~root [ fixture_dir ])
+    |> List.map (fun (s : Walker.site) ->
+           String.concat " " [ s.file; s.in_binding; s.called ]))
+
 let test_fixture_count () =
   Alcotest.(check int) "exports" 4 (List.length (Lazy.force fixture_verdicts))
 
@@ -324,6 +334,8 @@ let () =
             (fixture "Fixture.entry" Used);
           Alcotest.test_case "functor argument counts" `Quick
             (fixture "Fixture.Key.compare" Used);
+          Alcotest.test_case "opened alias spelled as written" `Quick
+            test_opened_alias;
           Alcotest.test_case "passed parameter used" `Quick
             (fixture_knob "Knob.fetch ?passed" true);
           Alcotest.test_case "unpassed parameter flagged" `Quick

@@ -22,7 +22,9 @@ open Typedtree
 type use = {
   user : string;  (** source file of the calling unit *)
   binding : string;  (** enclosing top-level binding in that file *)
-  path : string;  (** the path as written, e.g. ["Ft.iter"] *)
+  path : string;
+      (** the path as written at the call, e.g. ["Ft.iter"]: neither an
+          [open] nor an alias changes it *)
 }
 
 type unit_info = {
@@ -183,7 +185,8 @@ let iter_uses u f =
   in
   let expr it (e : expression) =
     (match e.exp_desc with
-     | Texp_ident (p, _, vd) -> use (Path.name p) vd.val_loc
+     | Texp_ident (_, lid, vd) ->
+       use (String.concat "." (Longident.flatten lid.txt)) vd.val_loc
      | Texp_pack me -> module_values me
      | _ -> ());
     default_iterator.expr it e
