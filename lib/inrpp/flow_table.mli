@@ -6,18 +6,17 @@
     in [Bytes] pages of 1024 slots: the flow id at int32; the index
     chain as a 24-bit field holding slot + 1 (0 = end) beside a
     one-byte flag bitfield; and both next hops as unsigned 16-bit port
-    indices holding port + 1 (0 = none).  A flow's content key is the
-    same at every router, so the run holds it once (see
-    {!Router.create}) and no slot stores it.  The flowlet clock and pinned
-    route live outside the slot, in an unboxed float page and an int32
-    page allocated beside a slot page when the first slot in it pins a
-    flowlet; a page without them reads as unpinned, so a table that
-    never detours holds no flowlet bytes.  Released slots are recycled
-    through a free list.  The GC scans none of it.  The first page
-    grows by doubling from 16 slots, so a table of a few hundred flows
-    stays small; past one page, growth adds a page and copies no slot,
-    so a large table keeps under one page of slack and leaves no old
-    copy for the GC.  A growth that would pass 2^24 - 1 slots (the
+    indices holding port + 1 (0 = none).  A flow's content key, the
+    same at every router, is held once a run ({!Router.create}).  The
+    flowlet clock and pinned route live outside the slot, in an
+    unboxed float page and an int32 page allocated beside a slot page
+    when the first slot in it pins a flowlet; a page without them reads
+    as unpinned, so a table that never detours holds no flowlet bytes.
+    Released slots are recycled through a free list.  The GC scans
+    none of it.  The first page grows by doubling from 16 slots, so a
+    table of a few hundred flows stays small; past one page, growth
+    adds a page and copies no slot, so a large table keeps under one
+    page of slack and leaves no old copy for the GC.  A growth that would pass 2^24 - 1 slots (the
     chain's reach) raises [Invalid_argument].  Steady-state cost is
     about 19 bytes per flow, measured and frozen by the flow-state gate
     in [test/test_inrpp.ml], which also bounds what a 250k-flow ramp

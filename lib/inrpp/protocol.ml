@@ -13,8 +13,7 @@ let check_spec who s =
   if s.chunks <= 0 then invalid_arg (who ^ ": chunks <= 0");
   if s.src = s.dst then invalid_arg (who ^ ": src = dst");
   if not (s.start >= 0.) then invalid_arg (who ^ ": negative or NaN start");
-  (* the popularity cache packs the content as a [Chunk_key] flow, whose
-     order holds in [0, 2^31) *)
+  (* [Chunk_key.pack] orders a content key only in [0, 2^31) *)
   match s.content with
   | Some c when c < 0 || c > 0x7fff_ffff ->
     invalid_arg (who ^ ": content outside [0, 2^31)")

@@ -67,12 +67,9 @@ val create :
     pressured neighbours are refused (see {!set_neighbor_pressure}).
     [registry] enrols the router in a run's registry; without it the
     router keeps its own interval count, advanced by {!tick}.
-    [contents] holds each flow's content key, which keys the
-    popularity cache when [icn_caching] is on, so repeated transfers of
-    the same object hit on-path copies; a flow past its end (every
-    flow, by default) keys on its own id.  The key is a fact of the
-    run, the same at every router, so the protocol layer hands one
-    array to all of them and no flow-table entry stores it.
+    [contents] gives each flow's content key, the popularity cache's
+    key under [icn_caching]; a flow past its end (every flow, by
+    default) keys on its own id.  A run hands all its routers one array.
     @raise Invalid_argument if [node] is outside [registry]. *)
 
 val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit

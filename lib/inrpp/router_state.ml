@@ -35,9 +35,7 @@ type t = {
      bitfield and flowlet pin, paged slot records with free-list
      recycling (see Flow_table) *)
   ft : Ft.t;
-  (* each flow's content key, shared by every router of a run; a flow
-     past its end keys on its own id *)
-  contents : int array;
+  contents : int array;           (* content keys by flow, one per run *)
   store : Cache.t;
   custody_packets : Packet.t Itbl.t;  (* Chunk_key-packed; see Custody *)
   mutable drain_listed : bool;    (* in the registry's drain_nodes *)

@@ -2642,22 +2642,21 @@ let test_protocol_icn_cache_off_by_default () =
    pushing chunks ahead of the requests, whose copies would answer
    them too. *)
 let test_protocol_icn_content_across_reroute () =
-  let b = Topology.Graph.Builder.create () in
-  let n = Array.init 5 (fun i -> Topology.Graph.Builder.add_node b (string_of_int i)) in
-  let edge u v delay =
-    Topology.Graph.Builder.add_edge b ~capacity:10e6 ~delay n.(u) n.(v)
-  in
+  let module B = Topology.Graph.Builder in
+  let b = B.create () in
+  let n = Array.init 5 (fun i -> B.add_node b (string_of_int i)) in
+  let edge u v delay = B.add_edge b ~capacity:10e6 ~delay n.(u) n.(v) in
   edge 0 1 1e-3;
   edge 1 3 1e-3;
   edge 0 2 2e-3;
   edge 2 3 2e-3;
   edge 2 4 1e-3;
-  let g = Topology.Graph.Builder.build b in
+  let g = B.build b in
   let down u v =
     let l = Option.get (Topology.Graph.find_link g u v) in
-    { Fault.Schedule.at = 0.3;
-      event = Fault.Schedule.Link_down { link = l.Topology.Link.id;
-                                         policy = `Hold_queued } }
+    Fault.Schedule.
+      { at = 0.3;
+        event = Link_down { link = l.Topology.Link.id; policy = `Hold_queued } }
   in
   let faults = Fault.Schedule.of_list [ down 1 3; down 3 1 ] in
   let cfg =
@@ -2804,7 +2803,8 @@ let test_protocol_content_range () =
     (fun c ->
       let what = Printf.sprintf "content %d" c in
       Alcotest.check_raises ("flow_spec " ^ what) (msg "Protocol.flow_spec")
-        (fun () -> ignore (Inrpp.Protocol.flow_spec ~content:c ~src:0 ~dst:2 4));
+        (fun () ->
+          ignore (Inrpp.Protocol.flow_spec ~content:c ~src:0 ~dst:2 4));
       Alcotest.check_raises ("run " ^ what) (msg "Protocol.run") (fun () ->
           ignore
             (Inrpp.Protocol.run ~horizon:5. g
