@@ -11,6 +11,17 @@ let registry = Port.registry
    (flowlet switching: no reordering within a burst) *)
 let flowlet_gap = 0.02
 
+type contents = int array
+
+(* [Chunk_key.pack] orders a content key only in [0, 2^31) *)
+let contents keys =
+  Array.iter
+    (fun c ->
+      if c < 0 || c > 0x7fff_ffff then
+        invalid_arg "Router.contents: content outside [0, 2^31)")
+    keys;
+  keys
+
 let create ~cfg ~net ~node ~detours
     ?(link_state = Topology.Link_state.create (Net.graph net)) ?trace
     ?(overload = Overload.Config.Off) ?registry ?(contents = [||]) () =

@@ -50,11 +50,21 @@ val registry : nodes:int -> registry
 (** A registry for routers with node ids below [nodes].
     @raise Invalid_argument if [nodes < 1]. *)
 
+type contents
+(** A run's content keys by flow, each checked once for every router
+    the run builds. *)
+
+val contents : int array -> contents
+(** [contents keys] holds [keys.(flow)] as [flow]'s content key.  The
+    array is kept, not copied.
+    @raise Invalid_argument if a key is outside [0, 2^31), the range
+    in which [Chunksim.Chunk_key.pack] orders a key. *)
+
 val create :
   cfg:Config.t -> net:Chunksim.Net.t -> node:Topology.Node.id ->
   detours:Detour_table.t -> ?link_state:Topology.Link_state.t ->
   ?trace:Chunksim.Trace.t -> ?overload:Overload.Config.t ->
-  ?registry:registry -> ?contents:int array -> unit -> t
+  ?registry:registry -> ?contents:contents -> unit -> t
 (** [detours] bounds the detour depth: every candidate it lists may
     be taken.  [link_state] is the link view the router reads: detour candidates
     with a down hop are unusable, and a down primary interface routes
@@ -69,7 +79,8 @@ val create :
     router keeps its own interval count, advanced by {!tick}.
     [contents] gives each flow's content key, the popularity cache's
     key under [icn_caching]; a flow past its end (every flow, by
-    default) keys on its own id.  A run hands all its routers one array.
+    default) keys on its own id.  A run hands all its routers one
+    [contents].
     @raise Invalid_argument if [node] is outside [registry]. *)
 
 val set_neighbor_pressure : t -> (Topology.Node.id -> float) -> unit

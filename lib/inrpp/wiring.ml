@@ -130,7 +130,8 @@ let wire ~cfg ~horizon ~trace ~loss_rate ~obs ~check ~overload g specs =
   let registry = Router.registry ~nodes:(Graph.node_count g) in
   (* each flow's content key, held once for every router *)
   let contents =
-    Array.mapi (fun flow s -> Option.value s.content ~default:flow) specs
+    Router.contents
+      (Array.mapi (fun flow s -> Option.value s.content ~default:flow) specs)
   in
   let routers =
     Array.init (Graph.node_count g) (fun node ->

@@ -1438,6 +1438,40 @@ let test_router_refuses_foreign_req_hop () =
   Alcotest.(check (float 0.)) "flow 0's request left on 1->0"
     (Chunksim.Packet.size req) (sent 1 0)
 
+(* A content key outside [0, 2^31) is refused when the run's keys are
+   built, before any router holds them: [Chunk_key.pack] orders a key
+   only in that range.  Both ends are kept, and a router holding them
+   installs and forwards as fig3's node 1 does without them. *)
+let test_router_refuses_wide_content () =
+  List.iter
+    (fun keys ->
+      Alcotest.check_raises
+        (Printf.sprintf "keys [%s]"
+           (String.concat "; " (List.map string_of_int keys)))
+        (Invalid_argument "Router.contents: content outside [0, 2^31)")
+        (fun () -> ignore (R.contents (Array.of_list keys))))
+    [ [ 0x8000_0000 ]; [ -1 ]; [ 0; 0x7fff_ffff; 0x8000_0000 ];
+      [ max_int ]; [ min_int ] ];
+  let g = Topology.Builders.fig3 () in
+  let eng = Sim.Engine.create () in
+  let net = Chunksim.Net.create ~queue_bits:1e12 eng g in
+  let r =
+    R.create ~cfg:Inrpp.Config.default ~net ~node:1
+      ~detours:(Inrpp.Detour_table.create g)
+      ~contents:(R.contents [| 0; 0x7fff_ffff |]) ()
+  in
+  let link u v = Option.get (Topology.Graph.find_link g u v) in
+  List.iter
+    (fun flow ->
+      R.install_flow r ~flow ~data_link:(Some (link 1 3))
+        ~req_link:(Some (link 1 0)) ();
+      R.originate_data r (Chunksim.Packet.data ~flow ~idx:0 ~born:0. chunk))
+    [ 0; 1 ];
+  Sim.Engine.run eng;
+  Alcotest.(check int) "both flows installed" 2 (R.flow_entries_live r);
+  Alcotest.(check (float 0.)) "both chunks left on 1->3" (2. *. chunk)
+    (Chunksim.Iface.tx_bits (Chunksim.Net.iface net (link 1 3).id))
+
 (* A drain skips a port it found exitless for the rest of that drain.
    Six flows over two ports of fig3's node 1, behind eight-chunk
    queues, so ports run out of exits part-way through drains and
@@ -2790,7 +2824,7 @@ let test_protocol_validation () =
       ("chunks <= 0", { spec with Inrpp.Protocol.chunks = 0 });
       ("negative or NaN start", { spec with Inrpp.Protocol.start = nan }) ]
 
-(* A content key is checked once, with the spec: it keys the
+(* A content key is checked with the spec: it keys the
    popularity cache as a [Chunk_key] flow, whose order holds in
    [0, 2^31).  Both ends of that range run (with ICN caching, so the
    cache packs them); one past either end is refused by [flow_spec] and
@@ -3048,6 +3082,8 @@ let () =
             test_router_refuses_foreign_data_hop;
           Alcotest.test_case "a request link into the node" `Quick
             test_router_refuses_foreign_req_hop;
+          Alcotest.test_case "a content past int32" `Quick
+            test_router_refuses_wide_content;
         ] );
       ( "endpoints",
         [
